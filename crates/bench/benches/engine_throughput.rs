@@ -2,12 +2,10 @@
 //!
 //! Measures host wall-clock and simulated flits/sec for the metadata
 //! pipeline under (a) the naive reference engine — the pre-optimization
-//! baseline — (b) the quiescence-aware event engine at 1/2/4/8 host
-//! worker threads, and (c) the compiled block-step engine at 1/2/4/8
-//! simulation worker threads (`GENESIS_SIM_THREADS`, host batching held at
-//! one thread so the rows isolate intra-system parallelism). When a
-//! release build of the `fig13_speedup` binary is present, it is also
-//! timed end to end in both configurations. Each configuration runs three
+//! baseline — and (b) the fast (park/wake) engine at 1/2/4/8 host batch
+//! worker threads (`GENESIS_HOST_THREADS`). When a release build of the
+//! `fig13_speedup` binary is present, it is also timed end to end in both
+//! configurations. Each configuration runs three
 //! iterations and reports the median. Results are printed and snapshotted
 //! to `BENCH_engine.json` at the repository root so the performance
 //! trajectory is tracked across PRs.
@@ -45,23 +43,13 @@ impl Sample {
     }
 }
 
-/// Times one full metadata-accelerator run at the given engine/thread
-/// configuration (engine selection rides on `GENESIS_ENGINE`, which every
-/// `System` construction consults).
+/// Times one full metadata-accelerator run at the given engine and host
+/// batch-thread count (engine selection rides on `GENESIS_ENGINE`, which
+/// every `System` construction consults).
 fn run_metadata(dataset: &Dataset, engine: &str, threads: usize) -> Sample {
     std::env::set_var("GENESIS_ENGINE", engine);
-    // For the block engine, `threads` drives the intra-system simulation
-    // workers and host batching stays single-threaded; for the others it
-    // is the host batch worker count.
-    let host_threads = if engine == "block" {
-        std::env::set_var("GENESIS_SIM_THREADS", threads.to_string());
-        1
-    } else {
-        threads
-    };
-    let accel = MetadataAccel::new(
-        DeviceConfig::small().with_psize(5_000).with_host_threads(host_threads),
-    );
+    let accel =
+        MetadataAccel::new(DeviceConfig::small().with_psize(5_000).with_host_threads(threads));
     // Median of three: single-shot wall clocks wobble by ~10% on small
     // hosts, and a median is honest about the typical run where a min
     // would report the luckiest.
@@ -76,7 +64,6 @@ fn run_metadata(dataset: &Dataset, engine: &str, threads: usize) -> Sample {
     runs.sort_by_key(|(wall, _)| *wall);
     let (wall, stats) = runs.swap_remove(runs.len() / 2);
     std::env::remove_var("GENESIS_ENGINE");
-    std::env::remove_var("GENESIS_SIM_THREADS");
     Sample {
         label: format!("{engine}/{threads}t"),
         wall,
@@ -114,10 +101,7 @@ fn main() {
     let baseline = run_metadata(&dataset, "reference", 1);
     let mut samples = vec![baseline];
     for threads in [1usize, 2, 4, 8] {
-        samples.push(run_metadata(&dataset, "event", threads));
-    }
-    for threads in [1usize, 2, 4, 8] {
-        samples.push(run_metadata(&dataset, "block", threads));
+        samples.push(run_metadata(&dataset, "fast", threads));
     }
     for s in &samples {
         println!(
@@ -130,16 +114,8 @@ fn main() {
         );
     }
     println!(
-        "\n  event/1t vs reference/1t: {:.2}x",
+        "\n  fast/1t vs reference/1t: {:.2}x",
         samples[0].wall.as_secs_f64() / samples[1].wall.as_secs_f64()
-    );
-    println!(
-        "  block/1t vs event/1t:     {:.2}x",
-        samples[1].wall.as_secs_f64() / samples[5].wall.as_secs_f64()
-    );
-    println!(
-        "  block/1t vs reference/1t: {:.2}x",
-        samples[0].wall.as_secs_f64() / samples[5].wall.as_secs_f64()
     );
 
     let fig13_bin = repo_root.join("target/release/fig13_speedup");

@@ -72,7 +72,7 @@ fn main() {
         num_chromosomes: 2,
         ..DatagenConfig::tiny()
     });
-    println!("fault_overhead — metadata pipeline, block/1t (default engine)\n");
+    println!("fault_overhead — metadata pipeline, fast/1t (default engine)\n");
 
     // Active-but-silent: the plane is armed (per-attempt rolls happen on
     // every batch) but every rate is zero, so no fault ever fires.

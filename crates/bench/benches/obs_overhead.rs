@@ -1,15 +1,12 @@
 //! Observability overhead benchmark (`cargo bench --bench obs_overhead`).
 //!
 //! Times the metadata pipeline on the default engine (the exact
-//! `engine_throughput` block/1t configuration) in three modes — tracing
+//! `engine_throughput` fast/1t configuration) in three modes — tracing
 //! disabled, tracing enabled in-memory, tracing enabled with Chrome-trace
 //! export — and snapshots the results to `BENCH_obs.json`. The disabled
-//! mode is additionally compared against the block/1t sample recorded in
+//! mode is additionally compared against the fast/1t sample recorded in
 //! `BENCH_engine.json`: the acceptance budget for the always-on stall
-//! attribution is a ≤2% regression with tracing off. (Attaching a trace
-//! drops the block engine to per-cycle single-threaded execution — the
-//! window batch path cannot emit per-cycle events — so the trace-on rows
-//! price that too, as users would experience it.)
+//! attribution is a ≤2% regression with tracing off.
 
 use genesis_core::accel::metadata::MetadataAccel;
 use genesis_core::device::DeviceConfig;
@@ -50,15 +47,15 @@ fn run_metadata(dataset: &Dataset, label: &str, trace: TraceConfig) -> Sample {
     }
 }
 
-/// The block/1t wall-clock recorded by the last `engine_throughput` run.
-fn baseline_block_1t_ms(repo_root: &std::path::Path) -> Option<f64> {
+/// The fast/1t wall-clock recorded by the last `engine_throughput` run.
+fn baseline_fast_1t_ms(repo_root: &std::path::Path) -> Option<f64> {
     let text = std::fs::read_to_string(repo_root.join("BENCH_engine.json")).ok()?;
     let parsed = Json::parse(&text).ok()?;
     parsed
         .get("samples")?
         .as_array()?
         .iter()
-        .find(|s| s.get("label").and_then(Json::as_str) == Some("block/1t"))?
+        .find(|s| s.get("label").and_then(Json::as_str) == Some("fast/1t"))?
         .get("wall_ms")?
         .as_f64()
 }
@@ -71,7 +68,7 @@ fn main() {
         num_chromosomes: 2,
         ..DatagenConfig::tiny()
     });
-    println!("obs_overhead — metadata pipeline, block/1t (default engine)\n");
+    println!("obs_overhead — metadata pipeline, fast/1t (default engine)\n");
 
     let export_path = std::env::temp_dir().join("genesis_obs_overhead_trace.json");
     let samples = [
@@ -92,14 +89,14 @@ fn main() {
     let on_ms = samples[1].wall.as_secs_f64() * 1e3;
     println!("\n  tracing-enabled overhead vs disabled: {:+.1}%", (on_ms / off_ms - 1.0) * 100.0);
 
-    let baseline = baseline_block_1t_ms(&repo_root);
+    let baseline = baseline_fast_1t_ms(&repo_root);
     if let Some(b) = baseline {
         println!(
-            "  tracing-disabled vs BENCH_engine.json block/1t ({b:.1} ms): {:+.1}% (budget ≤ +2%)",
+            "  tracing-disabled vs BENCH_engine.json fast/1t ({b:.1} ms): {:+.1}% (budget ≤ +2%)",
             (off_ms / b - 1.0) * 100.0
         );
     } else {
-        println!("  (no BENCH_engine.json block/1t baseline found; skipping comparison)");
+        println!("  (no BENCH_engine.json fast/1t baseline found; skipping comparison)");
     }
     let _ = std::fs::remove_file(&export_path);
     let _ = std::fs::remove_file(format!("{}.stalls.txt", export_path.display()));
@@ -126,11 +123,11 @@ fn main() {
         Some(b) => {
             let _ = write!(
                 json,
-                "  \"baseline_event_1t_ms\": {b:.1},\n  \"trace_off_vs_baseline_pct\": {:.1}\n",
+                "  \"baseline_fast_1t_ms\": {b:.1},\n  \"trace_off_vs_baseline_pct\": {:.1}\n",
                 (off_ms / b - 1.0) * 100.0
             );
         }
-        None => json.push_str("  \"baseline_event_1t_ms\": null\n"),
+        None => json.push_str("  \"baseline_fast_1t_ms\": null\n"),
     }
     json.push_str("}\n");
     let out = repo_root.join("BENCH_obs.json");

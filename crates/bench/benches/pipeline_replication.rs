@@ -150,6 +150,7 @@ fn main() {
         write_port_bytes: vec![],
         fabric: ResourceUsage { luts: 3_500, registers: 4_900, bram_bytes: 2_304 },
         expansion: 1.0,
+        selectivity: 1.0,
     };
     let fig8: Vec<(&str, usize, String)> = [
         ("column_reduce (retired)", column_reduce_retired),

@@ -3,10 +3,10 @@
 //! Answers two questions about the tier subsystem:
 //!
 //! 1. **What does it cost when it does nothing?** The metadata pipeline
-//!    (the `engine_throughput` block/1t workload) runs with tiering off
+//!    (the `engine_throughput` fast/1t workload) runs with tiering off
 //!    and with tiering enabled at the default 4 MiB quota where every
 //!    scratchpad pins — the tier gate must be within noise (≤2%) of the
-//!    committed `BENCH_engine.json` block/1t row.
+//!    committed `BENCH_engine.json` fast/1t row.
 //! 2. **What does a spill-heavy run look like?** A 256Ki-group aggregate
 //!    whose two 2 MiB histograms run against a 256 KiB modeled SPM
 //!    (16× oversubscribed), reporting page traffic, modeled PCIe GB/s,
@@ -71,7 +71,7 @@ fn median5(label: &str, mut f: impl FnMut() -> AccelStats) -> Sample {
     Sample { label: label.to_owned(), wall, stats }
 }
 
-/// The `engine_throughput` block/1t workload, with or without tiering.
+/// The `engine_throughput` fast/1t workload, with or without tiering.
 fn run_metadata(dataset: &Dataset, tiers: Option<TierConfig>) -> AccelStats {
     let mut cfg = DeviceConfig::small().with_psize(5_000).with_host_threads(1);
     if let Some(t) = tiers {
@@ -121,10 +121,10 @@ fn spill_plan() -> (LogicalPlan, Catalog) {
     (plan, catalog)
 }
 
-/// The committed block/1t throughput from `BENCH_engine.json`, if present.
-fn engine_block1t_mflits(repo_root: &std::path::Path) -> Option<f64> {
+/// The committed fast/1t throughput from `BENCH_engine.json`, if present.
+fn engine_fast1t_mflits(repo_root: &std::path::Path) -> Option<f64> {
     let text = std::fs::read_to_string(repo_root.join("BENCH_engine.json")).ok()?;
-    let row = text.lines().find(|l| l.contains("\"block/1t\""))?;
+    let row = text.lines().find(|l| l.contains("\"fast/1t\""))?;
     let key = "\"mflits_per_sec\": ";
     let at = row.find(key)? + key.len();
     row[at..].trim_end_matches(['}', ',', ' ']).parse().ok()
@@ -141,11 +141,11 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
     println!("tier_overhead — tiering off/pinned/spilling, {host_cores} host core(s)\n");
 
-    let off = median5("tiers-off/block/1t", || run_metadata(&dataset, None));
+    let off = median5("tiers-off/fast/1t", || run_metadata(&dataset, None));
     let pinned =
-        median5("tiers-pinned/block/1t", || run_metadata(&dataset, Some(TierConfig::default())));
+        median5("tiers-pinned/fast/1t", || run_metadata(&dataset, Some(TierConfig::default())));
     let (plan, catalog) = spill_plan();
-    let spill = median5("spill-heavy/block/1t", || run_spill_heavy(&plan, &catalog));
+    let spill = median5("spill-heavy/fast/1t", || run_spill_heavy(&plan, &catalog));
     assert!(
         spill.stats.spill_wait_cycles > 0 && spill.stats.tier_pcie_bytes > 0,
         "the spill-heavy row must actually spill: {}",
@@ -167,9 +167,9 @@ fn main() {
     let gate_pct = (1.0 - pinned.mflits_per_sec() / off.mflits_per_sec()) * 100.0;
     println!("\n  pinned-tier gate overhead vs tiers-off: {gate_pct:.2}%");
     // Overhead of the tiers-off build vs the committed engine baseline.
-    let engine_pct = engine_block1t_mflits(&repo_root).map(|base| {
+    let engine_pct = engine_fast1t_mflits(&repo_root).map(|base| {
         let pct = (1.0 - off.mflits_per_sec() / base) * 100.0;
-        println!("  tiers-off vs BENCH_engine.json block/1t: {pct:.2}% ({base:.2} Mflit/s baseline)");
+        println!("  tiers-off vs BENCH_engine.json fast/1t: {pct:.2}% ({base:.2} Mflit/s baseline)");
         pct
     });
 
@@ -197,7 +197,7 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"tier_gate_overhead_pct\": {gate_pct:.2},");
     if let Some(pct) = engine_pct {
-        let _ = writeln!(json, "  \"tiers_off_vs_engine_block1t_pct\": {pct:.2},");
+        let _ = writeln!(json, "  \"tiers_off_vs_engine_fast1t_pct\": {pct:.2},");
     }
     let _ = write!(
         json,

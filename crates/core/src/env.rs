@@ -86,9 +86,10 @@ fn edit_distance(a: &str, b: &str) -> usize {
 /// A validated snapshot of the `GENESIS_*` environment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenesisEnv {
-    /// Simulation engine selection (`GENESIS_ENGINE`): the compiled
-    /// block-step engine by default, the event-driven engine for
-    /// comparison, the naive reference engine for differential debugging.
+    /// Simulation engine selection (`GENESIS_ENGINE`): the fast
+    /// (park/wake) engine by default, the naive reference engine for
+    /// differential debugging. Validated here; `genesis_hw::System` reads
+    /// the same variable through the same [`EngineMode::from_name`].
     pub engine: EngineMode,
     /// Tracing knob (`GENESIS_TRACE`): off, or Chrome-trace export path.
     pub trace: TraceConfig,
@@ -112,7 +113,7 @@ pub struct GenesisEnv {
 }
 
 impl GenesisEnv {
-    /// Loads and validates the four `GENESIS_*` variables from the process
+    /// Loads and validates the `GENESIS_*` variables from the process
     /// environment.
     ///
     /// # Errors
@@ -163,13 +164,10 @@ impl GenesisEnv {
     pub fn help() -> String {
         "GENESIS_* environment variables:\n\
          \n\
-         GENESIS_ENGINE        Simulation engine. `block` (default:\n\
-         \x20                     devirtualized block-step engine), `event`\n\
-         \x20                     (event-driven), or `reference` (naive\n\
-         \x20                     tick-everything, for differential debugging).\n\
-         GENESIS_SIM_THREADS   Positive integer = worker threads for the\n\
-         \x20                     block engine's partitioned lockstep\n\
-         \x20                     simulation; unset or invalid = 1.\n\
+         GENESIS_ENGINE        Simulation engine. `fast` (default: parks\n\
+         \x20                     idle modules, skips all-idle cycles) or\n\
+         \x20                     `reference` (naive tick-everything, for\n\
+         \x20                     differential debugging). Bit-identical.\n\
          GENESIS_TRACE         Unset/empty/`0`/`off` = no tracing; any other\n\
          \x20                     value enables tracing and is the Chrome-trace\n\
          \x20                     output path (plus `<path>.stalls.txt`).\n\
@@ -202,21 +200,14 @@ impl GenesisEnv {
 }
 
 fn parse_engine(v: Option<String>) -> Result<EngineMode, EnvError> {
-    let Some(v) = v else { return Ok(EngineMode::Block) };
-    let t = v.trim();
-    if t.is_empty() || t.eq_ignore_ascii_case("block") {
-        Ok(EngineMode::Block)
-    } else if t.eq_ignore_ascii_case("event") || t.eq_ignore_ascii_case("event-driven") {
-        Ok(EngineMode::EventDriven)
-    } else if t.eq_ignore_ascii_case("reference") {
-        Ok(EngineMode::Reference)
-    } else {
-        let mut reason = "expected `block`, `event` or `reference`".to_owned();
-        if let Some(s) = suggest(t, ["block", "event", "event-driven", "reference"]) {
+    let t = v.as_deref().unwrap_or("").trim();
+    EngineMode::from_name(t).ok_or_else(|| {
+        let mut reason = "expected `fast` or `reference`".to_owned();
+        if let Some(s) = suggest(t, ["fast", "reference"]) {
             reason.push_str(&format!(" (did you mean `{s}`?)"));
         }
-        Err(EnvError { var: "GENESIS_ENGINE", value: v, reason })
-    }
+        EnvError { var: "GENESIS_ENGINE", value: v.clone().unwrap_or_default(), reason }
+    })
 }
 
 fn parse_trace(v: Option<String>) -> TraceConfig {
@@ -382,7 +373,7 @@ mod tests {
     #[test]
     fn empty_environment_is_default() {
         let env = GenesisEnv::from_lookup(|_| None).unwrap();
-        assert_eq!(env.engine, EngineMode::Block);
+        assert_eq!(env.engine, EngineMode::Fast);
         assert!(!env.trace.enabled);
         assert_eq!(env.faults, FaultConfig::default());
         assert_eq!(env.host_threads, None);
@@ -443,11 +434,23 @@ mod tests {
     }
 
     #[test]
-    fn block_engine_parses() {
-        let env = GenesisEnv::from_lookup(env_of(&[("GENESIS_ENGINE", "Block")])).unwrap();
-        assert_eq!(env.engine, EngineMode::Block);
-        let err = GenesisEnv::from_lookup(env_of(&[("GENESIS_ENGINE", "blok")])).unwrap_err();
-        assert!(err.reason.contains("did you mean `block`"), "got: {}", err.reason);
+    fn retired_engine_names_are_rejected() {
+        let env = GenesisEnv::from_lookup(env_of(&[("GENESIS_ENGINE", " FAST ")])).unwrap();
+        assert_eq!(env.engine, EngineMode::Fast);
+        for retired in ["block", "event", "event-driven"] {
+            let err = GenesisEnv::from_lookup(env_of(&[("GENESIS_ENGINE", retired)]))
+                .unwrap_err();
+            assert_eq!(err.var, "GENESIS_ENGINE");
+            assert!(
+                err.reason.contains("`fast`") && err.reason.contains("`reference`"),
+                "{retired}: {}",
+                err.reason
+            );
+            // No hint for a retired name: nothing accepted is close to it.
+            assert!(!err.reason.contains("did you mean"), "{retired}: {}", err.reason);
+        }
+        let err = GenesisEnv::from_lookup(env_of(&[("GENESIS_ENGINE", "fsat")])).unwrap_err();
+        assert!(err.reason.contains("did you mean `fast`"), "got: {}", err.reason);
     }
 
     #[test]
@@ -522,7 +525,6 @@ mod tests {
         let help = GenesisEnv::help();
         for var in [
             "GENESIS_ENGINE",
-            "GENESIS_SIM_THREADS",
             "GENESIS_TRACE",
             "GENESIS_FAULTS",
             "GENESIS_HOST_THREADS",
@@ -532,5 +534,7 @@ mod tests {
         ] {
             assert!(help.contains(var), "help missing {var}");
         }
+        // Exactly the seven above: a removed knob must leave the help too.
+        assert_eq!(help.matches("GENESIS_").count(), 1 + 7, "{help}");
     }
 }

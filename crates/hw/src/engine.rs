@@ -1,396 +1,33 @@
-//! The engine core shared by all three simulation engines.
+//! The engine core shared by both simulation engines.
 //!
-//! [`EngineCore`] owns the simulation state for the duration of one
-//! [`crate::System::run`] call and drives it with one loop that all three
-//! engines share:
+//! [`EngineCore`] borrows a [`crate::System`]'s simulation state for the
+//! duration of one [`crate::System::run`] call and drives it with one tick
+//! loop:
 //!
 //! - **Reference** (`park_enabled = false`): every unfinished module ticks
-//!   every cycle; park results are ignored.
-//! - **Event-driven** (`park_enabled = true`, `T = Box<dyn Module>`):
-//!   parked modules are skipped until a watched queue changes or a timed
-//!   wake arrives, and all-parked stretches advance in closed form.
-//! - **Block** (`park_enabled = true`, `T =` [`ModuleSlot`]): the event
-//!   engine's skipping plus two throughput optimizations that preserve
-//!   bit-identity — enum dispatch instead of vtable calls, and *windows*:
-//!   stretches of `k` cycles where every live module is a streaming
-//!   module with `k` buffered inputs and `k` free output slots, executed
-//!   as one `tick_run` batch per module over contiguous queue storage.
-//!   With `GENESIS_SIM_THREADS > 1` the module graph is partitioned at
-//!   queue/scratchpad/memory seams and the components run on worker
-//!   threads in lockstep 512-cycle segments (see [`run_parallel`]).
+//!   every cycle; park results are ignored. The frozen oracle.
+//! - **Fast** (`park_enabled = true`): parked modules are skipped until a
+//!   watched queue changes or a timed wake arrives, and stretches where
+//!   every live module is parked advance in closed form.
 //!
-//! The window transformation is exact, not approximate: a streaming
-//! module pops at most one flit per input and pushes at most one flit per
-//! output per tick, and it parks only on an *empty* input. With every
-//! input holding at least `k` flits *or fed by an earlier exact-rate
-//! window member* (see [`Tickable::exact_rate`]), every output having at
-//! least `k` free slots, no other producer/consumer on those queues, and
-//! no parked module watching them, the `k` per-cycle interleavings
-//! commute into per-module batches: no stall, park, wake, or
-//! close-visibility difference is observable, so cycle counts, stall
-//! attribution, memory traffic, and outputs stay bit-identical. (Queues
-//! deliberately do not track a transient high-water mark: a window batch
-//! deposits `k` flits before the consumer's batch drains them, so any
-//! such occupancy statistic would be the one window-visible divergence —
-//! it was dropped rather than special-cased in window admission.)
-
-/// Total simulated cycles executed through windows (diagnostic: lets
-/// tests assert the fast path actually engages, and `--nocapture` runs
-/// gauge coverage). Process-wide, monotone, updated relaxed.
-pub(crate) static WINDOW_CYCLES: std::sync::atomic::AtomicU64 =
-    std::sync::atomic::AtomicU64::new(0);
-/// Number of windows executed. Companion to [`WINDOW_CYCLES`].
-pub(crate) static WINDOW_COUNT: std::sync::atomic::AtomicU64 =
-    std::sync::atomic::AtomicU64::new(0);
+//! Skipping is exact, not approximate: a module may park only after a tick
+//! that was a pure no-op and would stay one until a watched queue is
+//! mutated or its timed wake arrives (see [`Tick::Park`]), so cycle counts,
+//! stall counters, memory traffic, scratchpad contents and outputs are
+//! bit-identical between the two.
 
 use crate::memory::MemorySystem;
-use crate::modules::alu::StreamAlu;
-use crate::modules::binidgen::BinIdGen;
-use crate::modules::fanout::Fanout;
-use crate::modules::filter::Filter;
-use crate::modules::joiner::Joiner;
-use crate::modules::mdgen::MdGen;
-use crate::modules::mem_reader::MemReader;
-use crate::modules::mem_writer::MemWriter;
-use crate::modules::read_to_bases::ReadToBases;
-use crate::modules::reducer::Reducer;
-use crate::modules::sink::StreamSink;
-use crate::modules::source::StreamSource;
-use crate::modules::spm_reader::{SpmAddrReader, SpmReader};
-use crate::modules::spm_updater::SpmUpdater;
-use crate::modules::zip::Zip;
 use crate::modules::{Ctx, Module, Tick, Watch};
 use crate::queue::{QueueId, QueuePool};
 use crate::spm::SpmPool;
 use crate::system::{SimError, TraceState};
-use crate::word::{Flit, MAX_FIELDS};
 use genesis_obs::{SpanKind, StallClass, StallCounters};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 
 /// Watcher-role bits: how a module relates to a watched queue.
 const ROLE_INPUT: u8 = 1;
 const ROLE_OUTPUT: u8 = 2;
-
-/// Smallest window worth the setup cost of the feasibility scan.
-const MIN_WINDOW: usize = 4;
-
-/// What a module must expose to be driven by [`EngineCore`]. Implemented
-/// by `Box<dyn Module>` (vtable dispatch, for the reference and event
-/// engines) and by [`ModuleSlot`] (enum dispatch, for the block engine).
-pub(crate) trait Tickable: Send {
-    fn label(&self) -> &str;
-    fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick;
-    fn is_done(&self) -> bool;
-    fn input_queues(&self) -> Vec<QueueId>;
-    fn output_queues(&self) -> Vec<QueueId>;
-    /// True when `tick_run` may replace per-cycle ticks inside a window
-    /// (the module pops/pushes at most one flit per queue per tick and
-    /// parks only on an empty input).
-    fn streamable(&self) -> bool {
-        false
-    }
-    /// True when every tick pops exactly one flit from each input and
-    /// pushes exactly one flit to each output, independent of flit
-    /// *contents*, whenever inputs are nonempty and outputs have space.
-    /// The window planner uses this to project queue depths: a window of
-    /// `k` cycles needs no buffered backlog on a queue whose exact-rate
-    /// producer runs earlier in the same window — the producer deposits
-    /// its `j`-th flit in cycle `j`, before the consumer's same-cycle
-    /// tick. Modules that drop, resynchronize, or emit at data-dependent
-    /// rates (filters, reducers, joiners, zips) must stay `false`.
-    fn exact_rate(&self) -> bool {
-        false
-    }
-    /// Remaining self-generated flits for supply-limited producers
-    /// (sources). Caps the window length so an exact-rate producer cannot
-    /// run dry mid-window.
-    fn supply(&self) -> Option<usize> {
-        None
-    }
-    /// Executes `k` consecutive ticks. The default replays `tick`
-    /// per-cycle; streaming slots override it with a batch
-    /// implementation over contiguous queue runs.
-    fn tick_run(&mut self, ctx: &mut Ctx<'_>, k: usize, scratch: &mut Vec<Flit>) {
-        let _ = scratch;
-        loop_ticks(self, ctx, k);
-    }
-}
-
-/// Replays `k` per-cycle ticks (the window fallback for non-streaming
-/// modules: correct for any module, just not batched).
-fn loop_ticks<T: Tickable + ?Sized>(t: &mut T, ctx: &mut Ctx<'_>, k: usize) {
-    let base = ctx.cycle;
-    for j in 0..k as u64 {
-        if t.is_done() {
-            break;
-        }
-        ctx.cycle = base + j;
-        let tick = t.tick(ctx);
-        debug_assert!(
-            !matches!(tick, Tick::Park { .. }),
-            "window contract violation: {} parked mid-window",
-            t.label()
-        );
-        let _ = tick;
-    }
-    ctx.cycle = base;
-}
-
-impl Tickable for Box<dyn Module> {
-    fn label(&self) -> &str {
-        (**self).label()
-    }
-    fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
-        (**self).tick(ctx)
-    }
-    fn is_done(&self) -> bool {
-        (**self).is_done()
-    }
-    fn input_queues(&self) -> Vec<QueueId> {
-        (**self).input_queues()
-    }
-    fn output_queues(&self) -> Vec<QueueId> {
-        (**self).output_queues()
-    }
-}
-
-/// A module devirtualized into an enum variant so the block engine's hot
-/// loop dispatches with a jump table instead of a vtable call, and so
-/// `tick_run` can reach each concrete type's batch implementation.
-/// Unknown (out-of-tree) module types ride along boxed in `Other`.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum ModuleSlot {
-    MemReader(MemReader),
-    MemWriter(MemWriter),
-    Joiner(Joiner),
-    Filter(Filter),
-    Reducer(Reducer),
-    Alu(StreamAlu),
-    SpmReader(SpmReader),
-    SpmAddrReader(SpmAddrReader),
-    SpmUpdater(SpmUpdater),
-    ReadToBases(ReadToBases),
-    MdGen(MdGen),
-    BinIdGen(BinIdGen),
-    Fanout(Fanout),
-    Zip(Zip),
-    Source(StreamSource),
-    Sink(StreamSink),
-    Other(Box<dyn Module>),
-}
-
-/// Expands `$body` once per variant with `$m` bound to the payload. The
-/// `Other` arm works because `Box<dyn Module>` auto-derefs.
-macro_rules! for_each_slot {
-    ($slot:expr, $m:ident => $body:expr) => {
-        match $slot {
-            ModuleSlot::MemReader($m) => $body,
-            ModuleSlot::MemWriter($m) => $body,
-            ModuleSlot::Joiner($m) => $body,
-            ModuleSlot::Filter($m) => $body,
-            ModuleSlot::Reducer($m) => $body,
-            ModuleSlot::Alu($m) => $body,
-            ModuleSlot::SpmReader($m) => $body,
-            ModuleSlot::SpmAddrReader($m) => $body,
-            ModuleSlot::SpmUpdater($m) => $body,
-            ModuleSlot::ReadToBases($m) => $body,
-            ModuleSlot::MdGen($m) => $body,
-            ModuleSlot::BinIdGen($m) => $body,
-            ModuleSlot::Fanout($m) => $body,
-            ModuleSlot::Zip($m) => $body,
-            ModuleSlot::Source($m) => $body,
-            ModuleSlot::Sink($m) => $body,
-            ModuleSlot::Other($m) => $body,
-        }
-    };
-}
-
-impl ModuleSlot {
-    /// Devirtualizes a boxed module (falling back to `Other` for types
-    /// this enum does not know).
-    pub(crate) fn from_module(m: Box<dyn Module>) -> ModuleSlot {
-        macro_rules! try_downcast {
-            ($($variant:ident => $ty:ty),* $(,)?) => {
-                $(
-                    if m.as_any().is::<$ty>() {
-                        return ModuleSlot::$variant(
-                            *m.into_any().downcast::<$ty>().expect("checked with is"),
-                        );
-                    }
-                )*
-            };
-        }
-        try_downcast! {
-            MemReader => MemReader,
-            MemWriter => MemWriter,
-            Joiner => Joiner,
-            Filter => Filter,
-            Reducer => Reducer,
-            Alu => StreamAlu,
-            SpmReader => SpmReader,
-            SpmAddrReader => SpmAddrReader,
-            SpmUpdater => SpmUpdater,
-            ReadToBases => ReadToBases,
-            MdGen => MdGen,
-            BinIdGen => BinIdGen,
-            Fanout => Fanout,
-            Zip => Zip,
-            Source => StreamSource,
-            Sink => StreamSink,
-        }
-        ModuleSlot::Other(m)
-    }
-
-    /// Re-boxes the module (restores the `System`'s `Box<dyn Module>`
-    /// registry after a block run, so downcasts and labels keep working).
-    pub(crate) fn into_module(self) -> Box<dyn Module> {
-        match self {
-            ModuleSlot::MemReader(m) => Box::new(m),
-            ModuleSlot::MemWriter(m) => Box::new(m),
-            ModuleSlot::Joiner(m) => Box::new(m),
-            ModuleSlot::Filter(m) => Box::new(m),
-            ModuleSlot::Reducer(m) => Box::new(m),
-            ModuleSlot::Alu(m) => Box::new(m),
-            ModuleSlot::SpmReader(m) => Box::new(m),
-            ModuleSlot::SpmAddrReader(m) => Box::new(m),
-            ModuleSlot::SpmUpdater(m) => Box::new(m),
-            ModuleSlot::ReadToBases(m) => Box::new(m),
-            ModuleSlot::MdGen(m) => Box::new(m),
-            ModuleSlot::BinIdGen(m) => Box::new(m),
-            ModuleSlot::Fanout(m) => Box::new(m),
-            ModuleSlot::Zip(m) => Box::new(m),
-            ModuleSlot::Source(m) => Box::new(m),
-            ModuleSlot::Sink(m) => Box::new(m),
-            ModuleSlot::Other(m) => m,
-        }
-    }
-}
-
-/// True when the partitioner can account for every resource the module
-/// touches (it is one of the known concrete types).
-fn slot_known(m: &dyn Module) -> bool {
-    let a = m.as_any();
-    a.is::<MemReader>()
-        || a.is::<MemWriter>()
-        || a.is::<Joiner>()
-        || a.is::<Filter>()
-        || a.is::<Reducer>()
-        || a.is::<StreamAlu>()
-        || a.is::<SpmReader>()
-        || a.is::<SpmAddrReader>()
-        || a.is::<SpmUpdater>()
-        || a.is::<ReadToBases>()
-        || a.is::<MdGen>()
-        || a.is::<BinIdGen>()
-        || a.is::<Fanout>()
-        || a.is::<Zip>()
-        || a.is::<StreamSource>()
-        || a.is::<StreamSink>()
-}
-
-impl Tickable for ModuleSlot {
-    fn label(&self) -> &str {
-        for_each_slot!(self, m => m.label())
-    }
-    fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
-        for_each_slot!(self, m => m.tick(ctx))
-    }
-    fn is_done(&self) -> bool {
-        for_each_slot!(self, m => m.is_done())
-    }
-    fn input_queues(&self) -> Vec<QueueId> {
-        for_each_slot!(self, m => m.input_queues())
-    }
-    fn output_queues(&self) -> Vec<QueueId> {
-        for_each_slot!(self, m => m.output_queues())
-    }
-
-    /// The window whitelist: modules that pop/push at most one flit per
-    /// queue per tick, never read `ctx.cycle`, never touch memory or
-    /// scratchpads, and park only on an *empty* input.
-    ///
-    /// Deliberately excluded:
-    /// - `MemReader`/`MemWriter`: per-cycle memory arbitration.
-    /// - `SpmReader`/`SpmAddrReader`/`SpmUpdater`: scratchpad traffic,
-    ///   multi-pop delimiter skips, or cycle-dependent RMW hazards.
-    /// - `ReadToBases`: parks on *non-empty* queues while realigning
-    ///   POS/CIGAR/SEQ delimiters, so buffered input does not guarantee
-    ///   park-free ticks.
-    /// - `Zip` beyond `MAX_FIELDS` inputs: its batch cursors are a
-    ///   fixed-size array.
-    fn streamable(&self) -> bool {
-        match self {
-            ModuleSlot::Filter(_)
-            | ModuleSlot::Reducer(_)
-            | ModuleSlot::Alu(_)
-            | ModuleSlot::Joiner(_)
-            | ModuleSlot::MdGen(_)
-            | ModuleSlot::BinIdGen(_)
-            | ModuleSlot::Fanout(_)
-            | ModuleSlot::Source(_)
-            | ModuleSlot::Sink(_) => true,
-            ModuleSlot::Zip(z) => z.fan_in() <= MAX_FIELDS,
-            _ => false,
-        }
-    }
-
-    /// Exact-rate subset of the whitelist: `Source` (supply-capped via
-    /// [`Tickable::supply`]), `Sink`, `Fanout`, and constant-operand
-    /// `Alu` move exactly one flit per queue per tick regardless of flit
-    /// contents. `Filter` (drops), `Reducer` (group-boundary emits),
-    /// `Joiner`/`Zip`/queue-mode `Alu` (delimiter resync), `MdGen` and
-    /// `BinIdGen` (variable emit counts) do not qualify.
-    fn exact_rate(&self) -> bool {
-        match self {
-            ModuleSlot::Source(_) | ModuleSlot::Sink(_) | ModuleSlot::Fanout(_) => true,
-            ModuleSlot::Alu(a) => a.is_const(),
-            _ => false,
-        }
-    }
-
-    fn supply(&self) -> Option<usize> {
-        match self {
-            ModuleSlot::Source(s) => Some(s.pending_len()),
-            _ => None,
-        }
-    }
-
-    fn tick_run(&mut self, ctx: &mut Ctx<'_>, k: usize, scratch: &mut Vec<Flit>) {
-        match self {
-            ModuleSlot::Filter(m) => m.tick_run(ctx.queues, k, scratch),
-            ModuleSlot::Fanout(m) => m.tick_run(ctx.queues, k, scratch),
-            ModuleSlot::Alu(m) => m.tick_run(ctx.queues, k, scratch),
-            ModuleSlot::Zip(m) => m.tick_run(ctx.queues, k, scratch),
-            ModuleSlot::Source(m) => m.tick_run(ctx.queues, k),
-            ModuleSlot::Sink(m) => m.tick_run(ctx.queues, k),
-            other => loop_ticks(other, ctx, k),
-        }
-    }
-}
-
-/// The simulation state a [`crate::System`] lends to an [`EngineCore`]
-/// for one run (and gets back afterwards, updated).
-pub(crate) struct EngineParts {
-    pub(crate) queues: QueuePool,
-    pub(crate) spms: SpmPool,
-    pub(crate) mem: MemorySystem,
-    pub(crate) stall: Vec<StallCounters>,
-    pub(crate) trace: Option<TraceState>,
-    pub(crate) cycle: u64,
-}
-
-/// How [`EngineCore::run_until`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Step {
-    /// Every module finished.
-    Done,
-    /// The requested stop cycle was reached.
-    Boundary,
-}
 
 /// Per-run span/stall bookkeeping. Kept separate from the tick loop so
 /// every exit path (drain, deadlock, cycle limit) finalizes identically.
@@ -475,28 +112,20 @@ fn classify_stall(watch: Watch, ins: &[QueueId], outs: &[QueueId]) -> StallClass
     }
 }
 
-/// One engine instance: the borrowed simulation state plus all scheduling
-/// bookkeeping. In single-threaded runs it holds the whole system; under
-/// [`run_parallel`] each core holds one graph component with its own
-/// queue/scratchpad sub-pools and (for one component) the real memory
-/// system.
-pub(crate) struct EngineCore<T> {
-    modules: Vec<T>,
-    /// Each module's index in the owning `System` (stall merging, trace
-    /// track ids, deterministic stuck-label ordering).
-    orig_idx: Vec<usize>,
-    queues: QueuePool,
-    spms: SpmPool,
-    mem: MemorySystem,
+/// One engine run: the borrowed simulation state plus all scheduling
+/// bookkeeping.
+pub(crate) struct EngineCore<'a> {
+    modules: &'a mut [Box<dyn Module>],
+    queues: &'a mut QueuePool,
+    spms: &'a mut SpmPool,
+    mem: &'a mut MemorySystem,
+    /// Stall counters indexed like `modules`.
+    stall: &'a mut [StallCounters],
+    trace: &'a mut Option<TraceState>,
+    /// Current cycle; the caller copies it back after the run.
     pub(crate) cycle: u64,
-    /// Stall counters indexed like `modules` (the `System`'s own vector
-    /// in single-threaded runs, a local zeroed vector under parallelism).
-    stall: Vec<StallCounters>,
-    trace: Option<TraceState>,
     obs: RunObs,
     park_enabled: bool,
-    /// Window execution enabled (block engine, tracing off).
-    windows: bool,
     /// Queue index -> modules watching it, tagged with role bits.
     watchers: Vec<Vec<(usize, u8)>>,
     in_qs: Vec<Vec<QueueId>>,
@@ -511,88 +140,52 @@ pub(crate) struct EngineCore<T> {
     touched: Vec<u32>,
     /// Local mirror of the pool's touch-tracking flag.
     tracking: bool,
-    /// Whether each module may run inside a window: streamable, and every
-    /// queue it touches has no other producer or consumer.
-    window_ok: Vec<bool>,
-    /// Epoch-stamped scratch marking the queues of the current window.
-    qmark: Vec<u32>,
-    /// Epoch-stamped scratch marking queues whose exact-rate producer is
-    /// in the current window (their depth is projected, not buffered).
-    fed: Vec<u32>,
-    win_stamp: u32,
-    /// Shared output staging buffer for `tick_run`.
-    scratch: Vec<Flit>,
 }
 
-impl<T: Tickable> EngineCore<T> {
+impl<'a> EngineCore<'a> {
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        modules: Vec<T>,
-        orig_idx: Vec<usize>,
-        mut parts: EngineParts,
+        modules: &'a mut [Box<dyn Module>],
+        queues: &'a mut QueuePool,
+        spms: &'a mut SpmPool,
+        mem: &'a mut MemorySystem,
+        stall: &'a mut [StallCounters],
+        trace: &'a mut Option<TraceState>,
+        cycle: u64,
         park_enabled: bool,
-        allow_windows: bool,
-    ) -> EngineCore<T> {
+    ) -> EngineCore<'a> {
         let n = modules.len();
-        let nq = parts.queues.len();
-        let mut watchers: Vec<Vec<(usize, u8)>> = vec![Vec::new(); nq];
+        let mut watchers: Vec<Vec<(usize, u8)>> = vec![Vec::new(); queues.len()];
         let mut in_qs: Vec<Vec<QueueId>> = Vec::with_capacity(n);
         let mut out_qs: Vec<Vec<QueueId>> = Vec::with_capacity(n);
-        let mut producers = vec![0u32; nq];
-        let mut consumers = vec![0u32; nq];
         for (i, m) in modules.iter().enumerate() {
             let ins = m.input_queues();
             let outs = m.output_queues();
-            for &q in &ins {
-                consumers[q.index()] += 1;
-                match watchers[q.index()].iter_mut().find(|(w, _)| *w == i) {
-                    Some(entry) => entry.1 |= ROLE_INPUT,
-                    None => watchers[q.index()].push((i, ROLE_INPUT)),
-                }
-            }
-            for &q in &outs {
-                producers[q.index()] += 1;
-                match watchers[q.index()].iter_mut().find(|(w, _)| *w == i) {
-                    Some(entry) => entry.1 |= ROLE_OUTPUT,
-                    None => watchers[q.index()].push((i, ROLE_OUTPUT)),
+            for (qs, role) in [(&ins, ROLE_INPUT), (&outs, ROLE_OUTPUT)] {
+                for q in qs {
+                    match watchers[q.index()].iter_mut().find(|(w, _)| *w == i) {
+                        Some(entry) => entry.1 |= role,
+                        None => watchers[q.index()].push((i, role)),
+                    }
                 }
             }
             in_qs.push(ins);
             out_qs.push(outs);
         }
-        let windows = allow_windows && parts.trace.is_none();
-        let window_ok: Vec<bool> = modules
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                windows
-                    && m.streamable()
-                    // Shared queues would interleave per-cycle; batches
-                    // would reorder their contents. Self-loops likewise.
-                    && in_qs[i].iter().all(|q| {
-                        consumers[q.index()] == 1 && producers[q.index()] <= 1
-                    })
-                    && out_qs[i].iter().all(|q| {
-                        producers[q.index()] == 1 && consumers[q.index()] <= 1
-                    })
-                    && !in_qs[i].iter().any(|q| out_qs[i].contains(q))
-            })
-            .collect();
-        let done: Vec<bool> = modules.iter().map(Tickable::is_done).collect();
+        let done: Vec<bool> = modules.iter().map(|m| m.is_done()).collect();
         let done_count = done.iter().filter(|&&d| d).count();
-        parts.queues.set_touch_tracking(false);
-        parts.queues.clear_watches();
+        queues.set_touch_tracking(false);
+        queues.clear_watches();
         EngineCore {
-            obs: RunObs::new(n, parts.cycle),
-            cycle: parts.cycle,
             modules,
-            orig_idx,
-            queues: parts.queues,
-            spms: parts.spms,
-            mem: parts.mem,
-            stall: parts.stall,
-            trace: parts.trace,
+            queues,
+            spms,
+            mem,
+            stall,
+            trace,
+            cycle,
+            obs: RunObs::new(n, cycle),
             park_enabled,
-            windows,
             watchers,
             in_qs,
             out_qs,
@@ -604,23 +197,15 @@ impl<T: Tickable> EngineCore<T> {
             timed: BinaryHeap::new(),
             touched: Vec::new(),
             tracking: false,
-            window_ok,
-            qmark: vec![0u32; nq],
-            fed: vec![0u32; nq],
-            win_stamp: 0,
-            scratch: Vec::new(),
         }
     }
 
-    pub(crate) fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.done_count == self.modules.len()
     }
 
-    /// Observable-progress fingerprint (identical to the `System`'s
-    /// pre-refactor signature for single-core runs; under parallelism the
-    /// global signature is the component-wise sum, exact because every
-    /// real queue and the real memory system live in exactly one core).
-    pub(crate) fn signature(&self) -> (u64, u64, usize) {
+    /// Observable-progress fingerprint for deadlock detection.
+    fn signature(&self) -> (u64, u64, usize) {
         let pushed: u64 = self.queues.iter().map(crate::queue::Queue::total_pushed).sum();
         let mem = self.mem.stats();
         (pushed, mem.read_lines + mem.write_lines + self.spms.tier_ops(), self.done_count)
@@ -643,7 +228,7 @@ impl<T: Tickable> EngineCore<T> {
 
     #[inline]
     fn sample_queues_if_due(&mut self) {
-        let Some(ts) = &mut self.trace else { return };
+        let Some(ts) = &mut *self.trace else { return };
         if self.cycle < ts.next_sample {
             return;
         }
@@ -657,23 +242,29 @@ impl<T: Tickable> EngineCore<T> {
         ts.next_sample = self.cycle + ts.stride;
     }
 
-    /// Closes module `i`'s current park interval at cycle `now`.
-    fn note_unpark(
-        stall: &mut [StallCounters],
-        trace: &mut Option<TraceState>,
-        obs: &mut RunObs,
-        orig: usize,
-        i: usize,
-        now: u64,
-    ) {
-        let cycles = now - obs.park_at[i];
-        let class = obs.park_class[i];
-        stall[i].add(class, cycles);
-        obs.stalled[i] += cycles;
-        if let Some(ts) = trace {
-            ts.buf.record_span(orig as u32, SpanKind::Stall(class), obs.park_at[i], now);
+    /// True when module `i` holds a park that a wake may end.
+    #[inline]
+    fn is_parked(&self, i: usize) -> bool {
+        self.obs.parked[i] && !self.done[i]
+    }
+
+    /// Wakes parked module `i` at the current cycle: drops its queue
+    /// watches, invalidates its timed-heap entries and closes the park
+    /// interval into its stall counters (and the trace).
+    fn unpark(&mut self, i: usize) {
+        let now = self.cycle;
+        self.obs.parked[i] = false;
+        self.parked_count -= 1;
+        self.gen[i] = self.gen[i].wrapping_add(1);
+        adjust_watches(self.queues, &self.in_qs[i], &self.out_qs[i], self.parked_watch[i], false);
+        let cycles = now - self.obs.park_at[i];
+        let class = self.obs.park_class[i];
+        self.stall[i].add(class, cycles);
+        self.obs.stalled[i] += cycles;
+        if let Some(ts) = &mut *self.trace {
+            ts.buf.record_span(i as u32, SpanKind::Stall(class), self.obs.park_at[i], now);
         }
-        obs.span_start[i] = now;
+        self.obs.span_start[i] = now;
     }
 
     /// Closes all open span/stall intervals at the end of a run (any exit
@@ -682,103 +273,71 @@ impl<T: Tickable> EngineCore<T> {
         let now = self.cycle;
         let elapsed = now - self.obs.base;
         for i in 0..self.obs.parked.len() {
-            if self.obs.parked[i] {
+            let (kind, from) = if self.obs.parked[i] {
                 let cycles = now - self.obs.park_at[i];
                 self.stall[i].add(self.obs.park_class[i], cycles);
-                self.stall[i].active += elapsed - (self.obs.stalled[i] + cycles);
-                if let Some(ts) = &mut self.trace {
-                    ts.buf.record_span(
-                        self.orig_idx[i] as u32,
-                        SpanKind::Stall(self.obs.park_class[i]),
-                        self.obs.park_at[i],
-                        now,
-                    );
-                }
+                self.obs.stalled[i] += cycles;
+                (SpanKind::Stall(self.obs.park_class[i]), self.obs.park_at[i])
             } else {
-                self.stall[i].active += elapsed - self.obs.stalled[i];
-                if let Some(ts) = &mut self.trace {
-                    ts.buf.record_span(
-                        self.orig_idx[i] as u32,
-                        SpanKind::Active,
-                        self.obs.span_start[i],
-                        now,
-                    );
-                }
+                (SpanKind::Active, self.obs.span_start[i])
+            };
+            self.stall[i].active += elapsed - self.obs.stalled[i];
+            if let Some(ts) = &mut *self.trace {
+                ts.buf.record_span(i as u32, kind, from, now);
             }
         }
     }
 
-    /// Returns the modules and the (updated) borrowed state.
-    pub(crate) fn into_parts(self) -> (Vec<T>, EngineParts) {
-        (
-            self.modules,
-            EngineParts {
-                queues: self.queues,
-                spms: self.spms,
-                mem: self.mem,
-                stall: self.stall,
-                trace: self.trace,
-                cycle: self.cycle,
-            },
-        )
+    /// Runs the full deadlock/cycle-limit protocol: advances in segments
+    /// to each 512-cycle boundary and compares progress signatures there,
+    /// so `Deadlock` and `CycleLimit` fire at identical cycles under both
+    /// engines.
+    pub(crate) fn drive(&mut self, max_cycles: u64) -> Result<(), SimError> {
+        let result = self.drive_inner(max_cycles);
+        self.queues.set_touch_tracking(false);
+        result
     }
 
-    /// Runs the full deadlock/cycle-limit protocol: advances in segments
-    /// to each 512-cycle boundary, comparing progress signatures exactly
-    /// as the pre-refactor engines did, so `Deadlock` and `CycleLimit`
-    /// fire at identical cycles.
-    pub(crate) fn drive(&mut self, max_cycles: u64) -> Result<(), SimError> {
+    fn drive_inner(&mut self, max_cycles: u64) -> Result<(), SimError> {
         let window = self.deadlock_window();
         let mut last_signature = self.signature();
         let mut last_progress_cycle = self.cycle;
         loop {
-            let stop = ((self.cycle / 512) + 1) * 512;
-            let stop = stop.min(max_cycles);
+            let stop = (((self.cycle / 512) + 1) * 512).min(max_cycles);
             if !self.is_complete() && self.cycle >= max_cycles {
-                self.queues.set_touch_tracking(false);
                 return Err(SimError::CycleLimit { limit: max_cycles });
             }
-            match self.run_until(stop) {
-                Step::Done => {
-                    self.queues.set_touch_tracking(false);
-                    return Ok(());
+            if self.run_until(stop) {
+                return Ok(());
+            }
+            // Deadlock sampling strictly precedes the budget check.
+            if self.cycle.is_multiple_of(512) {
+                let sig = self.signature();
+                if sig != last_signature {
+                    last_signature = sig;
+                    last_progress_cycle = self.cycle;
+                } else if self.cycle - last_progress_cycle > window {
+                    return Err(SimError::Deadlock {
+                        cycle: self.cycle,
+                        stuck: self.stuck_labels(),
+                        report: Box::default(),
+                    });
                 }
-                Step::Boundary => {
-                    // Deadlock sampling strictly precedes the budget
-                    // check, as in the per-cycle loops.
-                    if self.cycle.is_multiple_of(512) {
-                        let sig = self.signature();
-                        if sig != last_signature {
-                            last_signature = sig;
-                            last_progress_cycle = self.cycle;
-                        } else if self.cycle - last_progress_cycle > window {
-                            self.queues.set_touch_tracking(false);
-                            return Err(SimError::Deadlock {
-                                cycle: self.cycle,
-                                stuck: self.stuck_labels(),
-                                report: Box::default(),
-                            });
-                        }
-                    }
-                    if self.cycle >= max_cycles {
-                        self.queues.set_touch_tracking(false);
-                        return Err(SimError::CycleLimit { limit: max_cycles });
-                    }
-                }
+            }
+            if self.cycle >= max_cycles {
+                return Err(SimError::CycleLimit { limit: max_cycles });
             }
         }
     }
 
-    /// Advances until every module finishes or `stop_at` is reached,
-    /// whichever comes first. No deadlock or budget policy here — the
-    /// caller ([`EngineCore::drive`] or the parallel coordinator) owns
-    /// that, so both paths share one tick loop.
-    #[allow(clippy::too_many_lines)]
-    pub(crate) fn run_until(&mut self, stop_at: u64) -> Step {
+    /// The tick loop: advances until every module finishes (returns
+    /// `true`) or `stop_at` is reached (returns `false`). No deadlock or
+    /// budget policy here — [`EngineCore::drive`] owns that.
+    fn run_until(&mut self, stop_at: u64) -> bool {
         let n = self.modules.len();
         while self.done_count < n {
             if self.cycle >= stop_at {
-                return Step::Boundary;
+                return false;
             }
             self.sample_queues_if_due();
             if self.park_enabled {
@@ -788,25 +347,8 @@ impl<T: Tickable> EngineCore<T> {
                         break;
                     }
                     self.timed.pop();
-                    if g == self.gen[i] && self.obs.parked[i] && !self.done[i] {
-                        self.obs.parked[i] = false;
-                        self.parked_count -= 1;
-                        self.gen[i] = self.gen[i].wrapping_add(1);
-                        adjust_watches(
-                            &mut self.queues,
-                            &self.in_qs[i],
-                            &self.out_qs[i],
-                            self.parked_watch[i],
-                            false,
-                        );
-                        Self::note_unpark(
-                            &mut self.stall,
-                            &mut self.trace,
-                            &mut self.obs,
-                            self.orig_idx[i],
-                            i,
-                            self.cycle,
-                        );
+                    if g == self.gen[i] && self.is_parked(i) {
+                        self.unpark(i);
                     }
                 }
                 if self.tracking && self.parked_count == 0 {
@@ -821,7 +363,7 @@ impl<T: Tickable> EngineCore<T> {
                     let wake = loop {
                         match self.timed.peek() {
                             Some(&Reverse((at, i, g))) => {
-                                if g == self.gen[i] && self.obs.parked[i] && !self.done[i] {
+                                if g == self.gen[i] && self.is_parked(i) {
                                     break at;
                                 }
                                 self.timed.pop();
@@ -832,13 +374,6 @@ impl<T: Tickable> EngineCore<T> {
                     self.cycle = wake.min(stop_at);
                     continue;
                 }
-                if self.windows {
-                    let k = self.window_len(stop_at);
-                    if k >= MIN_WINDOW {
-                        self.run_window(k);
-                        continue;
-                    }
-                }
             }
             self.mem.begin_cycle(self.cycle);
             for i in 0..n {
@@ -846,9 +381,9 @@ impl<T: Tickable> EngineCore<T> {
                     continue;
                 }
                 let t = self.modules[i].tick(&mut Ctx {
-                    queues: &mut self.queues,
-                    spms: &mut self.spms,
-                    mem: &mut self.mem,
+                    queues: self.queues,
+                    spms: self.spms,
+                    mem: self.mem,
                     cycle: self.cycle,
                 });
                 // Unpark watchers of queues this tick mutated, *before*
@@ -856,46 +391,7 @@ impl<T: Tickable> EngineCore<T> {
                 // after touching its queues (a refused push marks a
                 // touch) must not immediately wake itself.
                 if self.tracking && self.queues.has_touched() {
-                    let mut touched = std::mem::take(&mut self.touched);
-                    self.queues.take_touched(&mut touched);
-                    for &qi in &touched {
-                        // A touch is also a depth-change signal: sample
-                        // the touched queue (deduplicated) when tracing.
-                        if let Some(ts) = &mut self.trace {
-                            let d = self.queues.get(QueueId(qi)).len() as u64;
-                            if ts.last_depth[qi as usize] != d {
-                                ts.last_depth[qi as usize] = d;
-                                ts.buf.record_sample(qi, self.cycle, d);
-                            }
-                        }
-                        for &(w, role) in &self.watchers[qi as usize] {
-                            if self.obs.parked[w]
-                                && !self.done[w]
-                                && watch_matches(self.parked_watch[w], role, qi)
-                            {
-                                self.obs.parked[w] = false;
-                                self.parked_count -= 1;
-                                self.gen[w] = self.gen[w].wrapping_add(1);
-                                adjust_watches(
-                                    &mut self.queues,
-                                    &self.in_qs[w],
-                                    &self.out_qs[w],
-                                    self.parked_watch[w],
-                                    false,
-                                );
-                                Self::note_unpark(
-                                    &mut self.stall,
-                                    &mut self.trace,
-                                    &mut self.obs,
-                                    self.orig_idx[w],
-                                    w,
-                                    self.cycle,
-                                );
-                            }
-                        }
-                    }
-                    touched.clear();
-                    self.touched = touched;
+                    self.wake_touched();
                 }
                 match t {
                     Tick::Active => {
@@ -904,553 +400,66 @@ impl<T: Tickable> EngineCore<T> {
                             self.done_count += 1;
                         }
                     }
-                    Tick::Park { wake_at, watch } => {
-                        if self.park_enabled {
-                            self.obs.parked[i] = true;
-                            self.parked_watch[i] = watch;
-                            self.parked_count += 1;
-                            self.obs.park_at[i] = self.cycle;
-                            self.obs.park_class[i] =
-                                classify_stall(watch, &self.in_qs[i], &self.out_qs[i]);
-                            if let Some(ts) = &mut self.trace {
-                                // The park tick itself was a no-op, so the
-                                // active span ends where the stall begins.
-                                ts.buf.record_span(
-                                    self.orig_idx[i] as u32,
-                                    SpanKind::Active,
-                                    self.obs.span_start[i],
-                                    self.cycle,
-                                );
-                            }
-                            adjust_watches(
-                                &mut self.queues,
-                                &self.in_qs[i],
-                                &self.out_qs[i],
-                                watch,
-                                true,
-                            );
-                            if let Some(at) = wake_at {
-                                self.timed.push(Reverse((at, i, self.gen[i])));
-                            }
-                            if !self.tracking {
-                                // First park: start recording touches.
-                                self.tracking = true;
-                                self.queues.set_touch_tracking(true);
-                            }
-                        }
-                        // Reference engine: parks are ignored (pure no-op
-                        // ticks re-run every cycle).
+                    // Reference engine: parks are ignored (pure no-op
+                    // ticks re-run every cycle).
+                    Tick::Park { wake_at, watch } if self.park_enabled => {
+                        self.park(i, wake_at, watch);
                     }
+                    Tick::Park { .. } => {}
                 }
             }
             self.cycle += 1;
         }
-        Step::Done
+        true
     }
 
-    /// Largest exact window executable from the current cycle, or 0.
-    ///
-    /// A window of `k` cycles is exact when every live unparked module is
-    /// window-capable ([`Self::window_ok`]), each input either holds `k`
-    /// buffered flits or is *fed* — its producer is an exact-rate module
-    /// earlier in the window, which deposits its `j`-th flit in cycle `j`,
-    /// before the consumer's same-cycle tick — every output has `k` free
-    /// slots, no supply-limited producer runs dry (`k` ≤ its remaining
-    /// supply), no timed wake lands inside the window, and no parked
-    /// module watches any queue the window touches (it would have been
-    /// woken mid-window).
-    ///
-    /// The scan visits modules in registration order — the same order
-    /// [`Self::run_window`] executes them — so a consumer sees a fed mark
-    /// only from a producer that batches before it. Shrinking `k` after a
-    /// mark stays sound: a fed input needs no backlog at any `k`, and
-    /// buffered inputs were checked against a `k` at least as large as
-    /// the final one.
-    fn window_len(&mut self, stop_at: u64) -> usize {
-        let mut k = usize::try_from(stop_at - self.cycle).unwrap_or(usize::MAX);
-        // No timed wake may land inside the window. (Entries due at or
-        // before the current cycle were handled or invalidated already,
-        // so a valid head is strictly in the future.)
-        while let Some(&Reverse((at, i, g))) = self.timed.peek() {
-            if g == self.gen[i] && self.obs.parked[i] && !self.done[i] {
-                k = k.min(usize::try_from(at - self.cycle).unwrap_or(usize::MAX));
-                break;
-            }
-            self.timed.pop();
-        }
-        if k < MIN_WINDOW {
-            return 0;
-        }
-        self.win_stamp = self.win_stamp.wrapping_add(1);
-        if self.win_stamp == 0 {
-            // Stamp wrapped: clear both scratch vecs so a stale entry
-            // cannot collide with the new epoch (a stale `fed` hit would
-            // skip a depth check it must not skip).
-            self.qmark.fill(0);
-            self.fed.fill(0);
-            self.win_stamp = 1;
-        }
-        let n = self.modules.len();
-        for i in 0..n {
-            if self.done[i] || self.obs.parked[i] {
-                continue;
-            }
-            if !self.window_ok[i] {
-                return 0;
-            }
-            if let Some(supply) = self.modules[i].supply() {
-                k = k.min(supply);
-            }
-            for q in &self.in_qs[i] {
-                if self.fed[q.index()] != self.win_stamp {
-                    k = k.min(self.queues.get(*q).len());
-                }
-                self.qmark[q.index()] = self.win_stamp;
-            }
-            let feeds = self.modules[i].exact_rate();
-            for q in &self.out_qs[i] {
-                k = k.min(self.queues.get(*q).space());
-                self.qmark[q.index()] = self.win_stamp;
-                if feeds {
-                    self.fed[q.index()] = self.win_stamp;
+    /// Drains the pool's touch list and wakes every parked module whose
+    /// watch covers a touched queue.
+    fn wake_touched(&mut self) {
+        let mut touched = std::mem::take(&mut self.touched);
+        self.queues.take_touched(&mut touched);
+        for &qi in &touched {
+            // A touch is also a depth-change signal: sample the touched
+            // queue (deduplicated) when tracing.
+            if let Some(ts) = &mut *self.trace {
+                let d = self.queues.get(QueueId(qi)).len() as u64;
+                if ts.last_depth[qi as usize] != d {
+                    ts.last_depth[qi as usize] = d;
+                    ts.buf.record_sample(qi, self.cycle, d);
                 }
             }
-            if k < MIN_WINDOW {
-                return 0;
-            }
-        }
-        if self.parked_count > 0 {
-            for w in 0..n {
-                if self.done[w] || !self.obs.parked[w] {
-                    continue;
-                }
-                let marked = |q: &QueueId| self.qmark[q.index()] == self.win_stamp;
-                let woken = match self.parked_watch[w] {
-                    Watch::Timer | Watch::Spill => false,
-                    Watch::Inputs => self.in_qs[w].iter().any(marked),
-                    Watch::Outputs => self.out_qs[w].iter().any(marked),
-                    Watch::Queue(q) => marked(&q),
-                };
-                if woken {
-                    return 0;
+            for k in 0..self.watchers[qi as usize].len() {
+                let (w, role) = self.watchers[qi as usize][k];
+                if self.is_parked(w) && watch_matches(self.parked_watch[w], role, qi) {
+                    self.unpark(w);
                 }
             }
         }
-        k
+        touched.clear();
+        self.touched = touched;
     }
 
-    /// Executes one `k`-cycle window: each live module processes `k`
-    /// ticks as a batch, in registration order. Memory `begin_cycle` is
-    /// skipped — no window module touches the memory system, and parked
-    /// memory modules wake strictly after the window (timed-wake cap).
-    fn run_window(&mut self, k: usize) {
-        WINDOW_CYCLES.fetch_add(k as u64, std::sync::atomic::Ordering::Relaxed);
-        WINDOW_COUNT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let n = self.modules.len();
-        for i in 0..n {
-            if self.done[i] || self.obs.parked[i] {
-                continue;
-            }
-            let mut scratch = std::mem::take(&mut self.scratch);
-            self.modules[i].tick_run(
-                &mut Ctx {
-                    queues: &mut self.queues,
-                    spms: &mut self.spms,
-                    mem: &mut self.mem,
-                    cycle: self.cycle,
-                },
-                k,
-                &mut scratch,
-            );
-            self.scratch = scratch;
-            if self.modules[i].is_done() {
-                self.done[i] = true;
-                self.done_count += 1;
-            }
+    /// Parks module `i` at the current cycle on `watch`, with an optional
+    /// timed wake.
+    fn park(&mut self, i: usize, wake_at: Option<u64>, watch: Watch) {
+        self.obs.parked[i] = true;
+        self.parked_watch[i] = watch;
+        self.parked_count += 1;
+        self.obs.park_at[i] = self.cycle;
+        self.obs.park_class[i] = classify_stall(watch, &self.in_qs[i], &self.out_qs[i]);
+        if let Some(ts) = &mut *self.trace {
+            // The park tick itself was a no-op, so the active span ends
+            // where the stall begins.
+            ts.buf.record_span(i as u32, SpanKind::Active, self.obs.span_start[i], self.cycle);
         }
-        self.cycle += k as u64;
-    }
-}
-
-/// Splits `modules` into connected components over shared queues, shared
-/// scratchpads, and the (single) memory system: two modules land in the
-/// same component iff a chain of shared resources links them. Components
-/// are returned in first-module registration order, each listing its
-/// member indices in registration order. Unknown module types collapse
-/// everything into one component — the partitioner cannot see what they
-/// touch.
-///
-/// `tiered` flags (per scratchpad index) which scratchpads are paged by
-/// the tier layer: their users all share the PCIe/DRAM link schedules, so
-/// every module touching any tiered scratchpad is folded into a single
-/// component (the tier state then moves wholesale with that component's
-/// scratchpad sub-pool).
-pub(crate) fn partition_modules(
-    modules: &[Box<dyn Module>],
-    nq: usize,
-    ns: usize,
-    tiered: &[bool],
-) -> Vec<Vec<usize>> {
-    let n = modules.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if !modules.iter().all(|m| slot_known(m.as_ref())) {
-        return vec![(0..n).collect()];
-    }
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
+        adjust_watches(self.queues, &self.in_qs[i], &self.out_qs[i], watch, true);
+        if let Some(at) = wake_at {
+            self.timed.push(Reverse((at, i, self.gen[i])));
         }
-        x
-    }
-    fn union(parent: &mut [usize], a: usize, b: usize) {
-        let (ra, rb) = (find(parent, a), find(parent, b));
-        if ra != rb {
-            parent[ra.max(rb)] = ra.min(rb);
+        if !self.tracking {
+            // First park: start recording touches.
+            self.tracking = true;
+            self.queues.set_touch_tracking(true);
         }
-    }
-    let mut parent: Vec<usize> = (0..n).collect();
-    let mut q_owner = vec![usize::MAX; nq];
-    let mut s_owner = vec![usize::MAX; ns];
-    let mut mem_owner = usize::MAX;
-    let mut tier_owner = usize::MAX;
-    for (i, m) in modules.iter().enumerate() {
-        for q in m.input_queues().into_iter().chain(m.output_queues()) {
-            if q_owner[q.index()] == usize::MAX {
-                q_owner[q.index()] = i;
-            } else {
-                union(&mut parent, q_owner[q.index()], i);
-            }
-        }
-        for s in m.spm_ids() {
-            if s_owner[s.index()] == usize::MAX {
-                s_owner[s.index()] = i;
-            } else {
-                union(&mut parent, s_owner[s.index()], i);
-            }
-            if tiered.get(s.index()).copied().unwrap_or(false) {
-                if tier_owner == usize::MAX {
-                    tier_owner = i;
-                } else {
-                    union(&mut parent, tier_owner, i);
-                }
-            }
-        }
-        if matches!(
-            m.kind(),
-            crate::modules::ModuleKind::MemoryReader | crate::modules::ModuleKind::MemoryWriter
-        ) {
-            if mem_owner == usize::MAX {
-                mem_owner = i;
-            } else {
-                union(&mut parent, mem_owner, i);
-            }
-        }
-    }
-    let mut comp_of_root = vec![usize::MAX; n];
-    let mut comps: Vec<Vec<usize>> = Vec::new();
-    for i in 0..n {
-        let r = find(&mut parent, i);
-        if comp_of_root[r] == usize::MAX {
-            comp_of_root[r] = comps.len();
-            comps.push(Vec::new());
-        }
-        comps[comp_of_root[r]].push(i);
-    }
-    comps
-}
-
-/// Drives a set of per-component [`EngineCore`]s on `threads` scoped
-/// worker threads, in lockstep 512-cycle segments.
-///
-/// Lockstep is load-bearing for bit-identity: the deadlock verdict
-/// compares the *global* progress signature at exactly the same 512-cycle
-/// boundaries the single-threaded engines sample, and a component must
-/// not run ahead of a boundary at which the whole system is declared
-/// deadlocked or out of budget. Within a segment components are
-/// independent by construction (disjoint queues, scratchpads, and memory
-/// access), so worker scheduling cannot perturb results.
-///
-/// On `Deadlock` the error's `stuck` list is assembled afterwards from
-/// all cores in registration order.
-pub(crate) fn run_parallel(
-    cores: &mut [EngineCore<ModuleSlot>],
-    threads: usize,
-    max_cycles: u64,
-) -> Result<(), SimError> {
-    /// Coordinator -> worker command slot: a stop cycle, or `TERM`.
-    const TERM: u64 = u64::MAX;
-    let deadlock_window = cores
-        .iter()
-        .map(EngineCore::deadlock_window)
-        .max()
-        .expect("at least one core");
-    let w = threads.min(cores.len()).max(1);
-    let barrier = Barrier::new(w + 1);
-    let cmd = AtomicU64::new(0);
-    type Report = ((u64, u64, usize), bool);
-    let reports: Vec<Mutex<Report>> = (0..w).map(|_| Mutex::new(((0, 0, 0), false))).collect();
-    let mut last_signature = (0u64, 0u64, 0usize);
-    for c in cores.iter() {
-        let s = c.signature();
-        last_signature.0 += s.0;
-        last_signature.1 += s.1;
-        last_signature.2 += s.2;
-    }
-    let start = cores.iter().map(|c| c.cycle).max().unwrap_or(0);
-    let mut last_progress_cycle = start;
-    let all_done_at_entry = cores.iter().all(EngineCore::is_complete);
-    let mut verdict: Result<(), SimError> = Ok(());
-    std::thread::scope(|scope| {
-        let mut rest = &mut *cores;
-        let per = rest.len() / w;
-        let extra = rest.len() % w;
-        for (wi, report) in reports.iter().enumerate() {
-            let take = per + usize::from(wi < extra);
-            let (chunk, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let barrier = &barrier;
-            let cmd = &cmd;
-            scope.spawn(move || loop {
-                barrier.wait();
-                let stop = cmd.load(Ordering::Acquire);
-                if stop == TERM {
-                    break;
-                }
-                let mut sig = (0u64, 0u64, 0usize);
-                let mut all = true;
-                for core in chunk.iter_mut() {
-                    if !core.is_complete() {
-                        let _ = core.run_until(stop);
-                    }
-                    let s = core.signature();
-                    sig.0 += s.0;
-                    sig.1 += s.1;
-                    sig.2 += s.2;
-                    all &= core.is_complete();
-                }
-                *report.lock().expect("report mutex") = (sig, all);
-                barrier.wait();
-            });
-        }
-        let mut cur = start;
-        if !all_done_at_entry {
-            loop {
-                if cur >= max_cycles {
-                    verdict = Err(SimError::CycleLimit { limit: max_cycles });
-                    break;
-                }
-                let stop = (((cur / 512) + 1) * 512).min(max_cycles);
-                cmd.store(stop, Ordering::Release);
-                barrier.wait();
-                barrier.wait();
-                let mut sig = (0u64, 0u64, 0usize);
-                let mut all = true;
-                for r in &reports {
-                    let (s, a) = *r.lock().expect("report mutex");
-                    sig.0 += s.0;
-                    sig.1 += s.1;
-                    sig.2 += s.2;
-                    all &= a;
-                }
-                if all {
-                    break;
-                }
-                // Same ordering as the single-core drive loop: deadlock
-                // sampling at 512-multiples, then the budget check.
-                if stop.is_multiple_of(512) {
-                    if sig != last_signature {
-                        last_signature = sig;
-                        last_progress_cycle = stop;
-                    } else if stop - last_progress_cycle > deadlock_window {
-                        verdict = Err(SimError::Deadlock {
-                            cycle: stop,
-                            stuck: Vec::new(),
-                            report: Box::default(),
-                        });
-                        break;
-                    }
-                }
-                if stop >= max_cycles {
-                    verdict = Err(SimError::CycleLimit { limit: max_cycles });
-                    break;
-                }
-                cur = stop;
-            }
-        }
-        cmd.store(TERM, Ordering::Release);
-        barrier.wait();
-    });
-    if let Err(SimError::Deadlock { stuck, .. }) = &mut verdict {
-        let mut labels: Vec<(usize, String)> = Vec::new();
-        for core in cores.iter() {
-            for (i, d) in core.done.iter().enumerate() {
-                if !d {
-                    labels.push((core.orig_idx[i], core.modules[i].label().to_owned()));
-                }
-            }
-        }
-        labels.sort_by_key(|a| a.0);
-        *stuck = labels.into_iter().map(|(_, l)| l).collect();
-    }
-    verdict
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::memory::MemoryConfig;
-    use crate::modules::alu::{AluOp, AluRhs, StreamAlu};
-    use crate::modules::filter::{CmpOp, Predicate};
-    use crate::modules::sink::StreamSink;
-    use crate::modules::source::StreamSource;
-    use crate::queue::{QueueId, DEFAULT_CAPACITY};
-    use crate::system::{EngineMode, System};
-
-    /// Wraps slots in [`EngineParts`] and builds a block-engine core.
-    fn block_core(slots: Vec<ModuleSlot>, queues: QueuePool) -> EngineCore<ModuleSlot> {
-        let n = slots.len();
-        let parts = EngineParts {
-            queues,
-            spms: SpmPool::new(),
-            mem: MemorySystem::new(MemoryConfig::default()),
-            stall: vec![StallCounters::default(); n],
-            trace: None,
-            cycle: 0,
-        };
-        EngineCore::new(slots, (0..n).collect(), parts, true, true)
-    }
-
-    /// The projected-depth planner: a chain of exact-rate modules
-    /// (source -> const ALU -> fanout -> sinks) forms a window even with
-    /// every queue empty, because each producer feeds its consumer
-    /// in-window; queue capacity caps the length.
-    #[test]
-    fn exact_rate_chain_windows_from_empty_queues() {
-        let mut queues = QueuePool::new();
-        let q0 = queues.add("q0");
-        let q1 = queues.add("q1");
-        let q2 = queues.add("q2");
-        let q3 = queues.add("q3");
-        let flits: Vec<Flit> = (0..100u64).map(Flit::val).collect();
-        let slots = vec![
-            ModuleSlot::Source(StreamSource::from_flits("src", q0, flits)),
-            ModuleSlot::Alu(StreamAlu::new("inc", AluOp::Add, q0, AluRhs::Const(1), q1)),
-            ModuleSlot::Fanout(Fanout::new("fan", q1, vec![q2, q3])),
-            ModuleSlot::Sink(StreamSink::new("ka", q2)),
-            ModuleSlot::Sink(StreamSink::new("kb", q3)),
-        ];
-        let mut core = block_core(slots, queues);
-        assert_eq!(core.window_len(512), DEFAULT_CAPACITY);
-    }
-
-    /// A source with fewer pending flits than queue capacity caps the
-    /// window at its supply, so it cannot run dry mid-window.
-    #[test]
-    fn source_supply_caps_window_length() {
-        let mut queues = QueuePool::new();
-        let q0 = queues.add("q0");
-        let flits: Vec<Flit> = (0..7u64).map(Flit::val).collect();
-        let slots = vec![
-            ModuleSlot::Source(StreamSource::from_flits("src", q0, flits)),
-            ModuleSlot::Sink(StreamSink::new("k", q0)),
-        ];
-        let mut core = block_core(slots, queues);
-        assert_eq!(core.window_len(512), 7);
-    }
-
-    /// A data-dependent module (filter) mid-chain breaks the fed chain:
-    /// its consumer's empty input proves no depth, so no window forms.
-    #[test]
-    fn non_exact_link_blocks_empty_queue_window() {
-        let mut queues = QueuePool::new();
-        let q0 = queues.add("q0");
-        let q1 = queues.add("q1");
-        let flits: Vec<Flit> = (0..100u64).map(Flit::val).collect();
-        let slots = vec![
-            ModuleSlot::Source(StreamSource::from_flits("src", q0, flits)),
-            ModuleSlot::Filter(Filter::new(
-                "f",
-                Predicate::field_const(0, CmpOp::Lt, 50),
-                q0,
-                q1,
-            )),
-            ModuleSlot::Sink(StreamSink::new("k", q1)),
-        ];
-        let mut core = block_core(slots, queues);
-        assert_eq!(core.window_len(512), 0);
-    }
-
-    /// End to end through [`System`]: the exact-rate chain runs under the
-    /// block engine with windows demonstrably firing, and its outputs and
-    /// cycle count are bit-identical to the reference engine's.
-    #[test]
-    fn exact_chain_system_windows_and_matches_reference() {
-        let items: Vec<Vec<u64>> = (0..200u64).map(|i| vec![i, i + 1, i + 2]).collect();
-        let run = |mode: EngineMode| {
-            let mut sys = System::new();
-            let q0 = sys.add_queue("q0");
-            let q1 = sys.add_queue("q1");
-            let q2 = sys.add_queue("q2");
-            let q3 = sys.add_queue("q3");
-            sys.add_module(Box::new(StreamSource::from_items("src", q0, &items)));
-            sys.add_module(Box::new(StreamAlu::new(
-                "inc",
-                AluOp::Add,
-                q0,
-                AluRhs::Const(3),
-                q1,
-            )));
-            sys.add_module(Box::new(Fanout::new("fan", q1, vec![q2, q3])));
-            let ka = sys.add_module(Box::new(StreamSink::new("ka", q2)));
-            let kb = sys.add_module(Box::new(StreamSink::new("kb", q3)));
-            sys.set_engine(mode);
-            sys.set_sim_threads(1);
-            let stats = sys.run(100_000).expect("chain drains");
-            (sys.sink_values(ka), sys.sink_values(kb), stats.cycles, stats.total_flits)
-        };
-        let windowed_before = WINDOW_CYCLES.load(Ordering::Relaxed);
-        let block = run(EngineMode::Block);
-        assert!(
-            WINDOW_CYCLES.load(Ordering::Relaxed) > windowed_before,
-            "exact-rate chain must execute through windows"
-        );
-        let reference = run(EngineMode::Reference);
-        assert_eq!(block, reference);
-    }
-
-    /// Independent chains partition one component per chain, in
-    /// registration order.
-    #[test]
-    fn partitions_by_queue_connectivity() {
-        let mut mods: Vec<Box<dyn Module>> = Vec::new();
-        for p in 0..3u32 {
-            let q = QueueId(p);
-            mods.push(Box::new(StreamSource::from_items(&format!("s{p}"), q, &[vec![1, 2]])));
-            mods.push(Box::new(StreamSink::new(&format!("k{p}"), q)));
-        }
-        let comps = partition_modules(&mods, 3, 0, &[]);
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0], vec![0, 1]);
-        assert_eq!(comps[1], vec![2, 3]);
-        assert_eq!(comps[2], vec![4, 5]);
-    }
-
-    /// A module bridging two chains (two-input ALU) collapses them into
-    /// one component.
-    #[test]
-    fn shared_queue_merges_components() {
-        let (qa, qb, qo) = (QueueId(0), QueueId(1), QueueId(2));
-        let mods: Vec<Box<dyn Module>> = vec![
-            Box::new(StreamSource::from_items("sa", qa, &[vec![1]])),
-            Box::new(StreamSource::from_items("sb", qb, &[vec![2]])),
-            Box::new(StreamAlu::new("add", AluOp::Add, qa, AluRhs::Queue(qb), qo)),
-            Box::new(StreamSink::new("k", qo)),
-        ];
-        let comps = partition_modules(&mods, 3, 0, &[]);
-        assert_eq!(comps.len(), 1);
-        assert_eq!(comps[0], vec![0, 1, 2, 3]);
     }
 }

@@ -269,7 +269,7 @@ impl MemorySystem {
 
     /// True when `port` is at its outstanding-request limit, so the next
     /// [`MemorySystem::try_read`] would be refused *without* counting an
-    /// arbitration stall. The event-driven engine uses this to tell silent
+    /// arbitration stall. The fast engine uses this to tell silent
     /// refusals apart from stall-counting ones.
     #[must_use]
     pub fn inflight_full(&self, port: PortId) -> bool {
@@ -277,7 +277,7 @@ impl MemorySystem {
     }
 
     /// Cycle at which the oldest outstanding response for `port` becomes
-    /// deliverable, when one exists (the event-driven engine's timed
+    /// deliverable, when one exists (the fast engine's timed
     /// wake-up for a reader blocked on memory latency).
     #[must_use]
     pub fn next_response_ready(&self, port: PortId) -> Option<u64> {

@@ -1,7 +1,7 @@
 //! Stream ALU: element-wise unary/binary operations (paper §III-C).
 
 use super::{try_push, Ctx, Module, ModuleKind, Tick};
-use crate::queue::{QueueId, QueuePool};
+use crate::queue::QueueId;
 use crate::word::{Flit, HwWord, MAX_FIELDS};
 use std::any::Any;
 
@@ -59,13 +59,6 @@ impl StreamAlu {
         StreamAlu { label: label.to_owned(), op, lhs, rhs, out, done: false }
     }
 
-    /// True in constant-operand mode: exactly one pop and one push per
-    /// tick, with no delimiter resynchronization. Queue mode advances its
-    /// sides at data-dependent rates and does not qualify.
-    pub(crate) fn is_const(&self) -> bool {
-        matches!(self.rhs, AluRhs::Const(_))
-    }
-
     fn apply(op: AluOp, a: HwWord, b: HwWord) -> HwWord {
         if a.is_marker() {
             return a;
@@ -87,69 +80,6 @@ impl StreamAlu {
             AluOp::Max => x.max(y),
         };
         HwWord::Val(v)
-    }
-
-    /// Processes `k` ticks' worth of input in one call — the block engine's
-    /// run fast path (see `Filter::tick_run` for the exactness contract:
-    /// every input holds at least `k` flits, the output has at least `k`
-    /// free slots). Queue-mode delimiter resynchronization advances the
-    /// sides unevenly, so each input keeps an independent cursor.
-    pub(crate) fn tick_run(&mut self, queues: &mut QueuePool, k: usize, scratch: &mut Vec<Flit>) {
-        scratch.clear();
-        match self.rhs {
-            AluRhs::Const(c) => {
-                let mut left = k;
-                while left > 0 {
-                    let run = queues.get(self.lhs).head_run();
-                    let m = left.min(run.len());
-                    for f in &run[..m] {
-                        scratch.push(if f.is_end_item() {
-                            *f
-                        } else {
-                            let mut words = [HwWord::Empty; MAX_FIELDS];
-                            for (i, w) in words.iter_mut().enumerate().take(f.len()) {
-                                *w = Self::apply(self.op, f.field(i), HwWord::Val(c));
-                            }
-                            Flit::data(&words[..f.len()])
-                        });
-                    }
-                    queues.get_mut(self.lhs).pop_run(m);
-                    left -= m;
-                }
-            }
-            AluRhs::Queue(rq) => {
-                let (mut loff, mut roff) = (0usize, 0usize);
-                for _ in 0..k {
-                    let l = *queues.get(self.lhs).flit_at(loff).expect("run length guaranteed");
-                    let r = *queues.get(rq).flit_at(roff).expect("run length guaranteed");
-                    match (l.is_end_item(), r.is_end_item()) {
-                        (true, true) => {
-                            scratch.push(Flit::end_item());
-                            loff += 1;
-                            roff += 1;
-                        }
-                        (false, false) => {
-                            let n = l.len().max(r.len()).min(MAX_FIELDS);
-                            let mut words = [HwWord::Empty; MAX_FIELDS];
-                            for (i, w) in words.iter_mut().enumerate().take(n) {
-                                *w = Self::apply(self.op, l.field(i), r.field(i));
-                            }
-                            scratch.push(Flit::data(&words[..n]));
-                            loff += 1;
-                            roff += 1;
-                        }
-                        // Misaligned items: mirror `tick` exactly — it
-                        // drains the side that has NOT reached its
-                        // delimiter yet until the delimiters align.
-                        (true, false) => roff += 1,
-                        (false, true) => loff += 1,
-                    }
-                }
-                queues.get_mut(self.lhs).pop_run(loff);
-                queues.get_mut(rq).pop_run(roff);
-            }
-        }
-        queues.get_mut(self.out).push_run(scratch);
     }
 }
 
@@ -239,10 +169,6 @@ impl Module for StreamAlu {
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 

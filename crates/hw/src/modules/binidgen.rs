@@ -173,10 +173,6 @@ impl Module for BinIdGen {
         self
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
     fn input_queues(&self) -> Vec<QueueId> {
         vec![self.input, self.flags]
     }

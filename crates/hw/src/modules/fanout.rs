@@ -7,8 +7,7 @@
 //! output, stalling until all outputs have space.
 
 use super::{all_can_push, Ctx, Module, ModuleKind, Tick, Watch};
-use crate::queue::{QueueId, QueuePool};
-use crate::word::Flit;
+use crate::queue::QueueId;
 use std::any::Any;
 
 /// Replicates a stream to `outputs`.
@@ -30,24 +29,6 @@ impl Fanout {
     pub fn new(label: &str, input: QueueId, outputs: Vec<QueueId>) -> Fanout {
         assert!(!outputs.is_empty(), "fanout needs at least one output");
         Fanout { label: label.to_owned(), input, outputs, done: false }
-    }
-
-    /// Replicates `k` buffered input flits to every output in one call —
-    /// the block engine's run fast path (see `Filter::tick_run` for the
-    /// exactness contract: `k` buffered inputs, `k` free slots per output).
-    pub(crate) fn tick_run(&mut self, queues: &mut QueuePool, k: usize, scratch: &mut Vec<Flit>) {
-        scratch.clear();
-        let mut left = k;
-        while left > 0 {
-            let run = queues.get(self.input).head_run();
-            let m = left.min(run.len());
-            scratch.extend_from_slice(&run[..m]);
-            queues.get_mut(self.input).pop_run(m);
-            left -= m;
-        }
-        for &q in &self.outputs {
-            queues.get_mut(q).push_run(scratch);
-        }
     }
 }
 
@@ -95,10 +76,6 @@ impl Module for Fanout {
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 

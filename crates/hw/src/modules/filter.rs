@@ -1,8 +1,8 @@
 //! Filter: predicate selection on a stream (paper §III-C, Figure 6).
 
 use super::{try_push, Ctx, Module, ModuleKind, Tick};
-use crate::queue::{QueueId, QueuePool};
-use crate::word::{Flit, HwWord};
+use crate::queue::QueueId;
+use crate::word::HwWord;
 use std::any::Any;
 
 /// One comparison operand: a flit field or an immediate constant.
@@ -133,33 +133,6 @@ impl Filter {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Processes `k` buffered input flits in one call — the block engine's
-    /// run fast path. Exactness contract (enforced by the caller's window
-    /// computation): at least `k` flits are buffered on the input and at
-    /// least `k` slots are free on the output, so none of the `k` replaced
-    /// per-cycle ticks could have stalled, parked, or closed a queue.
-    pub(crate) fn tick_run(&mut self, queues: &mut QueuePool, k: usize, scratch: &mut Vec<Flit>) {
-        scratch.clear();
-        let mut left = k;
-        while left > 0 {
-            let run = queues.get(self.input).head_run();
-            let m = left.min(run.len());
-            for f in &run[..m] {
-                if f.is_end_item() {
-                    scratch.push(*f);
-                } else if self.pred.eval(&|i| f.field(i)) {
-                    self.passed += 1;
-                    scratch.push(*f);
-                } else {
-                    self.dropped += 1;
-                }
-            }
-            queues.get_mut(self.input).pop_run(m);
-            left -= m;
-        }
-        queues.get_mut(self.out).push_run(scratch);
-    }
 }
 
 impl Module for Filter {
@@ -206,10 +179,6 @@ impl Module for Filter {
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 

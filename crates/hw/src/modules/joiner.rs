@@ -251,10 +251,6 @@ impl Module for Joiner {
         self
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
     fn input_queues(&self) -> Vec<QueueId> {
         vec![self.left, self.right]
     }

@@ -193,10 +193,6 @@ impl Module for MdGen {
         self
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
     fn input_queues(&self) -> Vec<QueueId> {
         vec![self.input]
     }

@@ -232,10 +232,6 @@ impl Module for MemReader {
         self
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
     fn input_queues(&self) -> Vec<QueueId> {
         Vec::new()
     }

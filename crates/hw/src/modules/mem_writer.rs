@@ -172,10 +172,6 @@ impl Module for MemWriter {
         self
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
     fn input_queues(&self) -> Vec<QueueId> {
         vec![self.input]
     }

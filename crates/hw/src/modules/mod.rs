@@ -7,7 +7,7 @@
 
 use crate::memory::MemorySystem;
 use crate::queue::{QueueId, QueuePool};
-use crate::spm::{SpmId, SpmPool};
+use crate::spm::SpmPool;
 use crate::word::Flit;
 use std::any::Any;
 use std::fmt;
@@ -63,7 +63,7 @@ pub enum ModuleKind {
     Sink,
 }
 
-/// Outcome of one [`Module::tick`], consumed by the event-driven engine
+/// Outcome of one [`Module::tick`], consumed by the fast engine
 /// (see `System::run`).
 ///
 /// The contract behind [`Tick::Park`] is strict: a module may report it
@@ -74,7 +74,7 @@ pub enum ModuleKind {
 /// [`Module::input_queues`]/[`Module::output_queues`]) is mutated by
 /// another module or the `wake_at` cycle arrives. Under that invariant the
 /// scheduler can skip the module's ticks without observable effect, which
-/// is what keeps the event-driven engine bit-identical to the
+/// is what keeps the fast engine bit-identical to the
 /// tick-everything reference engine. Ticks that count a stall (a refused
 /// push, an arbitration loss, a RAW hazard) must report [`Tick::Active`]:
 /// the naive engine re-counts those stalls every cycle, so the module must
@@ -170,18 +170,6 @@ pub trait Module: fmt::Debug + Send {
 
     /// Downcasting support (used to read results out of sinks/writers).
     fn as_any(&self) -> &dyn Any;
-
-    /// Consumes the boxed module, yielding it as [`Any`]. The block engine
-    /// uses this to rebuild its devirtualized dispatch table from the
-    /// concrete module types (`crate::engine::ModuleSlot`).
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-
-    /// Scratchpads this module accesses (module-graph partitioning for the
-    /// parallel block engine). Modules that never touch a scratchpad keep
-    /// the empty default.
-    fn spm_ids(&self) -> Vec<SpmId> {
-        Vec::new()
-    }
 
     /// Queues this module consumes (for pipeline visualization).
     fn input_queues(&self) -> Vec<QueueId> {

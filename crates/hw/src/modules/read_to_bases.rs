@@ -263,10 +263,6 @@ impl Module for ReadToBases {
         self
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
     fn input_queues(&self) -> Vec<QueueId> {
         {
             let mut qs = vec![self.inputs.pos, self.inputs.cigar, self.inputs.seq];

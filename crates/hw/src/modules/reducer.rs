@@ -162,10 +162,6 @@ impl Module for Reducer {
         self
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
     fn input_queues(&self) -> Vec<QueueId> {
         vec![self.input]
     }

@@ -1,7 +1,7 @@
 //! Host-side stream collector (testing and host-interface helper).
 
 use super::{Ctx, Module, ModuleKind, Tick};
-use crate::queue::{QueueId, QueuePool};
+use crate::queue::QueueId;
 use crate::word::{Flit, HwWord};
 use std::any::Any;
 
@@ -51,19 +51,6 @@ impl StreamSink {
         }
         items
     }
-
-    /// Collects `k` buffered input flits in one call — the block engine's
-    /// run fast path (the caller guarantees at least `k` are buffered).
-    pub(crate) fn tick_run(&mut self, queues: &mut QueuePool, k: usize) {
-        let mut left = k;
-        while left > 0 {
-            let run = queues.get(self.input).head_run();
-            let m = left.min(run.len());
-            self.collected.extend_from_slice(&run[..m]);
-            queues.get_mut(self.input).pop_run(m);
-            left -= m;
-        }
-    }
 }
 
 impl Module for StreamSink {
@@ -97,10 +84,6 @@ impl Module for StreamSink {
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 

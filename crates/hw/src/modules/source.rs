@@ -1,7 +1,7 @@
 //! Host-side stream injector (testing and host-interface helper).
 
 use super::{try_push, Ctx, Module, ModuleKind, Tick};
-use crate::queue::{QueueId, QueuePool};
+use crate::queue::QueueId;
 use crate::word::{Flit, HwWord};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -49,34 +49,6 @@ impl StreamSource {
         }
         StreamSource::from_flits(label, out, flits)
     }
-
-    /// Emits up to `k` pending flits in one call — the block engine's run
-    /// fast path (the caller guarantees at least `k` free output slots).
-    /// Mirrors `k` per-cycle ticks exactly: pushing the last pending flit
-    /// closes the output in the same step, and the remaining no-op ticks of
-    /// an exhausted source are elided.
-    pub(crate) fn tick_run(&mut self, queues: &mut QueuePool, k: usize) {
-        let p = k.min(self.pending.len());
-        let (a, b) = self.pending.as_slices();
-        let q = queues.get_mut(self.out);
-        if p <= a.len() {
-            q.push_run(&a[..p]);
-        } else {
-            q.push_run(a);
-            q.push_run(&b[..p - a.len()]);
-        }
-        self.pending.drain(..p);
-        if self.pending.is_empty() {
-            queues.get_mut(self.out).close();
-            self.done = true;
-        }
-    }
-
-    /// Flits still waiting to be emitted — the window planner's supply cap
-    /// (a window longer than this would run the source past exhaustion).
-    pub(crate) fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 impl Module for StreamSource {
@@ -111,10 +83,6 @@ impl Module for StreamSource {
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 

@@ -262,14 +262,6 @@ impl Module for SpmReader {
         self
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
-    fn spm_ids(&self) -> Vec<SpmId> {
-        self.spms.clone()
-    }
-
     fn input_queues(&self) -> Vec<QueueId> {
         let mut qs = self.gates.clone();
         match self.mode {
@@ -360,14 +352,6 @@ impl Module for SpmAddrReader {
 
     fn as_any(&self) -> &dyn Any {
         self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
-    fn spm_ids(&self) -> Vec<SpmId> {
-        self.spms.clone()
     }
 
     fn input_queues(&self) -> Vec<QueueId> {

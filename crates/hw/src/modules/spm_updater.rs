@@ -244,14 +244,6 @@ impl Module for SpmUpdater {
         self
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
-    fn spm_ids(&self) -> Vec<SpmId> {
-        vec![self.spm]
-    }
-
     fn input_queues(&self) -> Vec<QueueId> {
         vec![self.input]
     }

@@ -9,7 +9,7 @@
 //! doubles as a field projector/reorderer (the pure-column `SELECT` case).
 
 use super::{all_can_push, Ctx, Module, ModuleKind, Tick};
-use crate::queue::{QueueId, QueuePool};
+use crate::queue::QueueId;
 use crate::word::{Flit, HwWord, MAX_FIELDS};
 use std::any::Any;
 
@@ -70,66 +70,6 @@ impl Zip {
     pub fn with_drop_ends(mut self) -> Zip {
         self.drop_ends = true;
         self
-    }
-
-    /// Number of input queues (the block engine windows a zip only while
-    /// its per-input cursors fit the fixed-size array in `tick_run`).
-    pub(crate) fn fan_in(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// Processes `k` ticks' worth of input in one call — the block engine's
-    /// run fast path (see `Filter::tick_run` for the exactness contract:
-    /// every input holds at least `k` flits, the output has at least `k`
-    /// free slots). Delimiter resynchronization can advance the inputs
-    /// unevenly, so each keeps an independent cursor.
-    pub(crate) fn tick_run(&mut self, queues: &mut QueuePool, k: usize, scratch: &mut Vec<Flit>) {
-        scratch.clear();
-        let n_in = self.inputs.len();
-        // The constructor bounds the output width (and thus the input
-        // count) at MAX_FIELDS.
-        let mut off = [0usize; MAX_FIELDS];
-        for _ in 0..k {
-            let mut ends = 0usize;
-            for (i, inp) in self.inputs.iter().enumerate() {
-                let f = queues.get(inp.queue).flit_at(off[i]).expect("run length guaranteed");
-                ends += usize::from(f.is_end_item());
-            }
-            if ends > 0 && ends < n_in {
-                // Misaligned items: consume the delimiter sides alone.
-                for (i, inp) in self.inputs.iter().enumerate() {
-                    let f = queues.get(inp.queue).flit_at(off[i]).expect("checked above");
-                    if f.is_end_item() {
-                        off[i] += 1;
-                    }
-                }
-                continue;
-            }
-            if ends == n_in {
-                if !self.drop_ends {
-                    scratch.push(Flit::end_item());
-                }
-            } else {
-                let mut fields = [HwWord::Empty; MAX_FIELDS];
-                let mut n = 0usize;
-                for (i, inp) in self.inputs.iter().enumerate() {
-                    let head =
-                        *queues.get(inp.queue).flit_at(off[i]).expect("checked above");
-                    for &fi in &inp.fields {
-                        fields[n] = head.field(fi);
-                        n += 1;
-                    }
-                }
-                scratch.push(Flit::data(&fields[..n]));
-            }
-            for o in &mut off[..n_in] {
-                *o += 1;
-            }
-        }
-        for (i, inp) in self.inputs.iter().enumerate() {
-            queues.get_mut(inp.queue).pop_run(off[i]);
-        }
-        queues.get_mut(self.out).push_run(scratch);
     }
 }
 
@@ -208,10 +148,6 @@ impl Module for Zip {
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 

@@ -79,65 +79,10 @@ impl Queue {
         self.full_stalls += 1;
     }
 
-    /// Flits of space left before the queue is full.
-    #[must_use]
-    pub fn space(&self) -> usize {
-        self.capacity - self.buf.len()
-    }
-
-    /// Pushes a contiguous run of flits, accounting each as one push (the
-    /// SoA block-queue fast path: one bounds check and one counter update
-    /// per run instead of per flit).
-    ///
-    /// Queues deliberately track no transient occupancy peak: a windowed
-    /// run deposits a whole batch before the consumer's batch drains it,
-    /// so a high-water mark would be the one statistic visible to the
-    /// window transformation. Every statistic a queue does keep is part of
-    /// the engines' bit-identity contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the queue is closed or the run exceeds the free space —
-    /// callers size runs by [`Queue::space`] first.
-    pub fn push_run(&mut self, flits: &[Flit]) {
-        assert!(!self.closed, "push to closed queue {}", self.name);
-        assert!(flits.len() <= self.space(), "run overflows queue {}", self.name);
-        self.buf.extend(flits.iter().copied());
-        self.pushed += flits.len() as u64;
-    }
-
-    /// The longest contiguous run of buffered flits starting at the head
-    /// (the first segment of the ring buffer; a second call after
-    /// [`Queue::pop_run`]-ing it yields the wrapped remainder).
-    #[must_use]
-    pub fn head_run(&self) -> &[Flit] {
-        self.buf.as_slices().0
-    }
-
-    /// Drops the `n` oldest flits (consumed from a [`Queue::head_run`]
-    /// slice).
-    ///
-    /// # Panics
-    ///
-    /// Panics when fewer than `n` flits are buffered.
-    pub fn pop_run(&mut self, n: usize) {
-        assert!(n <= self.buf.len(), "pop_run past end of queue {}", self.name);
-        self.buf.drain(..n);
-    }
-
     /// Peeks at the head flit.
     #[must_use]
     pub fn peek(&self) -> Option<&Flit> {
         self.buf.front()
-    }
-
-    /// Peeks at the `idx`-th buffered flit (0 = head). Constant-time; the
-    /// block engine's multi-input run processing (Zip, queue-mode ALU)
-    /// walks each input with an independent cursor because delimiter
-    /// resynchronization can advance the sides unevenly.
-    #[must_use]
-    pub fn flit_at(&self, idx: usize) -> Option<&Flit> {
-        self.buf.get(idx)
     }
 
     /// Pops the head flit.
@@ -194,13 +139,13 @@ impl Queue {
 /// When touch tracking is enabled (an engine-internal
 /// switch),
 /// the pool records which queues have been handed out mutably since the
-/// engine last drained the touch list. The event-driven engine uses
+/// engine last drained the touch list. The fast engine uses
 /// this as a conservative change signal: any `get_mut` (a push, pop,
 /// close, or even a refused push) marks the queue touched, and parked
 /// modules watching a touched queue are re-ticked. Spurious wakes are
 /// harmless; missed wakes would break the engine, so the tracking errs on
 /// the side of touching. Tracking is off by default so the reference
-/// engine — and the event engine whenever nothing is parked — pays nothing
+/// engine — and the fast engine whenever nothing is parked — pays nothing
 /// on the queue-access hot path.
 #[derive(Debug, Default)]
 pub struct QueuePool {
@@ -248,7 +193,7 @@ impl QueuePool {
         &self.queues[id.index()]
     }
 
-    /// Mutably borrows a queue, marking it touched for the event-driven
+    /// Mutably borrows a queue, marking it touched for the fast
     /// engine's wake tracking when tracking is enabled.
     #[must_use]
     pub fn get_mut(&mut self, id: QueueId) -> &mut Queue {
@@ -285,7 +230,7 @@ impl QueuePool {
     }
 
     /// Turns touch recording on or off, discarding any pending touches.
-    /// The event engine enables tracking only while at least one module is
+    /// The fast engine enables tracking only while at least one module is
     /// parked — with nothing parked there is nobody to wake, so the
     /// hot-path bookkeeping can be skipped entirely.
     pub(crate) fn set_touch_tracking(&mut self, on: bool) {
@@ -322,34 +267,6 @@ impl QueuePool {
     /// Iterates over all queues.
     pub fn iter(&self) -> std::slice::Iter<'_, Queue> {
         self.queues.iter()
-    }
-
-    /// Splits off the queues marked in `own` into a new pool for a
-    /// parallel-engine component. The returned pool has the *same* length
-    /// and indexing as `self`, with unowned slots holding empty placeholder
-    /// queues (so `QueueId`s stay valid inside the component); owned slots
-    /// in `self` are left as placeholders until [`QueuePool::absorb`] moves
-    /// them back.
-    pub(crate) fn split(&mut self, own: &[bool]) -> QueuePool {
-        let mut part = QueuePool::new();
-        for (i, q) in self.queues.iter_mut().enumerate() {
-            let moved =
-                if own[i] { std::mem::replace(q, Queue::new("", 1)) } else { Queue::new("", 1) };
-            part.queues.push(moved);
-            part.touch_flag.push(false);
-            part.watch_count.push(0);
-        }
-        part
-    }
-
-    /// Moves the owned queues of a split-off component pool back into this
-    /// pool (inverse of [`QueuePool::split`]).
-    pub(crate) fn absorb(&mut self, part: QueuePool, own: &[bool]) {
-        for (i, q) in part.queues.into_iter().enumerate() {
-            if own[i] {
-                self.queues[i] = q;
-            }
-        }
     }
 }
 
@@ -409,49 +326,6 @@ mod tests {
         pool.get_mut(q).note_full_stall();
         assert_eq!(pool.get(q).total_pushed(), 1);
         assert_eq!(pool.get(q).total_full_stalls(), 1);
-    }
-
-    #[test]
-    fn run_push_pop_roundtrip() {
-        let mut pool = QueuePool::new();
-        let q = pool.add_with_capacity("q", 8);
-        let run: Vec<Flit> = (0..5).map(Flit::val).collect();
-        pool.get_mut(q).push_run(&run);
-        assert_eq!(pool.get(q).len(), 5);
-        assert_eq!(pool.get(q).space(), 3);
-        assert_eq!(pool.get(q).total_pushed(), 5);
-        assert_eq!(pool.get(q).head_run(), &run[..]);
-        pool.get_mut(q).pop_run(3);
-        assert_eq!(pool.get(q).head_run(), &run[3..]);
-        assert_eq!(pool.get_mut(q).pop(), Some(Flit::val(3)));
-    }
-
-    #[test]
-    fn head_run_covers_ring_wrap() {
-        let mut pool = QueuePool::new();
-        let q = pool.add_with_capacity("q", 4);
-        let queue = pool.get_mut(q);
-        queue.push_run(&[Flit::val(0), Flit::val(1), Flit::val(2), Flit::val(3)]);
-        queue.pop_run(3);
-        queue.push_run(&[Flit::val(4), Flit::val(5)]);
-        // The buffer may wrap: consuming head runs twice must see all flits.
-        let mut seen = Vec::new();
-        while !queue.is_empty() {
-            let run = queue.head_run().to_vec();
-            assert!(!run.is_empty());
-            seen.extend(run.iter().map(|f| f.field(0).val_or_zero()));
-            let n = run.len();
-            queue.pop_run(n);
-        }
-        assert_eq!(seen, vec![3, 4, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "overflows")]
-    fn push_run_overflow_panics() {
-        let mut pool = QueuePool::new();
-        let q = pool.add_with_capacity("q", 2);
-        pool.get_mut(q).push_run(&[Flit::val(0); 3]);
     }
 
     #[test]

@@ -186,46 +186,6 @@ impl SpmPool {
     pub fn is_empty(&self) -> bool {
         self.spms.is_empty()
     }
-
-    /// Splits off the scratchpads marked in `own` into a new pool for a
-    /// parallel-engine component, leaving zero-capacity placeholders in
-    /// unowned slots so `SpmId` indexing stays valid (see
-    /// `QueuePool::split`).
-    pub(crate) fn split(&mut self, own: &[bool]) -> SpmPool {
-        let placeholder = || Spm {
-            name: String::new(),
-            data: Vec::new(),
-            bits_per_elem: 1,
-            reads: 0,
-            writes: 0,
-        };
-        let mut part = SpmPool::new();
-        for (i, s) in self.spms.iter_mut().enumerate() {
-            let moved = if own[i] { std::mem::replace(s, placeholder()) } else { placeholder() };
-            part.spms.push(moved);
-        }
-        // Tier state travels with the component owning the paged
-        // scratchpads (the partitioner keeps them in one component, so the
-        // whole state moves wholesale or not at all).
-        let tiered = self.tiered_flags();
-        if own.iter().zip(&tiered).any(|(&o, &t)| o && t) {
-            part.tiers = self.tiers.take();
-        }
-        part
-    }
-
-    /// Moves the owned scratchpads of a split-off component pool back
-    /// (inverse of [`SpmPool::split`]).
-    pub(crate) fn absorb(&mut self, mut part: SpmPool, own: &[bool]) {
-        for (i, s) in part.spms.drain(..).enumerate() {
-            if own[i] {
-                self.spms[i] = s;
-            }
-        }
-        if part.tiers.is_some() {
-            self.tiers = part.tiers;
-        }
-    }
 }
 
 #[cfg(test)]

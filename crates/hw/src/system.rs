@@ -1,8 +1,8 @@
 //! Pipeline wiring and the per-cycle simulation engine.
 
-use crate::engine::{partition_modules, run_parallel, EngineCore, EngineParts, ModuleSlot};
+use crate::engine::EngineCore;
 use crate::memory::{MemStats, MemoryConfig, MemorySystem, PortId};
-use crate::modules::{Ctx, Module, ModuleKind};
+use crate::modules::{Module, ModuleKind};
 use crate::queue::{QueueId, QueuePool};
 use crate::resource::{
     module_cost, pipeline_overhead, queue_bram, ResourceReport, ResourceUsage,
@@ -16,26 +16,37 @@ use std::fmt;
 
 /// Which simulation engine [`System::run`] uses.
 ///
-/// All three engines produce bit-identical results — cycle counts, stall
+/// Both engines produce bit-identical results — cycle counts, stall
 /// counters, memory traffic, scratchpad contents, and module outputs all
-/// match. The block engine is the default; the others exist as semantic
-/// baselines for differential testing and debugging.
+/// match. The fast engine is the default; the reference engine is the
+/// frozen oracle for differential testing and debugging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Compiled block-step engine: the event engine's parking plus enum
-    /// (devirtualized) module dispatch, batched *windows* executed over
-    /// contiguous queue storage, and optional graph-partitioned
-    /// multi-threading (see [`System::set_sim_threads`]).
-    #[default]
-    Block,
     /// Quiescence-aware engine: modules whose [`crate::modules::Tick`]
     /// reports that no progress is possible are parked and re-ticked only
     /// when a watched queue changes or a timed wake (memory latency)
     /// arrives. Cycles on which every live module is parked are skipped
     /// in closed form.
-    EventDriven,
+    #[default]
+    Fast,
     /// The naive engine: every unfinished module ticks every cycle.
     Reference,
+}
+
+impl EngineMode {
+    /// Parses a `GENESIS_ENGINE` value, case-insensitively: `fast` (also
+    /// the empty string, i.e. the default) or `reference`; anything else
+    /// is `None`.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<EngineMode> {
+        if name.is_empty() || name.eq_ignore_ascii_case("fast") {
+            Some(EngineMode::Fast)
+        } else if name.eq_ignore_ascii_case("reference") {
+            Some(EngineMode::Reference)
+        } else {
+            None
+        }
+    }
 }
 
 /// Handle for a module registered in a [`System`].
@@ -145,8 +156,6 @@ pub struct System {
     stall: Vec<StallCounters>,
     /// Opt-in span/counter tracing (None = disabled, the default).
     trace: Option<TraceState>,
-    /// Worker threads for the block engine (1 = single-threaded).
-    sim_threads: usize,
 }
 
 /// Tracing state while enabled: the recording buffer plus the sampling
@@ -178,25 +187,18 @@ impl System {
 
     /// Creates a system with an explicit memory configuration.
     ///
-    /// The engine defaults to [`EngineMode::Block`]; the environment
-    /// variable `GENESIS_ENGINE` (`block`, `event`/`event-driven`, or
-    /// `reference`) selects another engine without code changes (handy
-    /// for differential debugging). `GENESIS_SIM_THREADS` sets the block
-    /// engine's worker-thread count (default 1).
+    /// The engine defaults to [`EngineMode::Fast`]; the environment
+    /// variable `GENESIS_ENGINE` (`fast` or `reference`, parsed by
+    /// [`EngineMode::from_name`]) selects the other engine without code
+    /// changes (handy for differential debugging). An unrecognised value
+    /// keeps the default here; `GenesisEnv::load` in `genesis-core`
+    /// rejects it with a structured error.
     #[must_use]
     pub fn with_memory(cfg: MemoryConfig) -> System {
-        let engine = match std::env::var("GENESIS_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") => EngineMode::Reference,
-            Ok(v) if v.eq_ignore_ascii_case("event") || v.eq_ignore_ascii_case("event-driven") => {
-                EngineMode::EventDriven
-            }
-            _ => EngineMode::Block,
-        };
-        let sim_threads = std::env::var("GENESIS_SIM_THREADS")
+        let engine = std::env::var("GENESIS_ENGINE")
             .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1);
+            .and_then(|v| EngineMode::from_name(v.trim()))
+            .unwrap_or_default();
         System {
             queues: QueuePool::new(),
             spms: SpmPool::new(),
@@ -207,7 +209,6 @@ impl System {
             engine,
             stall: Vec::new(),
             trace: None,
-            sim_threads,
         }
     }
 
@@ -271,23 +272,6 @@ impl System {
     #[must_use]
     pub fn engine(&self) -> EngineMode {
         self.engine
-    }
-
-    /// Sets the block engine's worker-thread count (clamped to at least
-    /// 1). The module graph is partitioned at queue, scratchpad, and
-    /// memory-channel seams into independent components; with more than
-    /// one thread (and more than one component) the components run on
-    /// scoped worker threads in lockstep 512-cycle segments, preserving
-    /// bit-identity with the single-threaded engines. Ignored by the
-    /// reference and event engines, and while tracing is enabled.
-    pub fn set_sim_threads(&mut self, threads: usize) {
-        self.sim_threads = threads.max(1);
-    }
-
-    /// The block engine's configured worker-thread count.
-    #[must_use]
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
     }
 
     /// Adds a queue.
@@ -401,29 +385,6 @@ impl System {
         &self.queues
     }
 
-    /// Advances one clock cycle.
-    pub fn step(&mut self) {
-        self.mem.begin_cycle(self.cycle);
-        let mut ctx = Ctx {
-            queues: &mut self.queues,
-            spms: &mut self.spms,
-            mem: &mut self.mem,
-            cycle: self.cycle,
-        };
-        for m in &mut self.modules {
-            if !m.is_done() {
-                let _ = m.tick(&mut ctx);
-            }
-        }
-        self.cycle += 1;
-    }
-
-    /// True when every registered module has finished.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.modules.iter().all(|m| m.is_done())
-    }
-
     /// Runs until every module finishes or `max_cycles` elapse, using the
     /// engine selected by [`System::set_engine`].
     ///
@@ -437,179 +398,31 @@ impl System {
             self.stall.resize(n, StallCounters::default());
         }
         self.init_trace_run();
-        let result = match self.engine {
-            EngineMode::Reference => self.run_boxed(max_cycles, false),
-            EngineMode::EventDriven => self.run_boxed(max_cycles, true),
-            EngineMode::Block => self.run_block(max_cycles),
-        };
-        // Engines construct `Deadlock` with an empty report (stall
-        // accounting is only complete once the run finalizes); attach the
-        // real attribution here.
+        let mut core = EngineCore::new(
+            &mut self.modules,
+            &mut self.queues,
+            &mut self.spms,
+            &mut self.mem,
+            &mut self.stall,
+            &mut self.trace,
+            self.cycle,
+            self.engine == EngineMode::Fast,
+        );
+        let result = core.drive(max_cycles);
+        core.finalize_obs();
+        self.cycle = core.cycle;
         match result {
+            Ok(()) => Ok(self.stats()),
+            // The engine constructs `Deadlock` with an empty report (stall
+            // accounting is only complete once the run finalizes); attach
+            // the real attribution here.
             Err(SimError::Deadlock { cycle, stuck, .. }) => Err(SimError::Deadlock {
                 cycle,
                 stuck,
                 report: Box::new(self.stall_report()),
             }),
-            other => other,
+            Err(e) => Err(e),
         }
-    }
-
-    /// Lends the simulation state to an [`EngineCore`] for one run.
-    fn take_parts(&mut self) -> EngineParts {
-        EngineParts {
-            queues: std::mem::take(&mut self.queues),
-            spms: std::mem::take(&mut self.spms),
-            mem: std::mem::replace(&mut self.mem, MemorySystem::new(MemoryConfig::default())),
-            stall: std::mem::take(&mut self.stall),
-            trace: self.trace.take(),
-            cycle: self.cycle,
-        }
-    }
-
-    fn put_parts(&mut self, parts: EngineParts) {
-        self.queues = parts.queues;
-        self.spms = parts.spms;
-        self.mem = parts.mem;
-        self.stall = parts.stall;
-        self.trace = parts.trace;
-        self.cycle = parts.cycle;
-    }
-
-    /// The reference and event engines: vtable dispatch over the boxed
-    /// module registry, with parking enabled only for the event engine.
-    fn run_boxed(&mut self, max_cycles: u64, park: bool) -> Result<SimStats, SimError> {
-        let modules = std::mem::take(&mut self.modules);
-        let orig_idx = (0..modules.len()).collect();
-        let parts = self.take_parts();
-        let mut core = EngineCore::new(modules, orig_idx, parts, park, false);
-        let result = core.drive(max_cycles);
-        core.finalize_obs();
-        let (modules, parts) = core.into_parts();
-        self.modules = modules;
-        self.put_parts(parts);
-        result.map(|()| self.stats())
-    }
-
-    /// The block engine: devirtualizes modules into [`ModuleSlot`]s and,
-    /// when more than one worker thread is configured and the graph
-    /// splits, runs the components in parallel.
-    fn run_block(&mut self, max_cycles: u64) -> Result<SimStats, SimError> {
-        // Tracing records into one buffer; keep it single-threaded.
-        let threads = if self.trace.is_some() { 1 } else { self.sim_threads };
-        if threads > 1 && self.modules.len() > 1 {
-            let comps = partition_modules(
-                &self.modules,
-                self.queues.len(),
-                self.spms.len(),
-                &self.spms.tiered_flags(),
-            );
-            if comps.len() > 1 {
-                return self.run_block_parallel(max_cycles, threads, &comps);
-            }
-        }
-        let boxed = std::mem::take(&mut self.modules);
-        let slots: Vec<ModuleSlot> = boxed.into_iter().map(ModuleSlot::from_module).collect();
-        let orig_idx = (0..slots.len()).collect();
-        let parts = self.take_parts();
-        let mut core = EngineCore::new(slots, orig_idx, parts, true, true);
-        let result = core.drive(max_cycles);
-        core.finalize_obs();
-        let (slots, parts) = core.into_parts();
-        self.modules = slots.into_iter().map(ModuleSlot::into_module).collect();
-        self.put_parts(parts);
-        result.map(|()| self.stats())
-    }
-
-    /// Runs one [`EngineCore`] per graph component on scoped worker
-    /// threads (lockstep segments; see [`run_parallel`]). Each core gets
-    /// the sub-pools of queues/scratchpads its component owns; the real
-    /// memory system goes to the component with the memory modules (the
-    /// rest get inert clones of its configuration), which preserves the
-    /// global memory-request order and thus fault-injection determinism.
-    fn run_block_parallel(
-        &mut self,
-        max_cycles: u64,
-        threads: usize,
-        comps: &[Vec<usize>],
-    ) -> Result<SimStats, SimError> {
-        let n = self.modules.len();
-        let nq = self.queues.len();
-        let ns = self.spms.len();
-        let start = self.cycle;
-        let mut q_own: Vec<Vec<bool>> = comps.iter().map(|_| vec![false; nq]).collect();
-        let mut s_own: Vec<Vec<bool>> = comps.iter().map(|_| vec![false; ns]).collect();
-        let mut mem_comp = 0usize;
-        for (ci, comp) in comps.iter().enumerate() {
-            for &mi in comp {
-                let m = &self.modules[mi];
-                for q in m.input_queues().into_iter().chain(m.output_queues()) {
-                    q_own[ci][q.index()] = true;
-                }
-                for s in m.spm_ids() {
-                    s_own[ci][s.index()] = true;
-                }
-                if matches!(m.kind(), ModuleKind::MemoryReader | ModuleKind::MemoryWriter) {
-                    mem_comp = ci;
-                }
-            }
-        }
-        let boxed = std::mem::take(&mut self.modules);
-        let mut slots: Vec<Option<ModuleSlot>> =
-            boxed.into_iter().map(|m| Some(ModuleSlot::from_module(m))).collect();
-        let mem_cfg = self.mem.config().clone();
-        let mut real_mem =
-            Some(std::mem::replace(&mut self.mem, MemorySystem::new(mem_cfg.clone())));
-        let mut cores: Vec<EngineCore<ModuleSlot>> = Vec::with_capacity(comps.len());
-        for (ci, comp) in comps.iter().enumerate() {
-            let mods: Vec<ModuleSlot> =
-                comp.iter().map(|&mi| slots[mi].take().expect("each module in one component")).collect();
-            let parts = EngineParts {
-                queues: self.queues.split(&q_own[ci]),
-                spms: self.spms.split(&s_own[ci]),
-                mem: if ci == mem_comp {
-                    real_mem.take().expect("real memory assigned once")
-                } else {
-                    MemorySystem::new(mem_cfg.clone())
-                },
-                stall: vec![StallCounters::default(); comp.len()],
-                trace: None,
-                cycle: start,
-            };
-            cores.push(EngineCore::new(mods, comp.clone(), parts, true, true));
-        }
-        let result = run_parallel(&mut cores, threads, max_cycles);
-        // Reassemble: every core lands on the global final cycle so stall
-        // finalization matches the single-threaded engines exactly.
-        let final_cycle = cores.iter().map(|c| c.cycle).max().unwrap_or(start);
-        let mut restored: Vec<Option<Box<dyn Module>>> = (0..n).map(|_| None).collect();
-        for (ci, core) in cores.into_iter().enumerate() {
-            let mut core = core;
-            core.cycle = final_cycle;
-            core.finalize_obs();
-            let (mods, parts) = core.into_parts();
-            for (li, &orig) in comps[ci].iter().enumerate() {
-                let src = &parts.stall[li];
-                let dst = &mut self.stall[orig];
-                dst.active += src.active;
-                dst.input_starved += src.input_starved;
-                dst.backpressured += src.backpressured;
-                dst.memory_wait += src.memory_wait;
-                dst.spill_wait += src.spill_wait;
-            }
-            self.queues.absorb(parts.queues, &q_own[ci]);
-            self.spms.absorb(parts.spms, &s_own[ci]);
-            if ci == mem_comp {
-                self.mem = parts.mem;
-            }
-            for (slot, &orig) in mods.into_iter().zip(&comps[ci]) {
-                restored[orig] = Some(slot.into_module());
-            }
-        }
-        self.modules =
-            restored.into_iter().map(|m| m.expect("every module restored")).collect();
-        self.cycle = final_cycle;
-        result.map(|()| self.stats())
     }
 
     /// Prepares the trace buffer for a run: installs the module/queue name
@@ -746,6 +559,25 @@ mod tests {
         let items = sys.module_as::<StreamSink>(sink).unwrap().items();
         assert_eq!(items.len(), 2);
         assert!(stats.cycles >= 5);
+    }
+
+    #[test]
+    fn engine_names_parse_case_insensitively() {
+        for (name, want) in [
+            ("fast", Some(EngineMode::Fast)),
+            ("FAST", Some(EngineMode::Fast)),
+            ("", Some(EngineMode::Fast)),
+            ("reference", Some(EngineMode::Reference)),
+            ("Reference", Some(EngineMode::Reference)),
+            ("block", None),
+            ("event", None),
+            ("event-driven", None),
+            ("referense", None),
+            (" fast", None),
+        ] {
+            assert_eq!(EngineMode::from_name(name), want, "{name:?}");
+        }
+        assert_eq!(EngineMode::default(), EngineMode::Fast);
     }
 
     #[test]

@@ -206,9 +206,7 @@ struct PageTable {
 }
 
 /// Shared tier state for an [`SpmPool`] (page tables plus the two link
-/// schedules). All paged scratchpads share the links, which is why the
-/// block engine folds every module touching a paged scratchpad into one
-/// partition component.
+/// schedules). All paged scratchpads share the links.
 #[derive(Debug)]
 pub(crate) struct TierState {
     params: TierParams,
@@ -617,16 +615,6 @@ impl SpmPool {
     #[must_use]
     pub(crate) fn tier_worst_wait(&self) -> u64 {
         self.tiers.as_deref().map_or(0, |t| t.params.worst_case_wait_cycles())
-    }
-
-    /// Per-scratchpad flag: true when the scratchpad is paged (shares the
-    /// tier links, so its users must co-partition).
-    #[must_use]
-    pub(crate) fn tiered_flags(&self) -> Vec<bool> {
-        match self.tiers.as_deref() {
-            Some(t) => t.tables.iter().map(Option::is_some).collect(),
-            None => vec![false; self.len()],
-        }
     }
 }
 

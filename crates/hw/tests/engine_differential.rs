@@ -1,11 +1,9 @@
-//! Differential tests: the quiescence-aware event engine and the compiled
-//! block-step engine must be bit-identical to the naive reference engine —
-//! same cycle counts, stall counters, memory traffic, error cycles, and
-//! module outputs — for every pipeline. These tests build the same system
-//! once per [`EngineMode`] (the block engine additionally at 1, 2, 4 and 8
-//! worker threads) and compare everything observable, including the
-//! stall-attribution invariant that each module's four buckets tile the
-//! run exactly.
+//! Differential tests: the fast (park/wake) engine must be bit-identical
+//! to the naive reference engine — same cycle counts, memory traffic, error
+//! cycles, and module outputs — for every pipeline. These tests build the
+//! same system once per [`EngineMode`] and compare everything observable,
+//! including the stall-attribution invariant that each module's five
+//! buckets tile the run exactly.
 
 use genesis_hw::modules::filter::{CmpOp, Filter, Predicate};
 use genesis_hw::modules::joiner::{JoinKind, Joiner};
@@ -20,13 +18,12 @@ use genesis_hw::word::{Flit, HwWord};
 use genesis_hw::{EngineMode, System};
 use proptest::prelude::*;
 
-/// Builds the same system under all three engines (the block engine at 1,
-/// 2, 4 and 8 worker threads), runs each to `budget`, and asserts that the
-/// run outcome (stats or error), the final cycle counter, and the
-/// caller-observed state all match exactly. The event and block engines
-/// must additionally agree on per-module stall attribution (the reference
-/// engine never parks, so its report is all-active by design), and every
-/// engine's stall buckets must tile the simulated cycle span per module.
+/// Builds the same system under both engines, runs each to `budget`, and
+/// asserts that the run outcome (stats or error), the final cycle counter,
+/// and the caller-observed state all match exactly. Stall attribution is
+/// the one designed difference — the reference engine never parks, so its
+/// report is all-active — but under either engine every module's buckets
+/// must tile the simulated cycle span.
 fn assert_engines_agree<H, E>(
     budget: u64,
     build: impl Fn(&mut System) -> H,
@@ -34,39 +31,35 @@ fn assert_engines_agree<H, E>(
 ) where
     E: PartialEq + std::fmt::Debug,
 {
-    let run = |mode: EngineMode, threads: usize| {
+    let run = |mode: EngineMode| {
         let mut sys = System::new();
         let handles = build(&mut sys);
         sys.set_engine(mode);
-        sys.set_sim_threads(threads);
         let outcome = sys.run(budget);
         let observed = observe(&sys, &handles);
         let report = sys.stall_report();
         // Span-tiling invariant: active + input-starved + backpressured +
-        // memory-wait per module is exactly the simulated cycle span.
+        // memory-wait + spill-wait per module is exactly the cycle span.
         for m in &report.modules {
             assert_eq!(
                 m.counters.total(),
                 sys.cycle(),
-                "stall buckets of {} must tile the {mode:?}/{threads}t run",
+                "stall buckets of {} must tile the {mode:?} run",
                 m.label
             );
         }
         (outcome, sys.cycle(), sys.stats(), observed, report)
     };
-    let reference = run(EngineMode::Reference, 1);
-    let event = run(EngineMode::EventDriven, 1);
+    let reference = run(EngineMode::Reference);
+    let fast = run(EngineMode::Fast);
     assert_eq!(
         (&reference.0, reference.1, reference.2, &reference.3),
-        (&event.0, event.1, event.2, &event.3),
-        "event-driven engine diverged from the reference engine"
+        (&fast.0, fast.1, fast.2, &fast.3),
+        "fast engine diverged from the reference engine"
     );
-    for threads in [1usize, 2, 4, 8] {
-        let block = run(EngineMode::Block, threads);
-        assert_eq!(
-            event, block,
-            "block engine ({threads} threads) diverged from the event engine"
-        );
+    for (r, f) in reference.4.modules.iter().zip(&fast.4.modules) {
+        assert_eq!(r.label, f.label);
+        assert_eq!(r.counters.active, reference.1, "reference engine never parks {}", r.label);
     }
 }
 
@@ -266,12 +259,10 @@ fn spm_rmw_pipeline_bit_identical() {
     );
 }
 
-/// Several fully independent chains in one system: this is the shape the
-/// block engine partitions across worker threads (no shared queues, no
-/// memory modules), so the 2/4/8-thread runs inside
-/// [`assert_engines_agree`] exercise the real lockstep parallel path.
+/// Several fully independent chains in one system (no shared queues, no
+/// memory modules): wakes in one chain must never disturb another.
 #[test]
-fn independent_chains_bit_identical_across_threads() {
+fn independent_chains_bit_identical() {
     assert_engines_agree(
         200_000,
         |sys| {
@@ -300,10 +291,8 @@ fn independent_chains_bit_identical_across_threads() {
     );
 }
 
-/// A memory-bound component next to pure-stream components: the component
-/// holding the MemReader/MemWriter keeps the real memory system while the
-/// others run against inert stand-ins, and the merged stats must still be
-/// bit-identical at every thread count.
+/// A memory-bound component next to pure-stream components: timed memory
+/// wakes interleave with queue wakes of unrelated chains.
 #[test]
 fn mixed_memory_and_stream_components_bit_identical() {
     const ELEMS: u64 = 64;
@@ -364,11 +353,11 @@ fn mixed_memory_and_stream_components_bit_identical() {
     );
 }
 
-/// A deadlock split across independent components must fire at the same
-/// cycle with the same stuck set whether the components run on one thread
-/// or several.
+/// A deadlock in some components of a multi-component graph must fire at
+/// the same cycle with the same stuck set, in registration order, while
+/// the component that can finish does.
 #[test]
-fn partitioned_deadlock_bit_identical() {
+fn multi_component_deadlock_bit_identical() {
     assert_engines_agree(
         u64::MAX >> 2,
         |sys| {
@@ -386,8 +375,8 @@ fn partitioned_deadlock_bit_identical() {
 }
 
 /// Both engines must declare a deadlock at the identical cycle with the
-/// identical stuck set — the event engine reaches it via closed-form idle
-/// fast-forward rather than ticking through the window.
+/// identical stuck set — the fast engine reaches it via closed-form idle
+/// fast-forward rather than ticking through the deadlock window.
 #[test]
 fn deadlock_cycle_bit_identical() {
     assert_engines_agree(

@@ -21,33 +21,21 @@ use proptest::test_runner::TestCaseError;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Serializes engine-selection environment access (`System::with_memory`
-/// reads `GENESIS_ENGINE` / `GENESIS_SIM_THREADS` at construction).
+/// reads `GENESIS_ENGINE` at construction).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn env_lock() -> MutexGuard<'static, ()> {
     ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Three engines × 1/2/4 block-engine worker threads.
-const MATRIX: [(&str, usize); 9] = [
-    ("block", 1),
-    ("block", 2),
-    ("block", 4),
-    ("event", 1),
-    ("event", 2),
-    ("event", 4),
-    ("reference", 1),
-    ("reference", 2),
-    ("reference", 4),
-];
+/// Both simulation engines.
+const MATRIX: [&str; 2] = ["fast", "reference"];
 
 /// Runs `f` with the engine selection exported. Caller holds [`env_lock`].
-fn with_engine<T>(engine: &str, threads: usize, f: impl FnOnce() -> T) -> T {
+fn with_engine<T>(engine: &str, f: impl FnOnce() -> T) -> T {
     std::env::set_var("GENESIS_ENGINE", engine);
-    std::env::set_var("GENESIS_SIM_THREADS", threads.to_string());
     let out = f();
     std::env::remove_var("GENESIS_ENGINE");
-    std::env::remove_var("GENESIS_SIM_THREADS");
     out
 }
 
@@ -110,10 +98,10 @@ fn differential_engines(
         .map_err(|e| TestCaseError::fail(format!("pushdown-off compile failed: {e}")))?;
     let sw = execute_plan(plan, catalog, &Env::default())
         .map_err(|e| TestCaseError::fail(format!("software run failed: {e}")))?;
-    for (engine, threads) in MATRIX {
+    for engine in MATRIX {
         for (label, c) in [("pushdown", &compiled), ("no-pushdown", &unpushed)] {
-            let what = format!("{engine}/{threads}t/{label} @{factor}x");
-            let (hw, _) = with_engine(engine, threads, || c.execute_replicated(catalog, factor))
+            let what = format!("{engine}/{label} @{factor}x");
+            let (hw, _) = with_engine(engine, || c.execute_replicated(catalog, factor))
                 .map_err(|e| TestCaseError::fail(format!("{what}: hardware run failed: {e}")))?;
             assert_tables(&hw, &sw, &what)?;
         }
@@ -341,7 +329,7 @@ proptest! {
     /// The compiler must either reject the plan as a structured
     /// `Unsupported` (the wrap-possible and over-budget cases) or
     /// produce output bit-identical to the software engine's wrapping
-    /// arithmetic on every engine × thread combination.
+    /// arithmetic under both engines.
     #[test]
     fn arithmetic_group_key_wrap_differential(
         base_i in 0usize..3,

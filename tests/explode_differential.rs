@@ -2,7 +2,7 @@
 //! (mixed CIGARs with clips, insertions, deletions, and skips — and empty
 //! tables) are pushed through `ReadExplode`- and `PosExplode`-rooted
 //! scripts on the general compile path, executed on the simulated device
-//! under every engine × thread combination, and checked bit-for-bit
+//! under both simulation engines, and checked bit-for-bit
 //! against the `genesis::sql` software engine.
 
 use genesis::core::compile::Compiler;
@@ -15,33 +15,21 @@ use proptest::test_runner::TestCaseError;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Serializes engine-selection environment access (`System::with_memory`
-/// reads `GENESIS_ENGINE` / `GENESIS_SIM_THREADS` at construction).
+/// reads `GENESIS_ENGINE` at construction).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn env_lock() -> MutexGuard<'static, ()> {
     ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Three engines × 1/2/4 block-engine worker threads.
-const MATRIX: [(&str, usize); 9] = [
-    ("block", 1),
-    ("block", 2),
-    ("block", 4),
-    ("event", 1),
-    ("event", 2),
-    ("event", 4),
-    ("reference", 1),
-    ("reference", 2),
-    ("reference", 4),
-];
+/// Both simulation engines.
+const MATRIX: [&str; 2] = ["fast", "reference"];
 
 /// Runs `f` with the engine selection exported. Caller holds [`env_lock`].
-fn with_engine<T>(engine: &str, threads: usize, f: impl FnOnce() -> T) -> T {
+fn with_engine<T>(engine: &str, f: impl FnOnce() -> T) -> T {
     std::env::set_var("GENESIS_ENGINE", engine);
-    std::env::set_var("GENESIS_SIM_THREADS", threads.to_string());
     let out = f();
     std::env::remove_var("GENESIS_ENGINE");
-    std::env::remove_var("GENESIS_SIM_THREADS");
     out
 }
 
@@ -253,9 +241,9 @@ fn differential(
             .ok_or_else(|| TestCaseError::fail(format!("oracle produced no {out}")))?
             .clone()
     };
-    for (engine, threads) in MATRIX {
-        let what = format!("{engine}/{threads}t @{factor}x");
-        let (hw, _) = with_engine(engine, threads, || compiled.execute_replicated(catalog, factor))
+    for engine in MATRIX {
+        let what = format!("{engine} @{factor}x");
+        let (hw, _) = with_engine(engine, || compiled.execute_replicated(catalog, factor))
             .map_err(|e| TestCaseError::fail(format!("{what}: hardware run failed: {e}")))?;
         assert_tables_equal(&hw, &sw, &what)?;
     }

@@ -1,9 +1,9 @@
 //! Tiered-memory differential suite: with `GENESIS_TIERS`-style paging
 //! enabled (tiny SPM quotas so every scratchpad page spills), compiled
 //! pipelines must stay bit-identical to both the spill-off hardware run
-//! and the software engine — across all three simulation engines and
-//! 1/2/4 block-engine worker threads — while the added cycles land in the
-//! `spill-wait` stall bucket and the `tier.*` counters.
+//! and the software engine — under both simulation engines — while the
+//! added cycles land in the `spill-wait` stall bucket and the `tier.*`
+//! counters.
 //!
 //! Also covers the hw-level invariants: spill-wait spans tile each
 //! module's timeline exactly (including deadlock exits), and a
@@ -29,38 +29,24 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Serializes every test that reads or writes the engine-selection
-/// environment (`System::with_memory` consults `GENESIS_ENGINE` /
-/// `GENESIS_SIM_THREADS` at construction, and the test harness runs test
-/// functions concurrently in one process).
+/// environment (`System::with_memory` consults `GENESIS_ENGINE` at
+/// construction, and the test harness runs test functions concurrently in
+/// one process).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn env_lock() -> MutexGuard<'static, ()> {
     ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The full engine matrix the suite sweeps: three engines, and 1/2/4
-/// worker threads for the block engine (the other engines ignore the
-/// thread count but must still behave identically under it).
-const MATRIX: [(&str, usize); 9] = [
-    ("block", 1),
-    ("block", 2),
-    ("block", 4),
-    ("event", 1),
-    ("event", 2),
-    ("event", 4),
-    ("reference", 1),
-    ("reference", 2),
-    ("reference", 4),
-];
+/// The engine matrix the suite sweeps.
+const MATRIX: [&str; 2] = ["fast", "reference"];
 
 /// Runs `f` with the engine selection exported to the environment. The
 /// caller must hold [`env_lock`].
-fn with_engine<T>(engine: &str, threads: usize, f: impl FnOnce() -> T) -> T {
+fn with_engine<T>(engine: &str, f: impl FnOnce() -> T) -> T {
     std::env::set_var("GENESIS_ENGINE", engine);
-    std::env::set_var("GENESIS_SIM_THREADS", threads.to_string());
     let out = f();
     std::env::remove_var("GENESIS_ENGINE");
-    std::env::remove_var("GENESIS_SIM_THREADS");
     out
 }
 
@@ -121,7 +107,7 @@ fn assert_tables_equal(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCas
 }
 
 /// Runs `plan` four ways — software engine, spill-off hardware, and
-/// spill-on hardware across the full engine × thread matrix — and fails
+/// spill-on hardware under both engines — and fails
 /// unless every run produces the same table. Returns the per-combination
 /// spill-on statistics (matrix order) for further assertions.
 ///
@@ -151,40 +137,28 @@ fn differential_tiered(
         .compile(plan, catalog)
         .map_err(|e| TestCaseError::fail(format!("compile (tiers on) failed: {e}")))?;
     let mut all = Vec::with_capacity(MATRIX.len());
-    for (engine, threads) in MATRIX {
-        let what = format!("tiers on, {engine}/{threads}t");
-        let (hw, stats) = with_engine(engine, threads, || tiered.execute_replicated(catalog, factor))
+    for engine in MATRIX {
+        let what = format!("tiers on, {engine}");
+        let (hw, stats) = with_engine(engine, || tiered.execute_replicated(catalog, factor))
             .map_err(|e| TestCaseError::fail(format!("{what}: hardware run failed: {e}")))?;
         assert_tables_equal(&hw, &sw, &what)?;
         all.push(stats);
     }
 
     // Deterministic timing: simulated cycles, flits, and tier traffic must
-    // agree across every engine and thread count.
-    let first = &all[0];
-    for ((engine, threads), stats) in MATRIX.iter().zip(&all) {
-        let same = stats.cycles == first.cycles
-            && stats.total_flits == first.total_flits
-            && stats.tier_pages_filled == first.tier_pages_filled
-            && stats.tier_pages_spilled == first.tier_pages_spilled
-            && stats.tier_prefetch_hits == first.tier_prefetch_hits
-            && stats.tier_pcie_bytes == first.tier_pcie_bytes;
-        if !same {
-            return Err(TestCaseError::fail(format!(
-                "{engine}/{threads}t diverged from block/1t:\n  {stats}\nvs\n  {first}"
-            )));
-        }
-    }
-    // Full statistics equality (every field, including the stall-bucket
-    // split) across thread counts of each parking engine.
-    for pair in [(0, 1), (0, 2), (3, 4), (3, 5)] {
-        let (a, b) = pair;
-        if all[a] != all[b] {
-            return Err(TestCaseError::fail(format!(
-                "{}/{}t stats diverged from {}/{}t:\n  {}\nvs\n  {}",
-                MATRIX[b].0, MATRIX[b].1, MATRIX[a].0, MATRIX[a].1, all[b], all[a]
-            )));
-        }
+    // agree across the engines (the stall-bucket split is the one designed
+    // difference: the reference engine never parks).
+    let (fast, reference) = (&all[0], &all[1]);
+    let same = reference.cycles == fast.cycles
+        && reference.total_flits == fast.total_flits
+        && reference.tier_pages_filled == fast.tier_pages_filled
+        && reference.tier_pages_spilled == fast.tier_pages_spilled
+        && reference.tier_prefetch_hits == fast.tier_prefetch_hits
+        && reference.tier_pcie_bytes == fast.tier_pcie_bytes;
+    if !same {
+        return Err(TestCaseError::fail(format!(
+            "reference diverged from fast:\n  {reference}\nvs\n  {fast}"
+        )));
     }
     Ok(all)
 }
@@ -214,7 +188,7 @@ proptest! {
 
     /// GROUP BY through the scratchpad-histogram path with every page
     /// cold: spill-on must match spill-off and software bit for bit on
-    /// all engines, and the parking engines must attribute spill waits.
+    /// both engines, and the fast engine must attribute spill waits.
     #[test]
     fn tiered_grouped_aggregate_differential(
         ks in proptest::collection::vec(0u32..48, 1..40),
@@ -226,16 +200,16 @@ proptest! {
         let (plan, catalog) = grouped_agg_plan()(&ks, &ws);
         let all = differential_tiered(&plan, &catalog, factor)?;
         // The histogram scratchpads page (zero SPM quota), so the parking
-        // engines must see cold-page waits; the reference engine re-ticks
+        // engine must see cold-page waits; the reference engine re-ticks
         // instead of parking and accounts those cycles as active.
-        for (i, (engine, threads)) in MATRIX.iter().enumerate() {
+        for (i, engine) in MATRIX.iter().enumerate() {
             if *engine == "reference" {
                 prop_assert_eq!(all[i].spill_wait_cycles, 0);
             } else {
                 prop_assert!(
                     all[i].spill_wait_cycles > 0,
-                    "{}/{}t: expected spill waits, got {}",
-                    engine, threads, all[i]
+                    "{}: expected spill waits, got {}",
+                    engine, all[i]
                 );
             }
             prop_assert!(all[i].tier_pages_filled > 0);
@@ -281,7 +255,7 @@ proptest! {
 
 /// A deterministic spill-heavy GROUP BY swept across the full matrix:
 /// beyond the proptest sweep, pins down that eviction + refill traffic
-/// (not just cold fills) stays engine- and thread-invariant.
+/// (not just cold fills) stays engine-invariant.
 #[test]
 fn spill_heavy_matrix_is_deterministic() {
     let _guard = env_lock();
@@ -431,10 +405,9 @@ fn assert_tiling(report: &StallReport) {
 #[test]
 fn spill_waits_tile_the_timeline_and_stay_bit_identical() {
     let _guard = env_lock();
-    let run = |tiered: bool, engine: EngineMode, threads: usize| {
+    let run = |tiered: bool, engine: EngineMode| {
         let mut sys = System::new();
         sys.set_engine(engine);
-        sys.set_sim_threads(threads);
         let sink = build_spill_pipeline(&mut sys);
         if tiered {
             sys.set_tiers(hw_tier_params()).expect("unbounded host pool admits everything");
@@ -443,12 +416,12 @@ fn spill_waits_tile_the_timeline_and_stay_bit_identical() {
         (sys.sink_values(sink), sys.cycle(), sys.stall_report(), sys.tier_stats())
     };
 
-    let (vals_off, cycles_off, report_off, tiers_off) = run(false, EngineMode::Block, 1);
+    let (vals_off, cycles_off, report_off, tiers_off) = run(false, EngineMode::Fast);
     assert_tiling(&report_off);
     assert_eq!(tiers_off, None, "tier stats only exist once set_tiers is called");
     assert_eq!(report_off.totals().spill_wait, 0);
 
-    let (vals_on, cycles_on, report_on, tiers_on) = run(true, EngineMode::Block, 1);
+    let (vals_on, cycles_on, report_on, tiers_on) = run(true, EngineMode::Fast);
     assert_tiling(&report_on);
     assert_eq!(vals_on, vals_off, "tiering is timing-only: results must not change");
     assert!(cycles_on > cycles_off, "paging must cost cycles: {cycles_on} vs {cycles_off}");
@@ -457,17 +430,13 @@ fn spill_waits_tile_the_timeline_and_stay_bit_identical() {
     assert!(stats.pages_filled > 0 && stats.pages_spilled > 0, "{stats:?}");
     assert!(stats.prefetch_hits > 0, "a sequential fill pattern must prefetch: {stats:?}");
 
-    // The same tiered run on every engine and thread count: identical
-    // results, cycles, and tier traffic.
-    for engine in [EngineMode::Block, EngineMode::EventDriven, EngineMode::Reference] {
-        for threads in [1, 2, 4] {
-            let (vals, cycles, report, tiers) = run(true, engine, threads);
-            assert_tiling(&report);
-            assert_eq!(vals, vals_on, "{engine:?}/{threads}t results diverged");
-            assert_eq!(cycles, cycles_on, "{engine:?}/{threads}t cycles diverged");
-            assert_eq!(tiers, tiers_on, "{engine:?}/{threads}t tier stats diverged");
-        }
-    }
+    // The same tiered run on the reference engine: identical results,
+    // cycles, and tier traffic.
+    let (vals, cycles, report, tiers) = run(true, EngineMode::Reference);
+    assert_tiling(&report);
+    assert_eq!(vals, vals_on, "reference results diverged");
+    assert_eq!(cycles, cycles_on, "reference cycles diverged");
+    assert_eq!(tiers, tiers_on, "reference tier stats diverged");
 }
 
 #[test]
