@@ -1,16 +1,13 @@
 //! Pipeline replication benchmark (`cargo bench --bench pipeline_replication`).
 //!
-//! Compiles three query shapes through the general plan→pipeline compiler,
-//! lets the cost model pick the replication factor (paper Figure 8:
-//! 16×/16×/8× for the three kernels), and compares simulated-cycle
-//! throughput at the chosen factor against a single pipeline. Results are
-//! snapshotted to `BENCH_compile.json`; the acceptance gate is a ≥2×
-//! cycle-throughput improvement at the cost-model-chosen factor on at
-//! least one workload.
+//! Compiles three query shapes through the plan→pipeline compiler, lets
+//! the cost model pick the replication factor (paper Figure 8), and
+//! compares simulated-cycle throughput at the chosen factor against a
+//! single pipeline. Results are snapshotted to `BENCH_compile.json`; the
+//! acceptance gate is a ≥2× cycle-throughput improvement at the
+//! cost-model-chosen factor on at least one workload.
 
-use genesis_core::compile::{kernel_profile, CompiledKernel, Compiler};
-use genesis_core::cost::{choose_replication, PipelineProfile, MAX_REPLICATION};
-use genesis_hw::ResourceUsage;
+use genesis_core::compile::Compiler;
 use genesis_core::device::DeviceConfig;
 use genesis_sql::ast::{AggFn, BinOp, ColRef, Expr, SelectItem};
 use genesis_sql::{Catalog, LogicalPlan};
@@ -20,7 +17,6 @@ use std::path::PathBuf;
 
 struct Workload {
     label: &'static str,
-    kernel: Option<String>,
     chosen_factor: usize,
     limited_by: String,
     rows: usize,
@@ -61,7 +57,6 @@ fn run_workload(
     let (_, repl) = compiled.execute_replicated(catalog, chosen).expect("chosen run");
     Workload {
         label,
-        kernel: compiled.kernel().map(|k| format!("{k:?}")),
         chosen_factor: chosen,
         limited_by: format!("{:?}", compiled.replication().limited_by),
         rows,
@@ -78,13 +73,13 @@ fn main() {
     let mut catalog = Catalog::new();
     catalog.register("T", table_u32(&[("X", xs), ("K", ks)]));
 
-    // 1. Scalar reduction: matches the ColumnReduce fast path (16×).
+    // 1. Scalar reduction (16×, policy cap).
     let sum_plan = LogicalPlan::Aggregate {
         input: Box::new(scan("T")),
         items: vec![SelectItem::Agg { func: AggFn::Sum, arg: Some(col("X")), alias: None }],
         group_by: vec![],
     };
-    // 2. Grouped count: matches the GroupCount fast path (8×).
+    // 2. Grouped count under a host-side ORDER BY (8×, memory channels).
     let group_plan = LogicalPlan::Sort {
         input: Box::new(LogicalPlan::Aggregate {
             input: Box::new(scan("T")),
@@ -96,8 +91,8 @@ fn main() {
         }),
         keys: vec![(ColRef::bare("K"), false)],
     };
-    // 3. A novel query outside the three seed shapes: filtered projection,
-    //    lowered entirely by the general compiler.
+    // 3. Filtered projection with a computed column; the filter is pushed
+    //    into the scan, so its selectivity bounds the factor (8×).
     let novel_plan = LogicalPlan::Project {
         input: Box::new(LogicalPlan::Filter {
             input: Box::new(scan("T")),
@@ -138,44 +133,6 @@ fn main() {
         );
     }
 
-    // Figure 8 cross-check: the pre-characterized kernel profiles and the
-    // factors the cost model assigns them on the default memory system.
-    let mem = DeviceConfig::default().mem;
-    // The retired ColumnReduce fast path's pre-characterized profile, kept
-    // inline so the Figure 8 factor stays pinned (the general path now
-    // serves that shape at the same cycle count — see the
-    // `column_reduce_retired_with_cycle_parity` test).
-    let column_reduce_retired = PipelineProfile {
-        read_port_bytes: vec![1],
-        write_port_bytes: vec![],
-        fabric: ResourceUsage { luts: 3_500, registers: 4_900, bram_bytes: 2_304 },
-        expansion: 1.0,
-        selectivity: 1.0,
-    };
-    let fig8: Vec<(&str, usize, String)> = [
-        ("column_reduce (retired)", column_reduce_retired),
-        ("count_matching_bases", kernel_profile(&CompiledKernel::CountMatchingBases)),
-        (
-            "group_count",
-            kernel_profile(&CompiledKernel::GroupCount {
-                table: "READS".into(),
-                key: "POS".into(),
-            }),
-        ),
-    ]
-    .into_iter()
-    .map(|(label, profile)| {
-        let c = choose_replication(&profile, &mem, MAX_REPLICATION);
-        (label, c.factor, format!("{:?}", c.limited_by))
-    })
-    .collect();
-    println!("\n  figure 8 factors:");
-    for (label, factor, limit) in &fig8 {
-        println!("    {label:<22} {factor:>3}x (limited by {limit})");
-    }
-
-    // With the ColumnReduce fast path retired, every shape here rides the
-    // general compile path, so the gate covers all workloads.
     let best_kernel_speedup =
         workloads.iter().map(Workload::speedup).fold(0.0f64, f64::max);
     println!(
@@ -188,17 +145,12 @@ fn main() {
 
     let mut json = String::from("{\n  \"bench\": \"pipeline_replication\",\n  \"workloads\": [\n");
     for (i, w) in workloads.iter().enumerate() {
-        let kernel = w
-            .kernel
-            .as_ref()
-            .map_or("null".to_owned(), |k| format!("\"{}\"", k.replace('"', "'")));
         let _ = write!(
             json,
-            "    {{\"label\": \"{}\", \"kernel\": {}, \"chosen_factor\": {}, \
+            "    {{\"label\": \"{}\", \"chosen_factor\": {}, \
              \"limited_by\": \"{}\", \"rows\": {}, \"cycles_1x\": {}, \
              \"cycles_chosen\": {}, \"speedup\": {:.2}}}",
             w.label,
-            kernel,
             w.chosen_factor,
             w.limited_by,
             w.rows,
@@ -208,15 +160,7 @@ fn main() {
         );
         json.push_str(if i + 1 < workloads.len() { ",\n" } else { "\n" });
     }
-    json.push_str("  ],\n  \"figure8_factors\": {\n");
-    for (i, (label, factor, limit)) in fig8.iter().enumerate() {
-        let _ = write!(json, "    \"{label}\": {{\"factor\": {factor}, \"limited_by\": \"{limit}\"}}");
-        json.push_str(if i + 1 < fig8.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(
-        json,
-        "  }},\n  \"best_kernel_speedup\": {best_kernel_speedup:.2}\n}}"
-    );
+    let _ = writeln!(json, "  ],\n  \"best_kernel_speedup\": {best_kernel_speedup:.2}\n}}");
     let out = repo_root.join("BENCH_compile.json");
     std::fs::write(&out, &json).expect("write BENCH_compile.json");
     println!("\nsnapshot written to {}", out.display());

@@ -14,7 +14,6 @@ pub mod bqsr;
 pub mod coverage;
 pub mod example;
 pub mod frontend;
-pub mod group_count;
 pub mod markdup;
 pub mod metadata;
 pub mod pipeline;

@@ -9,14 +9,16 @@
 //!
 //! This module implements that automation. [`Compiler::compile`] lowers
 //! any supported [`LogicalPlan`] tree node by node into a hardware module
-//! graph, recognizes the paper's three hand-built accelerators
-//! ([`CompiledKernel`]) as fast paths, and chooses a pipeline replication
-//! factor from the cost model (paper Figure 8). The result is an open
-//! [`PipelinePlan`] handle that can be inspected (`explain`,
-//! `replication`) and executed against a [`Catalog`] on the simulated
-//! device. Unsupported shapes return a structured
+//! graph and chooses a pipeline replication factor from the cost model
+//! (paper Figure 8). The result is an open [`PipelinePlan`] handle that can
+//! be inspected (`explain`, `replication`) and executed against a
+//! [`Catalog`] on the simulated device: a plan that compiles is a plan
+//! that runs. Unsupported shapes return a structured
 //! [`CoreError::Unsupported`] naming the offending node rather than
-//! silently degrading.
+//! silently degrading — including the paper's own Figure 4 script, whose
+//! mid-plan `LIMIT` window and explode over a derived stream the lowering
+//! does not cover yet (Figure 4 → Figure 7 stays the paper's manual
+//! mapping, [`crate::accel::example`]).
 
 use crate::cost::{
     choose_replication, choose_replication_spill, PipelineProfile, ReplicationChoice,
@@ -27,64 +29,12 @@ use crate::error::CoreError;
 use crate::library::ModuleRegistry;
 use crate::lower::{analyze, Lowering};
 use crate::perf::AccelStats;
-use genesis_hw::ResourceUsage;
-use genesis_sql::ast::{AggFn, BinOp, Expr, JoinKind, SelectItem, Statement};
+use genesis_sql::ast::Statement;
 use genesis_sql::parser::parse_script;
 use genesis_sql::plan::lower_query;
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::Table;
 use std::collections::HashMap;
-
-/// A recognized fast-path kernel: one of the paper's hand-built
-/// accelerators that the general compiler cannot (yet) lower, with a
-/// pre-characterized pipeline profile.
-///
-/// The column-reduce fast path was retired once the general path lowered
-/// plain column aggregates at identical cycle counts (see the
-/// `column_reduce_retired_with_cycle_parity` regression test).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompiledKernel {
-    /// The Figure 4 / Figure 7 idiom: per-read count of bases matching the
-    /// `PosExplode`'d reference after an inner join on position.
-    CountMatchingBases,
-    /// `SELECT K, COUNT(*) FROM T GROUP BY K` — the read-modify-write
-    /// SPM-updater histogram (the BQSR binning pattern, §IV-D).
-    GroupCount {
-        /// Source table.
-        table: String,
-        /// Grouping key column.
-        key: String,
-    },
-}
-
-/// Pre-characterized per-pipeline profile of a fast-path kernel, the cost
-/// model's input. The constants mirror the hand-built accelerators'
-/// streaming ports and fabric and reproduce the paper's Figure 8
-/// replication factors: 16× for the metadata pipeline, 8× for the
-/// BRAM-heavy BQSR histogram. (Both are read-port-characterized at their
-/// *input* rate, so the nominal expansion stays 1.0 here; explode
-/// expansion is modeled only where the lowering measures it.)
-#[must_use]
-pub fn kernel_profile(kernel: &CompiledKernel) -> PipelineProfile {
-    match kernel {
-        // Read fields + reference stream through explode/join/compare.
-        CompiledKernel::CountMatchingBases => PipelineProfile {
-            read_port_bytes: vec![4, 4, 2, 1, 1, 1],
-            write_port_bytes: vec![],
-            fabric: ResourceUsage { luts: 9_500, registers: 11_000, bram_bytes: 41_000 },
-            expansion: 1.0,
-            selectivity: 1.0,
-        },
-        // Key stream in, histogram drain out, large covariate scratchpads.
-        CompiledKernel::GroupCount { .. } => PipelineProfile {
-            read_port_bytes: vec![4],
-            write_port_bytes: vec![4],
-            fabric: ResourceUsage { luts: 4_650, registers: 5_700, bram_bytes: 528_896 },
-            expansion: 1.0,
-            selectivity: 1.0,
-        },
-    }
-}
 
 /// The plan→pipeline compiler. Owns the device model the pipelines are
 /// costed against; one compiler serves any number of plans.
@@ -138,45 +88,30 @@ impl Compiler {
         &self.registry
     }
 
-    /// Compiles one logical plan against `catalog`.
-    ///
-    /// The plan is matched against the fast-path kernels *and* lowered
-    /// node by node through the general compiler; either suffices. The
-    /// replication factor comes from [`choose_replication`] over the
-    /// kernel's pre-characterized profile (fast path) or the measured
-    /// profile of the freshly built module graph.
+    /// Compiles one logical plan against `catalog`: lowers it node by
+    /// node into a module graph, then chooses the replication factor with
+    /// [`choose_replication`] over the measured profile of that graph.
     ///
     /// # Errors
     ///
     /// [`CoreError::Unsupported`] naming the offending plan node when the
-    /// plan neither matches a kernel nor lowers.
+    /// plan does not lower.
     pub fn compile(&self, plan: &LogicalPlan, catalog: &Catalog) -> Result<PipelinePlan, CoreError> {
-        let kernel = match_kernel(plan);
-        let lowered = match analyze(plan, catalog, &self.cfg) {
-            Ok(l) => Some(l),
-            Err(e) if kernel.is_none() => return Err(e),
-            Err(_) => None,
-        };
-        let profile = kernel.as_ref().map_or_else(
-            || lowered.as_ref().expect("kernel or lowering").profile.clone(),
-            kernel_profile,
-        );
+        let lowered = analyze(plan, catalog, &self.cfg)?;
         let replication = match self.cfg.tiers.as_ref() {
             // Tiered memory: the shared PCIe spill link is a third
             // saturable budget for the replication chooser.
             Some(t) => choose_replication_spill(
-                &profile,
+                &lowered.profile,
                 &self.cfg.mem,
                 MAX_REPLICATION,
-                Some(SpillProfile::project(&profile, t, self.cfg.clock_hz)),
+                Some(SpillProfile::project(&lowered.profile, t, self.cfg.clock_hz)),
             ),
-            None => choose_replication(&profile, &self.cfg.mem, MAX_REPLICATION),
+            None => choose_replication(&lowered.profile, &self.cfg.mem, MAX_REPLICATION),
         };
         Ok(PipelinePlan {
             plan: plan.clone(),
-            kernel,
             lowered,
-            profile,
             replication,
             cfg: self.cfg.clone(),
             registry: self.registry.clone(),
@@ -185,9 +120,7 @@ impl Compiler {
 
     /// Parses a whole extended-SQL script against this compiler's
     /// registry and compiles the final `INSERT` plan — a thin composition
-    /// of [`script_to_plan`] and [`Compiler::compile`]. Prefer
-    /// [`crate::host::JobSpec::from_script`] when the goal is to run the
-    /// script on a [`crate::host::GenesisHost`].
+    /// of [`script_to_plan`] and [`Compiler::compile`].
     ///
     /// # Errors
     ///
@@ -204,9 +137,7 @@ impl Compiler {
 #[derive(Debug, Clone)]
 pub struct PipelinePlan {
     plan: LogicalPlan,
-    kernel: Option<CompiledKernel>,
-    lowered: Option<Lowering>,
-    profile: PipelineProfile,
+    lowered: Lowering,
     replication: ReplicationChoice,
     cfg: DeviceConfig,
     registry: ModuleRegistry,
@@ -219,19 +150,6 @@ impl PipelinePlan {
         &self.plan
     }
 
-    /// The fast-path kernel this plan matched, if any.
-    #[must_use]
-    pub fn kernel(&self) -> Option<&CompiledKernel> {
-        self.kernel.as_ref()
-    }
-
-    /// True when the plan lowered through the general node-by-node
-    /// compiler (and is therefore executable via [`PipelinePlan::execute`]).
-    #[must_use]
-    pub fn is_executable(&self) -> bool {
-        self.lowered.is_some()
-    }
-
     /// The cost model's replication decision for this pipeline.
     #[must_use]
     pub fn replication(&self) -> &ReplicationChoice {
@@ -241,14 +159,13 @@ impl PipelinePlan {
     /// The per-pipeline profile the replication decision was made from.
     #[must_use]
     pub fn profile(&self) -> &PipelineProfile {
-        &self.profile
+        &self.lowered.profile
     }
 
-    /// Output column names of the compiled pipeline (empty for fast-path
-    /// kernels executed through their dedicated accelerator APIs).
+    /// Output column names of the compiled pipeline.
     #[must_use]
     pub fn output_columns(&self) -> &[String] {
-        self.lowered.as_ref().map_or(&[], |l| l.output_columns())
+        self.lowered.output_columns()
     }
 
     /// The node → hardware-module mapping plus the replication decision,
@@ -256,14 +173,9 @@ impl PipelinePlan {
     #[must_use]
     pub fn explain(&self) -> String {
         let mut out = explain(&self.plan, &self.registry);
-        if let Some(k) = &self.kernel {
-            out.push_str(&format!("fast path: {k:?}\n"));
-        }
-        if let Some(l) = &self.lowered {
-            for line in &l.summary {
-                out.push_str(line);
-                out.push('\n');
-            }
+        for line in &self.lowered.summary {
+            out.push_str(line);
+            out.push('\n');
         }
         out.push_str(&self.replication.summary());
         out.push('\n');
@@ -276,9 +188,7 @@ impl PipelinePlan {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Host`] when the plan only matched a dedicated
-    /// genomics kernel (run those through `accel::*`), or any simulation /
-    /// verification error from the run.
+    /// Any bind, simulation or verification error from the run.
     pub fn execute(&self, catalog: &Catalog) -> Result<(Table, AccelStats), CoreError> {
         self.execute_replicated(catalog, self.replication.factor)
     }
@@ -294,32 +204,18 @@ impl PipelinePlan {
         catalog: &Catalog,
         factor: usize,
     ) -> Result<(Table, AccelStats), CoreError> {
-        let Some(lowered) = &self.lowered else {
-            return Err(CoreError::Host(format!(
-                "plan compiled only to the dedicated {:?} kernel; run it through the \
-                 accel API or GenesisHost",
-                self.kernel
-            )));
-        };
-        lowered.execute(&self.cfg, catalog, factor.max(1))
+        self.lowered.execute(&self.cfg, catalog, factor.max(1))
     }
 
     /// Binds the compiled pipeline to `catalog`'s current data, returning a
-    /// `Send` job that [`crate::host::GenesisHost::submit`] can run on a
+    /// `Send` job that [`crate::serve::GenesisServer`] can run on a device
     /// worker thread.
     pub(crate) fn prepare_job(
         &self,
         catalog: &Catalog,
         factor: usize,
     ) -> Result<crate::lower::PreparedJob, CoreError> {
-        let Some(lowered) = &self.lowered else {
-            return Err(CoreError::Host(format!(
-                "plan compiled only to the dedicated {:?} kernel; run it through the \
-                 accel API or GenesisHost",
-                self.kernel
-            )));
-        };
-        lowered.prepare(&self.cfg, catalog, factor.max(1))
+        self.lowered.prepare(&self.cfg, catalog, factor.max(1))
     }
 }
 
@@ -438,97 +334,6 @@ fn inline_views(plan: &LogicalPlan, views: &HashMap<String, LogicalPlan>) -> Log
     }
 }
 
-/// Pattern-matches a plan against the three fast-path kernels.
-#[must_use]
-pub fn match_kernel(plan: &LogicalPlan) -> Option<CompiledKernel> {
-    // Shape 1: Aggregate over a bare table scan (possibly projected).
-    if let LogicalPlan::Aggregate { input, items, group_by } = plan {
-        // GROUP BY key with a COUNT aggregate → the SPM histogram kernel.
-        if let [key] = group_by.as_slice() {
-            let has_count = items
-                .iter()
-                .any(|i| matches!(i, SelectItem::Agg { func: AggFn::Count, .. }));
-            if has_count {
-                if let Some(table) = root_scan(input) {
-                    return Some(CompiledKernel::GroupCount {
-                        table: table.to_owned(),
-                        key: key.column.clone(),
-                    });
-                }
-            }
-        }
-        if group_by.is_empty() && items.len() == 1 {
-            // Sum of an equality comparison → the matching-bases idiom.
-            // (A plain column aggregate over a scan used to match the
-            // ColumnReduce fast path here; the general path lowers it at
-            // cycle parity now, so no kernel tag is needed.)
-            if let SelectItem::Agg { arg: Some(Expr::Bin { op: BinOp::Eq, .. }), .. } =
-                &items[0]
-            {
-                if plan_has_explode_join(input) {
-                    return Some(CompiledKernel::CountMatchingBases);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Descends through single-input wrappers to a scan leaf.
-fn root_scan(plan: &LogicalPlan) -> Option<&str> {
-    match plan {
-        LogicalPlan::Scan { table, .. } => Some(table),
-        LogicalPlan::Project { input, .. }
-        | LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::PosExplode { input, .. }
-        | LogicalPlan::ReadExplode { input, .. }
-        | LogicalPlan::Aggregate { input, .. } => root_scan(input),
-        LogicalPlan::Join { .. } => None,
-    }
-}
-
-/// True when the plan contains `Join(Inner, …ReadExplode…, …PosExplode…)`
-/// — the Figure 5 execution flow.
-fn plan_has_explode_join(plan: &LogicalPlan) -> bool {
-    fn contains_read_explode(p: &LogicalPlan) -> bool {
-        match p {
-            LogicalPlan::ReadExplode { .. } => true,
-            LogicalPlan::Project { input, .. }
-            | LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::PosExplode { input, .. } => contains_read_explode(input),
-            _ => false,
-        }
-    }
-    fn contains_pos_explode(p: &LogicalPlan) -> bool {
-        match p {
-            LogicalPlan::PosExplode { .. } => true,
-            LogicalPlan::Project { input, .. }
-            | LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::ReadExplode { input, .. } => contains_pos_explode(input),
-            _ => false,
-        }
-    }
-    match plan {
-        LogicalPlan::Join { kind: JoinKind::Inner, left, right, .. } => {
-            contains_read_explode(left) && contains_pos_explode(right)
-        }
-        LogicalPlan::Project { input, .. }
-        | LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::Aggregate { input, .. } => plan_has_explode_join(input),
-        _ => false,
-    }
-}
-
 /// Produces the node → hardware-module mapping for a plan, one line per
 /// operator — the "tree graph where each node … is mapped to a Genesis
 /// hardware module" (paper §III-D).
@@ -614,30 +419,11 @@ pub fn figure4_script(partition: u64) -> String {
 mod tests {
     use super::*;
     use crate::library::CustomModuleSpec;
-    use genesis_sql::ast::ColRef;
+    use genesis_sql::ast::{BinOp, ColRef, Expr};
     use genesis_types::{Column, DataType, Field, Schema, Value};
 
     fn registry() -> ModuleRegistry {
         ModuleRegistry::with_builtins()
-    }
-
-    #[test]
-    fn figure4_script_compiles_to_count_matching_bases() {
-        let plan = script_to_plan(&figure4_script(0), &registry()).unwrap();
-        assert_eq!(match_kernel(&plan), Some(CompiledKernel::CountMatchingBases));
-    }
-
-    #[test]
-    fn group_by_count_compiles_to_spm_histogram() {
-        let plan = script_to_plan(
-            "INSERT INTO Out SELECT RG, COUNT(*) FROM READS GROUP BY RG",
-            &registry(),
-        )
-        .unwrap();
-        assert_eq!(
-            match_kernel(&plan),
-            Some(CompiledKernel::GroupCount { table: "READS".into(), key: "RG".into() })
-        );
     }
 
     #[test]
@@ -647,40 +433,21 @@ mod tests {
             &registry(),
         )
         .unwrap();
-        assert!(match_kernel(&plan).is_none());
-        // No kernel matches and the catalog knows neither table, so the
-        // general lowering fails too.
+        // The catalog knows neither table, so the lowering fails.
         let err = Compiler::new(DeviceConfig::small()).compile(&plan, &Catalog::new());
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn kernel_profiles_reproduce_figure8_replication() {
-        // Paper Figure 8: the metadata pipeline replicates 16×, the
-        // BRAM-heavy BQSR histogram only 8× (area-bound).
-        use crate::cost::ReplicationBound;
-        let mem = genesis_hw::MemoryConfig::default();
-        let meta = CompiledKernel::CountMatchingBases;
-        let hist = CompiledKernel::GroupCount { table: "READS".into(), key: "RG".into() };
-        let choose = |k: &CompiledKernel| {
-            choose_replication(&kernel_profile(k), &mem, MAX_REPLICATION)
-        };
-        assert_eq!(choose(&meta).factor, 16);
-        let h = choose(&hist);
-        assert_eq!(h.factor, 8);
-        assert_eq!(h.limited_by, ReplicationBound::FpgaArea);
     }
 
     #[test]
     fn column_reduce_retired_with_cycle_parity() {
         // The retired ColumnReduce fast path's pre-characterized profile
         // (Figure 10 reduce pipeline), inlined verbatim from the deleted
-        // kernel_profile arm. The general path must keep matching it.
+        // fast path. The general path must keep matching it.
         let cfg = DeviceConfig::small();
         let retired = PipelineProfile {
             read_port_bytes: vec![1],
             write_port_bytes: vec![],
-            fabric: ResourceUsage { luts: 3_500, registers: 4_900, bram_bytes: 2_304 },
+            fabric: genesis_hw::ResourceUsage { luts: 3_500, registers: 4_900, bram_bytes: 2_304 },
             expansion: 1.0,
             selectivity: 1.0,
         };
@@ -699,12 +466,7 @@ mod tests {
         let compiled = Compiler::new(cfg)
             .compile_sql("INSERT INTO Out SELECT SUM(QUAL) FROM READS", &catalog)
             .unwrap();
-        // Retired: no kernel tag; the general path lowers and executes it.
-        assert!(compiled.kernel().is_none());
-        assert!(compiled.is_executable());
-        let text = compiled.explain();
-        assert!(text.contains("Reducer"));
-        assert!(!text.contains("fast path"));
+        assert!(compiled.explain().contains("Reducer"));
         // Parity with the retired fast path: identical replication choice
         // and identical simulated cycles at that factor.
         assert_eq!(compiled.replication().factor, retired_choice.factor);
@@ -715,20 +477,6 @@ mod tests {
         );
         let (_, fast) = compiled.execute_replicated(&catalog, retired_choice.factor).unwrap();
         assert_eq!(general.cycles, fast.cycles);
-    }
-
-    #[test]
-    fn figure4_compiles_through_compiler_as_fast_path_only() {
-        // Figure 4's mid-plan LIMIT (a per-read reference window) and
-        // explode-over-view shape do not lower generally; the plan still
-        // compiles because the metadata kernel matches it.
-        let compiled = Compiler::new(DeviceConfig::small())
-            .compile_sql(&figure4_script(0), &Catalog::new())
-            .unwrap();
-        assert_eq!(compiled.kernel(), Some(&CompiledKernel::CountMatchingBases));
-        assert!(!compiled.is_executable());
-        let err = compiled.execute(&Catalog::new()).unwrap_err();
-        assert!(matches!(err, CoreError::Host(_)));
     }
 
     #[test]
@@ -803,7 +551,6 @@ mod tests {
                 &catalog,
             )
             .unwrap();
-        assert!(compiled.is_executable());
         let (out, _) = compiled.execute(&catalog).unwrap();
         let got: Vec<Value> =
             (0..out.num_rows()).map(|r| out.get(r, "QUAL").unwrap()).collect();

@@ -339,10 +339,15 @@ pub fn choose_replication_spill(
 mod tests {
     use super::*;
 
+    /// The profiles of the three retired seed fast paths (ColumnReduce,
+    /// CountMatchingBases, GroupCount), inlined verbatim from their deleted
+    /// characterizations, pin the paper's Figure 8 factors: 16× for the
+    /// reduce and metadata pipelines, 8× for the BRAM-heavy BQSR histogram.
     #[test]
-    fn replication_bounds() {
+    fn replication_bounds_reproduce_figure8() {
         let mem = MemoryConfig::default();
-        // A light pipeline (1-byte stream, small fabric) hits the policy cap.
+        // Figure 10 reduce: a light pipeline (1-byte stream, small fabric)
+        // hits the policy cap.
         let light = PipelineProfile {
             read_port_bytes: vec![1],
             write_port_bytes: vec![],
@@ -351,6 +356,18 @@ mod tests {
             selectivity: 1.0,
         };
         let c = choose_replication(&light, &mem, MAX_REPLICATION);
+        assert_eq!(c.factor, 16);
+        assert_eq!(c.limited_by, ReplicationBound::PolicyCap);
+        // Figure 7/11 metadata: read fields + reference stream through
+        // explode/join/compare — six ports, still policy-capped.
+        let metadata = PipelineProfile {
+            read_port_bytes: vec![4, 4, 2, 1, 1, 1],
+            write_port_bytes: vec![],
+            fabric: ResourceUsage { luts: 9_500, registers: 11_000, bram_bytes: 41_000 },
+            expansion: 1.0,
+            selectivity: 1.0,
+        };
+        let c = choose_replication(&metadata, &mem, MAX_REPLICATION);
         assert_eq!(c.factor, 16);
         assert_eq!(c.limited_by, ReplicationBound::PolicyCap);
         // A memory-hungry pipeline saturates the 4 channels first.
@@ -364,7 +381,8 @@ mod tests {
         let c = choose_replication(&heavy, &mem, MAX_REPLICATION);
         assert_eq!(c.limited_by, ReplicationBound::MemoryChannels);
         assert!(c.factor <= 4);
-        // A BRAM-heavy pipeline (512 KB of scratchpads) is area-bound at 8.
+        // Figure 12 BQSR histogram: key stream in, drain out, 512 KB of
+        // covariate scratchpads — area-bound at 8.
         let bram = PipelineProfile {
             read_port_bytes: vec![4],
             write_port_bytes: vec![4],

@@ -16,17 +16,14 @@
 //! deadline on top of the paper's blocking wait.
 
 use crate::accel::panic_message;
-use crate::compile::PipelinePlan;
 use crate::error::CoreError;
 use crate::fault::FaultReport;
 use crate::perf::AccelStats;
 use genesis_obs::{MetricsRegistry, MetricsSnapshot};
-use genesis_sql::Catalog;
-use genesis_types::Table;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Inputs staged by `configure_mem` for one pipeline, keyed by column name.
@@ -84,177 +81,6 @@ pub struct JobOutput {
 /// [`genesis_hw::System`] and simulates it).
 pub type JobFn = Box<dyn FnOnce(ConfiguredInputs) -> Result<JobOutput, CoreError> + Send>;
 
-/// The software oracle a [`JobSpec`] degrades to when the hardware run
-/// fails: recomputes the same result on the host (graceful degradation,
-/// the same policy [`crate::fault::FaultConfig::fallback`] applies inside
-/// the accelerators).
-pub type OracleFn = Box<dyn FnOnce() -> Result<Table, CoreError> + Send>;
-
-/// One accelerator job: a compiled [`PipelinePlan`] plus the host-side
-/// policy knobs that used to be spread across separate `GenesisHost`
-/// calls (`configure_mem` + `run_genesis` + `wait_genesis_for` +
-/// `genesis_flush`). Build with [`JobSpec::new`], refine with the
-/// `with_*` methods, then hand to [`GenesisHost::submit`]:
-///
-/// ```text
-/// let handle = host.submit(
-///     JobSpec::new(plan)
-///         .with_oracle(|| software_result())
-///         .with_deadline(Duration::from_secs(5)),
-///     &catalog,
-/// )?;
-/// let (table, stats) = handle.wait()?;
-/// ```
-pub struct JobSpec {
-    plan: PipelinePlan,
-    pipeline_id: Option<u32>,
-    deadline: Option<Duration>,
-    oracle: Option<OracleFn>,
-    replication: Option<usize>,
-}
-
-impl std::fmt::Debug for JobSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobSpec")
-            .field("plan", &self.plan)
-            .field("pipeline_id", &self.pipeline_id)
-            .field("deadline", &self.deadline)
-            .field("oracle", &self.oracle.is_some())
-            .field("replication", &self.replication)
-            .finish()
-    }
-}
-
-impl JobSpec {
-    /// A job running `plan` at the cost model's replication choice, on an
-    /// auto-assigned pipeline id, with no deadline and no oracle.
-    #[must_use]
-    pub fn new(plan: PipelinePlan) -> JobSpec {
-        JobSpec { plan, pipeline_id: None, deadline: None, oracle: None, replication: None }
-    }
-
-    /// A job from an extended-SQL script: parses `src` against the
-    /// compiler's module registry, compiles the final `INSERT` plan, and
-    /// wraps it — the one-call convergence of the SQL and
-    /// [`genesis_sql::LogicalPlan`] entry points.
-    ///
-    /// # Errors
-    ///
-    /// As for [`crate::compile::script_to_plan`] and
-    /// [`crate::compile::Compiler::compile`].
-    pub fn from_script(
-        src: &str,
-        compiler: &crate::compile::Compiler,
-        catalog: &Catalog,
-    ) -> Result<JobSpec, CoreError> {
-        Ok(JobSpec::new(compiler.compile_sql(src, catalog)?))
-    }
-
-    /// Pins the job to an explicit pipeline slot (the default allocates a
-    /// fresh id, so submissions never collide). Ids at or above
-    /// `0x8000_0000` are reserved for auto-assignment and rejected by
-    /// [`GenesisHost::submit`] — a pinned id there could collide with a
-    /// later auto-assigned one and silently join two jobs.
-    #[must_use]
-    pub fn with_pipeline_id(mut self, id: u32) -> JobSpec {
-        self.pipeline_id = Some(id);
-        self
-    }
-
-    /// Deadline measured **from submission**: time the job spends queued
-    /// behind other work counts against it. A job whose deadline expires
-    /// while still queued is dropped at dispatch, and [`JobHandle::wait`]
-    /// fails with a deadline error instead of blocking forever.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> JobSpec {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Installs a software fallback: when the hardware job fails for any
-    /// reason (including a plan that only compiled to a dedicated
-    /// genomics kernel), `oracle` recomputes the result on the host and
-    /// the job succeeds with `fallback_jobs = 1` in its fault report.
-    #[must_use]
-    pub fn with_oracle(
-        mut self,
-        oracle: impl FnOnce() -> Result<Table, CoreError> + Send + 'static,
-    ) -> JobSpec {
-        self.oracle = Some(Box::new(oracle));
-        self
-    }
-
-    /// Overrides the cost model's replication factor (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_replication(mut self, factor: usize) -> JobSpec {
-        self.replication = Some(factor);
-        self
-    }
-}
-
-/// A submitted job: poll with [`JobHandle::is_done`], collect with
-/// [`JobHandle::wait`]. The underlying pipeline slot stays accessible
-/// through the raw paper API ([`GenesisHost::check_genesis`] etc.) under
-/// [`JobHandle::id`].
-#[derive(Debug)]
-pub struct JobHandle<'h> {
-    host: &'h GenesisHost,
-    id: u32,
-    deadline: Option<Duration>,
-    /// When the job was submitted — the deadline clock's zero point.
-    submitted: Instant,
-    table: Arc<Mutex<Option<Table>>>,
-}
-
-impl JobHandle<'_> {
-    /// The pipeline slot this job runs on.
-    #[must_use]
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
-    /// True once the job completed (the paper's `check_genesis`). Never
-    /// blocks.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.host.check_genesis(self.id)
-    }
-
-    /// Blocks until the job completes and returns its result table and
-    /// run statistics, consuming the pipeline slot.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Host`] when the spec's deadline passes before the job
-    /// finishes, or the job's own error when it failed (after the oracle,
-    /// if any, also failed).
-    pub fn wait(self) -> Result<(Table, AccelStats), CoreError> {
-        if let Some(deadline) = self.deadline {
-            // The deadline clock started at submit, not here: only the
-            // remaining budget is granted to the wait.
-            let remaining = deadline.saturating_sub(self.submitted.elapsed());
-            if !self.host.wait_genesis_for(self.id, remaining)? {
-                return Err(CoreError::Host(format!(
-                    "job on pipeline {} exceeded its {:?} deadline \
-                     (clock started at submit)",
-                    self.id, deadline
-                )));
-            }
-        }
-        let out = self.host.genesis_flush(self.id)?;
-        let table = self
-            .table
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .ok_or_else(|| CoreError::Host("job produced no result table".into()))?;
-        Ok((table, out.stats))
-    }
-}
-
-/// Base for auto-assigned pipeline ids, far above any hand-picked slot.
-const AUTO_PIPELINE_BASE: u32 = 0x8000_0000;
-
 enum Slot {
     Configuring(ConfiguredInputs),
     /// The job is in flight on a detached worker thread. `epoch`
@@ -301,10 +127,6 @@ pub struct GenesisHost {
     shared: Arc<Shared>,
     metrics: Arc<MetricsRegistry>,
     next_epoch: AtomicU64,
-    next_auto_id: AtomicU64,
-    /// Lazily started embedded serving layer behind [`GenesisHost::submit`]
-    /// (`GENESIS_DEVICES` devices, sharing this host's metrics registry).
-    server: OnceLock<crate::serve::GenesisServer>,
 }
 
 impl GenesisHost {
@@ -320,93 +142,6 @@ impl GenesisHost {
     /// caller's panic propagating through — leaves usable state behind.
     fn lock(&self) -> MutexGuard<'_, HashMap<u32, Slot>> {
         self.shared.slots.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The embedded serving layer `submit` routes through: one pool worker
-    /// per `GENESIS_DEVICES` device (default 1), job device configs
-    /// inherited from the compiled plan, metrics shared with this host (so
-    /// `server.*` names appear in [`GenesisHost::metrics_snapshot`]).
-    fn embedded_server(&self) -> &crate::serve::GenesisServer {
-        self.server.get_or_init(|| {
-            let n = crate::env::GenesisEnv::load()
-                .ok()
-                .and_then(|env| env.devices)
-                .unwrap_or(1);
-            let cfg = crate::serve::ServerConfig {
-                inherit_job_config: true,
-                ..crate::serve::ServerConfig::default()
-                    .with_devices(n, crate::device::DeviceConfig::default())
-            };
-            crate::serve::GenesisServer::with_metrics(cfg, Arc::clone(&self.metrics))
-        })
-    }
-
-    /// Submits a compiled pipeline as one job: binds `spec`'s plan to
-    /// `catalog`'s current data on the calling thread (the host→device
-    /// copy), queues the job on the embedded one-host serving layer (a
-    /// [`crate::serve::GenesisServer`] with `GENESIS_DEVICES` simulated
-    /// devices), and returns a handle to poll or wait on. This is the
-    /// consolidated front door over the paper's five-call sequence —
-    /// `configure_mem` → `run_genesis` → `check_genesis` / `wait_genesis`
-    /// → `genesis_flush` — which remains available for accelerators that
-    /// manage buffers by hand; the job also occupies a pipeline slot, so
-    /// the raw calls observe it under [`JobHandle::id`].
-    ///
-    /// The spec's deadline clock starts *now*: time spent queued behind
-    /// other submissions counts against it.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Host`] when the spec pins a pipeline id that is
-    /// already running or lies in the auto-assigned range
-    /// (≥ `0x8000_0000`), and [`CoreError::Overloaded`] when the serving
-    /// layer's admission control rejects the job. A plan that cannot
-    /// execute (kernel-only compile) or fails mid-run does *not* error
-    /// here: the failure surfaces at [`JobHandle::wait`], unless the
-    /// spec's oracle rescues it.
-    pub fn submit<'h>(
-        &'h self,
-        spec: JobSpec,
-        catalog: &Catalog,
-    ) -> Result<JobHandle<'h>, CoreError> {
-        let JobSpec { plan, pipeline_id, deadline, oracle, replication } = spec;
-        if let Some(id) = pipeline_id {
-            if id >= AUTO_PIPELINE_BASE {
-                return Err(CoreError::Host(format!(
-                    "pinned pipeline id {id:#x} lies in the auto-assigned range \
-                     (>= {AUTO_PIPELINE_BASE:#x}): a later auto-assigned job could \
-                     collide with it and the two would silently join — pin an id \
-                     below the base instead"
-                )));
-            }
-        }
-        let id = pipeline_id.unwrap_or_else(|| {
-            AUTO_PIPELINE_BASE + self.next_auto_id.fetch_add(1, Ordering::Relaxed) as u32
-        });
-        let mut req = crate::serve::Request::precompiled("host", plan);
-        if let Some(deadline) = deadline {
-            req = req.with_deadline(deadline);
-        }
-        if let Some(oracle) = oracle {
-            req = req.with_oracle(oracle);
-        }
-        if let Some(factor) = replication {
-            req = req.with_replication(factor);
-        }
-        let submitted = Instant::now();
-        let ticket = self.embedded_server().submit(req, catalog)?;
-        let table_slot: Arc<Mutex<Option<Table>>> = Arc::new(Mutex::new(None));
-        let worker_slot = Arc::clone(&table_slot);
-        // The slot-bridge job: park a worker on the server ticket so the
-        // job stays visible to the raw paper API (status / check / flush)
-        // while the device pool runs it.
-        let job: JobFn = Box::new(move |_inputs| {
-            let (table, stats) = ticket.wait()?;
-            *worker_slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(table);
-            Ok(JobOutput { outputs: HashMap::new(), stats })
-        });
-        self.run_genesis(id, job)?;
-        Ok(JobHandle { host: self, id, deadline, submitted, table: table_slot })
     }
 
     /// The paper's `configure_mem(addr, elemsize, len, colname, pipelineID)`:
@@ -674,8 +409,7 @@ impl GenesisHost {
 /// `<prefix>faults.*` counter names, so `metrics_snapshot()` exposes
 /// retry / fallback / injection totals across all pipelines. The host
 /// worker records with an empty prefix; the serving layer's device pool
-/// records under `server.` so a host-submitted job (which passes through
-/// both) is not double-counted under one name.
+/// records under `server.`.
 pub(crate) fn record_fault_metrics(metrics: &MetricsRegistry, report: FaultReport, prefix: &str) {
     if report.is_empty() {
         return;
@@ -952,181 +686,5 @@ mod tests {
     fn watchdog_on_unstarted_pipeline_errors() {
         let host = GenesisHost::new();
         assert!(host.wait_genesis_for(42, Duration::from_millis(1)).is_err());
-    }
-
-    /// `SELECT SUM(X) FROM T` over `1..=rows`, compiled through the
-    /// general compiler (the submit tests' standard job).
-    fn sum_plan(rows: u32) -> (crate::compile::PipelinePlan, Catalog) {
-        use genesis_sql::ast::{AggFn, ColRef, Expr, SelectItem};
-        use genesis_sql::LogicalPlan;
-        use genesis_types::{Column, DataType, Field, Schema};
-
-        let schema = Schema::new(vec![Field::new("X", DataType::U32)]);
-        let table =
-            Table::from_columns(schema, vec![Column::U32((1..=rows).collect())]).unwrap();
-        let mut catalog = Catalog::new();
-        catalog.register("T", table);
-        let logical = LogicalPlan::Aggregate {
-            input: Box::new(LogicalPlan::Scan { table: "T".into(), partition: None }),
-            items: vec![SelectItem::Agg {
-                func: AggFn::Sum,
-                arg: Some(Expr::Col(ColRef::bare("X"))),
-                alias: None,
-            }],
-            group_by: vec![],
-        };
-        let plan = crate::compile::Compiler::new(crate::device::DeviceConfig::small())
-            .compile(&logical, &catalog)
-            .unwrap();
-        (plan, catalog)
-    }
-
-    #[test]
-    fn submit_runs_compiled_plan_end_to_end() {
-        let (plan, catalog) = sum_plan(32);
-        let host = GenesisHost::new();
-        let handle = host.submit(JobSpec::new(plan), &catalog).unwrap();
-        assert!(handle.id() >= AUTO_PIPELINE_BASE, "expected an auto-assigned id");
-        let (table, stats) = handle.wait().unwrap();
-        assert_eq!(table.num_rows(), 1);
-        assert_eq!(table.row(0)[0], genesis_types::Value::U64((1..=32u64).sum()));
-        assert!(stats.cycles > 0);
-        assert_eq!(stats.faults.fallback_jobs, 0);
-    }
-
-    #[test]
-    fn submit_auto_ids_never_collide() {
-        let (plan, catalog) = sum_plan(32);
-        let host = GenesisHost::new();
-        let a = host.submit(JobSpec::new(plan.clone()), &catalog).unwrap();
-        let b = host.submit(JobSpec::new(plan), &catalog).unwrap();
-        assert_ne!(a.id(), b.id());
-        a.wait().unwrap();
-        b.wait().unwrap();
-    }
-
-    #[test]
-    fn submit_respects_pinned_id_and_replication() {
-        let (plan, catalog) = sum_plan(32);
-        let host = GenesisHost::new();
-        let handle = host
-            .submit(
-                JobSpec::new(plan).with_pipeline_id(3).with_replication(2),
-                &catalog,
-            )
-            .unwrap();
-        assert_eq!(handle.id(), 3);
-        assert!(host.status(3).is_some(), "job occupies the pinned slot");
-        let (table, _) = handle.wait().unwrap();
-        assert_eq!(table.row(0)[0], genesis_types::Value::U64((1..=32u64).sum()));
-        assert_eq!(host.status(3), None);
-    }
-
-    #[test]
-    fn submit_rejects_pinned_id_in_auto_range() {
-        let (plan, catalog) = sum_plan(8);
-        let host = GenesisHost::new();
-        // A pinned id at or above the base could be handed out again by
-        // the auto allocator, silently joining two jobs on one slot.
-        let err = host
-            .submit(
-                JobSpec::new(plan.clone()).with_pipeline_id(AUTO_PIPELINE_BASE),
-                &catalog,
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("auto-assigned range"), "got: {err}");
-        // Just below the base is a legal pin.
-        let handle = host
-            .submit(
-                JobSpec::new(plan).with_pipeline_id(AUTO_PIPELINE_BASE - 1),
-                &catalog,
-            )
-            .unwrap();
-        assert_eq!(handle.id(), AUTO_PIPELINE_BASE - 1);
-        handle.wait().unwrap();
-    }
-
-    #[test]
-    fn submit_deadline_clock_starts_at_submit() {
-        use genesis_types::{DataType, Field, Schema, Value};
-        let (plan, catalog) = sum_plan(32);
-        let host = GenesisHost::new();
-        // A slow job occupies the embedded server's (single) device: the
-        // prepare step fails on the empty catalog and the oracle sleeps.
-        let slow = host
-            .submit(
-                JobSpec::new(plan.clone()).with_oracle(|| {
-                    std::thread::sleep(Duration::from_millis(120));
-                    let mut t =
-                        Table::new(Schema::new(vec![Field::new("SUM", DataType::Cell)]));
-                    t.push_row(vec![Value::U64(0)])?;
-                    Ok(t)
-                }),
-                &Catalog::new(),
-            )
-            .unwrap();
-        // This fast job queues behind it past its own deadline.
-        let tight = host
-            .submit(
-                JobSpec::new(plan).with_deadline(Duration::from_millis(10)),
-                &catalog,
-            )
-            .unwrap();
-        slow.wait().unwrap();
-        // By now the tight job has long been dispatched (and dropped: its
-        // deadline expired while queued). Measuring the deadline from this
-        // wait call — the old bug — would succeed; from submit, it fails.
-        let err = tight.wait().unwrap_err();
-        assert!(err.to_string().contains("deadline"), "got: {err}");
-    }
-
-    #[test]
-    fn submit_oracle_rescues_failed_job() {
-        use genesis_types::{DataType, Field, Schema, Value};
-        let (plan, _) = sum_plan(32);
-        // Re-bind the plan to a catalog missing the scanned table: the
-        // prepare step fails, and the oracle must take over.
-        let empty = Catalog::new();
-        let host = GenesisHost::new();
-        let spec = JobSpec::new(plan).with_oracle(|| {
-            let mut t =
-                Table::new(Schema::new(vec![Field::new("SUM", DataType::Cell)]));
-            t.push_row(vec![Value::U64(528)])?;
-            Ok(t)
-        });
-        let (table, stats) = host.submit(spec, &empty).unwrap().wait().unwrap();
-        assert_eq!(table.row(0)[0], Value::U64(528));
-        assert_eq!(stats.faults.fallback_jobs, 1);
-        let snap = host.metrics_snapshot();
-        assert_eq!(snap.counters["faults.fallback_jobs"], 1);
-    }
-
-    #[test]
-    fn submit_without_oracle_surfaces_job_error() {
-        let (plan, _) = sum_plan(32);
-        let empty = Catalog::new();
-        let host = GenesisHost::new();
-        let handle = host.submit(JobSpec::new(plan), &empty).unwrap();
-        assert!(handle.wait().is_err());
-    }
-
-    #[test]
-    fn submit_deadline_bounds_wait() {
-        let (plan, catalog) = sum_plan(32);
-        let host = GenesisHost::new();
-        // Occupy the pinned slot with a slow raw job, then point the
-        // deadline-carrying handle at a fresh submission that is fast; the
-        // deadline must pass when generous and fire when impossibly tight.
-        let ok = host
-            .submit(JobSpec::new(plan.clone()).with_deadline(Duration::from_secs(30)), &catalog)
-            .unwrap()
-            .wait();
-        assert!(ok.is_ok());
-        let tight = host
-            .submit(JobSpec::new(plan).with_deadline(Duration::from_nanos(1)), &catalog)
-            .unwrap()
-            .wait();
-        let err = tight.unwrap_err();
-        assert!(err.to_string().contains("deadline"), "got: {err}");
     }
 }

@@ -8,7 +8,8 @@
 //! * [`compile`] — the logical-plan → hardware-pipeline translator. The
 //!   paper performs this step manually and "envisions it to be automated";
 //!   this module implements the automated translation for the supported
-//!   operator idioms.
+//!   operator idioms: a plan either lowers to a runnable pipeline or is a
+//!   structured `Unsupported` error.
 //! * [`builder`] — the manual pipeline-stitching API (the Chisel-library
 //!   analog used to construct the paper's three proof-of-concept
 //!   accelerators).
@@ -17,7 +18,8 @@
 //! * [`host`] — the paper's host API (§III-E): `configure_mem`,
 //!   non-blocking `run_genesis`, `check_genesis`, `wait_genesis`,
 //!   `genesis_flush`; the accelerator simulation runs on a worker thread so
-//!   non-blocking semantics are real.
+//!   non-blocking semantics are real. Drives the hand-wired [`accel`]
+//!   pipelines; compiled plans run through [`serve`].
 //! * [`accel`] — the three paper accelerators (Mark Duplicates, Metadata
 //!   Update, BQSR covariate construction; Figures 10–12) plus the Figure 7
 //!   example pipeline, each with host-side orchestration and result merge.
@@ -26,9 +28,10 @@
 //!   the software oracle, watchdog timeouts).
 //! * [`perf`] — wall-clock/breakdown accounting (Figure 13).
 //! * [`cost`] — the AWS cost model (Tables II and III).
-//! * [`serve`] — the multi-tenant serving front door: compiled-pipeline
-//!   LRU cache with reconfiguration-penalty accounting, a fair-queued
-//!   device pool (`GENESIS_DEVICES`), and deadline-aware admission.
+//! * [`serve`] — the multi-tenant serving front door, and the one
+//!   asynchronous way to run a compiled plan: compiled-pipeline LRU cache
+//!   with reconfiguration-penalty accounting, a fair-queued device pool
+//!   (`GENESIS_DEVICES`), and deadline-aware admission.
 //! * [`sched`] — the deterministic fair-queuing primitives behind
 //!   [`serve`].
 //!
@@ -70,7 +73,7 @@ pub use device::{DeviceConfig, TierConfig};
 pub use env::{EnvError, GenesisEnv};
 pub use error::CoreError;
 pub use fault::{FaultConfig, FaultReport};
-pub use host::{GenesisHost, JobHandle, JobSpec, OracleFn, PipelineStatus};
+pub use host::{GenesisHost, PipelineStatus};
 pub use perf::{AccelStats, Breakdown};
 pub use sched::{DispatchRecord, FairQueue};
-pub use serve::{CacheStats, GenesisServer, Request, ServerConfig, Ticket};
+pub use serve::{CacheStats, GenesisServer, OracleFn, Request, ServerConfig, Ticket};

@@ -1075,13 +1075,6 @@ impl PreparedJob {
         self.prepared[0].rows
     }
 
-    /// The device configuration baked into the job at prepare time (used
-    /// when the serving layer inherits per-job configs instead of binding
-    /// to a pool device).
-    pub(crate) fn device(&self) -> &DeviceConfig {
-        &self.cfg
-    }
-
     /// FNV-1a hash of every scanned column's shape and data — two jobs
     /// with equal plan fingerprints *and* equal content hashes run the
     /// same pipeline over the same bytes, so their results are

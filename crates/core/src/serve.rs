@@ -50,14 +50,10 @@
 //! [`MetricsRegistry`] (`server.*` names in `metrics_snapshot()`), and
 //! when tracing is enabled the server writes its own Chrome trace
 //! (`<path>.server.json`) with one thread track per device.
-//!
-//! [`crate::host::GenesisHost::submit`] is a thin wrapper over an
-//! embedded one-device server sharing the host's metrics registry.
 
 use crate::compile::{script_to_plan, Compiler, PipelinePlan};
 use crate::device::DeviceConfig;
 use crate::error::CoreError;
-use crate::host::OracleFn;
 use crate::lower::{PreparedJob, ShardOut};
 use crate::perf::AccelStats;
 use crate::sched::{DispatchRecord, FairQueue};
@@ -66,12 +62,19 @@ use genesis_obs::metrics::{MetricsRegistry, MetricsSnapshot};
 use genesis_obs::trace::TraceConfig;
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::Table;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The software oracle a [`Request`] degrades to when the hardware run
+/// fails: recomputes the same result on the host (graceful degradation,
+/// the same policy [`crate::fault::FaultConfig::fallback`] applies inside
+/// the accelerators).
+pub type OracleFn = Box<dyn FnOnce() -> Result<Table, CoreError> + Send>;
 
 /// Configuration of a [`GenesisServer`].
 #[derive(Debug, Clone)]
@@ -91,11 +94,6 @@ pub struct ServerConfig {
     /// Admission bound: submissions beyond this many queued jobs are
     /// rejected with [`CoreError::Overloaded`].
     pub max_pending: usize,
-    /// When true, a job runs with the device configuration baked into its
-    /// compiled plan instead of the pool device's (the embedded
-    /// single-device server behind `GenesisHost::submit` sets this so the
-    /// consolidated front door preserves per-job configs).
-    pub inherit_job_config: bool,
     /// Scatter-gather shard count per job (env `GENESIS_SHARDS`): each
     /// job's spine scan is split on (chromosome, PSIZE-window) partition
     /// boundaries into up to this many shard runs that fan out across the
@@ -125,7 +123,6 @@ impl Default for ServerConfig {
             cache_capacity: 32,
             reconfig_penalty_cycles: 2_500_000,
             max_pending: 256,
-            inherit_job_config: false,
             default_shards: 1,
             batching: false,
             paused: false,
@@ -324,7 +321,7 @@ impl PipelineCache {
 }
 
 /// What a [`Request`] runs: an inline plan, a registered script by name,
-/// or an already-compiled pipeline (the `GenesisHost::submit` path).
+/// or an already-compiled pipeline.
 enum Payload {
     Plan(LogicalPlan),
     Script(String),
@@ -390,6 +387,8 @@ impl Request {
 
     /// A request running an already-compiled pipeline (bypasses the
     /// compile cache — the plan is compiled; there is nothing to save).
+    /// The job runs on the pool's devices, so compile against the same
+    /// [`DeviceConfig`] the server was given.
     #[must_use]
     pub fn precompiled(tenant: impl Into<String>, plan: PipelinePlan) -> Request {
         Request {
@@ -411,8 +410,9 @@ impl Request {
         self
     }
 
-    /// Installs a software fallback, as
-    /// [`crate::host::JobSpec::with_oracle`].
+    /// Installs a software fallback: when the hardware job fails for any
+    /// reason, `oracle` recomputes the result on the host and the job
+    /// succeeds with `fallback_jobs = 1` in its fault report.
     #[must_use]
     pub fn with_oracle(
         mut self,
@@ -494,6 +494,9 @@ struct Gather {
     err: Option<CoreError>,
 }
 
+/// What a job resolves to, as [`Ticket::wait`] returns it.
+type JobResult = Result<(Table, AccelStats), CoreError>;
+
 /// Everything the scheduler, workers, and tickets share.
 struct ServerCore {
     state: Mutex<ServerState>,
@@ -507,7 +510,6 @@ struct ServerCore {
     done: Condvar,
     metrics: Arc<MetricsRegistry>,
     devices: Vec<DeviceConfig>,
-    inherit_job_config: bool,
     epoch: Instant,
 }
 
@@ -525,7 +527,10 @@ struct ServerState {
     /// Jobs promoted out of the queue and not yet finalized — the
     /// in-flight count deadline admission must include.
     inflight: usize,
-    results: HashMap<u64, Result<(Table, AccelStats), CoreError>>,
+    /// One slot per live [`Ticket`], opened at submit (`None` = pending)
+    /// and closed when the ticket collects or goes away; a result whose
+    /// slot is gone is dropped on arrival (see [`deliver`]).
+    results: HashMap<u64, Option<JobResult>>,
     schedule: Vec<DispatchRecord>,
     /// `(ts_us, depth)` samples for the trace's queue-depth counter track.
     depth_samples: Vec<(u64, u64)>,
@@ -568,6 +573,9 @@ pub struct Ticket {
     tenant: String,
     submitted: Instant,
     deadline: Option<Duration>,
+    /// Set once `wait` has closed this ticket's result slot, so the drop
+    /// after a collected wait does not take the state lock again.
+    closed: bool,
 }
 
 impl std::fmt::Debug for Ticket {
@@ -596,7 +604,7 @@ impl Ticket {
     /// True once the job's result is available. Never blocks.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.core.lock().results.contains_key(&self.id)
+        matches!(self.core.lock().results.get(&self.id), Some(Some(_)))
     }
 
     /// Blocks until the job completes and returns its result, consuming
@@ -607,12 +615,14 @@ impl Ticket {
     /// The job's own error (after the oracle, if any, also failed), or a
     /// [`CoreError::Host`] deadline error when the request's
     /// submit-anchored deadline passes first.
-    pub fn wait(self) -> Result<(Table, AccelStats), CoreError> {
+    pub fn wait(mut self) -> Result<(Table, AccelStats), CoreError> {
         let deadline_at = self.deadline.map(|d| self.submitted + d);
         let mut st = self.core.lock();
-        loop {
-            if let Some(result) = st.results.remove(&self.id) {
-                return result;
+        let outcome = loop {
+            if let Entry::Occupied(slot) = st.results.entry(self.id) {
+                if slot.get().is_some() {
+                    break slot.remove().expect("checked above");
+                }
             }
             match deadline_at {
                 None => {
@@ -621,7 +631,9 @@ impl Ticket {
                 Some(at) => {
                     let now = Instant::now();
                     if now >= at {
-                        return Err(CoreError::Host(format!(
+                        // The late result is dropped on arrival.
+                        st.results.remove(&self.id);
+                        break Err(CoreError::Host(format!(
                             "job {} for tenant {} exceeded its {:?} deadline \
                              (clock started at submit)",
                             self.id,
@@ -637,7 +649,29 @@ impl Ticket {
                     st = guard;
                 }
             }
+        };
+        drop(st);
+        // Both exits closed the slot under the lock held above.
+        self.closed = true;
+        outcome
+    }
+}
+
+impl Drop for Ticket {
+    /// An abandoned ticket releases its result slot — whether the result
+    /// already arrived or is still to come.
+    fn drop(&mut self) {
+        if !self.closed {
+            self.core.lock().results.remove(&self.id);
         }
+    }
+}
+
+/// Installs a job's result into its ticket's slot; a result whose ticket
+/// is gone (dropped, or timed out in `wait`) has no slot and is dropped.
+fn deliver(st: &mut ServerState, id: u64, result: JobResult) {
+    if let Some(slot) = st.results.get_mut(&id) {
+        *slot = Some(result);
     }
 }
 
@@ -666,17 +700,9 @@ impl std::fmt::Debug for GenesisServer {
 }
 
 impl GenesisServer {
-    /// Starts a server with its own metrics registry.
+    /// Starts a server: one scheduler thread plus one worker per device.
     #[must_use]
     pub fn new(cfg: ServerConfig) -> GenesisServer {
-        GenesisServer::with_metrics(cfg, Arc::new(MetricsRegistry::new()))
-    }
-
-    /// Starts a server publishing into an existing registry (the embedded
-    /// server behind [`crate::host::GenesisHost::submit`] shares the
-    /// host's, so `server.*` metrics appear in the host snapshot).
-    #[must_use]
-    pub fn with_metrics(cfg: ServerConfig, metrics: Arc<MetricsRegistry>) -> GenesisServer {
         let devices = if cfg.devices.is_empty() {
             vec![DeviceConfig::default()]
         } else {
@@ -704,9 +730,8 @@ impl GenesisServer {
             work: Condvar::new(),
             mail: Condvar::new(),
             done: Condvar::new(),
-            metrics,
+            metrics: Arc::new(MetricsRegistry::new()),
             devices: devices.clone(),
-            inherit_job_config: cfg.inherit_job_config,
             epoch: Instant::now(),
         });
         let mut workers = Vec::with_capacity(n + 1);
@@ -777,7 +802,7 @@ impl GenesisServer {
     /// A plan that compiles but fails to *bind* (e.g. a scanned table
     /// missing from this catalog) does not error here: the failure
     /// surfaces at [`Ticket::wait`], unless the request's oracle rescues
-    /// it — matching `GenesisHost::submit`.
+    /// it.
     pub fn submit(&self, req: Request, catalog: &Catalog) -> Result<Ticket, CoreError> {
         let Request { tenant, payload, deadline, oracle, replication } = req;
         let (plan, reconfig_penalty) = self.resolve_pipeline(payload, catalog)?;
@@ -807,6 +832,7 @@ impl GenesisServer {
             *next += 1;
             id
         };
+        st.results.insert(id, None);
         st.queue.push(&tenant, QueuedJob {
             id,
             prepared,
@@ -823,7 +849,7 @@ impl GenesisServer {
             .observe(st.queue.depth(&tenant) as u64);
         drop(st);
         self.core.work.notify_all();
-        Ok(Ticket { core: Arc::clone(&self.core), id, tenant, submitted, deadline })
+        Ok(Ticket { core: Arc::clone(&self.core), id, tenant, submitted, deadline, closed: false })
     }
 
     /// Resolves a payload to a compiled pipeline, through the cache for
@@ -987,8 +1013,7 @@ impl GenesisServer {
         self.core.lock().modeled_busy.clone()
     }
 
-    /// The server's metrics registry (`server.*` names; shared with the
-    /// host when constructed via [`GenesisServer::with_metrics`]).
+    /// The server's metrics registry (`server.*` names).
     #[must_use]
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.core.metrics
@@ -1198,14 +1223,12 @@ fn settle_expired(core: &ServerCore, st: &mut ServerState, tenant: &str, job: &Q
     let queued_for = job.submitted.elapsed();
     let deadline = job.deadline.unwrap_or_default();
     core.metrics.counter("server.deadline.misses").inc();
-    st.results.insert(
-        job.id,
-        Err(CoreError::Host(format!(
-            "job {} for tenant {tenant} missed its {deadline:?} deadline while \
-             queued ({queued_for:?} in queue; clock started at submit)",
-            job.id
-        ))),
-    );
+    let missed = Err(CoreError::Host(format!(
+        "job {} for tenant {tenant} missed its {deadline:?} deadline while \
+         queued ({queued_for:?} in queue; clock started at submit)",
+        job.id
+    )));
+    deliver(st, job.id, missed);
     st.completed += 1;
     core.metrics
         .histogram(&format!("server.tenant.{tenant}.latency_ns"))
@@ -1257,12 +1280,8 @@ fn worker_loop(core: &ServerCore, device: usize) {
         let run_start = Instant::now();
         let outcome: Result<ShardOut, CoreError> = match &job.prepared {
             Ok(p) => {
-                let cfg = if core.inherit_job_config {
-                    p.device().clone()
-                } else {
-                    core.devices[device].clone()
-                };
-                catch_unwind(AssertUnwindSafe(|| p.run_range(&cfg, a.range.clone())))
+                let cfg = &core.devices[device];
+                catch_unwind(AssertUnwindSafe(|| p.run_range(cfg, a.range.clone())))
                     .unwrap_or_else(|panic| {
                         Err(CoreError::Host(format!(
                             "server job panicked: {}",
@@ -1321,7 +1340,7 @@ fn worker_loop(core: &ServerCore, device: usize) {
 /// error), fans the result out to batch followers, applies
 /// reconfiguration penalties and oracle rescues, and installs results.
 fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather) {
-    let base: Result<(Table, AccelStats), CoreError> = match (gather.err, &job.prepared) {
+    let base: JobResult = match (gather.err, &job.prepared) {
         (Some(e), _) => Err(e),
         (None, Err(e)) => Err(e.clone()),
         (None, Ok(p)) => {
@@ -1355,7 +1374,7 @@ fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather) {
     let mut st = core.lock();
     st.inflight -= 1;
     for (id, tenant, submitted, result) in deliveries {
-        st.results.insert(id, result);
+        deliver(&mut st, id, result);
         st.completed += 1;
         core.metrics
             .histogram(&format!("server.tenant.{tenant}.latency_ns"))
@@ -1370,10 +1389,10 @@ fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather) {
 /// the follower's own reconfiguration penalty applied; on failure its own
 /// oracle gets the rescue attempt.
 fn settle(
-    base: &Result<(Table, AccelStats), CoreError>,
+    base: &JobResult,
     oracle: &Mutex<Option<OracleFn>>,
     penalty: u64,
-) -> Result<(Table, AccelStats), CoreError> {
+) -> JobResult {
     match base {
         Ok((table, stats)) => {
             let mut stats = *stats;
@@ -1385,14 +1404,13 @@ fn settle(
     }
 }
 
-/// Oracle fallback for a failed run, matching `GenesisHost::submit`
-/// semantics: the oracle's table with fallback fault counters, plus the
-/// job's reconfiguration penalty.
+/// Oracle fallback for a failed run: the oracle's table with fallback
+/// fault counters, plus the job's reconfiguration penalty.
 fn rescue(
     oracle: &Mutex<Option<OracleFn>>,
     penalty: u64,
     err: CoreError,
-) -> Result<(Table, AccelStats), CoreError> {
+) -> JobResult {
     let oracle = oracle.lock().unwrap_or_else(PoisonError::into_inner).take();
     let Some(oracle) = oracle else { return Err(err) };
     let table = oracle()?;
@@ -1576,6 +1594,47 @@ mod tests {
         for log in &logs {
             assert_eq!(log, &reference, "schedule must match fair order at any pool size");
         }
+    }
+
+    /// Regression: a result slot used to be emptied only by a successful
+    /// `Ticket::wait`, so a dropped or timed-out ticket left its
+    /// `(Table, AccelStats)` in the map for the server's lifetime.
+    #[test]
+    fn abandoned_and_timed_out_tickets_release_their_results() {
+        let cat = catalog(8);
+        let server = GenesisServer::new(
+            ServerConfig::default().with_devices(1, DeviceConfig::small()).start_paused(),
+        );
+        let n = 8;
+        let mut tickets: VecDeque<Ticket> = (0..n)
+            .map(|i| {
+                let mut req = Request::new("a", sum_plan("X"));
+                if i >= 6 {
+                    req = req.with_deadline(Duration::from_millis(1));
+                }
+                server.submit(req, &cat).unwrap()
+            })
+            .collect();
+        assert_eq!(server.core.lock().results.len(), n);
+        // A quarter time out in `wait` and two are dropped, all before
+        // their results exist...
+        for timed_out in tickets.drain(6..) {
+            let err = timed_out.wait().unwrap_err();
+            assert!(err.to_string().contains("deadline"), "got: {err}");
+        }
+        tickets.drain(..2);
+        server.resume();
+        while server.completed() < n as u64 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // ...two more are dropped with their results already delivered,
+        // and the last two collect normally.
+        assert_eq!(server.core.lock().results.len(), 4);
+        tickets.drain(..2);
+        for kept in tickets {
+            kept.wait().unwrap();
+        }
+        assert_eq!(server.core.lock().results.len(), 0, "a drained server holds no results");
     }
 
     #[test]

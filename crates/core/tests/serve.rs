@@ -1,7 +1,8 @@
 //! Integration tests for the multi-tenant serving layer: schedule
 //! determinism and fairness across pool sizes (property-based, mirroring
 //! the engine determinism suite), compiled-pipeline cache eviction order,
-//! hit-after-evict correctness, and deadline-aware admission.
+//! hit-after-evict correctness, deadline-aware admission, and the
+//! per-request policy knobs (replication override, oracle rescue).
 
 use genesis_core::sched::fair_order;
 use genesis_core::serve::{GenesisServer, Request, ServerConfig};
@@ -376,4 +377,68 @@ fn per_tenant_latency_histograms_are_published() {
     }
     assert!(snap.histograms["server.queue_depth"].count >= 4);
     assert_eq!(snap.counters["server.jobs.completed"], 4);
+}
+
+/// Regression: an order-less grouped `COUNT(*)` used to be admitted on
+/// the strength of a kernel tag that nothing could run, took a cache
+/// slot and failed at `Ticket::wait`. It is a structured compile error at
+/// submit, before the cache or a device sees it.
+#[test]
+fn grouped_count_without_order_by_is_rejected_at_submit() {
+    let srv = server(1, false);
+    srv.register_script("hist", "INSERT INTO O SELECT X, COUNT(*) FROM T GROUP BY X").unwrap();
+    let err = srv.submit(Request::script("a", "hist"), &catalog(8)).unwrap_err();
+    let CoreError::Unsupported { node, reason } = &err else {
+        panic!("expected Unsupported, got {err:?}");
+    };
+    assert_eq!(node, "Aggregate(GROUP BY)");
+    assert!(reason.contains("ORDER BY"), "reason must suggest the fix: {reason}");
+    assert_eq!(srv.cache_stats().len, 0, "a failed compile takes no cache slot");
+    let snap = srv.metrics_snapshot();
+    assert!(!snap.counters.contains_key("server.cache.compiles"));
+    // Nothing was queued or dispatched, so nothing was reconfigured.
+    assert_eq!(srv.queue_depth(), 0);
+    assert!(srv.schedule_log().is_empty());
+    assert!(srv.modeled_device_time().iter().all(Duration::is_zero));
+}
+
+#[test]
+fn replication_override_reaches_the_run() {
+    let cat = catalog(512);
+    let compiled = Compiler::new(DeviceConfig::small()).compile(&sum_above(0), &cat).unwrap();
+    assert_ne!(compiled.replication().factor, 2, "the override must differ from the default");
+    let (_, chosen) = compiled.execute(&cat).unwrap();
+    let (_, halved) = compiled.execute_replicated(&cat, 2).unwrap();
+    assert_ne!(chosen.cycles, halved.cycles);
+    let srv = server(1, false);
+    let (out, stats) = srv
+        .submit(Request::precompiled("a", compiled).with_replication(2), &cat)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(out.row(0)[0], Value::U64(expected_sum(512, 0)));
+    assert_eq!(stats, halved, "the served run is the 2x run, not the cost model's choice");
+}
+
+#[test]
+fn oracle_rescues_a_job_that_fails_to_bind() {
+    let compiled =
+        Compiler::new(DeviceConfig::small()).compile(&sum_above(0), &catalog(8)).unwrap();
+    // Bound to a catalog missing the scanned table, the job fails on the
+    // device; without an oracle that error surfaces at the ticket...
+    let empty = Catalog::new();
+    let srv = server(1, false);
+    let bare = srv.submit(Request::precompiled("a", compiled.clone()), &empty).unwrap();
+    assert!(bare.wait().is_err());
+    // ...and with one, the oracle's table is the result.
+    let rescued = Request::precompiled("a", compiled).with_oracle(|| {
+        Ok(Table::from_columns(
+            Schema::new(vec![Field::new("SUM", DataType::U64)]),
+            vec![Column::U64(vec![36])],
+        )?)
+    });
+    let (table, stats) = srv.submit(rescued, &empty).unwrap().wait().unwrap();
+    assert_eq!(table.row(0)[0], Value::U64(36));
+    assert_eq!(stats.faults.fallback_jobs, 1);
+    assert_eq!(srv.metrics_snapshot().counters["server.faults.fallback_jobs"], 1);
 }

@@ -3,16 +3,16 @@
 //!
 //! Sharding: for random genomic-shaped tables and plan shapes, a sharded
 //! multi-device `GenesisServer` run must produce a table bit-identical
-//! to both the unsharded single-device server and the unsharded
-//! `GenesisHost::submit` front door — shards split on (chromosome,
-//! PSIZE-window) boundaries and merge in partition order, so the split
-//! is invisible in the output.
+//! to both the unsharded single-device server and the synchronous
+//! `PipelinePlan::execute` — shards split on (chromosome, PSIZE-window)
+//! boundaries and merge in partition order, so the split is invisible in
+//! the output.
 //!
 //! Batching: coalesced same-fingerprint (and same-data) requests all
 //! receive identical results from a single device run.
 
 use genesis_core::serve::{GenesisServer, Request, ServerConfig};
-use genesis_core::{Compiler, DeviceConfig, GenesisHost, JobSpec};
+use genesis_core::{Compiler, DeviceConfig};
 use genesis_sql::ast::{AggFn, BinOp, ColRef, Expr, SelectItem};
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::{Column, DataType, Field, Schema, Table};
@@ -116,8 +116,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// A sharded multi-device run is bit-identical to the unsharded
-    /// single-device run *and* to the unsharded `GenesisHost::submit`
-    /// front door, for every plan shape and 1/2/4-device pools.
+    /// single-device run *and* to the synchronous `PipelinePlan::execute`,
+    /// for every plan shape and 1/2/4-device pools.
     #[test]
     fn sharded_run_is_bit_identical_to_unsharded(
         rows in proptest::collection::vec(
@@ -130,13 +130,10 @@ proptest! {
         let cat = genomic_catalog(&rows);
         let plan = shaped_plan(shape, threshold);
 
-        // Reference 1: the consolidated host front door (embedded
-        // unsharded single-device server).
-        let host = GenesisHost::new();
+        // Reference 1: the compiled plan run synchronously, no server.
         let compiled =
             Compiler::new(DeviceConfig::small()).compile(&plan, &cat).unwrap();
-        let (host_out, _) =
-            host.submit(JobSpec::new(compiled), &cat).unwrap().wait().unwrap();
+        let (direct_out, _) = compiled.execute(&cat).unwrap();
 
         // Reference 2: an unsharded single-device server.
         let unsharded = GenesisServer::new(
@@ -147,7 +144,14 @@ proptest! {
             .unwrap()
             .wait()
             .unwrap();
-        prop_assert!(base_out == host_out, "server vs host disagree unsharded");
+        prop_assert!(base_out == direct_out, "server vs direct execute disagree unsharded");
+        // The same plan handed over precompiled skips the cache, not the pool.
+        let (pre_out, _) = unsharded
+            .submit(Request::precompiled("ref", compiled), &cat)
+            .unwrap()
+            .wait()
+            .unwrap();
+        prop_assert!(pre_out == base_out, "precompiled vs inline plan disagree");
 
         for devices in [1usize, 2, 4] {
             let srv = GenesisServer::new(

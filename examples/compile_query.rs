@@ -5,11 +5,11 @@
 //! compiles it through the general plan→pipeline compiler, runs it on the
 //! simulated device at the cost-model-chosen replication factor, and
 //! checks the result against the software engine bit for bit. The same
-//! compiled plan is then resubmitted through the consolidated
-//! `GenesisHost::submit` front door with a deadline and software oracle.
+//! compiled plan is then resubmitted through a one-device `GenesisServer`
+//! with a deadline and software oracle.
 
 use genesis::core::compile::Compiler;
-use genesis::core::{DeviceConfig, GenesisHost, JobSpec};
+use genesis::core::{DeviceConfig, GenesisServer, Request, ServerConfig};
 use genesis::sql::ast::{AggFn, BinOp, ColRef, Expr, SelectItem};
 use genesis::sql::exec::{execute_plan, Env};
 use genesis::sql::{Catalog, LogicalPlan};
@@ -77,20 +77,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.dma_in_bytes
     );
 
-    // 3. The same plan through the host runtime: worker thread, deadline,
-    //    software oracle as the graceful-degradation path.
-    let host = GenesisHost::new();
+    // 3. The same plan through the serving layer: device worker thread,
+    //    deadline, software oracle as the graceful-degradation path.
+    let server =
+        GenesisServer::new(ServerConfig::default().with_devices(1, DeviceConfig::default()));
     // The oracle must be `Send` (it runs on the worker thread), so it
     // captures a pre-computed software result, not the catalog.
     let oracle_result = sw.clone();
-    let spec = JobSpec::new(compiler.compile(&plan, &catalog)?)
+    let request = Request::precompiled("example", compiled)
         .with_deadline(Duration::from_secs(60))
         .with_oracle(move || Ok(oracle_result));
-    let handle = host.submit(spec, &catalog)?;
-    let (table, stats) = handle.wait()?;
+    let (table, stats) = server.submit(request, &catalog)?.wait()?;
     assert_eq!(table.num_rows(), sw.num_rows());
     println!(
-        "host.submit(JobSpec) returned the same {} groups (fallback jobs: {})",
+        "GenesisServer returned the same {} groups (fallback jobs: {})",
         table.num_rows(),
         stats.faults.fallback_jobs
     );

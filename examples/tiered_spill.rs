@@ -12,7 +12,7 @@
 //! reported in the `tier.*` counters.
 
 use genesis::core::compile::Compiler;
-use genesis::core::{DeviceConfig, GenesisHost, JobSpec, TierConfig};
+use genesis::core::{DeviceConfig, GenesisServer, Request, ServerConfig, TierConfig};
 use genesis::sql::ast::{AggFn, ColRef, Expr, SelectItem};
 use genesis::sql::exec::{execute_plan, Env};
 use genesis::sql::{Catalog, LogicalPlan};
@@ -50,14 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1 MiB of modeled SPM — 8× oversubscribed by the two histograms.
     let tiers = TierConfig { spm_bytes: 1 << 20, ..TierConfig::default() };
     let cfg = DeviceConfig::small().with_tiers(tiers).with_psize(DOMAIN + 1);
-    let compiled = Compiler::new(cfg).compile(&plan, &catalog)?;
+    let compiled = Compiler::new(cfg.clone()).compile(&plan, &catalog)?;
     println!("with tiers:    {}", compiled.replication().summary());
 
-    // Run through the host front door and check against the software
-    // engine bit for bit.
-    let host = GenesisHost::new();
-    let handle = host.submit(JobSpec::new(compiled), &catalog)?;
-    let (hw, stats) = handle.wait()?;
+    // Run on a one-device server and check against the software engine
+    // bit for bit.
+    let server = GenesisServer::new(ServerConfig::default().with_devices(1, cfg));
+    let (hw, stats) = server.submit(Request::precompiled("example", compiled), &catalog)?.wait()?;
     let sw = execute_plan(&plan, &catalog, &Env::default())?;
     assert_eq!(hw.num_rows(), sw.num_rows());
     for r in 0..hw.num_rows() {
@@ -77,8 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spill * 100.0
     );
 
-    println!("\ntier.* counters from the host metrics registry:");
-    for (name, value) in host.metrics_snapshot().counters {
+    println!("\ntier.* counters from the server metrics registry:");
+    for (name, value) in server.metrics_snapshot().counters {
         if name.contains("tier.") {
             println!("  {name} = {value}");
         }

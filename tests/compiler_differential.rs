@@ -427,21 +427,21 @@ mod unsupported_diagnostics {
 
     #[test]
     fn grouped_aggregate_without_order_by() {
-        // A SUM item keeps this off the GroupCount fast path, so the
-        // general compiler's diagnostic is the one that surfaces.
         let mut catalog = Catalog::new();
         catalog.register("T", table_u32(&[("X", vec![1, 2, 3]), ("W", vec![4, 5, 6])]));
-        let plan = LogicalPlan::Aggregate {
-            input: Box::new(scan("T")),
-            items: vec![
-                SelectItem::Expr { expr: col("X"), alias: None },
-                SelectItem::Agg { func: AggFn::Sum, arg: Some(col("W")), alias: None },
-            ],
-            group_by: vec![ColRef::bare("X")],
-        };
-        let err = compile_err(&plan, &catalog);
-        assert_names_node(&err, "Aggregate(GROUP BY)");
-        assert!(err.to_string().contains("ORDER BY"), "reason must suggest the fix: {err}");
+        for agg in [
+            SelectItem::Agg { func: AggFn::Sum, arg: Some(col("W")), alias: None },
+            SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
+        ] {
+            let plan = LogicalPlan::Aggregate {
+                input: Box::new(scan("T")),
+                items: vec![SelectItem::Expr { expr: col("X"), alias: None }, agg],
+                group_by: vec![ColRef::bare("X")],
+            };
+            let err = compile_err(&plan, &catalog);
+            assert_names_node(&err, "Aggregate(GROUP BY)");
+            assert!(err.to_string().contains("ORDER BY"), "reason must suggest the fix: {err}");
+        }
     }
 
     #[test]

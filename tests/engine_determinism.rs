@@ -3,11 +3,13 @@
 //! bit-identical regardless of the thread count — per-job results in input
 //! order, statistics aggregated in batch order, same outputs byte for byte.
 
-use genesis::core::accel::group_count::GroupCountAccel;
 use genesis::core::accel::markdup::QualitySumAccel;
 use genesis::core::accel::metadata::MetadataAccel;
+use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::datagen::{DatagenConfig, Dataset};
+use genesis::sql::Catalog;
+use genesis::types::{Column, DataType, Field, Schema, Table};
 
 /// A device config small enough that `tiny` data still splits into several
 /// partition batches, so the parallel path actually fans out.
@@ -42,12 +44,19 @@ fn markdup_thread_count_invariant() {
 #[test]
 fn group_count_thread_count_invariant() {
     let keys: Vec<u32> = (0..5_000u32).map(|i| i * 7 % 64).collect();
-    let run_1 = GroupCountAccel::new(device().with_host_threads(1))
-        .run(&keys, 64)
-        .unwrap();
-    let run_4 = GroupCountAccel::new(device().with_host_threads(4))
-        .run(&keys, 64)
-        .unwrap();
-    assert_eq!(run_1.counts, run_4.counts);
-    assert_eq!(run_1.stats, run_4.stats);
+    let schema = Schema::new(vec![Field::new("K", DataType::U32)]);
+    let mut catalog = Catalog::new();
+    catalog.register("T", Table::from_columns(schema, vec![Column::U32(keys)]).unwrap());
+    let run = |threads| {
+        Compiler::new(device().with_host_threads(threads))
+            .compile_sql("INSERT INTO O SELECT K, COUNT(*) FROM T GROUP BY K ORDER BY K", &catalog)
+            .unwrap()
+            .execute_replicated(&catalog, 2)
+            .unwrap()
+    };
+    let (table_1, stats_1) = run(1);
+    let (table_4, stats_4) = run(4);
+    assert_eq!(table_1.num_rows(), 64);
+    assert_eq!(table_1, table_4);
+    assert_eq!(stats_1, stats_4);
 }

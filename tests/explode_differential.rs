@@ -214,9 +214,8 @@ fn assert_tables_equal(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCas
     Ok(())
 }
 
-/// Compiles `script` once (the general path — no kernel fast path may
-/// match), runs the software oracle, then sweeps the full engine matrix
-/// comparing the hardware output table bit-for-bit.
+/// Compiles `script` once, runs the software oracle, then sweeps the full
+/// engine matrix comparing the hardware output table bit-for-bit.
 ///
 /// The caller must hold [`env_lock`].
 fn differential(
@@ -228,9 +227,6 @@ fn differential(
     let compiled = Compiler::new(DeviceConfig::small())
         .compile_sql(script, catalog)
         .map_err(|e| TestCaseError::fail(format!("compile failed: {e}")))?;
-    if compiled.kernel().is_some() {
-        return Err(TestCaseError::fail("explode scripts must take the general path".to_owned()));
-    }
     let sw = {
         let mut cat = catalog.clone_tables();
         Script::parse(script)

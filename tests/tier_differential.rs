@@ -8,11 +8,11 @@
 //! Also covers the hw-level invariants: spill-wait spans tile each
 //! module's timeline exactly (including deadlock exits), and a
 //! `≥1M`-group aggregate whose histogram is ~8× the modeled SPM runs
-//! through `GenesisHost::submit` bit-identical to the software oracle.
+//! through `GenesisServer` bit-identical to the software oracle.
 
 use genesis::core::compile::Compiler;
 use genesis::core::device::{DeviceConfig, TierConfig};
-use genesis::core::{AccelStats, CoreError, GenesisHost, JobSpec};
+use genesis::core::{AccelStats, CoreError, GenesisServer, Request, ServerConfig};
 use genesis::hw::modules::sink::StreamSink;
 use genesis::hw::modules::source::StreamSource;
 use genesis::hw::modules::spm_reader::{SpmReadMode, SpmReader};
@@ -308,9 +308,9 @@ fn overcommitted_working_set_is_a_structured_error() {
 
 /// The acceptance workload: a `>1M`-group aggregate whose two histogram
 /// scratchpads (~8 MiB each) are ~8× the 1 MiB modeled SPM, submitted
-/// through the `GenesisHost` front door — bit-identical to the software
+/// through a one-device `GenesisServer` — bit-identical to the software
 /// oracle, with the spill waits attributed in the returned statistics and
-/// the `tier.*` counters published to the host metrics registry.
+/// the `server.tier.*` counters published to the metrics registry.
 #[test]
 fn million_group_aggregate_spills_and_matches_the_oracle() {
     let _guard = env_lock();
@@ -321,22 +321,23 @@ fn million_group_aggregate_spills_and_matches_the_oracle() {
 
     let tiers = TierConfig { spm_bytes: 1 << 20, ..TierConfig::default() };
     let cfg = DeviceConfig::small().with_tiers(tiers).with_psize(DOMAIN + 1);
-    let compiled = Compiler::new(cfg).compile(&plan, &catalog).expect("tiers lift the domain cap");
+    let compiled =
+        Compiler::new(cfg.clone()).compile(&plan, &catalog).expect("tiers lift the domain cap");
 
-    let host = GenesisHost::new();
-    let handle = host.submit(JobSpec::new(compiled), &catalog).expect("submit");
-    let (hw, stats) = handle.wait().expect("tiered job completes");
+    let server = GenesisServer::new(ServerConfig::default().with_devices(1, cfg));
+    let ticket = server.submit(Request::precompiled("t", compiled), &catalog).expect("submit");
+    let (hw, stats) = ticket.wait().expect("tiered job completes");
     let sw = execute_plan(&plan, &catalog, &Env::default()).expect("oracle");
     assert_tables_equal(&hw, &sw, "1M-group aggregate").unwrap();
 
     assert!(stats.spill_wait_cycles > 0, "8x-oversubscribed SPM must wait on spills: {stats}");
     assert!(stats.tier_pages_filled > 0 && stats.tier_pages_spilled > 0, "got: {stats}");
     assert!(stats.tier_pcie_bytes > 0, "cold pages arrive over the PCIe link: {stats}");
-    let snap = host.metrics_snapshot();
-    for key in ["tier.pages_filled", "tier.pages_spilled", "tier.spill_wait_cycles"] {
+    let snap = server.metrics_snapshot();
+    for key in ["pages_filled", "pages_spilled", "spill_wait_cycles"] {
         assert!(
-            snap.counters.iter().any(|(k, v)| k.ends_with(key) && *v > 0),
-            "metrics snapshot must publish {key}: {:?}",
+            snap.counters.get(&format!("server.tier.{key}")).is_some_and(|v| *v > 0),
+            "metrics snapshot must publish server.tier.{key}: {:?}",
             snap.counters.keys().collect::<Vec<_>>()
         );
     }

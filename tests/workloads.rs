@@ -7,9 +7,8 @@
 //! * **Mate-distance histogram** — `PosExplode` of the reference joined
 //!   against read positions, then `GROUP BY (MPOS - POS)`.
 //!
-//! Both are expressed purely in extended SQL, compiled node-by-node (no
-//! fast-path kernel matches either shape), executed on the simulated
-//! device — directly, through `GenesisServer` on a device pool, and
+//! Both are expressed purely in extended SQL, compiled node-by-node,
+//! executed on the simulated device — directly, through `GenesisServer` on a device pool, and
 //! sharded scatter-gather — and checked bit-for-bit against the
 //! `genesis::sql` software oracle.
 
@@ -150,11 +149,7 @@ fn coverage_pileup_compiles_generally_and_matches_oracle() {
     let cat = catalog(64);
     let compiled =
         Compiler::new(DeviceConfig::small()).compile_sql(COVERAGE_SQL, &cat).unwrap();
-    // No seed kernel matches a grouped aggregate over an explode; this is
-    // the general path, and the measured profile carries the explode's
-    // expansion factor.
-    assert!(compiled.kernel().is_none());
-    assert!(compiled.is_executable());
+    // The measured profile carries the explode's expansion factor.
     assert!(
         compiled.profile().expansion > 1.0,
         "explode pipelines must declare expansion, got {}",
@@ -173,8 +168,6 @@ fn mate_distance_compiles_generally_and_matches_oracle() {
     let cat = catalog(48);
     let compiled =
         Compiler::new(DeviceConfig::small()).compile_sql(MATE_DISTANCE_SQL, &cat).unwrap();
-    assert!(compiled.kernel().is_none());
-    assert!(compiled.is_executable());
     let sw = oracle(MATE_DISTANCE_SQL, 48, "MateHist");
     assert!(sw.num_rows() > 0, "oracle histogram must be non-trivial");
     // Every pair joins (the reference covers all read positions) and
