@@ -1,6 +1,7 @@
 //! The manual pipeline-stitching API — the analog of composing Genesis
 //! hardware library modules in Chisel (paper §III-C/III-D).
 
+use genesis_hw::memory::LINE_BYTES;
 use genesis_hw::modules::mem_reader::{MemReader, MemReaderConfig, RowSpec};
 use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig};
 use genesis_hw::system::ModuleId;
@@ -29,12 +30,6 @@ impl<'s> PipelineBuilder<'s> {
         self.sys
     }
 
-    /// The pipeline's arbiter group.
-    #[must_use]
-    pub fn group(&self) -> u32 {
-        self.group
-    }
-
     fn label(&self, name: &str) -> String {
         format!("p{}.{}", self.group, name)
     }
@@ -58,6 +53,48 @@ impl<'s> PipelineBuilder<'s> {
         self.sys.host_write(addr, bytes);
         let total_elems = (bytes.len() / elem_bytes) as u64;
         self.reader_at(name, addr, elem_bytes, total_elems, rows)
+    }
+
+    /// Uploads `vals` as a column of `elem_bytes`-wide little-endian
+    /// elements (each value's low bytes) and attaches a Memory Reader
+    /// streaming it. The values narrow straight into device memory, one
+    /// stack-resident burst of lines at a time — no host-side staging
+    /// buffer the size of the column.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an element width the Memory Reader does not support.
+    pub(crate) fn upload_values(
+        &mut self,
+        name: &str,
+        vals: &[u64],
+        elem_bytes: usize,
+        rows: RowSpec,
+    ) -> QueueId {
+        /// Bytes narrowed per `host_write` burst (a whole number of
+        /// elements at every supported width).
+        const BURST_BYTES: usize = 16 * LINE_BYTES;
+        fn narrow<const N: usize>(vals: &[u64], out: &mut [u8]) {
+            for (&v, slot) in vals.iter().zip(out.chunks_exact_mut(N)) {
+                slot.copy_from_slice(&v.to_le_bytes()[..N]);
+            }
+        }
+        let addr = self.sys.alloc_mem((vals.len() * elem_bytes).max(1));
+        let mut burst = [0u8; BURST_BYTES];
+        let mut at = addr;
+        for chunk in vals.chunks(BURST_BYTES / elem_bytes) {
+            let out = &mut burst[..chunk.len() * elem_bytes];
+            match elem_bytes {
+                1 => narrow::<1>(chunk, out),
+                2 => narrow::<2>(chunk, out),
+                4 => narrow::<4>(chunk, out),
+                8 => narrow::<8>(chunk, out),
+                n => panic!("element width must be 1/2/4/8, got {n}"),
+            }
+            self.sys.host_write(at, out);
+            at += out.len() as u64;
+        }
+        self.reader_at(name, addr, elem_bytes, vals.len() as u64, rows)
     }
 
     /// Attaches a Memory Reader to an existing allocation.

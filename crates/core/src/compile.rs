@@ -35,6 +35,7 @@ use genesis_sql::plan::lower_query;
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::Table;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The plan→pipeline compiler. Owns the device model the pipelines are
 /// costed against; one compiler serves any number of plans.
@@ -137,7 +138,8 @@ impl Compiler {
 #[derive(Debug, Clone)]
 pub struct PipelinePlan {
     plan: LogicalPlan,
-    lowered: Lowering,
+    /// Shared with every job bound from this plan.
+    lowered: Arc<Lowering>,
     replication: ReplicationChoice,
     cfg: DeviceConfig,
     registry: ModuleRegistry,

@@ -31,7 +31,11 @@
 //! * [`serve`] — the multi-tenant serving front door, and the one
 //!   asynchronous way to run a compiled plan: compiled-pipeline LRU cache
 //!   with reconfiguration-penalty accounting, a fair-queued device pool
-//!   (`GENESIS_DEVICES`), and deadline-aware admission.
+//!   (`GENESIS_DEVICES`), deadline-aware admission, and a per-request
+//!   latency budget (`server.phase.*` histograms that tile each request's
+//!   latency). Binding a request copies each scanned column out of the
+//!   catalog once, by column type, and each replica's range goes from
+//!   that copy straight into device memory.
 //! * [`sched`] — the deterministic fair-queuing primitives behind
 //!   [`serve`].
 //!

@@ -20,11 +20,11 @@
 
 use crate::accel::{run_batches, split_ranges};
 use crate::builder::PipelineBuilder;
-use crate::columns::bytes_to_u64;
 use crate::cost::PipelineProfile;
 use crate::device::DeviceConfig;
 use crate::error::CoreError;
 use crate::perf::AccelStats;
+use genesis_hw::memory::LINE_BYTES;
 use genesis_hw::modules::alu::{AluOp, AluRhs, StreamAlu};
 use genesis_hw::modules::fanout::Fanout;
 use genesis_hw::modules::filter::{CmpOp, Filter, Predicate};
@@ -42,9 +42,12 @@ use genesis_hw::{QueueId, System};
 use genesis_sql::ast::{AggFn, BinOp, ColRef, Expr, JoinKind, SelectItem};
 use genesis_sql::exec::{execute_plan, Env};
 use genesis_sql::{Catalog, LogicalPlan};
-use genesis_types::{DataType, Field, Schema, Table, Value};
-use std::collections::BTreeMap;
+use genesis_types::{Column, DataType, Field, Schema, Table, Value};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// 8-byte Memory Writer encoding of [`Value::Ins`] (all mask bits set).
 const MARKER_INS: u64 = u64::MAX;
@@ -107,8 +110,11 @@ struct ColInfo {
     origin: Option<(usize, usize)>,
 }
 
-/// One scanned column, pre-serialized so the per-job build closures only
-/// capture `Sync` data (the [`Catalog`] holds non-`Sync` custom modules).
+/// One scanned column, copied out of the catalog once — every cell
+/// widened to the `u64` a flit field carries — so the per-job build
+/// closures only capture `Sync` data (the [`Catalog`] holds non-`Sync`
+/// custom modules). Each replica's range narrows from here straight into
+/// device memory ([`PipelineBuilder::upload_values`]).
 #[derive(Debug, Clone)]
 struct PreparedCol {
     name: String,
@@ -225,9 +231,10 @@ struct Built {
 /// Raw per-job output, merged on the host after simulation.
 #[derive(Debug)]
 enum JobOut {
-    Rows(Vec<Vec<Value>>),
+    /// Decoded output columns, one `Vec` per column.
+    Cols(Vec<Vec<Value>>),
     Scalar(Vec<(ScalarKind, Option<u64>)>),
-    /// Raw (undecoded) per-group rows, ascending by key.
+    /// Raw (undecoded) group columns, rows ascending by key.
     Grouped(Vec<Vec<u64>>),
 }
 
@@ -239,10 +246,13 @@ pub(crate) struct Lowering {
     epilogues: Vec<Epilogue>,
     /// Filter conjuncts absorbed into scan leaves (the host-side analog
     /// of GenStore's in-storage filtering): re-applied to the freshly
-    /// serialized scan data every time the lowering binds to a catalog.
+    /// bound scan data every time the lowering binds to a catalog.
     pushed: Vec<PushedFilter>,
     cols_names: Vec<String>,
     kind: SinkKind,
+    /// Device memory one pipeline's sink writers allocated in the
+    /// analysis build.
+    sink_bytes: usize,
     /// Port/fabric demand of one pipeline (input to the replication
     /// chooser).
     pub(crate) profile: PipelineProfile,
@@ -279,6 +289,9 @@ struct BuildCtx<'a> {
     /// the stream-sink writer allocations; explodes raise it above the
     /// spine row count).
     rows_bound: usize,
+    /// Device memory the sink writers allocated (recorded by the analysis
+    /// build so a bind can reserve it up front).
+    sink_bytes: usize,
 }
 
 impl<'a> BuildCtx<'a> {
@@ -299,6 +312,7 @@ impl<'a> BuildCtx<'a> {
             group_domain_cap,
             expansion: 1.0,
             rows_bound,
+            sink_bytes: 0,
         }
     }
 
@@ -361,14 +375,6 @@ fn qualify(prefix: Option<&str>, name: &str) -> String {
     }
 }
 
-fn serialize(vals: &[u64], elem_bytes: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * elem_bytes);
-    for &v in vals {
-        out.extend_from_slice(&v.to_le_bytes()[..elem_bytes]);
-    }
-    out
-}
-
 fn cmp_of(op: BinOp) -> Option<CmpOp> {
     match op {
         BinOp::Eq => Some(CmpOp::Eq),
@@ -393,7 +399,7 @@ fn mirror(op: CmpOp) -> CmpOp {
 }
 
 /// Walks the core plan collecting every `Scan` leaf left-to-right and
-/// serializing its columns. Leaf order matches [`build_node`]'s traversal,
+/// binding its columns. Leaf order matches [`build_node`]'s traversal,
 /// so the first prepared scan is the replication spine.
 fn prepare_scans(
     plan: &LogicalPlan,
@@ -464,6 +470,12 @@ fn plan_node_name(plan: &LogicalPlan) -> &'static str {
     }
 }
 
+/// One typed pass over a fixed-width column: every cell widened to the
+/// `u64` a flit field carries.
+fn widen<T: Copy + Into<u64>>(cells: &[T]) -> Vec<u64> {
+    cells.iter().map(|&x| x.into()).collect()
+}
+
 fn prepare_table(name: &str, t: &Table) -> Result<PreparedScan, CoreError> {
     let node = format!("Scan({name})");
     if t.schema().len() > MAX_FIELDS {
@@ -472,16 +484,15 @@ fn prepare_table(name: &str, t: &Table) -> Result<PreparedScan, CoreError> {
             format!("{} columns exceed the {MAX_FIELDS}-field flit width", t.schema().len()),
         ));
     }
-    let rows = t.num_rows();
     let mut cols = Vec::with_capacity(t.schema().len());
     for (ci, f) in t.schema().fields().iter().enumerate() {
-        let (elem_bytes, decode) = match f.dtype {
-            DataType::U8 => (1, Decode::U64),
-            DataType::U16 => (2, Decode::U64),
-            DataType::U32 => (4, Decode::U64),
-            DataType::U64 => (8, Decode::U64),
-            DataType::Bool => (1, Decode::Bool),
-            DataType::Cell => cell_width(t, ci).ok_or_else(|| {
+        let (elem_bytes, decode, vals) = match t.column_at(ci) {
+            Column::U8(v) => (1, Decode::U64, widen(v)),
+            Column::U16(v) => (2, Decode::U64, widen(v)),
+            Column::U32(v) => (4, Decode::U64, widen(v)),
+            Column::U64(v) => (8, Decode::U64, v.clone()),
+            Column::Bool(v) => (1, Decode::Bool, widen(v)),
+            Column::Cell(cells) => uniform_cells(cells).ok_or_else(|| {
                 CoreError::unsupported(
                     node.clone(),
                     format!(
@@ -490,7 +501,7 @@ fn prepare_table(name: &str, t: &Table) -> Result<PreparedScan, CoreError> {
                     ),
                 )
             })?,
-            DataType::Str | DataType::ListU8 | DataType::ListU16 | DataType::ListBool => {
+            Column::Str(_) | Column::ListU8(_) | Column::ListU16(_) | Column::ListBool(_) => {
                 return Err(CoreError::unsupported(
                     node,
                     format!(
@@ -501,22 +512,9 @@ fn prepare_table(name: &str, t: &Table) -> Result<PreparedScan, CoreError> {
                 ))
             }
         };
-        let col = t.column_at(ci);
-        let mut vals = Vec::with_capacity(rows);
-        for r in 0..rows {
-            match col.get(r) {
-                Value::U64(v) => vals.push(v),
-                Value::Bool(b) => vals.push(u64::from(b)),
-                other => {
-                    return Err(CoreError::unsupported(
-                        node,
-                        format!("column {} row {r} holds {other:?}, not a number", f.name),
-                    ))
-                }
-            }
-        }
         cols.push(PreparedCol { name: f.name.clone(), elem_bytes, decode, vals, lens: None });
     }
+    let rows = t.num_rows();
     Ok(PreparedScan {
         table: name.to_owned(),
         rows,
@@ -557,6 +555,60 @@ fn schema_col(t: &Table, col: &ColRef, node: &str) -> Result<usize, CoreError> {
     }
 }
 
+/// A list's length as the `u32` run length a Memory Reader delimits.
+fn list_len(items: usize, name: &str, r: usize, node: &str) -> Result<u32, CoreError> {
+    u32::try_from(items).map_err(|_| {
+        CoreError::unsupported(node, format!("column {name} row {r} list is too long"))
+    })
+}
+
+/// One typed pass over a list column: items widened and concatenated,
+/// with the per-row run lengths.
+fn flatten_rows<T: Copy + Into<u64>>(
+    rows: &[Vec<T>],
+    name: &str,
+    node: &str,
+) -> Result<(Vec<u64>, Vec<u32>), CoreError> {
+    let mut vals = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+    let mut lens = Vec::with_capacity(rows.len());
+    for (r, items) in rows.iter().enumerate() {
+        lens.push(list_len(items.len(), name, r, node)?);
+        vals.extend(items.iter().map(|&x| x.into()));
+    }
+    Ok((vals, lens))
+}
+
+/// The dynamically-typed flavor of [`flatten_rows`]: every cell must be a
+/// list and every item a number, checked cell by cell (this pass *is*
+/// the validation — a `Cell` column promises nothing about its contents).
+fn flatten_cells(
+    cells: &[Value],
+    name: &str,
+    node: &str,
+) -> Result<(Vec<u64>, Vec<u32>), CoreError> {
+    let mut vals = Vec::new();
+    let mut lens = Vec::with_capacity(cells.len());
+    for (r, v) in cells.iter().enumerate() {
+        let Some(items) = v.as_list() else {
+            return Err(CoreError::unsupported(
+                node,
+                format!("column {name} row {r} holds {v:?}, not a list"),
+            ));
+        };
+        lens.push(list_len(items.len(), name, r, node)?);
+        for (i, item) in items.iter().enumerate() {
+            let Some(x) = item.as_u64() else {
+                return Err(CoreError::unsupported(
+                    node,
+                    format!("column {name} row {r} item {i} holds {item:?}, not a number"),
+                ));
+            };
+            vals.push(x);
+        }
+    }
+    Ok((vals, lens))
+}
+
 /// Flattens one list column of `t` into (values, per-row lengths),
 /// recording the hardware element width by list dtype.
 fn flatten_list_col(
@@ -565,50 +617,19 @@ fn flatten_list_col(
     node: &str,
 ) -> Result<PreparedCol, CoreError> {
     let f = &t.schema().fields()[ci];
-    let (elem_bytes, decode) = match f.dtype {
-        DataType::ListU8 => (1, Decode::U64),
-        DataType::ListBool => (1, Decode::Bool),
-        DataType::ListU16 => (2, Decode::U64),
+    let (elem_bytes, decode, (vals, lens)) = match t.column_at(ci) {
+        Column::ListU8(rows) => (1, Decode::U64, flatten_rows(rows, &f.name, node)?),
+        Column::ListBool(rows) => (1, Decode::Bool, flatten_rows(rows, &f.name, node)?),
+        Column::ListU16(rows) => (2, Decode::U64, flatten_rows(rows, &f.name, node)?),
         // Dynamic cells holding numeric lists stream at full width.
-        DataType::Cell => (8, Decode::U64),
-        other => {
+        Column::Cell(cells) => (8, Decode::U64, flatten_cells(cells, &f.name, node)?),
+        _ => {
             return Err(CoreError::unsupported(
                 node,
-                format!("column {} has type {other:?}, not a per-row list", f.name),
+                format!("column {} has type {:?}, not a per-row list", f.name, f.dtype),
             ))
         }
     };
-    let col = t.column_at(ci);
-    let mut vals = Vec::new();
-    let mut lens = Vec::with_capacity(t.num_rows());
-    for r in 0..t.num_rows() {
-        let v = col.get(r);
-        let Some(items) = v.as_list() else {
-            return Err(CoreError::unsupported(
-                node,
-                format!("column {} row {r} holds {v:?}, not a list", f.name),
-            ));
-        };
-        let len = u32::try_from(items.len()).map_err(|_| {
-            CoreError::unsupported(node, format!("column {} row {r} list is too long", f.name))
-        })?;
-        lens.push(len);
-        for (i, item) in items.iter().enumerate() {
-            // Items must round-trip through the declared decode: numbers
-            // for numeric lists, booleans for ListBool.
-            let Some(x) = (match (decode, item) {
-                (Decode::Bool, Value::Bool(b)) => Some(u64::from(*b)),
-                (Decode::U64, other) => other.as_u64(),
-                _ => None,
-            }) else {
-                return Err(CoreError::unsupported(
-                    node,
-                    format!("column {} row {r} item {i} holds {item:?}, not a number", f.name),
-                ));
-            };
-            vals.push(x);
-        }
-    }
     Ok(PreparedCol { name: f.name.clone(), elem_bytes, decode, vals, lens: Some(lens) })
 }
 
@@ -619,18 +640,26 @@ fn explode_pos_vals(t: &Table, pos: &Expr, node: &str) -> Result<Vec<u64>, CoreE
     match pos {
         Expr::Number(n) => Ok(vec![*n; t.num_rows()]),
         Expr::Col(c) => {
-            let ci = schema_col(t, c, node)?;
-            let col = t.column_at(ci);
-            (0..t.num_rows())
-                .map(|r| {
-                    col.get(r).as_u64().ok_or_else(|| {
-                        CoreError::unsupported(
-                            node,
-                            format!("position column {} row {r} is not numeric", c.column),
-                        )
-                    })
-                })
-                .collect()
+            let not_numeric = |r: usize| {
+                CoreError::unsupported(
+                    node,
+                    format!("position column {} row {r} is not numeric", c.column),
+                )
+            };
+            match t.column_at(schema_col(t, c, node)?) {
+                Column::U8(v) => Ok(widen(v)),
+                Column::U16(v) => Ok(widen(v)),
+                Column::U32(v) => Ok(widen(v)),
+                Column::U64(v) => Ok(v.clone()),
+                Column::Cell(cells) => cells
+                    .iter()
+                    .enumerate()
+                    .map(|(r, v)| v.as_u64().ok_or_else(|| not_numeric(r)))
+                    .collect(),
+                // No cell of these types is a number: the first row fails.
+                other if other.is_empty() => Ok(Vec::new()),
+                _ => Err(not_numeric(0)),
+            }
         }
         _ => Err(CoreError::unsupported(
             node,
@@ -864,26 +893,28 @@ fn prepare_explode(plan: &LogicalPlan, catalog: &Catalog) -> Result<PreparedScan
     })
 }
 
-/// Width/decode for a `Cell` column whose values are uniformly numeric or
-/// uniformly boolean (`None` otherwise — markers cannot round-trip through
-/// a Memory Reader, which yields plain values only).
-fn cell_width(t: &Table, ci: usize) -> Option<(usize, Decode)> {
-    let col = t.column_at(ci);
+/// Width, decode and values of a `Cell` column whose cells are uniformly
+/// numeric or uniformly boolean (`None` otherwise — markers cannot
+/// round-trip through a Memory Reader, which yields plain values only).
+/// The per-cell pass is the validation a dynamically-typed column needs.
+fn uniform_cells(cells: &[Value]) -> Option<(usize, Decode, Vec<u64>)> {
     let mut decode = None;
-    for r in 0..t.num_rows() {
-        let d = match col.get(r) {
-            Value::U64(_) => Decode::U64,
-            Value::Bool(_) => Decode::Bool,
+    let mut vals = Vec::with_capacity(cells.len());
+    for cell in cells {
+        let (d, v) = match cell {
+            Value::U64(v) => (Decode::U64, *v),
+            Value::Bool(b) => (Decode::Bool, u64::from(*b)),
             _ => return None,
         };
         if *decode.get_or_insert(d) != d {
             return None;
         }
+        vals.push(v);
     }
-    match decode.unwrap_or(Decode::U64) {
-        Decode::U64 => Some((8, Decode::U64)),
-        Decode::Bool => Some((1, Decode::Bool)),
-    }
+    Some(match decode.unwrap_or(Decode::U64) {
+        Decode::U64 => (8, Decode::U64, vals),
+        Decode::Bool => (1, Decode::Bool, vals),
+    })
 }
 
 /// Splits trailing `Sort`/`Limit` nodes off the plan root; they run on the
@@ -915,14 +946,15 @@ fn peel(plan: &LogicalPlan) -> Result<(&LogicalPlan, Vec<Epilogue>), CoreError> 
     Ok((cur, epis))
 }
 
-/// Analyzes `plan` into a [`Lowering`]: peels host epilogues, builds the
+/// Analyzes `plan` into a shared [`Lowering`] (every job bound from it
+/// holds the same `Arc`): peels host epilogues, builds the
 /// module graph once on a scratch system (validating every node), and
 /// derives the pipeline's cost profile from the scratch build.
 pub(crate) fn analyze(
     plan: &LogicalPlan,
     catalog: &Catalog,
     cfg: &DeviceConfig,
-) -> Result<Lowering, CoreError> {
+) -> Result<Arc<Lowering>, CoreError> {
     let (core, epilogues) = peel(plan)?;
     let mut prepared = Vec::new();
     prepare_scans(core, catalog, &mut prepared)?;
@@ -1007,15 +1039,16 @@ pub(crate) fn analyze(
     };
     let mut summary = push_notes;
     summary.extend(ctx.summary);
-    Ok(Lowering {
+    Ok(Arc::new(Lowering {
         core,
         epilogues,
         pushed,
         cols_names: built.cols.iter().map(|c| c.name.clone()).collect(),
         kind,
+        sink_bytes: ctx.sink_bytes,
         profile,
         summary,
-    })
+    }))
 }
 
 /// Re-derives the per-item [`GroupRole`]s of a grouped-aggregate root.
@@ -1039,16 +1072,38 @@ fn grouped_roles(core: &LogicalPlan, cols: &[ColInfo]) -> Result<Vec<GroupRole>,
     Ok(roles)
 }
 
-/// A lowering bound to serialized scan data: everything needed to run the
+/// A lowering bound to a copy of its scans' data: everything needed to run the
 /// compiled pipeline with no reference back to the catalog. Unlike the
 /// catalog (whose custom modules are boxed closures), every field here is
 /// `Send`, so a `PreparedJob` can be handed to a host worker thread.
 #[derive(Debug, Clone)]
 pub(crate) struct PreparedJob {
-    lowering: Lowering,
+    /// Shared with the compiled plan it was bound from: binding a request
+    /// copies no plan tree.
+    lowering: Arc<Lowering>,
     cfg: DeviceConfig,
     prepared: Vec<PreparedScan>,
     factor: usize,
+}
+
+/// Host wall-clock a shard spent in each step of its device run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RunTimes {
+    /// Building the module graphs, including the column uploads.
+    pub(crate) build: Duration,
+    /// Everything between build and extract: the simulation itself plus
+    /// the system set-up and stall accounting around it.
+    pub(crate) simulate: Duration,
+    /// Reading the sinks back and decoding them.
+    pub(crate) extract: Duration,
+}
+
+impl RunTimes {
+    pub(crate) fn absorb(&mut self, other: RunTimes) {
+        self.build += other.build;
+        self.simulate += other.simulate;
+        self.extract += other.extract;
+    }
 }
 
 /// Raw output of one shard of a [`PreparedJob`]: the per-batch sink
@@ -1059,6 +1114,7 @@ pub(crate) struct PreparedJob {
 pub(crate) struct ShardOut {
     outs: Vec<(JobOut, Vec<ColInfo>)>,
     stats: AccelStats,
+    times: RunTimes,
 }
 
 impl ShardOut {
@@ -1066,6 +1122,43 @@ impl ShardOut {
     /// to the device that ran the shard).
     pub(crate) fn stats(&self) -> &AccelStats {
         &self.stats
+    }
+
+    /// Where the shard's host time went (kept apart from the stats, which
+    /// are deterministic and compared bit for bit).
+    pub(crate) fn times(&self) -> RunTimes {
+        self.times
+    }
+}
+
+/// Bytes [`genesis_hw::memory::MemorySystem::alloc`] takes for a region of
+/// `bytes` bytes (whole lines, never empty).
+fn line_padded(bytes: usize) -> usize {
+    bytes.max(1).div_ceil(LINE_BYTES) * LINE_BYTES
+}
+
+impl PreparedCol {
+    /// Payload bytes the column streams for the scan rows `rows`.
+    fn payload_bytes(&self, rows: &Range<usize>) -> usize {
+        let elems = match &self.lens {
+            None => rows.len(),
+            // Flattened list columns hold their rows' elements, not one
+            // value per row.
+            Some(lens) => lens[rows.clone()].iter().map(|&l| l as usize).sum(),
+        };
+        elems * self.elem_bytes
+    }
+}
+
+impl PreparedScan {
+    /// Payload bytes the scan streams for `rows` (the DMA-in volume).
+    fn payload_bytes(&self, rows: &Range<usize>) -> usize {
+        self.cols.iter().map(|c| c.payload_bytes(rows)).sum()
+    }
+
+    /// Device memory the scan's columns occupy for `rows`.
+    fn device_bytes(&self, rows: &Range<usize>) -> usize {
+        self.cols.iter().map(|c| line_padded(c.payload_bytes(rows))).sum()
     }
 }
 
@@ -1171,51 +1264,94 @@ impl PreparedJob {
         let run_cfg = cfg.clone().with_pipelines(self.factor);
         let core = &self.lowering.core;
         let prepared = &self.prepared;
+        let reserve = self.device_bytes(&ranges);
+        let (build_ns, extract_ns) = (AtomicU64::new(0), AtomicU64::new(0));
+        let timed = |ns: &AtomicU64, start: Instant| {
+            let spent = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            ns.fetch_add(spent, Ordering::Relaxed);
+        };
+        let run_start = Instant::now();
         let (outs, mut stats) = run_batches(
             &run_cfg,
             &ranges,
             |sys, group, r| {
+                let start = Instant::now();
+                // The replicas share one batch (`factor` pipelines per
+                // system), so its first build reserves the whole batch's
+                // device memory instead of growing it column by column.
+                if group == 0 {
+                    sys.reserve_mem(reserve);
+                }
                 let mut ctx = BuildCtx::new(prepared, r.clone(), group_domain_cap(cfg));
                 let mut b = PipelineBuilder::new(sys, group);
-                build_core(&mut b, &mut ctx, core)
+                let built = build_core(&mut b, &mut ctx, core);
+                timed(&build_ns, start);
+                built
             },
-            |sys, built, _| extract_job(sys, built),
+            |sys, built, _| {
+                let start = Instant::now();
+                let out = extract_job(sys, built);
+                timed(&extract_ns, start);
+                out
+            },
         )?;
+        let build = Duration::from_nanos(build_ns.into_inner());
+        let extract = Duration::from_nanos(extract_ns.into_inner());
+        let times = RunTimes {
+            build,
+            simulate: run_start.elapsed().saturating_sub(build + extract),
+            extract,
+        };
         // DMA-in: the shard streams its share of the spine scan plus
         // every non-spine scan in full (join right sides replay per
         // shard). For the whole-spine range this is exactly the
         // unsharded job's transfer volume.
-        let dma_in: u64 = prepared
-            .iter()
-            .enumerate()
-            .map(|(idx, p)| {
-                let r = if idx == 0 { range.clone() } else { 0..p.rows };
-                p.cols
-                    .iter()
-                    .map(|c| match &c.lens {
-                        None => (r.len() * c.elem_bytes) as u64,
-                        // Flattened list columns transfer their elements
-                        // within the row range, not one value per row.
-                        Some(lens) => {
-                            let elems: usize =
-                                lens[r.clone()].iter().map(|&l| l as usize).sum();
-                            (elems * c.elem_bytes) as u64
-                        }
-                    })
-                    .sum::<u64>()
-            })
-            .sum();
-        stats.dma_in_bytes += dma_in;
+        let scan_rows =
+            |idx: usize, p: &PreparedScan| if idx == 0 { range.clone() } else { 0..p.rows };
+        let dma_in: usize =
+            prepared.iter().enumerate().map(|(idx, p)| p.payload_bytes(&scan_rows(idx, p))).sum();
+        stats.dma_in_bytes += dma_in as u64;
         stats.dma_transfers += outs.len() as u64 * 2;
         // Pushed-vs-residual visibility: rows the scans examined against
         // pushed predicates vs rows that entered the pipeline (identical
         // when nothing was pushed).
         for (idx, p) in prepared.iter().enumerate() {
-            let r = if idx == 0 { range.clone() } else { 0..p.rows };
+            let r = scan_rows(idx, p);
             stats.rows_scanned += p.scanned_rows(&r) as u64;
             stats.rows_emitted += r.len() as u64;
         }
-        Ok(ShardOut { outs, stats })
+        Ok(ShardOut { outs, stats, times })
+    }
+
+    /// Device memory one batch over the replica `ranges` allocates: every
+    /// replica's slice of the spine scan, every other scan in full per
+    /// replica, and the sinks' output regions. Stream sinks are sized by
+    /// the rows they can receive, so their share is exact; aggregate
+    /// sinks are sized by key domains only the build derives, so theirs
+    /// is the analysis-time measurement per replica — a capacity hint
+    /// either way, never an address.
+    fn device_bytes(&self, ranges: &[Range<usize>]) -> usize {
+        let (spine, rest) = self.prepared.split_first().expect("a lowering scans a spine");
+        let rest_bytes: usize = rest.iter().map(|p| p.device_bytes(&(0..p.rows))).sum();
+        let exploded = |p: &PreparedScan, rows: &Range<usize>| {
+            p.explode.as_ref().map_or(0, |e| e.out_offsets[rows.end] - e.out_offsets[rows.start])
+        };
+        ranges
+            .iter()
+            .map(|r| {
+                let sinks = match self.lowering.kind {
+                    SinkKind::Stream => {
+                        let rows_bound = rest
+                            .iter()
+                            .map(|p| exploded(p, &(0..p.rows)))
+                            .fold(r.len().max(exploded(spine, r)), usize::max);
+                        self.lowering.cols_names.len() * line_padded(rows_bound * 8)
+                    }
+                    _ => self.lowering.sink_bytes,
+                };
+                spine.device_bytes(r) + rest_bytes + sinks
+            })
+            .sum()
     }
 
     /// Gathers shard outputs (in shard-range order), merges them exactly
@@ -1255,22 +1391,22 @@ impl Lowering {
         &self.cols_names
     }
 
-    /// Binds the lowering to `catalog`'s current data: serializes every
+    /// Binds the lowering to `catalog`'s current data: copies every
     /// scanned column so the returned job is `Send` and can run on a host
     /// worker thread (the catalog itself holds non-`Send` custom modules).
     pub(crate) fn prepare(
-        &self,
+        self: &Arc<Self>,
         cfg: &DeviceConfig,
         catalog: &Catalog,
         factor: usize,
     ) -> Result<PreparedJob, CoreError> {
         let mut prepared = Vec::new();
         prepare_scans(&self.core, catalog, &mut prepared)?;
-        // Re-apply the pushed conjuncts to the freshly serialized data
-        // (the catalog's tables may have changed since analysis).
+        // Re-apply the pushed conjuncts to the freshly bound data (the
+        // catalog's tables may have changed since analysis).
         apply_pushdown(&mut prepared, &self.pushed)?;
         Ok(PreparedJob {
-            lowering: self.clone(),
+            lowering: Arc::clone(self),
             cfg: cfg.clone(),
             prepared,
             factor: factor.max(1),
@@ -1281,7 +1417,7 @@ impl Lowering {
     /// replicated pipelines, simulates the batches, merges per-job results
     /// and replays host epilogues through the software engine.
     pub(crate) fn execute(
-        &self,
+        self: &Arc<Self>,
         cfg: &DeviceConfig,
         catalog: &Catalog,
         factor: usize,
@@ -1289,23 +1425,29 @@ impl Lowering {
         self.prepare(cfg, catalog, factor)?.run()
     }
 
+    /// Merges per-job outputs column-wise: every sink kind produces one
+    /// decoded `Vec<Value>` per output column, and the table is assembled
+    /// from those columns in one step.
     fn merge(&self, outs: Vec<(JobOut, Vec<ColInfo>)>, cols: &[ColInfo]) -> Result<Table, CoreError> {
-        let fields: Vec<Field> =
-            cols.iter().map(|c| Field::new(&c.name, DataType::Cell)).collect();
-        let mut table = Table::new(Schema::new(fields));
-        match &self.kind {
+        let columns: Vec<Vec<Value>> = match &self.kind {
             SinkKind::Stream => {
+                let mut columns: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
                 for (out, _) in outs {
-                    let JobOut::Rows(rows) = out else {
+                    let JobOut::Cols(job) = out else {
                         return Err(CoreError::Host("stream sink produced non-rows".into()));
                     };
-                    for row in rows {
-                        table.push_row(row)?;
+                    for (acc, col) in columns.iter_mut().zip(job) {
+                        if acc.is_empty() {
+                            *acc = col;
+                        } else {
+                            acc.extend(col);
+                        }
                     }
                 }
+                columns
             }
             SinkKind::Scalar(kinds) => {
-                let mut acc: Vec<(u64, u64, Option<u64>)> = vec![(0, 0, None); kinds.len()];
+                let mut acc: Vec<(u64, Option<u64>)> = vec![(0, None); kinds.len()];
                 for (out, _) in outs {
                     let JobOut::Scalar(parts) = out else {
                         return Err(CoreError::Host("scalar sink produced non-scalars".into()));
@@ -1316,78 +1458,88 @@ impl Lowering {
                                 slot.0 += val.unwrap_or(0);
                             }
                             ScalarKind::Min => {
-                                slot.2 = match (slot.2, val) {
+                                slot.1 = match (slot.1, val) {
                                     (Some(a), Some(b)) => Some(a.min(b)),
                                     (a, b) => a.or(b),
                                 };
                             }
                             ScalarKind::Max => {
-                                slot.2 = match (slot.2, val) {
+                                slot.1 = match (slot.1, val) {
                                     (Some(a), Some(b)) => Some(a.max(b)),
                                     (a, b) => a.or(b),
                                 };
                             }
                         }
-                        slot.1 += 1;
                     }
                 }
-                let row: Vec<Value> = kinds
+                kinds
                     .iter()
                     .zip(&acc)
-                    .map(|(kind, slot)| match kind {
-                        ScalarKind::Count | ScalarKind::Sum => Value::U64(slot.0),
-                        ScalarKind::Min | ScalarKind::Max => {
-                            slot.2.map_or(Value::Null, Value::U64)
-                        }
+                    .map(|(kind, slot)| {
+                        vec![match kind {
+                            ScalarKind::Count | ScalarKind::Sum => Value::U64(slot.0),
+                            ScalarKind::Min | ScalarKind::Max => {
+                                slot.1.map_or(Value::Null, Value::U64)
+                            }
+                        }]
                     })
-                    .collect();
-                table.push_row(row)?;
+                    .collect()
             }
             SinkKind::Grouped(roles) => {
                 let key_pos = roles
                     .iter()
                     .position(|r| *r == GroupRole::Key)
                     .ok_or_else(|| CoreError::Host("grouped sink without key column".into()))?;
-                let mut merged: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+                // Raw accumulator columns in first-seen order, and each
+                // key's row in them; the map's key order is the output
+                // order.
+                let mut acc: Vec<Vec<u64>> = vec![Vec::new(); roles.len()];
+                let mut row_of: BTreeMap<u64, usize> = BTreeMap::new();
                 for (out, _) in outs {
-                    let JobOut::Grouped(rows) = out else {
+                    let JobOut::Grouped(job) = out else {
                         return Err(CoreError::Host("grouped sink produced non-groups".into()));
                     };
-                    for row in rows {
-                        match merged.entry(row[key_pos]) {
-                            std::collections::btree_map::Entry::Vacant(e) => {
-                                e.insert(row);
+                    for (r, &key) in job[key_pos].iter().enumerate() {
+                        match row_of.entry(key) {
+                            Entry::Vacant(e) => {
+                                e.insert(acc[key_pos].len());
+                                for (a, col) in acc.iter_mut().zip(&job) {
+                                    a.push(col[r]);
+                                }
                             }
-                            std::collections::btree_map::Entry::Occupied(mut e) => {
-                                for (role, (acc, v)) in
-                                    roles.iter().zip(e.get_mut().iter_mut().zip(&row))
-                                {
+                            Entry::Occupied(e) => {
+                                let row = *e.get();
+                                for ((role, a), col) in roles.iter().zip(&mut acc).zip(&job) {
                                     if *role != GroupRole::Key {
-                                        *acc = acc.wrapping_add(*v);
+                                        a[row] = a[row].wrapping_add(col[r]);
                                     }
                                 }
                             }
                         }
                     }
                 }
-                for (_, raw) in merged {
-                    let row: Vec<Value> = roles
-                        .iter()
-                        .zip(raw)
-                        .zip(cols)
-                        .map(|((role, v), col)| match role {
-                            GroupRole::Key => match col.decode {
-                                Decode::Bool => Value::Bool(v != 0),
-                                Decode::U64 => Value::U64(v),
-                            },
-                            GroupRole::Count | GroupRole::Sum => Value::U64(v),
-                        })
-                        .collect();
-                    table.push_row(row)?;
-                }
+                roles
+                    .iter()
+                    .zip(&acc)
+                    .zip(cols)
+                    .map(|((role, a), col)| {
+                        row_of
+                            .values()
+                            .map(|&row| match (role, col.decode) {
+                                (GroupRole::Key, Decode::Bool) => Value::Bool(a[row] != 0),
+                                _ => Value::U64(a[row]),
+                            })
+                            .collect()
+                    })
+                    .collect()
             }
-        }
-        Ok(table)
+        };
+        let fields: Vec<Field> =
+            cols.iter().map(|c| Field::new(&c.name, DataType::Cell)).collect();
+        Ok(Table::from_columns(
+            Schema::new(fields),
+            columns.into_iter().map(Column::Cell).collect(),
+        )?)
     }
 
     fn apply_epilogues(&self, table: Table) -> Result<Table, CoreError> {
@@ -1502,32 +1654,38 @@ fn build_explode(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<
     use genesis_hw::modules::read_to_bases::{ReadToBases, ReadToBasesInputs};
     let idx = ctx.next_scan;
     ctx.next_scan += 1;
-    let ps = &ctx.prepared[idx];
+    let prepared = ctx.prepared;
+    let ps = &prepared[idx];
     let spec = ps
         .explode
-        .clone()
+        .as_ref()
         .ok_or_else(|| CoreError::Host("explode node over a plain scan leaf".into()))?;
     let range = if idx == 0 { ctx.spine_range.clone() } else { 0..ps.rows };
-    let table = ps.table.clone();
+    let table = &ps.table;
     let mut qs = Vec::with_capacity(ps.cols.len());
     for c in &ps.cols {
         let label = ctx.lbl(&format!("{table}.{}", c.name));
         let q = match &c.lens {
-            None => {
-                let bytes = serialize(&c.vals[range.clone()], c.elem_bytes);
-                // One delimiter per row keeps POS aligned with the
-                // per-read runs of the list streams.
-                b.upload_column(&label, &bytes, c.elem_bytes, RowSpec::Fixed(1))
-            }
+            // One delimiter per row keeps POS aligned with the per-read
+            // runs of the list streams.
+            None => b.upload_values(
+                &label,
+                &c.vals[range.clone()],
+                c.elem_bytes,
+                RowSpec::Fixed(1),
+            ),
             Some(lens) => {
                 let flat_start: usize =
                     lens[..range.start].iter().map(|&l| l as usize).sum();
                 let flat_len: usize =
                     lens[range.clone()].iter().map(|&l| l as usize).sum();
-                let bytes =
-                    serialize(&c.vals[flat_start..flat_start + flat_len], c.elem_bytes);
                 let rows = PipelineBuilder::rows_from_lens(&lens[range.clone()]);
-                b.upload_column(&label, &bytes, c.elem_bytes, rows)
+                b.upload_values(
+                    &label,
+                    &c.vals[flat_start..flat_start + flat_len],
+                    c.elem_bytes,
+                    rows,
+                )
             }
         };
         ctx.reads.push(c.elem_bytes);
@@ -1558,13 +1716,28 @@ fn build_explode(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<
         ps.cols.len(),
         range.len(),
     ));
-    Ok(Stream { q: rows_q, cols: spec.out_cols })
+    Ok(Stream { q: rows_q, cols: spec.out_cols.clone() })
+}
+
+/// `(strictly ascending, min, max)` of a scanned range, in one pass
+/// (`min` is the trivial bound 0 and `max` is `None` for an empty range).
+fn range_stats(vals: &[u64]) -> (bool, u64, Option<u64>) {
+    let Some((&first, rest)) = vals.split_first() else { return (true, 0, None) };
+    let (mut ascending, mut prev, mut min, mut max) = (true, first, first, first);
+    for &v in rest {
+        ascending &= prev < v;
+        prev = v;
+        min = min.min(v);
+        max = max.max(v);
+    }
+    (ascending, min, Some(max))
 }
 
 fn build_scan(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Stream, CoreError> {
     let idx = ctx.next_scan;
     ctx.next_scan += 1;
-    let ps = &ctx.prepared[idx];
+    let prepared = ctx.prepared;
+    let ps = &prepared[idx];
     let range = if idx == 0 { ctx.spine_range.clone() } else { 0..ps.rows };
     let ncols = ps.cols.len();
     if ncols == 0 {
@@ -1573,27 +1746,23 @@ fn build_scan(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Str
             "table has no columns",
         ));
     }
-    let table = ps.table.clone();
+    let table = &ps.table;
     let mut inputs = Vec::with_capacity(ncols);
     let mut cols = Vec::with_capacity(ncols);
-    // Borrow-friendly copies: serialize the scanned slice per column.
-    let specs: Vec<(String, usize, Decode, Vec<u64>)> = ps
-        .cols
-        .iter()
-        .map(|c| (c.name.clone(), c.elem_bytes, c.decode, c.vals[range.clone()].to_vec()))
-        .collect();
-    for (ci, (name, elem_bytes, decode, vals)) in specs.into_iter().enumerate() {
-        let label = ctx.lbl(&format!("{table}.{name}"));
-        let q = b.upload_column(&label, &serialize(&vals, elem_bytes), elem_bytes, RowSpec::None);
-        ctx.reads.push(elem_bytes);
+    for (ci, c) in ps.cols.iter().enumerate() {
+        let vals = &c.vals[range.clone()];
+        let label = ctx.lbl(&format!("{table}.{}", c.name));
+        let q = b.upload_values(&label, vals, c.elem_bytes, RowSpec::None);
+        ctx.reads.push(c.elem_bytes);
         inputs.push(ZipInput::new(q, vec![0]));
+        let (ascending, min_value, max_value) = range_stats(vals);
         cols.push(ColInfo {
-            name,
-            decode,
+            name: c.name.clone(),
+            decode: c.decode,
             nullable: false,
-            ascending: vals.windows(2).all(|w| w[0] < w[1]),
-            max_value: vals.iter().copied().max(),
-            min_value: vals.iter().copied().min().unwrap_or(0),
+            ascending,
+            max_value,
+            min_value,
             origin: Some((idx, ci)),
         });
     }
@@ -1623,7 +1792,7 @@ fn conjuncts<'e>(pred: &'e Expr, out: &mut Vec<&'e Expr>) {
 
 /// One scan's pushed-down filter: the conjuncts a `Filter` directly above
 /// that plain `Scan` leaf contributed, applied to the prepared rows when
-/// the lowering binds to catalog data (before any byte is serialized to
+/// the lowering binds to catalog data (before any byte is written to
 /// the device), so Memory Readers and everything downstream see only
 /// surviving rows.
 #[derive(Debug, Clone)]
@@ -1791,8 +1960,24 @@ fn push_down(plan: &LogicalPlan, prepared: &[PreparedScan]) -> (LogicalPlan, Vec
     (out, pushed)
 }
 
+/// Narrows the ascending row list `kept` to the rows `test` passes. The
+/// survivor count advances by the test's outcome instead of branching on
+/// it: a selective predicate over unordered data is the worst case for a
+/// branch predictor.
+fn retain_rows(kept: &mut Vec<usize>, test: impl Fn(usize) -> bool) {
+    let mut live = 0;
+    for i in 0..kept.len() {
+        let r = kept[i];
+        kept[live] = r;
+        live += usize::from(test(r));
+    }
+    kept.truncate(live);
+}
+
 /// Applies the pushed conjuncts to their prepared scans: the row-selection
-/// step run whenever scan data is (re)serialized from a catalog.
+/// step run whenever scan data is (re)bound from a catalog. The conjuncts
+/// resolve once, each then narrows the survivor list in one pass over
+/// its operand columns ([`retain_rows`]), and the columns compact in place.
 /// Surviving rows keep their relative order, so downstream modules see
 /// exactly the stream a lowered Filter would have produced.
 fn apply_pushdown(
@@ -1814,25 +1999,20 @@ fn apply_pushdown(
             })
             .collect::<Result<_, _>>()?;
         let n = scan.rows;
-        let mut kept = Vec::with_capacity(n);
-        'rows: for r in 0..n {
-            for p in &preds {
-                let a = scan.cols[p.col].vals[r];
-                let rb = match p.rhs {
-                    PushRhs::Lit(v) => v,
-                    PushRhs::Col(j) => scan.cols[j].vals[r],
-                };
-                match eval_cmp(p.cmp, a, rb) {
-                    Some(true) => {}
-                    Some(false) => continue 'rows,
-                    None => {
-                        return Err(CoreError::Host(
-                            "unpushable comparison reached scan pushdown".into(),
-                        ))
-                    }
+        let mut kept: Vec<usize> = (0..n).collect();
+        for p in &preds {
+            if eval_cmp(p.cmp, 0, 0).is_none() {
+                return Err(CoreError::Host("unpushable comparison reached scan pushdown".into()));
+            }
+            let holds = |a: u64, b: u64| eval_cmp(p.cmp, a, b) == Some(true);
+            let lhs = &scan.cols[p.col].vals;
+            match p.rhs {
+                PushRhs::Lit(v) => retain_rows(&mut kept, |r| holds(lhs[r], v)),
+                PushRhs::Col(j) => {
+                    let rhs = &scan.cols[j].vals;
+                    retain_rows(&mut kept, |r| holds(lhs[r], rhs[r]));
                 }
             }
-            kept.push(r);
         }
         scan.rows_scanned = n;
         if kept.len() == n {
@@ -1840,7 +2020,12 @@ fn apply_pushdown(
         }
         for col in &mut scan.cols {
             debug_assert!(col.lens.is_none(), "pushdown over a flattened list column");
-            col.vals = kept.iter().map(|&r| col.vals[r]).collect();
+            // `kept` ascends, so `kept[i] >= i`: no source is overwritten
+            // before it is read.
+            for (i, &r) in kept.iter().enumerate() {
+                col.vals[i] = col.vals[r];
+            }
+            col.vals.truncate(kept.len());
         }
         scan.rows = kept.len();
         scan.kept = Some(kept);
@@ -2586,6 +2771,7 @@ fn build_scalar_agg(
         // Scalar writers move one element per whole input stream; they are
         // not sustained memory ports, so they stay out of the cost profile.
         let (writer, addr) = b.writer(&ctx.lbl("agg.out"), rq, 8, 8);
+        ctx.sink_bytes += line_padded(8);
         parts.push((spec.kind, writer, addr));
         cols.push(ColInfo {
             name: spec.name.clone(),
@@ -2827,6 +3013,7 @@ fn attach_writers(
     capacity_bytes: usize,
     tag: &str,
 ) -> Result<Vec<(ModuleId, u64)>, CoreError> {
+    ctx.sink_bytes += n_cols * line_padded(capacity_bytes);
     if n_cols == 1 {
         let (w, addr) = b.writer_with_field(&ctx.lbl(tag), rows_q, 8, capacity_bytes, 0);
         return Ok(vec![(w, addr)]);
@@ -2857,8 +3044,14 @@ fn build_stream_sink(
     Ok(Built { sink: Sink::Stream { writers }, cols: s.cols })
 }
 
-/// Reads one writer's output column back from device memory.
-fn read_writer(sys: &System, id: ModuleId, addr: u64) -> Result<Vec<u64>, CoreError> {
+/// Reads one writer's output column back from device memory, mapping each
+/// raw 8-byte element through `f` on the way out.
+fn read_writer<T>(
+    sys: &System,
+    id: ModuleId,
+    addr: u64,
+    f: impl Fn(u64) -> T,
+) -> Result<Vec<T>, CoreError> {
     let w = sys
         .module_as::<MemWriter>(id)
         .ok_or_else(|| CoreError::Host("sink writer disappeared".into()))?;
@@ -2866,7 +3059,11 @@ fn read_writer(sys: &System, id: ModuleId, addr: u64) -> Result<Vec<u64>, CoreEr
     if n == 0 {
         return Ok(Vec::new());
     }
-    Ok(bytes_to_u64(&sys.host_read(addr, n * 8)))
+    let bytes = sys.host_read(addr, n * 8);
+    Ok(bytes
+        .chunks_exact(8)
+        .map(|c| f(u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes"))))
+        .collect())
 }
 
 fn decode_value(raw: u64, col: &ColInfo) -> Value {
@@ -2883,33 +3080,32 @@ fn decode_value(raw: u64, col: &ColInfo) -> Value {
     }
 }
 
+/// Fails unless every output column holds the same number of rows.
+fn check_row_counts<T>(cols: &[Vec<T>], what: &str) -> Result<(), CoreError> {
+    let n = cols.first().map_or(0, Vec::len);
+    if cols.iter().any(|c| c.len() != n) {
+        return Err(CoreError::Verification(format!(
+            "{what} column writers disagree on row count"
+        )));
+    }
+    Ok(())
+}
+
 fn extract_job(sys: &System, built: &Built) -> Result<(JobOut, Vec<ColInfo>), CoreError> {
     let out = match &built.sink {
         Sink::Stream { writers } => {
-            let raw: Vec<Vec<u64>> = writers
+            let cols: Vec<Vec<Value>> = writers
                 .iter()
-                .map(|&(id, addr)| read_writer(sys, id, addr))
+                .zip(&built.cols)
+                .map(|(&(id, addr), col)| read_writer(sys, id, addr, |raw| decode_value(raw, col)))
                 .collect::<Result<_, _>>()?;
-            let n = raw.first().map_or(0, Vec::len);
-            if raw.iter().any(|c| c.len() != n) {
-                return Err(CoreError::Verification(
-                    "output column writers disagree on row count".into(),
-                ));
-            }
-            let rows = (0..n)
-                .map(|r| {
-                    raw.iter()
-                        .zip(&built.cols)
-                        .map(|(c, col)| decode_value(c[r], col))
-                        .collect()
-                })
-                .collect();
-            JobOut::Rows(rows)
+            check_row_counts(&cols, "output")?;
+            JobOut::Cols(cols)
         }
         Sink::Scalar { parts } => {
             let mut vals = Vec::with_capacity(parts.len());
             for &(kind, id, addr) in parts {
-                let col = read_writer(sys, id, addr)?;
+                let col = read_writer(sys, id, addr, |raw| raw)?;
                 vals.push((kind, col.first().copied()));
             }
             JobOut::Scalar(vals)
@@ -2917,15 +3113,10 @@ fn extract_job(sys: &System, built: &Built) -> Result<(JobOut, Vec<ColInfo>), Co
         Sink::Grouped { writers } => {
             let raw: Vec<Vec<u64>> = writers
                 .iter()
-                .map(|&(id, addr)| read_writer(sys, id, addr))
+                .map(|&(id, addr)| read_writer(sys, id, addr, |raw| raw))
                 .collect::<Result<_, _>>()?;
-            let n = raw.first().map_or(0, Vec::len);
-            if raw.iter().any(|c| c.len() != n) {
-                return Err(CoreError::Verification(
-                    "grouped column writers disagree on row count".into(),
-                ));
-            }
-            JobOut::Grouped((0..n).map(|r| raw.iter().map(|c| c[r]).collect()).collect())
+            check_row_counts(&raw, "grouped")?;
+            JobOut::Grouped(raw)
         }
     };
     Ok((out, built.cols.clone()))
@@ -3378,5 +3569,166 @@ mod tests {
         assert_eq!(node, "Scan(REDAS)");
         assert!(reason.contains("unknown table"), "got: {reason}");
         assert!(reason.contains("did you mean `READS`"), "got: {reason}");
+    }
+
+    // ---- bind-path diagnostics, pinned byte for byte ----
+
+    fn table_of(cols: Vec<(&str, Column)>) -> Table {
+        let schema =
+            Schema::new(cols.iter().map(|(n, c)| Field::new(n, c.dtype())).collect());
+        Table::from_columns(schema, cols.into_iter().map(|(_, c)| c).collect()).unwrap()
+    }
+
+    fn catalog_of(name: &str, cols: Vec<(&str, Column)>) -> Catalog {
+        catalog_with(vec![(name.to_owned(), table_of(cols))])
+    }
+
+    /// The `(node, reason)` of the `Unsupported` that analyzing `plan`
+    /// against `catalog` yields.
+    fn unsupported(plan: &LogicalPlan, catalog: &Catalog) -> (String, String) {
+        match analyze(plan, catalog, &DeviceConfig::small()).unwrap_err() {
+            CoreError::Unsupported { node, reason } => (node, reason),
+            other => panic!("expected Unsupported, got {other}"),
+        }
+    }
+
+    fn pair(node: &str, reason: &str) -> (String, String) {
+        (node.to_owned(), reason.to_owned())
+    }
+
+    #[test]
+    fn scan_wider_than_a_flit_is_rejected() {
+        let cols: Vec<(String, Column)> =
+            (0..=MAX_FIELDS).map(|i| (format!("C{i}"), Column::U8(vec![1]))).collect();
+        let catalog =
+            catalog_of("T", cols.iter().map(|(n, c)| (n.as_str(), c.clone())).collect());
+        assert_eq!(
+            unsupported(&scan("T"), &catalog),
+            pair("Scan(T)", "9 columns exceed the 8-field flit width")
+        );
+    }
+
+    #[test]
+    fn string_and_list_columns_do_not_stream_under_a_plain_scan() {
+        let catalog = catalog_of("T", vec![("NAME", Column::Str(vec!["r1".into()]))]);
+        assert_eq!(
+            unsupported(&scan("T"), &catalog),
+            pair(
+                "Scan(T)",
+                "column NAME has type Str; only fixed-width numeric/boolean \
+                 columns stream through Memory Readers"
+            )
+        );
+        let catalog = catalog_of(
+            "T",
+            vec![("X", Column::U8(vec![1])), ("SEQ", Column::ListU8(vec![vec![0, 1]]))],
+        );
+        assert_eq!(
+            unsupported(&scan("T"), &catalog),
+            pair(
+                "Scan(T)",
+                "column SEQ has type ListU8; only fixed-width numeric/boolean \
+                 columns stream through Memory Readers"
+            )
+        );
+    }
+
+    #[test]
+    fn cell_columns_must_be_uniformly_numeric_or_boolean() {
+        let reason = "dynamically-typed column C holds non-uniform or non-numeric cells";
+        for cells in [
+            vec![Value::U64(1), Value::Bool(true)],
+            vec![Value::U64(1), Value::Null],
+            vec![Value::Ins],
+            vec![Value::List(vec![Value::U64(1)])],
+        ] {
+            let catalog = catalog_of("T", vec![("C", Column::Cell(cells))]);
+            assert_eq!(unsupported(&scan("T"), &catalog), pair("Scan(T)", reason));
+        }
+        // Uniform cells scan like their typed counterparts.
+        for cells in [
+            vec![Value::U64(7), Value::U64(u64::MAX)],
+            vec![Value::Bool(true), Value::Bool(false)],
+            vec![],
+        ] {
+            let catalog = catalog_of("T", vec![("C", Column::Cell(cells))]);
+            let plan = scan("T");
+            assert_tables_match(&run(&plan, &catalog, 2), &software(&plan, &catalog));
+        }
+    }
+
+    fn pos_explode(array: &str, init_pos: Expr) -> LogicalPlan {
+        LogicalPlan::PosExplode {
+            input: Box::new(scan("T")),
+            array: ColRef::bare(array),
+            init_pos,
+        }
+    }
+
+    #[test]
+    fn explode_rejects_rows_that_are_not_lists_of_numbers() {
+        let lists = |cells: Vec<Value>| catalog_of("T", vec![("A", Column::Cell(cells))]);
+        let plan = pos_explode("A", Expr::Number(0));
+        assert_eq!(
+            unsupported(
+                &plan,
+                &lists(vec![Value::List(vec![Value::U64(1)]), Value::U64(3)])
+            ),
+            pair("PosExplode", "column A row 1 holds U64(3), not a list")
+        );
+        assert_eq!(
+            unsupported(
+                &plan,
+                &lists(vec![Value::List(vec![Value::U64(1), Value::Bool(true)])])
+            ),
+            pair("PosExplode", "column A row 0 item 1 holds Bool(true), not a number")
+        );
+        assert_eq!(
+            unsupported(&plan, &catalog_of("T", vec![("A", Column::U32(vec![4]))])),
+            pair("PosExplode", "column A has type U32, not a per-row list")
+        );
+    }
+
+    #[test]
+    fn explode_position_column_must_be_numeric() {
+        let plan = pos_explode("A", Expr::Col(ColRef::bare("P")));
+        let array = || Column::ListU8(vec![vec![1], vec![2], vec![3]]);
+        let cells = Column::Cell(vec![Value::U64(1), Value::U64(2), Value::Null]);
+        assert_eq!(
+            unsupported(&plan, &catalog_of("T", vec![("A", array()), ("P", cells)])),
+            pair("PosExplode", "position column P row 2 is not numeric")
+        );
+        let flags = Column::Bool(vec![true, false, true]);
+        assert_eq!(
+            unsupported(&plan, &catalog_of("T", vec![("A", array()), ("P", flags)])),
+            pair("PosExplode", "position column P row 0 is not numeric")
+        );
+    }
+
+    #[test]
+    fn over_long_list_is_rejected_by_row() {
+        // A list that long cannot be built in a test; the length check
+        // every list row passes through is pinned directly.
+        assert_eq!(list_len(7, "SEQ", 0, "ReadExplode").unwrap(), 7);
+        let err = list_len(u32::MAX as usize + 1, "SEQ", 3, "ReadExplode").unwrap_err();
+        let CoreError::Unsupported { node, reason } = err else { panic!("{err}") };
+        assert_eq!((node.as_str(), reason.as_str()), ("ReadExplode", "column SEQ row 3 list is too long"));
+    }
+
+    #[test]
+    fn pushed_conjunct_that_no_longer_resolves_is_a_host_error() {
+        let plan = filter_lt(scan("T"), "X", 10);
+        let cfg = DeviceConfig::small();
+        let low = analyze(&plan, &catalog_of("T", vec![("X", Column::U32(vec![1, 20]))]), &cfg)
+            .unwrap();
+        assert_eq!(low.pushed.len(), 1);
+        // The same table now holds booleans under that name: `X < 10` is
+        // no comparison the scan can evaluate.
+        let rebound = catalog_of("T", vec![("X", Column::Bool(vec![true, false]))]);
+        let err = low.prepare(&cfg, &rebound, 1).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "host api error: pushed conjunct no longer resolves against the scan"
+        );
     }
 }

@@ -50,15 +50,26 @@
 //! [`MetricsRegistry`] (`server.*` names in `metrics_snapshot()`), and
 //! when tracing is enabled the server writes its own Chrome trace
 //! (`<path>.server.json`) with one thread track per device.
+//!
+//! Every request also leaves a latency budget: the log₂ histograms
+//! `server.phase.{prepare,admit,queue_wait,run,gather}_ns` are the gaps
+//! between six instants on one chain from `submit` entry to delivery
+//! (plan resolved and bound → queued → promoted by the scheduler → last
+//! shard done → result installed), so they add up to the tenant's
+//! `latency_ns` exactly; `server.run.{build,simulate,extract}_ns` split
+//! the device runs inside `run`, summed over the job's shards. A request
+//! that expires in the queue records empty `run` and `gather` phases, and
+//! one that coalesced onto another's run shares that run's instants — so
+//! every histogram counts every completed request.
 
 use crate::compile::{script_to_plan, Compiler, PipelinePlan};
 use crate::device::DeviceConfig;
 use crate::error::CoreError;
-use crate::lower::{PreparedJob, ShardOut};
+use crate::lower::{PreparedJob, RunTimes, ShardOut};
 use crate::perf::AccelStats;
 use crate::sched::{DispatchRecord, FairQueue};
 use genesis_obs::chrome::ChromeTrace;
-use genesis_obs::metrics::{MetricsRegistry, MetricsSnapshot};
+use genesis_obs::metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use genesis_obs::trace::TraceConfig;
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::Table;
@@ -438,13 +449,29 @@ struct CacheInner {
     inflight: HashSet<u64>,
 }
 
+/// The instants a request passes on its way into the queue. Together with
+/// the scheduler's promotion, the last shard's completion and the
+/// delivery they form one chain, and every `server.phase.*` observation
+/// is the gap between two neighbours on it — so the phases tile the
+/// request's latency by construction.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    /// `submit` entry.
+    entered: Instant,
+    /// The plan is resolved (compiled on a miss) and bound to the
+    /// catalog's data. Deadlines count from here.
+    submitted: Instant,
+    /// Admitted and pushed onto the fair queue.
+    queued: Instant,
+}
+
 /// A queued, admitted job.
 struct QueuedJob {
     id: u64,
     prepared: Result<PreparedJob, CoreError>,
     oracle: Option<OracleFn>,
     deadline: Option<Duration>,
-    submitted: Instant,
+    arrival: Arrival,
     reconfig_penalty: u64,
     /// Coalesce key when [`ServerConfig::batching`] is on: plan
     /// fingerprint mixed with the bound data's content hash, so only
@@ -457,7 +484,7 @@ struct QueuedJob {
 struct Follower {
     id: u64,
     tenant: String,
-    submitted: Instant,
+    arrival: Arrival,
     reconfig_penalty: u64,
     oracle: Mutex<Option<OracleFn>>,
 }
@@ -468,7 +495,10 @@ struct JobShared {
     tenant: String,
     prepared: Result<Arc<PreparedJob>, CoreError>,
     oracle: Mutex<Option<OracleFn>>,
-    submitted: Instant,
+    arrival: Arrival,
+    /// When the scheduler popped the job off the fair queue (the end of
+    /// `queue_wait` for it and for every follower batched onto it).
+    promoted: Instant,
     reconfig_penalty: u64,
     /// Total shards this job was split into.
     shards: usize,
@@ -492,6 +522,8 @@ struct Gather {
     remaining: usize,
     /// First shard error wins; the merge is skipped.
     err: Option<CoreError>,
+    /// Host time of the shard runs so far, summed.
+    times: RunTimes,
 }
 
 /// What a job resolves to, as [`Ticket::wait`] returns it.
@@ -509,8 +541,50 @@ struct ServerCore {
     /// Signalled when a job result is installed.
     done: Condvar,
     metrics: Arc<MetricsRegistry>,
+    /// Registry handles of the per-request metrics, resolved at start.
+    phases: PhaseMetrics,
+    /// `server.device.{d}.jobs`, one handle per pool device.
+    device_jobs: Vec<Counter>,
     devices: Vec<DeviceConfig>,
     epoch: Instant,
+}
+
+/// Where a request's time went: `server.phase.*` tile its latency from
+/// `submit` entry to delivery (see [`Arrival`]); `server.run.*` split the
+/// device runs inside the `run` phase, summed over the job's shards.
+struct PhaseMetrics {
+    prepare: Arc<Histogram>,
+    admit: Arc<Histogram>,
+    queue_wait: Arc<Histogram>,
+    run: Arc<Histogram>,
+    gather: Arc<Histogram>,
+    build: Arc<Histogram>,
+    simulate: Arc<Histogram>,
+    extract: Arc<Histogram>,
+    /// `server.jobs.completed`: one per request the histograms counted.
+    completed: Counter,
+}
+
+impl PhaseMetrics {
+    fn new(metrics: &MetricsRegistry) -> PhaseMetrics {
+        PhaseMetrics {
+            prepare: metrics.histogram("server.phase.prepare_ns"),
+            admit: metrics.histogram("server.phase.admit_ns"),
+            queue_wait: metrics.histogram("server.phase.queue_wait_ns"),
+            run: metrics.histogram("server.phase.run_ns"),
+            gather: metrics.histogram("server.phase.gather_ns"),
+            build: metrics.histogram("server.run.build_ns"),
+            simulate: metrics.histogram("server.run.simulate_ns"),
+            extract: metrics.histogram("server.run.extract_ns"),
+            completed: metrics.counter("server.jobs.completed"),
+        }
+    }
+}
+
+/// One tenant's registry handles, resolved the first time it submits.
+struct TenantMetrics {
+    queue_depth: Arc<Histogram>,
+    latency: Arc<Histogram>,
 }
 
 struct ServerState {
@@ -531,6 +605,7 @@ struct ServerState {
     /// and closed when the ticket collects or goes away; a result whose
     /// slot is gone is dropped on arrival (see [`deliver`]).
     results: HashMap<u64, Option<JobResult>>,
+    tenants: HashMap<String, TenantMetrics>,
     schedule: Vec<DispatchRecord>,
     /// `(ts_us, depth)` samples for the trace's queue-depth counter track.
     depth_samples: Vec<(u64, u64)>,
@@ -554,6 +629,46 @@ impl ServerCore {
 
     fn now_us(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
+
+    /// `tenant`'s histogram handles, registered on first sight.
+    fn tenant<'s>(&self, st: &'s mut ServerState, tenant: &str) -> &'s TenantMetrics {
+        if !st.tenants.contains_key(tenant) {
+            let handles = TenantMetrics {
+                queue_depth: self
+                    .metrics
+                    .histogram(&format!("server.tenant.{tenant}.queue_depth")),
+                latency: self.metrics.histogram(&format!("server.tenant.{tenant}.latency_ns")),
+            };
+            st.tenants.insert(tenant.to_owned(), handles);
+        }
+        &st.tenants[tenant]
+    }
+
+    /// Counts one completed request and records its phases: each is the
+    /// gap between two neighbouring instants of `arrival` → `promoted` →
+    /// `ran` → `delivered`, so together they equal the tenant latency
+    /// recorded beside them exactly.
+    fn record_completion(
+        &self,
+        st: &mut ServerState,
+        tenant: &str,
+        arrival: Arrival,
+        [promoted, ran, delivered]: [Instant; 3],
+        run: RunTimes,
+    ) {
+        st.completed += 1;
+        let p = &self.phases;
+        p.prepare.observe_duration(arrival.submitted - arrival.entered);
+        p.admit.observe_duration(arrival.queued - arrival.submitted);
+        p.queue_wait.observe_duration(promoted - arrival.queued);
+        p.run.observe_duration(ran - promoted);
+        p.gather.observe_duration(delivered - ran);
+        p.build.observe_duration(run.build);
+        p.simulate.observe_duration(run.simulate);
+        p.extract.observe_duration(run.extract);
+        self.tenant(st, tenant).latency.observe_duration(delivered - arrival.entered);
+        p.completed.inc();
     }
 
     fn sample_depth(&self, st: &mut ServerState) {
@@ -709,6 +824,7 @@ impl GenesisServer {
             cfg.devices.clone()
         };
         let n = devices.len();
+        let metrics = Arc::new(MetricsRegistry::new());
         let core = Arc::new(ServerCore {
             state: Mutex::new(ServerState {
                 queue: FairQueue::new(),
@@ -718,6 +834,7 @@ impl GenesisServer {
                 gathers: HashMap::new(),
                 inflight: 0,
                 results: HashMap::new(),
+                tenants: HashMap::new(),
                 schedule: Vec::new(),
                 depth_samples: Vec::new(),
                 modeled_busy: vec![Duration::ZERO; n],
@@ -730,7 +847,11 @@ impl GenesisServer {
             work: Condvar::new(),
             mail: Condvar::new(),
             done: Condvar::new(),
-            metrics: Arc::new(MetricsRegistry::new()),
+            phases: PhaseMetrics::new(&metrics),
+            device_jobs: (0..n)
+                .map(|d| metrics.counter(&format!("server.device.{d}.jobs")))
+                .collect(),
+            metrics,
             devices: devices.clone(),
             epoch: Instant::now(),
         });
@@ -804,6 +925,7 @@ impl GenesisServer {
     /// surfaces at [`Ticket::wait`], unless the request's oracle rescues
     /// it.
     pub fn submit(&self, req: Request, catalog: &Catalog) -> Result<Ticket, CoreError> {
+        let entered = Instant::now();
         let Request { tenant, payload, deadline, oracle, replication } = req;
         let (plan, reconfig_penalty) = self.resolve_pipeline(payload, catalog)?;
         let factor = replication.unwrap_or_else(|| plan.replication().factor);
@@ -838,15 +960,13 @@ impl GenesisServer {
             prepared,
             oracle,
             deadline,
-            submitted,
+            arrival: Arrival { entered, submitted, queued: Instant::now() },
             reconfig_penalty,
             batch_key,
         });
         self.core.sample_depth(&mut st);
-        self.core
-            .metrics
-            .histogram(&format!("server.tenant.{tenant}.queue_depth"))
-            .observe(st.queue.depth(&tenant) as u64);
+        let depth = st.queue.depth(&tenant) as u64;
+        self.core.tenant(&mut st, &tenant).queue_depth.observe(depth);
         drop(st);
         self.core.work.notify_all();
         Ok(Ticket { core: Arc::clone(&self.core), id, tenant, submitted, deadline, closed: false })
@@ -1136,6 +1256,7 @@ fn scheduler_loop(core: &Arc<ServerCore>, batching: bool, shards: usize) {
 /// into shard assignments, and stages them in `ready`. Returns whether
 /// anything happened (a job promoted or at least one expiry settled).
 fn promote(core: &ServerCore, st: &mut ServerState, batching: bool, shards: usize) -> bool {
+    let promoted = Instant::now();
     let mut progress = false;
     let (tenant, job) = loop {
         let Some((tenant, job)) = st.queue.pop() else {
@@ -1162,7 +1283,7 @@ fn promote(core: &ServerCore, st: &mut ServerState, batching: bool, shards: usiz
                 followers.push(Follower {
                     id: fj.id,
                     tenant: ft,
-                    submitted: fj.submitted,
+                    arrival: fj.arrival,
                     reconfig_penalty: fj.reconfig_penalty,
                     oracle: Mutex::new(fj.oracle),
                 });
@@ -1174,7 +1295,7 @@ fn promote(core: &ServerCore, st: &mut ServerState, batching: bool, shards: usiz
             }
         }
     }
-    let QueuedJob { id, prepared, oracle, submitted, reconfig_penalty, .. } = job;
+    let QueuedJob { id, prepared, oracle, arrival, reconfig_penalty, .. } = job;
     let (prepared, ranges) = match prepared {
         Ok(p) => {
             let ranges = p.shard_ranges(shards);
@@ -1190,7 +1311,8 @@ fn promote(core: &ServerCore, st: &mut ServerState, batching: bool, shards: usiz
         tenant,
         prepared,
         oracle: Mutex::new(oracle),
-        submitted,
+        arrival,
+        promoted,
         reconfig_penalty,
         shards: nshards,
         followers,
@@ -1199,6 +1321,7 @@ fn promote(core: &ServerCore, st: &mut ServerState, batching: bool, shards: usiz
         parts: (0..nshards).map(|_| None).collect(),
         remaining: nshards,
         err: None,
+        times: RunTimes::default(),
     });
     st.inflight += 1;
     if nshards > 1 {
@@ -1212,7 +1335,7 @@ fn promote(core: &ServerCore, st: &mut ServerState, batching: bool, shards: usiz
 }
 
 fn is_expired(job: &QueuedJob) -> bool {
-    job.deadline.is_some_and(|d| job.submitted.elapsed() >= d)
+    job.deadline.is_some_and(|d| job.arrival.submitted.elapsed() >= d)
 }
 
 /// Settles a job whose submit-anchored deadline lapsed while queued: it
@@ -1220,7 +1343,8 @@ fn is_expired(job: &QueuedJob) -> bool {
 /// time; it counts under `server.deadline.misses` exactly once (here —
 /// the only prune point).
 fn settle_expired(core: &ServerCore, st: &mut ServerState, tenant: &str, job: &QueuedJob) {
-    let queued_for = job.submitted.elapsed();
+    let now = Instant::now();
+    let queued_for = now - job.arrival.submitted;
     let deadline = job.deadline.unwrap_or_default();
     core.metrics.counter("server.deadline.misses").inc();
     let missed = Err(CoreError::Host(format!(
@@ -1229,11 +1353,8 @@ fn settle_expired(core: &ServerCore, st: &mut ServerState, tenant: &str, job: &Q
         job.id
     )));
     deliver(st, job.id, missed);
-    st.completed += 1;
-    core.metrics
-        .histogram(&format!("server.tenant.{tenant}.latency_ns"))
-        .observe(u64::try_from(queued_for.as_nanos()).unwrap_or(u64::MAX));
-    core.metrics.counter("server.jobs.completed").inc();
+    // It never ran: its `run` and `gather` phases are empty.
+    core.record_completion(st, tenant, job.arrival, [now; 3], RunTimes::default());
     core.done.notify_all();
 }
 
@@ -1247,7 +1368,7 @@ fn dispatch(core: &ServerCore, st: &mut ServerState, mut a: Assignment, device: 
         job_id: a.job.id,
         device,
         queued_us: u64::try_from(
-            a.job.submitted.saturating_duration_since(core.epoch).as_micros(),
+            a.job.arrival.submitted.saturating_duration_since(core.epoch).as_micros(),
         )
         .unwrap_or(u64::MAX),
         start_us: core.now_us(),
@@ -1312,7 +1433,10 @@ fn worker_loop(core: &ServerCore, device: usize) {
             }
             let gather = st.gathers.get_mut(&job.id).expect("in-flight job has a gather");
             match outcome {
-                Ok(part) => gather.parts[a.shard] = Some(part),
+                Ok(part) => {
+                    gather.times.absorb(part.times());
+                    gather.parts[a.shard] = Some(part);
+                }
                 Err(e) => {
                     if gather.err.is_none() {
                         gather.err = Some(e);
@@ -1321,17 +1445,17 @@ fn worker_loop(core: &ServerCore, device: usize) {
             }
             gather.remaining -= 1;
             if gather.remaining == 0 {
-                Some(st.gathers.remove(&job.id).expect("just observed"))
+                Some((st.gathers.remove(&job.id).expect("just observed"), Instant::now()))
             } else {
                 None
             }
         };
-        core.metrics.counter(&format!("server.device.{device}.jobs")).inc();
+        core.device_jobs[device].inc();
         // The device freed up (and possibly a job completed): wake the
         // scheduler.
         core.work.notify_all();
-        if let Some(gather) = finished {
-            finalize(core, &job, gather);
+        if let Some((gather, ran)) = finished {
+            finalize(core, &job, gather, ran);
         }
     }
 }
@@ -1339,7 +1463,8 @@ fn worker_loop(core: &ServerCore, device: usize) {
 /// Merges a completed job's shard outputs (or propagates its first
 /// error), fans the result out to batch followers, applies
 /// reconfiguration penalties and oracle rescues, and installs results.
-fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather) {
+fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather, ran: Instant) {
+    let run = gather.times;
     let base: JobResult = match (gather.err, &job.prepared) {
         (Some(e), _) => Err(e),
         (None, Err(e)) => Err(e.clone()),
@@ -1355,7 +1480,7 @@ fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather) {
     let mut deliveries = Vec::with_capacity(job.followers.len() + 1);
     for f in &job.followers {
         let result = settle(&base, &f.oracle, f.reconfig_penalty);
-        deliveries.push((f.id, f.tenant.clone(), f.submitted, result));
+        deliveries.push((f.id, &f.tenant, f.arrival, result));
     }
     let primary = match base {
         Ok((table, mut stats)) => {
@@ -1370,16 +1495,15 @@ fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather) {
         crate::host::record_tier_metrics(&core.metrics, stats, "server.");
         crate::host::record_scan_metrics(&core.metrics, stats, "server.");
     }
-    deliveries.push((job.id, job.tenant.clone(), job.submitted, primary));
+    deliveries.push((job.id, &job.tenant, job.arrival, primary));
     let mut st = core.lock();
     st.inflight -= 1;
-    for (id, tenant, submitted, result) in deliveries {
+    let delivered = Instant::now();
+    for (id, tenant, arrival, result) in deliveries {
+        // Followers rode the leader's device run: they share its
+        // promotion, completion and run times.
         deliver(&mut st, id, result);
-        st.completed += 1;
-        core.metrics
-            .histogram(&format!("server.tenant.{tenant}.latency_ns"))
-            .observe(u64::try_from(submitted.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        core.metrics.counter("server.jobs.completed").inc();
+        core.record_completion(&mut st, tenant, arrival, [job.promoted, ran, delivered], run);
     }
     drop(st);
     core.done.notify_all();

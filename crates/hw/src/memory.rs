@@ -172,6 +172,14 @@ impl MemorySystem {
         &self.cfg
     }
 
+    /// Reserves backing store for `bytes` more bytes of allocations, so a
+    /// host that knows a batch's footprint pays for one growth instead of
+    /// one per [`MemorySystem::alloc`]. Purely a host-side capacity hint:
+    /// addresses, contents and timing are unaffected.
+    pub fn reserve(&mut self, bytes: usize) {
+        self.data.reserve(bytes);
+    }
+
     /// Allocates `len` bytes of zeroed device memory, 64 B aligned.
     /// Returns the base address.
     pub fn alloc(&mut self, len: usize) -> u64 {
@@ -335,12 +343,6 @@ impl MemorySystem {
     pub fn stats(&self) -> MemStats {
         self.stats
     }
-
-    /// Total allocated device memory in bytes.
-    #[must_use]
-    pub fn allocated_bytes(&self) -> usize {
-        self.data.len()
-    }
 }
 
 #[cfg(test)]
@@ -359,6 +361,15 @@ mod tests {
         assert_eq!(a % 64, 0);
         assert_eq!(b % 64, 0);
         assert_eq!(b, 64);
+    }
+
+    #[test]
+    fn reserve_changes_no_address() {
+        let mut m = mem();
+        m.reserve(4096);
+        assert_eq!(m.alloc(10), 0);
+        assert_eq!(m.alloc(100), 64);
+        assert_eq!(m.host_read(0, 10), vec![0; 10]);
     }
 
     #[test]

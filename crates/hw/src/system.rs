@@ -319,6 +319,12 @@ impl System {
         self.mem.register_port(group)
     }
 
+    /// Reserves device-memory backing store for `bytes` more bytes of
+    /// [`System::alloc_mem`] calls (see [`MemorySystem::reserve`]).
+    pub fn reserve_mem(&mut self, bytes: usize) {
+        self.mem.reserve(bytes);
+    }
+
     /// Allocates device memory.
     pub fn alloc_mem(&mut self, len: usize) -> u64 {
         self.mem.alloc(len)
