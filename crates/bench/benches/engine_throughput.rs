@@ -3,7 +3,7 @@
 //! Measures host wall-clock and simulated flits/sec for the metadata
 //! pipeline under (a) the naive reference engine — the pre-optimization
 //! baseline — and (b) the fast (park/wake) engine at 1/2/4/8 host batch
-//! worker threads (`GENESIS_HOST_THREADS`). When a release build of the
+//! worker threads (`DeviceConfig::with_host_threads`). When a release build of the
 //! `fig13_speedup` binary is present, it is also timed end to end in both
 //! configurations. Each configuration runs three
 //! iterations and reports the median. Results are printed and snapshotted
@@ -13,6 +13,7 @@
 use genesis_core::accel::metadata::MetadataAccel;
 use genesis_core::device::DeviceConfig;
 use genesis_datagen::{DatagenConfig, Dataset};
+use genesis_hw::EngineMode;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -44,12 +45,11 @@ impl Sample {
 }
 
 /// Times one full metadata-accelerator run at the given engine and host
-/// batch-thread count (engine selection rides on `GENESIS_ENGINE`, which
-/// every `System` construction consults).
-fn run_metadata(dataset: &Dataset, engine: &str, threads: usize) -> Sample {
-    std::env::set_var("GENESIS_ENGINE", engine);
-    let accel =
-        MetadataAccel::new(DeviceConfig::small().with_psize(5_000).with_host_threads(threads));
+/// batch-thread count.
+fn run_metadata(dataset: &Dataset, engine: EngineMode, threads: usize) -> Sample {
+    let accel = MetadataAccel::new(
+        DeviceConfig::small().with_psize(5_000).with_engine(engine).with_host_threads(threads),
+    );
     // Median of three: single-shot wall clocks wobble by ~10% on small
     // hosts, and a median is honest about the typical run where a min
     // would report the luckiest.
@@ -63,9 +63,8 @@ fn run_metadata(dataset: &Dataset, engine: &str, threads: usize) -> Sample {
         .collect();
     runs.sort_by_key(|(wall, _)| *wall);
     let (wall, stats) = runs.swap_remove(runs.len() / 2);
-    std::env::remove_var("GENESIS_ENGINE");
     Sample {
-        label: format!("{engine}/{threads}t"),
+        label: format!("{engine:?}/{threads}t").to_lowercase(),
         wall,
         sim_cycles: stats.cycles,
         total_flits: stats.total_flits,
@@ -98,10 +97,10 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
     println!("engine_throughput — metadata pipeline, {host_cores} host core(s)\n");
 
-    let baseline = run_metadata(&dataset, "reference", 1);
+    let baseline = run_metadata(&dataset, EngineMode::Reference, 1);
     let mut samples = vec![baseline];
     for threads in [1usize, 2, 4, 8] {
-        samples.push(run_metadata(&dataset, "fast", threads));
+        samples.push(run_metadata(&dataset, EngineMode::Fast, threads));
     }
     for s in &samples {
         println!(

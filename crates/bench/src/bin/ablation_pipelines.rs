@@ -6,12 +6,12 @@
 //! get more speedup from parallelism due to memory or communication
 //! bottlenecks".
 
-use genesis_bench::{fmt_dur, print_table, scale_config};
+use genesis_bench::{env_device, fmt_dur, print_table, scale_config};
 use genesis_core::accel::metadata::MetadataAccel;
-use genesis_core::device::DeviceConfig;
 use genesis_datagen::Dataset;
 
 fn main() {
+    let base = env_device();
     let mut cfg = scale_config();
     // The sweep re-simulates per point; trim the data set.
     cfg.num_reads = (cfg.num_reads / 2).max(1000);
@@ -24,10 +24,11 @@ fn main() {
     // Small partitions so even 16 pipelines have work to share.
     let psize = (cfg.chrom_len / 8).max(10_000);
 
+    let base = base.with_psize(psize);
     let mut rows = Vec::new();
     let mut base_time = None;
     for pipelines in [1usize, 2, 4, 8, 16] {
-        let device = DeviceConfig::default().with_pipelines(pipelines).with_psize(psize);
+        let device = base.clone().with_pipelines(pipelines);
         let accel = MetadataAccel::new(device.clone());
         let (_, stats) = accel.run(&dataset.reads, &dataset.genome).expect("sim");
         let time = device.cycles_to_time(stats.cycles);

@@ -7,12 +7,12 @@
 //! once) versus without (each read would stream its own reference window
 //! from device memory).
 
-use genesis_bench::{fmt_dur, print_table, scale_config};
+use genesis_bench::{env_device, fmt_dur, print_table, scale_config};
 use genesis_core::accel::metadata::MetadataAccel;
-use genesis_core::device::DeviceConfig;
 use genesis_datagen::Dataset;
 
 fn main() {
+    let device = env_device().with_pipelines(16);
     let cfg = scale_config();
     println!(
         "SPM data-reuse ablation — Metadata Update accelerator\n\
@@ -20,7 +20,6 @@ fn main() {
         cfg.num_reads, cfg.read_len
     );
     let dataset = Dataset::generate(&cfg);
-    let device = DeviceConfig::default().with_pipelines(16);
     let accel = MetadataAccel::new(device.clone());
     let (_, stats) = accel.run(&dataset.reads, &dataset.genome).expect("sim");
 

@@ -15,6 +15,7 @@ use genesis_core::accel::bqsr::accelerated_bqsr_table;
 use genesis_core::accel::markdup::accelerated_mark_duplicates;
 use genesis_core::accel::metadata::accelerated_metadata_update;
 use genesis_core::device::DeviceConfig;
+use genesis_core::env::GenesisEnv;
 use genesis_core::perf::{AccelStats, Breakdown};
 use genesis_datagen::{DatagenConfig, Dataset};
 use genesis_gatk::bqsr::build_covariate_table;
@@ -60,6 +61,17 @@ pub fn scale_config() -> DatagenConfig {
     }
 }
 
+/// The harness's base device: the F1-like defaults plus whatever the
+/// `GENESIS_*` environment asks for. A malformed variable prints the error
+/// and the knob reference, then exits non-zero.
+#[must_use]
+pub fn env_device() -> DeviceConfig {
+    DeviceConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}\n\n{}", GenesisEnv::help());
+        std::process::exit(2);
+    })
+}
+
 /// The paper's device configurations per stage (§V-A: 16×/16×/8×
 /// pipelines). Partition windows are scaled down from the paper's 1 Mbp in
 /// proportion to our scaled-down genome, so the number of partitions stays
@@ -69,11 +81,9 @@ pub fn scale_config() -> DatagenConfig {
 #[must_use]
 pub fn device_for(stage: Stage) -> DeviceConfig {
     match stage {
-        Stage::MarkDuplicates => DeviceConfig::default().with_pipelines(16),
-        Stage::MetadataUpdate => {
-            DeviceConfig::default().with_pipelines(16).with_psize(125_000)
-        }
-        Stage::BqsrTable => DeviceConfig::default().with_pipelines(8).with_psize(125_000),
+        Stage::MarkDuplicates => env_device().with_pipelines(16),
+        Stage::MetadataUpdate => env_device().with_pipelines(16).with_psize(125_000),
+        Stage::BqsrTable => env_device().with_pipelines(8).with_psize(125_000),
     }
 }
 
@@ -130,6 +140,9 @@ impl StageComparison {
 /// Panics on simulation failure (the harness treats that as fatal).
 #[must_use]
 pub fn measure_stages(dataset: &Dataset) -> Vec<StageComparison> {
+    // Before any measurement, so a malformed knob stops the run at once.
+    let [markdup_dev, metadata_dev, bqsr_dev] =
+        [Stage::MarkDuplicates, Stage::MetadataUpdate, Stage::BqsrTable].map(device_for);
     let mut out = Vec::new();
 
     // --- Mark Duplicates ---
@@ -139,8 +152,7 @@ pub fn measure_stages(dataset: &Dataset) -> Vec<StageComparison> {
         mark_duplicates(&mut sw)
     });
     let mut hw = dataset.reads.clone();
-    let md = accelerated_mark_duplicates(&mut hw, &device_for(Stage::MarkDuplicates))
-        .expect("markdup accel");
+    let md = accelerated_mark_duplicates(&mut hw, &markdup_dev).expect("markdup accel");
     assert_eq!(md.report, sw_report, "markdup outputs must agree");
     out.push(StageComparison {
         stage: Stage::MarkDuplicates,
@@ -156,12 +168,8 @@ pub fn measure_stages(dataset: &Dataset) -> Vec<StageComparison> {
         set_nm_md_uq_tags(&mut sw_meta, &dataset.genome).expect("sw metadata")
     });
     let mut hw_meta = sw.clone();
-    let meta = accelerated_metadata_update(
-        &mut hw_meta,
-        &dataset.genome,
-        &device_for(Stage::MetadataUpdate),
-    )
-    .expect("metadata accel");
+    let meta = accelerated_metadata_update(&mut hw_meta, &dataset.genome, &metadata_dev)
+        .expect("metadata accel");
     out.push(StageComparison {
         stage: Stage::MetadataUpdate,
         baseline: base_meta,
@@ -183,7 +191,7 @@ pub fn measure_stages(dataset: &Dataset) -> Vec<StageComparison> {
         &dataset.genome,
         dataset.config.read_groups,
         dataset.config.read_len,
-        &device_for(Stage::BqsrTable),
+        &bqsr_dev,
     )
     .expect("bqsr accel");
     assert_eq!(bq.table, sw_table, "covariate tables must agree");

@@ -16,7 +16,6 @@ pub mod example;
 pub mod frontend;
 pub mod markdup;
 pub mod metadata;
-pub mod pipeline;
 
 /// Simulation cycle budget per batch — far above any legitimate run; the
 /// deadlock detector fires first on wiring bugs.
@@ -101,6 +100,7 @@ where
             if let Some(t) = cfg.tiers.as_ref() {
                 sys.set_tiers(t.to_params(cfg.clock_hz))?;
             }
+            sys.set_engine(cfg.engine);
             let run = sys.run(CYCLE_BUDGET)?;
             let report = sys.stall_report();
             let totals = report.totals();
@@ -212,7 +212,7 @@ where
         }
         Err(CoreError::Host(format!(
             "batch {chunk_idx} failed after {} attempt(s): {last_err}",
-            plane.max_retries + 1
+            u64::from(plane.max_retries) + 1
         )))
     };
     let threads = effective_workers(cfg.resolved_host_threads(), chunks.len());

@@ -1,7 +1,7 @@
 //! The modeled accelerator device: clock, replication, DMA link.
 
 use crate::fault::FaultConfig;
-use genesis_hw::MemoryConfig;
+use genesis_hw::{EngineMode, MemoryConfig};
 use genesis_obs::TraceConfig;
 use std::time::Duration;
 
@@ -139,27 +139,26 @@ pub struct DeviceConfig {
     pub mem: MemoryConfig,
     /// Partition window size in base pairs (paper: ~1 Mbp).
     pub psize: u32,
+    /// Simulation engine every batch system runs on: the fast (park/wake)
+    /// engine by default, the naive reference engine as the differential
+    /// oracle. The two are bit-identical.
+    pub engine: EngineMode,
     /// Host worker threads simulating independent batches concurrently
-    /// (`0` = auto-detect, one per available host core). The
-    /// `GENESIS_HOST_THREADS` environment variable overrides this at run
-    /// time; see [`DeviceConfig::resolved_host_threads`].
+    /// (`0` = auto-detect, one per available host core); see
+    /// [`DeviceConfig::resolved_host_threads`].
     pub host_threads: usize,
     /// Opt-in engine tracing for every batch system the accelerators
-    /// spawn. Defaults from the `GENESIS_TRACE` environment variable
-    /// (unset/empty/`0`/`off` = disabled; anything else = the Chrome-trace
-    /// output path). When enabled with a path, each accelerator run writes
-    /// the merged Chrome trace there plus a `<path>.stalls.txt` flame
-    /// table (a later run overwrites an earlier one).
+    /// spawn (off by default). When enabled with a path, each accelerator
+    /// run writes the merged Chrome trace there plus a
+    /// `<path>.stalls.txt` flame table (a later run overwrites an earlier
+    /// one).
     pub trace: TraceConfig,
-    /// Fault injection and recovery policy. Defaults from the
-    /// `GENESIS_FAULTS` environment variable (unset/empty/`0`/`off` = the
-    /// inert default: no injection, no retries, no fallback).
+    /// Fault injection and recovery policy. The default is inert: no
+    /// injection, no retries, no fallback.
     pub faults: FaultConfig,
     /// Tiered-memory model: `None` (the default) keeps every scratchpad
     /// fully on chip; `Some` bounds on-chip SPM and spills page-granularly
-    /// to device DRAM and the host over the modeled PCIe link. Defaults
-    /// from the `GENESIS_TIERS` environment variable via
-    /// [`DeviceConfig::from_env`].
+    /// to device DRAM and the host over the modeled PCIe link.
     pub tiers: Option<TierConfig>,
     /// Predicate pushdown into the scan: absorb supported `WHERE`
     /// conjuncts over a scan directly into `PreparedScan` so only
@@ -171,7 +170,8 @@ pub struct DeviceConfig {
 }
 
 impl Default for DeviceConfig {
-    /// F1-like defaults at the paper's configuration.
+    /// F1-like defaults at the paper's configuration — a pure value; the
+    /// environment enters only through [`DeviceConfig::from_env`].
     fn default() -> DeviceConfig {
         DeviceConfig {
             clock_hz: 250.0e6,
@@ -179,9 +179,10 @@ impl Default for DeviceConfig {
             dma: DmaModel::pcie3(),
             mem: MemoryConfig::default(),
             psize: 1_000_000,
+            engine: EngineMode::default(),
             host_threads: 0,
-            trace: TraceConfig::from_env(),
-            faults: FaultConfig::from_env(),
+            trace: TraceConfig::off(),
+            faults: FaultConfig::default(),
             tiers: None,
             pushdown: true,
         }
@@ -189,11 +190,10 @@ impl Default for DeviceConfig {
 }
 
 impl DeviceConfig {
-    /// F1-like defaults with trace, fault, and host-thread settings taken
-    /// from the validated `GENESIS_*` environment
-    /// ([`crate::env::GenesisEnv`]). Unlike [`DeviceConfig::default`]
-    /// (which panics on a malformed `GENESIS_FAULTS`), a bad variable
-    /// surfaces as a structured error naming the knob.
+    /// F1-like defaults with the engine, trace, fault, host-thread and
+    /// tier settings of the validated `GENESIS_*` environment
+    /// ([`crate::env::GenesisEnv`]). The environment is read once, here;
+    /// whatever `with_*` call follows wins.
     ///
     /// # Errors
     ///
@@ -235,6 +235,13 @@ impl DeviceConfig {
         self
     }
 
+    /// Selects the simulation engine.
+    #[must_use]
+    pub fn with_engine(mut self, engine: EngineMode) -> DeviceConfig {
+        self.engine = engine;
+        self
+    }
+
     /// Sets the host worker-thread count (`0` = auto-detect).
     #[must_use]
     pub fn with_host_threads(mut self, n: usize) -> DeviceConfig {
@@ -242,24 +249,21 @@ impl DeviceConfig {
         self
     }
 
-    /// Sets the tracing configuration (overriding the `GENESIS_TRACE`
-    /// default).
+    /// Sets the tracing configuration.
     #[must_use]
     pub fn with_trace(mut self, trace: TraceConfig) -> DeviceConfig {
         self.trace = trace;
         self
     }
 
-    /// Sets the fault injection and recovery policy (overriding the
-    /// `GENESIS_FAULTS` default).
+    /// Sets the fault injection and recovery policy.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultConfig) -> DeviceConfig {
         self.faults = faults;
         self
     }
 
-    /// Enables the tiered-memory model (overriding the `GENESIS_TIERS`
-    /// default of no tiering).
+    /// Enables the tiered-memory model.
     #[must_use]
     pub fn with_tiers(mut self, tiers: TierConfig) -> DeviceConfig {
         self.tiers = Some(tiers);
@@ -274,19 +278,10 @@ impl DeviceConfig {
         self
     }
 
-    /// Effective host worker-thread count: the `GENESIS_HOST_THREADS`
-    /// environment variable when set to a positive integer, otherwise
-    /// [`DeviceConfig::host_threads`] when non-zero, otherwise the number
-    /// of available host cores.
+    /// Effective host worker-thread count: [`DeviceConfig::host_threads`]
+    /// when non-zero, otherwise the number of available host cores.
     #[must_use]
     pub fn resolved_host_threads(&self) -> usize {
-        if let Some(n) = std::env::var("GENESIS_HOST_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            return n;
-        }
         if self.host_threads > 0 {
             return self.host_threads;
         }

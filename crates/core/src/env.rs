@@ -3,13 +3,14 @@
 //! Seven environment variables tune a Genesis process without code changes:
 //! `GENESIS_ENGINE`, `GENESIS_TRACE`, `GENESIS_FAULTS`,
 //! `GENESIS_HOST_THREADS`, `GENESIS_DEVICES`, `GENESIS_SHARDS` and
-//! `GENESIS_TIERS`.
-//! Historically each was
-//! parsed ad hoc at its point of use — with different lenience (a typo'd
-//! engine name silently fell back to the default, a typo'd fault spec
-//! panicked). This module parses and validates all of them in one place:
-//! [`GenesisEnv::load`] returns either a fully validated snapshot or a
-//! single [`EnvError`] naming the offending variable, and
+//! `GENESIS_TIERS`. [`GenesisEnv::load`] is the one place the library
+//! reads them: it returns either a fully validated snapshot or a single
+//! [`EnvError`] naming the offending variable, and every other
+//! constructor ([`DeviceConfig::default`], `ServerConfig::default`,
+//! `System::with_memory`) is a pure function of its arguments. An entry
+//! point opts in with [`DeviceConfig::from_env`] /
+//! [`crate::serve::ServerConfig::from_env`]; the environment is read
+//! once there, and whatever the code sets afterwards wins.
 //! [`GenesisEnv::help`] produces the knob reference for CLI `--help`
 //! output. The [`suggest`] helper powers the did-you-mean hints attached
 //! to typo'd knob values here, to unknown `GENESIS_FAULTS` keys, and to
@@ -88,8 +89,7 @@ fn edit_distance(a: &str, b: &str) -> usize {
 pub struct GenesisEnv {
     /// Simulation engine selection (`GENESIS_ENGINE`): the fast
     /// (park/wake) engine by default, the naive reference engine for
-    /// differential debugging. Validated here; `genesis_hw::System` reads
-    /// the same variable through the same [`EngineMode::from_name`].
+    /// differential debugging.
     pub engine: EngineMode,
     /// Tracing knob (`GENESIS_TRACE`): off, or Chrome-trace export path.
     pub trace: TraceConfig,
@@ -145,11 +145,12 @@ impl GenesisEnv {
         })
     }
 
-    /// A [`DeviceConfig`] with this environment's trace, fault, and
-    /// host-thread settings over the F1-like defaults.
+    /// A [`DeviceConfig`] with this environment's engine, trace, fault,
+    /// host-thread and tier settings over the F1-like defaults.
     #[must_use]
     pub fn device_config(&self) -> DeviceConfig {
         DeviceConfig {
+            engine: self.engine,
             trace: self.trace.clone(),
             faults: self.faults.clone(),
             host_threads: self.host_threads.unwrap_or(0),
@@ -254,7 +255,7 @@ fn parse_size(t: &str) -> Option<u64> {
         (lower.strip_suffix('b').unwrap_or(&lower), 0)
     };
     let n: u64 = digits.trim().parse().ok()?;
-    n.checked_shl(shift)
+    n.checked_mul(1 << shift)
 }
 
 /// Parses a `<bandwidth>/s:<latency>` link spec (`8GiB/s:800ns`) into
@@ -398,11 +399,22 @@ mod tests {
         .unwrap();
         assert_eq!(env.engine, EngineMode::Reference);
         assert!(env.trace.enabled);
+        assert_eq!(env.trace.path.as_deref(), Some(std::path::Path::new("/tmp/trace.json")));
         assert_eq!(env.faults.seed, 9);
         assert_eq!(env.host_threads, Some(3));
         assert_eq!(env.devices, Some(4));
         assert_eq!(env.shards, Some(8));
-        assert_eq!(env.device_config().host_threads, 3);
+        let cfg = env.device_config();
+        assert_eq!(cfg.host_threads, 3);
+        assert_eq!(cfg.engine, EngineMode::Reference);
+    }
+
+    #[test]
+    fn trace_off_values_disable() {
+        for off in ["", "0", "off", " OFF "] {
+            let env = GenesisEnv::from_lookup(env_of(&[("GENESIS_TRACE", off)])).unwrap();
+            assert_eq!(env.trace, TraceConfig::off(), "GENESIS_TRACE={off:?}");
+        }
     }
 
     #[test]
@@ -511,6 +523,47 @@ mod tests {
         let err = GenesisEnv::from_lookup(env_of(&[("GENESIS_TIERS", "pcie=8GiB/s")]))
             .unwrap_err();
         assert!(err.reason.contains("800ns"), "got: {}", err.reason);
+    }
+
+    #[test]
+    fn size_overflow_is_an_error_not_a_wrap() {
+        // 2^34 GiB = 2^64 bytes: one past u64. A shift would wrap it to 0.
+        for (spec, hint) in [
+            ("spm=17179869184GiB", "expected a size like `4MiB`"),
+            ("dram=17179869184GiB", "expected a size like `4MiB`"),
+            ("host=17179869184GiB", "expected a size like `4MiB`"),
+            ("page=18014398509481984KiB", "expected a size like `4MiB`"),
+            ("pcie=17179869184GiB/s:800ns", "like `8GiB/s:800ns`"),
+            ("ddr=17592186044416MiB/s:400ns", "like `8GiB/s:800ns`"),
+        ] {
+            let err = GenesisEnv::from_lookup(env_of(&[("GENESIS_TIERS", spec)])).unwrap_err();
+            assert_eq!(err.var, "GENESIS_TIERS", "{spec}");
+            assert!(err.reason.contains(hint), "{spec}: {}", err.reason);
+        }
+        // The largest size that fits still parses exactly.
+        let env =
+            GenesisEnv::from_lookup(env_of(&[("GENESIS_TIERS", "spm=17179869183GiB")])).unwrap();
+        assert_eq!(env.tiers.unwrap().spm_bytes, 17_179_869_183 << 30);
+    }
+
+    #[test]
+    fn out_of_range_fault_durations_are_errors_not_panics() {
+        let faults = |spec| GenesisEnv::from_lookup(env_of(&[("GENESIS_FAULTS", spec)]));
+        // The first is too large for `Duration`; the other two fit, but
+        // their implied cap (100 x base) does not.
+        for spec in [
+            "watchdog=1000000000000000000000000000000s",
+            "backoff=1000000000000000000s",
+            "backoff=300000000000000000m",
+        ] {
+            let err = faults(spec).unwrap_err();
+            assert_eq!(err.var, "GENESIS_FAULTS", "{spec}");
+            assert!(err.reason.contains("out of range"), "{spec}: {}", err.reason);
+        }
+        // An explicit cap needs no multiply, and the largest retry budget
+        // parses (`run_batches` counts attempts in u64).
+        assert!(faults("backoff=1000000000000000000s:1s").is_ok());
+        assert_eq!(faults("retries=4294967295").unwrap().faults.max_retries, u32::MAX);
     }
 
     #[test]

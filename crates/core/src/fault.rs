@@ -14,9 +14,9 @@
 //! oracle) lives in `accel::run_batches`; the watchdog timeout lives in
 //! [`crate::host::GenesisHost::wait_genesis_for`].
 //!
-//! Configure via [`DeviceConfig::faults`](crate::DeviceConfig) in code or
-//! the `GENESIS_FAULTS` environment variable, e.g.
-//! `GENESIS_FAULTS=dma=0.1,device=0.05,mem=0.01:400,seed=7`.
+//! Configure via [`DeviceConfig::faults`](crate::DeviceConfig), in code or
+//! from a spec such as `dma=0.1,device=0.05,mem=0.01:400,seed=7`
+//! ([`FaultConfig::from_spec`], which is what `GENESIS_FAULTS` holds).
 
 use genesis_hw::memory::{mix64, LatencyFaults};
 use genesis_hw::MemoryConfig;
@@ -91,23 +91,6 @@ impl FaultConfig {
         }
     }
 
-    /// Reads `GENESIS_FAULTS` from the environment; unset, empty, `0`, or
-    /// `off` means the inert default.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set but malformed — a misconfigured
-    /// fault experiment should fail loudly at startup, not silently run
-    /// fault-free.
-    #[must_use]
-    pub fn from_env() -> FaultConfig {
-        match std::env::var("GENESIS_FAULTS") {
-            Ok(spec) => FaultConfig::from_spec(&spec)
-                .unwrap_or_else(|e| panic!("invalid GENESIS_FAULTS: {e}")),
-            Err(_) => FaultConfig::default(),
-        }
-    }
-
     /// Parses a fault spec: comma-separated `key=value` entries over the
     /// [`FaultConfig::recovering`] baseline.
     ///
@@ -148,7 +131,8 @@ impl FaultConfig {
                             p,
                             extra
                                 .trim()
-                                .parse::<u64>()
+                                .parse::<u32>()
+                                .map(u64::from)
                                 .map_err(|_| format!("`{extra}`: expected spike cycles"))?,
                         ),
                         None => (value, 400),
@@ -171,7 +155,9 @@ impl FaultConfig {
                     }
                     None => {
                         cfg.backoff_base = parse_duration(value)?;
-                        cfg.backoff_cap = cfg.backoff_base * 100;
+                        cfg.backoff_cap = cfg.backoff_base.checked_mul(100).ok_or_else(|| {
+                            format!("`{value}`: implied cap (100 x base) out of range")
+                        })?;
                     }
                 },
                 "fallback" => cfg.fallback = parse_switch(value)?,
@@ -316,7 +302,7 @@ fn parse_duration(s: &str) -> Result<Duration, String> {
         "m" | "min" => v * 60.0,
         other => return Err(format!("`{other}`: unknown duration unit (ns/us/ms/s/m)")),
     };
-    Ok(Duration::from_secs_f64(secs))
+    Duration::try_from_secs_f64(secs).map_err(|_| format!("`{s}`: duration out of range"))
 }
 
 /// Counts of injected faults and recovery actions during a run.
@@ -434,6 +420,7 @@ mod tests {
         assert!(err.contains("did you mean `dma`"), "got: {err}");
         assert!(FaultConfig::from_spec("dma").is_err());
         assert!(FaultConfig::from_spec("backoff=1parsec").is_err());
+        assert!(FaultConfig::from_spec("mem=0.5:18446744073709551615").is_err());
         // Rates-only spec inherits the recovery defaults.
         let cfg = FaultConfig::from_spec("dma=0.5").unwrap();
         assert_eq!(cfg.max_retries, 3);

@@ -196,9 +196,10 @@ impl ServerConfig {
 
     /// Defaults from the validated `GENESIS_*` environment:
     /// `GENESIS_DEVICES` sizes the pool, `GENESIS_SHARDS` sets the
-    /// scatter-gather shard count, and each device takes the
-    /// trace / fault / host-thread settings of
-    /// [`crate::env::GenesisEnv::device_config`].
+    /// scatter-gather shard count, and each device is
+    /// [`crate::env::GenesisEnv::device_config`] (engine, trace, faults,
+    /// host threads, tiers). The environment is read once, here;
+    /// whatever `with_*` call follows wins.
     ///
     /// # Errors
     ///

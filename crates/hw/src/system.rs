@@ -185,20 +185,10 @@ impl System {
         System::with_memory(MemoryConfig::default())
     }
 
-    /// Creates a system with an explicit memory configuration.
-    ///
-    /// The engine defaults to [`EngineMode::Fast`]; the environment
-    /// variable `GENESIS_ENGINE` (`fast` or `reference`, parsed by
-    /// [`EngineMode::from_name`]) selects the other engine without code
-    /// changes (handy for differential debugging). An unrecognised value
-    /// keeps the default here; `GenesisEnv::load` in `genesis-core`
-    /// rejects it with a structured error.
+    /// Creates a system with an explicit memory configuration, on the
+    /// default engine ([`EngineMode::Fast`]; see [`System::set_engine`]).
     #[must_use]
     pub fn with_memory(cfg: MemoryConfig) -> System {
-        let engine = std::env::var("GENESIS_ENGINE")
-            .ok()
-            .and_then(|v| EngineMode::from_name(v.trim()))
-            .unwrap_or_default();
         System {
             queues: QueuePool::new(),
             spms: SpmPool::new(),
@@ -206,7 +196,7 @@ impl System {
             modules: Vec::new(),
             cycle: 0,
             pipeline_count: 1,
-            engine,
+            engine: EngineMode::default(),
             stall: Vec::new(),
             trace: None,
         }

@@ -15,7 +15,7 @@
 //! * [`stall`] — stall attribution: per-module cycle counters splitting
 //!   time into active / input-starved / output-backpressured / memory-wait,
 //!   rolled up into a [`StallReport`] with a top-N "flame table" renderer.
-//! * [`trace`] — [`TraceConfig`] (opt-in knobs, `GENESIS_TRACE` env) and
+//! * [`trace`] — [`TraceConfig`] (opt-in knobs) and
 //!   [`TraceBuffer`], the per-`System` recording target: module span tracks
 //!   plus queue-depth counter tracks.
 //! * [`chrome`] — Chrome trace-event JSON export (`chrome://tracing` /

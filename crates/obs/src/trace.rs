@@ -66,24 +66,6 @@ impl TraceConfig {
     pub fn to_path(path: impl Into<PathBuf>) -> TraceConfig {
         TraceConfig { enabled: true, path: Some(path.into()), ..TraceConfig::off() }
     }
-
-    /// Reads `GENESIS_TRACE` from the environment: unset, empty, `0`, or
-    /// `off` means disabled; any other value enables tracing and is used as
-    /// the Chrome-trace output path.
-    #[must_use]
-    pub fn from_env() -> TraceConfig {
-        match std::env::var("GENESIS_TRACE") {
-            Ok(v) => {
-                let t = v.trim();
-                if t.is_empty() || t == "0" || t.eq_ignore_ascii_case("off") {
-                    TraceConfig::off()
-                } else {
-                    TraceConfig::to_path(t)
-                }
-            }
-            Err(_) => TraceConfig::off(),
-        }
-    }
 }
 
 /// The recording target one simulated system fills during a run: a span
@@ -197,19 +179,6 @@ impl TraceBuffer {
 mod tests {
     use super::*;
     use crate::json::Json;
-
-    #[test]
-    fn env_parsing() {
-        std::env::remove_var("GENESIS_TRACE");
-        assert!(!TraceConfig::from_env().enabled);
-        std::env::set_var("GENESIS_TRACE", "off");
-        assert!(!TraceConfig::from_env().enabled);
-        std::env::set_var("GENESIS_TRACE", "/tmp/t.json");
-        let cfg = TraceConfig::from_env();
-        assert!(cfg.enabled);
-        assert_eq!(cfg.path.as_deref(), Some(std::path::Path::new("/tmp/t.json")));
-        std::env::remove_var("GENESIS_TRACE");
-    }
 
     #[test]
     fn buffer_to_chrome() {

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Covariate-table construction on the simulated accelerator.
-    let device = DeviceConfig::default().with_pipelines(8).with_psize(250_000);
+    let device = DeviceConfig::from_env()?.with_pipelines(8).with_psize(250_000);
     let result = accelerated_bqsr_table(
         &dataset.reads,
         &dataset.genome,

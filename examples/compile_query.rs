@@ -58,7 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // 1. Compile: node → module graph, replication from the cost model.
-    let compiler = Compiler::new(DeviceConfig::default());
+    let device = DeviceConfig::from_env()?;
+    let compiler = Compiler::new(device.clone());
     let compiled = compiler.compile(&plan, &catalog)?;
     println!("--- compiled pipeline ---");
     println!("{}", compiled.explain());
@@ -79,8 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. The same plan through the serving layer: device worker thread,
     //    deadline, software oracle as the graceful-degradation path.
-    let server =
-        GenesisServer::new(ServerConfig::default().with_devices(1, DeviceConfig::default()));
+    let server = GenesisServer::new(ServerConfig::default().with_devices(1, device));
     // The oracle must be `Send` (it runs on the worker thread), so it
     // captures a pre-computed software result, not the catalog.
     let oracle_result = sw.clone();

@@ -21,10 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let host = GenesisHost::new();
     host.configure_mem(0, "READS", vec![0], 1); // inputs are staged by name
     let ds = Arc::clone(&dataset);
+    let device = DeviceConfig::from_env()?.with_psize(250_000);
     host.run_genesis(
         0,
         Box::new(move |_inputs| {
-            let accel = CoverageAccel::new(DeviceConfig::default().with_psize(250_000));
+            let accel = CoverageAccel::new(device);
             let run: CoverageRun = accel
                 .run(&ds.reads, &ds.genome)
                 .map_err(|e| genesis::core::CoreError::Host(e.to_string()))?;

@@ -6,7 +6,10 @@
 //!
 //! Run with: `cargo run --release --example fault_tolerance`
 //!
-//! The same schedule can be applied to any run via the environment:
+//! The schedule is pinned in code and the ground truth is a plain
+//! `DeviceConfig::small()`, so an exported `GENESIS_FAULTS` reaches
+//! neither. An entry point that starts from `DeviceConfig::from_env()`
+//! takes the same schedule from the environment:
 //! `GENESIS_FAULTS="dma=0.15,device=0.05,mem=0.002:200,seed=7" \
 //!  cargo run --release --example metadata_update`
 

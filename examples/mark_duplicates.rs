@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Accelerated stage: quality sums in hardware, resolution on the host.
     let mut hw_reads = dataset.reads.clone();
-    let result = accelerated_mark_duplicates(&mut hw_reads, &DeviceConfig::default())?;
+    let result = accelerated_mark_duplicates(&mut hw_reads, &DeviceConfig::from_env()?)?;
     println!("accelerated: {:?}", result.report);
     println!("  breakdown : {}", result.breakdown);
     println!(

@@ -25,11 +25,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Accelerated stage (Figure 11 pipeline per partition).
     let mut hw = dataset.reads.clone();
-    let device = DeviceConfig::default().with_pipelines(16).with_psize(250_000);
+    let device = DeviceConfig::from_env()?.with_pipelines(16).with_psize(250_000);
     let result = accelerated_metadata_update(&mut hw, &dataset.genome, &device)?;
     println!("accelerated : updated {} reads", result.updated);
     println!("  cycles    : {}", result.stats.cycles);
     println!("  breakdown : {}", result.breakdown);
+    if !result.stats.faults.is_empty() {
+        println!("  faults    : {}", result.stats.faults);
+    }
 
     // Every tag must be identical.
     let mut checked = 0;

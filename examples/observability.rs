@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --release --example observability`
 //!
-//! Tracing can also be enabled on any example or binary without code
-//! changes: `GENESIS_TRACE=trace.json cargo run --release --example
+//! This example pins its trace path in code. An entry point that starts
+//! from `DeviceConfig::from_env()` is traced without code changes:
+//! `GENESIS_TRACE=trace.json cargo run --release --example
 //! metadata_update`, then load `trace.json` at <https://ui.perfetto.dev>.
 
 use genesis::core::accel::metadata::accelerated_metadata_update;

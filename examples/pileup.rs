@@ -100,11 +100,12 @@ fn run(
     name: &str,
     script: &str,
     cat: &Catalog,
+    compiler: &Compiler,
     out: &str,
     preview: usize,
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("--- {name} ---\n{script}\n");
-    let compiled = Compiler::new(DeviceConfig::default()).compile_sql(script, cat)?;
+    let compiled = compiler.compile_sql(script, cat)?;
     println!("{}", compiled.explain());
     let (hw, stats) = compiled.execute(cat)?;
 
@@ -130,7 +131,8 @@ fn run(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cat = catalog(256);
-    run("per-position coverage (pileup depth)", COVERAGE_SQL, &cat, "Coverage", 8)?;
-    run("mate-distance histogram", MATE_DISTANCE_SQL, &cat, "MateHist", 16)?;
+    let compiler = Compiler::new(DeviceConfig::from_env()?);
+    run("per-position coverage (pileup depth)", COVERAGE_SQL, &cat, &compiler, "Coverage", 8)?;
+    run("mate-distance histogram", MATE_DISTANCE_SQL, &cat, &compiler, "MateHist", 16)?;
     Ok(())
 }

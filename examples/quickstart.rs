@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // 5. Run the simulated accelerator and verify against software.
-    let device = DeviceConfig::default().with_pipelines(8).with_psize(250_000);
+    let device = DeviceConfig::from_env()?.with_pipelines(8).with_psize(250_000);
     let accel = CountMatchingBases::new(device.clone());
     let run = accel.run(&dataset.reads, &dataset.genome)?;
     let oracle = count_matching_bases_sw(&dataset.reads, &dataset.genome);

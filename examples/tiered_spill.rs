@@ -3,8 +3,9 @@
 //!
 //! Historically the compiler rejected GROUP BY domains beyond 65,536
 //! keys: the histogram scratchpads had to fit the modeled on-chip SPM.
-//! With tiered memory (`GENESIS_TIERS`, or `DeviceConfig::with_tiers`)
-//! oversized scratchpads page against device DRAM and host DRAM behind a
+//! With tiered memory (`DeviceConfig::with_tiers`, pinned in code here;
+//! `GENESIS_TIERS` on an entry point that starts from
+//! `DeviceConfig::from_env()`) oversized scratchpads page against device DRAM and host DRAM behind a
 //! PCIe link model instead, so the same pipeline runs a 2^20-group
 //! aggregate whose two ~8 MiB histograms are 8× the 1 MiB modeled SPM —
 //! bit-identical to the software engine, with the added latency

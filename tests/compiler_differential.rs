@@ -12,32 +12,16 @@
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::core::CoreError;
+use genesis::hw::EngineMode;
 use genesis::sql::ast::{AggFn, BinOp, ColRef, Expr, JoinKind, SelectItem};
 use genesis::sql::exec::{execute_plan, Env};
 use genesis::sql::{Catalog, LogicalPlan};
 use genesis::types::{Column, DataType, Field, Schema, Table};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Serializes engine-selection environment access (`System::with_memory`
-/// reads `GENESIS_ENGINE` at construction).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Both simulation engines.
-const MATRIX: [&str; 2] = ["fast", "reference"];
-
-/// Runs `f` with the engine selection exported. Caller holds [`env_lock`].
-fn with_engine<T>(engine: &str, f: impl FnOnce() -> T) -> T {
-    std::env::set_var("GENESIS_ENGINE", engine);
-    let out = f();
-    std::env::remove_var("GENESIS_ENGINE");
-    out
-}
+const MATRIX: [EngineMode; 2] = [EngineMode::Fast, EngineMode::Reference];
 
 fn table_u32(cols: &[(&str, Vec<u32>)]) -> Table {
     let schema = Schema::new(cols.iter().map(|(n, _)| Field::new(n, DataType::U32)).collect());
@@ -83,25 +67,21 @@ fn differential(plan: &LogicalPlan, catalog: &Catalog, factor: usize) -> Result<
 /// [`differential`] swept over the full engine matrix, with the plan
 /// additionally compiled under pushdown-off so the absorbed-at-the-scan
 /// and Filter-module paths are pinned against each other bit for bit.
-/// Takes the env lock internally.
 fn differential_engines(
     plan: &LogicalPlan,
     catalog: &Catalog,
     factor: usize,
 ) -> Result<(), TestCaseError> {
-    let _guard = env_lock();
-    let compiled = Compiler::new(DeviceConfig::small())
-        .compile(plan, catalog)
-        .map_err(|e| TestCaseError::fail(format!("compile failed: {e}")))?;
-    let unpushed = Compiler::new(DeviceConfig::small().with_pushdown(false))
-        .compile(plan, catalog)
-        .map_err(|e| TestCaseError::fail(format!("pushdown-off compile failed: {e}")))?;
     let sw = execute_plan(plan, catalog, &Env::default())
         .map_err(|e| TestCaseError::fail(format!("software run failed: {e}")))?;
     for engine in MATRIX {
-        for (label, c) in [("pushdown", &compiled), ("no-pushdown", &unpushed)] {
-            let what = format!("{engine}/{label} @{factor}x");
-            let (hw, _) = with_engine(engine, || c.execute_replicated(catalog, factor))
+        for (label, pushdown) in [("pushdown", true), ("no-pushdown", false)] {
+            let what = format!("{engine:?}/{label} @{factor}x");
+            let cfg = DeviceConfig::small().with_engine(engine).with_pushdown(pushdown);
+            let (hw, _) = Compiler::new(cfg)
+                .compile(plan, catalog)
+                .map_err(|e| TestCaseError::fail(format!("{what}: compile failed: {e}")))?
+                .execute_replicated(catalog, factor)
                 .map_err(|e| TestCaseError::fail(format!("{what}: hardware run failed: {e}")))?;
             assert_tables(&hw, &sw, &what)?;
         }

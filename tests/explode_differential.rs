@@ -8,30 +8,14 @@
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::core::CoreError;
+use genesis::hw::EngineMode;
 use genesis::sql::{Catalog, Script};
 use genesis::types::{Column, DataType, Field, Schema, Table};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Serializes engine-selection environment access (`System::with_memory`
-/// reads `GENESIS_ENGINE` at construction).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Both simulation engines.
-const MATRIX: [&str; 2] = ["fast", "reference"];
-
-/// Runs `f` with the engine selection exported. Caller holds [`env_lock`].
-fn with_engine<T>(engine: &str, f: impl FnOnce() -> T) -> T {
-    std::env::set_var("GENESIS_ENGINE", engine);
-    let out = f();
-    std::env::remove_var("GENESIS_ENGINE");
-    out
-}
+const MATRIX: [EngineMode; 2] = [EngineMode::Fast, EngineMode::Reference];
 
 const COVERAGE_SQL: &str = "\
     CREATE TABLE Bases AS\n\
@@ -214,19 +198,14 @@ fn assert_tables_equal(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCas
     Ok(())
 }
 
-/// Compiles `script` once, runs the software oracle, then sweeps the full
-/// engine matrix comparing the hardware output table bit-for-bit.
-///
-/// The caller must hold [`env_lock`].
+/// Runs the software oracle, then compiles and runs `script` for each
+/// engine of the matrix, comparing the hardware output table bit-for-bit.
 fn differential(
     script: &str,
     catalog: &Catalog,
     out: &str,
     factor: usize,
 ) -> Result<(), TestCaseError> {
-    let compiled = Compiler::new(DeviceConfig::small())
-        .compile_sql(script, catalog)
-        .map_err(|e| TestCaseError::fail(format!("compile failed: {e}")))?;
     let sw = {
         let mut cat = catalog.clone_tables();
         Script::parse(script)
@@ -238,8 +217,11 @@ fn differential(
             .clone()
     };
     for engine in MATRIX {
-        let what = format!("{engine} @{factor}x");
-        let (hw, _) = with_engine(engine, || compiled.execute_replicated(catalog, factor))
+        let what = format!("{engine:?} @{factor}x");
+        let (hw, _) = Compiler::new(DeviceConfig::small().with_engine(engine))
+            .compile_sql(script, catalog)
+            .map_err(|e| TestCaseError::fail(format!("{what}: compile failed: {e}")))?
+            .execute_replicated(catalog, factor)
             .map_err(|e| TestCaseError::fail(format!("{what}: hardware run failed: {e}")))?;
         assert_tables_equal(&hw, &sw, &what)?;
     }
@@ -257,7 +239,6 @@ proptest! {
         specs in proptest::collection::vec(read_spec(), 0..10),
         factor in 1usize..3,
     ) {
-        let _guard = env_lock();
         let catalog = reads_catalog(&specs);
         differential(COVERAGE_SQL, &catalog, "Coverage", factor)?;
     }
@@ -275,7 +256,6 @@ proptest! {
         deltas in proptest::collection::vec(-2i64..6, 1..8),
         factor in 1usize..3,
     ) {
-        let _guard = env_lock();
         let mut pos: Vec<u32> =
             mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(i, _)| i as u32).collect();
         if pos.is_empty() {
@@ -335,7 +315,6 @@ proptest! {
         offsets in proptest::collection::vec(0u32..9, 1..8),
         factor in 1usize..3,
     ) {
-        let _guard = env_lock();
         let catalog = pairs_catalog(&mask, &offsets);
         differential(POS_EXPLODE_JOIN_SQL, &catalog, "Joined", factor)?;
     }
@@ -346,7 +325,6 @@ proptest! {
 /// grouped aggregate to an empty result on every engine.
 #[test]
 fn empty_reads_table_explodes_to_empty_coverage() {
-    let _guard = env_lock();
     let catalog = reads_catalog(&[]);
     differential(COVERAGE_SQL, &catalog, "Coverage", 2).unwrap();
 }

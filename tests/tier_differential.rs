@@ -25,30 +25,10 @@ use genesis::sql::{Catalog, LogicalPlan};
 use genesis::types::{Column, DataType, Field, Schema, Table};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Serializes every test that reads or writes the engine-selection
-/// environment (`System::with_memory` consults `GENESIS_ENGINE` at
-/// construction, and the test harness runs test functions concurrently in
-/// one process).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The engine matrix the suite sweeps.
-const MATRIX: [&str; 2] = ["fast", "reference"];
-
-/// Runs `f` with the engine selection exported to the environment. The
-/// caller must hold [`env_lock`].
-fn with_engine<T>(engine: &str, f: impl FnOnce() -> T) -> T {
-    std::env::set_var("GENESIS_ENGINE", engine);
-    let out = f();
-    std::env::remove_var("GENESIS_ENGINE");
-    out
-}
+const MATRIX: [EngineMode; 2] = [EngineMode::Fast, EngineMode::Reference];
 
 /// A tier configuration with a zero on-chip quota and 64-byte pages, so
 /// even the tiny proptest scratchpads page against device DRAM on every
@@ -110,8 +90,6 @@ fn assert_tables_equal(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCas
 /// spill-on hardware under both engines — and fails
 /// unless every run produces the same table. Returns the per-combination
 /// spill-on statistics (matrix order) for further assertions.
-///
-/// The caller must hold [`env_lock`].
 fn differential_tiered(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -133,13 +111,14 @@ fn differential_tiered(
         ));
     }
 
-    let tiered = Compiler::new(DeviceConfig::small().with_tiers(tiny_tiers()))
-        .compile(plan, catalog)
-        .map_err(|e| TestCaseError::fail(format!("compile (tiers on) failed: {e}")))?;
     let mut all = Vec::with_capacity(MATRIX.len());
     for engine in MATRIX {
-        let what = format!("tiers on, {engine}");
-        let (hw, stats) = with_engine(engine, || tiered.execute_replicated(catalog, factor))
+        let what = format!("tiers on, {engine:?}");
+        let cfg = DeviceConfig::small().with_tiers(tiny_tiers()).with_engine(engine);
+        let (hw, stats) = Compiler::new(cfg)
+            .compile(plan, catalog)
+            .map_err(|e| TestCaseError::fail(format!("{what}: compile failed: {e}")))?
+            .execute_replicated(catalog, factor)
             .map_err(|e| TestCaseError::fail(format!("{what}: hardware run failed: {e}")))?;
         assert_tables_equal(&hw, &sw, &what)?;
         all.push(stats);
@@ -195,7 +174,6 @@ proptest! {
         weight_mul in 1u32..9,
         factor in 1usize..4,
     ) {
-        let _guard = env_lock();
         let ws: Vec<u32> = ks.iter().enumerate().map(|(i, k)| k * weight_mul + i as u32 % 5).collect();
         let (plan, catalog) = grouped_agg_plan()(&ks, &ws);
         let all = differential_tiered(&plan, &catalog, factor)?;
@@ -203,12 +181,12 @@ proptest! {
         // engine must see cold-page waits; the reference engine re-ticks
         // instead of parking and accounts those cycles as active.
         for (i, engine) in MATRIX.iter().enumerate() {
-            if *engine == "reference" {
+            if *engine == EngineMode::Reference {
                 prop_assert_eq!(all[i].spill_wait_cycles, 0);
             } else {
                 prop_assert!(
                     all[i].spill_wait_cycles > 0,
-                    "{}: expected spill waits, got {}",
+                    "{:?}: expected spill waits, got {}",
                     engine, all[i]
                 );
             }
@@ -229,7 +207,6 @@ proptest! {
         rmul in 1u32..7,
         factor in 1usize..3,
     ) {
-        let _guard = env_lock();
         let lk: Vec<u32> = left_mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(i, _)| i as u32).collect();
         let rk: Vec<u32> = right_mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(i, _)| i as u32).collect();
         let lk = if lk.is_empty() { vec![0] } else { lk };
@@ -258,7 +235,6 @@ proptest! {
 /// (not just cold fills) stays engine-invariant.
 #[test]
 fn spill_heavy_matrix_is_deterministic() {
-    let _guard = env_lock();
     let ks: Vec<u32> = (0..600u32).map(|i| (i * 7) % 48).collect();
     let ws: Vec<u32> = ks.iter().map(|k| k * 3 + 1).collect();
     let (plan, catalog) = grouped_agg_plan()(&ks, &ws);
@@ -280,7 +256,6 @@ fn spill_heavy_matrix_is_deterministic() {
 /// are simulated.
 #[test]
 fn overcommitted_working_set_is_a_structured_error() {
-    let _guard = env_lock();
     let ks: Vec<u32> = (0..64u32).map(|i| i * 32).collect(); // domain 2017
     let ws: Vec<u32> = ks.iter().map(|k| k + 1).collect();
     let (plan, catalog) = grouped_agg_plan()(&ks, &ws);
@@ -313,7 +288,6 @@ fn overcommitted_working_set_is_a_structured_error() {
 /// the `server.tier.*` counters published to the metrics registry.
 #[test]
 fn million_group_aggregate_spills_and_matches_the_oracle() {
-    let _guard = env_lock();
     const DOMAIN: u32 = 1 << 20; // 1,048,576 groups
     let ks: Vec<u32> = (0..DOMAIN).collect();
     let ws: Vec<u32> = ks.iter().map(|k| k % 251).collect();
@@ -405,7 +379,6 @@ fn assert_tiling(report: &StallReport) {
 
 #[test]
 fn spill_waits_tile_the_timeline_and_stay_bit_identical() {
-    let _guard = env_lock();
     let run = |tiered: bool, engine: EngineMode| {
         let mut sys = System::new();
         sys.set_engine(engine);
@@ -442,7 +415,6 @@ fn spill_waits_tile_the_timeline_and_stay_bit_identical() {
 
 #[test]
 fn spill_spans_appear_in_the_trace() {
-    let _guard = env_lock();
     let mut sys = System::new();
     sys.set_trace(TraceConfig::on());
     build_spill_pipeline(&mut sys);
@@ -466,7 +438,6 @@ fn spill_spans_appear_in_the_trace() {
 
 #[test]
 fn deadlock_exit_preserves_tiling_under_tiers() {
-    let _guard = env_lock();
     let mut sys = System::new();
     build_spill_pipeline(&mut sys);
     // A sink on a queue nobody closes: the system can never finish, but
