@@ -232,10 +232,10 @@ where
         return Ok((results, stats));
     }
     let next = AtomicUsize::new(0);
-    let scoped = crossbeam::thread::scope(|scope| {
+    let collected = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     // Work stealing over the shared batch index keeps
                     // threads busy when batch runtimes are skewed.
                     let mut mine = Vec::new();
@@ -253,16 +253,13 @@ where
             // A worker can only panic through `attempt_chunk` on paths
             // `catch_unwind` does not cover (e.g. allocation failure);
             // surface it as an error instead of cascading the panic.
-            all.extend(w.join().map_err(|_| ())?);
+            all.extend(
+                w.join()
+                    .map_err(|_| CoreError::Device("batch worker thread panicked".into()))?,
+            );
         }
-        Ok::<_, ()>(all)
-    });
-    let collected = match scoped {
-        Ok(Ok(all)) => all,
-        _ => {
-            return Err(CoreError::Device("batch worker thread panicked".into()));
-        }
-    };
+        Ok::<_, CoreError>(all)
+    })?;
     type BatchOutcome<R> = Result<(Vec<R>, AccelStats, Option<(TraceBuffer, StallReport)>), CoreError>;
     let mut slots: Vec<Option<BatchOutcome<R>>> = (0..chunks.len()).map(|_| None).collect();
     for (idx, outcome) in collected {

@@ -331,7 +331,9 @@ impl GenesisHost {
         timeout: Duration,
     ) -> Result<bool, CoreError> {
         let start = Instant::now();
-        let waited = self.wait_until(pipeline_id, Some(start + timeout));
+        // A timeout past the end of the clock (`Duration::MAX`) is no
+        // watchdog at all.
+        let waited = self.wait_until(pipeline_id, start.checked_add(timeout));
         self.span(pipeline_id, "wait", start);
         if !waited? {
             self.metrics.counter("faults.watchdog_timeouts").inc();
@@ -680,6 +682,17 @@ mod tests {
         assert_eq!(snap.counters["faults.watchdog_timeouts"], 1);
         assert_eq!(snap.counters["pipeline.9.watchdog_timeouts"], 1);
         host.genesis_flush(9).unwrap();
+    }
+
+    /// Regression: `start + Duration::MAX` overflowed `Instant` and
+    /// panicked before the slot was even looked at.
+    #[test]
+    fn unrepresentable_watchdog_is_no_watchdog() {
+        let host = GenesisHost::new();
+        host.run_genesis(10, slow_job(1)).unwrap();
+        host.wait_genesis(10).unwrap();
+        assert_eq!(host.wait_genesis_for(10, Duration::MAX), Ok(true));
+        host.genesis_flush(10).unwrap();
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::perf::AccelStats;
 use genesis_hw::memory::LINE_BYTES;
 use genesis_hw::modules::alu::{AluOp, AluRhs, StreamAlu};
 use genesis_hw::modules::fanout::Fanout;
-use genesis_hw::modules::filter::{CmpOp, Filter, Predicate};
+use genesis_hw::modules::filter::{CmpOp, Filter, Operand, Predicate};
 use genesis_hw::modules::joiner::{JoinKind as HwJoinKind, Joiner};
 use genesis_hw::modules::mem_reader::RowSpec;
 use genesis_hw::modules::mem_writer::MemWriter;
@@ -1168,39 +1168,6 @@ impl PreparedJob {
         self.prepared[0].rows
     }
 
-    /// FNV-1a hash of every scanned column's shape and data — two jobs
-    /// with equal plan fingerprints *and* equal content hashes run the
-    /// same pipeline over the same bytes, so their results are
-    /// interchangeable (the batching coalesce key).
-    pub(crate) fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |byte: u64| {
-            h ^= byte;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        for scan in &self.prepared {
-            for b in scan.table.bytes() {
-                mix(u64::from(b));
-            }
-            mix(scan.rows as u64);
-            mix(scan.rows_scanned as u64);
-            for col in &scan.cols {
-                for b in col.name.bytes() {
-                    mix(u64::from(b));
-                }
-                mix(col.elem_bytes as u64);
-                for v in &col.vals {
-                    mix(*v);
-                }
-                for l in col.lens.iter().flatten() {
-                    mix(u64::from(*l));
-                }
-            }
-        }
-        mix(self.factor as u64);
-        h
-    }
-
     /// Splits the spine scan into at most `shards` contiguous ascending
     /// row ranges, aligned to the paper's (chromosome, `PSIZE`-window)
     /// partitions when the spine carries `CHR` + `POS`/`REFPOS` columns
@@ -1802,21 +1769,6 @@ struct PushedFilter {
     conjuncts: Vec<Expr>,
 }
 
-/// A pushed conjunct resolved against a scan's columns: a plain u64
-/// comparison. Base-table scans never carry `Ins`/`Del` markers, so a
-/// host-side integer comparison matches the hardware Filter module and
-/// the software engine bit-for-bit.
-struct PushPred {
-    col: usize,
-    cmp: CmpOp,
-    rhs: PushRhs,
-}
-
-enum PushRhs {
-    Lit(u64),
-    Col(usize),
-}
-
 /// Column metadata of a bare prepared scan (what a `Filter` directly
 /// above the `Scan` leaf would see), for resolving pushed conjuncts.
 fn scan_infos(scan: &PreparedScan) -> Vec<ColInfo> {
@@ -1834,58 +1786,16 @@ fn scan_infos(scan: &PreparedScan) -> Vec<ColInfo> {
         .collect()
 }
 
-/// Mirrors [`lower_predicate`]'s accepted shapes — `(col, lit)`,
-/// `(lit, col)`, `(col, col)` under a hardware comparison, `U64` operands
-/// unless both sides are `Bool` under `=`/`!=` — so a conjunct is pushed
-/// exactly when the hardware Filter it replaces would have been built.
-/// `None` marks the conjunct residual.
-fn resolve_pushed(cols: &[ColInfo], e: &Expr) -> Option<PushPred> {
-    let Expr::Bin { op, lhs, rhs } = e else { return None };
-    let cmp = cmp_of(*op)?;
-    match (&**lhs, &**rhs) {
-        (Expr::Col(a), Expr::Number(n)) => {
-            let i = resolve(cols, a, "Filter").ok()?;
-            (cols[i].decode == Decode::U64)
-                .then_some(PushPred { col: i, cmp, rhs: PushRhs::Lit(*n) })
-        }
-        (Expr::Number(n), Expr::Col(a)) => {
-            let i = resolve(cols, a, "Filter").ok()?;
-            (cols[i].decode == Decode::U64)
-                .then_some(PushPred { col: i, cmp: mirror(cmp), rhs: PushRhs::Lit(*n) })
-        }
-        (Expr::Col(a), Expr::Col(bc)) => {
-            let i = resolve(cols, a, "Filter").ok()?;
-            let j = resolve(cols, bc, "Filter").ok()?;
-            let both_bool = cols[i].decode == Decode::Bool && cols[j].decode == Decode::Bool;
-            let both_u64 = cols[i].decode == Decode::U64 && cols[j].decode == Decode::U64;
-            let eqish = matches!(cmp, CmpOp::Eq | CmpOp::Ne);
-            (both_u64 || (both_bool && eqish))
-                .then_some(PushPred { col: i, cmp, rhs: PushRhs::Col(j) })
-        }
-        _ => None,
-    }
-}
-
-fn eval_cmp(cmp: CmpOp, a: u64, b: u64) -> Option<bool> {
-    Some(match cmp {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        _ => return None,
-    })
-}
-
 /// Rewrites the core plan for pushdown: every `Filter` sitting directly
 /// above a plain `Scan` leaf is split into pushable conjuncts (recorded
 /// per scan, applied at bind time) and residual conjuncts (left as a
-/// lowered Filter module). Conjunction is commutative and survivors keep
-/// their relative order, so the rewritten plan's streams are
-/// bit-identical to the original's. The traversal mirrors
-/// [`prepare_scans`]' left-to-right leaf order — and since only Filter
-/// *nodes* are removed, that leaf order is invariant under the rewrite,
+/// lowered Filter module). A conjunct is pushed exactly when
+/// [`lower_predicate`] resolves it against the bare scan's columns, i.e.
+/// when the hardware Filter it replaces would have been built.
+/// Conjunction is commutative and survivors keep their relative order,
+/// so the rewritten plan's streams are bit-identical to the original's.
+/// The traversal mirrors [`prepare_scans`]' left-to-right leaf order —
+/// and since only Filter *nodes* are removed, that leaf order is invariant under the rewrite,
 /// which is what lets [`Lowering::prepare`] re-apply the pushed conjuncts
 /// by scan index after re-preparing.
 fn push_down(plan: &LogicalPlan, prepared: &[PreparedScan]) -> (LogicalPlan, Vec<PushedFilter>) {
@@ -1913,7 +1823,7 @@ fn push_down(plan: &LogicalPlan, prepared: &[PreparedScan]) -> (LogicalPlan, Vec
                 conjuncts(pred, &mut parts);
                 let (push, residual): (Vec<&Expr>, Vec<&Expr>) = parts
                     .into_iter()
-                    .partition(|e| resolve_pushed(&infos, e).is_some());
+                    .partition(|e| lower_predicate(&infos, e).is_ok());
                 if push.is_empty() {
                     return plan.clone();
                 }
@@ -1976,8 +1886,11 @@ fn retain_rows(kept: &mut Vec<usize>, test: impl Fn(usize) -> bool) {
 
 /// Applies the pushed conjuncts to their prepared scans: the row-selection
 /// step run whenever scan data is (re)bound from a catalog. The conjuncts
-/// resolve once, each then narrows the survivor list in one pass over
-/// its operand columns ([`retain_rows`]), and the columns compact in place.
+/// resolve once, to the hardware [`Predicate`]s a lowered Filter would
+/// hold; base-table scans never carry `Ins`/`Del` markers, so each reduces
+/// to [`CmpOp::holds`] over plain `u64`s — the Filter module's own
+/// comparison — and narrows the survivor list in one pass over its operand
+/// columns ([`retain_rows`]); the columns then compact in place.
 /// Surviving rows keep their relative order, so downstream modules see
 /// exactly the stream a lowered Filter would have produced.
 fn apply_pushdown(
@@ -1989,11 +1902,11 @@ fn apply_pushdown(
             .get_mut(pf.scan)
             .ok_or_else(|| CoreError::Host("pushed filter references a missing scan".into()))?;
         let infos = scan_infos(scan);
-        let preds: Vec<PushPred> = pf
+        let preds: Vec<Predicate> = pf
             .conjuncts
             .iter()
             .map(|e| {
-                resolve_pushed(&infos, e).ok_or_else(|| {
+                lower_predicate(&infos, e).map_err(|_| {
                     CoreError::Host("pushed conjunct no longer resolves against the scan".into())
                 })
             })
@@ -2001,16 +1914,16 @@ fn apply_pushdown(
         let n = scan.rows;
         let mut kept: Vec<usize> = (0..n).collect();
         for p in &preds {
-            if eval_cmp(p.cmp, 0, 0).is_none() {
-                return Err(CoreError::Host("unpushable comparison reached scan pushdown".into()));
-            }
-            let holds = |a: u64, b: u64| eval_cmp(p.cmp, a, b) == Some(true);
-            let lhs = &scan.cols[p.col].vals;
+            // `lower_predicate` only ever puts a field on the left.
+            let Operand::Field(i) = p.lhs else {
+                return Err(CoreError::Host("pushed conjunct has no column operand".into()));
+            };
+            let lhs = &scan.cols[i].vals;
             match p.rhs {
-                PushRhs::Lit(v) => retain_rows(&mut kept, |r| holds(lhs[r], v)),
-                PushRhs::Col(j) => {
+                Operand::Const(v) => retain_rows(&mut kept, |r| p.op.holds(lhs[r], v)),
+                Operand::Field(j) => {
                     let rhs = &scan.cols[j].vals;
-                    retain_rows(&mut kept, |r| holds(lhs[r], rhs[r]));
+                    retain_rows(&mut kept, |r| p.op.holds(lhs[r], rhs[r]));
                 }
             }
         }

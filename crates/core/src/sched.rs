@@ -16,8 +16,9 @@ use std::collections::{HashMap, VecDeque};
 /// Jobs from the same tenant run in submission order; across tenants the
 /// queue rotates, so a tenant that floods the server cannot starve the
 /// others. A tenant enters the rotation when its lane first becomes
-/// non-empty and leaves it when the lane drains, which makes the pop
-/// sequence deterministic for a fixed push sequence.
+/// non-empty and leaves it — lane and all, so the queue holds nothing for
+/// a tenant with nothing queued — when the lane drains, which makes the
+/// pop sequence deterministic for a fixed push sequence.
 #[derive(Debug, Default)]
 pub struct FairQueue<T> {
     lanes: HashMap<String, VecDeque<T>>,
@@ -35,11 +36,13 @@ impl<T> FairQueue<T> {
     /// Appends a job to `tenant`'s lane; the tenant joins the rotation if
     /// its lane was empty.
     pub fn push(&mut self, tenant: &str, job: T) {
-        let lane = self.lanes.entry(tenant.to_owned()).or_default();
-        if lane.is_empty() {
-            self.rotation.push_back(tenant.to_owned());
+        match self.lanes.get_mut(tenant) {
+            Some(lane) => lane.push_back(job),
+            None => {
+                self.lanes.insert(tenant.to_owned(), VecDeque::from([job]));
+                self.rotation.push_back(tenant.to_owned());
+            }
         }
-        lane.push_back(job);
         self.len += 1;
     }
 
@@ -48,7 +51,9 @@ impl<T> FairQueue<T> {
         let tenant = self.rotation.pop_front()?;
         let lane = self.lanes.get_mut(&tenant).expect("rotation names a live lane");
         let job = lane.pop_front().expect("rotation only holds non-empty lanes");
-        if !lane.is_empty() {
+        if lane.is_empty() {
+            self.lanes.remove(&tenant);
+        } else {
             self.rotation.push_back(tenant.clone());
         }
         self.len -= 1;
@@ -71,32 +76,6 @@ impl<T> FairQueue<T> {
     #[must_use]
     pub fn depth(&self, tenant: &str) -> usize {
         self.lanes.get(tenant).map_or(0, VecDeque::len)
-    }
-
-    /// Removes every queued job matching `pred` and returns them with
-    /// their tenants, lanes visited in rotation order and FIFO within a
-    /// lane (the order coalesced requests fan results out in). Tenants
-    /// whose lanes drain leave the rotation; the relative rotation order
-    /// of the remaining tenants is preserved, so fairness of the
-    /// untouched jobs is unaffected.
-    pub fn drain_matching(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<(String, T)> {
-        let mut out = Vec::new();
-        for tenant in self.rotation.iter() {
-            let lane = self.lanes.get_mut(tenant).expect("rotation names a live lane");
-            let mut kept = VecDeque::with_capacity(lane.len());
-            for job in lane.drain(..) {
-                if pred(&job) {
-                    out.push((tenant.clone(), job));
-                } else {
-                    kept.push_back(job);
-                }
-            }
-            *lane = kept;
-        }
-        let lanes = &self.lanes;
-        self.rotation.retain(|t| lanes.get(t).is_some_and(|l| !l.is_empty()));
-        self.len -= out.len();
-        out
     }
 }
 
@@ -186,40 +165,18 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
+    /// Regression: a drained tenant's lane used to stay in `lanes` for
+    /// the queue's lifetime, one `(String, VecDeque)` per name ever seen.
     #[test]
-    fn drain_matching_extracts_in_rotation_order() {
+    fn drained_tenants_leave_nothing_behind() {
         let mut q = FairQueue::new();
-        for (t, j) in [("a", 1), ("a", 2), ("b", 10), ("c", 20), ("b", 12)] {
-            q.push(t, j);
+        for t in 0..10_000u32 {
+            q.push(&format!("tenant-{t}"), t);
         }
-        // Even jobs leave; odd jobs keep their fair order.
-        let drained = q.drain_matching(|j| j % 2 == 0);
-        let got: Vec<(String, u32)> = drained;
-        assert_eq!(
-            got,
-            vec![
-                ("a".to_owned(), 2),
-                ("b".to_owned(), 10),
-                ("b".to_owned(), 12),
-                ("c".to_owned(), 20)
-            ]
-        );
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.depth("b"), 0);
-        assert_eq!(drain(&mut q), vec![("a".to_owned(), 1)]);
-    }
-
-    #[test]
-    fn drain_matching_preserves_rotation_of_survivors() {
-        let mut q = FairQueue::new();
-        for (t, j) in [("a", 1), ("b", 2), ("c", 3), ("a", 4)] {
-            q.push(t, j);
-        }
-        // Drain all of b's jobs; a and c keep their relative order.
-        let drained = q.drain_matching(|&j| j == 2);
-        assert_eq!(drained, vec![("b".to_owned(), 2)]);
-        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, j)| j).collect();
-        assert_eq!(order, vec![1, 3, 4]);
+        assert_eq!(drain(&mut q).len(), 10_000);
+        assert!(q.lanes.is_empty(), "{} lanes outlived their jobs", q.lanes.len());
+        assert!(q.rotation.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

@@ -28,22 +28,22 @@
 //!   (`server.deadline.misses`). Each device run reuses the PR 3 recovery
 //!   machinery (retry/backoff inside `run_batches`, oracle fallback, panic
 //!   containment).
-//! * **Async admission/dispatch.** One scheduler thread owns the queue and
-//!   hands work to condvar-driven device workers through per-device
-//!   mailboxes, so a queued tenant costs a [`Ticket`] and a queue slot —
-//!   no thread, no stack — and tens of thousands of pending requests are
-//!   cheap. Compilation is single-flight: concurrent submits that miss on
-//!   the same fingerprint compile once and share the result
+//! * **Async admission/dispatch.** Scheduling is a function, not a
+//!   thread: whichever thread changes the state — a `submit`, a worker
+//!   finishing a shard, `resume`, the drop — runs the dispatch step
+//!   (`schedule`) under the state lock it already holds, handing staged
+//!   shards to idle, condvar-driven device workers through per-device
+//!   mailboxes, lowest idle index first. The server's only threads are
+//!   its device workers, and a queued tenant costs a [`Ticket`] and a
+//!   queue slot — no thread, no stack — so tens of thousands of pending
+//!   requests are cheap. Compilation is single-flight: concurrent submits
+//!   that miss on the same fingerprint compile once and share the result
 //!   (`server.cache.compiles` counts actual compiles).
 //! * **Scatter-gather sharding.** With [`ServerConfig::default_shards`] >
 //!   1 (env `GENESIS_SHARDS`), each job's spine scan is split on the
 //!   paper's (chromosome, PSIZE-window) partition boundaries into shard
 //!   runs that fan out across the pool and merge in partition order —
 //!   bit-identical to the unsharded run, including stats.
-//! * **Cross-request batching.** With [`ServerConfig::batching`], queued
-//!   requests whose plan fingerprint *and* bound data match the job being
-//!   scheduled coalesce into that one device run; every waiting ticket
-//!   receives an identical result (`server.batch.coalesced`).
 //!
 //! Everything is observable: per-tenant latency histograms, queue-depth
 //! gauges, and cache counters land in the shared
@@ -54,12 +54,11 @@
 //! Every request also leaves a latency budget: the log₂ histograms
 //! `server.phase.{prepare,admit,queue_wait,run,gather}_ns` are the gaps
 //! between six instants on one chain from `submit` entry to delivery
-//! (plan resolved and bound → queued → promoted by the scheduler → last
+//! (plan resolved and bound → queued → promoted off the fair queue → last
 //! shard done → result installed), so they add up to the tenant's
 //! `latency_ns` exactly; `server.run.{build,simulate,extract}_ns` split
 //! the device runs inside `run`, summed over the job's shards. A request
-//! that expires in the queue records empty `run` and `gather` phases, and
-//! one that coalesced onto another's run shares that run's instants — so
+//! that expires in the queue records empty `run` and `gather` phases — so
 //! every histogram counts every completed request.
 
 use crate::compile::{script_to_plan, Compiler, PipelinePlan};
@@ -90,7 +89,7 @@ pub type OracleFn = Box<dyn FnOnce() -> Result<Table, CoreError> + Send>;
 /// Configuration of a [`GenesisServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// The simulated device pool: one scheduler worker per entry. The
+    /// The simulated device pool: one worker thread per entry. The
     /// first device is also the compile target for cache misses.
     pub devices: Vec<DeviceConfig>,
     /// Compiled-pipeline LRU cache capacity in entries (`0` disables
@@ -111,12 +110,6 @@ pub struct ServerConfig {
     /// pool and merge in partition order, bit-identical to the unsharded
     /// run. `1` (the default) disables sharding.
     pub default_shards: usize,
-    /// Coalesce queued requests whose plan fingerprint *and* bound data
-    /// match the job being scheduled into one device run, fanning the
-    /// result out to every waiting ticket. Off by default: coalescing
-    /// collapses same-plan jobs, which changes the one-record-per-job
-    /// schedule log that the determinism tests pin.
-    pub batching: bool,
     /// Start with dispatch paused; queued jobs wait until
     /// [`GenesisServer::resume`]. Determinism tests use this to submit a
     /// full tenant mix before any worker races for the queue.
@@ -135,7 +128,6 @@ impl Default for ServerConfig {
             reconfig_penalty_cycles: 2_500_000,
             max_pending: 256,
             default_shards: 1,
-            batching: false,
             paused: false,
             trace: TraceConfig::off(),
         }
@@ -176,14 +168,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> ServerConfig {
         self.default_shards = shards.max(1);
-        self
-    }
-
-    /// Enables or disables cross-request batching (see
-    /// [`ServerConfig::batching`]).
-    #[must_use]
-    pub fn with_batching(mut self, on: bool) -> ServerConfig {
-        self.batching = on;
         self
     }
 
@@ -451,7 +435,7 @@ struct CacheInner {
 }
 
 /// The instants a request passes on its way into the queue. Together with
-/// the scheduler's promotion, the last shard's completion and the
+/// its promotion off the queue, the last shard's completion and the
 /// delivery they form one chain, and every `server.phase.*` observation
 /// is the gap between two neighbours on it — so the phases tile the
 /// request's latency by construction.
@@ -469,42 +453,28 @@ struct Arrival {
 /// A queued, admitted job.
 struct QueuedJob {
     id: u64,
-    prepared: Result<PreparedJob, CoreError>,
+    /// Shared from the start: the job's shard assignments each hold it,
+    /// and a lane of small entries is cheap to open and close.
+    prepared: Result<Arc<PreparedJob>, CoreError>,
     oracle: Option<OracleFn>,
     deadline: Option<Duration>,
     arrival: Arrival,
     reconfig_penalty: u64,
-    /// Coalesce key when [`ServerConfig::batching`] is on: plan
-    /// fingerprint mixed with the bound data's content hash, so only
-    /// jobs that would produce identical results coalesce.
-    batch_key: Option<u64>,
 }
 
-/// A request that coalesced onto another job's device run; it receives a
-/// clone of that run's result (or its own oracle rescue on failure).
-struct Follower {
-    id: u64,
-    tenant: String,
-    arrival: Arrival,
-    reconfig_penalty: u64,
-    oracle: Mutex<Option<OracleFn>>,
-}
-
-/// The scheduler-promoted form of a job, shared by its shard assignments.
+/// The promoted form of a job, shared by its shard assignments.
 struct JobShared {
     id: u64,
     tenant: String,
     prepared: Result<Arc<PreparedJob>, CoreError>,
     oracle: Mutex<Option<OracleFn>>,
     arrival: Arrival,
-    /// When the scheduler popped the job off the fair queue (the end of
-    /// `queue_wait` for it and for every follower batched onto it).
+    /// When the job was popped off the fair queue (the end of its
+    /// `queue_wait`).
     promoted: Instant,
     reconfig_penalty: u64,
     /// Total shards this job was split into.
     shards: usize,
-    /// Batched same-fingerprint requests riding this run.
-    followers: Vec<Follower>,
 }
 
 /// One shard run handed to a device worker through its mailbox.
@@ -530,14 +500,11 @@ struct Gather {
 /// What a job resolves to, as [`Ticket::wait`] returns it.
 type JobResult = Result<(Table, AccelStats), CoreError>;
 
-/// Everything the scheduler, workers, and tickets share.
+/// Everything the server, its workers, and its tickets share.
 struct ServerCore {
     state: Mutex<ServerState>,
-    /// Signalled when work arrives, a device frees up, the server
-    /// resumes, or shutdown — wakes the scheduler.
-    work: Condvar,
-    /// Signalled when an assignment lands in a device mailbox (or the
-    /// pool drains) — wakes device workers.
+    /// Signalled when an assignment lands in a device mailbox (or
+    /// shutdown has drained the queue) — wakes device workers.
     mail: Condvar,
     /// Signalled when a job result is installed.
     done: Condvar,
@@ -547,6 +514,8 @@ struct ServerCore {
     /// `server.device.{d}.jobs`, one handle per pool device.
     device_jobs: Vec<Counter>,
     devices: Vec<DeviceConfig>,
+    /// Scatter-gather shard count per job (≥ 1).
+    shards: usize,
     epoch: Instant,
 }
 
@@ -589,6 +558,8 @@ struct TenantMetrics {
 }
 
 struct ServerState {
+    /// The id the next admitted job takes.
+    next_id: u64,
     queue: FairQueue<QueuedJob>,
     /// Promoted shard assignments awaiting an idle device.
     ready: VecDeque<Assignment>,
@@ -618,9 +589,14 @@ struct ServerState {
     completed: u64,
     paused: bool,
     shutdown: bool,
-    /// Set by the scheduler once shutdown has drained the queue; device
-    /// workers exit when they see it with an empty mailbox.
-    drained: bool,
+}
+
+impl ServerState {
+    /// Shutdown has begun and nothing is left to hand out: a worker whose
+    /// mailbox is empty can leave.
+    fn exhausted(&self) -> bool {
+        self.shutdown && self.queue.is_empty() && self.ready.is_empty()
+    }
 }
 
 impl ServerCore {
@@ -732,7 +708,9 @@ impl Ticket {
     /// [`CoreError::Host`] deadline error when the request's
     /// submit-anchored deadline passes first.
     pub fn wait(mut self) -> Result<(Table, AccelStats), CoreError> {
-        let deadline_at = self.deadline.map(|d| self.submitted + d);
+        // A deadline past the end of the clock (`Duration::MAX`, the usual
+        // spelling of "none") is no deadline.
+        let deadline_at = self.deadline.and_then(|d| self.submitted.checked_add(d));
         let mut st = self.core.lock();
         let outcome = loop {
             if let Entry::Occupied(slot) = st.results.entry(self.id) {
@@ -801,7 +779,6 @@ pub struct GenesisServer {
     scripts: Mutex<HashMap<String, LogicalPlan>>,
     compiler: Compiler,
     cfg: ServerConfig,
-    next_id: Mutex<u64>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -816,7 +793,7 @@ impl std::fmt::Debug for GenesisServer {
 }
 
 impl GenesisServer {
-    /// Starts a server: one scheduler thread plus one worker per device.
+    /// Starts a server: one worker thread per device.
     #[must_use]
     pub fn new(cfg: ServerConfig) -> GenesisServer {
         let devices = if cfg.devices.is_empty() {
@@ -828,6 +805,7 @@ impl GenesisServer {
         let metrics = Arc::new(MetricsRegistry::new());
         let core = Arc::new(ServerCore {
             state: Mutex::new(ServerState {
+                next_id: 0,
                 queue: FairQueue::new(),
                 ready: VecDeque::new(),
                 mailboxes: (0..n).map(|_| None).collect(),
@@ -843,9 +821,7 @@ impl GenesisServer {
                 completed: 0,
                 paused: cfg.paused,
                 shutdown: false,
-                drained: false,
             }),
-            work: Condvar::new(),
             mail: Condvar::new(),
             done: Condvar::new(),
             phases: PhaseMetrics::new(&metrics),
@@ -854,27 +830,18 @@ impl GenesisServer {
                 .collect(),
             metrics,
             devices: devices.clone(),
+            shards: cfg.default_shards.max(1),
             epoch: Instant::now(),
         });
-        let mut workers = Vec::with_capacity(n + 1);
-        let batching = cfg.batching;
-        let shards = cfg.default_shards.max(1);
-        workers.push({
-            let core = Arc::clone(&core);
-            std::thread::Builder::new()
-                .name("genesis-serve-sched".to_owned())
-                .spawn(move || scheduler_loop(&core, batching, shards))
-                .expect("spawn server scheduler")
-        });
-        for device in 0..n {
-            let core = Arc::clone(&core);
-            workers.push(
+        let workers = (0..n)
+            .map(|device| {
+                let core = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name(format!("genesis-serve-{device}"))
                     .spawn(move || worker_loop(&core, device))
-                    .expect("spawn server worker"),
-            );
-        }
+                    .expect("spawn server worker")
+            })
+            .collect();
         let compiler = Compiler::new(devices[0].clone());
         GenesisServer {
             core,
@@ -886,7 +853,6 @@ impl GenesisServer {
             scripts: Mutex::new(HashMap::new()),
             compiler,
             cfg,
-            next_id: Mutex::new(0),
             workers,
         }
     }
@@ -910,8 +876,9 @@ impl GenesisServer {
 
     /// Submits one request: resolves the plan, compiles through the LRU
     /// cache (a miss pays [`ServerConfig::reconfig_penalty_cycles`]),
-    /// binds it to `catalog`'s data on the calling thread, and queues the
-    /// job for the device pool. Returns immediately with a [`Ticket`].
+    /// binds it to `catalog`'s data on the calling thread, queues the job
+    /// and — when a device is idle — hands it over before returning.
+    /// Never waits for a device: returns at once with a [`Ticket`].
     ///
     /// # Errors
     ///
@@ -933,28 +900,13 @@ impl GenesisServer {
         // Serialize the scans now, while we still hold the (non-`Send`)
         // catalog; a bind failure is deferred to the worker so the oracle
         // can rescue it.
-        let prepared = plan.prepare_job(catalog, factor);
-        // The coalesce key ties the plan's structure to the bound data:
-        // two requests batch only when they would compute the same result.
-        let batch_key = if self.cfg.batching {
-            prepared.as_ref().ok().map(|p| {
-                fingerprint(plan.plan(), catalog)
-                    .wrapping_mul(0x0000_0100_0000_01b3)
-                    ^ p.content_hash()
-            })
-        } else {
-            None
-        };
+        let prepared = plan.prepare_job(catalog, factor).map(Arc::new);
         let submitted = Instant::now();
 
         let mut st = self.core.lock();
         self.admit(&st, &tenant, deadline)?;
-        let id = {
-            let mut next = self.next_id.lock().unwrap_or_else(PoisonError::into_inner);
-            let id = *next;
-            *next += 1;
-            id
-        };
+        let id = st.next_id;
+        st.next_id += 1;
         st.results.insert(id, None);
         st.queue.push(&tenant, QueuedJob {
             id,
@@ -963,13 +915,12 @@ impl GenesisServer {
             deadline,
             arrival: Arrival { entered, submitted, queued: Instant::now() },
             reconfig_penalty,
-            batch_key,
         });
         self.core.sample_depth(&mut st);
         let depth = st.queue.depth(&tenant) as u64;
         self.core.tenant(&mut st, &tenant).queue_depth.observe(depth);
+        schedule(&self.core, &mut st);
         drop(st);
-        self.core.work.notify_all();
         Ok(Ticket { core: Arc::clone(&self.core), id, tenant, submitted, deadline, closed: false })
     }
 
@@ -1034,8 +985,8 @@ impl GenesisServer {
     /// Admission control: bounded queue, and deadline feasibility against
     /// the EWMA service-time estimate when there is a backlog (queued or
     /// in-flight). An idle server always admits — even an impossibly
-    /// tight deadline gets its chance to run (the scheduling-time prune
-    /// is the backstop).
+    /// tight deadline gets its chance to run (the prune at promotion is
+    /// the backstop).
     fn admit(
         &self,
         st: &ServerState,
@@ -1088,8 +1039,9 @@ impl GenesisServer {
     /// Resumes dispatch after [`GenesisServer::pause`] (or a
     /// [`ServerConfig::paused`] start).
     pub fn resume(&self) {
-        self.core.lock().paused = false;
-        self.core.work.notify_all();
+        let mut st = self.core.lock();
+        st.paused = false;
+        schedule(&self.core, &mut st);
     }
 
     /// Number of pool devices.
@@ -1198,9 +1150,8 @@ impl Drop for GenesisServer {
             // Unpause so the pool drains the remaining queue: every
             // admitted job owes its ticket a result.
             st.paused = false;
+            schedule(&self.core, &mut st);
         }
-        self.core.work.notify_all();
-        self.core.mail.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -1208,103 +1159,57 @@ impl Drop for GenesisServer {
     }
 }
 
-/// The single scheduler thread: promotes queued jobs in fair order
-/// (pruning expired deadlines, coalescing batches, splitting shards) and
-/// hands shard assignments to idle device workers through their
-/// mailboxes. Owning promotion in one thread is what makes the dispatch
-/// order deterministic at any pool size — workers never race for the
-/// queue.
-fn scheduler_loop(core: &Arc<ServerCore>, batching: bool, shards: usize) {
-    let mut st = core.lock();
-    loop {
-        if st.shutdown && st.queue.is_empty() && st.ready.is_empty() {
-            st.drained = true;
-            drop(st);
-            core.mail.notify_all();
-            return;
+/// The dispatch step. Every thread that changes what it depends on — a
+/// `submit` queueing a job, a worker freeing its device, `resume`, the
+/// drop — calls it under the state lock it already holds. While a device
+/// is idle it hands over the next staged shard, lowest idle index first,
+/// promoting one job off the fair queue whenever the staging area runs
+/// dry. At most one job's shards are staged at a time and only here, so
+/// the promotion order (= the fair-queue pop order) is exactly the
+/// dispatch order in the schedule log, at any pool size — workers never
+/// race for the queue.
+fn schedule(core: &ServerCore, st: &mut ServerState) {
+    if st.paused && !st.shutdown {
+        return;
+    }
+    let mut assigned = false;
+    while let Some(device) = st.busy.iter().position(|&b| !b) {
+        if st.ready.is_empty() && !promote(core, st) {
+            break;
         }
-        let mut progress = false;
-        if !st.paused || st.shutdown {
-            // Keep at most one job's shards in flight toward the pool so
-            // the promotion order (= the fair-queue pop order) is exactly
-            // the dispatch order in the schedule log.
-            if st.ready.is_empty()
-                && !st.queue.is_empty()
-                && st.busy.iter().any(|&b| !b)
-            {
-                progress |= promote(core, &mut st, batching, shards);
-            }
-            let mut assigned = false;
-            while !st.ready.is_empty() {
-                let Some(device) = st.busy.iter().position(|&b| !b) else { break };
-                let a = st.ready.pop_front().expect("checked non-empty");
-                dispatch(core, &mut st, a, device);
-                assigned = true;
-            }
-            if assigned {
-                core.mail.notify_all();
-            }
-            progress |= assigned;
-        }
-        if !progress {
-            st = core.work.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
+        let a = st.ready.pop_front().expect("promote stages at least one shard");
+        dispatch(core, st, a, device);
+        assigned = true;
+    }
+    if assigned || st.exhausted() {
+        core.mail.notify_all();
     }
 }
 
-/// Pops the next runnable job off the fair queue, expiring lapsed
-/// deadlines along the way, coalesces batch followers, splits the job
-/// into shard assignments, and stages them in `ready`. Returns whether
-/// anything happened (a job promoted or at least one expiry settled).
-fn promote(core: &ServerCore, st: &mut ServerState, batching: bool, shards: usize) -> bool {
-    let promoted = Instant::now();
-    let mut progress = false;
-    let (tenant, job) = loop {
-        let Some((tenant, job)) = st.queue.pop() else {
-            if progress {
-                core.sample_depth(st);
-            }
-            return progress;
-        };
-        if is_expired(&job) {
-            settle_expired(core, st, &tenant, &job);
-            progress = true;
-            continue;
-        }
-        break (tenant, job);
-    };
-    let mut followers = Vec::new();
-    if batching {
-        if let Some(key) = job.batch_key {
-            for (ft, fj) in st.queue.drain_matching(|j| j.batch_key == Some(key)) {
-                if is_expired(&fj) {
-                    settle_expired(core, st, &ft, &fj);
-                    continue;
-                }
-                followers.push(Follower {
-                    id: fj.id,
-                    tenant: ft,
-                    arrival: fj.arrival,
-                    reconfig_penalty: fj.reconfig_penalty,
-                    oracle: Mutex::new(fj.oracle),
-                });
-            }
-            if !followers.is_empty() {
-                core.metrics
-                    .counter("server.batch.coalesced")
-                    .add(followers.len() as u64);
-            }
-        }
+/// Pops the next runnable job off the fair queue, settling lapsed
+/// deadlines along the way, splits it into shard assignments and stages
+/// them in `ready`. Returns whether it staged a job.
+fn promote(core: &ServerCore, st: &mut ServerState) -> bool {
+    if st.queue.is_empty() {
+        return false;
     }
-    let QueuedJob { id, prepared, oracle, arrival, reconfig_penalty, .. } = job;
-    let (prepared, ranges) = match prepared {
-        Ok(p) => {
-            let ranges = p.shard_ranges(shards);
-            (Ok(Arc::new(p)), ranges)
+    let promoted = Instant::now();
+    let popped = loop {
+        match st.queue.pop() {
+            Some((tenant, job)) if is_expired(&job) => settle_expired(core, st, &tenant, &job),
+            other => break other,
         }
+    };
+    core.sample_depth(st);
+    let Some((tenant, QueuedJob { id, prepared, oracle, arrival, reconfig_penalty, .. })) = popped
+    else {
+        return false;
+    };
+    let ranges = match &prepared {
+        Ok(p) => p.shard_ranges(core.shards),
         // A job that failed to bind still flows through one (empty) shard
         // so the error surfaces at the ticket — or its oracle rescues it.
-        Err(e) => (Err(e), std::iter::once(0..0).collect()),
+        Err(_) => std::iter::once(0..0).collect(),
     };
     let nshards = ranges.len();
     let shared = Arc::new(JobShared {
@@ -1316,7 +1221,6 @@ fn promote(core: &ServerCore, st: &mut ServerState, batching: bool, shards: usiz
         promoted,
         reconfig_penalty,
         shards: nshards,
-        followers,
     });
     st.gathers.insert(id, Gather {
         parts: (0..nshards).map(|_| None).collect(),
@@ -1331,7 +1235,6 @@ fn promote(core: &ServerCore, st: &mut ServerState, batching: bool, shards: usiz
     for (shard, range) in ranges.into_iter().enumerate() {
         st.ready.push_back(Assignment { job: Arc::clone(&shared), range, shard, seq: 0 });
     }
-    core.sample_depth(st);
     true
 }
 
@@ -1342,7 +1245,7 @@ fn is_expired(job: &QueuedJob) -> bool {
 /// Settles a job whose submit-anchored deadline lapsed while queued: it
 /// never reaches a device and never charges reconfiguration or device
 /// time; it counts under `server.deadline.misses` exactly once (here —
-/// the only prune point).
+/// the only prune point, reached only from [`promote`]).
 fn settle_expired(core: &ServerCore, st: &mut ServerState, tenant: &str, job: &QueuedJob) {
     let now = Instant::now();
     let queued_for = now - job.arrival.submitted;
@@ -1382,8 +1285,9 @@ fn dispatch(core: &ServerCore, st: &mut ServerState, mut a: Assignment, device: 
 }
 
 /// One pool worker: waits on its mailbox, runs the shard range on its
-/// device, delivers the output to the job's gather — and if that was the
-/// last shard, merges and installs the result(s).
+/// device, delivers the output to the job's gather, runs the dispatch
+/// step for the device it just freed — and if that was the job's last
+/// shard, merges and installs the result.
 fn worker_loop(core: &ServerCore, device: usize) {
     loop {
         let a = {
@@ -1392,7 +1296,7 @@ fn worker_loop(core: &ServerCore, device: usize) {
                 if let Some(a) = st.mailboxes[device].take() {
                     break a;
                 }
-                if st.drained {
+                if st.exhausted() {
                     return;
                 }
                 st = core.mail.wait(st).unwrap_or_else(PoisonError::into_inner);
@@ -1445,16 +1349,17 @@ fn worker_loop(core: &ServerCore, device: usize) {
                 }
             }
             gather.remaining -= 1;
-            if gather.remaining == 0 {
+            let finished = if gather.remaining == 0 {
                 Some((st.gathers.remove(&job.id).expect("just observed"), Instant::now()))
             } else {
                 None
-            }
+            };
+            // This device is free again: hand out what is staged or queued
+            // before the (possibly long) merge below.
+            schedule(core, &mut st);
+            finished
         };
         core.device_jobs[device].inc();
-        // The device freed up (and possibly a job completed): wake the
-        // scheduler.
-        core.work.notify_all();
         if let Some((gather, ran)) = finished {
             finalize(core, &job, gather, ran);
         }
@@ -1462,8 +1367,8 @@ fn worker_loop(core: &ServerCore, device: usize) {
 }
 
 /// Merges a completed job's shard outputs (or propagates its first
-/// error), fans the result out to batch followers, applies
-/// reconfiguration penalties and oracle rescues, and installs results.
+/// error), applies the reconfiguration penalty or the oracle rescue, and
+/// installs the result.
 fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather, ran: Instant) {
     let run = gather.times;
     let base: JobResult = match (gather.err, &job.prepared) {
@@ -1478,12 +1383,7 @@ fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather, ran: Instan
             p.gather(parts)
         }
     };
-    let mut deliveries = Vec::with_capacity(job.followers.len() + 1);
-    for f in &job.followers {
-        let result = settle(&base, &f.oracle, f.reconfig_penalty);
-        deliveries.push((f.id, &f.tenant, f.arrival, result));
-    }
-    let primary = match base {
+    let result = match base {
         Ok((table, mut stats)) => {
             stats.reconfig_cycles += job.reconfig_penalty;
             stats.cycles += job.reconfig_penalty;
@@ -1491,42 +1391,18 @@ fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather, ran: Instan
         }
         Err(e) => rescue(&job.oracle, job.reconfig_penalty, e),
     };
-    if let Ok((_, stats)) = &primary {
+    if let Ok((_, stats)) = &result {
         crate::host::record_fault_metrics(&core.metrics, stats.faults, "server.");
         crate::host::record_tier_metrics(&core.metrics, stats, "server.");
         crate::host::record_scan_metrics(&core.metrics, stats, "server.");
     }
-    deliveries.push((job.id, &job.tenant, job.arrival, primary));
     let mut st = core.lock();
     st.inflight -= 1;
     let delivered = Instant::now();
-    for (id, tenant, arrival, result) in deliveries {
-        // Followers rode the leader's device run: they share its
-        // promotion, completion and run times.
-        deliver(&mut st, id, result);
-        core.record_completion(&mut st, tenant, arrival, [job.promoted, ran, delivered], run);
-    }
+    deliver(&mut st, job.id, result);
+    core.record_completion(&mut st, &job.tenant, job.arrival, [job.promoted, ran, delivered], run);
     drop(st);
     core.done.notify_all();
-}
-
-/// A follower's copy of the shared run outcome: the table is cloned and
-/// the follower's own reconfiguration penalty applied; on failure its own
-/// oracle gets the rescue attempt.
-fn settle(
-    base: &JobResult,
-    oracle: &Mutex<Option<OracleFn>>,
-    penalty: u64,
-) -> JobResult {
-    match base {
-        Ok((table, stats)) => {
-            let mut stats = *stats;
-            stats.reconfig_cycles += penalty;
-            stats.cycles += penalty;
-            Ok((table.clone(), stats))
-        }
-        Err(e) => rescue(oracle, penalty, e.clone()),
-    }
 }
 
 /// Oracle fallback for a failed run: the oracle's table with fallback
@@ -1622,6 +1498,23 @@ mod tests {
         assert_eq!(snap.counters["server.cache.hits"], 1);
         assert_eq!(snap.counters["server.cache.misses"], 1);
         assert_eq!(snap.counters["server.jobs.completed"], 2);
+    }
+
+    #[test]
+    fn the_only_threads_are_the_device_workers() {
+        for n in [1, 2, 4] {
+            assert_eq!(small_server(n).workers.len(), n);
+        }
+    }
+
+    /// Regression: `submitted + Duration::MAX` overflowed `Instant` and
+    /// panicked in `wait`.
+    #[test]
+    fn unrepresentable_deadline_is_no_deadline() {
+        let server = small_server(1);
+        let req = Request::new("a", sum_plan("X")).with_deadline(Duration::MAX);
+        let (out, _) = server.submit(req, &catalog(8)).unwrap().wait().unwrap();
+        assert_eq!(out.row(0)[0], genesis_types::Value::U64(36));
     }
 
     #[test]

@@ -63,10 +63,12 @@ proptest! {
     /// The dispatch order is a pure function of the submission sequence:
     /// the same tenant mix yields the identical `(tenant, job_id)`
     /// schedule — matching the fair-queue reference model — at any device
-    /// pool size, and every job computes the same result.
+    /// pool size and shard count, each job's shards dispatch back to back
+    /// in shard order, and every job computes the same result.
     #[test]
     fn schedule_is_deterministic_at_any_pool_size(
         mix in proptest::collection::vec(0usize..4, 1..14),
+        shards in 1usize..=3,
     ) {
         let cat = catalog(16);
         let tenants = ["alice", "bob", "carol", "dave"];
@@ -77,7 +79,12 @@ proptest! {
                 .collect::<Vec<_>>(),
         );
         for devices in [1, 2, 4] {
-            let srv = server(devices, true);
+            let srv = GenesisServer::new(
+                ServerConfig::default()
+                    .with_devices(devices, DeviceConfig::small())
+                    .with_shards(shards)
+                    .start_paused(),
+            );
             let tickets: Vec<_> = mix
                 .iter()
                 .enumerate()
@@ -94,15 +101,28 @@ proptest! {
                     Value::U64(expected_sum(16, i as u64 % 3))
                 );
             }
-            let log: Vec<(String, u64)> = srv
-                .schedule_log()
-                .into_iter()
-                .map(|r| (r.tenant, r.job_id))
-                .collect();
+            // One job at a time reaches the pool: its shard records are
+            // contiguous in the log and ascend from 0.
+            let mut log: Vec<(String, u64)> = Vec::new();
+            let mut expected_shard = 0;
+            for r in srv.schedule_log() {
+                prop_assert!(
+                    r.shard == expected_shard && r.shards == shards,
+                    "shard {}/{} of job {} where shard {}/{} belongs",
+                    r.shard, r.shards, r.job_id, expected_shard, shards
+                );
+                if r.shard == 0 {
+                    log.push((r.tenant, r.job_id));
+                } else {
+                    prop_assert_eq!(log.last().map(|l| l.1), Some(r.job_id));
+                }
+                expected_shard = (r.shard + 1) % shards;
+            }
+            prop_assert_eq!(expected_shard, 0);
             prop_assert!(
                 log == reference,
-                "schedule diverged from the fair-order reference at {} devices: \
-                 {:?} vs {:?}", devices, log, reference
+                "schedule diverged from the fair-order reference at {} devices, \
+                 {} shards: {:?} vs {:?}", devices, shards, log, reference
             );
         }
     }

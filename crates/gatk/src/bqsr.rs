@@ -690,10 +690,10 @@ pub fn build_covariate_table_parallel(
 ) -> CovariateTable {
     let threads = threads.max(1).min(reads.len().max(1));
     let chunk_len = reads.len().div_ceil(threads);
-    let tables = crossbeam::thread::scope(|scope| {
+    let tables = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for chunk in reads.chunks(chunk_len) {
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 build_covariate_table(chunk, genome, read_groups, read_len)
             }));
         }
@@ -701,8 +701,7 @@ pub fn build_covariate_table_parallel(
             .into_iter()
             .map(|h| h.join().expect("bqsr worker panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("scoped threads join");
+    });
     let mut total = CovariateTable::new(read_groups, read_len);
     for t in &tables {
         total.merge(t);

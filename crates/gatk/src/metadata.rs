@@ -135,17 +135,16 @@ pub fn set_nm_md_uq_tags_parallel(
 ) -> Result<MetadataReport, TypeError> {
     let threads = threads.max(1).min(reads.len().max(1));
     let chunk_len = reads.len().div_ceil(threads);
-    let results = crossbeam::thread::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for chunk in reads.chunks_mut(chunk_len) {
-            handles.push(scope.spawn(move |_| set_nm_md_uq_tags(chunk, genome)));
+            handles.push(scope.spawn(move || set_nm_md_uq_tags(chunk, genome)));
         }
         handles
             .into_iter()
             .map(|h| h.join().expect("metadata worker panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("scoped threads join");
+    });
     let mut total = MetadataReport::default();
     for r in results {
         let r = r?;

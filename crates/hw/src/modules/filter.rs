@@ -34,6 +34,25 @@ pub enum CmpOp {
     IsVal,
 }
 
+impl CmpOp {
+    /// Whether `a op b` holds for two plain values: the one comparison
+    /// behind both [`Predicate::eval`] and the host-side scan pushdown, so
+    /// the two cannot drift. (`IsVal` holds — both operands are values.)
+    #[inline]
+    #[must_use]
+    pub fn holds(self, a: u64, b: u64) -> bool {
+        match self {
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+            CmpOp::Lt => a < b,
+            CmpOp::Le => a <= b,
+            CmpOp::Gt => a > b,
+            CmpOp::Ge => a >= b,
+            CmpOp::IsVal => true,
+        }
+    }
+}
+
 /// A filter predicate: `lhs op rhs`.
 ///
 /// Sentinel semantics: an `Ins`/`Del` operand compares *unequal* to
@@ -87,15 +106,7 @@ impl Predicate {
             return matches!(l, HwWord::Val(_));
         }
         match (l, r) {
-            (HwWord::Val(a), HwWord::Val(b)) => match self.op {
-                CmpOp::Eq => a == b,
-                CmpOp::Ne => a != b,
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Gt => a > b,
-                CmpOp::Ge => a >= b,
-                CmpOp::IsVal => unreachable!("handled above"),
-            },
+            (HwWord::Val(a), HwWord::Val(b)) => self.op.holds(a, b),
             // Any sentinel/empty operand: unequal to everything.
             _ => matches!(self.op, CmpOp::Ne),
         }

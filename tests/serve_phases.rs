@@ -5,8 +5,7 @@
 //! from `submit` entry to delivery, so over any set of completed requests
 //! the phase sums add up to the summed tenant latency to the nanosecond,
 //! and every histogram holds one observation per completed request —
-//! including requests that expired in the queue and requests that rode
-//! another request's device run.
+//! including requests that expired in the queue.
 
 use genesis::core::device::DeviceConfig;
 use genesis::core::serve::{GenesisServer, Request, ServerConfig};
@@ -113,16 +112,15 @@ fn phases_tile_latency_over_a_closed_loop() {
 }
 
 #[test]
-fn expired_and_coalesced_requests_tile_too() {
+fn expired_requests_tile_too() {
     let cat = catalog(64);
     let server = GenesisServer::new(
         ServerConfig::default()
             .with_devices(1, DeviceConfig::small())
-            .with_batching(true)
             .with_shards(2)
             .start_paused(),
     );
-    // Six identical requests coalesce onto one device run; the seventh
+    // Six identical requests queue up behind one device; the seventh
     // expires in the queue and never reaches a device.
     let mut tickets: Vec<_> = (0..6)
         .map(|i| server.submit(Request::new(format!("t{}", i % 2), sum_below(32)), &cat).unwrap())
@@ -136,12 +134,10 @@ fn expired_and_coalesced_requests_tile_too() {
     for t in tickets {
         assert_eq!(t.wait().unwrap().0, first);
     }
-    // The expired job is settled by the scheduler, possibly after its
-    // ticket gave up.
+    // The expired job is settled when it reaches the head of the queue,
+    // possibly after its ticket gave up.
     while server.completed() < 7 {
         std::thread::sleep(Duration::from_millis(1));
     }
-    let snap = server.metrics_snapshot();
-    assert_eq!(snap.counters["server.batch.coalesced"], 5);
-    assert_phases_tile(&snap, 7);
+    assert_phases_tile(&server.metrics_snapshot(), 7);
 }
