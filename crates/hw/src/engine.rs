@@ -11,8 +11,10 @@
 //!   every live module is parked advance in closed form.
 //!
 //! Skipping is exact, not approximate: a module may park only after a tick
-//! that was a pure no-op and would stay one until a watched queue is
-//! mutated or its timed wake arrives (see [`Tick::Park`]), so cycle counts,
+//! that every later tick would repeat until a watched queue is mutated or
+//! its timed wake arrives, and that was either a pure no-op or nothing but
+//! one refused push — whose skipped repeats the engine then counts in
+//! closed form (see [`Tick::Park`], [`Watch::Full`]). So cycle counts,
 //! stall counters, memory traffic, scratchpad contents and outputs are
 //! bit-identical between the two.
 
@@ -63,7 +65,7 @@ fn watch_matches(watch: Watch, role: u8, qi: u32) -> bool {
     match watch {
         Watch::Inputs => role & ROLE_INPUT != 0,
         Watch::Outputs => role & ROLE_OUTPUT != 0,
-        Watch::Queue(id) => id.index() == qi as usize,
+        Watch::Queue(id) | Watch::Full(id) => id.index() == qi as usize,
         Watch::Timer | Watch::Spill => false,
     }
 }
@@ -75,7 +77,7 @@ fn adjust_watches(queues: &mut QueuePool, ins: &[QueueId], outs: &[QueueId], wat
     let qs: &[QueueId] = match watch {
         Watch::Inputs => ins,
         Watch::Outputs => outs,
-        Watch::Queue(q) => {
+        Watch::Queue(q) | Watch::Full(q) => {
             if add {
                 queues.add_watch(q);
             } else {
@@ -101,7 +103,7 @@ fn classify_stall(watch: Watch, ins: &[QueueId], outs: &[QueueId]) -> StallClass
         Watch::Timer => StallClass::MemoryWait,
         Watch::Spill => StallClass::SpillWait,
         Watch::Inputs => StallClass::InputStarved,
-        Watch::Outputs => StallClass::Backpressured,
+        Watch::Outputs | Watch::Full(_) => StallClass::Backpressured,
         Watch::Queue(q) => {
             if outs.contains(&q) && !ins.contains(&q) {
                 StallClass::Backpressured
@@ -211,10 +213,13 @@ impl<'a> EngineCore<'a> {
         (pushed, mem.read_lines + mem.write_lines + self.spms.tier_ops(), self.done_count)
     }
 
+    /// Cycles without signature progress before a deadlock is declared.
+    /// Both latencies come from `GENESIS_*` specs, so the sum saturates: a
+    /// window of `u64::MAX` never closes before the cycle budget does.
     fn deadlock_window(&self) -> u64 {
-        4 * self.mem.config().worst_case_latency_cycles()
-            + 4 * self.spms.tier_worst_wait()
-            + 10_000
+        let mem = self.mem.config().worst_case_latency_cycles().saturating_mul(4);
+        let tier = self.spms.tier_worst_wait().saturating_mul(4);
+        mem.saturating_add(tier).saturating_add(10_000)
     }
 
     fn stuck_labels(&self) -> Vec<String> {
@@ -248,11 +253,25 @@ impl<'a> EngineCore<'a> {
         self.obs.parked[i] && !self.done[i]
     }
 
+    /// Credits a [`Watch::Full`] park's queue with the refused pushes of
+    /// the ticks the park skipped: the module's own tick at `park_at`
+    /// counted one, and the reference engine counts one more on each of
+    /// its ticks in `park_at + 1 .. resume`, where `resume` is the first
+    /// cycle the module ticks again.
+    fn credit_full_stalls(&mut self, i: usize, resume: u64) {
+        if let Watch::Full(q) = self.parked_watch[i] {
+            self.queues.credit_full_stalls(q, resume - self.obs.park_at[i] - 1);
+        }
+    }
+
     /// Wakes parked module `i` at the current cycle: drops its queue
     /// watches, invalidates its timed-heap entries and closes the park
-    /// interval into its stall counters (and the trace).
-    fn unpark(&mut self, i: usize) {
+    /// interval into its stall counters (and the trace). `slot_passed`
+    /// says the tick loop is already beyond slot `i` this cycle, so the
+    /// module next ticks in the following cycle.
+    fn unpark(&mut self, i: usize, slot_passed: bool) {
         let now = self.cycle;
+        self.credit_full_stalls(i, now + u64::from(slot_passed));
         self.obs.parked[i] = false;
         self.parked_count -= 1;
         self.gen[i] = self.gen[i].wrapping_add(1);
@@ -274,6 +293,9 @@ impl<'a> EngineCore<'a> {
         let elapsed = now - self.obs.base;
         for i in 0..self.obs.parked.len() {
             let (kind, from) = if self.obs.parked[i] {
+                // Still parked at a `Deadlock`/`CycleLimit` exit: cycle
+                // `now` was not simulated, and a resumed run ticks it.
+                self.credit_full_stalls(i, now);
                 let cycles = now - self.obs.park_at[i];
                 self.stall[i].add(self.obs.park_class[i], cycles);
                 self.obs.stalled[i] += cycles;
@@ -348,7 +370,8 @@ impl<'a> EngineCore<'a> {
                     }
                     self.timed.pop();
                     if g == self.gen[i] && self.is_parked(i) {
-                        self.unpark(i);
+                        // Top of the cycle: no slot has run yet.
+                        self.unpark(i, false);
                     }
                 }
                 if self.tracking && self.parked_count == 0 {
@@ -391,7 +414,7 @@ impl<'a> EngineCore<'a> {
                 // after touching its queues (a refused push marks a
                 // touch) must not immediately wake itself.
                 if self.tracking && self.queues.has_touched() {
-                    self.wake_touched();
+                    self.wake_touched(i);
                 }
                 match t {
                     Tick::Active => {
@@ -400,8 +423,9 @@ impl<'a> EngineCore<'a> {
                             self.done_count += 1;
                         }
                     }
-                    // Reference engine: parks are ignored (pure no-op
-                    // ticks re-run every cycle).
+                    // Reference engine: parks are ignored (no-op and
+                    // refused-push ticks re-run, and re-count, every
+                    // cycle).
                     Tick::Park { wake_at, watch } if self.park_enabled => {
                         self.park(i, wake_at, watch);
                     }
@@ -413,9 +437,11 @@ impl<'a> EngineCore<'a> {
         true
     }
 
-    /// Drains the pool's touch list and wakes every parked module whose
-    /// watch covers a touched queue.
-    fn wake_touched(&mut self) {
+    /// Drains the pool's touch list, left by the tick of module `cur`, and
+    /// wakes every parked module whose watch covers a touched queue. A
+    /// woken module registered before `cur` has missed its slot in this
+    /// cycle (the reference engine ticked it before `cur`'s mutation).
+    fn wake_touched(&mut self, cur: usize) {
         let mut touched = std::mem::take(&mut self.touched);
         self.queues.take_touched(&mut touched);
         for &qi in &touched {
@@ -431,7 +457,7 @@ impl<'a> EngineCore<'a> {
             for k in 0..self.watchers[qi as usize].len() {
                 let (w, role) = self.watchers[qi as usize][k];
                 if self.is_parked(w) && watch_matches(self.parked_watch[w], role, qi) {
-                    self.unpark(w);
+                    self.unpark(w, w < cur);
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! Stream ALU: element-wise unary/binary operations (paper §III-C).
 
-use super::{try_push, Ctx, Module, ModuleKind, Tick};
+use super::{try_forward, try_push, Ctx, Module, ModuleKind, Tick};
 use crate::queue::QueueId;
-use crate::word::{Flit, HwWord, MAX_FIELDS};
+use crate::word::{Flit, HwWord};
 use std::any::Any;
 
 /// Binary ALU operation.
@@ -98,7 +98,7 @@ impl Module for StreamAlu {
         }
         match self.rhs {
             AluRhs::Const(c) => {
-                let Some(&flit) = ctx.queues.get(self.lhs).peek() else {
+                let Some(head) = ctx.queues.get(self.lhs).peek() else {
                     if ctx.queues.get(self.lhs).is_finished() {
                         ctx.queues.get_mut(self.out).close();
                         self.done = true;
@@ -106,18 +106,22 @@ impl Module for StreamAlu {
                     }
                     return Tick::PARK;
                 };
-                let out = if flit.is_end_item() {
-                    flit
-                } else {
-                    let mut words = [HwWord::Empty; MAX_FIELDS];
-                    for (i, w) in words.iter_mut().enumerate().take(flit.len()) {
-                        *w = Self::apply(self.op, flit.field(i), HwWord::Val(c));
+                // A refused push recomputes the same flit from the same
+                // head until `out` drains.
+                if head.is_end_item() {
+                    if !try_forward(ctx.queues, self.lhs, self.out) {
+                        return Tick::full(self.out);
                     }
-                    Flit::data(&words[..flit.len()])
-                };
-                if try_push(ctx.queues, self.out, out) {
-                    ctx.queues.get_mut(self.lhs).pop();
+                    return Tick::Active;
                 }
+                let mut out = Flit::new();
+                for i in 0..head.len() {
+                    out.push(Self::apply(self.op, head.field(i), HwWord::Val(c)));
+                }
+                if !try_push(ctx.queues, self.out, out) {
+                    return Tick::full(self.out);
+                }
+                ctx.queues.get_mut(self.lhs).pop();
                 Tick::Active
             }
             AluRhs::Queue(rq) => {
@@ -128,7 +132,7 @@ impl Module for StreamAlu {
                     self.done = true;
                     return Tick::Active;
                 }
-                let (Some(&l), Some(&r)) =
+                let (Some(l), Some(r)) =
                     (ctx.queues.get(self.lhs).peek(), ctx.queues.get(rq).peek())
                 else {
                     // At least one input is empty but not both finished.
@@ -137,12 +141,11 @@ impl Module for StreamAlu {
                 let out = match (l.is_end_item(), r.is_end_item()) {
                     (true, true) => Flit::end_item(),
                     (false, false) => {
-                        let n = l.len().max(r.len()).min(MAX_FIELDS);
-                        let mut words = [HwWord::Empty; MAX_FIELDS];
-                        for (i, w) in words.iter_mut().enumerate().take(n) {
-                            *w = Self::apply(self.op, l.field(i), r.field(i));
+                        let mut out = Flit::new();
+                        for i in 0..l.len().max(r.len()) {
+                            out.push(Self::apply(self.op, l.field(i), r.field(i)));
                         }
-                        Flit::data(&words[..n])
+                        out
                     }
                     // Misaligned items: resynchronize by consuming the
                     // delimiter side alone.
@@ -155,10 +158,12 @@ impl Module for StreamAlu {
                         return Tick::Active;
                     }
                 };
-                if try_push(ctx.queues, self.out, out) {
-                    ctx.queues.get_mut(self.lhs).pop();
-                    ctx.queues.get_mut(rq).pop();
+                if !try_push(ctx.queues, self.out, out) {
+                    // Both heads stay put until `out` drains.
+                    return Tick::full(self.out);
                 }
+                ctx.queues.get_mut(self.lhs).pop();
+                ctx.queues.get_mut(rq).pop();
                 Tick::Active
             }
         }

@@ -6,7 +6,7 @@
 //! ranges for forward and reverse reads (footnote 3) and the context ID is
 //! the dinucleotide code of footnote: `AA = 0, AC = 1, ..., TT = 15`.
 
-use super::{try_push, Ctx, Module, ModuleKind, Tick};
+use super::{try_forward, try_push, Ctx, Module, ModuleKind, Tick};
 use crate::queue::QueueId;
 use crate::word::{Flit, HwWord};
 use genesis_types::base::context_id;
@@ -89,8 +89,13 @@ impl Module for BinIdGen {
         if self.done {
             return Tick::Active;
         }
-        // Acquire the current read's flags first.
-        if self.reverse.is_none() {
+        // Acquire the current read's flags first. A refused push on the
+        // tick that acquires them is not a pure stall (the flags were
+        // consumed); from the next tick on it is: the flags are held and
+        // only this module pops the base stream's head.
+        let acquired_flags = self.reverse.is_none();
+        let refused = |q| if acquired_flags { Tick::Active } else { Tick::full(q) };
+        if acquired_flags {
             match ctx.queues.get(self.flags).peek() {
                 Some(f) if f.is_end_item() => {
                     ctx.queues.get_mut(self.flags).pop();
@@ -114,7 +119,7 @@ impl Module for BinIdGen {
                 }
             }
         }
-        let Some(&flit) = ctx.queues.get(self.input).peek() else {
+        let Some(flit) = ctx.queues.get(self.input).peek() else {
             if ctx.queues.get(self.input).is_finished() {
                 ctx.queues.get_mut(self.out).close();
                 self.done = true;
@@ -123,11 +128,11 @@ impl Module for BinIdGen {
             return Tick::PARK;
         };
         if flit.is_end_item() {
-            if try_push(ctx.queues, self.out, flit) {
-                ctx.queues.get_mut(self.input).pop();
-                self.reverse = None;
-                self.prev_base = None;
+            if !try_forward(ctx.queues, self.input, self.out) {
+                return refused(self.out);
             }
+            self.reverse = None;
+            self.prev_base = None;
             return Tick::Active;
         }
         let pos = flit.field(0);
@@ -157,11 +162,17 @@ impl Module for BinIdGen {
             Some(ctx_id) => HwWord::Val(q * 16 + u64::from(ctx_id)),
             None => HwWord::Del,
         };
-        let out = Flit::data(&[pos, base, qual, HwWord::Val(b1), b2]);
-        if try_push(ctx.queues, self.out, out) {
-            ctx.queues.get_mut(self.input).pop();
-            self.prev_base = Some(cur);
+        let mut out = Flit::new();
+        for i in 0..3 {
+            out.push_from(flit, i);
         }
+        out.push_val(b1);
+        out.push(b2);
+        if !try_push(ctx.queues, self.out, out) {
+            return refused(self.out);
+        }
+        ctx.queues.get_mut(self.input).pop();
+        self.prev_base = Some(cur);
         Tick::Active
     }
 

@@ -1,8 +1,8 @@
 //! Filter: predicate selection on a stream (paper §III-C, Figure 6).
 
-use super::{try_push, Ctx, Module, ModuleKind, Tick};
+use super::{try_forward, Ctx, Module, ModuleKind, Tick};
 use crate::queue::QueueId;
-use crate::word::HwWord;
+use crate::word::{Flit, HwWord};
 use std::any::Any;
 
 /// One comparison operand: a flit field or an immediate constant.
@@ -90,18 +90,18 @@ impl Predicate {
         Predicate { lhs: Operand::Field(i), op: CmpOp::IsVal, rhs: Operand::Const(0) }
     }
 
-    fn resolve(op: Operand, fields: &dyn Fn(usize) -> HwWord) -> HwWord {
+    fn resolve(op: Operand, flit: &Flit) -> HwWord {
         match op {
-            Operand::Field(i) => fields(i),
+            Operand::Field(i) => flit.field(i),
             Operand::Const(c) => HwWord::Val(c),
         }
     }
 
     /// Evaluates the predicate against a flit's fields.
     #[must_use]
-    pub fn eval(&self, fields: &dyn Fn(usize) -> HwWord) -> bool {
-        let l = Self::resolve(self.lhs, fields);
-        let r = Self::resolve(self.rhs, fields);
+    pub fn eval(&self, flit: &Flit) -> bool {
+        let l = Self::resolve(self.lhs, flit);
+        let r = Self::resolve(self.rhs, flit);
         if self.op == CmpOp::IsVal {
             return matches!(l, HwWord::Val(_));
         }
@@ -159,7 +159,7 @@ impl Module for Filter {
         if self.done {
             return Tick::Active;
         }
-        let Some(&flit) = ctx.queues.get(self.input).peek() else {
+        let Some(head) = ctx.queues.get(self.input).peek() else {
             if ctx.queues.get(self.input).is_finished() {
                 ctx.queues.get_mut(self.out).close();
                 self.done = true;
@@ -167,21 +167,18 @@ impl Module for Filter {
             }
             return Tick::PARK;
         };
-        if flit.is_end_item() {
-            if try_push(ctx.queues, self.out, flit) {
-                ctx.queues.get_mut(self.input).pop();
-            }
-            return Tick::Active;
-        }
-        if self.pred.eval(&|i| flit.field(i)) {
-            if try_push(ctx.queues, self.out, flit) {
-                ctx.queues.get_mut(self.input).pop();
-                self.passed += 1;
-            }
-        } else {
+        let is_data = !head.is_end_item();
+        if is_data && !self.pred.eval(head) {
             ctx.queues.get_mut(self.input).pop();
             self.dropped += 1;
+            return Tick::Active;
         }
+        if !try_forward(ctx.queues, self.input, self.out) {
+            // Only this module pops the head, so the same flit is refused
+            // until `out` drains.
+            return Tick::full(self.out);
+        }
+        self.passed += u64::from(is_data);
         Tick::Active
     }
 

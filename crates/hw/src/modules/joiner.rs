@@ -1,9 +1,10 @@
 //! Joiner: key-merge of two sorted streams (paper §III-C, Figure 6).
 
 use super::{try_push, Ctx, Module, ModuleKind, Tick};
-use crate::queue::QueueId;
-use crate::word::{Flit, HwWord, MAX_FIELDS};
+use crate::queue::{QueueId, QueuePool};
+use crate::word::{Flit, HwWord};
 use std::any::Any;
+use std::cmp::Ordering;
 
 /// Join semantics (paper §III-C): inner discards unmatched flits, left
 /// keeps unmatched flits from the first queue, outer never discards.
@@ -39,8 +40,8 @@ pub struct Joiner {
     done: bool,
 }
 
-enum Head {
-    Data(Flit),
+enum Head<'a> {
+    Data(&'a Flit),
     End,
     /// Stream closed and drained: behaves like a permanent delimiter.
     Finished,
@@ -74,11 +75,11 @@ impl Joiner {
         }
     }
 
-    fn head(ctx: &Ctx<'_>, q: QueueId) -> Head {
-        let queue = ctx.queues.get(q);
+    fn head(queues: &QueuePool, q: QueueId) -> Head<'_> {
+        let queue = queues.get(q);
         match queue.peek() {
             Some(f) if f.is_end_item() => Head::End,
-            Some(f) => Head::Data(*f),
+            Some(f) => Head::Data(f),
             None if queue.is_closed() => Head::Finished,
             None => Head::Stall,
         }
@@ -86,33 +87,55 @@ impl Joiner {
 
     /// Output for an unmatched left flit: key + left data + right padding.
     fn left_padded(&self, f: &Flit) -> Flit {
-        let mut fields = [HwWord::Del; MAX_FIELDS];
-        fields[..f.len()].copy_from_slice(f.fields());
-        Flit::data(&fields[..f.len() + self.right_data_fields])
+        let mut out = *f;
+        for _ in 0..self.right_data_fields {
+            out.push(HwWord::Del);
+        }
+        out
     }
 
     /// Output for an unmatched right flit: key + left padding + right data.
     fn right_padded(&self, f: &Flit) -> Flit {
-        let mut fields = [HwWord::Del; MAX_FIELDS];
-        fields[0] = f.field(0);
-        let mut n = 1 + self.left_data_fields;
-        for &w in f.fields().iter().skip(1) {
-            fields[n] = w;
-            n += 1;
+        let mut out = Flit::new();
+        out.push_from(f, 0);
+        for _ in 0..self.left_data_fields {
+            out.push(HwWord::Del);
         }
-        Flit::data(&fields[..n])
+        for i in 1..f.len() {
+            out.push_from(f, i);
+        }
+        out
     }
 
     /// Merged output for matching keys: key + left data + right data.
     fn merged(l: &Flit, r: &Flit) -> Flit {
-        let mut fields = [HwWord::Empty; MAX_FIELDS];
-        fields[..l.len()].copy_from_slice(l.fields());
-        let mut n = l.len();
-        for &w in r.fields().iter().skip(1) {
-            fields[n] = w;
-            n += 1;
+        let mut out = *l;
+        for i in 1..r.len() {
+            out.push_from(r, i);
         }
-        Flit::data(&fields[..n])
+        out
+    }
+
+    /// Discards the head of one input (an unmatched flit the join drops).
+    fn discard(ctx: &mut Ctx<'_>, q: QueueId) -> Tick {
+        ctx.queues.get_mut(q).pop();
+        Tick::Active
+    }
+
+    /// Pushes `out` and, once accepted, consumes the heads it was built
+    /// from. A refused push is a pure stall: only this module pops the
+    /// heads, so every tick until `out` drains rebuilds the same flit.
+    fn emit(&self, ctx: &mut Ctx<'_>, out: Flit, pop_left: bool, pop_right: bool) -> Tick {
+        if !try_push(ctx.queues, self.out, out) {
+            return Tick::full(self.out);
+        }
+        if pop_left {
+            ctx.queues.get_mut(self.left).pop();
+        }
+        if pop_right {
+            ctx.queues.get_mut(self.right).pop();
+        }
+        Tick::Active
     }
 }
 
@@ -125,8 +148,8 @@ impl Module for Joiner {
         ModuleKind::Joiner
     }
 
-    #[allow(clippy::too_many_lines)]
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
+        use JoinKind::{Inner, Left, Outer};
         if self.done {
             return Tick::Active;
         }
@@ -137,110 +160,58 @@ impl Module for Joiner {
             self.done = true;
             return Tick::Active;
         }
-        let lh = Self::head(ctx, self.left);
-        let rh = Self::head(ctx, self.right);
+        let lh = Self::head(ctx.queues, self.left);
+        let rh = Self::head(ctx.queues, self.right);
         match (lh, rh) {
             // An open-but-empty side: wait for data or a close, watching
             // precisely the starved queue (a push to — or close of — it is
             // the only event that changes this head).
-            (Head::Stall, _) => return Tick::park_on(self.left),
-            (_, Head::Stall) => return Tick::park_on(self.right),
-            // Both items complete: forward one delimiter.
-            (Head::End | Head::Finished, Head::End | Head::Finished) => {
-                if try_push(ctx.queues, self.out, Flit::end_item()) {
-                    // Pop real delimiters; Finished sides have nothing to pop.
-                    if ctx.queues.get(self.left).peek().is_some_and(Flit::is_end_item) {
-                        ctx.queues.get_mut(self.left).pop();
-                    }
-                    if ctx.queues.get(self.right).peek().is_some_and(Flit::is_end_item) {
-                        ctx.queues.get_mut(self.right).pop();
-                    }
-                }
+            (Head::Stall, _) => Tick::park_on(self.left),
+            (_, Head::Stall) => Tick::park_on(self.right),
+            // Both items complete: forward one delimiter, popping the real
+            // ones (Finished sides have nothing to pop).
+            (lh @ (Head::End | Head::Finished), rh @ (Head::End | Head::Finished)) => {
+                let (pop_left, pop_right) = (matches!(lh, Head::End), matches!(rh, Head::End));
+                self.emit(ctx, Flit::end_item(), pop_left, pop_right)
             }
             // Left item done; drain the right side of this item.
             (Head::End | Head::Finished, Head::Data(r)) => match self.kind {
-                JoinKind::Inner | JoinKind::Left => {
-                    ctx.queues.get_mut(self.right).pop();
-                    let _ = r;
-                }
-                JoinKind::Outer => {
-                    let out = self.right_padded(&r);
-                    if try_push(ctx.queues, self.out, out) {
-                        ctx.queues.get_mut(self.right).pop();
-                    }
-                }
+                Inner | Left => Self::discard(ctx, self.right),
+                Outer => self.emit(ctx, self.right_padded(r), false, true),
             },
             // Right item done; drain the left side of this item.
             (Head::Data(l), Head::End | Head::Finished) => match self.kind {
-                JoinKind::Inner => {
-                    ctx.queues.get_mut(self.left).pop();
-                }
-                JoinKind::Left | JoinKind::Outer => {
-                    let out = self.left_padded(&l);
-                    if try_push(ctx.queues, self.out, out) {
-                        ctx.queues.get_mut(self.left).pop();
-                    }
-                }
+                Inner => Self::discard(ctx, self.left),
+                Left | Outer => self.emit(ctx, self.left_padded(l), true, false),
             },
             (Head::Data(l), Head::Data(r)) => {
                 let lk = l.field(0);
                 let rk = r.field(0);
                 // Inserted-base flits never match.
                 if lk.is_marker() {
-                    match self.kind {
-                        JoinKind::Inner => {
-                            ctx.queues.get_mut(self.left).pop();
-                        }
-                        JoinKind::Left | JoinKind::Outer => {
-                            let out = self.left_padded(&l);
-                            if try_push(ctx.queues, self.out, out) {
-                                ctx.queues.get_mut(self.left).pop();
-                            }
-                        }
-                    }
-                    return Tick::Active;
+                    return match self.kind {
+                        Inner => Self::discard(ctx, self.left),
+                        Left | Outer => self.emit(ctx, self.left_padded(l), true, false),
+                    };
                 }
                 if rk.is_marker() {
                     // Malformed right keys are discarded.
-                    ctx.queues.get_mut(self.right).pop();
-                    return Tick::Active;
+                    return Self::discard(ctx, self.right);
                 }
                 let (lv, rv) = (lk.val_or_zero(), rk.val_or_zero());
-                if lv == rv {
-                    let out = Self::merged(&l, &r);
-                    if try_push(ctx.queues, self.out, out) {
-                        ctx.queues.get_mut(self.left).pop();
-                        ctx.queues.get_mut(self.right).pop();
+                match (lv.cmp(&rv), self.kind) {
+                    (Ordering::Equal, _) => self.emit(ctx, Self::merged(l, r), true, true),
+                    (Ordering::Less, Inner) => Self::discard(ctx, self.left),
+                    (Ordering::Less, Left | Outer) => {
+                        self.emit(ctx, self.left_padded(l), true, false)
                     }
-                } else if lv < rv {
-                    match self.kind {
-                        JoinKind::Inner => {
-                            ctx.queues.get_mut(self.left).pop();
-                        }
-                        JoinKind::Left | JoinKind::Outer => {
-                            let out = self.left_padded(&l);
-                            if try_push(ctx.queues, self.out, out) {
-                                ctx.queues.get_mut(self.left).pop();
-                            }
-                        }
-                    }
-                } else {
-                    match self.kind {
-                        JoinKind::Inner | JoinKind::Left => {
-                            ctx.queues.get_mut(self.right).pop();
-                        }
-                        JoinKind::Outer => {
-                            let out = self.right_padded(&r);
-                            if try_push(ctx.queues, self.out, out) {
-                                ctx.queues.get_mut(self.right).pop();
-                            }
-                        }
+                    (Ordering::Greater, Inner | Left) => Self::discard(ctx, self.right),
+                    (Ordering::Greater, Outer) => {
+                        self.emit(ctx, self.right_padded(r), false, true)
                     }
                 }
             }
         }
-        // Every non-stall arm pops, pushes, or counts a refused push.
-        Tick::Active
     }
 
     fn is_done(&self) -> bool {

@@ -123,13 +123,15 @@ impl Module for MdGen {
             return Tick::Active;
         }
         // Drain one buffered output flit per cycle.
-        if let Some(&f) = self.outbuf.front() {
-            if try_push(ctx.queues, self.out, f) {
-                self.outbuf.pop_front();
+        if let Some(f) = self.outbuf.front() {
+            if !try_push(ctx.queues, self.out, *f) {
+                // Returns before the input is looked at: a pure stall.
+                return Tick::full(self.out);
             }
+            self.outbuf.pop_front();
             return Tick::Active;
         }
-        let Some(&flit) = ctx.queues.get(self.input).peek() else {
+        let Some(flit) = ctx.queues.get(self.input).peek() else {
             if ctx.queues.get(self.input).is_finished() {
                 ctx.queues.get_mut(self.out).close();
                 self.done = true;

@@ -1,6 +1,6 @@
 //! Memory Reader: streams a column out of device memory (paper §III-C).
 
-use super::{try_push, Ctx, Module, ModuleKind, Tick, Watch};
+use super::{refused, Ctx, Module, ModuleKind, Tick, Watch};
 use crate::memory::{Line, PortId, LINE_BYTES};
 use crate::queue::QueueId;
 use crate::word::Flit;
@@ -162,44 +162,57 @@ impl Module for MemReader {
             }
         }
         // Emit one flit per cycle.
-        if self.pending_ends > 0 {
-            if try_push(ctx.queues, self.out, Flit::end_item()) {
-                self.pending_ends -= 1;
+        let wants_push = self.pending_ends > 0
+            || (self.emitted < self.cfg.total_elems && self.buffered() >= self.cfg.elem_bytes);
+        if wants_push && refused(ctx.queues, self.out) {
+            if active {
+                return Tick::Active;
             }
+            // The refused push was all this tick did: the prefetcher is
+            // finished or silently held by the in-flight limit (which only
+            // an accepted response lowers), and no response was accepted.
+            // With buffer space left the next response to come due changes
+            // that; with the buffer full nothing does until `out` drains.
+            let wake_at = if self.buffered() < Self::BUF_LIMIT {
+                ctx.mem.next_response_ready(self.port)
+            } else {
+                None
+            };
+            return Tick::Park { wake_at, watch: Watch::Full(self.out) };
+        }
+        if self.pending_ends > 0 {
+            ctx.queues.get_mut(self.out).push(Flit::end_item());
+            self.pending_ends -= 1;
             active = true;
-        } else if self.emitted < self.cfg.total_elems && self.buffered() >= self.cfg.elem_bytes {
+        } else if wants_push {
             active = true;
-            if ctx.queues.get(self.out).can_push() {
-                let line = self.buf.front().expect("buffered bytes checked");
-                let mut v: u64 = 0;
-                for (i, &b) in line[self.head_off..self.head_off + self.cfg.elem_bytes]
-                    .iter()
-                    .enumerate()
-                {
-                    v |= u64::from(b) << (8 * i);
-                }
-                self.head_off += self.cfg.elem_bytes;
-                if self.head_off == LINE_BYTES {
-                    self.buf.pop_front();
-                    self.head_off = 0;
-                }
-                ctx.queues.get_mut(self.out).push(Flit::val(v));
-                self.emitted += 1;
-                self.row_left -= 1;
-                if self.row_left == 0 || self.emitted == self.cfg.total_elems {
-                    // Zero-length subsequent (or trailing) rows each still
-                    // get a delimiter.
+            let line = self.buf.front().expect("buffered bytes checked");
+            let mut v: u64 = 0;
+            for (i, &b) in line[self.head_off..self.head_off + self.cfg.elem_bytes]
+                .iter()
+                .enumerate()
+            {
+                v |= u64::from(b) << (8 * i);
+            }
+            self.head_off += self.cfg.elem_bytes;
+            if self.head_off == LINE_BYTES {
+                self.buf.pop_front();
+                self.head_off = 0;
+            }
+            ctx.queues.get_mut(self.out).push(Flit::val(v));
+            self.emitted += 1;
+            self.row_left -= 1;
+            if self.row_left == 0 || self.emitted == self.cfg.total_elems {
+                // Zero-length subsequent (or trailing) rows each still
+                // get a delimiter.
+                self.advance_row();
+                while self.row_left == 0 {
+                    let before = self.pending_ends;
                     self.advance_row();
-                    while self.row_left == 0 {
-                        let before = self.pending_ends;
-                        self.advance_row();
-                        if self.pending_ends == before {
-                            break;
-                        }
+                    if self.pending_ends == before {
+                        break;
                     }
                 }
-            } else {
-                ctx.queues.get_mut(self.out).note_full_stall();
             }
         }
         if self.emitted == self.cfg.total_elems && self.pending_ends == 0 {
@@ -210,13 +223,12 @@ impl Module for MemReader {
         if active {
             Tick::Active
         } else {
-            // Blocked on memory latency: whenever the reader holds
-            // emittable data or a pending delimiter the emit branch
-            // reports Active regardless of output-queue space, so no
-            // queue event can unblock a parked reader — only a response
-            // becoming deliverable. Watching the timer alone keeps
-            // downstream pops from re-ticking the reader during the
-            // whole latency window.
+            // Blocked on memory latency: a reader holding emittable data
+            // or a pending delimiter either emitted it (Active) or parked
+            // on the full output above, so here it holds neither and no
+            // queue event can unblock it — only a response becoming
+            // deliverable. Watching the timer alone keeps downstream pops
+            // from re-ticking the reader during the whole latency window.
             Tick::Park {
                 wake_at: ctx.mem.next_response_ready(self.port),
                 watch: Watch::Timer,

@@ -66,25 +66,36 @@ pub enum ModuleKind {
 /// Outcome of one [`Module::tick`], consumed by the fast engine
 /// (see `System::run`).
 ///
-/// The contract behind [`Tick::Park`] is strict: a module may report it
-/// only when the tick that just ran was a **pure no-op** — no flits moved,
-/// no queues closed, no memory or scratchpad traffic, no stall counters
-/// incremented, no internal state changed — *and* every future tick would
-/// also be a no-op until either a watched queue (one listed in
+/// The contract behind [`Tick::Park`] is strict. A module may report it
+/// only when, until either a watched queue (one listed in
 /// [`Module::input_queues`]/[`Module::output_queues`]) is mutated by
-/// another module or the `wake_at` cycle arrives. Under that invariant the
-/// scheduler can skip the module's ticks without observable effect, which
-/// is what keeps the fast engine bit-identical to the
-/// tick-everything reference engine. Ticks that count a stall (a refused
-/// push, an arbitration loss, a RAW hazard) must report [`Tick::Active`]:
-/// the naive engine re-counts those stalls every cycle, so the module must
-/// keep ticking to match.
+/// another module or the `wake_at` cycle arrives, every future tick would
+/// be exactly the tick that just ran, and that tick was one of:
+///
+/// - a **pure no-op** — no flits moved, no queues closed, no memory or
+///   scratchpad traffic, no stall counters incremented, no internal state
+///   changed ([`Watch::Inputs`], [`Watch::Outputs`], [`Watch::Queue`],
+///   [`Watch::Timer`], [`Watch::Spill`]); or
+/// - **one refused push and nothing else** — the tick counted exactly one
+///   backpressure stall on output `q` (`Queue::note_full_stall`) and did
+///   nothing besides ([`Watch::Full`]). The engine then knows what every
+///   skipped tick would have counted, and credits `q` with the number of
+///   ticks it skipped when the park ends.
+///
+/// Under that invariant the scheduler can skip the module's ticks without
+/// observable effect, which is what keeps the fast engine bit-identical to
+/// the tick-everything reference engine (which ignores parks and counts
+/// every stall itself). Ticks that count any *other* stall (a memory
+/// arbitration loss, a RAW hazard), or that count a refused push next to
+/// other work or a state change, must report [`Tick::Active`]: the naive
+/// engine re-counts those every cycle, so the module must keep ticking to
+/// match. `Active` is always safe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tick {
     /// The module did (or may have done) observable work this cycle.
     Active,
-    /// The tick was a pure no-op; skip this module until the watched state
-    /// changes.
+    /// Every tick until the watched state changes would repeat this one
+    /// (a no-op, or one refused push); skip the module until then.
     Park {
         /// Earliest cycle at which a time-based event (a pending memory
         /// response) can unblock the module, when one exists. Watched
@@ -102,8 +113,8 @@ pub enum Tick {
 /// Wake condition of a parked module (see [`Tick::Park`]).
 ///
 /// A module must choose a watch that covers *every* queue event able to
-/// change its next tick from a no-op into work — over-watching merely
-/// costs spurious wake-ups, but under-watching stalls the simulation.
+/// change its next tick — over-watching merely costs spurious wake-ups,
+/// but under-watching stalls the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Watch {
     /// Any mutation of any queue in [`Module::input_queues`] (the common
@@ -116,6 +127,11 @@ pub enum Watch {
     /// Mutation of exactly this queue (which must be one of the module's
     /// declared input or output queues).
     Queue(QueueId),
+    /// Mutation of exactly this *output* queue, by a module whose tick did
+    /// nothing except count one refused push on it (see [`Tick::full`]).
+    /// The interval is attributed to backpressure, and the engine credits
+    /// the queue's refused-push counter with one stall per skipped tick.
+    Full(QueueId),
     /// No queue event can help; only the timed `wake_at` (a pending memory
     /// response) unblocks the module.
     Timer,
@@ -134,6 +150,14 @@ impl Tick {
     #[must_use]
     pub fn park_on(q: QueueId) -> Tick {
         Tick::Park { wake_at: None, watch: Watch::Queue(q) }
+    }
+
+    /// Park after a refused push on output `q`: this tick did nothing but
+    /// count that one stall, and every tick until `q` is mutated would do
+    /// exactly the same ([`Watch::Full`]).
+    #[must_use]
+    pub fn full(q: QueueId) -> Tick {
+        Tick::Park { wake_at: None, watch: Watch::Full(q) }
     }
 }
 
@@ -185,14 +209,34 @@ pub trait Module: fmt::Debug + Send {
 /// Pushes `flit` to queue `q` if space permits; returns whether it was
 /// accepted and records a backpressure stall otherwise.
 pub(crate) fn try_push(queues: &mut QueuePool, q: QueueId, flit: Flit) -> bool {
-    let queue = queues.get_mut(q);
-    if queue.can_push() {
-        queue.push(flit);
-        true
-    } else {
-        queue.note_full_stall();
-        false
+    if refused(queues, q) {
+        return false;
     }
+    queues.get_mut(q).push(flit);
+    true
+}
+
+/// True when `q` cannot accept a flit this cycle, after recording the
+/// backpressure stall: the refused push, for modules that must know
+/// before they build the flit or touch a scratchpad.
+pub(crate) fn refused(queues: &mut QueuePool, q: QueueId) -> bool {
+    if queues.get(q).can_push() {
+        return false;
+    }
+    queues.get_mut(q).note_full_stall();
+    true
+}
+
+/// Moves the head of `from` to `to` unchanged when `to` has space; leaves
+/// it and records a backpressure stall on `to` otherwise. The caller has
+/// peeked the head.
+pub(crate) fn try_forward(queues: &mut QueuePool, from: QueueId, to: QueueId) -> bool {
+    if refused(queues, to) {
+        return false;
+    }
+    let flit = queues.get_mut(from).pop().expect("caller peeked the head");
+    queues.get_mut(to).push(flit);
+    true
 }
 
 /// True when every queue in `qs` can accept a flit this cycle.

@@ -123,7 +123,8 @@ impl Module for ReadToBases {
             }
             State::Body { ref_pos, seq_idx, elem } => {
                 // Load the next CIGAR element when none is active.
-                if elem.is_none() {
+                let loaded_elem = elem.is_none();
+                if loaded_elem {
                     match ctx.queues.get(self.inputs.cigar).peek() {
                         Some(f) if f.is_end_item() => {
                             // Read complete: move to delimiter consumption.
@@ -175,33 +176,34 @@ impl Module for ReadToBases {
                     _ => None,
                 };
                 // Determine the output flit for this base.
-                let out_flit = match op {
-                    CigarOp::Match | CigarOp::SeqMatch | CigarOp::SeqMismatch => Some(Flit::data(&[
-                        HwWord::Val(*ref_pos),
-                        seq_head.expect("M consumes read"),
-                        qual_head.unwrap_or(HwWord::Empty),
-                        HwWord::Val(*seq_idx),
-                    ])),
-                    CigarOp::Ins => Some(Flit::data(&[
-                        HwWord::Ins,
-                        seq_head.expect("I consumes read"),
-                        qual_head.unwrap_or(HwWord::Empty),
-                        HwWord::Val(*seq_idx),
-                    ])),
-                    CigarOp::Del | CigarOp::RefSkip => Some(Flit::data(&[
-                        HwWord::Val(*ref_pos),
-                        HwWord::Del,
-                        HwWord::Del,
-                        HwWord::Del,
-                    ])),
-                    CigarOp::SoftClip | CigarOp::HardClip => None,
+                let mut out = Flit::new();
+                let emits = match op {
+                    CigarOp::Match | CigarOp::SeqMatch | CigarOp::SeqMismatch | CigarOp::Ins => {
+                        if op == CigarOp::Ins {
+                            out.push(HwWord::Ins);
+                        } else {
+                            out.push_val(*ref_pos);
+                        }
+                        out.push(seq_head.expect("M/I consume read"));
+                        out.push(qual_head.unwrap_or(HwWord::Empty));
+                        out.push_val(*seq_idx);
+                        true
+                    }
+                    CigarOp::Del | CigarOp::RefSkip => {
+                        out.push_val(*ref_pos);
+                        for _ in 0..3 {
+                            out.push(HwWord::Del);
+                        }
+                        true
+                    }
+                    CigarOp::SoftClip | CigarOp::HardClip => false,
                 };
                 // Backpressure: the output must accept before we consume.
-                if let Some(f) = out_flit {
-                    if !try_push(ctx.queues, self.out, f) {
-                        // The refused push counted a stall.
-                        return Tick::Active;
-                    }
+                if emits && !try_push(ctx.queues, self.out, out) {
+                    // A tick that also loaded the CIGAR element changed
+                    // state; from the next one on the stall is pure (the
+                    // element is held, the SEQ/QUAL heads stay put).
+                    return if loaded_elem { Tick::Active } else { Tick::full(self.out) };
                 }
                 // Commit: consume inputs and advance counters.
                 if needs_seq {
@@ -218,9 +220,11 @@ impl Module for ReadToBases {
             }
             State::Closing { pos_done, cigar_done, seq_done, qual_done, out_done } => {
                 if !*out_done {
-                    if try_push(ctx.queues, self.out, Flit::end_item()) {
-                        *out_done = true;
+                    if !try_push(ctx.queues, self.out, Flit::end_item()) {
+                        // Nothing else happens before the delimiter is out.
+                        return Tick::full(self.out);
                     }
+                    *out_done = true;
                     return Tick::Active;
                 }
                 let mut popped = false;

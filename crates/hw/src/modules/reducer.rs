@@ -109,17 +109,21 @@ impl Module for Reducer {
             return Tick::Active;
         }
         // Drain pending outputs first (aggregate, then delimiter).
+        // A refused push here returns before the input is looked at, so
+        // it is a pure stall.
         if let Some(v) = self.pending_value {
-            if try_push(ctx.queues, self.out, Flit::val(v)) {
-                self.pending_value = None;
-                self.pending_end = true;
+            if !try_push(ctx.queues, self.out, Flit::val(v)) {
+                return Tick::full(self.out);
             }
+            self.pending_value = None;
+            self.pending_end = true;
             return Tick::Active;
         }
         if self.pending_end {
-            if try_push(ctx.queues, self.out, Flit::end_item()) {
-                self.pending_end = false;
+            if !try_push(ctx.queues, self.out, Flit::end_item()) {
+                return Tick::full(self.out);
             }
+            self.pending_end = false;
             return Tick::Active;
         }
         let q = ctx.queues.get_mut(self.input);

@@ -64,17 +64,17 @@ impl Module for StreamSource {
         if self.done {
             return Tick::Active;
         }
-        if let Some(&flit) = self.pending.front() {
-            if try_push(ctx.queues, self.out, flit) {
-                self.pending.pop_front();
+        if let Some(flit) = self.pending.front() {
+            if !try_push(ctx.queues, self.out, *flit) {
+                // The same flit is refused until `out` drains.
+                return Tick::full(self.out);
             }
+            self.pending.pop_front();
         }
         if self.pending.is_empty() {
             ctx.queues.get_mut(self.out).close();
             self.done = true;
         }
-        // Either a flit moved, a refused push counted a stall, or the
-        // queue closed: always observable work.
         Tick::Active
     }
 

@@ -1,10 +1,10 @@
 //! SPM Reader: address, range, and drain reads from scratchpads
 //! (paper §III-C).
 
-use super::{try_push, Ctx, Module, ModuleKind, Tick, Watch};
+use super::{refused, Ctx, Module, ModuleKind, Tick, Watch};
 use crate::queue::QueueId;
 use crate::spm::SpmId;
-use crate::word::{Flit, HwWord, MAX_FIELDS};
+use crate::word::Flit;
 use std::any::Any;
 
 /// Gates an SPM access on tiered-memory residency: parks on a timed
@@ -121,15 +121,17 @@ impl SpmReader {
         (open, popped_any)
     }
 
-    fn read_flit(&self, ctx: &mut Ctx<'_>, pos: u64) -> Flit {
-        let mut fields = [HwWord::Empty; MAX_FIELDS];
-        fields[0] = HwWord::Val(pos);
-        let idx = pos.wrapping_sub(self.addr_offset);
-        for (slot, &id) in fields[1..].iter_mut().zip(&self.spms) {
-            *slot = HwWord::Val(ctx.spms.get_mut(id).read(idx));
-        }
-        Flit::data(&fields[..1 + self.spms.len()])
+}
+
+/// The lookup flit `[pos, spm0[pos - offset], ...]`, one field per
+/// scratchpad (each read is counted).
+fn read_flit(ctx: &mut Ctx<'_>, spms: &[SpmId], addr_offset: u64, pos: u64) -> Flit {
+    let idx = pos.wrapping_sub(addr_offset);
+    let mut flit = Flit::val(pos);
+    for &id in spms {
+        flit.push_val(ctx.spms.get_mut(id).read(idx));
     }
+    flit
 }
 
 impl Module for SpmReader {
@@ -152,12 +154,18 @@ impl Module for SpmReader {
             // finished: a pure wait on the gate queues.
             return if gate_popped { Tick::Active } else { Tick::PARK };
         }
+        // The gates are open for good (a finished queue stays finished), and
+        // every push below checks for space before any scratchpad access
+        // or cursor change: a refused push is all its tick does, reads
+        // nothing, starts no page fill, and repeats until `out` drains.
         match self.mode {
             SpmReadMode::Range { start, end } => {
                 if self.pending_end {
-                    if try_push(ctx.queues, self.out, Flit::end_item()) {
-                        self.pending_end = false;
+                    if refused(ctx.queues, self.out) {
+                        return Tick::full(self.out);
                     }
+                    ctx.queues.get_mut(self.out).push(Flit::end_item());
+                    self.pending_end = false;
                     return Tick::Active;
                 }
                 if let Some((pos, stop)) = self.cur {
@@ -166,44 +174,29 @@ impl Module for SpmReader {
                         self.pending_end = true;
                         return Tick::Active;
                     }
-                    if ctx.queues.get(self.out).can_push() {
-                        tier_gate!(ctx, &self.spms, pos.wrapping_sub(self.addr_offset), false);
-                        let flit = self.read_flit(ctx, pos);
-                        ctx.queues.get_mut(self.out).push(flit);
-                        self.cur = Some((pos + 1, stop));
-                    } else {
-                        ctx.queues.get_mut(self.out).note_full_stall();
+                    if refused(ctx.queues, self.out) {
+                        return Tick::full(self.out);
                     }
+                    tier_gate!(ctx, &self.spms, pos.wrapping_sub(self.addr_offset), false);
+                    let flit = read_flit(ctx, &self.spms, self.addr_offset, pos);
+                    ctx.queues.get_mut(self.out).push(flit);
+                    self.cur = Some((pos + 1, stop));
                     return Tick::Active;
                 }
                 // Acquire the next [start, end) pair, skipping delimiters.
                 let mut popped_delim = false;
-                loop {
-                    let sflit = ctx.queues.get(start).peek().copied();
-                    match sflit {
-                        Some(f) if f.is_end_item() => {
-                            ctx.queues.get_mut(start).pop();
-                            popped_delim = true;
-                        }
-                        _ => break,
+                for q in [start, end] {
+                    while ctx.queues.get(q).peek().is_some_and(Flit::is_end_item) {
+                        ctx.queues.get_mut(q).pop();
+                        popped_delim = true;
                     }
                 }
-                loop {
-                    let eflit = ctx.queues.get(end).peek().copied();
-                    match eflit {
-                        Some(f) if f.is_end_item() => {
-                            ctx.queues.get_mut(end).pop();
-                            popped_delim = true;
-                        }
-                        _ => break,
-                    }
-                }
-                let (s, e) = (ctx.queues.get(start).peek().copied(), ctx.queues.get(end).peek().copied());
-                match (s, e) {
-                    (Some(sf), Some(ef)) => {
+                let bound = |q| ctx.queues.get(q).peek().map(|f| f.field(0).val_or_zero());
+                match (bound(start), bound(end)) {
+                    (Some(s), Some(e)) => {
                         ctx.queues.get_mut(start).pop();
                         ctx.queues.get_mut(end).pop();
-                        self.cur = Some((sf.field(0).val_or_zero(), ef.field(0).val_or_zero()));
+                        self.cur = Some((s, e));
                         Tick::Active
                     }
                     _ => {
@@ -233,22 +226,21 @@ impl Module for SpmReader {
                     }
                     return Tick::PARK;
                 }
+                if refused(ctx.queues, self.out) {
+                    return Tick::full(self.out);
+                }
                 if self.drain_cursor >= len {
-                    if try_push(ctx.queues, self.out, Flit::end_item()) {
-                        ctx.queues.get_mut(self.out).close();
-                        self.done = true;
-                    }
+                    let out = ctx.queues.get_mut(self.out);
+                    out.push(Flit::end_item());
+                    out.close();
+                    self.done = true;
                     return Tick::Active;
                 }
-                if ctx.queues.get(self.out).can_push() {
-                    tier_gate!(ctx, &self.spms, self.drain_cursor, false);
-                    let pos = self.drain_cursor + self.addr_offset;
-                    let flit = self.read_flit(ctx, pos);
-                    ctx.queues.get_mut(self.out).push(flit);
-                    self.drain_cursor += 1;
-                } else {
-                    ctx.queues.get_mut(self.out).note_full_stall();
-                }
+                tier_gate!(ctx, &self.spms, self.drain_cursor, false);
+                let pos = self.drain_cursor + self.addr_offset;
+                let flit = read_flit(ctx, &self.spms, self.addr_offset, pos);
+                ctx.queues.get_mut(self.out).push(flit);
+                self.drain_cursor += 1;
                 Tick::Active
             }
         }
@@ -319,7 +311,7 @@ impl Module for SpmAddrReader {
         if self.done {
             return Tick::Active;
         }
-        let Some(&flit) = ctx.queues.get(self.input).peek() else {
+        let Some(head) = ctx.queues.get(self.input).peek() else {
             if ctx.queues.get(self.input).is_finished() {
                 ctx.queues.get_mut(self.out).close();
                 self.done = true;
@@ -327,22 +319,21 @@ impl Module for SpmAddrReader {
             }
             return Tick::PARK;
         };
-        let out = if flit.is_end_item() {
-            flit
-        } else {
-            let pos = flit.field(0).val_or_zero();
-            let mut fields = [HwWord::Empty; MAX_FIELDS];
-            fields[0] = HwWord::Val(pos);
-            let idx = pos.wrapping_sub(self.addr_offset);
-            tier_gate!(ctx, &self.spms, idx, false);
-            for (slot, &id) in fields[1..].iter_mut().zip(&self.spms) {
-                *slot = HwWord::Val(ctx.spms.get_mut(id).read(idx));
-            }
-            Flit::data(&fields[..1 + self.spms.len()])
-        };
-        if try_push(ctx.queues, self.out, out) {
-            ctx.queues.get_mut(self.input).pop();
+        // Space first: a refused lookup reads nothing, starts no page fill,
+        // and repeats until `out` drains.
+        let lookup = (!head.is_end_item()).then(|| head.field(0).val_or_zero());
+        if refused(ctx.queues, self.out) {
+            return Tick::full(self.out);
         }
+        let out = match lookup {
+            None => Flit::end_item(),
+            Some(pos) => {
+                tier_gate!(ctx, &self.spms, pos.wrapping_sub(self.addr_offset), false);
+                read_flit(ctx, &self.spms, self.addr_offset, pos)
+            }
+        };
+        ctx.queues.get_mut(self.out).push(out);
+        ctx.queues.get_mut(self.input).pop();
         Tick::Active
     }
 

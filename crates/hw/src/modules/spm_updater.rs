@@ -2,7 +2,7 @@
 //! with the RAW hazard interlock (paper §III-C).
 
 use super::spm_reader::tier_gate;
-use super::{try_push, Ctx, Module, ModuleKind, Tick, Watch};
+use super::{Ctx, Module, ModuleKind, Tick, Watch};
 use crate::queue::QueueId;
 use crate::spm::SpmId;
 use std::any::Any;
@@ -116,6 +116,15 @@ impl SpmUpdater {
     pub fn updates(&self) -> u64 {
         self.updates
     }
+
+    /// Pops the input head and cascades it to the forward queue, whose
+    /// space the caller has checked.
+    fn consume_head(&self, ctx: &mut Ctx<'_>) {
+        let flit = ctx.queues.get_mut(self.input).pop().expect("caller peeked the head");
+        if let Some(fq) = self.forward {
+            ctx.queues.get_mut(fq).push(flit);
+        }
+    }
 }
 
 impl Module for SpmUpdater {
@@ -142,7 +151,7 @@ impl Module for SpmUpdater {
                 break;
             }
         }
-        let Some(&flit) = ctx.queues.get(self.input).peek() else {
+        let Some(flit) = ctx.queues.get(self.input).peek() else {
             if ctx.queues.get(self.input).is_finished() {
                 self.inflight.clear();
                 if let Some(fq) = self.forward {
@@ -182,15 +191,16 @@ impl Module for SpmUpdater {
         if let Some(fq) = self.forward {
             if !ctx.queues.get(fq).can_push() {
                 ctx.queues.get_mut(fq).note_full_stall();
-                return Tick::Active;
+                // With tiering off the gate above is free and the head is
+                // hazard-free from here on (nothing enters the RMW pipeline
+                // while blocked), so the stall is pure. With tiering on,
+                // another module's access can evict the page the gate just
+                // found resident, and the next tick would start a fill.
+                return if ctx.spms.tiers.is_none() { Tick::full(fq) } else { Tick::Active };
             }
         }
         if flit.is_end_item() {
-            ctx.queues.get_mut(self.input).pop();
-            if let Some(fq) = self.forward {
-                let pushed = try_push(ctx.queues, fq, flit);
-                debug_assert!(pushed, "forward space was checked");
-            }
+            self.consume_head(ctx);
             return Tick::Active;
         }
         match self.mode {
@@ -228,11 +238,7 @@ impl Module for SpmUpdater {
                 }
             }
         }
-        ctx.queues.get_mut(self.input).pop();
-        if let Some(fq) = self.forward {
-            let pushed = try_push(ctx.queues, fq, flit);
-            debug_assert!(pushed, "forward space was checked");
-        }
+        self.consume_head(ctx);
         Tick::Active
     }
 

@@ -8,9 +8,9 @@
 //! selected fields of each input, in input order. With a single input it
 //! doubles as a field projector/reorderer (the pure-column `SELECT` case).
 
-use super::{all_can_push, Ctx, Module, ModuleKind, Tick};
+use super::{refused, Ctx, Module, ModuleKind, Tick};
 use crate::queue::QueueId;
-use crate::word::{Flit, HwWord, MAX_FIELDS};
+use crate::word::{Flit, MAX_FIELDS};
 use std::any::Any;
 
 /// One Zip input: a queue plus which of its flit fields to keep.
@@ -115,30 +115,28 @@ impl Module for Zip {
             }
             return Tick::Active;
         }
+        if refused(ctx.queues, self.out) {
+            // Every head is present and aligned, and only this module pops
+            // them: the same row is refused until `out` drains.
+            return Tick::full(self.out);
+        }
         let flit = if ends == self.inputs.len() {
             Flit::end_item()
         } else {
             // Every head was peeked non-empty above; the constructor bounds
             // the total selected width at MAX_FIELDS.
-            let mut fields = [HwWord::Empty; MAX_FIELDS];
-            let mut n = 0usize;
+            let mut row = Flit::new();
             for input in &self.inputs {
-                let head = *ctx.queues.get(input.queue).peek().expect("peeked above");
+                let head = ctx.queues.get(input.queue).peek().expect("peeked above");
                 for &i in &input.fields {
-                    fields[n] = head.field(i);
-                    n += 1;
+                    row.push_from(head, i);
                 }
             }
-            Flit::data(&fields[..n])
+            row
         };
-        if all_can_push(ctx.queues, &[self.out]) {
-            ctx.queues.get_mut(self.out).push(flit);
-            for i in &self.inputs {
-                ctx.queues.get_mut(i.queue).pop();
-            }
-        } else {
-            // A refused push must keep the module ticking (stall counting).
-            ctx.queues.get_mut(self.out).note_full_stall();
+        ctx.queues.get_mut(self.out).push(flit);
+        for i in &self.inputs {
+            ctx.queues.get_mut(i.queue).pop();
         }
         Tick::Active
     }
@@ -164,6 +162,7 @@ impl Module for Zip {
 mod tests {
     use super::*;
     use crate::modules::sink::StreamSink;
+    use crate::word::HwWord;
     use crate::modules::source::StreamSource;
     use crate::System;
 

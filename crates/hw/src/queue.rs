@@ -205,6 +205,14 @@ impl QueuePool {
         &mut self.queues[i]
     }
 
+    /// Adds `n` refused pushes to `q`'s counter without marking the queue
+    /// touched: the fast engine's closed-form credit for the ticks a
+    /// [`crate::modules::Watch::Full`] park skipped is bookkeeping, not a
+    /// queue event, and must wake nobody.
+    pub(crate) fn credit_full_stalls(&mut self, q: QueueId, n: u64) {
+        self.queues[q.index()].full_stalls += n;
+    }
+
     /// Registers a parked watcher on `q`: `get_mut` touches of `q` will be
     /// recorded until the matching [`QueuePool::remove_watch`].
     pub(crate) fn add_watch(&mut self, q: QueueId) {

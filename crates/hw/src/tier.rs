@@ -85,15 +85,19 @@ impl Default for TierParams {
 impl TierParams {
     /// Upper bound on how long one module can wait on the tier layer
     /// without the simulation making signature progress (used to extend
-    /// the engines' deadlock window).
+    /// the engines' deadlock window). Saturates: every field is reachable
+    /// from a `GENESIS_TIERS` spec, and a bound of `u64::MAX` only means
+    /// the window never closes before the cycle budget does.
     #[must_use]
     pub fn worst_case_wait_cycles(&self) -> u64 {
         let page = self.page_bytes.max(1);
-        let per_op = self.pcie_lat_cycles
-            + self.dram_lat_cycles
-            + 2 * page.div_ceil(self.pcie_bytes_per_cycle.max(1))
-            + 2 * page.div_ceil(self.dram_bytes_per_cycle.max(1));
-        (self.max_inflight as u64 + 4) * per_op
+        let transfer = |bytes_per_cycle: u64| page.div_ceil(bytes_per_cycle.max(1)).saturating_mul(2);
+        let per_op = self
+            .pcie_lat_cycles
+            .saturating_add(self.dram_lat_cycles)
+            .saturating_add(transfer(self.pcie_bytes_per_cycle))
+            .saturating_add(transfer(self.dram_bytes_per_cycle));
+        (self.max_inflight as u64).saturating_add(4).saturating_mul(per_op)
     }
 }
 
@@ -271,7 +275,7 @@ impl TierState {
         let start = cycle.max(*free_at);
         let transfer = bytes.div_ceil(bpc);
         *free_at = start + transfer;
-        let ready = start + lat + transfer;
+        let ready = start.saturating_add(lat).saturating_add(transfer);
         if from_host {
             self.stats.pcie_bytes += bytes;
         } else {
@@ -519,9 +523,13 @@ impl SpmPool {
     /// Returns [`TierOverflow`] when the total working set exceeds the
     /// combined tier capacity (only when `host_bytes` is bounded).
     pub fn set_tiers(&mut self, params: TierParams) -> Result<(), TierOverflow> {
-        let page_bytes = params.page_bytes.max(64);
+        // A page larger than a scratchpad is that scratchpad's one page
+        // whatever its size; the cap keeps transfer times and byte counters
+        // far from `u64` overflow for any `GENESIS_TIERS` `page=`.
+        let page_bytes = params.page_bytes.clamp(64, 1 << 32);
         if params.host_bytes > 0 {
-            let capacity = params.spm_bytes + params.dram_bytes + params.host_bytes;
+            let capacity =
+                params.spm_bytes.saturating_add(params.dram_bytes).saturating_add(params.host_bytes);
             let mut need = 0u64;
             for spm in self.iter() {
                 need += spm.byte_size() as u64;
@@ -747,5 +755,44 @@ mod tests {
     fn worst_case_wait_is_finite_and_generous() {
         let p = TierParams::default();
         assert!(p.worst_case_wait_cycles() > p.pcie_lat_cycles);
+    }
+
+    /// Every field is reachable from `GENESIS_TIERS`
+    /// (`inflight=18446744073709551615`, an absurd `page=` or link
+    /// latency): the bound saturates instead of overflowing.
+    #[test]
+    fn worst_case_wait_saturates_on_absurd_params() {
+        let sane = TierParams::default();
+        for absurd in [
+            TierParams { max_inflight: usize::MAX, ..sane },
+            TierParams { page_bytes: u64::MAX, pcie_bytes_per_cycle: 1, ..sane },
+            TierParams { pcie_lat_cycles: u64::MAX / 3, dram_lat_cycles: u64::MAX / 3, ..sane },
+            TierParams { pcie_lat_cycles: u64::MAX, ..sane },
+        ] {
+            assert!(absurd.worst_case_wait_cycles() > sane.worst_case_wait_cycles(), "{absurd:?}");
+        }
+        assert_eq!(TierParams { max_inflight: usize::MAX, ..sane }.worst_case_wait_cycles(), u64::MAX);
+    }
+
+    /// The largest accepted page, two paged scratchpads, every page moved:
+    /// admission, the deadlock window and the transfer arithmetic all stay
+    /// in range.
+    #[test]
+    fn absurd_page_size_still_pages() {
+        let mut pool = SpmPool::new();
+        let a = pool.add("a", 64, 8);
+        let b = pool.add("b", 64, 8);
+        let params = TierParams {
+            page_bytes: u64::MAX,
+            spm_bytes: 0,
+            host_bytes: u64::MAX,
+            max_inflight: usize::MAX,
+            ..tiny_params()
+        };
+        pool.set_tiers(params).expect("an unbounded host fits anything");
+        let ready = pool.tier_wait(&[a, b], 0, true, 0).expect("cold pages");
+        assert_eq!(pool.tier_wait(&[a, b], 0, true, ready), None);
+        assert_eq!(pool.tier_stats().unwrap().pages_filled, 2);
+        assert_eq!(pool.tier_worst_wait(), u64::MAX);
     }
 }

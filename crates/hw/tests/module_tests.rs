@@ -1,6 +1,9 @@
 //! Behavioral tests for every Genesis hardware library module, driven
 //! through the cycle-level engine with sources and sinks.
 
+mod common;
+
+use common::SlowSink;
 use genesis_hw::modules::alu::{AluOp, AluRhs, StreamAlu};
 use genesis_hw::modules::binidgen::{BinIdGen, BinIdGenConfig};
 use genesis_hw::modules::fanout::Fanout;
@@ -555,6 +558,32 @@ fn spm_addr_reader_multi_spm() {
         Flit::data(&[v(2), v(12), v(0)]),
         Flit::data(&[v(3), v(13), v(1)]),
     ]);
+}
+
+/// A lookup whose output is full reads nothing: behind a capacity-1 queue
+/// and a sink popping every fifth cycle the reader is refused four cycles
+/// in five, and the scratchpad still counts one read per emitted flit.
+#[test]
+fn spm_addr_reader_reads_once_per_emitted_flit_under_backpressure() {
+    let mut sys = System::new();
+    let a = sys.add_spm("a", 16, 1);
+    sys.spms_mut().get_mut(a).fill_from(&(100..116).collect::<Vec<u64>>());
+    let i = sys.add_queue("i");
+    let o = sys.add_queue_with_capacity("o", 1);
+    let addrs: Vec<u64> = (0..16).rev().collect();
+    sys.add_module(Box::new(StreamSource::from_items("src", i, std::slice::from_ref(&addrs))));
+    sys.add_module(Box::new(SpmAddrReader::new("rd", vec![a], 0, i, o)));
+    let sink = sys.add_module(Box::new(SlowSink::new("s", o, 5)));
+    let stats = sys.run(10_000).unwrap();
+    let flits = sys.module_as::<SlowSink>(sink).unwrap().flits();
+    let data: Vec<(u64, u64)> = flits
+        .iter()
+        .filter(|f| !f.is_end_item())
+        .map(|f| (f.field(0).val_or_zero(), f.field(1).val_or_zero()))
+        .collect();
+    assert_eq!(data, addrs.iter().map(|&p| (p, 100 + p)).collect::<Vec<_>>());
+    assert!(stats.backpressure_stalls > 2 * data.len() as u64, "the reader must be refused");
+    assert_eq!(sys.spms().get(a).total_reads(), data.len() as u64);
 }
 
 #[test]

@@ -1,8 +1,11 @@
 //! Stall-attribution invariants: for every module of every pipeline, the
-//! four accounting buckets (active / input-starved / backpressured /
-//! memory-wait) must sum exactly to the total simulated cycles, and the
-//! recorded trace spans must tile the same timeline.
+//! five accounting buckets (active / input-starved / backpressured /
+//! memory-wait / spill-wait) must sum exactly to the total simulated
+//! cycles, and the recorded trace spans must tile the same timeline.
 
+mod common;
+
+use common::SlowSink;
 use genesis_hw::modules::filter::{CmpOp, Filter, Predicate};
 use genesis_hw::modules::mem_reader::{MemReader, MemReaderConfig, RowSpec};
 use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig};
@@ -128,14 +131,9 @@ fn deadlock_exit_still_satisfies_invariant() {
     assert_invariant(&sys.stall_report());
 }
 
-#[test]
-fn trace_spans_tile_the_attribution() {
-    let mut sys = System::new();
-    sys.set_trace(TraceConfig::on());
-    build_memory_pipeline(&mut sys);
-    sys.run(1_000_000).expect("pipeline drains");
-    let report = sys.stall_report();
-    assert_invariant(&report);
+/// Asserts that, per module, the recorded spans do not overlap and their
+/// active / stall durations equal the attribution buckets.
+fn assert_spans_tile(sys: &System, report: &StallReport) {
     let trace = sys.trace().expect("tracing enabled");
     assert_eq!(trace.dropped_spans(), 0, "ring large enough for this run");
     assert_eq!(trace.tracks().len(), report.modules.len());
@@ -158,8 +156,43 @@ fn trace_spans_tile_the_attribution() {
         assert_eq!(active, m.counters.active, "active spans tile bucket ({})", m.label);
         assert_eq!(stalled, m.counters.parked(), "stall spans tile buckets ({})", m.label);
     }
+}
+
+#[test]
+fn trace_spans_tile_the_attribution() {
+    let mut sys = System::new();
+    sys.set_trace(TraceConfig::on());
+    build_memory_pipeline(&mut sys);
+    sys.run(1_000_000).expect("pipeline drains");
+    let report = sys.stall_report();
+    assert_invariant(&report);
+    assert_spans_tile(&sys, &report);
     // Queue-depth samples were captured for the sampled strides.
-    assert!(trace.samples().count() > 0);
+    assert!(sys.trace().expect("tracing enabled").samples().count() > 0);
+}
+
+/// A module refused by a full output is *backpressured*, not active: the
+/// refused pushes of a producer in front of a slow consumer accrue to the
+/// backpressure bucket (as one park interval each, credited in closed
+/// form), and the buckets and spans still tile.
+#[test]
+fn refused_pushes_are_attributed_to_backpressure() {
+    let mut sys = System::new();
+    sys.set_trace(TraceConfig::on());
+    let q = sys.add_queue_with_capacity("q", 2);
+    let items: Vec<Vec<u64>> = vec![(0..40).collect()];
+    sys.add_module(Box::new(StreamSource::from_items("src", q, &items)));
+    sys.add_module(Box::new(SlowSink::new("sink", q, 8)));
+    let stats = sys.run(50_000).expect("pipeline drains");
+    let report = sys.stall_report();
+    assert_invariant(&report);
+    assert_spans_tile(&sys, &report);
+    let src = report.modules.iter().find(|m| m.label == "src").unwrap().counters;
+    assert!(src.backpressured > 0, "blocked producer must read as backpressured:\n{report}");
+    // Seven of every eight cycles the source spends alive are refusals.
+    assert!(src.backpressured > src.active, "{report}");
+    assert!(src.backpressured <= stats.backpressure_stalls, "an interval per refusal: {report}");
+    assert_eq!(src.input_starved + src.memory_wait + src.spill_wait, 0, "{report}");
 }
 
 #[test]

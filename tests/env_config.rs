@@ -7,7 +7,9 @@
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::core::{AccelStats, GenesisEnv};
-use genesis::hw::EngineMode;
+use genesis::hw::modules::source::StreamSource;
+use genesis::hw::modules::spm_updater::{SpmUpdateMode, SpmUpdater};
+use genesis::hw::{EngineMode, SimError, SimStats, System, TierParams};
 use genesis::sql::Catalog;
 use genesis::types::{Column, DataType, Field, Schema, Table};
 use proptest::prelude::*;
@@ -32,7 +34,10 @@ const VARS: [(&str, &[&str], &[&str]); 7] = [
         "GENESIS_TIERS",
         &[
             "spm=4MiB", "dram=1GiB", "host=16GiB", "page=1KiB", "pcie=8GiB/s:800ns",
-            "ddr=16GiB/s:400ns", "inflight=4",
+            "ddr=16GiB/s:400ns", "inflight=4", "spm=1KiB",
+            // Accepted, absurd, and once an overflow in the deadlock window.
+            "inflight=18446744073709551615", "page=18446744073709551615",
+            "ddr=1b/s:99999999999999999999s", "host=18446744073709551615",
         ],
         &["spm", "dram", "host", "page", "pcie", "ddr", "inflight", "drma"],
     ),
@@ -106,17 +111,36 @@ proptest! {
             let spec = render(&entries, valid, keys);
             match GenesisEnv::from_lookup(|v| (v == var).then(|| spec.clone())) {
                 // An accepted value must also survive the conversions an
-                // entry point applies before any cycle is simulated.
+                // entry point applies, and the arithmetic a run does on
+                // them: tier admission, the deadlock window, page fills.
                 Ok(env) => {
                     let cfg = env.device_config();
                     if let Some(t) = cfg.tiers {
-                        let _ = t.to_params(cfg.clock_hz);
+                        let _ = paging_run(t.to_params(cfg.clock_hz));
                     }
                 }
                 Err(e) => prop_assert!(e.var == var, "{var}={spec:?} blamed on {}: {e}", e.var),
             }
         }
     }
+}
+
+/// A minimal run under `tiers`: random writes into two scratchpads that
+/// page whenever the spec leaves less than 16 KiB of SPM. Only panics
+/// matter: a working set over a bounded `host=` is a `TierOverflow`, and
+/// an absurd latency ends in `CycleLimit`.
+fn paging_run(tiers: TierParams) -> Option<Result<SimStats, SimError>> {
+    let mut sys = System::new();
+    let spms = [sys.add_spm("a", 1024, 8), sys.add_spm("b", 1024, 8)];
+    sys.set_tiers(tiers).ok()?;
+    let q = sys.add_queue("addr");
+    let fwd = sys.add_queue("fwd");
+    let addrs = [vec![0, 1000, 3, 512]];
+    sys.add_module(Box::new(StreamSource::from_items("src", q, &addrs)));
+    let first = SpmUpdater::new("a", spms[0], SpmUpdateMode::Random, 0, 0, q).with_forward(fwd);
+    sys.add_module(Box::new(first));
+    sys.add_module(Box::new(SpmUpdater::new("b", spms[1], SpmUpdateMode::Random, 0, 0, fwd)));
+    Some(sys.run(3_000))
 }
 
 fn all_seven(var: &str) -> Option<String> {
