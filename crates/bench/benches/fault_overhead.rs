@@ -89,7 +89,6 @@ fn main() {
         backoff_base: Duration::ZERO,
         backoff_cap: Duration::ZERO,
         fallback: true,
-        watchdog: None,
     };
 
     let samples = [

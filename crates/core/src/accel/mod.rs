@@ -11,7 +11,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod bqsr;
-pub mod coverage;
 pub mod example;
 pub mod frontend;
 pub mod markdup;

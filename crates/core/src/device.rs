@@ -221,13 +221,6 @@ impl DeviceConfig {
         self
     }
 
-    /// Sets the DMA model.
-    #[must_use]
-    pub fn with_dma(mut self, dma: DmaModel) -> DeviceConfig {
-        self.dma = dma;
-        self
-    }
-
     /// Sets the partition window size.
     #[must_use]
     pub fn with_psize(mut self, psize: u32) -> DeviceConfig {

@@ -176,7 +176,7 @@ impl GenesisEnv {
          \x20                     `key=value` over the recovering baseline,\n\
          \x20                     e.g. `dma=0.1,device=0.05,mem=0.01:400,seed=7`.\n\
          \x20                     Keys: dma, device, mem, seed, retries,\n\
-         \x20                     backoff, fallback, watchdog. `0`/`off` = inert.\n\
+         \x20                     backoff, fallback. `0`/`off` = inert.\n\
          GENESIS_HOST_THREADS  Positive integer = host worker threads for\n\
          \x20                     parallel batch simulation; unset or `0` =\n\
          \x20                     auto-detect (one per available core).\n\
@@ -552,7 +552,7 @@ mod tests {
         // The first is too large for `Duration`; the other two fit, but
         // their implied cap (100 x base) does not.
         for spec in [
-            "watchdog=1000000000000000000000000000000s",
+            "backoff=1000000000000000000000000000000s",
             "backoff=1000000000000000000s",
             "backoff=300000000000000000m",
         ] {

@@ -11,8 +11,8 @@
 //!
 //! The runtime policy layered on top (capped exponential backoff with a
 //! per-batch retry budget, then graceful degradation to the software
-//! oracle) lives in `accel::run_batches`; the watchdog timeout lives in
-//! [`crate::host::GenesisHost::wait_genesis_for`].
+//! oracle) lives in `accel::run_batches`; the bound on how long a caller
+//! waits is [`Request::with_deadline`](crate::serve::Request::with_deadline).
 //!
 //! Configure via [`DeviceConfig::faults`](crate::DeviceConfig), in code or
 //! from a spec such as `dma=0.1,device=0.05,mem=0.01:400,seed=7`
@@ -53,9 +53,6 @@ pub struct FaultConfig {
     /// When `true`, a batch that exhausts its retry budget is re-executed
     /// on the software oracle instead of failing the run.
     pub fallback: bool,
-    /// Default watchdog for [`crate::host::GenesisHost::wait_genesis`]
-    /// (`None` = wait forever, the paper semantics).
-    pub watchdog: Option<Duration>,
 }
 
 impl Default for FaultConfig {
@@ -70,7 +67,6 @@ impl Default for FaultConfig {
             backoff_base: Duration::ZERO,
             backoff_cap: Duration::ZERO,
             fallback: false,
-            watchdog: None,
         }
     }
 }
@@ -103,7 +99,6 @@ impl FaultConfig {
     /// | `retries` | integer | retry budget per batch |
     /// | `backoff` | `base[:cap]` | durations like `100us`, `5ms`, `1s` |
     /// | `fallback` | `on`/`off` | degrade to the software oracle |
-    /// | `watchdog` | duration | default `wait_genesis` timeout |
     ///
     /// The whole spec may also be empty, `0`, or `off` for the inert
     /// default.
@@ -161,12 +156,9 @@ impl FaultConfig {
                     }
                 },
                 "fallback" => cfg.fallback = parse_switch(value)?,
-                "watchdog" => cfg.watchdog = Some(parse_duration(value)?),
                 _ => {
-                    let known = [
-                        "dma", "device", "mem", "seed", "retries", "backoff", "fallback",
-                        "watchdog",
-                    ];
+                    let known =
+                        ["dma", "device", "mem", "seed", "retries", "backoff", "fallback"];
                     let mut msg = format!("unknown fault key `{key}`");
                     if let Some(s) = crate::env::suggest(key, known) {
                         msg.push_str(&format!(" (did you mean `{s}`?)"));
@@ -328,8 +320,6 @@ pub struct FaultReport {
     pub fallback_batches: u64,
     /// Partition jobs inside those fallback batches.
     pub fallback_jobs: u64,
-    /// `wait_genesis_for` calls that hit their watchdog deadline.
-    pub watchdog_timeouts: u64,
 }
 
 impl FaultReport {
@@ -343,7 +333,6 @@ impl FaultReport {
         self.backoff_ns += other.backoff_ns;
         self.fallback_batches += other.fallback_batches;
         self.fallback_jobs += other.fallback_jobs;
-        self.watchdog_timeouts += other.watchdog_timeouts;
     }
 
     /// True when nothing was injected and no recovery action ran.
@@ -363,7 +352,7 @@ impl fmt::Display for FaultReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "dma {}+{}to, device {}, mem-spikes {}, retries {}, fallback {}b/{}j, watchdog {}",
+            "dma {}+{}to, device {}, mem-spikes {}, retries {}, fallback {}b/{}j",
             self.dma_errors,
             self.dma_timeouts,
             self.device_faults,
@@ -371,7 +360,6 @@ impl fmt::Display for FaultReport {
             self.retries,
             self.fallback_batches,
             self.fallback_jobs,
-            self.watchdog_timeouts,
         )
     }
 }
@@ -394,7 +382,7 @@ mod tests {
     #[test]
     fn spec_parses_full_form() {
         let cfg = FaultConfig::from_spec(
-            "dma=0.1, device=0.05, mem=0.01:250, seed=7, retries=5, backoff=1ms:50ms, fallback=on, watchdog=10s",
+            "dma=0.1, device=0.05, mem=0.01:250, seed=7, retries=5, backoff=1ms:50ms, fallback=on",
         )
         .unwrap();
         assert_eq!(cfg.dma_fail_ppm, 100_000);
@@ -406,7 +394,6 @@ mod tests {
         assert_eq!(cfg.backoff_base, Duration::from_millis(1));
         assert_eq!(cfg.backoff_cap, Duration::from_millis(50));
         assert!(cfg.fallback);
-        assert_eq!(cfg.watchdog, Some(Duration::from_secs(10)));
         assert!(cfg.is_active() && cfg.injects());
     }
 

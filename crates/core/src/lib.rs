@@ -15,21 +15,21 @@
 //!   accelerators).
 //! * [`device`] — the modeled F1 device: clock, pipeline replication, DMA
 //!   link, and job batching across parallel pipelines (paper Figure 8).
-//! * [`host`] — the paper's host API (§III-E): `configure_mem`,
-//!   non-blocking `run_genesis`, `check_genesis`, `wait_genesis`,
-//!   `genesis_flush`; the accelerator simulation runs on a worker thread so
-//!   non-blocking semantics are real. Drives the hand-wired [`accel`]
-//!   pipelines; compiled plans run through [`serve`].
 //! * [`accel`] — the three paper accelerators (Mark Duplicates, Metadata
 //!   Update, BQSR covariate construction; Figures 10–12) plus the Figure 7
 //!   example pipeline, each with host-side orchestration and result merge.
 //! * [`fault`] — deterministic, seed-replayable fault injection and the
 //!   recovery policy (retry with capped backoff, graceful degradation to
-//!   the software oracle, watchdog timeouts).
+//!   the software oracle).
 //! * [`perf`] — wall-clock/breakdown accounting (Figure 13).
 //! * [`cost`] — the AWS cost model (Tables II and III).
 //! * [`serve`] — the multi-tenant serving front door, and the one
-//!   asynchronous way to run a compiled plan: compiled-pipeline LRU cache
+//!   asynchronous way to run a compiled plan. The paper's host API
+//!   (§III-E) is `submit` and a `Ticket`: `submit` binds the inputs
+//!   (`configure_mem`) and returns without blocking (`run_genesis`),
+//!   `Ticket::is_done` is `check_genesis`, `Ticket::wait` is
+//!   `wait_genesis` + `genesis_flush`, and `Request::with_deadline`
+//!   bounds the wait. Behind it: a compiled-pipeline LRU cache
 //!   with reconfiguration-penalty accounting, a fair-queued device pool
 //!   (`GENESIS_DEVICES`), deadline-aware admission, and a per-request
 //!   latency budget (`server.phase.*` histograms that tile each request's
@@ -65,7 +65,6 @@ pub mod device;
 pub mod env;
 pub mod error;
 pub mod fault;
-pub mod host;
 pub mod library;
 mod lower;
 pub mod perf;
@@ -77,7 +76,6 @@ pub use device::{DeviceConfig, TierConfig};
 pub use env::{EnvError, GenesisEnv};
 pub use error::CoreError;
 pub use fault::{FaultConfig, FaultReport};
-pub use host::{GenesisHost, PipelineStatus};
 pub use perf::{AccelStats, Breakdown};
 pub use sched::{DispatchRecord, FairQueue};
 pub use serve::{CacheStats, GenesisServer, OracleFn, Request, ServerConfig, Ticket};

@@ -410,15 +410,6 @@ impl ModuleRegistry {
             LogicalPlan::Sort { .. } => return None,
         })
     }
-
-    /// Declared (nominal) expansion factor of the module implementing
-    /// `plan`, when the registry knows the module by kind.
-    #[must_use]
-    pub fn nominal_expansion(&self, plan: &LogicalPlan) -> f64 {
-        self.module_for_operator(plan)
-            .and_then(|k| self.entries.iter().find(|e| e.kind == Some(k)))
-            .map_or(1.0, |e| e.expansion)
-    }
 }
 
 #[cfg(test)]

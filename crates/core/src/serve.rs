@@ -533,6 +533,10 @@ struct PhaseMetrics {
     extract: Arc<Histogram>,
     /// `server.jobs.completed`: one per request the histograms counted.
     completed: Counter,
+    /// `server.jobs.failed`: the completed requests whose ticket resolved
+    /// to an `Err` after running (a queue expiry counts under
+    /// `server.deadline.misses` instead).
+    failed: Counter,
 }
 
 impl PhaseMetrics {
@@ -547,6 +551,7 @@ impl PhaseMetrics {
             simulate: metrics.histogram("server.run.simulate_ns"),
             extract: metrics.histogram("server.run.extract_ns"),
             completed: metrics.counter("server.jobs.completed"),
+            failed: metrics.counter("server.jobs.failed"),
         }
     }
 }
@@ -1305,16 +1310,7 @@ fn worker_loop(core: &ServerCore, device: usize) {
         let job = Arc::clone(&a.job);
         let run_start = Instant::now();
         let outcome: Result<ShardOut, CoreError> = match &job.prepared {
-            Ok(p) => {
-                let cfg = &core.devices[device];
-                catch_unwind(AssertUnwindSafe(|| p.run_range(cfg, a.range.clone())))
-                    .unwrap_or_else(|panic| {
-                        Err(CoreError::Host(format!(
-                            "server job panicked: {}",
-                            crate::accel::panic_message(panic.as_ref())
-                        )))
-                    })
-            }
+            Ok(p) => contained("job", || p.run_range(&core.devices[device], a.range.clone())),
             Err(e) => Err(e.clone()),
         };
         let service = run_start.elapsed();
@@ -1366,6 +1362,18 @@ fn worker_loop(core: &ServerCore, device: usize) {
     }
 }
 
+/// Runs one step of a job on a worker thread, turning a panic in it into
+/// the structured error a ticket can carry: the worker — and with it the
+/// device — outlives whatever a plan, a table or a caller's oracle does.
+fn contained<T>(what: &str, step: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreError> {
+    catch_unwind(AssertUnwindSafe(step)).unwrap_or_else(|panic| {
+        Err(CoreError::Host(format!(
+            "server {what} panicked: {}",
+            crate::accel::panic_message(panic.as_ref())
+        )))
+    })
+}
+
 /// Merges a completed job's shard outputs (or propagates its first
 /// error), applies the reconfiguration penalty or the oracle rescue, and
 /// installs the result.
@@ -1374,27 +1382,23 @@ fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather, ran: Instan
     let base: JobResult = match (gather.err, &job.prepared) {
         (Some(e), _) => Err(e),
         (None, Err(e)) => Err(e.clone()),
-        (None, Ok(p)) => {
+        (None, Ok(p)) => contained("gather", || {
             let parts: Vec<ShardOut> = gather
                 .parts
                 .into_iter()
                 .map(|part| part.expect("all shards delivered"))
                 .collect();
             p.gather(parts)
-        }
+        }),
     };
-    let result = match base {
-        Ok((table, mut stats)) => {
-            stats.reconfig_cycles += job.reconfig_penalty;
-            stats.cycles += job.reconfig_penalty;
-            Ok((table, stats))
-        }
-        Err(e) => rescue(&job.oracle, job.reconfig_penalty, e),
-    };
-    if let Ok((_, stats)) = &result {
-        crate::host::record_fault_metrics(&core.metrics, stats.faults, "server.");
-        crate::host::record_tier_metrics(&core.metrics, stats, "server.");
-        crate::host::record_scan_metrics(&core.metrics, stats, "server.");
+    let result = base.or_else(|e| rescue(&job.oracle, e)).map(|(table, mut stats)| {
+        stats.reconfig_cycles += job.reconfig_penalty;
+        stats.cycles += job.reconfig_penalty;
+        (table, stats)
+    });
+    match &result {
+        Ok((_, stats)) => record_stats(&core.metrics, stats),
+        Err(_) => core.phases.failed.inc(),
     }
     let mut st = core.lock();
     st.inflight -= 1;
@@ -1406,21 +1410,45 @@ fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather, ran: Instan
 }
 
 /// Oracle fallback for a failed run: the oracle's table with fallback
-/// fault counters, plus the job's reconfiguration penalty.
-fn rescue(
-    oracle: &Mutex<Option<OracleFn>>,
-    penalty: u64,
-    err: CoreError,
-) -> JobResult {
+/// fault counters. The oracle is the caller's code and is contained like
+/// the run it replaces.
+fn rescue(oracle: &Mutex<Option<OracleFn>>, err: CoreError) -> JobResult {
     let oracle = oracle.lock().unwrap_or_else(PoisonError::into_inner).take();
     let Some(oracle) = oracle else { return Err(err) };
-    let table = oracle()?;
+    let table = contained("oracle", oracle)?;
     let mut stats = AccelStats::default();
     stats.faults.fallback_batches = 1;
     stats.faults.fallback_jobs = 1;
-    stats.reconfig_cycles += penalty;
-    stats.cycles += penalty;
     Ok((table, stats))
+}
+
+/// Publishes a delivered job's recovery, tiered-memory and scan counters
+/// as `server.faults.*`, `server.tier.*` and `server.scan.*`. A zero
+/// publishes nothing, so a fault-free, on-chip run leaves only its
+/// `scan.*` pair (equal unless a pushed predicate dropped rows).
+fn record_stats(metrics: &MetricsRegistry, stats: &AccelStats) {
+    let faults = stats.faults;
+    for (name, value) in [
+        ("server.faults.dma_errors", faults.dma_errors),
+        ("server.faults.dma_timeouts", faults.dma_timeouts),
+        ("server.faults.device_faults", faults.device_faults),
+        ("server.faults.mem_spikes", faults.mem_spikes),
+        ("server.faults.retries", faults.retries),
+        ("server.faults.backoff_ns", faults.backoff_ns),
+        ("server.faults.fallback_batches", faults.fallback_batches),
+        ("server.faults.fallback_jobs", faults.fallback_jobs),
+        ("server.tier.pages_filled", stats.tier_pages_filled),
+        ("server.tier.pages_spilled", stats.tier_pages_spilled),
+        ("server.tier.prefetch_hits", stats.tier_prefetch_hits),
+        ("server.tier.pcie_bytes", stats.tier_pcie_bytes),
+        ("server.tier.spill_wait_cycles", stats.spill_wait_cycles),
+        ("server.scan.rows_scanned", stats.rows_scanned),
+        ("server.scan.rows_emitted", stats.rows_emitted),
+    ] {
+        if value > 0 {
+            metrics.counter(name).add(value);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -450,6 +450,8 @@ fn oracle_rescues_a_job_that_fails_to_bind() {
     let srv = server(1, false);
     let bare = srv.submit(Request::precompiled("a", compiled.clone()), &empty).unwrap();
     assert!(bare.wait().is_err());
+    let failed = |srv: &GenesisServer| srv.metrics_snapshot().counters["server.jobs.failed"];
+    assert_eq!(failed(&srv), 1, "a ticket that resolves to Err is a failed job");
     // ...and with one, the oracle's table is the result.
     let rescued = Request::precompiled("a", compiled).with_oracle(|| {
         Ok(Table::from_columns(
@@ -461,4 +463,31 @@ fn oracle_rescues_a_job_that_fails_to_bind() {
     assert_eq!(table.row(0)[0], Value::U64(36));
     assert_eq!(stats.faults.fallback_jobs, 1);
     assert_eq!(srv.metrics_snapshot().counters["server.faults.fallback_jobs"], 1);
+    assert_eq!(failed(&srv), 1, "a rescued job is a served one");
+}
+
+/// The oracle is the caller's code: a panic in it costs its own ticket a
+/// structured error and the device pool nothing. Both requests carry a
+/// deadline so a lost ticket or a dead worker fails the test instead of
+/// hanging it.
+#[test]
+fn panicking_oracle_is_contained_and_the_device_survives() {
+    let compiled =
+        Compiler::new(DeviceConfig::small()).compile(&sum_above(0), &catalog(8)).unwrap();
+    let srv = server(1, false);
+    let deadline = Duration::from_secs(2);
+    let doomed = Request::precompiled("a", compiled.clone())
+        .with_deadline(deadline)
+        .with_oracle(|| panic!("boom"));
+    // Bound to a catalog missing the scanned table, the job needs its oracle.
+    let err = srv.submit(doomed, &Catalog::new()).unwrap().wait().unwrap_err();
+    let CoreError::Host(msg) = &err else { panic!("expected a host error, got {err:?}") };
+    assert!(msg.contains("oracle panicked: boom"), "got: {msg}");
+    // The one device still serves the next, healthy request.
+    let healthy = Request::precompiled("a", compiled).with_deadline(deadline);
+    let (table, _) = srv.submit(healthy, &catalog(8)).unwrap().wait().unwrap();
+    assert_eq!(table.row(0)[0], Value::U64(expected_sum(8, 0)));
+    let counters = srv.metrics_snapshot().counters;
+    assert_eq!(counters["server.jobs.failed"], 1);
+    assert_eq!(counters["server.jobs.completed"], 2);
 }

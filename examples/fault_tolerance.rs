@@ -2,7 +2,7 @@
 //! errors, transient device faults, and memory-latency spikes while the
 //! metadata accelerator runs; the retry/backoff loop and the software
 //! oracle fallback recover bit-identical output, and the recovery is
-//! visible in the `FaultReport` and the host metrics snapshot.
+//! visible in the run's `FaultReport`.
 //!
 //! Run with: `cargo run --release --example fault_tolerance`
 //!
@@ -16,12 +16,10 @@
 use genesis::core::accel::metadata::MetadataAccel;
 use genesis::core::device::DeviceConfig;
 use genesis::core::fault::FaultConfig;
-use genesis::core::host::{GenesisHost, JobOutput};
 use genesis::datagen::{DatagenConfig, Dataset};
-use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let dataset = Arc::new(Dataset::generate(&DatagenConfig::tiny()));
+    let dataset = Dataset::generate(&DatagenConfig::tiny());
 
     // Ground truth: a fault-free run.
     let clean_dev = DeviceConfig::small();
@@ -34,30 +32,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("valid fault spec");
     println!("fault schedule: {faults:?}\n");
 
-    let host = GenesisHost::new();
-    let ds = Arc::clone(&dataset);
-    host.run_genesis(
-        0,
-        Box::new(move |_| {
-            let dev = DeviceConfig::small().with_faults(faults);
-            let (tags, stats) = MetadataAccel::new(dev).run(&ds.reads, &ds.genome)?;
-            let mut out = JobOutput { stats, ..JobOutput::default() };
-            out.outputs.insert("NM".into(), tags.nm.iter().flat_map(|v| v.to_le_bytes()).collect());
-            Ok(out)
-        }),
-    )?;
-    host.wait_genesis(0)?;
-    let out = host.genesis_flush(0)?;
+    let dev = DeviceConfig::small().with_faults(faults);
+    let (tags, stats) = MetadataAccel::new(dev).run(&dataset.reads, &dataset.genome)?;
 
     // Despite the injected faults, the recovered output is bit-identical.
-    let nm: Vec<u32> = out.outputs["NM"]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    assert_eq!(nm, clean.nm, "recovered NM tags match the fault-free run");
+    assert_eq!(tags, clean, "recovered NM/MD/UQ tags match the fault-free run");
     println!("recovered output bit-identical to the fault-free run ✓\n");
 
-    println!("fault report: {}", out.stats.faults);
-    println!("\nhost metrics snapshot:\n{}", host.metrics_snapshot());
+    println!("fault report: {}", stats.faults);
     Ok(())
 }

@@ -1,6 +1,6 @@
 //! Observability walk-through: trace an accelerated metadata-update run,
 //! export a Perfetto-loadable Chrome trace plus a stall flame table, and
-//! print the host-side metrics the `GenesisHost` API records.
+//! print the metrics a `GenesisServer` records for one served request.
 //!
 //! Run with: `cargo run --release --example observability`
 //!
@@ -11,9 +11,11 @@
 
 use genesis::core::accel::metadata::accelerated_metadata_update;
 use genesis::core::device::DeviceConfig;
-use genesis::core::host::{GenesisHost, JobOutput};
+use genesis::core::serve::{GenesisServer, Request, ServerConfig};
 use genesis::datagen::{DatagenConfig, Dataset};
 use genesis::obs::TraceConfig;
+use genesis::sql::Catalog;
+use genesis::types::{Column, DataType, Field, Schema, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = Dataset::generate(&DatagenConfig::tiny());
@@ -35,20 +37,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nstall flame table ({stalls_path}):\n");
     println!("{}", std::fs::read_to_string(&stalls_path)?);
 
-    // 3. Host-side metrics: the GenesisHost records wall-clock spans for
-    //    every API call into a lock-free registry.
-    let host = GenesisHost::new();
-    host.configure_mem(0, "READS.QUAL", vec![7; 4096], 1);
-    host.run_genesis(
-        0,
-        Box::new(|inputs| {
-            let mut out = JobOutput::default();
-            out.outputs.insert("n_cols".into(), vec![inputs.len() as u8]);
-            Ok(out)
-        }),
+    // 3. Server-side metrics: one request through a one-device server.
+    //    `server.phase.*` tile its latency from `submit` to delivery,
+    //    `server.run.*` split the device run, `server.scan.*` count rows.
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "READS",
+        Table::from_columns(
+            Schema::new(vec![Field::new("CHR", DataType::U8), Field::new("POS", DataType::U32)]),
+            vec![
+                Column::U8(dataset.reads.iter().map(|r| r.chr.id()).collect()),
+                Column::U32(dataset.reads.iter().map(|r| r.pos).collect()),
+            ],
+        )?,
+    );
+    let server =
+        GenesisServer::new(ServerConfig::default().with_devices(1, DeviceConfig::small()));
+    server.register_script(
+        "reads_per_chromosome",
+        "INSERT INTO PerChr SELECT CHR, COUNT(*) FROM READS GROUP BY CHR ORDER BY CHR",
     )?;
-    host.wait_genesis(0)?;
-    let _ = host.genesis_flush(0)?;
-    println!("host metrics snapshot:\n\n{}", host.metrics_snapshot());
+    let ticket = server.submit(Request::script("demo", "reads_per_chromosome"), &catalog)?;
+    let (per_chr, _) = ticket.wait()?;
+    println!("reads per chromosome:\n{per_chr}");
+    println!("server metrics snapshot:\n\n{}", server.metrics_snapshot());
     Ok(())
 }

@@ -371,8 +371,7 @@ const PIN_FILTERED: &str = "\
     tier_pages_spilled: 0, tier_prefetch_hits: 0, tier_pcie_bytes: 0, \
     rows_scanned: 100, rows_emitted: 30, reconfig_cycles: 0, \
     faults: FaultReport { dma_errors: 0, dma_timeouts: 0, device_faults: 0, \
-    mem_spikes: 0, retries: 0, backoff_ns: 0, fallback_batches: 0, fallback_jobs: 0, \
-    watchdog_timeouts: 0 } }";
+    mem_spikes: 0, retries: 0, backoff_ns: 0, fallback_batches: 0, fallback_jobs: 0 } }";
 const PIN_FILTERED_SHARDED: &str = "\
     AccelStats { cycles: 81, dma_in_bytes: 240, dma_out_bytes: 480, dma_transfers: 12, \
     device_mem_bytes: 1536, invocations: 3, backpressure_stalls: 0, total_flits: 150, \
@@ -381,8 +380,7 @@ const PIN_FILTERED_SHARDED: &str = "\
     tier_pages_spilled: 0, tier_prefetch_hits: 0, tier_pcie_bytes: 0, \
     rows_scanned: 100, rows_emitted: 30, reconfig_cycles: 0, \
     faults: FaultReport { dma_errors: 0, dma_timeouts: 0, device_faults: 0, \
-    mem_spikes: 0, retries: 0, backoff_ns: 0, fallback_batches: 0, fallback_jobs: 0, \
-    watchdog_timeouts: 0 } }";
+    mem_spikes: 0, retries: 0, backoff_ns: 0, fallback_batches: 0, fallback_jobs: 0 } }";
 const PIN_EXPLODED: &str = "\
     AccelStats { cycles: 73, dma_in_bytes: 135, dma_out_bytes: 336, dma_transfers: 12, \
     device_mem_bytes: 1920, invocations: 2, backpressure_stalls: 0, total_flits: 174, \
@@ -391,4 +389,4 @@ const PIN_EXPLODED: &str = "\
     tier_pages_spilled: 0, tier_prefetch_hits: 0, tier_pcie_bytes: 0, rows_scanned: 12, \
     rows_emitted: 12, reconfig_cycles: 0, faults: FaultReport { dma_errors: 0, \
     dma_timeouts: 0, device_faults: 0, mem_spikes: 0, retries: 0, backoff_ns: 0, \
-    fallback_batches: 0, fallback_jobs: 0, watchdog_timeouts: 0 } }";
+    fallback_batches: 0, fallback_jobs: 0 } }";

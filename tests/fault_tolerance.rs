@@ -8,11 +8,12 @@ use genesis::core::accel::markdup::QualitySumAccel;
 use genesis::core::accel::metadata::MetadataAccel;
 use genesis::core::device::DeviceConfig;
 use genesis::core::fault::FaultConfig;
-use genesis::core::host::{GenesisHost, JobOutput};
+use genesis::core::serve::{GenesisServer, Request, ServerConfig};
 use genesis::core::CoreError;
 use genesis::datagen::{DatagenConfig, Dataset};
+use genesis::sql::Catalog;
+use genesis::types::{Column, DataType, Field, Schema, Table};
 use proptest::prelude::*;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A fault config with aggressive injection rates and instant backoff
@@ -28,7 +29,6 @@ fn seeded_faults(seed: u64, dma_ppm: u32, device_ppm: u32, mem_ppm: u32) -> Faul
         backoff_base: Duration::ZERO,
         backoff_cap: Duration::ZERO,
         fallback: true,
-        watchdog: None,
     }
 }
 
@@ -118,30 +118,49 @@ fn fault_schedule_is_thread_count_invariant() {
     assert_eq!(seq.stats.faults, par.stats.faults, "fault report must not depend on threads");
 }
 
+/// The fault plane under sharding (first fixed case of ROADMAP D(iii)): a
+/// compiled plan served over two shards on faulty devices returns the
+/// fault-free table, and the recovery it took is in the job's stats and
+/// in the server's snapshot.
 #[test]
 fn recovery_counters_surface_in_host_metrics_snapshot() {
-    let dataset = Arc::new(Dataset::generate(&DatagenConfig::tiny()));
-    let host = GenesisHost::new();
-    let ds = Arc::clone(&dataset);
-    host.run_genesis(
-        0,
-        Box::new(move |_| {
-            let cfg = DeviceConfig::small().with_faults(acceptance_faults(7));
-            let run = QualitySumAccel::new(cfg).run(&ds.reads)?;
-            Ok(JobOutput { stats: run.stats, ..JobOutput::default() })
-        }),
-    )
-    .unwrap();
-    host.wait_genesis(0).unwrap();
-    let out = host.genesis_flush(0).unwrap();
-    let snap = host.metrics_snapshot();
-    assert_eq!(snap.counters["faults.retries"], out.stats.faults.retries);
-    assert!(snap.counters["faults.retries"] > 0);
-    let injected: u64 = ["faults.dma_errors", "faults.dma_timeouts", "faults.device_faults"]
-        .iter()
-        .map(|k| snap.counters.get(*k).copied().unwrap_or(0))
-        .sum();
-    assert!(injected > 0, "snapshot must expose injection counts: {snap}");
+    const HIST_SQL: &str = "\
+        INSERT INTO Hist\n\
+        SELECT K, COUNT(*)\n\
+        FROM T\n\
+        GROUP BY K\n\
+        ORDER BY K";
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "T",
+        Table::from_columns(
+            Schema::new(vec![Field::new("K", DataType::U32)]),
+            vec![Column::U32((0..512u32).map(|i| i * i % 7).collect())],
+        )
+        .unwrap(),
+    );
+    // Every shard's run is "batch 0" to `run_batches`, so all shards roll
+    // the same dice: the schedule must fault the first attempt and clear
+    // a later one.
+    let faults = (0..)
+        .map(|seed| seeded_faults(seed, 500_000, 0, 0))
+        .find(|f| f.dma_fault(0, 0).is_some() && f.dma_fault(0, 1).is_none())
+        .unwrap();
+    let serve = |device: DeviceConfig| {
+        let server =
+            GenesisServer::new(ServerConfig::default().with_devices(2, device).with_shards(2));
+        server.register_script("hist", HIST_SQL).unwrap();
+        let (table, stats) =
+            server.submit(Request::script("tenant", "hist"), &catalog).unwrap().wait().unwrap();
+        (table, stats, server.metrics_snapshot().counters)
+    };
+    let (clean, clean_stats, _) = serve(DeviceConfig::small());
+    assert!(clean_stats.faults.is_empty(), "fault-free run must report no faults");
+    let (recovered, stats, counters) = serve(DeviceConfig::small().with_faults(faults));
+    assert_eq!(recovered, clean, "recovered table must be bit-identical");
+    assert!(stats.faults.retries > 0, "each shard retries its faulted first attempt");
+    assert_eq!(counters["server.faults.retries"], stats.faults.retries);
+    assert_eq!(counters["server.shards.dispatched"], 2);
 }
 
 fn arb_faults() -> impl Strategy<Value = FaultConfig> {
