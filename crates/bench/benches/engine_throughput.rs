@@ -1,160 +1,90 @@
 //! Engine throughput benchmark (`cargo bench --bench engine_throughput`).
 //!
-//! Measures host wall-clock and simulated flits/sec for the metadata
-//! pipeline under (a) the naive reference engine — the pre-optimization
-//! baseline — and (b) the fast (park/wake) engine at 1/2/4/8 host batch
-//! worker threads (`DeviceConfig::with_host_threads`). When a release build of the
-//! `fig13_speedup` binary is present, it is also timed end to end in both
-//! configurations. Each configuration runs three
-//! iterations and reports the median. Results are printed and snapshotted
-//! to `BENCH_engine.json` at the repository root so the performance
-//! trajectory is tracked across PRs.
+//! The metadata pipeline under the reference and fast engines, at 1/2/4/8
+//! host batch threads, with tracing on and exporting, with every
+//! scratchpad pinned under tiers, with the fault plane armed and
+//! recovering, plus the compiled spill-heavy aggregate
+//! (`genesis_bench::scenarios::EngineScenario`). After one untimed
+//! warm-up round the variants run in interleaved rounds, each round
+//! starting one variant later, so a host that speeds up or slows down
+//! over minutes moves every variant alike. Each variant reports its
+//! median wall time; each overhead is the median over rounds of the
+//! variant's ratio to `fast/1t` in the same round — printed beside its
+//! budget, never asserted: wall numbers gate only through
+//! `tools/bench_ab.sh`. Snapshot: `BENCH_engine.json`, whose modeled rows
+//! `tests/golden.rs` regenerates.
 
-use genesis_core::accel::metadata::MetadataAccel;
-use genesis_core::device::DeviceConfig;
-use genesis_datagen::{DatagenConfig, Dataset};
-use genesis_hw::EngineMode;
-use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use genesis_bench::scenarios::{EngineScenario, ENGINE_BASE};
+use genesis_bench::snapshot::{self, Row, Value};
 use std::time::{Duration, Instant};
 
-struct Sample {
-    label: String,
-    wall: Duration,
-    sim_cycles: u64,
-    total_flits: u64,
-}
+const ROUNDS: usize = 7;
 
-impl Sample {
-    fn mflits_per_sec(&self) -> f64 {
-        self.total_flits as f64 / self.wall.as_secs_f64() / 1e6
-    }
-
-    fn json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"label\": \"{}\", \"wall_ms\": {:.1}, \"sim_cycles\": {}, \
-             \"total_flits\": {}, \"mflits_per_sec\": {:.2}}}",
-            self.label,
-            self.wall.as_secs_f64() * 1e3,
-            self.sim_cycles,
-            self.total_flits,
-            self.mflits_per_sec()
-        );
+/// The overhead budget of a variant, where ROADMAP or DESIGN.md sets one.
+fn budget(label: &str) -> Option<f64> {
+    match label {
+        "trace-on" => Some(6.0),
+        "trace-export" => Some(25.0),
+        "tiers-pinned" | "faults-armed" => Some(2.0),
+        _ => None,
     }
 }
 
-/// Times one full metadata-accelerator run at the given engine and host
-/// batch-thread count.
-fn run_metadata(dataset: &Dataset, engine: EngineMode, threads: usize) -> Sample {
-    let accel = MetadataAccel::new(
-        DeviceConfig::small().with_psize(5_000).with_engine(engine).with_host_threads(threads),
-    );
-    // Median of three: single-shot wall clocks wobble by ~10% on small
-    // hosts, and a median is honest about the typical run where a min
-    // would report the luckiest.
-    let mut runs: Vec<(Duration, genesis_core::perf::AccelStats)> = (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            let (_, stats) =
-                accel.run(&dataset.reads, &dataset.genome).expect("metadata accel");
-            (start.elapsed(), stats)
-        })
-        .collect();
-    runs.sort_by_key(|(wall, _)| *wall);
-    let (wall, stats) = runs.swap_remove(runs.len() / 2);
-    Sample {
-        label: format!("{engine:?}/{threads}t").to_lowercase(),
-        wall,
-        sim_cycles: stats.cycles,
-        total_flits: stats.total_flits,
-    }
-}
-
-/// End-to-end wall-clock of the `fig13_speedup` binary, when built.
-fn time_fig13(bin: &Path, engine: Option<&str>, threads: Option<usize>) -> Option<Duration> {
-    let mut cmd = std::process::Command::new(bin);
-    cmd.stdout(std::process::Stdio::null()).stderr(std::process::Stdio::null());
-    if let Some(e) = engine {
-        cmd.env("GENESIS_ENGINE", e);
-    }
-    if let Some(t) = threads {
-        cmd.env("GENESIS_HOST_THREADS", t.to_string());
-    }
-    let start = Instant::now();
-    let status = cmd.status().ok()?;
-    status.success().then(|| start.elapsed())
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn main() {
-    let repo_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dataset = Dataset::generate(&DatagenConfig {
-        num_reads: 4_000,
-        chrom_len: 100_000,
-        num_chromosomes: 2,
-        ..DatagenConfig::tiny()
-    });
+    let trace_path = std::env::temp_dir().join("genesis_engine_throughput_trace.json");
+    let scenario = EngineScenario::new(&trace_path);
+    let variants = &scenario.variants;
+    let base = variants.iter().position(|v| v.label == ENGINE_BASE).expect("base variant");
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("engine_throughput — metadata pipeline, {host_cores} host core(s)\n");
-
-    let baseline = run_metadata(&dataset, EngineMode::Reference, 1);
-    let mut samples = vec![baseline];
-    for threads in [1usize, 2, 4, 8] {
-        samples.push(run_metadata(&dataset, EngineMode::Fast, threads));
-    }
-    for s in &samples {
-        println!(
-            "  {:<14} {:>9.1} ms   {:>8.2} Mflit/s   ({} flits, {} cycles)",
-            s.label,
-            s.wall.as_secs_f64() * 1e3,
-            s.mflits_per_sec(),
-            s.total_flits,
-            s.sim_cycles
-        );
-    }
     println!(
-        "\n  fast/1t vs reference/1t: {:.2}x",
-        samples[0].wall.as_secs_f64() / samples[1].wall.as_secs_f64()
+        "engine_throughput — {} variants, {ROUNDS} rounds, {host_cores} host core(s)\n",
+        variants.len()
     );
 
-    let fig13_bin = repo_root.join("target/release/fig13_speedup");
-    let fig13 = if fig13_bin.exists() {
-        let before = time_fig13(&fig13_bin, Some("reference"), Some(1));
-        let after = time_fig13(&fig13_bin, None, None);
-        if let (Some(b), Some(a)) = (&before, &after) {
-            println!(
-                "\n  fig13_speedup end-to-end: before {:.1} s -> after {:.1} s ({:.2}x)",
-                b.as_secs_f64(),
-                a.as_secs_f64(),
-                b.as_secs_f64() / a.as_secs_f64()
-            );
+    let stats: Vec<_> = variants.iter().map(|v| scenario.run(v)).collect();
+    let mut walls = vec![Vec::with_capacity(ROUNDS); variants.len()];
+    for round in 0..ROUNDS {
+        for k in 0..variants.len() {
+            let i = (round + k) % variants.len();
+            let start = Instant::now();
+            let _ = scenario.run(&variants[i]);
+            walls[i].push(start.elapsed());
         }
-        before.zip(after)
-    } else {
-        println!("\n  (fig13_speedup release binary not built; skipping end-to-end timing)");
-        None
-    };
+    }
+    let _ = std::fs::remove_file(&trace_path);
+    let _ = std::fs::remove_file(format!("{}.stalls.txt", trace_path.display()));
 
-    let mut json = String::from("{\n  \"bench\": \"engine_throughput\",\n");
-    let _ = write!(json, "  \"host_cores\": {host_cores},\n  \"samples\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        json.push_str("    ");
-        s.json(&mut json);
-        json.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]");
-    if let Some((before, after)) = fig13 {
-        let _ = write!(
-            json,
-            ",\n  \"fig13_speedup\": {{\"before_s\": {:.2}, \"after_s\": {:.2}, \
-             \"speedup\": {:.2}}}",
-            before.as_secs_f64(),
-            after.as_secs_f64(),
-            before.as_secs_f64() / after.as_secs_f64()
+    let mut rows = Vec::new();
+    for (i, v) in variants.iter().enumerate() {
+        let wall = median(walls[i].iter().map(Duration::as_secs_f64).collect());
+        let mflits = stats[i].total_flits as f64 / wall / 1e6;
+        let mut line = format!(
+            "  {:<18} {:>8.1} ms {:>8.2} Mflit/s  ({} flits, {} cycles)",
+            v.label,
+            wall * 1e3,
+            mflits,
+            stats[i].total_flits,
+            stats[i].cycles
         );
+        rows.extend(v.modeled_rows(&stats[i]));
+        rows.push(Row::wall(v.label, "wall_ms", Value::Fixed(wall * 1e3, 1)));
+        rows.push(Row::wall(v.label, "mflits_per_sec", Value::Fixed(mflits, 2)));
+        if i != base {
+            let ratios =
+                walls[i].iter().zip(&walls[base]).map(|(w, b)| w.as_secs_f64() / b.as_secs_f64());
+            let pct = (median(ratios.collect()) - 1.0) * 100.0;
+            line += &format!("  {pct:+6.1}% vs {ENGINE_BASE}");
+            if let Some(b) = budget(v.label) {
+                line += &format!(" (budget ≤ +{b:.0}%)");
+            }
+            rows.push(Row::wall(v.label, "vs_base_pct", Value::Fixed(pct, 1)));
+        }
+        println!("{line}");
     }
-    json.push_str("\n}\n");
-    let out = repo_root.join("BENCH_engine.json");
-    std::fs::write(&out, &json).expect("write BENCH_engine.json");
-    println!("\nsnapshot written to {}", out.display());
+    snapshot::emit("engine_throughput", "BENCH_engine.json", &rows);
 }

@@ -1,52 +1,6 @@
 //! Table IV: FPGA resource usage of the three Genesis accelerators on the
 //! VU9P, from the analytical resource model (DESIGN.md §2).
 
-use genesis_core::accel::bqsr::BqsrAccel;
-use genesis_core::accel::markdup::QualitySumAccel;
-use genesis_core::accel::metadata::MetadataAccel;
-use genesis_core::device::DeviceConfig;
-use genesis_hw::resource::{VU9P_BRAM_BYTES, VU9P_LUTS, VU9P_REGISTERS};
-
 fn main() {
-    println!("Table IV — FPGA resource usage of Genesis (analytical model):\n");
-    println!(
-        "device: Xilinx Virtex UltraScale+ VU9P — {VU9P_LUTS} LUTs, \
-         {VU9P_REGISTERS} registers, {:.2} MB BRAM\n",
-        VU9P_BRAM_BYTES as f64 / 1e6
-    );
-
-    // Table IV documents the full-scale deployment: the paper's pipeline
-    // counts with 1 Mbp partition windows (BQSR uses a smaller window —
-    // its four count buffers per pipeline compete for BRAM).
-    let markdup_cfg = DeviceConfig::default().with_pipelines(16);
-    let metadata_cfg = DeviceConfig::default().with_pipelines(16).with_psize(1_000_000);
-    let bqsr_cfg = DeviceConfig::default().with_pipelines(8).with_psize(250_000);
-
-    let markdup = QualitySumAccel::new(markdup_cfg.clone());
-    println!("Mark Duplicates ({}x pipelines):", markdup_cfg.pipelines);
-    println!("{}\n", markdup.resource_report());
-    println!("  paper: 228K LUTs (25.4%), 272K regs (15.2%), 0.34MB BRAM (4.6%)\n");
-
-    let metadata = MetadataAccel::new(metadata_cfg.clone());
-    println!(
-        "Metadata Update ({}x pipelines, {} bp partitions):",
-        metadata_cfg.pipelines, metadata_cfg.psize
-    );
-    println!("{}\n", metadata.resource_report());
-    println!("  paper: 333K LUTs (37.2%), 424K regs (23.7%), 4.95MB BRAM (65.5%)\n");
-
-    let bqsr = BqsrAccel::new(bqsr_cfg.clone(), 151);
-    println!(
-        "Base Quality Score Recalibration ({}x pipelines, {} bp partitions):",
-        bqsr_cfg.pipelines, bqsr_cfg.psize
-    );
-    let report = bqsr.resource_report();
-    println!("{report}\n");
-    println!("  paper: 502K LUTs (56.1%), 257K regs (14.4%), 1.69MB BRAM (22.4%)\n");
-
-    assert!(report.fits(), "BQSR design must fit the VU9P");
-    println!(
-        "all three designs fit the VU9P with headroom — the paper's\n\
-         under-utilization observation enabling multi-accelerator placement (§V-B)."
-    );
+    print!("{}", genesis_bench::table4_resources());
 }

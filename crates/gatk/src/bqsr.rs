@@ -689,7 +689,8 @@ pub fn build_covariate_table_parallel(
     threads: usize,
 ) -> CovariateTable {
     let threads = threads.max(1).min(reads.len().max(1));
-    let chunk_len = reads.len().div_ceil(threads);
+    // At least 1: `chunks(0)` panics, and an empty slice has no chunks anyway.
+    let chunk_len = reads.len().div_ceil(threads).max(1);
     let tables = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for chunk in reads.chunks(chunk_len) {

@@ -134,7 +134,8 @@ pub fn set_nm_md_uq_tags_parallel(
     threads: usize,
 ) -> Result<MetadataReport, TypeError> {
     let threads = threads.max(1).min(reads.len().max(1));
-    let chunk_len = reads.len().div_ceil(threads);
+    // At least 1: `chunks(0)` panics, and an empty slice has no chunks anyway.
+    let chunk_len = reads.len().div_ceil(threads).max(1);
     let results = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for chunk in reads.chunks_mut(chunk_len) {

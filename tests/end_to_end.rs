@@ -7,7 +7,8 @@ use genesis::core::accel::markdup::accelerated_mark_duplicates;
 use genesis::core::accel::metadata::accelerated_metadata_update;
 use genesis::core::device::DeviceConfig;
 use genesis::datagen::{DatagenConfig, Dataset};
-use genesis::gatk::bqsr::apply_recalibration;
+use genesis::gatk::bqsr::{apply_recalibration, build_covariate_table_parallel, CovariateTable};
+use genesis::gatk::metadata::{set_nm_md_uq_tags_parallel, MetadataReport};
 use genesis::gatk::{PipelineReport, PreprocessingPipeline};
 
 fn small_device() -> DeviceConfig {
@@ -94,4 +95,13 @@ fn per_chromosome_runs_compose_to_whole_genome() {
         }
     }
     assert_eq!(whole, per_chrom);
+}
+
+#[test]
+fn parallel_software_stages_accept_no_reads() {
+    let dataset = Dataset::generate(&DatagenConfig::tiny());
+    let report = set_nm_md_uq_tags_parallel(&mut [], &dataset.genome, 4).unwrap();
+    assert_eq!(report, MetadataReport::default());
+    let table = build_covariate_table_parallel(&[], &dataset.genome, 4, 151, 4);
+    assert_eq!(table, CovariateTable::new(4, 151));
 }
