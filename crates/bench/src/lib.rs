@@ -1,8 +1,8 @@
 //! # genesis-bench
 //!
 //! The benchmark harness: one binary per paper figure/table (DESIGN.md §4)
-//! plus Criterion micro-benchmarks, sharing data-set scales and reporting
-//! helpers from this library.
+//! plus the snapshot benches that write `BENCH_*.json`, sharing data-set
+//! scales, scenarios and reporting helpers from this library.
 //!
 //! Scale selection: set `GENESIS_SCALE` to `tiny`, `small`, `medium`
 //! (default) or `large`. All harness binaries honor it.

@@ -89,14 +89,16 @@ pub struct Variant {
 }
 
 impl Variant {
-    /// The modeled rows of one run: cycles and flits; the fault counters
-    /// when the fault plane is armed; page traffic for the spill run.
+    /// The modeled rows of one run: cycles, flits and module ticks; the
+    /// fault counters when the fault plane is armed; page traffic for the
+    /// spill run.
     #[must_use]
     pub fn modeled_rows(&self, stats: &AccelStats) -> Vec<Row> {
         let l = self.label;
         let mut rows = vec![
             Row::modeled(l, "sim_cycles", stats.cycles),
             Row::modeled(l, "total_flits", stats.total_flits),
+            Row::modeled(l, "module_ticks", stats.module_ticks),
         ];
         match &self.device {
             Some(device) if device.faults.is_active() => rows.extend([
@@ -456,6 +458,7 @@ impl GenomicsWorkload {
             Row::modeled(l, "chosen_factor", run.factor),
             Row::modeled(l, "sim_cycles", run.stats.cycles),
             Row::modeled(l, "total_flits", run.stats.total_flits),
+            Row::modeled(l, "module_ticks", run.stats.module_ticks),
             Row::modeled(l, "out_rows", run.out_rows),
         ]
     }

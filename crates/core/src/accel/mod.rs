@@ -110,6 +110,7 @@ where
                 invocations: 1,
                 backpressure_stalls: run.backpressure_stalls,
                 total_flits: run.total_flits,
+                module_ticks: run.module_ticks,
                 active_cycles: totals.active,
                 input_starved_cycles: totals.input_starved,
                 backpressured_cycles: totals.backpressured,

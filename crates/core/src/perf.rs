@@ -25,6 +25,10 @@ pub struct AccelStats {
     /// Total flits moved through all hardware queues (simulated work — the
     /// numerator of the simulator's flits/sec throughput metric).
     pub total_flits: u64,
+    /// Module ticks the simulator ran (`genesis_hw::SimStats::module_ticks`):
+    /// its host work per flit moved is `module_ticks / total_flits`. Depends
+    /// on the engine, like the stall split below.
+    pub module_ticks: u64,
     /// Module-cycles spent doing observable work (summed over every module
     /// of every batch system; see `genesis_obs::StallCounters`).
     pub active_cycles: u64,
@@ -73,6 +77,7 @@ impl AccelStats {
         self.invocations += other.invocations;
         self.backpressure_stalls += other.backpressure_stalls;
         self.total_flits += other.total_flits;
+        self.module_ticks += other.module_ticks;
         self.active_cycles += other.active_cycles;
         self.input_starved_cycles += other.input_starved_cycles;
         self.backpressured_cycles += other.backpressured_cycles;

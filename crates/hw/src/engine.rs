@@ -126,6 +126,8 @@ pub(crate) struct EngineCore<'a> {
     trace: &'a mut Option<TraceState>,
     /// Current cycle; the caller copies it back after the run.
     pub(crate) cycle: u64,
+    /// Module ticks run so far; the caller adds them to its census.
+    pub(crate) ticks: u64,
     obs: RunObs,
     park_enabled: bool,
     /// Queue index -> modules watching it, tagged with role bits.
@@ -186,6 +188,7 @@ impl<'a> EngineCore<'a> {
             stall,
             trace,
             cycle,
+            ticks: 0,
             obs: RunObs::new(n, cycle),
             park_enabled,
             watchers,
@@ -409,6 +412,13 @@ impl<'a> EngineCore<'a> {
                     mem: self.mem,
                     cycle: self.cycle,
                 });
+                self.ticks += 1;
+                debug_assert_eq!(
+                    t == Tick::Done,
+                    self.modules[i].is_done(),
+                    "{}: Tick::Done is reported by exactly the tick that finishes the module",
+                    self.modules[i].label()
+                );
                 // Unpark watchers of queues this tick mutated, *before*
                 // applying the tick's own result — a module that parks
                 // after touching its queues (a refused push marks a
@@ -417,11 +427,10 @@ impl<'a> EngineCore<'a> {
                     self.wake_touched(i);
                 }
                 match t {
-                    Tick::Active => {
-                        if self.modules[i].is_done() {
-                            self.done[i] = true;
-                            self.done_count += 1;
-                        }
+                    Tick::Active => {}
+                    Tick::Done => {
+                        self.done[i] = true;
+                        self.done_count += 1;
                     }
                     // Reference engine: parks are ignored (no-op and
                     // refused-push ticks re-run, and re-count, every

@@ -222,16 +222,19 @@ impl MemorySystem {
     }
 
     /// Starts a new cycle: resets per-cycle arbitration counters.
+    #[inline]
     pub fn begin_cycle(&mut self, cycle: u64) {
         self.cycle = cycle;
         self.channel_used.fill(0);
         self.group_used.fill(0);
     }
 
+    #[inline]
     fn channel_of(&self, line_addr: u64) -> usize {
         ((line_addr / LINE_BYTES as u64) % self.cfg.num_channels as u64) as usize
     }
 
+    #[inline]
     fn arbitrate(&mut self, port: PortId) -> bool {
         let group = self.ports[port.0 as usize].group as usize;
         if self.group_used[group] >= self.cfg.local_requests_per_cycle {
@@ -243,6 +246,7 @@ impl MemorySystem {
 
     /// Attempts to issue a line read. Returns `false` (and counts a stall)
     /// when arbitration or the port's in-flight limit refuses the request.
+    #[inline]
     pub fn try_read(&mut self, port: PortId, line_addr: u64) -> bool {
         debug_assert_eq!(line_addr % LINE_BYTES as u64, 0, "unaligned line read");
         if self.ports[port.0 as usize].inflight >= self.cfg.max_inflight_per_port {
@@ -280,6 +284,7 @@ impl MemorySystem {
     /// arbitration stall. The fast engine uses this to tell silent
     /// refusals apart from stall-counting ones.
     #[must_use]
+    #[inline]
     pub fn inflight_full(&self, port: PortId) -> bool {
         self.ports[port.0 as usize].inflight >= self.cfg.max_inflight_per_port
     }
@@ -288,12 +293,14 @@ impl MemorySystem {
     /// deliverable, when one exists (the fast engine's timed
     /// wake-up for a reader blocked on memory latency).
     #[must_use]
+    #[inline]
     pub fn next_response_ready(&self, port: PortId) -> Option<u64> {
         self.ports[port.0 as usize].responses.front().map(|&(ready, _)| ready)
     }
 
     /// Delivers the oldest completed read response for `port`, copying the
     /// line out of the backing store.
+    #[inline]
     pub fn poll_response(&mut self, port: PortId) -> Option<(u64, Line)> {
         let p = &mut self.ports[port.0 as usize];
         match p.responses.front() {
@@ -316,6 +323,7 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics when the write crosses a line boundary or is unallocated.
+    #[inline]
     pub fn try_write(&mut self, port: PortId, addr: u64, bytes: &[u8]) -> bool {
         assert!(
             (addr % LINE_BYTES as u64) as usize + bytes.len() <= LINE_BYTES,

@@ -94,7 +94,7 @@ impl Module for StreamAlu {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         match self.rhs {
             AluRhs::Const(c) => {
@@ -102,7 +102,7 @@ impl Module for StreamAlu {
                     if ctx.queues.get(self.lhs).is_finished() {
                         ctx.queues.get_mut(self.out).close();
                         self.done = true;
-                        return Tick::Active;
+                        return Tick::Done;
                     }
                     return Tick::PARK;
                 };
@@ -130,7 +130,7 @@ impl Module for StreamAlu {
                 if lfin && rfin {
                     ctx.queues.get_mut(self.out).close();
                     self.done = true;
-                    return Tick::Active;
+                    return Tick::Done;
                 }
                 let (Some(l), Some(r)) =
                     (ctx.queues.get(self.lhs).peek(), ctx.queues.get(rq).peek())

@@ -87,7 +87,7 @@ impl Module for BinIdGen {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         // Acquire the current read's flags first. A refused push on the
         // tick that acquires them is not a pure stall (the flags were
@@ -111,7 +111,7 @@ impl Module for BinIdGen {
                     {
                         ctx.queues.get_mut(self.out).close();
                         self.done = true;
-                        return Tick::Active;
+                        return Tick::Done;
                     }
                     // Waiting for flags (or, with flags finished, for the
                     // base stream to finish too); both queues are watched.
@@ -123,7 +123,7 @@ impl Module for BinIdGen {
             if ctx.queues.get(self.input).is_finished() {
                 ctx.queues.get_mut(self.out).close();
                 self.done = true;
-                return Tick::Active;
+                return Tick::Done;
             }
             return Tick::PARK;
         };

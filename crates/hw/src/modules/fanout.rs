@@ -43,14 +43,14 @@ impl Module for Fanout {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         if ctx.queues.get(self.input).is_finished() {
             for &q in &self.outputs {
                 ctx.queues.get_mut(q).close();
             }
             self.done = true;
-            return Tick::Active;
+            return Tick::Done;
         }
         if ctx.queues.get(self.input).peek().is_some() && all_can_push(ctx.queues, &self.outputs) {
             let flit = ctx.queues.get_mut(self.input).pop().expect("peeked");

@@ -157,13 +157,13 @@ impl Module for Filter {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         let Some(head) = ctx.queues.get(self.input).peek() else {
             if ctx.queues.get(self.input).is_finished() {
                 ctx.queues.get_mut(self.out).close();
                 self.done = true;
-                return Tick::Active;
+                return Tick::Done;
             }
             return Tick::PARK;
         };

@@ -151,14 +151,14 @@ impl Module for Joiner {
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         use JoinKind::{Inner, Left, Outer};
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         let lq = ctx.queues.get(self.left);
         let rq = ctx.queues.get(self.right);
         if lq.is_finished() && rq.is_finished() {
             ctx.queues.get_mut(self.out).close();
             self.done = true;
-            return Tick::Active;
+            return Tick::Done;
         }
         let lh = Self::head(ctx.queues, self.left);
         let rh = Self::head(ctx.queues, self.right);

@@ -120,7 +120,7 @@ impl Module for MdGen {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         // Drain one buffered output flit per cycle.
         if let Some(f) = self.outbuf.front() {
@@ -135,7 +135,7 @@ impl Module for MdGen {
             if ctx.queues.get(self.input).is_finished() {
                 ctx.queues.get_mut(self.out).close();
                 self.done = true;
-                return Tick::Active;
+                return Tick::Done;
             }
             return Tick::PARK;
         };

@@ -125,12 +125,13 @@ impl Module for MemWriter {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         if self.flushing {
             if self.try_flush(ctx) {
                 self.flushing = false;
                 self.done = true;
+                return Tick::Done;
             }
             // A refused write counted an arbitration stall.
             return Tick::Active;
@@ -154,6 +155,7 @@ impl Module for MemWriter {
         } else if q.is_finished() {
             if self.try_flush(ctx) {
                 self.done = true;
+                return Tick::Done;
             } else {
                 self.flushing = true;
             }

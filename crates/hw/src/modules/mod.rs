@@ -89,11 +89,17 @@ pub enum ModuleKind {
 /// arbitration loss, a RAW hazard), or that count a refused push next to
 /// other work or a state change, must report [`Tick::Active`]: the naive
 /// engine re-counts those every cycle, so the module must keep ticking to
-/// match. `Active` is always safe.
+/// match. `Active` is always safe — except on the finishing tick, which
+/// must report [`Tick::Done`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tick {
     /// The module did (or may have done) observable work this cycle.
     Active,
+    /// The module has finished: all work done and every output closed.
+    /// The tick on which [`Module::is_done`] turns true reports it (a
+    /// debug build asserts so), and both engines then retire the module;
+    /// a finished module ticked anyway reports `Done` again.
+    Done,
     /// Every tick until the watched state changes would repeat this one
     /// (a no-op, or one refused push); skip the module until then.
     Park {
@@ -148,6 +154,7 @@ impl Tick {
 
     /// Park until precisely `q` is mutated.
     #[must_use]
+    #[inline]
     pub fn park_on(q: QueueId) -> Tick {
         Tick::Park { wake_at: None, watch: Watch::Queue(q) }
     }
@@ -156,6 +163,7 @@ impl Tick {
     /// count that one stall, and every tick until `q` is mutated would do
     /// exactly the same ([`Watch::Full`]).
     #[must_use]
+    #[inline]
     pub fn full(q: QueueId) -> Tick {
         Tick::Park { wake_at: None, watch: Watch::Full(q) }
     }
@@ -186,10 +194,14 @@ pub trait Module: fmt::Debug + Send {
     fn kind(&self) -> ModuleKind;
 
     /// Advances one clock cycle and reports whether the module is still
-    /// doing observable work (see [`Tick`] for the park contract).
+    /// doing observable work, parked (see [`Tick`] for the park contract)
+    /// or finished ([`Tick::Done`]).
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick;
 
     /// True once the module has finished all work and flushed all outputs.
+    /// The engine reads it when a run starts (a resumed run skips the
+    /// modules an earlier one finished); during a run, [`Tick::Done`]
+    /// reports the change.
     fn is_done(&self) -> bool;
 
     /// Downcasting support (used to read results out of sinks/writers).
@@ -208,6 +220,7 @@ pub trait Module: fmt::Debug + Send {
 
 /// Pushes `flit` to queue `q` if space permits; returns whether it was
 /// accepted and records a backpressure stall otherwise.
+#[inline]
 pub(crate) fn try_push(queues: &mut QueuePool, q: QueueId, flit: Flit) -> bool {
     if refused(queues, q) {
         return false;
@@ -219,6 +232,7 @@ pub(crate) fn try_push(queues: &mut QueuePool, q: QueueId, flit: Flit) -> bool {
 /// True when `q` cannot accept a flit this cycle, after recording the
 /// backpressure stall: the refused push, for modules that must know
 /// before they build the flit or touch a scratchpad.
+#[inline]
 pub(crate) fn refused(queues: &mut QueuePool, q: QueueId) -> bool {
     if queues.get(q).can_push() {
         return false;
@@ -230,6 +244,7 @@ pub(crate) fn refused(queues: &mut QueuePool, q: QueueId) -> bool {
 /// Moves the head of `from` to `to` unchanged when `to` has space; leaves
 /// it and records a backpressure stall on `to` otherwise. The caller has
 /// peeked the head.
+#[inline]
 pub(crate) fn try_forward(queues: &mut QueuePool, from: QueueId, to: QueueId) -> bool {
     if refused(queues, to) {
         return false;
@@ -240,6 +255,7 @@ pub(crate) fn try_forward(queues: &mut QueuePool, from: QueueId, to: QueueId) ->
 }
 
 /// True when every queue in `qs` can accept a flit this cycle.
+#[inline]
 pub(crate) fn all_can_push(queues: &QueuePool, qs: &[QueueId]) -> bool {
     qs.iter().all(|&q| queues.get(q).can_push())
 }

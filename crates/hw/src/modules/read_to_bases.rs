@@ -103,7 +103,7 @@ impl Module for ReadToBases {
     #[allow(clippy::too_many_lines)]
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         match &mut self.state {
             State::NeedPos => {
@@ -116,6 +116,7 @@ impl Module for ReadToBases {
                 } else if ctx.queues.get(self.inputs.pos).is_finished() {
                     ctx.queues.get_mut(self.out).close();
                     self.done = true;
+                    return Tick::Done;
                 } else {
                     // Waiting for the next read's POS flit.
                     return Tick::park_on(self.inputs.pos);

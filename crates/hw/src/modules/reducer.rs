@@ -106,7 +106,7 @@ impl Module for Reducer {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         // Drain pending outputs first (aggregate, then delimiter).
         // A refused push here returns before the input is looked at, so
@@ -150,6 +150,7 @@ impl Module for Reducer {
             } else {
                 ctx.queues.get_mut(self.out).close();
                 self.done = true;
+                return Tick::Done;
             }
         } else {
             // Input empty and still open.

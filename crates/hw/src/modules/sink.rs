@@ -64,13 +64,14 @@ impl Module for StreamSink {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         let q = ctx.queues.get_mut(self.input);
         if let Some(flit) = q.pop() {
             self.collected.push(flit);
         } else if q.is_finished() {
             self.done = true;
+            return Tick::Done;
         } else {
             // Empty and still open: nothing to do until the producer
             // pushes or closes.

@@ -62,7 +62,7 @@ impl Module for StreamSource {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         if let Some(flit) = self.pending.front() {
             if !try_push(ctx.queues, self.out, *flit) {
@@ -74,6 +74,7 @@ impl Module for StreamSource {
         if self.pending.is_empty() {
             ctx.queues.get_mut(self.out).close();
             self.done = true;
+            return Tick::Done;
         }
         Tick::Active
     }

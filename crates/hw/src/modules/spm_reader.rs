@@ -125,6 +125,7 @@ impl SpmReader {
 
 /// The lookup flit `[pos, spm0[pos - offset], ...]`, one field per
 /// scratchpad (each read is counted).
+#[inline]
 fn read_flit(ctx: &mut Ctx<'_>, spms: &[SpmId], addr_offset: u64, pos: u64) -> Flit {
     let idx = pos.wrapping_sub(addr_offset);
     let mut flit = Flit::val(pos);
@@ -146,7 +147,7 @@ impl Module for SpmReader {
     #[allow(clippy::too_many_lines)]
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         let (open, gate_popped) = self.gates_open(ctx);
         if !open {
@@ -204,7 +205,7 @@ impl Module for SpmReader {
                         {
                             ctx.queues.get_mut(self.out).close();
                             self.done = true;
-                            Tick::Active
+                            Tick::Done
                         } else if popped_delim {
                             Tick::Active
                         } else {
@@ -234,7 +235,7 @@ impl Module for SpmReader {
                     out.push(Flit::end_item());
                     out.close();
                     self.done = true;
-                    return Tick::Active;
+                    return Tick::Done;
                 }
                 tier_gate!(ctx, &self.spms, self.drain_cursor, false);
                 let pos = self.drain_cursor + self.addr_offset;
@@ -309,13 +310,13 @@ impl Module for SpmAddrReader {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         let Some(head) = ctx.queues.get(self.input).peek() else {
             if ctx.queues.get(self.input).is_finished() {
                 ctx.queues.get_mut(self.out).close();
                 self.done = true;
-                return Tick::Active;
+                return Tick::Done;
             }
             return Tick::PARK;
         };

@@ -6,7 +6,6 @@ use super::{Ctx, Module, ModuleKind, Tick, Watch};
 use crate::queue::QueueId;
 use crate::spm::SpmId;
 use std::any::Any;
-use std::collections::VecDeque;
 
 /// Read-modify-write function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,10 +55,12 @@ pub struct SpmUpdater {
     input: QueueId,
     forward: Option<QueueId>,
     seq_cursor: u64,
-    /// Addresses currently in the read/modify/write stages, tagged with
-    /// their entry cycle; an address occupies the pipeline for
-    /// [`RMW_PIPELINE_DEPTH`] cycles.
-    inflight: VecDeque<(u64, u64)>,
+    /// The read/modify/write stages as `(entry cycle, address)`: the
+    /// address that entered on cycle `c` sits in slot
+    /// `c % RMW_PIPELINE_DEPTH` while it is [`in_flight`]. At most one
+    /// address enters per cycle, so a slot has always drained by the time
+    /// its index comes round again.
+    stages: [(u64, u64); RMW_PIPELINE_DEPTH],
     hazard_stalls: u64,
     updates: u64,
     done: bool,
@@ -91,7 +92,8 @@ impl SpmUpdater {
             input,
             forward: None,
             seq_cursor,
-            inflight: VecDeque::with_capacity(RMW_PIPELINE_DEPTH),
+            // Entered on no cycle: `in_flight` never holds.
+            stages: [(u64::MAX, 0); RMW_PIPELINE_DEPTH],
             hazard_stalls: 0,
             updates: 0,
             done: false,
@@ -119,12 +121,20 @@ impl SpmUpdater {
 
     /// Pops the input head and cascades it to the forward queue, whose
     /// space the caller has checked.
+    #[inline]
     fn consume_head(&self, ctx: &mut Ctx<'_>) {
         let flit = ctx.queues.get_mut(self.input).pop().expect("caller peeked the head");
         if let Some(fq) = self.forward {
             ctx.queues.get_mut(fq).push(flit);
         }
     }
+}
+
+/// True while an address that entered the RMW pipeline on cycle `entered`
+/// occupies one of its [`RMW_PIPELINE_DEPTH`] stages at `cycle`.
+#[inline]
+fn in_flight(entered: u64, cycle: u64) -> bool {
+    cycle.checked_sub(entered).is_some_and(|age| age < RMW_PIPELINE_DEPTH as u64)
 }
 
 impl Module for SpmUpdater {
@@ -138,27 +148,15 @@ impl Module for SpmUpdater {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
-        }
-        // Retire RMW stages that have aged out of the 3-stage pipeline.
-        // Retirement is a pure function of (entry cycle, current cycle), so
-        // deferring it across parked cycles cannot change hazard outcomes:
-        // the next data flit sees the same post-retire pipeline either way.
-        while let Some(&(entered, _)) = self.inflight.front() {
-            if ctx.cycle.saturating_sub(entered) >= RMW_PIPELINE_DEPTH as u64 {
-                self.inflight.pop_front();
-            } else {
-                break;
-            }
+            return Tick::Done;
         }
         let Some(flit) = ctx.queues.get(self.input).peek() else {
             if ctx.queues.get(self.input).is_finished() {
-                self.inflight.clear();
                 if let Some(fq) = self.forward {
                     ctx.queues.get_mut(fq).close();
                 }
                 self.done = true;
-                return Tick::Active;
+                return Tick::Done;
             }
             return Tick::PARK;
         };
@@ -176,8 +174,13 @@ impl Module for SpmUpdater {
                     if !addr.is_marker() {
                         // RAW interlock first: hazard cycles are counted
                         // per blocked cycle, so the module keeps ticking.
+                        // Whether a stage still holds the address is a pure
+                        // function of its entry cycle and this one, so
+                        // parked cycles need no catching up.
                         if matches!(self.mode, SpmUpdateMode::Rmw { .. })
-                            && self.inflight.iter().any(|&(_, a)| a == addr.val_or_zero())
+                            && self.stages.iter().any(|&(entered, a)| {
+                                a == addr.val_or_zero() && in_flight(entered, ctx.cycle)
+                            })
                         {
                             self.hazard_stalls += 1;
                             return Tick::Active;
@@ -233,7 +236,10 @@ impl Module for SpmUpdater {
                         RmwOp::Sub => old.wrapping_sub(v),
                     };
                     spm.write(a, new);
-                    self.inflight.push_back((ctx.cycle, a));
+                    let slot = (ctx.cycle % RMW_PIPELINE_DEPTH as u64) as usize;
+                    let (entered, _) = self.stages[slot];
+                    assert!(!in_flight(entered, ctx.cycle), "one RMW entry per cycle");
+                    self.stages[slot] = (ctx.cycle, a);
                     self.updates += 1;
                 }
             }

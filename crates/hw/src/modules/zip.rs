@@ -84,12 +84,12 @@ impl Module for Zip {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         if self.inputs.iter().any(|i| ctx.queues.get(i.queue).is_finished()) {
             ctx.queues.get_mut(self.out).close();
             self.done = true;
-            return Tick::Active;
+            return Tick::Done;
         }
         let mut ends = 0usize;
         for i in &self.inputs {

@@ -1,7 +1,6 @@
 //! Bounded hardware queues with backpressure.
 
 use crate::word::Flit;
-use std::collections::VecDeque;
 
 /// Identifier of a queue within a [`QueuePool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -10,6 +9,7 @@ pub struct QueueId(pub(crate) u32);
 impl QueueId {
     /// Raw index (stable for the lifetime of the pool).
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -18,29 +18,49 @@ impl QueueId {
 /// Default queue capacity in flits.
 pub const DEFAULT_CAPACITY: usize = 16;
 
-/// One bounded hardware queue.
+/// One bounded hardware queue: a fixed ring of
+/// `capacity.next_power_of_two()` flit slots, at most `capacity` of them
+/// occupied, plus the fast engine's wake state for the queue.
 #[derive(Debug)]
 pub struct Queue {
-    name: String,
-    buf: VecDeque<Flit>,
+    slots: Box<[Flit]>,
+    /// Slot of the head flit.
+    head: usize,
+    /// Buffered flits.
+    len: usize,
     capacity: usize,
     closed: bool,
+    /// Parked modules watching this queue (see [`QueuePool`]).
+    watchers: u16,
+    /// Listed in the pool's touch list since its last drain.
+    touched: bool,
     /// Total flits ever enqueued (for utilization stats).
     pushed: u64,
     /// Cycles on which a push was refused for lack of space.
     full_stalls: u64,
+    name: String,
 }
 
 impl Queue {
     fn new(name: &str, capacity: usize) -> Queue {
         Queue {
-            name: name.to_owned(),
-            buf: VecDeque::with_capacity(capacity),
+            slots: vec![Flit::new(); capacity.next_power_of_two()].into_boxed_slice(),
+            head: 0,
+            len: 0,
             capacity,
             closed: false,
+            watchers: 0,
+            touched: false,
             pushed: 0,
             full_stalls: 0,
+            name: name.to_owned(),
         }
+    }
+
+    /// Ring slot `n` places after the head.
+    #[inline]
+    fn slot(&self, n: usize) -> usize {
+        (self.head + n) & (self.slots.len() - 1)
     }
 
     /// Queue name (for diagnostics).
@@ -57,8 +77,9 @@ impl Queue {
 
     /// True when a flit can be pushed this cycle.
     #[must_use]
+    #[inline]
     pub fn can_push(&self) -> bool {
-        self.buf.len() < self.capacity
+        self.len < self.capacity
     }
 
     /// Pushes a flit.
@@ -67,42 +88,57 @@ impl Queue {
     ///
     /// Panics when full or closed — callers must check [`Queue::can_push`]
     /// first (that is the backpressure contract).
+    #[inline]
     pub fn push(&mut self, flit: Flit) {
         assert!(!self.closed, "push to closed queue {}", self.name);
         assert!(self.can_push(), "push to full queue {}", self.name);
-        self.buf.push_back(flit);
+        let tail = self.slot(self.len);
+        self.slots[tail] = flit;
+        self.len += 1;
         self.pushed += 1;
     }
 
     /// Records that a producer wanted to push but could not.
+    #[inline]
     pub fn note_full_stall(&mut self) {
         self.full_stalls += 1;
     }
 
     /// Peeks at the head flit.
     #[must_use]
+    #[inline]
     pub fn peek(&self) -> Option<&Flit> {
-        self.buf.front()
+        (self.len != 0).then(|| &self.slots[self.head])
     }
 
     /// Pops the head flit.
+    #[inline]
     pub fn pop(&mut self) -> Option<Flit> {
-        self.buf.pop_front()
+        if self.len == 0 {
+            return None;
+        }
+        let flit = self.slots[self.head];
+        self.head = self.slot(1);
+        self.len -= 1;
+        Some(flit)
     }
 
     /// Number of buffered flits.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// True when no flits are buffered.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
     /// Marks the stream complete: no further flits will arrive.
+    #[inline]
     pub fn close(&mut self) {
         self.closed = true;
     }
@@ -116,8 +152,9 @@ impl Queue {
     /// True when the stream is closed *and* fully drained — the consumer's
     /// end-of-stream condition.
     #[must_use]
+    #[inline]
     pub fn is_finished(&self) -> bool {
-        self.closed && self.buf.is_empty()
+        self.closed && self.len == 0
     }
 
     /// Total flits ever pushed.
@@ -131,7 +168,6 @@ impl Queue {
     pub fn total_full_stalls(&self) -> u64 {
         self.full_stalls
     }
-
 }
 
 /// All queues of a simulated system, addressed by [`QueueId`].
@@ -144,7 +180,9 @@ impl Queue {
 /// close, or even a refused push) marks the queue touched, and parked
 /// modules watching a touched queue are re-ticked. Spurious wakes are
 /// harmless; missed wakes would break the engine, so the tracking errs on
-/// the side of touching. Tracking is off by default so the reference
+/// the side of touching. Touches are only recorded for queues some parked
+/// module is watching, so active modules' routine queue traffic costs one
+/// predictable branch. Tracking is off by default so the reference
 /// engine — and the fast engine whenever nothing is parked — pays nothing
 /// on the queue-access hot path.
 #[derive(Debug, Default)]
@@ -152,12 +190,6 @@ pub struct QueuePool {
     queues: Vec<Queue>,
     /// Queue indices touched since the last drain (each at most once).
     touched: Vec<u32>,
-    /// Dedup flags parallel to `queues`.
-    touch_flag: Vec<bool>,
-    /// Number of currently-parked modules watching each queue. Touches are
-    /// only recorded for queues someone is actually waiting on, so active
-    /// modules' routine queue traffic costs one predictable branch.
-    watch_count: Vec<u16>,
     /// Whether `get_mut` records touches at all.
     tracking: bool,
 }
@@ -182,13 +214,12 @@ impl QueuePool {
     pub fn add_with_capacity(&mut self, name: &str, capacity: usize) -> QueueId {
         assert!(capacity > 0, "queue capacity must be positive");
         self.queues.push(Queue::new(name, capacity));
-        self.touch_flag.push(false);
-        self.watch_count.push(0);
         QueueId(self.queues.len() as u32 - 1)
     }
 
     /// Borrows a queue.
     #[must_use]
+    #[inline]
     pub fn get(&self, id: QueueId) -> &Queue {
         &self.queues[id.index()]
     }
@@ -196,13 +227,14 @@ impl QueuePool {
     /// Mutably borrows a queue, marking it touched for the fast
     /// engine's wake tracking when tracking is enabled.
     #[must_use]
+    #[inline]
     pub fn get_mut(&mut self, id: QueueId) -> &mut Queue {
-        let i = id.index();
-        if self.tracking && self.watch_count[i] != 0 && !self.touch_flag[i] {
-            self.touch_flag[i] = true;
+        let q = &mut self.queues[id.index()];
+        if self.tracking && q.watchers != 0 && !q.touched {
+            q.touched = true;
             self.touched.push(id.0);
         }
-        &mut self.queues[i]
+        q
     }
 
     /// Adds `n` refused pushes to `q`'s counter without marking the queue
@@ -216,12 +248,12 @@ impl QueuePool {
     /// Registers a parked watcher on `q`: `get_mut` touches of `q` will be
     /// recorded until the matching [`QueuePool::remove_watch`].
     pub(crate) fn add_watch(&mut self, q: QueueId) {
-        self.watch_count[q.index()] += 1;
+        self.queues[q.index()].watchers += 1;
     }
 
     /// Unregisters one parked watcher of `q`.
     pub(crate) fn remove_watch(&mut self, q: QueueId) {
-        self.watch_count[q.index()] -= 1;
+        self.queues[q.index()].watchers -= 1;
     }
 
     /// True when any touches are pending — a cheap pre-check so the engine
@@ -234,7 +266,9 @@ impl QueuePool {
     /// Clears all watch registrations (engine run boundaries and error
     /// exits, where parked bookkeeping is abandoned wholesale).
     pub(crate) fn clear_watches(&mut self) {
-        self.watch_count.fill(0);
+        for q in &mut self.queues {
+            q.watchers = 0;
+        }
     }
 
     /// Turns touch recording on or off, discarding any pending touches.
@@ -244,7 +278,7 @@ impl QueuePool {
     pub(crate) fn set_touch_tracking(&mut self, on: bool) {
         if self.tracking != on {
             for &i in &self.touched {
-                self.touch_flag[i as usize] = false;
+                self.queues[i as usize].touched = false;
             }
             self.touched.clear();
             self.tracking = on;
@@ -255,7 +289,7 @@ impl QueuePool {
     /// `out`, clearing the tracking state.
     pub(crate) fn take_touched(&mut self, out: &mut Vec<u32>) {
         for &i in &self.touched {
-            self.touch_flag[i as usize] = false;
+            self.queues[i as usize].touched = false;
         }
         out.append(&mut self.touched);
     }
@@ -293,6 +327,41 @@ mod tests {
         assert_eq!(pool.get_mut(q).pop(), None);
     }
 
+    /// Fills and drains each ring in uneven bursts until its head has gone
+    /// round at least three times: order, length and `peek` must follow a
+    /// plain FIFO throughout.
+    #[test]
+    fn fifo_order_holds_across_wraps() {
+        for capacity in [1, 3, 16] {
+            let mut pool = QueuePool::new();
+            let q = pool.add_with_capacity("q", capacity);
+            let slots = capacity.next_power_of_two() as u64;
+            let (mut next_in, mut next_out) = (0u64, 0u64);
+            let mut burst = 1;
+            while next_out < 3 * slots + 1 {
+                let queue = pool.get_mut(q);
+                for _ in 0..burst {
+                    if !queue.can_push() {
+                        break;
+                    }
+                    queue.push(Flit::val(next_in));
+                    next_in += 1;
+                }
+                assert_eq!(queue.len() as u64, next_in - next_out, "capacity {capacity}");
+                // Leave a flit behind on odd bursts, so the head and the
+                // tail wrap at different times.
+                let keep = (burst % 2).min(capacity - 1);
+                while queue.len() > keep {
+                    assert_eq!(queue.peek(), Some(&Flit::val(next_out)));
+                    assert_eq!(queue.pop(), Some(Flit::val(next_out)), "capacity {capacity}");
+                    next_out += 1;
+                }
+                burst = burst % capacity + 1;
+            }
+            assert_eq!(pool.get(q).total_pushed(), next_in);
+        }
+    }
+
     #[test]
     fn capacity_backpressure() {
         let mut pool = QueuePool::new();
@@ -305,6 +374,20 @@ mod tests {
         assert!(queue.can_push());
     }
 
+    /// The ring has a spare slot at capacity 3; the logical bound holds.
+    #[test]
+    fn capacity_three_refuses_the_fourth_push() {
+        let mut pool = QueuePool::new();
+        let q = pool.add_with_capacity("q", 3);
+        let queue = pool.get_mut(q);
+        for v in 0..3 {
+            assert!(queue.can_push());
+            queue.push(Flit::val(v));
+        }
+        assert!(!queue.can_push(), "4 slots, capacity 3");
+        assert_eq!(queue.capacity(), 3);
+    }
+
     #[test]
     #[should_panic(expected = "full queue")]
     fn push_full_panics() {
@@ -312,6 +395,15 @@ mod tests {
         let q = pool.add_with_capacity("q", 1);
         pool.get_mut(q).push(Flit::val(1));
         pool.get_mut(q).push(Flit::val(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "closed queue")]
+    fn push_closed_panics() {
+        let mut pool = QueuePool::new();
+        let q = pool.add("q");
+        pool.get_mut(q).close();
+        pool.get_mut(q).push(Flit::val(1));
     }
 
     #[test]
@@ -346,5 +438,41 @@ mod tests {
         pool.get_mut(q).push(Flit::val(3));
         assert_eq!(pool.get(q).total_pushed(), 3);
         assert_eq!(pool.get(q).total_full_stalls(), 0);
+    }
+
+    /// Touches are recorded only while tracking is on and only for watched
+    /// queues, each listed once per drain; both ways of ending a drain
+    /// period clear the in-queue flags so the next touch is seen again.
+    #[test]
+    fn touch_tracking_lists_watched_queues_once() {
+        let mut pool = QueuePool::new();
+        let (a, b) = (pool.add("a"), pool.add("b"));
+        pool.add_watch(a);
+        let _ = pool.get_mut(a);
+        assert!(!pool.has_touched(), "tracking is off by default");
+
+        pool.set_touch_tracking(true);
+        let _ = pool.get_mut(b);
+        assert!(!pool.has_touched(), "nobody watches b");
+        pool.get_mut(a).push(Flit::val(1));
+        let _ = pool.get_mut(a).pop();
+        let mut out = Vec::new();
+        pool.take_touched(&mut out);
+        assert_eq!(out, vec![a.0], "touched twice, listed once");
+        assert!(!pool.get(a).touched, "take_touched clears the flag");
+
+        let _ = pool.get_mut(a);
+        assert!(pool.get(a).touched);
+        pool.set_touch_tracking(false);
+        assert!(!pool.has_touched() && !pool.get(a).touched, "switching off discards");
+        pool.set_touch_tracking(true);
+        let _ = pool.get_mut(a);
+        out.clear();
+        pool.take_touched(&mut out);
+        assert_eq!(out, vec![a.0], "a discarded touch does not hide the next one");
+
+        pool.remove_watch(a);
+        let _ = pool.get_mut(a);
+        assert!(!pool.has_touched(), "an unwatched queue is not recorded");
     }
 }

@@ -55,12 +55,14 @@ impl Spm {
 
     /// Reads element `idx` (0 for out-of-range reads, mirroring
     /// uninitialized BRAM tolerance; callers validate ranges upstream).
+    #[inline]
     pub fn read(&mut self, idx: u64) -> u64 {
         self.reads += 1;
         self.data.get(idx as usize).copied().unwrap_or(0)
     }
 
     /// Writes element `idx`; out-of-range writes are dropped (and counted).
+    #[inline]
     pub fn write(&mut self, idx: u64, value: u64) {
         self.writes += 1;
         if let Some(slot) = self.data.get_mut(idx as usize) {
@@ -154,12 +156,14 @@ impl SpmPool {
 
     /// Borrows a scratchpad.
     #[must_use]
+    #[inline]
     pub fn get(&self, id: SpmId) -> &Spm {
         &self.spms[id.0 as usize]
     }
 
     /// Mutably borrows a scratchpad.
     #[must_use]
+    #[inline]
     pub fn get_mut(&mut self, id: SpmId) -> &mut Spm {
         &mut self.spms[id.0 as usize]
     }

@@ -133,6 +133,11 @@ pub struct SimStats {
     pub total_flits: u64,
     /// Total refused pushes (backpressure events).
     pub backpressure_stalls: u64,
+    /// [`Module::tick`] calls the engine made, summed over runs: the
+    /// simulator's host work, not a hardware quantity. Deterministic, but
+    /// it depends on the engine — the reference engine ticks every
+    /// unfinished module every cycle, the fast engine skips parked ones.
+    pub module_ticks: u64,
 }
 
 /// A complete simulated accelerator: queues, scratchpads, device memory,
@@ -148,6 +153,8 @@ pub struct System {
     mem: MemorySystem,
     modules: Vec<Box<dyn Module>>,
     cycle: u64,
+    /// [`Module::tick`] calls so far ([`SimStats::module_ticks`]).
+    module_ticks: u64,
     /// Module-id ranges per pipeline (for resource accounting).
     pipeline_count: u32,
     engine: EngineMode,
@@ -195,6 +202,7 @@ impl System {
             mem: MemorySystem::new(cfg),
             modules: Vec::new(),
             cycle: 0,
+            module_ticks: 0,
             pipeline_count: 1,
             engine: EngineMode::default(),
             stall: Vec::new(),
@@ -407,6 +415,7 @@ impl System {
         let result = core.drive(max_cycles);
         core.finalize_obs();
         self.cycle = core.cycle;
+        self.module_ticks += core.ticks;
         match result {
             Ok(()) => Ok(self.stats()),
             // The engine constructs `Deadlock` with an empty report (stall
@@ -443,6 +452,7 @@ impl System {
             mem: self.mem.stats(),
             total_flits: self.queues.iter().map(|q| q.total_pushed()).sum(),
             backpressure_stalls: self.queues.iter().map(|q| q.total_full_stalls()).sum(),
+            module_ticks: self.module_ticks,
         }
     }
 

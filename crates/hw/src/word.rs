@@ -30,6 +30,7 @@ pub enum HwWord {
 impl HwWord {
     /// Returns the payload of a `Val` word.
     #[must_use]
+    #[inline]
     pub fn as_val(self) -> Option<u64> {
         match self {
             HwWord::Val(v) => Some(v),
@@ -39,12 +40,14 @@ impl HwWord {
 
     /// True for the `Ins`/`Del` sentinels.
     #[must_use]
+    #[inline]
     pub fn is_marker(self) -> bool {
         matches!(self, HwWord::Ins | HwWord::Del)
     }
 
     /// Payload or 0 for sentinels/empty — the hardware's "don't care" view.
     #[must_use]
+    #[inline]
     pub fn val_or_zero(self) -> u64 {
         self.as_val().unwrap_or(0)
     }
@@ -102,6 +105,7 @@ impl Flit {
     /// Creates a data flit with no fields yet; append them with
     /// [`Flit::push`], [`Flit::push_val`] and [`Flit::push_from`].
     #[must_use]
+    #[inline]
     pub fn new() -> Flit {
         Flit { vals: [0; MAX_FIELDS], tags: 0, len: 0, end_item: false }
     }
@@ -122,6 +126,7 @@ impl Flit {
 
     /// Creates a single-value data flit.
     #[must_use]
+    #[inline]
     pub fn val(v: u64) -> Flit {
         let mut f = Flit::new();
         f.push_val(v);
@@ -130,12 +135,14 @@ impl Flit {
 
     /// Creates an end-of-item delimiter flit.
     #[must_use]
+    #[inline]
     pub fn end_item() -> Flit {
         Flit { vals: [0; MAX_FIELDS], tags: 0, len: 0, end_item: true }
     }
 
     /// True for the end-of-item delimiter.
     #[must_use]
+    #[inline]
     pub fn is_end_item(&self) -> bool {
         self.end_item
     }
@@ -147,6 +154,7 @@ impl Flit {
 
     /// Number of populated fields.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.len as usize
     }
@@ -159,6 +167,7 @@ impl Flit {
 
     /// Field `i`, or `Empty` when out of range.
     #[must_use]
+    #[inline]
     pub fn field(&self, i: usize) -> HwWord {
         if i >= MAX_FIELDS {
             return HwWord::Empty;
@@ -173,6 +182,7 @@ impl Flit {
     }
 
     /// Claims the next field slot and returns its index.
+    #[inline]
     fn next_slot(&mut self) -> usize {
         let i = self.len as usize;
         assert!(i < MAX_FIELDS, "flit supports at most {MAX_FIELDS} fields");
@@ -186,6 +196,7 @@ impl Flit {
     /// # Panics
     ///
     /// Panics when the flit already carries [`MAX_FIELDS`] fields.
+    #[inline]
     pub fn push(&mut self, w: HwWord) {
         let i = self.next_slot();
         let (tag, v) = match w {
@@ -203,6 +214,7 @@ impl Flit {
     /// # Panics
     ///
     /// As [`Flit::push`].
+    #[inline]
     pub fn push_val(&mut self, v: u64) {
         let i = self.next_slot();
         self.vals[i] = v;
@@ -215,6 +227,7 @@ impl Flit {
     /// # Panics
     ///
     /// As [`Flit::push`].
+    #[inline]
     pub fn push_from(&mut self, src: &Flit, i: usize) {
         let slot = self.next_slot();
         if i < MAX_FIELDS {
@@ -230,6 +243,7 @@ impl Flit {
     ///
     /// Panics when the combined field count exceeds [`MAX_FIELDS`].
     #[must_use]
+    #[inline]
     pub fn concat(&self, other: &Flit) -> Flit {
         let total = self.len() + other.len();
         assert!(total <= MAX_FIELDS, "joined flit would carry {total} fields");
@@ -247,6 +261,7 @@ impl Flit {
     ///
     /// Panics when more than [`MAX_FIELDS`] indices are given.
     #[must_use]
+    #[inline]
     pub fn select(&self, indices: &[usize]) -> Flit {
         let mut f = Flit::new();
         for &i in indices {

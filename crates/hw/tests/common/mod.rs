@@ -7,6 +7,7 @@ use genesis_hw::modules::{Ctx, Module, ModuleKind, Tick, Watch};
 use genesis_hw::queue::QueueId;
 use genesis_hw::word::Flit;
 use std::any::Any;
+use std::cell::Cell;
 
 /// A sink that pops at most one flit every `period`-th cycle (on cycles
 /// divisible by `period`), so with `period > 1` its input queue fills and
@@ -42,11 +43,12 @@ impl Module for SlowSink {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
-            return Tick::Active;
+            return Tick::Done;
         }
         let q = ctx.queues.get(self.input);
         if q.is_finished() {
             self.done = true;
+            return Tick::Done;
         } else if q.is_empty() {
             // Nothing to pop on any cycle until the producer acts.
             return Tick::PARK;
@@ -80,21 +82,44 @@ pub struct TickCensus {
     pub full_untimed: u64,
 }
 
-/// Forwards everything to `inner` and counts its ticks.
+thread_local! {
+    /// Ticks any [`Counted`] module on this test thread received after it
+    /// reported [`Tick::Done`] (never, by contract).
+    static TICKS_AFTER_DONE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Ticks after [`Tick::Done`] that the [`Counted`] modules on this thread
+/// have received so far.
+pub fn ticks_after_done() -> u64 {
+    TICKS_AFTER_DONE.with(Cell::get)
+}
+
+/// Forwards everything to `inner`, counts its ticks and records any tick
+/// after its `Done`.
 #[derive(Debug)]
 pub struct Counted<M> {
     inner: M,
     census: TickCensus,
+    done: bool,
 }
 
 impl<M: Module> Counted<M> {
     pub fn new(inner: M) -> Counted<M> {
-        Counted { inner, census: TickCensus::default() }
+        Counted { inner, census: TickCensus::default(), done: false }
     }
 
     pub fn census(&self) -> TickCensus {
         self.census
     }
+
+    pub fn inner(&self) -> &M {
+        &self.inner
+    }
+}
+
+/// `inner`, counted and boxed for `System::add_module`.
+pub fn counted<M: Module>(inner: M) -> Box<Counted<M>> {
+    Box::new(Counted::new(inner))
 }
 
 impl<M: Module + 'static> Module for Counted<M> {
@@ -107,8 +132,12 @@ impl<M: Module + 'static> Module for Counted<M> {
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
+        if self.done {
+            TICKS_AFTER_DONE.with(|n| n.set(n.get() + 1));
+        }
         let t = self.inner.tick(ctx);
         self.census.ticks += 1;
+        self.done |= t == Tick::Done;
         if let Tick::Park { wake_at, watch: Watch::Full(_) } = t {
             if wake_at.is_some() {
                 self.census.full_timed += 1;

@@ -3,11 +3,12 @@
 //! cycles, and module outputs — for every pipeline. These tests build the
 //! same system once per [`EngineMode`] and compare everything observable,
 //! including the stall-attribution invariant that each module's five
-//! buckets tile the run exactly.
+//! buckets tile the run exactly. Every module is [`Counted`], so every run
+//! also checks that no engine ticks a module after its `Tick::Done`.
 
 mod common;
 
-use common::{Counted, SlowSink, TickCensus};
+use common::{counted, ticks_after_done, Counted, SlowSink, TickCensus};
 use genesis_hw::modules::filter::{CmpOp, Filter, Predicate};
 use genesis_hw::modules::joiner::{JoinKind, Joiner};
 use genesis_hw::modules::mem_reader::{MemReader, MemReaderConfig, RowSpec};
@@ -32,11 +33,23 @@ struct Exit {
     full_stalls: Vec<u64>,
 }
 
-/// Runs `sys` to `budget` and checks the tiling invariant on whatever
-/// exit path it took: active + input-starved + backpressured + memory-wait
-/// + spill-wait per module is exactly the cycle span.
+/// The statistics both engines must agree on: all but the tick census.
+fn engine_free(stats: SimStats) -> SimStats {
+    SimStats { module_ticks: 0, ..stats }
+}
+
+/// Runs `sys` to `budget` and checks, on whatever exit path it took, that
+/// no finished module was ticked, that a completed system has nothing
+/// left to run, and the tiling invariant: active + input-starved +
+/// backpressured + memory-wait + spill-wait per module is exactly the
+/// cycle span.
 fn run_to(sys: &mut System, budget: u64) -> Exit {
+    let after_done = ticks_after_done();
     let outcome = sys.run(budget);
+    if let Ok(stats) = outcome {
+        assert_eq!(sys.run(budget), Ok(stats), "a run after completion changes nothing");
+    }
+    assert_eq!(ticks_after_done(), after_done, "a module was ticked after Tick::Done");
     for m in &sys.stall_report().modules {
         assert_eq!(
             m.counters.total(),
@@ -47,9 +60,9 @@ fn run_to(sys: &mut System, budget: u64) -> Exit {
         );
     }
     Exit {
-        outcome,
+        outcome: outcome.map(engine_free),
         cycle: sys.cycle(),
-        stats: sys.stats(),
+        stats: engine_free(sys.stats()),
         full_stalls: sys.queues().iter().map(|q| q.total_full_stalls()).collect(),
     }
 }
@@ -103,14 +116,19 @@ fn assert_engines_agree<H, E>(
 }
 
 fn sink_flits(sys: &System, id: ModuleId) -> Vec<Flit> {
-    sys.module_as::<StreamSink>(id)
-        .expect("module is a StreamSink")
+    sys.module_as::<Counted<StreamSink>>(id)
+        .expect("module is a counted StreamSink")
+        .inner()
         .flits()
         .to_vec()
 }
 
 fn slow_sink_flits(sys: &System, id: ModuleId) -> Vec<Flit> {
-    sys.module_as::<SlowSink>(id).expect("module is a SlowSink").flits().to_vec()
+    sys.module_as::<Counted<SlowSink>>(id)
+        .expect("module is a counted SlowSink")
+        .inner()
+        .flits()
+        .to_vec()
 }
 
 fn reduce_op(tag: u32) -> ReduceOp {
@@ -147,15 +165,15 @@ proptest! {
                 let q_src = sys.add_queue_with_capacity("src", cap);
                 let q_flt = sys.add_queue_with_capacity("flt", cap);
                 let q_out = sys.add_queue_with_capacity("out", cap);
-                sys.add_module(Box::new(StreamSource::from_items("src", q_src, &items)));
-                sys.add_module(Box::new(Filter::new(
+                sys.add_module(counted(StreamSource::from_items("src", q_src, &items)));
+                sys.add_module(counted(Filter::new(
                     "flt",
                     Predicate::field_const(0, CmpOp::Gt, threshold),
                     q_src,
                     q_flt,
                 )));
-                sys.add_module(Box::new(Reducer::new("red", reduce_op(op_tag), 0, q_flt, q_out)));
-                sys.add_module(Box::new(SlowSink::new("sink", q_out, period)))
+                sys.add_module(counted(Reducer::new("red", reduce_op(op_tag), 0, q_flt, q_out)));
+                sys.add_module(counted(SlowSink::new("sink", q_out, period)))
             },
             |sys, &sink| slow_sink_flits(sys, sink),
         );
@@ -197,25 +215,25 @@ proptest! {
                 let q_j = sys.add_queue_with_capacity("j", cap);
                 let q_f = sys.add_queue_with_capacity("f", cap);
                 let q_o = sys.add_queue_with_capacity("o", cap);
-                sys.add_module(Box::new(StreamSource::from_field_items(
+                sys.add_module(counted(StreamSource::from_field_items(
                     "l",
                     q_l,
                     std::slice::from_ref(&left_rows),
                 )));
-                sys.add_module(Box::new(StreamSource::from_field_items(
+                sys.add_module(counted(StreamSource::from_field_items(
                     "r",
                     q_r,
                     std::slice::from_ref(&right_rows),
                 )));
-                sys.add_module(Box::new(Joiner::new("join", kind, q_l, q_r, q_j, 1, 1)));
-                sys.add_module(Box::new(Filter::new(
+                sys.add_module(counted(Joiner::new("join", kind, q_l, q_r, q_j, 1, 1)));
+                sys.add_module(counted(Filter::new(
                     "flt",
                     Predicate::field_const(2, CmpOp::Gt, threshold),
                     q_j,
                     q_f,
                 )));
-                sys.add_module(Box::new(Reducer::new("red", ReduceOp::Sum, 1, q_f, q_o)));
-                sys.add_module(Box::new(SlowSink::new("sink", q_o, period)))
+                sys.add_module(counted(Reducer::new("red", ReduceOp::Sum, 1, q_f, q_o)));
+                sys.add_module(counted(SlowSink::new("sink", q_o, period)))
             },
             |sys, &sink| slow_sink_flits(sys, sink),
         );
@@ -238,16 +256,16 @@ proptest! {
                 let spm = sys.add_spm("counts", 4, 8);
                 let q_in = sys.add_queue_with_capacity("in", cap);
                 let q_fwd = sys.add_queue_with_capacity("fwd", cap);
-                sys.add_module(Box::new(StreamSource::from_field_items(
+                sys.add_module(counted(StreamSource::from_field_items(
                     "src",
                     q_in,
                     std::slice::from_ref(&rows),
                 )));
-                sys.add_module(Box::new(
+                sys.add_module(counted(
                     SpmUpdater::new("rmw", spm, SpmUpdateMode::Rmw { op: RmwOp::Add }, 0, 1, q_in)
                         .with_forward(q_fwd),
                 ));
-                let sink = sys.add_module(Box::new(SlowSink::new("sink", q_fwd, period)));
+                let sink = sys.add_module(counted(SlowSink::new("sink", q_fwd, period)));
                 (spm, sink)
             },
             |sys, &(spm, sink)| {
@@ -277,7 +295,7 @@ fn memory_pipeline_bit_identical() {
             let wr_port = sys.register_mem_port(0);
             let q_rd = sys.add_queue_with_capacity("rd", 4);
             let q_sum = sys.add_queue_with_capacity("sum", 4);
-            sys.add_module(Box::new(MemReader::new(
+            sys.add_module(counted(MemReader::new(
                 "rd",
                 MemReaderConfig {
                     base_addr: in_base,
@@ -288,8 +306,8 @@ fn memory_pipeline_bit_identical() {
                 rd_port,
                 q_rd,
             )));
-            sys.add_module(Box::new(Reducer::new("sum", ReduceOp::Sum, 0, q_rd, q_sum)));
-            sys.add_module(Box::new(MemWriter::new(
+            sys.add_module(counted(Reducer::new("sum", ReduceOp::Sum, 0, q_rd, q_sum)));
+            sys.add_module(counted(MemWriter::new(
                 "wr",
                 MemWriterConfig { base_addr: out_base, elem_bytes: 8 },
                 wr_port,
@@ -316,12 +334,12 @@ fn spm_rmw_pipeline_bit_identical() {
             let spm = sys.add_spm("counts", 8, 8);
             let q_in = sys.add_queue_with_capacity("in", 2);
             let q_fwd = sys.add_queue_with_capacity("fwd", 2);
-            sys.add_module(Box::new(StreamSource::from_field_items(
+            sys.add_module(counted(StreamSource::from_field_items(
                 "src",
                 q_in,
                 std::slice::from_ref(&rows),
             )));
-            sys.add_module(Box::new(
+            sys.add_module(counted(
                 SpmUpdater::new(
                     "rmw",
                     spm,
@@ -332,7 +350,7 @@ fn spm_rmw_pipeline_bit_identical() {
                 )
                 .with_forward(q_fwd),
             ));
-            let sink = sys.add_module(Box::new(StreamSink::new("sink", q_fwd)));
+            let sink = sys.add_module(counted(StreamSink::new("sink", q_fwd)));
             (spm, sink)
         },
         |sys, &(spm, sink)| {
@@ -354,18 +372,18 @@ fn independent_chains_bit_identical() {
                 let q_out = sys.add_queue_with_capacity(&format!("out{p}"), 2);
                 let items: Vec<Vec<u64>> =
                     (0..40).map(|i| vec![(i * 7 + p) % 50, i + p]).collect();
-                sys.add_module(Box::new(StreamSource::from_items(
+                sys.add_module(counted(StreamSource::from_items(
                     &format!("s{p}"),
                     q_src,
                     &items,
                 )));
-                sys.add_module(Box::new(Filter::new(
+                sys.add_module(counted(Filter::new(
                     &format!("f{p}"),
                     Predicate::field_const(0, CmpOp::Gt, 10 + p),
                     q_src,
                     q_out,
                 )));
-                sinks.push(sys.add_module(Box::new(StreamSink::new(&format!("k{p}"), q_out))));
+                sinks.push(sys.add_module(counted(StreamSink::new(&format!("k{p}"), q_out))));
             }
             sinks
         },
@@ -388,7 +406,7 @@ fn mixed_memory_and_stream_components_bit_identical() {
             let rd_port = sys.register_mem_port(0);
             let wr_port = sys.register_mem_port(0);
             let q_rd = sys.add_queue_with_capacity("rd", 4);
-            sys.add_module(Box::new(MemReader::new(
+            sys.add_module(counted(MemReader::new(
                 "rd",
                 MemReaderConfig {
                     base_addr: in_base,
@@ -399,7 +417,7 @@ fn mixed_memory_and_stream_components_bit_identical() {
                 rd_port,
                 q_rd,
             )));
-            sys.add_module(Box::new(MemWriter::new(
+            sys.add_module(counted(MemWriter::new(
                 "wr",
                 MemWriterConfig { base_addr: out_base, elem_bytes: 8 },
                 wr_port,
@@ -410,19 +428,19 @@ fn mixed_memory_and_stream_components_bit_identical() {
                 let q_s = sys.add_queue_with_capacity(&format!("sq{p}"), 3);
                 let q_r = sys.add_queue_with_capacity(&format!("rq{p}"), 3);
                 let items: Vec<Vec<u64>> = (0..25).map(|i| vec![i * 3 + p, i]).collect();
-                sys.add_module(Box::new(StreamSource::from_items(
+                sys.add_module(counted(StreamSource::from_items(
                     &format!("ss{p}"),
                     q_s,
                     &items,
                 )));
-                sys.add_module(Box::new(Reducer::new(
+                sys.add_module(counted(Reducer::new(
                     &format!("sr{p}"),
                     ReduceOp::Sum,
                     0,
                     q_s,
                     q_r,
                 )));
-                sinks.push(sys.add_module(Box::new(StreamSink::new(&format!("sk{p}"), q_r))));
+                sinks.push(sys.add_module(counted(StreamSink::new(&format!("sk{p}"), q_r))));
             }
             (out_base, sinks)
         },
@@ -445,11 +463,11 @@ fn multi_component_deadlock_bit_identical() {
         |sys| {
             // Component 0 completes; components 1 and 2 starve forever.
             let q_done = sys.add_queue("done");
-            sys.add_module(Box::new(StreamSource::from_items("src", q_done, &[vec![1, 2]])));
-            sys.add_module(Box::new(StreamSink::new("sink", q_done)));
+            sys.add_module(counted(StreamSource::from_items("src", q_done, &[vec![1, 2]])));
+            sys.add_module(counted(StreamSink::new("sink", q_done)));
             for p in 0..2 {
                 let q = sys.add_queue(&format!("never{p}"));
-                sys.add_module(Box::new(StreamSink::new(&format!("stuck{p}"), q)));
+                sys.add_module(counted(StreamSink::new(&format!("stuck{p}"), q)));
             }
         },
         |_, ()| (),
@@ -465,7 +483,7 @@ fn deadlock_cycle_bit_identical() {
         u64::MAX >> 2,
         |sys| {
             let q = sys.add_queue("never-closed");
-            sys.add_module(Box::new(StreamSink::new("sink", q)))
+            sys.add_module(counted(StreamSink::new("sink", q)))
         },
         |_, _| (),
     );
@@ -480,7 +498,7 @@ fn cycle_limit_bit_identical() {
             budget,
             |sys| {
                 let q = sys.add_queue("never-closed");
-                sys.add_module(Box::new(StreamSink::new("sink", q)))
+                sys.add_module(counted(StreamSink::new("sink", q)))
             },
             |_, _| (),
         );
@@ -517,8 +535,8 @@ fn refused_push_credit_is_exact_on_both_sides_of_the_slot() {
             10_000,
             |sys| {
                 let q = sys.add_queue_with_capacity("q", 2);
-                let src = Box::new(StreamSource::from_flits("src", q, plain_flits(FLITS)));
-                let sink = Box::new(SlowSink::new("sink", q, 3));
+                let src = counted(StreamSource::from_flits("src", q, plain_flits(FLITS)));
+                let sink = counted(SlowSink::new("sink", q, 3));
                 if producer_first {
                     sys.add_module(src);
                     (q, sys.add_module(sink))
@@ -553,7 +571,7 @@ fn blocked_producer_counts_match_at_deadlock_and_cycle_limit() {
             budget,
             |sys| {
                 let q = sys.add_queue_with_capacity("undrained", 2);
-                sys.add_module(Box::new(StreamSource::from_flits("src", q, plain_flits(5))));
+                sys.add_module(counted(StreamSource::from_flits("src", q, plain_flits(5))));
                 q
             },
             |_, _| (),
@@ -578,14 +596,14 @@ fn sliced_run_matches_the_reference_at_every_exit() {
             let q_out = sys.add_queue_with_capacity("out", 1);
             let items: Vec<Vec<u64>> =
                 (0..6).map(|i| (0..5).map(|j| i * 5 + j).collect()).collect();
-            sys.add_module(Box::new(StreamSource::from_items("src", q_src, &items)));
-            sys.add_module(Box::new(Filter::new(
+            sys.add_module(counted(StreamSource::from_items("src", q_src, &items)));
+            sys.add_module(counted(Filter::new(
                 "flt",
                 Predicate::field_const(0, CmpOp::Ge, 3),
                 q_src,
                 q_out,
             )));
-            let sink = sys.add_module(Box::new(SlowSink::new("sink", q_out, 4)));
+            let sink = sys.add_module(counted(SlowSink::new("sink", q_out, 4)));
             (sys, sink)
         };
         let (mut reference, ref_sink) = build(EngineMode::Reference);
@@ -629,7 +647,7 @@ fn backpressured_reader(new_system: fn() -> System, elem_bytes: usize, period: u
             sys.host_write(base, &input);
             let port = sys.register_mem_port(0);
             let q = sys.add_queue_with_capacity("rd", 1);
-            let rd = sys.add_module(Box::new(Counted::new(MemReader::new(
+            let rd = sys.add_module(counted(MemReader::new(
                 "rd",
                 MemReaderConfig {
                     base_addr: base,
@@ -639,8 +657,8 @@ fn backpressured_reader(new_system: fn() -> System, elem_bytes: usize, period: u
                 },
                 port,
                 q,
-            ))));
-            (rd, sys.add_module(Box::new(SlowSink::new("sink", q, period))))
+            )));
+            (rd, sys.add_module(counted(SlowSink::new("sink", q, period))))
         },
         |sys, &(_, sink)| slow_sink_flits(sys, sink),
     );
@@ -676,18 +694,19 @@ fn blocked_producer_is_ticked_per_flit_not_per_cycle() {
         let mut sys = System::new();
         sys.set_engine(mode);
         let q = sys.add_queue_with_capacity("q", 2);
-        let src = sys.add_module(Box::new(Counted::new(StreamSource::from_flits(
+        let src = sys.add_module(counted(StreamSource::from_flits(
             "src",
             q,
             plain_flits(FLITS),
-        ))));
-        sys.add_module(Box::new(SlowSink::new("sink", q, PERIOD)));
+        )));
+        sys.add_module(counted(SlowSink::new("sink", q, PERIOD)));
         let stats = sys.run(100_000).expect("drains");
         (sys.module_as::<Counted<StreamSource>>(src).expect("wrapped source").census(), stats)
     };
     let (reference, ref_stats) = census(EngineMode::Reference);
     let (fast, fast_stats) = census(EngineMode::Fast);
-    assert_eq!(ref_stats, fast_stats);
+    assert_eq!(engine_free(ref_stats), engine_free(fast_stats));
+    assert!(fast_stats.module_ticks < ref_stats.module_ticks, "{fast_stats:?}");
     // The reference engine ticks the source on every cycle up to its last
     // push, and the sink paces those…
     assert!(reference.ticks > (FLITS - 3) * PERIOD, "{reference:?}");

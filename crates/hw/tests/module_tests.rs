@@ -362,22 +362,59 @@ fn mem_reader_streams_column_with_rows() {
 
 #[test]
 fn mem_reader_wide_elements() {
+    let vals: [u64; 4] = [7, 70_000, 0x0102_0304_0506_0708, u64::MAX];
+    for width in [1usize, 2, 4, 8] {
+        let mut sys = System::new();
+        let addr = sys.alloc_mem(64);
+        let bytes: Vec<u8> = vals.iter().flat_map(|x| x.to_le_bytes()[..width].to_vec()).collect();
+        sys.host_write(addr, &bytes);
+        let port = sys.register_mem_port(0);
+        let o = sys.add_queue("o");
+        sys.add_module(Box::new(MemReader::new(
+            "rd",
+            MemReaderConfig { base_addr: addr, elem_bytes: width, total_elems: 4, rows: RowSpec::None },
+            port,
+            o,
+        )));
+        let sink = sys.add_module(Box::new(StreamSink::new("s", o)));
+        sys.run(10_000).unwrap();
+        // Each element is the little-endian low `width` bytes of its value.
+        let mask = u64::MAX >> (64 - 8 * width);
+        let want: Vec<HwWord> = vals.iter().map(|&x| v(x & mask)).collect();
+        assert_eq!(sys.sink_values(sink), want, "{width}-byte elements");
+    }
+}
+
+/// A replica range that starts with a million empty list rows (an empty
+/// list column under `PosExplode`) is valid input: it streams one
+/// delimiter per empty row, then the element and its delimiter.
+#[test]
+fn mem_reader_streams_a_million_leading_empty_rows() {
+    const EMPTY: usize = 1_000_000;
     let mut sys = System::new();
     let addr = sys.alloc_mem(64);
-    let vals: Vec<u32> = vec![7, 70, 700, 70_000];
-    let bytes: Vec<u8> = vals.iter().flat_map(|x| x.to_le_bytes()).collect();
-    sys.host_write(addr, &bytes);
+    sys.host_write(addr, &[42]);
     let port = sys.register_mem_port(0);
     let o = sys.add_queue("o");
+    let mut lens = vec![0u32; EMPTY];
+    lens.push(1);
     sys.add_module(Box::new(MemReader::new(
         "rd",
-        MemReaderConfig { base_addr: addr, elem_bytes: 4, total_elems: 4, rows: RowSpec::None },
+        MemReaderConfig {
+            base_addr: addr,
+            elem_bytes: 1,
+            total_elems: 1,
+            rows: RowSpec::Lens(Arc::new(lens)),
+        },
         port,
         o,
     )));
     let sink = sys.add_module(Box::new(StreamSink::new("s", o)));
-    sys.run(10_000).unwrap();
-    assert_eq!(sys.sink_values(sink), vec![v(7), v(70), v(700), v(70_000)]);
+    sys.run(10 * EMPTY as u64).unwrap();
+    let flits = sys.module_as::<StreamSink>(sink).unwrap().flits();
+    assert_eq!(flits.len(), EMPTY + 2);
+    assert!(flits[..EMPTY].iter().all(Flit::is_end_item));
+    assert_eq!(flits[EMPTY..], [Flit::val(42), Flit::end_item()]);
 }
 
 #[test]

@@ -327,7 +327,8 @@ proptest! {
 
 /// Whole-`AccelStats` pins, recorded at the commit before the bind path
 /// became one typed pass (c81e6f2): cycles, flits, stall buckets, memory
-/// and DMA traffic and the scan counters of three fixed jobs.
+/// and DMA traffic and the scan counters of three fixed jobs. The module
+/// tick census was added later, at its value then.
 #[test]
 fn accel_stats_are_what_they_were() {
     let xs: Vec<u32> = (0..100u32).map(|i| i * 37 % 101).collect();
@@ -366,7 +367,7 @@ fn accel_stats_are_what_they_were() {
 const PIN_FILTERED: &str = "\
     AccelStats { cycles: 37, dma_in_bytes: 240, dma_out_bytes: 480, dma_transfers: 4, \
     device_mem_bytes: 768, invocations: 1, backpressure_stalls: 0, total_flits: 150, \
-    active_cycles: 208, input_starved_cycles: 160, backpressured_cycles: 0, \
+    module_ticks: 206, active_cycles: 208, input_starved_cycles: 160, backpressured_cycles: 0, \
     memory_wait_cycles: 76, spill_wait_cycles: 0, tier_pages_filled: 0, \
     tier_pages_spilled: 0, tier_prefetch_hits: 0, tier_pcie_bytes: 0, \
     rows_scanned: 100, rows_emitted: 30, reconfig_cycles: 0, \
@@ -375,7 +376,7 @@ const PIN_FILTERED: &str = "\
 const PIN_FILTERED_SHARDED: &str = "\
     AccelStats { cycles: 81, dma_in_bytes: 240, dma_out_bytes: 480, dma_transfers: 12, \
     device_mem_bytes: 1536, invocations: 3, backpressure_stalls: 0, total_flits: 150, \
-    active_cycles: 252, input_starved_cycles: 492, backpressured_cycles: 0, \
+    module_ticks: 258, active_cycles: 252, input_starved_cycles: 492, backpressured_cycles: 0, \
     memory_wait_cycles: 228, spill_wait_cycles: 0, tier_pages_filled: 0, \
     tier_pages_spilled: 0, tier_prefetch_hits: 0, tier_pcie_bytes: 0, \
     rows_scanned: 100, rows_emitted: 30, reconfig_cycles: 0, \
@@ -384,7 +385,7 @@ const PIN_FILTERED_SHARDED: &str = "\
 const PIN_EXPLODED: &str = "\
     AccelStats { cycles: 73, dma_in_bytes: 135, dma_out_bytes: 336, dma_transfers: 12, \
     device_mem_bytes: 1920, invocations: 2, backpressure_stalls: 0, total_flits: 174, \
-    active_cycles: 600, input_starved_cycles: 810, backpressured_cycles: 0, \
+    module_ticks: 396, active_cycles: 600, input_starved_cycles: 810, backpressured_cycles: 0, \
     memory_wait_cycles: 342, spill_wait_cycles: 0, tier_pages_filled: 0, \
     tier_pages_spilled: 0, tier_prefetch_hits: 0, tier_pcie_bytes: 0, rows_scanned: 12, \
     rows_emitted: 12, reconfig_cycles: 0, faults: FaultReport { dma_errors: 0, \

@@ -215,16 +215,19 @@ fn engine_is_selected_by_value() {
     let (reference_table, reference) = run(EngineMode::Reference);
     assert_eq!(fast_table.num_rows(), 64);
     assert_eq!(fast_table, reference_table);
-    // The stall split is the engines' one designed difference — the
-    // reference engine never parks, so all its module-cycles are active —
-    // and it is what shows the selection took effect. Folded into one
-    // bucket, every statistic agrees.
+    // The stall split and the tick census are the engines' designed
+    // differences — the reference engine never parks, so all its
+    // module-cycles are active and it ticks every unfinished module every
+    // cycle — and they show the selection took effect. With the stalls folded into one
+    // bucket and the ticks set aside, every statistic agrees.
     let parked = |s: &AccelStats| {
         s.input_starved_cycles + s.backpressured_cycles + s.memory_wait_cycles + s.spill_wait_cycles
     };
     assert_eq!(parked(&reference), 0);
     assert!(parked(&fast) > 0, "the fast engine parks: {fast}");
+    assert!(fast.module_ticks < reference.module_ticks, "the fast engine skips parked ticks");
     let folded = |s: AccelStats| AccelStats {
+        module_ticks: 0,
         active_cycles: s.active_cycles + parked(&s),
         input_starved_cycles: 0,
         backpressured_cycles: 0,
