@@ -640,9 +640,10 @@ fn load_catalog() -> Catalog {
 /// One sequential closed-loop client sends `requests` copies of `SELECT
 /// SUM(X) FROM R` (the cheapest shape to gather, so the row measures the
 /// serving path rather than the merge) to a 4-device pool with free
-/// reconfiguration, each job fanned out to `shards` shards. Unsharded,
-/// every job lands whole on the first idle device, so sharding is the
-/// only way the stream can use the pool.
+/// reconfiguration, each job fanned out to `shards` shards. Each job
+/// arrives on the modeled timeline when the previous one ends, so
+/// unsharded every job lands whole on device 0 and sharding is the only
+/// way the stream can use the pool.
 #[must_use]
 pub fn closed_loop_run(shards: usize, requests: usize) -> LoadReport {
     let server = GenesisServer::new(
@@ -678,16 +679,18 @@ pub fn open_overload_run(requests: usize) -> LoadReport {
     )
 }
 
-/// The serving snapshot's modeled rows: cache counts, the 1-device pool
-/// makespan, and the closed-loop modeled goodputs with their ratio. Every
-/// closed-loop request is the same plan on the same table, so modeled
-/// goodput is a per-request constant that any loop length reproduces.
-/// A multi-device makespan is not here: which worker frees first is
-/// host timing.
+/// The serving snapshot's modeled rows: cache counts, the 1- and
+/// 4-device pool makespans with their ratio, and the closed-loop modeled
+/// goodputs with theirs. A pool's makespan is its job mix list-scheduled
+/// on the modeled device timeline, whatever host thread ran each job.
+/// Every closed-loop request is the same plan on the same table, so
+/// modeled goodput is a per-request constant that any loop length
+/// reproduces. The open-loop modeled goodput is not here: which requests
+/// complete depends on wall-clock deadline pruning.
 #[must_use]
 pub fn serve_modeled_rows(
     cache: &[CacheRun],
-    one_device: &PoolRun,
+    [one, four]: &[PoolRun; 2],
     unsharded: &LoadReport,
     sharded: &LoadReport,
 ) -> Vec<Row> {
@@ -700,20 +703,24 @@ pub fn serve_modeled_rows(
             Row::modeled(run.label, "reconfig_cycles", run.reconfig_cycles),
         ]);
     }
-    let pool = one_device.label();
-    rows.extend([
-        Row::modeled(&pool, "jobs", one_device.jobs),
-        Row::modeled(
-            &pool,
-            "modeled_makespan_us",
-            Value::Fixed(one_device.modeled_makespan.as_secs_f64() * 1e6, 1),
-        ),
-        Row::modeled(
-            &pool,
-            "modeled_jobs_per_sec",
-            Value::Fixed(one_device.modeled_jobs_per_sec(), 0),
-        ),
-    ]);
+    for pool in [one, four] {
+        let label = pool.label();
+        rows.extend([
+            Row::modeled(&label, "jobs", pool.jobs),
+            Row::modeled(
+                &label,
+                "modeled_makespan_us",
+                Value::Fixed(pool.modeled_makespan.as_secs_f64() * 1e6, 1),
+            ),
+            Row::modeled(
+                &label,
+                "modeled_jobs_per_sec",
+                Value::Fixed(pool.modeled_jobs_per_sec(), 0),
+            ),
+        ]);
+    }
+    let pool_gain = four.modeled_jobs_per_sec() / one.modeled_jobs_per_sec();
+    rows.push(Row::modeled(&four.label(), "modeled_throughput_gain", Value::Fixed(pool_gain, 1)));
     for r in [unsharded, sharded] {
         rows.push(Row::modeled(
             &r.label,

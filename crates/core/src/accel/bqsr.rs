@@ -254,6 +254,7 @@ impl BqsrAccel {
         let dma_in: u64 = jobs.iter().map(PartitionJob::dma_in_bytes).sum();
         let (outs, mut stats) = run_batches_with_oracle(
             &self.cfg,
+            0,
             &jobs,
             |sys, group, job| Ok(self.build(sys, group, job)),
             |sys, h, _| {

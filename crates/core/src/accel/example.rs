@@ -109,6 +109,7 @@ impl CountMatchingBases {
         }
         let (outs, mut stats) = run_batches(
             &self.cfg,
+            0,
             &jobs,
             |sys, group, job| Ok(Self::build(sys, group, job)),
             |sys, h, _| Ok(bytes_to_u32(&sys.host_read(h.out_addr, h.n_reads * 4))),

@@ -117,6 +117,7 @@ impl QualitySumAccel {
         }
         let (chunks, mut stats) = run_batches_with_oracle(
             &self.cfg,
+            0,
             &jobs,
             |sys, group, job| {
                 let mut b = PipelineBuilder::new(sys, group);

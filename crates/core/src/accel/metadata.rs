@@ -168,6 +168,7 @@ impl MetadataAccel {
         let dma_in: u64 = jobs.iter().map(PartitionJob::dma_in_bytes).sum();
         let (outs, mut stats) = run_batches_with_oracle(
             &self.cfg,
+            0,
             &jobs,
             |sys, group, job| Ok(Self::build(sys, group, job)),
             |sys, h, _| {

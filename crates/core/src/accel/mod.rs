@@ -33,8 +33,12 @@ pub(crate) const CYCLE_BUDGET: u64 = 2_000_000_000;
 /// regardless of thread count: per-job results stay in input order, stats
 /// accumulate batch by batch, and on failure the error from the
 /// lowest-numbered failing batch is returned.
+///
+/// `slot` keys the fault dice ([`crate::fault`]): a served shard passes its
+/// dispatch sequence number, every other caller 0.
 pub(crate) fn run_batches<J, H, R>(
     cfg: &DeviceConfig,
+    slot: u64,
     jobs: &[J],
     build: impl Fn(&mut System, u32, &J) -> Result<H, CoreError> + Sync,
     extract: impl Fn(&System, &H, &J) -> Result<R, CoreError> + Sync,
@@ -45,7 +49,7 @@ where
 {
     // No software oracle: exhausted batches fail the run instead of
     // degrading.
-    run_batches_with_oracle(cfg, jobs, build, extract, None::<NoOracle<J, R>>)
+    run_batches_with_oracle(cfg, slot, jobs, build, extract, None::<NoOracle<J, R>>)
 }
 
 /// Placeholder oracle type for [`run_batches`] (always passed as `None`).
@@ -55,15 +59,17 @@ type NoOracle<J, R> = fn(usize, &J) -> Result<R, CoreError>;
 /// config carries an active [`crate::fault::FaultConfig`], each batch is
 /// attempted up to `1 + max_retries` times (injected DMA/device faults and
 /// real simulation errors alike trigger a retry after capped exponential
-/// backoff), and a batch that exhausts its budget is re-executed job by
+/// backoff — modeled time in [`FaultReport::backoff_ns`], not a host sleep),
+/// and a batch that exhausts its budget is re-executed job by
 /// job on `oracle` — the exact software-reference computation — so the
 /// merged output stays bit-identical to a fault-free run.
 ///
-/// `oracle(job_index, job)` receives the *global* job index. All fault
-/// decisions are pure functions of `(seed, batch/job index, attempt)`, so
-/// a schedule replays identically regardless of host thread count.
+/// `oracle(job_index, job)` receives the *global* job index. Every fault
+/// decision is a pure function of `(seed, slot, batch/job index, attempt)`,
+/// so a schedule replays identically regardless of host thread count.
 pub(crate) fn run_batches_with_oracle<J, H, R, O>(
     cfg: &DeviceConfig,
+    slot: u64,
     jobs: &[J],
     build: impl Fn(&mut System, u32, &J) -> Result<H, CoreError> + Sync,
     extract: impl Fn(&System, &H, &J) -> Result<R, CoreError> + Sync,
@@ -77,6 +83,8 @@ where
     let plane = &cfg.faults;
     let per_batch = cfg.pipelines.max(1);
     let chunks: Vec<&[J]> = jobs.chunks(per_batch).collect();
+    // Slot 0 rolls as an unkeyed run; slots never share a die below 2^32.
+    let die = |i: usize| (slot << 32) | i as u64;
     type ChunkOut<R> = (Vec<R>, AccelStats, Option<(TraceBuffer, StallReport)>);
     // One simulation attempt of one batch. A panicking module is contained
     // here and surfaced as a (retryable) device fault instead of poisoning
@@ -84,7 +92,7 @@ where
     let run_chunk = |chunk_idx: usize, chunk: &[J], attempt: u32| -> Result<ChunkOut<R>, CoreError> {
         let sim = || -> Result<ChunkOut<R>, CoreError> {
             let mut mem = cfg.mem.clone();
-            plane.overlay_mem(&mut mem, chunk_idx as u64, attempt);
+            plane.overlay_mem(&mut mem, die(chunk_idx), attempt);
             let mut sys = System::with_memory(mem);
             if cfg.trace.enabled {
                 sys.set_trace(cfg.trace.clone());
@@ -152,14 +160,10 @@ where
         for attempt in 0..=plane.max_retries {
             if attempt > 0 {
                 report.retries += 1;
-                let pause = plane.backoff(attempt);
-                report.backoff_ns +=
-                    u64::try_from(pause.as_nanos()).unwrap_or(u64::MAX);
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
-                }
+                let pause = u64::try_from(plane.backoff(attempt).as_nanos()).unwrap_or(u64::MAX);
+                report.backoff_ns = report.backoff_ns.saturating_add(pause);
             }
-            if let Some(flavor) = plane.dma_fault(chunk_idx as u64, attempt) {
+            if let Some(flavor) = plane.dma_fault(die(chunk_idx), attempt) {
                 last_err = match flavor {
                     DmaFault::Error => {
                         report.dma_errors += 1;
@@ -177,7 +181,7 @@ where
                 continue;
             }
             let faulted: Vec<usize> = (0..chunk.len())
-                .filter(|&i| plane.device_fault((job_base + i) as u64, attempt))
+                .filter(|&i| plane.device_fault(die(job_base + i), attempt))
                 .collect();
             if !faulted.is_empty() {
                 report.device_faults += faulted.len() as u64;
@@ -379,6 +383,7 @@ mod tests {
         let jobs: Vec<u64> = (0..4).collect();
         let (outs, stats) = run_batches(
             &cfg,
+            0,
             &jobs,
             |sys, i, &job| {
                 let q = sys.add_queue(&format!("q{i}"));

@@ -5,14 +5,15 @@
 //! partition job dies transiently, memory latency spikes under refresh
 //! pressure. This module models those failures *deterministically* — every
 //! fault decision is a pure function of a seed and stable indices (batch
-//! index, job index, attempt number), never of wall-clock time or thread
-//! scheduling — so any observed failure schedule replays exactly, and
-//! results stay bit-identical regardless of host thread count.
+//! and job index, a served shard's dispatch slot, attempt number), never
+//! of wall-clock time or thread scheduling — so any observed failure
+//! schedule replays exactly, at any host thread count.
 //!
-//! The runtime policy layered on top (capped exponential backoff with a
-//! per-batch retry budget, then graceful degradation to the software
-//! oracle) lives in `accel::run_batches`; the bound on how long a caller
-//! waits is [`Request::with_deadline`](crate::serve::Request::with_deadline).
+//! The runtime policy layered on top (capped exponential backoff, which is
+//! modeled time, with a per-batch retry budget, then graceful degradation
+//! to the software oracle) lives in `accel::run_batches`; the bound on how
+//! long a caller waits is
+//! [`Request::with_deadline`](crate::serve::Request::with_deadline).
 //!
 //! Configure via [`DeviceConfig::faults`](crate::DeviceConfig), in code or
 //! from a spec such as `dma=0.1,device=0.05,mem=0.01:400,seed=7`
@@ -313,7 +314,8 @@ pub struct FaultReport {
     pub mem_spikes: u64,
     /// Batch retry attempts performed.
     pub retries: u64,
-    /// Total backoff pause accumulated before retries, in nanoseconds.
+    /// Total modeled backoff before retries, in nanoseconds: device time,
+    /// never slept on the host.
     pub backoff_ns: u64,
     /// Batches re-executed on the software oracle after exhausting the
     /// retry budget.

@@ -1215,11 +1215,13 @@ impl PreparedJob {
     /// returns the raw sink payloads plus stats. Merging and host
     /// epilogues happen once, over all shards, in [`PreparedJob::gather`]
     /// — applying an epilogue (e.g. `LIMIT`) per shard would corrupt the
-    /// result.
+    /// result. `slot` keys the shard's fault dice (its dispatch sequence
+    /// number when served; 0 for an unsharded run).
     pub(crate) fn run_range(
         &self,
         cfg: &DeviceConfig,
         range: Range<usize>,
+        slot: u64,
     ) -> Result<ShardOut, CoreError> {
         let mut ranges: Vec<Range<usize>> = split_ranges(range.len(), self.factor)
             .into_iter()
@@ -1240,6 +1242,7 @@ impl PreparedJob {
         let run_start = Instant::now();
         let (outs, mut stats) = run_batches(
             &run_cfg,
+            slot,
             &ranges,
             |sys, group, r| {
                 let start = Instant::now();
@@ -1347,7 +1350,7 @@ impl PreparedJob {
     /// and replays host epilogues through the software engine.
     pub(crate) fn run(self) -> Result<(Table, AccelStats), CoreError> {
         let whole = 0..self.spine_rows();
-        let part = self.run_range(&self.cfg.clone(), whole)?;
+        let part = self.run_range(&self.cfg.clone(), whole, 0)?;
         self.gather(vec![part])
     }
 }

@@ -5,11 +5,15 @@
 //! pure function of the submission sequence — no clocks, no randomness —
 //! so the dispatch order produced by [`crate::serve::GenesisServer`] is
 //! identical at any device-pool size or host thread count (the property
-//! `tests/serve.rs` proptests, mirroring `engine_determinism`). The
-//! [`DispatchRecord`] log is the evidence: one entry per dispatched job in
-//! dispatch order.
+//! `tests/serve.rs` proptests, mirroring `engine_determinism`).
+//!
+//! The modeled device pool is a timeline ([`modeled_timeline`]): where and
+//! when a shard ran is list-scheduled in dispatch order, never decided by
+//! which host thread was free. The [`DispatchRecord`] log is the evidence:
+//! one entry per dispatched shard in dispatch order.
 
 use std::collections::{HashMap, VecDeque};
+use std::time::Duration;
 
 /// Per-tenant round-robin fair queue.
 ///
@@ -79,12 +83,18 @@ impl<T> FairQueue<T> {
     }
 }
 
-/// One dispatched job in the server's schedule log.
+/// One dispatched shard in the server's schedule log.
 ///
-/// `seq` numbers dispatches globally (0, 1, 2, …). The `(tenant, job_id)`
-/// sequence is deterministic for a fixed submission order; the `device`
-/// assignment depends on which pool worker was free and is *not* part of
-/// the determinism contract.
+/// `seq` numbers dispatches globally (0, 1, 2, …). The `(tenant, job_id,
+/// shard)` sequence is deterministic for a fixed submission order. The
+/// placement — `device`, `modeled_start`, `modeled_end` — is deterministic
+/// for a fixed interleaving of `submit` and [`crate::serve::Ticket::wait`]
+/// calls, such as a mix submitted while paused or one sequential client:
+/// a job's modeled arrival is the end of the job whose ticket was last
+/// collected before its submit. Concurrent clients make that interleaving
+/// a matter of host timing, and placement with it. The timeline places a
+/// shard once it and every earlier dispatch have finished (until then
+/// the three placement fields read 0).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchRecord {
     /// Global dispatch sequence number.
@@ -93,14 +103,18 @@ pub struct DispatchRecord {
     pub tenant: String,
     /// The server-assigned job id.
     pub job_id: u64,
-    /// Index of the pool device the job ran on.
+    /// Index of the modeled pool device the timeline placed the shard on.
     pub device: usize,
-    /// Microseconds from server start to submission.
+    /// Wall clock: microseconds from server start to submission.
     pub queued_us: u64,
-    /// Microseconds from server start to dispatch.
+    /// Wall clock: microseconds from server start to a thread taking it.
     pub start_us: u64,
-    /// Microseconds from server start to completion (0 while in flight).
+    /// Wall clock: microseconds from server start to completion (0 before).
     pub end_us: u64,
+    /// Modeled time the shard starts on `device`.
+    pub modeled_start: Duration,
+    /// `modeled_start` plus simulated cycles and fault backoff.
+    pub modeled_end: Duration,
     /// Shard ordinal of this dispatch within its job (0 when unsharded).
     pub shard: usize,
     /// Total shards the job was split into (1 when unsharded).
@@ -122,6 +136,45 @@ pub fn fair_order(submissions: &[(String, u64)]) -> Vec<(String, u64)> {
         out.push((tenant, id));
     }
     out
+}
+
+/// Places the next shard in dispatch order on the device where it can
+/// start first — the later of the device's `free` time and the job's
+/// `arrival` — ties to the lowest index, and returns that device and the
+/// start. An idle pool thus fans a job's shards out in index order, and a
+/// job arriving after the pool drained starts on device 0.
+pub(crate) fn place(
+    free: &mut [Duration],
+    arrival: Duration,
+    duration: Duration,
+) -> (usize, Duration) {
+    let (device, start) = free
+        .iter()
+        .map(|&free| free.max(arrival))
+        .enumerate()
+        .min_by_key(|&(_, start)| start)
+        .expect("a pool has a device");
+    free[device] = start + duration;
+    (device, start)
+}
+
+/// Reference model of the modeled device timeline: given each shard's
+/// `(arrival, duration)` in dispatch order, returns the `(device, start,
+/// end)` placement a `devices`-device pool assigns it. Tests compare the
+/// server's schedule log against this.
+#[must_use]
+pub fn modeled_timeline(
+    devices: usize,
+    shards: &[(Duration, Duration)],
+) -> Vec<(usize, Duration, Duration)> {
+    let mut free = vec![Duration::ZERO; devices.max(1)];
+    shards
+        .iter()
+        .map(|&(arrival, duration)| {
+            let (device, start) = place(&mut free, arrival, duration);
+            (device, start, start + duration)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -28,17 +28,19 @@
 //!   (`server.deadline.misses`). Each device run reuses the PR 3 recovery
 //!   machinery (retry/backoff inside `run_batches`, oracle fallback, panic
 //!   containment).
-//! * **Async admission/dispatch.** Scheduling is a function, not a
-//!   thread: whichever thread changes the state — a `submit`, a worker
-//!   finishing a shard, `resume`, the drop — runs the dispatch step
-//!   (`schedule`) under the state lock it already holds, handing staged
-//!   shards to idle, condvar-driven device workers through per-device
-//!   mailboxes, lowest idle index first. The server's only threads are
-//!   its device workers, and a queued tenant costs a [`Ticket`] and a
-//!   queue slot — no thread, no stack — so tens of thousands of pending
-//!   requests are cheap. Compilation is single-flight: concurrent submits
-//!   that miss on the same fingerprint compile once and share the result
-//!   (`server.cache.compiles` counts actual compiles).
+//! * **Two pools, one clock each.** `devices.len()` host threads execute:
+//!   an idle one takes the next staged shard, promoting one job off the
+//!   fair queue when none is (the only prune point). The modeled devices
+//!   are a timeline ([`crate::sched::modeled_timeline`]): shards are
+//!   list-scheduled in dispatch order by simulated cycles plus fault
+//!   backoff, from their job's modeled arrival — the modeled end of the
+//!   job whose ticket [`Ticket::wait`] last collected before the submit —
+//!   so placement and [`GenesisServer::modeled_device_time`] follow the
+//!   order of submits and collecting waits, never which host thread ran a
+//!   shard. Deadlines and admission stay wall-clock policies. A
+//!   queued tenant costs a [`Ticket`] and a queue slot — no thread — and
+//!   compilation is single-flight (`server.cache.compiles` counts actual
+//!   compiles).
 //! * **Scatter-gather sharding.** With [`ServerConfig::default_shards`] >
 //!   1 (env `GENESIS_SHARDS`), each job's spine scan is split on the
 //!   paper's (chromosome, PSIZE-window) partition boundaries into shard
@@ -49,7 +51,8 @@
 //! gauges, and cache counters land in the shared
 //! [`MetricsRegistry`] (`server.*` names in `metrics_snapshot()`), and
 //! when tracing is enabled the server writes its own Chrome trace
-//! (`<path>.server.json`) with one thread track per device.
+//! (`<path>.server.json`) with one track per modeled device, each shard
+//! drawn at its modeled interval.
 //!
 //! Every request also leaves a latency budget: the log₂ histograms
 //! `server.phase.{prepare,admit,queue_wait,run,gather}_ns` are the gaps
@@ -89,8 +92,10 @@ pub type OracleFn = Box<dyn FnOnce() -> Result<Table, CoreError> + Send>;
 /// Configuration of a [`GenesisServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// The simulated device pool: one worker thread per entry. The
-    /// first device is also the compile target for cache misses.
+    /// The simulated device pool: one modeled device and one host thread
+    /// per entry. It must be homogeneous ([`GenesisServer::new`] panics
+    /// otherwise): every shard simulates on the first entry, which is also
+    /// the compile target for cache misses.
     pub devices: Vec<DeviceConfig>,
     /// Compiled-pipeline LRU cache capacity in entries (`0` disables
     /// caching: every submit compiles and pays the reconfiguration
@@ -456,34 +461,40 @@ struct QueuedJob {
     /// Shared from the start: the job's shard assignments each hold it,
     /// and a lane of small entries is cheap to open and close.
     prepared: Result<Arc<PreparedJob>, CoreError>,
-    oracle: Option<OracleFn>,
+    /// Taken by the rescue of a failed run.
+    oracle: Mutex<Option<OracleFn>>,
     deadline: Option<Duration>,
     arrival: Arrival,
     reconfig_penalty: u64,
+    /// The schedule-log records of the job whose ticket was last collected
+    /// before this submit: the job's modeled arrival is their modeled end.
+    after: Option<Range<usize>>,
 }
 
 /// The promoted form of a job, shared by its shard assignments.
 struct JobShared {
-    id: u64,
+    queued: QueuedJob,
     tenant: String,
-    prepared: Result<Arc<PreparedJob>, CoreError>,
-    oracle: Mutex<Option<OracleFn>>,
-    arrival: Arrival,
     /// When the job was popped off the fair queue (the end of its
     /// `queue_wait`).
     promoted: Instant,
-    reconfig_penalty: u64,
-    /// Total shards this job was split into.
-    shards: usize,
+    /// The job's schedule-log records, one per shard in shard order.
+    records: Range<usize>,
 }
 
-/// One shard run handed to a device worker through its mailbox.
+/// One staged shard run, awaiting an idle host thread.
 struct Assignment {
     job: Arc<JobShared>,
     range: Range<usize>,
     shard: usize,
-    /// Index into the schedule log, set at dispatch.
-    seq: u64,
+}
+
+/// A schedule-log record the timeline has not placed yet.
+struct Unplaced {
+    /// Modeled duration, known once the shard has run.
+    duration: Option<Duration>,
+    /// See [`QueuedJob::after`].
+    after: Option<Range<usize>>,
 }
 
 /// Per-job scatter-gather rendezvous: shard outputs accumulate here; the
@@ -503,17 +514,18 @@ type JobResult = Result<(Table, AccelStats), CoreError>;
 /// Everything the server, its workers, and its tickets share.
 struct ServerCore {
     state: Mutex<ServerState>,
-    /// Signalled when an assignment lands in a device mailbox (or
-    /// shutdown has drained the queue) — wakes device workers.
+    /// Signalled when host threads may find work: a job queued, shards
+    /// left staged, `resume`, shutdown.
     mail: Condvar,
     /// Signalled when a job result is installed.
     done: Condvar,
     metrics: Arc<MetricsRegistry>,
     /// Registry handles of the per-request metrics, resolved at start.
     phases: PhaseMetrics,
-    /// `server.device.{d}.jobs`, one handle per pool device.
-    device_jobs: Vec<Counter>,
-    devices: Vec<DeviceConfig>,
+    /// The configuration every shard simulates on (the pool's first).
+    device: DeviceConfig,
+    /// Pool size: modeled devices and host threads.
+    devices: usize,
     /// Scatter-gather shard count per job (≥ 1).
     shards: usize,
     epoch: Instant,
@@ -566,13 +578,8 @@ struct ServerState {
     /// The id the next admitted job takes.
     next_id: u64,
     queue: FairQueue<QueuedJob>,
-    /// Promoted shard assignments awaiting an idle device.
+    /// The promoted job's shards no host thread has taken yet.
     ready: VecDeque<Assignment>,
-    /// One mailbox per device; `Some` exactly while `busy` and the worker
-    /// has not yet picked the assignment up.
-    mailboxes: Vec<Option<Assignment>>,
-    /// Devices with an assignment dispatched and not yet completed.
-    busy: Vec<bool>,
     /// Scatter-gather rendezvous, keyed by job id, for in-flight jobs.
     gathers: HashMap<u64, Gather>,
     /// Jobs promoted out of the queue and not yet finalized — the
@@ -580,25 +587,26 @@ struct ServerState {
     inflight: usize,
     /// One slot per live [`Ticket`], opened at submit (`None` = pending)
     /// and closed when the ticket collects or goes away; a result whose
-    /// slot is gone is dropped on arrival (see [`deliver`]).
-    results: HashMap<u64, Option<JobResult>>,
+    /// slot is gone is dropped on arrival (see [`deliver`]). A result
+    /// carries its job's schedule-log records (none if pruned in queue).
+    results: HashMap<u64, Option<(JobResult, Range<usize>)>>,
     tenants: HashMap<String, TenantMetrics>,
     schedule: Vec<DispatchRecord>,
-    /// `(ts_us, depth)` samples for the trace's queue-depth counter track.
-    depth_samples: Vec<(u64, u64)>,
-    /// Modeled busy time per pool device (simulated cycles / device clock)
-    /// — the throughput metric a 1-core host can still measure honestly.
-    modeled_busy: Vec<Duration>,
+    /// The log's unplaced tail, in dispatch order.
+    unplaced: VecDeque<Unplaced>,
+    /// When each modeled device finishes the last shard placed on it.
+    free: Vec<Duration>,
+    /// The records of the job whose ticket `wait` last collected.
+    last_collected: Option<Range<usize>>,
     /// EWMA of wall-clock service time, for deadline-aware admission.
     ewma_service: Duration,
-    completed: u64,
     paused: bool,
     shutdown: bool,
 }
 
 impl ServerState {
-    /// Shutdown has begun and nothing is left to hand out: a worker whose
-    /// mailbox is empty can leave.
+    /// Shutdown has begun and nothing is left to take: an idle host
+    /// thread can leave.
     fn exhausted(&self) -> bool {
         self.shutdown && self.queue.is_empty() && self.ready.is_empty()
     }
@@ -639,7 +647,6 @@ impl ServerCore {
         [promoted, ran, delivered]: [Instant; 3],
         run: RunTimes,
     ) {
-        st.completed += 1;
         let p = &self.phases;
         p.prepare.observe_duration(arrival.submitted - arrival.entered);
         p.admit.observe_duration(arrival.queued - arrival.submitted);
@@ -653,10 +660,8 @@ impl ServerCore {
         p.completed.inc();
     }
 
-    fn sample_depth(&self, st: &mut ServerState) {
-        let depth = st.queue.len() as u64;
-        st.depth_samples.push((self.now_us(), depth));
-        self.metrics.histogram("server.queue_depth").observe(depth);
+    fn sample_depth(&self, st: &ServerState) {
+        self.metrics.histogram("server.queue_depth").observe(st.queue.len() as u64);
     }
 }
 
@@ -705,7 +710,8 @@ impl Ticket {
     }
 
     /// Blocks until the job completes and returns its result, consuming
-    /// the ticket.
+    /// the ticket. A job that reached a device becomes the modeled arrival
+    /// of the jobs submitted after this returns.
     ///
     /// # Errors
     ///
@@ -720,7 +726,11 @@ impl Ticket {
         let outcome = loop {
             if let Entry::Occupied(slot) = st.results.entry(self.id) {
                 if slot.get().is_some() {
-                    break slot.remove().expect("checked above");
+                    let (result, records) = slot.remove().expect("checked above");
+                    if !records.is_empty() {
+                        st.last_collected = Some(records);
+                    }
+                    break result;
                 }
             }
             match deadline_at {
@@ -768,9 +778,9 @@ impl Drop for Ticket {
 
 /// Installs a job's result into its ticket's slot; a result whose ticket
 /// is gone (dropped, or timed out in `wait`) has no slot and is dropped.
-fn deliver(st: &mut ServerState, id: u64, result: JobResult) {
+fn deliver(st: &mut ServerState, id: u64, result: JobResult, records: Range<usize>) {
     if let Some(slot) = st.results.get_mut(&id) {
-        *slot = Some(result);
+        *slot = Some((result, records));
     }
 }
 
@@ -798,56 +808,57 @@ impl std::fmt::Debug for GenesisServer {
 }
 
 impl GenesisServer {
-    /// Starts a server: one worker thread per device.
+    /// Starts a server: one host thread per device.
+    ///
+    /// # Panics
+    ///
+    /// On a heterogeneous pool: every shard simulates on the first
+    /// device, so an entry that differs from it would be ignored.
     #[must_use]
     pub fn new(cfg: ServerConfig) -> GenesisServer {
-        let devices = if cfg.devices.is_empty() {
-            vec![DeviceConfig::default()]
-        } else {
-            cfg.devices.clone()
-        };
-        let n = devices.len();
+        let n = cfg.devices.len().max(1);
+        let device = cfg.devices.first().cloned().unwrap_or_default();
+        assert!(
+            cfg.devices.iter().all(|d| *d == device),
+            "GenesisServer pools are homogeneous: every device must equal devices[0]"
+        );
         let metrics = Arc::new(MetricsRegistry::new());
         let core = Arc::new(ServerCore {
             state: Mutex::new(ServerState {
                 next_id: 0,
                 queue: FairQueue::new(),
                 ready: VecDeque::new(),
-                mailboxes: (0..n).map(|_| None).collect(),
-                busy: vec![false; n],
                 gathers: HashMap::new(),
                 inflight: 0,
                 results: HashMap::new(),
                 tenants: HashMap::new(),
                 schedule: Vec::new(),
-                depth_samples: Vec::new(),
-                modeled_busy: vec![Duration::ZERO; n],
+                unplaced: VecDeque::new(),
+                free: vec![Duration::ZERO; n],
+                last_collected: None,
                 ewma_service: Duration::ZERO,
-                completed: 0,
                 paused: cfg.paused,
                 shutdown: false,
             }),
             mail: Condvar::new(),
             done: Condvar::new(),
             phases: PhaseMetrics::new(&metrics),
-            device_jobs: (0..n)
-                .map(|d| metrics.counter(&format!("server.device.{d}.jobs")))
-                .collect(),
             metrics,
-            devices: devices.clone(),
+            device: device.clone(),
+            devices: n,
             shards: cfg.default_shards.max(1),
             epoch: Instant::now(),
         });
         let workers = (0..n)
-            .map(|device| {
+            .map(|i| {
                 let core = Arc::clone(&core);
                 std::thread::Builder::new()
-                    .name(format!("genesis-serve-{device}"))
-                    .spawn(move || worker_loop(&core, device))
+                    .name(format!("genesis-serve-{i}"))
+                    .spawn(move || worker_loop(&core))
                     .expect("spawn server worker")
             })
             .collect();
-        let compiler = Compiler::new(devices[0].clone());
+        let compiler = Compiler::new(device);
         GenesisServer {
             core,
             cache: Mutex::new(CacheInner {
@@ -882,8 +893,8 @@ impl GenesisServer {
     /// Submits one request: resolves the plan, compiles through the LRU
     /// cache (a miss pays [`ServerConfig::reconfig_penalty_cycles`]),
     /// binds it to `catalog`'s data on the calling thread, queues the job
-    /// and — when a device is idle — hands it over before returning.
-    /// Never waits for a device: returns at once with a [`Ticket`].
+    /// and wakes an idle host thread to take it. Never waits for a
+    /// device: returns at once with a [`Ticket`].
     ///
     /// # Errors
     ///
@@ -913,19 +924,25 @@ impl GenesisServer {
         let id = st.next_id;
         st.next_id += 1;
         st.results.insert(id, None);
+        let after = st.last_collected.clone();
         st.queue.push(&tenant, QueuedJob {
             id,
             prepared,
-            oracle,
+            oracle: Mutex::new(oracle),
             deadline,
             arrival: Arrival { entered, submitted, queued: Instant::now() },
             reconfig_penalty,
+            after,
         });
-        self.core.sample_depth(&mut st);
+        self.core.sample_depth(&st);
         let depth = st.queue.depth(&tenant) as u64;
         self.core.tenant(&mut st, &tenant).queue_depth.observe(depth);
-        schedule(&self.core, &mut st);
+        let runnable = !st.paused;
         drop(st);
+        if runnable {
+            // All idle threads: the job's shards are theirs to share.
+            self.core.mail.notify_all();
+        }
         Ok(Ticket { core: Arc::clone(&self.core), id, tenant, submitted, deadline, closed: false })
     }
 
@@ -1015,7 +1032,7 @@ impl GenesisServer {
             // service time.
             let backlog = queued + st.inflight;
             if backlog > 0 && !st.ewma_service.is_zero() {
-                let waves = backlog.div_ceil(self.core.devices.len()) as u32;
+                let waves = backlog.div_ceil(self.core.devices) as u32;
                 let est_wait = st.ewma_service * waves;
                 if est_wait > deadline {
                     self.core.metrics.counter("server.admission.rejected").inc();
@@ -1044,15 +1061,14 @@ impl GenesisServer {
     /// Resumes dispatch after [`GenesisServer::pause`] (or a
     /// [`ServerConfig::paused`] start).
     pub fn resume(&self) {
-        let mut st = self.core.lock();
-        st.paused = false;
-        schedule(&self.core, &mut st);
+        self.core.lock().paused = false;
+        self.core.mail.notify_all();
     }
 
     /// Number of pool devices.
     #[must_use]
     pub fn devices(&self) -> usize {
-        self.core.devices.len()
+        self.core.devices
     }
 
     /// Jobs currently queued (excluding in-flight).
@@ -1064,7 +1080,7 @@ impl GenesisServer {
     /// Jobs completed since start.
     #[must_use]
     pub fn completed(&self) -> u64 {
-        self.core.lock().completed
+        self.core.phases.completed.get()
     }
 
     /// Compiled-pipeline cache counters.
@@ -1073,22 +1089,26 @@ impl GenesisServer {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner).lru.stats()
     }
 
-    /// The dispatch log so far, in dispatch order. The `(tenant, job_id)`
-    /// sequence is deterministic for a fixed submission order (see
-    /// [`crate::sched`]).
+    /// The dispatch log so far, one record per shard in dispatch order.
+    /// The order is deterministic for a fixed submission order, the
+    /// placement for a fixed interleaving of submits and collecting waits
+    /// (see [`DispatchRecord`]).
     #[must_use]
     pub fn schedule_log(&self) -> Vec<DispatchRecord> {
         self.core.lock().schedule.clone()
     }
 
-    /// Modeled busy time per pool device: simulated cycles over the device
-    /// clock, accumulated per dispatched job. The pool's modeled makespan
-    /// (the max entry) is the throughput denominator a single-core host
-    /// can still measure honestly — wall clock cannot show device-pool
-    /// scaling without host cores to back it.
+    /// Modeled busy time per pool device: the summed modeled durations of
+    /// the shards the timeline placed on it. For a job mix submitted at
+    /// once the max entry is the pool's modeled makespan — the throughput
+    /// denominator a host with fewer cores than devices can still measure.
     #[must_use]
     pub fn modeled_device_time(&self) -> Vec<Duration> {
-        self.core.lock().modeled_busy.clone()
+        let mut per_device = vec![Duration::ZERO; self.devices()];
+        for rec in &self.core.lock().schedule {
+            per_device[rec.device] += rec.modeled_end - rec.modeled_start;
+        }
+        per_device
     }
 
     /// The server's metrics registry (`server.*` names).
@@ -1103,9 +1123,9 @@ impl GenesisServer {
         self.core.metrics.snapshot()
     }
 
-    /// Writes the server Chrome trace (`<path>.server.json`: one thread
-    /// track per device, a span per job run, a queue-depth counter track)
-    /// and returns the path. `None` when tracing is off or has no path.
+    /// Writes the server Chrome trace (`<path>.server.json`: one track per
+    /// modeled device, each shard at its modeled interval) and returns the
+    /// path. `None` when tracing is off or has no path.
     /// Also called automatically on drop.
     pub fn export_trace(&self) -> Option<PathBuf> {
         let base = self.cfg.trace.path.as_ref().filter(|_| self.cfg.trace.enabled)?;
@@ -1115,31 +1135,20 @@ impl GenesisServer {
         let st = self.core.lock();
         let mut trace = ChromeTrace::new();
         trace.process_name(1, "genesis-server");
-        for device in 0..self.core.devices.len() {
+        for device in 0..self.devices() {
             trace.thread_name(1, device as u32 + 1, &format!("device {device}"));
         }
-        for rec in &st.schedule {
-            let tid = rec.device as u32 + 1;
+        // Whole modeled microseconds, floored at both ends: flooring keeps
+        // the order of instants, so a device's spans stay disjoint.
+        let us = |t: Duration| u64::try_from(t.as_micros()).unwrap_or(u64::MAX);
+        for rec in &st.schedule[..st.schedule.len() - st.unplaced.len()] {
             let name = if rec.shards > 1 {
                 format!("{}#{}/s{}", rec.tenant, rec.job_id, rec.shard)
             } else {
                 format!("{}#{}", rec.tenant, rec.job_id)
             };
-            if rec.start_us > rec.queued_us {
-                trace.complete(
-                    1,
-                    tid,
-                    &name,
-                    "queued",
-                    rec.queued_us,
-                    rec.start_us - rec.queued_us,
-                );
-            }
-            let end = rec.end_us.max(rec.start_us);
-            trace.complete(1, tid, &name, "run", rec.start_us, end - rec.start_us);
-        }
-        for &(ts, depth) in &st.depth_samples {
-            trace.counter(1, "server queue", "depth", ts, depth);
+            let (start, end) = (us(rec.modeled_start), us(rec.modeled_end));
+            trace.complete(1, rec.device as u32 + 1, &name, "run", start, end - start);
         }
         drop(st);
         trace.write_to(&path).ok()?;
@@ -1155,8 +1164,8 @@ impl Drop for GenesisServer {
             // Unpause so the pool drains the remaining queue: every
             // admitted job owes its ticket a result.
             st.paused = false;
-            schedule(&self.core, &mut st);
         }
+        self.core.mail.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -1164,36 +1173,33 @@ impl Drop for GenesisServer {
     }
 }
 
-/// The dispatch step. Every thread that changes what it depends on — a
-/// `submit` queueing a job, a worker freeing its device, `resume`, the
-/// drop — calls it under the state lock it already holds. While a device
-/// is idle it hands over the next staged shard, lowest idle index first,
-/// promoting one job off the fair queue whenever the staging area runs
-/// dry. At most one job's shards are staged at a time and only here, so
-/// the promotion order (= the fair-queue pop order) is exactly the
-/// dispatch order in the schedule log, at any pool size — workers never
-/// race for the queue.
-fn schedule(core: &ServerCore, st: &mut ServerState) {
+/// Hands an idle host thread its next shard: the next one staged, after
+/// promoting one job off the fair queue when none is. Only one job is
+/// staged at a time and only here, so the staging order — and with it
+/// the dispatch order in the schedule log — is exactly the fair-queue pop
+/// order, at any pool size. `None` while paused or when nothing is
+/// runnable.
+fn take_shard(core: &ServerCore, st: &mut ServerState) -> Option<Assignment> {
     if st.paused && !st.shutdown {
-        return;
+        return None;
     }
-    let mut assigned = false;
-    while let Some(device) = st.busy.iter().position(|&b| !b) {
-        if st.ready.is_empty() && !promote(core, st) {
-            break;
-        }
-        let a = st.ready.pop_front().expect("promote stages at least one shard");
-        dispatch(core, st, a, device);
-        assigned = true;
+    if st.ready.is_empty() && !promote(core, st) {
+        return None;
     }
-    if assigned || st.exhausted() {
+    let a = st.ready.pop_front()?;
+    st.schedule[a.job.records.start + a.shard].start_us = core.now_us();
+    if !st.ready.is_empty() || !st.queue.is_empty() {
+        // Work is left for the other idle threads: wake them together,
+        // not one after another.
         core.mail.notify_all();
     }
+    Some(a)
 }
 
 /// Pops the next runnable job off the fair queue, settling lapsed
-/// deadlines along the way, splits it into shard assignments and stages
-/// them in `ready`. Returns whether it staged a job.
+/// deadlines along the way, splits it into shard assignments, logs one
+/// dispatch record per shard and stages the assignments in `ready`.
+/// Returns whether it staged a job.
 fn promote(core: &ServerCore, st: &mut ServerState) -> bool {
     if st.queue.is_empty() {
         return false;
@@ -1206,27 +1212,39 @@ fn promote(core: &ServerCore, st: &mut ServerState) -> bool {
         }
     };
     core.sample_depth(st);
-    let Some((tenant, QueuedJob { id, prepared, oracle, arrival, reconfig_penalty, .. })) = popped
-    else {
+    let Some((tenant, queued)) = popped else {
         return false;
     };
-    let ranges = match &prepared {
+    let id = queued.id;
+    let ranges = match &queued.prepared {
         Ok(p) => p.shard_ranges(core.shards),
         // A job that failed to bind still flows through one (empty) shard
         // so the error surfaces at the ticket — or its oracle rescues it.
         Err(_) => std::iter::once(0..0).collect(),
     };
     let nshards = ranges.len();
-    let shared = Arc::new(JobShared {
-        id,
-        tenant,
-        prepared,
-        oracle: Mutex::new(oracle),
-        arrival,
-        promoted,
-        reconfig_penalty,
-        shards: nshards,
-    });
+    let first = st.schedule.len();
+    let queued_us =
+        u64::try_from(queued.arrival.submitted.saturating_duration_since(core.epoch).as_micros())
+            .unwrap_or(u64::MAX);
+    for shard in 0..nshards {
+        st.schedule.push(DispatchRecord {
+            seq: (first + shard) as u64,
+            tenant: tenant.clone(),
+            job_id: id,
+            device: 0,
+            queued_us,
+            start_us: 0,
+            end_us: 0,
+            modeled_start: Duration::ZERO,
+            modeled_end: Duration::ZERO,
+            shard,
+            shards: nshards,
+        });
+        st.unplaced.push_back(Unplaced { duration: None, after: queued.after.clone() });
+    }
+    let shared =
+        Arc::new(JobShared { queued, tenant, promoted, records: first..first + nshards });
     st.gathers.insert(id, Gather {
         parts: (0..nshards).map(|_| None).collect(),
         remaining: nshards,
@@ -1238,7 +1256,7 @@ fn promote(core: &ServerCore, st: &mut ServerState) -> bool {
         core.metrics.counter("server.shards.dispatched").add(nshards as u64);
     }
     for (shard, range) in ranges.into_iter().enumerate() {
-        st.ready.push_back(Assignment { job: Arc::clone(&shared), range, shard, seq: 0 });
+        st.ready.push_back(Assignment { job: Arc::clone(&shared), range, shard });
     }
     true
 }
@@ -1261,44 +1279,42 @@ fn settle_expired(core: &ServerCore, st: &mut ServerState, tenant: &str, job: &Q
          queued ({queued_for:?} in queue; clock started at submit)",
         job.id
     )));
-    deliver(st, job.id, missed);
+    deliver(st, job.id, missed, 0..0);
     // It never ran: its `run` and `gather` phases are empty.
     core.record_completion(st, tenant, job.arrival, [now; 3], RunTimes::default());
     core.done.notify_all();
 }
 
-/// Records the dispatch and places the assignment in `device`'s mailbox.
-fn dispatch(core: &ServerCore, st: &mut ServerState, mut a: Assignment, device: usize) {
-    let seq = st.schedule.len() as u64;
-    a.seq = seq;
-    st.schedule.push(DispatchRecord {
-        seq,
-        tenant: a.job.tenant.clone(),
-        job_id: a.job.id,
-        device,
-        queued_us: u64::try_from(
-            a.job.arrival.submitted.saturating_duration_since(core.epoch).as_micros(),
-        )
-        .unwrap_or(u64::MAX),
-        start_us: core.now_us(),
-        end_us: 0,
-        shard: a.shard,
-        shards: a.job.shards,
-    });
-    st.busy[device] = true;
-    st.mailboxes[device] = Some(a);
+/// Logs shard `seq`'s modeled duration, then places every record the
+/// timeline can: in dispatch order, each once its own duration and every
+/// earlier one's are known. A job's arrival resolves here, from records
+/// that precede it in the log and so are already placed.
+fn place_finished(st: &mut ServerState, seq: usize, duration: Duration) {
+    let ServerState { schedule, unplaced, free, .. } = st;
+    let mut next = schedule.len() - unplaced.len();
+    unplaced[seq - next].duration = Some(duration);
+    while let Some(&Unplaced { duration: Some(duration), ref after }) = unplaced.front() {
+        let arrival = after.as_ref().map_or(Duration::ZERO, |job| {
+            schedule[job.clone()].iter().map(|r| r.modeled_end).max().unwrap_or_default()
+        });
+        let (device, start) = crate::sched::place(free, arrival, duration);
+        let rec = &mut schedule[next];
+        (rec.device, rec.modeled_start, rec.modeled_end) = (device, start, start + duration);
+        unplaced.pop_front();
+        next += 1;
+    }
 }
 
-/// One pool worker: waits on its mailbox, runs the shard range on its
-/// device, delivers the output to the job's gather, runs the dispatch
-/// step for the device it just freed — and if that was the job's last
-/// shard, merges and installs the result.
-fn worker_loop(core: &ServerCore, device: usize) {
+/// One host thread of the execution pool: takes the next shard, runs it,
+/// hands its modeled duration to the timeline and its output to the job's
+/// gather — and if that was the job's last shard, merges and installs the
+/// result.
+fn worker_loop(core: &ServerCore) {
     loop {
         let a = {
             let mut st = core.lock();
             loop {
-                if let Some(a) = st.mailboxes[device].take() {
+                if let Some(a) = take_shard(core, &mut st) {
                     break a;
                 }
                 if st.exhausted() {
@@ -1307,21 +1323,22 @@ fn worker_loop(core: &ServerCore, device: usize) {
                 st = core.mail.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let job = Arc::clone(&a.job);
+        let Assignment { job, range, shard } = a;
+        let seq = job.records.start + shard;
         let run_start = Instant::now();
-        let outcome: Result<ShardOut, CoreError> = match &job.prepared {
-            Ok(p) => contained("job", || p.run_range(&core.devices[device], a.range.clone())),
+        let outcome: Result<ShardOut, CoreError> = match &job.queued.prepared {
+            Ok(p) => contained("job", || p.run_range(&core.device, range, seq as u64)),
             Err(e) => Err(e.clone()),
         };
         let service = run_start.elapsed();
+        // A failed run occupies no modeled time.
+        let modeled = outcome.as_ref().map_or(Duration::ZERO, |part| {
+            let stats = part.stats();
+            core.device.cycles_to_time(stats.cycles) + Duration::from_nanos(stats.faults.backoff_ns)
+        });
 
         let finished = {
             let mut st = core.lock();
-            st.busy[device] = false;
-            if let Ok(part) = &outcome {
-                st.modeled_busy[device] +=
-                    core.devices[device].cycles_to_time(part.stats().cycles);
-            }
             // EWMA with α = 1/4: smooth enough for admission, cheap to
             // update.
             st.ewma_service = if st.ewma_service.is_zero() {
@@ -1329,14 +1346,13 @@ fn worker_loop(core: &ServerCore, device: usize) {
             } else {
                 (st.ewma_service * 3 + service) / 4
             };
-            if let Some(rec) = st.schedule.get_mut(a.seq as usize) {
-                rec.end_us = core.now_us();
-            }
-            let gather = st.gathers.get_mut(&job.id).expect("in-flight job has a gather");
+            st.schedule[seq].end_us = core.now_us();
+            place_finished(&mut st, seq, modeled);
+            let gather = st.gathers.get_mut(&job.queued.id).expect("in-flight job has a gather");
             match outcome {
                 Ok(part) => {
                     gather.times.absorb(part.times());
-                    gather.parts[a.shard] = Some(part);
+                    gather.parts[shard] = Some(part);
                 }
                 Err(e) => {
                     if gather.err.is_none() {
@@ -1345,17 +1361,12 @@ fn worker_loop(core: &ServerCore, device: usize) {
                 }
             }
             gather.remaining -= 1;
-            let finished = if gather.remaining == 0 {
-                Some((st.gathers.remove(&job.id).expect("just observed"), Instant::now()))
+            if gather.remaining == 0 {
+                Some((st.gathers.remove(&job.queued.id).expect("just observed"), Instant::now()))
             } else {
                 None
-            };
-            // This device is free again: hand out what is staged or queued
-            // before the (possibly long) merge below.
-            schedule(core, &mut st);
-            finished
+            }
         };
-        core.device_jobs[device].inc();
         if let Some((gather, ran)) = finished {
             finalize(core, &job, gather, ran);
         }
@@ -1379,7 +1390,8 @@ fn contained<T>(what: &str, step: impl FnOnce() -> Result<T, CoreError>) -> Resu
 /// installs the result.
 fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather, ran: Instant) {
     let run = gather.times;
-    let base: JobResult = match (gather.err, &job.prepared) {
+    let QueuedJob { id, prepared, oracle, arrival, reconfig_penalty, .. } = &job.queued;
+    let base: JobResult = match (gather.err, prepared) {
         (Some(e), _) => Err(e),
         (None, Err(e)) => Err(e.clone()),
         (None, Ok(p)) => contained("gather", || {
@@ -1391,9 +1403,9 @@ fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather, ran: Instan
             p.gather(parts)
         }),
     };
-    let result = base.or_else(|e| rescue(&job.oracle, e)).map(|(table, mut stats)| {
-        stats.reconfig_cycles += job.reconfig_penalty;
-        stats.cycles += job.reconfig_penalty;
+    let result = base.or_else(|e| rescue(oracle, e)).map(|(table, mut stats)| {
+        stats.reconfig_cycles += reconfig_penalty;
+        stats.cycles += reconfig_penalty;
         (table, stats)
     });
     match &result {
@@ -1403,8 +1415,8 @@ fn finalize(core: &ServerCore, job: &Arc<JobShared>, gather: Gather, ran: Instan
     let mut st = core.lock();
     st.inflight -= 1;
     let delivered = Instant::now();
-    deliver(&mut st, job.id, result);
-    core.record_completion(&mut st, &job.tenant, job.arrival, [job.promoted, ran, delivered], run);
+    deliver(&mut st, *id, result, job.records.clone());
+    core.record_completion(&mut st, &job.tenant, *arrival, [job.promoted, ran, delivered], run);
     drop(st);
     core.done.notify_all();
 }
@@ -1533,6 +1545,14 @@ mod tests {
         for n in [1, 2, 4] {
             assert_eq!(small_server(n).workers.len(), n);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "homogeneous")]
+    fn heterogeneous_pool_is_rejected() {
+        let mut cfg = ServerConfig::default().with_devices(2, DeviceConfig::small());
+        cfg.devices[1] = DeviceConfig::default();
+        let _ = GenesisServer::new(cfg);
     }
 
     /// Regression: `submitted + Duration::MAX` overflowed `Instant` and
@@ -1670,9 +1690,11 @@ mod tests {
         }
         tickets.drain(..2);
         server.resume();
+        let mut st = server.core.lock();
         while server.completed() < n as u64 {
-            std::thread::sleep(Duration::from_millis(1));
+            st = server.core.done.wait(st).unwrap();
         }
+        drop(st);
         // ...two more are dropped with their results already delivered,
         // and the last two collect normally.
         assert_eq!(server.core.lock().results.len(), 4);
@@ -1700,21 +1722,16 @@ mod tests {
         for t in tickets {
             t.wait().unwrap();
         }
-        let busy = server.modeled_device_time();
-        assert_eq!(busy.len(), 2);
-        // The pool is greedy, so which devices run jobs depends on thread
-        // timing (one worker can drain a short queue before the other
-        // wakes). The deterministic property is attribution: a device has
-        // modeled busy time iff the schedule log dispatched a job to it.
+        // Four equal jobs submitted at once list-schedule onto two devices
+        // alternately, whichever host thread ran them.
         let log = server.schedule_log();
-        assert_eq!(log.len(), 4);
-        for d in 0..2 {
-            let ran = log.iter().any(|r| r.device == d);
-            assert_eq!(
-                !busy[d].is_zero(),
-                ran,
-                "modeled busy for device {d} must match its dispatch log: {busy:?}"
-            );
+        let placement: Vec<usize> = log.iter().map(|r| r.device).collect();
+        assert_eq!(placement, [0, 1, 0, 1]);
+        let job = log[0].modeled_end;
+        assert!(!job.is_zero());
+        for (r, start) in log.iter().zip([Duration::ZERO, Duration::ZERO, job, job]) {
+            assert_eq!((r.modeled_start, r.modeled_end), (start, start + job));
         }
+        assert_eq!(server.modeled_device_time(), [job * 2, job * 2]);
     }
 }

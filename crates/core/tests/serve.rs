@@ -1,12 +1,13 @@
 //! Integration tests for the multi-tenant serving layer: schedule
 //! determinism and fairness across pool sizes (property-based, mirroring
-//! the engine determinism suite), compiled-pipeline cache eviction order,
+//! the engine determinism suite), deterministic modeled device placement,
+//! compiled-pipeline cache eviction order,
 //! hit-after-evict correctness, deadline-aware admission, and the
 //! per-request policy knobs (replication override, oracle rescue).
 
-use genesis_core::sched::fair_order;
+use genesis_core::sched::{fair_order, modeled_timeline};
 use genesis_core::serve::{GenesisServer, Request, ServerConfig};
-use genesis_core::{Compiler, CoreError, DeviceConfig};
+use genesis_core::{Compiler, CoreError, DeviceConfig, DispatchRecord};
 use genesis_sql::ast::{AggFn, BinOp, ColRef, Expr, SelectItem};
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::{Column, DataType, Field, Schema, Table, Value};
@@ -64,7 +65,12 @@ proptest! {
     /// the same tenant mix yields the identical `(tenant, job_id)`
     /// schedule — matching the fair-queue reference model — at any device
     /// pool size and shard count, each job's shards dispatch back to back
-    /// in shard order, and every job computes the same result.
+    /// in shard order, and every job computes the same result. Device
+    /// placement is a pure function of it too: three fresh servers log the
+    /// identical schedule, device and modeled interval included, equal to
+    /// the reference timeline recomputed from the logged durations (every
+    /// job arrives at 0: no ticket was collected before any submit), so no
+    /// device ever runs two shards at once.
     #[test]
     fn schedule_is_deterministic_at_any_pool_size(
         mix in proptest::collection::vec(0usize..4, 1..14),
@@ -79,40 +85,55 @@ proptest! {
                 .collect::<Vec<_>>(),
         );
         for devices in [1, 2, 4] {
-            let srv = GenesisServer::new(
-                ServerConfig::default()
-                    .with_devices(devices, DeviceConfig::small())
-                    .with_shards(shards)
-                    .start_paused(),
-            );
-            let tickets: Vec<_> = mix
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| {
-                    srv.submit(Request::new(tenants[t], sum_above(i as u64 % 3)), &cat)
-                        .unwrap()
-                })
-                .collect();
-            srv.resume();
-            for (i, ticket) in tickets.into_iter().enumerate() {
-                let (out, _) = ticket.wait().unwrap();
-                prop_assert_eq!(
-                    out.row(0)[0].clone(),
-                    Value::U64(expected_sum(16, i as u64 % 3))
+            let mut runs = Vec::new();
+            for _ in 0..3 {
+                let srv = GenesisServer::new(
+                    ServerConfig::default()
+                        .with_devices(devices, DeviceConfig::small())
+                        .with_shards(shards)
+                        .start_paused(),
+                );
+                let tickets: Vec<_> = mix
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| {
+                        srv.submit(Request::new(tenants[t], sum_above(i as u64 % 3)), &cat)
+                            .unwrap()
+                    })
+                    .collect();
+                srv.resume();
+                for (i, ticket) in tickets.into_iter().enumerate() {
+                    let (out, _) = ticket.wait().unwrap();
+                    prop_assert_eq!(
+                        out.row(0)[0].clone(),
+                        Value::U64(expected_sum(16, i as u64 % 3))
+                    );
+                }
+                // Everything but the wall-clock instants.
+                runs.push(
+                    srv.schedule_log()
+                        .into_iter()
+                        .map(|r| DispatchRecord { queued_us: 0, start_us: 0, end_us: 0, ..r })
+                        .collect::<Vec<_>>(),
                 );
             }
+            let full = &runs[0];
+            prop_assert!(
+                runs.iter().all(|run| run == full),
+                "placement moved at {} devices, {} shards", devices, shards
+            );
             // One job at a time reaches the pool: its shard records are
             // contiguous in the log and ascend from 0.
             let mut log: Vec<(String, u64)> = Vec::new();
             let mut expected_shard = 0;
-            for r in srv.schedule_log() {
+            for r in full {
                 prop_assert!(
                     r.shard == expected_shard && r.shards == shards,
                     "shard {}/{} of job {} where shard {}/{} belongs",
                     r.shard, r.shards, r.job_id, expected_shard, shards
                 );
                 if r.shard == 0 {
-                    log.push((r.tenant, r.job_id));
+                    log.push((r.tenant.clone(), r.job_id));
                 } else {
                     prop_assert_eq!(log.last().map(|l| l.1), Some(r.job_id));
                 }
@@ -124,6 +145,23 @@ proptest! {
                 "schedule diverged from the fair-order reference at {} devices, \
                  {} shards: {:?} vs {:?}", devices, shards, log, reference
             );
+            let durations: Vec<(Duration, Duration)> =
+                full.iter().map(|r| (Duration::ZERO, r.modeled_end - r.modeled_start)).collect();
+            let placed: Vec<_> =
+                full.iter().map(|r| (r.device, r.modeled_start, r.modeled_end)).collect();
+            prop_assert_eq!(placed, modeled_timeline(devices, &durations));
+            for d in 0..devices {
+                let mut spans: Vec<_> = full
+                    .iter()
+                    .filter(|r| r.device == d)
+                    .map(|r| (r.modeled_start, r.modeled_end))
+                    .collect();
+                spans.sort();
+                prop_assert!(
+                    spans.windows(2).all(|w| w[0].1 <= w[1].0),
+                    "device {} overlaps itself: {:?}", d, spans
+                );
+            }
         }
     }
 
@@ -165,6 +203,26 @@ proptest! {
             }
         }
     }
+}
+
+/// The timeline's placement rule on fixed cases: a shard goes to the
+/// device on which it can start first, ties to the lowest index.
+#[test]
+fn timeline_places_where_a_shard_starts_first() {
+    let us = Duration::from_micros;
+    // Four equal shards on two idle devices alternate d0, d1, d0, d1.
+    let placed = modeled_timeline(2, &[(us(0), us(5)); 4]);
+    assert_eq!(
+        placed,
+        [(0, us(0), us(5)), (1, us(0), us(5)), (0, us(5), us(10)), (1, us(5), us(10))]
+    );
+    // A job that arrives after the pool drained starts on device 0 at its
+    // arrival, though device 1 has been free for longer...
+    let placed = modeled_timeline(2, &[(us(0), us(4)), (us(0), us(2)), (us(9), us(1))]);
+    assert_eq!(placed[2], (0, us(9), us(10)));
+    // ...and a job already waiting takes the device that frees first.
+    let placed = modeled_timeline(2, &[(us(0), us(4)), (us(0), us(2)), (us(0), us(1))]);
+    assert_eq!(placed[2], (1, us(2), us(3)));
 }
 
 #[test]

@@ -7,9 +7,10 @@
 //! boundaries and merge in partition order, so the split is invisible in
 //! the output.
 //!
-//! Two fixed cases pin the device-assignment policy — a staged shard goes
-//! to the lowest-index idle device — that `modeled_device_time` and the
-//! modeled rows of `BENCH_serve.json` rest on.
+//! Two fixed cases pin the modeled device timeline's placement — a shard
+//! goes to the device on which it can start first, ties to the lowest
+//! index, from its job's modeled arrival — that `modeled_device_time` and
+//! the modeled rows of `BENCH_serve.json` rest on.
 
 use genesis_core::serve::{GenesisServer, Request, ServerConfig};
 use genesis_core::{Compiler, DeviceConfig};

@@ -63,15 +63,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The schedule log: round-robin across tenants, FIFO within each.
+    // The schedule log: round-robin across tenants, FIFO within each, and
+    // where and when each job ran on the modeled device timeline.
     println!("\ndispatch order (fair queuing):");
     for rec in server.schedule_log() {
         println!(
-            "  #{:<2} {:<6} job {:<2} on device {} ({} us queued)",
+            "  #{:<2} {:<6} job {:<2} on device {} at {:.3?}..{:.3?} modeled ({} us queued)",
             rec.seq,
             rec.tenant,
             rec.job_id,
             rec.device,
+            rec.modeled_start,
+            rec.modeled_end,
             rec.start_us.saturating_sub(rec.queued_us)
         );
     }

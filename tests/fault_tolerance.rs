@@ -14,7 +14,8 @@ use genesis::datagen::{DatagenConfig, Dataset};
 use genesis::sql::Catalog;
 use genesis::types::{Column, DataType, Field, Schema, Table};
 use proptest::prelude::*;
-use std::time::Duration;
+use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
 /// A fault config with aggressive injection rates and instant backoff
 /// (tests should not sleep).
@@ -118,12 +119,21 @@ fn fault_schedule_is_thread_count_invariant() {
     assert_eq!(seq.stats.faults, par.stats.faults, "fault report must not depend on threads");
 }
 
-/// The fault plane under sharding (first fixed case of ROADMAP D(iii)): a
-/// compiled plan served over two shards on faulty devices returns the
-/// fault-free table, and the recovery it took is in the job's stats and
-/// in the server's snapshot.
-#[test]
-fn recovery_counters_surface_in_host_metrics_snapshot() {
+/// Whether a served shard's first (only) batch draws an injected DMA fault
+/// on `attempt`. A served shard's dice are keyed by its dispatch sequence
+/// number `seq`, carried above bit 32 of the batch index, so shard 0 of a
+/// fresh server rolls exactly what an unsharded `execute` rolls.
+fn shard_dma_fault(faults: &FaultConfig, seq: u64, attempt: u32) -> bool {
+    faults.dma_fault(seq << 32, attempt).is_some()
+}
+
+/// Serves `SELECT K, COUNT(*) FROM T GROUP BY K ORDER BY K` over 512 rows
+/// once, on a fresh two-device server split into `shards` shards; returns
+/// the result and the server's counters.
+fn serve_hist(
+    device: DeviceConfig,
+    shards: usize,
+) -> (Table, genesis::core::AccelStats, BTreeMap<String, u64>) {
     const HIST_SQL: &str = "\
         INSERT INTO Hist\n\
         SELECT K, COUNT(*)\n\
@@ -139,28 +149,85 @@ fn recovery_counters_surface_in_host_metrics_snapshot() {
         )
         .unwrap(),
     );
-    // Every shard's run is "batch 0" to `run_batches`, so all shards roll
-    // the same dice: the schedule must fault the first attempt and clear
-    // a later one.
+    let server =
+        GenesisServer::new(ServerConfig::default().with_devices(2, device).with_shards(shards));
+    server.register_script("hist", HIST_SQL).unwrap();
+    let (table, stats) =
+        server.submit(Request::script("tenant", "hist"), &catalog).unwrap().wait().unwrap();
+    (table, stats, server.metrics_snapshot().counters)
+}
+
+/// The fault plane under sharding: a compiled plan served over two shards
+/// on faulty devices returns the fault-free table, and the recovery it
+/// took is in the job's stats and in the server's snapshot.
+#[test]
+fn recovery_counters_surface_in_host_metrics_snapshot() {
+    // Each shard rolls its own dice: pick a schedule that faults both
+    // shards' first attempts and clears their second.
     let faults = (0..)
         .map(|seed| seeded_faults(seed, 500_000, 0, 0))
-        .find(|f| f.dma_fault(0, 0).is_some() && f.dma_fault(0, 1).is_none())
+        .find(|f| (0..2).all(|seq| shard_dma_fault(f, seq, 0) && !shard_dma_fault(f, seq, 1)))
         .unwrap();
-    let serve = |device: DeviceConfig| {
-        let server =
-            GenesisServer::new(ServerConfig::default().with_devices(2, device).with_shards(2));
-        server.register_script("hist", HIST_SQL).unwrap();
-        let (table, stats) =
-            server.submit(Request::script("tenant", "hist"), &catalog).unwrap().wait().unwrap();
-        (table, stats, server.metrics_snapshot().counters)
-    };
-    let (clean, clean_stats, _) = serve(DeviceConfig::small());
+    let (clean, clean_stats, _) = serve_hist(DeviceConfig::small(), 2);
     assert!(clean_stats.faults.is_empty(), "fault-free run must report no faults");
-    let (recovered, stats, counters) = serve(DeviceConfig::small().with_faults(faults));
+    let (recovered, stats, counters) = serve_hist(DeviceConfig::small().with_faults(faults), 2);
     assert_eq!(recovered, clean, "recovered table must be bit-identical");
-    assert!(stats.faults.retries > 0, "each shard retries its faulted first attempt");
+    assert_eq!(stats.faults.retries, 2, "each shard retries its faulted first attempt");
     assert_eq!(counters["server.faults.retries"], stats.faults.retries);
     assert_eq!(counters["server.shards.dispatched"], 2);
+}
+
+/// ROADMAP D(iii): the shards of one job do not share fault dice. Under a
+/// schedule that faults exactly one of four shards' first attempts, the
+/// job retries once; with shared dice every shard faulted or none did.
+#[test]
+fn one_faulted_shard_retries_alone() {
+    let faults = (0..)
+        .map(|seed| seeded_faults(seed, 300_000, 0, 0))
+        .find(|f| {
+            let hit: Vec<u64> = (0..4).filter(|&seq| shard_dma_fault(f, seq, 0)).collect();
+            hit.len() == 1 && !shard_dma_fault(f, hit[0], 1)
+        })
+        .unwrap();
+    let (clean, _, _) = serve_hist(DeviceConfig::small(), 4);
+    let (recovered, stats, counters) = serve_hist(DeviceConfig::small().with_faults(faults), 4);
+    assert_eq!(recovered, clean, "recovered table must be bit-identical");
+    assert_eq!(counters["server.shards.dispatched"], 4);
+    assert_eq!(stats.faults.dma_errors + stats.faults.dma_timeouts, 1);
+    assert_eq!(stats.faults.retries, 1, "only the faulted shard retries");
+    assert_eq!(counters["server.faults.retries"], 1);
+}
+
+/// Backoff is modeled device time, not a host sleep: a one-second pause
+/// before a shard's retry lands on the device timeline, and the ticket
+/// resolves in a fraction of that on the wall clock.
+#[test]
+fn backoff_is_modeled_time_not_a_sleep() {
+    let faults = (0..)
+        .map(|seed| FaultConfig::from_spec(&format!("dma=0.5,seed={seed},backoff=1s:1s")).unwrap())
+        .find(|f| shard_dma_fault(f, 0, 0) && !shard_dma_fault(f, 0, 1))
+        .unwrap();
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "T",
+        Table::from_columns(
+            Schema::new(vec![Field::new("X", DataType::U32)]),
+            vec![Column::U32((1..=64).collect())],
+        )
+        .unwrap(),
+    );
+    let server = GenesisServer::new(
+        ServerConfig::default().with_devices(1, DeviceConfig::small().with_faults(faults)),
+    );
+    server.register_script("sum", "INSERT INTO S SELECT SUM(X) FROM T").unwrap();
+    let ticket = server.submit(Request::script("tenant", "sum"), &catalog).unwrap();
+    let start = Instant::now();
+    let (_, stats) = ticket.wait().unwrap();
+    let wall = start.elapsed();
+    assert_eq!((stats.faults.retries, stats.faults.backoff_ns), (1, 1_000_000_000));
+    assert!(wall < Duration::from_millis(500), "the ticket slept through its backoff: {wall:?}");
+    let modeled = server.modeled_device_time()[0];
+    assert!(modeled >= Duration::from_secs(1), "backoff missing from modeled time: {modeled:?}");
 }
 
 fn arb_faults() -> impl Strategy<Value = FaultConfig> {

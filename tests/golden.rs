@@ -120,7 +120,7 @@ fn serve_snapshot() {
     // short loop reproduces the bench's 12,000-request modeled goodput.
     let rows = serve_modeled_rows(
         &cache_runs(),
-        &PoolRun::run(1),
+        &[PoolRun::run(1), PoolRun::run(4)],
         &closed_loop_run(1, 40),
         &closed_loop_run(4, 40),
     );
