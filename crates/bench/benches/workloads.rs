@@ -3,8 +3,9 @@
 //! The two workloads opened by lowering the explode operators through the
 //! general compiler — per-position coverage/pileup (grouped aggregate
 //! over `ReadExplode`) and mate-distance histograms (`PosExplode` + join)
-//! — plus a selective scan with pushdown on and off, compiled from
-//! extended SQL and run at the cost-model-chosen replication factor
+//! — plus a selective scan with pushdown on and off and the paper's
+//! Figure 4 script, compiled from extended SQL and run at the
+//! cost-model-chosen replication factor
 //! (`genesis_bench::scenarios::genomics_workloads`). Median-of-three wall
 //! clock. Snapshot: `BENCH_workloads.json`, whose modeled rows
 //! `tests/golden.rs` regenerates.

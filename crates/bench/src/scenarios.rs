@@ -9,7 +9,7 @@
 use crate::load::{self, LoadReport};
 use crate::snapshot::{Row, Value};
 use genesis_core::accel::metadata::MetadataAccel;
-use genesis_core::compile::{Compiler, PipelinePlan};
+use genesis_core::compile::{figure4_script, Compiler, PipelinePlan};
 use genesis_core::device::{DeviceConfig, TierConfig};
 use genesis_core::fault::FaultConfig;
 use genesis_core::perf::AccelStats;
@@ -19,7 +19,8 @@ use genesis_hw::EngineMode;
 use genesis_obs::TraceConfig;
 use genesis_sql::ast::{AggFn, BinOp, ColRef, Expr, SelectItem};
 use genesis_sql::{Catalog, LogicalPlan};
-use genesis_types::{Cigar, Column, DataType, Field, Schema, Table};
+use genesis_types::table::{reads_to_table, ref_segment_to_table};
+use genesis_types::{Cigar, Column, DataType, Field, PartitionScheme, ReadRecord, Schema, Table};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -359,7 +360,9 @@ const CIGARS: [(&str, usize); 6] =
 
 /// The genomics catalog: 1,300 `READS` at ascending positions inside the
 /// 4,096 bp coverage window, 8,000 `PAIRS` at strictly ascending unique
-/// positions, and one `REF` row covering them (~24 kbp).
+/// positions, and one `REF` row covering them (~24 kbp) — plus, as
+/// partition 0 of `READS` and `REF`, the 5 kbp partition of the tiny data
+/// set ([`DatagenConfig::tiny`]) whose reference window starts at 5 kbp.
 #[must_use]
 pub fn genomics_catalog() -> Catalog {
     const READS: usize = 1_300;
@@ -396,7 +399,41 @@ pub fn genomics_catalog() -> Catalog {
     cat.register("READS", reads);
     cat.register("PAIRS", table_u32(&[("POS", ppos), ("MPOS", mpos)]));
     cat.register("REF", reference);
+    let tiny = Dataset::generate(&DatagenConfig::tiny());
+    let (_, figure4) = figure4_partitions(&tiny, 5_000).swap_remove(1);
+    for table in ["READS", "REF"] {
+        let part = figure4.partition(table, 0).expect("figure4_partitions registers it");
+        cat.register_partition(table, 0, part.clone());
+    }
     cat
+}
+
+/// The catalogs the paper's Figure 4 script runs on, one per (chromosome,
+/// `psize`-window) partition of `dataset` in partition order, each with
+/// the indices of its reads: the partition's reads as `READS PARTITION
+/// (0)` and its reference window as `REF PARTITION (0)`. The window
+/// overlap is the longest reference span of any read, so every read finds
+/// all the bases it covers in its own partition.
+#[must_use]
+pub fn figure4_partitions(dataset: &Dataset, psize: u32) -> Vec<(Vec<u32>, Catalog)> {
+    let overlap = dataset.reads.iter().map(|r| r.end_pos() - r.pos).max().unwrap_or(0);
+    let scheme = PartitionScheme::new(psize, overlap);
+    scheme
+        .partition_reads(&dataset.reads)
+        .into_iter()
+        .filter_map(|part| {
+            let window = scheme.reference_partition(&dataset.genome, part.pid)?;
+            let reads: Vec<ReadRecord> =
+                part.read_indices.iter().map(|&i| dataset.reads[i as usize].clone()).collect();
+            let snp: Vec<bool> = window.is_snp.iter().collect();
+            let reference =
+                ref_segment_to_table(part.pid.chrom.id(), window.start, &window.seq, &snp);
+            let mut cat = Catalog::new();
+            cat.register_partition("READS", 0, reads_to_table(&reads).expect("reads pack"));
+            cat.register_partition("REF", 0, reference);
+            Some((part.read_indices, cat))
+        })
+        .collect()
 }
 
 /// One genomics query compiled from SQL through the general path.
@@ -404,21 +441,23 @@ pub fn genomics_catalog() -> Catalog {
 pub struct GenomicsWorkload {
     /// Snapshot label.
     pub label: &'static str,
-    sql: &'static str,
+    sql: String,
     device: DeviceConfig,
 }
 
 /// Coverage/pileup (`ReadExplode` + grouped count), mate-distance
-/// histogram (`PosExplode` + join), and the selective scan with pushdown
-/// on and off.
+/// histogram (`PosExplode` + join), the selective scan with pushdown on and
+/// off, and the paper's Figure 4 script (per-read explode joined with a
+/// reference window) over one partition.
 #[must_use]
 pub fn genomics_workloads() -> Vec<GenomicsWorkload> {
-    let w = |label, sql, device| GenomicsWorkload { label, sql, device };
+    let w = |label, sql: &str, device| GenomicsWorkload { label, sql: sql.to_owned(), device };
     vec![
         w("coverage_pileup", COVERAGE_SQL, DeviceConfig::default()),
         w("mate_distance", MATE_DISTANCE_SQL, DeviceConfig::default()),
         w("pushdown_on", PUSHDOWN_SQL, DeviceConfig::default()),
         w("pushdown_off", PUSHDOWN_SQL, DeviceConfig::default().with_pushdown(false)),
+        w("figure4", &figure4_script(0), DeviceConfig::default()),
     ]
 }
 
@@ -438,7 +477,7 @@ impl GenomicsWorkload {
     #[must_use]
     pub fn compile(&self, catalog: &Catalog) -> PipelinePlan {
         Compiler::new(self.device.clone())
-            .compile_sql(self.sql, catalog)
+            .compile_sql(&self.sql, catalog)
             .expect("workload must compile")
     }
 

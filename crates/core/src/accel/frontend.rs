@@ -1,14 +1,13 @@
-//! The shared front end of the partitioned pipelines (Figures 7, 11, 12):
-//! read-column memory readers, the reference scratchpad load, ReadToBases,
-//! and the range-mode SPM reader supplying reference bases per read.
+//! The shared front end of the hand-wired partitioned pipelines (Figures
+//! 11, 12): read-column memory readers, the reference window
+//! (`PipelineBuilder::ref_window`) supplying reference bases per read,
+//! and ReadToBases.
 
 use crate::builder::PipelineBuilder;
-use crate::columns::{u16_bytes, u32_bytes, ReadColumns};
+use crate::columns::ReadColumns;
 use genesis_hw::modules::fanout::Fanout;
 use genesis_hw::modules::mem_reader::RowSpec;
 use genesis_hw::modules::read_to_bases::{ReadToBases, ReadToBasesInputs};
-use genesis_hw::modules::spm_reader::{SpmReadMode, SpmReader};
-use genesis_hw::modules::spm_updater::{SpmUpdater, SpmUpdateMode};
 use genesis_hw::QueueId;
 
 /// One per-partition accelerator job.
@@ -160,14 +159,10 @@ pub fn build_frontend(
     let c = &job.columns;
     // Memory readers for each read column (Figure 7's five readers, plus
     // QUAL and optionally the flags column).
-    let pos_q = b.upload_column("READS.POS", &u32_bytes(&c.pos), 4, RowSpec::Fixed(1));
-    let endpos_q = b.upload_column("READS.ENDPOS", &u32_bytes(&c.endpos), 4, RowSpec::Fixed(1));
-    let cigar_q = b.upload_column(
-        "READS.CIGAR",
-        &u16_bytes(&c.cigar),
-        2,
-        PipelineBuilder::rows_from_lens(&c.cigar_lens),
-    );
+    let pos_q = b.upload_column("READS.POS", &c.pos, 4, RowSpec::Fixed(1));
+    let endpos_q = b.upload_column("READS.ENDPOS", &c.endpos, 4, RowSpec::Fixed(1));
+    let cigar_q =
+        b.upload_column("READS.CIGAR", &c.cigar, 2, PipelineBuilder::rows_from_lens(&c.cigar_lens));
     let seq_q = b.upload_column(
         "READS.SEQ",
         &c.seq,
@@ -180,11 +175,7 @@ pub fn build_frontend(
         1,
         PipelineBuilder::rows_from_lens(&c.seq_lens),
     );
-    let flags = if with_flags {
-        Some(b.upload_column("READS.FLAGS", &c.flags, 1, RowSpec::Fixed(1)))
-    } else {
-        None
-    };
+    let flags = with_flags.then(|| b.upload_column("READS.FLAGS", &c.flags, 1, RowSpec::Fixed(1)));
 
     // POS feeds both ReadToBases and the SPM range reader.
     let pos_rtb = b.queue("pos.rtb");
@@ -192,45 +183,13 @@ pub fn build_frontend(
     let fan = Fanout::new("pos.fan", pos_q, vec![pos_rtb, pos_spm]);
     b.system().add_module(Box::new(fan));
 
-    // Reference scratchpad: loaded by a sequential SPM Updater from the
-    // REFS.SEQ memory reader; its forward stream gates the range reader so
-    // reads cannot observe an uninitialized scratchpad (§III-D).
-    let ref_len = job.ref_codes.len();
-    let ref_stream = b.upload_column("REFS.SEQ", &job.ref_codes, 1, RowSpec::None);
-    // BRAM accounting: reference bases pack at 2 bits in hardware.
-    let ref_spm = b.system().spms_mut().add_packed("REF.SEQ.spm", ref_len.max(1), 2);
-    let gate_ref = b.queue("gate.ref");
-    let upd = SpmUpdater::new(
-        "REF.SEQ.load",
-        ref_spm,
-        SpmUpdateMode::Sequential { base: 0 },
-        0,
-        0,
-        ref_stream,
-    )
-    .with_forward(gate_ref);
-    b.system().add_module(Box::new(upd));
-
-    let mut spms = vec![ref_spm];
-    let mut gates = vec![gate_ref];
+    // Reference window over each read's [POS, ENDPOS). Bases pack at 2
+    // bits in hardware, SNP flags at 1 (BRAM accounting).
+    let mut cols = vec![("REF.SEQ", job.ref_codes.as_slice(), 1, 2)];
     if let Some(snp) = &job.snp_bits {
-        let snp_stream = b.upload_column("REFS.IS_SNP", snp, 1, RowSpec::None);
-        // SNP flags pack at 1 bit in hardware.
-        let snp_spm = b.system().spms_mut().add_packed("REF.IS_SNP.spm", ref_len.max(1), 1);
-        let gate_snp = b.queue("gate.snp");
-        let upd = SpmUpdater::new(
-            "REF.IS_SNP.load",
-            snp_spm,
-            SpmUpdateMode::Sequential { base: 0 },
-            0,
-            0,
-            snp_stream,
-        )
-        .with_forward(gate_snp);
-        b.system().add_module(Box::new(upd));
-        spms.push(snp_spm);
-        gates.push(gate_snp);
+        cols.push(("REF.IS_SNP", snp.as_slice(), 1, 1));
     }
+    let refs = b.ref_window(&cols, pos_spm, endpos_q, u64::from(job.pstart));
 
     // ReadToBases (the ReadExplode hardware).
     let bases = b.queue("bases");
@@ -240,18 +199,6 @@ pub fn build_frontend(
         bases,
     );
     b.system().add_module(Box::new(rtb));
-
-    // Range-mode SPM reader: per read, stream the reference interval.
-    let refs = b.queue("refs");
-    let reader = SpmReader::new(
-        "REF.range",
-        spms,
-        SpmReadMode::Range { start: pos_spm, end: endpos_q },
-        u64::from(job.pstart),
-        refs,
-    )
-    .with_gates(gates);
-    b.system().add_module(Box::new(reader));
 
     Frontend { bases, refs, flags }
 }

@@ -1,5 +1,5 @@
-//! The paper's proof-of-concept accelerators (Figures 7 and 10–12), each
-//! with host-side partition orchestration and result merging.
+//! The paper's proof-of-concept accelerators (Figures 10–12), each with
+//! host-side partition orchestration and result merging.
 
 use crate::device::DeviceConfig;
 use crate::error::CoreError;
@@ -11,7 +11,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod bqsr;
-pub mod example;
 pub mod frontend;
 pub mod markdup;
 pub mod metadata;

@@ -4,6 +4,8 @@
 use genesis_hw::memory::LINE_BYTES;
 use genesis_hw::modules::mem_reader::{MemReader, MemReaderConfig, RowSpec};
 use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig};
+use genesis_hw::modules::spm_reader::{SpmReadMode, SpmReader};
+use genesis_hw::modules::spm_updater::{SpmUpdateMode, SpmUpdater};
 use genesis_hw::system::ModuleId;
 use genesis_hw::{QueueId, System};
 use std::sync::Arc;
@@ -40,82 +42,86 @@ impl<'s> PipelineBuilder<'s> {
         self.sys.add_queue(&label)
     }
 
-    /// Uploads a column to device memory and attaches a Memory Reader
-    /// streaming it; returns the reader's output queue.
-    pub fn upload_column(
-        &mut self,
-        name: &str,
-        bytes: &[u8],
-        elem_bytes: usize,
-        rows: RowSpec,
-    ) -> QueueId {
-        let addr = self.sys.alloc_mem(bytes.len().max(1));
-        self.sys.host_write(addr, bytes);
-        let total_elems = (bytes.len() / elem_bytes) as u64;
-        self.reader_at(name, addr, elem_bytes, total_elems, rows)
-    }
-
     /// Uploads `vals` as a column of `elem_bytes`-wide little-endian
     /// elements (each value's low bytes) and attaches a Memory Reader
-    /// streaming it. The values narrow straight into device memory, one
-    /// stack-resident burst of lines at a time — no host-side staging
-    /// buffer the size of the column.
+    /// streaming it; returns the reader's output queue. The values narrow
+    /// straight into device memory, one stack-resident burst of lines at a
+    /// time — no host-side staging buffer the size of the column.
     ///
     /// # Panics
     ///
     /// Panics on an element width the Memory Reader does not support.
-    pub(crate) fn upload_values(
+    pub fn upload_column<T: Copy + Into<u64>>(
         &mut self,
         name: &str,
-        vals: &[u64],
+        vals: &[T],
         elem_bytes: usize,
         rows: RowSpec,
     ) -> QueueId {
         /// Bytes narrowed per `host_write` burst (a whole number of
         /// elements at every supported width).
         const BURST_BYTES: usize = 16 * LINE_BYTES;
-        fn narrow<const N: usize>(vals: &[u64], out: &mut [u8]) {
+        fn narrow<const N: usize, T: Copy + Into<u64>>(vals: &[T], out: &mut [u8]) {
             for (&v, slot) in vals.iter().zip(out.chunks_exact_mut(N)) {
-                slot.copy_from_slice(&v.to_le_bytes()[..N]);
+                slot.copy_from_slice(&v.into().to_le_bytes()[..N]);
             }
         }
-        let addr = self.sys.alloc_mem((vals.len() * elem_bytes).max(1));
+        let base_addr = self.sys.alloc_mem((vals.len() * elem_bytes).max(1));
         let mut burst = [0u8; BURST_BYTES];
-        let mut at = addr;
+        let mut at = base_addr;
         for chunk in vals.chunks(BURST_BYTES / elem_bytes) {
             let out = &mut burst[..chunk.len() * elem_bytes];
             match elem_bytes {
-                1 => narrow::<1>(chunk, out),
-                2 => narrow::<2>(chunk, out),
-                4 => narrow::<4>(chunk, out),
-                8 => narrow::<8>(chunk, out),
+                1 => narrow::<1, T>(chunk, out),
+                2 => narrow::<2, T>(chunk, out),
+                4 => narrow::<4, T>(chunk, out),
+                8 => narrow::<8, T>(chunk, out),
                 n => panic!("element width must be 1/2/4/8, got {n}"),
             }
             self.sys.host_write(at, out);
             at += out.len() as u64;
         }
-        self.reader_at(name, addr, elem_bytes, vals.len() as u64, rows)
-    }
-
-    /// Attaches a Memory Reader to an existing allocation.
-    pub fn reader_at(
-        &mut self,
-        name: &str,
-        base_addr: u64,
-        elem_bytes: usize,
-        total_elems: u64,
-        rows: RowSpec,
-    ) -> QueueId {
         let out = self.queue(&format!("{name}.out"));
         let port = self.sys.register_mem_port(self.group);
         let label = self.label(name);
-        self.sys.add_module(Box::new(MemReader::new(
-            &label,
-            MemReaderConfig { base_addr, elem_bytes, total_elems, rows },
-            port,
-            out,
-        )));
+        let total_elems = vals.len() as u64;
+        let config = MemReaderConfig { base_addr, elem_bytes, total_elems, rows };
+        self.sys.add_module(Box::new(MemReader::new(&label, config, port, out)));
         out
+    }
+
+    /// The reference window (paper §III-D): each `(label, values, element
+    /// bytes, packed bits)` column loads into its own scratchpad through a
+    /// sequential SPM Updater fed by a Memory Reader, and one range-mode
+    /// SPM Reader — gated on every load, so no read observes an
+    /// uninitialized scratchpad — streams `[pos, col0[pos - base], …]`
+    /// over each `[start, end)` pair, one delimited item per pair. Returns
+    /// that stream.
+    pub(crate) fn ref_window<T: Copy + Into<u64>>(
+        &mut self,
+        cols: &[(&str, &[T], usize, usize)],
+        start: QueueId,
+        end: QueueId,
+        base: u64,
+    ) -> QueueId {
+        let mut spms = Vec::with_capacity(cols.len());
+        let mut gates = Vec::with_capacity(cols.len());
+        for &(label, vals, elem_bytes, bits) in cols {
+            let stream = self.upload_column(label, vals, elem_bytes, RowSpec::None);
+            let len = vals.len().max(1);
+            let spm = self.sys.spms_mut().add_packed(&format!("{label}.spm"), len, bits);
+            let gate = self.queue(&format!("{label}.gate"));
+            let mode = SpmUpdateMode::Sequential { base: 0 };
+            let load = SpmUpdater::new(&format!("{label}.load"), spm, mode, 0, 0, stream);
+            self.sys.add_module(Box::new(load.with_forward(gate)));
+            spms.push(spm);
+            gates.push(gate);
+        }
+        let refs = self.queue("refs");
+        let range = SpmReadMode::Range { start, end };
+        let reader = SpmReader::new("REF.range", spms, range, base, refs);
+        self.sys.add_module(Box::new(reader.with_gates(gates)));
+        refs
     }
 
     /// Allocates an output region and attaches a Memory Writer consuming
@@ -170,7 +176,7 @@ mod tests {
     fn upload_reduce_writeback() {
         let mut sys = System::new();
         let mut b = PipelineBuilder::new(&mut sys, 0);
-        let q = b.upload_column("qual", &[1, 2, 3, 4, 5, 6], 1, RowSpec::Fixed(3));
+        let q = b.upload_column("qual", &[1u8, 2, 3, 4, 5, 6], 1, RowSpec::Fixed(3));
         let rq = b.queue("sums");
         let (writer, addr) = b.writer("out", rq, 8, 64);
         sys.add_module(Box::new(Reducer::new("sum", ReduceOp::Sum, 0, q, rq)));
@@ -183,8 +189,8 @@ mod tests {
     #[test]
     fn groups_are_distinct_arbiter_domains() {
         let mut sys = System::new();
-        let _ = PipelineBuilder::new(&mut sys, 0).upload_column("a", &[1], 1, RowSpec::None);
-        let _ = PipelineBuilder::new(&mut sys, 5).upload_column("b", &[2], 1, RowSpec::None);
+        let _ = PipelineBuilder::new(&mut sys, 0).upload_column("a", &[1u8], 1, RowSpec::None);
+        let _ = PipelineBuilder::new(&mut sys, 5).upload_column("b", &[2u8], 1, RowSpec::None);
         // Registering under group 5 grows the arbiter table; the resource
         // report counts 6 pipelines' overhead.
         let report = sys.resource_report();

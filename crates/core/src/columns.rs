@@ -51,12 +51,6 @@ impl ReadColumns {
         Ok(c)
     }
 
-    /// Number of reads in the batch.
-    #[must_use]
-    pub fn num_reads(&self) -> usize {
-        self.pos.len()
-    }
-
     /// Total payload bytes (the host→device DMA volume for these columns).
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
@@ -69,18 +63,6 @@ impl ReadColumns {
             + self.qual.len()
             + self.flags.len()) as u64
     }
-}
-
-/// Little-endian byte view of a `u32` slice.
-#[must_use]
-pub fn u32_bytes(v: &[u32]) -> Vec<u8> {
-    v.iter().flat_map(|x| x.to_le_bytes()).collect()
-}
-
-/// Little-endian byte view of a `u16` slice.
-#[must_use]
-pub fn u16_bytes(v: &[u16]) -> Vec<u8> {
-    v.iter().flat_map(|x| x.to_le_bytes()).collect()
 }
 
 /// Parses little-endian `u32` values out of device bytes.
@@ -122,7 +104,6 @@ mod tests {
     fn flatten_layout() {
         let reads = vec![read(5, "3M", false), read(9, "2M1I1M", true)];
         let c = ReadColumns::from_reads(&reads).unwrap();
-        assert_eq!(c.num_reads(), 2);
         assert_eq!(c.pos, vec![5, 9]);
         assert_eq!(c.endpos, vec![8, 12]);
         assert_eq!(c.cigar_lens, vec![1, 3]);
@@ -134,10 +115,8 @@ mod tests {
     }
 
     #[test]
-    fn byte_roundtrips() {
-        let v = vec![1u32, 500, 70_000];
-        assert_eq!(bytes_to_u32(&u32_bytes(&v)), v);
-        assert_eq!(u16_bytes(&[0x1234]), vec![0x34, 0x12]);
+    fn byte_decoding() {
+        assert_eq!(bytes_to_u32(&[1, 0, 0, 0, 0xf4, 1, 0, 0]), vec![1, 500]);
         assert_eq!(bytes_to_u64(&42u64.to_le_bytes()), vec![42]);
     }
 }

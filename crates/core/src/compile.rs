@@ -13,12 +13,12 @@
 //! (paper Figure 8). The result is an open [`PipelinePlan`] handle that can
 //! be inspected (`explain`, `replication`) and executed against a
 //! [`Catalog`] on the simulated device: a plan that compiles is a plan
-//! that runs. Unsupported shapes return a structured
-//! [`CoreError::Unsupported`] naming the offending node rather than
-//! silently degrading — including the paper's own Figure 4 script, whose
-//! mid-plan `LIMIT` window and explode over a derived stream the lowering
-//! does not cover yet (Figure 4 → Figure 7 stays the paper's manual
-//! mapping, [`crate::accel::example`]).
+//! that runs. The paper's own Figure 4 script ([`figure4_script`])
+//! compiles into its Figure 7 pipeline: the `FOR` loop becomes per-read
+//! items through ReadToBases and a Reducer, and the `LIMIT` window a
+//! reference scratchpad read by range. Unsupported shapes return a
+//! structured [`CoreError::Unsupported`] naming the offending node rather
+//! than silently degrading.
 
 use crate::cost::{
     choose_replication, choose_replication_spill, PipelineProfile, ReplicationChoice,
@@ -29,7 +29,7 @@ use crate::error::CoreError;
 use crate::library::ModuleRegistry;
 use crate::lower::{analyze, Lowering};
 use crate::perf::AccelStats;
-use genesis_sql::ast::Statement;
+use genesis_sql::ast::{Expr, Statement};
 use genesis_sql::parser::parse_script;
 use genesis_sql::plan::lower_query;
 use genesis_sql::{Catalog, LogicalPlan};
@@ -226,6 +226,9 @@ impl PipelinePlan {
 /// `registry`: a placeable module's plan template expands into a view
 /// named `<module>_OUT` (matching the software engine's convention), so
 /// downstream statements can scan the module's output like any table.
+/// An `INSERT` inside `FOR var IN t` becomes a [`LogicalPlan::ForEach`]
+/// over `t`, and `SET` variables substitute into `LIMIT` bounds; a value
+/// set from the row of a loop that has ended is that table's column.
 /// Also used by [`crate::serve::GenesisServer`] to register named scripts.
 ///
 /// # Errors
@@ -236,38 +239,84 @@ impl PipelinePlan {
 pub fn script_to_plan(src: &str, registry: &ModuleRegistry) -> Result<LogicalPlan, CoreError> {
     let stmts =
         parse_script(src).map_err(|e| CoreError::unsupported("Script", format!("parse error: {e}")))?;
-    let mut views: HashMap<String, LogicalPlan> = HashMap::new();
-    let mut target: Option<LogicalPlan> = None;
-    collect(&stmts, registry, &mut views, &mut target)?;
-    let plan = target.ok_or_else(|| {
-        CoreError::unsupported("Script", "no INSERT INTO statement to compile")
-    })?;
-    Ok(inline_views(&plan, &views))
+    let mut script = ScriptState::default();
+    collect(&stmts, registry, &mut script, &[])?;
+    script
+        .target
+        .ok_or_else(|| CoreError::unsupported("Script", "no INSERT INTO statement to compile"))
 }
 
+/// What a script's statements leave behind for its final `INSERT`. Views
+/// and variables bind where a statement uses them, so every plan here is
+/// already free of both.
+#[derive(Default)]
+struct ScriptState {
+    views: HashMap<String, LogicalPlan>,
+    vars: HashMap<String, Expr>,
+    target: Option<LogicalPlan>,
+}
+
+/// `expr` with every variable replaced by its `SET` expression.
+fn substitute(expr: &Expr, vars: &HashMap<String, Expr>) -> Expr {
+    match expr {
+        Expr::Var(name) => vars.get(name).unwrap_or(expr).clone(),
+        Expr::Bin { op, lhs, rhs } => Expr::Bin {
+            op: *op,
+            lhs: Box::new(substitute(lhs, vars)),
+            rhs: Box::new(substitute(rhs, vars)),
+        },
+        Expr::Col(_) | Expr::Number(_) => expr.clone(),
+    }
+}
+
+/// Renames the column qualifier `from` to `to` throughout `expr`.
+fn requalify(expr: &mut Expr, from: &str, to: &str) {
+    match expr {
+        Expr::Col(c) if c.table.as_deref() == Some(from) => c.table = Some(to.to_owned()),
+        Expr::Bin { lhs, rhs, .. } => {
+            requalify(lhs, from, to);
+            requalify(rhs, from, to);
+        }
+        _ => {}
+    }
+}
+
+/// Collects `stmts` into `script`; `loops` are the enclosing `FOR`
+/// loops, outermost first, as (variable, table).
 fn collect(
     stmts: &[Statement],
     registry: &ModuleRegistry,
-    views: &mut HashMap<String, LogicalPlan>,
-    target: &mut Option<LogicalPlan>,
+    script: &mut ScriptState,
+    loops: &[(&str, &str)],
 ) -> Result<(), CoreError> {
     for stmt in stmts {
         match stmt {
             Statement::CreateTableAs { name, query } => {
-                views.insert(name.clone(), lower_query(query));
+                let plan = inline_views(&lower_query(query), script);
+                script.views.insert(name.clone(), plan);
             }
             Statement::Insert { query, .. } => {
-                *target = Some(lower_query(query));
+                // Inside a loop the INSERT runs once per loop row.
+                let mut plan = inline_views(&lower_query(query), script);
+                for &(var, table) in loops.iter().rev() {
+                    let rows = LogicalPlan::Scan { table: table.to_owned(), partition: None };
+                    plan = LogicalPlan::ForEach {
+                        var: var.to_owned(),
+                        rows: Box::new(inline_views(&rows, script)),
+                        body: Box::new(plan),
+                    };
+                }
+                script.target = Some(plan);
             }
             Statement::ForLoop { var, table, body } => {
-                // The loop variable ranges over the table: for hardware
-                // compilation the whole table streams through, so the
-                // variable *is* the table.
-                views.insert(
-                    var.clone(),
-                    LogicalPlan::Scan { table: table.clone(), partition: None },
-                );
-                collect(body, registry, views, target)?;
+                let inner: Vec<(&str, &str)> =
+                    loops.iter().copied().chain([(var.as_str(), table.as_str())]).collect();
+                collect(body, registry, script, &inner)?;
+                // The loop has ended: a value set from its row is the
+                // table's column (a one-row table's only row).
+                for e in script.vars.values_mut() {
+                    requalify(e, var, table);
+                }
             }
             Statement::Exec { module, inputs } => {
                 let entry = registry.resolve(module)?;
@@ -275,64 +324,31 @@ fn collect(
                 // customs stay host-side (the §III-B engine runs them),
                 // so their output view simply does not exist here.
                 if let Some(template) = registry.template(&entry.name) {
-                    views.insert(format!("{}_OUT", entry.name), template(inputs)?);
+                    let plan = inline_views(&template(inputs)?, script);
+                    script.views.insert(format!("{}_OUT", entry.name), plan);
                 }
             }
-            Statement::Declare { .. } | Statement::Set { .. } => {}
+            Statement::Set { name, expr } => {
+                let value = substitute(expr, &script.vars);
+                script.vars.insert(name.clone(), value);
+            }
+            Statement::Declare { .. } => {}
         }
     }
     Ok(())
 }
 
-/// Substitutes scans of named views by their defining plans, transitively.
-fn inline_views(plan: &LogicalPlan, views: &HashMap<String, LogicalPlan>) -> LogicalPlan {
-    let recurse = |p: &LogicalPlan| inline_views(p, views);
+/// Substitutes scans of named views by their (already inlined) defining
+/// plans, and variables in `LIMIT` bounds by their current values.
+fn inline_views(plan: &LogicalPlan, script: &ScriptState) -> LogicalPlan {
     match plan {
-        LogicalPlan::Scan { table, .. } => match views.get(table) {
-            Some(def) => inline_views(def, views),
-            None => plan.clone(),
-        },
-        LogicalPlan::Project { input, items } => LogicalPlan::Project {
-            input: Box::new(recurse(input)),
-            items: items.clone(),
-        },
-        LogicalPlan::Filter { input, pred } => LogicalPlan::Filter {
-            input: Box::new(recurse(input)),
-            pred: pred.clone(),
-        },
-        LogicalPlan::Join { kind, left, right, left_key, right_key } => LogicalPlan::Join {
-            kind: *kind,
-            left: Box::new(recurse(left)),
-            right: Box::new(recurse(right)),
-            left_key: left_key.clone(),
-            right_key: right_key.clone(),
-        },
-        LogicalPlan::Aggregate { input, items, group_by } => LogicalPlan::Aggregate {
-            input: Box::new(recurse(input)),
-            items: items.clone(),
-            group_by: group_by.clone(),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(recurse(input)),
-            keys: keys.clone(),
-        },
+        LogicalPlan::Scan { table, .. } => script.views.get(table).unwrap_or(plan).clone(),
         LogicalPlan::Limit { input, offset, count } => LogicalPlan::Limit {
-            input: Box::new(recurse(input)),
-            offset: offset.clone(),
-            count: count.clone(),
+            input: Box::new(inline_views(input, script)),
+            offset: substitute(offset, &script.vars),
+            count: substitute(count, &script.vars),
         },
-        LogicalPlan::PosExplode { input, array, init_pos } => LogicalPlan::PosExplode {
-            input: Box::new(recurse(input)),
-            array: array.clone(),
-            init_pos: init_pos.clone(),
-        },
-        LogicalPlan::ReadExplode { input, pos, cigar, seq, qual } => LogicalPlan::ReadExplode {
-            input: Box::new(recurse(input)),
-            pos: pos.clone(),
-            cigar: cigar.clone(),
-            seq: seq.clone(),
-            qual: qual.clone(),
-        },
+        _ => plan.map_inputs(|input| inline_views(input, script)),
     }
 }
 
@@ -356,21 +372,11 @@ pub fn explain(plan: &LogicalPlan, registry: &ModuleRegistry) -> String {
             LogicalPlan::Limit { .. } => "Limit".to_owned(),
             LogicalPlan::PosExplode { .. } => "PosExplode".to_owned(),
             LogicalPlan::ReadExplode { .. } => "ReadExplode".to_owned(),
+            LogicalPlan::ForEach { var, .. } => format!("ForEach({var})"),
         };
         out.push_str(&format!("{indent}{label:<24} -> {module}\n"));
-        match p {
-            LogicalPlan::Scan { .. } => {}
-            LogicalPlan::Project { input, .. }
-            | LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::PosExplode { input, .. }
-            | LogicalPlan::ReadExplode { input, .. } => walk(input, registry, depth + 1, out),
-            LogicalPlan::Join { left, right, .. } => {
-                walk(left, registry, depth + 1, out);
-                walk(right, registry, depth + 1, out);
-            }
+        for input in p.inputs() {
+            walk(input, registry, depth + 1, out);
         }
     }
     let mut out = String::new();
@@ -378,9 +384,12 @@ pub fn explain(plan: &LogicalPlan, registry: &ModuleRegistry) -> String {
     out
 }
 
-/// The paper's Figure 4 script, adapted to this dialect (the reference
-/// table's position column is selected as `POS` via an alias, and the
-/// partition id is a literal parameter).
+/// The paper's Figure 4 script, adapted to this dialect: the reference
+/// table's position column is selected as `POS` via an alias, the
+/// partition id is a literal parameter, and the `LIMIT` offset counts
+/// from the window start `@wstart` — the partition's first reference
+/// position — since `RelevantReference`'s row `i` holds position
+/// `@wstart + i`.
 #[must_use]
 pub fn figure4_script(partition: u64) -> String {
     format!(
@@ -396,6 +405,10 @@ pub fn figure4_script(partition: u64) -> String {
          PosExplode (ReferenceRow.SEQ, ReferenceRow.POS)\n\
          FROM ReferenceRow\n\
          DECLARE @rlen int\n\
+         DECLARE @wstart int\n\
+         FOR RefRow IN ReferenceRow:\n\
+           SET @wstart = RefRow.POS\n\
+         END LOOP;\n\
          /* Iterate over Rows */\n\
          FOR SingleRead IN ReadPartition:\n\
            SET @rlen = SingleRead.ENDPOS - SingleRead.POS\n\
@@ -407,7 +420,7 @@ pub fn figure4_script(partition: u64) -> String {
            CREATE TABLE #ReadAndRef AS\n\
            SELECT #AlignedRead.SEQ, RelevantReference.SEQ\n\
            FROM #AlignedRead\n\
-           INNER JOIN (SELECT * FROM RelevantReference LIMIT SingleRead.POS, @rlen)\n\
+           INNER JOIN (SELECT * FROM RelevantReference LIMIT SingleRead.POS - @wstart, @rlen)\n\
            ON #AlignedRead.POS = RelevantReference.POS\n\
            /* Q3: count matching base pairs */\n\
            INSERT INTO Output\n\
@@ -560,8 +573,9 @@ mod tests {
     }
 
     #[test]
-    fn figure4_script_also_runs_on_the_software_engine() {
-        // The same script must execute under genesis-sql (§III-B semantics).
+    fn figure4_script_runs_on_both_engines() {
+        // The same script executes under genesis-sql (§III-B semantics)
+        // and compiles, over a reference window that starts past 0.
         use genesis_sql::{Catalog, Script};
         use genesis_types::{Base, Cigar, Column, Value};
         let reads_cigar: Cigar = "4M".parse().unwrap();
@@ -574,8 +588,8 @@ mod tests {
                 genesis_types::Field::new("SEQ", genesis_types::DataType::ListU8),
             ]),
             vec![
-                Column::U32(vec![2]),
-                Column::U32(vec![6]),
+                Column::U32(vec![102]),
+                Column::U32(vec![106]),
                 Column::ListU16(vec![reads_cigar.pack().unwrap()]),
                 Column::ListU8(vec![
                     Base::seq_from_str("GTAC").unwrap().iter().map(|b| b.code()).collect(),
@@ -590,7 +604,7 @@ mod tests {
                 genesis_types::Field::new("SEQ", genesis_types::DataType::ListU8),
             ]),
             vec![
-                Column::U32(vec![0]),
+                Column::U32(vec![100]),
                 Column::ListU8(vec![
                     Base::seq_from_str("ACGTACGT").unwrap().iter().map(|b| b.code()).collect(),
                 ]),
@@ -598,10 +612,14 @@ mod tests {
         )
         .unwrap();
         cat.register_partition("REF", 0, reference);
+        let compiled =
+            Compiler::new(DeviceConfig::small()).compile_sql(&figure4_script(0), &cat).unwrap();
+        let (hw, _) = compiled.execute(&cat).unwrap();
         Script::parse(&figure4_script(0)).unwrap().run(&mut cat).unwrap();
-        let out = cat.table("Output").unwrap();
-        assert_eq!(out.num_rows(), 1);
-        // Read GTAC at positions 2..6 vs reference ACGTACGT: GTAC matches.
-        assert_eq!(out.get(0, "SUM").unwrap(), Value::U64(4));
+        // Read GTAC at 102..106 vs reference ACGTACGT from 100: GTAC matches.
+        for out in [cat.table("Output").unwrap(), &hw] {
+            assert_eq!(out.num_rows(), 1);
+            assert_eq!(out.get(0, "SUM").unwrap(), Value::U64(4));
+        }
     }
 }

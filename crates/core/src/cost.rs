@@ -340,7 +340,7 @@ mod tests {
     use super::*;
 
     /// The profiles of the three retired seed fast paths (ColumnReduce,
-    /// CountMatchingBases, GroupCount), inlined verbatim from their deleted
+    /// the Figure 7 matching-base count, GroupCount), inlined verbatim from their deleted
     /// characterizations, pin the paper's Figure 8 factors: 16× for the
     /// reduce and metadata pipelines, 8× for the BRAM-heavy BQSR histogram.
     #[test]

@@ -16,8 +16,8 @@
 //! * [`device`] — the modeled F1 device: clock, pipeline replication, DMA
 //!   link, and job batching across parallel pipelines (paper Figure 8).
 //! * [`accel`] — the three paper accelerators (Mark Duplicates, Metadata
-//!   Update, BQSR covariate construction; Figures 10–12) plus the Figure 7
-//!   example pipeline, each with host-side orchestration and result merge.
+//!   Update, BQSR covariate construction; Figures 10–12), each with
+//!   host-side orchestration and result merge.
 //! * [`fault`] — deterministic, seed-replayable fault injection and the
 //!   recovery policy (retry with capped backoff, graceful degradation to
 //!   the software oracle).
@@ -41,16 +41,28 @@
 //!
 //! # Examples
 //!
+//! The paper's Figure 4 script compiled into its Figure 7 pipeline, run
+//! over the reads of one chromosome against that whole chromosome:
+//!
 //! ```
+//! use genesis_core::compile::{figure4_script, Compiler};
 //! use genesis_core::device::DeviceConfig;
-//! use genesis_core::accel::example::CountMatchingBases;
 //! use genesis_datagen::{DatagenConfig, Dataset};
+//! use genesis_sql::Catalog;
+//! use genesis_types::table::{reads_to_table, ref_segment_to_table};
 //!
 //! let dataset = Dataset::generate(&DatagenConfig::tiny());
-//! let accel = CountMatchingBases::new(DeviceConfig::small());
-//! let run = accel.run(&dataset.reads, &dataset.genome)?;
-//! assert_eq!(run.counts.len(), dataset.reads.len());
-//! # Ok::<(), genesis_core::CoreError>(())
+//! let chrom = dataset.genome.iter().next().unwrap();
+//! let reads: Vec<_> = dataset.reads.iter().filter(|r| r.chr == chrom.chrom).cloned().collect();
+//! let snp: Vec<bool> = chrom.is_snp.iter().collect();
+//! let mut catalog = Catalog::new();
+//! catalog.register_partition("READS", 0, reads_to_table(&reads)?);
+//! let reference = ref_segment_to_table(chrom.chrom.id(), 0, &chrom.seq, &snp);
+//! catalog.register_partition("REF", 0, reference);
+//! let plan = Compiler::new(DeviceConfig::small()).compile_sql(&figure4_script(0), &catalog)?;
+//! let (counts, _stats) = plan.execute(&catalog)?;
+//! assert_eq!(counts.num_rows(), reads.len()); // matching bases, one count per read
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]

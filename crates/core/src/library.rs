@@ -406,8 +406,9 @@ impl ModuleRegistry {
             // a stream it is a filter on row index.
             LogicalPlan::Limit { .. } => ModuleKind::SpmReader,
             LogicalPlan::Project { .. } => ModuleKind::Alu,
-            // Sorting stays on the host (§IV-B: the host sorts reads).
-            LogicalPlan::Sort { .. } => return None,
+            // Sorting stays on the host (§IV-B: the host sorts reads); a
+            // loop is the per-row delimiters of its stream, not a module.
+            LogicalPlan::Sort { .. } | LogicalPlan::ForEach { .. } => return None,
         })
     }
 }

@@ -43,6 +43,7 @@ use genesis_sql::ast::{AggFn, BinOp, ColRef, Expr, JoinKind, SelectItem};
 use genesis_sql::exec::{execute_plan, Env};
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::{Column, DataType, Field, Schema, Table, Value};
+use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,7 +92,9 @@ struct ColInfo {
     decode: Decode,
     /// May carry `Del` padding markers (introduced by LEFT JOIN).
     nullable: bool,
-    /// Values are strictly increasing (join-key precondition).
+    /// Values other than `Ins`/`Del` (which never match) strictly increase,
+    /// within each loop row when the stream carries one item per row
+    /// (join-key precondition).
     ascending: bool,
     /// Upper bound on the values, when derivable from the scanned data
     /// (sets the GROUP BY scratchpad domain).
@@ -110,11 +113,26 @@ struct ColInfo {
     origin: Option<(usize, usize)>,
 }
 
+impl ColInfo {
+    /// A column about which nothing beyond its name and decoding is known.
+    fn new(name: &str, decode: Decode) -> ColInfo {
+        ColInfo {
+            name: name.to_owned(),
+            decode,
+            nullable: false,
+            ascending: false,
+            max_value: None,
+            min_value: 0,
+            origin: None,
+        }
+    }
+}
+
 /// One scanned column, copied out of the catalog once — every cell
 /// widened to the `u64` a flit field carries — so the per-job build
 /// closures only capture `Sync` data (the [`Catalog`] holds non-`Sync`
 /// custom modules). Each replica's range narrows from here straight into
-/// device memory ([`PipelineBuilder::upload_values`]).
+/// device memory ([`PipelineBuilder::upload_column`]).
 #[derive(Debug, Clone)]
 struct PreparedCol {
     name: String,
@@ -153,6 +171,9 @@ struct PreparedScan {
     rows: usize,
     cols: Vec<PreparedCol>,
     explode: Option<ExplodeSpec>,
+    /// A reference window ([`prepare_window`]): the position of its
+    /// scratchpad's first element.
+    window: Option<u64>,
     /// Rows the scan held *before* predicate pushdown dropped any
     /// (`== rows` when nothing was pushed); feeds the
     /// `scan.rows_scanned` counter and the cost model's selectivity.
@@ -176,6 +197,20 @@ impl PreparedScan {
         hi - lo
     }
 }
+
+/// The `FOR var IN rows` loop a lowering's core runs in (its `ForEach`
+/// root): every stream carries one delimited item per loop row — the
+/// explode of the loop row and the reference windows emit them — and
+/// aggregates reduce per item.
+#[derive(Debug, Clone)]
+struct EachRow {
+    var: String,
+    rows: LogicalPlan,
+}
+
+/// Why a loop body leaf does not lower.
+const LOOP_LEAVES: &str =
+    "a loop body reads its loop row through an explode and other tables through reference windows";
 
 /// Host-side epilogue steps replayed through the software engine on the
 /// merged hardware output (bit-identical by construction).
@@ -244,6 +279,7 @@ enum JobOut {
 pub(crate) struct Lowering {
     core: LogicalPlan,
     epilogues: Vec<Epilogue>,
+    each_row: Option<Box<EachRow>>,
     /// Filter conjuncts absorbed into scan leaves (the host-side analog
     /// of GenStore's in-storage filtering): re-applied to the freshly
     /// bound scan data every time the lowering binds to a catalog.
@@ -292,6 +328,11 @@ struct BuildCtx<'a> {
     /// Device memory the sink writers allocated (recorded by the analysis
     /// build so a bind can reserve it up front).
     sink_bytes: usize,
+    /// The pipeline runs a loop body ([`EachRow`]).
+    per_row: bool,
+    /// The loop row's window bounds, uploaded with its explode and taken
+    /// by the window that reads them.
+    bounds: Option<(QueueId, QueueId)>,
 }
 
 impl<'a> BuildCtx<'a> {
@@ -299,6 +340,7 @@ impl<'a> BuildCtx<'a> {
         prepared: &'a [PreparedScan],
         spine_range: Range<usize>,
         group_domain_cap: u64,
+        per_row: bool,
     ) -> BuildCtx<'a> {
         let rows_bound = spine_range.len();
         BuildCtx {
@@ -313,6 +355,8 @@ impl<'a> BuildCtx<'a> {
             expansion: 1.0,
             rows_bound,
             sink_bytes: 0,
+            per_row,
+            bounds: None,
         }
     }
 
@@ -404,28 +448,38 @@ fn mirror(op: CmpOp) -> CmpOp {
 fn prepare_scans(
     plan: &LogicalPlan,
     catalog: &Catalog,
+    each_row: Option<&EachRow>,
     out: &mut Vec<PreparedScan>,
 ) -> Result<(), CoreError> {
-    match plan {
-        LogicalPlan::Scan { table, partition } => {
+    match (plan, each_row) {
+        (LogicalPlan::Scan { .. }, Some(_)) => Err(CoreError::unsupported("ForEach", LOOP_LEAVES)),
+        (LogicalPlan::Scan { table, partition }, None) => {
             let t = lookup_table(table, partition.as_ref(), catalog)?;
             out.push(prepare_table(table, t)?);
             Ok(())
         }
-        LogicalPlan::Project { input, .. }
-        | LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Aggregate { input, .. } => prepare_scans(input, catalog, out),
-        LogicalPlan::Join { left, right, .. } => {
-            prepare_scans(left, catalog, out)?;
-            prepare_scans(right, catalog, out)
+        (
+            LogicalPlan::Project { .. }
+            | LogicalPlan::Filter { .. }
+            | LogicalPlan::Aggregate { .. }
+            | LogicalPlan::Join { .. },
+            _,
+        ) => plan.inputs().try_for_each(|input| prepare_scans(input, catalog, each_row, out)),
+        (LogicalPlan::Limit { input, offset, count }, Some(each)) => {
+            let window = prepare_window(input, offset, count, catalog, each, out)?;
+            out.push(window);
+            Ok(())
         }
-        LogicalPlan::Sort { .. } | LogicalPlan::Limit { .. } => Err(CoreError::unsupported(
+        (LogicalPlan::Sort { .. } | LogicalPlan::Limit { .. }, _) => Err(CoreError::unsupported(
             plan_node_name(plan),
             "only supported as a final host-side step above the hardware pipeline",
         )),
-        LogicalPlan::PosExplode { .. } | LogicalPlan::ReadExplode { .. } => {
-            out.push(prepare_explode(plan, catalog)?);
+        (LogicalPlan::PosExplode { .. } | LogicalPlan::ReadExplode { .. }, _) => {
+            out.push(prepare_explode(plan, catalog, each_row)?);
             Ok(())
+        }
+        (LogicalPlan::ForEach { .. }, _) => {
+            Err(CoreError::unsupported("ForEach", "a loop nested in a loop body"))
         }
     }
 }
@@ -467,6 +521,7 @@ fn plan_node_name(plan: &LogicalPlan) -> &'static str {
         LogicalPlan::Limit { .. } => "Limit",
         LogicalPlan::PosExplode { .. } => "PosExplode",
         LogicalPlan::ReadExplode { .. } => "ReadExplode",
+        LogicalPlan::ForEach { .. } => "ForEach",
     }
 }
 
@@ -520,6 +575,7 @@ fn prepare_table(name: &str, t: &Table) -> Result<PreparedScan, CoreError> {
         rows,
         cols,
         explode: None,
+        window: None,
         rows_scanned: rows,
         kept: None,
     })
@@ -722,20 +778,25 @@ fn walk_cigar(packed: &[u64], node: &str) -> Result<CigarWalk, CoreError> {
 /// 13-bit packed run-length limit), so both explodes share the same
 /// hardware block — exactly how the library maps them.
 #[allow(clippy::too_many_lines)]
-fn prepare_explode(plan: &LogicalPlan, catalog: &Catalog) -> Result<PreparedScan, CoreError> {
+fn prepare_explode(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    each_row: Option<&EachRow>,
+) -> Result<PreparedScan, CoreError> {
     let node = plan_node_name(plan);
     let (input, pos_expr) = match plan {
         LogicalPlan::ReadExplode { input, pos, .. } => (input, pos.clone()),
         LogicalPlan::PosExplode { input, init_pos, .. } => (input, init_pos.clone()),
         _ => return Err(CoreError::Host("prepare_explode on non-explode".into())),
     };
-    let LogicalPlan::Scan { table, partition } = &**input else {
-        return Err(CoreError::unsupported(
-            node,
-            "explode over a derived stream (explode a base table scan)",
-        ));
+    // A loop body explodes its loop row: the loop's rows, one item each.
+    let input = match (&**input, each_row) {
+        (LogicalPlan::Scan { table, .. }, Some(each)) if *table == each.var => &each.rows,
+        (_, Some(_)) => return Err(CoreError::unsupported("ForEach", LOOP_LEAVES)),
+        (other, None) => other,
     };
-    let t = lookup_table(table, partition.as_ref(), catalog)?;
+    let (table, t) = source_table(input, catalog, node)?;
+    let t = &*t;
     let rows = t.num_rows();
     let pos_vals = explode_pos_vals(t, &pos_expr, node)?;
     let (cigar_col, seq_col, qual_col, out_names) = match plan {
@@ -840,36 +901,21 @@ fn prepare_explode(plan: &LogicalPlan, catalog: &Catalog) -> Result<PreparedScan
             prev_pos = Some(end - 1);
         }
     }
-    let data_max = |c: &PreparedCol| c.vals.iter().copied().max();
-    let mut out_cols = vec![ColInfo {
-        name: out_names[0].clone(),
-        decode: Decode::U64,
-        nullable: has_ins,
-        ascending,
-        max_value: Some(max_pos),
-        min_value: 0,
-        origin: None,
-    }];
-    out_cols.push(ColInfo {
-        name: out_names[1].clone(),
-        decode: seq_col.decode,
+    let data_col = |name: &str, c: &PreparedCol| ColInfo {
         nullable: has_del,
-        ascending: false,
-        max_value: data_max(&seq_col),
-        min_value: 0,
-        origin: None,
-    });
-    if let Some(q) = &qual_col {
-        out_cols.push(ColInfo {
-            name: out_names[2].clone(),
-            decode: q.decode,
-            nullable: has_del,
-            ascending: false,
-            max_value: data_max(q),
-            min_value: 0,
-            origin: None,
-        });
-    }
+        max_value: c.vals.iter().copied().max(),
+        ..ColInfo::new(name, c.decode)
+    };
+    let mut out_cols = vec![
+        ColInfo {
+            nullable: has_ins,
+            ascending,
+            max_value: Some(max_pos),
+            ..ColInfo::new(&out_names[0], Decode::U64)
+        },
+        data_col(&out_names[1], &seq_col),
+    ];
+    out_cols.extend(qual_col.as_ref().map(|q| data_col(&out_names[2], q)));
     let has_qual = qual_col.is_some();
     let mut cols = vec![
         PreparedCol {
@@ -884,13 +930,122 @@ fn prepare_explode(plan: &LogicalPlan, catalog: &Catalog) -> Result<PreparedScan
     ];
     cols.extend(qual_col);
     Ok(PreparedScan {
-        table: table.clone(),
+        table: table.to_owned(),
         rows,
         cols,
         explode: Some(ExplodeSpec { has_qual, out_cols, out_offsets, node }),
+        window: None,
         rows_scanned: rows,
         kept: None,
     })
+}
+
+/// Prepares a reference window: `LIMIT row.P - <start>, row.E - row.P`
+/// in the body of `FOR row`, over the `PosExplode` of a one-row table
+/// whose own start position is `<start>` — so the exploded table's row
+/// `i` holds position `<start> + i`, and the window is positions `[P, E)`
+/// clipped to the table exactly as the software `LIMIT` clips row
+/// indices. The reference values fill the window's scratchpad; each loop
+/// row's clipped bounds join the explode of the loop row (the spine,
+/// `out[0]`) as two more columns.
+fn prepare_window(
+    input: &LogicalPlan,
+    offset: &Expr,
+    count: &Expr,
+    catalog: &Catalog,
+    each: &EachRow,
+    out: &mut [PreparedScan],
+) -> Result<PreparedScan, CoreError> {
+    const NODE: &str = "Limit";
+    let shape = || {
+        CoreError::unsupported(
+            NODE,
+            "a window is LIMIT row.P - <start>, row.E - row.P over the PosExplode of one \
+             reference row starting at <start>",
+        )
+    };
+    let (
+        LogicalPlan::PosExplode { input: reference, array, init_pos },
+        Expr::Bin { op: BinOp::Sub, lhs: p, rhs: start },
+        Expr::Bin { op: BinOp::Sub, lhs: e, rhs: p_again },
+    ) = (input, offset, count)
+    else {
+        return Err(shape());
+    };
+    let of_row = |e: &Expr| matches!(e, Expr::Col(c) if c.table.as_deref() == Some(&each.var));
+    if !(of_row(p) && of_row(e) && p == p_again && **start == *init_pos) {
+        return Err(shape());
+    }
+    let (table, t) = source_table(reference, catalog, NODE)?;
+    if t.num_rows() != 1 {
+        return Err(CoreError::unsupported(
+            NODE,
+            format!("the window's reference table {table} holds {} rows, not one", t.num_rows()),
+        ));
+    }
+    let base = explode_pos_vals(&t, init_pos, NODE)?[0];
+    let values = flatten_list_col(&t, schema_col(&t, array, NODE)?, NODE)?;
+    let (_, loop_rows) = source_table(&each.rows, catalog, NODE)?;
+    let starts = explode_pos_vals(&loop_rows, p, NODE)?;
+    let ends = explode_pos_vals(&loop_rows, e, NODE)?;
+    let Some(spine) = out.first_mut().filter(|s| s.explode.is_some() && s.rows == starts.len())
+    else {
+        return Err(CoreError::unsupported(NODE, "a window joins the explode of its loop row"));
+    };
+    // The software LIMIT's rows [P - base, E - base) clipped to the table.
+    let clip = |row: u64| base.saturating_add(row.min(values.vals.len() as u64));
+    let lo = starts.iter().map(|&s| clip(s.wrapping_sub(base))).collect();
+    let hi = starts.iter().zip(&ends);
+    let hi = hi.map(|(&s, &e)| clip(s.wrapping_sub(base).saturating_add(e.wrapping_sub(s))));
+    let bound = |name: &str, vals| PreparedCol {
+        name: name.to_owned(),
+        elem_bytes: 8,
+        decode: Decode::U64,
+        vals,
+        lens: None,
+    };
+    spine.cols.extend([bound("WINDOW.START", lo), bound("WINDOW.END", hi.collect())]);
+    Ok(PreparedScan {
+        table: table.to_owned(),
+        rows: 1,
+        cols: vec![values],
+        explode: None,
+        window: Some(base),
+        rows_scanned: 1,
+        kept: None,
+    })
+}
+
+/// The table a leaf reads — a scan, or a projection that only selects (and
+/// renames) a scan's columns, materialized — with the scanned table's name.
+fn source_table<'p, 'c>(
+    plan: &'p LogicalPlan,
+    catalog: &'c Catalog,
+    node: &str,
+) -> Result<(&'p str, Cow<'c, Table>), CoreError> {
+    let derived = || {
+        CoreError::unsupported(
+            node,
+            "explode over a derived stream (explode a scan or a projection of its columns)",
+        )
+    };
+    let (scan, items) = match plan {
+        LogicalPlan::Project { input, items } => (&**input, Some(items)),
+        other => (other, None),
+    };
+    let LogicalPlan::Scan { table, partition } = scan else { return Err(derived()) };
+    let t = lookup_table(table, partition.as_ref(), catalog)?;
+    let Some(items) = items else { return Ok((table, Cow::Borrowed(t))) };
+    let mut fields = Vec::with_capacity(items.len());
+    let mut cols = Vec::with_capacity(items.len());
+    for item in items {
+        let SelectItem::Expr { expr: Expr::Col(c), alias } = item else { return Err(derived()) };
+        let i = schema_col(t, c, node)?;
+        let name = alias.clone().unwrap_or_else(|| c.display_name());
+        fields.push(Field::new(&name, t.schema().fields()[i].dtype));
+        cols.push(t.column_at(i).clone());
+    }
+    Ok((table, Cow::Owned(Table::from_columns(Schema::new(fields), cols)?)))
 }
 
 /// Width, decode and values of a `Cell` column whose cells are uniformly
@@ -956,8 +1111,14 @@ pub(crate) fn analyze(
     cfg: &DeviceConfig,
 ) -> Result<Arc<Lowering>, CoreError> {
     let (core, epilogues) = peel(plan)?;
+    let (core, each_row) = match core {
+        LogicalPlan::ForEach { var, rows, body } => {
+            (&**body, Some(Box::new(EachRow { var: var.clone(), rows: (**rows).clone() })))
+        }
+        other => (other, None),
+    };
     let mut prepared = Vec::new();
-    prepare_scans(core, catalog, &mut prepared)?;
+    prepare_scans(core, catalog, each_row.as_deref(), &mut prepared)?;
     // Predicate pushdown: absorb supported conjuncts of Filters sitting
     // directly above plain Scan leaves into the scans themselves, so the
     // scratch build below (and every job build after it) streams only
@@ -983,7 +1144,8 @@ pub(crate) fn analyze(
     }
     let spine_rows = prepared[0].rows;
     let mut sys = System::with_memory(cfg.mem.clone());
-    let mut ctx = BuildCtx::new(&prepared, 0..spine_rows, group_domain_cap(cfg));
+    let mut ctx =
+        BuildCtx::new(&prepared, 0..spine_rows, group_domain_cap(cfg), each_row.is_some());
     let mut b = PipelineBuilder::new(&mut sys, 0);
     let built = build_core(&mut b, &mut ctx, &core)?;
     let kind = match &built.sink {
@@ -1042,6 +1204,7 @@ pub(crate) fn analyze(
     Ok(Arc::new(Lowering {
         core,
         epilogues,
+        each_row,
         pushed,
         cols_names: built.cols.iter().map(|c| c.name.clone()).collect(),
         kind,
@@ -1252,7 +1415,8 @@ impl PreparedJob {
                 if group == 0 {
                     sys.reserve_mem(reserve);
                 }
-                let mut ctx = BuildCtx::new(prepared, r.clone(), group_domain_cap(cfg));
+                let per_row = self.lowering.each_row.is_some();
+                let mut ctx = BuildCtx::new(prepared, r.clone(), group_domain_cap(cfg), per_row);
                 let mut b = PipelineBuilder::new(sys, group);
                 let built = build_core(&mut b, &mut ctx, core);
                 timed(&build_ns, start);
@@ -1371,7 +1535,7 @@ impl Lowering {
         factor: usize,
     ) -> Result<PreparedJob, CoreError> {
         let mut prepared = Vec::new();
-        prepare_scans(&self.core, catalog, &mut prepared)?;
+        prepare_scans(&self.core, catalog, self.each_row.as_deref(), &mut prepared)?;
         // Re-apply the pushed conjuncts to the freshly bound data (the
         // catalog's tables may have changed since analysis).
         apply_pushdown(&mut prepared, &self.pushed)?;
@@ -1540,20 +1704,7 @@ impl Lowering {
 /// build identical structure), falling back to names only.
 fn rebuild_cols(names: &[String], outs: &[(JobOut, Vec<ColInfo>)]) -> Vec<ColInfo> {
     outs.first().map_or_else(
-        || {
-            names
-                .iter()
-                .map(|n| ColInfo {
-                    name: n.clone(),
-                    decode: Decode::U64,
-                    nullable: false,
-                    ascending: false,
-                    max_value: None,
-                    min_value: 0,
-                    origin: None,
-                })
-                .collect()
-        },
+        || names.iter().map(|n| ColInfo::new(n, Decode::U64)).collect(),
         |(_, cols)| cols.clone(),
     )
 }
@@ -1567,6 +1718,9 @@ fn build_core(
     match core {
         LogicalPlan::Aggregate { input, items, group_by } if group_by.is_empty() => {
             build_scalar_agg(b, ctx, input, items)
+        }
+        LogicalPlan::Aggregate { .. } if ctx.per_row => {
+            Err(CoreError::unsupported("ForEach", "a grouped aggregate per loop row"))
         }
         LogicalPlan::Aggregate { input, items, group_by } => {
             build_grouped_agg(b, ctx, input, items, group_by)
@@ -1602,6 +1756,7 @@ fn build_node(
         LogicalPlan::PosExplode { .. } | LogicalPlan::ReadExplode { .. } => {
             build_explode(b, ctx)
         }
+        LogicalPlan::Limit { .. } => build_window(b, ctx),
         LogicalPlan::Aggregate { .. } => Err(CoreError::unsupported(
             "Aggregate",
             "aggregation is only supported at the plan root",
@@ -1638,7 +1793,7 @@ fn build_explode(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<
         let q = match &c.lens {
             // One delimiter per row keeps POS aligned with the per-read
             // runs of the list streams.
-            None => b.upload_values(
+            None => b.upload_column(
                 &label,
                 &c.vals[range.clone()],
                 c.elem_bytes,
@@ -1650,7 +1805,7 @@ fn build_explode(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<
                 let flat_len: usize =
                     lens[range.clone()].iter().map(|&l| l as usize).sum();
                 let rows = PipelineBuilder::rows_from_lens(&lens[range.clone()]);
-                b.upload_values(
+                b.upload_column(
                     &label,
                     &c.vals[flat_start..flat_start + flat_len],
                     c.elem_bytes,
@@ -1667,15 +1822,20 @@ fn build_explode(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<
         seq: qs[2],
         qual: if spec.has_qual { Some(qs[3]) } else { None },
     };
+    // Columns past the explode's inputs are the loop row's window bounds.
+    if let &[start, end] = &qs[3 + usize::from(spec.has_qual)..] {
+        ctx.bounds = Some((start, end));
+    }
     let bases = b.queue(&ctx.lbl("explode.bases"));
     let rl = ctx.lbl("explode.rtb");
     b.system().add_module(Box::new(ReadToBases::new(&rl, inputs, bases)));
-    // Select [REFPOS, BASE(, QUAL)] and strip the per-read delimiters.
+    // Select [REFPOS, BASE(, QUAL)]; outside a loop body, also strip the
+    // per-read delimiters.
     let sel: Vec<usize> = if spec.has_qual { vec![0, 1, 2] } else { vec![0, 1] };
     let rows_q = b.queue(&ctx.lbl("explode.rows"));
     let zl = ctx.lbl("explode.zip");
-    b.system()
-        .add_module(Box::new(Zip::new(&zl, vec![ZipInput::new(bases, sel)], rows_q).with_drop_ends()));
+    let zip = Zip::new(&zl, vec![ZipInput::new(bases, sel)], rows_q);
+    b.system().add_module(Box::new(if ctx.per_row { zip } else { zip.with_drop_ends() }));
     let out_rows = spec.out_offsets[range.end] - spec.out_offsets[range.start];
     let in_rows = range.len().max(1);
     ctx.expansion = ctx.expansion.max(out_rows as f64 / in_rows as f64);
@@ -1686,7 +1846,40 @@ fn build_explode(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<
         ps.cols.len(),
         range.len(),
     ));
-    Ok(Stream { q: rows_q, cols: spec.out_cols.clone() })
+    let mut cols = spec.out_cols.clone();
+    // Within one read the aligned positions strictly increase.
+    cols[0].ascending |= ctx.per_row;
+    Ok(Stream { q: rows_q, cols })
+}
+
+/// Lowers a reference window ([`prepare_window`]): the scratchpad load and
+/// gated range-mode SPM Reader of [`PipelineBuilder::ref_window`], reading
+/// each loop row's bounds from the queues its explode uploaded, so the
+/// window emits one item per loop row.
+fn build_window(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Stream, CoreError> {
+    let idx = ctx.next_scan;
+    ctx.next_scan += 1;
+    let prepared = ctx.prepared;
+    let ps = &prepared[idx];
+    let (Some(base), Some((start, end))) = (ps.window, ctx.bounds.take()) else {
+        return Err(CoreError::Host("reference window without its loop-row bounds".into()));
+    };
+    let values = &ps.cols[0];
+    let label = ctx.lbl(&format!("{}.{}", ps.table, values.name));
+    let width = values.elem_bytes;
+    let refs = b.ref_window(&[(&label, &values.vals, width, width * 8)], start, end, base);
+    ctx.reads.push(width);
+    ctx.note(format!("Limit({}) -> MemoryReader + SpmUpdater + SpmReader(range)", ps.table));
+    let last = base.saturating_add((values.vals.len() as u64).saturating_sub(1));
+    let pos = ColInfo {
+        ascending: true,
+        max_value: Some(last),
+        min_value: base,
+        ..ColInfo::new("POS", Decode::U64)
+    };
+    let top = values.vals.iter().copied().max();
+    let data = ColInfo { max_value: top, ..ColInfo::new(&values.name, values.decode) };
+    Ok(Stream { q: refs, cols: vec![pos, data] })
 }
 
 /// `(strictly ascending, min, max)` of a scanned range, in one pass
@@ -1722,18 +1915,16 @@ fn build_scan(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Str
     for (ci, c) in ps.cols.iter().enumerate() {
         let vals = &c.vals[range.clone()];
         let label = ctx.lbl(&format!("{table}.{}", c.name));
-        let q = b.upload_values(&label, vals, c.elem_bytes, RowSpec::None);
+        let q = b.upload_column(&label, vals, c.elem_bytes, RowSpec::None);
         ctx.reads.push(c.elem_bytes);
         inputs.push(ZipInput::new(q, vec![0]));
         let (ascending, min_value, max_value) = range_stats(vals);
         cols.push(ColInfo {
-            name: c.name.clone(),
-            decode: c.decode,
-            nullable: false,
             ascending,
             max_value,
             min_value,
             origin: Some((idx, ci)),
+            ..ColInfo::new(&c.name, c.decode)
         });
     }
     let q = if inputs.len() == 1 {
@@ -1775,18 +1966,7 @@ struct PushedFilter {
 /// Column metadata of a bare prepared scan (what a `Filter` directly
 /// above the `Scan` leaf would see), for resolving pushed conjuncts.
 fn scan_infos(scan: &PreparedScan) -> Vec<ColInfo> {
-    scan.cols
-        .iter()
-        .map(|c| ColInfo {
-            name: c.name.clone(),
-            decode: c.decode,
-            nullable: false,
-            ascending: false,
-            max_value: None,
-            min_value: 0,
-            origin: None,
-        })
-        .collect()
+    scan.cols.iter().map(|c| ColInfo::new(&c.name, c.decode)).collect()
 }
 
 /// Rewrites the core plan for pushdown: every `Filter` sitting directly
@@ -1809,10 +1989,11 @@ fn push_down(plan: &LogicalPlan, prepared: &[PreparedScan]) -> (LogicalPlan, Vec
         pushed: &mut Vec<PushedFilter>,
     ) -> LogicalPlan {
         match plan {
-            // Explode leaves absorb their input scan; nothing to push.
+            // Explode and window leaves absorb their input; nothing to push.
             LogicalPlan::Scan { .. }
             | LogicalPlan::PosExplode { .. }
-            | LogicalPlan::ReadExplode { .. } => {
+            | LogicalPlan::ReadExplode { .. }
+            | LogicalPlan::Limit { .. } => {
                 *next_scan += 1;
                 plan.clone()
             }
@@ -1843,28 +2024,7 @@ fn push_down(plan: &LogicalPlan, prepared: &[PreparedScan]) -> (LogicalPlan, Vec
                     Some(pred) => LogicalPlan::Filter { input: input.clone(), pred },
                 }
             }
-            LogicalPlan::Filter { input, pred } => LogicalPlan::Filter {
-                input: Box::new(rewrite(input, prepared, next_scan, pushed)),
-                pred: pred.clone(),
-            },
-            LogicalPlan::Project { input, items } => LogicalPlan::Project {
-                input: Box::new(rewrite(input, prepared, next_scan, pushed)),
-                items: items.clone(),
-            },
-            LogicalPlan::Aggregate { input, items, group_by } => LogicalPlan::Aggregate {
-                input: Box::new(rewrite(input, prepared, next_scan, pushed)),
-                items: items.clone(),
-                group_by: group_by.clone(),
-            },
-            LogicalPlan::Join { kind, left, right, left_key, right_key } => LogicalPlan::Join {
-                kind: *kind,
-                left: Box::new(rewrite(left, prepared, next_scan, pushed)),
-                right: Box::new(rewrite(right, prepared, next_scan, pushed)),
-                left_key: left_key.clone(),
-                right_key: right_key.clone(),
-            },
-            // Sort/Limit were peeled off the core before pushdown runs.
-            other => other.clone(),
+            other => other.map_inputs(|input| rewrite(input, prepared, next_scan, pushed)),
         }
     }
     let mut pushed = Vec::new();
@@ -2323,15 +2483,7 @@ fn build_project(
             ProjItem::Pass { src, name } => ColInfo { name: name.clone(), ..s.cols[*src].clone() },
             ProjItem::Comp { plan, name, decode } => {
                 let (min_value, max_value) = comp_bounds(&s.cols, prepared, plan, *decode);
-                ColInfo {
-                    name: name.clone(),
-                    decode: *decode,
-                    nullable: false,
-                    ascending: false,
-                    max_value,
-                    min_value,
-                    origin: None,
-                }
+                ColInfo { max_value, min_value, ..ColInfo::new(name, *decode) }
             }
         })
         .collect();
@@ -2508,10 +2660,10 @@ fn build_join(
     let li = resolve(&l.cols, left_key, "Join")?;
     let ri = resolve(&r.cols, right_key, "Join")?;
     for (side, col) in [("left", &l.cols[li]), ("right", &r.cols[ri])] {
-        if col.decode != Decode::U64 || col.nullable {
+        if col.decode != Decode::U64 {
             return Err(CoreError::unsupported(
                 "Join",
-                format!("{side} key {} must be a non-nullable integer column", col.name),
+                format!("{side} key {} must be an integer column", col.name),
             ));
         }
         if !col.ascending {
@@ -2588,10 +2740,12 @@ fn build_scalar_agg(
     struct Spec {
         kind: ScalarKind,
         field: usize,
-        filter_markers: bool,
+        /// Rows the aggregate skips: marker rows for MIN/MAX, rows
+        /// failing the comparison `SUM` counts.
+        filter: Option<Predicate>,
         name: String,
     }
-    let mut specs = Vec::new();
+    let mut specs = Vec::with_capacity(items.len());
     for item in items {
         let SelectItem::Agg { func, arg, alias } = item else {
             return Err(CoreError::unsupported(
@@ -2603,7 +2757,7 @@ fn build_scalar_agg(
         let spec = match (func, arg) {
             // COUNT(*) / SUM(*) both count rows (the engine sums 1 per row).
             (AggFn::Count | AggFn::Sum, None) => {
-                Spec { kind: ScalarKind::Count, field: 0, filter_markers: false, name }
+                Spec { kind: ScalarKind::Count, field: 0, filter: None, name }
             }
             (AggFn::Min | AggFn::Max, None) => {
                 return Err(CoreError::unsupported(
@@ -2615,15 +2769,19 @@ fn build_scalar_agg(
                 let i = resolve(&s.cols, c, "Aggregate")?;
                 let col = &s.cols[i];
                 match func {
-                    AggFn::Count => {
-                        Spec { kind: ScalarKind::Count, field: i, filter_markers: false, name }
-                    }
+                    AggFn::Count => Spec { kind: ScalarKind::Count, field: i, filter: None, name },
                     AggFn::Sum => {
                         // U64 and Bool columns both sum (booleans as 0/1);
                         // the Reducer skips sentinel fields like the engine.
-                        Spec { kind: ScalarKind::Sum, field: i, filter_markers: false, name }
+                        Spec { kind: ScalarKind::Sum, field: i, filter: None, name }
                     }
                     AggFn::Min | AggFn::Max => {
+                        if ctx.per_row {
+                            return Err(CoreError::unsupported(
+                                "Aggregate",
+                                "MIN/MAX per loop row (an empty row yields NULL)",
+                            ));
+                        }
                         if col.decode != Decode::U64 {
                             return Err(CoreError::unsupported(
                                 "Aggregate",
@@ -2634,9 +2792,16 @@ fn build_scalar_agg(
                             ));
                         }
                         let kind = if *func == AggFn::Min { ScalarKind::Min } else { ScalarKind::Max };
-                        Spec { kind, field: i, filter_markers: col.nullable, name }
+                        let filter = col.nullable.then(|| Predicate::field_is_value(i));
+                        Spec { kind, field: i, filter, name }
                     }
                 }
+            }
+            // SUM over a comparison counts the rows where it holds: a
+            // Filter (markers compare unequal in both engines) and a COUNT.
+            (AggFn::Sum, Some(cmp @ Expr::Bin { op, .. })) if cmp_of(*op).is_some() => {
+                let filter = Some(lower_predicate(&s.cols, cmp)?);
+                Spec { kind: ScalarKind::Count, field: 0, filter, name }
             }
             (_, Some(_)) => {
                 return Err(CoreError::unsupported(
@@ -2662,15 +2827,10 @@ fn build_scalar_agg(
     let mut parts = Vec::with_capacity(specs.len());
     let mut cols = Vec::with_capacity(specs.len());
     for (spec, &bq) in specs.iter().zip(&branch_qs) {
-        let src = if spec.filter_markers {
-            let fq = b.queue(&ctx.lbl("agg.isval"));
-            let fl = ctx.lbl("agg.isval");
-            b.system().add_module(Box::new(Filter::new(
-                &fl,
-                Predicate::field_is_value(spec.field),
-                bq,
-                fq,
-            )));
+        let src = if let Some(pred) = spec.filter {
+            let fq = b.queue(&ctx.lbl("agg.filter"));
+            let fl = ctx.lbl("agg.filter");
+            b.system().add_module(Box::new(Filter::new(&fl, pred, bq, fq)));
             fq
         } else {
             bq
@@ -2684,23 +2844,25 @@ fn build_scalar_agg(
         let rq = b.queue(&ctx.lbl("agg.red"));
         let rl = ctx.lbl("agg.red");
         b.system().add_module(Box::new(Reducer::new(&rl, op, spec.field, src, rq)));
-        // Scalar writers move one element per whole input stream; they are
-        // not sustained memory ports, so they stay out of the cost profile.
-        let (writer, addr) = b.writer(&ctx.lbl("agg.out"), rq, 8, 8);
-        ctx.sink_bytes += line_padded(8);
+        // A Reducer emits once per item: per loop row in a loop body, else
+        // once per whole input stream — not a sustained memory port, so
+        // that writer stays out of the cost profile.
+        let rows = if ctx.per_row { ctx.spine_range.len() } else { 1 };
+        let (writer, addr) = b.writer(&ctx.lbl("agg.out"), rq, 8, rows * 8);
+        ctx.sink_bytes += line_padded(rows * 8);
+        if ctx.per_row {
+            ctx.writes.push(8);
+        }
         parts.push((spec.kind, writer, addr));
-        cols.push(ColInfo {
-            name: spec.name.clone(),
-            decode: Decode::U64,
-            nullable: false,
-            ascending: false,
-            max_value: None,
-            min_value: 0,
-            origin: None,
-        });
+        cols.push(ColInfo::new(&spec.name, Decode::U64));
     }
     ctx.note(format!("Aggregate -> {}x Reducer + MemoryWriter", specs.len()));
-    Ok(Built { sink: Sink::Scalar { parts }, cols })
+    let sink = if ctx.per_row {
+        Sink::Stream { writers: parts.iter().map(|&(_, w, addr)| (w, addr)).collect() }
+    } else {
+        Sink::Scalar { parts }
+    };
+    Ok(Built { sink, cols })
 }
 
 #[allow(clippy::too_many_lines)]
@@ -2899,14 +3061,10 @@ fn build_grouped_agg(
     }
     let cols: Vec<ColInfo> = gitems
         .iter()
-        .map(|gi| ColInfo {
-            name: gi.name.clone(),
-            decode: if gi.role == GroupRole::Key { kcol.decode } else { Decode::U64 },
-            nullable: false,
-            ascending: gi.role == GroupRole::Key,
-            max_value: None,
-            min_value: 0,
-            origin: None,
+        .map(|gi| {
+            let key = gi.role == GroupRole::Key;
+            let decode = if key { kcol.decode } else { Decode::U64 };
+            ColInfo { ascending: key, ..ColInfo::new(&gi.name, decode) }
         })
         .collect();
     ctx.note(format!(

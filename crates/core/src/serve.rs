@@ -28,7 +28,7 @@
 //!   (`server.deadline.misses`). Each device run reuses the PR 3 recovery
 //!   machinery (retry/backoff inside `run_batches`, oracle fallback, panic
 //!   containment).
-//! * **Two pools, one clock each.** `devices.len()` host threads execute:
+//! * **Two pools, one clock each.** `devices` host threads execute:
 //!   an idle one takes the next staged shard, promoting one job off the
 //!   fair queue when none is (the only prune point). The modeled devices
 //!   are a timeline ([`crate::sched::modeled_timeline`]): shards are
@@ -92,11 +92,12 @@ pub type OracleFn = Box<dyn FnOnce() -> Result<Table, CoreError> + Send>;
 /// Configuration of a [`GenesisServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// The simulated device pool: one modeled device and one host thread
-    /// per entry. It must be homogeneous ([`GenesisServer::new`] panics
-    /// otherwise): every shard simulates on the first entry, which is also
-    /// the compile target for cache misses.
-    pub devices: Vec<DeviceConfig>,
+    /// Size of the simulated device pool: one modeled device and one host
+    /// thread each.
+    pub devices: usize,
+    /// The model every pool device runs: every shard simulates on it, and
+    /// cache misses compile against it.
+    pub device: DeviceConfig,
     /// Compiled-pipeline LRU cache capacity in entries (`0` disables
     /// caching: every submit compiles and pays the reconfiguration
     /// penalty).
@@ -128,7 +129,8 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            devices: vec![DeviceConfig::default()],
+            devices: 1,
+            device: DeviceConfig::default(),
             cache_capacity: 32,
             reconfig_penalty_cycles: 2_500_000,
             max_pending: 256,
@@ -143,7 +145,8 @@ impl ServerConfig {
     /// A pool of `n` identical devices (clamped to ≥ 1).
     #[must_use]
     pub fn with_devices(mut self, n: usize, device: DeviceConfig) -> ServerConfig {
-        self.devices = vec![device; n.max(1)];
+        self.devices = n.max(1);
+        self.device = device;
         self
     }
 
@@ -800,7 +803,7 @@ pub struct GenesisServer {
 impl std::fmt::Debug for GenesisServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GenesisServer")
-            .field("devices", &self.cfg.devices.len())
+            .field("devices", &self.cfg.devices)
             .field("cache", &self.cache_stats())
             .field("queue_depth", &self.queue_depth())
             .finish()
@@ -809,19 +812,9 @@ impl std::fmt::Debug for GenesisServer {
 
 impl GenesisServer {
     /// Starts a server: one host thread per device.
-    ///
-    /// # Panics
-    ///
-    /// On a heterogeneous pool: every shard simulates on the first
-    /// device, so an entry that differs from it would be ignored.
     #[must_use]
     pub fn new(cfg: ServerConfig) -> GenesisServer {
-        let n = cfg.devices.len().max(1);
-        let device = cfg.devices.first().cloned().unwrap_or_default();
-        assert!(
-            cfg.devices.iter().all(|d| *d == device),
-            "GenesisServer pools are homogeneous: every device must equal devices[0]"
-        );
+        let n = cfg.devices.max(1);
         let metrics = Arc::new(MetricsRegistry::new());
         let core = Arc::new(ServerCore {
             state: Mutex::new(ServerState {
@@ -844,7 +837,7 @@ impl GenesisServer {
             done: Condvar::new(),
             phases: PhaseMetrics::new(&metrics),
             metrics,
-            device: device.clone(),
+            device: cfg.device.clone(),
             devices: n,
             shards: cfg.default_shards.max(1),
             epoch: Instant::now(),
@@ -858,7 +851,7 @@ impl GenesisServer {
                     .expect("spawn server worker")
             })
             .collect();
-        let compiler = Compiler::new(device);
+        let compiler = Compiler::new(cfg.device.clone());
         GenesisServer {
             core,
             cache: Mutex::new(CacheInner {
@@ -1545,14 +1538,6 @@ mod tests {
         for n in [1, 2, 4] {
             assert_eq!(small_server(n).workers.len(), n);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "homogeneous")]
-    fn heterogeneous_pool_is_rejected() {
-        let mut cfg = ServerConfig::default().with_devices(2, DeviceConfig::small());
-        cfg.devices[1] = DeviceConfig::default();
-        let _ = GenesisServer::new(cfg);
     }
 
     /// Regression: `submitted + Duration::MAX` overflowed `Instant` and

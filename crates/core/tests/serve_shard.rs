@@ -10,12 +10,16 @@
 //! Two fixed cases pin the modeled device timeline's placement — a shard
 //! goes to the device on which it can start first, ties to the lowest
 //! index, from its job's modeled arrival — that `modeled_device_time` and
-//! the modeled rows of `BENCH_serve.json` rest on.
+//! the modeled rows of `BENCH_serve.json` rest on. A third serves the
+//! paper's compiled Figure 4 sharded.
 
+use genesis_core::compile::figure4_script;
 use genesis_core::serve::{GenesisServer, Request, ServerConfig};
 use genesis_core::{Compiler, DeviceConfig};
+use genesis_datagen::{DatagenConfig, Dataset};
 use genesis_sql::ast::{AggFn, BinOp, ColRef, Expr, SelectItem};
 use genesis_sql::{Catalog, LogicalPlan};
+use genesis_types::table::{reads_to_table, ref_segment_to_table};
 use genesis_types::{Column, DataType, Field, Schema, Table};
 use std::time::Duration;
 
@@ -221,4 +225,34 @@ fn a_sequential_stream_stays_on_device_zero() {
     let busy = srv.modeled_device_time();
     assert!(!busy[0].is_zero());
     assert!(busy[1..].iter().all(Duration::is_zero), "idle devices modeled busy: {busy:?}");
+}
+
+/// The compiled Figure 4 served sharded: only the `READS` spine splits —
+/// every shard's replicas load the whole `REF` window, here one starting at
+/// 5 kbp — so 1 and 3 shards on a 2-device pool both return
+/// `PipelinePlan::execute`'s table.
+#[test]
+fn figure4_serves_sharded_bit_identical() {
+    const START: u32 = 5_000;
+    let dataset = Dataset::generate(&DatagenConfig::tiny());
+    let chrom = dataset.genome.iter().next().unwrap();
+    let reads: Vec<_> =
+        dataset.reads.iter().filter(|r| r.chr == chrom.chrom && r.pos >= START).cloned().collect();
+    let snp: Vec<bool> = chrom.is_snp.iter().skip(START as usize).collect();
+    let window = ref_segment_to_table(chrom.chrom.id(), START, &chrom.seq[START as usize..], &snp);
+    let mut cat = Catalog::new();
+    cat.register_partition("READS", 0, reads_to_table(&reads).unwrap());
+    cat.register_partition("REF", 0, window);
+    let plan = Compiler::new(DeviceConfig::small()).compile_sql(&figure4_script(0), &cat).unwrap();
+    let (direct, _) = plan.execute(&cat).unwrap();
+    assert_eq!(direct.num_rows(), reads.len());
+    for shards in [1, 3] {
+        let srv = GenesisServer::new(
+            ServerConfig::default().with_devices(2, DeviceConfig::small()).with_shards(shards),
+        );
+        let ticket = srv.submit(Request::precompiled("fig4", plan.clone()), &cat).unwrap();
+        let (out, _) = ticket.wait().unwrap();
+        assert!(out == direct, "{shards} shard(s) diverged from PipelinePlan::execute");
+        assert_eq!(srv.schedule_log().len(), shards, "the READS spine splits into the shards");
+    }
 }

@@ -295,6 +295,9 @@ pub fn execute_plan(
             let t = execute_plan(input, catalog, env)?;
             read_explode(&t, pos, cigar, seq, qual.as_ref(), env)
         }
+        LogicalPlan::ForEach { .. } => {
+            Err(SqlError::Eval("a FOR loop runs statement by statement (Script::run)".into()))
+        }
     }
 }
 

@@ -92,24 +92,97 @@ pub enum LogicalPlan {
         /// Optional quality column.
         qual: Option<ColRef>,
     },
+    /// `FOR var IN rows: … INSERT INTO … body END LOOP`: `body` once per
+    /// row of `rows`, with `var` bound to that row (a one-row table and a
+    /// column qualifier), the results concatenated in row order. It carries
+    /// a script's loop to the hardware compiler; the software engine runs
+    /// loops statement by statement (`Script::run`).
+    ForEach {
+        /// Loop variable.
+        var: String,
+        /// The rows iterated over.
+        rows: Box<LogicalPlan>,
+        /// The per-row plan.
+        body: Box<LogicalPlan>,
+    },
 }
 
 impl LogicalPlan {
-    /// Number of operator nodes (excluding scans).
-    #[must_use]
-    pub fn operator_count(&self) -> usize {
-        match self {
-            LogicalPlan::Scan { .. } => 0,
+    /// The node's inputs, left to right.
+    pub fn inputs(&self) -> impl Iterator<Item = &LogicalPlan> {
+        let (first, second) = match self {
+            LogicalPlan::Scan { .. } => (None, None),
             LogicalPlan::Project { input, .. }
             | LogicalPlan::Filter { input, .. }
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
             | LogicalPlan::PosExplode { input, .. }
-            | LogicalPlan::ReadExplode { input, .. } => 1 + input.operator_count(),
-            LogicalPlan::Join { left, right, .. } => {
-                1 + left.operator_count() + right.operator_count()
+            | LogicalPlan::ReadExplode { input, .. } => (Some(&**input), None),
+            LogicalPlan::Join { left, right, .. }
+            | LogicalPlan::ForEach { rows: left, body: right, .. } => {
+                (Some(&**left), Some(&**right))
             }
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// This node over new inputs: `f` maps each input, left to right.
+    #[must_use]
+    pub fn map_inputs(&self, mut f: impl FnMut(&LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        let mut map = |input: &LogicalPlan| Box::new(f(input));
+        match self {
+            LogicalPlan::Scan { .. } => self.clone(),
+            LogicalPlan::Project { input, items } => {
+                LogicalPlan::Project { input: map(input), items: items.clone() }
+            }
+            LogicalPlan::Filter { input, pred } => {
+                LogicalPlan::Filter { input: map(input), pred: pred.clone() }
+            }
+            LogicalPlan::Join { kind, left, right, left_key, right_key } => LogicalPlan::Join {
+                kind: *kind,
+                left: map(left),
+                right: map(right),
+                left_key: left_key.clone(),
+                right_key: right_key.clone(),
+            },
+            LogicalPlan::Aggregate { input, items, group_by } => LogicalPlan::Aggregate {
+                input: map(input),
+                items: items.clone(),
+                group_by: group_by.clone(),
+            },
+            LogicalPlan::Sort { input, keys } => {
+                LogicalPlan::Sort { input: map(input), keys: keys.clone() }
+            }
+            LogicalPlan::Limit { input, offset, count } => LogicalPlan::Limit {
+                input: map(input),
+                offset: offset.clone(),
+                count: count.clone(),
+            },
+            LogicalPlan::PosExplode { input, array, init_pos } => LogicalPlan::PosExplode {
+                input: map(input),
+                array: array.clone(),
+                init_pos: init_pos.clone(),
+            },
+            LogicalPlan::ReadExplode { input, pos, cigar, seq, qual } => LogicalPlan::ReadExplode {
+                input: map(input),
+                pos: pos.clone(),
+                cigar: cigar.clone(),
+                seq: seq.clone(),
+                qual: qual.clone(),
+            },
+            LogicalPlan::ForEach { var, rows, body } => {
+                LogicalPlan::ForEach { var: var.clone(), rows: map(rows), body: map(body) }
+            }
+        }
+    }
+
+    /// Number of operator nodes (excluding scans).
+    #[must_use]
+    pub fn operator_count(&self) -> usize {
+        match self {
+            LogicalPlan::Scan { .. } => 0,
+            _ => 1 + self.inputs().map(LogicalPlan::operator_count).sum::<usize>(),
         }
     }
 
@@ -118,16 +191,10 @@ impl LogicalPlan {
     pub fn scans(&self) -> Vec<&str> {
         match self {
             LogicalPlan::Scan { table, .. } => vec![table],
-            LogicalPlan::Project { input, .. }
-            | LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::PosExplode { input, .. }
-            | LogicalPlan::ReadExplode { input, .. } => input.scans(),
-            LogicalPlan::Join { left, right, .. } => {
-                let mut s = left.scans();
-                s.extend(right.scans());
+            _ => {
+                let mut inputs = self.inputs().map(LogicalPlan::scans);
+                let mut s = inputs.next().unwrap_or_default();
+                s.extend(inputs.flatten());
                 s
             }
         }

@@ -1,13 +1,18 @@
 //! Property-based equivalence: for arbitrary generated data sets, the
 //! hardware pipelines agree with the software oracles.
 
-use genesis::core::accel::example::{count_matching_bases_sw, CountMatchingBases};
+mod common;
+
+use common::count_matching_bases_sw;
 use genesis::core::accel::markdup::QualitySumAccel;
 use genesis::core::accel::metadata::MetadataAccel;
+use genesis::core::compile::{figure4_script, Compiler};
 use genesis::core::device::DeviceConfig;
 use genesis::datagen::{DatagenConfig, Dataset};
 use genesis::gatk::markdup::quality_sums;
 use genesis::gatk::metadata::set_nm_md_uq_tags;
+use genesis::types::Value;
+use genesis_bench::scenarios::figure4_partitions;
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = DatagenConfig> {
@@ -46,9 +51,18 @@ proptest! {
     #[test]
     fn matching_bases_equivalence(cfg in arb_config()) {
         let dataset = Dataset::generate(&cfg);
-        let accel = CountMatchingBases::new(DeviceConfig::small().with_psize(5_000));
-        let run = accel.run(&dataset.reads, &dataset.genome).unwrap();
-        prop_assert_eq!(run.counts, count_matching_bases_sw(&dataset.reads, &dataset.genome));
+        let oracle = count_matching_bases_sw(&dataset.reads, &dataset.genome);
+        let parts = figure4_partitions(&dataset, 5_000);
+        let plan = Compiler::new(DeviceConfig::small())
+            .compile_sql(&figure4_script(0), &parts[0].1)
+            .unwrap();
+        for (read_indices, cat) in &parts {
+            let (out, _) = plan.execute(cat).unwrap();
+            let got: Vec<Value> = (0..out.num_rows()).map(|r| out.get(r, "SUM").unwrap()).collect();
+            let want: Vec<Value> =
+                read_indices.iter().map(|&i| Value::U64(u64::from(oracle[i as usize]))).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -1,66 +1,41 @@
-//! The paper's core claim, tested directly: the extended-SQL query (run
-//! on the software engine) and the hand-mapped Figure 7 hardware pipeline
-//! (run on the cycle-level simulator) produce the same answers.
+//! The paper's core claim, tested directly: the Figure 4 extended-SQL
+//! script gives every read the same matching-base count on the software
+//! engine, as one compiled Figure 7 pipeline run partition by partition,
+//! and by direct computation over the reads.
 
-use genesis::core::accel::example::CountMatchingBases;
+mod common;
+
+use common::count_matching_bases_sw;
 use genesis::core::compile::{figure4_script, Compiler};
 use genesis::core::device::DeviceConfig;
-use genesis::core::CoreError;
 use genesis::datagen::{DatagenConfig, Dataset};
-use genesis::sql::{Catalog, Script};
-use genesis::types::table::{reads_to_table, ref_segment_to_table};
-use genesis::types::{PartitionScheme, ReadRecord};
+use genesis::sql::Script;
+use genesis::types::Value;
+use genesis_bench::scenarios::figure4_partitions;
 
 #[test]
 fn figure4_sql_equals_figure7_hardware() {
-    let cfg = DatagenConfig::tiny();
-    let dataset = Dataset::generate(&cfg);
-    let psize = 20_000u32;
-
-    // --- Software side: run the Figure 4 script per partition. ---
-    let scheme = PartitionScheme::new(psize, cfg.read_len);
-    let parts = scheme.partition_reads(&dataset.reads);
-    let mut sql_counts: Vec<(u32, u64)> = Vec::new(); // (read index, count)
-    let compiler = Compiler::new(DeviceConfig::small());
-    for part in &parts {
-        let ref_part = scheme.reference_partition(&dataset.genome, part.pid).unwrap();
-        let reads: Vec<ReadRecord> =
-            part.read_indices.iter().map(|&i| dataset.reads[i as usize].clone()).collect();
-        let mut cat = Catalog::new();
-        cat.register_partition("READS", 0, reads_to_table(&reads).unwrap());
-        let snp: Vec<bool> = ref_part.is_snp.iter().collect();
-        cat.register_partition(
-            "REF",
-            0,
-            ref_segment_to_table(part.pid.chrom.id(), ref_part.start, &ref_part.seq, &snp),
-        );
-        Script::parse(&figure4_script(0)).unwrap().run(&mut cat).unwrap();
-        // Figure 4 → Figure 7 is the paper's manual mapping (§III-D): the
-        // compiler does not lower the script's explode over a derived
-        // stream or its mid-plan `LIMIT` window, and says so with a
-        // structured error instead of returning a plan that cannot run.
-        let err = compiler.compile_sql(&figure4_script(0), &cat).unwrap_err();
-        assert!(matches!(err, CoreError::Unsupported { .. }), "got: {err}");
-        let out = cat.table("Output").unwrap();
-        assert_eq!(out.num_rows(), reads.len());
-        for (row, &idx) in part.read_indices.iter().enumerate() {
-            let v = out.get(row, "SUM").unwrap().as_u64().unwrap();
-            sql_counts.push((idx, v));
+    let dataset = Dataset::generate(&DatagenConfig::tiny());
+    let oracle = count_matching_bases_sw(&dataset.reads, &dataset.genome);
+    let script = figure4_script(0);
+    // 20 kbp partitions are whole chromosomes; at 5 kbp most reference
+    // windows start past position 0.
+    for psize in [20_000, 5_000] {
+        let mut parts = figure4_partitions(&dataset, psize);
+        let plan = Compiler::new(DeviceConfig::small()).compile_sql(&script, &parts[0].1).unwrap();
+        let mut reads = 0;
+        for (read_indices, cat) in &mut parts {
+            let (hw, _) = plan.execute(cat).unwrap();
+            Script::parse(&script).unwrap().run(cat).unwrap();
+            let sw = cat.table("Output").unwrap();
+            assert_eq!((sw.num_rows(), hw.num_rows()), (read_indices.len(), read_indices.len()));
+            for (row, &idx) in read_indices.iter().enumerate() {
+                let want = Value::U64(u64::from(oracle[idx as usize]));
+                let got = (sw.get(row, "SUM").unwrap(), hw.get(row, "SUM").unwrap());
+                assert_eq!(got, (want.clone(), want), "psize {psize}, read {idx}: (SQL, compiled)");
+            }
+            reads += read_indices.len();
         }
-    }
-    sql_counts.sort_unstable();
-
-    // --- Hardware side: the hand-wired Figure 7 pipeline. ---
-    let accel =
-        CountMatchingBases::new(DeviceConfig::small().with_psize(psize));
-    let run = accel.run(&dataset.reads, &dataset.genome).unwrap();
-
-    assert_eq!(sql_counts.len(), run.counts.len());
-    for (idx, sql_count) in sql_counts {
-        assert_eq!(
-            u64::from(run.counts[idx as usize]),
-            sql_count,
-            "read {idx}: SQL engine and hardware disagree"
-        );
+        assert_eq!(reads, dataset.reads.len(), "every read sits in one partition");
     }
 }
