@@ -5,7 +5,7 @@
 //! the GenAx class sustaining 4 058 K reads/s replaces the software
 //! alignment stage (§IV-A).
 
-use genesis_bench::{fmt_dur, print_fraction_bar};
+use genesis_bench::{env_scale, fmt_dur, print_fraction_bar};
 use genesis_datagen::{DatagenConfig, Dataset};
 use genesis_gatk::{PreprocessingPipeline, StageTimings};
 use std::time::Duration;
@@ -16,8 +16,7 @@ const GENAX_READS_PER_SEC: f64 = 4_058_000.0;
 fn main() {
     // Alignment is the expensive stage; use a smaller data set than the
     // other harnesses so the k-mer index + banded extension stay fast.
-    let scale = std::env::var("GENESIS_SCALE").unwrap_or_else(|_| "medium".to_owned());
-    let cfg = match scale.as_str() {
+    let cfg = match env_scale() {
         "tiny" => DatagenConfig { num_reads: 500, chrom_len: 50_000, ..DatagenConfig::tiny() },
         "small" => DatagenConfig {
             num_reads: 5_000,
@@ -25,6 +24,7 @@ fn main() {
             num_chromosomes: 2,
             ..DatagenConfig::default()
         },
+        // medium and large
         _ => DatagenConfig {
             num_reads: 20_000,
             chrom_len: 500_000,

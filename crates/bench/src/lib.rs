@@ -2,10 +2,12 @@
 //!
 //! The benchmark harness: one binary per paper figure/table (DESIGN.md §4)
 //! plus the snapshot benches that write `BENCH_*.json`, sharing data-set
-//! scales, scenarios and reporting helpers from this library.
+//! scales, scenarios and reporting helpers from this library — and
+//! [`run`], the `genesis` script runner.
 //!
 //! Scale selection: set `GENESIS_SCALE` to `tiny`, `small`, `medium`
-//! (default) or `large`. All harness binaries honor it.
+//! (default) or `large`. All harness binaries honor it; any other value
+//! stops them with exit code 2.
 
 #![warn(missing_docs)]
 
@@ -16,14 +18,20 @@ pub mod snapshot;
 use genesis_core::accel::bqsr::{accelerated_bqsr_table, BqsrAccel};
 use genesis_core::accel::markdup::{accelerated_mark_duplicates, QualitySumAccel};
 use genesis_core::accel::metadata::{accelerated_metadata_update, MetadataAccel};
+use genesis_core::compile::Compiler;
 use genesis_core::device::DeviceConfig;
-use genesis_core::env::GenesisEnv;
+use genesis_core::env::{suggest, GenesisEnv};
 use genesis_core::perf::{AccelStats, Breakdown};
+use genesis_core::serve::{GenesisServer, Request, ServerConfig};
 use genesis_datagen::{DatagenConfig, Dataset};
 use genesis_gatk::bqsr::build_covariate_table;
 use genesis_gatk::markdup::mark_duplicates;
 use genesis_gatk::metadata::set_nm_md_uq_tags;
 use genesis_hw::resource::{VU9P_BRAM_BYTES, VU9P_LUTS, VU9P_REGISTERS};
+use genesis_sql::ast::Statement;
+use genesis_sql::{Catalog, Script};
+use genesis_types::Table;
+use std::error::Error;
 use std::time::{Duration, Instant};
 
 /// Measures `f` three times and returns the minimum — robust against
@@ -42,26 +50,47 @@ fn best_of_3<R>(mut f: impl FnMut() -> R) -> (Duration, R) {
     best.expect("three runs happened")
 }
 
-/// Returns the experiment data-set configuration for the selected scale.
+/// The generated data-set scales, smallest first: what `GENESIS_SCALE`
+/// and the `genesis` runner's data-set argument accept.
+const SCALES: [&str; 4] = ["tiny", "small", "medium", "large"];
+
+/// The data-set configuration a scale names, or `None` for a name outside
+/// [`SCALES`].
+fn scale(name: &str) -> Option<DatagenConfig> {
+    let genome = |num_chromosomes, chrom_len, num_reads| DatagenConfig {
+        num_chromosomes,
+        chrom_len,
+        num_reads,
+        ..DatagenConfig::default()
+    };
+    match name {
+        "tiny" => Some(DatagenConfig::tiny()),
+        "small" => Some(DatagenConfig::small()),
+        "medium" => Some(genome(4, 1_000_000, 100_000)),
+        "large" => Some(genome(4, 2_000_000, 200_000)),
+        _ => None,
+    }
+}
+
+/// The scale `GENESIS_SCALE` names (`tiny`, `small`, `medium` or `large`),
+/// `medium` when it is unset — the one place the harness reads it. Any
+/// other value prints the accepted names and exits 2.
+#[must_use]
+pub fn env_scale() -> &'static str {
+    let name = match std::env::var("GENESIS_SCALE") {
+        Err(std::env::VarError::NotPresent) => return "medium",
+        other => other.unwrap_or_default(),
+    };
+    SCALES.into_iter().find(|s| *s == name).unwrap_or_else(|| {
+        eprintln!("error: GENESIS_SCALE={name:?} is not one of {}", SCALES.join(", "));
+        std::process::exit(2);
+    })
+}
+
+/// The experiment data-set configuration of [`env_scale`].
 #[must_use]
 pub fn scale_config() -> DatagenConfig {
-    let scale = std::env::var("GENESIS_SCALE").unwrap_or_else(|_| "medium".to_owned());
-    match scale.as_str() {
-        "tiny" => DatagenConfig::tiny(),
-        "small" => DatagenConfig::small(),
-        "large" => DatagenConfig {
-            num_chromosomes: 4,
-            chrom_len: 2_000_000,
-            num_reads: 200_000,
-            ..DatagenConfig::default()
-        },
-        _ => DatagenConfig {
-            num_chromosomes: 4,
-            chrom_len: 1_000_000,
-            num_reads: 100_000,
-            ..DatagenConfig::default()
-        },
-    }
+    scale(env_scale()).expect("every name in SCALES resolves")
 }
 
 /// The harness's base device: the F1-like defaults plus whatever the
@@ -72,6 +101,119 @@ pub fn env_device() -> DeviceConfig {
     DeviceConfig::from_env().unwrap_or_else(|e| {
         eprintln!("error: {e}\n\n{}", GenesisEnv::help());
         std::process::exit(2);
+    })
+}
+
+/// How many result rows [`run`] prints.
+const PREVIEW_ROWS: usize = 8;
+
+/// Runs the extended-SQL `script` on every catalog of the data set named
+/// `data` and returns what the `genesis` binary prints on stdout.
+///
+/// `data` is `genomics` ([`scenarios::genomics_catalog`]) or a scale
+/// [`env_scale`] accepts, generated and cut by [`scenarios::figure4_partitions`] into
+/// one catalog per (chromosome, `psize`-window) at the device's `psize`.
+/// The script is compiled once against the first catalog and submitted for
+/// every catalog to a [`GenesisServer`] built from `cfg`; while the tickets
+/// are in flight the SQL engine runs the same script on each catalog. The
+/// text holds the explain, the row count, the first rows and a footer on
+/// the modeled clock only (simulated cycles and the pool's modeled
+/// makespan), so it is the same on every run.
+///
+/// # Errors
+///
+/// An unknown data set, a script the SQL engine or the compiler rejects
+/// (a parse error, an unknown table), a failed run, or a result table that
+/// differs from the SQL engine's on any catalog.
+pub fn run(script: &str, data: &str, cfg: ServerConfig) -> Result<String, Box<dyn Error>> {
+    let sql = Script::parse(script)?;
+    let target = insert_target(sql.statements()).ok_or("the script has no INSERT INTO")?;
+    let catalogs = data_set(data, cfg.device.psize)?;
+    let first = catalogs.first().ok_or_else(|| format!("data set `{data}` has no catalog"))?;
+    let plan = Compiler::new(cfg.device.clone()).compile_sql(script, first)?;
+    let mut out = plan.explain();
+
+    let server = GenesisServer::new(cfg.start_paused());
+    let tickets = catalogs
+        .iter()
+        .map(|cat| server.submit(Request::precompiled("genesis", plan.clone()), cat))
+        .collect::<Result<Vec<_>, _>>()?;
+    server.resume();
+    let mut expected = Vec::new();
+    for mut cat in catalogs {
+        sql.run(&mut cat)?;
+        let table = cat.remove(target).ok_or_else(|| format!("the SQL engine wrote no {target}"))?;
+        expected.push(table);
+    }
+
+    let (mut rows, mut cycles, mut preview) = (0, 0, Vec::new());
+    for (i, (ticket, want)) in tickets.into_iter().zip(&expected).enumerate() {
+        let (got, stats) = ticket.wait()?;
+        if let Some(diff) = difference(&got, want) {
+            return Err(format!("catalog {i}: hardware and SQL engine differ: {diff}").into());
+        }
+        preview.extend((0..got.num_rows()).take(PREVIEW_ROWS - preview.len()).map(|r| got.row(r)));
+        rows += got.num_rows();
+        cycles += stats.cycles;
+    }
+    out += &format!(
+        "\n{target}: {rows} rows from {} catalog(s), identical to the SQL engine\n",
+        expected.len()
+    );
+    let line = |cells: Vec<String>| {
+        cells.iter().map(|c| format!("{c:>12}")).collect::<Vec<_>>().join(" ") + "\n"
+    };
+    out += &line(expected[0].schema().fields().iter().map(|f| f.name.clone()).collect());
+    for row in &preview {
+        out += &line(row.iter().map(ToString::to_string).collect());
+    }
+    let makespan = server.modeled_device_time().into_iter().max().unwrap_or_default();
+    out += &format!(
+        "\nmodeled: {cycles} cycles simulated, {} device time on {} device(s)\n",
+        fmt_dur(makespan),
+        server.devices()
+    );
+    Ok(out)
+}
+
+/// The table a script's last `INSERT INTO` writes — the one the compiler
+/// compiles.
+fn insert_target(stmts: &[Statement]) -> Option<&str> {
+    stmts.iter().rev().find_map(|stmt| match stmt {
+        Statement::Insert { name, .. } => Some(name.as_str()),
+        Statement::ForLoop { body, .. } => insert_target(body),
+        _ => None,
+    })
+}
+
+/// The catalogs of the data set `name` (see [`run`]).
+fn data_set(name: &str, psize: u32) -> Result<Vec<Catalog>, String> {
+    if name == "genomics" {
+        return Ok(vec![scenarios::genomics_catalog()]);
+    }
+    let Some(cfg) = scale(name) else {
+        let names: Vec<&str> = std::iter::once("genomics").chain(SCALES).collect();
+        let hint = suggest(name, names.iter().copied())
+            .map_or_else(String::new, |s| format!(" (did you mean `{s}`?)"));
+        let names = names.join(", ");
+        return Err(format!("unknown data set `{name}`{hint}; expected one of {names}"));
+    };
+    let dataset = Dataset::generate(&cfg);
+    Ok(scenarios::figure4_partitions(&dataset, psize).into_iter().map(|(_, cat)| cat).collect())
+}
+
+/// The first way `got` differs from `want`, if any: column names, row
+/// count, then the first differing row.
+fn difference(got: &Table, want: &Table) -> Option<String> {
+    let names = |t: &Table| t.schema().fields().iter().map(|f| f.name.clone()).collect::<Vec<_>>();
+    if names(got) != names(want) {
+        return Some(format!("columns {:?} vs {:?}", names(got), names(want)));
+    }
+    if got.num_rows() != want.num_rows() {
+        return Some(format!("{} rows vs {}", got.num_rows(), want.num_rows()));
+    }
+    (0..got.num_rows()).find(|&r| got.row(r) != want.row(r)).map(|r| {
+        format!("row {r}: {:?} vs {:?}", got.row(r), want.row(r))
     })
 }
 
@@ -300,9 +442,10 @@ mod tests {
 
     #[test]
     fn scales_resolve() {
-        std::env::remove_var("GENESIS_SCALE");
-        let cfg = scale_config();
-        assert!(cfg.num_reads >= 1000);
+        let reads: Vec<usize> =
+            SCALES.iter().map(|s| scale(s).expect("a listed scale resolves").num_reads).collect();
+        assert!(reads.windows(2).all(|w| w[0] < w[1]), "smallest first: {reads:?}");
+        assert!(scale("0.3").is_none() && scale("Medium").is_none());
     }
 
     #[test]
@@ -314,7 +457,6 @@ mod tests {
 
     #[test]
     fn stages_measure_on_tiny_data() {
-        std::env::set_var("GENESIS_SCALE", "tiny");
         let mut cfg = DatagenConfig::tiny();
         cfg.num_reads = 200;
         let dataset = Dataset::generate(&cfg);
@@ -323,6 +465,5 @@ mod tests {
         for c in &comparisons {
             assert!(c.stats.cycles > 0, "{:?} has no cycles", c.stage);
         }
-        std::env::remove_var("GENESIS_SCALE");
     }
 }

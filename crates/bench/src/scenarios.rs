@@ -314,45 +314,18 @@ pub fn replication_rows(workloads: &[Replication]) -> Vec<Row> {
 
 // --- workloads ---------------------------------------------------------
 
-const COVERAGE_SQL: &str = "\
-    CREATE TABLE Bases AS\n\
-    ReadExplode (READS.POS, READS.CIGAR, READS.SEQ)\n\
-    FROM READS\n\
-    INSERT INTO Coverage\n\
-    SELECT POS, COUNT(*)\n\
-    FROM Bases\n\
-    WHERE POS < 4096\n\
-    GROUP BY POS\n\
-    ORDER BY POS";
+/// `scripts/coverage.sql`: per-position pileup depth below 4,096.
+const COVERAGE_SQL: &str = include_str!("../../../scripts/coverage.sql");
 
-/// A ~10%-selective filtered scan: `POS = i*3 + 1` keeps rows `i < 800`
-/// of the 8 000 pairs. With pushdown the predicate is absorbed into the
-/// scan (surviving rows only reach the device and the replication
-/// chooser caps the factor at the selectivity); without it the same
-/// conjunct runs as a hardware Filter module over the full stream.
-const PUSHDOWN_SQL: &str = "\
-    INSERT INTO Selected\n\
-    SELECT *\n\
-    FROM PAIRS\n\
-    WHERE POS < 2400";
+/// `scripts/selected.sql`: a ~10%-selective filtered scan over the
+/// genomics `PAIRS` (`POS = i*3 + 1` keeps rows `i < 800` of the 8 000
+/// pairs). With pushdown the replication chooser caps the factor at the
+/// selectivity.
+const SELECTED_SQL: &str = include_str!("../../../scripts/selected.sql");
 
-const MATE_DISTANCE_SQL: &str = "\
-    CREATE TABLE RefPos AS\n\
-    PosExplode (REF.SEQ, REF.POS)\n\
-    FROM REF\n\
-    CREATE TABLE Joined AS\n\
-    SELECT *\n\
-    FROM PAIRS\n\
-    INNER JOIN RefPos\n\
-    ON PAIRS.POS = RefPos.POS\n\
-    CREATE TABLE Dist AS\n\
-    SELECT PAIRS.MPOS - PAIRS.POS AS D\n\
-    FROM Joined\n\
-    INSERT INTO MateHist\n\
-    SELECT D, COUNT(*)\n\
-    FROM Dist\n\
-    GROUP BY D\n\
-    ORDER BY D";
+/// `scripts/mate_distance.sql`: the `MPOS - POS` histogram of the pairs
+/// that join the exploded reference.
+const MATE_DISTANCE_SQL: &str = include_str!("../../../scripts/mate_distance.sql");
 
 /// Mixed CIGAR shapes with the query length each consumes.
 const CIGARS: [(&str, usize); 6] =
@@ -410,10 +383,10 @@ pub fn genomics_catalog() -> Catalog {
 
 /// The catalogs the paper's Figure 4 script runs on, one per (chromosome,
 /// `psize`-window) partition of `dataset` in partition order, each with
-/// the indices of its reads: the partition's reads as `READS PARTITION
-/// (0)` and its reference window as `REF PARTITION (0)`. The window
-/// overlap is the longest reference span of any read, so every read finds
-/// all the bases it covers in its own partition.
+/// the indices of its reads: the partition's reads as `READS` and `READS
+/// PARTITION (0)`, its reference window as `REF` and `REF PARTITION (0)`.
+/// The window overlap is the longest reference span of any read, so every
+/// read finds all the bases it covers in its own partition.
 #[must_use]
 pub fn figure4_partitions(dataset: &Dataset, psize: u32) -> Vec<(Vec<u32>, Catalog)> {
     let overlap = dataset.reads.iter().map(|r| r.end_pos() - r.pos).max().unwrap_or(0);
@@ -426,11 +399,14 @@ pub fn figure4_partitions(dataset: &Dataset, psize: u32) -> Vec<(Vec<u32>, Catal
             let reads: Vec<ReadRecord> =
                 part.read_indices.iter().map(|&i| dataset.reads[i as usize].clone()).collect();
             let snp: Vec<bool> = window.is_snp.iter().collect();
-            let reference =
-                ref_segment_to_table(part.pid.chrom.id(), window.start, &window.seq, &snp);
             let mut cat = Catalog::new();
-            cat.register_partition("READS", 0, reads_to_table(&reads).expect("reads pack"));
-            cat.register_partition("REF", 0, reference);
+            for (name, table) in [
+                ("READS", reads_to_table(&reads).expect("reads pack")),
+                ("REF", ref_segment_to_table(part.pid.chrom.id(), window.start, &window.seq, &snp)),
+            ] {
+                cat.register(name, table.clone());
+                cat.register_partition(name, 0, table);
+            }
             Some((part.read_indices, cat))
         })
         .collect()
@@ -441,7 +417,7 @@ pub fn figure4_partitions(dataset: &Dataset, psize: u32) -> Vec<(Vec<u32>, Catal
 pub struct GenomicsWorkload {
     /// Snapshot label.
     pub label: &'static str,
-    sql: String,
+    sql: &'static str,
     device: DeviceConfig,
 }
 
@@ -451,13 +427,13 @@ pub struct GenomicsWorkload {
 /// reference window) over one partition.
 #[must_use]
 pub fn genomics_workloads() -> Vec<GenomicsWorkload> {
-    let w = |label, sql: &str, device| GenomicsWorkload { label, sql: sql.to_owned(), device };
+    let w = |label, sql, device| GenomicsWorkload { label, sql, device };
     vec![
         w("coverage_pileup", COVERAGE_SQL, DeviceConfig::default()),
         w("mate_distance", MATE_DISTANCE_SQL, DeviceConfig::default()),
-        w("pushdown_on", PUSHDOWN_SQL, DeviceConfig::default()),
-        w("pushdown_off", PUSHDOWN_SQL, DeviceConfig::default().with_pushdown(false)),
-        w("figure4", &figure4_script(0), DeviceConfig::default()),
+        w("pushdown_on", SELECTED_SQL, DeviceConfig::default()),
+        w("pushdown_off", SELECTED_SQL, DeviceConfig::default().with_pushdown(false)),
+        w("figure4", figure4_script(), DeviceConfig::default()),
     ]
 }
 
@@ -477,7 +453,7 @@ impl GenomicsWorkload {
     #[must_use]
     pub fn compile(&self, catalog: &Catalog) -> PipelinePlan {
         Compiler::new(self.device.clone())
-            .compile_sql(&self.sql, catalog)
+            .compile_sql(self.sql, catalog)
             .expect("workload must compile")
     }
 

@@ -384,50 +384,15 @@ pub fn explain(plan: &LogicalPlan, registry: &ModuleRegistry) -> String {
     out
 }
 
-/// The paper's Figure 4 script, adapted to this dialect: the reference
-/// table's position column is selected as `POS` via an alias, the
-/// partition id is a literal parameter, and the `LIMIT` offset counts
-/// from the window start `@wstart` — the partition's first reference
-/// position — since `RelevantReference`'s row `i` holds position
-/// `@wstart + i`.
+/// The paper's Figure 4 script (`scripts/figure4.sql`) over `READS
+/// PARTITION (0)` and `REF PARTITION (0)`, adapted to this dialect: the
+/// reference table's position column is selected as `POS` via an alias,
+/// and the `LIMIT` offset counts from the window start `@wstart` — the
+/// partition's first reference position — since `RelevantReference`'s row
+/// `i` holds position `@wstart + i`.
 #[must_use]
-pub fn figure4_script(partition: u64) -> String {
-    format!(
-        "/* I1: Extract Reads and Reference Partition P */\n\
-         CREATE TABLE ReadPartition AS\n\
-         SELECT POS, ENDPOS, CIGAR, SEQ\n\
-         FROM READS PARTITION ({partition})\n\
-         CREATE TABLE ReferenceRow AS\n\
-         SELECT REFPOS AS POS, SEQ\n\
-         FROM REF PARTITION ({partition})\n\
-         /* I2: posExplode on ReferenceRow */\n\
-         CREATE TABLE RelevantReference AS\n\
-         PosExplode (ReferenceRow.SEQ, ReferenceRow.POS)\n\
-         FROM ReferenceRow\n\
-         DECLARE @rlen int\n\
-         DECLARE @wstart int\n\
-         FOR RefRow IN ReferenceRow:\n\
-           SET @wstart = RefRow.POS\n\
-         END LOOP;\n\
-         /* Iterate over Rows */\n\
-         FOR SingleRead IN ReadPartition:\n\
-           SET @rlen = SingleRead.ENDPOS - SingleRead.POS\n\
-           /* Q1: ReadExplode */\n\
-           CREATE TABLE #AlignedRead AS\n\
-           ReadExplode (SingleRead.POS, SingleRead.CIGAR, SingleRead.SEQ)\n\
-           FROM SingleRead\n\
-           /* Q2: Inner-Join on position */\n\
-           CREATE TABLE #ReadAndRef AS\n\
-           SELECT #AlignedRead.SEQ, RelevantReference.SEQ\n\
-           FROM #AlignedRead\n\
-           INNER JOIN (SELECT * FROM RelevantReference LIMIT SingleRead.POS - @wstart, @rlen)\n\
-           ON #AlignedRead.POS = RelevantReference.POS\n\
-           /* Q3: count matching base pairs */\n\
-           INSERT INTO Output\n\
-           SELECT SUM(#AlignedRead.SEQ == RelevantReference.SEQ)\n\
-           FROM #ReadAndRef\n\
-         END LOOP;"
-    )
+pub fn figure4_script() -> &'static str {
+    include_str!("../../../scripts/figure4.sql")
 }
 
 #[cfg(test)]
@@ -613,9 +578,9 @@ mod tests {
         .unwrap();
         cat.register_partition("REF", 0, reference);
         let compiled =
-            Compiler::new(DeviceConfig::small()).compile_sql(&figure4_script(0), &cat).unwrap();
+            Compiler::new(DeviceConfig::small()).compile_sql(figure4_script(), &cat).unwrap();
         let (hw, _) = compiled.execute(&cat).unwrap();
-        Script::parse(&figure4_script(0)).unwrap().run(&mut cat).unwrap();
+        Script::parse(figure4_script()).unwrap().run(&mut cat).unwrap();
         // Read GTAC at 102..106 vs reference ACGTACGT from 100: GTAC matches.
         for out in [cat.table("Output").unwrap(), &hw] {
             assert_eq!(out.num_rows(), 1);

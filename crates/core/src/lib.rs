@@ -59,7 +59,7 @@
 //! catalog.register_partition("READS", 0, reads_to_table(&reads)?);
 //! let reference = ref_segment_to_table(chrom.chrom.id(), 0, &chrom.seq, &snp);
 //! catalog.register_partition("REF", 0, reference);
-//! let plan = Compiler::new(DeviceConfig::small()).compile_sql(&figure4_script(0), &catalog)?;
+//! let plan = Compiler::new(DeviceConfig::small()).compile_sql(figure4_script(), &catalog)?;
 //! let (counts, _stats) = plan.execute(&catalog)?;
 //! assert_eq!(counts.num_rows(), reads.len()); // matching bases, one count per read
 //! # Ok::<(), Box<dyn std::error::Error>>(())

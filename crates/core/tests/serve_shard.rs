@@ -243,7 +243,7 @@ fn figure4_serves_sharded_bit_identical() {
     let mut cat = Catalog::new();
     cat.register_partition("READS", 0, reads_to_table(&reads).unwrap());
     cat.register_partition("REF", 0, window);
-    let plan = Compiler::new(DeviceConfig::small()).compile_sql(&figure4_script(0), &cat).unwrap();
+    let plan = Compiler::new(DeviceConfig::small()).compile_sql(figure4_script(), &cat).unwrap();
     let (direct, _) = plan.execute(&cat).unwrap();
     assert_eq!(direct.num_rows(), reads.len());
     for shards in [1, 3] {

@@ -130,13 +130,6 @@ impl DatagenConfig {
         self
     }
 
-    /// Sets the chromosome count.
-    #[must_use]
-    pub fn with_chromosomes(mut self, n: u8) -> DatagenConfig {
-        self.num_chromosomes = n;
-        self
-    }
-
     /// Enables paired-end generation.
     #[must_use]
     pub fn with_paired(mut self) -> DatagenConfig {

@@ -109,15 +109,6 @@ impl Dataset {
 
         Dataset { genome, reads, truth, config: cfg.clone(), bias }
     }
-
-    /// Number of templates that produced at least one read.
-    #[must_use]
-    pub fn template_count(&self) -> usize {
-        let mut ids: Vec<u32> = self.truth.iter().map(|t| t.template_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
 }
 
 /// One sampled DNA fragment: the alignment structure shared by all its PCR

@@ -95,12 +95,6 @@ impl<'g> KmerIndex<'g> {
         self.k
     }
 
-    /// Number of distinct k-mers indexed.
-    #[must_use]
-    pub fn distinct_kmers(&self) -> usize {
-        self.map.len()
-    }
-
     /// Aligns a read sequence; `None` when no seed anchors it.
     #[must_use]
     pub fn align(&self, seq: &[Base], scoring: Scoring) -> Option<Alignment> {

@@ -529,20 +529,6 @@ impl System {
         out.push_str("}\n");
         out
     }
-
-    /// Number of module kinds registered, per kind (diagnostics).
-    #[must_use]
-    pub fn module_census(&self) -> Vec<(ModuleKind, usize)> {
-        let mut counts: Vec<(ModuleKind, usize)> = Vec::new();
-        for m in &self.modules {
-            if let Some(entry) = counts.iter_mut().find(|(k, _)| *k == m.kind()) {
-                entry.1 += 1;
-            } else {
-                counts.push((m.kind(), 1));
-            }
-        }
-        counts
-    }
 }
 
 #[cfg(test)]

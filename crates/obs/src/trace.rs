@@ -146,12 +146,6 @@ impl TraceBuffer {
         self.spans.dropped()
     }
 
-    /// Samples evicted from the ring.
-    #[must_use]
-    pub fn dropped_samples(&self) -> u64 {
-        self.samples.dropped()
-    }
-
     /// Appends this buffer's contents to a Chrome trace under process id
     /// `pid` (one process per batch system, one thread per module track,
     /// one counter track per queue that was ever sampled).

@@ -129,17 +129,6 @@ pub enum TableRef {
     Subquery(Box<Query>),
 }
 
-impl TableRef {
-    /// The binding name used to qualify this source's columns, if any.
-    #[must_use]
-    pub fn binding_name(&self) -> Option<&str> {
-        match self {
-            TableRef::Named { name, .. } => Some(name),
-            TableRef::Subquery(_) => None,
-        }
-    }
-}
-
 /// Join kinds (paper §III-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {

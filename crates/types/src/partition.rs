@@ -78,13 +78,6 @@ impl ReferencePartition {
         pos.checked_sub(self.start).and_then(|off| self.seq.get(off as usize).copied())
     }
 
-    /// SNP bit at absolute chromosome position `pos`, if covered.
-    #[must_use]
-    pub fn is_snp_at(&self, pos: u32) -> Option<bool> {
-        let off = pos.checked_sub(self.start)? as usize;
-        (off < self.is_snp.len()).then(|| self.is_snp.get(off))
-    }
-
     /// Length of the segment in base pairs.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -229,13 +229,6 @@ impl ReadRecordBuilder {
         self
     }
 
-    /// Sets a uniform quality score across the sequence length.
-    #[must_use]
-    pub fn uniform_qual(mut self, q: Qual) -> Self {
-        self.record.qual = vec![q; self.record.seq.len()];
-        self
-    }
-
     /// Sets the flags.
     #[must_use]
     pub fn flags(mut self, flags: ReadFlags) -> Self {

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Figure 7 is compiled, not hand-wired: its mapping goes to stderr so
     // stdout stays one dot file.
     let partition = &figure4_partitions(&dataset, 20_000)[0].1;
-    let figure7 = Compiler::new(device.clone()).compile_sql(&figure4_script(0), partition)?;
+    let figure7 = Compiler::new(device.clone()).compile_sql(figure4_script(), partition)?;
     eprintln!("--- Figure 7 — example query (count matching bases), compiled ---");
     eprint!("{}", figure7.explain());
 

@@ -7,8 +7,11 @@
 //! Scale the pool with: `GENESIS_DEVICES=4 cargo run --release --example serve`
 
 use genesis::core::serve::{GenesisServer, Request, ServerConfig};
-use genesis::sql::Catalog;
+use genesis::sql::{Catalog, Script};
 use genesis::types::{Column, DataType, Field, Schema, Table};
+use std::time::Duration;
+
+const SUM_QUALITY: &str = "INSERT INTO Out SELECT SUM(QUAL) FROM READS";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small quality-score table standing in for a READS partition.
@@ -28,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Named workloads tenants submit by name — parsed once here,
     // compiled per-submit through the LRU cache.
-    server.register_script("sum_quality", "INSERT INTO Out SELECT SUM(QUAL) FROM READS")?;
+    server.register_script("sum_quality", SUM_QUALITY)?;
     server.register_script(
         "high_quality",
         "INSERT INTO Out SELECT POS, QUAL FROM READS WHERE QUAL > 48",
@@ -62,6 +65,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if stats.reconfig_cycles > 0 { " (cache miss: paid reconfig)" } else { "" }
         );
     }
+
+    // A deadline bounds the wait (time queued counts), and a software
+    // oracle is what the job degrades to if the hardware run fails. The
+    // oracle runs on a worker thread, so it captures a precomputed table,
+    // not the catalog.
+    let mut software = catalog.clone_tables();
+    Script::parse(SUM_QUALITY)?.run(&mut software)?;
+    let oracle_result = software.remove("Out").ok_or("the script writes Out")?;
+    let request = Request::script("alice", "sum_quality")
+        .with_deadline(Duration::from_secs(60))
+        .with_oracle(move || Ok(oracle_result));
+    let (out, stats) = server.submit(request, &catalog)?.wait()?;
+    println!(
+        "  alice  sum_quality   -> {:>4} rows with a deadline and an oracle (fallback jobs: {})",
+        out.num_rows(),
+        stats.faults.fallback_jobs
+    );
 
     // The schedule log: round-robin across tenants, FIFO within each, and
     // where and when each job ran on the modeled device timeline.

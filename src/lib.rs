@@ -17,7 +17,11 @@
 //!
 //! # Examples
 //!
-//! See `examples/quickstart.rs` for the paper's Figure 4/7 walk-through.
+//! `genesis scripts/figure4.sql tiny` (the `genesis` binary of
+//! `genesis-bench`) is the paper's Figure 4/7 walk-through: SQL in, the
+//! compiled pipeline, its result checked against the SQL engine, and the
+//! modeled clock out. `examples/` holds the programs that teach the Rust
+//! API.
 
 pub use genesis_core as core;
 pub use genesis_datagen as datagen;

@@ -1,5 +1,5 @@
 //! The software oracle for the paper's Figure 4 query, shared by the tests
-//! that hold the compiled pipeline to it (and by `examples/quickstart.rs`).
+//! that hold the compiled pipeline to it.
 
 use genesis::types::{CigarOp, ReadRecord, ReferenceGenome};
 

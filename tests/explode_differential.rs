@@ -17,44 +17,11 @@ use proptest::test_runner::TestCaseError;
 /// Both simulation engines.
 const MATRIX: [EngineMode; 2] = [EngineMode::Fast, EngineMode::Reference];
 
-const COVERAGE_SQL: &str = "\
-    CREATE TABLE Bases AS\n\
-    ReadExplode (READS.POS, READS.CIGAR, READS.SEQ)\n\
-    FROM READS\n\
-    INSERT INTO Coverage\n\
-    SELECT POS, COUNT(*)\n\
-    FROM Bases\n\
-    WHERE POS < 4096\n\
-    GROUP BY POS\n\
-    ORDER BY POS";
+const COVERAGE_SQL: &str = include_str!("../scripts/coverage.sql");
 
-const POS_EXPLODE_JOIN_SQL: &str = "\
-    CREATE TABLE RefPos AS\n\
-    PosExplode (REF.SEQ, REF.POS)\n\
-    FROM REF\n\
-    INSERT INTO Joined\n\
-    SELECT *\n\
-    FROM PAIRS\n\
-    INNER JOIN RefPos\n\
-    ON PAIRS.POS = RefPos.POS";
+const POS_EXPLODE_JOIN_SQL: &str = include_str!("../scripts/pos_explode_join.sql");
 
-const MATE_DISTANCE_SQL: &str = "\
-    CREATE TABLE RefPos AS\n\
-    PosExplode (REF.SEQ, REF.POS)\n\
-    FROM REF\n\
-    CREATE TABLE Joined AS\n\
-    SELECT *\n\
-    FROM PAIRS\n\
-    INNER JOIN RefPos\n\
-    ON PAIRS.POS = RefPos.POS\n\
-    CREATE TABLE Dist AS\n\
-    SELECT PAIRS.MPOS - PAIRS.POS AS D\n\
-    FROM Joined\n\
-    INSERT INTO MateHist\n\
-    SELECT D, COUNT(*)\n\
-    FROM Dist\n\
-    GROUP BY D\n\
-    ORDER BY D";
+const MATE_DISTANCE_SQL: &str = include_str!("../scripts/mate_distance.sql");
 
 /// One randomized read: a structurally valid CIGAR (optional soft clips
 /// at the ends, M-anchored middle so I/D/N never lead or trail) plus the

@@ -54,7 +54,7 @@ proptest! {
         let oracle = count_matching_bases_sw(&dataset.reads, &dataset.genome);
         let parts = figure4_partitions(&dataset, 5_000);
         let plan = Compiler::new(DeviceConfig::small())
-            .compile_sql(&figure4_script(0), &parts[0].1)
+            .compile_sql(figure4_script(), &parts[0].1)
             .unwrap();
         for (read_indices, cat) in &parts {
             let (out, _) = plan.execute(cat).unwrap();

@@ -17,16 +17,16 @@ use genesis_bench::scenarios::figure4_partitions;
 fn figure4_sql_equals_figure7_hardware() {
     let dataset = Dataset::generate(&DatagenConfig::tiny());
     let oracle = count_matching_bases_sw(&dataset.reads, &dataset.genome);
-    let script = figure4_script(0);
+    let script = figure4_script();
     // 20 kbp partitions are whole chromosomes; at 5 kbp most reference
     // windows start past position 0.
     for psize in [20_000, 5_000] {
         let mut parts = figure4_partitions(&dataset, psize);
-        let plan = Compiler::new(DeviceConfig::small()).compile_sql(&script, &parts[0].1).unwrap();
+        let plan = Compiler::new(DeviceConfig::small()).compile_sql(script, &parts[0].1).unwrap();
         let mut reads = 0;
         for (read_indices, cat) in &mut parts {
             let (hw, _) = plan.execute(cat).unwrap();
-            Script::parse(&script).unwrap().run(cat).unwrap();
+            Script::parse(script).unwrap().run(cat).unwrap();
             let sw = cat.table("Output").unwrap();
             assert_eq!((sw.num_rows(), hw.num_rows()), (read_indices.len(), read_indices.len()));
             for (row, &idx) in read_indices.iter().enumerate() {

@@ -25,52 +25,17 @@ use genesis::types::{
 };
 use std::collections::HashMap;
 
-/// Coverage/pileup: explode every read into per-base rows, then count
-/// rows per reference position. The `WHERE POS < 4096` window drops the
-/// insertion sentinel rows (`Ins` compares unordered to everything, in
-/// both engines), which is also what lets the lowering prove the group
-/// key non-nullable and bounded.
-const COVERAGE_SQL: &str = "\
-    CREATE TABLE Bases AS\n\
-    ReadExplode (READS.POS, READS.CIGAR, READS.SEQ)\n\
-    FROM READS\n\
-    INSERT INTO Coverage\n\
-    SELECT POS, COUNT(*)\n\
-    FROM Bases\n\
-    WHERE POS < 4096\n\
-    GROUP BY POS\n\
-    ORDER BY POS";
+/// Coverage/pileup: per-position depth below 4,096.
+const COVERAGE_SQL: &str = include_str!("../scripts/coverage.sql");
 
-/// Mate-distance histogram: the reference row explodes into one row per
-/// position (GenPairX-style paired-end analytics), reads join against it
-/// on alignment position, and the insert-size `MPOS - POS` is binned.
-const MATE_DISTANCE_SQL: &str = "\
-    CREATE TABLE RefPos AS\n\
-    PosExplode (REF.SEQ, REF.POS)\n\
-    FROM REF\n\
-    CREATE TABLE Joined AS\n\
-    SELECT *\n\
-    FROM PAIRS\n\
-    INNER JOIN RefPos\n\
-    ON PAIRS.POS = RefPos.POS\n\
-    CREATE TABLE Dist AS\n\
-    SELECT PAIRS.MPOS - PAIRS.POS AS D\n\
-    FROM Joined\n\
-    INSERT INTO MateHist\n\
-    SELECT D, COUNT(*)\n\
-    FROM Dist\n\
-    GROUP BY D\n\
-    ORDER BY D";
+/// Mate-distance histogram (GenPairX-style paired-end analytics).
+const MATE_DISTANCE_SQL: &str = include_str!("../scripts/mate_distance.sql");
 
-/// A selective filtered scan directly above `PAIRS` (`POS = i*3 + 1`
-/// keeps `i < 20` of the 64 pairs): with pushdown the predicate is
-/// absorbed into the scan, without it the same conjunct runs as a
-/// lowered Filter module. Both must be bit-identical to the oracle.
-const SELECTED_SQL: &str = "\
-    INSERT INTO Selected\n\
-    SELECT *\n\
-    FROM PAIRS\n\
-    WHERE POS < 61";
+/// A selective filtered scan directly above `PAIRS` (`POS < 2400`): with
+/// pushdown the predicate is absorbed into the scan, without it the same
+/// conjunct runs as a lowered Filter module. Both must be bit-identical
+/// to the oracle.
+const SELECTED_SQL: &str = include_str!("../scripts/selected.sql");
 
 /// Mixed CIGAR shapes (clips, insertions, deletions, skips) with the
 /// query length each consumes.
@@ -237,9 +202,10 @@ fn workloads_serve_on_the_device_pool_including_sharded() {
 /// `PreparedScan::scanned_rows`.
 #[test]
 fn served_pushdown_is_bit_identical_and_counts_scanned_rows() {
-    let cat = catalog(64);
-    let sw = oracle(SELECTED_SQL, 64, "Selected");
-    assert_eq!(sw.num_rows(), 20, "oracle must keep 20 of 64 pairs");
+    // `POS = i*3 + 1 < 2400` keeps `i < 800` of the 2,400 pairs.
+    let cat = catalog(2_400);
+    let sw = oracle(SELECTED_SQL, 2_400, "Selected");
+    assert_eq!(sw.num_rows(), 800, "oracle must keep 800 of 2,400 pairs");
     for shards in [1, 3] {
         for pushdown in [true, false] {
             let server = GenesisServer::new(
@@ -253,11 +219,11 @@ fn served_pushdown_is_bit_identical_and_counts_scanned_rows() {
             let what = format!("served selected scan, {shards} shard(s), pushdown={pushdown}");
             assert_tables_equal(&out, &sw, &what);
             let counters = server.metrics_snapshot().counters;
-            assert_eq!(counters.get("server.scan.rows_scanned"), Some(&64), "{what}");
-            // With pushdown the scan itself drops the 44 non-matching
+            assert_eq!(counters.get("server.scan.rows_scanned"), Some(&2_400), "{what}");
+            // With pushdown the scan itself drops the 1,600 non-matching
             // pairs; without it every scanned row is emitted into the
             // pipeline and the lowered Filter module drops them later.
-            let emitted = if pushdown { 20 } else { 64 };
+            let emitted = if pushdown { 800 } else { 2_400 };
             assert_eq!(counters.get("server.scan.rows_emitted"), Some(&emitted), "{what}");
         }
     }
