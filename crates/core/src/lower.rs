@@ -169,7 +169,16 @@ struct ExplodeSpec {
 struct PreparedScan {
     table: String,
     rows: usize,
+    /// The streamed columns ([`PreparedScan::streamed`]), then
+    /// `host_only` columns no Memory Reader reads.
     cols: Vec<PreparedCol>,
+    /// Trailing `cols` bound for the host only: a pushed conjunct's
+    /// operands until [`apply_pushdown`] has selected the rows, and the
+    /// spine's partition key, which [`PreparedJob::shard_ranges`] cuts on.
+    host_only: usize,
+    /// Columns of the scanned table; fewer stream when projection
+    /// pushdown ([`Projection`]) pruned the scan.
+    table_width: usize,
     explode: Option<ExplodeSpec>,
     /// A reference window ([`prepare_window`]): the position of its
     /// scratchpad's first element.
@@ -185,6 +194,23 @@ struct PreparedScan {
 }
 
 impl PreparedScan {
+    /// The columns the scan's Memory Readers stream.
+    fn streamed(&self) -> &[PreparedCol] {
+        &self.cols[..self.cols.len() - self.host_only]
+    }
+
+    /// Drops the host-only operands of pushed conjuncts once they have
+    /// selected the rows; on the spine, the partition key stays.
+    fn drop_operands(&mut self, spine: bool) {
+        let streamed = self.cols.len() - self.host_only;
+        let mut i = 0;
+        self.cols.retain(|c| {
+            i += 1;
+            i <= streamed || (spine && is_partition_key(&c.name))
+        });
+        self.host_only = self.cols.len() - streamed;
+    }
+
     /// Original (pre-pushdown) rows attributed to the surviving-row range
     /// `r`: the survivors' source rows plus the dropped rows between
     /// them. Leading dropped rows go to the first range and trailing
@@ -284,6 +310,9 @@ pub(crate) struct Lowering {
     /// of GenStore's in-storage filtering): re-applied to the freshly
     /// bound scan data every time the lowering binds to a catalog.
     pushed: Vec<PushedFilter>,
+    /// The columns each plain scan binds when the lowering binds to a
+    /// catalog.
+    projection: Projection,
     cols_names: Vec<String>,
     kind: SinkKind,
     /// Device memory one pipeline's sink writers allocated in the
@@ -442,20 +471,192 @@ fn mirror(op: CmpOp) -> CmpOp {
     }
 }
 
+/// Calls `f` on every column reference in `e`.
+fn for_each_ref<'e>(e: &'e Expr, f: &mut impl FnMut(&'e ColRef)) {
+    match e {
+        Expr::Col(c) => f(c),
+        Expr::Bin { lhs, rhs, .. } => {
+            for_each_ref(lhs, f);
+            for_each_ref(rhs, f);
+        }
+        Expr::Var(_) | Expr::Number(_) => {}
+    }
+}
+
+/// Whether `r` could resolve, under [`resolve`]'s rules, to a stream
+/// column carrying the scanned column `name`: as `name` itself or, behind
+/// a join, as `prefix.name`. Exact display names, bare names and
+/// `.suffix` matches all reduce to one of the two names ending in the
+/// other at a `.` boundary.
+fn may_resolve(name: &str, r: &ColRef) -> bool {
+    let tail = |long: &str, short: &str| {
+        long.strip_suffix(short).is_some_and(|head| head.is_empty() || head.ends_with('.'))
+    };
+    tail(name, &r.column) || tail(&r.column, name)
+}
+
+/// The spine columns [`PreparedJob::shard_ranges`] cuts shards on: the
+/// chromosome, then the position.
+const CHR_COL: &str = "CHR";
+const POS_COLS: [&str; 2] = ["POS", "REFPOS"];
+
+fn is_partition_key(name: &str) -> bool {
+    name == CHR_COL || POS_COLS.contains(&name)
+}
+
+/// Bytes one element of a `dtype` column streams as, when a Memory
+/// Reader can stream it at all (a `Cell` column counts at full width).
+fn stream_width(dtype: DataType) -> Option<usize> {
+    match dtype {
+        DataType::U8 | DataType::Bool => Some(1),
+        DataType::U16 => Some(2),
+        DataType::U32 => Some(4),
+        DataType::U64 | DataType::Cell => Some(8),
+        DataType::Str | DataType::ListU8 | DataType::ListU16 | DataType::ListBool => None,
+    }
+}
+
+/// How a plain scan binds one column of its table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bind {
+    /// A Memory Reader streams it.
+    Stream,
+    /// Only the host reads it ([`PreparedScan::host_only`]).
+    Host,
+    /// Nothing reads it, so it is never widened.
+    Skip,
+}
+
+/// Projection pushdown: a pruned plain scan binds, uploads and streams
+/// only the columns some column reference of the core plan could resolve
+/// to ([`may_resolve`]). Every reference therefore resolves to the same
+/// column, or is ambiguous between the same columns, as over the whole
+/// table; the rest are never widened.
+#[derive(Debug, Clone, Default)]
+struct Projection {
+    /// Every column reference the core plan resolves against a stream.
+    refs: Vec<ColRef>,
+    /// Per prepared scan, in leaf order: whether the leaf is pruned.
+    /// Empty, pruning nothing, for the whole-table analysis.
+    pruned: Vec<bool>,
+}
+
+impl Projection {
+    /// Derives the projection of `core`. A plain scan is pruned unless its
+    /// columns reach the output: through a `Filter`, a `Join` or a bare
+    /// `Scan` at the root, or through a `SELECT *`. Explode and window
+    /// leaves pick their own columns and are never pruned.
+    fn of(core: &LogicalPlan) -> Projection {
+        fn walk(plan: &LogicalPlan, whole: bool, p: &mut Projection) {
+            let mut add = |e: &Expr| for_each_ref(e, &mut |c| p.refs.push(c.clone()));
+            match plan {
+                LogicalPlan::Scan { .. } => p.pruned.push(!whole),
+                LogicalPlan::PosExplode { .. }
+                | LogicalPlan::ReadExplode { .. }
+                | LogicalPlan::Limit { .. } => p.pruned.push(false),
+                LogicalPlan::Filter { input, pred } => {
+                    add(pred);
+                    walk(input, whole, p);
+                }
+                LogicalPlan::Join { left, right, left_key, right_key, .. } => {
+                    p.refs.extend([left_key.clone(), right_key.clone()]);
+                    walk(left, whole, p);
+                    walk(right, whole, p);
+                }
+                LogicalPlan::Project { input, items }
+                | LogicalPlan::Aggregate { input, items, .. } => {
+                    let mut star = false;
+                    for item in items {
+                        match item {
+                            SelectItem::Star => star = true,
+                            SelectItem::Expr { expr, .. } => add(expr),
+                            SelectItem::Agg { arg, .. } => arg.iter().for_each(&mut add),
+                        }
+                    }
+                    if let LogicalPlan::Aggregate { group_by, .. } = plan {
+                        p.refs.extend(group_by.iter().cloned());
+                    }
+                    walk(input, star, p);
+                }
+                // Not lowerable inside a pipeline; binding reports them.
+                LogicalPlan::Sort { .. } | LogicalPlan::ForEach { .. } => {
+                    plan.inputs().for_each(|input| walk(input, true, p));
+                }
+            }
+        }
+        let mut p = Projection::default();
+        walk(core, true, &mut p);
+        p
+    }
+
+    /// How the `idx`-th prepared scan binds each column of `t`, or `None`
+    /// when it streams them all. A column no reference reaches is
+    /// skipped; if that leaves nothing to stream (`COUNT(*)` alone), the
+    /// narrowest streamable column, the first on a tie, carries the rows.
+    /// Skipped columns that a conjunct pushed into this scan reads, and
+    /// the spine's partition key, are bound for the host.
+    fn binds(&self, idx: usize, t: &Table, pushed: &[PushedFilter]) -> Option<Vec<Bind>> {
+        if !self.pruned.get(idx).copied().unwrap_or(false) {
+            return None;
+        }
+        let fields = t.schema().fields();
+        let mut binds: Vec<Bind> = fields
+            .iter()
+            .map(|f| {
+                if self.refs.iter().any(|r| may_resolve(&f.name, r)) {
+                    Bind::Stream
+                } else {
+                    Bind::Skip
+                }
+            })
+            .collect();
+        if !binds.contains(&Bind::Stream) {
+            let narrowest = (0..fields.len())
+                .filter_map(|i| Some((stream_width(fields[i].dtype)?, i)))
+                .min_by_key(|&(width, _)| width);
+            if let Some((_, i)) = narrowest {
+                binds[i] = Bind::Stream;
+            }
+        }
+        let has = |name: &str| fields.iter().any(|f| f.name == name);
+        let keyed = idx == 0 && has(CHR_COL) && POS_COLS.iter().any(|&p| has(p));
+        let conjuncts: Vec<&Expr> =
+            pushed.iter().filter(|pf| pf.scan == idx).flat_map(|pf| &pf.conjuncts).collect();
+        for (bind, f) in binds.iter_mut().zip(fields) {
+            if *bind != Bind::Skip {
+                continue;
+            }
+            let mut operand = false;
+            for e in &conjuncts {
+                for_each_ref(e, &mut |c| operand |= may_resolve(&f.name, c));
+            }
+            let key = keyed && is_partition_key(&f.name) && stream_width(f.dtype).is_some();
+            if operand || key {
+                *bind = Bind::Host;
+            }
+        }
+        Some(binds)
+    }
+}
+
 /// Walks the core plan collecting every `Scan` leaf left-to-right and
-/// binding its columns. Leaf order matches [`build_node`]'s traversal,
-/// so the first prepared scan is the replication spine.
+/// binding its columns ([`Projection::binds`]). Leaf order matches
+/// [`build_node`]'s traversal, so the first prepared scan is the
+/// replication spine.
 fn prepare_scans(
     plan: &LogicalPlan,
     catalog: &Catalog,
     each_row: Option<&EachRow>,
+    projection: &Projection,
+    pushed: &[PushedFilter],
     out: &mut Vec<PreparedScan>,
 ) -> Result<(), CoreError> {
     match (plan, each_row) {
         (LogicalPlan::Scan { .. }, Some(_)) => Err(CoreError::unsupported("ForEach", LOOP_LEAVES)),
         (LogicalPlan::Scan { table, partition }, None) => {
             let t = lookup_table(table, partition.as_ref(), catalog)?;
-            out.push(prepare_table(table, t)?);
+            let binds = projection.binds(out.len(), t, pushed);
+            out.push(prepare_table(table, t, binds.as_deref())?);
             Ok(())
         }
         (
@@ -464,7 +665,9 @@ fn prepare_scans(
             | LogicalPlan::Aggregate { .. }
             | LogicalPlan::Join { .. },
             _,
-        ) => plan.inputs().try_for_each(|input| prepare_scans(input, catalog, each_row, out)),
+        ) => plan.inputs().try_for_each(|input| {
+            prepare_scans(input, catalog, each_row, projection, pushed, out)
+        }),
         (LogicalPlan::Limit { input, offset, count }, Some(each)) => {
             let window = prepare_window(input, offset, count, catalog, each, out)?;
             out.push(window);
@@ -531,16 +734,28 @@ fn widen<T: Copy + Into<u64>>(cells: &[T]) -> Vec<u64> {
     cells.iter().map(|&x| x.into()).collect()
 }
 
-fn prepare_table(name: &str, t: &Table) -> Result<PreparedScan, CoreError> {
+/// Widens the columns of `t` a plain scan binds (`binds`, or every
+/// column when `None`): the streamed ones in table order, then the
+/// host-only ones. The flit-width and type checks apply to what is bound.
+fn prepare_table(name: &str, t: &Table, binds: Option<&[Bind]>) -> Result<PreparedScan, CoreError> {
     let node = format!("Scan({name})");
-    if t.schema().len() > MAX_FIELDS {
+    let bind = |ci: usize| binds.map_or(Bind::Stream, |b| b[ci]);
+    let width = t.schema().len();
+    let streamed = (0..width).filter(|&ci| bind(ci) == Bind::Stream).count();
+    if streamed > MAX_FIELDS {
         return Err(CoreError::unsupported(
             node,
-            format!("{} columns exceed the {MAX_FIELDS}-field flit width", t.schema().len()),
+            format!("{streamed} columns exceed the {MAX_FIELDS}-field flit width"),
         ));
     }
-    let mut cols = Vec::with_capacity(t.schema().len());
+    let mut cols = Vec::with_capacity(streamed);
+    let mut host = Vec::new();
     for (ci, f) in t.schema().fields().iter().enumerate() {
+        let into = match bind(ci) {
+            Bind::Stream => &mut cols,
+            Bind::Host => &mut host,
+            Bind::Skip => continue,
+        };
         let (elem_bytes, decode, vals) = match t.column_at(ci) {
             Column::U8(v) => (1, Decode::U64, widen(v)),
             Column::U16(v) => (2, Decode::U64, widen(v)),
@@ -567,13 +782,17 @@ fn prepare_table(name: &str, t: &Table) -> Result<PreparedScan, CoreError> {
                 ))
             }
         };
-        cols.push(PreparedCol { name: f.name.clone(), elem_bytes, decode, vals, lens: None });
+        into.push(PreparedCol { name: f.name.clone(), elem_bytes, decode, vals, lens: None });
     }
     let rows = t.num_rows();
+    let host_only = host.len();
+    cols.extend(host);
     Ok(PreparedScan {
         table: name.to_owned(),
         rows,
         cols,
+        host_only,
+        table_width: width,
         explode: None,
         window: None,
         rows_scanned: rows,
@@ -933,6 +1152,8 @@ fn prepare_explode(
         table: table.to_owned(),
         rows,
         cols,
+        host_only: 0,
+        table_width: t.schema().len(),
         explode: Some(ExplodeSpec { has_qual, out_cols, out_offsets, node }),
         window: None,
         rows_scanned: rows,
@@ -1009,6 +1230,8 @@ fn prepare_window(
         table: table.to_owned(),
         rows: 1,
         cols: vec![values],
+        host_only: 0,
+        table_width: t.schema().len(),
         explode: None,
         window: Some(base),
         rows_scanned: 1,
@@ -1105,10 +1328,26 @@ fn peel(plan: &LogicalPlan) -> Result<(&LogicalPlan, Vec<Epilogue>), CoreError> 
 /// holds the same `Arc`): peels host epilogues, builds the
 /// module graph once on a scratch system (validating every node), and
 /// derives the pipeline's cost profile from the scratch build.
+///
+/// Scans are pruned ([`Projection`]). A pruned scan resolves every column
+/// reference as the whole table would, but a failed lookup would suggest
+/// names from the pruned columns only, and an unused column would go
+/// unchecked; so a failed pruned analysis reports the whole-table
+/// analysis' error, the same text as with nothing pruned.
 pub(crate) fn analyze(
     plan: &LogicalPlan,
     catalog: &Catalog,
     cfg: &DeviceConfig,
+) -> Result<Arc<Lowering>, CoreError> {
+    analyze_with(plan, catalog, cfg, true)
+        .map_err(|pruned| analyze_with(plan, catalog, cfg, false).err().unwrap_or(pruned))
+}
+
+fn analyze_with(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    cfg: &DeviceConfig,
+    prune: bool,
 ) -> Result<Arc<Lowering>, CoreError> {
     let (core, epilogues) = peel(plan)?;
     let (core, each_row) = match core {
@@ -1117,31 +1356,34 @@ pub(crate) fn analyze(
         }
         other => (other, None),
     };
-    let mut prepared = Vec::new();
-    prepare_scans(core, catalog, each_row.as_deref(), &mut prepared)?;
     // Predicate pushdown: absorb supported conjuncts of Filters sitting
     // directly above plain Scan leaves into the scans themselves, so the
     // scratch build below (and every job build after it) streams only
     // surviving rows.
     let (core, pushed) = if cfg.pushdown {
-        push_down(core, &prepared)
+        push_down(core, catalog)
     } else {
         (core.clone(), Vec::new())
     };
-    let mut push_notes = Vec::new();
-    if !pushed.is_empty() {
-        apply_pushdown(&mut prepared, &pushed)?;
-        for pf in &pushed {
+    // Projection pushdown: the scans bind only the columns the rewritten
+    // core reads, plus the pushed conjuncts' operands.
+    let projection = if prune { Projection::of(&core) } else { Projection::default() };
+    let mut prepared = Vec::new();
+    prepare_scans(&core, catalog, each_row.as_deref(), &projection, &pushed, &mut prepared)?;
+    apply_pushdown(&mut prepared, &pushed)?;
+    let mut summary: Vec<String> = pushed
+        .iter()
+        .map(|pf| {
             let p = &prepared[pf.scan];
-            push_notes.push(format!(
+            format!(
                 "Pushdown(Scan({})) -> {} conjunct(s) absorbed ({} rows scanned, {} emitted)",
                 p.table,
                 pf.conjuncts.len(),
                 p.rows_scanned,
                 p.rows,
-            ));
-        }
-    }
+            )
+        })
+        .collect();
     let spine_rows = prepared[0].rows;
     let mut sys = System::with_memory(cfg.mem.clone());
     let mut ctx =
@@ -1199,13 +1441,13 @@ pub(crate) fn analyze(
         expansion: ctx.expansion,
         selectivity,
     };
-    let mut summary = push_notes;
     summary.extend(ctx.summary);
     Ok(Arc::new(Lowering {
         core,
         epilogues,
         each_row,
         pushed,
+        projection,
         cols_names: built.cols.iter().map(|c| c.name.clone()).collect(),
         kind,
         sink_bytes: ctx.sink_bytes,
@@ -1316,12 +1558,12 @@ impl PreparedCol {
 impl PreparedScan {
     /// Payload bytes the scan streams for `rows` (the DMA-in volume).
     fn payload_bytes(&self, rows: &Range<usize>) -> usize {
-        self.cols.iter().map(|c| c.payload_bytes(rows)).sum()
+        self.streamed().iter().map(|c| c.payload_bytes(rows)).sum()
     }
 
-    /// Device memory the scan's columns occupy for `rows`.
+    /// Device memory the scan's streamed columns occupy for `rows`.
     fn device_bytes(&self, rows: &Range<usize>) -> usize {
-        self.cols.iter().map(|c| line_padded(c.payload_bytes(rows))).sum()
+        self.streamed().iter().map(|c| line_padded(c.payload_bytes(rows))).sum()
     }
 }
 
@@ -1335,7 +1577,8 @@ impl PreparedJob {
     /// row ranges, aligned to the paper's (chromosome, `PSIZE`-window)
     /// partitions when the spine carries `CHR` + `POS`/`REFPOS` columns
     /// (a shard boundary never splits a run of rows sharing a partition
-    /// key); tables without genomic coordinates fall back to an equal
+    /// key, which the spine binds whether or not it streams it); tables
+    /// without genomic coordinates fall back to an equal
     /// row split. Always covers `0..spine_rows` exactly, so gathering
     /// the shard outputs in range order reproduces the unsharded merge.
     pub(crate) fn shard_ranges(&self, shards: usize) -> Vec<Range<usize>> {
@@ -1344,8 +1587,8 @@ impl PreparedJob {
             return std::iter::once(0..n).collect();
         }
         let spine = &self.prepared[0];
-        let chr = spine.cols.iter().find(|c| c.name == "CHR");
-        let pos = spine.cols.iter().find(|c| c.name == "POS" || c.name == "REFPOS");
+        let chr = spine.cols.iter().find(|c| c.name == CHR_COL);
+        let pos = spine.cols.iter().find(|c| POS_COLS.contains(&c.name.as_str()));
         let (Some(chr), Some(pos)) = (chr, pos) else {
             return split_ranges(n, shards);
         };
@@ -1526,8 +1769,9 @@ impl Lowering {
     }
 
     /// Binds the lowering to `catalog`'s current data: copies every
-    /// scanned column so the returned job is `Send` and can run on a host
-    /// worker thread (the catalog itself holds non-`Send` custom modules).
+    /// column the scans bind so the returned job is `Send` and can run on
+    /// a host worker thread (the catalog itself holds non-`Send` custom
+    /// modules).
     pub(crate) fn prepare(
         self: &Arc<Self>,
         cfg: &DeviceConfig,
@@ -1535,7 +1779,8 @@ impl Lowering {
         factor: usize,
     ) -> Result<PreparedJob, CoreError> {
         let mut prepared = Vec::new();
-        prepare_scans(&self.core, catalog, self.each_row.as_deref(), &mut prepared)?;
+        let each_row = self.each_row.as_deref();
+        prepare_scans(&self.core, catalog, each_row, &self.projection, &self.pushed, &mut prepared)?;
         // Re-apply the pushed conjuncts to the freshly bound data (the
         // catalog's tables may have changed since analysis).
         apply_pushdown(&mut prepared, &self.pushed)?;
@@ -1902,7 +2147,8 @@ fn build_scan(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Str
     let prepared = ctx.prepared;
     let ps = &prepared[idx];
     let range = if idx == 0 { ctx.spine_range.clone() } else { 0..ps.rows };
-    let ncols = ps.cols.len();
+    let streamed = ps.streamed();
+    let ncols = streamed.len();
     if ncols == 0 {
         return Err(CoreError::unsupported(
             format!("Scan({})", ps.table),
@@ -1912,7 +2158,7 @@ fn build_scan(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Str
     let table = &ps.table;
     let mut inputs = Vec::with_capacity(ncols);
     let mut cols = Vec::with_capacity(ncols);
-    for (ci, c) in ps.cols.iter().enumerate() {
+    for (ci, c) in streamed.iter().enumerate() {
         let vals = &c.vals[range.clone()];
         let label = ctx.lbl(&format!("{table}.{}", c.name));
         let q = b.upload_column(&label, vals, c.elem_bytes, RowSpec::None);
@@ -1935,10 +2181,13 @@ fn build_scan(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Str
         b.system().add_module(Box::new(Zip::new(&label, inputs, rows_q)));
         rows_q
     };
-    ctx.note(format!(
-        "Scan({table}) -> {ncols}x MemoryReader{}",
-        if ncols > 1 { " + Zip" } else { "" }
-    ));
+    let zip = if ncols > 1 { " + Zip" } else { "" };
+    let pruned = if ncols < ps.table_width {
+        format!(" ({ncols} of {} columns)", ps.table_width)
+    } else {
+        String::new()
+    };
+    ctx.note(format!("Scan({table}) -> {ncols}x MemoryReader{zip}{pruned}"));
     Ok(Stream { q, cols })
 }
 
@@ -1969,22 +2218,36 @@ fn scan_infos(scan: &PreparedScan) -> Vec<ColInfo> {
     scan.cols.iter().map(|c| ColInfo::new(&c.name, c.decode)).collect()
 }
 
+/// [`scan_infos`] read off a table before anything is bound: the names,
+/// and the decoding each column would widen to (a `Cell` column's is
+/// its first cell's; binding checks the rest).
+fn table_infos(t: &Table) -> Vec<ColInfo> {
+    let fields = t.schema().fields();
+    let decode = |ci: usize| match t.column_at(ci) {
+        Column::Bool(_) => Decode::Bool,
+        Column::Cell(cells) if matches!(cells.first(), Some(Value::Bool(_))) => Decode::Bool,
+        _ => Decode::U64,
+    };
+    fields.iter().enumerate().map(|(ci, f)| ColInfo::new(&f.name, decode(ci))).collect()
+}
+
 /// Rewrites the core plan for pushdown: every `Filter` sitting directly
 /// above a plain `Scan` leaf is split into pushable conjuncts (recorded
 /// per scan, applied at bind time) and residual conjuncts (left as a
 /// lowered Filter module). A conjunct is pushed exactly when
-/// [`lower_predicate`] resolves it against the bare scan's columns, i.e.
-/// when the hardware Filter it replaces would have been built.
+/// [`lower_predicate`] resolves it against the bare scan's columns
+/// ([`table_infos`]), i.e. when the hardware Filter it replaces would
+/// have been built.
 /// Conjunction is commutative and survivors keep their relative order,
 /// so the rewritten plan's streams are bit-identical to the original's.
 /// The traversal mirrors [`prepare_scans`]' left-to-right leaf order —
 /// and since only Filter *nodes* are removed, that leaf order is invariant under the rewrite,
-/// which is what lets [`Lowering::prepare`] re-apply the pushed conjuncts
-/// by scan index after re-preparing.
-fn push_down(plan: &LogicalPlan, prepared: &[PreparedScan]) -> (LogicalPlan, Vec<PushedFilter>) {
+/// which is what lets a pushed conjunct name its scan by index in the
+/// rewritten core that every bind prepares.
+fn push_down(plan: &LogicalPlan, catalog: &Catalog) -> (LogicalPlan, Vec<PushedFilter>) {
     fn rewrite(
         plan: &LogicalPlan,
-        prepared: &[PreparedScan],
+        catalog: &Catalog,
         next_scan: &mut usize,
         pushed: &mut Vec<PushedFilter>,
     ) -> LogicalPlan {
@@ -1997,12 +2260,17 @@ fn push_down(plan: &LogicalPlan, prepared: &[PreparedScan]) -> (LogicalPlan, Vec
                 *next_scan += 1;
                 plan.clone()
             }
-            LogicalPlan::Filter { input, pred }
-                if matches!(&**input, LogicalPlan::Scan { .. }) =>
-            {
+            LogicalPlan::Filter { input, pred } => {
+                let LogicalPlan::Scan { table, partition } = &**input else {
+                    return plan.map_inputs(|input| rewrite(input, catalog, next_scan, pushed));
+                };
                 let idx = *next_scan;
                 *next_scan += 1;
-                let infos = scan_infos(&prepared[idx]);
+                // An unknown table pushes nothing; binding reports it.
+                let Ok(t) = lookup_table(table, partition.as_ref(), catalog) else {
+                    return plan.clone();
+                };
+                let infos = table_infos(t);
                 let mut parts = Vec::new();
                 conjuncts(pred, &mut parts);
                 let (push, residual): (Vec<&Expr>, Vec<&Expr>) = parts
@@ -2024,12 +2292,12 @@ fn push_down(plan: &LogicalPlan, prepared: &[PreparedScan]) -> (LogicalPlan, Vec
                     Some(pred) => LogicalPlan::Filter { input: input.clone(), pred },
                 }
             }
-            other => other.map_inputs(|input| rewrite(input, prepared, next_scan, pushed)),
+            other => other.map_inputs(|input| rewrite(input, catalog, next_scan, pushed)),
         }
     }
     let mut pushed = Vec::new();
     let mut next_scan = 0usize;
-    let out = rewrite(plan, prepared, &mut next_scan, &mut pushed);
+    let out = rewrite(plan, catalog, &mut next_scan, &mut pushed);
     (out, pushed)
 }
 
@@ -2053,7 +2321,8 @@ fn retain_rows(kept: &mut Vec<usize>, test: impl Fn(usize) -> bool) {
 /// hold; base-table scans never carry `Ins`/`Del` markers, so each reduces
 /// to [`CmpOp::holds`] over plain `u64`s — the Filter module's own
 /// comparison — and narrows the survivor list in one pass over its operand
-/// columns ([`retain_rows`]); the columns then compact in place.
+/// columns ([`retain_rows`]); operands only the host read are then
+/// dropped ([`PreparedScan::drop_operands`]) and the rest compact in place.
 /// Surviving rows keep their relative order, so downstream modules see
 /// exactly the stream a lowered Filter would have produced.
 fn apply_pushdown(
@@ -2091,6 +2360,7 @@ fn apply_pushdown(
             }
         }
         scan.rows_scanned = n;
+        scan.drop_operands(pf.scan == 0);
         if kept.len() == n {
             continue; // nothing dropped; the scan streams unchanged
         }
@@ -3787,6 +4057,42 @@ mod tests {
         let err = list_len(u32::MAX as usize + 1, "SEQ", 3, "ReadExplode").unwrap_err();
         let CoreError::Unsupported { node, reason } = err else { panic!("{err}") };
         assert_eq!((node.as_str(), reason.as_str()), ("ReadExplode", "column SEQ row 3 list is too long"));
+    }
+
+    #[test]
+    fn may_resolve_follows_resolve_through_join_prefixes() {
+        let r = |t: Option<&str>, c: &str| ColRef { table: t.map(str::to_owned), column: c.into() };
+        assert!(may_resolve("POS", &r(None, "POS")));
+        assert!(may_resolve("POS", &r(Some("PAIRS"), "POS")));
+        assert!(may_resolve("PAIRS.POS", &r(None, "POS")));
+        assert!(may_resolve("POS", &r(None, "PAIRS.POS")));
+        assert!(!may_resolve("MPOS", &r(None, "POS")));
+        assert!(!may_resolve("POS", &r(Some("PAIRS"), "MPOS")));
+    }
+
+    #[test]
+    fn count_star_streams_the_first_narrowest_column() {
+        let catalog = catalog_of(
+            "T",
+            vec![
+                ("X", Column::U32(vec![1, 2, 3])),
+                ("SEQ", Column::ListU8(vec![vec![1], vec![], vec![2, 3]])),
+                ("F", Column::Bool(vec![true, false, true])),
+                ("G", Column::U8(vec![4, 5, 6])),
+            ],
+        );
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(scan("T")),
+            items: vec![SelectItem::Agg { func: AggFn::Count, arg: None, alias: None }],
+            group_by: vec![],
+        };
+        let cfg = DeviceConfig::small();
+        let low = analyze(&plan, &catalog, &cfg).unwrap();
+        assert!(low.summary.iter().any(|l| l == "Scan(T) -> 1x MemoryReader (1 of 4 columns)"));
+        let job = low.prepare(&cfg, &catalog, 1).unwrap();
+        let names: Vec<&str> = job.prepared[0].cols.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["F"]);
+        assert_tables_match(&job.run().unwrap().0, &software(&plan, &catalog));
     }
 
     #[test]

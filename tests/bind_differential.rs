@@ -11,13 +11,16 @@
 //! scanned-row count must tile across the shards exactly. A fixed block
 //! pins whole `AccelStats` values recorded before the bind path was
 //! rewritten: the simulator must see the same bytes at the same
-//! addresses, so nothing it counts may move.
+//! addresses, so nothing it counts may move; a fourth pins a scan that
+//! projection pushdown pruned. Two more fixed cases hold a table wider
+//! than a flit, with columns no Memory Reader can stream, and the spine's
+//! partition key cutting the shards when the scan does not stream it.
 
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::core::perf::AccelStats;
 use genesis::core::serve::{GenesisServer, Request, ServerConfig};
-use genesis::sql::ast::{BinOp, ColRef, Expr};
+use genesis::sql::ast::{AggFn, BinOp, ColRef, Expr, SelectItem};
 use genesis::sql::exec::{execute_plan, Env};
 use genesis::sql::{Catalog, LogicalPlan};
 use genesis::types::{Column, Field, Schema, Table, Value};
@@ -328,7 +331,10 @@ proptest! {
 /// Whole-`AccelStats` pins, recorded at the commit before the bind path
 /// became one typed pass (c81e6f2): cycles, flits, stall buckets, memory
 /// and DMA traffic and the scan counters of three fixed jobs. The module
-/// tick census was added later, at its value then.
+/// tick census was added later, at its value then. The fourth job, the
+/// `serve_hot` `SUM(X)` shape, was pinned with projection pushdown: its
+/// scan streams `X` alone, where streaming both columns through a Zip
+/// took 77 cycles, 800 DMA-in bytes, 1,152 device bytes and 304 flits.
 #[test]
 fn accel_stats_are_what_they_were() {
     let xs: Vec<u32> = (0..100u32).map(|i| i * 37 % 101).collect();
@@ -345,10 +351,12 @@ fn accel_stats_are_what_they_were() {
         array: ColRef::bare("ITEMS"),
         init_pos: Expr::Number(10),
     };
-    let cases: [(&str, &LogicalPlan, &Catalog, usize, usize, &str); 3] = [
+    let summed = scalar(scan("T"), vec![sum("X")]);
+    let cases: [(&str, &LogicalPlan, &Catalog, usize, usize, &str); 4] = [
         ("filtered scan, unsharded", &filtered, &catalog, 1, 2, PIN_FILTERED),
         ("filtered scan, 3 shards", &filtered, &catalog, 3, 2, PIN_FILTERED_SHARDED),
         ("explode, 2 shards", &exploded, &exploded_catalog, 2, 3, PIN_EXPLODED),
+        ("pruned scan, unsharded", &summed, &catalog, 1, 2, PIN_PRUNED),
     ];
     for (what, plan, cat, shards, replication, pin) in cases {
         let (_, mut stats) = serve(plan, cat, DeviceConfig::small(), shards, replication).unwrap();
@@ -391,3 +399,91 @@ const PIN_EXPLODED: &str = "\
     rows_emitted: 12, reconfig_cycles: 0, faults: FaultReport { dma_errors: 0, \
     dma_timeouts: 0, device_faults: 0, mem_spikes: 0, retries: 0, backoff_ns: 0, \
     fallback_batches: 0, fallback_jobs: 0 } }";
+const PIN_PRUNED: &str = "\
+    AccelStats { cycles: 74, dma_in_bytes: 400, dma_out_bytes: 8, dma_transfers: 4, \
+    device_mem_bytes: 640, invocations: 1, backpressure_stalls: 0, total_flits: 104, \
+    module_ticks: 228, active_cycles: 230, input_starved_cycles: 182, backpressured_cycles: 0, \
+    memory_wait_cycles: 32, spill_wait_cycles: 0, tier_pages_filled: 0, \
+    tier_pages_spilled: 0, tier_prefetch_hits: 0, tier_pcie_bytes: 0, \
+    rows_scanned: 100, rows_emitted: 100, reconfig_cycles: 0, \
+    faults: FaultReport { dma_errors: 0, dma_timeouts: 0, device_faults: 0, \
+    mem_spikes: 0, retries: 0, backoff_ns: 0, fallback_batches: 0, fallback_jobs: 0 } }";
+
+fn sum(arg: &str) -> SelectItem {
+    SelectItem::Agg { func: AggFn::Sum, arg: Some(col(arg)), alias: None }
+}
+
+fn scalar(input: LogicalPlan, items: Vec<SelectItem>) -> LogicalPlan {
+    LogicalPlan::Aggregate { input: Box::new(input), items, group_by: vec![] }
+}
+
+/// A ten-column table, two of them lists and one a string, scanned for
+/// two numeric columns: wider than a flit and holding columns no Memory
+/// Reader streams, it lowers because only the two are bound, and matches
+/// the SQL engine with pushdown on and off at 1–3 shards.
+#[test]
+fn wide_table_scanned_for_two_columns() {
+    let rows = 40u32;
+    let mut cols: Vec<(String, Column)> = (0..7u32)
+        .map(|c| (format!("C{c}"), Column::U32((0..rows).map(|r| (r * 7 + c * 13) % 50).collect())))
+        .collect();
+    cols.push(("NAME".into(), Column::Str((0..rows).map(|r| format!("r{r}")).collect())));
+    cols.push(("SEQ".into(), Column::ListU8((0..rows).map(|r| vec![r as u8; 3]).collect())));
+    cols.push(("FLAGS".into(), Column::ListBool((0..rows).map(|r| vec![r % 2 == 0]).collect())));
+    let catalog = catalog_of("T", cols.iter().map(|(n, c)| (n.as_str(), c.clone())).collect());
+    let plan = scalar(
+        LogicalPlan::Filter {
+            input: Box::new(scan("T")),
+            pred: bin(BinOp::Lt, col("C2"), Expr::Number(30)),
+        },
+        vec![sum("C5"), sum("C2")],
+    );
+    let compiled = Compiler::new(DeviceConfig::small()).compile(&plan, &catalog).unwrap();
+    assert!(
+        compiled.explain().contains("Scan(T) -> 2x MemoryReader + Zip (2 of 10 columns)"),
+        "{}",
+        compiled.explain()
+    );
+    for pushdown in [true, false] {
+        for shards in 1..=3 {
+            let device = DeviceConfig::small().with_pushdown(pushdown);
+            differential(&plan, &catalog, device, rows as usize, (shards, 2)).unwrap();
+        }
+    }
+}
+
+/// `SUM(X)` streams `X` alone, yet its four shards are still cut on the
+/// spine's (chromosome, position window) key: chromosome runs of 40, 20,
+/// 20 and 20 rows give three shards of 40, 40 and 20, where an equal
+/// split would give four of 25.
+#[test]
+fn partition_key_cuts_shards_without_streaming() {
+    let chr: Vec<u8> = [(1, 40), (2, 20), (3, 20), (4, 20)]
+        .iter()
+        .flat_map(|&(c, n)| std::iter::repeat_n(c, n))
+        .collect();
+    let pos: Vec<u32> = (0..100).map(|i| i * 10).collect();
+    let xs: Vec<u32> = (0..100).collect();
+    let catalog = catalog_of(
+        "R",
+        vec![("CHR", Column::U8(chr)), ("POS", Column::U32(pos)), ("X", Column::U32(xs))],
+    );
+    let plan = scalar(scan("R"), vec![sum("X")]);
+    let compiled = Compiler::new(DeviceConfig::small()).compile(&plan, &catalog).unwrap();
+    assert!(compiled.explain().contains("(1 of 3 columns)"), "{}", compiled.explain());
+    let server = GenesisServer::new(
+        ServerConfig::default().with_devices(4, DeviceConfig::small()).with_shards(4),
+    );
+    let (table, stats) = server
+        .submit(Request::new("t", plan.clone()), &catalog)
+        .and_then(|ticket| ticket.wait())
+        .unwrap();
+    assert_eq!(table.row(0), vec![Value::U64((0..100).sum())]);
+    assert_eq!(stats.rows_scanned, 100);
+    let log = server.schedule_log();
+    assert_eq!(log.len(), 3, "{log:?}");
+    assert!(log.iter().all(|r| r.shards == 3), "{log:?}");
+    let span = |i: usize| log[i].modeled_end - log[i].modeled_start;
+    assert_eq!(span(0), span(1), "the two 40-row shards take the same time");
+    assert!(span(2) < span(0), "the 20-row shard is shorter");
+}

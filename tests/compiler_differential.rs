@@ -6,8 +6,12 @@
 //! Five property tests × 64 cases = 320 random plan/data/replication
 //! combinations per run, spanning filters, computed projections, scalar
 //! and grouped aggregation, joins, and host epilogues (`ORDER BY` /
-//! `LIMIT`). A final deterministic block checks that every rejection is a
-//! structured `CoreError::Unsupported` naming the offending plan node.
+//! `LIMIT`), each compiled with pushdown on and off. Their tables carry
+//! columns no plan reads, one of them a list column wherever the output
+//! does not carry every column, so a scan lowers only if projection
+//! pushdown prunes it. A final deterministic block checks that every
+//! rejection is a structured `CoreError::Unsupported` naming the
+//! offending plan node.
 
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
@@ -27,6 +31,23 @@ fn table_u32(cols: &[(&str, Vec<u32>)]) -> Table {
     let schema = Schema::new(cols.iter().map(|(n, _)| Field::new(n, DataType::U32)).collect());
     let columns = cols.iter().map(|(_, v)| Column::U32(v.clone())).collect();
     Table::from_columns(schema, columns).unwrap()
+}
+
+/// `cols` between two columns no plan reads: a leading `U8` and, with
+/// `list`, a trailing list column no Memory Reader can stream.
+fn padded(cols: &[(&str, Vec<u32>)], list: bool) -> Table {
+    let rows = cols.first().map_or(0, |(_, v)| v.len());
+    let mut fields = vec![Field::new("PAD", DataType::U8)];
+    let mut columns = vec![Column::U8((0..rows).map(|r| (r % 7) as u8).collect())];
+    for (name, vals) in cols {
+        fields.push(Field::new(name, DataType::U32));
+        columns.push(Column::U32(vals.clone()));
+    }
+    if list {
+        fields.push(Field::new("TAGS", DataType::ListU8));
+        columns.push(Column::ListU8((0..rows).map(|r| vec![r as u8; r % 3]).collect()));
+    }
+    Table::from_columns(Schema::new(fields), columns).unwrap()
 }
 
 fn table_u64(cols: &[(&str, Vec<u64>)]) -> Table {
@@ -49,19 +70,22 @@ fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
 
 const CMP_OPS: [BinOp; 6] = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
 
-/// Compiles `plan`, runs it on the simulated hardware at `factor`
-/// replicated pipelines, runs it on the software engine, and fails the
-/// test case unless the two tables agree bit for bit.
+/// Compiles `plan` with pushdown on and off, runs it on the simulated
+/// hardware at `factor` replicated pipelines, runs it on the software
+/// engine, and fails the test case unless the tables agree bit for bit.
 fn differential(plan: &LogicalPlan, catalog: &Catalog, factor: usize) -> Result<(), TestCaseError> {
-    let compiled = Compiler::new(DeviceConfig::small())
-        .compile(plan, catalog)
-        .map_err(|e| TestCaseError::fail(format!("compile failed: {e}")))?;
-    let (hw, _) = compiled
-        .execute_replicated(catalog, factor)
-        .map_err(|e| TestCaseError::fail(format!("hardware run failed: {e}")))?;
     let sw = execute_plan(plan, catalog, &Env::default())
         .map_err(|e| TestCaseError::fail(format!("software run failed: {e}")))?;
-    assert_tables(&hw, &sw, "default engine")
+    for pushdown in [true, false] {
+        let what = format!("pushdown {pushdown}");
+        let (hw, _) = Compiler::new(DeviceConfig::small().with_pushdown(pushdown))
+            .compile(plan, catalog)
+            .map_err(|e| TestCaseError::fail(format!("{what}: compile failed: {e}")))?
+            .execute_replicated(catalog, factor)
+            .map_err(|e| TestCaseError::fail(format!("{what}: hardware run failed: {e}")))?;
+        assert_tables(&hw, &sw, &what)?;
+    }
+    Ok(())
 }
 
 /// [`differential`] swept over the full engine matrix, with the plan
@@ -136,7 +160,8 @@ proptest! {
         let ys: Vec<u32> = xs.iter().map(|v| v.wrapping_mul(3) % 37).collect();
         let catalog = {
             let mut c = Catalog::new();
-            c.register("T", table_u32(&[("X", xs), ("Y", ys)]));
+            // Every column reaches the output: no list column.
+            c.register("T", padded(&[("X", xs), ("Y", ys)], false));
             c
         };
         let rhs_expr = if col_vs_col == 1 { col("Y") } else { Expr::Number(rhs) };
@@ -173,7 +198,7 @@ proptest! {
         let ys: Vec<u32> = xs.iter().map(|v| (v * 7 + 13) % 997).collect();
         let catalog = {
             let mut c = Catalog::new();
-            c.register("T", table_u32(&[("X", xs), ("Y", ys)]));
+            c.register("T", padded(&[("X", xs), ("Y", ys)], true));
             c
         };
         let alias = if aliased == 1 { Some("FLAG".to_owned()) } else { None };
@@ -205,7 +230,7 @@ proptest! {
     ) {
         let catalog = {
             let mut c = Catalog::new();
-            c.register("T", table_u32(&[("V", vs)]));
+            c.register("T", padded(&[("V", vs)], true));
             c
         };
         let input = if filtered == 1 {
@@ -240,7 +265,7 @@ proptest! {
         let ws: Vec<u32> = ks.iter().enumerate().map(|(i, k)| k * weight_mul + i as u32 % 5).collect();
         let catalog = {
             let mut c = Catalog::new();
-            c.register("T", table_u32(&[("K", ks), ("W", ws)]));
+            c.register("T", padded(&[("K", ks), ("W", ws)], true));
             c
         };
         let plan = LogicalPlan::Sort {
@@ -278,8 +303,9 @@ proptest! {
         let rv: Vec<u32> = rk.iter().map(|k| k * rmul + 2).collect();
         let catalog = {
             let mut c = Catalog::new();
-            c.register("L", table_u32(&[("K", lk), ("A", lv)]));
-            c.register("R", table_u32(&[("K", rk), ("B", rv)]));
+            // Every column reaches the output: no list column.
+            c.register("L", padded(&[("K", lk), ("A", lv)], false));
+            c.register("R", padded(&[("K", rk), ("B", rv)], false));
             c
         };
         let kind = if left_join == 1 { JoinKind::Left } else { JoinKind::Inner };

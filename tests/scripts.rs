@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 
 /// Every (script, data set) pair the runner is held to. Generated data
 /// stays at `tiny` so the suite stays fast in the debug profile.
-const PAIRS: [(&str, &str); 8] = [
+const PAIRS: [(&str, &str); 9] = [
     ("figure4", "genomics"),
     ("figure4", "tiny"),
     ("coverage", "genomics"),
@@ -18,6 +18,7 @@ const PAIRS: [(&str, &str); 8] = [
     ("selected", "genomics"),
     ("pos_explode_join", "genomics"),
     ("insert_size", "genomics"),
+    ("read_starts", "genomics"),
 ];
 
 fn repo_file(path: &str) -> PathBuf {
@@ -69,6 +70,15 @@ fn unknown_data_set_is_an_error() {
 fn absent_table_is_an_error_with_a_suggestion() {
     let err = run("INSERT INTO O SELECT * FROM PAIR WHERE POS < 10", "genomics").unwrap_err();
     assert!(err.contains("did you mean `PAIRS`?"), "got: {err}");
+}
+
+#[test]
+fn unknown_column_suggests_from_the_whole_table() {
+    // The scan is pruned to PAIRS.POS (the narrowest column carries the
+    // rows, since no reference resolves); the suggestion still comes
+    // from every column of the table, as without pruning.
+    let err = run("INSERT INTO O SELECT SUM(MPOSS) FROM PAIRS", "genomics").unwrap_err();
+    assert!(err.ends_with("unknown column MPOSS (did you mean `MPOS`?)"), "got: {err}");
 }
 
 #[test]
