@@ -21,8 +21,7 @@
 //! than silently degrading.
 
 use crate::cost::{
-    choose_replication, choose_replication_spill, PipelineProfile, ReplicationChoice,
-    SpillProfile, MAX_REPLICATION,
+    choose_replication_spill, PipelineProfile, ReplicationChoice, SpillProfile, MAX_REPLICATION,
 };
 use crate::device::DeviceConfig;
 use crate::error::CoreError;
@@ -91,7 +90,9 @@ impl Compiler {
 
     /// Compiles one logical plan against `catalog`: lowers it node by
     /// node into a module graph, then chooses the replication factor with
-    /// [`choose_replication`] over the measured profile of that graph.
+    /// [`crate::cost::choose_replication`] over the measured profile of
+    /// that graph (the choice [`PipelinePlan::replication`] reports; a
+    /// run re-chooses it at the selectivity it binds).
     ///
     /// # Errors
     ///
@@ -99,17 +100,7 @@ impl Compiler {
     /// plan does not lower.
     pub fn compile(&self, plan: &LogicalPlan, catalog: &Catalog) -> Result<PipelinePlan, CoreError> {
         let lowered = analyze(plan, catalog, &self.cfg)?;
-        let replication = match self.cfg.tiers.as_ref() {
-            // Tiered memory: the shared PCIe spill link is a third
-            // saturable budget for the replication chooser.
-            Some(t) => choose_replication_spill(
-                &lowered.profile,
-                &self.cfg.mem,
-                MAX_REPLICATION,
-                Some(SpillProfile::project(&lowered.profile, t, self.cfg.clock_hz)),
-            ),
-            None => choose_replication(&lowered.profile, &self.cfg.mem, MAX_REPLICATION),
-        };
+        let replication = choose_replication_for(&lowered.profile, &self.cfg);
         Ok(PipelinePlan {
             plan: plan.clone(),
             lowered,
@@ -133,6 +124,18 @@ impl Compiler {
     }
 }
 
+/// The replication choice for one pipeline `profile` on `cfg`: the
+/// Figure 8 chooser, with the shared PCIe spill link as a third saturable
+/// budget when tiered memory is on. [`Compiler::compile`] makes it over
+/// the compile-time profile, every bind over the bound selectivity.
+pub(crate) fn choose_replication_for(
+    profile: &PipelineProfile,
+    cfg: &DeviceConfig,
+) -> ReplicationChoice {
+    let spill = cfg.tiers.as_ref().map(|t| SpillProfile::project(profile, t, cfg.clock_hz));
+    choose_replication_spill(profile, &cfg.mem, MAX_REPLICATION, spill)
+}
+
 /// A compiled, executable hardware pipeline: the open handle returned by
 /// [`Compiler::compile`].
 #[derive(Debug, Clone)]
@@ -152,7 +155,8 @@ impl PipelinePlan {
         &self.plan
     }
 
-    /// The cost model's replication decision for this pipeline.
+    /// The cost model's replication decision for this pipeline, over the
+    /// catalog it compiled against.
     #[must_use]
     pub fn replication(&self) -> &ReplicationChoice {
         &self.replication
@@ -184,15 +188,17 @@ impl PipelinePlan {
         out
     }
 
-    /// Executes the compiled pipeline on the simulated device at the
-    /// cost-model-chosen replication factor and returns the result table
-    /// with accelerator statistics.
+    /// Executes the compiled pipeline on the simulated device and returns
+    /// the result table with accelerator statistics. The replication
+    /// factor is the cost model's choice at the selectivity `catalog`'s
+    /// data binds: [`PipelinePlan::replication`]'s on the compile-time
+    /// catalog, and what a fresh compile would choose on any other.
     ///
     /// # Errors
     ///
     /// Any bind, simulation or verification error from the run.
     pub fn execute(&self, catalog: &Catalog) -> Result<(Table, AccelStats), CoreError> {
-        self.execute_replicated(catalog, self.replication.factor)
+        self.lowered.execute(&self.cfg, catalog, None)
     }
 
     /// Like [`PipelinePlan::execute`] but at an explicit replication
@@ -206,18 +212,22 @@ impl PipelinePlan {
         catalog: &Catalog,
         factor: usize,
     ) -> Result<(Table, AccelStats), CoreError> {
-        self.lowered.execute(&self.cfg, catalog, factor.max(1))
+        self.lowered.execute(&self.cfg, catalog, Some(factor))
     }
 
-    /// Binds the compiled pipeline to `catalog`'s current data, returning a
-    /// `Send` job that [`crate::serve::GenesisServer`] can run on a device
-    /// worker thread.
+    /// Binds the compiled pipeline to `catalog`'s current data and to a
+    /// request's `literals` (the values of the shape's pushed parameters;
+    /// `None` keeps the compiled plan's own), returning a `Send` job that
+    /// [`crate::serve::GenesisServer`] can run on a device worker thread.
+    /// Without an explicit `factor` the replication is chosen at bind,
+    /// as [`PipelinePlan::execute`] chooses it.
     pub(crate) fn prepare_job(
         &self,
         catalog: &Catalog,
-        factor: usize,
+        literals: Option<&[u64]>,
+        factor: Option<usize>,
     ) -> Result<crate::lower::PreparedJob, CoreError> {
-        self.lowered.prepare(&self.cfg, catalog, factor.max(1))
+        self.lowered.prepare(&self.cfg, catalog, literals, factor)
     }
 }
 
@@ -398,6 +408,7 @@ pub fn figure4_script() -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::choose_replication;
     use crate::library::CustomModuleSpec;
     use genesis_sql::ast::{BinOp, ColRef, Expr};
     use genesis_types::{Column, DataType, Field, Schema, Value};

@@ -1370,7 +1370,7 @@ fn analyze_with(
     let projection = if prune { Projection::of(&core) } else { Projection::default() };
     let mut prepared = Vec::new();
     prepare_scans(&core, catalog, each_row.as_deref(), &projection, &pushed, &mut prepared)?;
-    apply_pushdown(&mut prepared, &pushed)?;
+    apply_pushdown(&mut prepared, &pushed, None)?;
     let mut summary: Vec<String> = pushed
         .iter()
         .map(|pf| {
@@ -1424,22 +1424,12 @@ fn analyze_with(
         registers: total.registers.saturating_sub(overhead.registers),
         bram_bytes: total.bram_bytes.saturating_sub(overhead.bram_bytes),
     };
-    // Post-pushdown row rate of the spine scan: the fraction of scanned
-    // spine rows that survive into the pipeline. Replication splits the
-    // spine, so a selective scan shortens every replica's batch — the
-    // cost model caps the useful replica count by this rate.
-    let spine = &prepared[0];
-    let selectivity = if spine.rows_scanned == 0 {
-        1.0
-    } else {
-        spine.rows as f64 / spine.rows_scanned as f64
-    };
     let profile = PipelineProfile {
         read_port_bytes: ctx.reads.clone(),
         write_port_bytes: ctx.writes.clone(),
         fabric,
         expansion: ctx.expansion,
-        selectivity,
+        selectivity: selectivity(&prepared),
     };
     summary.extend(ctx.summary);
     Ok(Arc::new(Lowering {
@@ -1454,6 +1444,19 @@ fn analyze_with(
         profile,
         summary,
     }))
+}
+
+/// Post-pushdown row rate of the spine scan: the fraction of scanned
+/// spine rows that survive into the pipeline. Replication splits the
+/// spine, so a selective scan shortens every replica's batch — the cost
+/// model caps the useful replica count by this rate.
+fn selectivity(prepared: &[PreparedScan]) -> f64 {
+    let spine = &prepared[0];
+    if spine.rows_scanned == 0 {
+        1.0
+    } else {
+        spine.rows as f64 / spine.rows_scanned as f64
+    }
 }
 
 /// Re-derives the per-item [`GroupRole`]s of a grouped-aggregate root.
@@ -1771,19 +1774,29 @@ impl Lowering {
     /// Binds the lowering to `catalog`'s current data: copies every
     /// column the scans bind so the returned job is `Send` and can run on
     /// a host worker thread (the catalog itself holds non-`Send` custom
-    /// modules).
+    /// modules). `literals` are the values of the shape's pushed
+    /// parameters ([`parameters`]; `None` binds the analyzed plan's own).
+    /// Without an explicit `factor`, replication is chosen here, from the
+    /// profile at the bound selectivity: what a fresh compile over this
+    /// data with these literals would choose.
     pub(crate) fn prepare(
         self: &Arc<Self>,
         cfg: &DeviceConfig,
         catalog: &Catalog,
-        factor: usize,
+        literals: Option<&[u64]>,
+        factor: Option<usize>,
     ) -> Result<PreparedJob, CoreError> {
         let mut prepared = Vec::new();
         let each_row = self.each_row.as_deref();
         prepare_scans(&self.core, catalog, each_row, &self.projection, &self.pushed, &mut prepared)?;
         // Re-apply the pushed conjuncts to the freshly bound data (the
         // catalog's tables may have changed since analysis).
-        apply_pushdown(&mut prepared, &self.pushed)?;
+        apply_pushdown(&mut prepared, &self.pushed, literals)?;
+        let factor = factor.unwrap_or_else(|| {
+            let profile =
+                PipelineProfile { selectivity: selectivity(&prepared), ..self.profile.clone() };
+            crate::compile::choose_replication_for(&profile, cfg).factor
+        });
         Ok(PreparedJob {
             lowering: Arc::clone(self),
             cfg: cfg.clone(),
@@ -1793,15 +1806,16 @@ impl Lowering {
     }
 
     /// Executes the lowering: splits the spine scan across `factor`
-    /// replicated pipelines, simulates the batches, merges per-job results
-    /// and replays host epilogues through the software engine.
+    /// replicated pipelines (chosen at bind when `None`), simulates the
+    /// batches, merges per-job results and replays host epilogues through
+    /// the software engine.
     pub(crate) fn execute(
         self: &Arc<Self>,
         cfg: &DeviceConfig,
         catalog: &Catalog,
-        factor: usize,
+        factor: Option<usize>,
     ) -> Result<(Table, AccelStats), CoreError> {
-        self.prepare(cfg, catalog, factor)?.run()
+        self.prepare(cfg, catalog, None, factor)?.run()
     }
 
     /// Merges per-job outputs column-wise: every sink kind produces one
@@ -2231,74 +2245,158 @@ fn table_infos(t: &Table) -> Vec<ColInfo> {
     fields.iter().enumerate().map(|(ci, f)| ColInfo::new(&f.name, decode(ci))).collect()
 }
 
-/// Rewrites the core plan for pushdown: every `Filter` sitting directly
-/// above a plain `Scan` leaf is split into pushable conjuncts (recorded
-/// per scan, applied at bind time) and residual conjuncts (left as a
-/// lowered Filter module). A conjunct is pushed exactly when
-/// [`lower_predicate`] resolves it against the bare scan's columns
-/// ([`table_infos`]), i.e. when the hardware Filter it replaces would
-/// have been built.
-/// Conjunction is commutative and survivors keep their relative order,
-/// so the rewritten plan's streams are bit-identical to the original's.
-/// The traversal mirrors [`prepare_scans`]' left-to-right leaf order —
-/// and since only Filter *nodes* are removed, that leaf order is invariant under the rewrite,
-/// which is what lets a pushed conjunct name its scan by index in the
-/// rewritten core that every bind prepares.
-fn push_down(plan: &LogicalPlan, catalog: &Catalog) -> (LogicalPlan, Vec<PushedFilter>) {
-    fn rewrite(
-        plan: &LogicalPlan,
+/// One `Filter` sitting directly above a plain `Scan` leaf of the core,
+/// split by pushdown into the conjuncts absorbed into the scan and the
+/// residual ones left as a lowered Filter module.
+pub(crate) struct Split<'p> {
+    /// The `Filter` node.
+    node: &'p LogicalPlan,
+    /// Index of its scan in leaf order.
+    scan: usize,
+    /// The pushed conjuncts, in predicate order.
+    push: Vec<&'p Expr>,
+    /// The conjuncts left to a lowered Filter.
+    residual: Vec<&'p Expr>,
+}
+
+impl<'p> Split<'p> {
+    /// Whether `node` is this split's `Filter`.
+    pub(crate) fn is_node(&self, node: &LogicalPlan) -> bool {
+        std::ptr::eq(self.node, node)
+    }
+
+    /// Whether `conjunct` is one of the pushed conjuncts (by identity).
+    pub(crate) fn pushes(&self, conjunct: &Expr) -> bool {
+        self.push.iter().any(|e| std::ptr::eq(*e, conjunct))
+    }
+}
+
+/// The pushdown decision for `core`: every `Filter` directly above a plain
+/// `Scan` leaf whose conjuncts split, in leaf order. A conjunct is pushed
+/// exactly when [`lower_predicate`] resolves it against the bare scan's
+/// columns ([`table_infos`]), i.e. when the hardware Filter it replaces
+/// would have been built. The traversal mirrors [`prepare_scans`]'
+/// left-to-right leaf order — and since pushdown only removes Filter
+/// *nodes*, that leaf order is invariant under the rewrite, which is what
+/// lets a pushed conjunct name its scan by index in the rewritten core
+/// every bind prepares. Both the rewrite ([`push_down`]) and the serving
+/// cache's shape key ([`parameters`]) read this one decision.
+fn splits<'p>(core: &'p LogicalPlan, catalog: &Catalog) -> Vec<Split<'p>> {
+    fn walk<'p>(
+        plan: &'p LogicalPlan,
         catalog: &Catalog,
         next_scan: &mut usize,
-        pushed: &mut Vec<PushedFilter>,
-    ) -> LogicalPlan {
+        out: &mut Vec<Split<'p>>,
+    ) {
         match plan {
             // Explode and window leaves absorb their input; nothing to push.
             LogicalPlan::Scan { .. }
             | LogicalPlan::PosExplode { .. }
             | LogicalPlan::ReadExplode { .. }
-            | LogicalPlan::Limit { .. } => {
-                *next_scan += 1;
-                plan.clone()
-            }
+            | LogicalPlan::Limit { .. } => *next_scan += 1,
             LogicalPlan::Filter { input, pred } => {
                 let LogicalPlan::Scan { table, partition } = &**input else {
-                    return plan.map_inputs(|input| rewrite(input, catalog, next_scan, pushed));
+                    return walk(input, catalog, next_scan, out);
                 };
-                let idx = *next_scan;
+                let scan = *next_scan;
                 *next_scan += 1;
                 // An unknown table pushes nothing; binding reports it.
-                let Ok(t) = lookup_table(table, partition.as_ref(), catalog) else {
-                    return plan.clone();
-                };
+                let Ok(t) = lookup_table(table, partition.as_ref(), catalog) else { return };
                 let infos = table_infos(t);
                 let mut parts = Vec::new();
                 conjuncts(pred, &mut parts);
-                let (push, residual): (Vec<&Expr>, Vec<&Expr>) = parts
-                    .into_iter()
-                    .partition(|e| lower_predicate(&infos, e).is_ok());
-                if push.is_empty() {
-                    return plan.clone();
-                }
-                pushed.push(PushedFilter {
-                    scan: idx,
-                    conjuncts: push.into_iter().cloned().collect(),
-                });
-                match residual.into_iter().cloned().reduce(|acc, e| Expr::Bin {
-                    op: BinOp::And,
-                    lhs: Box::new(acc),
-                    rhs: Box::new(e),
-                }) {
-                    None => (**input).clone(),
-                    Some(pred) => LogicalPlan::Filter { input: input.clone(), pred },
+                let (push, residual): (Vec<&Expr>, Vec<&Expr>) =
+                    parts.into_iter().partition(|e| lower_predicate(&infos, e).is_ok());
+                if !push.is_empty() {
+                    out.push(Split { node: plan, scan, push, residual });
                 }
             }
-            other => other.map_inputs(|input| rewrite(input, catalog, next_scan, pushed)),
+            other => other.inputs().for_each(|input| walk(input, catalog, next_scan, out)),
         }
     }
-    let mut pushed = Vec::new();
-    let mut next_scan = 0usize;
-    let out = rewrite(plan, catalog, &mut next_scan, &mut pushed);
-    (out, pushed)
+    let mut out = Vec::new();
+    walk(core, catalog, &mut 0, &mut out);
+    out
+}
+
+/// Rewrites the core plan for pushdown ([`splits`]): each split Filter
+/// gives its pushed conjuncts to its scan (recorded per scan, applied at
+/// bind time) and keeps only the residual ones. Conjunction is
+/// commutative and survivors keep their relative order, so the rewritten
+/// plan's streams are bit-identical to the original's.
+fn push_down(plan: &LogicalPlan, catalog: &Catalog) -> (LogicalPlan, Vec<PushedFilter>) {
+    fn rewrite(plan: &LogicalPlan, splits: &[Split<'_>]) -> LogicalPlan {
+        let Some(split) = splits.iter().find(|s| s.is_node(plan)) else {
+            return plan.map_inputs(|input| rewrite(input, splits));
+        };
+        let LogicalPlan::Filter { input, .. } = plan else { unreachable!("a split is a Filter") };
+        match split.residual.iter().map(|&e| e.clone()).reduce(|acc, e| Expr::Bin {
+            op: BinOp::And,
+            lhs: Box::new(acc),
+            rhs: Box::new(e),
+        }) {
+            None => (**input).clone(),
+            Some(pred) => LogicalPlan::Filter { input: input.clone(), pred },
+        }
+    }
+    let splits = splits(plan, catalog);
+    let pushed = splits
+        .iter()
+        .map(|s| PushedFilter {
+            scan: s.scan,
+            conjuncts: s.push.iter().map(|&e| e.clone()).collect(),
+        })
+        .collect();
+    (rewrite(plan, &splits), pushed)
+}
+
+/// The literal operand of a pushable conjunct (`X < 5`, `5 > X`), if any.
+fn literal_of(conjunct: &Expr) -> Option<u64> {
+    match conjunct {
+        Expr::Bin { lhs, rhs, .. } => match (&**lhs, &**rhs) {
+            (Expr::Number(n), _) | (_, Expr::Number(n)) => Some(*n),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Whether no pushed literal of `core` can size its hardware: the module
+/// graph and fabric of a scan, filter, join, projection or scalar
+/// aggregate do not depend on which rows survive, while a GROUP BY,
+/// explode, reference window or loop sizes a scratchpad from bound data.
+fn shape_ignores_literals(core: &LogicalPlan) -> bool {
+    match core {
+        LogicalPlan::Aggregate { group_by, .. } if !group_by.is_empty() => false,
+        LogicalPlan::PosExplode { .. }
+        | LogicalPlan::ReadExplode { .. }
+        | LogicalPlan::Limit { .. }
+        | LogicalPlan::ForEach { .. } => false,
+        other => other.inputs().all(shape_ignores_literals),
+    }
+}
+
+/// The splits whose literals are bind-time parameters of `plan`, with
+/// those literals in bind order (the order [`Lowering::prepare`]
+/// substitutes them). `None` when `pushdown` is off or the shape could
+/// depend on a pushed literal ([`shape_ignores_literals`]): every literal
+/// then stays part of the shape, and a bind keeps the compiled ones.
+pub(crate) fn parameters<'p>(
+    plan: &'p LogicalPlan,
+    catalog: &Catalog,
+    pushdown: bool,
+) -> Option<(Vec<Split<'p>>, Vec<u64>)> {
+    // The core below the host epilogues `peel` splits off.
+    let mut core = plan;
+    while let LogicalPlan::Sort { input, .. } | LogicalPlan::Limit { input, .. } = core {
+        core = input;
+    }
+    if !pushdown || !shape_ignores_literals(core) {
+        return None;
+    }
+    let splits = splits(core, catalog);
+    let literals = splits.iter().flat_map(|s| &s.push).filter_map(|e| literal_of(e)).collect();
+    Some((splits, literals))
 }
 
 /// Narrows the ascending row list `kept` to the rows `test` passes. The
@@ -2324,11 +2422,15 @@ fn retain_rows(kept: &mut Vec<usize>, test: impl Fn(usize) -> bool) {
 /// columns ([`retain_rows`]); operands only the host read are then
 /// dropped ([`PreparedScan::drop_operands`]) and the rest compact in place.
 /// Surviving rows keep their relative order, so downstream modules see
-/// exactly the stream a lowered Filter would have produced.
+/// exactly the stream a lowered Filter would have produced. `literals`,
+/// when given, replace the conjuncts' literal operands in order: the
+/// request's values of a cached shape's parameters ([`parameters`]).
 fn apply_pushdown(
     prepared: &mut [PreparedScan],
     pushed: &[PushedFilter],
+    literals: Option<&[u64]>,
 ) -> Result<(), CoreError> {
+    let mut literals = literals.map(<[u64]>::iter);
     for pf in pushed {
         let scan = prepared
             .get_mut(pf.scan)
@@ -2352,7 +2454,15 @@ fn apply_pushdown(
             };
             let lhs = &scan.cols[i].vals;
             match p.rhs {
-                Operand::Const(v) => retain_rows(&mut kept, |r| p.op.holds(lhs[r], v)),
+                Operand::Const(v) => {
+                    let v = match literals.as_mut() {
+                        Some(values) => *values.next().ok_or_else(|| {
+                            CoreError::Host("fewer literals than pushed parameters".into())
+                        })?,
+                        None => v,
+                    };
+                    retain_rows(&mut kept, |r| p.op.holds(lhs[r], v));
+                }
                 Operand::Field(j) => {
                     let rhs = &scan.cols[j].vals;
                     retain_rows(&mut kept, |r| p.op.holds(lhs[r], rhs[r]));
@@ -2375,6 +2485,9 @@ fn apply_pushdown(
         }
         scan.rows = kept.len();
         scan.kept = Some(kept);
+    }
+    if literals.is_some_and(|mut rest| rest.next().is_some()) {
+        return Err(CoreError::Host("more literals than pushed parameters".into()));
     }
     Ok(())
 }
@@ -3489,7 +3602,7 @@ mod tests {
     fn run(plan: &LogicalPlan, catalog: &Catalog, factor: usize) -> Table {
         let cfg = DeviceConfig::small();
         let low = analyze(plan, catalog, &cfg).unwrap();
-        low.execute(&cfg, catalog, factor).unwrap().0
+        low.execute(&cfg, catalog, Some(factor)).unwrap().0
     }
 
     fn software(plan: &LogicalPlan, catalog: &Catalog) -> Table {
@@ -3752,7 +3865,7 @@ mod tests {
             "explain must note the pushed conjunct: {:?}",
             low.summary
         );
-        let (hw, stats) = low.execute(&cfg, &catalog, 2).unwrap();
+        let (hw, stats) = low.execute(&cfg, &catalog, Some(2)).unwrap();
         assert_eq!(stats.rows_scanned, 100);
         assert_eq!(stats.rows_emitted, 10);
         assert_tables_match(&hw, &software(&plan, &catalog));
@@ -3762,7 +3875,7 @@ mod tests {
         let low_off = analyze(&plan, &catalog, &cfg_off).unwrap();
         assert!(low_off.pushed.is_empty());
         assert!((low_off.profile.selectivity - 1.0).abs() < 1e-9);
-        let (hw_off, stats_off) = low_off.execute(&cfg_off, &catalog, 2).unwrap();
+        let (hw_off, stats_off) = low_off.execute(&cfg_off, &catalog, Some(2)).unwrap();
         assert_eq!(stats_off.rows_scanned, 100);
         assert_eq!(stats_off.rows_emitted, 100);
         assert_tables_match(&hw, &hw_off);
@@ -3774,7 +3887,7 @@ mod tests {
         let plan = filter_lt(scan("T"), "X", 0); // vacuously false
         let cfg = DeviceConfig::small();
         let low = analyze(&plan, &catalog, &cfg).unwrap();
-        let (hw, stats) = low.execute(&cfg, &catalog, 1).unwrap();
+        let (hw, stats) = low.execute(&cfg, &catalog, Some(1)).unwrap();
         assert_eq!(stats.rows_scanned, 50);
         assert_eq!(stats.rows_emitted, 0);
         assert_tables_match(&hw, &software(&plan, &catalog));
@@ -3793,7 +3906,7 @@ mod tests {
         let cfg = DeviceConfig::small();
         let low = analyze(&plan, &catalog, &cfg).unwrap();
         assert!(low.pushed.is_empty());
-        let (hw, stats) = low.execute(&cfg, &catalog, 2).unwrap();
+        let (hw, stats) = low.execute(&cfg, &catalog, Some(2)).unwrap();
         assert_eq!(stats.rows_scanned, stats.rows_emitted);
         assert_tables_match(&hw, &software(&plan, &catalog));
     }
@@ -3814,7 +3927,7 @@ mod tests {
         };
         let cfg = DeviceConfig::small();
         let low = analyze(&plan, &catalog, &cfg).unwrap();
-        let job = low.prepare(&cfg, &catalog, 1).unwrap();
+        let job = low.prepare(&cfg, &catalog, None, Some(1)).unwrap();
         let ranges = job.shard_ranges(4);
         assert_eq!(ranges.len(), 4);
         assert!(ranges.iter().all(|r| r.len() == 5), "survivor split skewed: {ranges:?}");
@@ -3907,7 +4020,7 @@ mod tests {
         // it must be a Plan error suggesting the close table name.
         let err = match low {
             Err(e) => e,
-            Ok(low) => low.execute(&cfg, &catalog, 1).unwrap_err(),
+            Ok(low) => low.execute(&cfg, &catalog, Some(1)).unwrap_err(),
         };
         let CoreError::Plan { node, reason } = err else { panic!("{err}") };
         assert_eq!(node, "Scan(REDAS)");
@@ -4089,7 +4202,7 @@ mod tests {
         let cfg = DeviceConfig::small();
         let low = analyze(&plan, &catalog, &cfg).unwrap();
         assert!(low.summary.iter().any(|l| l == "Scan(T) -> 1x MemoryReader (1 of 4 columns)"));
-        let job = low.prepare(&cfg, &catalog, 1).unwrap();
+        let job = low.prepare(&cfg, &catalog, None, Some(1)).unwrap();
         let names: Vec<&str> = job.prepared[0].cols.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["F"]);
         assert_tables_match(&job.run().unwrap().0, &software(&plan, &catalog));
@@ -4105,7 +4218,7 @@ mod tests {
         // The same table now holds booleans under that name: `X < 10` is
         // no comparison the scan can evaluate.
         let rebound = catalog_of("T", vec![("X", Column::Bool(vec![true, false]))]);
-        let err = low.prepare(&cfg, &rebound, 1).unwrap_err();
+        let err = low.prepare(&cfg, &rebound, None, Some(1)).unwrap_err();
         assert_eq!(
             err.to_string(),
             "host api error: pushed conjunct no longer resolves against the scan"

@@ -8,11 +8,13 @@
 //!
 //! * **Compiled-pipeline cache.** Reconfiguring an FPGA costs real time on
 //!   hardware, and recompiling a plan costs real host time here. Each
-//!   submitted [`LogicalPlan`] is fingerprinted ([`fingerprint`]: a stable
-//!   structural hash over the plan tree and the scanned tables' schemas);
-//!   compiled [`PipelinePlan`]s live in an LRU cache with hit / miss /
-//!   eviction counters, and every miss is charged a configurable
-//!   reconfiguration penalty
+//!   submitted [`LogicalPlan`] is keyed by its *shape* ([`fingerprint`]: a
+//!   stable structural hash over the plan tree and the scanned tables'
+//!   schemas, with the literals of pushed-down conjuncts masked — those
+//!   are bind-time parameters, so `WHERE X < 17` and `WHERE X < 18` share
+//!   one compiled pipeline); compiled [`PipelinePlan`]s live in an LRU
+//!   cache with hit / miss / eviction counters, and every shape miss is
+//!   charged a configurable reconfiguration penalty
 //!   ([`ServerConfig::reconfig_penalty_cycles`]) that shows up as
 //!   [`AccelStats::reconfig_cycles`] — so cache wins are visible in the
 //!   same stats the rest of the stack reports.
@@ -67,16 +69,18 @@
 use crate::compile::{script_to_plan, Compiler, PipelinePlan};
 use crate::device::DeviceConfig;
 use crate::error::CoreError;
-use crate::lower::{PreparedJob, RunTimes, ShardOut};
+use crate::lower::{PreparedJob, RunTimes, ShardOut, Split};
 use crate::perf::AccelStats;
 use crate::sched::{DispatchRecord, FairQueue};
 use genesis_obs::chrome::ChromeTrace;
 use genesis_obs::metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use genesis_obs::trace::TraceConfig;
+use genesis_sql::ast::{BinOp, Expr};
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::Table;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -98,14 +102,16 @@ pub struct ServerConfig {
     /// The model every pool device runs: every shard simulates on it, and
     /// cache misses compile against it.
     pub device: DeviceConfig,
-    /// Compiled-pipeline LRU cache capacity in entries (`0` disables
+    /// Compiled-pipeline LRU cache capacity in shapes (`0` disables
     /// caching: every submit compiles and pays the reconfiguration
     /// penalty).
     pub cache_capacity: usize,
-    /// Cycles charged to a job whose plan missed the cache, modelling FPGA
-    /// reconfiguration time. The default (2.5 M cycles = 10 ms at the
-    /// paper's 250 MHz clock) is on the optimistic end of partial
-    /// reconfiguration; full-bitstream loads are ~100× worse.
+    /// Cycles charged on a shape miss: to a job whose plan's shape
+    /// ([`fingerprint`]) is not in the cache, modelling FPGA
+    /// reconfiguration time. A hit that only re-binds literals pays
+    /// nothing. The default (2.5 M cycles = 10 ms at the paper's 250 MHz
+    /// clock) is on the optimistic end of partial reconfiguration;
+    /// full-bitstream loads are ~100× worse.
     pub reconfig_penalty_cycles: u64,
     /// Admission bound: submissions beyond this many queued jobs are
     /// rejected with [`CoreError::Overloaded`].
@@ -157,7 +163,7 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the reconfiguration penalty charged on cache misses.
+    /// Sets the reconfiguration penalty charged on shape misses.
     #[must_use]
     pub fn with_reconfig_penalty(mut self, cycles: u64) -> ServerConfig {
         self.reconfig_penalty_cycles = cycles;
@@ -208,33 +214,93 @@ impl ServerConfig {
     }
 }
 
-/// Stable structural fingerprint of a plan against a catalog: FNV-1a over
-/// the plan tree and each scanned table's name and schema. Two plans
-/// fingerprint equal exactly when they lower to the same hardware pipeline
-/// — table *data* is deliberately excluded (jobs re-bind data at submit;
-/// the compiled module graph depends only on shapes and types).
+/// Stable structural fingerprint of a plan's *shape* against a catalog:
+/// FNV-1a over the plan tree and each scanned table's name and schema,
+/// with the literal operands of the conjuncts predicate pushdown moves
+/// into a scan masked. Two plans fingerprint equal exactly when they
+/// lower to the same hardware pipeline — table *data* and those literals
+/// are deliberately excluded: a job re-binds the data and the literals
+/// at submit (a pushed conjunct selects rows on the host and reaches no
+/// module). Every literal that can reach hardware stays in the key:
+/// residual Filter constants, ALU immediates, `LIMIT` counts, and every
+/// literal of a shape whose scratchpads are sized from bound data
+/// (GROUP BY, explode, reference window, loop). This is the key of a
+/// server whose devices push predicates down (the default); with
+/// pushdown off, all literals count.
 #[must_use]
 pub fn fingerprint(plan: &LogicalPlan, catalog: &Catalog) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |bytes: &[u8]| {
+    shape(plan, catalog, true).0
+}
+
+/// [`fingerprint`] under `pushdown`, with the masked literals in bind
+/// order: this plan's values of the shape's parameters (`None` when the
+/// shape has none and every literal is in the key).
+fn shape(plan: &LogicalPlan, catalog: &Catalog, pushdown: bool) -> (u64, Option<Vec<u64>>) {
+    let (splits, literals) = crate::lower::parameters(plan, catalog, pushdown).unzip();
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    hash_plan(plan, catalog, splits.as_deref().unwrap_or_default(), &mut h);
+    (h.finish(), literals)
+}
+
+/// FNV-1a as a [`Hasher`]: stable from run to run, unlike the standard
+/// library's randomly keyed default.
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h ^= 0xff; // separator so "ab"+"c" != "a"+"bc"
-        h = h.wrapping_mul(FNV_PRIME);
-    };
-    mix(format!("{plan:?}").as_bytes());
-    for name in plan.scans() {
-        mix(name.as_bytes());
-        match catalog.table(name) {
-            Some(t) => mix(format!("{:?}", t.schema()).as_bytes()),
-            None => mix(b"<absent>"),
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    h
+}
+
+/// Hashes one plan node's own fields (a scan's with its table's schema),
+/// then its inputs left to right.
+fn hash_plan(plan: &LogicalPlan, catalog: &Catalog, splits: &[Split<'_>], h: &mut Fnv) {
+    std::mem::discriminant(plan).hash(h);
+    match plan {
+        LogicalPlan::Scan { table, partition } => {
+            (table, partition).hash(h);
+            catalog.table(table).map(Table::schema).hash(h);
+        }
+        LogicalPlan::Project { items, .. } => items.hash(h),
+        LogicalPlan::Filter { pred, .. } => match splits.iter().find(|s| s.is_node(plan)) {
+            Some(split) => hash_masked(pred, split, h),
+            None => pred.hash(h),
+        },
+        LogicalPlan::Join { kind, left_key, right_key, .. } => (kind, left_key, right_key).hash(h),
+        LogicalPlan::Aggregate { items, group_by, .. } => (items, group_by).hash(h),
+        LogicalPlan::Sort { keys, .. } => keys.hash(h),
+        LogicalPlan::Limit { offset, count, .. } => (offset, count).hash(h),
+        LogicalPlan::PosExplode { array, init_pos, .. } => (array, init_pos).hash(h),
+        LogicalPlan::ReadExplode { pos, cigar, seq, qual, .. } => (pos, cigar, seq, qual).hash(h),
+        LogicalPlan::ForEach { var, .. } => var.hash(h),
+    }
+    for input in plan.inputs() {
+        hash_plan(input, catalog, splits, h);
+    }
+}
+
+/// Hashes a split Filter's predicate as [`Expr`]'s own `Hash` would, but
+/// with each pushed conjunct's literal operand replaced by one marker.
+fn hash_masked(e: &Expr, split: &Split<'_>, h: &mut Fnv) {
+    let pushed = split.pushes(e);
+    let Expr::Bin { op, lhs, rhs } = e else { return e.hash(h) };
+    if *op != BinOp::And && !pushed {
+        return e.hash(h);
+    }
+    std::mem::discriminant(e).hash(h);
+    op.hash(h);
+    for side in [lhs, rhs] {
+        match &**side {
+            Expr::Number(_) if pushed => h.write_u8(u8::MAX),
+            other => hash_masked(other, split, h),
+        }
+    }
 }
 
 /// Point-in-time counters of the compiled-pipeline cache.
@@ -242,7 +308,8 @@ pub fn fingerprint(plan: &LogicalPlan, catalog: &Catalog) -> u64 {
 pub struct CacheStats {
     /// Submits served from the cache.
     pub hits: u64,
-    /// Submits that compiled fresh (and paid the reconfiguration penalty).
+    /// Submits whose shape compiled fresh (and paid the reconfiguration
+    /// penalty).
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
@@ -252,7 +319,7 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// LRU cache of compiled pipelines keyed by [`fingerprint`].
+/// LRU cache of compiled pipelines keyed by shape ([`fingerprint`]).
 struct PipelineCache {
     capacity: usize,
     entries: HashMap<u64, Arc<PipelinePlan>>,
@@ -432,6 +499,17 @@ impl Request {
         self.replication = Some(factor);
         self
     }
+}
+
+/// A request's payload resolved to a compiled pipeline.
+struct Resolved {
+    plan: Arc<PipelinePlan>,
+    /// The request's values of the shape's parameters (`None` when there
+    /// are none to re-bind: the compiled plan's own literals hold).
+    literals: Option<Vec<u64>>,
+    /// What the job owes for reconfiguration: non-zero exactly on a shape
+    /// miss.
+    reconfig_penalty: u64,
 }
 
 /// The compile cache plus the set of fingerprints currently compiling
@@ -794,7 +872,7 @@ pub struct GenesisServer {
     cache: Mutex<CacheInner>,
     /// Signalled when an in-flight compile finishes (single-flight).
     compile_cv: Condvar,
-    scripts: Mutex<HashMap<String, LogicalPlan>>,
+    scripts: Mutex<HashMap<String, Arc<LogicalPlan>>>,
     compiler: Compiler,
     cfg: ServerConfig,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -879,15 +957,18 @@ impl GenesisServer {
         self.scripts
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(name.into(), plan);
+            .insert(name.into(), Arc::new(plan));
         Ok(())
     }
 
-    /// Submits one request: resolves the plan, compiles through the LRU
-    /// cache (a miss pays [`ServerConfig::reconfig_penalty_cycles`]),
-    /// binds it to `catalog`'s data on the calling thread, queues the job
-    /// and wakes an idle host thread to take it. Never waits for a
-    /// device: returns at once with a [`Ticket`].
+    /// Submits one request: resolves the plan, compiles its shape through
+    /// the LRU cache (a miss pays
+    /// [`ServerConfig::reconfig_penalty_cycles`]), binds it to `catalog`'s
+    /// data and the request's literals on the calling thread — choosing
+    /// the replication factor at the bound selectivity unless
+    /// [`Request::with_replication`] fixed it — queues the job and wakes
+    /// an idle host thread to take it. Never waits for a device: returns
+    /// at once with a [`Ticket`].
     ///
     /// # Errors
     ///
@@ -904,12 +985,12 @@ impl GenesisServer {
     pub fn submit(&self, req: Request, catalog: &Catalog) -> Result<Ticket, CoreError> {
         let entered = Instant::now();
         let Request { tenant, payload, deadline, oracle, replication } = req;
-        let (plan, reconfig_penalty) = self.resolve_pipeline(payload, catalog)?;
-        let factor = replication.unwrap_or_else(|| plan.replication().factor);
+        let Resolved { plan, literals, reconfig_penalty } =
+            self.resolve_pipeline(payload, catalog)?;
         // Serialize the scans now, while we still hold the (non-`Send`)
-        // catalog; a bind failure is deferred to the worker so the oracle
-        // can rescue it.
-        let prepared = plan.prepare_job(catalog, factor).map(Arc::new);
+        // catalog, with this request's literals; a bind failure is
+        // deferred to the worker so the oracle can rescue it.
+        let prepared = plan.prepare_job(catalog, literals.as_deref(), replication).map(Arc::new);
         let submitted = Instant::now();
 
         let mut st = self.core.lock();
@@ -940,19 +1021,21 @@ impl GenesisServer {
     }
 
     /// Resolves a payload to a compiled pipeline, through the cache for
-    /// plan/script payloads. Returns the pipeline and the reconfiguration
-    /// penalty this job owes (non-zero exactly on a cache miss).
-    fn resolve_pipeline(
-        &self,
-        payload: Payload,
-        catalog: &Catalog,
-    ) -> Result<(Arc<PipelinePlan>, u64), CoreError> {
-        let plan = match payload {
-            Payload::Compiled(plan) => return Ok((Arc::new(*plan), 0)),
-            Payload::Plan(plan) => plan,
+    /// plan/script payloads.
+    fn resolve_pipeline(&self, payload: Payload, catalog: &Catalog) -> Result<Resolved, CoreError> {
+        let inline;
+        let script;
+        let plan: &LogicalPlan = match payload {
+            Payload::Compiled(plan) => {
+                return Ok(Resolved { plan: Arc::new(*plan), literals: None, reconfig_penalty: 0 })
+            }
+            Payload::Plan(plan) => {
+                inline = plan;
+                &inline
+            }
             Payload::Script(name) => {
                 let scripts = self.scripts.lock().unwrap_or_else(PoisonError::into_inner);
-                scripts.get(&name).cloned().ok_or_else(|| {
+                script = scripts.get(&name).cloned().ok_or_else(|| {
                     let mut reason = format!("unknown script `{name}`");
                     if let Some(s) =
                         crate::env::suggest(&name, scripts.keys().map(String::as_str))
@@ -960,10 +1043,11 @@ impl GenesisServer {
                         reason.push_str(&format!(" (did you mean `{s}`?)"));
                     }
                     CoreError::Host(reason)
-                })?
+                })?;
+                &script
             }
         };
-        let key = fingerprint(&plan, catalog);
+        let (key, literals) = shape(plan, catalog, self.cfg.device.pushdown);
         let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         // Single-flight: if another thread is already compiling this
         // fingerprint, wait for it instead of compiling a duplicate — a
@@ -971,7 +1055,7 @@ impl GenesisServer {
         loop {
             if let Some(hit) = cache.lru.get(key) {
                 self.core.metrics.counter("server.cache.hits").inc();
-                return Ok((hit, 0));
+                return Ok(Resolved { plan: hit, literals, reconfig_penalty: 0 });
             }
             if cache.inflight.insert(key) {
                 break;
@@ -981,7 +1065,7 @@ impl GenesisServer {
         self.core.metrics.counter("server.cache.misses").inc();
         drop(cache); // compile outside the cache lock
         let start = Instant::now();
-        let compiled = self.compiler.compile(&plan, catalog).map(Arc::new);
+        let compiled = self.compiler.compile(plan, catalog).map(Arc::new);
         let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         cache.inflight.remove(&key);
         self.compile_cv.notify_all();
@@ -994,7 +1078,11 @@ impl GenesisServer {
         if evicted > 0 {
             self.core.metrics.counter("server.cache.evictions").add(evicted);
         }
-        Ok((compiled, self.cfg.reconfig_penalty_cycles))
+        Ok(Resolved {
+            plan: compiled,
+            literals,
+            reconfig_penalty: self.cfg.reconfig_penalty_cycles,
+        })
     }
 
     /// Admission control: bounded queue, and deadline feasibility against
@@ -1511,6 +1599,66 @@ mod tests {
             .unwrap(),
         );
         assert_ne!(a, fingerprint(&sum_plan("X"), &other));
+
+        // A pushed literal is a parameter: `X < 5` and `X < 6` are one
+        // shape, `X > 5` another, and the shape carries each literal.
+        let x = || Box::new(Expr::Col(ColRef::bare("X")));
+        let cmp = |op, n| Expr::Bin { op, lhs: x(), rhs: Box::new(Expr::Number(n)) };
+        let filtered =
+            |op, n| LogicalPlan::Filter { input: Box::new(scan.clone()), pred: cmp(op, n) };
+        let sum_where = |op, n| match sum_plan("X") {
+            LogicalPlan::Aggregate { items, group_by, .. } => {
+                LogicalPlan::Aggregate { input: Box::new(filtered(op, n)), items, group_by }
+            }
+            _ => unreachable!(),
+        };
+        let key = |p: &LogicalPlan| fingerprint(p, &cat);
+        assert_eq!(key(&sum_where(BinOp::Lt, 5)), key(&sum_where(BinOp::Lt, 6)));
+        assert_ne!(key(&sum_where(BinOp::Lt, 5)), key(&sum_where(BinOp::Gt, 5)));
+        assert_eq!(shape(&sum_where(BinOp::Lt, 6), &cat, true).1, Some(vec![6]));
+        // Literals that can reach hardware stay in the key: a grouped
+        // shape's pushed literal, a residual Filter over an explode, an
+        // ALU immediate, a LIMIT count, and every literal with pushdown
+        // off.
+        let grouped = |n| LogicalPlan::Sort {
+            input: Box::new(LogicalPlan::Aggregate {
+                input: Box::new(filtered(BinOp::Lt, n)),
+                items: vec![SelectItem::Expr { expr: *x(), alias: None }],
+                group_by: vec![ColRef::bare("X")],
+            }),
+            keys: vec![(ColRef::bare("X"), false)],
+        };
+        let exploded = |n| LogicalPlan::Filter {
+            input: Box::new(LogicalPlan::PosExplode {
+                input: Box::new(scan.clone()),
+                array: ColRef::bare("X"),
+                init_pos: Expr::Number(0),
+            }),
+            pred: cmp(BinOp::Lt, n),
+        };
+        let shifted = |n| LogicalPlan::Project {
+            input: Box::new(filtered(BinOp::Lt, 9)),
+            items: vec![SelectItem::Expr {
+                expr: Expr::Bin { op: BinOp::Add, lhs: x(), rhs: Box::new(Expr::Number(n)) },
+                alias: None,
+            }],
+        };
+        let limited = |n| LogicalPlan::Limit {
+            input: Box::new(filtered(BinOp::Lt, 9)),
+            offset: Expr::Number(0),
+            count: Expr::Number(n),
+        };
+        for (what, make) in [
+            ("grouped", &grouped as &dyn Fn(u64) -> LogicalPlan),
+            ("explode", &exploded),
+            ("immediate", &shifted),
+            ("limit", &limited),
+        ] {
+            assert_ne!(key(&make(5)), key(&make(6)), "{what}");
+        }
+        let off = |p: &LogicalPlan| shape(p, &cat, false);
+        assert_ne!(off(&sum_where(BinOp::Lt, 5)).0, off(&sum_where(BinOp::Lt, 6)).0);
+        assert_eq!(off(&sum_where(BinOp::Lt, 6)).1, None);
     }
 
     #[test]

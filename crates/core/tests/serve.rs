@@ -27,14 +27,15 @@ fn scan() -> LogicalPlan {
     LogicalPlan::Scan { table: "T".into(), partition: None }
 }
 
-/// `SELECT SUM(X) FROM T WHERE X > threshold` — the threshold varies the
-/// plan structure, so distinct thresholds get distinct cache fingerprints.
-fn sum_above(threshold: u64) -> LogicalPlan {
+/// `SELECT SUM(X) FROM T WHERE X <op> threshold`. The pushed threshold
+/// is a bind-time parameter of the cached shape; only `op` varies the
+/// shape's fingerprint.
+fn sum_where(op: BinOp, threshold: u64) -> LogicalPlan {
     LogicalPlan::Aggregate {
         input: Box::new(LogicalPlan::Filter {
             input: Box::new(scan()),
             pred: Expr::Bin {
-                op: BinOp::Gt,
+                op,
                 lhs: Box::new(Expr::Col(ColRef::bare("X"))),
                 rhs: Box::new(Expr::Number(threshold)),
             },
@@ -48,8 +49,23 @@ fn sum_above(threshold: u64) -> LogicalPlan {
     }
 }
 
+/// `SELECT SUM(X) FROM T WHERE X > threshold`.
+fn sum_above(threshold: u64) -> LogicalPlan {
+    sum_where(BinOp::Gt, threshold)
+}
+
+fn expected_where(rows: u32, op: BinOp, threshold: u64) -> u64 {
+    let keep = |x: u64| match op {
+        BinOp::Gt => x > threshold,
+        BinOp::Lt => x < threshold,
+        BinOp::Ge => x >= threshold,
+        other => unreachable!("no expectation for {other:?}"),
+    };
+    (1..=u64::from(rows)).filter(|&x| keep(x)).sum()
+}
+
 fn expected_sum(rows: u32, threshold: u64) -> u64 {
-    (1..=u64::from(rows)).filter(|&x| x > threshold).sum()
+    expected_where(rows, BinOp::Gt, threshold)
 }
 
 fn server(devices: usize, paused: bool) -> GenesisServer {
@@ -225,6 +241,8 @@ fn timeline_places_where_a_shard_starts_first() {
     assert_eq!(placed[2], (1, us(2), us(3)));
 }
 
+/// LRU order over three shapes (`>`, `<`, `>=` on `X`), each submitted
+/// with a fresh literal: a literal never makes a shape miss.
 #[test]
 fn cache_evicts_in_lru_order() {
     let cat = catalog(8);
@@ -233,16 +251,20 @@ fn cache_evicts_in_lru_order() {
             .with_devices(1, DeviceConfig::small())
             .with_cache_capacity(2),
     );
-    let submit = |t: u64| srv.submit(Request::new("a", sum_above(t)), &cat).unwrap().wait();
-    submit(0).unwrap(); // miss: {0}
-    submit(1).unwrap(); // miss: {0,1}
-    submit(0).unwrap(); // hit — refreshes 0, so 1 is now least recent
-    submit(2).unwrap(); // miss: evicts 1 (LRU), not the refreshed 0
+    let submit = |op: BinOp, t: u64| {
+        let (out, _) =
+            srv.submit(Request::new("a", sum_where(op, t)), &cat).unwrap().wait().unwrap();
+        assert_eq!(out.row(0)[0], Value::U64(expected_where(8, op, t)));
+    };
+    submit(BinOp::Gt, 0); // miss: {>}
+    submit(BinOp::Lt, 5); // miss: {>, <}
+    submit(BinOp::Gt, 3); // hit — refreshes >, so < is now least recent
+    submit(BinOp::Ge, 2); // miss: evicts < (LRU), not the refreshed >
     let stats = srv.cache_stats();
     assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 3, 1));
-    submit(0).unwrap(); // still cached — proof 0 survived the eviction
+    submit(BinOp::Gt, 7); // still cached — proof > survived the eviction
     assert_eq!(srv.cache_stats().hits, 2);
-    submit(1).unwrap(); // miss — proof 1 was the victim
+    submit(BinOp::Lt, 1); // miss — proof < was the victim
     let stats = srv.cache_stats();
     assert_eq!((stats.hits, stats.misses, stats.evictions), (2, 4, 2));
     assert_eq!(stats.len, 2);
@@ -259,18 +281,19 @@ fn evicted_plan_recompiles_correctly_and_hits_again() {
             .with_cache_capacity(1)
             .with_reconfig_penalty(1_000),
     );
-    let run = |t: u64| {
-        let (out, stats) = srv.submit(Request::new("a", sum_above(t)), &cat).unwrap().wait().unwrap();
-        assert_eq!(out.row(0)[0], Value::U64(expected_sum(rows, t)));
+    let run = |op: BinOp, t: u64| {
+        let (out, stats) =
+            srv.submit(Request::new("a", sum_where(op, t)), &cat).unwrap().wait().unwrap();
+        assert_eq!(out.row(0)[0], Value::U64(expected_where(rows, op, t)));
         stats.reconfig_cycles
     };
-    assert_eq!(run(0), 1_000, "cold: pays the reconfiguration penalty");
-    assert_eq!(run(5), 1_000, "capacity 1: evicts the first plan");
-    // The evicted plan recompiles (penalty again) and computes the same
+    assert_eq!(run(BinOp::Gt, 0), 1_000, "cold: pays the reconfiguration penalty");
+    assert_eq!(run(BinOp::Lt, 5), 1_000, "capacity 1: evicts the first shape");
+    // The evicted shape recompiles (penalty again) and computes the same
     // answer as before eviction...
-    assert_eq!(run(0), 1_000, "re-entry after eviction is a fresh miss");
-    // ...and once re-cached, repeats are free.
-    assert_eq!(run(0), 0, "hit after re-insert");
+    assert_eq!(run(BinOp::Gt, 0), 1_000, "re-entry after eviction is a fresh miss");
+    // ...and once re-cached, repeats are free, at any literal.
+    assert_eq!(run(BinOp::Gt, 4), 0, "hit after re-insert");
     let stats = srv.cache_stats();
     assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 3, 2));
 }

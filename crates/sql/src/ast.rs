@@ -34,7 +34,7 @@ impl ColRef {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `==` comparison (sentinels compare unequal to everything).
     Eq,
@@ -59,7 +59,7 @@ pub enum BinOp {
 }
 
 /// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFn {
     /// `SUM(expr)`; booleans sum as 0/1.
     Sum,
@@ -72,7 +72,7 @@ pub enum AggFn {
 }
 
 /// Scalar expressions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Expr {
     /// Column reference.
     Col(ColRef),
@@ -92,7 +92,7 @@ pub enum Expr {
 }
 
 /// One item of a `SELECT` list.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum SelectItem {
     /// `*`.
     Star,
@@ -130,7 +130,7 @@ pub enum TableRef {
 }
 
 /// Join kinds (paper §III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinKind {
     /// Discard unmatched rows.
     Inner,
