@@ -343,8 +343,7 @@ pub(crate) fn split_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>
 /// host made N-thread runs *slower* than 1-thread), with a floor of 1.
 /// A result of 1 must take the no-spawn sequential path.
 pub(crate) fn effective_workers(host_threads: usize, batches: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    host_threads.min(batches).min(cores).max(1)
+    host_threads.min(batches).min(crate::device::host_cores()).max(1)
 }
 
 #[cfg(test)]

@@ -58,6 +58,18 @@ impl<'s> PipelineBuilder<'s> {
         elem_bytes: usize,
         rows: RowSpec,
     ) -> QueueId {
+        self.upload_parts(name, &[vals], elem_bytes, rows)
+    }
+
+    /// [`PipelineBuilder::upload_column`] of the concatenation of `parts`,
+    /// each narrowing straight into device memory where the last ended.
+    pub(crate) fn upload_parts<T: Copy + Into<u64>>(
+        &mut self,
+        name: &str,
+        parts: &[&[T]],
+        elem_bytes: usize,
+        rows: RowSpec,
+    ) -> QueueId {
         /// Bytes narrowed per `host_write` burst (a whole number of
         /// elements at every supported width).
         const BURST_BYTES: usize = 16 * LINE_BYTES;
@@ -66,10 +78,11 @@ impl<'s> PipelineBuilder<'s> {
                 slot.copy_from_slice(&v.into().to_le_bytes()[..N]);
             }
         }
-        let base_addr = self.sys.alloc_mem((vals.len() * elem_bytes).max(1));
+        let total_elems: usize = parts.iter().map(|p| p.len()).sum();
+        let base_addr = self.sys.alloc_mem((total_elems * elem_bytes).max(1));
         let mut burst = [0u8; BURST_BYTES];
         let mut at = base_addr;
-        for chunk in vals.chunks(BURST_BYTES / elem_bytes) {
+        for chunk in parts.iter().flat_map(|p| p.chunks(BURST_BYTES / elem_bytes)) {
             let out = &mut burst[..chunk.len() * elem_bytes];
             match elem_bytes {
                 1 => narrow::<1, T>(chunk, out),
@@ -84,7 +97,7 @@ impl<'s> PipelineBuilder<'s> {
         let out = self.queue(&format!("{name}.out"));
         let port = self.sys.register_mem_port(self.group);
         let label = self.label(name);
-        let total_elems = vals.len() as u64;
+        let total_elems = total_elems as u64;
         let config = MemReaderConfig { base_addr, elem_bytes, total_elems, rows };
         self.sys.add_module(Box::new(MemReader::new(&label, config, port, out)));
         out

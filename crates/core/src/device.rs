@@ -3,6 +3,8 @@
 use crate::fault::FaultConfig;
 use genesis_hw::{EngineMode, MemoryConfig};
 use genesis_obs::TraceConfig;
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// The host↔FPGA DMA link model (paper §V-B: "the host communicates to and
@@ -278,7 +280,7 @@ impl DeviceConfig {
         if self.host_threads > 0 {
             return self.host_threads;
         }
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        host_cores()
     }
 
     /// Converts simulated cycles to device wall-clock time.
@@ -286,6 +288,14 @@ impl DeviceConfig {
     pub fn cycles_to_time(&self, cycles: u64) -> Duration {
         Duration::from_secs_f64(cycles as f64 / self.clock_hz)
     }
+}
+
+/// The host's available parallelism, read once per process: each
+/// `available_parallelism` call reads the cgroup files anew, tens of
+/// microseconds a batch run would otherwise pay.
+pub(crate) fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 #[cfg(test)]

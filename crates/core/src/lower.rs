@@ -224,6 +224,91 @@ impl PreparedScan {
     }
 }
 
+/// What one replica streams of one prepared leaf ([`PreparedJob::cuts`]):
+/// a range of its rows and, for a cut `PosExplode` or reference window,
+/// the range of items those rows keep — exploded positions, indexed like
+/// [`ExplodeSpec::out_offsets`], or window values. The analysis build, and
+/// every leaf nothing cuts, stream their rows whole.
+#[derive(Debug, Clone)]
+struct Cut {
+    rows: Range<usize>,
+    /// `None`: every item of `rows`.
+    items: Option<Range<usize>>,
+}
+
+impl Cut {
+    fn rows(rows: Range<usize>) -> Cut {
+        Cut { rows, items: None }
+    }
+}
+
+/// A merge join whose right input is a plain scan or `PosExplode` leaf,
+/// under `Filter`s at most, keyed on the leaf's own column, and whose left
+/// key streams unchanged from a spine column. A replica's left keys all
+/// lie within its spine slice's `[min, max]` of that column, and an inner
+/// or left merge join emits no right row that matches no left row, so the
+/// replica streams only the leaf rows keyed within that range.
+#[derive(Debug, Clone, Copy)]
+struct Reach {
+    /// The right leaf (prepared-scan index).
+    leaf: usize,
+    /// Its key: a streamed column of a plain scan (a `PosExplode`'s key
+    /// is its positions).
+    key: usize,
+    /// The spine column the left key streams from.
+    spine: usize,
+}
+
+/// Longest match run one packed CIGAR element holds (13-bit length).
+const MATCH_RUN: u32 = (1 << 13) - 1;
+
+/// Appends the all-match CIGAR of an `n`-item row, one `M` run per
+/// [`MATCH_RUN`] items, to `out`; returns the number of elements.
+fn match_cigar(n: u32, out: &mut Vec<u64>) -> Result<u32, CoreError> {
+    let mut left = n;
+    let mut elems = 0u32;
+    while left > 0 {
+        let run = left.min(MATCH_RUN);
+        let elem = genesis_types::CigarElem { op: genesis_types::CigarOp::Match, len: run };
+        let packed =
+            elem.pack().map_err(|e| CoreError::Host(format!("synthesized CIGAR: {e}")))?;
+        out.push(u64::from(packed));
+        elems += 1;
+        left -= run;
+    }
+    Ok(elems)
+}
+
+/// The first index in `0..n` where `pred` fails, for a `pred` that holds
+/// on a prefix of `0..n` (a binary search).
+fn partition_point(n: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The sorted union of `ranges`: overlapping or touching ranges merge and
+/// empty ones drop.
+fn union(mut ranges: Vec<Range<usize>>) -> Vec<Range<usize>> {
+    ranges.retain(|r| !r.is_empty());
+    ranges.sort_unstable_by_key(|r| r.start);
+    let mut out: Vec<Range<usize>> = Vec::with_capacity(ranges.len());
+    for r in ranges {
+        match out.last_mut() {
+            Some(last) if r.start <= last.end => last.end = last.end.max(r.end),
+            _ => out.push(r),
+        }
+    }
+    out
+}
+
 /// The `FOR var IN rows` loop a lowering's core runs in (its `ForEach`
 /// root): every stream carries one delimited item per loop row — the
 /// explode of the loop row and the reference windows emit them — and
@@ -313,6 +398,8 @@ pub(crate) struct Lowering {
     /// The columns each plain scan binds when the lowering binds to a
     /// catalog.
     projection: Projection,
+    /// The joins whose right leaf each replica cuts to its reach.
+    reaches: Vec<Reach>,
     cols_names: Vec<String>,
     kind: SinkKind,
     /// Device memory one pipeline's sink writers allocated in the
@@ -336,8 +423,14 @@ struct Stream {
 /// Build-time context threaded through the node-by-node lowering.
 struct BuildCtx<'a> {
     prepared: &'a [PreparedScan],
+    /// What this pipeline streams of each prepared leaf; the spine's
+    /// rows are `spine_range`.
+    cuts: &'a [Cut],
     next_scan: usize,
     spine_range: Range<usize>,
+    /// The joins found cuttable (recorded by every build; the analysis
+    /// build's are the lowering's [`Lowering::reaches`]).
+    reaches: Vec<Reach>,
     reads: Vec<usize>,
     writes: Vec<usize>,
     uniq: usize,
@@ -367,15 +460,18 @@ struct BuildCtx<'a> {
 impl<'a> BuildCtx<'a> {
     fn new(
         prepared: &'a [PreparedScan],
-        spine_range: Range<usize>,
+        cuts: &'a [Cut],
         group_domain_cap: u64,
         per_row: bool,
     ) -> BuildCtx<'a> {
+        let spine_range = cuts[0].rows.clone();
         let rows_bound = spine_range.len();
         BuildCtx {
             prepared,
+            cuts,
             next_scan: 0,
             spine_range,
+            reaches: Vec::new(),
             reads: Vec::new(),
             writes: Vec::new(),
             uniq: 0,
@@ -1039,24 +1135,8 @@ fn prepare_explode(
             // packed length limit) so ReadToBases emits (init+i, item).
             let mut vals = Vec::with_capacity(rows);
             let mut lens = Vec::with_capacity(rows);
-            let data_lens = data.lens.as_deref().unwrap_or(&[]);
-            for &n in data_lens {
-                let mut left = n;
-                let mut elems = 0u32;
-                while left > 0 {
-                    let run = left.min((1 << 13) - 1);
-                    let elem = genesis_types::CigarElem {
-                        op: genesis_types::CigarOp::Match,
-                        len: run,
-                    };
-                    let packed = elem
-                        .pack()
-                        .map_err(|e| CoreError::Host(format!("synthesized CIGAR: {e}")))?;
-                    vals.push(u64::from(packed));
-                    elems += 1;
-                    left -= run;
-                }
-                lens.push(elems);
+            for &n in data.lens.as_deref().unwrap_or(&[]) {
+                lens.push(match_cigar(n, &mut vals)?);
             }
             let cigar = PreparedCol {
                 name: "__CIGAR".to_owned(),
@@ -1161,6 +1241,10 @@ fn prepare_explode(
     })
 }
 
+/// The spine columns holding each loop row's clipped window bounds,
+/// `[start, end)` positions ([`prepare_window`]).
+const WINDOW_BOUNDS: [&str; 2] = ["WINDOW.START", "WINDOW.END"];
+
 /// Prepares a reference window: `LIMIT row.P - <start>, row.E - row.P`
 /// in the body of `FOR row`, over the `PosExplode` of a one-row table
 /// whose own start position is `<start>` — so the exploded table's row
@@ -1225,7 +1309,7 @@ fn prepare_window(
         vals,
         lens: None,
     };
-    spine.cols.extend([bound("WINDOW.START", lo), bound("WINDOW.END", hi.collect())]);
+    spine.cols.extend([bound(WINDOW_BOUNDS[0], lo), bound(WINDOW_BOUNDS[1], hi.collect())]);
     Ok(PreparedScan {
         table: table.to_owned(),
         rows: 1,
@@ -1384,10 +1468,11 @@ fn analyze_with(
             )
         })
         .collect();
-    let spine_rows = prepared[0].rows;
+    // The analysis streams every leaf whole: one pipeline over the whole
+    // spine, whose explain text and profile no replica's cut changes.
+    let whole: Vec<Cut> = prepared.iter().map(|p| Cut::rows(0..p.rows)).collect();
     let mut sys = System::with_memory(cfg.mem.clone());
-    let mut ctx =
-        BuildCtx::new(&prepared, 0..spine_rows, group_domain_cap(cfg), each_row.is_some());
+    let mut ctx = BuildCtx::new(&prepared, &whole, group_domain_cap(cfg), each_row.is_some());
     let mut b = PipelineBuilder::new(&mut sys, 0);
     let built = build_core(&mut b, &mut ctx, &core)?;
     let kind = match &built.sink {
@@ -1438,6 +1523,7 @@ fn analyze_with(
         each_row,
         pushed,
         projection,
+        reaches: ctx.reaches,
         cols_names: built.cols.iter().map(|c| c.name.clone()).collect(),
         kind,
         sink_bytes: ctx.sink_bytes,
@@ -1546,15 +1632,19 @@ fn line_padded(bytes: usize) -> usize {
 }
 
 impl PreparedCol {
-    /// Payload bytes the column streams for the scan rows `rows`.
-    fn payload_bytes(&self, rows: &Range<usize>) -> usize {
-        let elems = match &self.lens {
+    /// Elements the column holds for the scan rows `rows`.
+    fn elems(&self, rows: &Range<usize>) -> usize {
+        match &self.lens {
             None => rows.len(),
             // Flattened list columns hold their rows' elements, not one
             // value per row.
             Some(lens) => lens[rows.clone()].iter().map(|&l| l as usize).sum(),
-        };
-        elems * self.elem_bytes
+        }
+    }
+
+    /// Payload bytes the column streams for the scan rows `rows`.
+    fn payload_bytes(&self, rows: &Range<usize>) -> usize {
+        self.elems(rows) * self.elem_bytes
     }
 }
 
@@ -1567,6 +1657,72 @@ impl PreparedScan {
     /// Device memory the scan's streamed columns occupy for `rows`.
     fn device_bytes(&self, rows: &Range<usize>) -> usize {
         self.streamed().iter().map(|c| line_padded(c.payload_bytes(rows))).sum()
+    }
+
+    /// The items rows `rows` hold whole: an explode's exploded positions,
+    /// a window's values.
+    fn items_of(&self, rows: &Range<usize>) -> Range<usize> {
+        match &self.explode {
+            Some(spec) => spec.out_offsets[rows.start]..spec.out_offsets[rows.end],
+            None if rows.is_empty() => 0..0,
+            None => 0..self.cols[0].vals.len(),
+        }
+    }
+
+    /// The rows of this join leaf keyed within `[lo, hi]`: a binary search
+    /// of its ascending key column or, for a `PosExplode`, of its rows'
+    /// runs of positions, the first and last row trimmed to the positions
+    /// in range. A key that does not ascend over the whole leaf gets some
+    /// cut, and the build refuses it as it refuses the whole leaf.
+    fn reach(&self, key: usize, lo: u64, hi: u64) -> Cut {
+        let Some(spec) = &self.explode else {
+            let keys = &self.cols[key].vals;
+            let start = keys.partition_point(|&k| k < lo);
+            return Cut::rows(start..keys.partition_point(|&k| k <= hi).max(start));
+        };
+        let (pos, off) = (&self.cols[0].vals, &spec.out_offsets);
+        let n = |r: usize| off[r + 1] - off[r];
+        let first = partition_point(self.rows, |r| pos[r].saturating_add(n(r) as u64) <= lo);
+        let end = partition_point(self.rows, |r| pos[r] <= hi).max(first);
+        if first == end {
+            return Cut::rows(first..end);
+        }
+        let last = end - 1;
+        let skip = lo.saturating_sub(pos[first]).min(n(first) as u64) as usize;
+        let keep = hi.saturating_sub(pos[last]).saturating_add(1).min(n(last) as u64) as usize;
+        let start = off[first] + skip;
+        let items = start..(off[last] + keep).max(start);
+        let trimmed = items != self.items_of(&(first..end));
+        Cut { rows: first..end, items: trimmed.then_some(items) }
+    }
+
+    /// The rows this leaf streams over `cuts`, and the elements each
+    /// streamed column uploads for them: what one shard's replicas stream
+    /// of the leaf, a row or an item two of them share counted once (a
+    /// lone cut is one replica's upload). Never more than the whole leaf.
+    fn reach_elems(&self, cuts: &[Cut]) -> (usize, Vec<usize>) {
+        let rows = union(cuts.iter().map(|c| c.rows.clone()).collect());
+        let row_count = rows.iter().map(Range::len).sum();
+        if cuts.iter().all(|c| c.items.is_none()) {
+            let elems = self.streamed().iter().map(|c| rows.iter().map(|r| c.elems(r)).sum());
+            return (row_count, elems.collect());
+        }
+        let items = cuts.iter().map(|c| c.items.clone().unwrap_or_else(|| self.items_of(&c.rows)));
+        let items = union(items.collect());
+        let item_count = items.iter().map(Range::len).sum();
+        if self.explode.is_none() {
+            return (row_count, vec![item_count]); // a window's values
+        }
+        // A trimmed `PosExplode`: a position per row, the rows' CIGARs and
+        // the items. An edge row's re-synthesised CIGAR counts as its whole
+        // row's, which is never shorter.
+        let cigar = rows.iter().map(|r| self.cols[1].elems(r)).sum();
+        (row_count, vec![row_count, cigar, item_count])
+    }
+
+    /// DMA-in bytes of [`PreparedScan::reach_elems`]' per-column `elems`.
+    fn elem_bytes<'s>(&'s self, elems: &'s [usize]) -> impl Iterator<Item = usize> + 's {
+        self.streamed().iter().zip(elems).map(|(c, &n)| n * c.elem_bytes)
     }
 }
 
@@ -1620,7 +1776,8 @@ impl PreparedJob {
     }
 
     /// Runs one shard of the job on `cfg`: splits `range` of the spine
-    /// scan across the replication factor, simulates the batches, and
+    /// scan across the replication factor, cuts every other leaf to each
+    /// replica's reach ([`PreparedJob::cuts`]), simulates the batches, and
     /// returns the raw sink payloads plus stats. Merging and host
     /// epilogues happen once, over all shards, in [`PreparedJob::gather`]
     /// — applying an epilogue (e.g. `LIMIT`) per shard would corrupt the
@@ -1639,10 +1796,16 @@ impl PreparedJob {
         if ranges.is_empty() {
             ranges.push(range.start..range.start);
         }
+        let leaves = self.prepared.len();
+        let mut cuts = Vec::with_capacity(ranges.len() * leaves);
+        for r in ranges {
+            self.cuts(r, &mut cuts);
+        }
+        let jobs: Vec<&[Cut]> = cuts.chunks(leaves).collect();
         let run_cfg = cfg.clone().with_pipelines(self.factor);
         let core = &self.lowering.core;
         let prepared = &self.prepared;
-        let reserve = self.device_bytes(&ranges);
+        let reserve = self.device_bytes(&jobs);
         let (build_ns, extract_ns) = (AtomicU64::new(0), AtomicU64::new(0));
         let timed = |ns: &AtomicU64, start: Instant| {
             let spent = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -1652,8 +1815,8 @@ impl PreparedJob {
         let (outs, mut stats) = run_batches(
             &run_cfg,
             slot,
-            &ranges,
-            |sys, group, r| {
+            &jobs,
+            |sys, group, job| {
                 let start = Instant::now();
                 // The replicas share one batch (`factor` pipelines per
                 // system), so its first build reserves the whole batch's
@@ -1662,7 +1825,7 @@ impl PreparedJob {
                     sys.reserve_mem(reserve);
                 }
                 let per_row = self.lowering.each_row.is_some();
-                let mut ctx = BuildCtx::new(prepared, r.clone(), group_domain_cap(cfg), per_row);
+                let mut ctx = BuildCtx::new(prepared, job, group_domain_cap(cfg), per_row);
                 let mut b = PipelineBuilder::new(sys, group);
                 let built = build_core(&mut b, &mut ctx, core);
                 timed(&build_ns, start);
@@ -1682,54 +1845,91 @@ impl PreparedJob {
             simulate: run_start.elapsed().saturating_sub(build + extract),
             extract,
         };
-        // DMA-in: the shard streams its share of the spine scan plus
-        // every non-spine scan in full (join right sides replay per
-        // shard). For the whole-spine range this is exactly the
-        // unsharded job's transfer volume.
-        let scan_rows =
-            |idx: usize, p: &PreparedScan| if idx == 0 { range.clone() } else { 0..p.rows };
-        let dma_in: usize =
-            prepared.iter().enumerate().map(|(idx, p)| p.payload_bytes(&scan_rows(idx, p))).sum();
-        stats.dma_in_bytes += dma_in as u64;
-        stats.dma_transfers += outs.len() as u64 * 2;
-        // Pushed-vs-residual visibility: rows the scans examined against
-        // pushed predicates vs rows that entered the pipeline (identical
-        // when nothing was pushed).
-        for (idx, p) in prepared.iter().enumerate() {
-            let r = scan_rows(idx, p);
-            stats.rows_scanned += p.scanned_rows(&r) as u64;
-            stats.rows_emitted += r.len() as u64;
+        // DMA-in: the shard streams its share of the spine scan plus the
+        // union of its replicas' cuts of every other leaf — the whole
+        // leaf where nothing cuts it, so every shard replays it. For the
+        // whole-spine range with nothing cut this is exactly the unsharded
+        // job's transfer volume. Pushed-vs-residual visibility: rows the
+        // scans examined against pushed predicates (every row of a leaf
+        // other than the spine) vs rows that entered the pipeline
+        // (identical when nothing was pushed or cut).
+        let (spine, rest) = prepared.split_first().expect("a lowering scans a spine");
+        stats.dma_in_bytes += spine.payload_bytes(&range) as u64;
+        stats.rows_scanned += spine.scanned_rows(&range) as u64;
+        stats.rows_emitted += range.len() as u64;
+        for (idx, p) in rest.iter().enumerate() {
+            let leaf_cuts: Vec<Cut> = jobs.iter().map(|job| job[idx + 1].clone()).collect();
+            let (rows, elems) = p.reach_elems(&leaf_cuts);
+            stats.dma_in_bytes += p.elem_bytes(&elems).sum::<usize>() as u64;
+            stats.rows_scanned += p.rows_scanned as u64;
+            stats.rows_emitted += rows as u64;
         }
+        stats.dma_transfers += outs.len() as u64 * 2;
         Ok(ShardOut { outs, stats, times })
     }
 
-    /// Device memory one batch over the replica `ranges` allocates: every
-    /// replica's slice of the spine scan, every other scan in full per
-    /// replica, and the sinks' output regions. Stream sinks are sized by
-    /// the rows they can receive, so their share is exact; aggregate
-    /// sinks are sized by key domains only the build derives, so theirs
-    /// is the analysis-time measurement per replica — a capacity hint
-    /// either way, never an address.
-    fn device_bytes(&self, ranges: &[Range<usize>]) -> usize {
+    /// What the replica over spine rows `spine` streams of each leaf,
+    /// appended to `out` in leaf order: the spine's slice; for each
+    /// [`Reach`], the join leaf's rows keyed within the slice's
+    /// `[min, max]` of the left key's spine column; for a reference
+    /// window, `[min WINDOW.START, max WINDOW.END)` of the slice's loop
+    /// rows; every other leaf whole. An empty slice cuts them empty.
+    fn cuts(&self, spine: Range<usize>, out: &mut Vec<Cut>) {
+        let (first, rest) = self.prepared.split_first().expect("a lowering scans a spine");
+        let start = out.len();
+        out.push(Cut::rows(spine.clone()));
+        out.extend(rest.iter().map(|p| Cut::rows(0..p.rows)));
+        let cuts = &mut out[start..];
+        let stats = |col: &PreparedCol| range_stats(&col.vals[spine.clone()]);
+        for reach in &self.lowering.reaches {
+            let (_, lo, hi) = stats(&first.cols[reach.spine]);
+            let leaf = &self.prepared[reach.leaf];
+            cuts[reach.leaf] = hi.map_or(Cut::rows(0..0), |hi| leaf.reach(reach.key, lo, hi));
+        }
+        let bound = |name: &str| first.cols.iter().find(|c| c.name == name).map(stats);
+        for (cut, p) in cuts.iter_mut().zip(&self.prepared).skip(1) {
+            let Some(base) = p.window else { continue };
+            let (Some((_, lo, Some(_))), Some((_, _, Some(hi)))) =
+                (bound(WINDOW_BOUNDS[0]), bound(WINDOW_BOUNDS[1]))
+            else {
+                cut.items = Some(0..0);
+                continue;
+            };
+            let len = p.cols[0].vals.len();
+            let at = |pos: u64| usize::try_from(pos.saturating_sub(base)).map_or(len, |i| i.min(len));
+            cut.items = Some(at(lo)..at(hi).max(at(lo)));
+        }
+    }
+
+    /// Device memory one batch over the replicas' `jobs` allocates: every
+    /// replica's cut of every leaf — its slice of the spine, every other
+    /// leaf as far as a cut reaches — and the sinks' output regions.
+    /// Stream sinks are sized by the rows they can receive, so their share
+    /// is exact; aggregate sinks are sized by key domains only the build
+    /// derives, so theirs is the analysis-time measurement per replica — a
+    /// capacity hint either way, never an address.
+    fn device_bytes(&self, jobs: &[&[Cut]]) -> usize {
         let (spine, rest) = self.prepared.split_first().expect("a lowering scans a spine");
-        let rest_bytes: usize = rest.iter().map(|p| p.device_bytes(&(0..p.rows))).sum();
-        let exploded = |p: &PreparedScan, rows: &Range<usize>| {
-            p.explode.as_ref().map_or(0, |e| e.out_offsets[rows.end] - e.out_offsets[rows.start])
+        let exploded = |p: &PreparedScan, cut: &Cut| {
+            p.explode.as_ref().map_or(0, |_| cut.items.clone().unwrap_or_else(|| p.items_of(&cut.rows)).len())
         };
-        ranges
-            .iter()
-            .map(|r| {
-                let sinks = match self.lowering.kind {
-                    SinkKind::Stream => {
-                        let rows_bound = rest
-                            .iter()
-                            .map(|p| exploded(p, &(0..p.rows)))
-                            .fold(r.len().max(exploded(spine, r)), usize::max);
-                        self.lowering.cols_names.len() * line_padded(rows_bound * 8)
+        jobs.iter()
+            .map(|job| {
+                let r = &job[0].rows;
+                let mut bytes = spine.device_bytes(r);
+                let mut rows_bound = r.len().max(exploded(spine, &job[0]));
+                for (p, cut) in rest.iter().zip(&job[1..]) {
+                    let (_, elems) = p.reach_elems(std::slice::from_ref(cut));
+                    bytes += p.elem_bytes(&elems).map(line_padded).sum::<usize>();
+                    rows_bound = rows_bound.max(exploded(p, cut));
+                }
+                bytes
+                    + match self.lowering.kind {
+                        SinkKind::Stream => {
+                            self.lowering.cols_names.len() * line_padded(rows_bound * 8)
+                        }
+                        _ => self.lowering.sink_bytes,
                     }
-                    _ => self.lowering.sink_bytes,
-                };
-                spine.device_bytes(r) + rest_bytes + sinks
             })
             .sum()
     }
@@ -2009,7 +2209,9 @@ fn build_node(
         }
         LogicalPlan::Join { kind, left, right, left_key, right_key } => {
             let l = build_node(b, ctx, left)?;
+            let leaf = ctx.next_scan;
             let r = build_node(b, ctx, right)?;
+            note_reach(ctx, leaf, right, (&l, left_key), (&r, right_key));
             build_join(b, ctx, *kind, l, r, left_key, right_key)
         }
         LogicalPlan::PosExplode { .. } | LogicalPlan::ReadExplode { .. } => {
@@ -2025,6 +2227,84 @@ fn build_node(
             "not lowerable inside a hardware pipeline",
         )),
     }
+}
+
+/// Records the [`Reach`] of a join whose right input `right`, built from
+/// leaf `leaf` on, is `Filter`s over a plain scan keyed on one of its own
+/// columns or over a `PosExplode` keyed on its positions, and whose left
+/// key streams unchanged from a spine column (its data bounds the cut; the
+/// propagated `ColInfo` bounds never do). Any other join is not cut.
+fn note_reach(
+    ctx: &mut BuildCtx<'_>,
+    leaf: usize,
+    right: &LogicalPlan,
+    (l, left_key): (&Stream, &ColRef),
+    (r, right_key): (&Stream, &ColRef),
+) {
+    let mut node = right;
+    while let LogicalPlan::Filter { input, .. } = node {
+        node = input;
+    }
+    let (Ok(li), Ok(ri)) = (resolve(&l.cols, left_key, "Join"), resolve(&r.cols, right_key, "Join"))
+    else {
+        return;
+    };
+    let Some((0, spine)) = l.cols[li].origin else { return };
+    let key = match node {
+        LogicalPlan::Scan { .. } => match r.cols[ri].origin {
+            Some((scan, key)) if scan == leaf => key,
+            _ => return,
+        },
+        LogicalPlan::PosExplode { .. } if ri == 0 => 0,
+        _ => return,
+    };
+    ctx.reaches.push(Reach { leaf, key, spine });
+}
+
+/// Uploads the `items` a trimmed `PosExplode` cut keeps of its `rows`
+/// ([`PreparedScan::reach`]) as sub-slices of the prepared POS, CIGAR and
+/// value columns. Only the edge rows are new: the first row's position
+/// advances to its first kept item, and the first and last rows' match
+/// CIGARs are re-synthesised for the items they keep, as
+/// [`prepare_explode`] synthesises every row's. Returns the three queues.
+fn upload_trimmed(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    ps: &PreparedScan,
+    rows: &Range<usize>,
+    items: &Range<usize>,
+) -> Result<Vec<QueueId>, CoreError> {
+    let ([pos, cigar, data], Some(spec)) = (&ps.cols[..], &ps.explode) else {
+        return Err(CoreError::Host("a trimmed explode is a PosExplode join leaf".into()));
+    };
+    let off = &spec.out_offsets;
+    let (first, last) = (rows.start, rows.end - 1);
+    // Each row keeps at most its own items, whose count was a `u32`.
+    let kept = |r: usize| (items.end.min(off[r + 1]) - items.start.max(off[r])) as u32;
+    let data_lens: Vec<u32> = rows.clone().map(kept).collect();
+    let runs = cigar.lens.as_deref().unwrap_or(&[]);
+    let inner = first + 1..last.max(first + 1);
+    let (mut head, mut tail) = (Vec::new(), Vec::new());
+    let mut cigar_lens = Vec::with_capacity(rows.len());
+    cigar_lens.push(match_cigar(kept(first), &mut head)?);
+    cigar_lens.extend_from_slice(&runs[inner.clone()]);
+    if last > first {
+        cigar_lens.push(match_cigar(kept(last), &mut tail)?);
+    }
+    let inner_start: usize = runs[..inner.start].iter().map(|&l| l as usize).sum();
+    let inner_len: usize = runs[inner].iter().map(|&l| l as usize).sum();
+    let inner_cigar = &cigar.vals[inner_start..inner_start + inner_len];
+    let first_pos = pos.vals[first].saturating_add((items.start - off[first]) as u64);
+    let mut upload = |c: &PreparedCol, parts: &[&[u64]], spec: RowSpec| {
+        let label = ctx.lbl(&format!("{}.{}", ps.table, c.name));
+        ctx.reads.push(c.elem_bytes);
+        b.upload_parts(&label, parts, c.elem_bytes, spec)
+    };
+    Ok(vec![
+        upload(pos, &[&[first_pos], &pos.vals[first + 1..rows.end]], RowSpec::Fixed(1)),
+        upload(cigar, &[&head, inner_cigar, &tail], RowSpec::Lens(Arc::new(cigar_lens))),
+        upload(data, &[&data.vals[items.clone()]], RowSpec::Lens(Arc::new(data_lens))),
+    ])
 }
 
 /// Lowers an explode leaf: one Memory Reader per `ReadToBases` input
@@ -2044,10 +2324,14 @@ fn build_explode(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<
         .explode
         .as_ref()
         .ok_or_else(|| CoreError::Host("explode node over a plain scan leaf".into()))?;
-    let range = if idx == 0 { ctx.spine_range.clone() } else { 0..ps.rows };
+    let cuts = ctx.cuts;
+    let range = cuts[idx].rows.clone();
     let table = &ps.table;
     let mut qs = Vec::with_capacity(ps.cols.len());
-    for c in &ps.cols {
+    if let Some(items) = &cuts[idx].items {
+        qs = upload_trimmed(b, ctx, ps, &range, items)?;
+    }
+    for c in &ps.cols[qs.len()..] {
         let label = ctx.lbl(&format!("{table}.{}", c.name));
         let q = match &c.lens {
             // One delimiter per row keeps POS aligned with the per-read
@@ -2095,7 +2379,7 @@ fn build_explode(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<
     let zl = ctx.lbl("explode.zip");
     let zip = Zip::new(&zl, vec![ZipInput::new(bases, sel)], rows_q);
     b.system().add_module(Box::new(if ctx.per_row { zip } else { zip.with_drop_ends() }));
-    let out_rows = spec.out_offsets[range.end] - spec.out_offsets[range.start];
+    let out_rows = cuts[idx].items.clone().unwrap_or_else(|| ps.items_of(&range)).len();
     let in_rows = range.len().max(1);
     ctx.expansion = ctx.expansion.max(out_rows as f64 / in_rows as f64);
     ctx.rows_bound = ctx.rows_bound.max(out_rows);
@@ -2126,7 +2410,12 @@ fn build_window(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<S
     let values = &ps.cols[0];
     let label = ctx.lbl(&format!("{}.{}", ps.table, values.name));
     let width = values.elem_bytes;
-    let refs = b.ref_window(&[(&label, &values.vals, width, width * 8)], start, end, base);
+    // The scratchpad holds the replica's reach, its offset moved to the
+    // first position the reach holds.
+    let reach = ctx.cuts[idx].items.clone().unwrap_or_else(|| ps.items_of(&(0..1)));
+    let first = base.saturating_add(reach.start as u64);
+    let loaded = &values.vals[reach];
+    let refs = b.ref_window(&[(&label, loaded, width, width * 8)], start, end, first);
     ctx.reads.push(width);
     ctx.note(format!("Limit({}) -> MemoryReader + SpmUpdater + SpmReader(range)", ps.table));
     let last = base.saturating_add((values.vals.len() as u64).saturating_sub(1));
@@ -2160,7 +2449,7 @@ fn build_scan(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Str
     ctx.next_scan += 1;
     let prepared = ctx.prepared;
     let ps = &prepared[idx];
-    let range = if idx == 0 { ctx.spine_range.clone() } else { 0..ps.rows };
+    let range = ctx.cuts[idx].rows.clone();
     let streamed = ps.streamed();
     let ncols = streamed.len();
     if ncols == 0 {
@@ -2178,7 +2467,10 @@ fn build_scan(b: &mut PipelineBuilder<'_>, ctx: &mut BuildCtx<'_>) -> Result<Str
         let q = b.upload_column(&label, vals, c.elem_bytes, RowSpec::None);
         ctx.reads.push(c.elem_bytes);
         inputs.push(ZipInput::new(q, vec![0]));
-        let (ascending, min_value, max_value) = range_stats(vals);
+        // A leaf other than the spine is checked whole, however far a cut
+        // reaches: a cut never admits a plan the whole leaf refuses.
+        let seen = if idx == 0 { vals } else { &c.vals[..] };
+        let (ascending, min_value, max_value) = range_stats(seen);
         cols.push(ColInfo {
             ascending,
             max_value,
