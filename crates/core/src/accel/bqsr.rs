@@ -2,7 +2,7 @@
 //! Figure 12).
 
 use crate::accel::frontend::{build_frontend, make_partition_jobs, JobOptions, PartitionJob};
-use crate::accel::run_batches_with_oracle;
+use crate::device::run_batches_with_oracle;
 use crate::builder::PipelineBuilder;
 use crate::columns::bytes_to_u32;
 use crate::device::DeviceConfig;

@@ -2,7 +2,7 @@
 //! per-read sum-of-quality-scores computation; duplicate-set resolution
 //! stays on the host.
 
-use crate::accel::{run_batches_with_oracle, split_ranges};
+use crate::device::{run_batches_with_oracle, split_ranges};
 use crate::builder::PipelineBuilder;
 use crate::columns::bytes_to_u64;
 use crate::device::DeviceConfig;

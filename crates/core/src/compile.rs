@@ -198,7 +198,7 @@ impl PipelinePlan {
     ///
     /// Any bind, simulation or verification error from the run.
     pub fn execute(&self, catalog: &Catalog) -> Result<(Table, AccelStats), CoreError> {
-        self.lowered.execute(&self.cfg, catalog, None)
+        self.prepare_job(catalog, None, None)?.run()
     }
 
     /// Like [`PipelinePlan::execute`] but at an explicit replication
@@ -212,7 +212,7 @@ impl PipelinePlan {
         catalog: &Catalog,
         factor: usize,
     ) -> Result<(Table, AccelStats), CoreError> {
-        self.lowered.execute(&self.cfg, catalog, Some(factor))
+        self.prepare_job(catalog, None, Some(factor))?.run()
     }
 
     /// Binds the compiled pipeline to `catalog`'s current data and to a

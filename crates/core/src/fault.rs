@@ -11,7 +11,7 @@
 //!
 //! The runtime policy layered on top (capped exponential backoff, which is
 //! modeled time, with a per-batch retry budget, then graceful degradation
-//! to the software oracle) lives in `accel::run_batches`; the bound on how
+//! to the software oracle) lives in `device::run_batches`; the bound on how
 //! long a caller waits is
 //! [`Request::with_deadline`](crate::serve::Request::with_deadline).
 //!

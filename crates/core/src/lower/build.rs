@@ -1,0 +1,1144 @@
+//! Plan node → modules, plan edge → queue: the builder the analysis runs
+//! once on a scratch system and every replica runs again on its batch's.
+
+use super::bind::{match_cigar, plan_node_name, PreparedCol, PreparedScan};
+use super::bounds::{
+    comp_bounds, lower_predicate, narrow_filtered_col, operand, plan_comp, range_stats, CompPlan,
+    CompRhs,
+};
+use super::job::{line_padded, Cut, Reach};
+use super::pushdown::conjuncts;
+use super::{
+    cmp_of, qualify, resolve, ColInfo, Decode, GroupRole, ScalarKind, SinkKind, MAX_GROUP_DOMAIN,
+};
+use crate::builder::PipelineBuilder;
+use crate::error::CoreError;
+use genesis_hw::modules::alu::{AluOp, AluRhs, StreamAlu};
+use genesis_hw::modules::fanout::Fanout;
+use genesis_hw::modules::filter::{CmpOp, Filter, Predicate};
+use genesis_hw::modules::joiner::{JoinKind as HwJoinKind, Joiner};
+use genesis_hw::modules::mem_reader::RowSpec;
+use genesis_hw::modules::Module;
+use genesis_hw::modules::reducer::{ReduceOp, Reducer};
+use genesis_hw::modules::spm_reader::{SpmReadMode, SpmReader};
+use genesis_hw::modules::spm_updater::{RmwOp, SpmUpdateMode, SpmUpdater};
+use genesis_hw::modules::zip::{Zip, ZipInput};
+use genesis_hw::system::ModuleId;
+use genesis_hw::word::MAX_FIELDS;
+use genesis_hw::QueueId;
+use genesis_sql::ast::{AggFn, ColRef, Expr, JoinKind, SelectItem};
+use genesis_sql::LogicalPlan;
+use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::Arc;
+
+/// The build result for one pipeline instance: the writer module and
+/// readback address of each output column, and the columns' metadata.
+#[derive(Debug)]
+pub(super) struct Built {
+    pub(super) writers: Vec<(ModuleId, u64)>,
+    pub(super) cols: Vec<ColInfo>,
+}
+
+/// One in-flight relational stream: a queue of row flits plus per-column
+/// metadata.
+#[derive(Debug)]
+struct Stream<'a> {
+    q: QueueId,
+    cols: Vec<ColInfo>,
+    /// The scanned columns projection pushdown left out of the stream
+    /// ([`PreparedScan::unstreamed`]), named as `cols` would name them:
+    /// filters pass them on, joins qualify them, projections and
+    /// aggregates drop them.
+    unstreamed: Cow<'a, [String]>,
+}
+
+/// Build-time context threaded through the node-by-node lowering.
+pub(super) struct BuildCtx<'a> {
+    prepared: &'a [PreparedScan],
+    /// What this pipeline streams of each prepared leaf; the spine's
+    /// rows are `spine_range`.
+    cuts: &'a [Cut],
+    next_scan: usize,
+    spine_range: Range<usize>,
+    /// The joins found cuttable (recorded by every build; the analysis
+    /// build's are the lowering's [`Lowering::reaches`]).
+    ///
+    /// [`Lowering::reaches`]: super::Lowering::reaches
+    pub(super) reaches: Vec<Reach>,
+    pub(super) reads: Vec<usize>,
+    pub(super) writes: Vec<usize>,
+    uniq: usize,
+    pub(super) summary: Vec<String>,
+    /// Largest dense GROUP BY key domain this device admits
+    /// ([`MAX_GROUP_DOMAIN`], lifted to [`MAX_GROUP_DOMAIN_TIERED`] when
+    /// tiered memory backs the scratchpads).
+    ///
+    /// [`MAX_GROUP_DOMAIN_TIERED`]: super::MAX_GROUP_DOMAIN_TIERED
+    group_domain_cap: u64,
+    /// Output rows per input row of the built pipeline (> 1 once an
+    /// explode node expands the stream; the Figure 8 cost model throttles
+    /// read-port demand by it, see [`PipelineProfile::expansion`]).
+    ///
+    /// [`PipelineProfile::expansion`]: crate::cost::PipelineProfile::expansion
+    pub(super) expansion: f64,
+    /// Upper bound on rows any stream in the pipeline can carry (sizes
+    /// the stream-sink writer allocations; explodes raise it above the
+    /// spine row count).
+    rows_bound: usize,
+    /// Device memory the sink writers allocated (recorded by the analysis
+    /// build so a bind can reserve it up front).
+    pub(super) sink_bytes: usize,
+    /// The pipeline runs a loop body ([`EachRow`]).
+    ///
+    /// [`EachRow`]: super::EachRow
+    per_row: bool,
+    /// The loop row's window bounds, uploaded with its explode and taken
+    /// by the window that reads them.
+    bounds: Option<(QueueId, QueueId)>,
+}
+
+impl<'a> BuildCtx<'a> {
+    pub(super) fn new(
+        prepared: &'a [PreparedScan],
+        cuts: &'a [Cut],
+        group_domain_cap: u64,
+        per_row: bool,
+    ) -> BuildCtx<'a> {
+        let spine_range = cuts[0].rows.clone();
+        let rows_bound = spine_range.len();
+        BuildCtx {
+            prepared,
+            cuts,
+            next_scan: 0,
+            spine_range,
+            reaches: Vec::new(),
+            reads: Vec::new(),
+            writes: Vec::new(),
+            uniq: 0,
+            summary: Vec::new(),
+            group_domain_cap,
+            expansion: 1.0,
+            rows_bound,
+            sink_bytes: 0,
+            per_row,
+            bounds: None,
+        }
+    }
+
+    fn lbl(&mut self, name: &str) -> String {
+        self.uniq += 1;
+        format!("{name}.{}", self.uniq)
+    }
+
+    fn note(&mut self, line: String) {
+        self.summary.push(line);
+    }
+
+    /// The next prepared leaf in build order, with its index.
+    fn next_leaf(&mut self) -> (usize, &'a PreparedScan) {
+        self.next_scan += 1;
+        (self.next_scan - 1, &self.prepared[self.next_scan - 1])
+    }
+
+    /// Adds the module `make(label, out)` writing a fresh queue `out`, the
+    /// queue labelled `queue` and the module `module`, in that order.
+    fn add(
+        &mut self,
+        b: &mut PipelineBuilder<'_>,
+        (queue, module): (&str, &str),
+        make: impl FnOnce(&str, QueueId) -> Box<dyn Module>,
+    ) -> QueueId {
+        let out = b.queue(&self.lbl(queue));
+        let label = self.lbl(module);
+        b.system().add_module(make(&label, out));
+        out
+    }
+
+    /// [`BuildCtx::add`] of a Zip selecting `fields` of `q`'s flits.
+    fn select(
+        &mut self,
+        b: &mut PipelineBuilder<'_>,
+        tags: (&str, &str),
+        q: QueueId,
+        fields: Vec<usize>,
+    ) -> QueueId {
+        self.add(b, tags, |l, out| Box::new(Zip::new(l, vec![ZipInput::new(q, fields)], out)))
+    }
+}
+
+/// Builds the full pipeline for the core plan and attaches its sink, whose
+/// shape every build of one lowering shares.
+pub(super) fn build_core(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    core: &LogicalPlan,
+) -> Result<(Built, SinkKind), CoreError> {
+    match core {
+        LogicalPlan::Aggregate { input, items, group_by } if group_by.is_empty() => {
+            build_scalar_agg(b, ctx, input, items)
+        }
+        LogicalPlan::Aggregate { .. } if ctx.per_row => {
+            Err(CoreError::unsupported("ForEach", "a grouped aggregate per loop row"))
+        }
+        LogicalPlan::Aggregate { input, items, group_by } => {
+            build_grouped_agg(b, ctx, input, items, group_by)
+        }
+        _ => {
+            let s = build_node(b, ctx, core)?;
+            build_stream_sink(b, ctx, s)
+        }
+    }
+}
+
+/// Lowers one plan node to modules, returning its output stream.
+fn build_node<'a>(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'a>,
+    plan: &LogicalPlan,
+) -> Result<Stream<'a>, CoreError> {
+    match plan {
+        LogicalPlan::Scan { .. } => build_scan(b, ctx),
+        LogicalPlan::Filter { input, pred } => {
+            let s = build_node(b, ctx, input)?;
+            build_filter(b, ctx, s, pred)
+        }
+        LogicalPlan::Project { input, items } => {
+            let s = build_node(b, ctx, input)?;
+            build_project(b, ctx, s, items)
+        }
+        LogicalPlan::Join { kind, left, right, left_key, right_key } => {
+            let l = build_node(b, ctx, left)?;
+            let leaf = ctx.next_scan;
+            let r = build_node(b, ctx, right)?;
+            note_reach(ctx, leaf, right, (&l, left_key), (&r, right_key));
+            build_join(b, ctx, *kind, l, r, left_key, right_key)
+        }
+        LogicalPlan::PosExplode { .. } | LogicalPlan::ReadExplode { .. } => {
+            build_explode(b, ctx)
+        }
+        LogicalPlan::Limit { .. } => build_window(b, ctx),
+        LogicalPlan::Aggregate { .. } => Err(CoreError::unsupported(
+            "Aggregate",
+            "aggregation is only supported at the plan root",
+        )),
+        other => Err(CoreError::unsupported(
+            plan_node_name(other),
+            "not lowerable inside a hardware pipeline",
+        )),
+    }
+}
+
+/// Records the [`Reach`] of a join whose right input `right`, built from
+/// leaf `leaf` on, is `Filter`s over a plain scan keyed on one of its own
+/// columns or over a `PosExplode` keyed on its positions, and whose left
+/// key streams unchanged from a spine column (its data bounds the cut; the
+/// propagated `ColInfo` bounds never do). Any other join is not cut.
+fn note_reach(
+    ctx: &mut BuildCtx<'_>,
+    leaf: usize,
+    right: &LogicalPlan,
+    (l, left_key): (&Stream<'_>, &ColRef),
+    (r, right_key): (&Stream<'_>, &ColRef),
+) {
+    let mut node = right;
+    while let LogicalPlan::Filter { input, .. } = node {
+        node = input;
+    }
+    let (Ok(li), Ok(ri)) =
+        (resolve(&l.cols, &[], left_key, "Join"), resolve(&r.cols, &[], right_key, "Join"))
+    else {
+        return;
+    };
+    let Some((0, spine)) = l.cols[li].origin else { return };
+    let key = match node {
+        LogicalPlan::Scan { .. } => match r.cols[ri].origin {
+            Some((scan, key)) if scan == leaf => key,
+            _ => return,
+        },
+        LogicalPlan::PosExplode { .. } if ri == 0 => 0,
+        _ => return,
+    };
+    ctx.reaches.push(Reach { leaf, key, spine });
+}
+
+/// Uploads the `items` a trimmed `PosExplode` cut keeps of its `rows`
+/// ([`PreparedScan::reach`]) as sub-slices of the prepared POS, CIGAR and
+/// value columns. Only the edge rows are new: the first row's position
+/// advances to its first kept item, and the first and last rows' match
+/// CIGARs are re-synthesised for the items they keep, as
+/// `bind::prepare_explode` synthesises every row's. Returns the three queues.
+fn upload_trimmed(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    ps: &PreparedScan,
+    rows: &Range<usize>,
+    items: &Range<usize>,
+) -> Result<Vec<QueueId>, CoreError> {
+    let ([pos, cigar, data], Some(spec)) = (&ps.cols[..], &ps.explode) else {
+        return Err(CoreError::Host("a trimmed explode is a PosExplode join leaf".into()));
+    };
+    let off = &spec.out_offsets;
+    let (first, last) = (rows.start, rows.end - 1);
+    // Each row keeps at most its own items, whose count was a `u32`.
+    let kept = |r: usize| (items.end.min(off[r + 1]) - items.start.max(off[r])) as u32;
+    let data_lens: Vec<u32> = rows.clone().map(kept).collect();
+    let runs = cigar.lens.as_deref().unwrap_or(&[]);
+    let inner = first + 1..last.max(first + 1);
+    let (mut head, mut tail) = (Vec::new(), Vec::new());
+    let mut cigar_lens = Vec::with_capacity(rows.len());
+    cigar_lens.push(match_cigar(kept(first), &mut head)?);
+    cigar_lens.extend_from_slice(&runs[inner.clone()]);
+    if last > first {
+        cigar_lens.push(match_cigar(kept(last), &mut tail)?);
+    }
+    let inner_start: usize = runs[..inner.start].iter().map(|&l| l as usize).sum();
+    let inner_len: usize = runs[inner].iter().map(|&l| l as usize).sum();
+    let inner_cigar = &cigar.vals[inner_start..inner_start + inner_len];
+    let first_pos = pos.vals[first].saturating_add((items.start - off[first]) as u64);
+    let mut upload = |c: &PreparedCol, parts: &[&[u64]], spec: RowSpec| {
+        let label = ctx.lbl(&format!("{}.{}", ps.table, c.name));
+        ctx.reads.push(c.elem_bytes);
+        b.upload_parts(&label, parts, c.elem_bytes, spec)
+    };
+    Ok(vec![
+        upload(pos, &[&[first_pos], &pos.vals[first + 1..rows.end]], RowSpec::Fixed(1)),
+        upload(cigar, &[&head, inner_cigar, &tail], RowSpec::Lens(Arc::new(cigar_lens))),
+        upload(data, &[&data.vals[items.clone()]], RowSpec::Lens(Arc::new(data_lens))),
+    ])
+}
+
+/// Lowers an explode leaf: one Memory Reader per `ReadToBases` input
+/// stream (POS delimited per row, list columns delimited by their run
+/// lengths), the `ReadToBases` genomics block from the module library,
+/// and a drop-ends Zip selecting the relational output fields — turning
+/// the per-read delimited base stream into the plain row stream every
+/// downstream module expects. Expansion (output rows per input row) is
+/// recorded for the Figure 8 replication profile.
+fn build_explode<'a>(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'a>,
+) -> Result<Stream<'a>, CoreError> {
+    use genesis_hw::modules::read_to_bases::{ReadToBases, ReadToBasesInputs};
+    let (idx, ps) = ctx.next_leaf();
+    let spec = ps
+        .explode
+        .as_ref()
+        .ok_or_else(|| CoreError::Host("explode node over a plain scan leaf".into()))?;
+    let cuts = ctx.cuts;
+    let range = cuts[idx].rows.clone();
+    let table = &ps.table;
+    let mut qs = Vec::with_capacity(ps.cols.len());
+    if let Some(items) = &cuts[idx].items {
+        qs = upload_trimmed(b, ctx, ps, &range, items)?;
+    }
+    for c in &ps.cols[qs.len()..] {
+        let label = ctx.lbl(&format!("{table}.{}", c.name));
+        let q = match &c.lens {
+            // One delimiter per row keeps POS aligned with the per-read
+            // runs of the list streams.
+            None => b.upload_column(
+                &label,
+                &c.vals[range.clone()],
+                c.elem_bytes,
+                RowSpec::Fixed(1),
+            ),
+            Some(lens) => {
+                let flat_start: usize =
+                    lens[..range.start].iter().map(|&l| l as usize).sum();
+                let flat_len: usize =
+                    lens[range.clone()].iter().map(|&l| l as usize).sum();
+                let rows = PipelineBuilder::rows_from_lens(&lens[range.clone()]);
+                b.upload_column(
+                    &label,
+                    &c.vals[flat_start..flat_start + flat_len],
+                    c.elem_bytes,
+                    rows,
+                )
+            }
+        };
+        ctx.reads.push(c.elem_bytes);
+        qs.push(q);
+    }
+    let inputs = ReadToBasesInputs {
+        pos: qs[0],
+        cigar: qs[1],
+        seq: qs[2],
+        qual: if spec.has_qual { Some(qs[3]) } else { None },
+    };
+    // Columns past the explode's inputs are the loop row's window bounds.
+    if let &[start, end] = &qs[3 + usize::from(spec.has_qual)..] {
+        ctx.bounds = Some((start, end));
+    }
+    let bases = ctx.add(b, ("explode.bases", "explode.rtb"), |l, out| {
+        Box::new(ReadToBases::new(l, inputs, out))
+    });
+    // Select [REFPOS, BASE(, QUAL)]; outside a loop body, also strip the
+    // per-read delimiters.
+    let sel: Vec<usize> = if spec.has_qual { vec![0, 1, 2] } else { vec![0, 1] };
+    let rows_q = b.queue(&ctx.lbl("explode.rows"));
+    let zl = ctx.lbl("explode.zip");
+    let zip = Zip::new(&zl, vec![ZipInput::new(bases, sel)], rows_q);
+    b.system().add_module(Box::new(if ctx.per_row { zip } else { zip.with_drop_ends() }));
+    let out_rows = cuts[idx].items.clone().unwrap_or_else(|| ps.items_of(&range)).len();
+    let in_rows = range.len().max(1);
+    ctx.expansion = ctx.expansion.max(out_rows as f64 / in_rows as f64);
+    ctx.rows_bound = ctx.rows_bound.max(out_rows);
+    ctx.note(format!(
+        "{}({table}) -> {}x MemoryReader + ReadToBases + Zip ({out_rows} rows from {})",
+        spec.node,
+        ps.cols.len(),
+        range.len(),
+    ));
+    let mut cols = spec.out_cols.clone();
+    // Within one read the aligned positions strictly increase.
+    cols[0].ascending |= ctx.per_row;
+    Ok(Stream { q: rows_q, cols, unstreamed: Cow::Borrowed(&[]) })
+}
+
+/// Lowers a reference window (`bind::prepare_window`): the scratchpad load and
+/// gated range-mode SPM Reader of [`PipelineBuilder::ref_window`], reading
+/// each loop row's bounds from the queues its explode uploaded, so the
+/// window emits one item per loop row.
+fn build_window<'a>(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'a>,
+) -> Result<Stream<'a>, CoreError> {
+    let (idx, ps) = ctx.next_leaf();
+    let (Some(base), Some((start, end))) = (ps.window, ctx.bounds.take()) else {
+        return Err(CoreError::Host("reference window without its loop-row bounds".into()));
+    };
+    let values = &ps.cols[0];
+    let label = ctx.lbl(&format!("{}.{}", ps.table, values.name));
+    let width = values.elem_bytes;
+    // The scratchpad holds the replica's reach, its offset moved to the
+    // first position the reach holds.
+    let reach = ctx.cuts[idx].items.clone().unwrap_or_else(|| ps.items_of(&(0..1)));
+    let first = base.saturating_add(reach.start as u64);
+    let loaded = &values.vals[reach];
+    let refs = b.ref_window(&[(&label, loaded, width, width * 8)], start, end, first);
+    ctx.reads.push(width);
+    ctx.note(format!("Limit({}) -> MemoryReader + SpmUpdater + SpmReader(range)", ps.table));
+    let last = base.saturating_add((values.vals.len() as u64).saturating_sub(1));
+    let pos = ColInfo {
+        ascending: true,
+        max_value: Some(last),
+        min_value: base,
+        ..ColInfo::new("POS", Decode::U64)
+    };
+    let top = values.vals.iter().copied().max();
+    let data = ColInfo { max_value: top, ..ColInfo::new(&values.name, values.decode) };
+    Ok(Stream { q: refs, cols: vec![pos, data], unstreamed: Cow::Borrowed(&[]) })
+}
+
+fn build_scan<'a>(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'a>,
+) -> Result<Stream<'a>, CoreError> {
+    let (idx, ps) = ctx.next_leaf();
+    let range = ctx.cuts[idx].rows.clone();
+    let streamed = ps.streamed();
+    let ncols = streamed.len();
+    if ncols == 0 {
+        return Err(CoreError::unsupported(
+            format!("Scan({})", ps.table),
+            "table has no columns",
+        ));
+    }
+    let table = &ps.table;
+    let mut inputs = Vec::with_capacity(ncols);
+    let mut cols = Vec::with_capacity(ncols);
+    for (ci, c) in streamed.iter().enumerate() {
+        let vals = &c.vals[range.clone()];
+        let label = ctx.lbl(&format!("{table}.{}", c.name));
+        let q = b.upload_column(&label, vals, c.elem_bytes, RowSpec::None);
+        ctx.reads.push(c.elem_bytes);
+        inputs.push(ZipInput::new(q, vec![0]));
+        // A leaf other than the spine is checked whole, however far a cut
+        // reaches: a cut never admits a plan the whole leaf refuses.
+        let seen = if idx == 0 { vals } else { &c.vals[..] };
+        let (ascending, min_value, max_value) = range_stats(seen);
+        cols.push(ColInfo {
+            ascending,
+            max_value,
+            min_value,
+            origin: Some((idx, ci)),
+            ..ColInfo::new(&c.name, c.decode)
+        });
+    }
+    let q = if inputs.len() == 1 {
+        inputs[0].queue
+    } else {
+        let tags = (&format!("{table}.rows")[..], &format!("{table}.zip")[..]);
+        ctx.add(b, tags, |l, out| Box::new(Zip::new(l, inputs, out)))
+    };
+    let zip = if ncols > 1 { " + Zip" } else { "" };
+    let pruned = if ps.unstreamed.is_empty() {
+        String::new()
+    } else {
+        format!(" ({ncols} of {} columns)", ncols + ps.unstreamed.len())
+    };
+    ctx.note(format!("Scan({table}) -> {ncols}x MemoryReader{zip}{pruned}"));
+    Ok(Stream { q, cols, unstreamed: Cow::Borrowed(&ps.unstreamed) })
+}
+
+fn build_filter<'a>(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    s: Stream<'a>,
+    pred: &Expr,
+) -> Result<Stream<'a>, CoreError> {
+    let mut parts = Vec::new();
+    conjuncts(pred, &mut parts);
+    let mut q = s.q;
+    let n = parts.len();
+    let mut cols = s.cols.clone();
+    for part in &parts {
+        let hw = lower_predicate(&s.cols, &s.unstreamed, part)?;
+        q = ctx.add(b, ("filter", "filter"), |l, out| Box::new(Filter::new(l, hw, q, out)));
+        narrow_filtered_col(&mut cols, part);
+    }
+    ctx.note(format!("Filter -> {n}x Filter"));
+    Ok(Stream { q, cols, unstreamed: s.unstreamed })
+}
+
+/// One expanded output item of a projection.
+enum ProjItem {
+    Pass { src: usize, name: String },
+    Comp { plan: CompPlan, name: String, decode: Decode },
+}
+
+#[allow(clippy::too_many_lines)]
+fn build_project<'a>(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    s: Stream<'_>,
+    items: &[SelectItem],
+) -> Result<Stream<'a>, CoreError> {
+    // Expand items following the software engine's naming rules.
+    let mut expanded: Vec<ProjItem> = Vec::new();
+    for (i, item) in items.iter().enumerate() {
+        match item {
+            SelectItem::Star => {
+                for (src, c) in s.cols.iter().enumerate() {
+                    expanded.push(ProjItem::Pass { src, name: c.name.clone() });
+                }
+            }
+            SelectItem::Expr { expr, alias } => match expr {
+                Expr::Col(c) => {
+                    let src = resolve(&s.cols, &s.unstreamed, c, "Project")?;
+                    let name = alias.clone().unwrap_or_else(|| c.display_name());
+                    expanded.push(ProjItem::Pass { src, name });
+                }
+                Expr::Bin { op, lhs, rhs } => {
+                    let (Some(lo), Some(ro)) = (
+                        operand(&s.cols, &s.unstreamed, lhs)?,
+                        operand(&s.cols, &s.unstreamed, rhs)?,
+                    ) else {
+                        return Err(CoreError::unsupported(
+                            "Project",
+                            "computed items must be a single binary op over columns/literals",
+                        ));
+                    };
+                    let (plan, decode) = plan_comp(*op, &lo, &ro)?;
+                    let name = alias.clone().unwrap_or_else(|| format!("EXPR{i}"));
+                    expanded.push(ProjItem::Comp { plan, name, decode });
+                }
+                _ => {
+                    return Err(CoreError::unsupported(
+                        "Project",
+                        "items must be columns or binary expressions",
+                    ))
+                }
+            },
+            SelectItem::Agg { .. } => {
+                return Err(CoreError::unsupported(
+                    "Project",
+                    "aggregate outside an Aggregate node",
+                ))
+            }
+        }
+    }
+    let n_out = expanded.len();
+    if n_out == 0 || n_out > MAX_FIELDS {
+        return Err(CoreError::unsupported(
+            "Project",
+            format!("{n_out} output columns (hardware flits carry 1..={MAX_FIELDS} fields)"),
+        ));
+    }
+    let prepared = ctx.prepared;
+    let out_cols: Vec<ColInfo> = expanded
+        .iter()
+        .map(|item| match item {
+            ProjItem::Pass { src, name } => ColInfo { name: name.clone(), ..s.cols[*src].clone() },
+            ProjItem::Comp { plan, name, decode } => {
+                let (min_value, max_value) = comp_bounds(&s.cols, prepared, plan, *decode);
+                ColInfo { max_value, min_value, ..ColInfo::new(name, *decode) }
+            }
+        })
+        .collect();
+    let pass_srcs: Vec<usize> = expanded
+        .iter()
+        .filter_map(|it| match it {
+            ProjItem::Pass { src, .. } => Some(*src),
+            ProjItem::Comp { .. } => None,
+        })
+        .collect();
+    let comps: Vec<&CompPlan> = expanded
+        .iter()
+        .filter_map(|it| match it {
+            ProjItem::Comp { plan, .. } => Some(plan),
+            ProjItem::Pass { .. } => None,
+        })
+        .collect();
+
+    if comps.is_empty() {
+        // Pure column selection/reorder: a single Zip (or a rename).
+        let identity =
+            pass_srcs.len() == s.cols.len() && pass_srcs.iter().enumerate().all(|(i, &v)| i == v);
+        let q = if identity {
+            s.q
+        } else {
+            ctx.select(b, ("proj", "proj.zip"), s.q, pass_srcs)
+        };
+        ctx.note(format!("Project -> {}", if identity { "rename" } else { "Zip" }));
+        return Ok(Stream { q, cols: out_cols, unstreamed: Cow::Borrowed(&[]) });
+    }
+
+    // Computed items: fan the row stream out to a pass-through branch plus
+    // per-computation extractor branches, run each ALU chain, and zip the
+    // results back into rows.
+    let mut fan_targets = Vec::new();
+    let pass_q = if pass_srcs.is_empty() {
+        None
+    } else {
+        let q = b.queue(&ctx.lbl("proj.pass"));
+        fan_targets.push(q);
+        Some(q)
+    };
+    struct Branch {
+        lhs_q: QueueId,
+        rhs_q: Option<QueueId>,
+    }
+    let mut branches = Vec::with_capacity(comps.len());
+    for comp in &comps {
+        let lhs_q = b.queue(&ctx.lbl("proj.b"));
+        fan_targets.push(lhs_q);
+        let rhs_q = match comp.rhs {
+            CompRhs::Field(_) => {
+                let q = b.queue(&ctx.lbl("proj.b"));
+                fan_targets.push(q);
+                Some(q)
+            }
+            CompRhs::Lit(_) => None,
+        };
+        branches.push(Branch { lhs_q, rhs_q });
+    }
+    let fan_label = ctx.lbl("proj.fan");
+    b.system().add_module(Box::new(Fanout::new(&fan_label, s.q, fan_targets)));
+    let mut res_qs = Vec::with_capacity(comps.len());
+    let mut alu_count = 0usize;
+    for (comp, branch) in comps.iter().zip(&branches) {
+        let ext = ctx.select(b, ("proj.ext", "proj.extzip"), branch.lhs_q, vec![comp.lhs_field]);
+        let rhs = match (&comp.rhs, branch.rhs_q) {
+            (CompRhs::Lit(n), _) => AluRhs::Const(*n),
+            (CompRhs::Field(f), Some(rq)) => {
+                AluRhs::Queue(ctx.select(b, ("proj.ext", "proj.extzip"), rq, vec![*f]))
+            }
+            (CompRhs::Field(_), None) => {
+                return Err(CoreError::Host("projection branch wiring bug".into()))
+            }
+        };
+        let alu_out = ctx.add(b, ("proj.alu", "proj.alu"), |l, out| {
+            Box::new(StreamAlu::new(l, comp.op, ext, rhs, out))
+        });
+        alu_count += 1;
+        let res = if comp.negate {
+            alu_count += 1;
+            ctx.add(b, ("proj.neg", "proj.neg"), |l, out| {
+                Box::new(StreamAlu::new(l, AluOp::Xor, alu_out, AluRhs::Const(1), out))
+            })
+        } else {
+            alu_out
+        };
+        res_qs.push(res);
+    }
+    // Zip pass fields and computed results back together (pass block
+    // first), then reorder into item order when they interleave.
+    let mut zip_inputs = Vec::new();
+    if let Some(pq) = pass_q {
+        zip_inputs.push(ZipInput::new(pq, pass_srcs.clone()));
+    }
+    for &rq in &res_qs {
+        zip_inputs.push(ZipInput::new(rq, vec![0]));
+    }
+    let assembled =
+        ctx.add(b, ("proj.rows", "proj.zip"), |l, out| Box::new(Zip::new(l, zip_inputs, out)));
+    let mut pass_rank = 0;
+    let mut comp_rank = 0;
+    let n_pass = pass_srcs.len();
+    let sel: Vec<usize> = expanded
+        .iter()
+        .map(|it| match it {
+            ProjItem::Pass { .. } => {
+                pass_rank += 1;
+                pass_rank - 1
+            }
+            ProjItem::Comp { .. } => {
+                comp_rank += 1;
+                n_pass + comp_rank - 1
+            }
+        })
+        .collect();
+    let q = if sel.iter().enumerate().all(|(i, &v)| i == v) {
+        assembled
+    } else {
+        ctx.select(b, ("proj.ord", "proj.ordzip"), assembled, sel)
+    };
+    ctx.note(format!(
+        "Project -> Fanout + {}x Zip + {alu_count}x ALU",
+        1 + comps.len() + branches.iter().filter(|br| br.rhs_q.is_some()).count()
+    ));
+    Ok(Stream { q, cols: out_cols, unstreamed: Cow::Borrowed(&[]) })
+}
+
+fn build_join<'a>(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    kind: JoinKind,
+    l: Stream<'a>,
+    r: Stream<'a>,
+    left_key: &ColRef,
+    right_key: &ColRef,
+) -> Result<Stream<'a>, CoreError> {
+    let hw_kind = match kind {
+        JoinKind::Inner => HwJoinKind::Inner,
+        JoinKind::Left => HwJoinKind::Left,
+        JoinKind::Outer => {
+            return Err(CoreError::unsupported(
+                "Join(Outer)",
+                "unmatched-right row order is engine-defined",
+            ))
+        }
+    };
+    let li = resolve(&l.cols, &l.unstreamed, left_key, "Join")?;
+    let ri = resolve(&r.cols, &r.unstreamed, right_key, "Join")?;
+    for (side, col) in [("left", &l.cols[li]), ("right", &r.cols[ri])] {
+        if col.decode != Decode::U64 {
+            return Err(CoreError::unsupported(
+                "Join",
+                format!("{side} key {} must be an integer column", col.name),
+            ));
+        }
+        if !col.ascending {
+            return Err(CoreError::unsupported(
+                "Join",
+                format!(
+                    "{side} key {} is not strictly increasing; the hardware Joiner \
+                     merge-joins sorted unique keys",
+                    col.name
+                ),
+            ));
+        }
+    }
+    let (nl, nr) = (l.cols.len(), r.cols.len());
+    let width = 1 + nl + nr;
+    if width > MAX_FIELDS {
+        return Err(CoreError::unsupported(
+            "Join",
+            format!("key + {nl} left + {nr} right fields exceed the {MAX_FIELDS}-field flit"),
+        ));
+    }
+    // Prepend the key to each side: [key, all columns...].
+    let keyed = |s: &Stream<'_>, ki: usize| std::iter::once(ki).chain(0..s.cols.len()).collect();
+    let lq = ctx.select(b, ("join.keyed", "join.keyzip"), l.q, keyed(&l, li));
+    let rq = ctx.select(b, ("join.keyed", "join.keyzip"), r.q, keyed(&r, ri));
+    let jq = ctx.add(b, ("join.out", "join"), |l, out| {
+        Box::new(Joiner::new(l, hw_kind, lq, rq, out, nl, nr))
+    });
+    // Drop the prepended key, leaving [left columns..., right columns...].
+    let out = ctx.select(b, ("join.rows", "join.dropzip"), jq, (1..width).collect());
+    let left_join = kind == JoinKind::Left;
+    let mut cols = Vec::with_capacity(nl + nr);
+    for c in &l.cols {
+        cols.push(ColInfo { name: qualify(left_key.table.as_deref(), &c.name), ..c.clone() });
+    }
+    for c in &r.cols {
+        cols.push(ColInfo {
+            name: qualify(right_key.table.as_deref(), &c.name),
+            nullable: c.nullable || left_join,
+            ascending: false,
+            ..c.clone()
+        });
+    }
+    let unstreamed = if l.unstreamed.is_empty() && r.unstreamed.is_empty() {
+        Cow::Borrowed(&[][..])
+    } else {
+        let left = l.unstreamed.iter().map(|n| qualify(left_key.table.as_deref(), n));
+        let right = r.unstreamed.iter().map(|n| qualify(right_key.table.as_deref(), n));
+        Cow::Owned(left.chain(right).collect())
+    };
+    ctx.note(format!("Join({kind:?}) -> 2x Zip + Joiner + Zip"));
+    Ok(Stream { q: out, cols, unstreamed })
+}
+
+fn agg_display(func: AggFn) -> &'static str {
+    match func {
+        AggFn::Sum => "SUM",
+        AggFn::Count => "COUNT",
+        AggFn::Min => "MIN",
+        AggFn::Max => "MAX",
+    }
+}
+
+fn build_scalar_agg(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    input: &LogicalPlan,
+    items: &[SelectItem],
+) -> Result<(Built, SinkKind), CoreError> {
+    let s = build_node(b, ctx, input)?;
+    struct Spec {
+        kind: ScalarKind,
+        field: usize,
+        /// Rows the aggregate skips: marker rows for MIN/MAX, rows
+        /// failing the comparison `SUM` counts.
+        filter: Option<Predicate>,
+        name: String,
+    }
+    let mut specs = Vec::with_capacity(items.len());
+    for item in items {
+        let SelectItem::Agg { func, arg, alias } = item else {
+            return Err(CoreError::unsupported(
+                "Aggregate",
+                "non-aggregate select item without GROUP BY",
+            ));
+        };
+        let name = alias.clone().unwrap_or_else(|| agg_display(*func).to_owned());
+        let spec = match (func, arg) {
+            // COUNT(*) / SUM(*) both count rows (the engine sums 1 per row).
+            (AggFn::Count | AggFn::Sum, None) => {
+                Spec { kind: ScalarKind::Count, field: 0, filter: None, name }
+            }
+            (AggFn::Min | AggFn::Max, None) => {
+                return Err(CoreError::unsupported(
+                    "Aggregate",
+                    "MIN/MAX need a column argument",
+                ))
+            }
+            (_, Some(Expr::Col(c))) => {
+                let i = resolve(&s.cols, &s.unstreamed, c, "Aggregate")?;
+                let col = &s.cols[i];
+                match func {
+                    AggFn::Count => Spec { kind: ScalarKind::Count, field: i, filter: None, name },
+                    AggFn::Sum => {
+                        // U64 and Bool columns both sum (booleans as 0/1);
+                        // the Reducer skips sentinel fields like the engine.
+                        Spec { kind: ScalarKind::Sum, field: i, filter: None, name }
+                    }
+                    AggFn::Min | AggFn::Max => {
+                        if ctx.per_row {
+                            return Err(CoreError::unsupported(
+                                "Aggregate",
+                                "MIN/MAX per loop row (an empty row yields NULL)",
+                            ));
+                        }
+                        if col.decode != Decode::U64 {
+                            return Err(CoreError::unsupported(
+                                "Aggregate",
+                                format!(
+                                    "MIN/MAX over BOOL column {} (the engine yields NULL)",
+                                    col.name
+                                ),
+                            ));
+                        }
+                        let kind = if *func == AggFn::Min { ScalarKind::Min } else { ScalarKind::Max };
+                        let filter = col.nullable.then(|| Predicate::field_is_value(i));
+                        Spec { kind, field: i, filter, name }
+                    }
+                }
+            }
+            // SUM over a comparison counts the rows where it holds: a
+            // Filter (markers compare unequal in both engines) and a COUNT.
+            (AggFn::Sum, Some(cmp @ Expr::Bin { op, .. })) if cmp_of(*op).is_some() => {
+                let filter = Some(lower_predicate(&s.cols, &s.unstreamed, cmp)?);
+                Spec { kind: ScalarKind::Count, field: 0, filter, name }
+            }
+            (_, Some(_)) => {
+                return Err(CoreError::unsupported(
+                    "Aggregate",
+                    "aggregate arguments must be plain columns",
+                ))
+            }
+        };
+        specs.push(spec);
+    }
+    if specs.is_empty() {
+        return Err(CoreError::unsupported("Aggregate", "no aggregate items"));
+    }
+    // One reduction branch per aggregate.
+    let branch_qs: Vec<QueueId> = if specs.len() == 1 {
+        vec![s.q]
+    } else {
+        let qs: Vec<QueueId> = (0..specs.len()).map(|_| b.queue(&ctx.lbl("agg.b"))).collect();
+        let fl = ctx.lbl("agg.fan");
+        b.system().add_module(Box::new(Fanout::new(&fl, s.q, qs.clone())));
+        qs
+    };
+    let mut writers = Vec::with_capacity(specs.len());
+    let mut cols = Vec::with_capacity(specs.len());
+    for (spec, &bq) in specs.iter().zip(&branch_qs) {
+        let src = if let Some(pred) = spec.filter {
+            let tags = ("agg.filter", "agg.filter");
+            ctx.add(b, tags, |l, out| Box::new(Filter::new(l, pred, bq, out)))
+        } else {
+            bq
+        };
+        let op = match spec.kind {
+            ScalarKind::Count => ReduceOp::Count,
+            ScalarKind::Sum => ReduceOp::Sum,
+            ScalarKind::Min => ReduceOp::Min,
+            ScalarKind::Max => ReduceOp::Max,
+        };
+        let rq = ctx.add(b, ("agg.red", "agg.red"), |l, out| {
+            Box::new(Reducer::new(l, op, spec.field, src, out))
+        });
+        // A Reducer emits once per item: per loop row in a loop body, else
+        // once per whole input stream — not a sustained memory port, so
+        // that writer stays out of the cost profile.
+        let rows = if ctx.per_row { ctx.spine_range.len() } else { 1 };
+        let (writer, addr) = b.writer(&ctx.lbl("agg.out"), rq, 8, rows * 8);
+        ctx.sink_bytes += line_padded(rows * 8);
+        if ctx.per_row {
+            ctx.writes.push(8);
+        }
+        writers.push((writer, addr));
+        cols.push(ColInfo::new(&spec.name, Decode::U64));
+    }
+    ctx.note(format!("Aggregate -> {}x Reducer + MemoryWriter", specs.len()));
+    let kind = if ctx.per_row {
+        SinkKind::Stream
+    } else {
+        SinkKind::Scalar(specs.iter().map(|spec| spec.kind).collect())
+    };
+    Ok((Built { writers, cols }, kind))
+}
+
+#[allow(clippy::too_many_lines)]
+fn build_grouped_agg(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    input: &LogicalPlan,
+    items: &[SelectItem],
+    group_by: &[ColRef],
+) -> Result<(Built, SinkKind), CoreError> {
+    let s = build_node(b, ctx, input)?;
+    let [key] = group_by else {
+        return Err(CoreError::unsupported(
+            "Aggregate(GROUP BY)",
+            "multi-column grouping needs a composite-key scratchpad",
+        ));
+    };
+    let ki = resolve(&s.cols, &s.unstreamed, key, "Aggregate")?;
+    let kcol = s.cols[ki].clone();
+    if kcol.nullable {
+        return Err(CoreError::unsupported(
+            "Aggregate(GROUP BY)",
+            format!("nullable group key {} (padding markers form their own group)", kcol.name),
+        ));
+    }
+    let Some(max_key) = kcol.max_value.or(Some(0).filter(|_| kcol.decode == Decode::Bool)) else {
+        return Err(CoreError::unsupported(
+            "Aggregate(GROUP BY)",
+            format!("group key {} has no derivable domain bound", kcol.name),
+        ))
+    };
+    if max_key >= ctx.group_domain_cap {
+        let cap = ctx.group_domain_cap;
+        let hint = if cap == MAX_GROUP_DOMAIN {
+            " (enable tiered memory via GENESIS_TIERS to spill larger histograms)"
+        } else {
+            ""
+        };
+        // `max_key` can itself be `u64::MAX` (a key column holding it),
+        // so even the human-readable domain size must not add 1 unchecked.
+        return Err(CoreError::unsupported(
+            "Aggregate(GROUP BY)",
+            format!(
+                "key domain {} exceeds the {cap}-entry scratchpad budget{hint}",
+                max_key.saturating_add(1)
+            ),
+        ));
+    }
+    // Guarded above: `max_key < cap <= 2^27`, so `+ 1` cannot overflow.
+    let domain = (max_key + 1) as usize;
+    // Classify items; SUM columns share one histogram per distinct column.
+    let mut sum_fields: Vec<usize> = Vec::new();
+    struct GItem {
+        role: GroupRole,
+        /// Index into `sum_fields` for Sum items.
+        sum_slot: usize,
+        name: String,
+    }
+    let mut gitems = Vec::new();
+    for item in items {
+        let gi = match item {
+            SelectItem::Expr { expr: Expr::Col(c), alias } => {
+                if !group_by.contains(c) {
+                    return Err(CoreError::unsupported(
+                        "Aggregate(GROUP BY)",
+                        format!("column {} not in GROUP BY", c.display_name()),
+                    ));
+                }
+                let name = alias.clone().unwrap_or_else(|| c.display_name());
+                GItem { role: GroupRole::Key, sum_slot: 0, name }
+            }
+            SelectItem::Agg { func, arg, alias } => {
+                let name = alias.clone().unwrap_or_else(|| agg_display(*func).to_owned());
+                match (func, arg) {
+                    (AggFn::Count, _) | (AggFn::Sum, None) => {
+                        GItem { role: GroupRole::Count, sum_slot: 0, name }
+                    }
+                    (AggFn::Sum, Some(Expr::Col(c))) => {
+                        let i = resolve(&s.cols, &s.unstreamed, c, "Aggregate")?;
+                        let slot = sum_fields.iter().position(|&f| f == i).unwrap_or_else(|| {
+                            sum_fields.push(i);
+                            sum_fields.len() - 1
+                        });
+                        GItem { role: GroupRole::Sum, sum_slot: slot, name }
+                    }
+                    (AggFn::Min | AggFn::Max, _) => {
+                        return Err(CoreError::unsupported(
+                            "Aggregate(GROUP BY)",
+                            "grouped MIN/MAX needs a read-modify-write min/max scratchpad op",
+                        ))
+                    }
+                    (AggFn::Sum, Some(_)) => {
+                        return Err(CoreError::unsupported(
+                            "Aggregate(GROUP BY)",
+                            "SUM arguments must be plain columns",
+                        ))
+                    }
+                }
+            }
+            _ => {
+                return Err(CoreError::unsupported(
+                    "Aggregate(GROUP BY)",
+                    "items must be the group key or aggregates",
+                ))
+            }
+        };
+        gitems.push(gi);
+    }
+    if gitems.is_empty() || gitems.len() > MAX_FIELDS {
+        return Err(CoreError::unsupported(
+            "Aggregate(GROUP BY)",
+            format!("{} output columns (hardware flits carry 1..={MAX_FIELDS})", gitems.len()),
+        ));
+    }
+    if 1 + sum_fields.len() > MAX_FIELDS {
+        return Err(CoreError::unsupported(
+            "Aggregate(GROUP BY)",
+            "too many distinct SUM columns for one update flit",
+        ));
+    }
+    // Update flit: [key, sum values...]; one RMW updater per histogram.
+    let mut sel = vec![ki];
+    sel.extend(sum_fields.iter().copied());
+    let upd_q = ctx.select(b, ("grp.upd", "grp.keyzip"), s.q, sel);
+    let cnt_spm = b.system().spms_mut().add(&ctx.lbl("GRP_CNT"), domain, 8);
+    let sum_spms: Vec<_> = (0..sum_fields.len())
+        .map(|_| {
+            let label = ctx.lbl("GRP_SUM");
+            b.system().spms_mut().add(&label, domain, 8)
+        })
+        .collect();
+    // Each updater forwards its input to the next; the last one's
+    // forward triggers the drain.
+    let rmw = |op| SpmUpdateMode::Rmw { op };
+    let mut tap = ctx.add(b, ("grp.fwd", "grp.count"), |l, out| {
+        Box::new(SpmUpdater::new(l, cnt_spm, rmw(RmwOp::Increment), 0, 0, upd_q).with_forward(out))
+    });
+    for (slot, &spm) in sum_spms.iter().enumerate() {
+        tap = ctx.add(b, ("grp.fwd", "grp.sum"), |l, out| {
+            Box::new(SpmUpdater::new(l, spm, rmw(RmwOp::Add), 0, 1 + slot, tap).with_forward(out))
+        });
+    }
+    // Drain all histograms once updates finish: [key, count, sums...].
+    let mut spms = vec![cnt_spm];
+    spms.extend(sum_spms.iter().copied());
+    let drain = ctx.add(b, ("grp.drain", "grp.drain"), |l, out| {
+        let mode = SpmReadMode::Drain { trigger: tap, len: domain as u64 };
+        Box::new(SpmReader::new(l, spms, mode, 0, out))
+    });
+    // Keep only keys that appeared (the engine emits no empty groups).
+    let present = ctx.add(b, ("grp.present", "grp.present"), |l, out| {
+        Box::new(Filter::new(l, Predicate::field_const(1, CmpOp::Ge, 1), drain, out))
+    });
+    // Select drain fields in item order.
+    let sel: Vec<usize> = gitems
+        .iter()
+        .map(|gi| match gi.role {
+            GroupRole::Key => 0,
+            GroupRole::Count => 1,
+            GroupRole::Sum => 2 + gi.sum_slot,
+        })
+        .collect();
+    let rows_q = ctx.select(b, ("grp.rows", "grp.selzip"), present, sel);
+    let writers = attach_writers(b, ctx, rows_q, gitems.len(), domain * 8, "grp.out");
+    let cols: Vec<ColInfo> = gitems
+        .iter()
+        .map(|gi| {
+            let key = gi.role == GroupRole::Key;
+            let decode = if key { kcol.decode } else { Decode::U64 };
+            ColInfo { ascending: key, ..ColInfo::new(&gi.name, decode) }
+        })
+        .collect();
+    ctx.note(format!(
+        "Aggregate(GROUP BY) -> Zip + {}x SpmUpdater + SpmReader + Filter + Zip + {}x \
+         MemoryWriter",
+        1 + sum_fields.len(),
+        writers.len()
+    ));
+    let kind = SinkKind::Grouped(gitems.iter().map(|gi| gi.role).collect());
+    Ok((Built { writers, cols }, kind))
+}
+
+/// Attaches one Memory Writer per output column (fanning the row stream
+/// out when there is more than one — concurrent writers must not steal
+/// flits from a shared queue), each a sustained 8-byte write port.
+fn attach_writers(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    rows_q: QueueId,
+    n_cols: usize,
+    capacity_bytes: usize,
+    tag: &str,
+) -> Vec<(ModuleId, u64)> {
+    ctx.sink_bytes += n_cols * line_padded(capacity_bytes);
+    ctx.writes.extend(std::iter::repeat_n(8, n_cols));
+    if n_cols == 1 {
+        return vec![b.writer_with_field(&ctx.lbl(tag), rows_q, 8, capacity_bytes, 0)];
+    }
+    let branch_qs: Vec<QueueId> = (0..n_cols).map(|_| b.queue(&ctx.lbl("out.b"))).collect();
+    let fl = ctx.lbl("out.fan");
+    b.system().add_module(Box::new(Fanout::new(&fl, rows_q, branch_qs.clone())));
+    branch_qs
+        .iter()
+        .enumerate()
+        .map(|(i, &q)| b.writer_with_field(&ctx.lbl(tag), q, 8, capacity_bytes, i))
+        .collect()
+}
+
+fn build_stream_sink(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    s: Stream<'_>,
+) -> Result<(Built, SinkKind), CoreError> {
+    // Explodes can emit more rows than the spine slice carries; the
+    // writer allocation must cover the expanded bound.
+    let bound = ctx.rows_bound.max(1) * 8;
+    let writers = attach_writers(b, ctx, s.q, s.cols.len(), bound, "out");
+    ctx.note(format!("Output -> {}x MemoryWriter", writers.len()));
+    Ok((Built { writers, cols: s.cols }, SinkKind::Stream))
+}

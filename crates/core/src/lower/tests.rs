@@ -1,0 +1,654 @@
+use super::*;
+use super::bind::list_len;
+use genesis_hw::word::MAX_FIELDS;
+use genesis_sql::ast::{AggFn, JoinKind, SelectItem};
+use genesis_sql::exec::{execute_plan, Env};
+use genesis_types::{DataType, Field, Schema, Table, Value};
+use genesis_types::Column;
+
+fn table_u32(name: &str, cols: &[(&str, Vec<u32>)]) -> (String, Table) {
+    let schema =
+        Schema::new(cols.iter().map(|(n, _)| Field::new(n, DataType::U32)).collect());
+    let columns = cols.iter().map(|(_, v)| Column::U32(v.clone())).collect();
+    (name.to_owned(), Table::from_columns(schema, columns).unwrap())
+}
+
+fn catalog_with(tables: Vec<(String, Table)>) -> Catalog {
+    let mut c = Catalog::new();
+    for (n, t) in tables {
+        c.register(&n, t);
+    }
+    c
+}
+
+fn run(plan: &LogicalPlan, catalog: &Catalog, factor: usize) -> Table {
+    let cfg = DeviceConfig::small();
+    let low = analyze(plan, catalog, &cfg).unwrap();
+    low.prepare(&cfg, catalog, None, Some(factor)).and_then(PreparedJob::run).unwrap().0
+}
+
+fn software(plan: &LogicalPlan, catalog: &Catalog) -> Table {
+    execute_plan(plan, catalog, &Env::default()).unwrap()
+}
+
+fn assert_tables_match(hw: &Table, sw: &Table) {
+    let hw_names: Vec<&str> =
+        hw.schema().fields().iter().map(|f| f.name.as_str()).collect();
+    let sw_names: Vec<&str> =
+        sw.schema().fields().iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(hw_names, sw_names, "schema names differ");
+    assert_eq!(hw.num_rows(), sw.num_rows(), "row count differs");
+    for r in 0..hw.num_rows() {
+        assert_eq!(hw.row(r), sw.row(r), "row {r} differs");
+    }
+}
+
+fn scan(t: &str) -> LogicalPlan {
+    LogicalPlan::Scan { table: t.to_owned(), partition: None }
+}
+
+#[test]
+fn filtered_scan_matches_software() {
+    let catalog = catalog_with(vec![table_u32(
+        "T",
+        &[("X", (0..40).collect()), ("Y", (0..40).map(|v| v * 3).collect())],
+    )]);
+    let plan = LogicalPlan::Filter {
+        input: Box::new(scan("T")),
+        pred: Expr::Bin {
+            op: BinOp::Gt,
+            lhs: Box::new(Expr::Col(ColRef::bare("Y"))),
+            rhs: Box::new(Expr::Number(30)),
+        },
+    };
+    assert_tables_match(&run(&plan, &catalog, 2), &software(&plan, &catalog));
+}
+
+#[test]
+fn computed_projection_matches_software() {
+    let catalog = catalog_with(vec![table_u32(
+        "T",
+        &[("A", (0..25).collect()), ("B", (0..25).map(|v| v * 2 % 17).collect())],
+    )]);
+    let plan = LogicalPlan::Project {
+        input: Box::new(scan("T")),
+        items: vec![
+            SelectItem::Expr {
+                expr: Expr::Bin {
+                    op: BinOp::Add,
+                    lhs: Box::new(Expr::Col(ColRef::bare("A"))),
+                    rhs: Box::new(Expr::Col(ColRef::bare("B"))),
+                },
+                alias: Some("S".into()),
+            },
+            SelectItem::Expr { expr: Expr::Col(ColRef::bare("A")), alias: None },
+            SelectItem::Expr {
+                expr: Expr::Bin {
+                    op: BinOp::Le,
+                    lhs: Box::new(Expr::Col(ColRef::bare("B"))),
+                    rhs: Box::new(Expr::Number(9)),
+                },
+                alias: None,
+            },
+        ],
+    };
+    assert_tables_match(&run(&plan, &catalog, 2), &software(&plan, &catalog));
+}
+
+#[test]
+fn join_and_grouped_count_match_software() {
+    let catalog = catalog_with(vec![
+        table_u32("L", &[("K", (0..30).collect()), ("G", (0..30).map(|v| v % 5).collect())]),
+        table_u32("R", &[("K", (0..30).step_by(2).collect()), ("W", (0..15).collect())]),
+    ]);
+    let join = LogicalPlan::Join {
+        kind: JoinKind::Inner,
+        left: Box::new(scan("L")),
+        right: Box::new(scan("R")),
+        left_key: ColRef::qualified("L", "K"),
+        right_key: ColRef::qualified("R", "K"),
+    };
+    let plan = LogicalPlan::Sort {
+        input: Box::new(LogicalPlan::Aggregate {
+            input: Box::new(join),
+            items: vec![
+                SelectItem::Expr { expr: Expr::Col(ColRef::bare("G")), alias: None },
+                SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
+                SelectItem::Agg {
+                    func: AggFn::Sum,
+                    arg: Some(Expr::Col(ColRef::bare("W"))),
+                    alias: Some("TW".into()),
+                },
+            ],
+            group_by: vec![ColRef::bare("G")],
+        }),
+        keys: vec![(ColRef::bare("G"), false)],
+    };
+    assert_tables_match(&run(&plan, &catalog, 3), &software(&plan, &catalog));
+}
+
+#[test]
+fn scalar_aggregates_match_software() {
+    let catalog =
+        catalog_with(vec![table_u32("T", &[("V", (5..45).map(|v| v * 7 % 31).collect())])]);
+    let plan = LogicalPlan::Aggregate {
+        input: Box::new(scan("T")),
+        items: vec![
+            SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
+            SelectItem::Agg {
+                func: AggFn::Sum,
+                arg: Some(Expr::Col(ColRef::bare("V"))),
+                alias: None,
+            },
+            SelectItem::Agg {
+                func: AggFn::Min,
+                arg: Some(Expr::Col(ColRef::bare("V"))),
+                alias: None,
+            },
+            SelectItem::Agg {
+                func: AggFn::Max,
+                arg: Some(Expr::Col(ColRef::bare("V"))),
+                alias: None,
+            },
+        ],
+        group_by: vec![],
+    };
+    assert_tables_match(&run(&plan, &catalog, 4), &software(&plan, &catalog));
+}
+
+fn table_u64(name: &str, cols: &[(&str, Vec<u64>)]) -> (String, Table) {
+    let schema =
+        Schema::new(cols.iter().map(|(n, _)| Field::new(n, DataType::U64)).collect());
+    let columns = cols.iter().map(|(_, v)| Column::U64(v.clone())).collect();
+    (name.to_owned(), Table::from_columns(schema, columns).unwrap())
+}
+
+/// `Sort(Aggregate(Project(Scan)))`: COUNT grouped by the computed
+/// key `lhs op rhs`, the shape whose scratchpad domain the
+/// [`comp_bounds`] wrap proofs size.
+fn grouped_by_comp(op: BinOp, lhs: &str, rhs: &str) -> LogicalPlan {
+    let agg = LogicalPlan::Aggregate {
+        input: Box::new(LogicalPlan::Project {
+            input: Box::new(scan("T")),
+            items: vec![SelectItem::Expr {
+                expr: Expr::Bin {
+                    op,
+                    lhs: Box::new(Expr::Col(ColRef::bare(lhs))),
+                    rhs: Box::new(Expr::Col(ColRef::bare(rhs))),
+                },
+                alias: Some("D".into()),
+            }],
+        }),
+        items: vec![
+            SelectItem::Expr { expr: Expr::Col(ColRef::bare("D")), alias: None },
+            SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
+        ],
+        group_by: vec![ColRef::bare("D")],
+    };
+    LogicalPlan::Sort { input: Box::new(agg), keys: vec![(ColRef::bare("D"), false)] }
+}
+
+#[test]
+fn sub_key_that_can_wrap_is_rejected() {
+    // Row 1 has MPOS < POS: the engine's `wrapping_sub` produces a
+    // ~2^64 key, so no dense scratchpad domain is derivable. The
+    // pre-fix `comp_max` bounded the key by the minuend's max alone
+    // and compiled a histogram the wrapped key escapes.
+    let catalog = catalog_with(vec![table_u32(
+        "T",
+        &[("POS", vec![10, 50]), ("MPOS", vec![30, 20])],
+    )]);
+    let err =
+        analyze(&grouped_by_comp(BinOp::Sub, "MPOS", "POS"), &catalog, &DeviceConfig::small())
+            .unwrap_err();
+    let CoreError::Unsupported { node, reason } = err else { panic!("{err}") };
+    assert_eq!(node, "Aggregate(GROUP BY)");
+    assert!(reason.contains("no derivable domain bound"), "got: {reason}");
+}
+
+#[test]
+fn sub_key_proven_per_row_compiles_despite_overlapping_ranges() {
+    // Every row has MPOS >= POS, but the column *ranges* overlap
+    // (min MPOS = 30 < max POS = 90): a range-only proof would
+    // reject this valid mate-distance shape. The same-scan per-row
+    // proof accepts it with the exact [5, 20] key domain.
+    let catalog = catalog_with(vec![table_u32(
+        "T",
+        &[("POS", vec![10, 50, 90]), ("MPOS", vec![30, 55, 100])],
+    )]);
+    let plan = grouped_by_comp(BinOp::Sub, "MPOS", "POS");
+    assert_tables_match(&run(&plan, &catalog, 2), &software(&plan, &catalog));
+}
+
+#[test]
+fn add_key_that_can_overflow_is_rejected() {
+    // max(A) + max(B) overflows u64: the engine wraps
+    // (`wrapping_add`), so the pre-fix saturated bound of u64::MAX
+    // both lied about the domain and pushed the `max_key + 1`
+    // arithmetic in the grouped lowering over the edge.
+    let catalog = catalog_with(vec![table_u64(
+        "T",
+        &[("A", vec![u64::MAX - 10, 5]), ("B", vec![20, 3])],
+    )]);
+    let err =
+        analyze(&grouped_by_comp(BinOp::Add, "A", "B"), &catalog, &DeviceConfig::small())
+            .unwrap_err();
+    let CoreError::Unsupported { node, reason } = err else { panic!("{err}") };
+    assert_eq!(node, "Aggregate(GROUP BY)");
+    assert!(reason.contains("no derivable domain bound"), "got: {reason}");
+}
+
+#[test]
+fn group_key_holding_u64_max_is_a_clean_unsupported() {
+    // A key column containing u64::MAX exceeds any scratchpad budget;
+    // the rejection must format the domain size without computing
+    // `max_key + 1` (debug overflow pre-fix).
+    let catalog = catalog_with(vec![table_u64("T", &[("K", vec![0, u64::MAX])])]);
+    let agg = LogicalPlan::Aggregate {
+        input: Box::new(scan("T")),
+        items: vec![
+            SelectItem::Expr { expr: Expr::Col(ColRef::bare("K")), alias: None },
+            SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
+        ],
+        group_by: vec![ColRef::bare("K")],
+    };
+    let plan =
+        LogicalPlan::Sort { input: Box::new(agg), keys: vec![(ColRef::bare("K"), false)] };
+    let err = analyze(&plan, &catalog, &DeviceConfig::small()).unwrap_err();
+    let CoreError::Unsupported { node, reason } = err else { panic!("{err}") };
+    assert_eq!(node, "Aggregate(GROUP BY)");
+    assert!(reason.contains("scratchpad budget"), "got: {reason}");
+}
+
+fn filter_lt(input: LogicalPlan, col: &str, lit: u64) -> LogicalPlan {
+    LogicalPlan::Filter {
+        input: Box::new(input),
+        pred: Expr::Bin {
+            op: BinOp::Lt,
+            lhs: Box::new(Expr::Col(ColRef::bare(col))),
+            rhs: Box::new(Expr::Number(lit)),
+        },
+    }
+}
+
+#[test]
+fn pushdown_drops_rows_at_the_scan() {
+    let catalog = catalog_with(vec![table_u32(
+        "T",
+        &[("X", (0..100).collect()), ("Y", (0..100).map(|v| v * 7 % 101).collect())],
+    )]);
+    let plan = filter_lt(scan("T"), "X", 10);
+    let cfg = DeviceConfig::small();
+    let low = analyze(&plan, &catalog, &cfg).unwrap();
+    assert_eq!(low.pushed.len(), 1, "the conjunct must be absorbed into the scan");
+    assert!((low.profile.selectivity - 0.1).abs() < 1e-9);
+    assert!(
+        low.summary.iter().any(|s| s.contains("Pushdown(Scan(T))")),
+        "explain must note the pushed conjunct: {:?}",
+        low.summary
+    );
+    let (hw, stats) =
+        low.prepare(&cfg, &catalog, None, Some(2)).and_then(PreparedJob::run).unwrap();
+    assert_eq!(stats.rows_scanned, 100);
+    assert_eq!(stats.rows_emitted, 10);
+    assert_tables_match(&hw, &software(&plan, &catalog));
+
+    // Pushdown off: same bytes out, full table scanned and emitted.
+    let cfg_off = DeviceConfig::small().with_pushdown(false);
+    let low_off = analyze(&plan, &catalog, &cfg_off).unwrap();
+    assert!(low_off.pushed.is_empty());
+    assert!((low_off.profile.selectivity - 1.0).abs() < 1e-9);
+    let (hw_off, stats_off) =
+        low_off.prepare(&cfg_off, &catalog, None, Some(2)).and_then(PreparedJob::run).unwrap();
+    assert_eq!(stats_off.rows_scanned, 100);
+    assert_eq!(stats_off.rows_emitted, 100);
+    assert_tables_match(&hw, &hw_off);
+}
+
+#[test]
+fn pushdown_that_drops_every_row_yields_empty_output() {
+    let catalog = catalog_with(vec![table_u32("T", &[("X", (0..50).collect())])]);
+    let plan = filter_lt(scan("T"), "X", 0); // vacuously false
+    let cfg = DeviceConfig::small();
+    let low = analyze(&plan, &catalog, &cfg).unwrap();
+    let (hw, stats) =
+        low.prepare(&cfg, &catalog, None, Some(1)).and_then(PreparedJob::run).unwrap();
+    assert_eq!(stats.rows_scanned, 50);
+    assert_eq!(stats.rows_emitted, 0);
+    assert_tables_match(&hw, &software(&plan, &catalog));
+}
+
+#[test]
+fn filter_above_projection_is_not_pushed() {
+    // Only a Filter *directly* above a plain Scan is absorbed; this
+    // one sits above a Project and must stay a Filter module.
+    let catalog = catalog_with(vec![table_u32("T", &[("X", (0..40).collect())])]);
+    let projected = LogicalPlan::Project {
+        input: Box::new(scan("T")),
+        items: vec![SelectItem::Expr { expr: Expr::Col(ColRef::bare("X")), alias: None }],
+    };
+    let plan = filter_lt(projected, "X", 8);
+    let cfg = DeviceConfig::small();
+    let low = analyze(&plan, &catalog, &cfg).unwrap();
+    assert!(low.pushed.is_empty());
+    let (hw, stats) =
+        low.prepare(&cfg, &catalog, None, Some(2)).and_then(PreparedJob::run).unwrap();
+    assert_eq!(stats.rows_scanned, stats.rows_emitted);
+    assert_tables_match(&hw, &software(&plan, &catalog));
+}
+
+#[test]
+fn shards_split_survivors_and_attribute_scanned_rows_exactly() {
+    // A skewed predicate keeps only the tail 20 of 100 rows: shard
+    // ranges must split the 20 *survivors* evenly, and the per-shard
+    // scanned-row attribution must sum to the full 100.
+    let catalog = catalog_with(vec![table_u32("T", &[("X", (0..100).collect())])]);
+    let plan = LogicalPlan::Filter {
+        input: Box::new(scan("T")),
+        pred: Expr::Bin {
+            op: BinOp::Ge,
+            lhs: Box::new(Expr::Col(ColRef::bare("X"))),
+            rhs: Box::new(Expr::Number(80)),
+        },
+    };
+    let cfg = DeviceConfig::small();
+    let low = analyze(&plan, &catalog, &cfg).unwrap();
+    let job = low.prepare(&cfg, &catalog, None, Some(1)).unwrap();
+    let ranges = job.shard_ranges(4);
+    assert_eq!(ranges.len(), 4);
+    assert!(ranges.iter().all(|r| r.len() == 5), "survivor split skewed: {ranges:?}");
+    let spine = &job.prepared[0];
+    let scanned: usize = ranges.iter().map(|r| spine.scanned_rows(r)).sum();
+    assert_eq!(scanned, 100);
+}
+
+#[test]
+fn unsupported_diagnostics_name_the_node() {
+    let catalog = catalog_with(vec![table_u32("T", &[("X", vec![1, 2, 3])])]);
+    let cfg = DeviceConfig::small();
+    let plan = LogicalPlan::Aggregate {
+        input: Box::new(scan("T")),
+        items: vec![
+            SelectItem::Expr { expr: Expr::Col(ColRef::bare("X")), alias: None },
+            SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
+        ],
+        group_by: vec![ColRef::bare("X")],
+    };
+    // Grouped aggregate without ORDER BY on the key: order undefined.
+    let err = analyze(&plan, &catalog, &cfg).unwrap_err();
+    let CoreError::Unsupported { node, reason } = err else { panic!("{err}") };
+    assert_eq!(node, "Aggregate(GROUP BY)");
+    assert!(reason.contains("ORDER BY"));
+}
+
+#[test]
+fn unknown_column_is_a_plan_error_with_suggestion() {
+    let catalog = catalog_with(vec![table_u32("T", &[("QUAL", vec![1, 2, 3])])]);
+    let plan = LogicalPlan::Project {
+        input: Box::new(scan("T")),
+        items: vec![SelectItem::Expr {
+            expr: Expr::Col(ColRef::bare("QAUL")),
+            alias: None,
+        }],
+    };
+    // A typo'd column is the *user's* plan being wrong, not a lowering
+    // gap: it must classify as Plan (was: Unsupported) and point at
+    // the close name.
+    let err = analyze(&plan, &catalog, &DeviceConfig::small()).unwrap_err();
+    let CoreError::Plan { node, reason } = err else { panic!("{err}") };
+    assert_eq!(node, "Project");
+    assert!(reason.contains("unknown column QAUL"), "got: {reason}");
+    assert!(reason.contains("did you mean `QUAL`"), "got: {reason}");
+}
+
+#[test]
+fn ambiguous_column_is_a_plan_error_listing_matches() {
+    let catalog = catalog_with(vec![
+        table_u32("T", &[("K", vec![1, 2]), ("X", vec![10, 20])]),
+        table_u32("U", &[("K", vec![1, 2]), ("X", vec![30, 40])]),
+    ]);
+    // After the join both sides expose an `X`; a bare reference must
+    // name the candidates rather than claim the shape is unsupported.
+    let plan = LogicalPlan::Project {
+        input: Box::new(LogicalPlan::Join {
+            kind: JoinKind::Inner,
+            left: Box::new(scan("T")),
+            right: Box::new(scan("U")),
+            left_key: ColRef::qualified("T", "K"),
+            right_key: ColRef::qualified("U", "K"),
+        }),
+        items: vec![SelectItem::Expr {
+            expr: Expr::Col(ColRef::bare("X")),
+            alias: None,
+        }],
+    };
+    let err = analyze(&plan, &catalog, &DeviceConfig::small()).unwrap_err();
+    let CoreError::Plan { reason, .. } = err else { panic!("{err}") };
+    assert!(reason.contains("ambiguous column X"), "got: {reason}");
+    assert!(reason.contains("T.X") && reason.contains("U.X"), "got: {reason}");
+    assert!(reason.contains("qualify"), "got: {reason}");
+}
+
+#[test]
+fn unknown_table_is_a_plan_error_with_suggestion() {
+    let catalog = catalog_with(vec![table_u32("READS", &[("X", vec![1])])]);
+    let plan = LogicalPlan::Project {
+        input: Box::new(scan("REDAS")),
+        items: vec![SelectItem::Expr {
+            expr: Expr::Col(ColRef::bare("X")),
+            alias: None,
+        }],
+    };
+    let cfg = DeviceConfig::small();
+    let low = analyze(&plan, &catalog, &cfg);
+    // Scan columns come from the catalog at analysis time, so the typo
+    // surfaces there or at execute depending on the path — either way
+    // it must be a Plan error suggesting the close table name.
+    let err = match low {
+        Err(e) => e,
+        Ok(low) => {
+            low.prepare(&cfg, &catalog, None, Some(1)).and_then(PreparedJob::run).unwrap_err()
+        }
+    };
+    let CoreError::Plan { node, reason } = err else { panic!("{err}") };
+    assert_eq!(node, "Scan(REDAS)");
+    assert!(reason.contains("unknown table"), "got: {reason}");
+    assert!(reason.contains("did you mean `READS`"), "got: {reason}");
+}
+
+// ---- bind-path diagnostics, pinned byte for byte ----
+
+fn table_of(cols: Vec<(&str, Column)>) -> Table {
+    let schema =
+        Schema::new(cols.iter().map(|(n, c)| Field::new(n, c.dtype())).collect());
+    Table::from_columns(schema, cols.into_iter().map(|(_, c)| c).collect()).unwrap()
+}
+
+fn catalog_of(name: &str, cols: Vec<(&str, Column)>) -> Catalog {
+    catalog_with(vec![(name.to_owned(), table_of(cols))])
+}
+
+/// The `(node, reason)` of the `Unsupported` that analyzing `plan`
+/// against `catalog` yields.
+fn unsupported(plan: &LogicalPlan, catalog: &Catalog) -> (String, String) {
+    match analyze(plan, catalog, &DeviceConfig::small()).unwrap_err() {
+        CoreError::Unsupported { node, reason } => (node, reason),
+        other => panic!("expected Unsupported, got {other}"),
+    }
+}
+
+fn pair(node: &str, reason: &str) -> (String, String) {
+    (node.to_owned(), reason.to_owned())
+}
+
+#[test]
+fn scan_wider_than_a_flit_is_rejected() {
+    let cols: Vec<(String, Column)> =
+        (0..=MAX_FIELDS).map(|i| (format!("C{i}"), Column::U8(vec![1]))).collect();
+    let catalog =
+        catalog_of("T", cols.iter().map(|(n, c)| (n.as_str(), c.clone())).collect());
+    assert_eq!(
+        unsupported(&scan("T"), &catalog),
+        pair("Scan(T)", "9 columns exceed the 8-field flit width")
+    );
+}
+
+#[test]
+fn string_and_list_columns_do_not_stream_under_a_plain_scan() {
+    let catalog = catalog_of("T", vec![("NAME", Column::Str(vec!["r1".into()]))]);
+    assert_eq!(
+        unsupported(&scan("T"), &catalog),
+        pair(
+            "Scan(T)",
+            "column NAME has type Str; only fixed-width numeric/boolean \
+             columns stream through Memory Readers"
+        )
+    );
+    let catalog = catalog_of(
+        "T",
+        vec![("X", Column::U8(vec![1])), ("SEQ", Column::ListU8(vec![vec![0, 1]]))],
+    );
+    assert_eq!(
+        unsupported(&scan("T"), &catalog),
+        pair(
+            "Scan(T)",
+            "column SEQ has type ListU8; only fixed-width numeric/boolean \
+             columns stream through Memory Readers"
+        )
+    );
+}
+
+#[test]
+fn cell_columns_must_be_uniformly_numeric_or_boolean() {
+    let reason = "dynamically-typed column C holds non-uniform or non-numeric cells";
+    for cells in [
+        vec![Value::U64(1), Value::Bool(true)],
+        vec![Value::U64(1), Value::Null],
+        vec![Value::Ins],
+        vec![Value::List(vec![Value::U64(1)])],
+    ] {
+        let catalog = catalog_of("T", vec![("C", Column::Cell(cells))]);
+        assert_eq!(unsupported(&scan("T"), &catalog), pair("Scan(T)", reason));
+    }
+    // Uniform cells scan like their typed counterparts.
+    for cells in [
+        vec![Value::U64(7), Value::U64(u64::MAX)],
+        vec![Value::Bool(true), Value::Bool(false)],
+        vec![],
+    ] {
+        let catalog = catalog_of("T", vec![("C", Column::Cell(cells))]);
+        let plan = scan("T");
+        assert_tables_match(&run(&plan, &catalog, 2), &software(&plan, &catalog));
+    }
+}
+
+fn pos_explode(array: &str, init_pos: Expr) -> LogicalPlan {
+    LogicalPlan::PosExplode {
+        input: Box::new(scan("T")),
+        array: ColRef::bare(array),
+        init_pos,
+    }
+}
+
+#[test]
+fn explode_rejects_rows_that_are_not_lists_of_numbers() {
+    let lists = |cells: Vec<Value>| catalog_of("T", vec![("A", Column::Cell(cells))]);
+    let plan = pos_explode("A", Expr::Number(0));
+    assert_eq!(
+        unsupported(
+            &plan,
+            &lists(vec![Value::List(vec![Value::U64(1)]), Value::U64(3)])
+        ),
+        pair("PosExplode", "column A row 1 holds U64(3), not a list")
+    );
+    assert_eq!(
+        unsupported(
+            &plan,
+            &lists(vec![Value::List(vec![Value::U64(1), Value::Bool(true)])])
+        ),
+        pair("PosExplode", "column A row 0 item 1 holds Bool(true), not a number")
+    );
+    assert_eq!(
+        unsupported(&plan, &catalog_of("T", vec![("A", Column::U32(vec![4]))])),
+        pair("PosExplode", "column A has type U32, not a per-row list")
+    );
+}
+
+#[test]
+fn explode_position_column_must_be_numeric() {
+    let plan = pos_explode("A", Expr::Col(ColRef::bare("P")));
+    let array = || Column::ListU8(vec![vec![1], vec![2], vec![3]]);
+    let cells = Column::Cell(vec![Value::U64(1), Value::U64(2), Value::Null]);
+    assert_eq!(
+        unsupported(&plan, &catalog_of("T", vec![("A", array()), ("P", cells)])),
+        pair("PosExplode", "position column P row 2 is not numeric")
+    );
+    let flags = Column::Bool(vec![true, false, true]);
+    assert_eq!(
+        unsupported(&plan, &catalog_of("T", vec![("A", array()), ("P", flags)])),
+        pair("PosExplode", "position column P row 0 is not numeric")
+    );
+}
+
+#[test]
+fn over_long_list_is_rejected_by_row() {
+    // A list that long cannot be built in a test; the length check
+    // every list row passes through is pinned directly.
+    assert_eq!(list_len(7, "SEQ", 0, "ReadExplode").unwrap(), 7);
+    let err = list_len(u32::MAX as usize + 1, "SEQ", 3, "ReadExplode").unwrap_err();
+    let CoreError::Unsupported { node, reason } = err else { panic!("{err}") };
+    assert_eq!((node.as_str(), reason.as_str()), ("ReadExplode", "column SEQ row 3 list is too long"));
+}
+
+#[test]
+fn may_resolve_follows_resolve_through_join_prefixes() {
+    let r = |t: Option<&str>, c: &str| ColRef { table: t.map(str::to_owned), column: c.into() };
+    assert!(may_resolve("POS", &r(None, "POS")));
+    assert!(may_resolve("POS", &r(Some("PAIRS"), "POS")));
+    assert!(may_resolve("PAIRS.POS", &r(None, "POS")));
+    assert!(may_resolve("POS", &r(None, "PAIRS.POS")));
+    assert!(!may_resolve("MPOS", &r(None, "POS")));
+    assert!(!may_resolve("POS", &r(Some("PAIRS"), "MPOS")));
+}
+
+#[test]
+fn count_star_streams_the_first_narrowest_column() {
+    let catalog = catalog_of(
+        "T",
+        vec![
+            ("X", Column::U32(vec![1, 2, 3])),
+            ("SEQ", Column::ListU8(vec![vec![1], vec![], vec![2, 3]])),
+            ("F", Column::Bool(vec![true, false, true])),
+            ("G", Column::U8(vec![4, 5, 6])),
+        ],
+    );
+    let plan = LogicalPlan::Aggregate {
+        input: Box::new(scan("T")),
+        items: vec![SelectItem::Agg { func: AggFn::Count, arg: None, alias: None }],
+        group_by: vec![],
+    };
+    let cfg = DeviceConfig::small();
+    let low = analyze(&plan, &catalog, &cfg).unwrap();
+    assert!(low.summary.iter().any(|l| l == "Scan(T) -> 1x MemoryReader (1 of 4 columns)"));
+    let job = low.prepare(&cfg, &catalog, None, Some(1)).unwrap();
+    let names: Vec<&str> = job.prepared[0].cols.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(names, ["F"]);
+    assert_tables_match(&job.run().unwrap().0, &software(&plan, &catalog));
+}
+
+#[test]
+fn pushed_conjunct_that_no_longer_resolves_is_a_host_error() {
+    let plan = filter_lt(scan("T"), "X", 10);
+    let cfg = DeviceConfig::small();
+    let low = analyze(&plan, &catalog_of("T", vec![("X", Column::U32(vec![1, 20]))]), &cfg)
+        .unwrap();
+    assert_eq!(low.pushed.len(), 1);
+    // The same table now holds booleans under that name: `X < 10` is
+    // no comparison the scan can evaluate.
+    let rebound = catalog_of("T", vec![("X", Column::Bool(vec![true, false]))]);
+    let err = low.prepare(&cfg, &rebound, None, Some(1)).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "host api error: pushed conjunct no longer resolves against the scan"
+    );
+}

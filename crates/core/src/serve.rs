@@ -69,18 +69,16 @@
 use crate::compile::{script_to_plan, Compiler, PipelinePlan};
 use crate::device::DeviceConfig;
 use crate::error::CoreError;
-use crate::lower::{PreparedJob, RunTimes, ShardOut, Split};
+use crate::lower::{shape, PreparedJob, RunTimes, ShardOut};
 use crate::perf::AccelStats;
 use crate::sched::{DispatchRecord, FairQueue};
 use genesis_obs::chrome::ChromeTrace;
 use genesis_obs::metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use genesis_obs::trace::TraceConfig;
-use genesis_sql::ast::{BinOp, Expr};
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::Table;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -230,77 +228,6 @@ impl ServerConfig {
 #[must_use]
 pub fn fingerprint(plan: &LogicalPlan, catalog: &Catalog) -> u64 {
     shape(plan, catalog, true).0
-}
-
-/// [`fingerprint`] under `pushdown`, with the masked literals in bind
-/// order: this plan's values of the shape's parameters (`None` when the
-/// shape has none and every literal is in the key).
-fn shape(plan: &LogicalPlan, catalog: &Catalog, pushdown: bool) -> (u64, Option<Vec<u64>>) {
-    let (splits, literals) = crate::lower::parameters(plan, catalog, pushdown).unzip();
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    hash_plan(plan, catalog, splits.as_deref().unwrap_or_default(), &mut h);
-    (h.finish(), literals)
-}
-
-/// FNV-1a as a [`Hasher`]: stable from run to run, unlike the standard
-/// library's randomly keyed default.
-struct Fnv(u64);
-
-impl Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-/// Hashes one plan node's own fields (a scan's with its table's schema),
-/// then its inputs left to right.
-fn hash_plan(plan: &LogicalPlan, catalog: &Catalog, splits: &[Split<'_>], h: &mut Fnv) {
-    std::mem::discriminant(plan).hash(h);
-    match plan {
-        LogicalPlan::Scan { table, partition } => {
-            (table, partition).hash(h);
-            catalog.table(table).map(Table::schema).hash(h);
-        }
-        LogicalPlan::Project { items, .. } => items.hash(h),
-        LogicalPlan::Filter { pred, .. } => match splits.iter().find(|s| s.is_node(plan)) {
-            Some(split) => hash_masked(pred, split, h),
-            None => pred.hash(h),
-        },
-        LogicalPlan::Join { kind, left_key, right_key, .. } => (kind, left_key, right_key).hash(h),
-        LogicalPlan::Aggregate { items, group_by, .. } => (items, group_by).hash(h),
-        LogicalPlan::Sort { keys, .. } => keys.hash(h),
-        LogicalPlan::Limit { offset, count, .. } => (offset, count).hash(h),
-        LogicalPlan::PosExplode { array, init_pos, .. } => (array, init_pos).hash(h),
-        LogicalPlan::ReadExplode { pos, cigar, seq, qual, .. } => (pos, cigar, seq, qual).hash(h),
-        LogicalPlan::ForEach { var, .. } => var.hash(h),
-    }
-    for input in plan.inputs() {
-        hash_plan(input, catalog, splits, h);
-    }
-}
-
-/// Hashes a split Filter's predicate as [`Expr`]'s own `Hash` would, but
-/// with each pushed conjunct's literal operand replaced by one marker.
-fn hash_masked(e: &Expr, split: &Split<'_>, h: &mut Fnv) {
-    let pushed = split.pushes(e);
-    let Expr::Bin { op, lhs, rhs } = e else { return e.hash(h) };
-    if *op != BinOp::And && !pushed {
-        return e.hash(h);
-    }
-    std::mem::discriminant(e).hash(h);
-    op.hash(h);
-    for side in [lhs, rhs] {
-        match &**side {
-            Expr::Number(_) if pushed => h.write_u8(u8::MAX),
-            other => hash_masked(other, split, h),
-        }
-    }
 }
 
 /// Point-in-time counters of the compiled-pipeline cache.
@@ -1461,7 +1388,7 @@ fn contained<T>(what: &str, step: impl FnOnce() -> Result<T, CoreError>) -> Resu
     catch_unwind(AssertUnwindSafe(step)).unwrap_or_else(|panic| {
         Err(CoreError::Host(format!(
             "server {what} panicked: {}",
-            crate::accel::panic_message(panic.as_ref())
+            crate::device::panic_message(panic.as_ref())
         )))
     })
 }
@@ -1547,7 +1474,7 @@ fn record_stats(metrics: &MetricsRegistry, stats: &AccelStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genesis_sql::ast::{AggFn, ColRef, Expr, SelectItem};
+    use genesis_sql::ast::{AggFn, BinOp, ColRef, Expr, SelectItem};
     use genesis_types::{Column, DataType, Field, Schema};
 
     fn sum_plan(col: &str) -> LogicalPlan {

@@ -79,6 +79,19 @@ fn unknown_column_suggests_from_the_whole_table() {
     // from every column of the table, as without pruning.
     let err = run("INSERT INTO O SELECT SUM(MPOSS) FROM PAIRS", "genomics").unwrap_err();
     assert!(err.ends_with("unknown column MPOSS (did you mean `MPOS`?)"), "got: {err}");
+    // READS holds list columns no Memory Reader streams; pruning leaves
+    // them unbound, so the typo is what the error names, at its node.
+    for (sql, tail) in [
+        ("SELECT SUM(POSS) FROM READS", "Aggregate: unknown column POSS (did you mean `POS`?)"),
+        (
+            "SELECT SUM(POS) FROM READS WHERE POSS < 3000",
+            "Filter: unknown column POSS (did you mean `POS`?)",
+        ),
+        ("SELECT SEQQ FROM READS", "Project: unknown column SEQQ (did you mean `SEQ`?)"),
+    ] {
+        let err = run(&format!("INSERT INTO O {sql}"), "genomics").unwrap_err();
+        assert!(err.ends_with(tail), "{sql}: got: {err}");
+    }
 }
 
 #[test]
