@@ -40,11 +40,16 @@ pub(super) struct ExplodeSpec {
     pub(super) has_qual: bool,
     /// Output-stream column metadata, derived over the full scan range
     /// by walking the CIGARs (conservative for any sub-range: nullability
-    /// and max bounds only shrink on a slice, ascending only holds).
+    /// and bounds only shrink on a slice, ascending only holds). An
+    /// uncut spine bounds its POS per slice instead, from its rows'
+    /// starts and [`ExplodeSpec::last_pos`].
     pub(super) out_cols: Vec<ColInfo>,
     /// Prefix sums of exploded output rows per scan row
     /// (`len == rows + 1`), so a spine slice's expansion is O(1).
     pub(super) out_offsets: Vec<usize>,
+    /// Each scan row's last reference position (`end - 1`, at least its
+    /// start): the largest position the row can emit.
+    pub(super) last_pos: Vec<u64>,
     /// Plan node name for summaries (`ReadExplode` / `PosExplode`).
     pub(super) node: &'static str,
 }
@@ -675,6 +680,7 @@ fn prepare_explode(
     let seq_lens = seq_col.lens.as_deref().unwrap_or(&[]);
     let mut out_offsets = Vec::with_capacity(rows + 1);
     out_offsets.push(0usize);
+    let mut last_pos = Vec::with_capacity(rows);
     let (mut has_ins, mut has_del) = (false, false);
     let mut max_pos = 0u64;
     let mut ascending = true;
@@ -706,7 +712,8 @@ fn prepare_explode(
         has_del |= w.has_del;
         let start = pos_vals[r];
         let end = start.saturating_add(w.ref_len);
-        max_pos = max_pos.max(end.saturating_sub(1).max(start));
+        last_pos.push(end.saturating_sub(1).max(start));
+        max_pos = max_pos.max(last_pos[r]);
         // Positions within one read strictly increase; the stream is
         // ascending when reads chain without overlap (and no Ins marker
         // interrupts the POS column).
@@ -753,7 +760,7 @@ fn prepare_explode(
         cols,
         host_only: 0,
         unstreamed: Vec::new(),
-        explode: Some(ExplodeSpec { has_qual, out_cols, out_offsets, node }),
+        explode: Some(ExplodeSpec { has_qual, out_cols, out_offsets, last_pos, node }),
         window: None,
         rows_scanned: rows,
         kept: None,

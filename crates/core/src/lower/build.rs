@@ -393,6 +393,17 @@ fn build_explode<'a>(
     let mut cols = spec.out_cols.clone();
     // Within one read the aligned positions strictly increase.
     cols[0].ascending |= ctx.per_row;
+    // An uncut spine bounds its positions by its own slice, as a plain
+    // scan does: a row emits no position before its start or after its
+    // last reference position. Any other leaf keeps its whole bounds, so
+    // a cut never admits a plan the whole leaf refuses.
+    if idx == 0 && cuts[idx].items.is_none() {
+        let starts = ps.cols[0].vals[range.clone()].iter().min();
+        if let (Some(&lo), Some(&hi)) = (starts, spec.last_pos[range].iter().max()) {
+            cols[0].min_value = lo;
+            cols[0].max_value = Some(hi);
+        }
+    }
     Ok(Stream { q: rows_q, cols, unstreamed: Cow::Borrowed(&[]) })
 }
 
@@ -953,25 +964,30 @@ fn build_grouped_agg(
             format!("group key {} has no derivable domain bound", kcol.name),
         ))
     };
-    if max_key >= ctx.group_domain_cap {
+    // The scratchpad holds the keys' window `[floor, max_key]`: the
+    // updaters subtract the floor and the drain adds it back.
+    let floor = if kcol.decode == Decode::Bool { 0 } else { kcol.min_value.min(max_key) };
+    let width = max_key - floor;
+    if width >= ctx.group_domain_cap {
         let cap = ctx.group_domain_cap;
         let hint = if cap == MAX_GROUP_DOMAIN {
             " (enable tiered memory via GENESIS_TIERS to spill larger histograms)"
         } else {
             ""
         };
-        // `max_key` can itself be `u64::MAX` (a key column holding it),
-        // so even the human-readable domain size must not add 1 unchecked.
+        // The window can span all of `u64` (a key column holding both 0
+        // and `u64::MAX`), so even the human-readable width must not add
+        // 1 unchecked.
         return Err(CoreError::unsupported(
             "Aggregate(GROUP BY)",
             format!(
                 "key domain {} exceeds the {cap}-entry scratchpad budget{hint}",
-                max_key.saturating_add(1)
+                width.saturating_add(1)
             ),
         ));
     }
-    // Guarded above: `max_key < cap <= 2^27`, so `+ 1` cannot overflow.
-    let domain = (max_key + 1) as usize;
+    // Guarded above: `width < cap <= 2^27`, so `+ 1` cannot overflow.
+    let domain = (width + 1) as usize;
     // Classify items; SUM columns share one histogram per distinct column.
     let mut sum_fields: Vec<usize> = Vec::new();
     struct GItem {
@@ -1057,11 +1073,13 @@ fn build_grouped_agg(
     // forward triggers the drain.
     let rmw = |op| SpmUpdateMode::Rmw { op };
     let mut tap = ctx.add(b, ("grp.fwd", "grp.count"), |l, out| {
-        Box::new(SpmUpdater::new(l, cnt_spm, rmw(RmwOp::Increment), 0, 0, upd_q).with_forward(out))
+        let u = SpmUpdater::new(l, cnt_spm, rmw(RmwOp::Increment), 0, 0, upd_q);
+        Box::new(u.with_addr_offset(floor).with_forward(out))
     });
     for (slot, &spm) in sum_spms.iter().enumerate() {
         tap = ctx.add(b, ("grp.fwd", "grp.sum"), |l, out| {
-            Box::new(SpmUpdater::new(l, spm, rmw(RmwOp::Add), 0, 1 + slot, tap).with_forward(out))
+            let u = SpmUpdater::new(l, spm, rmw(RmwOp::Add), 0, 1 + slot, tap);
+            Box::new(u.with_addr_offset(floor).with_forward(out))
         });
     }
     // Drain all histograms once updates finish: [key, count, sums...].
@@ -1069,7 +1087,7 @@ fn build_grouped_agg(
     spms.extend(sum_spms.iter().copied());
     let drain = ctx.add(b, ("grp.drain", "grp.drain"), |l, out| {
         let mode = SpmReadMode::Drain { trigger: tap, len: domain as u64 };
-        Box::new(SpmReader::new(l, spms, mode, 0, out))
+        Box::new(SpmReader::new(l, spms, mode, floor, out))
     });
     // Keep only keys that appeared (the engine emits no empty groups).
     let present = ctx.add(b, ("grp.present", "grp.present"), |l, out| {

@@ -47,8 +47,9 @@ use pushdown::{apply_pushdown, push_down, PushedFilter};
 pub(crate) use pushdown::shape;
 use std::sync::Arc;
 
-/// Largest dense GROUP BY key domain lowered to an on-chip scratchpad
-/// histogram (the paper's BQSR covariate tables are bounded the same way).
+/// Largest dense GROUP BY key window (`max - floor + 1` keys) lowered to
+/// an on-chip scratchpad histogram (the paper's BQSR covariate tables are
+/// bounded the same way).
 const MAX_GROUP_DOMAIN: u64 = 1 << 16;
 
 /// The lifted group-domain cap when the device models tiered memory
@@ -87,11 +88,12 @@ struct ColInfo {
     /// (join-key precondition).
     ascending: bool,
     /// Upper bound on the values, when derivable from the scanned data
-    /// (sets the GROUP BY scratchpad domain).
+    /// (the top of the GROUP BY scratchpad's key window).
     max_value: Option<u64>,
     /// Lower bound on the values (`0` is the trivially valid unsigned
-    /// bound). Together with `max_value` this proves computed keys cannot
-    /// wrap: the engine's `wrapping_add`/`wrapping_sub` only match a dense
+    /// bound; the floor of the GROUP BY scratchpad's key window). Together
+    /// with `max_value` this proves computed keys cannot wrap: the
+    /// engine's `wrapping_add`/`wrapping_sub` only match a dense
     /// scratchpad domain when no row under- or overflows.
     min_value: u64,
     /// Provenance of the values: `(prepared-scan index, column index)`

@@ -33,7 +33,8 @@ pub enum SpmReadMode {
         end: QueueId,
     },
     /// Drains `[0, len)` once the trigger queue finishes, emitting
-    /// `[idx, spm0[idx], ...]`. Used to dump the BQSR count buffers.
+    /// `[idx + offset, spm0[idx], ...]`. Used to dump the BQSR count
+    /// buffers and, offset by the key window's floor, grouped histograms.
     Drain {
         /// Stream whose completion triggers the drain (flits discarded).
         trigger: QueueId,

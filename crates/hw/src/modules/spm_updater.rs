@@ -52,6 +52,11 @@ pub struct SpmUpdater {
     mode: SpmUpdateMode,
     addr_field: usize,
     value_field: usize,
+    /// Value subtracted from the address field in `Random` and `Rmw` mode
+    /// (the key window's floor; the draining [`SpmReader`] adds it back).
+    ///
+    /// [`SpmReader`]: super::spm_reader::SpmReader
+    addr_offset: u64,
     input: QueueId,
     forward: Option<QueueId>,
     seq_cursor: u64,
@@ -89,6 +94,7 @@ impl SpmUpdater {
             mode,
             addr_field,
             value_field,
+            addr_offset: 0,
             input,
             forward: None,
             seq_cursor,
@@ -104,6 +110,14 @@ impl SpmUpdater {
     #[must_use]
     pub fn with_forward(mut self, q: QueueId) -> SpmUpdater {
         self.forward = Some(q);
+        self
+    }
+
+    /// Rebases `Random` and `Rmw` addresses: the flit's address field `a`
+    /// lands at `spm[a - base]` (default 0).
+    #[must_use]
+    pub fn with_addr_offset(mut self, base: u64) -> SpmUpdater {
+        self.addr_offset = base;
         self
     }
 
@@ -160,35 +174,39 @@ impl Module for SpmUpdater {
             }
             return Tick::PARK;
         };
+        // The scratchpad index a `Random`/`Rmw` flit touches: its address
+        // field less the base, taken once for the RAW interlock, the tier
+        // gate and the access. `None` for an end item or a marker address.
+        let addr = match self.mode {
+            SpmUpdateMode::Random | SpmUpdateMode::Rmw { .. } if !flit.is_end_item() => {
+                let a = flit.field(self.addr_field);
+                (!a.is_marker()).then(|| a.val_or_zero().wrapping_sub(self.addr_offset))
+            }
+            _ => None,
+        };
         // Tiered-memory gate: the touched page must be resident before the
         // flit can be consumed. Checked before the cascade-space check so
         // that re-ticks during a spill wait stay pure no-ops (no stall
         // counters move) in every engine.
-        if !flit.is_end_item() {
-            match self.mode {
-                SpmUpdateMode::Sequential { .. } => {
-                    tier_gate!(ctx, &[self.spm], self.seq_cursor, true);
-                }
-                SpmUpdateMode::Random | SpmUpdateMode::Rmw { .. } => {
-                    let addr = flit.field(self.addr_field);
-                    if !addr.is_marker() {
-                        // RAW interlock first: hazard cycles are counted
-                        // per blocked cycle, so the module keeps ticking.
-                        // Whether a stage still holds the address is a pure
-                        // function of its entry cycle and this one, so
-                        // parked cycles need no catching up.
-                        if matches!(self.mode, SpmUpdateMode::Rmw { .. })
-                            && self.stages.iter().any(|&(entered, a)| {
-                                a == addr.val_or_zero() && in_flight(entered, ctx.cycle)
-                            })
-                        {
-                            self.hazard_stalls += 1;
-                            return Tick::Active;
-                        }
-                        tier_gate!(ctx, &[self.spm], addr.val_or_zero(), true);
-                    }
-                }
+        if let SpmUpdateMode::Sequential { .. } = self.mode {
+            if !flit.is_end_item() {
+                tier_gate!(ctx, &[self.spm], self.seq_cursor, true);
             }
+        } else if let Some(a) = addr {
+            // RAW interlock first: hazard cycles are counted per blocked
+            // cycle, so the module keeps ticking. Whether a stage still
+            // holds the address is a pure function of its entry cycle and
+            // this one, so parked cycles need no catching up.
+            if matches!(self.mode, SpmUpdateMode::Rmw { .. })
+                && self
+                    .stages
+                    .iter()
+                    .any(|&(entered, held)| held == a && in_flight(entered, ctx.cycle))
+            {
+                self.hazard_stalls += 1;
+                return Tick::Active;
+            }
+            tier_gate!(ctx, &[self.spm], a, true);
         }
         // The cascade must accept the flit in the same cycle we consume it.
         if let Some(fq) = self.forward {
@@ -214,19 +232,16 @@ impl Module for SpmUpdater {
                 self.updates += 1;
             }
             SpmUpdateMode::Random => {
-                let addr = flit.field(self.addr_field);
-                if !addr.is_marker() {
+                if let Some(a) = addr {
                     let v = flit.field(self.value_field).val_or_zero();
-                    ctx.spms.get_mut(self.spm).write(addr.val_or_zero(), v);
+                    ctx.spms.get_mut(self.spm).write(a, v);
                     self.updates += 1;
                 }
             }
             SpmUpdateMode::Rmw { op } => {
-                let addr = flit.field(self.addr_field);
-                if !addr.is_marker() {
+                if let Some(a) = addr {
                     // The RAW interlock already ran in the pre-consume
                     // gate above, so the address is hazard-free here.
-                    let a = addr.val_or_zero();
                     let spm = ctx.spms.get_mut(self.spm);
                     let old = spm.read(a);
                     let v = flit.field(self.value_field).val_or_zero();

@@ -19,7 +19,7 @@ use genesis_hw::modules::source::StreamSource;
 use genesis_hw::modules::spm_reader::{SpmAddrReader, SpmReadMode, SpmReader};
 use genesis_hw::modules::spm_updater::{RmwOp, SpmUpdateMode, SpmUpdater};
 use genesis_hw::word::{Flit, HwWord};
-use genesis_hw::System;
+use genesis_hw::{System, TierParams, TierStats};
 use genesis_types::{Base, Cigar, Qual};
 use std::sync::Arc;
 
@@ -519,6 +519,118 @@ fn spm_updater_skips_marker_addresses_and_forwards() {
     assert_eq!(sys.spms().get(spm).contents()[1], 2);
     // Forwarding keeps the full stream, including the skipped flit.
     assert_eq!(sys.module_as::<StreamSink>(sink).unwrap().items()[0].len(), 3);
+}
+
+/// Runs `keys` through an RMW `op` updater (value field 1 carries
+/// `key + 1`) on a 16-entry scratchpad whose base is `base`, tiered by
+/// `tiers` when given. Returns the scratchpad, the hazard stalls, the
+/// cycles the run took and the tier counters.
+fn rebased_rmw(
+    op: RmwOp,
+    keys: &[u64],
+    base: Option<u64>,
+    tiers: Option<TierParams>,
+) -> (Vec<u64>, u64, u64, Option<TierStats>) {
+    let mut sys = System::new();
+    let spm = sys.add_spm("counts", 16, 8);
+    let i = sys.add_queue("i");
+    let flits: Vec<Vec<HwWord>> = keys.iter().map(|&k| vec![v(k), v(k + 1)]).collect();
+    sys.add_module(Box::new(StreamSource::from_field_items("src", i, &[flits])));
+    let mut u = SpmUpdater::new("u", spm, SpmUpdateMode::Rmw { op }, 0, 1, i);
+    if let Some(b) = base {
+        u = u.with_addr_offset(b);
+    }
+    let u = sys.add_module(Box::new(u));
+    if let Some(t) = tiers {
+        sys.set_tiers(t).expect("unbounded host");
+    }
+    let stats = sys.run(10_000).unwrap();
+    let stalls = sys.module_as::<SpmUpdater>(u).unwrap().hazard_stalls();
+    let spms = sys.spms();
+    (spms.get(spm).contents().to_vec(), stalls, stats.cycles, spms.tier_stats())
+}
+
+#[test]
+fn spm_updater_base_rebases_rmw_and_random_writes() {
+    let (inc, ..) = rebased_rmw(RmwOp::Increment, &[1002, 1002, 1001, 1015], Some(1000), None);
+    assert_eq!((inc[1], inc[2], inc[15]), (1, 2, 1));
+    let (add, ..) = rebased_rmw(RmwOp::Add, &[1002, 1002, 1001], Some(1000), None);
+    assert_eq!((add[1], add[2]), (1002, 2006));
+    // Random writes land at `spm[key - base]` too.
+    let mut sys = System::new();
+    let spm = sys.add_spm("s", 8, 8);
+    let i = sys.add_queue("i");
+    let items = [vec![vec![v(45), v(50)], vec![v(41), v(10)]]];
+    sys.add_module(Box::new(StreamSource::from_field_items("src", i, &items)));
+    let u = SpmUpdater::new("u", spm, SpmUpdateMode::Random, 0, 1, i).with_addr_offset(40);
+    sys.add_module(Box::new(u));
+    sys.run(1000).unwrap();
+    assert_eq!(&sys.spms().get(spm).contents()[..6], &[0, 10, 0, 0, 0, 50]);
+}
+
+#[test]
+fn spm_updater_base_keeps_the_raw_interlock() {
+    // Keys equal after rebasing stall exactly as the un-rebased stream.
+    let (plain, plain_stalls, ..) = rebased_rmw(RmwOp::Increment, &[2, 2, 2, 1, 2], None, None);
+    let (moved, moved_stalls, ..) =
+        rebased_rmw(RmwOp::Increment, &[702, 702, 702, 701, 702], Some(700), None);
+    assert!(plain_stalls > 0, "back-to-back same-address updates must stall");
+    assert_eq!(moved_stalls, plain_stalls);
+    assert_eq!(moved, plain);
+}
+
+#[test]
+fn spm_updater_base_gates_the_rebased_page() {
+    // 64-byte pages of eight 8-byte entries, one page resident: keys
+    // 4..12 rebased by 4 touch page 0 alone; un-rebased they would
+    // straddle pages 0 and 1.
+    let tiers = TierParams { page_bytes: 64, spm_bytes: 64, ..TierParams::default() };
+    let keys: Vec<u64> = (4..12).collect();
+    let (spm, _, _, stats) = rebased_rmw(RmwOp::Increment, &keys, Some(4), Some(tiers));
+    let stats = stats.expect("tiered");
+    assert_eq!((stats.pages_filled, stats.pages_spilled), (1, 0));
+    assert_eq!(&spm[..9], &[1, 1, 1, 1, 1, 1, 1, 1, 0]);
+    let zero_based: Vec<u64> = (0..8).collect();
+    let (_, _, _, plain) = rebased_rmw(RmwOp::Increment, &zero_based, None, Some(tiers));
+    assert_eq!(plain, Some(stats));
+}
+
+#[test]
+fn spm_drain_with_the_updater_base_round_trips_keys() {
+    let mut sys = System::new();
+    let spm = sys.add_spm("counts", 4, 8);
+    let i = sys.add_queue("i");
+    let trig = sys.add_queue("trig");
+    let o = sys.add_queue("o");
+    sys.add_module(Box::new(StreamSource::from_items("src", i, &[vec![103, 101, 103]])));
+    let rmw = SpmUpdateMode::Rmw { op: RmwOp::Increment };
+    let u = SpmUpdater::new("u", spm, rmw, 0, 0, i).with_addr_offset(100).with_forward(trig);
+    sys.add_module(Box::new(u));
+    let mode = SpmReadMode::Drain { trigger: trig, len: 4 };
+    sys.add_module(Box::new(SpmReader::new("drain", vec![spm], mode, 100, o)));
+    let sink = sys.add_module(Box::new(StreamSink::new("s", o)));
+    sys.run(1000).unwrap();
+    let vals: Vec<(u64, u64)> = sys.module_as::<StreamSink>(sink).unwrap().items()[0]
+        .iter()
+        .map(|f| (f.field(0).val_or_zero(), f.field(1).val_or_zero()))
+        .collect();
+    assert_eq!(vals, vec![(100, 0), (101, 1), (102, 0), (103, 2)]);
+}
+
+#[test]
+fn spm_updater_base_zero_is_the_default() {
+    let keys = [3, 3, 7, 3, 9, 9, 9, 0, 15, 3, 3, 12];
+    let paged = TierParams { page_bytes: 64, spm_bytes: 64, ..TierParams::default() };
+    for op in [RmwOp::Increment, RmwOp::Add, RmwOp::Sub] {
+        for tiers in [None, Some(paged)] {
+            assert_eq!(
+                rebased_rmw(op, &keys, Some(0), tiers),
+                rebased_rmw(op, &keys, None, tiers),
+                "{op:?} tiers {}",
+                tiers.is_some()
+            );
+        }
+    }
 }
 
 #[test]
