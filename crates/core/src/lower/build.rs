@@ -310,11 +310,10 @@ fn upload_trimmed(
 
 /// Lowers an explode leaf: one Memory Reader per `ReadToBases` input
 /// stream (POS delimited per row, list columns delimited by their run
-/// lengths), the `ReadToBases` genomics block from the module library,
-/// and a drop-ends Zip selecting the relational output fields — turning
-/// the per-read delimited base stream into the plain row stream every
-/// downstream module expects. Expansion (output rows per input row) is
-/// recorded for the Figure 8 replication profile.
+/// lengths) and the `ReadToBases` genomics block from the module library,
+/// which emits the plain row stream every downstream module expects (in a
+/// loop body, one item per read, narrowed by a Zip). Expansion (output
+/// rows per input row) is recorded for the Figure 8 replication profile.
 fn build_explode<'a>(
     b: &mut PipelineBuilder<'_>,
     ctx: &mut BuildCtx<'a>,
@@ -370,24 +369,29 @@ fn build_explode<'a>(
     if let &[start, end] = &qs[3 + usize::from(spec.has_qual)..] {
         ctx.bounds = Some((start, end));
     }
+    // The rows are [REFPOS, BASE(, QUAL)]. Outside a loop body the
+    // ReadToBases emits them plain; a loop body keeps its per-read items
+    // and selects them with a Zip.
+    let width = 2 + usize::from(spec.has_qual);
+    let per_row = ctx.per_row;
     let bases = ctx.add(b, ("explode.bases", "explode.rtb"), |l, out| {
-        Box::new(ReadToBases::new(l, inputs, out))
+        let rtb = ReadToBases::new(l, inputs, out);
+        Box::new(if per_row { rtb } else { rtb.with_rows(width) })
     });
-    // Select [REFPOS, BASE(, QUAL)]; outside a loop body, also strip the
-    // per-read delimiters.
-    let sel: Vec<usize> = if spec.has_qual { vec![0, 1, 2] } else { vec![0, 1] };
-    let rows_q = b.queue(&ctx.lbl("explode.rows"));
-    let zl = ctx.lbl("explode.zip");
-    let zip = Zip::new(&zl, vec![ZipInput::new(bases, sel)], rows_q);
-    b.system().add_module(Box::new(if ctx.per_row { zip } else { zip.with_drop_ends() }));
+    let rows_q = if per_row {
+        ctx.select(b, ("explode.rows", "explode.zip"), bases, (0..width).collect())
+    } else {
+        bases
+    };
     let out_rows = cuts[idx].items.clone().unwrap_or_else(|| ps.items_of(&range)).len();
     let in_rows = range.len().max(1);
     ctx.expansion = ctx.expansion.max(out_rows as f64 / in_rows as f64);
     ctx.rows_bound = ctx.rows_bound.max(out_rows);
     ctx.note(format!(
-        "{}({table}) -> {}x MemoryReader + ReadToBases + Zip ({out_rows} rows from {})",
+        "{}({table}) -> {}x MemoryReader + ReadToBases{} ({out_rows} rows from {})",
         spec.node,
         ps.cols.len(),
+        if per_row { " + Zip" } else { "" },
         range.len(),
     ));
     let mut cols = spec.out_cols.clone();
@@ -595,15 +599,9 @@ fn build_project<'a>(
             ProjItem::Comp { .. } => None,
         })
         .collect();
-    let comps: Vec<&CompPlan> = expanded
-        .iter()
-        .filter_map(|it| match it {
-            ProjItem::Comp { plan, .. } => Some(plan),
-            ProjItem::Pass { .. } => None,
-        })
-        .collect();
+    let n_comps = n_out - pass_srcs.len();
 
-    if comps.is_empty() {
+    if n_comps == 0 {
         // Pure column selection/reorder: a single Zip (or a rename).
         let identity =
             pass_srcs.len() == s.cols.len() && pass_srcs.iter().enumerate().all(|(i, &v)| i == v);
@@ -616,100 +614,78 @@ fn build_project<'a>(
         return Ok(Stream { q, cols: out_cols, unstreamed: Cow::Borrowed(&[]) });
     }
 
-    // Computed items: fan the row stream out to a pass-through branch plus
-    // per-computation extractor branches, run each ALU chain, and zip the
-    // results back into rows.
-    let mut fan_targets = Vec::new();
-    let pass_q = if pass_srcs.is_empty() {
-        None
+    // Computed items: each is one ALU reading its operands in place from
+    // the row (a negated comparison adds an XOR). A Fanout feeds the row
+    // to its consumers, the pass-through columns and each ALU, only when
+    // there is more than one.
+    let consumers = n_comps + usize::from(!pass_srcs.is_empty());
+    let row_qs = if consumers == 1 {
+        vec![s.q]
     } else {
-        let q = b.queue(&ctx.lbl("proj.pass"));
-        fan_targets.push(q);
-        Some(q)
+        let qs: Vec<QueueId> = (0..consumers).map(|_| b.queue(&ctx.lbl("proj.b"))).collect();
+        let fan_label = ctx.lbl("proj.fan");
+        b.system().add_module(Box::new(Fanout::new(&fan_label, s.q, qs.clone())));
+        qs
     };
-    struct Branch {
-        lhs_q: QueueId,
-        rhs_q: Option<QueueId>,
-    }
-    let mut branches = Vec::with_capacity(comps.len());
-    for comp in &comps {
-        let lhs_q = b.queue(&ctx.lbl("proj.b"));
-        fan_targets.push(lhs_q);
-        let rhs_q = match comp.rhs {
-            CompRhs::Field(_) => {
-                let q = b.queue(&ctx.lbl("proj.b"));
-                fan_targets.push(q);
-                Some(q)
-            }
-            CompRhs::Lit(_) => None,
-        };
-        branches.push(Branch { lhs_q, rhs_q });
-    }
-    let fan_label = ctx.lbl("proj.fan");
-    b.system().add_module(Box::new(Fanout::new(&fan_label, s.q, fan_targets)));
-    let mut res_qs = Vec::with_capacity(comps.len());
+    let mut row_qs = row_qs.into_iter();
+    // The assembling Zip's inputs in item order, the pass-through block
+    // where its first column stands; `order` names each assembled field's
+    // item.
+    let pass_items: Vec<usize> = (0..n_out)
+        .filter(|&k| matches!(expanded[k], ProjItem::Pass { .. }))
+        .collect();
+    let mut zip_inputs = Vec::with_capacity(consumers);
+    let mut order = Vec::with_capacity(n_out);
     let mut alu_count = 0usize;
-    for (comp, branch) in comps.iter().zip(&branches) {
-        let ext = ctx.select(b, ("proj.ext", "proj.extzip"), branch.lhs_q, vec![comp.lhs_field]);
-        let rhs = match (&comp.rhs, branch.rhs_q) {
-            (CompRhs::Lit(n), _) => AluRhs::Const(*n),
-            (CompRhs::Field(f), Some(rq)) => {
-                AluRhs::Queue(ctx.select(b, ("proj.ext", "proj.extzip"), rq, vec![*f]))
-            }
-            (CompRhs::Field(_), None) => {
-                return Err(CoreError::Host("projection branch wiring bug".into()))
+    for (k, item) in expanded.iter().enumerate() {
+        let comp = match item {
+            ProjItem::Comp { plan, .. } => plan,
+            ProjItem::Pass { .. } if k != pass_items[0] => continue,
+            ProjItem::Pass { .. } => {
+                order.extend_from_slice(&pass_items);
+                let row = row_qs.next().expect("one row queue per consumer");
+                zip_inputs.push(ZipInput::new(row, pass_srcs.clone()));
+                continue;
             }
         };
-        let alu_out = ctx.add(b, ("proj.alu", "proj.alu"), |l, out| {
-            Box::new(StreamAlu::new(l, comp.op, ext, rhs, out))
+        order.push(k);
+        let row = row_qs.next().expect("one row queue per consumer");
+        let rhs = match comp.rhs {
+            CompRhs::Lit(n) => AluRhs::Const(n),
+            CompRhs::Field(f) => AluRhs::Field(f),
+        };
+        let mut res = ctx.add(b, ("proj.alu", "proj.alu"), |l, out| {
+            Box::new(StreamAlu::new(l, comp.op, row, comp.lhs_field, rhs, out))
         });
         alu_count += 1;
-        let res = if comp.negate {
+        if comp.negate {
             alu_count += 1;
-            ctx.add(b, ("proj.neg", "proj.neg"), |l, out| {
-                Box::new(StreamAlu::new(l, AluOp::Xor, alu_out, AluRhs::Const(1), out))
-            })
-        } else {
-            alu_out
-        };
-        res_qs.push(res);
+            let cmp = res;
+            res = ctx.add(b, ("proj.neg", "proj.neg"), |l, out| {
+                Box::new(StreamAlu::new(l, AluOp::Xor, cmp, 0, AluRhs::Const(1), out))
+            });
+        }
+        zip_inputs.push(ZipInput::new(res, vec![0]));
     }
-    // Zip pass fields and computed results back together (pass block
-    // first), then reorder into item order when they interleave.
-    let mut zip_inputs = Vec::new();
-    if let Some(pq) = pass_q {
-        zip_inputs.push(ZipInput::new(pq, pass_srcs.clone()));
-    }
-    for &rq in &res_qs {
-        zip_inputs.push(ZipInput::new(rq, vec![0]));
-    }
-    let assembled =
-        ctx.add(b, ("proj.rows", "proj.zip"), |l, out| Box::new(Zip::new(l, zip_inputs, out)));
-    let mut pass_rank = 0;
-    let mut comp_rank = 0;
-    let n_pass = pass_srcs.len();
-    let sel: Vec<usize> = expanded
-        .iter()
-        .map(|it| match it {
-            ProjItem::Pass { .. } => {
-                pass_rank += 1;
-                pass_rank - 1
-            }
-            ProjItem::Comp { .. } => {
-                comp_rank += 1;
-                n_pass + comp_rank - 1
-            }
-        })
-        .collect();
+    let mut zips = 0;
+    let assembled = if let [one] = &zip_inputs[..] {
+        one.queue
+    } else {
+        zips += 1;
+        ctx.add(b, ("proj.rows", "proj.zip"), |l, out| Box::new(Zip::new(l, zip_inputs, out)))
+    };
+    // Reorder into item order when pass-through columns interleave with
+    // computed ones.
+    let placed = |k| order.iter().position(|&i| i == k).expect("every item placed");
+    let sel: Vec<usize> = (0..n_out).map(placed).collect();
     let q = if sel.iter().enumerate().all(|(i, &v)| i == v) {
         assembled
     } else {
+        zips += 1;
         ctx.select(b, ("proj.ord", "proj.ordzip"), assembled, sel)
     };
-    ctx.note(format!(
-        "Project -> Fanout + {}x Zip + {alu_count}x ALU",
-        1 + comps.len() + branches.iter().filter(|br| br.rhs_q.is_some()).count()
-    ));
+    let zips = if zips > 0 { format!("{zips}x Zip + ") } else { String::new() };
+    ctx.note(format!("Project -> {}{zips}{alu_count}x ALU", fanout_note(consumers)));
     Ok(Stream { q, cols: out_cols, unstreamed: Cow::Borrowed(&[]) })
 }
 
@@ -760,15 +736,16 @@ fn build_join<'a>(
             format!("key + {nl} left + {nr} right fields exceed the {MAX_FIELDS}-field flit"),
         ));
     }
-    // Prepend the key to each side: [key, all columns...].
-    let keyed = |s: &Stream<'_>, ki: usize| std::iter::once(ki).chain(0..s.cols.len()).collect();
-    let lq = ctx.select(b, ("join.keyed", "join.keyzip"), l.q, keyed(&l, li));
-    let rq = ctx.select(b, ("join.keyed", "join.keyzip"), r.q, keyed(&r, ri));
-    let jq = ctx.add(b, ("join.out", "join"), |l, out| {
-        Box::new(Joiner::new(l, hw_kind, lq, rq, out, nl, nr))
+    // The Joiner compares the left row's key in place and drops the right
+    // flit's first field, so only the right side prepends its key:
+    // [key, all columns...]. The output is [left columns..., right
+    // columns...].
+    let keyed = std::iter::once(ri).chain(0..nr).collect();
+    let rq = ctx.select(b, ("join.keyed", "join.keyzip"), r.q, keyed);
+    let lq = l.q;
+    let out = ctx.add(b, ("join.out", "join"), |l, out| {
+        Box::new(Joiner::new(l, hw_kind, lq, rq, out, nl - 1, nr).with_left_key(li))
     });
-    // Drop the prepended key, leaving [left columns..., right columns...].
-    let out = ctx.select(b, ("join.rows", "join.dropzip"), jq, (1..width).collect());
     let left_join = kind == JoinKind::Left;
     let mut cols = Vec::with_capacity(nl + nr);
     for c in &l.cols {
@@ -789,7 +766,7 @@ fn build_join<'a>(
         let right = r.unstreamed.iter().map(|n| qualify(right_key.table.as_deref(), n));
         Cow::Owned(left.chain(right).collect())
     };
-    ctx.note(format!("Join({kind:?}) -> 2x Zip + Joiner + Zip"));
+    ctx.note(format!("Join({kind:?}) -> Zip + Joiner"));
     Ok(Stream { q: out, cols, unstreamed })
 }
 
@@ -926,7 +903,12 @@ fn build_scalar_agg(
         writers.push((writer, addr));
         cols.push(ColInfo::new(&spec.name, Decode::U64));
     }
-    ctx.note(format!("Aggregate -> {}x Reducer + MemoryWriter", specs.len()));
+    let n = specs.len();
+    let filters = match specs.iter().filter(|spec| spec.filter.is_some()).count() {
+        0 => String::new(),
+        f => format!("{f}x Filter + "),
+    };
+    ctx.note(format!("Aggregate -> {}{filters}{n}x Reducer + {n}x MemoryWriter", fanout_note(n)));
     let kind = if ctx.per_row {
         SinkKind::Stream
     } else {
@@ -1058,10 +1040,8 @@ fn build_grouped_agg(
             "too many distinct SUM columns for one update flit",
         ));
     }
-    // Update flit: [key, sum values...]; one RMW updater per histogram.
-    let mut sel = vec![ki];
-    sel.extend(sum_fields.iter().copied());
-    let upd_q = ctx.select(b, ("grp.upd", "grp.keyzip"), s.q, sel);
+    // One RMW updater per histogram, each reading the key and its value
+    // in place from the row.
     let cnt_spm = b.system().spms_mut().add(&ctx.lbl("GRP_CNT"), domain, 8);
     let sum_spms: Vec<_> = (0..sum_fields.len())
         .map(|_| {
@@ -1072,13 +1052,14 @@ fn build_grouped_agg(
     // Each updater forwards its input to the next; the last one's
     // forward triggers the drain.
     let rmw = |op| SpmUpdateMode::Rmw { op };
+    let rows = s.q;
     let mut tap = ctx.add(b, ("grp.fwd", "grp.count"), |l, out| {
-        let u = SpmUpdater::new(l, cnt_spm, rmw(RmwOp::Increment), 0, 0, upd_q);
+        let u = SpmUpdater::new(l, cnt_spm, rmw(RmwOp::Increment), ki, 0, rows);
         Box::new(u.with_addr_offset(floor).with_forward(out))
     });
-    for (slot, &spm) in sum_spms.iter().enumerate() {
+    for (&spm, &field) in sum_spms.iter().zip(&sum_fields) {
         tap = ctx.add(b, ("grp.fwd", "grp.sum"), |l, out| {
-            let u = SpmUpdater::new(l, spm, rmw(RmwOp::Add), 0, 1 + slot, tap);
+            let u = SpmUpdater::new(l, spm, rmw(RmwOp::Add), ki, field, tap);
             Box::new(u.with_addr_offset(floor).with_forward(out))
         });
     }
@@ -1093,8 +1074,8 @@ fn build_grouped_agg(
     let present = ctx.add(b, ("grp.present", "grp.present"), |l, out| {
         Box::new(Filter::new(l, Predicate::field_const(1, CmpOp::Ge, 1), drain, out))
     });
-    // Select drain fields in item order.
-    let sel: Vec<usize> = gitems
+    // Each writer writes its item's field of the drained row.
+    let fields: Vec<usize> = gitems
         .iter()
         .map(|gi| match gi.role {
             GroupRole::Key => 0,
@@ -1102,8 +1083,7 @@ fn build_grouped_agg(
             GroupRole::Sum => 2 + gi.sum_slot,
         })
         .collect();
-    let rows_q = ctx.select(b, ("grp.rows", "grp.selzip"), present, sel);
-    let writers = attach_writers(b, ctx, rows_q, gitems.len(), domain * 8, "grp.out");
+    let writers = attach_writers(b, ctx, present, &fields, domain * 8, "grp.out");
     let cols: Vec<ColInfo> = gitems
         .iter()
         .map(|gi| {
@@ -1113,39 +1093,47 @@ fn build_grouped_agg(
         })
         .collect();
     ctx.note(format!(
-        "Aggregate(GROUP BY) -> Zip + {}x SpmUpdater + SpmReader + Filter + Zip + {}x \
-         MemoryWriter",
+        "Aggregate(GROUP BY) -> {}x SpmUpdater + SpmReader + Filter + {}{}x MemoryWriter",
         1 + sum_fields.len(),
+        fanout_note(writers.len()),
         writers.len()
     ));
     let kind = SinkKind::Grouped(gitems.iter().map(|gi| gi.role).collect());
     Ok((Built { writers, cols }, kind))
 }
 
-/// Attaches one Memory Writer per output column (fanning the row stream
-/// out when there is more than one — concurrent writers must not steal
-/// flits from a shared queue), each a sustained 8-byte write port.
+/// Attaches one Memory Writer per output column, writing its own field of
+/// the row (fanning the row stream out when there is more than one —
+/// concurrent writers must not steal flits from a shared queue), each a
+/// sustained 8-byte write port.
 fn attach_writers(
     b: &mut PipelineBuilder<'_>,
     ctx: &mut BuildCtx<'_>,
     rows_q: QueueId,
-    n_cols: usize,
+    fields: &[usize],
     capacity_bytes: usize,
     tag: &str,
 ) -> Vec<(ModuleId, u64)> {
+    let n_cols = fields.len();
     ctx.sink_bytes += n_cols * line_padded(capacity_bytes);
     ctx.writes.extend(std::iter::repeat_n(8, n_cols));
-    if n_cols == 1 {
-        return vec![b.writer_with_field(&ctx.lbl(tag), rows_q, 8, capacity_bytes, 0)];
+    if let &[field] = fields {
+        return vec![b.writer_with_field(&ctx.lbl(tag), rows_q, 8, capacity_bytes, field)];
     }
     let branch_qs: Vec<QueueId> = (0..n_cols).map(|_| b.queue(&ctx.lbl("out.b"))).collect();
     let fl = ctx.lbl("out.fan");
     b.system().add_module(Box::new(Fanout::new(&fl, rows_q, branch_qs.clone())));
     branch_qs
         .iter()
-        .enumerate()
-        .map(|(i, &q)| b.writer_with_field(&ctx.lbl(tag), q, 8, capacity_bytes, i))
+        .zip(fields)
+        .map(|(&q, &field)| b.writer_with_field(&ctx.lbl(tag), q, 8, capacity_bytes, field))
         .collect()
+}
+
+/// The explain text of the Fanout feeding `branches` consumers: none for
+/// one.
+fn fanout_note(branches: usize) -> &'static str {
+    if branches > 1 { "Fanout + " } else { "" }
 }
 
 fn build_stream_sink(
@@ -1156,7 +1144,8 @@ fn build_stream_sink(
     // Explodes can emit more rows than the spine slice carries; the
     // writer allocation must cover the expanded bound.
     let bound = ctx.rows_bound.max(1) * 8;
-    let writers = attach_writers(b, ctx, s.q, s.cols.len(), bound, "out");
-    ctx.note(format!("Output -> {}x MemoryWriter", writers.len()));
+    let fields: Vec<usize> = (0..s.cols.len()).collect();
+    let writers = attach_writers(b, ctx, s.q, &fields, bound, "out");
+    ctx.note(format!("Output -> {}{}x MemoryWriter", fanout_note(writers.len()), writers.len()));
     Ok((Built { writers, cols: s.cols }, SinkKind::Stream))
 }

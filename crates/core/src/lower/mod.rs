@@ -366,6 +366,15 @@ pub(crate) fn analyze(
     catalog: &Catalog,
     cfg: &DeviceConfig,
 ) -> Result<Arc<Lowering>, CoreError> {
+    analyze_on(plan, catalog, cfg).map(|(lowering, _)| lowering)
+}
+
+/// [`analyze`], returning the scratch system its build ran on as well.
+fn analyze_on(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    cfg: &DeviceConfig,
+) -> Result<(Arc<Lowering>, System), CoreError> {
     let (core, epilogues) = peel(plan)?;
     let (core, each_row) = match core {
         LogicalPlan::ForEach { var, rows, body } => {
@@ -442,7 +451,7 @@ pub(crate) fn analyze(
         selectivity: selectivity(&prepared),
     };
     summary.extend(ctx.summary);
-    Ok(Arc::new(Lowering {
+    let lowering = Arc::new(Lowering {
         core,
         epilogues,
         each_row,
@@ -454,7 +463,8 @@ pub(crate) fn analyze(
         sink_bytes: ctx.sink_bytes,
         profile,
         summary,
-    }))
+    });
+    Ok((lowering, sys))
 }
 
 /// Post-pushdown row rate of the spine scan: the fraction of scanned

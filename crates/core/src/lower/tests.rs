@@ -5,6 +5,7 @@ use genesis_sql::ast::{AggFn, JoinKind, SelectItem};
 use genesis_sql::exec::{execute_plan, Env};
 use genesis_types::{DataType, Field, Schema, Table, Value};
 use genesis_types::Column;
+use std::collections::BTreeMap;
 
 fn table_u32(name: &str, cols: &[(&str, Vec<u32>)]) -> (String, Table) {
     let schema =
@@ -651,4 +652,89 @@ fn pushed_conjunct_that_no_longer_resolves_is_a_host_error() {
         err.to_string(),
         "host api error: pushed conjunct no longer resolves against the scan"
     );
+}
+
+/// A catalog every `scripts/*.sql` plan binds to: reads, pairs and one
+/// reference row, the reads and the reference also as their partition 0.
+fn scripts_catalog() -> Catalog {
+    let cigars: Vec<genesis_types::Cigar> =
+        ["5M", "1S3M1I1M", "2M2D3M", "3M1N2M"].iter().map(|c| c.parse().unwrap()).collect();
+    let n = 12u32;
+    let pos: Vec<u32> = (0..n).map(|i| 1 + 3 * i).collect();
+    let cigar = |i: u32| &cigars[i as usize % cigars.len()];
+    let endpos = (0..n).map(|i| pos[i as usize] + cigar(i).ref_len()).collect();
+    let seq = (0..n).map(|i| (0..cigar(i).read_len()).map(|j| ((i + j) % 4) as u8).collect());
+    let reads = table_of(vec![
+        ("POS", Column::U32(pos.clone())),
+        ("ENDPOS", Column::U32(endpos)),
+        ("CIGAR", Column::ListU16((0..n).map(|i| cigar(i).pack().unwrap()).collect())),
+        ("SEQ", Column::ListU8(seq.collect())),
+    ]);
+    let reference = table_of(vec![
+        ("POS", Column::U32(vec![0])),
+        ("REFPOS", Column::U32(vec![0])),
+        ("SEQ", Column::ListU8(vec![(0..64).map(|j| (j % 4) as u8).collect()])),
+    ]);
+    let mpos = pos.iter().enumerate().map(|(i, &p)| p + 40 + i as u32 % 16).collect();
+    let mut cat = catalog_of("PAIRS", vec![("POS", Column::U32(pos)), ("MPOS", Column::U32(mpos))]);
+    for (name, table) in [("READS", reads), ("REF", reference)] {
+        cat.register(name, table.clone());
+        cat.register_partition(name, 0, table);
+    }
+    cat
+}
+
+/// Adds the modules an explain line names to `counts`, by kind: `2x Zip`
+/// counts two, `Zip` one and `rename` none; a trailing ` (…)` note names
+/// no module.
+fn explained_modules(line: &str, counts: &mut BTreeMap<String, usize>) {
+    let (_, modules) = line.split_once(" -> ").unwrap_or_else(|| panic!("no ` -> ` in {line}"));
+    let modules = modules.split(" (").next().unwrap_or_default();
+    for term in modules.split(" + ").filter(|t| *t != "rename") {
+        let (k, name) = match term.split_once("x ").map(|(k, name)| (k.parse(), name)) {
+            Some((Ok(k), name)) => (k, name),
+            _ => (1, term),
+        };
+        let kind = name.split('(').next().unwrap_or_default();
+        *counts.entry(if kind == "ALU" { "Alu".into() } else { kind.to_owned() }).or_default() += k;
+    }
+}
+
+/// The explain lines are the node → module map: for every script, with
+/// pushdown on and off, the modules they name are exactly the modules the
+/// analysis build added, per kind and with multiplicity.
+#[test]
+fn explain_lines_name_every_module_the_build_adds() {
+    let catalog = scripts_catalog();
+    let registry = crate::library::ModuleRegistry::with_builtins();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts");
+    let mut scripts: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "sql"))
+        .collect();
+    scripts.sort();
+    assert!(scripts.len() >= 7, "{scripts:?}");
+    for path in scripts {
+        let src = std::fs::read_to_string(&path).unwrap();
+        let plan = crate::compile::script_to_plan(&src, &registry).unwrap();
+        for pushdown in [true, false] {
+            let cfg = DeviceConfig::default().with_pushdown(pushdown);
+            let (low, sys) = analyze_on(&plan, &catalog, &cfg)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let mut named = BTreeMap::new();
+            for line in low.summary.iter().filter(|l| !l.starts_with("Pushdown(")) {
+                explained_modules(line, &mut named);
+            }
+            // The graph's module nodes read `m<i> [label="<label>\n(<kind>)", …]`.
+            let mut built = BTreeMap::new();
+            let dot = sys.to_dot("analysis");
+            for node in dot.lines().filter(|l| l.starts_with("  m") && l.contains("shape=")) {
+                let kind = node.rsplit_once("\\n(").and_then(|(_, k)| k.split_once(')'));
+                *built.entry(kind.unwrap().0.to_owned()).or_insert(0usize) += 1;
+            }
+            let explain = low.summary.join("\n");
+            assert_eq!(named, built, "{} (pushdown {pushdown}):\n{explain}", path.display());
+        }
+    }
 }

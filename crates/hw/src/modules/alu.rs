@@ -1,4 +1,4 @@
-//! Stream ALU: element-wise unary/binary operations (paper §III-C).
+//! Stream ALU: one unary/binary operation per flit (paper §III-C).
 
 use super::{try_forward, try_push, Ctx, Module, ModuleKind, Tick};
 use crate::queue::QueueId;
@@ -33,30 +33,40 @@ pub enum AluOp {
 /// The second operand source.
 #[derive(Debug, Clone, Copy)]
 pub enum AluRhs {
-    /// A second input queue (element-wise across matching fields).
-    Queue(QueueId),
-    /// An immediate constant applied to every field.
+    /// An immediate constant.
     Const(u64),
+    /// Field `j` of the same input flit.
+    Field(usize),
 }
 
-/// Applies `op` element-wise over flit fields, one flit per cycle.
-/// Sentinel operands propagate (`op(Ins, x) = Ins`), and end-of-item
-/// delimiters from two-queue configurations must align.
+/// Applies `op` to one field of each input flit, one flit per cycle, and
+/// emits the result as a one-field flit: a computed column read in place
+/// from a row, with no Zip selecting it first. Sentinel operands propagate
+/// (`op(Ins, x) = Ins`), and end-of-item delimiters are forwarded.
 #[derive(Debug)]
 pub struct StreamAlu {
     label: String,
     op: AluOp,
     lhs: QueueId,
+    /// The field of each `lhs` flit that is the left operand.
+    field: usize,
     rhs: AluRhs,
     out: QueueId,
     done: bool,
 }
 
 impl StreamAlu {
-    /// Creates a stream ALU.
+    /// Creates a stream ALU computing `op(field, rhs)` over `lhs`.
     #[must_use]
-    pub fn new(label: &str, op: AluOp, lhs: QueueId, rhs: AluRhs, out: QueueId) -> StreamAlu {
-        StreamAlu { label: label.to_owned(), op, lhs, rhs, out, done: false }
+    pub fn new(
+        label: &str,
+        op: AluOp,
+        lhs: QueueId,
+        field: usize,
+        rhs: AluRhs,
+        out: QueueId,
+    ) -> StreamAlu {
+        StreamAlu { label: label.to_owned(), op, lhs, field, rhs, out, done: false }
     }
 
     fn apply(op: AluOp, a: HwWord, b: HwWord) -> HwWord {
@@ -96,77 +106,32 @@ impl Module for StreamAlu {
         if self.done {
             return Tick::Done;
         }
-        match self.rhs {
-            AluRhs::Const(c) => {
-                let Some(head) = ctx.queues.get(self.lhs).peek() else {
-                    if ctx.queues.get(self.lhs).is_finished() {
-                        ctx.queues.get_mut(self.out).close();
-                        self.done = true;
-                        return Tick::Done;
-                    }
-                    return Tick::PARK;
-                };
-                // A refused push recomputes the same flit from the same
-                // head until `out` drains.
-                if head.is_end_item() {
-                    if !try_forward(ctx.queues, self.lhs, self.out) {
-                        return Tick::full(self.out);
-                    }
-                    return Tick::Active;
-                }
-                let mut out = Flit::new();
-                for i in 0..head.len() {
-                    out.push(Self::apply(self.op, head.field(i), HwWord::Val(c)));
-                }
-                if !try_push(ctx.queues, self.out, out) {
-                    return Tick::full(self.out);
-                }
-                ctx.queues.get_mut(self.lhs).pop();
-                Tick::Active
+        let Some(head) = ctx.queues.get(self.lhs).peek() else {
+            if ctx.queues.get(self.lhs).is_finished() {
+                ctx.queues.get_mut(self.out).close();
+                self.done = true;
+                return Tick::Done;
             }
-            AluRhs::Queue(rq) => {
-                let lfin = ctx.queues.get(self.lhs).is_finished();
-                let rfin = ctx.queues.get(rq).is_finished();
-                if lfin && rfin {
-                    ctx.queues.get_mut(self.out).close();
-                    self.done = true;
-                    return Tick::Done;
-                }
-                let (Some(l), Some(r)) =
-                    (ctx.queues.get(self.lhs).peek(), ctx.queues.get(rq).peek())
-                else {
-                    // At least one input is empty but not both finished.
-                    return Tick::PARK;
-                };
-                let out = match (l.is_end_item(), r.is_end_item()) {
-                    (true, true) => Flit::end_item(),
-                    (false, false) => {
-                        let mut out = Flit::new();
-                        for i in 0..l.len().max(r.len()) {
-                            out.push(Self::apply(self.op, l.field(i), r.field(i)));
-                        }
-                        out
-                    }
-                    // Misaligned items: resynchronize by consuming the
-                    // delimiter side alone.
-                    (true, false) => {
-                        ctx.queues.get_mut(rq).pop();
-                        return Tick::Active;
-                    }
-                    (false, true) => {
-                        ctx.queues.get_mut(self.lhs).pop();
-                        return Tick::Active;
-                    }
-                };
-                if !try_push(ctx.queues, self.out, out) {
-                    // Both heads stay put until `out` drains.
-                    return Tick::full(self.out);
-                }
-                ctx.queues.get_mut(self.lhs).pop();
-                ctx.queues.get_mut(rq).pop();
-                Tick::Active
+            return Tick::PARK;
+        };
+        // A refused push recomputes the same flit from the same head
+        // until `out` drains.
+        if head.is_end_item() {
+            if !try_forward(ctx.queues, self.lhs, self.out) {
+                return Tick::full(self.out);
             }
+            return Tick::Active;
         }
+        let rhs = match self.rhs {
+            AluRhs::Const(c) => HwWord::Val(c),
+            AluRhs::Field(j) => head.field(j),
+        };
+        let out = Flit::data(&[Self::apply(self.op, head.field(self.field), rhs)]);
+        if !try_push(ctx.queues, self.out, out) {
+            return Tick::full(self.out);
+        }
+        ctx.queues.get_mut(self.lhs).pop();
+        Tick::Active
     }
 
     fn is_done(&self) -> bool {
@@ -178,10 +143,7 @@ impl Module for StreamAlu {
     }
 
     fn input_queues(&self) -> Vec<QueueId> {
-        match self.rhs {
-            AluRhs::Queue(q) => vec![self.lhs, q],
-            AluRhs::Const(_) => vec![self.lhs],
-        }
+        vec![self.lhs]
     }
 
     fn output_queues(&self) -> Vec<QueueId> {

@@ -19,8 +19,10 @@ pub enum JoinKind {
 }
 
 /// Merges two item-aligned streams whose flits carry an ascending key in
-/// field 0. Matching keys concatenate data fields; unmatched flits are
-/// emitted with `Del` padding or discarded per [`JoinKind`].
+/// field 0 (on the left, the field [`Joiner::with_left_key`] names).
+/// Matching keys concatenate the left flit and the right flit's data
+/// fields; unmatched flits are emitted with `Del` padding or discarded
+/// per [`JoinKind`].
 ///
 /// Genomics extension: a left flit whose key is the `Ins` sentinel (an
 /// inserted base from ReadToBases) never matches — it is emitted padded for
@@ -33,9 +35,11 @@ pub struct Joiner {
     left: QueueId,
     right: QueueId,
     out: QueueId,
-    /// Data fields after the key on the left stream (for padding).
+    /// The left flit's key field (the right key is always field 0).
+    left_key: usize,
+    /// Data fields besides the key on the left stream (for padding).
     left_data_fields: usize,
-    /// Data fields after the key on the right stream (for padding).
+    /// Data fields besides the key on the right stream (for padding).
     right_data_fields: usize,
     done: bool,
 }
@@ -51,8 +55,8 @@ enum Head<'a> {
 
 impl Joiner {
     /// Creates a joiner. `left_data_fields`/`right_data_fields` describe
-    /// how many data fields follow the key on each input, for padding
-    /// unmatched outputs.
+    /// how many data fields besides the key each input carries, for
+    /// padding unmatched outputs.
     #[must_use]
     pub fn new(
         label: &str,
@@ -69,10 +73,21 @@ impl Joiner {
             left,
             right,
             out,
+            left_key: 0,
             left_data_fields,
             right_data_fields,
             done: false,
         }
+    }
+
+    /// Compares the left flit's field `i` in place (default 0): a left row
+    /// joins on its own column, with no Zip moving the key to the front.
+    /// The output keeps the left flit whole, so it is `[left fields...,
+    /// right data...]` at any `i`.
+    #[must_use]
+    pub fn with_left_key(mut self, i: usize) -> Joiner {
+        self.left_key = i;
+        self
     }
 
     fn head(queues: &QueuePool, q: QueueId) -> Head<'_> {
@@ -85,7 +100,7 @@ impl Joiner {
         }
     }
 
-    /// Output for an unmatched left flit: key + left data + right padding.
+    /// Output for an unmatched left flit: the left flit + right padding.
     fn left_padded(&self, f: &Flit) -> Flit {
         let mut out = *f;
         for _ in 0..self.right_data_fields {
@@ -94,12 +109,16 @@ impl Joiner {
         out
     }
 
-    /// Output for an unmatched right flit: key + left padding + right data.
+    /// Output for an unmatched right flit: left padding with the key at
+    /// the left key's field, then the right data.
     fn right_padded(&self, f: &Flit) -> Flit {
         let mut out = Flit::new();
-        out.push_from(f, 0);
-        for _ in 0..self.left_data_fields {
-            out.push(HwWord::Del);
+        for i in 0..=self.left_data_fields {
+            if i == self.left_key {
+                out.push_from(f, 0);
+            } else {
+                out.push(HwWord::Del);
+            }
         }
         for i in 1..f.len() {
             out.push_from(f, i);
@@ -107,7 +126,7 @@ impl Joiner {
         out
     }
 
-    /// Merged output for matching keys: key + left data + right data.
+    /// Merged output for matching keys: the left flit + right data.
     fn merged(l: &Flit, r: &Flit) -> Flit {
         let mut out = *l;
         for i in 1..r.len() {
@@ -185,7 +204,7 @@ impl Module for Joiner {
                 Left | Outer => self.emit(ctx, self.left_padded(l), true, false),
             },
             (Head::Data(l), Head::Data(r)) => {
-                let lk = l.field(0);
+                let lk = l.field(self.left_key);
                 let rk = r.field(0);
                 // Inserted-base flits never match.
                 if lk.is_marker() {

@@ -27,15 +27,24 @@ pub struct ReadToBasesInputs {
 ///
 /// The fourth field (the index of the base within `SEQ`) feeds the BQSR
 /// cycle covariate; Figure 12's BinIDGen needs to know the machine cycle
-/// of every base.
+/// of every base. [`ReadToBases::with_rows`] narrows the flit and drops
+/// the delimiters.
 #[derive(Debug)]
 pub struct ReadToBases {
     label: String,
     inputs: ReadToBasesInputs,
     out: QueueId,
+    /// Fields per output flit: the first `width` of the layout above.
+    width: usize,
+    /// Whether each read's bases end with a delimiter (cleared by
+    /// [`ReadToBases::with_rows`]).
+    ends: bool,
     state: State,
     done: bool,
 }
+
+/// Fields of the full per-base flit.
+const FIELDS: usize = 4;
 
 #[derive(Debug)]
 enum State {
@@ -66,9 +75,28 @@ impl ReadToBases {
             label: label.to_owned(),
             inputs,
             out,
+            width: FIELDS,
+            ends: true,
             state: State::NeedPos,
             done: false,
         }
+    }
+
+    /// Emits the first `width` fields of each base's flit (`D` rows padded
+    /// to it with `Del`) and no per-read delimiter: `with_rows(2)` streams
+    /// the plain `[REFPOS, BASE]` rows a relational consumer reads, one
+    /// cycle per read sooner.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `width` is 0 or exceeds the four-field layout.
+    #[must_use]
+    pub fn with_rows(mut self, width: usize) -> ReadToBases {
+        let valid = (1..=FIELDS).contains(&width);
+        assert!(valid, "ReadToBases emits 1..={FIELDS} fields, not {width}");
+        self.width = width;
+        self.ends = false;
+        self
     }
 
     /// Pops the head of `q` if it is a data flit; returns it.
@@ -134,7 +162,7 @@ impl Module for ReadToBases {
                                 cigar_done: false,
                                 seq_done: false,
                                 qual_done: self.inputs.qual.is_none(),
-                                out_done: false,
+                                out_done: !self.ends,
                             };
                             return Tick::Active;
                         }
@@ -177,30 +205,31 @@ impl Module for ReadToBases {
                     _ => None,
                 };
                 // Determine the output flit for this base.
-                let mut out = Flit::new();
-                let emits = match op {
+                let fields = match op {
                     CigarOp::Match | CigarOp::SeqMatch | CigarOp::SeqMismatch | CigarOp::Ins => {
-                        if op == CigarOp::Ins {
-                            out.push(HwWord::Ins);
-                        } else {
-                            out.push_val(*ref_pos);
-                        }
-                        out.push(seq_head.expect("M/I consume read"));
-                        out.push(qual_head.unwrap_or(HwWord::Empty));
-                        out.push_val(*seq_idx);
-                        true
+                        let ref_pos =
+                            if op == CigarOp::Ins { HwWord::Ins } else { HwWord::Val(*ref_pos) };
+                        Some([
+                            ref_pos,
+                            seq_head.expect("M/I consume read"),
+                            qual_head.unwrap_or(HwWord::Empty),
+                            HwWord::Val(*seq_idx),
+                        ])
                     }
                     CigarOp::Del | CigarOp::RefSkip => {
-                        out.push_val(*ref_pos);
-                        for _ in 0..3 {
-                            out.push(HwWord::Del);
-                        }
-                        true
+                        Some([HwWord::Val(*ref_pos), HwWord::Del, HwWord::Del, HwWord::Del])
                     }
-                    CigarOp::SoftClip | CigarOp::HardClip => false,
+                    CigarOp::SoftClip | CigarOp::HardClip => None,
                 };
+                let out = fields.map(|f| {
+                    let mut out = Flit::new();
+                    for &w in &f[..self.width] {
+                        out.push(w);
+                    }
+                    out
+                });
                 // Backpressure: the output must accept before we consume.
-                if emits && !try_push(ctx.queues, self.out, out) {
+                if out.is_some_and(|out| !try_push(ctx.queues, self.out, out)) {
                     // A tick that also loaded the CIGAR element changed
                     // state; from the next one on the stall is pure (the
                     // element is held, the SEQ/QUAL heads stay put).

@@ -35,15 +35,13 @@ impl ZipInput {
 /// All inputs must carry the same number of data flits (the compiler
 /// guarantees this by construction: every column stream of one table scan
 /// has the table's row count). End-of-item delimiters are forwarded when
-/// every head is a delimiter and consumed alone otherwise (resync), the
-/// same convention the two-queue [`crate::modules::alu::StreamAlu`] uses.
+/// every head is a delimiter and consumed alone otherwise (resync).
 /// The output closes as soon as any input finishes.
 #[derive(Debug)]
 pub struct Zip {
     label: String,
     inputs: Vec<ZipInput>,
     out: QueueId,
-    drop_ends: bool,
     done: bool,
 }
 
@@ -59,17 +57,7 @@ impl Zip {
         assert!(!inputs.is_empty(), "zip needs at least one input");
         let width: usize = inputs.iter().map(|i| i.fields.len()).sum();
         assert!(width <= MAX_FIELDS, "zip output of {width} fields exceeds {MAX_FIELDS}");
-        Zip { label: label.to_owned(), inputs, out, drop_ends: false, done: false }
-    }
-
-    /// Consumes aligned end-of-item delimiters without forwarding them,
-    /// turning an item-delimited stream (one item per read, as
-    /// [`crate::modules::read_to_bases::ReadToBases`] emits) into a plain
-    /// row stream the relational modules downstream expect.
-    #[must_use]
-    pub fn with_drop_ends(mut self) -> Zip {
-        self.drop_ends = true;
-        self
+        Zip { label: label.to_owned(), inputs, out, done: false }
     }
 }
 
@@ -105,13 +93,6 @@ impl Module for Zip {
                 if ctx.queues.get(i.queue).peek().is_some_and(Flit::is_end_item) {
                     ctx.queues.get_mut(i.queue).pop();
                 }
-            }
-            return Tick::Active;
-        }
-        if ends == self.inputs.len() && self.drop_ends {
-            // Aligned delimiters are consumed silently in drop-ends mode.
-            for i in &self.inputs {
-                ctx.queues.get_mut(i.queue).pop();
             }
             return Tick::Active;
         }
@@ -208,27 +189,6 @@ mod tests {
         let rows = run_zip(vec![(vec![row], vec![0, 1])]);
         assert!(rows[0].field(0).is_marker());
         assert_eq!(rows[0].field(1).val_or_zero(), 5);
-    }
-
-    #[test]
-    fn drop_ends_strips_aligned_delimiters() {
-        let a = vec![Flit::val(1), Flit::end_item(), Flit::val(2), Flit::end_item()];
-        let b = vec![Flit::val(9), Flit::end_item(), Flit::val(8), Flit::end_item()];
-        let mut sys = System::new();
-        let qa = sys.add_queue("a");
-        let qb = sys.add_queue("b");
-        sys.add_module(Box::new(StreamSource::from_flits("sa", qa, a)));
-        sys.add_module(Box::new(StreamSource::from_flits("sb", qb, b)));
-        let out = sys.add_queue("out");
-        let zin = vec![ZipInput::new(qa, vec![0]), ZipInput::new(qb, vec![0])];
-        sys.add_module(Box::new(Zip::new("z", zin, out).with_drop_ends()));
-        let sink = sys.add_module(Box::new(StreamSink::new("sink", out)));
-        sys.run(10_000).unwrap();
-        let rows = sys.module_as::<StreamSink>(sink).unwrap().flits().to_vec();
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|f| !f.is_end_item()));
-        assert_eq!(rows[0].field(0).val_or_zero(), 1);
-        assert_eq!(rows[1].field(1).val_or_zero(), 8);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 mod common;
 
 use common::{counted, ticks_after_done, Counted, SlowSink, TickCensus};
+use genesis_hw::modules::alu::{AluOp, AluRhs, StreamAlu};
 use genesis_hw::modules::filter::{CmpOp, Filter, Predicate};
 use genesis_hw::modules::joiner::{JoinKind, Joiner};
 use genesis_hw::modules::mem_reader::{MemReader, MemReaderConfig, RowSpec};
 use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig};
+use genesis_hw::modules::read_to_bases::{ReadToBases, ReadToBasesInputs};
 use genesis_hw::modules::reducer::{ReduceOp, Reducer};
 use genesis_hw::modules::sink::StreamSink;
 use genesis_hw::modules::source::StreamSource;
@@ -713,4 +715,68 @@ fn blocked_producer_is_ticked_per_flit_not_per_cycle() {
     // …the fast engine once per successful and once per refused push.
     assert!(fast.ticks <= 2 * FLITS, "{fast:?}");
     assert!(fast.full_untimed >= FLITS - 3, "every refused flit parks: {fast:?}");
+}
+
+/// The in-place field options under backpressure, each behind a slow
+/// sink on one-slot queues: an ALU reading field 1 against field 0 of the
+/// same flit, a Joiner comparing the left flit's field 1 (an outer join,
+/// so both paddings run), and a ReadToBases emitting plain two-field rows.
+#[test]
+fn in_place_field_options_bit_identical() {
+    let row = |i: u64| vec![HwWord::Val(i), HwWord::Val(3 * i + 1), HwWord::Val(i % 4)];
+    let rows: Vec<Vec<HwWord>> = (0..30u64).map(row).collect();
+    let right: Vec<Vec<HwWord>> =
+        (0..20u64).map(|i| vec![HwWord::Val(4 * i + 2), HwWord::Val(i)]).collect();
+    // Reads of `2S3M1I1D2M` (8 bases) at positions 10, 30, 50, ...
+    let cigar: Vec<u16> = "2S3M1I1D2M".parse::<genesis_types::Cigar>().unwrap().pack().unwrap();
+    let per_read = |flits: &dyn Fn(u64) -> Vec<Flit>| -> Vec<Flit> {
+        (0..6u64)
+            .flat_map(|r| {
+                let mut item = flits(r);
+                item.push(Flit::end_item());
+                item
+            })
+            .collect()
+    };
+    let pos = per_read(&|r| vec![Flit::val(10 + 20 * r)]);
+    let cigars = per_read(&|_| cigar.iter().map(|&c| Flit::val(u64::from(c))).collect());
+    let seq = per_read(&|r| (0..8).map(|i| Flit::val((r + i) % 4)).collect());
+    assert_engines_agree(
+        50_000,
+        |sys| {
+            let q = |sys: &mut System, name: &str| sys.add_queue_with_capacity(name, 1);
+            let (q_rows, q_alu) = (q(sys, "rows"), q(sys, "alu"));
+            sys.add_module(counted(StreamSource::from_field_items(
+                "rows",
+                q_rows,
+                std::slice::from_ref(&rows),
+            )));
+            let alu = StreamAlu::new("alu", AluOp::Sub, q_rows, 1, AluRhs::Field(0), q_alu);
+            sys.add_module(counted(alu));
+            let (q_l, q_r, q_j) = (q(sys, "l"), q(sys, "r"), q(sys, "j"));
+            let left: Vec<Vec<HwWord>> = rows.iter().map(|r| vec![r[2], r[1]]).collect();
+            sys.add_module(counted(StreamSource::from_field_items(
+                "l",
+                q_l,
+                std::slice::from_ref(&left),
+            )));
+            sys.add_module(counted(StreamSource::from_field_items(
+                "r",
+                q_r,
+                std::slice::from_ref(&right),
+            )));
+            let joiner = Joiner::new("join", JoinKind::Outer, q_l, q_r, q_j, 1, 1);
+            sys.add_module(counted(joiner.with_left_key(1)));
+            let (q_pos, q_cigar, q_seq, q_bases) =
+                (q(sys, "pos"), q(sys, "cigar"), q(sys, "seq"), q(sys, "bases"));
+            sys.add_module(counted(StreamSource::from_flits("pos", q_pos, pos.clone())));
+            sys.add_module(counted(StreamSource::from_flits("cigar", q_cigar, cigars.clone())));
+            sys.add_module(counted(StreamSource::from_flits("seq", q_seq, seq.clone())));
+            let inputs = ReadToBasesInputs { pos: q_pos, cigar: q_cigar, seq: q_seq, qual: None };
+            let rtb = ReadToBases::new("rtb", inputs, q_bases).with_rows(2);
+            sys.add_module(counted(rtb));
+            [q_alu, q_j, q_bases].map(|out| sys.add_module(counted(SlowSink::new("sink", out, 3))))
+        },
+        |sys, sinks| sinks.map(|sink| slow_sink_flits(sys, sink)),
+    );
 }

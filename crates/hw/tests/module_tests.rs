@@ -285,19 +285,17 @@ fn reducer_sum_skips_sentinels() {
 }
 
 #[test]
-fn alu_const_and_queue_operands() {
+fn alu_chains_const_operands() {
     let mut sys = System::new();
     let a = sys.add_queue("a");
-    let b = sys.add_queue("b");
     let o1 = sys.add_queue("o1");
     let o2 = sys.add_queue("o2");
     sys.add_module(Box::new(StreamSource::from_items("a", a, &[vec![1, 2, 3]])));
-    sys.add_module(Box::new(StreamSource::from_items("b", b, &[vec![10, 20, 30]])));
-    sys.add_module(Box::new(StreamAlu::new("add", AluOp::Add, a, AluRhs::Queue(b), o1)));
-    sys.add_module(Box::new(StreamAlu::new("x10", AluOp::Add, o1, AluRhs::Const(100), o2)));
+    sys.add_module(Box::new(StreamAlu::new("add", AluOp::Add, a, 0, AluRhs::Const(10), o1)));
+    sys.add_module(Box::new(StreamAlu::new("x10", AluOp::Add, o1, 0, AluRhs::Const(100), o2)));
     let sink = sys.add_module(Box::new(StreamSink::new("s", o2)));
     sys.run(1000).unwrap();
-    assert_eq!(sys.sink_values(sink), vec![v(111), v(122), v(133)]);
+    assert_eq!(sys.sink_values(sink), vec![v(111), v(112), v(113)]);
 }
 
 #[test]
@@ -310,7 +308,7 @@ fn alu_cmp_and_marker_propagation() {
         a,
         &[vec![vec![v(5)], vec![v(9)], vec![HwWord::Ins]]],
     )));
-    sys.add_module(Box::new(StreamAlu::new("cmp", AluOp::CmpEq, a, AluRhs::Const(9), o)));
+    sys.add_module(Box::new(StreamAlu::new("cmp", AluOp::CmpEq, a, 0, AluRhs::Const(9), o)));
     let sink = sys.add_module(Box::new(StreamSink::new("s", o)));
     sys.run(1000).unwrap();
     assert_eq!(sys.sink_values(sink), vec![v(0), v(1), HwWord::Ins]);
@@ -1061,4 +1059,191 @@ fn backpressure_propagates_from_a_slow_consumer() {
         stats.backpressure_stalls > 0,
         "rate-expanding module must backpressure its producer"
     );
+}
+
+/// The flits an ALU on field `field` emits over `items` (end-of-item
+/// delimiters included).
+fn alu_flits(op: AluOp, field: usize, rhs: AluRhs, items: &[Vec<Vec<HwWord>>]) -> Vec<Flit> {
+    let mut sys = System::new();
+    let a = sys.add_queue("a");
+    let o = sys.add_queue("o");
+    sys.add_module(Box::new(StreamSource::from_field_items("a", a, items)));
+    sys.add_module(Box::new(StreamAlu::new("alu", op, a, field, rhs, o)));
+    let sink = sys.add_module(Box::new(StreamSink::new("s", o)));
+    sys.run(1000).unwrap();
+    sys.module_as::<StreamSink>(sink).unwrap().flits().to_vec()
+}
+
+#[test]
+fn alu_reads_one_field_in_place() {
+    let rows = vec![
+        vec![vec![v(3), v(10), v(7)], vec![HwWord::Ins, v(1), v(2)], vec![v(5), HwWord::Del, v(4)]],
+        vec![vec![v(2), v(6), v(1)]],
+    ];
+    let one = |w: HwWord| Flit::data(&[w]);
+    let end = Flit::end_item();
+    // A constant operand: field 1 plus 100, one field out; the `Del` in
+    // field 1 propagates and each item's delimiter is forwarded.
+    assert_eq!(
+        alu_flits(AluOp::Add, 1, AluRhs::Const(100), &rows),
+        vec![one(v(110)), one(v(101)), one(HwWord::Del), end, one(v(106)), end]
+    );
+    // A field operand: field 1 minus field 0 of the same flit; an `Ins`
+    // in the right operand propagates as well.
+    assert_eq!(
+        alu_flits(AluOp::Sub, 1, AluRhs::Field(0), &rows),
+        vec![one(v(7)), one(HwWord::Ins), one(HwWord::Del), end, one(v(4)), end]
+    );
+    assert_eq!(
+        alu_flits(AluOp::CmpLt, 0, AluRhs::Field(2), &rows),
+        vec![one(v(1)), one(HwWord::Ins), one(v(0)), end, one(v(0)), end]
+    );
+}
+
+/// The single item a Joiner emits, comparing the left flits' field
+/// `left_key` with `left_data` fields besides it.
+fn join_item(
+    kind: JoinKind,
+    left_key: usize,
+    left_data: usize,
+    left: Vec<Vec<HwWord>>,
+    right: Vec<Vec<HwWord>>,
+) -> Vec<Flit> {
+    let mut sys = System::new();
+    let l = sys.add_queue("l");
+    let r = sys.add_queue("r");
+    let o = sys.add_queue("o");
+    sys.add_module(Box::new(StreamSource::from_field_items("l", l, &[left])));
+    sys.add_module(Box::new(StreamSource::from_field_items("r", r, &[right])));
+    let joiner = Joiner::new("j", kind, l, r, o, left_data, 1).with_left_key(left_key);
+    sys.add_module(Box::new(joiner));
+    let sink = sys.add_module(Box::new(StreamSink::new("s", o)));
+    sys.run(1000).unwrap();
+    let mut items = sys.module_as::<StreamSink>(sink).unwrap().items();
+    assert_eq!(items.len(), 1);
+    items.remove(0)
+}
+
+#[test]
+fn joiner_with_left_key_compares_a_field_in_place() {
+    let (del, ins) = (HwWord::Del, HwWord::Ins);
+    // Left rows [value, key], the key at field 1; right rows [key, data].
+    let left = || vec![vec![v(10), v(1)], vec![v(20), v(3)], vec![v(99), ins], vec![v(50), v(5)]];
+    let right =
+        || vec![vec![v(2), v(200)], vec![v(3), v(300)], vec![v(5), v(500)], vec![v(6), v(600)]];
+    let rows = |rows: &[[HwWord; 3]]| rows.iter().map(|r| Flit::data(r)).collect::<Vec<_>>();
+    assert_eq!(
+        join_item(JoinKind::Inner, 1, 1, left(), right()),
+        rows(&[[v(20), v(3), v(300)], [v(50), v(5), v(500)]])
+    );
+    // The `Ins` key never matches: a left join pads it, an inner join
+    // drops it.
+    assert_eq!(
+        join_item(JoinKind::Left, 1, 1, left(), right()),
+        rows(&[
+            [v(10), v(1), del],
+            [v(20), v(3), v(300)],
+            [v(99), ins, del],
+            [v(50), v(5), v(500)],
+        ])
+    );
+    // An unmatched right row is padded to the left shape with its key at
+    // the left key's field.
+    assert_eq!(
+        join_item(JoinKind::Outer, 1, 1, left(), right()),
+        rows(&[
+            [v(10), v(1), del],
+            [del, v(2), v(200)],
+            [v(20), v(3), v(300)],
+            [v(99), ins, del],
+            [v(50), v(5), v(500)],
+            [del, v(6), v(600)],
+        ])
+    );
+    // A key in the middle of a three-field left row.
+    assert_eq!(
+        join_item(
+            JoinKind::Outer,
+            1,
+            2,
+            vec![vec![v(7), v(3), v(8)]],
+            vec![vec![v(1), v(100)], vec![v(3), v(300)]]
+        ),
+        vec![
+            Flit::data(&[del, v(1), del, v(100)]),
+            Flit::data(&[v(7), v(3), v(8), v(300)]),
+        ]
+    );
+    // Field 0 is the default key.
+    assert_eq!(
+        join_item(JoinKind::Outer, 0, 1, vec![vec![v(1), v(10)]], vec![vec![v(2), v(200)]]),
+        rows(&[[v(1), v(10), del], [v(2), del, v(200)]])
+    );
+}
+
+/// The flits a ReadToBases emits over `reads` (`(pos, cigar, seq)`, each
+/// base's quality its index + 30), narrowed to `rows` fields when given.
+fn bases_flits(reads: &[(u32, &str, &str)], rows: Option<usize>) -> Vec<Flit> {
+    let (mut pos, mut cigar, mut seq, mut qual) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for &(p, c, s) in reads {
+        let quals: Vec<u8> = (0..s.len() as u8).map(|i| 30 + i).collect();
+        let (p, c, s, q) = read_streams(p, c, s, &quals);
+        pos.extend(p);
+        cigar.extend(c);
+        seq.extend(s);
+        qual.extend(q);
+    }
+    let mut sys = System::new();
+    let qp = sys.add_queue("pos");
+    let qc = sys.add_queue("cigar");
+    let qs = sys.add_queue("seq");
+    let qq = sys.add_queue("qual");
+    let o = sys.add_queue("o");
+    sys.add_module(Box::new(StreamSource::from_flits("pos", qp, pos)));
+    sys.add_module(Box::new(StreamSource::from_flits("cigar", qc, cigar)));
+    sys.add_module(Box::new(StreamSource::from_flits("seq", qs, seq)));
+    sys.add_module(Box::new(StreamSource::from_flits("qual", qq, qual)));
+    let inputs = ReadToBasesInputs { pos: qp, cigar: qc, seq: qs, qual: Some(qq) };
+    let rtb = ReadToBases::new("rtb", inputs, o);
+    sys.add_module(Box::new(match rows {
+        Some(width) => rtb.with_rows(width),
+        None => rtb,
+    }));
+    let sink = sys.add_module(Box::new(StreamSink::new("s", o)));
+    sys.run(10_000).unwrap();
+    sys.module_as::<StreamSink>(sink).unwrap().flits().to_vec()
+}
+
+#[test]
+fn read_to_bases_with_rows_narrows_and_drops_delimiters() {
+    let reads = [(10, "2S2M1I1D1M", "ACGTAC"), (20, "1M1S", "GT")];
+    let (del, ins) = (HwWord::Del, HwWord::Ins);
+    let code = |ch: char| v(u64::from(Base::seq_from_str(&ch.to_string()).unwrap()[0].code()));
+    let (g, t, a, c) = (code('G'), code('T'), code('A'), code('C'));
+    let end = Flit::end_item();
+    // Soft-clipped bases emit nothing; the `D` row is padded to the width.
+    let narrow = vec![
+        Flit::data(&[v(10), g]),
+        Flit::data(&[v(11), t]),
+        Flit::data(&[ins, a]),
+        Flit::data(&[v(12), del]),
+        Flit::data(&[v(13), c]),
+        Flit::data(&[v(20), g]),
+    ];
+    assert_eq!(bases_flits(&reads, Some(2)), narrow);
+    let wide = vec![
+        Flit::data(&[v(10), g, v(32)]),
+        Flit::data(&[v(11), t, v(33)]),
+        Flit::data(&[ins, a, v(34)]),
+        Flit::data(&[v(12), del, del]),
+        Flit::data(&[v(13), c, v(35)]),
+        Flit::data(&[v(20), g, v(30)]),
+    ];
+    assert_eq!(bases_flits(&reads, Some(3)), wide);
+    // The default is the full four-field layout with a delimiter after
+    // each read's bases.
+    let full = bases_flits(&reads, None);
+    assert_eq!(full.len(), 8);
+    assert_eq!(full[3], Flit::data(&[v(12), del, del, del]));
+    assert_eq!((full[5], full[7]), (end, end));
 }

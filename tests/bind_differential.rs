@@ -391,9 +391,9 @@ const PIN_FILTERED_SHARDED: &str = "\
     faults: FaultReport { dma_errors: 0, dma_timeouts: 0, device_faults: 0, \
     mem_spikes: 0, retries: 0, backoff_ns: 0, fallback_batches: 0, fallback_jobs: 0 } }";
 const PIN_EXPLODED: &str = "\
-    AccelStats { cycles: 73, dma_in_bytes: 135, dma_out_bytes: 336, dma_transfers: 12, \
-    device_mem_bytes: 1920, invocations: 2, backpressure_stalls: 0, total_flits: 174, \
-    module_ticks: 396, active_cycles: 600, input_starved_cycles: 810, backpressured_cycles: 0, \
+    AccelStats { cycles: 69, dma_in_bytes: 135, dma_out_bytes: 336, dma_transfers: 12, \
+    device_mem_bytes: 1920, invocations: 2, backpressure_stalls: 0, total_flits: 141, \
+    module_ticks: 318, active_cycles: 495, input_starved_cycles: 612, backpressured_cycles: 0, \
     memory_wait_cycles: 342, spill_wait_cycles: 0, tier_pages_filled: 0, \
     tier_pages_spilled: 0, tier_prefetch_hits: 0, tier_pcie_bytes: 0, rows_scanned: 12, \
     rows_emitted: 12, reconfig_cycles: 0, faults: FaultReport { dma_errors: 0, \
