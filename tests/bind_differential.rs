@@ -16,42 +16,23 @@
 //! than a flit, with columns no Memory Reader can stream, and the spine's
 //! partition key cutting the shards when the scan does not stream it.
 
+mod common;
+
+use common::{
+    agg, aggregate, bin, catalog_of, check, col, filter, pos_explode, read_explode, scan, table_of,
+    u32_table, Axes, Road, CMP_OPS,
+};
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::core::perf::AccelStats;
 use genesis::core::serve::{GenesisServer, Request, ServerConfig};
-use genesis::sql::ast::{AggFn, BinOp, ColRef, Expr, SelectItem};
-use genesis::sql::exec::{execute_plan, Env};
+use genesis::sql::ast::{AggFn, BinOp, Expr};
 use genesis::sql::{Catalog, LogicalPlan};
-use genesis::types::{Column, Field, Schema, Table, Value};
+use genesis::types::{Column, Value};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 const REPLICATION: [usize; 3] = [1, 3, 8];
-const CMP_OPS: [BinOp; 6] = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
-
-fn table_of(cols: Vec<(&str, Column)>) -> Table {
-    let schema = Schema::new(cols.iter().map(|(n, c)| Field::new(n, c.dtype())).collect());
-    Table::from_columns(schema, cols.into_iter().map(|(_, c)| c).collect()).unwrap()
-}
-
-fn catalog_of(name: &str, cols: Vec<(&str, Column)>) -> Catalog {
-    let mut cat = Catalog::new();
-    cat.register(name, table_of(cols));
-    cat
-}
-
-fn scan(t: &str) -> LogicalPlan {
-    LogicalPlan::Scan { table: t.to_owned(), partition: None }
-}
-
-fn col(name: &str) -> Expr {
-    Expr::Col(ColRef::bare(name))
-}
-
-fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-    Expr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
-}
 
 /// A numeric value from a seed: the type's limits and a small domain the
 /// random literals also draw from, so every comparison outcome occurs.
@@ -113,73 +94,26 @@ fn conjunct(shape: usize, op: usize, literal: u64) -> Expr {
     }
 }
 
-fn assert_tables(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCaseError> {
-    let names = |t: &Table| -> Vec<String> {
-        t.schema().fields().iter().map(|f| f.name.clone()).collect()
-    };
-    if names(hw) != names(sw) {
-        return Err(TestCaseError::fail(format!(
-            "{what}: schema differs: hw {:?} sw {:?}",
-            names(hw),
-            names(sw)
-        )));
-    }
-    if hw.num_rows() != sw.num_rows() {
-        return Err(TestCaseError::fail(format!(
-            "{what}: row count differs: hw {} sw {}",
-            hw.num_rows(),
-            sw.num_rows()
-        )));
-    }
-    for r in 0..hw.num_rows() {
-        if hw.row(r) != sw.row(r) {
-            return Err(TestCaseError::fail(format!(
-                "{what}: row {r} differs: hw {:?} sw {:?}",
-                hw.row(r),
-                sw.row(r)
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Serves `plan` on a one-device pool and returns the table and stats.
-fn serve(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    device: DeviceConfig,
-    shards: usize,
-    replication: usize,
-) -> Result<(Table, AccelStats), TestCaseError> {
-    let server =
-        GenesisServer::new(ServerConfig::default().with_devices(1, device).with_shards(shards));
-    server
-        .submit(Request::new("t", plan.clone()).with_replication(replication), catalog)
-        .and_then(|ticket| ticket.wait())
-        .map_err(|e| TestCaseError::fail(format!("served run failed: {e}")))
-}
-
-/// The served table equals the software engine's, and the spine's
-/// `spine_rows` scanned rows tile across the shards.
+/// The table served on `shards` shards at `replication` equals the
+/// software engine's, and the spine's `spine_rows` scanned rows tile
+/// across the shards.
 fn differential(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    device: DeviceConfig,
+    pushdown: &[bool],
     spine_rows: usize,
-    (shards, replication): (usize, usize),
-) -> Result<AccelStats, TestCaseError> {
-    let what = format!("{shards} shard(s) at {replication}x, pushdown {}", device.pushdown);
-    let sw = execute_plan(plan, catalog, &Env::default())
-        .map_err(|e| TestCaseError::fail(format!("software run failed: {e}")))?;
-    let (hw, stats) = serve(plan, catalog, device, shards, replication)?;
-    assert_tables(&hw, &sw, &what)?;
-    if stats.rows_scanned != spine_rows as u64 {
-        return Err(TestCaseError::fail(format!(
+    (shards, replication): (&[usize], usize),
+) -> Result<Vec<(String, AccelStats)>, TestCaseError> {
+    let roads = shards.iter().map(|&s| Road::Served(s)).collect();
+    let runs = check(plan, catalog, &Axes { roads, ..Axes::at(replication).pushdown(pushdown) })?;
+    for (what, stats) in &runs {
+        prop_assert!(
+            stats.rows_scanned == spine_rows as u64,
             "{what}: {} rows scanned of a {spine_rows}-row spine",
             stats.rows_scanned
-        )));
+        );
     }
-    Ok(stats)
+    Ok(runs)
 }
 
 proptest! {
@@ -200,22 +134,26 @@ proptest! {
         rep_i in 0usize..3,
     ) {
         let mixed: Vec<u64> = seeds.iter().map(|s| s.rotate_left(17) ^ 0x9E37_79B9).collect();
-        let catalog = catalog_of("T", vec![
+        let catalog = catalog_of(vec![("T", table_of(vec![
             ("A", seeded_column(kind_a, &seeds)),
             ("B", seeded_column(kind_b, &mixed)),
             ("P", flag_column(flag_cells == 1, &seeds, 5)),
             ("Q", flag_column(flag_cells == 1, &seeds, 9)),
-        ]);
+        ]))]);
         let plan = conjuncts
             .iter()
             .map(|&(shape, op, literal)| conjunct(shape, op, literal))
             .reduce(|acc, e| bin(BinOp::And, acc, e))
-            .map_or(scan("T"), |pred| LogicalPlan::Filter { input: Box::new(scan("T")), pred });
-        let device = DeviceConfig::small().with_pushdown(pushdown == 1);
-        let stats =
-            differential(&plan, &catalog, device, seeds.len(), (shards, REPLICATION[rep_i]))?;
+            .map_or(scan("T"), |pred| filter(scan("T"), pred));
+        let runs = differential(
+            &plan,
+            &catalog,
+            &[pushdown == 1],
+            seeds.len(),
+            (&[shards], REPLICATION[rep_i]),
+        )?;
         if pushdown == 0 {
-            prop_assert_eq!(stats.rows_emitted, stats.rows_scanned);
+            prop_assert_eq!(runs[0].1.rows_emitted, runs[0].1.rows_scanned);
         }
     }
 
@@ -249,20 +187,10 @@ proptest! {
         // Small start positions: no row's run of positions nears a limit.
         let starts = lists.iter().enumerate().map(|(i, l)| (i * 7 + l.len()) as u64 % 200);
         let init_pos = if pos_kind == 5 { Expr::Number(3) } else { col("P") };
-        let catalog =
-            catalog_of("T", vec![("ITEMS", array), ("P", numeric_column(pos_kind, starts))]);
-        let plan = LogicalPlan::PosExplode {
-            input: Box::new(scan("T")),
-            array: ColRef::bare("ITEMS"),
-            init_pos,
-        };
-        differential(
-            &plan,
-            &catalog,
-            DeviceConfig::small(),
-            lists.len(),
-            (shards, REPLICATION[rep_i]),
-        )?;
+        let table = table_of(vec![("ITEMS", array), ("P", numeric_column(pos_kind, starts))]);
+        let plan = pos_explode("T", "ITEMS", init_pos);
+        let catalog = catalog_of(vec![("T", table)]);
+        differential(&plan, &catalog, &[true], lists.len(), (&[shards], REPLICATION[rep_i]))?;
     }
 
     /// `ReadExplode` with the sequence held as a typed list or as
@@ -305,26 +233,14 @@ proptest! {
         } else {
             Column::ListU8(bases(0))
         };
-        let catalog = catalog_of("READS", vec![
+        let catalog = catalog_of(vec![("READS", table_of(vec![
             ("POS", Column::U32(pos)),
             ("CIGAR", Column::ListU16(cigars)),
             ("SEQ", seq),
             ("QUAL", Column::ListU8(bases(1))),
-        ]);
-        let plan = LogicalPlan::ReadExplode {
-            input: Box::new(scan("READS")),
-            pos: col("POS"),
-            cigar: ColRef::bare("CIGAR"),
-            seq: ColRef::bare("SEQ"),
-            qual: (with_qual == 1).then(|| ColRef::bare("QUAL")),
-        };
-        differential(
-            &plan,
-            &catalog,
-            DeviceConfig::small(),
-            reads.len(),
-            (shards, REPLICATION[rep_i]),
-        )?;
+        ]))]);
+        let plan = read_explode("READS", with_qual == 1);
+        differential(&plan, &catalog, &[true], reads.len(), (&[shards], REPLICATION[rep_i]))?;
     }
 }
 
@@ -339,19 +255,13 @@ proptest! {
 fn accel_stats_are_what_they_were() {
     let xs: Vec<u32> = (0..100u32).map(|i| i * 37 % 101).collect();
     let ks: Vec<u32> = (0..100).map(|i| i % 7).collect();
-    let catalog = catalog_of("T", vec![("X", Column::U32(xs)), ("K", Column::U32(ks))]);
-    let filtered = LogicalPlan::Filter {
-        input: Box::new(scan("T")),
-        pred: bin(BinOp::Lt, col("X"), Expr::Number(30)),
-    };
+    let catalog = catalog_of(vec![("T", u32_table(vec![("X", xs), ("K", ks)]))]);
+    let filtered = filter(scan("T"), bin(BinOp::Lt, col("X"), Expr::Number(30)));
     let lists = (0..12u8).map(|i| (0..i % 5).collect()).collect();
-    let exploded_catalog = catalog_of("R", vec![("ITEMS", Column::ListU8(lists))]);
-    let exploded = LogicalPlan::PosExplode {
-        input: Box::new(scan("R")),
-        array: ColRef::bare("ITEMS"),
-        init_pos: Expr::Number(10),
-    };
-    let summed = scalar(scan("T"), vec![sum("X")]);
+    let exploded_catalog =
+        catalog_of(vec![("R", table_of(vec![("ITEMS", Column::ListU8(lists))]))]);
+    let exploded = pos_explode("R", "ITEMS", Expr::Number(10));
+    let summed = aggregate(scan("T"), vec![agg(AggFn::Sum, Some("X"))]);
     let cases: [(&str, &LogicalPlan, &Catalog, usize, usize, &str); 4] = [
         ("filtered scan, unsharded", &filtered, &catalog, 1, 2, PIN_FILTERED),
         ("filtered scan, 3 shards", &filtered, &catalog, 3, 2, PIN_FILTERED_SHARDED),
@@ -359,7 +269,8 @@ fn accel_stats_are_what_they_were() {
         ("pruned scan, unsharded", &summed, &catalog, 1, 2, PIN_PRUNED),
     ];
     for (what, plan, cat, shards, replication, pin) in cases {
-        let (_, mut stats) = serve(plan, cat, DeviceConfig::small(), shards, replication).unwrap();
+        let axes = Axes { roads: vec![Road::Served(shards)], ..Axes::at(replication) };
+        let (_, mut stats) = check(plan, cat, &axes).unwrap().remove(0);
         // The first run of a plan misses the pipeline cache; the penalty
         // is the server's, not the bind path's.
         stats.cycles -= stats.reconfig_cycles;
@@ -367,8 +278,7 @@ fn accel_stats_are_what_they_were() {
         assert_eq!(format!("{stats:?}"), pin, "{what}");
     }
     // The synchronous road binds through the same pass.
-    let compiled = Compiler::new(DeviceConfig::small()).compile(&filtered, &catalog).unwrap();
-    let (_, stats) = compiled.execute_replicated(&catalog, 2).unwrap();
+    let (_, stats) = check(&filtered, &catalog, &Axes::at(2)).unwrap().remove(0);
     assert_eq!(format!("{stats:?}"), PIN_FILTERED, "filtered scan, PipelinePlan::execute");
 }
 
@@ -409,14 +319,6 @@ const PIN_PRUNED: &str = "\
     faults: FaultReport { dma_errors: 0, dma_timeouts: 0, device_faults: 0, \
     mem_spikes: 0, retries: 0, backoff_ns: 0, fallback_batches: 0, fallback_jobs: 0 } }";
 
-fn sum(arg: &str) -> SelectItem {
-    SelectItem::Agg { func: AggFn::Sum, arg: Some(col(arg)), alias: None }
-}
-
-fn scalar(input: LogicalPlan, items: Vec<SelectItem>) -> LogicalPlan {
-    LogicalPlan::Aggregate { input: Box::new(input), items, group_by: vec![] }
-}
-
 /// A ten-column table, two of them lists and one a string, scanned for
 /// two numeric columns: wider than a flit and holding columns no Memory
 /// Reader streams, it lowers because only the two are bound, and matches
@@ -430,13 +332,11 @@ fn wide_table_scanned_for_two_columns() {
     cols.push(("NAME".into(), Column::Str((0..rows).map(|r| format!("r{r}")).collect())));
     cols.push(("SEQ".into(), Column::ListU8((0..rows).map(|r| vec![r as u8; 3]).collect())));
     cols.push(("FLAGS".into(), Column::ListBool((0..rows).map(|r| vec![r % 2 == 0]).collect())));
-    let catalog = catalog_of("T", cols.iter().map(|(n, c)| (n.as_str(), c.clone())).collect());
-    let plan = scalar(
-        LogicalPlan::Filter {
-            input: Box::new(scan("T")),
-            pred: bin(BinOp::Lt, col("C2"), Expr::Number(30)),
-        },
-        vec![sum("C5"), sum("C2")],
+    let table = table_of(cols.iter().map(|(n, c)| (n.as_str(), c.clone())).collect());
+    let catalog = catalog_of(vec![("T", table)]);
+    let plan = aggregate(
+        filter(scan("T"), bin(BinOp::Lt, col("C2"), Expr::Number(30))),
+        vec![agg(AggFn::Sum, Some("C5")), agg(AggFn::Sum, Some("C2"))],
     );
     let compiled = Compiler::new(DeviceConfig::small()).compile(&plan, &catalog).unwrap();
     assert!(
@@ -444,12 +344,7 @@ fn wide_table_scanned_for_two_columns() {
         "{}",
         compiled.explain()
     );
-    for pushdown in [true, false] {
-        for shards in 1..=3 {
-            let device = DeviceConfig::small().with_pushdown(pushdown);
-            differential(&plan, &catalog, device, rows as usize, (shards, 2)).unwrap();
-        }
-    }
+    differential(&plan, &catalog, &[true, false], rows as usize, (&[1, 2, 3], 2)).unwrap();
 }
 
 /// `SUM(X)` streams `X` alone, yet its four shards are still cut on the
@@ -464,11 +359,10 @@ fn partition_key_cuts_shards_without_streaming() {
         .collect();
     let pos: Vec<u32> = (0..100).map(|i| i * 10).collect();
     let xs: Vec<u32> = (0..100).collect();
-    let catalog = catalog_of(
-        "R",
-        vec![("CHR", Column::U8(chr)), ("POS", Column::U32(pos)), ("X", Column::U32(xs))],
-    );
-    let plan = scalar(scan("R"), vec![sum("X")]);
+    let table =
+        table_of(vec![("CHR", Column::U8(chr)), ("POS", Column::U32(pos)), ("X", Column::U32(xs))]);
+    let catalog = catalog_of(vec![("R", table)]);
+    let plan = aggregate(scan("R"), vec![agg(AggFn::Sum, Some("X"))]);
     let compiled = Compiler::new(DeviceConfig::small()).compile(&plan, &catalog).unwrap();
     assert!(compiled.explain().contains("(1 of 3 columns)"), "{}", compiled.explain());
     let server = GenesisServer::new(

@@ -13,131 +13,47 @@
 //! rejection is a structured `CoreError::Unsupported` naming the
 //! offending plan node.
 
+mod common;
+
+use common::{agg, aggregate, bin, catalog_of, check, col, filter, grouped, item, join};
+use common::{masked_join, project, scalar_aggs, scan, table_of, u32_table, Axes};
+use common::{CMP_OPS, ENGINES};
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::core::CoreError;
-use genesis::hw::EngineMode;
 use genesis::sql::ast::{AggFn, BinOp, ColRef, Expr, JoinKind, SelectItem};
-use genesis::sql::exec::{execute_plan, Env};
 use genesis::sql::{Catalog, LogicalPlan};
-use genesis::types::{Column, DataType, Field, Schema, Table};
+use genesis::types::{Column, Table};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-
-/// Both simulation engines.
-const MATRIX: [EngineMode; 2] = [EngineMode::Fast, EngineMode::Reference];
-
-fn table_u32(cols: &[(&str, Vec<u32>)]) -> Table {
-    let schema = Schema::new(cols.iter().map(|(n, _)| Field::new(n, DataType::U32)).collect());
-    let columns = cols.iter().map(|(_, v)| Column::U32(v.clone())).collect();
-    Table::from_columns(schema, columns).unwrap()
-}
 
 /// `cols` between two columns no plan reads: a leading `U8` and, with
 /// `list`, a trailing list column no Memory Reader can stream.
 fn padded(cols: &[(&str, Vec<u32>)], list: bool) -> Table {
     let rows = cols.first().map_or(0, |(_, v)| v.len());
-    let mut fields = vec![Field::new("PAD", DataType::U8)];
-    let mut columns = vec![Column::U8((0..rows).map(|r| (r % 7) as u8).collect())];
-    for (name, vals) in cols {
-        fields.push(Field::new(name, DataType::U32));
-        columns.push(Column::U32(vals.clone()));
-    }
+    let mut all = vec![("PAD", Column::U8((0..rows).map(|r| (r % 7) as u8).collect()))];
+    all.extend(cols.iter().map(|(name, vals)| (*name, Column::U32(vals.clone()))));
     if list {
-        fields.push(Field::new("TAGS", DataType::ListU8));
-        columns.push(Column::ListU8((0..rows).map(|r| vec![r as u8; r % 3]).collect()));
+        all.push(("TAGS", Column::ListU8((0..rows).map(|r| vec![r as u8; r % 3]).collect())));
     }
-    Table::from_columns(Schema::new(fields), columns).unwrap()
+    table_of(all)
 }
 
-fn table_u64(cols: &[(&str, Vec<u64>)]) -> Table {
-    let schema = Schema::new(cols.iter().map(|(n, _)| Field::new(n, DataType::U64)).collect());
-    let columns = cols.iter().map(|(_, v)| Column::U64(v.clone())).collect();
-    Table::from_columns(schema, columns).unwrap()
-}
-
-fn scan(t: &str) -> LogicalPlan {
-    LogicalPlan::Scan { table: t.to_owned(), partition: None }
-}
-
-fn col(name: &str) -> Expr {
-    Expr::Col(ColRef::bare(name))
-}
-
-fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-    Expr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
-}
-
-const CMP_OPS: [BinOp; 6] = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
-
-/// Compiles `plan` with pushdown on and off, runs it on the simulated
-/// hardware at `factor` replicated pipelines, runs it on the software
-/// engine, and fails the test case unless the tables agree bit for bit.
+/// The compiled plan at `factor`, pushdown on and off, equals the
+/// software engine.
 fn differential(plan: &LogicalPlan, catalog: &Catalog, factor: usize) -> Result<(), TestCaseError> {
-    let sw = execute_plan(plan, catalog, &Env::default())
-        .map_err(|e| TestCaseError::fail(format!("software run failed: {e}")))?;
-    for pushdown in [true, false] {
-        let what = format!("pushdown {pushdown}");
-        let (hw, _) = Compiler::new(DeviceConfig::small().with_pushdown(pushdown))
-            .compile(plan, catalog)
-            .map_err(|e| TestCaseError::fail(format!("{what}: compile failed: {e}")))?
-            .execute_replicated(catalog, factor)
-            .map_err(|e| TestCaseError::fail(format!("{what}: hardware run failed: {e}")))?;
-        assert_tables(&hw, &sw, &what)?;
-    }
-    Ok(())
+    check(plan, catalog, &Axes::at(factor).pushdown(&[true, false])).map(drop)
 }
 
-/// [`differential`] swept over the full engine matrix, with the plan
-/// additionally compiled under pushdown-off so the absorbed-at-the-scan
-/// and Filter-module paths are pinned against each other bit for bit.
+/// [`differential`] swept over both engines, so the absorbed-at-the-scan
+/// and Filter-module paths are pinned against each other bit for bit on
+/// each.
 fn differential_engines(
     plan: &LogicalPlan,
     catalog: &Catalog,
     factor: usize,
 ) -> Result<(), TestCaseError> {
-    let sw = execute_plan(plan, catalog, &Env::default())
-        .map_err(|e| TestCaseError::fail(format!("software run failed: {e}")))?;
-    for engine in MATRIX {
-        for (label, pushdown) in [("pushdown", true), ("no-pushdown", false)] {
-            let what = format!("{engine:?}/{label} @{factor}x");
-            let cfg = DeviceConfig::small().with_engine(engine).with_pushdown(pushdown);
-            let (hw, _) = Compiler::new(cfg)
-                .compile(plan, catalog)
-                .map_err(|e| TestCaseError::fail(format!("{what}: compile failed: {e}")))?
-                .execute_replicated(catalog, factor)
-                .map_err(|e| TestCaseError::fail(format!("{what}: hardware run failed: {e}")))?;
-            assert_tables(&hw, &sw, &what)?;
-        }
-    }
-    Ok(())
-}
-
-fn assert_tables(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCaseError> {
-    let hw_names: Vec<&str> = hw.schema().fields().iter().map(|f| f.name.as_str()).collect();
-    let sw_names: Vec<&str> = sw.schema().fields().iter().map(|f| f.name.as_str()).collect();
-    if hw_names != sw_names {
-        return Err(TestCaseError::fail(format!(
-            "{what}: schema differs: hw {hw_names:?} sw {sw_names:?}"
-        )));
-    }
-    if hw.num_rows() != sw.num_rows() {
-        return Err(TestCaseError::fail(format!(
-            "{what}: row count differs: hw {} sw {}",
-            hw.num_rows(),
-            sw.num_rows()
-        )));
-    }
-    for r in 0..hw.num_rows() {
-        if hw.row(r) != sw.row(r) {
-            return Err(TestCaseError::fail(format!(
-                "{what}: row {r} differs: hw {:?} sw {:?}",
-                hw.row(r),
-                sw.row(r)
-            )));
-        }
-    }
-    Ok(())
+    check(plan, catalog, &Axes::at(factor).pushdown(&[true, false]).engines(&ENGINES)).map(drop)
 }
 
 proptest! {
@@ -158,22 +74,12 @@ proptest! {
         factor in 1usize..4,
     ) {
         let ys: Vec<u32> = xs.iter().map(|v| v.wrapping_mul(3) % 37).collect();
-        let catalog = {
-            let mut c = Catalog::new();
-            // Every column reaches the output: no list column.
-            c.register("T", padded(&[("X", xs), ("Y", ys)], false));
-            c
-        };
+        // Every column reaches the output: no list column.
+        let catalog = catalog_of(vec![("T", padded(&[("X", xs), ("Y", ys)], false))]);
         let rhs_expr = if col_vs_col == 1 { col("Y") } else { Expr::Number(rhs) };
-        let mut plan = LogicalPlan::Filter {
-            input: Box::new(scan("T")),
-            pred: bin(CMP_OPS[op_i], col("X"), rhs_expr),
-        };
+        let mut plan = filter(scan("T"), bin(CMP_OPS[op_i], col("X"), rhs_expr));
         if second_filter == 1 {
-            plan = LogicalPlan::Filter {
-                input: Box::new(plan),
-                pred: bin(BinOp::Le, col("Y"), Expr::Number(30)),
-            };
+            plan = filter(plan, bin(BinOp::Le, col("Y"), Expr::Number(30)));
         }
         if with_limit == 1 {
             plan = LogicalPlan::Limit {
@@ -196,26 +102,16 @@ proptest! {
         factor in 1usize..4,
     ) {
         let ys: Vec<u32> = xs.iter().map(|v| (v * 7 + 13) % 997).collect();
-        let catalog = {
-            let mut c = Catalog::new();
-            c.register("T", padded(&[("X", xs), ("Y", ys)], true));
-            c
-        };
+        let catalog = catalog_of(vec![("T", padded(&[("X", xs), ("Y", ys)], true))]);
         let alias = if aliased == 1 { Some("FLAG".to_owned()) } else { None };
-        let plan = LogicalPlan::Project {
-            input: Box::new(scan("T")),
-            items: vec![
-                SelectItem::Expr { expr: col("X"), alias: None },
-                SelectItem::Expr {
-                    expr: bin(BinOp::Add, col("X"), col("Y")),
-                    alias: Some("TOTAL".to_owned()),
-                },
-                SelectItem::Expr {
-                    expr: bin(CMP_OPS[op_i], col("Y"), Expr::Number(threshold)),
-                    alias,
-                },
-            ],
-        };
+        let plan = project(scan("T"), vec![
+            item("X"),
+            SelectItem::Expr {
+                expr: bin(BinOp::Add, col("X"), col("Y")),
+                alias: Some("TOTAL".to_owned()),
+            },
+            SelectItem::Expr { expr: bin(CMP_OPS[op_i], col("Y"), Expr::Number(threshold)), alias },
+        ]);
         differential(&plan, &catalog, factor)?;
     }
 
@@ -228,29 +124,13 @@ proptest! {
         cutoff in 0u64..500,
         factor in 1usize..5,
     ) {
-        let catalog = {
-            let mut c = Catalog::new();
-            c.register("T", padded(&[("V", vs)], true));
-            c
-        };
+        let catalog = catalog_of(vec![("T", padded(&[("V", vs)], true))]);
         let input = if filtered == 1 {
-            LogicalPlan::Filter {
-                input: Box::new(scan("T")),
-                pred: bin(BinOp::Lt, col("V"), Expr::Number(cutoff)),
-            }
+            filter(scan("T"), bin(BinOp::Lt, col("V"), Expr::Number(cutoff)))
         } else {
             scan("T")
         };
-        let plan = LogicalPlan::Aggregate {
-            input: Box::new(input),
-            items: vec![
-                SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
-                SelectItem::Agg { func: AggFn::Sum, arg: Some(col("V")), alias: None },
-                SelectItem::Agg { func: AggFn::Min, arg: Some(col("V")), alias: None },
-                SelectItem::Agg { func: AggFn::Max, arg: Some(col("V")), alias: None },
-            ],
-            group_by: vec![],
-        };
+        let plan = aggregate(input, scalar_aggs("V"));
         differential(&plan, &catalog, factor)?;
     }
 
@@ -263,24 +143,8 @@ proptest! {
         factor in 1usize..4,
     ) {
         let ws: Vec<u32> = ks.iter().enumerate().map(|(i, k)| k * weight_mul + i as u32 % 5).collect();
-        let catalog = {
-            let mut c = Catalog::new();
-            c.register("T", padded(&[("K", ks), ("W", ws)], true));
-            c
-        };
-        let plan = LogicalPlan::Sort {
-            input: Box::new(LogicalPlan::Aggregate {
-                input: Box::new(scan("T")),
-                items: vec![
-                    SelectItem::Expr { expr: col("K"), alias: None },
-                    SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
-                    SelectItem::Agg { func: AggFn::Sum, arg: Some(col("W")), alias: None },
-                ],
-                group_by: vec![ColRef::bare("K")],
-            }),
-            keys: vec![(ColRef::bare("K"), false)],
-        };
-        differential(&plan, &catalog, factor)?;
+        let catalog = catalog_of(vec![("T", padded(&[("K", ks), ("W", ws)], true))]);
+        differential(&grouped(scan("T"), "K", &["W"]), &catalog, factor)?;
     }
 
     /// INNER and LEFT joins on strictly ascending keys (random membership
@@ -295,27 +159,10 @@ proptest! {
         rmul in 1u32..7,
         factor in 1usize..3,
     ) {
-        let lk: Vec<u32> = left_mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(i, _)| i as u32).collect();
-        let rk: Vec<u32> = right_mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(i, _)| i as u32).collect();
-        // The spine scan must be non-empty; keep at least one left row.
-        let lk = if lk.is_empty() { vec![0] } else { lk };
-        let lv: Vec<u32> = lk.iter().map(|k| k * lmul + 1).collect();
-        let rv: Vec<u32> = rk.iter().map(|k| k * rmul + 2).collect();
-        let catalog = {
-            let mut c = Catalog::new();
-            // Every column reaches the output: no list column.
-            c.register("L", padded(&[("K", lk), ("A", lv)], false));
-            c.register("R", padded(&[("K", rk), ("B", rv)], false));
-            c
-        };
-        let kind = if left_join == 1 { JoinKind::Left } else { JoinKind::Inner };
-        let plan = LogicalPlan::Join {
-            kind,
-            left: Box::new(scan("L")),
-            right: Box::new(scan("R")),
-            left_key: ColRef::qualified("L", "K"),
-            right_key: ColRef::qualified("R", "K"),
-        };
+        let (plan, [left, right]) =
+            masked_join(&left_mask, &right_mask, left_join == 1, lmul, rmul);
+        // Every column reaches the output: no list column.
+        let catalog = catalog_of(vec![("L", padded(&left, false)), ("R", padded(&right, false))]);
         differential(&plan, &catalog, factor)?;
     }
 }
@@ -346,29 +193,11 @@ proptest! {
         let base = WRAP_BASES[base_i];
         let a: Vec<u64> = pairs.iter().map(|&(x, _)| base + x).collect();
         let b: Vec<u64> = pairs.iter().map(|&(_, y)| y).collect();
-        let catalog = {
-            let mut c = Catalog::new();
-            c.register("T", table_u64(&[("A", a), ("B", b)]));
-            c
-        };
+        let table = table_of(vec![("A", Column::U64(a)), ("B", Column::U64(b))]);
+        let catalog = catalog_of(vec![("T", table)]);
         let op = if is_sub == 1 { BinOp::Sub } else { BinOp::Add };
-        let plan = LogicalPlan::Sort {
-            input: Box::new(LogicalPlan::Aggregate {
-                input: Box::new(LogicalPlan::Project {
-                    input: Box::new(scan("T")),
-                    items: vec![SelectItem::Expr {
-                        expr: bin(op, col("A"), col("B")),
-                        alias: Some("D".to_owned()),
-                    }],
-                }),
-                items: vec![
-                    SelectItem::Expr { expr: col("D"), alias: None },
-                    SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
-                ],
-                group_by: vec![ColRef::bare("D")],
-            }),
-            keys: vec![(ColRef::bare("D"), false)],
-        };
+        let d = SelectItem::Expr { expr: bin(op, col("A"), col("B")), alias: Some("D".to_owned()) };
+        let plan = grouped(project(scan("T"), vec![d]), "D", &[]);
         match Compiler::new(DeviceConfig::small()).compile(&plan, &catalog) {
             // Wrap-possible or over-budget keys must be rejected with a
             // structured diagnostic, never compiled into a mis-sized
@@ -393,15 +222,9 @@ proptest! {
         lit_i in 0usize..4,
         factor in 1usize..3,
     ) {
-        let catalog = {
-            let mut c = Catalog::new();
-            c.register("T", table_u32(&[("X", xs)]));
-            c
-        };
-        let plan = LogicalPlan::Filter {
-            input: Box::new(scan("T")),
-            pred: bin(CMP_OPS[op_i], col("X"), Expr::Number(BOUNDARY_LITS[lit_i])),
-        };
+        let catalog = catalog_of(vec![("T", u32_table(vec![("X", xs)]))]);
+        let literal = Expr::Number(BOUNDARY_LITS[lit_i]);
+        let plan = filter(scan("T"), bin(CMP_OPS[op_i], col("X"), literal));
         differential_engines(&plan, &catalog, factor)?;
     }
 }
@@ -426,22 +249,17 @@ mod unsupported_diagnostics {
     }
 
     fn one_col_catalog() -> Catalog {
-        let mut c = Catalog::new();
-        c.register("T", table_u32(&[("X", vec![1, 2, 3])]));
-        c
+        catalog_of(vec![("T", u32_table(vec![("X", vec![1, 2, 3])]))])
     }
 
     #[test]
     fn grouped_aggregate_without_order_by() {
-        let mut catalog = Catalog::new();
-        catalog.register("T", table_u32(&[("X", vec![1, 2, 3]), ("W", vec![4, 5, 6])]));
-        for agg in [
-            SelectItem::Agg { func: AggFn::Sum, arg: Some(col("W")), alias: None },
-            SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
-        ] {
+        let catalog =
+            catalog_of(vec![("T", u32_table(vec![("X", vec![1, 2, 3]), ("W", vec![4, 5, 6])]))]);
+        for agg in [agg(AggFn::Sum, Some("W")), agg(AggFn::Count, None)] {
             let plan = LogicalPlan::Aggregate {
                 input: Box::new(scan("T")),
-                items: vec![SelectItem::Expr { expr: col("X"), alias: None }, agg],
+                items: vec![item("X"), agg],
                 group_by: vec![ColRef::bare("X")],
             };
             let err = compile_err(&plan, &catalog);
@@ -452,29 +270,20 @@ mod unsupported_diagnostics {
 
     #[test]
     fn outer_join() {
-        let mut catalog = Catalog::new();
-        catalog.register("L", table_u32(&[("K", vec![1, 2])]));
-        catalog.register("R", table_u32(&[("K", vec![2, 3])]));
-        let plan = LogicalPlan::Join {
-            kind: JoinKind::Outer,
-            left: Box::new(scan("L")),
-            right: Box::new(scan("R")),
-            left_key: ColRef::qualified("L", "K"),
-            right_key: ColRef::qualified("R", "K"),
-        };
+        let catalog = catalog_of(vec![
+            ("L", u32_table(vec![("K", vec![1, 2])])),
+            ("R", u32_table(vec![("K", vec![2, 3])])),
+        ]);
+        let plan = join(JoinKind::Outer, scan("L"), scan("R"), ("L.K", "R.K"));
         assert_names_node(&compile_err(&plan, &catalog), "Join(Outer)");
     }
 
     #[test]
     fn sort_below_the_root() {
         let catalog = one_col_catalog();
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Sort {
-                input: Box::new(scan("T")),
-                keys: vec![(ColRef::bare("X"), false)],
-            }),
-            pred: bin(BinOp::Gt, col("X"), Expr::Number(1)),
-        };
+        let sorted =
+            LogicalPlan::Sort { input: Box::new(scan("T")), keys: vec![(ColRef::bare("X"), false)] };
+        let plan = filter(sorted, bin(BinOp::Gt, col("X"), Expr::Number(1)));
         assert_names_node(&compile_err(&plan, &catalog), "Sort");
     }
 
@@ -503,15 +312,8 @@ mod unsupported_diagnostics {
     #[test]
     fn aggregate_below_the_root() {
         let catalog = one_col_catalog();
-        let inner = LogicalPlan::Aggregate {
-            input: Box::new(scan("T")),
-            items: vec![SelectItem::Agg { func: AggFn::Sum, arg: Some(col("X")), alias: None }],
-            group_by: vec![],
-        };
-        let plan = LogicalPlan::Filter {
-            input: Box::new(inner),
-            pred: bin(BinOp::Gt, col("SUM"), Expr::Number(0)),
-        };
+        let inner = aggregate(scan("T"), vec![agg(AggFn::Sum, Some("X"))]);
+        let plan = filter(inner, bin(BinOp::Gt, col("SUM"), Expr::Number(0)));
         assert_names_node(&compile_err(&plan, &catalog), "Aggregate");
     }
 }

@@ -5,17 +5,16 @@
 //! under both simulation engines, and checked bit-for-bit
 //! against the `genesis::sql` software engine.
 
+mod common;
+
+use common::{catalog_of, check, read_spec, reads_table, ref_table, u32_table, Axes};
+use common::{spine_keys, Query, ReadSpec, ENGINES};
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::core::CoreError;
-use genesis::hw::EngineMode;
-use genesis::sql::{Catalog, Script};
-use genesis::types::{Column, DataType, Field, Schema, Table};
+use genesis::sql::Catalog;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-
-/// Both simulation engines.
-const MATRIX: [EngineMode; 2] = [EngineMode::Fast, EngineMode::Reference];
 
 const COVERAGE_SQL: &str = include_str!("../scripts/coverage.sql");
 
@@ -23,176 +22,30 @@ const POS_EXPLODE_JOIN_SQL: &str = include_str!("../scripts/pos_explode_join.sql
 
 const MATE_DISTANCE_SQL: &str = include_str!("../scripts/mate_distance.sql");
 
-/// One randomized read: a structurally valid CIGAR (optional soft clips
-/// at the ends, M-anchored middle so I/D/N never lead or trail) plus the
-/// query sequence it consumes.
-#[derive(Debug, Clone)]
-struct ReadSpec {
-    pos_delta: u32,
-    lead_clip: u32,
-    tail_clip: u32,
-    /// (op index into `M I D N`, length); wrapped in `1M ... 1M`.
-    mid: Vec<(usize, u32)>,
-}
-
-fn read_spec() -> impl Strategy<Value = ReadSpec> {
-    (
-        0u32..6,
-        0u32..3,
-        0u32..3,
-        proptest::collection::vec(((0usize..4), (1u32..4)), 0..5),
-    )
-        .prop_map(|(pos_delta, lead_clip, tail_clip, mid)| ReadSpec {
-            pos_delta,
-            lead_clip,
-            tail_clip,
-            mid,
-        })
-}
-
-impl ReadSpec {
-    fn cigar(&self) -> String {
-        const OPS: [char; 4] = ['M', 'I', 'D', 'N'];
-        let mut s = String::new();
-        if self.lead_clip > 0 {
-            s.push_str(&format!("{}S", self.lead_clip));
-        }
-        s.push_str("1M");
-        for &(op, len) in &self.mid {
-            s.push_str(&format!("{len}{}", OPS[op]));
-        }
-        s.push_str("1M");
-        if self.tail_clip > 0 {
-            s.push_str(&format!("{}S", self.tail_clip));
-        }
-        s
-    }
-
-    /// Query bases the CIGAR consumes (S, M, I).
-    fn query_len(&self) -> u32 {
-        self.lead_clip
-            + self.tail_clip
-            + 2
-            + self.mid.iter().map(|&(op, len)| if op < 2 { len } else { 0 }).sum::<u32>()
-    }
-}
-
-/// Builds a `READS` table from the specs (positions ascending, as in a
-/// coordinate-sorted BAM).
+/// A `READS` table from the specs, the first read at 1: structurally
+/// valid CIGARs (optional soft clips at the ends, an M-anchored middle of
+/// `M I D N` runs so I/D/N never lead or trail), positions ascending as in
+/// a coordinate-sorted BAM.
 fn reads_catalog(specs: &[ReadSpec]) -> Catalog {
-    let mut pos = Vec::new();
-    let mut cigars = Vec::new();
-    let mut seqs = Vec::new();
-    let mut p = 1u32;
-    for (i, spec) in specs.iter().enumerate() {
-        p += spec.pos_delta;
-        pos.push(p);
-        cigars.push(spec.cigar().parse::<genesis::types::Cigar>().unwrap().pack().unwrap());
-        seqs.push((0..spec.query_len()).map(|j| ((i as u32 + j) % 4) as u8).collect());
-    }
-    let table = Table::from_columns(
-        Schema::new(vec![
-            Field::new("POS", DataType::U32),
-            Field::new("CIGAR", DataType::ListU16),
-            Field::new("SEQ", DataType::ListU8),
-        ]),
-        vec![Column::U32(pos), Column::ListU16(cigars), Column::ListU8(seqs)],
-    )
-    .unwrap();
-    let mut cat = Catalog::new();
-    cat.register("READS", table);
-    cat
+    catalog_of(vec![("READS", reads_table(1, specs, false))])
 }
 
-/// `PAIRS` (strictly ascending unique positions from a subset mask) and a
-/// single-row `REF` long enough to cover every position.
-fn pairs_catalog(mask: &[usize], offsets: &[u32]) -> Catalog {
-    let mut pos: Vec<u32> =
-        mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(i, _)| i as u32).collect();
-    if pos.is_empty() {
-        pos.push(0); // the join spine scan must be non-empty
-    }
-    let mpos: Vec<u32> =
-        pos.iter().enumerate().map(|(i, &p)| p + 1 + offsets[i % offsets.len()]).collect();
-    let ref_len = 64usize;
-    let mut cat = Catalog::new();
-    cat.register(
-        "PAIRS",
-        Table::from_columns(
-            Schema::new(vec![Field::new("POS", DataType::U32), Field::new("MPOS", DataType::U32)]),
-            vec![Column::U32(pos), Column::U32(mpos)],
-        )
-        .unwrap(),
-    );
-    cat.register(
-        "REF",
-        Table::from_columns(
-            Schema::new(vec![Field::new("POS", DataType::U32), Field::new("SEQ", DataType::ListU8)]),
-            vec![
-                Column::U32(vec![0]),
-                Column::ListU8(vec![(0..ref_len).map(|j| (j % 4) as u8).collect()]),
-            ],
-        )
-        .unwrap(),
-    );
-    cat
+/// `PAIRS(POS, MPOS)` and a single-row `REF` of `ref_len` positions from 0.
+fn pairs_catalog(pos: Vec<u32>, mpos: Vec<u32>, ref_len: usize) -> Catalog {
+    let pairs = u32_table(vec![("POS", pos), ("MPOS", mpos)]);
+    catalog_of(vec![("PAIRS", pairs), ("REF", ref_table(0, &[(ref_len, 0)]))])
 }
 
-fn assert_tables_equal(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCaseError> {
-    let hw_names: Vec<&str> = hw.schema().fields().iter().map(|f| f.name.as_str()).collect();
-    let sw_names: Vec<&str> = sw.schema().fields().iter().map(|f| f.name.as_str()).collect();
-    if hw_names != sw_names {
-        return Err(TestCaseError::fail(format!(
-            "{what}: schema differs: hw {hw_names:?} sw {sw_names:?}"
-        )));
-    }
-    if hw.num_rows() != sw.num_rows() {
-        return Err(TestCaseError::fail(format!(
-            "{what}: row count differs: hw {} sw {}",
-            hw.num_rows(),
-            sw.num_rows()
-        )));
-    }
-    for r in 0..hw.num_rows() {
-        if hw.row(r) != sw.row(r) {
-            return Err(TestCaseError::fail(format!(
-                "{what}: row {r} differs: hw {:?} sw {:?}",
-                hw.row(r),
-                sw.row(r)
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Runs the software oracle, then compiles and runs `script` for each
-/// engine of the matrix, comparing the hardware output table bit-for-bit.
+/// `script`'s `out` table compiled at `factor` equals the software
+/// engine's on both engines.
 fn differential(
-    script: &str,
+    sql: &str,
     catalog: &Catalog,
     out: &str,
     factor: usize,
 ) -> Result<(), TestCaseError> {
-    let sw = {
-        let mut cat = catalog.clone_tables();
-        Script::parse(script)
-            .map_err(|e| TestCaseError::fail(format!("parse failed: {e}")))?
-            .run(&mut cat)
-            .map_err(|e| TestCaseError::fail(format!("software run failed: {e}")))?;
-        cat.table(out)
-            .ok_or_else(|| TestCaseError::fail(format!("oracle produced no {out}")))?
-            .clone()
-    };
-    for engine in MATRIX {
-        let what = format!("{engine:?} @{factor}x");
-        let (hw, _) = Compiler::new(DeviceConfig::small().with_engine(engine))
-            .compile_sql(script, catalog)
-            .map_err(|e| TestCaseError::fail(format!("{what}: compile failed: {e}")))?
-            .execute_replicated(catalog, factor)
-            .map_err(|e| TestCaseError::fail(format!("{what}: hardware run failed: {e}")))?;
-        assert_tables_equal(&hw, &sw, &what)?;
-    }
-    Ok(())
+    let axes = Axes::at(factor).engines(&ENGINES);
+    check(Query::Script { sql, out }, catalog, &axes).map(drop)
 }
 
 proptest! {
@@ -203,7 +56,7 @@ proptest! {
     /// up, pushed through the coverage grouped aggregate.
     #[test]
     fn read_explode_coverage_differential(
-        specs in proptest::collection::vec(read_spec(), 0..10),
+        specs in proptest::collection::vec(read_spec(6, 4, 5), 0..10),
         factor in 1usize..3,
     ) {
         let catalog = reads_catalog(&specs);
@@ -223,40 +76,14 @@ proptest! {
         deltas in proptest::collection::vec(-2i64..6, 1..8),
         factor in 1usize..3,
     ) {
-        let mut pos: Vec<u32> =
-            mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(i, _)| i as u32).collect();
-        if pos.is_empty() {
-            pos.push(0);
-        }
+        let pos = spine_keys(&mask);
         let mpos: Vec<u32> = pos
             .iter()
             .enumerate()
             .map(|(i, &p)| u32::try_from((i64::from(p) + deltas[i % deltas.len()]).max(0)).unwrap())
             .collect();
         let wraps = pos.iter().zip(&mpos).any(|(p, m)| m < p);
-        let mut catalog = Catalog::new();
-        catalog.register(
-            "PAIRS",
-            Table::from_columns(
-                Schema::new(vec![
-                    Field::new("POS", DataType::U32),
-                    Field::new("MPOS", DataType::U32),
-                ]),
-                vec![Column::U32(pos), Column::U32(mpos)],
-            )
-            .unwrap(),
-        );
-        catalog.register(
-            "REF",
-            Table::from_columns(
-                Schema::new(vec![Field::new("POS", DataType::U32), Field::new("SEQ", DataType::ListU8)]),
-                vec![
-                    Column::U32(vec![0]),
-                    Column::ListU8(vec![(0..48).map(|j| (j % 4) as u8).collect()]),
-                ],
-            )
-            .unwrap(),
-        );
+        let catalog = pairs_catalog(pos, mpos, 48);
         let compiled = Compiler::new(DeviceConfig::small()).compile_sql(MATE_DISTANCE_SQL, &catalog);
         match (wraps, compiled) {
             (true, Ok(_)) => {
@@ -282,7 +109,9 @@ proptest! {
         offsets in proptest::collection::vec(0u32..9, 1..8),
         factor in 1usize..3,
     ) {
-        let catalog = pairs_catalog(&mask, &offsets);
+        let pos = spine_keys(&mask);
+        let mpos = pos.iter().enumerate().map(|(i, &p)| p + 1 + offsets[i % offsets.len()]).collect();
+        let catalog = pairs_catalog(pos, mpos, 64);
         differential(POS_EXPLODE_JOIN_SQL, &catalog, "Joined", factor)?;
     }
 }

@@ -3,35 +3,20 @@
 //! retry and graceful degradation — or return a structured error — and
 //! must never panic or hang.
 
+mod common;
+
+use common::{arb_faults, catalog_of, is_fault_error, seeded_faults, u32_table};
 use genesis::core::accel::bqsr::BqsrAccel;
 use genesis::core::accel::markdup::QualitySumAccel;
 use genesis::core::accel::metadata::MetadataAccel;
 use genesis::core::device::DeviceConfig;
 use genesis::core::fault::FaultConfig;
 use genesis::core::serve::{GenesisServer, Request, ServerConfig};
-use genesis::core::CoreError;
 use genesis::datagen::{DatagenConfig, Dataset};
-use genesis::sql::Catalog;
-use genesis::types::{Column, DataType, Field, Schema, Table};
+use genesis::types::Table;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-
-/// A fault config with aggressive injection rates and instant backoff
-/// (tests should not sleep).
-fn seeded_faults(seed: u64, dma_ppm: u32, device_ppm: u32, mem_ppm: u32) -> FaultConfig {
-    FaultConfig {
-        seed,
-        dma_fail_ppm: dma_ppm,
-        device_fail_ppm: device_ppm,
-        mem_spike_ppm: mem_ppm,
-        mem_spike_cycles: 200,
-        max_retries: 2,
-        backoff_base: Duration::ZERO,
-        backoff_cap: Duration::ZERO,
-        fallback: true,
-    }
-}
 
 /// The acceptance schedule: ≥10% DMA failures plus transient device
 /// faults and memory spikes.
@@ -140,15 +125,8 @@ fn serve_hist(
         FROM T\n\
         GROUP BY K\n\
         ORDER BY K";
-    let mut catalog = Catalog::new();
-    catalog.register(
-        "T",
-        Table::from_columns(
-            Schema::new(vec![Field::new("K", DataType::U32)]),
-            vec![Column::U32((0..512u32).map(|i| i * i % 7).collect())],
-        )
-        .unwrap(),
-    );
+    let keys = (0..512u32).map(|i| i * i % 7).collect();
+    let catalog = catalog_of(vec![("T", u32_table(vec![("K", keys)]))]);
     let server =
         GenesisServer::new(ServerConfig::default().with_devices(2, device).with_shards(shards));
     server.register_script("hist", HIST_SQL).unwrap();
@@ -207,15 +185,7 @@ fn backoff_is_modeled_time_not_a_sleep() {
         .map(|seed| FaultConfig::from_spec(&format!("dma=0.5,seed={seed},backoff=1s:1s")).unwrap())
         .find(|f| shard_dma_fault(f, 0, 0) && !shard_dma_fault(f, 0, 1))
         .unwrap();
-    let mut catalog = Catalog::new();
-    catalog.register(
-        "T",
-        Table::from_columns(
-            Schema::new(vec![Field::new("X", DataType::U32)]),
-            vec![Column::U32((1..=64).collect())],
-        )
-        .unwrap(),
-    );
+    let catalog = catalog_of(vec![("T", u32_table(vec![("X", (1..=64).collect())]))]);
     let server = GenesisServer::new(
         ServerConfig::default().with_devices(1, DeviceConfig::small().with_faults(faults)),
     );
@@ -228,15 +198,6 @@ fn backoff_is_modeled_time_not_a_sleep() {
     assert!(wall < Duration::from_millis(500), "the ticket slept through its backoff: {wall:?}");
     let modeled = server.modeled_device_time()[0];
     assert!(modeled >= Duration::from_secs(1), "backoff missing from modeled time: {modeled:?}");
-}
-
-fn arb_faults() -> impl Strategy<Value = FaultConfig> {
-    (0u64..1_000_000, 0u32..400_000, 0u32..200_000, 0u32..5_000, 0u32..2).prop_map(
-        |(seed, dma, device, mem, fallback)| FaultConfig {
-            fallback: fallback == 1,
-            ..seeded_faults(seed, dma, device, mem)
-        },
-    )
 }
 
 proptest! {
@@ -258,20 +219,17 @@ proptest! {
 
         match QualitySumAccel::new(dev.clone()).run(&dataset.reads) {
             Ok(run) => prop_assert_eq!(&run.sums, &clean_md.sums),
-            Err(e) => prop_assert!(matches!(e,
-                CoreError::Host(_) | CoreError::Dma(_) | CoreError::Device(_) | CoreError::Sim(_))),
+            Err(e) => prop_assert!(is_fault_error(&e)),
         }
         match MetadataAccel::new(dev.clone()).run(&dataset.reads, &dataset.genome) {
             Ok((tags, _)) => prop_assert_eq!(&tags, &clean_meta),
-            Err(e) => prop_assert!(matches!(e,
-                CoreError::Host(_) | CoreError::Dma(_) | CoreError::Device(_) | CoreError::Sim(_))),
+            Err(e) => prop_assert!(is_fault_error(&e)),
         }
         match BqsrAccel::new(dev, gen_cfg.read_len)
             .run(&dataset.reads, &dataset.genome, gen_cfg.read_groups)
         {
             Ok((table, _)) => prop_assert_eq!(&table, &clean_bqsr),
-            Err(e) => prop_assert!(matches!(e,
-                CoreError::Host(_) | CoreError::Dma(_) | CoreError::Device(_) | CoreError::Sim(_))),
+            Err(e) => prop_assert!(is_fault_error(&e)),
         }
     }
 }

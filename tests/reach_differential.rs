@@ -6,154 +6,63 @@
 //!
 //! A proptest draws the right input (an ascending-key scan or the
 //! `PosExplode` of a 1–3-row reference), the join kind, optional filters
-//! on either side, a factor of 1–16 and 1–3 served shards. Fixed cases
+//! on either side, a factor of 1–16, 1–3 served shards and, half the
+//! time, a seeded fault schedule: under faults a run returns the SQL
+//! engine's table or a structured error, never a panic. Fixed cases
 //! hold the negatives: a right key that ascends inside every replica's
 //! cut but not over the whole table is refused as before, a computed left
 //! key and a right key renamed by a `Project` are not cut, and a replica
-//! whose cut is empty still runs. A pinned case holds the mate-distance
-//! histogram's fall in flits.
+//! whose cut is empty still runs. Pinned cases hold the mate-distance
+//! histogram's fall in flits and a faulted 3-shard cut join that
+//! recovers.
 
+mod common;
+
+use common::{arb_faults, ascending, bin, catalog_of, check, col, filtered, item, join};
+use common::{pos_explode, project, ref_table, scan, seeded_faults, u32_table, Axes, Road, CMP_OPS};
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::core::perf::AccelStats;
-use genesis::core::serve::{GenesisServer, Request, ServerConfig};
-use genesis::sql::ast::{BinOp, ColRef, Expr, JoinKind, SelectItem};
-use genesis::sql::exec::{execute_plan, Env};
+use genesis::sql::ast::{BinOp, Expr, JoinKind, SelectItem};
 use genesis::sql::{Catalog, LogicalPlan};
-use genesis::types::{Column, Field, Schema, Table};
 use genesis_bench::scenarios::{genomics_catalog, genomics_workloads};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-const CMP_OPS: [BinOp; 6] = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
-
-fn table_of(cols: Vec<(&str, Column)>) -> Table {
-    let schema = Schema::new(cols.iter().map(|(n, c)| Field::new(n, c.dtype())).collect());
-    Table::from_columns(schema, cols.into_iter().map(|(_, c)| c).collect()).unwrap()
-}
-
-fn scan(t: &str) -> LogicalPlan {
-    LogicalPlan::Scan { table: t.to_owned(), partition: None }
-}
-
-fn col(name: &str) -> Expr {
-    Expr::Col(ColRef::bare(name))
-}
-
-fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-    Expr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
-}
-
 /// `input`, under `column <op> literal` when a filter is drawn.
-fn filtered(input: LogicalPlan, column: &str, filter: Option<(usize, u64)>) -> LogicalPlan {
-    match filter {
-        None => input,
-        Some((op, lit)) => LogicalPlan::Filter {
-            input: Box::new(input),
-            pred: bin(CMP_OPS[op % 6], col(column), Expr::Number(lit)),
-        },
-    }
+fn cmp_filter(input: LogicalPlan, column: &str, filter: Option<(usize, u64)>) -> LogicalPlan {
+    filtered(input, column, filter.map(|(op, lit)| (CMP_OPS[op % 6], lit)))
 }
 
 /// `REF`'s `PosExplode`: one row per position, `POS` and `SEQ`.
 fn ref_explode() -> LogicalPlan {
-    LogicalPlan::PosExplode {
-        input: Box::new(scan("REF")),
-        array: ColRef::bare("SEQ"),
-        init_pos: col("POS"),
-    }
-}
-
-fn join(kind: JoinKind, left: LogicalPlan, right: LogicalPlan, keys: (&str, &str)) -> LogicalPlan {
-    LogicalPlan::Join {
-        kind,
-        left: Box::new(left),
-        right: Box::new(right),
-        left_key: ColRef::bare(keys.0),
-        right_key: ColRef::bare(keys.1),
-    }
-}
-
-/// Strictly ascending keys from `start`, each `gap + 1` past the last.
-fn ascending(start: u32, gaps: &[u32]) -> Vec<u32> {
-    gaps.iter()
-        .scan(start, |k, &gap| {
-            let at = *k;
-            *k += gap + 1;
-            Some(at)
-        })
-        .collect()
+    pos_explode("REF", "SEQ", col("POS"))
 }
 
 /// `L(LK, LV)` over `lk`, `R(RK, RW)` over `rk`, and a `REF(POS, SEQ)` of
-/// chained rows `(items, gap)`: each row's positions start `gap` past the
-/// last row's end, so the explode's positions ascend.
+/// chained rows `(items, gap)` from `ref_start`.
 fn catalog(lk: Vec<u32>, rk: Vec<u32>, ref_start: u32, ref_rows: &[(usize, u32)]) -> Catalog {
     let lv = lk.iter().map(|k| (k * 7 + 3) % 23).collect();
     let rw = rk.iter().map(|k| (k * 5 + 1) % 19).collect();
-    let mut pos = Vec::new();
-    let mut seq = Vec::new();
-    let mut next = ref_start;
-    for (i, &(items, gap)) in ref_rows.iter().enumerate() {
-        pos.push(next);
-        seq.push((0..items).map(|j| ((i + j) % 4) as u8).collect::<Vec<u8>>());
-        next += items as u32 + gap;
-    }
-    let mut cat = Catalog::new();
-    cat.register("L", table_of(vec![("LK", Column::U32(lk)), ("LV", Column::U32(lv))]));
-    cat.register("R", table_of(vec![("RK", Column::U32(rk)), ("RW", Column::U32(rw))]));
-    cat.register("REF", table_of(vec![("POS", Column::U32(pos)), ("SEQ", Column::ListU8(seq))]));
-    cat
+    catalog_of(vec![
+        ("L", u32_table(vec![("LK", lk), ("LV", lv)])),
+        ("R", u32_table(vec![("RK", rk), ("RW", rw)])),
+        ("REF", ref_table(ref_start, ref_rows)),
+    ])
 }
 
-fn assert_tables(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCaseError> {
-    let names = |t: &Table| -> Vec<String> {
-        t.schema().fields().iter().map(|f| f.name.clone()).collect()
-    };
-    prop_assert!(names(hw) == names(sw), "{what}: schema {:?} vs {:?}", names(hw), names(sw));
-    prop_assert!(
-        hw.num_rows() == sw.num_rows(),
-        "{what}: {} rows vs {}",
-        hw.num_rows(),
-        sw.num_rows()
-    );
-    for r in 0..hw.num_rows() {
-        prop_assert!(hw.row(r) == sw.row(r), "{what}: row {r}: {:?} vs {:?}", hw.row(r), sw.row(r));
-    }
-    Ok(())
-}
-
-/// The compiled plan at `factor` and served at `shards` (same factor)
-/// both equal the software engine; every leaf row is still scanned, and
-/// no replica streams more than the rows it scanned. Returns the
-/// unsharded stats.
+/// Every run `axes` sweeps equals the software engine, and no replica
+/// streams more than the rows it scanned. Returns each run's stats.
 fn differential(
     plan: &LogicalPlan,
     catalog: &Catalog,
-    factor: usize,
-    shards: usize,
-) -> Result<AccelStats, TestCaseError> {
-    let sw = execute_plan(plan, catalog, &Env::default())
-        .map_err(|e| TestCaseError::fail(format!("software run failed: {e}")))?;
-    let compiled = Compiler::new(DeviceConfig::small())
-        .compile(plan, catalog)
-        .map_err(|e| TestCaseError::fail(format!("compile failed: {e}")))?;
-    let (hw, stats) = compiled
-        .execute_replicated(catalog, factor)
-        .map_err(|e| TestCaseError::fail(format!("run at {factor}x failed: {e}")))?;
-    assert_tables(&hw, &sw, &format!("{factor}x"))?;
-    let server = GenesisServer::new(
-        ServerConfig::default().with_devices(1, DeviceConfig::small()).with_shards(shards),
-    );
-    let (served, served_stats) = server
-        .submit(Request::new("t", plan.clone()).with_replication(factor), catalog)
-        .and_then(|ticket| ticket.wait())
-        .map_err(|e| TestCaseError::fail(format!("served run failed: {e}")))?;
-    assert_tables(&served, &sw, &format!("{shards} shard(s) at {factor}x"))?;
-    for s in [&stats, &served_stats] {
-        prop_assert!(s.rows_emitted <= s.rows_scanned, "{:?}", s);
+    axes: &Axes,
+) -> Result<Vec<(String, AccelStats)>, TestCaseError> {
+    let runs = check(plan, catalog, axes)?;
+    for (what, s) in &runs {
+        prop_assert!(s.rows_emitted <= s.rows_scanned, "{what}: {:?}", s);
     }
-    Ok(stats)
+    Ok(runs)
 }
 
 proptest! {
@@ -175,19 +84,23 @@ proptest! {
         rfilter in (0usize..8, 0u64..19),
         factor in 1usize..17,
         shards in 1usize..4,
+        faults in (0usize..2, arb_faults()),
     ) {
         let cat = catalog(ascending(lstart, &lgaps), ascending(rstart, &rgaps), ref_start, &ref_rows);
         let kind = if left_join == 1 { JoinKind::Left } else { JoinKind::Inner };
         // Six comparators, or (one time in four) no filter.
         let (lfilter, rfilter) = (Some(lfilter).filter(|f| f.0 < 6), Some(rfilter).filter(|f| f.0 < 6));
-        let left = filtered(scan("L"), "LV", lfilter);
+        let left = cmp_filter(scan("L"), "LV", lfilter);
         let plan = if explode == 1 {
             let rfilter = rfilter.map(|(op, lit)| (op, lit % 4));
-            join(kind, left, filtered(ref_explode(), "SEQ", rfilter), ("LK", "POS"))
+            join(kind, left, cmp_filter(ref_explode(), "SEQ", rfilter), ("LK", "POS"))
         } else {
-            join(kind, left, filtered(scan("R"), "RW", rfilter), ("LK", "RK"))
+            join(kind, left, cmp_filter(scan("R"), "RW", rfilter), ("LK", "RK"))
         };
-        differential(&plan, &cat, factor, shards)?;
+        // Seeded faults half the time: the SQL engine's table or a
+        // structured error, never a panic.
+        let faults = (faults.0 == 1).then_some(faults.1);
+        differential(&plan, &cat, &Axes::at(factor).served(shards).faults(faults))?;
     }
 }
 
@@ -222,16 +135,11 @@ fn right_key_ascending_only_inside_the_cuts_is_refused() {
 /// join is refused exactly as it was before any cut.
 #[test]
 fn computed_left_key_is_not_cut() {
-    let computed = LogicalPlan::Project {
-        input: Box::new(scan("L")),
-        items: vec![
-            SelectItem::Expr {
-                expr: bin(BinOp::Add, col("LK"), Expr::Number(1)),
-                alias: Some("K".into()),
-            },
-            SelectItem::Expr { expr: col("LV"), alias: None },
-        ],
+    let key = SelectItem::Expr {
+        expr: bin(BinOp::Add, col("LK"), Expr::Number(1)),
+        alias: Some("K".into()),
     };
+    let computed = project(scan("L"), vec![key, item("LV")]);
     let cat = catalog(vec![1, 2, 3], (0..40).collect(), 0, &[(1, 0)]);
     let plan = join(JoinKind::Inner, computed, scan("R"), ("K", "RK"));
     let text = compile_error(&plan, &cat);
@@ -245,20 +153,9 @@ fn computed_left_key_is_not_cut() {
 #[test]
 fn right_key_renamed_by_a_project_is_not_cut() {
     let cat = catalog((10..20).collect(), (0..40).collect(), 0, &[(1, 0)]);
-    let renamed = LogicalPlan::Project {
-        input: Box::new(scan("R")),
-        items: vec![
-            SelectItem::Expr { expr: col("RK"), alias: Some("K2".into()) },
-            SelectItem::Expr { expr: col("RW"), alias: None },
-        ],
-    };
-    let run = |plan: &LogicalPlan| {
-        let compiled = Compiler::new(DeviceConfig::small()).compile(plan, &cat).unwrap();
-        let (table, stats) = compiled.execute_replicated(&cat, 2).unwrap();
-        let sw = execute_plan(plan, &cat, &Env::default()).unwrap();
-        assert_tables(&table, &sw, "2x").unwrap();
-        stats
-    };
+    let key = SelectItem::Expr { expr: col("RK"), alias: Some("K2".into()) };
+    let renamed = project(scan("R"), vec![key, item("RW")]);
+    let run = |plan: &LogicalPlan| check(plan, &cat, &Axes::at(2)).unwrap().remove(0).1;
     let cut = run(&join(JoinKind::Inner, scan("L"), scan("R"), ("LK", "RK")));
     let uncut = run(&join(JoinKind::Inner, scan("L"), renamed, ("LK", "K2")));
     assert_eq!(cut.rows_scanned, 50);
@@ -278,12 +175,12 @@ fn a_replica_whose_cut_is_empty_runs() {
     let none = Some((4, 100)); // LV > 100: no left row passes
     for kind in [JoinKind::Inner, JoinKind::Left] {
         for (lfilter, factor) in [(None, 2), (None, 5), (none, 3)] {
-            let left = || filtered(scan("L"), "LV", lfilter);
+            let left = || cmp_filter(scan("L"), "LV", lfilter);
             for plan in [
                 join(kind, left(), scan("R"), ("LK", "RK")),
                 join(kind, left(), ref_explode(), ("LK", "POS")),
             ] {
-                differential(&plan, &cat, factor, 2).unwrap();
+                differential(&plan, &cat, &Axes::at(factor).served(2)).unwrap();
             }
         }
     }
@@ -308,4 +205,19 @@ fn mate_distance_streams_only_its_reach() {
     // 8,000 pairs plus the one reference row, every one scanned and
     // streamed; the reference positions streamed are the pairs' reach.
     assert_eq!((stats.rows_scanned, stats.rows_emitted), (8_001, 8_001));
+}
+
+/// Seed 4 faults two of a 3-shard cut join's transfers (one error, one
+/// timeout); each faulted shard retries alone and the table is still the
+/// SQL engine's.
+#[test]
+fn faulted_cut_join_recovers_on_three_shards() {
+    let cat = catalog(ascending(0, &[1; 30]), (0..60).collect(), 0, &[(1, 0)]);
+    let plan = join(JoinKind::Inner, scan("L"), scan("R"), ("LK", "RK"));
+    let faults = seeded_faults(4, 300_000, 100_000, 2_000);
+    let axes = Axes { roads: vec![Road::Served(3)], ..Axes::at(2).faults(Some(faults)) };
+    let runs = differential(&plan, &cat, &axes).unwrap();
+    assert_eq!(runs.len(), 1, "the run recovered");
+    let f = &runs[0].1.faults;
+    assert_eq!((f.dma_errors, f.dma_timeouts, f.device_faults, f.retries), (1, 1, 0, 2), "{f:?}");
 }

@@ -12,74 +12,32 @@
 //! a zero queue bound — no ordering of these may panic, hang or lose a
 //! ticket.
 
+mod common;
+
+use common::{agg, aggregate, bin, catalog_of, col, filter, grouped, same_table, scalar_aggs};
+use common::{scan, u32_table};
 use genesis::core::device::DeviceConfig;
 use genesis::core::serve::{GenesisServer, Request, ServerConfig};
 use genesis::core::CoreError;
-use genesis::sql::ast::{AggFn, BinOp, ColRef, Expr, SelectItem};
+use genesis::sql::ast::{AggFn, BinOp, Expr};
 use genesis::sql::exec::{execute_plan, Env};
 use genesis::sql::{Catalog, LogicalPlan};
-use genesis::types::{Column, DataType, Field, Schema, Table};
 use std::time::Duration;
 
+/// `T(X, K)` over `xs`, `K = X % 3`.
 fn catalog(xs: Vec<u32>) -> Catalog {
     let ks = xs.iter().map(|x| x % 3).collect();
-    let table = Table::from_columns(
-        Schema::new(vec![Field::new("X", DataType::U32), Field::new("K", DataType::U32)]),
-        vec![Column::U32(xs), Column::U32(ks)],
-    )
-    .unwrap();
-    let mut cat = Catalog::new();
-    cat.register("T", table);
-    cat
-}
-
-fn col(name: &str) -> Expr {
-    Expr::Col(ColRef::bare(name))
+    catalog_of(vec![("T", u32_table(vec![("X", xs), ("K", ks)]))])
 }
 
 /// `FROM T WHERE X < bound`
 fn below(bound: u64) -> LogicalPlan {
-    LogicalPlan::Filter {
-        input: Box::new(LogicalPlan::Scan { table: "T".into(), partition: None }),
-        pred: Expr::Bin {
-            op: BinOp::Lt,
-            lhs: Box::new(col("X")),
-            rhs: Box::new(Expr::Number(bound)),
-        },
-    }
-}
-
-fn agg(func: AggFn, arg: Option<Expr>) -> SelectItem {
-    SelectItem::Agg { func, arg, alias: None }
-}
-
-/// `SELECT K, COUNT(*) FROM <input> GROUP BY K ORDER BY K`
-fn grouped(input: &LogicalPlan) -> LogicalPlan {
-    LogicalPlan::Sort {
-        input: Box::new(LogicalPlan::Aggregate {
-            input: Box::new(input.clone()),
-            items: vec![SelectItem::Expr { expr: col("K"), alias: None }, agg(AggFn::Count, None)],
-            group_by: vec![ColRef::bare("K")],
-        }),
-        keys: vec![(ColRef::bare("K"), false)],
-    }
+    filter(scan("T"), bin(BinOp::Lt, col("X"), Expr::Number(bound)))
 }
 
 /// Streamed rows and scalar aggregates over `input`.
 fn stream_and_scalar(input: &LogicalPlan) -> Vec<LogicalPlan> {
-    vec![
-        input.clone(),
-        LogicalPlan::Aggregate {
-            input: Box::new(input.clone()),
-            items: vec![
-                agg(AggFn::Count, None),
-                agg(AggFn::Sum, Some(col("X"))),
-                agg(AggFn::Min, Some(col("X"))),
-                agg(AggFn::Max, Some(col("X"))),
-            ],
-            group_by: vec![],
-        },
-    ]
+    vec![input.clone(), aggregate(input.clone(), scalar_aggs("X"))]
 }
 
 /// Submits every plan twice to a paused server, resumes, and checks
@@ -110,12 +68,7 @@ fn check(what: &str, cat: &Catalog, plans: &[LogicalPlan], refused: Option<&Logi
             let (hw, _) =
                 ticket.wait().unwrap_or_else(|e| panic!("{what}, {shards} shard(s): {e}"));
             let sw = execute_plan(plan, cat, &Env::default()).unwrap();
-            let names = |t: &Table| -> Vec<String> {
-                t.schema().fields().iter().map(|f| f.name.clone()).collect()
-            };
-            assert_eq!(names(&hw), names(&sw), "{what}: schema");
-            let rows = |t: &Table| (0..t.num_rows()).map(|r| t.row(r)).collect::<Vec<_>>();
-            assert_eq!(rows(&hw), rows(&sw), "{what}, {shards} shard(s)");
+            same_table(&hw, &sw, &format!("{what}, {shards} shard(s)")).unwrap();
         }
         assert_eq!(server.completed(), submitted, "{what}: every ticket resolves once");
         assert_eq!(
@@ -129,31 +82,29 @@ fn check(what: &str, cat: &Catalog, plans: &[LogicalPlan], refused: Option<&Logi
 #[test]
 fn zero_row_table() {
     let input = below(10);
-    check("zero-row table", &catalog(vec![]), &stream_and_scalar(&input), Some(&grouped(&input)));
+    let refused = grouped(input.clone(), "K", &[]);
+    check("zero-row table", &catalog(vec![]), &stream_and_scalar(&input), Some(&refused));
 }
 
 #[test]
 fn filter_that_drops_every_row() {
     let input = below(0);
     let cat = catalog((0..40).collect());
-    check("all rows dropped", &cat, &stream_and_scalar(&input), Some(&grouped(&input)));
+    let refused = grouped(input.clone(), "K", &[]);
+    check("all rows dropped", &cat, &stream_and_scalar(&input), Some(&refused));
 }
 
 #[test]
 fn spine_shorter_than_the_shard_count() {
     let input = below(10);
     let mut plans = stream_and_scalar(&input);
-    plans.push(grouped(&input));
+    plans.push(grouped(input.clone(), "K", &[]));
     check("one-row spine", &catalog(vec![7]), &plans, None);
 }
 
 /// `SELECT COUNT(*) FROM T WHERE X < 10` over `0..40`.
 fn count_below_ten() -> (Catalog, LogicalPlan) {
-    let plan = LogicalPlan::Aggregate {
-        input: Box::new(below(10)),
-        items: vec![agg(AggFn::Count, None)],
-        group_by: vec![],
-    };
+    let plan = aggregate(below(10), vec![agg(AggFn::Count, None)]);
     (catalog((0..40).collect()), plan)
 }
 

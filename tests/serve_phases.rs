@@ -7,50 +7,28 @@
 //! and every histogram holds one observation per completed request —
 //! including requests that expired in the queue.
 
+mod common;
+
+use common::{agg, aggregate, bin, catalog_of, col, filter, scan, u32_table};
 use genesis::core::device::DeviceConfig;
 use genesis::core::serve::{GenesisServer, Request, ServerConfig};
 use genesis::obs::metrics::MetricsSnapshot;
-use genesis::sql::ast::{AggFn, BinOp, ColRef, Expr, SelectItem};
+use genesis::sql::ast::{AggFn, BinOp, Expr};
 use genesis::sql::{Catalog, LogicalPlan};
-use genesis::types::{Column, DataType, Field, Schema, Table};
 use std::time::Duration;
 
 const PHASES: [&str; 5] = ["prepare", "admit", "queue_wait", "run", "gather"];
 const RUN_STEPS: [&str; 3] = ["build", "simulate", "extract"];
 
 fn catalog(rows: u32) -> Catalog {
-    let table = Table::from_columns(
-        Schema::new(vec![Field::new("X", DataType::U32), Field::new("K", DataType::U32)]),
-        vec![Column::U32((0..rows).collect()), Column::U32((0..rows).map(|i| i % 5).collect())],
-    )
-    .unwrap();
-    let mut cat = Catalog::new();
-    cat.register("T", table);
-    cat
-}
-
-fn scan() -> LogicalPlan {
-    LogicalPlan::Scan { table: "T".into(), partition: None }
+    let table = u32_table(vec![("X", (0..rows).collect()), ("K", (0..rows).map(|i| i % 5).collect())]);
+    catalog_of(vec![("T", table)])
 }
 
 /// `SELECT SUM(X) FROM T WHERE X < bound`
 fn sum_below(bound: u64) -> LogicalPlan {
-    LogicalPlan::Aggregate {
-        input: Box::new(LogicalPlan::Filter {
-            input: Box::new(scan()),
-            pred: Expr::Bin {
-                op: BinOp::Lt,
-                lhs: Box::new(Expr::Col(ColRef::bare("X"))),
-                rhs: Box::new(Expr::Number(bound)),
-            },
-        }),
-        items: vec![SelectItem::Agg {
-            func: AggFn::Sum,
-            arg: Some(Expr::Col(ColRef::bare("X"))),
-            alias: None,
-        }],
-        group_by: vec![],
-    }
+    let below = filter(scan("T"), bin(BinOp::Lt, col("X"), Expr::Number(bound)));
+    aggregate(below, vec![agg(AggFn::Sum, Some("X"))])
 }
 
 /// Asserts the tiling invariant over everything `snap` has recorded.

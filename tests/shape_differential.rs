@@ -14,31 +14,22 @@
 //! key per literal. Replication is chosen when a plan binds, so a plan
 //! compiled over other data runs at the factor a fresh compile would pick.
 
+mod common;
+
+use common::{agg, aggregate, bin, catalog_of, col, filter, item, join, project, read_explode};
+use common::{same_table, scan, table_of, u32_table, CMP_OPS};
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::core::perf::AccelStats;
 use genesis::core::serve::{fingerprint, GenesisServer, Request, ServerConfig};
-use genesis::sql::ast::{AggFn, BinOp, ColRef, Expr, JoinKind, SelectItem};
+use genesis::sql::ast::{AggFn, BinOp, Expr, JoinKind, SelectItem};
 use genesis::sql::exec::{execute_plan, Env};
 use genesis::sql::{Catalog, LogicalPlan};
-use genesis::types::{Cigar, Column, DataType, Field, Schema, Table};
+use genesis::types::{Cigar, Column, Table};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-const CMP_OPS: [BinOp; 6] = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
 const PENALTY: u64 = 2_500_000;
-
-fn scan(t: &str) -> LogicalPlan {
-    LogicalPlan::Scan { table: t.to_owned(), partition: None }
-}
-
-fn col(name: &str) -> Expr {
-    Expr::Col(ColRef::bare(name))
-}
-
-fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-    Expr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
-}
 
 /// `column op literal`, or the mirrored `literal op' column` when `flip`.
 fn cmp(column: Expr, op: BinOp, literal: u64, flip: bool) -> Expr {
@@ -55,28 +46,12 @@ fn cmp(column: Expr, op: BinOp, literal: u64, flip: bool) -> Expr {
     bin(mirrored, Expr::Number(literal), column)
 }
 
-fn filter(input: LogicalPlan, pred: Expr) -> LogicalPlan {
-    LogicalPlan::Filter { input: Box::new(input), pred }
-}
-
 fn sum(input: LogicalPlan, column: &str) -> LogicalPlan {
-    LogicalPlan::Aggregate {
-        input: Box::new(input),
-        items: vec![SelectItem::Agg { func: AggFn::Sum, arg: Some(col(column)), alias: None }],
-        group_by: vec![],
-    }
+    aggregate(input, vec![agg(AggFn::Sum, Some(column))])
 }
 
 fn select(input: LogicalPlan, column: &str) -> LogicalPlan {
-    LogicalPlan::Project {
-        input: Box::new(input),
-        items: vec![SelectItem::Expr { expr: col(column), alias: None }],
-    }
-}
-
-fn table(cols: Vec<(&str, Vec<u32>)>) -> Table {
-    let schema = Schema::new(cols.iter().map(|(n, _)| Field::new(n, DataType::U32)).collect());
-    Table::from_columns(schema, cols.into_iter().map(|(_, c)| Column::U32(c)).collect()).unwrap()
+    project(input, vec![item(column)])
 }
 
 /// `T(X, K)`: `X` scattered over `0..100` with repeats, `K` strictly
@@ -84,13 +59,11 @@ fn table(cols: Vec<(&str, Vec<u32>)>) -> Table {
 fn catalog() -> Catalog {
     let x: Vec<u32> = (0..64u32).map(|i| (i * 37 + 11) % 100).collect();
     let k: Vec<u32> = (0..64).collect();
-    let mut cat = Catalog::new();
-    cat.register("T", table(vec![("X", x), ("K", k)]));
-    cat.register(
-        "B",
-        table(vec![("K", (0..64).step_by(2).collect()), ("V", (0..32).map(|i| i * 3).collect())]),
-    );
-    cat
+    let b = u32_table(vec![
+        ("K", (0..64).step_by(2).collect()),
+        ("V", (0..32).map(|i| i * 3).collect()),
+    ]);
+    catalog_of(vec![("T", u32_table(vec![("X", x), ("K", k)])), ("B", b)])
 }
 
 /// One of the four parameterised shapes over `literals` (each shape
@@ -104,22 +77,12 @@ fn shape(kind: usize, ops: [BinOp; 2], flip: bool, literals: [u64; 2]) -> Logica
             let second = cmp(col("K"), ops[1], literals[1], !flip);
             sum(filter(scan("T"), bin(BinOp::And, first, second)), "X")
         }
-        _ => LogicalPlan::Join {
-            kind: JoinKind::Inner,
-            left: Box::new(filter(scan("T"), first)),
-            right: Box::new(scan("B")),
-            left_key: ColRef::qualified("T", "K"),
-            right_key: ColRef::qualified("B", "K"),
-        },
+        _ => join(JoinKind::Inner, filter(scan("T"), first), scan("B"), ("T.K", "B.K")),
     }
 }
 
 fn server(shards: usize, device: DeviceConfig) -> GenesisServer {
     GenesisServer::new(ServerConfig::default().with_devices(1, device).with_shards(shards))
-}
-
-fn rows(t: &Table) -> Vec<Vec<genesis::types::Value>> {
-    (0..t.num_rows()).map(|r| t.row(r)).collect()
 }
 
 /// `stats` as a run without the reconfiguration charged to it.
@@ -181,7 +144,7 @@ proptest! {
                 .and_then(|t| t.wait())
                 .map_err(fail)?;
             let sw = execute_plan(&plan, &cat, &Env::default()).map_err(fail)?;
-            prop_assert!(rows(&hw) == rows(&sw), "table of literal set {} of {:?}", i, plan);
+            same_table(&hw, &sw, &format!("table of literal set {i} of {plan:?}"))?;
             let expected_penalty = if i == 0 { PENALTY } else { 0 };
             prop_assert!(
                 stats.reconfig_cycles == expected_penalty,
@@ -189,7 +152,7 @@ proptest! {
             );
             reconfig += stats.reconfig_cycles;
             let (fresh_table, fresh_stats) = fresh(&reference, &plan, &cat)?;
-            prop_assert_eq!(rows(&fresh_table), rows(&sw));
+            same_table(&fresh_table, &sw, "fresh compile")?;
             prop_assert!(
                 unconfigured(stats) == fresh_stats,
                 "stats of literal set {} of {:?}: {:?} vs {:?}", i, plan, stats, fresh_stats
@@ -216,7 +179,7 @@ fn penalties(device: DeviceConfig, cat: &Catalog, plans: &[LogicalPlan]) -> Vec<
             let (hw, stats) =
                 srv.submit(Request::new("t", p.clone()), cat).unwrap().wait().unwrap();
             let sw = execute_plan(p, cat, &Env::default()).unwrap();
-            assert_eq!(rows(&hw), rows(&sw), "{p:?}");
+            same_table(&hw, &sw, &format!("{p:?}")).unwrap();
             stats.reconfig_cycles
         })
         .collect()
@@ -224,28 +187,14 @@ fn penalties(device: DeviceConfig, cat: &Catalog, plans: &[LogicalPlan]) -> Vec<
 
 /// `SELECT K, COUNT(*) FROM T WHERE X < n GROUP BY K ORDER BY K`.
 fn grouped(n: u64) -> LogicalPlan {
-    LogicalPlan::Sort {
-        input: Box::new(LogicalPlan::Aggregate {
-            input: Box::new(filter(scan("T"), cmp(col("X"), BinOp::Lt, n, false))),
-            items: vec![
-                SelectItem::Expr { expr: col("K"), alias: None },
-                SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
-            ],
-            group_by: vec![ColRef::bare("K")],
-        }),
-        keys: vec![(ColRef::bare("K"), false)],
-    }
+    common::grouped(filter(scan("T"), cmp(col("X"), BinOp::Lt, n, false)), "K", &[])
 }
 
 /// `SELECT X + n AS Y FROM T WHERE X < 50`: `n` is an ALU immediate.
 fn shifted(n: u64) -> LogicalPlan {
-    LogicalPlan::Project {
-        input: Box::new(filter(scan("T"), cmp(col("X"), BinOp::Lt, 50, false))),
-        items: vec![SelectItem::Expr {
-            expr: bin(BinOp::Add, col("X"), Expr::Number(n)),
-            alias: Some("Y".into()),
-        }],
-    }
+    let y = bin(BinOp::Add, col("X"), Expr::Number(n));
+    let y = SelectItem::Expr { expr: y, alias: Some("Y".into()) };
+    project(filter(scan("T"), cmp(col("X"), BinOp::Lt, 50, false)), vec![y])
 }
 
 /// `SELECT K FROM T WHERE X < 50 LIMIT 0, n`.
@@ -260,39 +209,17 @@ fn limited(n: u64) -> LogicalPlan {
 /// `SELECT POS FROM (ReadExplode … FROM READS) WHERE POS < n`: a
 /// residual Filter over an explode.
 fn exploded(n: u64) -> LogicalPlan {
-    select(
-        filter(
-            LogicalPlan::ReadExplode {
-                input: Box::new(scan("READS")),
-                pos: col("POS"),
-                cigar: ColRef::bare("CIGAR"),
-                seq: ColRef::bare("SEQ"),
-                qual: None,
-            },
-            cmp(col("POS"), BinOp::Lt, n, false),
-        ),
-        "POS",
-    )
+    select(filter(read_explode("READS", false), cmp(col("POS"), BinOp::Lt, n, false)), "POS")
 }
 
 fn reads_catalog() -> Catalog {
     let cigar: Cigar = "4M".parse().unwrap();
-    let reads = Table::from_columns(
-        Schema::new(vec![
-            Field::new("POS", DataType::U32),
-            Field::new("CIGAR", DataType::ListU16),
-            Field::new("SEQ", DataType::ListU8),
-        ]),
-        vec![
-            Column::U32(vec![1, 10]),
-            Column::ListU16(vec![cigar.pack().unwrap(); 2]),
-            Column::ListU8(vec![vec![0, 1, 2, 3]; 2]),
-        ],
-    )
-    .unwrap();
-    let mut cat = Catalog::new();
-    cat.register("READS", reads);
-    cat
+    let reads = table_of(vec![
+        ("POS", Column::U32(vec![1, 10])),
+        ("CIGAR", Column::ListU16(vec![cigar.pack().unwrap(); 2])),
+        ("SEQ", Column::ListU8(vec![vec![0, 1, 2, 3]; 2])),
+    ]);
+    catalog_of(vec![("READS", reads)])
 }
 
 /// Literals that can reach hardware or size it stay in the key: each pair
@@ -332,11 +259,8 @@ fn literals_that_reach_hardware_stay_in_the_shape() {
 fn replication_is_chosen_from_the_bound_selectivity() {
     let plan = sum(filter(scan("T"), cmp(col("X"), BinOp::Lt, 400, false)), "X");
     let compiler = Compiler::new(DeviceConfig::small());
-    let [dense, sparse] = [400, 8_000].map(|rows| {
-        let mut cat = Catalog::new();
-        cat.register("T", table(vec![("X", (0..rows).collect())]));
-        cat
-    });
+    let [dense, sparse] = [400, 8_000]
+        .map(|rows| catalog_of(vec![("T", u32_table(vec![("X", (0..rows).collect())]))]));
     let stale = compiler.compile(&plan, &dense).unwrap();
     let fresh = compiler.compile(&plan, &sparse).unwrap();
     assert!(
@@ -349,7 +273,7 @@ fn replication_is_chosen_from_the_bound_selectivity() {
     assert_eq!(fresh.execute(&sparse).unwrap().1, want);
 
     let (table, stats) = stale.execute(&sparse).unwrap();
-    assert_eq!(rows(&table), rows(&want_table));
+    same_table(&table, &want_table, "PipelinePlan::execute").unwrap();
     assert_eq!(stats, want, "PipelinePlan::execute over changed data");
 
     let srv = server(1, DeviceConfig::small());
@@ -363,6 +287,6 @@ fn replication_is_chosen_from_the_bound_selectivity() {
     assert_eq!(first.1.reconfig_cycles, PENALTY);
     let (table, stats) = srv.submit(Request::new("t", plan), &sparse).unwrap().wait().unwrap();
     assert_eq!(srv.cache_stats().hits, 1);
-    assert_eq!(rows(&table), rows(&want_table));
+    same_table(&table, &want_table, "a cache hit").unwrap();
     assert_eq!(stats, want, "a cache hit over changed data");
 }

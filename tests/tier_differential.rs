@@ -10,6 +10,9 @@
 //! `≥1M`-group aggregate whose histogram is ~8× the modeled SPM runs
 //! through `GenesisServer` bit-identical to the software oracle.
 
+mod common;
+
+use common::{catalog_of, check, grouped, masked_join, same_table, scan, u32_table, Axes, ENGINES};
 use genesis::core::compile::Compiler;
 use genesis::core::device::{DeviceConfig, TierConfig};
 use genesis::core::{AccelStats, CoreError, GenesisServer, Request, ServerConfig};
@@ -19,110 +22,36 @@ use genesis::hw::modules::spm_reader::{SpmReadMode, SpmReader};
 use genesis::hw::modules::spm_updater::{SpmUpdateMode, SpmUpdater};
 use genesis::hw::{EngineMode, StallReport, System, TierParams, TraceConfig};
 use genesis::obs::{SpanKind, StallClass};
-use genesis::sql::ast::{AggFn, ColRef, Expr, JoinKind, SelectItem};
 use genesis::sql::exec::{execute_plan, Env};
 use genesis::sql::{Catalog, LogicalPlan};
-use genesis::types::{Column, DataType, Field, Schema, Table};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::time::Duration;
-
-/// The engine matrix the suite sweeps.
-const MATRIX: [EngineMode; 2] = [EngineMode::Fast, EngineMode::Reference];
 
 /// A tier configuration with a zero on-chip quota and 64-byte pages, so
 /// even the tiny proptest scratchpads page against device DRAM on every
 /// cold touch. Latencies are shrunk (10-cycle PCIe, 4-cycle DRAM at the
 /// 250 MHz default clock) to keep the sweep fast.
 fn tiny_tiers() -> TierConfig {
-    TierConfig {
-        spm_bytes: 0,
-        page_bytes: 64,
-        dram_bytes: 1 << 20,
-        pcie_latency: Duration::from_nanos(40),
-        dram_latency: Duration::from_nanos(16),
-        ..TierConfig::default()
-    }
-}
-
-fn table_u32(cols: &[(&str, Vec<u32>)]) -> Table {
-    let schema = Schema::new(cols.iter().map(|(n, _)| Field::new(n, DataType::U32)).collect());
-    let columns = cols.iter().map(|(_, v)| Column::U32(v.clone())).collect();
-    Table::from_columns(schema, columns).unwrap()
-}
-
-fn scan(t: &str) -> LogicalPlan {
-    LogicalPlan::Scan { table: t.to_owned(), partition: None }
-}
-
-fn col(name: &str) -> Expr {
-    Expr::Col(ColRef::bare(name))
-}
-
-fn assert_tables_equal(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCaseError> {
-    let hw_names: Vec<&str> = hw.schema().fields().iter().map(|f| f.name.as_str()).collect();
-    let sw_names: Vec<&str> = sw.schema().fields().iter().map(|f| f.name.as_str()).collect();
-    if hw_names != sw_names {
-        return Err(TestCaseError::fail(format!(
-            "{what}: schema differs: hw {hw_names:?} sw {sw_names:?}"
-        )));
-    }
-    if hw.num_rows() != sw.num_rows() {
-        return Err(TestCaseError::fail(format!(
-            "{what}: row count differs: hw {} sw {}",
-            hw.num_rows(),
-            sw.num_rows()
-        )));
-    }
-    for r in 0..hw.num_rows() {
-        if hw.row(r) != sw.row(r) {
-            return Err(TestCaseError::fail(format!(
-                "{what}: row {r} differs: hw {:?} sw {:?}",
-                hw.row(r),
-                sw.row(r)
-            )));
-        }
-    }
-    Ok(())
+    TierConfig { dram_bytes: 1 << 20, ..common::tiny_tiers() }
 }
 
 /// Runs `plan` four ways — software engine, spill-off hardware, and
 /// spill-on hardware under both engines — and fails
 /// unless every run produces the same table. Returns the per-combination
-/// spill-on statistics (matrix order) for further assertions.
+/// spill-on statistics (engine order) for further assertions.
 fn differential_tiered(
     plan: &LogicalPlan,
     catalog: &Catalog,
     factor: usize,
 ) -> Result<Vec<AccelStats>, TestCaseError> {
-    let sw = execute_plan(plan, catalog, &Env::default())
-        .map_err(|e| TestCaseError::fail(format!("software run failed: {e}")))?;
-
-    let plain = Compiler::new(DeviceConfig::small())
-        .compile(plan, catalog)
-        .map_err(|e| TestCaseError::fail(format!("compile (tiers off) failed: {e}")))?;
-    let (hw_off, stats_off) = plain
-        .execute_replicated(catalog, factor)
-        .map_err(|e| TestCaseError::fail(format!("hardware run (tiers off) failed: {e}")))?;
-    assert_tables_equal(&hw_off, &sw, "tiers off")?;
-    if stats_off.spill_wait_cycles != 0 || stats_off.tier_pages_filled != 0 {
+    let (_, off) = check(plan, catalog, &Axes::at(factor))?.remove(0);
+    if off.spill_wait_cycles != 0 || off.tier_pages_filled != 0 {
         return Err(TestCaseError::fail(
             "tiers-off run must not report tier activity".to_owned(),
         ));
     }
-
-    let mut all = Vec::with_capacity(MATRIX.len());
-    for engine in MATRIX {
-        let what = format!("tiers on, {engine:?}");
-        let cfg = DeviceConfig::small().with_tiers(tiny_tiers()).with_engine(engine);
-        let (hw, stats) = Compiler::new(cfg)
-            .compile(plan, catalog)
-            .map_err(|e| TestCaseError::fail(format!("{what}: compile failed: {e}")))?
-            .execute_replicated(catalog, factor)
-            .map_err(|e| TestCaseError::fail(format!("{what}: hardware run failed: {e}")))?;
-        assert_tables_equal(&hw, &sw, &what)?;
-        all.push(stats);
-    }
+    let tiered = Axes { tiers: Some(tiny_tiers()), ..Axes::at(factor).engines(&ENGINES) };
+    let all: Vec<AccelStats> = check(plan, catalog, &tiered)?.into_iter().map(|r| r.1).collect();
 
     // Deterministic timing: simulated cycles, flits, and tier traffic must
     // agree across the engines (the stall-bucket split is the one designed
@@ -142,24 +71,11 @@ fn differential_tiered(
     Ok(all)
 }
 
-fn grouped_agg_plan() -> impl Fn(&[u32], &[u32]) -> (LogicalPlan, Catalog) {
-    |ks, ws| {
-        let mut c = Catalog::new();
-        c.register("T", table_u32(&[("K", ks.to_vec()), ("W", ws.to_vec())]));
-        let plan = LogicalPlan::Sort {
-            input: Box::new(LogicalPlan::Aggregate {
-                input: Box::new(scan("T")),
-                items: vec![
-                    SelectItem::Expr { expr: col("K"), alias: None },
-                    SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
-                    SelectItem::Agg { func: AggFn::Sum, arg: Some(col("W")), alias: None },
-                ],
-                group_by: vec![ColRef::bare("K")],
-            }),
-            keys: vec![(ColRef::bare("K"), false)],
-        };
-        (plan, c)
-    }
+/// `SELECT K, COUNT(*), SUM(W) FROM T GROUP BY K ORDER BY K` over `ks`
+/// and `ws`.
+fn grouped_agg_plan(ks: &[u32], ws: &[u32]) -> (LogicalPlan, Catalog) {
+    let catalog = catalog_of(vec![("T", u32_table(vec![("K", ks.to_vec()), ("W", ws.to_vec())]))]);
+    (grouped(scan("T"), "K", &["W"]), catalog)
 }
 
 proptest! {
@@ -175,12 +91,12 @@ proptest! {
         factor in 1usize..4,
     ) {
         let ws: Vec<u32> = ks.iter().enumerate().map(|(i, k)| k * weight_mul + i as u32 % 5).collect();
-        let (plan, catalog) = grouped_agg_plan()(&ks, &ws);
+        let (plan, catalog) = grouped_agg_plan(&ks, &ws);
         let all = differential_tiered(&plan, &catalog, factor)?;
         // The histogram scratchpads page (zero SPM quota), so the parking
         // engine must see cold-page waits; the reference engine re-ticks
         // instead of parking and accounts those cycles as active.
-        for (i, engine) in MATRIX.iter().enumerate() {
+        for (i, engine) in ENGINES.iter().enumerate() {
             if *engine == EngineMode::Reference {
                 prop_assert_eq!(all[i].spill_wait_cycles, 0);
             } else {
@@ -207,25 +123,8 @@ proptest! {
         rmul in 1u32..7,
         factor in 1usize..3,
     ) {
-        let lk: Vec<u32> = left_mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(i, _)| i as u32).collect();
-        let rk: Vec<u32> = right_mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(i, _)| i as u32).collect();
-        let lk = if lk.is_empty() { vec![0] } else { lk };
-        let lv: Vec<u32> = lk.iter().map(|k| k * lmul + 1).collect();
-        let rv: Vec<u32> = rk.iter().map(|k| k * rmul + 2).collect();
-        let catalog = {
-            let mut c = Catalog::new();
-            c.register("L", table_u32(&[("K", lk), ("A", lv)]));
-            c.register("R", table_u32(&[("K", rk), ("B", rv)]));
-            c
-        };
-        let kind = if left_join == 1 { JoinKind::Left } else { JoinKind::Inner };
-        let plan = LogicalPlan::Join {
-            kind,
-            left: Box::new(scan("L")),
-            right: Box::new(scan("R")),
-            left_key: ColRef::qualified("L", "K"),
-            right_key: ColRef::qualified("R", "K"),
-        };
+        let (plan, [left, right]) = masked_join(&left_mask, &right_mask, left_join == 1, lmul, rmul);
+        let catalog = catalog_of(vec![("L", u32_table(left)), ("R", u32_table(right))]);
         differential_tiered(&plan, &catalog, factor)?;
     }
 }
@@ -237,7 +136,7 @@ proptest! {
 fn spill_heavy_matrix_is_deterministic() {
     let ks: Vec<u32> = (0..600u32).map(|i| (i * 7) % 48).collect();
     let ws: Vec<u32> = ks.iter().map(|k| k * 3 + 1).collect();
-    let (plan, catalog) = grouped_agg_plan()(&ks, &ws);
+    let (plan, catalog) = grouped_agg_plan(&ks, &ws);
     let all = differential_tiered(&plan, &catalog, 2).unwrap();
     assert!(
         all[0].tier_pages_spilled > 0,
@@ -258,7 +157,7 @@ fn spill_heavy_matrix_is_deterministic() {
 fn overcommitted_working_set_is_a_structured_error() {
     let ks: Vec<u32> = (0..64u32).map(|i| i * 32).collect(); // domain 2017
     let ws: Vec<u32> = ks.iter().map(|k| k + 1).collect();
-    let (plan, catalog) = grouped_agg_plan()(&ks, &ws);
+    let (plan, catalog) = grouped_agg_plan(&ks, &ws);
     let cramped = TierConfig {
         spm_bytes: 1024,
         dram_bytes: 4096,
@@ -291,7 +190,7 @@ fn million_group_aggregate_spills_and_matches_the_oracle() {
     const DOMAIN: u32 = 1 << 20; // 1,048,576 groups
     let ks: Vec<u32> = (0..DOMAIN).collect();
     let ws: Vec<u32> = ks.iter().map(|k| k % 251).collect();
-    let (plan, catalog) = grouped_agg_plan()(&ks, &ws);
+    let (plan, catalog) = grouped_agg_plan(&ks, &ws);
 
     let tiers = TierConfig { spm_bytes: 1 << 20, ..TierConfig::default() };
     let cfg = DeviceConfig::small().with_tiers(tiers).with_psize(DOMAIN + 1);
@@ -302,7 +201,7 @@ fn million_group_aggregate_spills_and_matches_the_oracle() {
     let ticket = server.submit(Request::precompiled("t", compiled), &catalog).expect("submit");
     let (hw, stats) = ticket.wait().expect("tiered job completes");
     let sw = execute_plan(&plan, &catalog, &Env::default()).expect("oracle");
-    assert_tables_equal(&hw, &sw, "1M-group aggregate").unwrap();
+    same_table(&hw, &sw, "1M-group aggregate").unwrap();
 
     assert!(stats.spill_wait_cycles > 0, "8x-oversubscribed SPM must wait on spills: {stats}");
     assert!(stats.tier_pages_filled > 0 && stats.tier_pages_spilled > 0, "got: {stats}");

@@ -7,7 +7,8 @@
 //!
 //! Four proptests draw (a) a `GROUP BY` whose key and one or two `SUM`
 //! columns sit at random fields of a four-column scan, its items in random
-//! order; (b) projections that mix computed items (arithmetic and
+//! order, half the time under a seeded fault schedule (the SQL engine's
+//! table or a structured error, never a panic); (b) projections that mix computed items (arithmetic and
 //! comparisons, negated ones among them, over columns and literals) with
 //! pass-through columns in any order; (c) inner and left joins whose left
 //! key sits at any field, against a scan or the `PosExplode` of a 1–3-row
@@ -15,13 +16,14 @@
 //! (d) pileups and explode row streams over reads whose CIGARs hold `S`,
 //! `I` and `D` runs, with and without qualities.
 
-use genesis::core::compile::Compiler;
-use genesis::core::device::DeviceConfig;
-use genesis::core::serve::{GenesisServer, Request, ServerConfig};
+mod common;
+
+use common::{agg, arb_faults, ascending, bin, catalog_of, check, col, filtered, item, join};
+use common::{pos_explode, project, read_explode, read_spec, reads_table, ref_table, scan};
+use common::{u32_table, Axes};
+use genesis::core::fault::FaultConfig;
 use genesis::sql::ast::{AggFn, BinOp, ColRef, Expr, JoinKind, SelectItem};
-use genesis::sql::exec::{execute_plan, Env};
 use genesis::sql::{Catalog, LogicalPlan};
-use genesis::types::{Cigar, Column, Field, Schema, Table};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -32,37 +34,10 @@ const COLS: [&str; 4] = ["C0", "C1", "C2", "C3"];
 const OPS: [BinOp; 8] =
     [BinOp::Add, BinOp::Sub, BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
 
-fn table_of(cols: Vec<(&str, Column)>) -> Table {
-    let schema = Schema::new(cols.iter().map(|(n, c)| Field::new(n, c.dtype())).collect());
-    Table::from_columns(schema, cols.into_iter().map(|(_, c)| c).collect()).unwrap()
-}
-
-fn scan(t: &str) -> LogicalPlan {
-    LogicalPlan::Scan { table: t.to_owned(), partition: None }
-}
-
-fn col(name: &str) -> Expr {
-    Expr::Col(ColRef::bare(name))
-}
-
-fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-    Expr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
-}
-
-/// `input` under `column < lit` when a bound is drawn.
-fn below(input: LogicalPlan, column: &str, lit: Option<u64>) -> LogicalPlan {
-    match lit {
-        None => input,
-        Some(lit) => LogicalPlan::Filter {
-            input: Box::new(input),
-            pred: bin(BinOp::Lt, col(column), Expr::Number(lit)),
-        },
-    }
-}
-
-/// A bound drawn as `(kind, value)`: kind 0 leaves it out.
-fn bound((kind, lit): (usize, u64)) -> Option<u64> {
-    (kind > 0).then_some(lit)
+/// `input` under `column < lit` when a bound is drawn as `(kind, lit)`:
+/// kind 0 leaves it out.
+fn below(input: LogicalPlan, column: &str, (kind, lit): (usize, u64)) -> LogicalPlan {
+    filtered(input, column, (kind > 0).then_some((BinOp::Lt, lit)))
 }
 
 /// A row of `T`.
@@ -70,65 +45,29 @@ type Row = (u32, u32, u32, u32);
 
 /// `T(C0, C1, C2, C3)` over `rows`.
 fn t_catalog(rows: &[Row]) -> Catalog {
-    let column = |c: usize| Column::U32(rows.iter().map(|r| [r.0, r.1, r.2, r.3][c]).collect());
-    let mut cat = Catalog::new();
-    cat.register("T", table_of(COLS.iter().enumerate().map(|(c, n)| (*n, column(c))).collect()));
-    cat
-}
-
-fn assert_tables(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCaseError> {
-    let (hs, ss) = (hw.schema(), sw.schema());
-    prop_assert!(hs == ss, "{what}: schema {hs:?} vs {ss:?}");
-    let (hn, sn) = (hw.num_rows(), sw.num_rows());
-    prop_assert!(hn == sn, "{what}: {hn} rows vs {sn}");
-    for r in 0..hw.num_rows() {
-        prop_assert!(hw.row(r) == sw.row(r), "{what}: row {r}: {:?} vs {:?}", hw.row(r), sw.row(r));
-    }
-    Ok(())
+    let column = |c: usize| rows.iter().map(|r| [r.0, r.1, r.2, r.3][c]).collect();
+    let columns = COLS.iter().enumerate().map(|(c, n)| (*n, column(c))).collect();
+    catalog_of(vec![("T", u32_table(columns))])
 }
 
 /// The compiled plan at `factor` and served at `shards` (same factor),
-/// pushdown on or off, both equal the software engine.
+/// pushdown on or off and under `faults` when drawn, both equal the
+/// software engine.
 fn differential(
     plan: &LogicalPlan,
     catalog: &Catalog,
     pushdown: bool,
-    factor: usize,
-    shards: usize,
+    (factor, shards): (usize, usize),
+    faults: Option<FaultConfig>,
 ) -> Result<(), TestCaseError> {
-    let cfg = DeviceConfig::small().with_pushdown(pushdown);
-    let sw = execute_plan(plan, catalog, &Env::default())
-        .map_err(|e| TestCaseError::fail(format!("software run failed: {e}")))?;
-    let compiled = match Compiler::new(cfg.clone()).compile(plan, catalog) {
-        Ok(compiled) => compiled,
-        // A grouped aggregate over a scan that binds no row has no key
-        // bound to size its scratchpad, and is refused (`serve_edges.rs`
-        // holds that refusal).
-        Err(e) if sw.num_rows() == 0 && e.to_string().contains("no derivable domain bound") => {
-            return Ok(())
-        }
-        Err(e) => return Err(TestCaseError::fail(format!("compile failed: {e}"))),
-    };
-    let (hw, _) = compiled
-        .execute_replicated(catalog, factor)
-        .map_err(|e| TestCaseError::fail(format!("run at {factor}x failed: {e}")))?;
-    assert_tables(&hw, &sw, &format!("{factor}x"))?;
-    let server =
-        GenesisServer::new(ServerConfig::default().with_devices(1, cfg).with_shards(shards));
-    let (served, _) = server
-        .submit(Request::new("t", plan.clone()).with_replication(factor), catalog)
-        .and_then(|ticket| ticket.wait())
-        .map_err(|e| TestCaseError::fail(format!("served run failed: {e}")))?;
-    assert_tables(&served, &sw, &format!("{shards} shard(s) at {factor}x"))
+    let axes = Axes { empty_group_refused: true, ..Axes::at(factor).served(shards) };
+    check(plan, catalog, &axes.pushdown(&[pushdown]).faults(faults)).map(drop)
 }
 
 /// `SELECT` the key, `COUNT(*)` and a `SUM` of each of `sums` (aliased
 /// `S0`, `S1`), rotated by `rot`, grouped and sorted by `key`.
 fn grouped(input: LogicalPlan, key: &str, sums: &[&str], rot: usize) -> LogicalPlan {
-    let mut items = vec![
-        SelectItem::Expr { expr: col(key), alias: None },
-        SelectItem::Agg { func: AggFn::Count, arg: None, alias: None },
-    ];
+    let mut items = vec![item(key), agg(AggFn::Count, None)];
     for (i, s) in sums.iter().enumerate() {
         let alias = Some(format!("S{i}"));
         items.push(SelectItem::Agg { func: AggFn::Sum, arg: Some(col(s)), alias });
@@ -158,7 +97,7 @@ fn projection(input: LogicalPlan, specs: &[ItemSpec]) -> LogicalPlan {
             0 if passed.contains(&a) => continue,
             0 => {
                 passed.push(a);
-                items.push(SelectItem::Expr { expr: col(COLS[a]), alias: None });
+                items.push(item(COLS[a]));
                 continue;
             }
             1 => bin(OPS[op], col(COLS[a]), col(COLS[b])),
@@ -169,18 +108,7 @@ fn projection(input: LogicalPlan, specs: &[ItemSpec]) -> LogicalPlan {
         };
         items.push(SelectItem::Expr { expr, alias: Some(format!("E{i}")) });
     }
-    LogicalPlan::Project { input: Box::new(input), items }
-}
-
-/// Strictly ascending keys from `start`, each `gap + 1` past the last.
-fn ascending(start: u32, gaps: &[u32]) -> Vec<u32> {
-    gaps.iter()
-        .scan(start, |k, &gap| {
-            let at = *k;
-            *k += gap + 1;
-            Some(at)
-        })
-        .collect()
+    project(input, items)
 }
 
 /// `L` with its ascending key `K` at field `kpos` of `(X, Y, K)`
@@ -194,82 +122,24 @@ fn join_catalog(
     ref_start: u32,
     ref_rows: &[(usize, u32)],
 ) -> Catalog {
-    let x = Column::U32(lk.iter().map(|k| (k * 7 + 3) % 23).collect());
-    let y = Column::U32(lk.iter().map(|k| k / 2).collect());
-    let mut left = vec![("X", x), ("Y", y), ("K", Column::U32(lk))];
+    let x = lk.iter().map(|k| (k * 7 + 3) % 23).collect();
+    let y = lk.iter().map(|k| k / 2).collect();
+    let mut left = vec![("X", x), ("Y", y), ("K", lk)];
     left.rotate_right(kpos % 3 + 1);
-    let w = Column::U32(rk.iter().map(|k| (k * 5 + 1) % 19).collect());
-    let mut right = vec![("W", w), ("RK", Column::U32(rk))];
+    let w = rk.iter().map(|k| (k * 5 + 1) % 19).collect();
+    let mut right = vec![("W", w), ("RK", rk)];
     right.rotate_right(rpos % 2 + 1);
-    let (mut pos, mut seq) = (Vec::new(), Vec::new());
-    let mut next = ref_start;
-    for (i, &(items, gap)) in ref_rows.iter().enumerate() {
-        pos.push(next);
-        seq.push((0..items).map(|j| ((i + j) % 4) as u8).collect::<Vec<u8>>());
-        next += items as u32 + gap;
-    }
-    let mut cat = Catalog::new();
-    cat.register("L", table_of(left));
-    cat.register("R", table_of(right));
-    cat.register("REF", table_of(vec![("POS", Column::U32(pos)), ("SEQ", Column::ListU8(seq))]));
-    cat
-}
-
-/// One read, `(delta, (lead, tail), middle)`: it starts `delta` past the
-/// read before it, and its CIGAR soft-clips `lead` and `tail` bases around
-/// a `1M … 1M` that holds the `(op, len)` runs of `middle` over `M I D`.
-type ReadSpec = (u32, (u32, u32), Vec<(usize, u32)>);
-
-fn read_spec() -> impl Strategy<Value = ReadSpec> {
-    (0u32..8, (0u32..3, 0u32..3), proptest::collection::vec((0usize..3, 1u32..4), 0..4))
-}
-
-/// `READS(POS, CIGAR, SEQ, QUAL)` from `specs`, the first read at `lo`.
-fn reads_catalog(lo: u32, specs: &[ReadSpec]) -> Catalog {
-    let (mut pos, mut cigars) = (Vec::new(), Vec::new());
-    let (mut seqs, mut quals) = (Vec::new(), Vec::new());
-    let mut at = lo;
-    for (i, (delta, (lead, tail), mid)) in specs.iter().enumerate() {
-        at += delta;
-        let mut cigar = if *lead > 0 { format!("{lead}S1M") } else { "1M".to_owned() };
-        for &(op, len) in mid {
-            cigar.push_str(&format!("{len}{}", ['M', 'I', 'D'][op]));
-        }
-        cigar.push_str("1M");
-        if *tail > 0 {
-            cigar.push_str(&format!("{tail}S"));
-        }
-        let query = lead + tail + 2 + mid.iter().filter(|m| m.0 < 2).map(|m| m.1).sum::<u32>();
-        pos.push(at);
-        cigars.push(cigar.parse::<Cigar>().unwrap().pack().unwrap());
-        seqs.push((0..query).map(|j| ((i as u32 + j) % 4) as u8).collect::<Vec<u8>>());
-        quals.push((0..query).map(|j| (20 + (i as u32 * 3 + j) % 20) as u8).collect::<Vec<u8>>());
-    }
-    let mut cat = Catalog::new();
-    cat.register(
-        "READS",
-        table_of(vec![
-            ("POS", Column::U32(pos)),
-            ("CIGAR", Column::ListU16(cigars)),
-            ("SEQ", Column::ListU8(seqs)),
-            ("QUAL", Column::ListU8(quals)),
-        ]),
-    );
-    cat
+    catalog_of(vec![
+        ("L", u32_table(left)),
+        ("R", u32_table(right)),
+        ("REF", ref_table(ref_start, ref_rows)),
+    ])
 }
 
 /// `READS` exploded into one row per aligned base, `QUAL` included when
 /// `qual` holds, under `POS >= lo`.
 fn bases(qual: bool, lo: u64) -> LogicalPlan {
-    let explode = LogicalPlan::ReadExplode {
-        input: Box::new(scan("READS")),
-        pos: col("POS"),
-        cigar: ColRef::bare("CIGAR"),
-        seq: ColRef::bare("SEQ"),
-        qual: qual.then(|| ColRef::bare("QUAL")),
-    };
-    let pred = bin(BinOp::Ge, col("POS"), Expr::Number(lo));
-    LogicalPlan::Filter { input: Box::new(explode), pred }
+    filtered(read_explode("READS", qual), "POS", Some((BinOp::Ge, lo)))
 }
 
 proptest! {
@@ -287,12 +157,16 @@ proptest! {
         factor in 1usize..17,
         shards in 1usize..4,
         pushdown in 0usize..2,
+        faults in (0usize..2, arb_faults()),
     ) {
         let cat = t_catalog(&rows);
         let sums: Vec<&str> = sums.iter().map(|&s| COLS[s]).collect();
-        let input = below(scan("T"), COLS[(key + 1) % 4], bound(limit));
+        let input = below(scan("T"), COLS[(key + 1) % 4], limit);
         let plan = grouped(input, COLS[key], &sums, rot);
-        differential(&plan, &cat, pushdown == 1, factor, shards)?;
+        // Seeded faults half the time: the SQL engine's table or a
+        // structured error, never a panic.
+        let faults = (faults.0 == 1).then_some(faults.1);
+        differential(&plan, &cat, pushdown == 1, (factor, shards), faults)?;
     }
 
     /// Computed items and pass-through columns in any order over a
@@ -307,8 +181,8 @@ proptest! {
         pushdown in 0usize..2,
     ) {
         let cat = t_catalog(&rows);
-        let plan = projection(below(scan("T"), "C3", bound(limit)), &specs);
-        differential(&plan, &cat, pushdown == 1, factor, shards)?;
+        let plan = projection(below(scan("T"), "C3", limit), &specs);
+        differential(&plan, &cat, pushdown == 1, (factor, shards), None)?;
     }
 
     /// `L ⋈ R` or `L ⋈ PosExplode(REF)` over 1–3 reference rows, inner or
@@ -339,23 +213,12 @@ proptest! {
         );
         let kind = if left_join == 1 { JoinKind::Left } else { JoinKind::Inner };
         let (right, right_key) = if explode == 1 {
-            let explode = LogicalPlan::PosExplode {
-                input: Box::new(scan("REF")),
-                array: ColRef::bare("SEQ"),
-                init_pos: col("POS"),
-            };
-            (explode, "POS")
+            (pos_explode("REF", "SEQ", col("POS")), "POS")
         } else {
             (scan("R"), "RK")
         };
-        let plan = LogicalPlan::Join {
-            kind,
-            left: Box::new(below(scan("L"), "X", bound(limit))),
-            right: Box::new(right),
-            left_key: ColRef::bare("K"),
-            right_key: ColRef::bare(right_key),
-        };
-        differential(&plan, &cat, pushdown == 1, factor, shards)?;
+        let plan = join(kind, below(scan("L"), "X", limit), right, ("K", right_key));
+        differential(&plan, &cat, pushdown == 1, (factor, shards), None)?;
     }
 
     /// The pileup, and the exploded rows themselves, over reads from `lo`
@@ -363,7 +226,7 @@ proptest! {
     #[test]
     fn explode_emits_plain_rows(
         lo in 0u32..5_000,
-        specs in proptest::collection::vec(read_spec(), 1..14),
+        specs in proptest::collection::vec(read_spec(8, 3, 4), 1..14),
         from in 0u64..20,
         qual in 0usize..2,
         rows in 0usize..2,
@@ -371,9 +234,9 @@ proptest! {
         shards in 1usize..4,
         pushdown in 0usize..2,
     ) {
-        let cat = reads_catalog(lo, &specs);
+        let cat = catalog_of(vec![("READS", reads_table(lo, &specs, true))]);
         let bases = bases(qual == 1, u64::from(lo) + from);
         let plan = if rows == 1 { bases } else { grouped(bases, "POS", &[], 0) };
-        differential(&plan, &cat, pushdown == 1, factor, shards)?;
+        differential(&plan, &cat, pushdown == 1, (factor, shards), None)?;
     }
 }

@@ -14,15 +14,16 @@
 //! multi-chromosome `Dataset` and checked against an independent CIGAR
 //! walk ([`coverage_sw`]).
 
+mod common;
+
+use common::{catalog_of, ref_table, same_table, table_of, u32_table};
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::core::serve::{GenesisServer, Request, ServerConfig};
 use genesis::datagen::{DatagenConfig, Dataset};
 use genesis::sql::{Catalog, Script};
 use genesis::types::table::reads_to_table;
-use genesis::types::{
-    Base, Chrom, Cigar, Column, DataType, Field, ReadRecord, ReferenceGenome, Schema, Table, Value,
-};
+use genesis::types::{Chrom, Cigar, Column, ReadRecord, ReferenceGenome, Table, Value};
 use std::collections::HashMap;
 
 /// Coverage/pileup: per-position depth below 4,096.
@@ -46,7 +47,6 @@ const CIGARS: [(&str, usize); 6] =
 /// coverage), `PAIRS` (positions + mate positions), and `REF` (one
 /// reference row `PosExplode` expands).
 fn catalog(reads: usize) -> Catalog {
-    let bases = ['A', 'C', 'G', 'T'];
     let mut pos = Vec::new();
     let mut cigars = Vec::new();
     let mut seqs = Vec::new();
@@ -58,45 +58,22 @@ fn catalog(reads: usize) -> Catalog {
         let p = (i as u32) * 3 + 1;
         pos.push(p);
         cigars.push(cg.parse::<Cigar>().unwrap().pack().unwrap());
-        seqs.push(
-            (0..qlen)
-                .map(|j| Base::try_from(bases[(i + j) % 4]).unwrap().code())
-                .collect::<Vec<u8>>(),
-        );
+        // Base codes A, C, G, T in turn.
+        seqs.push((0..qlen).map(|j| ((i + j) % 4) as u8).collect::<Vec<u8>>());
         mpos.push(p + 40 + (i as u32 % 16));
     }
-    let reads_table = Table::from_columns(
-        Schema::new(vec![
-            Field::new("POS", DataType::U32),
-            Field::new("CIGAR", DataType::ListU16),
-            Field::new("SEQ", DataType::ListU8),
-        ]),
-        vec![Column::U32(pos.clone()), Column::ListU16(cigars), Column::ListU8(seqs)],
-    )
-    .unwrap();
-    let pairs_table = Table::from_columns(
-        Schema::new(vec![Field::new("POS", DataType::U32), Field::new("MPOS", DataType::U32)]),
-        vec![Column::U32(pos), Column::U32(mpos)],
-    )
-    .unwrap();
+    let reads_table = table_of(vec![
+        ("POS", Column::U32(pos.clone())),
+        ("CIGAR", Column::ListU16(cigars)),
+        ("SEQ", Column::ListU8(seqs)),
+    ]);
     // One reference row starting at position 0, long enough to cover
     // every read start (the join then keeps every pair).
-    let ref_len = reads * 3 + 16;
-    let ref_table = Table::from_columns(
-        Schema::new(vec![Field::new("POS", DataType::U32), Field::new("SEQ", DataType::ListU8)]),
-        vec![
-            Column::U32(vec![0]),
-            Column::ListU8(vec![
-                (0..ref_len).map(|j| Base::try_from(bases[j % 4]).unwrap().code()).collect(),
-            ]),
-        ],
-    )
-    .unwrap();
-    let mut cat = Catalog::new();
-    cat.register("READS", reads_table);
-    cat.register("PAIRS", pairs_table);
-    cat.register("REF", ref_table);
-    cat
+    catalog_of(vec![
+        ("READS", reads_table),
+        ("PAIRS", u32_table(vec![("POS", pos), ("MPOS", mpos)])),
+        ("REF", ref_table(0, &[(reads * 3 + 16, 0)])),
+    ])
 }
 
 /// Runs `script` on the software engine and returns the `out` table.
@@ -104,16 +81,6 @@ fn oracle(script: &str, reads: usize, out: &str) -> Table {
     let mut cat = catalog(reads);
     Script::parse(script).unwrap().run(&mut cat).unwrap();
     cat.table(out).unwrap().clone()
-}
-
-fn assert_tables_equal(hw: &Table, sw: &Table, what: &str) {
-    let hw_names: Vec<&str> = hw.schema().fields().iter().map(|f| f.name.as_str()).collect();
-    let sw_names: Vec<&str> = sw.schema().fields().iter().map(|f| f.name.as_str()).collect();
-    assert_eq!(hw_names, sw_names, "{what}: schema differs");
-    assert_eq!(hw.num_rows(), sw.num_rows(), "{what}: row count differs");
-    for r in 0..hw.num_rows() {
-        assert_eq!(hw.row(r), sw.row(r), "{what}: row {r} differs");
-    }
 }
 
 #[test]
@@ -131,7 +98,7 @@ fn coverage_pileup_compiles_generally_and_matches_oracle() {
     assert!(sw.num_rows() > 0, "oracle coverage must be non-trivial");
     for factor in [1, 3] {
         let (hw, _) = compiled.execute_replicated(&cat, factor).unwrap();
-        assert_tables_equal(&hw, &sw, &format!("coverage @{factor}x"));
+        same_table(&hw, &sw, &format!("coverage @{factor}x")).unwrap();
     }
 }
 
@@ -147,7 +114,7 @@ fn mate_distance_compiles_generally_and_matches_oracle() {
     assert_eq!(sw.num_rows(), 16);
     for factor in [1, 2] {
         let (hw, _) = compiled.execute_replicated(&cat, factor).unwrap();
-        assert_tables_equal(&hw, &sw, &format!("mate-distance @{factor}x"));
+        same_table(&hw, &sw, &format!("mate-distance @{factor}x")).unwrap();
     }
 }
 
@@ -190,8 +157,8 @@ fn workloads_serve_on_the_device_pool_including_sharded() {
         let mate = server.submit(Request::script("tenant-b", "mate_distance"), &cat).unwrap();
         let (cov_out, _) = cov.wait().unwrap();
         let (mate_out, _) = mate.wait().unwrap();
-        assert_tables_equal(&cov_out, &sw_cov, &format!("served coverage, {shards} shard(s)"));
-        assert_tables_equal(&mate_out, &sw_mate, &format!("served mate-dist, {shards} shard(s)"));
+        same_table(&cov_out, &sw_cov, &format!("served coverage, {shards} shard(s)")).unwrap();
+        same_table(&mate_out, &sw_mate, &format!("served mate-dist, {shards} shard(s)")).unwrap();
     }
 }
 
@@ -217,7 +184,7 @@ fn served_pushdown_is_bit_identical_and_counts_scanned_rows() {
             let (out, _) =
                 server.submit(Request::script("tenant-a", "selected"), &cat).unwrap().wait().unwrap();
             let what = format!("served selected scan, {shards} shard(s), pushdown={pushdown}");
-            assert_tables_equal(&out, &sw, &what);
+            same_table(&out, &sw, &what).unwrap();
             let counters = server.metrics_snapshot().counters;
             assert_eq!(counters.get("server.scan.rows_scanned"), Some(&2_400), "{what}");
             // With pushdown the scan itself drops the 1,600 non-matching
