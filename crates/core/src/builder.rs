@@ -3,7 +3,7 @@
 
 use genesis_hw::memory::LINE_BYTES;
 use genesis_hw::modules::mem_reader::{MemReader, MemReaderConfig, RowSpec};
-use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig};
+use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig, WriterColumn};
 use genesis_hw::modules::spm_reader::{SpmReadMode, SpmReader};
 use genesis_hw::modules::spm_updater::{SpmUpdateMode, SpmUpdater};
 use genesis_hw::system::ModuleId;
@@ -106,8 +106,8 @@ impl<'s> PipelineBuilder<'s> {
     /// The reference window (paper §III-D): each `(label, values, element
     /// bytes, packed bits)` column loads into its own scratchpad through a
     /// sequential SPM Updater fed by a Memory Reader, and one range-mode
-    /// SPM Reader — gated on every load, so no read observes an
-    /// uninitialized scratchpad — streams `[pos, col0[pos - base], …]`
+    /// SPM Reader — gated on every load's done signal, so no read observes
+    /// an uninitialized scratchpad — streams `[pos, col0[pos - base], …]`
     /// over each `[start, end)` pair, one delimited item per pair. Returns
     /// that stream.
     pub(crate) fn ref_window<T: Copy + Into<u64>>(
@@ -126,7 +126,7 @@ impl<'s> PipelineBuilder<'s> {
             let gate = self.queue(&format!("{label}.gate"));
             let mode = SpmUpdateMode::Sequential { base: 0 };
             let load = SpmUpdater::new(&format!("{label}.load"), spm, mode, 0, 0, stream);
-            self.sys.add_module(Box::new(load.with_forward(gate)));
+            self.sys.add_module(Box::new(load.with_done_signal(gate)));
             spms.push(spm);
             gates.push(gate);
         }
@@ -170,6 +170,31 @@ impl<'s> PipelineBuilder<'s> {
         .with_field(field);
         let id = self.sys.add_module(Box::new(writer));
         (id, addr)
+    }
+
+    /// Allocates one output region per field in `fields` and attaches one
+    /// multi-column Memory Writer consuming `input`, each column through
+    /// its own port; returns the writer module id and each column's base
+    /// address, in `fields` order.
+    pub(crate) fn row_writer(
+        &mut self,
+        name: &str,
+        input: QueueId,
+        fields: &[usize],
+        capacity_bytes: usize,
+    ) -> (ModuleId, Vec<u64>) {
+        let mut addrs = Vec::with_capacity(fields.len());
+        let mut cols = Vec::with_capacity(fields.len());
+        for &field in fields {
+            let base_addr = self.sys.alloc_mem(capacity_bytes.max(1));
+            let port = self.sys.register_mem_port(self.group);
+            addrs.push(base_addr);
+            let cfg = MemWriterConfig { base_addr, elem_bytes: 8 };
+            cols.push(WriterColumn { field, cfg, port });
+        }
+        let label = self.label(name);
+        let id = self.sys.add_module(Box::new(MemWriter::columns(&label, cols, input)));
+        (id, addrs)
     }
 
     /// Convenience for per-read variable-length row specs.

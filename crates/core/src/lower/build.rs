@@ -15,7 +15,7 @@ use crate::builder::PipelineBuilder;
 use crate::error::CoreError;
 use genesis_hw::modules::alu::{AluOp, AluRhs, StreamAlu};
 use genesis_hw::modules::fanout::Fanout;
-use genesis_hw::modules::filter::{CmpOp, Filter, Predicate};
+use genesis_hw::modules::filter::{Filter, Predicate};
 use genesis_hw::modules::joiner::{JoinKind as HwJoinKind, Joiner};
 use genesis_hw::modules::mem_reader::RowSpec;
 use genesis_hw::modules::Module;
@@ -729,22 +729,20 @@ fn build_join<'a>(
         }
     }
     let (nl, nr) = (l.cols.len(), r.cols.len());
-    let width = 1 + nl + nr;
-    if width > MAX_FIELDS {
+    if nl + nr > MAX_FIELDS {
         return Err(CoreError::unsupported(
             "Join",
-            format!("key + {nl} left + {nr} right fields exceed the {MAX_FIELDS}-field flit"),
+            format!("{nl} left + {nr} right fields exceed the {MAX_FIELDS}-field flit"),
         ));
     }
-    // The Joiner compares the left row's key in place and drops the right
-    // flit's first field, so only the right side prepends its key:
-    // [key, all columns...]. The output is [left columns..., right
-    // columns...].
-    let keyed = std::iter::once(ri).chain(0..nr).collect();
-    let rq = ctx.select(b, ("join.keyed", "join.keyzip"), r.q, keyed);
-    let lq = l.q;
+    // The Joiner compares both rows' keys in place and keeps both flits
+    // whole: the output is [left columns..., right columns...]. An
+    // unmatched left row pads every right column, its key included, with
+    // NULL.
+    let (lq, rq) = (l.q, r.q);
     let out = ctx.add(b, ("join.out", "join"), |l, out| {
-        Box::new(Joiner::new(l, hw_kind, lq, rq, out, nl - 1, nr).with_left_key(li))
+        let joiner = Joiner::new(l, hw_kind, lq, rq, out, nl - 1, nr - 1);
+        Box::new(joiner.with_left_key(li).with_right_key(ri))
     });
     let left_join = kind == JoinKind::Left;
     let mut cols = Vec::with_capacity(nl + nr);
@@ -766,7 +764,7 @@ fn build_join<'a>(
         let right = r.unstreamed.iter().map(|n| qualify(right_key.table.as_deref(), n));
         Cow::Owned(left.chain(right).collect())
     };
-    ctx.note(format!("Join({kind:?}) -> Zip + Joiner"));
+    ctx.note(format!("Join({kind:?}) -> Joiner"));
     Ok(Stream { q: out, cols, unstreamed })
 }
 
@@ -1049,32 +1047,30 @@ fn build_grouped_agg(
             b.system().spms_mut().add(&label, domain, 8)
         })
         .collect();
-    // Each updater forwards its input to the next; the last one's
-    // forward triggers the drain.
+    // Each updater but the last forwards its input to the next, which
+    // reads the same rows; the last one's done signal triggers the drain.
     let rmw = |op| SpmUpdateMode::Rmw { op };
-    let rows = s.q;
-    let mut tap = ctx.add(b, ("grp.fwd", "grp.count"), |l, out| {
-        let u = SpmUpdater::new(l, cnt_spm, rmw(RmwOp::Increment), ki, 0, rows);
-        Box::new(u.with_addr_offset(floor).with_forward(out))
-    });
-    for (&spm, &field) in sum_spms.iter().zip(&sum_fields) {
-        tap = ctx.add(b, ("grp.fwd", "grp.sum"), |l, out| {
-            let u = SpmUpdater::new(l, spm, rmw(RmwOp::Add), ki, field, tap);
-            Box::new(u.with_addr_offset(floor).with_forward(out))
+    let updaters = std::iter::once(("grp.count", cnt_spm, RmwOp::Increment, 0)).chain(
+        sum_spms.iter().zip(&sum_fields).map(|(&spm, &field)| ("grp.sum", spm, RmwOp::Add, field)),
+    );
+    let mut tap = s.q;
+    let last = sum_fields.len();
+    for (i, (module, spm, op, field)) in updaters.enumerate() {
+        let queue = if i == last { "grp.done" } else { "grp.fwd" };
+        tap = ctx.add(b, (queue, module), |l, out| {
+            let u = SpmUpdater::new(l, spm, rmw(op), ki, field, tap).with_addr_offset(floor);
+            Box::new(if i == last { u.with_done_signal(out) } else { u.with_forward(out) })
         });
     }
-    // Drain all histograms once updates finish: [key, count, sums...].
+    // Drain all histograms once updates finish: [key, count, sums...],
+    // nonempty keys only (the engine emits no empty groups).
     let mut spms = vec![cnt_spm];
     spms.extend(sum_spms.iter().copied());
     let drain = ctx.add(b, ("grp.drain", "grp.drain"), |l, out| {
         let mode = SpmReadMode::Drain { trigger: tap, len: domain as u64 };
-        Box::new(SpmReader::new(l, spms, mode, floor, out))
+        Box::new(SpmReader::new(l, spms, mode, floor, out).with_skip_empty())
     });
-    // Keep only keys that appeared (the engine emits no empty groups).
-    let present = ctx.add(b, ("grp.present", "grp.present"), |l, out| {
-        Box::new(Filter::new(l, Predicate::field_const(1, CmpOp::Ge, 1), drain, out))
-    });
-    // Each writer writes its item's field of the drained row.
+    // The writer stores each item's field of the drained row.
     let fields: Vec<usize> = gitems
         .iter()
         .map(|gi| match gi.role {
@@ -1083,7 +1079,7 @@ fn build_grouped_agg(
             GroupRole::Sum => 2 + gi.sum_slot,
         })
         .collect();
-    let writers = attach_writers(b, ctx, present, &fields, domain * 8, "grp.out");
+    let writers = attach_writers(b, ctx, drain, &fields, domain * 8, "grp.out");
     let cols: Vec<ColInfo> = gitems
         .iter()
         .map(|gi| {
@@ -1093,19 +1089,16 @@ fn build_grouped_agg(
         })
         .collect();
     ctx.note(format!(
-        "Aggregate(GROUP BY) -> {}x SpmUpdater + SpmReader + Filter + {}{}x MemoryWriter",
+        "Aggregate(GROUP BY) -> {}x SpmUpdater + SpmReader + MemoryWriter",
         1 + sum_fields.len(),
-        fanout_note(writers.len()),
-        writers.len()
     ));
     let kind = SinkKind::Grouped(gitems.iter().map(|gi| gi.role).collect());
     Ok((Built { writers, cols }, kind))
 }
 
-/// Attaches one Memory Writer per output column, writing its own field of
-/// the row (fanning the row stream out when there is more than one —
-/// concurrent writers must not steal flits from a shared queue), each a
-/// sustained 8-byte write port.
+/// Attaches one Memory Writer to the row stream, writing each of
+/// `fields` to its own output column, each a sustained 8-byte write port.
+/// Returns the writer and readback address of each column.
 fn attach_writers(
     b: &mut PipelineBuilder<'_>,
     ctx: &mut BuildCtx<'_>,
@@ -1120,14 +1113,8 @@ fn attach_writers(
     if let &[field] = fields {
         return vec![b.writer_with_field(&ctx.lbl(tag), rows_q, 8, capacity_bytes, field)];
     }
-    let branch_qs: Vec<QueueId> = (0..n_cols).map(|_| b.queue(&ctx.lbl("out.b"))).collect();
-    let fl = ctx.lbl("out.fan");
-    b.system().add_module(Box::new(Fanout::new(&fl, rows_q, branch_qs.clone())));
-    branch_qs
-        .iter()
-        .zip(fields)
-        .map(|(&q, &field)| b.writer_with_field(&ctx.lbl(tag), q, 8, capacity_bytes, field))
-        .collect()
+    let (writer, addrs) = b.row_writer(&ctx.lbl(tag), rows_q, fields, capacity_bytes);
+    addrs.into_iter().map(|addr| (writer, addr)).collect()
 }
 
 /// The explain text of the Fanout feeding `branches` consumers: none for
@@ -1146,6 +1133,6 @@ fn build_stream_sink(
     let bound = ctx.rows_bound.max(1) * 8;
     let fields: Vec<usize> = (0..s.cols.len()).collect();
     let writers = attach_writers(b, ctx, s.q, &fields, bound, "out");
-    ctx.note(format!("Output -> {}{}x MemoryWriter", fanout_note(writers.len()), writers.len()));
+    ctx.note("Output -> MemoryWriter".to_owned());
     Ok((Built { writers, cols: s.cols }, SinkKind::Stream))
 }

@@ -20,7 +20,8 @@ use genesis_hw::System;
 use genesis_sql::exec::{execute_plan, Env};
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::{Column, DataType, Field, Schema, Table, Value};
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -554,48 +555,36 @@ impl Lowering {
                     .iter()
                     .position(|r| *r == GroupRole::Key)
                     .ok_or_else(|| CoreError::Host("grouped sink without key column".into()))?;
-                // Raw accumulator columns in first-seen order, and each
-                // key's row in them; the map's key order is the output
-                // order.
-                let mut acc: Vec<Vec<u64>> = vec![Vec::new(); roles.len()];
-                let mut row_of: BTreeMap<u64, usize> = BTreeMap::new();
-                for (out, _) in outs {
-                    let JobOut::Raw(job) = out else {
-                        return Err(CoreError::Host("grouped sink produced non-groups".into()));
-                    };
-                    for (r, &key) in job[key_pos].iter().enumerate() {
-                        match row_of.entry(key) {
-                            Entry::Vacant(e) => {
-                                e.insert(acc[key_pos].len());
-                                for (a, col) in acc.iter_mut().zip(&job) {
-                                    a.push(col[r]);
-                                }
-                            }
-                            Entry::Occupied(e) => {
-                                let row = *e.get();
-                                for ((role, a), col) in roles.iter().zip(&mut acc).zip(&job) {
-                                    if *role != GroupRole::Key {
-                                        a[row] = a[row].wrapping_add(col[r]);
-                                    }
-                                }
-                            }
+                let runs: Vec<Vec<Vec<u64>>> = outs
+                    .into_iter()
+                    .map(|(out, _)| match out {
+                        JobOut::Raw(job) => Ok(job),
+                        JobOut::Cols(_) => {
+                            Err(CoreError::Host("grouped sink produced non-groups".into()))
                         }
-                    }
-                }
-                roles
-                    .iter()
-                    .zip(&acc)
+                    })
+                    .collect::<Result<_, _>>()?;
+                let mut columns: Vec<Vec<Value>> = merge_runs(&runs, roles, key_pos)
+                    .into_iter()
+                    .zip(roles)
                     .zip(cols)
-                    .map(|((role, a), col)| {
-                        row_of
-                            .values()
-                            .map(|&row| match (role, col.decode) {
-                                (GroupRole::Key, Decode::Bool) => Value::Bool(a[row] != 0),
-                                _ => Value::U64(a[row]),
+                    .map(|((a, role), col)| {
+                        a.into_iter()
+                            .map(|raw| match (role, col.decode) {
+                                (GroupRole::Key, Decode::Bool) => Value::Bool(raw != 0),
+                                _ => Value::U64(raw),
                             })
                             .collect()
                     })
-                    .collect()
+                    .collect();
+                // The leading sort on the key (`analyze` requires one) is
+                // the merge's own order, or its reversal.
+                if let Some(Epilogue::Sort { keys }) = self.epilogues.first() {
+                    if keys.first().is_some_and(|&(_, desc)| desc) {
+                        columns.iter_mut().for_each(|c| c.reverse());
+                    }
+                }
+                columns
             }
         };
         let fields: Vec<Field> =
@@ -607,13 +596,16 @@ impl Lowering {
     }
 
     fn apply_epilogues(&self, table: Table) -> Result<Table, CoreError> {
-        if self.epilogues.is_empty() {
+        // A grouped merge already stands in its leading sort's order.
+        let skip = usize::from(matches!(self.kind, SinkKind::Grouped(_)));
+        let epilogues = self.epilogues.get(skip..).unwrap_or_default();
+        if epilogues.is_empty() {
             return Ok(table);
         }
         let mut catalog = Catalog::new();
         catalog.register(HW_OUT, table);
         let mut plan = LogicalPlan::Scan { table: HW_OUT.to_owned(), partition: None };
-        for e in &self.epilogues {
+        for e in epilogues {
             plan = match e {
                 Epilogue::Sort { keys } => {
                     LogicalPlan::Sort { input: Box::new(plan), keys: keys.clone() }
@@ -628,6 +620,41 @@ impl Lowering {
         execute_plan(&plan, &catalog, &Env::default())
             .map_err(|e| CoreError::Host(format!("host epilogue: {e}")))
     }
+}
+
+/// Merges per-job grouped runs, each ascending by the unique key in
+/// column `key_pos`, into one ascending run: a key several runs hold
+/// appears once, its other columns summed (wrapping, as the scratchpads
+/// add).
+fn merge_runs(runs: &[Vec<Vec<u64>>], roles: &[GroupRole], key_pos: usize) -> Vec<Vec<u64>> {
+    let total = runs.iter().map(|job| job[key_pos].len()).sum();
+    let mut acc: Vec<Vec<u64>> = (0..roles.len()).map(|_| Vec::with_capacity(total)).collect();
+    // The next row of each run, keyed by its key (ties broken by run).
+    let mut heads: BinaryHeap<Reverse<(u64, usize, usize)>> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, job)| job[key_pos].first().map(|&k| Reverse((k, i, 0))))
+        .collect();
+    while let Some(Reverse((key, i, r))) = heads.pop() {
+        let job = &runs[i];
+        debug_assert!(job[key_pos].get(r + 1).is_none_or(|&next| next > key), "run ascends");
+        if let Some(&next) = job[key_pos].get(r + 1) {
+            heads.push(Reverse((next, i, r + 1)));
+        }
+        if acc[key_pos].last() == Some(&key) {
+            for ((role, a), col) in roles.iter().zip(&mut acc).zip(job) {
+                if *role != GroupRole::Key {
+                    let last = a.last_mut().expect("the key's row");
+                    *last = last.wrapping_add(col[r]);
+                }
+            }
+        } else {
+            for (a, col) in acc.iter_mut().zip(job) {
+                a.push(col[r]);
+            }
+        }
+    }
+    acc
 }
 
 /// Column metadata for merging: taken from the first job's build (all jobs

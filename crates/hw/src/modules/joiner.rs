@@ -19,10 +19,11 @@ pub enum JoinKind {
 }
 
 /// Merges two item-aligned streams whose flits carry an ascending key in
-/// field 0 (on the left, the field [`Joiner::with_left_key`] names).
-/// Matching keys concatenate the left flit and the right flit's data
-/// fields; unmatched flits are emitted with `Del` padding or discarded
-/// per [`JoinKind`].
+/// field 0 (or the fields [`Joiner::with_left_key`] and
+/// [`Joiner::with_right_key`] name). Matching keys concatenate the left
+/// flit and the right flit's data fields (the whole right flit once its
+/// key is read in place); unmatched flits are emitted with `Del` padding
+/// or discarded per [`JoinKind`].
 ///
 /// Genomics extension: a left flit whose key is the `Ins` sentinel (an
 /// inserted base from ReadToBases) never matches — it is emitted padded for
@@ -35,8 +36,11 @@ pub struct Joiner {
     left: QueueId,
     right: QueueId,
     out: QueueId,
-    /// The left flit's key field (the right key is always field 0).
+    /// The left flit's key field.
     left_key: usize,
+    /// The right flit's key field when it is read in place and the right
+    /// flit kept whole; `None` for a key in field 0 that the output drops.
+    right_key: Option<usize>,
     /// Data fields besides the key on the left stream (for padding).
     left_data_fields: usize,
     /// Data fields besides the key on the right stream (for padding).
@@ -74,6 +78,7 @@ impl Joiner {
             right,
             out,
             left_key: 0,
+            right_key: None,
             left_data_fields,
             right_data_fields,
             done: false,
@@ -90,6 +95,23 @@ impl Joiner {
         self
     }
 
+    /// Compares the right flit's field `i` in place and keeps the right
+    /// flit whole, key included: a right row joins on its own column,
+    /// with no Zip moving the key to the front. The output is `[left
+    /// fields..., right fields...]`; `right_data_fields` then counts the
+    /// right fields besides the key, as it does on the left.
+    #[must_use]
+    pub fn with_right_key(mut self, i: usize) -> Joiner {
+        self.right_key = Some(i);
+        self
+    }
+
+    /// The first right field the output carries: the key's own field
+    /// unless it is read in place.
+    fn right_first(&self) -> usize {
+        usize::from(self.right_key.is_none())
+    }
+
     fn head(queues: &QueuePool, q: QueueId) -> Head<'_> {
         let queue = queues.get(q);
         match queue.peek() {
@@ -103,7 +125,8 @@ impl Joiner {
     /// Output for an unmatched left flit: the left flit + right padding.
     fn left_padded(&self, f: &Flit) -> Flit {
         let mut out = *f;
-        for _ in 0..self.right_data_fields {
+        let right_fields = self.right_data_fields + usize::from(self.right_key.is_some());
+        for _ in 0..right_fields {
             out.push(HwWord::Del);
         }
         out
@@ -115,21 +138,21 @@ impl Joiner {
         let mut out = Flit::new();
         for i in 0..=self.left_data_fields {
             if i == self.left_key {
-                out.push_from(f, 0);
+                out.push_from(f, self.right_key.unwrap_or(0));
             } else {
                 out.push(HwWord::Del);
             }
         }
-        for i in 1..f.len() {
+        for i in self.right_first()..f.len() {
             out.push_from(f, i);
         }
         out
     }
 
     /// Merged output for matching keys: the left flit + right data.
-    fn merged(l: &Flit, r: &Flit) -> Flit {
+    fn merged(&self, l: &Flit, r: &Flit) -> Flit {
         let mut out = *l;
-        for i in 1..r.len() {
+        for i in self.right_first()..r.len() {
             out.push_from(r, i);
         }
         out
@@ -205,7 +228,7 @@ impl Module for Joiner {
             },
             (Head::Data(l), Head::Data(r)) => {
                 let lk = l.field(self.left_key);
-                let rk = r.field(0);
+                let rk = r.field(self.right_key.unwrap_or(0));
                 // Inserted-base flits never match.
                 if lk.is_marker() {
                     return match self.kind {
@@ -219,7 +242,7 @@ impl Module for Joiner {
                 }
                 let (lv, rv) = (lk.val_or_zero(), rk.val_or_zero());
                 match (lv.cmp(&rv), self.kind) {
-                    (Ordering::Equal, _) => self.emit(ctx, Self::merged(l, r), true, true),
+                    (Ordering::Equal, _) => self.emit(ctx, self.merged(l, r), true, true),
                     (Ordering::Less, Inner) => Self::discard(ctx, self.left),
                     (Ordering::Less, Left | Outer) => {
                         self.emit(ctx, self.left_padded(l), true, false)

@@ -36,7 +36,8 @@ pub enum SpmReadMode {
     /// `[idx + offset, spm0[idx], ...]`. Used to dump the BQSR count
     /// buffers and, offset by the key window's floor, grouped histograms.
     Drain {
-        /// Stream whose completion triggers the drain (flits discarded).
+        /// Stream whose completion triggers the drain (flits discarded;
+        /// an updater's done signal carries none).
         trigger: QueueId,
         /// Number of elements to drain.
         len: u64,
@@ -56,9 +57,11 @@ pub struct SpmReader {
     addr_offset: u64,
     out: QueueId,
     /// Queues that must finish before reading starts (the SPM-load gate:
-    /// the updater filling this scratchpad forwards its stream here, so
-    /// range reads cannot race ahead of initialization).
+    /// the updater filling this scratchpad closes its done signal here,
+    /// so range reads cannot race ahead of initialization).
     gates: Vec<QueueId>,
+    /// Drain mode emits only entries whose first scratchpad is nonzero.
+    skip_empty: bool,
     cur: Option<(u64, u64)>,
     pending_end: bool,
     drain_cursor: u64,
@@ -88,6 +91,7 @@ impl SpmReader {
             addr_offset,
             out,
             gates: Vec::new(),
+            skip_empty: false,
             cur: None,
             pending_end: false,
             drain_cursor: 0,
@@ -101,6 +105,16 @@ impl SpmReader {
     #[must_use]
     pub fn with_gates(mut self, gates: Vec<QueueId>) -> SpmReader {
         self.gates = gates;
+        self
+    }
+
+    /// In drain mode, emits only the entries whose first scratchpad holds
+    /// a nonzero value (a histogram's nonempty groups), still reading one
+    /// entry per cycle: an empty entry is read and dropped without
+    /// waiting for output space.
+    #[must_use]
+    pub fn with_skip_empty(mut self) -> SpmReader {
+        self.skip_empty = true;
         self
     }
 
@@ -228,20 +242,28 @@ impl Module for SpmReader {
                     }
                     return Tick::PARK;
                 }
-                if refused(ctx.queues, self.out) {
+                let idx = self.drain_cursor;
+                // An empty entry needs no output space. The look is the
+                // simulator's, not a read: the tick below reads it.
+                let empty = self.skip_empty && idx < len && {
+                    let counts = ctx.spms.get(self.spms[0]).contents();
+                    counts.get(idx as usize).is_none_or(|&v| v == 0)
+                };
+                if !empty && refused(ctx.queues, self.out) {
                     return Tick::full(self.out);
                 }
-                if self.drain_cursor >= len {
+                if idx >= len {
                     let out = ctx.queues.get_mut(self.out);
                     out.push(Flit::end_item());
                     out.close();
                     self.done = true;
                     return Tick::Done;
                 }
-                tier_gate!(ctx, &self.spms, self.drain_cursor, false);
-                let pos = self.drain_cursor + self.addr_offset;
-                let flit = read_flit(ctx, &self.spms, self.addr_offset, pos);
-                ctx.queues.get_mut(self.out).push(flit);
+                tier_gate!(ctx, &self.spms, idx, false);
+                let flit = read_flit(ctx, &self.spms, self.addr_offset, idx + self.addr_offset);
+                if !empty {
+                    ctx.queues.get_mut(self.out).push(flit);
+                }
                 self.drain_cursor += 1;
                 Tick::Active
             }

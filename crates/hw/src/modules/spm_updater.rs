@@ -44,7 +44,10 @@ pub const RMW_PIPELINE_DEPTH: usize = 3;
 ///
 /// `forward` optionally passes every consumed flit downstream unchanged —
 /// the "cascaded" wiring of the BQSR pipeline (Figure 12) where the same
-/// filtered stream updates several count buffers in sequence.
+/// filtered stream updates several count buffers in sequence. A module
+/// that only needs to know when the scratchpad is complete (a drain, a
+/// gated range reader) waits on the done signal instead, a queue that
+/// carries no flits and closes once every update is made.
 #[derive(Debug)]
 pub struct SpmUpdater {
     label: String,
@@ -59,6 +62,7 @@ pub struct SpmUpdater {
     addr_offset: u64,
     input: QueueId,
     forward: Option<QueueId>,
+    done_signal: Option<QueueId>,
     seq_cursor: u64,
     /// The read/modify/write stages as `(entry cycle, address)`: the
     /// address that entered on cycle `c` sits in slot
@@ -97,6 +101,7 @@ impl SpmUpdater {
             addr_offset: 0,
             input,
             forward: None,
+            done_signal: None,
             seq_cursor,
             // Entered on no cycle: `in_flight` never holds.
             stages: [(u64::MAX, 0); RMW_PIPELINE_DEPTH],
@@ -110,6 +115,15 @@ impl SpmUpdater {
     #[must_use]
     pub fn with_forward(mut self, q: QueueId) -> SpmUpdater {
         self.forward = Some(q);
+        self
+    }
+
+    /// Closes `q` once every input flit is consumed, pushing nothing into
+    /// it: the completion signal of a scratchpad whose reader needs no
+    /// copy of the stream that filled it.
+    #[must_use]
+    pub fn with_done_signal(mut self, q: QueueId) -> SpmUpdater {
+        self.done_signal = Some(q);
         self
     }
 
@@ -166,8 +180,8 @@ impl Module for SpmUpdater {
         }
         let Some(flit) = ctx.queues.get(self.input).peek() else {
             if ctx.queues.get(self.input).is_finished() {
-                if let Some(fq) = self.forward {
-                    ctx.queues.get_mut(fq).close();
+                for q in self.forward.into_iter().chain(self.done_signal) {
+                    ctx.queues.get_mut(q).close();
                 }
                 self.done = true;
                 return Tick::Done;
@@ -276,6 +290,6 @@ impl Module for SpmUpdater {
     }
 
     fn output_queues(&self) -> Vec<QueueId> {
-        self.forward.into_iter().collect()
+        self.forward.into_iter().chain(self.done_signal).collect()
     }
 }

@@ -73,11 +73,13 @@ impl Module for SlowSink {
     }
 }
 
-/// How often the engine ticked the wrapped module, and how often those
-/// ticks reported a [`Watch::Full`] park with and without a timed wake.
+/// How often the engine ticked the wrapped module, how often those ticks
+/// parked, and how often they reported a [`Watch::Full`] park with and
+/// without a timed wake.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickCensus {
     pub ticks: u64,
+    pub parks: u64,
     pub full_timed: u64,
     pub full_untimed: u64,
 }
@@ -138,6 +140,7 @@ impl<M: Module + 'static> Module for Counted<M> {
         let t = self.inner.tick(ctx);
         self.census.ticks += 1;
         self.done |= t == Tick::Done;
+        self.census.parks += u64::from(matches!(t, Tick::Park { .. }));
         if let Tick::Park { wake_at, watch: Watch::Full(_) } = t {
             if wake_at.is_some() {
                 self.census.full_timed += 1;

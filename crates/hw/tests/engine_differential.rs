@@ -13,11 +13,12 @@ use genesis_hw::modules::alu::{AluOp, AluRhs, StreamAlu};
 use genesis_hw::modules::filter::{CmpOp, Filter, Predicate};
 use genesis_hw::modules::joiner::{JoinKind, Joiner};
 use genesis_hw::modules::mem_reader::{MemReader, MemReaderConfig, RowSpec};
-use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig};
+use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig, WriterColumn};
 use genesis_hw::modules::read_to_bases::{ReadToBases, ReadToBasesInputs};
 use genesis_hw::modules::reducer::{ReduceOp, Reducer};
 use genesis_hw::modules::sink::StreamSink;
 use genesis_hw::modules::source::StreamSource;
+use genesis_hw::modules::spm_reader::{SpmReadMode, SpmReader};
 use genesis_hw::modules::spm_updater::{RmwOp, SpmUpdateMode, SpmUpdater};
 use genesis_hw::system::ModuleId;
 use genesis_hw::word::{Flit, HwWord};
@@ -778,5 +779,143 @@ fn in_place_field_options_bit_identical() {
             [q_alu, q_j, q_bases].map(|out| sys.add_module(counted(SlowSink::new("sink", out, 3))))
         },
         |sys, sinks| sinks.map(|sink| slow_sink_flits(sys, sink)),
+    );
+}
+
+/// A GROUP BY tail on a done signal: RMW updates of clustered keys (so the
+/// RAW interlock stalls), the updater closing a queue that carries no
+/// flits, and a drain of the nonempty keys behind a slow sink. The drain
+/// waits in one park and wakes once, when the signal closes.
+#[test]
+fn done_signal_parks_a_drain_once_and_wakes_it_once() {
+    let keys: Vec<u64> = (0..60u64).map(|i| 3 + (i * 7 % 13) / 2 * 3).collect();
+    let (sys, (drain, signal, _, sink)) = assert_engines_agree_on(
+        System::new,
+        50_000,
+        |sys| {
+            let spm = sys.add_spm("counts", 24, 8);
+            let (q_keys, signal, q_out) =
+                (sys.add_queue("keys"), sys.add_queue("done"), sys.add_queue("out"));
+            let source = StreamSource::from_items("keys", q_keys, std::slice::from_ref(&keys));
+            sys.add_module(counted(source));
+            let rmw = SpmUpdateMode::Rmw { op: RmwOp::Increment };
+            let updater = SpmUpdater::new("count", spm, rmw, 0, 0, q_keys).with_addr_offset(3);
+            sys.add_module(counted(updater.with_done_signal(signal)));
+            let mode = SpmReadMode::Drain { trigger: signal, len: 24 };
+            let reader = SpmReader::new("drain", vec![spm], mode, 3, q_out).with_skip_empty();
+            let drain = sys.add_module(counted(reader));
+            (drain, signal, spm, sys.add_module(counted(SlowSink::new("sink", q_out, 2))))
+        },
+        |sys, &(_, _, spm, sink)| {
+            (slow_sink_flits(sys, sink), sys.spms().get(spm).contents().to_vec())
+        },
+    );
+    assert_eq!(sys.queues().get(signal).total_pushed(), 0, "a done signal carries no flits");
+    let drained: Vec<(u64, u64)> = slow_sink_flits(&sys, sink)
+        .iter()
+        .filter(|f| !f.is_end_item())
+        .map(|f| (f.field(0).val_or_zero(), f.field(1).val_or_zero()))
+        .collect();
+    let mut expected = std::collections::BTreeMap::new();
+    for &k in &keys {
+        *expected.entry(k).or_insert(0u64) += 1;
+    }
+    assert_eq!(drained, expected.into_iter().collect::<Vec<_>>(), "nonempty keys, ascending");
+    let census = sys.module_as::<Counted<SpmReader>>(drain).expect("counted drain").census();
+    // One park before the signal, none while draining: the 7 nonempty
+    // keys fit the slow sink's 16-flit queue.
+    assert_eq!(census.parks, 1, "{census:?}");
+}
+
+/// A range reader gated on a load's done signal: its wait costs the same
+/// ticks and parks however long the load is, where a forwarded load cost
+/// one tick per loaded flit.
+#[test]
+fn done_signal_gate_wait_does_not_scale_with_the_load() {
+    let census = |load: u64| {
+        let vals: Vec<u64> = (0..load).map(|i| i * 5 % 7).collect();
+        let (sys, (reader, gate)) = assert_engines_agree_on(
+            System::new,
+            50_000,
+            |sys| {
+                let spm = sys.add_spm("ref", load as usize, 8);
+                let (q_vals, gate) = (sys.add_queue("vals"), sys.add_queue("gate"));
+                let (q_start, q_end, q_out) =
+                    (sys.add_queue("start"), sys.add_queue("end"), sys.add_queue("out"));
+                let source = StreamSource::from_items("vals", q_vals, std::slice::from_ref(&vals));
+                sys.add_module(counted(source));
+                let seq = SpmUpdateMode::Sequential { base: 0 };
+                let load = SpmUpdater::new("load", spm, seq, 0, 0, q_vals).with_done_signal(gate);
+                sys.add_module(counted(load));
+                sys.add_module(counted(StreamSource::from_items("s", q_start, &[vec![102, 110]])));
+                sys.add_module(counted(StreamSource::from_items("e", q_end, &[vec![106, 112]])));
+                let mode = SpmReadMode::Range { start: q_start, end: q_end };
+                let range = SpmReader::new("range", vec![spm], mode, 100, q_out);
+                let reader = sys.add_module(counted(range.with_gates(vec![gate])));
+                sys.add_module(counted(SlowSink::new("sink", q_out, 1)));
+                (reader, gate)
+            },
+            |sys, _| sys.stats().cycles,
+        );
+        assert_eq!(sys.queues().get(gate).total_pushed(), 0, "a done signal carries no flits");
+        sys.module_as::<Counted<SpmReader>>(reader).expect("counted reader").census()
+    };
+    let (short, long) = (census(32), census(96));
+    assert_eq!(short, long, "the gated wait must not tick per loaded flit");
+    assert!(short.ticks < 32, "{short:?}");
+}
+
+/// A done signal nobody closes — its updater's input never ends — stops
+/// the run in a deadlock that names the waiting drain, on both engines.
+#[test]
+fn unclosed_done_signal_deadlocks_naming_the_reader() {
+    for mode in [EngineMode::Reference, EngineMode::Fast] {
+        let mut sys = System::new();
+        sys.set_engine(mode);
+        let spm = sys.add_spm("counts", 4, 8);
+        let (q_keys, signal, q_out) =
+            (sys.add_queue("keys"), sys.add_queue("done"), sys.add_queue("out"));
+        let rmw = SpmUpdateMode::Rmw { op: RmwOp::Increment };
+        let updater = SpmUpdater::new("count", spm, rmw, 0, 0, q_keys);
+        sys.add_module(counted(updater.with_done_signal(signal)));
+        let drain = SpmReadMode::Drain { trigger: signal, len: 4 };
+        sys.add_module(counted(SpmReader::new("drain", vec![spm], drain, 0, q_out)));
+        sys.add_module(counted(StreamSink::new("sink", q_out)));
+        match sys.run(1_000_000) {
+            Err(SimError::Deadlock { stuck, .. }) => {
+                assert!(stuck.iter().any(|l| l == "drain"), "{mode:?}: {stuck:?}");
+            }
+            other => panic!("{mode:?}: expected a deadlock, got {other:?}"),
+        }
+    }
+}
+
+/// A multi-column writer whose columns collide on one memory channel
+/// (every column's k-th line maps to channel k mod 4), behind a source of
+/// one row per cycle: the pending lines retry while rows keep coming.
+#[test]
+fn multi_column_writer_bit_identical() {
+    const ROWS: u64 = 100;
+    let rows: Vec<Vec<HwWord>> =
+        (0..ROWS).map(|i| vec![HwWord::Val(i), HwWord::Val(i * i), HwWord::Del]).collect();
+    assert_engines_agree(
+        50_000,
+        |sys| {
+            let q = sys.add_queue_with_capacity("rows", 2);
+            let source = StreamSource::from_field_items("rows", q, std::slice::from_ref(&rows));
+            sys.add_module(counted(source));
+            let cols: Vec<WriterColumn> = [(1, 8), (0, 4), (2, 2)]
+                .into_iter()
+                .map(|(field, elem_bytes)| {
+                    let base_addr = sys.alloc_mem(1024);
+                    let port = sys.register_mem_port(0);
+                    WriterColumn { field, cfg: MemWriterConfig { base_addr, elem_bytes }, port }
+                })
+                .collect();
+            let regions: Vec<u64> = cols.iter().map(|c| c.cfg.base_addr).collect();
+            sys.add_module(counted(MemWriter::columns("wr", cols, q)));
+            regions
+        },
+        |sys, regions| regions.iter().map(|&at| sys.host_read(at, 1024)).collect::<Vec<_>>(),
     );
 }

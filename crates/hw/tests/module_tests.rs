@@ -11,15 +11,16 @@ use genesis_hw::modules::filter::{CmpOp, Filter, Predicate};
 use genesis_hw::modules::joiner::{JoinKind, Joiner};
 use genesis_hw::modules::mdgen::{MdGen, MdGenConfig};
 use genesis_hw::modules::mem_reader::{MemReader, MemReaderConfig, RowSpec};
-use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig};
+use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig, WriterColumn};
 use genesis_hw::modules::read_to_bases::{ReadToBases, ReadToBasesInputs};
 use genesis_hw::modules::reducer::{ReduceOp, Reducer};
 use genesis_hw::modules::sink::StreamSink;
 use genesis_hw::modules::source::StreamSource;
 use genesis_hw::modules::spm_reader::{SpmAddrReader, SpmReadMode, SpmReader};
 use genesis_hw::modules::spm_updater::{RmwOp, SpmUpdateMode, SpmUpdater};
+use genesis_hw::system::ModuleId;
 use genesis_hw::word::{Flit, HwWord};
-use genesis_hw::{System, TierParams, TierStats};
+use genesis_hw::{SimStats, System, TierParams, TierStats};
 use genesis_types::{Base, Cigar, Qual};
 use std::sync::Arc;
 
@@ -441,6 +442,77 @@ fn mem_writer_round_trip() {
     assert_eq!(writer.row_lens(), &[2, 3]);
 }
 
+/// Writes `items` of rows through one multi-column writer whose columns
+/// are `(field, element bytes)`, each in a `region`-byte region of its
+/// own; returns the run's stats, the system, the writer and the regions.
+fn column_writer(
+    items: &[Vec<Vec<HwWord>>],
+    cols: &[(usize, usize)],
+    region: usize,
+) -> (SimStats, System, ModuleId, Vec<u64>) {
+    let mut sys = System::new();
+    let q = sys.add_queue_with_capacity("rows", 64);
+    sys.add_module(Box::new(StreamSource::from_field_items("rows", q, items)));
+    let cols: Vec<WriterColumn> = cols
+        .iter()
+        .map(|&(field, elem_bytes)| {
+            let base_addr = sys.alloc_mem(region);
+            let port = sys.register_mem_port(0);
+            WriterColumn { field, cfg: MemWriterConfig { base_addr, elem_bytes }, port }
+        })
+        .collect();
+    let regions = cols.iter().map(|c| c.cfg.base_addr).collect();
+    let w = sys.add_module(Box::new(if cols.len() == 1 {
+        let c = cols[0].clone();
+        MemWriter::new("wr", c.cfg, c.port, q).with_field(c.field)
+    } else {
+        MemWriter::columns("wr", cols, q)
+    }));
+    let stats = sys.run(100_000).unwrap();
+    (stats, sys, w, regions)
+}
+
+#[test]
+fn multi_column_writer_flushes_a_partial_line_in_every_column() {
+    // 13 rows: 104 bytes at 8 bytes each (a full line and 40 bytes), 52 at
+    // 4, 26 at 2 and 13 at 1 — every column ends on a partial line.
+    let row = |i: u64| vec![v(i), v(1000 + i), v(7 * i)];
+    let items = [(0..11).map(row).collect(), (11..13).map(row).collect()];
+    let cols = [(2, 8), (0, 4), (1, 2), (0, 1)];
+    let (_, sys, w, regions) = column_writer(&items, &cols, 128);
+    for (&(field, width), &at) in cols.iter().zip(&regions) {
+        let bytes = sys.host_read(at, 13 * width);
+        let got: Vec<u64> = bytes
+            .chunks(width)
+            .map(|c| c.iter().rev().fold(0u64, |acc, &b| acc << 8 | u64::from(b)))
+            .collect();
+        let mask = if width == 8 { u64::MAX } else { (1 << (8 * width)) - 1 };
+        let want: Vec<u64> = (0..13).map(|i| row(i)[field].val_or_zero() & mask).collect();
+        assert_eq!(got, want, "field {field} at {width} bytes");
+    }
+    let writer = sys.module_as::<MemWriter>(w).unwrap();
+    assert_eq!(writer.elems_written(), 13, "rows, shared by every column");
+    assert_eq!(writer.row_lens(), &[11, 2]);
+}
+
+#[test]
+fn multi_column_writer_refused_line_write_does_not_stall_the_row() {
+    // Two 8-byte columns 512 bytes apart: the k-th lines of both map to
+    // channel k mod 4 and fill on the same cycle, so one write of each
+    // pair loses channel arbitration and waits in its pending slot.
+    let items = [(0..64u64).map(|i| vec![v(i), v(i + 64)]).collect()];
+    let (two, sys, _, regions) = column_writer(&items, &[(0, 8), (1, 8)], 512);
+    assert!(two.mem.channel_stalls > 0, "a line write must be refused: {two:?}");
+    let (one, ..) = column_writer(&items, &[(0, 8)], 512);
+    assert_eq!(two.cycles, one.cycles, "the refused write must not stall the row");
+    let words = |at| -> Vec<u64> {
+        let bytes = sys.host_read(at, 512);
+        bytes.chunks(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
+    };
+    assert_eq!(words(regions[0]), (0..64).collect::<Vec<_>>());
+    assert_eq!(words(regions[1]), (64..128).collect::<Vec<_>>());
+}
+
 #[test]
 fn spm_updater_modes() {
     // Sequential.
@@ -613,6 +685,29 @@ fn spm_drain_with_the_updater_base_round_trips_keys() {
         .map(|f| (f.field(0).val_or_zero(), f.field(1).val_or_zero()))
         .collect();
     assert_eq!(vals, vec![(100, 0), (101, 1), (102, 0), (103, 2)]);
+}
+
+#[test]
+fn spm_drain_on_a_done_signal_skips_empty_entries() {
+    let mut sys = System::new();
+    let spm = sys.add_spm("counts", 6, 8);
+    let (i, done, o) = (sys.add_queue("i"), sys.add_queue("done"), sys.add_queue("o"));
+    sys.add_module(Box::new(StreamSource::from_items("src", i, &[vec![104, 101, 104, 105]])));
+    let rmw = SpmUpdateMode::Rmw { op: RmwOp::Increment };
+    let u = SpmUpdater::new("u", spm, rmw, 0, 0, i).with_addr_offset(100).with_done_signal(done);
+    sys.add_module(Box::new(u));
+    let mode = SpmReadMode::Drain { trigger: done, len: 6 };
+    sys.add_module(Box::new(SpmReader::new("drain", vec![spm], mode, 100, o).with_skip_empty()));
+    let sink = sys.add_module(Box::new(StreamSink::new("s", o)));
+    sys.run(1000).unwrap();
+    let vals: Vec<(u64, u64)> = sys.module_as::<StreamSink>(sink).unwrap().items()[0]
+        .iter()
+        .map(|f| (f.field(0).val_or_zero(), f.field(1).val_or_zero()))
+        .collect();
+    assert_eq!(vals, vec![(101, 1), (104, 2), (105, 1)]);
+    assert_eq!(sys.queues().get(done).total_pushed(), 0);
+    // Every entry is still read, one per cycle.
+    assert_eq!(sys.spms().get(spm).total_reads(), 4 + 6);
 }
 
 #[test]
@@ -1178,6 +1273,48 @@ fn joiner_with_left_key_compares_a_field_in_place() {
     assert_eq!(
         join_item(JoinKind::Outer, 0, 1, vec![vec![v(1), v(10)]], vec![vec![v(2), v(200)]]),
         rows(&[[v(1), v(10), del], [v(2), del, v(200)]])
+    );
+}
+
+#[test]
+fn joiner_with_right_key_keeps_the_right_flit_whole() {
+    let del = HwWord::Del;
+    // Left rows [key, value]; right rows [data, key], the key at field 1.
+    let join = |kind| {
+        let mut sys = System::new();
+        let (l, r, o) = (sys.add_queue("l"), sys.add_queue("r"), sys.add_queue("o"));
+        let left = vec![vec![v(1), v(10)], vec![v(3), v(30)], vec![v(5), v(50)]];
+        let right = vec![vec![v(200), v(2)], vec![v(300), v(3)], vec![v(600), v(6)]];
+        sys.add_module(Box::new(StreamSource::from_field_items("l", l, &[left])));
+        sys.add_module(Box::new(StreamSource::from_field_items("r", r, &[right])));
+        let joiner = Joiner::new("j", kind, l, r, o, 1, 1).with_right_key(1);
+        sys.add_module(Box::new(joiner));
+        let sink = sys.add_module(Box::new(StreamSink::new("s", o)));
+        sys.run(1000).unwrap();
+        sys.module_as::<StreamSink>(sink).unwrap().items().remove(0)
+    };
+    let rows = |rows: &[[HwWord; 4]]| rows.iter().map(|r| Flit::data(r)).collect::<Vec<_>>();
+    assert_eq!(join(JoinKind::Inner), rows(&[[v(3), v(30), v(300), v(3)]]));
+    // An unmatched left row pads every right field, the key included.
+    assert_eq!(
+        join(JoinKind::Left),
+        rows(&[
+            [v(1), v(10), del, del],
+            [v(3), v(30), v(300), v(3)],
+            [v(5), v(50), del, del],
+        ])
+    );
+    // An unmatched right row keeps its flit whole behind the left
+    // padding, its key copied to the left key's field.
+    assert_eq!(
+        join(JoinKind::Outer),
+        rows(&[
+            [v(1), v(10), del, del],
+            [v(2), del, v(200), v(2)],
+            [v(3), v(30), v(300), v(3)],
+            [v(5), v(50), del, del],
+            [v(6), del, v(600), v(6)],
+        ])
     );
 }
 

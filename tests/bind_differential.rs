@@ -284,31 +284,28 @@ fn accel_stats_are_what_they_were() {
 
 const PIN_FILTERED: &str = "\
     AccelStats { cycles: 37, dma_in_bytes: 240, dma_out_bytes: 480, dma_transfers: 4, \
-    device_mem_bytes: 768, invocations: 1, backpressure_stalls: 0, total_flits: 150, \
-    module_ticks: 206, active_cycles: 208, input_starved_cycles: 160, backpressured_cycles: 0, \
-    memory_wait_cycles: 76, spill_wait_cycles: 0, tier_pages_filled: 0, \
-    tier_pages_spilled: 0, tier_prefetch_hits: 0, tier_pcie_bytes: 0, \
-    rows_scanned: 100, rows_emitted: 30, reconfig_cycles: 0, \
-    faults: FaultReport { dma_errors: 0, dma_timeouts: 0, device_faults: 0, \
+    device_mem_bytes: 768, invocations: 1, backpressure_stalls: 0, total_flits: 90, \
+    module_ticks: 137, active_cycles: 140, input_starved_cycles: 80, backpressured_cycles: 0, \
+    memory_wait_cycles: 76, spill_wait_cycles: 0, tier_pages_filled: 0, tier_pages_spilled: 0, \
+    tier_prefetch_hits: 0, tier_pcie_bytes: 0, rows_scanned: 100, rows_emitted: 30, \
+    reconfig_cycles: 0, faults: FaultReport { dma_errors: 0, dma_timeouts: 0, device_faults: 0, \
     mem_spikes: 0, retries: 0, backoff_ns: 0, fallback_batches: 0, fallback_jobs: 0 } }";
 const PIN_FILTERED_SHARDED: &str = "\
     AccelStats { cycles: 81, dma_in_bytes: 240, dma_out_bytes: 480, dma_transfers: 12, \
-    device_mem_bytes: 1536, invocations: 3, backpressure_stalls: 0, total_flits: 150, \
-    module_ticks: 258, active_cycles: 252, input_starved_cycles: 492, backpressured_cycles: 0, \
-    memory_wait_cycles: 228, spill_wait_cycles: 0, tier_pages_filled: 0, \
-    tier_pages_spilled: 0, tier_prefetch_hits: 0, tier_pcie_bytes: 0, \
-    rows_scanned: 100, rows_emitted: 30, reconfig_cycles: 0, \
-    faults: FaultReport { dma_errors: 0, dma_timeouts: 0, device_faults: 0, \
+    device_mem_bytes: 1536, invocations: 3, backpressure_stalls: 0, total_flits: 90, \
+    module_ticks: 174, active_cycles: 174, input_starved_cycles: 246, backpressured_cycles: 0, \
+    memory_wait_cycles: 228, spill_wait_cycles: 0, tier_pages_filled: 0, tier_pages_spilled: 0, \
+    tier_prefetch_hits: 0, tier_pcie_bytes: 0, rows_scanned: 100, rows_emitted: 30, \
+    reconfig_cycles: 0, faults: FaultReport { dma_errors: 0, dma_timeouts: 0, device_faults: 0, \
     mem_spikes: 0, retries: 0, backoff_ns: 0, fallback_batches: 0, fallback_jobs: 0 } }";
 const PIN_EXPLODED: &str = "\
     AccelStats { cycles: 69, dma_in_bytes: 135, dma_out_bytes: 336, dma_transfers: 12, \
-    device_mem_bytes: 1920, invocations: 2, backpressure_stalls: 0, total_flits: 141, \
-    module_ticks: 318, active_cycles: 495, input_starved_cycles: 612, backpressured_cycles: 0, \
-    memory_wait_cycles: 342, spill_wait_cycles: 0, tier_pages_filled: 0, \
-    tier_pages_spilled: 0, tier_prefetch_hits: 0, tier_pcie_bytes: 0, rows_scanned: 12, \
-    rows_emitted: 12, reconfig_cycles: 0, faults: FaultReport { dma_errors: 0, \
-    dma_timeouts: 0, device_faults: 0, mem_spikes: 0, retries: 0, backoff_ns: 0, \
-    fallback_batches: 0, fallback_jobs: 0 } }";
+    device_mem_bytes: 1920, invocations: 2, backpressure_stalls: 0, total_flits: 99, \
+    module_ticks: 234, active_cycles: 405, input_starved_cycles: 288, backpressured_cycles: 0, \
+    memory_wait_cycles: 342, spill_wait_cycles: 0, tier_pages_filled: 0, tier_pages_spilled: 0, \
+    tier_prefetch_hits: 0, tier_pcie_bytes: 0, rows_scanned: 12, rows_emitted: 12, \
+    reconfig_cycles: 0, faults: FaultReport { dma_errors: 0, dma_timeouts: 0, device_faults: 0, \
+    mem_spikes: 0, retries: 0, backoff_ns: 0, fallback_batches: 0, fallback_jobs: 0 } }";
 const PIN_PRUNED: &str = "\
     AccelStats { cycles: 74, dma_in_bytes: 400, dma_out_bytes: 8, dma_transfers: 4, \
     device_mem_bytes: 640, invocations: 1, backpressure_stalls: 0, total_flits: 104, \

@@ -200,7 +200,7 @@ fn mate_distance_streams_only_its_reach() {
     let plan = workload.compile(&cat);
     assert!(plan.explain().contains("(24064 rows from 1)"), "{}", plan.explain());
     let (_, stats) = plan.execute_replicated(&cat, 8).unwrap();
-    assert_eq!(stats.total_flits, 120_536);
+    assert_eq!(stats.total_flits, 88_144);
     assert!(stats.total_flits < 883_112);
     // 8,000 pairs plus the one reference row, every one scanned and
     // streamed; the reference positions streamed are the pairs' reach.

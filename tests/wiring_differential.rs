@@ -5,16 +5,22 @@
 //! must stay the SQL engine's at 1–16 replicas, 1–3 served shards and
 //! pushdown on and off.
 //!
-//! Four proptests draw (a) a `GROUP BY` whose key and one or two `SUM`
+//! Six proptests draw (a) a `GROUP BY` whose key and one or two `SUM`
 //! columns sit at random fields of a four-column scan, its items in random
 //! order, half the time under a seeded fault schedule (the SQL engine's
-//! table or a structured error, never a panic); (b) projections that mix computed items (arithmetic and
-//! comparisons, negated ones among them, over columns and literals) with
-//! pass-through columns in any order; (c) inner and left joins whose left
-//! key sits at any field, against a scan or the `PosExplode` of a 1–3-row
-//! reference (a per-row delimiter left in that explode shows here); and
-//! (d) pileups and explode row streams over reads whose CIGARs hold `S`,
-//! `I` and `D` runs, with and without qualities.
+//! table or a structured error, never a panic); (b) a `GROUP BY` tail —
+//! the last updater's done signal and a drain of the nonempty keys — over
+//! sparse keys with 0–3 distinct `SUM` columns, sorted ascending,
+//! descending or by key and count under a `LIMIT`, its input filtered to
+//! nothing half the time; (c) projections that mix computed items
+//! (arithmetic and comparisons, negated ones among them, over columns and
+//! literals) with pass-through columns in any order; (d) inner and left
+//! joins whose left key sits at any field, against a scan or the
+//! `PosExplode` of a 1–3-row reference (a per-row delimiter left in that
+//! explode shows here); (e) inner and left joins selecting the right key
+//! the Joiner reads in place; and (f) pileups and explode row streams
+//! over reads whose CIGARs hold `S`, `I` and `D` runs, with and without
+//! qualities.
 
 mod common;
 
@@ -77,6 +83,36 @@ fn grouped(input: LogicalPlan, key: &str, sums: &[&str], rot: usize) -> LogicalP
     let group_by = vec![ColRef::bare(key)];
     let agg = LogicalPlan::Aggregate { input: Box::new(input), items, group_by };
     LogicalPlan::Sort { input: Box::new(agg), keys: vec![(ColRef::bare(key), false)] }
+}
+
+/// `SELECT key, COUNT(*) AS N, SUM(s) AS S<i>…` over `input`, grouped by
+/// `key` and sorted by `order`: 0 ascending, 1 descending, 2 by key and
+/// `N` ascending under `LIMIT limit`.
+fn grouped_tail(
+    input: LogicalPlan,
+    key: &str,
+    sums: &[&str],
+    order: usize,
+    limit: u64,
+) -> LogicalPlan {
+    let count = SelectItem::Agg { func: AggFn::Count, arg: None, alias: Some("N".into()) };
+    let mut items = vec![item(key), count];
+    for (i, s) in sums.iter().enumerate() {
+        let alias = Some(format!("S{i}"));
+        items.push(SelectItem::Agg { func: AggFn::Sum, arg: Some(col(s)), alias });
+    }
+    let group_by = vec![ColRef::bare(key)];
+    let agg = Box::new(LogicalPlan::Aggregate { input: Box::new(input), items, group_by });
+    let by_key = (ColRef::bare(key), order == 1);
+    if order < 2 {
+        return LogicalPlan::Sort { input: agg, keys: vec![by_key] };
+    }
+    let sorted = LogicalPlan::Sort { input: agg, keys: vec![by_key, (ColRef::bare("N"), false)] };
+    LogicalPlan::Limit {
+        input: Box::new(sorted),
+        offset: Expr::Number(0),
+        count: Expr::Number(limit),
+    }
 }
 
 /// One drawn projection item: `(kind, a, b, op, lit, swap)`. Kind 0
@@ -169,6 +205,29 @@ proptest! {
         differential(&plan, &cat, pushdown == 1, (factor, shards), faults)?;
     }
 
+    /// The `GROUP BY` tail: keys spread `spread` apart (the scratchpad
+    /// window has holes the drain must skip), COUNT with 0–3 distinct
+    /// `SUM`s, every sort order the drain stands in for, and half the
+    /// time a filter no row survives.
+    #[test]
+    fn group_by_tail_drains_only_nonempty_keys(
+        rows in proptest::collection::vec((0u32..40, 0u32..300, 0u32..300, 0u32..300), 1..50),
+        spread in 1u32..40,
+        nsums in 0usize..4,
+        order in 0usize..3,
+        limit in 0u64..12,
+        empty in 0usize..2,
+        factor in 1usize..17,
+        shards in 1usize..4,
+        pushdown in 0usize..2,
+    ) {
+        let rows: Vec<Row> = rows.iter().map(|&(k, a, b, c)| (k * spread, a, b, c)).collect();
+        let cat = t_catalog(&rows);
+        let input = filtered(scan("T"), "C1", (empty == 1).then_some((BinOp::Gt, 300)));
+        let plan = grouped_tail(input, "C0", &COLS[1..=nsums], order, limit);
+        differential(&plan, &cat, pushdown == 1, (factor, shards), None)?;
+    }
+
     /// Computed items and pass-through columns in any order over a
     /// (possibly filtered) scan.
     #[test]
@@ -218,6 +277,38 @@ proptest! {
             (scan("R"), "RK")
         };
         let plan = join(kind, below(scan("L"), "X", limit), right, ("K", right_key));
+        differential(&plan, &cat, pushdown == 1, (factor, shards), None)?;
+    }
+
+    /// `SELECT R.RK, L.X, R.W FROM L ⋈ R`, inner or left, with `R`'s key
+    /// at either field of the two `R` streams: the right key reaches the
+    /// output from where the Joiner compared it, and an unmatched left
+    /// row's key is NULL.
+    #[test]
+    fn join_selects_the_right_key_in_place(
+        lstart in 0u32..24,
+        lgaps in proptest::collection::vec(0u32..4, 1..40),
+        rstart in 0u32..24,
+        rgaps in proptest::collection::vec(0u32..4, 0..40),
+        rpos in 0usize..2,
+        left_join in 0usize..2,
+        factor in 1usize..17,
+        shards in 1usize..4,
+        pushdown in 0usize..2,
+    ) {
+        let cat = join_catalog(
+            (ascending(lstart, &lgaps), 2),
+            (ascending(rstart, &rgaps), rpos),
+            0,
+            &[(1, 0)],
+        );
+        let kind = if left_join == 1 { JoinKind::Left } else { JoinKind::Inner };
+        let joined = join(kind, scan("L"), scan("R"), ("L.K", "R.RK"));
+        let picked = |t: &str, c: &str| SelectItem::Expr {
+            expr: Expr::Col(ColRef::qualified(t, c)),
+            alias: None,
+        };
+        let plan = project(joined, vec![picked("R", "RK"), picked("L", "X"), picked("R", "W")]);
         differential(&plan, &cat, pushdown == 1, (factor, shards), None)?;
     }
 
