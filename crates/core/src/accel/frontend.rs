@@ -195,7 +195,7 @@ pub fn build_frontend(
     let bases = b.queue("bases");
     let rtb = ReadToBases::new(
         "ReadToBases",
-        ReadToBasesInputs { pos: pos_rtb, cigar: cigar_q, seq: seq_q, qual: Some(qual_q) },
+        ReadToBasesInputs { pos: pos_rtb, cigar: cigar_q, seq: Some(seq_q), qual: Some(qual_q) },
         bases,
     );
     b.system().add_module(Box::new(rtb));

@@ -6,8 +6,10 @@ use genesis_hw::modules::mem_reader::{MemReader, MemReaderConfig, RowSpec};
 use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig, WriterColumn};
 use genesis_hw::modules::spm_reader::{SpmReadMode, SpmReader};
 use genesis_hw::modules::spm_updater::{SpmUpdateMode, SpmUpdater};
+use genesis_hw::modules::Module;
 use genesis_hw::system::ModuleId;
 use genesis_hw::{QueueId, System};
+use std::fmt::Display;
 use std::sync::Arc;
 
 /// A builder scoped to one pipeline instance within a [`System`]: it
@@ -32,14 +34,24 @@ impl<'s> PipelineBuilder<'s> {
         self.sys
     }
 
-    fn label(&self, name: &str) -> String {
-        format!("p{}.{}", self.group, name)
+    fn label(&self, name: impl Display) -> String {
+        format!("p{}.{name}", self.group)
     }
 
     /// Adds a namespaced queue.
     pub fn queue(&mut self, name: &str) -> QueueId {
         let label = self.label(name);
         self.sys.add_queue(&label)
+    }
+
+    /// Adds the module `make(label)`, `label` being `name` namespaced.
+    pub(crate) fn module(
+        &mut self,
+        name: impl Display,
+        make: impl FnOnce(&str) -> Box<dyn Module>,
+    ) -> ModuleId {
+        let label = self.label(name);
+        self.sys.add_module(make(&label))
     }
 
     /// Uploads `vals` as a column of `elem_bytes`-wide little-endian
@@ -96,10 +108,9 @@ impl<'s> PipelineBuilder<'s> {
         }
         let out = self.queue(&format!("{name}.out"));
         let port = self.sys.register_mem_port(self.group);
-        let label = self.label(name);
         let total_elems = total_elems as u64;
         let config = MemReaderConfig { base_addr, elem_bytes, total_elems, rows };
-        self.sys.add_module(Box::new(MemReader::new(&label, config, port, out)));
+        self.module(name, |l| Box::new(MemReader::new(l, config, port, out)));
         out
     }
 
@@ -125,15 +136,17 @@ impl<'s> PipelineBuilder<'s> {
             let spm = self.sys.spms_mut().add_packed(&format!("{label}.spm"), len, bits);
             let gate = self.queue(&format!("{label}.gate"));
             let mode = SpmUpdateMode::Sequential { base: 0 };
-            let load = SpmUpdater::new(&format!("{label}.load"), spm, mode, 0, 0, stream);
-            self.sys.add_module(Box::new(load.with_done_signal(gate)));
+            self.module(format_args!("{label}.load"), |l| {
+                Box::new(SpmUpdater::new(l, spm, mode, 0, 0, stream).with_done_signal(gate))
+            });
             spms.push(spm);
             gates.push(gate);
         }
         let refs = self.queue("refs");
         let range = SpmReadMode::Range { start, end };
-        let reader = SpmReader::new("REF.range", spms, range, base, refs);
-        self.sys.add_module(Box::new(reader.with_gates(gates)));
+        self.module("REF.range", |l| {
+            Box::new(SpmReader::new(l, spms, range, base, refs).with_gates(gates))
+        });
         refs
     }
 
@@ -160,15 +173,10 @@ impl<'s> PipelineBuilder<'s> {
     ) -> (ModuleId, u64) {
         let addr = self.sys.alloc_mem(capacity_bytes.max(1));
         let port = self.sys.register_mem_port(self.group);
-        let label = self.label(name);
-        let writer = MemWriter::new(
-            &label,
-            MemWriterConfig { base_addr: addr, elem_bytes },
-            port,
-            input,
-        )
-        .with_field(field);
-        let id = self.sys.add_module(Box::new(writer));
+        let id = self.module(name, |l| {
+            let cfg = MemWriterConfig { base_addr: addr, elem_bytes };
+            Box::new(MemWriter::new(l, cfg, port, input).with_field(field))
+        });
         (id, addr)
     }
 
@@ -192,8 +200,7 @@ impl<'s> PipelineBuilder<'s> {
             let cfg = MemWriterConfig { base_addr, elem_bytes: 8 };
             cols.push(WriterColumn { field, cfg, port });
         }
-        let label = self.label(name);
-        let id = self.sys.add_module(Box::new(MemWriter::columns(&label, cols, input)));
+        let id = self.module(name, |l| Box::new(MemWriter::columns(l, cols, input)));
         (id, addrs)
     }
 

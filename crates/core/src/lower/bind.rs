@@ -35,9 +35,10 @@ pub(super) struct PreparedCol {
 /// How an explode leaf re-expands its absorbed scan at build time.
 #[derive(Debug, Clone)]
 pub(super) struct ExplodeSpec {
-    /// A QUAL stream accompanies POS/CIGAR/SEQ into the `ReadToBases`
-    /// block (and a third output column leaves it).
-    pub(super) has_qual: bool,
+    /// The data columns streamed beside POS and CIGAR into the
+    /// `ReadToBases` block, each leaving it as one more output column: 0,
+    /// 1 (`SEQ` or the `PosExplode` array) or 2 (`SEQ` and `QUAL`).
+    pub(super) data: usize,
     /// Output-stream column metadata, derived over the full scan range
     /// by walking the CIGARs (conservative for any sub-range: nullability
     /// and bounds only shrink on a slice, ascending only holds). An
@@ -74,8 +75,8 @@ pub(super) struct PreparedScan {
     pub(super) host_only: usize,
     /// The scanned table's columns no Memory Reader streams, because
     /// projection pushdown ([`Projection`]) pruned the scan: the host-only
-    /// ones and those nothing reads. An unknown column's did-you-mean
-    /// draws on them.
+    /// ones and those nothing reads; for an explode, the output columns it
+    /// does not stream. An unknown column's did-you-mean draws on them.
     pub(super) unstreamed: Vec<String>,
     pub(super) explode: Option<ExplodeSpec>,
     /// A reference window ([`prepare_window`]): the position of its
@@ -167,7 +168,8 @@ enum Bind {
 
 /// Projection pushdown: a pruned plain scan binds, uploads and streams
 /// only the columns some column reference of the core plan could resolve
-/// to ([`may_resolve`]). Every reference therefore resolves to the same
+/// to ([`may_resolve`]), and a pruned explode only the data columns whose
+/// output names one could. Every reference therefore resolves to the same
 /// column, or is ambiguous between the same columns, as over the whole
 /// table; the rest are never widened.
 #[derive(Debug, Clone, Default)]
@@ -179,18 +181,18 @@ pub(super) struct Projection {
 }
 
 impl Projection {
-    /// Derives the projection of `core`. A plain scan is pruned unless its
-    /// columns reach the output: through a `Filter`, a `Join` or a bare
-    /// `Scan` at the root, or through a `SELECT *`. Explode and window
+    /// Derives the projection of `core`. A plain scan or an explode is
+    /// pruned unless its columns reach the output: through a `Filter`, a
+    /// `Join` or a bare leaf at the root, or through a `SELECT *`. Window
     /// leaves pick their own columns and are never pruned.
     pub(super) fn of(core: &LogicalPlan) -> Projection {
         fn walk(plan: &LogicalPlan, whole: bool, p: &mut Projection) {
             let mut add = |e: &Expr| for_each_ref(e, &mut |c| p.refs.push(c.clone()));
             match plan {
-                LogicalPlan::Scan { .. } => p.pruned.push(!whole),
-                LogicalPlan::PosExplode { .. }
-                | LogicalPlan::ReadExplode { .. }
-                | LogicalPlan::Limit { .. } => p.pruned.push(false),
+                LogicalPlan::Scan { .. }
+                | LogicalPlan::PosExplode { .. }
+                | LogicalPlan::ReadExplode { .. } => p.pruned.push(!whole),
+                LogicalPlan::Limit { .. } => p.pruned.push(false),
                 LogicalPlan::Filter { input, pred } => {
                     add(pred);
                     walk(input, whole, p);
@@ -226,6 +228,17 @@ impl Projection {
         p
     }
 
+    /// Whether the `idx`-th prepared leaf is pruned.
+    fn pruned(&self, idx: usize) -> bool {
+        self.pruned.get(idx).copied().unwrap_or(false)
+    }
+
+    /// Whether some column reference could resolve to a stream column
+    /// carrying `name`.
+    fn reads(&self, name: &str) -> bool {
+        self.refs.iter().any(|r| may_resolve(name, r))
+    }
+
     /// How the `idx`-th prepared scan binds each column of `t`, or `None`
     /// when it streams them all. A column no reference reaches is
     /// skipped; if that leaves nothing to stream (`COUNT(*)` alone), the
@@ -233,19 +246,13 @@ impl Projection {
     /// Skipped columns that a conjunct pushed into this scan reads, and
     /// the spine's partition key, are bound for the host.
     fn binds(&self, idx: usize, t: &Table, pushed: &[PushedFilter]) -> Option<Vec<Bind>> {
-        if !self.pruned.get(idx).copied().unwrap_or(false) {
+        if !self.pruned(idx) {
             return None;
         }
         let fields = t.schema().fields();
         let mut binds: Vec<Bind> = fields
             .iter()
-            .map(|f| {
-                if self.refs.iter().any(|r| may_resolve(&f.name, r)) {
-                    Bind::Stream
-                } else {
-                    Bind::Skip
-                }
-            })
+            .map(|f| if self.reads(&f.name) { Bind::Stream } else { Bind::Skip })
             .collect();
         if !binds.contains(&Bind::Stream) {
             let narrowest = (0..fields.len())
@@ -315,7 +322,10 @@ pub(super) fn prepare_scans(
             "only supported as a final host-side step above the hardware pipeline",
         )),
         (LogicalPlan::PosExplode { .. } | LogicalPlan::ReadExplode { .. }, _) => {
-            out.push(prepare_explode(plan, catalog, each_row)?);
+            // A loop body's explode keeps its whole layout.
+            let whole = each_row.is_some() || !projection.pruned(out.len());
+            let streams = |name: &str| whole || projection.reads(name);
+            out.push(prepare_explode(plan, catalog, each_row, &streams)?);
             Ok(())
         }
         (LogicalPlan::ForEach { .. }, _) => {
@@ -457,18 +467,21 @@ pub(super) fn list_len(items: usize, name: &str, r: usize, node: &str) -> Result
     })
 }
 
-/// One typed pass over a list column: items widened and concatenated,
-/// with the per-row run lengths.
+/// One typed pass over a list column: the per-row run lengths and, when
+/// `widen` holds, the items widened and concatenated.
 fn flatten_rows<T: Copy + Into<u64>>(
     rows: &[Vec<T>],
     name: &str,
     node: &str,
+    widen: bool,
 ) -> Result<(Vec<u64>, Vec<u32>), CoreError> {
-    let mut vals = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+    let mut vals = Vec::with_capacity(if widen { rows.iter().map(Vec::len).sum() } else { 0 });
     let mut lens = Vec::with_capacity(rows.len());
     for (r, items) in rows.iter().enumerate() {
         lens.push(list_len(items.len(), name, r, node)?);
-        vals.extend(items.iter().map(|&x| x.into()));
+        if widen {
+            vals.extend(items.iter().map(|&x| x.into()));
+        }
     }
     Ok((vals, lens))
 }
@@ -480,6 +493,7 @@ fn flatten_cells(
     cells: &[Value],
     name: &str,
     node: &str,
+    widen: bool,
 ) -> Result<(Vec<u64>, Vec<u32>), CoreError> {
     let mut vals = Vec::new();
     let mut lens = Vec::with_capacity(cells.len());
@@ -498,26 +512,31 @@ fn flatten_cells(
                     format!("column {name} row {r} item {i} holds {item:?}, not a number"),
                 ));
             };
-            vals.push(x);
+            if widen {
+                vals.push(x);
+            }
         }
     }
     Ok((vals, lens))
 }
 
 /// Flattens one list column of `t` into (values, per-row lengths),
-/// recording the hardware element width by list dtype.
+/// recording the hardware element width by list dtype. A column that will
+/// not stream (`widen` false) is checked as one that will, but keeps no
+/// values.
 fn flatten_list_col(
     t: &Table,
     ci: usize,
     node: &str,
+    widen: bool,
 ) -> Result<PreparedCol, CoreError> {
     let f = &t.schema().fields()[ci];
     let (elem_bytes, decode, (vals, lens)) = match t.column_at(ci) {
-        Column::ListU8(rows) => (1, Decode::U64, flatten_rows(rows, &f.name, node)?),
-        Column::ListBool(rows) => (1, Decode::Bool, flatten_rows(rows, &f.name, node)?),
-        Column::ListU16(rows) => (2, Decode::U64, flatten_rows(rows, &f.name, node)?),
+        Column::ListU8(rows) => (1, Decode::U64, flatten_rows(rows, &f.name, node, widen)?),
+        Column::ListBool(rows) => (1, Decode::Bool, flatten_rows(rows, &f.name, node, widen)?),
+        Column::ListU16(rows) => (2, Decode::U64, flatten_rows(rows, &f.name, node, widen)?),
         // Dynamic cells holding numeric lists stream at full width.
-        Column::Cell(cells) => (8, Decode::U64, flatten_cells(cells, &f.name, node)?),
+        Column::Cell(cells) => (8, Decode::U64, flatten_cells(cells, &f.name, node, widen)?),
         _ => {
             return Err(CoreError::unsupported(
                 node,
@@ -611,16 +630,23 @@ fn walk_cigar(packed: &[u64], node: &str) -> Result<CigarWalk, CoreError> {
 
 /// Prepares an explode leaf: absorbs its input `Scan` into one
 /// [`PreparedScan`] whose columns are the `ReadToBases` input streams
-/// (POS, CIGAR, SEQ[, QUAL]) with list columns flattened, and derives
-/// the output-stream metadata by walking every CIGAR. `PosExplode`
-/// synthesizes an all-match CIGAR (one `M` run per row, split at the
-/// 13-bit packed run-length limit), so both explodes share the same
-/// hardware block — exactly how the library maps them.
+/// (POS, CIGAR, then the data columns it streams) with list columns
+/// flattened, and derives the output-stream metadata by walking every
+/// CIGAR. `PosExplode` synthesizes an all-match CIGAR (one `M` run per
+/// row, split at the 13-bit packed run-length limit), so both explodes
+/// share the same hardware block — exactly how the library maps them.
+///
+/// A data column streams when `streams` holds for its output name, under
+/// the prefix rule that keeps the `ReadToBases` field layout: `QUAL` when
+/// read, `SEQ` when read or when `QUAL` streams. A column that does not
+/// stream is checked as one that does, and its output name is
+/// [`PreparedScan::unstreamed`].
 #[allow(clippy::too_many_lines)]
 fn prepare_explode(
     plan: &LogicalPlan,
     catalog: &Catalog,
     each_row: Option<&EachRow>,
+    streams: &dyn Fn(&str) -> bool,
 ) -> Result<PreparedScan, CoreError> {
     let node = plan_node_name(plan);
     let (input, pos_expr) = match plan {
@@ -638,23 +664,26 @@ fn prepare_explode(
     let t = &*t;
     let rows = t.num_rows();
     let pos_vals = explode_pos_vals(t, &pos_expr, node)?;
-    let (cigar_col, seq_col, qual_col, out_names) = match plan {
+    // The data columns in layout order, their output names, and how many
+    // of them (a prefix) stream.
+    let (cigar_col, mut data, mut names, streamed) = match plan {
         LogicalPlan::ReadExplode { cigar, seq, qual, .. } => {
-            let cigar = flatten_list_col(t, schema_col(t, cigar, node)?, node)?;
-            let seq = flatten_list_col(t, schema_col(t, seq, node)?, node)?;
-            let qual = qual
-                .as_ref()
-                .map(|q| flatten_list_col(t, schema_col(t, q, node)?, node))
-                .transpose()?;
-            let mut names = vec!["POS".to_owned(), "SEQ".to_owned()];
-            if qual.is_some() {
+            let cigar = flatten_list_col(t, schema_col(t, cigar, node)?, node, true)?;
+            let quals = qual.is_some() && streams("QUAL");
+            let bases = quals || streams("SEQ");
+            let mut data = vec![flatten_list_col(t, schema_col(t, seq, node)?, node, bases)?];
+            let mut names = vec!["SEQ".to_owned()];
+            if let Some(q) = qual {
+                data.push(flatten_list_col(t, schema_col(t, q, node)?, node, quals)?);
                 names.push("QUAL".to_owned());
             }
-            (cigar, seq, qual, names)
+            (cigar, data, names, usize::from(bases) + usize::from(quals))
         }
         LogicalPlan::PosExplode { array, .. } => {
             let ci = schema_col(t, array, node)?;
-            let data = flatten_list_col(t, ci, node)?;
+            let name = t.schema().fields()[ci].name.clone();
+            let items = streams(&name);
+            let data = flatten_list_col(t, ci, node, items)?;
             // Synthesize one all-match run per row (split at the 13-bit
             // packed length limit) so ReadToBases emits (init+i, item).
             let mut vals = Vec::with_capacity(rows);
@@ -669,15 +698,15 @@ fn prepare_explode(
                 vals,
                 lens: Some(lens),
             };
-            let name = t.schema().fields()[ci].name.clone();
-            (cigar, data, None, vec!["POS".to_owned(), name])
+            (cigar, vec![data], vec![name], usize::from(items))
         }
         _ => unreachable!(),
     };
     // Derive the output metadata by walking every read's CIGAR, slicing
     // the flattened columns exactly as the hardware streams them.
     let cigar_lens = cigar_col.lens.as_deref().unwrap_or(&[]);
-    let seq_lens = seq_col.lens.as_deref().unwrap_or(&[]);
+    let seq_lens = data[0].lens.as_deref().unwrap_or(&[]);
+    let qual_lens = data.get(1).and_then(|q| q.lens.as_deref());
     let mut out_offsets = Vec::with_capacity(rows + 1);
     out_offsets.push(0usize);
     let mut last_pos = Vec::with_capacity(rows);
@@ -685,6 +714,7 @@ fn prepare_explode(
     let mut max_pos = 0u64;
     let mut ascending = true;
     let mut prev_pos: Option<u64> = None;
+    let mut trailing = false;
     let mut coff = 0usize;
     for r in 0..rows {
         let clen = cigar_lens[r] as usize;
@@ -695,18 +725,20 @@ fn prepare_explode(
                 node,
                 format!(
                     "row {r}: CIGAR consumes {} sequence bases but {} holds {}",
-                    w.seq_len, seq_col.name, seq_lens[r]
+                    w.seq_len, data[0].name, seq_lens[r]
                 ),
             ));
         }
-        if let Some(ql) = qual_col.as_ref().and_then(|q| q.lens.as_deref()) {
+        if let Some(ql) = qual_lens {
             if w.seq_len > ql[r] as usize {
                 return Err(CoreError::unsupported(
                     node,
                     format!("row {r}: CIGAR consumes more bases than QUAL provides"),
                 ));
             }
+            trailing |= w.seq_len < ql[r] as usize;
         }
+        trailing |= w.seq_len < seq_lens[r] as usize;
         out_offsets.push(out_offsets[r] + w.out_rows);
         has_ins |= w.has_ins;
         has_del |= w.has_del;
@@ -726,22 +758,22 @@ fn prepare_explode(
             prev_pos = Some(end - 1);
         }
     }
+    data.truncate(streamed);
+    if trailing && streamed > 0 {
+        trim_to_cigars(&cigar_col, &mut data);
+    }
     let data_col = |name: &str, c: &PreparedCol| ColInfo {
         nullable: has_del,
         max_value: c.vals.iter().copied().max(),
         ..ColInfo::new(name, c.decode)
     };
-    let mut out_cols = vec![
-        ColInfo {
-            nullable: has_ins,
-            ascending,
-            max_value: Some(max_pos),
-            ..ColInfo::new(&out_names[0], Decode::U64)
-        },
-        data_col(&out_names[1], &seq_col),
-    ];
-    out_cols.extend(qual_col.as_ref().map(|q| data_col(&out_names[2], q)));
-    let has_qual = qual_col.is_some();
+    let mut out_cols = vec![ColInfo {
+        nullable: has_ins,
+        ascending,
+        max_value: Some(max_pos),
+        ..ColInfo::new("POS", Decode::U64)
+    }];
+    out_cols.extend(data.iter().zip(&names).map(|(c, name)| data_col(name, c)));
     let mut cols = vec![
         PreparedCol {
             name: "POS".to_owned(),
@@ -751,20 +783,47 @@ fn prepare_explode(
             lens: None,
         },
         cigar_col,
-        seq_col,
     ];
-    cols.extend(qual_col);
+    cols.extend(data);
     Ok(PreparedScan {
         table: table.to_owned(),
         rows,
         cols,
         host_only: 0,
-        unstreamed: Vec::new(),
-        explode: Some(ExplodeSpec { has_qual, out_cols, out_offsets, last_pos, node }),
+        unstreamed: names.split_off(streamed),
+        explode: Some(ExplodeSpec { data: streamed, out_cols, out_offsets, last_pos, node }),
         window: None,
         rows_scanned: rows,
         kept: None,
     })
+}
+
+/// Cuts each row of the flattened list columns `data` to the bases its
+/// CIGAR consumes (`cigar` walked again, as the check above walked it):
+/// ReadToBases closes a read on every input's delimiter, so a base past
+/// the CIGAR's would hold it forever. Copies only the columns some row of
+/// which holds more.
+fn trim_to_cigars(cigar: &PreparedCol, data: &mut [PreparedCol]) {
+    let mut consumed = Vec::new();
+    let mut coff = 0usize;
+    for &clen in cigar.lens.as_deref().unwrap_or(&[]) {
+        let elems = &cigar.vals[coff..coff + clen as usize];
+        coff += clen as usize;
+        // The walk succeeded once already.
+        let w = walk_cigar(elems, "").map_or(0, |w| w.seq_len);
+        consumed.push(w as u32);
+    }
+    for c in data {
+        let Some(lens) = c.lens.as_mut().filter(|lens| **lens != consumed) else { continue };
+        let mut vals = Vec::with_capacity(consumed.iter().map(|&n| n as usize).sum());
+        let mut at = 0usize;
+        for (len, &keep) in lens.iter().zip(&consumed) {
+            vals.extend_from_slice(&c.vals[at..at + keep as usize]);
+            at += *len as usize;
+        }
+        c.vals = vals;
+        lens.clone_from(&consumed);
+    }
 }
 
 /// The spine columns holding each loop row's clipped window bounds,
@@ -815,7 +874,7 @@ fn prepare_window(
         ));
     }
     let base = explode_pos_vals(&t, init_pos, NODE)?[0];
-    let values = flatten_list_col(&t, schema_col(&t, array, NODE)?, NODE)?;
+    let values = flatten_list_col(&t, schema_col(&t, array, NODE)?, NODE, true)?;
     let (_, loop_rows) = source_table(&each.rows, catalog, NODE)?;
     let starts = explode_pos_vals(&loop_rows, p, NODE)?;
     let ends = explode_pos_vals(&loop_rows, e, NODE)?;

@@ -141,6 +141,18 @@ impl<'a> BuildCtx<'a> {
         (self.next_scan - 1, &self.prepared[self.next_scan - 1])
     }
 
+    /// Adds the module `make(label)`, labelled like [`BuildCtx::lbl`] in
+    /// the pipeline's namespace.
+    fn module(
+        &mut self,
+        b: &mut PipelineBuilder<'_>,
+        name: &str,
+        make: impl FnOnce(&str) -> Box<dyn Module>,
+    ) {
+        self.uniq += 1;
+        b.module(format_args!("{name}.{}", self.uniq), make);
+    }
+
     /// Adds the module `make(label, out)` writing a fresh queue `out`, the
     /// queue labelled `queue` and the module `module`, in that order.
     fn add(
@@ -150,8 +162,7 @@ impl<'a> BuildCtx<'a> {
         make: impl FnOnce(&str, QueueId) -> Box<dyn Module>,
     ) -> QueueId {
         let out = b.queue(&self.lbl(queue));
-        let label = self.lbl(module);
-        b.system().add_module(make(&label, out));
+        self.module(b, module, |l| make(l, out));
         out
     }
 
@@ -263,11 +274,11 @@ fn note_reach(
 }
 
 /// Uploads the `items` a trimmed `PosExplode` cut keeps of its `rows`
-/// ([`PreparedScan::reach`]) as sub-slices of the prepared POS, CIGAR and
-/// value columns. Only the edge rows are new: the first row's position
-/// advances to its first kept item, and the first and last rows' match
-/// CIGARs are re-synthesised for the items they keep, as
-/// `bind::prepare_explode` synthesises every row's. Returns the three queues.
+/// ([`PreparedScan::reach`]) as sub-slices of the prepared POS, CIGAR and,
+/// when it streams, value columns. Only the edge rows are new: the first
+/// row's position advances to its first kept item, and the first and last
+/// rows' match CIGARs are re-synthesised for the items they keep, as
+/// `bind::prepare_explode` synthesises every row's. Returns the queues.
 fn upload_trimmed(
     b: &mut PipelineBuilder<'_>,
     ctx: &mut BuildCtx<'_>,
@@ -275,14 +286,13 @@ fn upload_trimmed(
     rows: &Range<usize>,
     items: &Range<usize>,
 ) -> Result<Vec<QueueId>, CoreError> {
-    let ([pos, cigar, data], Some(spec)) = (&ps.cols[..], &ps.explode) else {
+    let ([pos, cigar, data @ ..], Some(spec)) = (&ps.cols[..], &ps.explode) else {
         return Err(CoreError::Host("a trimmed explode is a PosExplode join leaf".into()));
     };
     let off = &spec.out_offsets;
     let (first, last) = (rows.start, rows.end - 1);
     // Each row keeps at most its own items, whose count was a `u32`.
     let kept = |r: usize| (items.end.min(off[r + 1]) - items.start.max(off[r])) as u32;
-    let data_lens: Vec<u32> = rows.clone().map(kept).collect();
     let runs = cigar.lens.as_deref().unwrap_or(&[]);
     let inner = first + 1..last.max(first + 1);
     let (mut head, mut tail) = (Vec::new(), Vec::new());
@@ -301,11 +311,15 @@ fn upload_trimmed(
         ctx.reads.push(c.elem_bytes);
         b.upload_parts(&label, parts, c.elem_bytes, spec)
     };
-    Ok(vec![
+    let mut qs = vec![
         upload(pos, &[&[first_pos], &pos.vals[first + 1..rows.end]], RowSpec::Fixed(1)),
         upload(cigar, &[&head, inner_cigar, &tail], RowSpec::Lens(Arc::new(cigar_lens))),
-        upload(data, &[&data.vals[items.clone()]], RowSpec::Lens(Arc::new(data_lens))),
-    ])
+    ];
+    for c in data {
+        let lens = RowSpec::Lens(Arc::new(rows.clone().map(kept).collect()));
+        qs.push(upload(c, &[&c.vals[items.clone()]], lens));
+    }
+    Ok(qs)
 }
 
 /// Lowers an explode leaf: one Memory Reader per `ReadToBases` input
@@ -359,20 +373,22 @@ fn build_explode<'a>(
         ctx.reads.push(c.elem_bytes);
         qs.push(q);
     }
+    // POS and CIGAR, then the data columns the explode streams.
+    let data = spec.data;
     let inputs = ReadToBasesInputs {
         pos: qs[0],
         cigar: qs[1],
-        seq: qs[2],
-        qual: if spec.has_qual { Some(qs[3]) } else { None },
+        seq: (data > 0).then(|| qs[2]),
+        qual: (data > 1).then(|| qs[3]),
     };
     // Columns past the explode's inputs are the loop row's window bounds.
-    if let &[start, end] = &qs[3 + usize::from(spec.has_qual)..] {
+    if let &[start, end] = &qs[2 + data..] {
         ctx.bounds = Some((start, end));
     }
-    // The rows are [REFPOS, BASE(, QUAL)]. Outside a loop body the
+    // The rows are [REFPOS(, BASE(, QUAL))]. Outside a loop body the
     // ReadToBases emits them plain; a loop body keeps its per-read items
     // and selects them with a Zip.
-    let width = 2 + usize::from(spec.has_qual);
+    let width = 1 + data;
     let per_row = ctx.per_row;
     let bases = ctx.add(b, ("explode.bases", "explode.rtb"), |l, out| {
         let rtb = ReadToBases::new(l, inputs, out);
@@ -408,7 +424,7 @@ fn build_explode<'a>(
             cols[0].max_value = Some(hi);
         }
     }
-    Ok(Stream { q: rows_q, cols, unstreamed: Cow::Borrowed(&[]) })
+    Ok(Stream { q: rows_q, cols, unstreamed: Cow::Borrowed(&ps.unstreamed) })
 }
 
 /// Lowers a reference window (`bind::prepare_window`): the scratchpad load and
@@ -623,8 +639,7 @@ fn build_project<'a>(
         vec![s.q]
     } else {
         let qs: Vec<QueueId> = (0..consumers).map(|_| b.queue(&ctx.lbl("proj.b"))).collect();
-        let fan_label = ctx.lbl("proj.fan");
-        b.system().add_module(Box::new(Fanout::new(&fan_label, s.q, qs.clone())));
+        ctx.module(b, "proj.fan", |l| Box::new(Fanout::new(l, s.q, qs.clone())));
         qs
     };
     let mut row_qs = row_qs.into_iter();
@@ -867,8 +882,7 @@ fn build_scalar_agg(
         vec![s.q]
     } else {
         let qs: Vec<QueueId> = (0..specs.len()).map(|_| b.queue(&ctx.lbl("agg.b"))).collect();
-        let fl = ctx.lbl("agg.fan");
-        b.system().add_module(Box::new(Fanout::new(&fl, s.q, qs.clone())));
+        ctx.module(b, "agg.fan", |l| Box::new(Fanout::new(l, s.q, qs.clone())));
         qs
     };
     let mut writers = Vec::with_capacity(specs.len());

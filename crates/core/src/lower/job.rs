@@ -245,15 +245,18 @@ impl PreparedScan {
         if self.explode.is_none() {
             return (row_count, vec![item_count]); // a window's values
         }
-        // A trimmed `PosExplode`: a position per row, the rows' CIGARs and
-        // the items. An edge row's re-synthesised CIGAR counts as its whole
-        // row's, which is never shorter.
+        // A trimmed `PosExplode`: a position per row, the rows' CIGARs and,
+        // when they stream, the items. An edge row's re-synthesised CIGAR
+        // counts as its whole row's, which is never shorter.
         let cigar = rows.iter().map(|r| self.cols[1].elems(r)).sum();
-        (row_count, vec![row_count, cigar, item_count])
+        let mut elems = vec![row_count, cigar, item_count];
+        elems.truncate(self.streamed().len());
+        (row_count, elems)
     }
 
     /// DMA-in bytes of [`PreparedScan::reach_elems`]' per-column `elems`.
     fn elem_bytes<'s>(&'s self, elems: &'s [usize]) -> impl Iterator<Item = usize> + 's {
+        debug_assert_eq!(elems.len(), self.streamed().len(), "one count per streamed column");
         self.streamed().iter().zip(elems).map(|(c, &n)| n * c.elem_bytes)
     }
 }

@@ -738,3 +738,33 @@ fn explain_lines_name_every_module_the_build_adds() {
         }
     }
 }
+
+/// Every module a replicated build adds carries its replica's prefix, as
+/// its queues and Memory Readers do: in a deadlock's `stuck` list, a stall
+/// report or a trace track, a label names one module of one replica.
+#[test]
+fn every_module_label_of_a_replicated_build_is_unique() {
+    let catalog = scripts_catalog();
+    let registry = crate::library::ModuleRegistry::with_builtins();
+    let cfg = DeviceConfig::default();
+    for script in ["coverage", "mate_distance", "insert_size", "figure4"] {
+        let path = format!("{}/../../scripts/{script}.sql", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(path).unwrap();
+        let plan = crate::compile::script_to_plan(&src, &registry).unwrap();
+        let low = analyze(&plan, &catalog, &cfg).unwrap();
+        let job = low.prepare(&cfg, &catalog, None, Some(8)).unwrap();
+        let whole: Vec<Cut> = job.prepared.iter().map(|p| Cut::rows(0..p.rows)).collect();
+        let mut sys = System::new();
+        for group in 0..8 {
+            let per_row = low.each_row.is_some();
+            let mut ctx = BuildCtx::new(&job.prepared, &whole, group_domain_cap(&cfg), per_row);
+            build_core(&mut PipelineBuilder::new(&mut sys, group), &mut ctx, &low.core).unwrap();
+        }
+        let report = sys.stall_report();
+        let labels: Vec<&str> = report.modules.iter().map(|m| m.label.as_str()).collect();
+        let mut unique = labels.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), labels.len(), "{script}: {labels:?}");
+    }
+}

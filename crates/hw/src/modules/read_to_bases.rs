@@ -7,16 +7,17 @@ use crate::word::{Flit, HwWord};
 use std::any::Any;
 use genesis_types::{CigarElem, CigarOp};
 
-/// Input queues of the ReadToBases module: `POS`, `CIGAR`, `SEQ` and
-/// optionally `QUAL`, each delimited per read.
+/// Input queues of the ReadToBases module: `POS`, `CIGAR` and optionally
+/// `SEQ` and `QUAL`, each delimited per read.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadToBasesInputs {
     /// One flit per read: the leftmost aligned position.
     pub pos: QueueId,
     /// Packed 16-bit CIGAR elements per read.
     pub cigar: QueueId,
-    /// Base codes per read.
-    pub seq: QueueId,
+    /// Base codes per read (optional: without them the bases' positions
+    /// stream alone, each base field `Empty`).
+    pub seq: Option<QueueId>,
     /// Quality scores per read (optional).
     pub qual: Option<QueueId>,
 }
@@ -160,7 +161,7 @@ impl Module for ReadToBases {
                             self.state = State::Closing {
                                 pos_done: false,
                                 cigar_done: false,
-                                seq_done: false,
+                                seq_done: self.inputs.seq.is_none(),
                                 qual_done: self.inputs.qual.is_none(),
                                 out_done: !self.ends,
                             };
@@ -186,17 +187,13 @@ impl Module for ReadToBases {
                 let (op, remaining) = elem.expect("element loaded above");
                 let needs_seq = op.consumes_read();
                 // Peek the sequence/quality heads if this op consumes them.
-                let seq_head = if needs_seq {
-                    match ctx.queues.get(self.inputs.seq).peek() {
+                let seq_head = match self.inputs.seq {
+                    Some(q) if needs_seq => match ctx.queues.get(q).peek() {
                         Some(f) if !f.is_end_item() => Some(f.field(0)),
-                        _ => None,
-                    }
-                } else {
-                    None
+                        _ => return Tick::park_on(q), // stall for SEQ data
+                    },
+                    _ => None,
                 };
-                if needs_seq && seq_head.is_none() {
-                    return Tick::park_on(self.inputs.seq); // stall for SEQ data
-                }
                 let qual_head = match self.inputs.qual {
                     Some(q) if needs_seq => match ctx.queues.get(q).peek() {
                         Some(f) if !f.is_end_item() => Some(f.field(0)),
@@ -211,7 +208,7 @@ impl Module for ReadToBases {
                             if op == CigarOp::Ins { HwWord::Ins } else { HwWord::Val(*ref_pos) };
                         Some([
                             ref_pos,
-                            seq_head.expect("M/I consume read"),
+                            seq_head.unwrap_or(HwWord::Empty),
                             qual_head.unwrap_or(HwWord::Empty),
                             HwWord::Val(*seq_idx),
                         ])
@@ -237,8 +234,7 @@ impl Module for ReadToBases {
                 }
                 // Commit: consume inputs and advance counters.
                 if needs_seq {
-                    ctx.queues.get_mut(self.inputs.seq).pop();
-                    if let Some(q) = self.inputs.qual {
+                    for q in [self.inputs.seq, self.inputs.qual].into_iter().flatten() {
                         ctx.queues.get_mut(q).pop();
                     }
                     *seq_idx += 1;
@@ -266,16 +262,16 @@ impl Module for ReadToBases {
                     *cigar_done = true;
                     popped = true;
                 }
-                if !*seq_done && Self::pop_end(ctx, self.inputs.seq) {
-                    *seq_done = true;
-                    popped = true;
+                if let Some(q) = self.inputs.seq.filter(|_| !*seq_done) {
+                    if Self::pop_end(ctx, q) {
+                        *seq_done = true;
+                        popped = true;
+                    }
                 }
-                if !*qual_done {
-                    if let Some(q) = self.inputs.qual {
-                        if Self::pop_end(ctx, q) {
-                            *qual_done = true;
-                            popped = true;
-                        }
+                if let Some(q) = self.inputs.qual.filter(|_| !*qual_done) {
+                    if Self::pop_end(ctx, q) {
+                        *qual_done = true;
+                        popped = true;
                     }
                 }
                 if *pos_done && *cigar_done && *seq_done && *qual_done {
@@ -298,11 +294,10 @@ impl Module for ReadToBases {
     }
 
     fn input_queues(&self) -> Vec<QueueId> {
-        {
-            let mut qs = vec![self.inputs.pos, self.inputs.cigar, self.inputs.seq];
-            qs.extend(self.inputs.qual);
-            qs
-        }
+        let mut qs = vec![self.inputs.pos, self.inputs.cigar];
+        qs.extend(self.inputs.seq);
+        qs.extend(self.inputs.qual);
+        qs
     }
 
     fn output_queues(&self) -> Vec<QueueId> {

@@ -721,7 +721,8 @@ fn blocked_producer_is_ticked_per_flit_not_per_cycle() {
 /// The in-place field options under backpressure, each behind a slow
 /// sink on one-slot queues: an ALU reading field 1 against field 0 of the
 /// same flit, a Joiner comparing the left flit's field 1 (an outer join,
-/// so both paddings run), and a ReadToBases emitting plain two-field rows.
+/// so both paddings run), a ReadToBases emitting plain two-field rows and
+/// one with no `SEQ` input emitting the positions alone.
 #[test]
 fn in_place_field_options_bit_identical() {
     let row = |i: u64| vec![HwWord::Val(i), HwWord::Val(3 * i + 1), HwWord::Val(i % 4)];
@@ -773,10 +774,16 @@ fn in_place_field_options_bit_identical() {
             sys.add_module(counted(StreamSource::from_flits("pos", q_pos, pos.clone())));
             sys.add_module(counted(StreamSource::from_flits("cigar", q_cigar, cigars.clone())));
             sys.add_module(counted(StreamSource::from_flits("seq", q_seq, seq.clone())));
-            let inputs = ReadToBasesInputs { pos: q_pos, cigar: q_cigar, seq: q_seq, qual: None };
+            let inputs = ReadToBasesInputs { pos: q_pos, cigar: q_cigar, seq: Some(q_seq), qual: None };
             let rtb = ReadToBases::new("rtb", inputs, q_bases).with_rows(2);
             sys.add_module(counted(rtb));
-            [q_alu, q_j, q_bases].map(|out| sys.add_module(counted(SlowSink::new("sink", out, 3))))
+            let (q_pos, q_cigar, q_ref) = (q(sys, "pos1"), q(sys, "cigar1"), q(sys, "ref"));
+            sys.add_module(counted(StreamSource::from_flits("pos1", q_pos, pos.clone())));
+            sys.add_module(counted(StreamSource::from_flits("cigar1", q_cigar, cigars.clone())));
+            let inputs = ReadToBasesInputs { pos: q_pos, cigar: q_cigar, seq: None, qual: None };
+            sys.add_module(counted(ReadToBases::new("rtb1", inputs, q_ref).with_rows(1)));
+            [q_alu, q_j, q_bases, q_ref]
+                .map(|out| sys.add_module(counted(SlowSink::new("sink", out, 3))))
         },
         |sys, sinks| sinks.map(|sink| slow_sink_flits(sys, sink)),
     );

@@ -851,7 +851,7 @@ fn read_to_bases_matches_paper_figure3() {
     sys.add_module(Box::new(StreamSource::from_flits("qual", qq, qual_f)));
     sys.add_module(Box::new(ReadToBases::new(
         "rtb",
-        ReadToBasesInputs { pos: qp, cigar: qc, seq: qs, qual: Some(qq) },
+        ReadToBasesInputs { pos: qp, cigar: qc, seq: Some(qs), qual: Some(qq) },
         o,
     )));
     let sink = sys.add_module(Box::new(StreamSink::new("s", o)));
@@ -901,7 +901,7 @@ fn read_to_bases_handles_multiple_reads_and_unmapped() {
     sys.add_module(Box::new(StreamSource::from_flits("qual", qq, concat(q1, q2))));
     sys.add_module(Box::new(ReadToBases::new(
         "rtb",
-        ReadToBasesInputs { pos: qp, cigar: qc, seq: qs, qual: Some(qq) },
+        ReadToBasesInputs { pos: qp, cigar: qc, seq: Some(qs), qual: Some(qq) },
         o,
     )));
     let sink = sys.add_module(Box::new(StreamSink::new("s", o)));
@@ -1319,8 +1319,9 @@ fn joiner_with_right_key_keeps_the_right_flit_whole() {
 }
 
 /// The flits a ReadToBases emits over `reads` (`(pos, cigar, seq)`, each
-/// base's quality its index + 30), narrowed to `rows` fields when given.
-fn bases_flits(reads: &[(u32, &str, &str)], rows: Option<usize>) -> Vec<Flit> {
+/// base's quality its index + 30), narrowed to `rows` fields when given;
+/// without `bases`, from the positions and CIGARs alone.
+fn bases_flits(reads: &[(u32, &str, &str)], rows: Option<usize>, bases: bool) -> Vec<Flit> {
     let (mut pos, mut cigar, mut seq, mut qual) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for &(p, c, s) in reads {
         let quals: Vec<u8> = (0..s.len() as u8).map(|i| 30 + i).collect();
@@ -1338,9 +1339,12 @@ fn bases_flits(reads: &[(u32, &str, &str)], rows: Option<usize>) -> Vec<Flit> {
     let o = sys.add_queue("o");
     sys.add_module(Box::new(StreamSource::from_flits("pos", qp, pos)));
     sys.add_module(Box::new(StreamSource::from_flits("cigar", qc, cigar)));
-    sys.add_module(Box::new(StreamSource::from_flits("seq", qs, seq)));
-    sys.add_module(Box::new(StreamSource::from_flits("qual", qq, qual)));
-    let inputs = ReadToBasesInputs { pos: qp, cigar: qc, seq: qs, qual: Some(qq) };
+    if bases {
+        sys.add_module(Box::new(StreamSource::from_flits("seq", qs, seq)));
+        sys.add_module(Box::new(StreamSource::from_flits("qual", qq, qual)));
+    }
+    let (seq, qual) = if bases { (Some(qs), Some(qq)) } else { (None, None) };
+    let inputs = ReadToBasesInputs { pos: qp, cigar: qc, seq, qual };
     let rtb = ReadToBases::new("rtb", inputs, o);
     sys.add_module(Box::new(match rows {
         Some(width) => rtb.with_rows(width),
@@ -1367,7 +1371,7 @@ fn read_to_bases_with_rows_narrows_and_drops_delimiters() {
         Flit::data(&[v(13), c]),
         Flit::data(&[v(20), g]),
     ];
-    assert_eq!(bases_flits(&reads, Some(2)), narrow);
+    assert_eq!(bases_flits(&reads, Some(2), true), narrow);
     let wide = vec![
         Flit::data(&[v(10), g, v(32)]),
         Flit::data(&[v(11), t, v(33)]),
@@ -1376,11 +1380,41 @@ fn read_to_bases_with_rows_narrows_and_drops_delimiters() {
         Flit::data(&[v(13), c, v(35)]),
         Flit::data(&[v(20), g, v(30)]),
     ];
-    assert_eq!(bases_flits(&reads, Some(3)), wide);
+    assert_eq!(bases_flits(&reads, Some(3), true), wide);
     // The default is the full four-field layout with a delimiter after
     // each read's bases.
-    let full = bases_flits(&reads, None);
+    let full = bases_flits(&reads, None, true);
     assert_eq!(full.len(), 8);
     assert_eq!(full[3], Flit::data(&[v(12), del, del, del]));
     assert_eq!((full[5], full[7]), (end, end));
+}
+
+/// Without `SEQ` and `QUAL` inputs a ReadToBases emits the same positions
+/// at every width: every op advances as it does with them, `S` and `H`
+/// emit nothing, `I` its marker and `D`/`N` their positions, and no op
+/// waits on a sequence head.
+#[test]
+fn read_to_bases_without_seq_emits_the_same_positions() {
+    let reads = [
+        (10, "2S2M1I1D1M1S", "ACGTACG"),
+        (20, "1H1M1N2M1H", "GTA"),
+        (30, "2I1M2D1X1=", "ACGTA"),
+        (40, "3S", "ACG"),
+    ];
+    // One field: the streams are identical.
+    let positions = bases_flits(&reads, Some(1), true);
+    assert_eq!(positions.len(), 16);
+    assert_eq!(bases_flits(&reads, Some(1), false), positions);
+    // The full layout: the same positions and delimiters, each base field
+    // `Empty` (or `Del` on a `D`/`N` row).
+    let (full, bare) = (bases_flits(&reads, None, true), bases_flits(&reads, None, false));
+    assert_eq!(full.len(), bare.len());
+    for (with, without) in full.iter().zip(&bare) {
+        assert_eq!(with.is_end_item(), without.is_end_item());
+        if !with.is_end_item() {
+            assert_eq!(with.field(0), without.field(0));
+            let base = if with.field(1) == HwWord::Del { HwWord::Del } else { HwWord::Empty };
+            assert_eq!(without.field(1), base);
+        }
+    }
 }

@@ -1,18 +1,21 @@
 //! Differential proptests for the explode lowerings: randomized reads
-//! (mixed CIGARs with clips, insertions, deletions, and skips — and empty
-//! tables) are pushed through `ReadExplode`- and `PosExplode`-rooted
-//! scripts on the general compile path, executed on the simulated device
-//! under both simulation engines, and checked bit-for-bit
-//! against the `genesis::sql` software engine.
+//! (mixed CIGARs with clips, insertions, deletions, and skips, bases past
+//! what the CIGAR consumes — and empty tables) are pushed through
+//! `ReadExplode`- and `PosExplode`-rooted scripts and plans on the general
+//! compile path, executed on the simulated device under both simulation
+//! engines, and checked bit-for-bit against the `genesis::sql` software
+//! engine.
 
 mod common;
 
-use common::{catalog_of, check, read_spec, reads_table, ref_table, u32_table, Axes};
-use common::{spine_keys, Query, ReadSpec, ENGINES};
+use common::{catalog_of, check, item, project, read_explode, read_spec, reads_table, ref_table};
+use common::{spine_keys, table_of, u32_table, Axes, Query, ReadSpec, ENGINES};
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::core::CoreError;
-use genesis::sql::Catalog;
+use genesis::sql::exec::{execute_plan, Env};
+use genesis::sql::{Catalog, LogicalPlan};
+use genesis::types::{Cigar, Column, Table};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -34,6 +37,35 @@ fn reads_catalog(specs: &[ReadSpec]) -> Catalog {
 fn pairs_catalog(pos: Vec<u32>, mpos: Vec<u32>, ref_len: usize) -> Catalog {
     let pairs = u32_table(vec![("POS", pos), ("MPOS", mpos)]);
     catalog_of(vec![("PAIRS", pairs), ("REF", ref_table(0, &[(ref_len, 0)]))])
+}
+
+/// `reads` with each read's `SEQ` and `QUAL` `extra[i]` items longer
+/// (`extra` cycled), past what its CIGAR consumes.
+fn with_trailing(reads: &Table, extra: &[u8]) -> Table {
+    let fields = reads.schema().fields();
+    let cols = fields.iter().enumerate().map(|(ci, f)| {
+        let col = match reads.column_at(ci) {
+            Column::ListU8(rows) => Column::ListU8(
+                rows.iter()
+                    .zip(extra.iter().cycle())
+                    .map(|(items, &n)| items.iter().copied().chain((0..n).map(|j| j % 4)).collect())
+                    .collect(),
+            ),
+            other => other.clone(),
+        };
+        (f.name.as_str(), col)
+    });
+    table_of(cols.collect())
+}
+
+/// `SELECT POS, SEQ[, QUAL]` over `READS` exploded: the bases are read,
+/// so they stream.
+fn selected_bases(qual: bool) -> LogicalPlan {
+    let mut items = vec![item("POS"), item("SEQ")];
+    if qual {
+        items.push(item("QUAL"));
+    }
+    project(read_explode("READS", qual), items)
 }
 
 /// `script`'s `out` table compiled at `factor` equals the software
@@ -114,6 +146,40 @@ proptest! {
         let catalog = pairs_catalog(pos, mpos, 64);
         differential(POS_EXPLODE_JOIN_SQL, &catalog, "Joined", factor)?;
     }
+
+    /// Reads whose `SEQ` and `QUAL` hold up to three items past what their
+    /// CIGAR consumes, the bases (and qualities) selected so they stream:
+    /// each read streams only its consumed prefix.
+    #[test]
+    fn bases_past_the_cigar_differential(
+        specs in proptest::collection::vec(read_spec(6, 4, 5), 1..10),
+        extra in proptest::collection::vec(0u8..4, 1..10),
+        qual in 0usize..2,
+        factor in 1usize..3,
+    ) {
+        let reads = with_trailing(&reads_table(1, &specs, true), &extra);
+        let catalog = catalog_of(vec![("READS", reads)]);
+        let axes = Axes::at(factor).served(2).engines(&ENGINES);
+        check(&selected_bases(qual == 1), &catalog, &axes)?;
+    }
+}
+
+/// The second of three reads holds six bases for its `3M`: the SQL
+/// engine's 11 rows, where the compiled road once deadlocked with its
+/// ReadToBases waiting on a `SEQ` delimiter behind the unconsumed bases.
+#[test]
+fn a_read_longer_than_its_cigar_explodes_to_its_aligned_bases() {
+    let cigars = ["4M", "3M", "2M1I1M"].map(|c| c.parse::<Cigar>().unwrap().pack().unwrap());
+    let seqs = vec![vec![0, 1, 2, 3], vec![1, 2, 3, 0, 1, 2], vec![2, 3, 0, 1]];
+    let reads = table_of(vec![
+        ("POS", Column::U32(vec![1, 10, 20])),
+        ("CIGAR", Column::ListU16(cigars.to_vec())),
+        ("SEQ", Column::ListU8(seqs)),
+    ]);
+    let catalog = catalog_of(vec![("READS", reads)]);
+    let plan = selected_bases(false);
+    assert_eq!(execute_plan(&plan, &catalog, &Env::default()).unwrap().num_rows(), 11);
+    check(&plan, &catalog, &Axes::at(2).served(1).engines(&ENGINES)).unwrap();
 }
 
 /// The deterministic corner proptest shrinking tends to land on: an

@@ -114,7 +114,7 @@ fn hardware_module_matches_figure3() {
     sys.add_module(Box::new(StreamSource::from_flits("qual", qq, qf)));
     sys.add_module(Box::new(ReadToBases::new(
         "rtb",
-        ReadToBasesInputs { pos: qp, cigar: qc, seq: qs, qual: Some(qq) },
+        ReadToBasesInputs { pos: qp, cigar: qc, seq: Some(qs), qual: Some(qq) },
         out,
     )));
     let sink = sys.add_module(Box::new(StreamSink::new("sink", out)));

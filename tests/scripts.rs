@@ -92,6 +92,14 @@ fn unknown_column_suggests_from_the_whole_table() {
         let err = run(&format!("INSERT INTO O {sql}"), "genomics").unwrap_err();
         assert!(err.ends_with(tail), "{sql}: got: {err}");
     }
+    // The pileup's explode streams no bases, since nothing reads them;
+    // a typo still gets the suggestion the whole explode would give.
+    let coverage = std::fs::read_to_string(repo_file("scripts/coverage.sql")).unwrap();
+    let typo = coverage.replace("WHERE POS < 4096", "WHERE SEQQ < 2");
+    assert_ne!(typo, coverage);
+    let err = run(&typo, "genomics").unwrap_err();
+    let tail = "Filter: unknown column SEQQ (did you mean `SEQ`?)";
+    assert!(err.ends_with(tail), "got: {err}");
 }
 
 #[test]

@@ -18,9 +18,11 @@
 //! joins whose left key sits at any field, against a scan or the
 //! `PosExplode` of a 1–3-row reference (a per-row delimiter left in that
 //! explode shows here); (e) inner and left joins selecting the right key
-//! the Joiner reads in place; and (f) pileups and explode row streams
+//! the Joiner reads in place; (f) pileups and explode row streams
 //! over reads whose CIGARs hold `S`, `I` and `D` runs, with and without
-//! qualities.
+//! qualities; and (g) explodes the plan reads only in part, which stream
+//! only the data columns some reference reads, half the time under a
+//! seeded fault schedule.
 
 mod common;
 
@@ -310,6 +312,54 @@ proptest! {
         };
         let plan = project(joined, vec![picked("R", "RK"), picked("L", "X"), picked("R", "W")]);
         differential(&plan, &cat, pushdown == 1, (factor, shards), None)?;
+    }
+
+    /// Explodes whose data columns the plan reads in part: a pileup that
+    /// reads no base (`COUNT(*)`, and `SUM(POS)` when drawn, by `POS`), one
+    /// whose bases only a `WHERE` reads, rows that select `QUAL` and not
+    /// `SEQ` (which streams to keep the field layout), `SELECT *`, and a
+    /// `PosExplode` join leaf that selects its array or only the left row.
+    #[test]
+    fn explode_streams_only_what_the_plan_reads(
+        lo in 0u32..5_000,
+        specs in proptest::collection::vec(read_spec(8, 3, 4), 1..14),
+        from in 0u64..20,
+        shape in 0usize..6,
+        picks in (0usize..2, 0usize..2, 0u64..5),
+        lgaps in proptest::collection::vec(0u32..4, 1..40),
+        ref_rows in proptest::collection::vec((1usize..30, 0u32..5), 1..4),
+        factor in 1usize..17,
+        shards in 1usize..4,
+        pushdown in 0usize..2,
+        faults in (0usize..2, arb_faults()),
+    ) {
+        let (qual, sum, base) = picks;
+        let reads = || catalog_of(vec![("READS", reads_table(lo, &specs, true))]);
+        let rows = bases(qual == 1, u64::from(lo) + from);
+        let (plan, cat) = match shape {
+            0 => (grouped(rows, "POS", &["POS"][..sum], 0), reads()),
+            1 => {
+                let matched = filtered(rows, "SEQ", Some((BinOp::Lt, base)));
+                (grouped(matched, "POS", &[], 0), reads())
+            }
+            2 => {
+                let quals = bases(true, u64::from(lo) + from);
+                (project(quals, vec![item("POS"), item("QUAL")]), reads())
+            }
+            3 => (project(rows, vec![SelectItem::Star]), reads()),
+            _ => {
+                let cat = join_catalog((ascending(0, &lgaps), 2), (vec![], 0), 0, &ref_rows);
+                let reference = pos_explode("REF", "SEQ", col("POS"));
+                let joined = join(JoinKind::Inner, scan("L"), reference, ("K", "POS"));
+                let mut items = vec![item("X")];
+                if shape == 4 {
+                    items.push(item("SEQ"));
+                }
+                (project(joined, items), cat)
+            }
+        };
+        let faults = (faults.0 == 1).then_some(faults.1);
+        differential(&plan, &cat, pushdown == 1, (factor, shards), faults)?;
     }
 
     /// The pileup, and the exploded rows themselves, over reads from `lo`
