@@ -99,10 +99,10 @@ impl BqsrAccel {
         let drain2 = b.queue("drain2");
         let drain3 = b.queue("drain3");
         let drain4 = b.queue("drain4");
-        let (_, total1_addr) = b.writer_with_field("total1.out", drain1, 4, b1_bins * 4, 1);
-        let (_, total2_addr) = b.writer_with_field("total2.out", drain2, 4, b2_bins * 4, 1);
-        let (_, err1_addr) = b.writer_with_field("err1.out", drain3, 4, b1_bins * 4, 1);
-        let (_, err2_addr) = b.writer_with_field("err2.out", drain4, 4, b2_bins * 4, 1);
+        let total1_addr = b.row_writer("total1.out", drain1, &[1], 4, b1_bins * 4).1[0];
+        let total2_addr = b.row_writer("total2.out", drain2, &[1], 4, b2_bins * 4).1[0];
+        let err1_addr = b.row_writer("err1.out", drain3, &[1], 4, b1_bins * 4).1[0];
+        let err2_addr = b.row_writer("err2.out", drain4, &[1], 4, b2_bins * 4).1[0];
 
         // Count scratchpads (32-bit counters in hardware).
         let total1 = b.system().spms_mut().add_packed("TotalCount#1", b1_bins, 32);

@@ -159,36 +159,20 @@ impl<'s> PipelineBuilder<'s> {
         elem_bytes: usize,
         capacity_bytes: usize,
     ) -> (ModuleId, u64) {
-        self.writer_with_field(name, input, elem_bytes, capacity_bytes, 0)
-    }
-
-    /// Like [`PipelineBuilder::writer`], writing flit field `field`.
-    pub fn writer_with_field(
-        &mut self,
-        name: &str,
-        input: QueueId,
-        elem_bytes: usize,
-        capacity_bytes: usize,
-        field: usize,
-    ) -> (ModuleId, u64) {
-        let addr = self.sys.alloc_mem(capacity_bytes.max(1));
-        let port = self.sys.register_mem_port(self.group);
-        let id = self.module(name, |l| {
-            let cfg = MemWriterConfig { base_addr: addr, elem_bytes };
-            Box::new(MemWriter::new(l, cfg, port, input).with_field(field))
-        });
-        (id, addr)
+        let (id, addrs) = self.row_writer(name, input, &[0], elem_bytes, capacity_bytes);
+        (id, addrs[0])
     }
 
     /// Allocates one output region per field in `fields` and attaches one
-    /// multi-column Memory Writer consuming `input`, each column through
-    /// its own port; returns the writer module id and each column's base
-    /// address, in `fields` order.
+    /// Memory Writer consuming `input`, storing each field as
+    /// `elem_bytes`-wide elements through its own port; returns the writer
+    /// module id and each column's base address, in `fields` order.
     pub(crate) fn row_writer(
         &mut self,
         name: &str,
         input: QueueId,
         fields: &[usize],
+        elem_bytes: usize,
         capacity_bytes: usize,
     ) -> (ModuleId, Vec<u64>) {
         let mut addrs = Vec::with_capacity(fields.len());
@@ -197,7 +181,7 @@ impl<'s> PipelineBuilder<'s> {
             let base_addr = self.sys.alloc_mem(capacity_bytes.max(1));
             let port = self.sys.register_mem_port(self.group);
             addrs.push(base_addr);
-            let cfg = MemWriterConfig { base_addr, elem_bytes: 8 };
+            let cfg = MemWriterConfig { base_addr, elem_bytes };
             cols.push(WriterColumn { field, cfg, port });
         }
         let id = self.module(name, |l| Box::new(MemWriter::columns(l, cols, input)));

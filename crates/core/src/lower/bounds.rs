@@ -93,12 +93,12 @@ pub(super) fn lower_predicate(
         (Expr::Col(a), Expr::Number(n)) => {
             let i = resolve(cols, unstreamed, a, "Filter")?;
             require_u64(&cols[i], "Filter", "compared against a number")?;
-            Ok(Predicate::field_const(i, cmp, *n))
+            Ok(Predicate::field_const(cols[i].field, cmp, *n))
         }
         (Expr::Number(n), Expr::Col(a)) => {
             let i = resolve(cols, unstreamed, a, "Filter")?;
             require_u64(&cols[i], "Filter", "compared against a number")?;
-            Ok(Predicate::field_const(i, mirror(cmp), *n))
+            Ok(Predicate::field_const(cols[i].field, mirror(cmp), *n))
         }
         (Expr::Col(a), Expr::Col(bc)) => {
             let i = resolve(cols, unstreamed, a, "Filter")?;
@@ -109,7 +109,7 @@ pub(super) fn lower_predicate(
                 require_u64(&cols[i], "Filter", "ordered or mixed-type comparison")?;
                 require_u64(&cols[j], "Filter", "ordered or mixed-type comparison")?;
             }
-            Ok(Predicate::fields(i, cmp, j))
+            Ok(Predicate::fields(cols[i].field, cmp, cols[j].field))
         }
         _ => Err(CoreError::unsupported(
             "Filter",
@@ -134,7 +134,8 @@ fn require_u64(col: &ColInfo, node: &str, what: &str) -> Result<(), CoreError> {
 }
 
 /// An ALU computation plan: `alu(op, lhs_field, rhs)`, optionally followed
-/// by `XOR 1` (boolean negation for the derived comparisons).
+/// by `XOR 1` (boolean negation for the derived comparisons). Its fields
+/// are column indices; the builder reads each column's flit field.
 pub(super) struct CompPlan {
     pub(super) lhs_field: usize,
     pub(super) rhs: CompRhs,

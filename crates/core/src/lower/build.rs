@@ -41,16 +41,30 @@ pub(super) struct Built {
 }
 
 /// One in-flight relational stream: a queue of row flits plus per-column
-/// metadata.
+/// metadata. Each column names the flit field it reads
+/// ([`ColInfo::field`]), so renaming, repeating, reordering or dropping
+/// columns builds no module.
 #[derive(Debug)]
 struct Stream<'a> {
     q: QueueId,
     cols: Vec<ColInfo>,
+    /// Fields per flit of `q`, read by some column or not.
+    width: usize,
     /// The scanned columns projection pushdown left out of the stream
     /// ([`PreparedScan::unstreamed`]), named as `cols` would name them:
     /// filters pass them on, joins qualify them, projections and
     /// aggregates drop them.
     unstreamed: Cow<'a, [String]>,
+}
+
+impl<'a> Stream<'a> {
+    /// A stream whose flits carry `cols` in order, one field each.
+    fn fresh(q: QueueId, mut cols: Vec<ColInfo>, unstreamed: Cow<'a, [String]>) -> Stream<'a> {
+        for (field, c) in cols.iter_mut().enumerate() {
+            c.field = field;
+        }
+        Stream { q, width: cols.len(), cols, unstreamed }
+    }
 }
 
 /// Build-time context threaded through the node-by-node lowering.
@@ -164,17 +178,6 @@ impl<'a> BuildCtx<'a> {
         let out = b.queue(&self.lbl(queue));
         self.module(b, module, |l| make(l, out));
         out
-    }
-
-    /// [`BuildCtx::add`] of a Zip selecting `fields` of `q`'s flits.
-    fn select(
-        &mut self,
-        b: &mut PipelineBuilder<'_>,
-        tags: (&str, &str),
-        q: QueueId,
-        fields: Vec<usize>,
-    ) -> QueueId {
-        self.add(b, tags, |l, out| Box::new(Zip::new(l, vec![ZipInput::new(q, fields)], out)))
     }
 }
 
@@ -395,7 +398,8 @@ fn build_explode<'a>(
         Box::new(if per_row { rtb } else { rtb.with_rows(width) })
     });
     let rows_q = if per_row {
-        ctx.select(b, ("explode.rows", "explode.zip"), bases, (0..width).collect())
+        let items = vec![ZipInput::new(bases, (0..width).collect())];
+        ctx.add(b, ("explode.rows", "explode.zip"), |l, out| Box::new(Zip::new(l, items, out)))
     } else {
         bases
     };
@@ -424,7 +428,7 @@ fn build_explode<'a>(
             cols[0].max_value = Some(hi);
         }
     }
-    Ok(Stream { q: rows_q, cols, unstreamed: Cow::Borrowed(&ps.unstreamed) })
+    Ok(Stream::fresh(rows_q, cols, Cow::Borrowed(&ps.unstreamed)))
 }
 
 /// Lowers a reference window (`bind::prepare_window`): the scratchpad load and
@@ -459,7 +463,7 @@ fn build_window<'a>(
     };
     let top = values.vals.iter().copied().max();
     let data = ColInfo { max_value: top, ..ColInfo::new(&values.name, values.decode) };
-    Ok(Stream { q: refs, cols: vec![pos, data], unstreamed: Cow::Borrowed(&[]) })
+    Ok(Stream::fresh(refs, vec![pos, data], Cow::Borrowed(&[])))
 }
 
 fn build_scan<'a>(
@@ -510,7 +514,7 @@ fn build_scan<'a>(
         format!(" ({ncols} of {} columns)", ncols + ps.unstreamed.len())
     };
     ctx.note(format!("Scan({table}) -> {ncols}x MemoryReader{zip}{pruned}"));
-    Ok(Stream { q, cols, unstreamed: Cow::Borrowed(&ps.unstreamed) })
+    Ok(Stream::fresh(q, cols, Cow::Borrowed(&ps.unstreamed)))
 }
 
 fn build_filter<'a>(
@@ -530,7 +534,7 @@ fn build_filter<'a>(
         narrow_filtered_col(&mut cols, part);
     }
     ctx.note(format!("Filter -> {n}x Filter"));
-    Ok(Stream { q, cols, unstreamed: s.unstreamed })
+    Ok(Stream { q, cols, ..s })
 }
 
 /// One expanded output item of a projection.
@@ -598,7 +602,7 @@ fn build_project<'a>(
         ));
     }
     let prepared = ctx.prepared;
-    let out_cols: Vec<ColInfo> = expanded
+    let mut out_cols: Vec<ColInfo> = expanded
         .iter()
         .map(|item| match item {
             ProjItem::Pass { src, name } => ColInfo { name: name.clone(), ..s.cols[*src].clone() },
@@ -608,33 +612,40 @@ fn build_project<'a>(
             }
         })
         .collect();
-    let pass_srcs: Vec<usize> = expanded
+    let comps: Vec<&CompPlan> = expanded
         .iter()
         .filter_map(|it| match it {
-            ProjItem::Pass { src, .. } => Some(*src),
-            ProjItem::Comp { .. } => None,
+            ProjItem::Comp { plan, .. } => Some(plan),
+            ProjItem::Pass { .. } => None,
         })
         .collect();
-    let n_comps = n_out - pass_srcs.len();
-
-    if n_comps == 0 {
-        // Pure column selection/reorder: a single Zip (or a rename).
-        let identity =
-            pass_srcs.len() == s.cols.len() && pass_srcs.iter().enumerate().all(|(i, &v)| i == v);
-        let q = if identity {
-            s.q
-        } else {
-            ctx.select(b, ("proj", "proj.zip"), s.q, pass_srcs)
-        };
-        ctx.note(format!("Project -> {}", if identity { "rename" } else { "Zip" }));
-        return Ok(Stream { q, cols: out_cols, unstreamed: Cow::Borrowed(&[]) });
+    if comps.is_empty() {
+        // Column selection only: the columns name fields of the same flits.
+        ctx.note("Project -> rename".to_owned());
+        let unstreamed = Cow::Borrowed(&[][..]);
+        return Ok(Stream { q: s.q, cols: out_cols, width: s.width, unstreamed });
     }
 
-    // Computed items: each is one ALU reading its operands in place from
+    // Computed items assemble a new row: each pass-through field once,
+    // then one field per computed item, in item order.
+    let mut pass_fields: Vec<usize> = Vec::new();
+    for (c, item) in out_cols.iter_mut().zip(&expanded) {
+        if let ProjItem::Pass { .. } = item {
+            c.field = slot(&mut pass_fields, c.field);
+        }
+    }
+    let mut width = pass_fields.len();
+    for (c, item) in out_cols.iter_mut().zip(&expanded) {
+        if let ProjItem::Comp { .. } = item {
+            c.field = width;
+            width += 1;
+        }
+    }
+    // Each computed item is one ALU reading its operands in place from
     // the row (a negated comparison adds an XOR). A Fanout feeds the row
-    // to its consumers, the pass-through columns and each ALU, only when
+    // to its consumers, the pass-through fields and each ALU, only when
     // there is more than one.
-    let consumers = n_comps + usize::from(!pass_srcs.is_empty());
+    let consumers = comps.len() + usize::from(!pass_fields.is_empty());
     let row_qs = if consumers == 1 {
         vec![s.q]
     } else {
@@ -643,34 +654,20 @@ fn build_project<'a>(
         qs
     };
     let mut row_qs = row_qs.into_iter();
-    // The assembling Zip's inputs in item order, the pass-through block
-    // where its first column stands; `order` names each assembled field's
-    // item.
-    let pass_items: Vec<usize> = (0..n_out)
-        .filter(|&k| matches!(expanded[k], ProjItem::Pass { .. }))
-        .collect();
     let mut zip_inputs = Vec::with_capacity(consumers);
-    let mut order = Vec::with_capacity(n_out);
-    let mut alu_count = 0usize;
-    for (k, item) in expanded.iter().enumerate() {
-        let comp = match item {
-            ProjItem::Comp { plan, .. } => plan,
-            ProjItem::Pass { .. } if k != pass_items[0] => continue,
-            ProjItem::Pass { .. } => {
-                order.extend_from_slice(&pass_items);
-                let row = row_qs.next().expect("one row queue per consumer");
-                zip_inputs.push(ZipInput::new(row, pass_srcs.clone()));
-                continue;
-            }
-        };
-        order.push(k);
+    if !pass_fields.is_empty() {
         let row = row_qs.next().expect("one row queue per consumer");
+        zip_inputs.push(ZipInput::new(row, pass_fields));
+    }
+    let mut alu_count = 0usize;
+    for (comp, row) in comps.into_iter().zip(row_qs) {
+        let lhs = s.cols[comp.lhs_field].field;
         let rhs = match comp.rhs {
             CompRhs::Lit(n) => AluRhs::Const(n),
-            CompRhs::Field(f) => AluRhs::Field(f),
+            CompRhs::Field(f) => AluRhs::Field(s.cols[f].field),
         };
         let mut res = ctx.add(b, ("proj.alu", "proj.alu"), |l, out| {
-            Box::new(StreamAlu::new(l, comp.op, row, comp.lhs_field, rhs, out))
+            Box::new(StreamAlu::new(l, comp.op, row, lhs, rhs, out))
         });
         alu_count += 1;
         if comp.negate {
@@ -682,26 +679,15 @@ fn build_project<'a>(
         }
         zip_inputs.push(ZipInput::new(res, vec![0]));
     }
-    let mut zips = 0;
-    let assembled = if let [one] = &zip_inputs[..] {
-        one.queue
+    let (q, zip) = if let [one] = &zip_inputs[..] {
+        (one.queue, "")
     } else {
-        zips += 1;
-        ctx.add(b, ("proj.rows", "proj.zip"), |l, out| Box::new(Zip::new(l, zip_inputs, out)))
+        let q = ctx
+            .add(b, ("proj.rows", "proj.zip"), |l, out| Box::new(Zip::new(l, zip_inputs, out)));
+        (q, "1x Zip + ")
     };
-    // Reorder into item order when pass-through columns interleave with
-    // computed ones.
-    let placed = |k| order.iter().position(|&i| i == k).expect("every item placed");
-    let sel: Vec<usize> = (0..n_out).map(placed).collect();
-    let q = if sel.iter().enumerate().all(|(i, &v)| i == v) {
-        assembled
-    } else {
-        zips += 1;
-        ctx.select(b, ("proj.ord", "proj.ordzip"), assembled, sel)
-    };
-    let zips = if zips > 0 { format!("{zips}x Zip + ") } else { String::new() };
-    ctx.note(format!("Project -> {}{zips}{alu_count}x ALU", fanout_note(consumers)));
-    Ok(Stream { q, cols: out_cols, unstreamed: Cow::Borrowed(&[]) })
+    ctx.note(format!("Project -> {}{zip}{alu_count}x ALU", fanout_note(consumers)));
+    Ok(Stream { q, cols: out_cols, width, unstreamed: Cow::Borrowed(&[]) })
 }
 
 fn build_join<'a>(
@@ -750,14 +736,24 @@ fn build_join<'a>(
             format!("{nl} left + {nr} right fields exceed the {MAX_FIELDS}-field flit"),
         ));
     }
-    // The Joiner compares both rows' keys in place and keeps both flits
-    // whole: the output is [left columns..., right columns...]. An
-    // unmatched left row pads every right column, its key included, with
-    // NULL.
+    // Fields no column reads ride along until both flits no longer fit
+    // one: then each side carries only the fields its columns read.
     let (lq, rq) = (l.q, r.q);
+    let (l, r) = if l.width + r.width > MAX_FIELDS {
+        (compact(b, ctx, l), compact(b, ctx, r))
+    } else {
+        (l, r)
+    };
+    let zips = usize::from(l.q != lq) + usize::from(r.q != rq);
+    let (lk, rk) = (l.cols[li].field, r.cols[ri].field);
+    // The Joiner compares both rows' keys in place and keeps both flits
+    // whole: the output is [left fields..., right fields...]. An
+    // unmatched left row pads every right field, its key included, with
+    // NULL.
+    let (lq, rq, wl, wr) = (l.q, r.q, l.width, r.width);
     let out = ctx.add(b, ("join.out", "join"), |l, out| {
-        let joiner = Joiner::new(l, hw_kind, lq, rq, out, nl - 1, nr - 1);
-        Box::new(joiner.with_left_key(li).with_right_key(ri))
+        let joiner = Joiner::new(l, hw_kind, lq, rq, out, wl - 1, wr - 1);
+        Box::new(joiner.with_left_key(lk).with_right_key(rk))
     });
     let left_join = kind == JoinKind::Left;
     let mut cols = Vec::with_capacity(nl + nr);
@@ -769,6 +765,7 @@ fn build_join<'a>(
             name: qualify(right_key.table.as_deref(), &c.name),
             nullable: c.nullable || left_join,
             ascending: false,
+            field: wl + c.field,
             ..c.clone()
         });
     }
@@ -779,8 +776,36 @@ fn build_join<'a>(
         let right = r.unstreamed.iter().map(|n| qualify(right_key.table.as_deref(), n));
         Cow::Owned(left.chain(right).collect())
     };
-    ctx.note(format!("Join({kind:?}) -> Joiner"));
-    Ok(Stream { q: out, cols, unstreamed })
+    let zips = if zips > 0 { format!("{zips}x Zip + ") } else { String::new() };
+    ctx.note(format!("Join({kind:?}) -> {zips}Joiner"));
+    Ok(Stream { q: out, cols, width: wl + wr, unstreamed })
+}
+
+/// `s` carrying only the fields its columns read, each once: through one
+/// select Zip when its flits carry any other.
+fn compact<'a>(
+    b: &mut PipelineBuilder<'_>,
+    ctx: &mut BuildCtx<'_>,
+    mut s: Stream<'a>,
+) -> Stream<'a> {
+    let mut fields: Vec<usize> = Vec::new();
+    for c in &mut s.cols {
+        c.field = slot(&mut fields, c.field);
+    }
+    if !fields.iter().copied().eq(0..s.width) {
+        s.width = fields.len();
+        let kept = vec![ZipInput::new(s.q, fields)];
+        s.q = ctx.add(b, ("join.cut", "join.zip"), |l, out| Box::new(Zip::new(l, kept, out)));
+    }
+    s
+}
+
+/// The index of `f` in `fields`, pushed first when absent.
+fn slot(fields: &mut Vec<usize>, f: usize) -> usize {
+    fields.iter().position(|&g| g == f).unwrap_or_else(|| {
+        fields.push(f);
+        fields.len() - 1
+    })
 }
 
 fn agg_display(func: AggFn) -> &'static str {
@@ -828,14 +853,14 @@ fn build_scalar_agg(
                 ))
             }
             (_, Some(Expr::Col(c))) => {
-                let i = resolve(&s.cols, &s.unstreamed, c, "Aggregate")?;
-                let col = &s.cols[i];
+                let col = &s.cols[resolve(&s.cols, &s.unstreamed, c, "Aggregate")?];
+                let field = col.field;
                 match func {
-                    AggFn::Count => Spec { kind: ScalarKind::Count, field: i, filter: None, name },
+                    AggFn::Count => Spec { kind: ScalarKind::Count, field, filter: None, name },
                     AggFn::Sum => {
                         // U64 and Bool columns both sum (booleans as 0/1);
                         // the Reducer skips sentinel fields like the engine.
-                        Spec { kind: ScalarKind::Sum, field: i, filter: None, name }
+                        Spec { kind: ScalarKind::Sum, field, filter: None, name }
                     }
                     AggFn::Min | AggFn::Max => {
                         if ctx.per_row {
@@ -854,8 +879,8 @@ fn build_scalar_agg(
                             ));
                         }
                         let kind = if *func == AggFn::Min { ScalarKind::Min } else { ScalarKind::Max };
-                        let filter = col.nullable.then(|| Predicate::field_is_value(i));
-                        Spec { kind, field: i, filter, name }
+                        let filter = col.nullable.then(|| Predicate::field_is_value(field));
+                        Spec { kind, field, filter, name }
                     }
                 }
             }
@@ -946,6 +971,7 @@ fn build_grouped_agg(
     };
     let ki = resolve(&s.cols, &s.unstreamed, key, "Aggregate")?;
     let kcol = s.cols[ki].clone();
+    let kf = kcol.field;
     if kcol.nullable {
         return Err(CoreError::unsupported(
             "Aggregate(GROUP BY)",
@@ -982,7 +1008,7 @@ fn build_grouped_agg(
     }
     // Guarded above: `width < cap <= 2^27`, so `+ 1` cannot overflow.
     let domain = (width + 1) as usize;
-    // Classify items; SUM columns share one histogram per distinct column.
+    // Classify items; SUM columns share one histogram per distinct field.
     let mut sum_fields: Vec<usize> = Vec::new();
     struct GItem {
         role: GroupRole,
@@ -1011,11 +1037,8 @@ fn build_grouped_agg(
                     }
                     (AggFn::Sum, Some(Expr::Col(c))) => {
                         let i = resolve(&s.cols, &s.unstreamed, c, "Aggregate")?;
-                        let slot = sum_fields.iter().position(|&f| f == i).unwrap_or_else(|| {
-                            sum_fields.push(i);
-                            sum_fields.len() - 1
-                        });
-                        GItem { role: GroupRole::Sum, sum_slot: slot, name }
+                        let sum_slot = slot(&mut sum_fields, s.cols[i].field);
+                        GItem { role: GroupRole::Sum, sum_slot, name }
                     }
                     (AggFn::Min | AggFn::Max, _) => {
                         return Err(CoreError::unsupported(
@@ -1072,7 +1095,7 @@ fn build_grouped_agg(
     for (i, (module, spm, op, field)) in updaters.enumerate() {
         let queue = if i == last { "grp.done" } else { "grp.fwd" };
         tap = ctx.add(b, (queue, module), |l, out| {
-            let u = SpmUpdater::new(l, spm, rmw(op), ki, field, tap).with_addr_offset(floor);
+            let u = SpmUpdater::new(l, spm, rmw(op), kf, field, tap).with_addr_offset(floor);
             Box::new(if i == last { u.with_done_signal(out) } else { u.with_forward(out) })
         });
     }
@@ -1124,10 +1147,7 @@ fn attach_writers(
     let n_cols = fields.len();
     ctx.sink_bytes += n_cols * line_padded(capacity_bytes);
     ctx.writes.extend(std::iter::repeat_n(8, n_cols));
-    if let &[field] = fields {
-        return vec![b.writer_with_field(&ctx.lbl(tag), rows_q, 8, capacity_bytes, field)];
-    }
-    let (writer, addrs) = b.row_writer(&ctx.lbl(tag), rows_q, fields, capacity_bytes);
+    let (writer, addrs) = b.row_writer(&ctx.lbl(tag), rows_q, fields, 8, capacity_bytes);
     addrs.into_iter().map(|addr| (writer, addr)).collect()
 }
 
@@ -1145,7 +1165,7 @@ fn build_stream_sink(
     // Explodes can emit more rows than the spine slice carries; the
     // writer allocation must cover the expanded bound.
     let bound = ctx.rows_bound.max(1) * 8;
-    let fields: Vec<usize> = (0..s.cols.len()).collect();
+    let fields: Vec<usize> = s.cols.iter().map(|c| c.field).collect();
     let writers = attach_writers(b, ctx, s.q, &fields, bound, "out");
     ctx.note("Output -> MemoryWriter".to_owned());
     Ok((Built { writers, cols: s.cols }, SinkKind::Stream))

@@ -4,7 +4,7 @@
 //! represents a table (leaf node) or a relational/computational operator" —
 //! this module walks any supported [`LogicalPlan`] tree node by node,
 //! mapping each node to hardware modules (Scan → Memory Readers + Zip,
-//! Filter → Filter, Join → Joiner, Project → Zip/ALU diamonds,
+//! Filter → Filter, Join → Joiner, Project → a rename or ALUs,
 //! Aggregate → Reducers or SPM Updater/Reader cascades) and each plan edge
 //! to a hardware queue. The same builder runs twice: once at compile time
 //! on a scratch [`System`] to validate the query and measure its
@@ -105,6 +105,11 @@ struct ColInfo {
     ///
     /// [`comp_bounds`]: bounds::comp_bounds
     origin: Option<(usize, usize)>,
+    /// The flit field the column reads. A column-only projection renames,
+    /// repeats, reorders and drops columns without touching the flits,
+    /// so two columns can read one field and a field can ride along that
+    /// no column reads.
+    field: usize,
 }
 
 impl ColInfo {
@@ -118,6 +123,7 @@ impl ColInfo {
             max_value: None,
             min_value: 0,
             origin: None,
+            field: 0,
         }
     }
 }

@@ -3,14 +3,14 @@
 //! cache's shape key ([`shape`]), which masks exactly those conjuncts'
 //! literals because a bind re-applies them.
 
-use super::bind::{lookup_table, PreparedScan};
+use super::bind::{lookup_table, PreparedCol, PreparedScan};
 use super::bounds::lower_predicate;
 use super::{ColInfo, Decode};
 use crate::error::CoreError;
 use genesis_hw::modules::filter::{Operand, Predicate};
 use genesis_sql::ast::{BinOp, Expr};
 use genesis_sql::{Catalog, LogicalPlan};
-use genesis_types::{Column, Table, Value};
+use genesis_types::{Column, Field, Table, Value};
 use std::hash::{Hash, Hasher};
 
 pub(super) fn conjuncts<'e>(pred: &'e Expr, out: &mut Vec<&'e Expr>) {
@@ -35,9 +35,12 @@ pub(super) struct PushedFilter {
 }
 
 /// Column metadata of a bare prepared scan (what a `Filter` directly
-/// above the `Scan` leaf would see), for resolving pushed conjuncts.
+/// above the `Scan` leaf would see, each column in its own field), for
+/// resolving pushed conjuncts.
 fn scan_infos(scan: &PreparedScan) -> Vec<ColInfo> {
-    scan.cols.iter().map(|c| ColInfo::new(&c.name, c.decode)).collect()
+    let info =
+        |(field, c): (usize, &PreparedCol)| ColInfo { field, ..ColInfo::new(&c.name, c.decode) };
+    scan.cols.iter().enumerate().map(info).collect()
 }
 
 /// [`scan_infos`] read off a table before anything is bound: the names,
@@ -50,7 +53,9 @@ fn table_infos(t: &Table) -> Vec<ColInfo> {
         Column::Cell(cells) if matches!(cells.first(), Some(Value::Bool(_))) => Decode::Bool,
         _ => Decode::U64,
     };
-    fields.iter().enumerate().map(|(ci, f)| ColInfo::new(&f.name, decode(ci))).collect()
+    let info =
+        |(field, f): (usize, &Field)| ColInfo { field, ..ColInfo::new(&f.name, decode(field)) };
+    fields.iter().enumerate().map(info).collect()
 }
 
 /// One `Filter` sitting directly above a plain `Scan` leaf of the core,

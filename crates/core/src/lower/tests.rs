@@ -702,7 +702,10 @@ fn explained_modules(line: &str, counts: &mut BTreeMap<String, usize>) {
 
 /// The explain lines are the node → module map: for every script, with
 /// pushdown on and off, the modules they name are exactly the modules the
-/// analysis build added, per kind and with multiplicity.
+/// analysis build added, per kind and with multiplicity. And a column
+/// names a field: no build selects or reorders one row's fields with a
+/// one-input Zip, except a loop body's explode, which keeps its per-read
+/// items and selects them.
 #[test]
 fn explain_lines_name_every_module_the_build_adds() {
     let catalog = scripts_catalog();
@@ -730,8 +733,16 @@ fn explain_lines_name_every_module_the_build_adds() {
             let mut built = BTreeMap::new();
             let dot = sys.to_dot("analysis");
             for node in dot.lines().filter(|l| l.starts_with("  m") && l.contains("shape=")) {
-                let kind = node.rsplit_once("\\n(").and_then(|(_, k)| k.split_once(')'));
-                *built.entry(kind.unwrap().0.to_owned()).or_insert(0usize) += 1;
+                let (id, label) = node.trim_start().split_once(" [label=\"").unwrap();
+                let (label, kind) = label.rsplit_once("\\n(").unwrap();
+                let kind = kind.split_once(')').unwrap().0;
+                *built.entry(kind.to_owned()).or_insert(0usize) += 1;
+                let one_input = dot.matches(&format!("-> {id} [")).count() == 1;
+                assert!(
+                    kind != "Zip" || !one_input || label.contains(".explode.zip."),
+                    "{} (pushdown {pushdown}): {label} zips one input",
+                    path.display()
+                );
             }
             let explain = low.summary.join("\n");
             assert_eq!(named, built, "{} (pushdown {pushdown}):\n{explain}", path.display());

@@ -6,6 +6,15 @@ use crate::ast::{
 use crate::error::SqlError;
 use crate::token::{lex, Kw, Tok};
 
+/// Deepest nesting a script may hold: parentheses, subqueries and loop
+/// bodies, plus the operators a left-deep chain stacks on its first
+/// operand. Every later pass recurses through the tree, so past this
+/// depth parsing stops with an error instead of overflowing the stack.
+const MAX_DEPTH: usize = 256;
+
+/// A parsed expression and the depth of its operator tree.
+type Deep = (Expr, usize);
+
 /// Parses a multi-statement script.
 ///
 /// # Errors
@@ -13,7 +22,7 @@ use crate::token::{lex, Kw, Tok};
 /// Returns [`SqlError::Lex`] / [`SqlError::Parse`] on malformed input.
 pub fn parse_script(src: &str) -> Result<Vec<Statement>, SqlError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     let mut stmts = Vec::new();
     while !p.at_end() {
         stmts.push(p.statement()?);
@@ -25,6 +34,8 @@ pub fn parse_script(src: &str) -> Result<Vec<Statement>, SqlError> {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Parentheses, subqueries and loop bodies open at `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -54,6 +65,15 @@ impl Parser {
             expected: expected.to_owned(),
             found: self.peek().map_or("end of input".to_owned(), ToString::to_string),
         })
+    }
+
+    /// Errors when an operator tree `tree` deep, at the current nesting,
+    /// passes [`MAX_DEPTH`].
+    fn within(&self, tree: usize) -> Result<(), SqlError> {
+        if self.depth + tree > MAX_DEPTH {
+            return self.err(&format!("at most {MAX_DEPTH} levels of nesting"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, t: &Tok, what: &str) -> Result<(), SqlError> {
@@ -115,6 +135,8 @@ impl Parser {
                 self.expect_kw(Kw::In)?;
                 let table = self.ident("table name")?;
                 self.eat(&Tok::Colon);
+                self.depth += 1;
+                self.within(0)?;
                 let mut body = Vec::new();
                 loop {
                     if self.eat_kw(Kw::End) {
@@ -128,6 +150,7 @@ impl Parser {
                     body.push(self.statement()?);
                     while self.eat(&Tok::Semi) {}
                 }
+                self.depth -= 1;
                 Ok(Statement::ForLoop { var, table, body })
             }
             Some(Tok::Keyword(Kw::Exec)) => {
@@ -261,7 +284,10 @@ impl Parser {
 
     fn table_ref(&mut self) -> Result<TableRef, SqlError> {
         if self.eat(&Tok::LParen) {
+            self.depth += 1;
+            self.within(0)?;
             let q = self.query()?;
+            self.depth -= 1;
             self.expect(&Tok::RParen, ")")?;
             return Ok(TableRef::Subquery(Box::new(q)));
         }
@@ -315,24 +341,35 @@ impl Parser {
 
     // Expression grammar: or <- and <- cmp <- add <- atom.
     fn expr(&mut self) -> Result<Expr, SqlError> {
+        Ok(self.or_expr()?.0)
+    }
+
+    /// `lhs op rhs`, one level deeper than its deeper operand.
+    fn bin(&self, op: BinOp, (lhs, ld): Deep, (rhs, rd): Deep) -> Result<Deep, SqlError> {
+        let depth = 1 + ld.max(rd);
+        self.within(depth)?;
+        Ok((Expr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, depth))
+    }
+
+    fn or_expr(&mut self) -> Result<Deep, SqlError> {
         let mut lhs = self.and_expr()?;
         while self.eat_kw(Kw::Or) {
             let rhs = self.and_expr()?;
-            lhs = Expr::Bin { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+            lhs = self.bin(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, SqlError> {
+    fn and_expr(&mut self) -> Result<Deep, SqlError> {
         let mut lhs = self.cmp_expr()?;
         while self.eat_kw(Kw::And) {
             let rhs = self.cmp_expr()?;
-            lhs = Expr::Bin { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+            lhs = self.bin(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, SqlError> {
+    fn cmp_expr(&mut self) -> Result<Deep, SqlError> {
         let lhs = self.add_expr()?;
         let op = match self.peek() {
             Some(Tok::EqEq | Tok::Assign) => BinOp::Eq,
@@ -345,10 +382,10 @@ impl Parser {
         };
         self.pos += 1;
         let rhs = self.add_expr()?;
-        Ok(Expr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) })
+        self.bin(op, lhs, rhs)
     }
 
-    fn add_expr(&mut self) -> Result<Expr, SqlError> {
+    fn add_expr(&mut self) -> Result<Deep, SqlError> {
         let mut lhs = self.atom()?;
         loop {
             let op = match self.peek() {
@@ -358,31 +395,34 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.atom()?;
-            lhs = Expr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+            lhs = self.bin(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn atom(&mut self) -> Result<Expr, SqlError> {
+    fn atom(&mut self) -> Result<Deep, SqlError> {
         match self.peek().cloned() {
             Some(Tok::Number(n)) => {
                 self.pos += 1;
-                Ok(Expr::Number(n))
+                Ok((Expr::Number(n), 0))
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let e = self.expr()?;
+                self.depth += 1;
+                self.within(0)?;
+                let e = self.or_expr()?;
+                self.depth -= 1;
                 self.expect(&Tok::RParen, ")")?;
                 Ok(e)
             }
             Some(Tok::Ident(name)) if name.starts_with('@') => {
                 self.pos += 1;
-                Ok(Expr::Var(name))
+                Ok((Expr::Var(name), 0))
             }
             Some(Tok::Ident(_)) => {
                 // Bare or dot-qualified (Table.COL) name.
                 let c = self.colref()?;
-                Ok(Expr::Col(c))
+                Ok((Expr::Col(c), 0))
             }
             _ => self.err("expression"),
         }

@@ -4,6 +4,8 @@
 //! `results/run_<script>_<data>.txt` byte for byte. The failure paths are
 //! errors, never panics.
 
+use genesis::core::compile::script_to_plan;
+use genesis::core::library::ModuleRegistry;
 use genesis::core::ServerConfig;
 use std::path::{Path, PathBuf};
 
@@ -106,5 +108,28 @@ fn unknown_column_suggests_from_the_whole_table() {
 fn unparsable_sql_is_an_error() {
     for sql in ["INSERT INTO", "SELECT FROM WHERE", ""] {
         assert!(run(sql, "genomics").is_err(), "{sql:?} ran");
+    }
+}
+
+/// A `WHERE` nested past the parser's bound — 3,000 parentheses, or a
+/// 100,000-term `A + A + …` chain — is an error on a thread with the
+/// default stack, as on a server's worker, never a stack overflow; a
+/// 200-deep expression still plans.
+#[test]
+fn deep_nesting_is_an_error_not_a_stack_overflow() {
+    let plan = |filter: String| {
+        let src = format!("INSERT INTO O SELECT A FROM T WHERE {filter} < 5");
+        let registry = ModuleRegistry::with_builtins();
+        let planned = std::thread::spawn(move || script_to_plan(&src, &registry).map(drop));
+        planned.join().expect("planning returns")
+    };
+    let nest =
+        |open: &str, n: usize, close: &str| format!("{}A{}", open.repeat(n), close.repeat(n));
+    for filter in [nest("(", 3000, ")"), nest("A + ", 99_999, "")] {
+        let err = plan(filter).unwrap_err().to_string();
+        assert!(err.contains("at most 256 levels of nesting"), "got: {err}");
+    }
+    for filter in [nest("(", 200, ")"), nest("A + ", 199, "")] {
+        plan(filter).expect("a 200-deep expression plans");
     }
 }

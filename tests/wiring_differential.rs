@@ -22,13 +22,19 @@
 //! over reads whose CIGARs hold `S`, `I` and `D` runs, with and without
 //! qualities; and (g) explodes the plan reads only in part, which stream
 //! only the data columns some reference reads, half the time under a
-//! seeded fault schedule.
+//! seeded fault schedule; and (h) column-only projections, which name
+//! fields of the same flits and build no module, repeating, reordering,
+//! renaming and dropping columns below a `Filter`, an inner or left join,
+//! a `GROUP BY` whose two `SUM`s read one field, a scalar aggregate and
+//! the sink. A fixed case joins a projection whose flits carry five
+//! fields no column reads, which only fits the Joiner's flit once each
+//! side keeps just the fields its columns read.
 
 mod common;
 
 use common::{agg, arb_faults, ascending, bin, catalog_of, check, col, filtered, item, join};
 use common::{pos_explode, project, read_explode, read_spec, reads_table, ref_table, scan};
-use common::{u32_table, Axes};
+use common::{aggregate, u32_table, Axes, Query};
 use genesis::core::fault::FaultConfig;
 use genesis::sql::ast::{AggFn, BinOp, ColRef, Expr, JoinKind, SelectItem};
 use genesis::sql::{Catalog, LogicalPlan};
@@ -172,6 +178,31 @@ fn join_catalog(
         ("R", u32_table(right)),
         ("REF", ref_table(ref_start, ref_rows)),
     ])
+}
+
+/// One drawn column-only item: `(column, rename)`. A column is renamed
+/// when `rename` is 1, and whenever it repeats.
+type Pick = (usize, usize);
+
+/// The column-only items `picks` draw over `cols`, and each item's output
+/// name.
+fn picked(cols: &[&str], picks: &[Pick]) -> (Vec<SelectItem>, Vec<String>) {
+    let mut seen = Vec::new();
+    let mut items = Vec::new();
+    let mut names = Vec::new();
+    for (i, &(c, rename)) in picks.iter().enumerate() {
+        let c = c % cols.len();
+        let alias = (rename == 1 || seen.contains(&c)).then(|| format!("P{i}"));
+        seen.push(c);
+        names.push(alias.clone().unwrap_or_else(|| cols[c].to_owned()));
+        items.push(SelectItem::Expr { expr: col(cols[c]), alias });
+    }
+    (items, names)
+}
+
+/// `column AS alias`.
+fn renamed(column: &str, alias: &str) -> SelectItem {
+    SelectItem::Expr { expr: col(column), alias: Some(alias.to_owned()) }
 }
 
 /// `READS` exploded into one row per aligned base, `QUAL` included when
@@ -362,6 +393,67 @@ proptest! {
         differential(&plan, &cat, pushdown == 1, (factor, shards), faults)?;
     }
 
+    /// Column-only projections over `T` (or `L`, to join it with `R`)
+    /// under an optional bound: shape 0 filters on the first item, 1 joins
+    /// on the left key wherever the items put it, 2 groups by one column
+    /// with two `SUM`s of another, 3 takes a scalar aggregate and 4 is the
+    /// projection itself.
+    #[test]
+    fn column_only_projection_builds_no_module(
+        rows in proptest::collection::vec((0u32..120, 0u32..120, 0u32..120, 0u32..120), 0..40),
+        picks in proptest::collection::vec((0usize..4, 0usize..2), 1..6),
+        shape in 0usize..5,
+        lit in 0u64..120,
+        limit in (0usize..2, 0u64..120),
+        lgaps in proptest::collection::vec(0u32..4, 1..40),
+        kpos in 0usize..3,
+        rgaps in proptest::collection::vec(0u32..4, 0..40),
+        left_join in 0usize..2,
+        factor in 1usize..17,
+        shards in 1usize..4,
+        pushdown in 0usize..2,
+    ) {
+        let input = below(scan("T"), "C3", limit);
+        let (items, names) = picked(&COLS, &picks);
+        let (plan, cat) = match shape {
+            0 => {
+                let bound = Some((BinOp::Lt, lit));
+                (filtered(project(input, items), &names[0], bound), t_catalog(&rows))
+            }
+            1 => {
+                // The key joins wherever the items put it, under its own
+                // name.
+                let (mut items, names) = picked(&["X", "Y", "K"], &picks);
+                if !names.iter().any(|n| n == "K") {
+                    items.insert(kpos % (items.len() + 1), item("K"));
+                }
+                let left = project(below(scan("L"), "X", limit), items);
+                let kind = if left_join == 1 { JoinKind::Left } else { JoinKind::Inner };
+                let keys = ((ascending(0, &lgaps), kpos), (ascending(1, &rgaps), 0));
+                let cat = join_catalog(keys.0, keys.1, 0, &[(1, 0)]);
+                (join(kind, left, scan("R"), ("K", "RK")), cat)
+            }
+            2 => {
+                let (key, sum) = (COLS[picks[0].0], COLS[picks[picks.len() - 1].0]);
+                let mut items = items;
+                items.extend([renamed(key, "G"), renamed(sum, "A"), renamed(sum, "B")]);
+                (grouped(project(input, items), "G", &["A", "B"], 0), t_catalog(&rows))
+            }
+            3 => {
+                let (first, last) = (&names[0][..], &names[names.len() - 1][..]);
+                let aggs = vec![
+                    agg(AggFn::Count, None),
+                    agg(AggFn::Sum, Some(first)),
+                    agg(AggFn::Min, Some(last)),
+                    agg(AggFn::Max, Some(first)),
+                ];
+                (aggregate(project(input, items), aggs), t_catalog(&rows))
+            }
+            _ => (project(input, items), t_catalog(&rows)),
+        };
+        differential(&plan, &cat, pushdown == 1, (factor, shards), None)?;
+    }
+
     /// The pileup, and the exploded rows themselves, over reads from `lo`
     /// on, with and without qualities.
     #[test]
@@ -379,5 +471,38 @@ proptest! {
         let bases = bases(qual == 1, u64::from(lo) + from);
         let plan = if rows == 1 { bases } else { grouped(bases, "POS", &[], 0) };
         differential(&plan, &cat, pushdown == 1, (factor, shards), None)?;
+    }
+}
+
+/// A projection keeps `T`'s key and drops the five columns its filters
+/// read, so with pushdown off its flits carry six fields, one of them
+/// named: joined with `R`'s four, the flits fit the Joiner only once each
+/// side keeps just the fields its columns read.
+#[test]
+fn join_compacts_flits_that_carry_unread_fields() {
+    let keys: Vec<u32> = (0..48).map(|k| k * 3 + 1).collect();
+    let spread = |m: u32| keys.iter().map(|k| (k * 7) % m).collect::<Vec<_>>();
+    let t = u32_table(vec![
+        ("K", keys.clone()),
+        ("A", spread(10)),
+        ("B", spread(18)),
+        ("C", spread(24)),
+        ("D", spread(400)),
+        ("E", spread(1800)),
+    ]);
+    let r_keys: Vec<u32> = (0..60).map(|k| k * 2).collect();
+    let r = u32_table(vec![
+        ("K", r_keys.clone()),
+        ("X", r_keys.iter().map(|k| k % 5).collect()),
+        ("Y", r_keys.iter().map(|k| k / 3).collect()),
+        ("Z", r_keys.iter().map(|k| k + 9).collect()),
+    ]);
+    let cat = catalog_of(vec![("T", t), ("R", r)]);
+    let sql = "CREATE TABLE L AS SELECT K FROM T \
+               WHERE A < 5 AND B < 9 AND C < 12 AND D < 200 AND E < 900 \
+               INSERT INTO O SELECT * FROM L INNER JOIN R ON L.K = R.K";
+    for factor in [1, 3, 16] {
+        let axes = Axes::at(factor).served(2).pushdown(&[false, true]);
+        check(Query::Script { sql, out: "O" }, &cat, &axes).unwrap();
     }
 }
