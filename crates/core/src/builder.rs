@@ -2,7 +2,9 @@
 //! hardware library modules in Chisel (paper §III-C/III-D).
 
 use genesis_hw::memory::LINE_BYTES;
-use genesis_hw::modules::mem_reader::{MemReader, MemReaderConfig, RowSpec};
+use genesis_hw::modules::mem_reader::{
+    MemReader, MemReaderConfig, ReaderColumn, RowReader, RowSpec,
+};
 use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig, WriterColumn};
 use genesis_hw::modules::spm_reader::{SpmReadMode, SpmReader};
 use genesis_hw::modules::spm_updater::{SpmUpdateMode, SpmUpdater};
@@ -82,6 +84,52 @@ impl<'s> PipelineBuilder<'s> {
         elem_bytes: usize,
         rows: RowSpec,
     ) -> QueueId {
+        let (base_addr, total_elems) = self.write_parts(parts, elem_bytes);
+        let out = self.queue(&format!("{name}.out"));
+        let port = self.sys.register_mem_port(self.group);
+        let config = MemReaderConfig { base_addr, elem_bytes, total_elems, rows };
+        self.module(name, |l| Box::new(MemReader::new(l, config, port, out)));
+        out
+    }
+
+    /// Uploads each `(values, element bytes)` column, all of one length,
+    /// into its own region behind its own port, and attaches one Memory
+    /// Reader streaming their rows, column `i` in field `i`; returns the
+    /// reader's output queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there are 2 to [`MAX_FIELDS`] columns of one length,
+    /// or on an element width the Memory Reader does not support.
+    ///
+    /// [`MAX_FIELDS`]: genesis_hw::word::MAX_FIELDS
+    pub(crate) fn upload_rows<T: Copy + Into<u64>>(
+        &mut self,
+        name: &str,
+        cols: &[(&[T], usize)],
+    ) -> QueueId {
+        let rows = cols.first().map_or(0, |&(vals, _)| vals.len());
+        let mut lanes = Vec::with_capacity(cols.len());
+        for &(vals, elem_bytes) in cols {
+            assert_eq!(vals.len(), rows, "the columns of one row reader have one length");
+            let (base_addr, _) = self.write_parts(&[vals], elem_bytes);
+            let port = self.sys.register_mem_port(self.group);
+            lanes.push(ReaderColumn { base_addr, elem_bytes, port });
+        }
+        let out = self.queue(&format!("{name}.out"));
+        self.module(name, |l| Box::new(RowReader::new(l, lanes, rows as u64, out)));
+        out
+    }
+
+    /// Narrows the concatenation of `parts` into a fresh device region of
+    /// `elem_bytes`-wide little-endian elements (each value's low bytes),
+    /// one stack-resident burst of lines at a time; returns the region's
+    /// base address and element count.
+    fn write_parts<T: Copy + Into<u64>>(
+        &mut self,
+        parts: &[&[T]],
+        elem_bytes: usize,
+    ) -> (u64, u64) {
         /// Bytes narrowed per `host_write` burst (a whole number of
         /// elements at every supported width).
         const BURST_BYTES: usize = 16 * LINE_BYTES;
@@ -106,12 +154,7 @@ impl<'s> PipelineBuilder<'s> {
             self.sys.host_write(at, out);
             at += out.len() as u64;
         }
-        let out = self.queue(&format!("{name}.out"));
-        let port = self.sys.register_mem_port(self.group);
-        let total_elems = total_elems as u64;
-        let config = MemReaderConfig { base_addr, elem_bytes, total_elems, rows };
-        self.module(name, |l| Box::new(MemReader::new(l, config, port, out)));
-        out
+        (base_addr, total_elems as u64)
     }
 
     /// The reference window (paper §III-D): each `(label, values, element

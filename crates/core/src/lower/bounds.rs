@@ -9,6 +9,7 @@ use crate::error::CoreError;
 use genesis_hw::modules::alu::AluOp;
 use genesis_hw::modules::filter::{CmpOp, Predicate};
 use genesis_sql::ast::{BinOp, Expr};
+use std::sync::{Mutex, PoisonError};
 
 /// `(strictly ascending, min, max)` of a scanned range, in one pass
 /// (`min` is the trivial bound 0 and `max` is `None` for an empty range).
@@ -259,6 +260,7 @@ pub(super) fn plan_comp(
 pub(super) fn comp_bounds(
     cols: &[ColInfo],
     prepared: &[PreparedScan],
+    sub_bounds: &SubBounds,
     plan: &CompPlan,
     decode: Decode,
 ) -> (u64, Option<u64>) {
@@ -284,7 +286,7 @@ pub(super) fn comp_bounds(
             if let CompRhs::Field(f) = &plan.rhs {
                 if let (Some((ls, lc)), Some((rs, rc))) = (l.origin, cols[*f].origin) {
                     if ls == rs {
-                        return same_scan_sub_bounds(&prepared[ls], lc, rc);
+                        return sub_bounds.get(prepared, (ls, lc, rc));
                     }
                 }
             }
@@ -298,6 +300,36 @@ pub(super) fn comp_bounds(
             }
         }
         _ => NO_BOUND,
+    }
+}
+
+/// The [`same_scan_sub_bounds`] of one bind, each walked once: every
+/// replica of a `PreparedJob` builds the same projections over the same
+/// prepared scans, so a `(scan, lhs, rhs)` column triple has one answer
+/// however many builds ask.
+#[derive(Debug, Default)]
+pub(super) struct SubBounds(Mutex<Vec<(SubKey, Bounds)>>);
+
+/// `(prepared-scan index, lhs column, rhs column)`.
+type SubKey = (usize, usize, usize);
+
+/// `(min, max)` of a column's values, `max` `None` when unbounded.
+type Bounds = (u64, Option<u64>);
+
+impl SubBounds {
+    /// The bounds of `lhs - rhs` over columns `lhs` and `rhs` of
+    /// `prepared[scan]`, walked on the first ask.
+    fn get(&self, prepared: &[PreparedScan], key: SubKey) -> Bounds {
+        // A walk that panicked pushed nothing, so a poisoned memo is
+        // still a list of finished answers.
+        let mut memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&(_, bounds)) = memo.iter().find(|(k, _)| *k == key) {
+            return bounds;
+        }
+        let (scan, lhs, rhs) = key;
+        let bounds = same_scan_sub_bounds(&prepared[scan], lhs, rhs);
+        memo.push((key, bounds));
+        bounds
     }
 }
 

@@ -4,7 +4,7 @@
 use super::bind::{match_cigar, plan_node_name, PreparedCol, PreparedScan};
 use super::bounds::{
     comp_bounds, lower_predicate, narrow_filtered_col, operand, plan_comp, range_stats, CompPlan,
-    CompRhs,
+    CompRhs, SubBounds,
 };
 use super::job::{line_padded, Cut, Reach};
 use super::pushdown::conjuncts;
@@ -70,6 +70,9 @@ impl<'a> Stream<'a> {
 /// Build-time context threaded through the node-by-node lowering.
 pub(super) struct BuildCtx<'a> {
     prepared: &'a [PreparedScan],
+    /// The same-scan difference bounds of `prepared`, shared by every
+    /// build over it.
+    sub_bounds: &'a SubBounds,
     /// What this pipeline streams of each prepared leaf; the spine's
     /// rows are `spine_range`.
     cuts: &'a [Cut],
@@ -114,7 +117,7 @@ pub(super) struct BuildCtx<'a> {
 
 impl<'a> BuildCtx<'a> {
     pub(super) fn new(
-        prepared: &'a [PreparedScan],
+        (prepared, sub_bounds): (&'a [PreparedScan], &'a SubBounds),
         cuts: &'a [Cut],
         group_domain_cap: u64,
         per_row: bool,
@@ -123,6 +126,7 @@ impl<'a> BuildCtx<'a> {
         let rows_bound = spine_range.len();
         BuildCtx {
             prepared,
+            sub_bounds,
             cuts,
             next_scan: 0,
             spine_range,
@@ -466,6 +470,9 @@ fn build_window<'a>(
     Ok(Stream::fresh(refs, vec![pos, data], Cow::Borrowed(&[])))
 }
 
+/// Lowers a plain scan: one streamed column is one Memory Reader, and
+/// two or more are one multi-lane Memory Reader whose flits are the rows,
+/// column `i` in field `i` — no per-column readers and no Zip.
 fn build_scan<'a>(
     b: &mut PipelineBuilder<'_>,
     ctx: &mut BuildCtx<'a>,
@@ -481,14 +488,12 @@ fn build_scan<'a>(
         ));
     }
     let table = &ps.table;
-    let mut inputs = Vec::with_capacity(ncols);
+    let mut lanes = Vec::with_capacity(ncols);
     let mut cols = Vec::with_capacity(ncols);
     for (ci, c) in streamed.iter().enumerate() {
         let vals = &c.vals[range.clone()];
-        let label = ctx.lbl(&format!("{table}.{}", c.name));
-        let q = b.upload_column(&label, vals, c.elem_bytes, RowSpec::None);
+        lanes.push((vals, c.elem_bytes));
         ctx.reads.push(c.elem_bytes);
-        inputs.push(ZipInput::new(q, vec![0]));
         // A leaf other than the spine is checked whole, however far a cut
         // reaches: a cut never admits a plan the whole leaf refuses.
         let seen = if idx == 0 { vals } else { &c.vals[..] };
@@ -501,19 +506,19 @@ fn build_scan<'a>(
             ..ColInfo::new(&c.name, c.decode)
         });
     }
-    let q = if inputs.len() == 1 {
-        inputs[0].queue
+    let q = if let [(vals, elem_bytes)] = lanes[..] {
+        let label = ctx.lbl(&format!("{table}.{}", streamed[0].name));
+        b.upload_column(&label, vals, elem_bytes, RowSpec::None)
     } else {
-        let tags = (&format!("{table}.rows")[..], &format!("{table}.zip")[..]);
-        ctx.add(b, tags, |l, out| Box::new(Zip::new(l, inputs, out)))
+        b.upload_rows(&ctx.lbl(&format!("{table}.rows")), &lanes)
     };
-    let zip = if ncols > 1 { " + Zip" } else { "" };
-    let pruned = if ps.unstreamed.is_empty() {
-        String::new()
-    } else {
-        format!(" ({ncols} of {} columns)", ncols + ps.unstreamed.len())
+    let count = if ncols == 1 { "1x " } else { "" };
+    let columns = match ps.unstreamed.len() {
+        0 if ncols == 1 => String::new(),
+        0 => format!(" ({ncols} columns)"),
+        unstreamed => format!(" ({ncols} of {} columns)", ncols + unstreamed),
     };
-    ctx.note(format!("Scan({table}) -> {ncols}x MemoryReader{zip}{pruned}"));
+    ctx.note(format!("Scan({table}) -> {count}MemoryReader{columns}"));
     Ok(Stream::fresh(q, cols, Cow::Borrowed(&ps.unstreamed)))
 }
 
@@ -601,13 +606,14 @@ fn build_project<'a>(
             format!("{n_out} output columns (hardware flits carry 1..={MAX_FIELDS} fields)"),
         ));
     }
-    let prepared = ctx.prepared;
+    let (prepared, sub_bounds) = (ctx.prepared, ctx.sub_bounds);
     let mut out_cols: Vec<ColInfo> = expanded
         .iter()
         .map(|item| match item {
             ProjItem::Pass { src, name } => ColInfo { name: name.clone(), ..s.cols[*src].clone() },
             ProjItem::Comp { plan, name, decode } => {
-                let (min_value, max_value) = comp_bounds(&s.cols, prepared, plan, *decode);
+                let (min_value, max_value) =
+                    comp_bounds(&s.cols, prepared, sub_bounds, plan, *decode);
                 ColInfo { max_value, min_value, ..ColInfo::new(name, *decode) }
             }
         })

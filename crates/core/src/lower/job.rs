@@ -3,7 +3,7 @@
 //! gathering, merging and finishing the shards' outputs on the host.
 
 use super::bind::{PreparedCol, PreparedScan, WINDOW_BOUNDS};
-use super::bounds::range_stats;
+use super::bounds::{range_stats, SubBounds};
 use super::build::{build_core, BuildCtx, Built};
 use super::{
     group_domain_cap, ColInfo, Decode, Epilogue, GroupRole, Lowering, ScalarKind, SinkKind,
@@ -117,13 +117,15 @@ enum JobOut {
 /// compiled pipeline with no reference back to the catalog. Unlike the
 /// catalog (whose custom modules are boxed closures), every field here is
 /// `Send`, so a `PreparedJob` can be handed to a host worker thread.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PreparedJob {
     /// Shared with the compiled plan it was bound from: binding a request
     /// copies no plan tree.
     pub(super) lowering: Arc<Lowering>,
     pub(super) cfg: DeviceConfig,
     pub(super) prepared: Vec<PreparedScan>,
+    /// What every replica's build asks of `prepared` alike, answered once.
+    pub(super) sub_bounds: SubBounds,
     pub(super) factor: usize,
 }
 
@@ -339,7 +341,7 @@ impl PreparedJob {
         let jobs: Vec<&[Cut]> = cuts.chunks(leaves).collect();
         let run_cfg = cfg.clone().with_pipelines(self.factor);
         let core = &self.lowering.core;
-        let prepared = &self.prepared;
+        let scans = (&self.prepared[..], &self.sub_bounds);
         let reserve = self.device_bytes(&jobs);
         let (build_ns, extract_ns) = (AtomicU64::new(0), AtomicU64::new(0));
         let timed = |ns: &AtomicU64, start: Instant| {
@@ -360,7 +362,7 @@ impl PreparedJob {
                     sys.reserve_mem(reserve);
                 }
                 let per_row = self.lowering.each_row.is_some();
-                let mut ctx = BuildCtx::new(prepared, job, group_domain_cap(cfg), per_row);
+                let mut ctx = BuildCtx::new(scans, job, group_domain_cap(cfg), per_row);
                 let mut b = PipelineBuilder::new(sys, group);
                 // Every replica's sink has the analysis' shape.
                 let built = build_core(&mut b, &mut ctx, core).map(|(built, _)| built);
@@ -389,7 +391,7 @@ impl PreparedJob {
         // examined against pushed predicates (the spine's attributed to
         // this range, every row of any other leaf) vs rows that entered
         // the pipeline (identical when nothing was pushed or cut).
-        for (idx, p) in prepared.iter().enumerate() {
+        for (idx, p) in self.prepared.iter().enumerate() {
             let (rows, elems) = p.reach_elems(jobs.iter().map(|job| &job[idx]));
             stats.dma_in_bytes += p.elem_bytes(&elems).sum::<usize>() as u64;
             let scanned = if idx == 0 { p.scanned_rows(&range) } else { p.rows_scanned };

@@ -3,7 +3,7 @@
 //! "SQL queries can be easily parsed into a tree graph where each node
 //! represents a table (leaf node) or a relational/computational operator" —
 //! this module walks any supported [`LogicalPlan`] tree node by node,
-//! mapping each node to hardware modules (Scan → Memory Readers + Zip,
+//! mapping each node to hardware modules (Scan → a Memory Reader,
 //! Filter → Filter, Join → Joiner, Project → a rename or ALUs,
 //! Aggregate → Reducers or SPM Updater/Reader cascades) and each plan edge
 //! to a hardware queue. The same builder runs twice: once at compile time
@@ -35,6 +35,7 @@ use crate::cost::PipelineProfile;
 use crate::device::DeviceConfig;
 use crate::error::CoreError;
 use bind::{prepare_scans, PreparedScan, Projection};
+use bounds::SubBounds;
 use build::{build_core, BuildCtx};
 use genesis_hw::modules::filter::CmpOp;
 use genesis_hw::resource::{pipeline_overhead, shell_overhead, ResourceUsage};
@@ -420,7 +421,9 @@ fn analyze_on(
     // spine, whose explain text and profile no replica's cut changes.
     let whole: Vec<Cut> = prepared.iter().map(|p| Cut::rows(0..p.rows)).collect();
     let mut sys = System::with_memory(cfg.mem.clone());
-    let mut ctx = BuildCtx::new(&prepared, &whole, group_domain_cap(cfg), each_row.is_some());
+    let sub_bounds = SubBounds::default();
+    let scans = (&prepared[..], &sub_bounds);
+    let mut ctx = BuildCtx::new(scans, &whole, group_domain_cap(cfg), each_row.is_some());
     let mut b = PipelineBuilder::new(&mut sys, 0);
     let (built, kind) = build_core(&mut b, &mut ctx, &core)?;
     // A grouped aggregate's software row order is engine-defined (key
@@ -522,6 +525,7 @@ impl Lowering {
             lowering: Arc::clone(self),
             cfg: cfg.clone(),
             prepared,
+            sub_bounds: SubBounds::default(),
             factor: factor.max(1),
         })
     }

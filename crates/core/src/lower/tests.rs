@@ -702,10 +702,12 @@ fn explained_modules(line: &str, counts: &mut BTreeMap<String, usize>) {
 
 /// The explain lines are the node → module map: for every script, with
 /// pushdown on and off, the modules they name are exactly the modules the
-/// analysis build added, per kind and with multiplicity. And a column
-/// names a field: no build selects or reorders one row's fields with a
-/// one-input Zip, except a loop body's explode, which keeps its per-read
-/// items and selects them.
+/// analysis build added, per kind and with multiplicity (a multi-column
+/// scan's `MemoryReader (2 columns)` is one module). And a column names a
+/// field: no build selects or reorders one row's fields with a one-input
+/// Zip, except a loop body's explode, which keeps its per-read items and
+/// selects them. And a scan row is one read: no Zip reassembles rows from
+/// Memory Readers alone.
 #[test]
 fn explain_lines_name_every_module_the_build_adds() {
     let catalog = scripts_catalog();
@@ -732,15 +734,29 @@ fn explain_lines_name_every_module_the_build_adds() {
             // The graph's module nodes read `m<i> [label="<label>\n(<kind>)", …]`.
             let mut built = BTreeMap::new();
             let dot = sys.to_dot("analysis");
+            let mut kinds = BTreeMap::new();
             for node in dot.lines().filter(|l| l.starts_with("  m") && l.contains("shape=")) {
                 let (id, label) = node.trim_start().split_once(" [label=\"").unwrap();
                 let (label, kind) = label.rsplit_once("\\n(").unwrap();
                 let kind = kind.split_once(')').unwrap().0;
                 *built.entry(kind.to_owned()).or_insert(0usize) += 1;
-                let one_input = dot.matches(&format!("-> {id} [")).count() == 1;
+                kinds.insert(id, (label, kind));
+            }
+            // The graph's edges read `  m<producer> -> m<consumer> [label=…]`.
+            let producers = |id: &str| -> Vec<&str> {
+                let to = format!(" -> {id} [");
+                dot.lines().filter_map(|l| l.split_once(&to)).map(|(p, _)| p.trim()).collect()
+            };
+            for (id, (label, kind)) in kinds.iter().filter(|(_, (_, kind))| *kind == "Zip") {
+                let inputs = producers(id);
                 assert!(
-                    kind != "Zip" || !one_input || label.contains(".explode.zip."),
+                    inputs.len() != 1 || label.contains(".explode.zip."),
                     "{} (pushdown {pushdown}): {label} zips one input",
+                    path.display()
+                );
+                assert!(
+                    !inputs.iter().all(|p| kinds[p].1 == "MemoryReader"),
+                    "{} (pushdown {pushdown}): {label} {kind} reassembles Memory Reader rows",
                     path.display()
                 );
             }
@@ -768,7 +784,8 @@ fn every_module_label_of_a_replicated_build_is_unique() {
         let mut sys = System::new();
         for group in 0..8 {
             let per_row = low.each_row.is_some();
-            let mut ctx = BuildCtx::new(&job.prepared, &whole, group_domain_cap(&cfg), per_row);
+            let scans = (&job.prepared[..], &job.sub_bounds);
+            let mut ctx = BuildCtx::new(scans, &whole, group_domain_cap(&cfg), per_row);
             build_core(&mut PipelineBuilder::new(&mut sys, group), &mut ctx, &low.core).unwrap();
         }
         let report = sys.stall_report();

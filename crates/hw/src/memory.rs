@@ -246,7 +246,9 @@ impl MemorySystem {
 
     /// Attempts to issue a line read. Returns `false` (and counts a stall)
     /// when arbitration or the port's in-flight limit refuses the request.
-    #[inline]
+    // Always: with both reader ticks calling it, a plain hint left it
+    // out of line in `MemReader::tick`, one call per prefetch.
+    #[inline(always)]
     pub fn try_read(&mut self, port: PortId, line_addr: u64) -> bool {
         debug_assert_eq!(line_addr % LINE_BYTES as u64, 0, "unaligned line read");
         if self.ports[port.0 as usize].inflight >= self.cfg.max_inflight_per_port {

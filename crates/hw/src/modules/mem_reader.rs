@@ -1,9 +1,10 @@
-//! Memory Reader: streams a column out of device memory (paper §III-C).
+//! Memory Reader: streams a column out of device memory (paper §III-C) —
+//! or, as a [`RowReader`], the rows of several columns, one lane each.
 
 use super::{refused, Ctx, Module, ModuleKind, Tick, Watch};
-use crate::memory::{Line, PortId, LINE_BYTES};
+use crate::memory::{Line, MemorySystem, PortId, LINE_BYTES};
 use crate::queue::QueueId;
-use crate::word::Flit;
+use crate::word::{Flit, MAX_FIELDS};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -238,6 +239,208 @@ impl Module for MemReader {
                 wake_at: ctx.mem.next_response_ready(self.port),
                 watch: Watch::Timer,
             }
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        self.done
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn input_queues(&self) -> Vec<QueueId> {
+        Vec::new()
+    }
+
+    fn output_queues(&self) -> Vec<QueueId> {
+        vec![self.out]
+    }
+}
+
+/// One column of a [`RowReader`]: its region, element width and memory
+/// port.
+#[derive(Debug, Clone)]
+pub struct ReaderColumn {
+    /// Line-aligned base address of the column data.
+    pub base_addr: u64,
+    /// Element width in bytes (1, 2, 4 or 8).
+    pub elem_bytes: usize,
+    /// The column's own memory port.
+    pub port: PortId,
+}
+
+/// One column of a [`RowReader`]: a [`MemReader`]'s prefetch cursor and
+/// line buffer over the column's region, on the column's port.
+#[derive(Debug)]
+struct Lane {
+    col: ReaderColumn,
+    next_line: u64,
+    end_addr: u64,
+    buf: VecDeque<Line>,
+    head_off: usize,
+}
+
+impl Lane {
+    fn new(col: ReaderColumn, rows: u64) -> Lane {
+        assert_eq!(col.base_addr % LINE_BYTES as u64, 0, "base address must be line-aligned");
+        assert!(matches!(col.elem_bytes, 1 | 2 | 4 | 8), "element width must be 1/2/4/8");
+        let bytes = rows * col.elem_bytes as u64;
+        let end_addr = col.base_addr + bytes.div_ceil(LINE_BYTES as u64) * LINE_BYTES as u64;
+        Lane { next_line: col.base_addr, end_addr, col, buf: VecDeque::new(), head_off: 0 }
+    }
+
+    /// Buffered, not-yet-emitted bytes.
+    fn buffered(&self) -> usize {
+        self.buf.len() * LINE_BYTES - self.head_off
+    }
+
+    /// The buffer accepts another response.
+    fn has_room(&self) -> bool {
+        self.buffered() < MemReader::BUF_LIMIT
+    }
+
+    /// A [`MemReader`]'s memory side for one cycle: one line request, then
+    /// one response while the buffer has room. True when either moved, or
+    /// arbitration refused the request (a counted stall).
+    fn fetch(&mut self, mem: &mut MemorySystem) -> bool {
+        let mut active = false;
+        if self.next_line < self.end_addr {
+            if mem.try_read(self.col.port, self.next_line) {
+                self.next_line += LINE_BYTES as u64;
+                active = true;
+            } else if !mem.inflight_full(self.col.port) {
+                active = true;
+            }
+        }
+        if self.has_room() {
+            if let Some((_, line)) = mem.poll_response(self.col.port) {
+                self.buf.push_back(line);
+                active = true;
+            }
+        }
+        active
+    }
+
+    /// Takes the next element; the caller checked one is buffered.
+    fn pop(&mut self) -> u64 {
+        let line = self.buf.front().expect("buffered element checked");
+        let v = decode_le(line, self.head_off, self.col.elem_bytes);
+        self.head_off += self.col.elem_bytes;
+        if self.head_off == LINE_BYTES {
+            self.buf.pop_front();
+            self.head_off = 0;
+        }
+        v
+    }
+}
+
+/// Streams `rows` rows of two or more equal-length columns, one row flit
+/// per cycle whose field `i` is column `i`'s element: the rows a
+/// [`MemReader`] per column and a Zip would assemble, from one module.
+/// Each lane keeps its own port, prefetch cursor and line buffer, so the
+/// memory traffic is that of one reader per column, with no on-chip hop
+/// between the columns and their row.
+#[derive(Debug)]
+pub struct RowReader {
+    label: String,
+    lanes: Box<[Lane]>,
+    out: QueueId,
+    rows: u64,
+    emitted: u64,
+    done: bool,
+}
+
+impl RowReader {
+    /// Creates a reader of `rows` rows of `cols`, column `i` in field `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on fewer than two or more than [`MAX_FIELDS`] columns, an
+    /// unaligned base address or an unsupported element width.
+    #[must_use]
+    pub fn new(label: &str, cols: Vec<ReaderColumn>, rows: u64, out: QueueId) -> RowReader {
+        assert!(
+            (2..=MAX_FIELDS).contains(&cols.len()),
+            "a row reader streams 2..={MAX_FIELDS} columns, got {}",
+            cols.len()
+        );
+        RowReader {
+            label: label.to_owned(),
+            lanes: cols.into_iter().map(|c| Lane::new(c, rows)).collect(),
+            out,
+            rows,
+            emitted: 0,
+            done: false,
+        }
+    }
+
+    /// The earliest cycle a response comes due on a lane with buffer room:
+    /// the only timed event that changes what a tick that moved nothing
+    /// does (a full lane takes no response, and a prefetch held by the
+    /// in-flight limit waits for its own lane to take one).
+    fn next_wake(&self, mem: &MemorySystem) -> Option<u64> {
+        self.lanes
+            .iter()
+            .filter(|l| l.has_room())
+            .filter_map(|l| mem.next_response_ready(l.col.port))
+            .min()
+    }
+}
+
+impl Module for RowReader {
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn kind(&self) -> ModuleKind {
+        ModuleKind::MemoryReader
+    }
+
+    fn lanes(&self) -> u64 {
+        self.lanes.len() as u64
+    }
+
+    /// Every lane, in column order, makes a [`MemReader`]'s memory moves;
+    /// the row goes out once every lane holds an element. A refused row
+    /// parks on the output only when no lane moved ([`Watch::Full`]), and
+    /// a tick that moved nothing waits for the next response a lane can
+    /// take ([`Watch::Timer`]): nothing else changes either tick.
+    fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
+        if self.done {
+            return Tick::Done;
+        }
+        let mut active = false;
+        for lane in &mut *self.lanes {
+            active |= lane.fetch(ctx.mem);
+        }
+        let wants_push = self.emitted < self.rows
+            && self.lanes.iter().all(|l| l.buffered() >= l.col.elem_bytes);
+        if wants_push && refused(ctx.queues, self.out) {
+            if active {
+                return Tick::Active;
+            }
+            return Tick::Park { wake_at: self.next_wake(ctx.mem), watch: Watch::Full(self.out) };
+        }
+        if wants_push {
+            let mut row = Flit::new();
+            for lane in &mut *self.lanes {
+                row.push_val(lane.pop());
+            }
+            ctx.queues.get_mut(self.out).push(row);
+            self.emitted += 1;
+            active = true;
+        }
+        if self.emitted == self.rows {
+            ctx.queues.get_mut(self.out).close();
+            self.done = true;
+            return Tick::Done;
+        }
+        if active {
+            Tick::Active
+        } else {
+            Tick::Park { wake_at: self.next_wake(ctx.mem), watch: Watch::Timer }
         }
     }
 

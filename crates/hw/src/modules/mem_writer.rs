@@ -180,6 +180,10 @@ impl Module for MemWriter {
         ModuleKind::MemoryWriter
     }
 
+    fn lanes(&self) -> u64 {
+        self.lanes.len() as u64
+    }
+
     /// Each lane makes at most one write attempt (its pending line), and
     /// the row is accepted unless some lane still has a full line behind
     /// a pending one.

@@ -31,7 +31,7 @@ pub mod zip;
 /// Kind tag used by the FPGA resource model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModuleKind {
-    /// Streams a column from device memory.
+    /// Streams columns from device memory, one lane per column.
     MemoryReader,
     /// Writes a stream to device memory.
     MemoryWriter,
@@ -192,6 +192,14 @@ pub trait Module: fmt::Debug + Send {
 
     /// Kind tag for the resource model.
     fn kind(&self) -> ModuleKind;
+
+    /// Copies of its kind's hardware the module instantiates: a Memory
+    /// Reader or Writer has one per column it streams (each with its own
+    /// port, address generator and line buffer), every other module one.
+    /// The resource model charges [`ModuleKind`]'s cost this many times.
+    fn lanes(&self) -> u64 {
+        1
+    }
 
     /// Advances one clock cycle and reports whether the module is still
     /// doing observable work, parked (see [`Tick`] for the park contract)

@@ -463,7 +463,7 @@ impl System {
     pub fn resource_report(&self) -> ResourceReport {
         let mut fabric = ResourceUsage::default();
         for m in &self.modules {
-            fabric = fabric + module_cost(m.kind());
+            fabric = fabric + module_cost(m.kind()).times(m.lanes());
         }
         let queue_bytes: u64 = self.queues.iter().map(|q| queue_bram(q.capacity())).sum();
         fabric.bram_bytes += queue_bytes + self.spms.total_bytes() as u64;
@@ -603,5 +603,40 @@ mod tests {
         assert!(report.total.luts >= 95_000);
         assert!(report.total.bram_bytes >= 250_000 + 1000);
         assert!(report.fits());
+    }
+
+    /// A Memory Reader or Writer costs its kind once per column: a
+    /// three-column writer and a two-column row reader cost three writers
+    /// and two readers.
+    #[test]
+    fn resource_report_charges_readers_and_writers_per_lane() {
+        use crate::modules::mem_reader::{ReaderColumn, RowReader};
+        use crate::modules::mem_writer::{MemWriter, MemWriterConfig, WriterColumn};
+        use crate::resource::module_cost;
+        let fabric = |attach: bool| {
+            let mut sys = System::new();
+            let q = sys.add_queue("rows");
+            let mut region = || (sys.alloc_mem(64), sys.register_mem_port(0));
+            let reads: Vec<ReaderColumn> = (0..2)
+                .map(|_| region())
+                .map(|(base_addr, port)| ReaderColumn { base_addr, elem_bytes: 4, port })
+                .collect();
+            let writes: Vec<WriterColumn> = (0..3)
+                .map(|field| {
+                    let (base_addr, port) = region();
+                    WriterColumn { field, cfg: MemWriterConfig { base_addr, elem_bytes: 4 }, port }
+                })
+                .collect();
+            if attach {
+                sys.add_module(Box::new(RowReader::new("rd", reads, 1, q)));
+                sys.add_module(Box::new(MemWriter::columns("wr", writes, q)));
+            }
+            sys.resource_report().total
+        };
+        let (with, without) = (fabric(true), fabric(false));
+        let lanes = module_cost(ModuleKind::MemoryReader).times(2)
+            + module_cost(ModuleKind::MemoryWriter).times(3);
+        assert_eq!(with.luts - without.luts, lanes.luts);
+        assert_eq!(with.registers - without.registers, lanes.registers);
     }
 }

@@ -133,6 +133,10 @@ impl<M: Module + 'static> Module for Counted<M> {
         self.inner.kind()
     }
 
+    fn lanes(&self) -> u64 {
+        self.inner.lanes()
+    }
+
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
             TICKS_AFTER_DONE.with(|n| n.set(n.get() + 1));

@@ -12,7 +12,9 @@ use common::{counted, ticks_after_done, Counted, SlowSink, TickCensus};
 use genesis_hw::modules::alu::{AluOp, AluRhs, StreamAlu};
 use genesis_hw::modules::filter::{CmpOp, Filter, Predicate};
 use genesis_hw::modules::joiner::{JoinKind, Joiner};
-use genesis_hw::modules::mem_reader::{MemReader, MemReaderConfig, RowSpec};
+use genesis_hw::modules::mem_reader::{
+    MemReader, MemReaderConfig, ReaderColumn, RowReader, RowSpec,
+};
 use genesis_hw::modules::mem_writer::{MemWriter, MemWriterConfig, WriterColumn};
 use genesis_hw::modules::read_to_bases::{ReadToBases, ReadToBasesInputs};
 use genesis_hw::modules::reducer::{ReduceOp, Reducer};
@@ -20,6 +22,7 @@ use genesis_hw::modules::sink::StreamSink;
 use genesis_hw::modules::source::StreamSource;
 use genesis_hw::modules::spm_reader::{SpmReadMode, SpmReader};
 use genesis_hw::modules::spm_updater::{RmwOp, SpmUpdateMode, SpmUpdater};
+use genesis_hw::modules::zip::{Zip, ZipInput};
 use genesis_hw::system::ModuleId;
 use genesis_hw::word::{Flit, HwWord};
 use genesis_hw::{EngineMode, LatencyFaults, MemoryConfig, SimError, SimStats, System};
@@ -925,4 +928,119 @@ fn multi_column_writer_bit_identical() {
         },
         |sys, regions| regions.iter().map(|&at| sys.host_read(at, 1024)).collect::<Vec<_>>(),
     );
+}
+
+/// `rows` rows of `columns` (each an element width and its little-endian
+/// bytes) streamed into a slow sink popping every `period`-th cycle over
+/// `cap`-slot queues: by one [`RowReader`], or with `zip` by one
+/// [`MemReader`] per column and a [`Zip`]. Returns the reader (the first
+/// one with `zip`) and the sink.
+fn streamed_rows(
+    sys: &mut System,
+    columns: &[(usize, Vec<u8>)],
+    rows: u64,
+    (cap, period): (usize, u64),
+    zip: bool,
+) -> (ModuleId, ModuleId) {
+    let cols: Vec<ReaderColumn> = columns
+        .iter()
+        .map(|(elem_bytes, bytes)| {
+            let base_addr = sys.alloc_mem(bytes.len().max(1));
+            sys.host_write(base_addr, bytes);
+            ReaderColumn { base_addr, elem_bytes: *elem_bytes, port: sys.register_mem_port(0) }
+        })
+        .collect();
+    let out = sys.add_queue_with_capacity("rows", cap);
+    let reader = if zip {
+        let mut inputs = Vec::new();
+        let mut first = None;
+        for (i, c) in cols.into_iter().enumerate() {
+            let q = sys.add_queue_with_capacity(&format!("col{i}"), cap);
+            let cfg = MemReaderConfig {
+                base_addr: c.base_addr,
+                elem_bytes: c.elem_bytes,
+                total_elems: rows,
+                rows: RowSpec::None,
+            };
+            let rd = sys.add_module(counted(MemReader::new(&format!("rd{i}"), cfg, c.port, q)));
+            first.get_or_insert(rd);
+            inputs.push(ZipInput::new(q, vec![0]));
+        }
+        sys.add_module(counted(Zip::new("zip", inputs, out)));
+        first.expect("two or more columns")
+    } else {
+        sys.add_module(counted(RowReader::new("rd", cols, rows, out)))
+    };
+    (reader, sys.add_module(counted(SlowSink::new("sink", out, period))))
+}
+
+/// Columns of the given element widths, `rows` elements each, with
+/// distinct values.
+fn row_columns(widths: &[usize], rows: u64) -> Vec<(usize, Vec<u8>)> {
+    widths
+        .iter()
+        .enumerate()
+        .map(|(c, &w)| {
+            (w, (0..rows as usize * w).map(|i| ((i * 7 + c * 31) % 251) as u8).collect())
+        })
+        .collect()
+}
+
+/// Both engines agree on a [`RowReader`] run and on the readers-and-Zip
+/// run of the same columns, and the two emit the same rows. Returns the
+/// row reader's tick census under the fast engine.
+fn row_reader_matches_readers_and_zip(
+    new_system: fn() -> System,
+    widths: &[usize],
+    rows: u64,
+    queues: (usize, u64),
+) -> TickCensus {
+    let columns = row_columns(widths, rows);
+    let run = |zip: bool| {
+        assert_engines_agree_on(
+            new_system,
+            1_000_000,
+            |sys| streamed_rows(sys, &columns, rows, queues, zip),
+            |sys, &(_, sink)| slow_sink_flits(sys, sink),
+        )
+    };
+    let (row_sys, (reader, row_sink)) = run(false);
+    let (zip_sys, (_, zip_sink)) = run(true);
+    let emitted = slow_sink_flits(&row_sys, row_sink);
+    assert_eq!(emitted.len() as u64, rows);
+    assert_eq!(emitted, slow_sink_flits(&zip_sys, zip_sink), "row reader vs readers + Zip");
+    row_sys.module_as::<Counted<RowReader>>(reader).expect("wrapped row reader").census()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A [`RowReader`] of 2–8 lanes of mixed widths (so the lanes' line
+    /// buffers fill and drain at different rates), 0–150 rows, behind a
+    /// consumer that pops every `period`-th cycle, half the time on a
+    /// memory whose reads spike: the rows of one reader per column and a
+    /// Zip, and the same run under both engines.
+    #[test]
+    fn row_reader_under_backpressure_bit_identical(
+        widths in proptest::collection::vec(0u32..4, 2..9),
+        rows in 0u64..150,
+        cap in 1usize..=3,
+        period in 1u64..6,
+        spiky in 0usize..2,
+    ) {
+        let widths: Vec<usize> = widths.iter().map(|&w| 1 << w).collect();
+        let new_system = if spiky == 1 { spiky_memory } else { System::new };
+        row_reader_matches_readers_and_zip(new_system, &widths, rows, (cap, period));
+    }
+}
+
+/// A row reader refused while a lane with buffer room still waits on a
+/// response parks with that response's timed wake; once every lane's
+/// buffer is full, it waits for the output alone.
+#[test]
+fn row_reader_parks_on_its_output_with_and_without_a_timed_wake() {
+    let timed = row_reader_matches_readers_and_zip(spiky_memory, &[8, 1], 96, (1, 3));
+    assert!(timed.full_timed > 0, "the wake_at arm must be exercised: {timed:?}");
+    let untimed = row_reader_matches_readers_and_zip(System::new, &[1, 1], 96, (1, 5));
+    assert!(untimed.full_untimed > 0, "the untimed arm must be exercised: {untimed:?}");
 }

@@ -26,18 +26,23 @@
 //! fields of the same flits and build no module, repeating, reordering,
 //! renaming and dropping columns below a `Filter`, an inner or left join,
 //! a `GROUP BY` whose two `SUM`s read one field, a scalar aggregate and
-//! the sink. A fixed case joins a projection whose flits carry five
-//! fields no column reads, which only fits the Joiner's flit once each
-//! side keeps just the fields its columns read.
+//! the sink; and (i) scans of 2–8 columns of mixed widths (`BOOL` to
+//! `U64`, so one Memory Reader's lanes drain at different rates) over 0,
+//! 1 or more rows, feeding a `Filter`, either side of a join, a computed
+//! projection, a `GROUP BY` and the sink on both engines, half the time
+//! under a seeded fault schedule. A fixed case joins a projection whose
+//! flits carry five fields no column reads, which only fits the Joiner's
+//! flit once each side keeps just the fields its columns read.
 
 mod common;
 
 use common::{agg, arb_faults, ascending, bin, catalog_of, check, col, filtered, item, join};
 use common::{pos_explode, project, read_explode, read_spec, reads_table, ref_table, scan};
-use common::{aggregate, u32_table, Axes, Query};
+use common::{aggregate, table_of, u32_table, Axes, Query, ENGINES};
 use genesis::core::fault::FaultConfig;
 use genesis::sql::ast::{AggFn, BinOp, ColRef, Expr, JoinKind, SelectItem};
 use genesis::sql::{Catalog, LogicalPlan};
+use genesis::types::Column;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -209,6 +214,37 @@ fn renamed(column: &str, alias: &str) -> SelectItem {
 /// `qual` holds, under `POS >= lo`.
 fn bases(qual: bool, lo: u64) -> LogicalPlan {
     filtered(read_explode("READS", qual), "POS", Some((BinOp::Ge, lo)))
+}
+
+/// `W(C0, C1, …)` of `rows` rows, column `c` of type `types[c]` (0
+/// `BOOL`, 1 `U8`, 2 `U16`, 3 `U32`, 4 `U64`) with values drawn from
+/// `seed`, `C0` strictly ascending from `seed % 3` (a join and `GROUP BY`
+/// key at any type), and `R(RK, V)` with `rk` as its keys.
+fn wide_catalog(types: &[usize], rows: usize, seed: u64, rk: Vec<u32>) -> Catalog {
+    let val = |r: usize, c: usize| {
+        let h = (seed ^ ((r as u64) << 8 | c as u64)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 29)
+    };
+    let cols: Vec<(String, Column)> = types
+        .iter()
+        .enumerate()
+        .map(|(c, &t)| {
+            let v: Vec<u64> = (0..rows)
+                .map(|r| if c == 0 { 3 * r as u64 + seed % 3 } else { val(r, c) })
+                .collect();
+            let col = match t {
+                0 => Column::Bool(v.iter().map(|v| v % 2 == 1).collect()),
+                1 => Column::U8(v.iter().map(|v| (v % 251) as u8).collect()),
+                2 => Column::U16(v.iter().map(|v| (v % 4_000) as u16).collect()),
+                3 => Column::U32(v.iter().map(|v| (v % 60_000) as u32).collect()),
+                _ => Column::U64(v.iter().map(|v| v % (1 << 40)).collect()),
+            };
+            (format!("C{c}"), col)
+        })
+        .collect();
+    let w = table_of(cols.iter().map(|(n, c)| (n.as_str(), c.clone())).collect());
+    let v = rk.iter().map(|k| (k * 5 + 1) % 19).collect();
+    catalog_of(vec![("W", w), ("R", u32_table(vec![("RK", rk), ("V", v)]))])
 }
 
 proptest! {
@@ -471,6 +507,69 @@ proptest! {
         let bases = bases(qual == 1, u64::from(lo) + from);
         let plan = if rows == 1 { bases } else { grouped(bases, "POS", &[], 0) };
         differential(&plan, &cat, pushdown == 1, (factor, shards), None)?;
+    }
+
+    /// A scan of 2–8 columns of mixed widths over 0, 1 or more rows
+    /// (`len` 0, 1 or `n`): shape 0 filters it on a number column, 1 and
+    /// 2 put it on the left or the right of an inner or left join on `C0`
+    /// (at most six columns, so the joined row fits a flit with pushdown
+    /// off), 3 computes over its number columns beside a passed column, 4
+    /// groups it by a small-domain column with a `SUM` of a number column,
+    /// and 5 is the scan itself.
+    #[test]
+    fn multi_column_scan_streams_rows_of_mixed_widths(
+        types in proptest::collection::vec(0usize..5, 2..9),
+        first in 1usize..5,
+        len in (0usize..3, 2usize..40),
+        seed in 0u64..1_000_000,
+        shape in 0usize..6,
+        picks in (0usize..8, 0usize..8, 0usize..8, 0u64..300),
+        rgaps in proptest::collection::vec(0u32..4, 0..40),
+        left_join in 0usize..2,
+        factor in 1usize..17,
+        shards in 1usize..4,
+        pushdown in 0usize..2,
+        faults in (0usize..2, arb_faults()),
+    ) {
+        let mut types = types;
+        types[0] = first;
+        if shape == 1 || shape == 2 {
+            types.truncate(6);
+        }
+        let rows = [0, 1, len.1][len.0];
+        let cat = wide_catalog(&types, rows, seed, ascending(seed as u32 % 4, &rgaps));
+        let numbers: Vec<usize> = (0..types.len()).filter(|&c| types[c] > 0).collect();
+        let (a, b, g, lit) = picks;
+        let name = |c: usize| format!("C{c}");
+        let number = |i: usize| name(numbers[i % numbers.len()]);
+        let kind = if left_join == 1 { JoinKind::Left } else { JoinKind::Inner };
+        let plan = match shape {
+            0 => filtered(scan("W"), &number(a), Some((BinOp::Lt, lit))),
+            1 => join(kind, scan("W"), scan("R"), ("C0", "RK")),
+            2 => join(kind, scan("R"), scan("W"), ("RK", "C0")),
+            3 => {
+                let computed = |op: BinOp, rhs: Expr, alias: &str| SelectItem::Expr {
+                    expr: bin(op, col(&number(a)), rhs),
+                    alias: Some(alias.to_owned()),
+                };
+                let items = vec![
+                    computed(BinOp::Add, Expr::Number(lit), "E0"),
+                    item(&name(g % types.len())),
+                    computed(OPS[b % OPS.len()], col(&number(b)), "E1"),
+                ];
+                project(scan("W"), items)
+            }
+            4 => {
+                let keys: Vec<usize> =
+                    (0..types.len()).filter(|&c| c == 0 || (1..4).contains(&types[c])).collect();
+                grouped(scan("W"), &name(keys[g % keys.len()]), &[&number(b)], a)
+            }
+            _ => project(scan("W"), vec![SelectItem::Star]),
+        };
+        let faults = (faults.0 == 1).then_some(faults.1);
+        let axes = Axes { empty_group_refused: true, ..Axes::at(factor).served(shards) };
+        let axes = axes.pushdown(&[pushdown == 1]).engines(&ENGINES).faults(faults);
+        check(&plan, &cat, &axes)?;
     }
 }
 
