@@ -218,6 +218,20 @@ fn build_node<'a>(
     match plan {
         LogicalPlan::Scan { .. } => build_scan(b, ctx),
         LogicalPlan::Filter { input, pred } => {
+            // A chain of Filters straight over an explode outside a loop
+            // body is the explode's guard: it builds no Filter module.
+            let mut guard = vec![pred];
+            let mut node = &**input;
+            while let LogicalPlan::Filter { input, pred } = node {
+                guard.push(pred);
+                node = input;
+            }
+            if !ctx.per_row
+                && matches!(node, LogicalPlan::PosExplode { .. } | LogicalPlan::ReadExplode { .. })
+            {
+                guard.reverse();
+                return build_explode(b, ctx, &guard);
+            }
             let s = build_node(b, ctx, input)?;
             build_filter(b, ctx, s, pred)
         }
@@ -233,7 +247,7 @@ fn build_node<'a>(
             build_join(b, ctx, *kind, l, r, left_key, right_key)
         }
         LogicalPlan::PosExplode { .. } | LogicalPlan::ReadExplode { .. } => {
-            build_explode(b, ctx)
+            build_explode(b, ctx, &[])
         }
         LogicalPlan::Limit { .. } => build_window(b, ctx),
         LogicalPlan::Aggregate { .. } => Err(CoreError::unsupported(
@@ -333,11 +347,15 @@ fn upload_trimmed(
 /// stream (POS delimited per row, list columns delimited by their run
 /// lengths) and the `ReadToBases` genomics block from the module library,
 /// which emits the plain row stream every downstream module expects (in a
-/// loop body, one item per read, narrowed by a Zip). Expansion (output
-/// rows per input row) is recorded for the Figure 8 replication profile.
+/// loop body, one item per read, narrowed by a Zip). The conjuncts of
+/// `guard`, the Filters straight over the explode, become the block's
+/// guard (`ReadToBases::with_guard`): it drops the rows they fail where
+/// it produces them. Expansion (output rows per input row) is recorded
+/// for the Figure 8 replication profile.
 fn build_explode<'a>(
     b: &mut PipelineBuilder<'_>,
     ctx: &mut BuildCtx<'a>,
+    guard: &[&Expr],
 ) -> Result<Stream<'a>, CoreError> {
     use genesis_hw::modules::read_to_bases::{ReadToBases, ReadToBasesInputs};
     let (idx, ps) = ctx.next_leaf();
@@ -392,25 +410,11 @@ fn build_explode<'a>(
     if let &[start, end] = &qs[2 + data..] {
         ctx.bounds = Some((start, end));
     }
-    // The rows are [REFPOS(, BASE(, QUAL))]. Outside a loop body the
-    // ReadToBases emits them plain; a loop body keeps its per-read items
-    // and selects them with a Zip.
-    let width = 1 + data;
-    let per_row = ctx.per_row;
-    let bases = ctx.add(b, ("explode.bases", "explode.rtb"), |l, out| {
-        let rtb = ReadToBases::new(l, inputs, out);
-        Box::new(if per_row { rtb } else { rtb.with_rows(width) })
-    });
-    let rows_q = if per_row {
-        let items = vec![ZipInput::new(bases, (0..width).collect())];
-        ctx.add(b, ("explode.rows", "explode.zip"), |l, out| Box::new(Zip::new(l, items, out)))
-    } else {
-        bases
-    };
     let out_rows = cuts[idx].items.clone().unwrap_or_else(|| ps.items_of(&range)).len();
     let in_rows = range.len().max(1);
     ctx.expansion = ctx.expansion.max(out_rows as f64 / in_rows as f64);
     ctx.rows_bound = ctx.rows_bound.max(out_rows);
+    let per_row = ctx.per_row;
     ctx.note(format!(
         "{}({table}) -> {}x MemoryReader + ReadToBases{} ({out_rows} rows from {})",
         spec.node,
@@ -432,7 +436,30 @@ fn build_explode<'a>(
             cols[0].max_value = Some(hi);
         }
     }
-    Ok(Stream::fresh(rows_q, cols, Cow::Borrowed(&ps.unstreamed)))
+    // The rows are [REFPOS(, BASE(, QUAL))]. Outside a loop body the
+    // ReadToBases emits them plain, guarded; a loop body keeps its
+    // per-read items and selects them with a Zip.
+    let width = 1 + data;
+    let bases = b.queue(&ctx.lbl("explode.bases"));
+    let mut s = Stream::fresh(bases, cols, Cow::Borrowed(&ps.unstreamed));
+    let mut preds = Vec::new();
+    for pred in guard {
+        preds.extend(lower_conjuncts(&mut s, pred)?);
+    }
+    if !guard.is_empty() {
+        ctx.note(format!("Filter -> ReadToBases guard ({})", predicates(preds.len())));
+    }
+    ctx.module(b, "explode.rtb", |l| {
+        let rtb = ReadToBases::new(l, inputs, bases);
+        Box::new(if per_row { rtb } else { rtb.with_rows(width).with_guard(preds) })
+    });
+    if per_row {
+        let items = vec![ZipInput::new(bases, (0..width).collect())];
+        s.q = ctx.add(b, ("explode.rows", "explode.zip"), |l, out| {
+            Box::new(Zip::new(l, items, out))
+        });
+    }
+    Ok(s)
 }
 
 /// Lowers a reference window (`bind::prepare_window`): the scratchpad load and
@@ -522,24 +549,39 @@ fn build_scan<'a>(
     Ok(Stream::fresh(q, cols, Cow::Borrowed(&ps.unstreamed)))
 }
 
+/// Lowers a Filter to one `Filter` module evaluating all its conjuncts.
 fn build_filter<'a>(
     b: &mut PipelineBuilder<'_>,
     ctx: &mut BuildCtx<'_>,
-    s: Stream<'a>,
+    mut s: Stream<'a>,
     pred: &Expr,
 ) -> Result<Stream<'a>, CoreError> {
+    let preds = lower_conjuncts(&mut s, pred)?;
+    ctx.note(format!("Filter -> 1x Filter ({})", predicates(preds.len())));
+    let input = s.q;
+    s.q = ctx.add(b, ("filter", "filter"), |l, out| Box::new(Filter::all(l, preds, input, out)));
+    Ok(s)
+}
+
+/// Lowers `pred`'s conjuncts against `s`'s columns to the predicates a
+/// `Filter` or an explode's guard evaluates, and narrows the columns the
+/// survivors bound.
+fn lower_conjuncts(s: &mut Stream<'_>, pred: &Expr) -> Result<Vec<Predicate>, CoreError> {
     let mut parts = Vec::new();
     conjuncts(pred, &mut parts);
-    let mut q = s.q;
-    let n = parts.len();
-    let mut cols = s.cols.clone();
+    let preds = parts
+        .iter()
+        .map(|part| lower_predicate(&s.cols, &s.unstreamed, part))
+        .collect::<Result<Vec<_>, _>>()?;
     for part in &parts {
-        let hw = lower_predicate(&s.cols, &s.unstreamed, part)?;
-        q = ctx.add(b, ("filter", "filter"), |l, out| Box::new(Filter::new(l, hw, q, out)));
-        narrow_filtered_col(&mut cols, part);
+        narrow_filtered_col(&mut s.cols, part);
     }
-    ctx.note(format!("Filter -> {n}x Filter"));
-    Ok(Stream { q, cols, ..s })
+    Ok(preds)
+}
+
+/// `n predicate(s)`, for an explain line.
+fn predicates(n: usize) -> String {
+    format!("{n} predicate{}", if n == 1 { "" } else { "s" })
 }
 
 /// One expanded output item of a projection.

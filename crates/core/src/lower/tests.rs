@@ -338,6 +338,33 @@ fn filter_above_projection_is_not_pushed() {
     assert_tables_match(&hw, &software(&plan, &catalog));
 }
 
+/// A residual conjunction is one Filter module evaluating both
+/// predicates in one hop, not a chain of one Filter per conjunct.
+#[test]
+fn residual_conjunction_is_one_filter_module() {
+    let catalog = catalog_with(vec![table_u32("T", &[("X", (0..40).collect())])]);
+    let projected = LogicalPlan::Project {
+        input: Box::new(scan("T")),
+        items: vec![SelectItem::Expr { expr: Expr::Col(ColRef::bare("X")), alias: None }],
+    };
+    let LogicalPlan::Filter { pred: lt, .. } = filter_lt(scan("T"), "X", 30) else { panic!() };
+    let gt = Expr::Bin {
+        op: BinOp::Gt,
+        lhs: Box::new(Expr::Col(ColRef::bare("X"))),
+        rhs: Box::new(Expr::Number(4)),
+    };
+    let pred = Expr::Bin { op: BinOp::And, lhs: Box::new(lt), rhs: Box::new(gt) };
+    let plan = LogicalPlan::Filter { input: Box::new(projected), pred };
+    let cfg = DeviceConfig::small();
+    let (low, sys) = analyze_on(&plan, &catalog, &cfg).unwrap();
+    assert!(low.summary.iter().any(|l| l == "Filter -> 1x Filter (2 predicates)"), "{:?}", low.summary);
+    let filters = sys.stall_report().modules.iter().filter(|m| m.label.contains("filter")).count();
+    assert_eq!(filters, 1);
+    let (hw, _) = low.prepare(&cfg, &catalog, None, Some(2)).and_then(PreparedJob::run).unwrap();
+    assert_eq!(hw.num_rows(), 25);
+    assert_tables_match(&hw, &software(&plan, &catalog));
+}
+
 #[test]
 fn shards_split_survivors_and_attribute_scanned_rows_exactly() {
     // A skewed predicate keeps only the tail 20 of 100 rows: shard
@@ -685,12 +712,12 @@ fn scripts_catalog() -> Catalog {
 }
 
 /// Adds the modules an explain line names to `counts`, by kind: `2x Zip`
-/// counts two, `Zip` one and `rename` none; a trailing ` (…)` note names
-/// no module.
+/// counts two, `Zip` one, and `rename` and `ReadToBases guard` (a Filter
+/// folded into its explode) none; a trailing ` (…)` note names no module.
 fn explained_modules(line: &str, counts: &mut BTreeMap<String, usize>) {
     let (_, modules) = line.split_once(" -> ").unwrap_or_else(|| panic!("no ` -> ` in {line}"));
     let modules = modules.split(" (").next().unwrap_or_default();
-    for term in modules.split(" + ").filter(|t| *t != "rename") {
+    for term in modules.split(" + ").filter(|t| !matches!(*t, "rename" | "ReadToBases guard")) {
         let (k, name) = match term.split_once("x ").map(|(k, name)| (k.parse(), name)) {
             Some((Ok(k), name)) => (k, name),
             _ => (1, term),
@@ -707,7 +734,8 @@ fn explained_modules(line: &str, counts: &mut BTreeMap<String, usize>) {
 /// field: no build selects or reorders one row's fields with a one-input
 /// Zip, except a loop body's explode, which keeps its per-read items and
 /// selects them. And a scan row is one read: no Zip reassembles rows from
-/// Memory Readers alone.
+/// Memory Readers alone. And a Filter over an explode is its guard: no
+/// Filter module reads a ReadToBases.
 #[test]
 fn explain_lines_name_every_module_the_build_adds() {
     let catalog = scripts_catalog();
@@ -757,6 +785,13 @@ fn explain_lines_name_every_module_the_build_adds() {
                 assert!(
                     !inputs.iter().all(|p| kinds[p].1 == "MemoryReader"),
                     "{} (pushdown {pushdown}): {label} {kind} reassembles Memory Reader rows",
+                    path.display()
+                );
+            }
+            for (id, (label, _)) in kinds.iter().filter(|(_, (_, kind))| *kind == "Filter") {
+                assert!(
+                    producers(id).iter().all(|p| kinds[p].1 != "ReadToBases"),
+                    "{} (pushdown {pushdown}): {label} filters a ReadToBases",
                     path.display()
                 );
             }

@@ -195,10 +195,19 @@ pub trait Module: fmt::Debug + Send {
 
     /// Copies of its kind's hardware the module instantiates: a Memory
     /// Reader or Writer has one per column it streams (each with its own
-    /// port, address generator and line buffer), every other module one.
-    /// The resource model charges [`ModuleKind`]'s cost this many times.
+    /// port, address generator and line buffer), a Filter one comparator
+    /// per predicate of its conjunction, every other module one. The
+    /// resource model charges [`ModuleKind`]'s cost this many times.
     fn lanes(&self) -> u64 {
         1
+    }
+
+    /// Predicates the module evaluates on its own output before it
+    /// pushes ([`read_to_bases::ReadToBases::with_guard`]). The resource
+    /// model charges each one Filter comparator, as it would the
+    /// `Filter` the guard replaces.
+    fn guard_predicates(&self) -> u64 {
+        0
     }
 
     /// Advances one clock cycle and reports whether the module is still

@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::SlowSink;
+use common::{contract, Contract, Counted, SlowSink, SlowSource};
 use genesis_hw::modules::alu::{AluOp, AluRhs, StreamAlu};
 use genesis_hw::modules::binidgen::{BinIdGen, BinIdGenConfig};
 use genesis_hw::modules::fanout::Fanout;
@@ -20,8 +20,9 @@ use genesis_hw::modules::spm_reader::{SpmAddrReader, SpmReadMode, SpmReader};
 use genesis_hw::modules::spm_updater::{RmwOp, SpmUpdateMode, SpmUpdater};
 use genesis_hw::system::ModuleId;
 use genesis_hw::word::{Flit, HwWord};
-use genesis_hw::{SimStats, System, TierParams, TierStats};
-use genesis_types::{Base, Cigar, Qual};
+use genesis_hw::{EngineMode, SimStats, System, TierParams, TierStats};
+use genesis_types::{Base, Cigar, CigarElem, CigarOp, Qual};
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn v(x: u64) -> HwWord {
@@ -1416,5 +1417,211 @@ fn read_to_bases_without_seq_emits_the_same_positions() {
             let base = if with.field(1) == HwWord::Del { HwWord::Del } else { HwWord::Empty };
             assert_eq!(without.field(1), base);
         }
+    }
+}
+
+/// One generated read: its position and its raw CIGAR flits, each an op
+/// code in bits 13–15 over a run of 0–3 (empty elements included), some
+/// with bits past the 16 a packed element holds.
+type RawRead = (u64, Vec<u64>);
+
+fn raw_read() -> impl Strategy<Value = RawRead> {
+    let elem = (0u64..8, 0u64..4, 0u64..5)
+        .prop_map(|(op, len, wide)| if wide == 0 { 1 << 20 } else { 0 } | (op << 13) | len);
+    (0u64..60, proptest::collection::vec(elem, 0..5))
+}
+
+/// The element a raw CIGAR flit carries (the module reads its low 16
+/// bits).
+fn raw_elem(raw: u64) -> CigarElem {
+    CigarElem::unpack(raw as u16).expect("every 3-bit op code is an op")
+}
+
+const CMP_OPS: [CmpOp; 7] =
+    [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::IsVal];
+
+/// A predicate over the four-field layout: a field against a constant
+/// or against another field, so `Ins`, `Del` and `Empty` fields meet
+/// every test.
+fn guard_pred() -> impl Strategy<Value = Predicate> {
+    (0usize..4, 0usize..CMP_OPS.len(), 0u64..70, 0usize..6).prop_map(|(f, op, c, other)| {
+        if other < 4 {
+            Predicate::fields(f, CMP_OPS[op], other)
+        } else {
+            Predicate::field_const(f, CMP_OPS[op], c)
+        }
+    })
+}
+
+/// A ReadToBases case: the reads, which of `SEQ` and `QUAL` stream, the
+/// output width (`None`: per-read items), a guard, and the periods of
+/// the four input sources and of the sink, over queues of `cap` flits.
+#[derive(Debug, Clone)]
+struct RtbCase {
+    reads: Vec<RawRead>,
+    seq: bool,
+    qual: bool,
+    rows: Option<usize>,
+    guard: Vec<Predicate>,
+    periods: [u64; 5],
+    cap: usize,
+}
+
+impl RtbCase {
+    /// The input streams: `POS`, `CIGAR`, `SEQ` and `QUAL`, delimited per
+    /// read, the bases as long as the CIGAR consumes.
+    fn streams(&self) -> [Vec<Flit>; 4] {
+        let mut streams: [Vec<Flit>; 4] = Default::default();
+        for (i, (pos, cigar)) in self.reads.iter().enumerate() {
+            let query: u64 = cigar
+                .iter()
+                .map(|&raw| raw_elem(raw))
+                .filter(|e| e.op.consumes_read())
+                .map(|e| u64::from(e.len))
+                .sum();
+            streams[0].push(Flit::val(*pos));
+            streams[1].extend(cigar.iter().map(|&raw| Flit::val(raw)));
+            streams[2].extend((0..query).map(|j| Flit::val((i as u64 + j) % 4)));
+            streams[3].extend((0..query).map(|j| Flit::val(20 + (3 * i as u64 + j) % 30)));
+            for s in &mut streams {
+                s.push(Flit::end_item());
+            }
+        }
+        streams
+    }
+
+    /// Adds the case's sources, its ReadToBases (guarded, or unguarded
+    /// with a `Filter` over the guard after it) and its sink; returns the
+    /// ReadToBases and the sink.
+    fn build(&self, sys: &mut System, fold: bool) -> (ModuleId, ModuleId) {
+        let names = ["pos", "cigar", "seq", "qual"];
+        let streamed = [true, true, self.seq, self.qual];
+        let mut qs = Vec::new();
+        for (((name, flits), period), on) in names.iter().zip(self.streams()).zip(self.periods).zip(streamed) {
+            let q = sys.add_queue_with_capacity(name, self.cap);
+            if on {
+                sys.add_module(Box::new(SlowSource::new(name, q, flits, period)));
+            }
+            qs.push(on.then_some(q));
+        }
+        let inputs = ReadToBasesInputs {
+            pos: qs[0].unwrap(),
+            cigar: qs[1].unwrap(),
+            seq: qs[2],
+            qual: qs[3],
+        };
+        let bases = sys.add_queue_with_capacity("bases", self.cap);
+        let mut rtb = ReadToBases::new("rtb", inputs, bases);
+        if let Some(width) = self.rows {
+            rtb = rtb.with_rows(width);
+        }
+        let out = if fold || self.guard.is_empty() {
+            bases
+        } else {
+            sys.add_queue_with_capacity("kept", self.cap)
+        };
+        let id = if fold {
+            sys.add_module(contract(Counted::new(rtb.with_guard(self.guard.clone()))))
+        } else {
+            sys.add_module(contract(Counted::new(rtb)))
+        };
+        if out != bases {
+            sys.add_module(contract(Filter::all("flt", self.guard.clone(), bases, out)));
+        }
+        let sink = sys.add_module(Box::new(SlowSink::new("sink", out, self.periods[4])));
+        (id, sink)
+    }
+
+    /// Cycles a ReadToBases takes over the reads with ready inputs and a
+    /// ready consumer, its finishing tick included: one per base moved,
+    /// one per element skipped whole, and per read one boundary cycle
+    /// when `SEQ`, `QUAL` or a delimiter streams, or when the read's last
+    /// element took one cycle (an empty read pays a `POS` tick and the
+    /// boundary).
+    fn ready_cycles(&self) -> u64 {
+        let streams_read = self.seq || self.qual;
+        let ends = self.rows.is_none();
+        let per_read = self.reads.iter().map(|(_, cigar)| {
+            let ticks: Vec<u64> = cigar
+                .iter()
+                .map(|&raw| {
+                    let e = raw_elem(raw);
+                    let moves = match e.op {
+                        CigarOp::HardClip => false,
+                        CigarOp::SoftClip => streams_read,
+                        _ => true,
+                    };
+                    if moves { u64::from(e.len).max(1) } else { 1 }
+                })
+                .collect();
+            let boundary = streams_read || ends || ticks.last().is_none_or(|&t| t == 1);
+            ticks.iter().sum::<u64>().max(1) + u64::from(boundary)
+        });
+        1 + per_read.sum::<u64>()
+    }
+}
+
+/// The sink's flits and the ReadToBases's tick count after a run of the
+/// case under `mode`, with every module's stall buckets tiling the run;
+/// also the statistics and refused pushes both engines must agree on.
+fn run_case(case: &RtbCase, fold: bool, mode: EngineMode) -> (Vec<Flit>, u64, SimStats, Vec<u64>) {
+    let mut sys = System::new();
+    let (rtb, sink) = case.build(&mut sys, fold);
+    sys.set_engine(mode);
+    let stats = sys.run(200_000).expect("the case runs to completion");
+    for m in &sys.stall_report().modules {
+        assert_eq!(m.counters.total(), sys.cycle(), "stall buckets of {} tile the run", m.label);
+    }
+    let ticks = sys
+        .module_as::<Contract<Counted<ReadToBases>>>(rtb)
+        .expect("a checked, counted ReadToBases")
+        .inner()
+        .census()
+        .ticks;
+    let flits = sys.module_as::<SlowSink>(sink).unwrap().flits().to_vec();
+    let refused = sys.queues().iter().map(|q| q.total_full_stalls()).collect();
+    (flits, ticks, SimStats { module_ticks: 0, ..stats }, refused)
+}
+
+fn rtb_case() -> impl Strategy<Value = RtbCase> {
+    (
+        proptest::collection::vec(raw_read(), 0..7),
+        0u8..4,
+        0usize..5,
+        (0usize..3, proptest::collection::vec(guard_pred(), 1..3)),
+        proptest::collection::vec(1u64..4, 5..6),
+        1usize..4,
+    )
+        .prop_map(|(reads, streams, rows, (guarded, guard), periods, cap)| RtbCase {
+            reads,
+            seq: streams & 1 != 0,
+            qual: streams & 2 != 0,
+            rows: (rows > 0).then_some(rows),
+            guard: if guarded > 0 { guard } else { Vec::new() },
+            periods: periods.try_into().expect("five periods"),
+            cap,
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// ReadToBases under random CIGARs (every op, empty runs, values past
+    /// 16 bits), with or without `SEQ` and `QUAL`, per row or per read,
+    /// with or without a guard, behind upstream gaps and a slow sink,
+    /// every tick checked against the module contract: the guarded
+    /// module emits what the unguarded one and a `Filter` after it emit,
+    /// both engines agree on everything modeled, and with ready inputs
+    /// and a ready sink it takes exactly one cycle a base.
+    #[test]
+    fn read_to_bases_guard_and_boundary_bound(case in rtb_case()) {
+        let fast = run_case(&case, true, EngineMode::Fast);
+        let reference = run_case(&case, true, EngineMode::Reference);
+        prop_assert_eq!((&fast.0, &fast.2, &fast.3), (&reference.0, &reference.2, &reference.3));
+        let filtered = run_case(&case, false, EngineMode::Fast);
+        prop_assert_eq!(&filtered.0, &fast.0);
+        let ready = RtbCase { periods: [1; 5], cap: 4, ..case };
+        let (_, ticks, ..) = run_case(&ready, true, EngineMode::Reference);
+        prop_assert_eq!(ticks, ready.ready_cycles());
     }
 }

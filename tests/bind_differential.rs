@@ -254,7 +254,10 @@ proptest! {
 /// The two filtered-scan jobs were re-pinned when a two-column scan
 /// became one multi-lane Memory Reader: the same cycles, traffic and
 /// rows, and a third of the flits (90 → 30) with half the ticks and stall
-/// cycles, the per-column readers' and the Zip's hops gone.
+/// cycles, the per-column readers' and the Zip's hops gone. The explode
+/// job was re-pinned when ReadToBases began to overlap read boundaries:
+/// the same traffic, rows and flits in 61 cycles (69 before), 213 ticks
+/// (234) and 305 active and 268 input-starved cycles (405 and 288).
 #[test]
 fn accel_stats_are_what_they_were() {
     let xs: Vec<u32> = (0..100u32).map(|i| i * 37 % 101).collect();
@@ -303,9 +306,9 @@ const PIN_FILTERED_SHARDED: &str = "\
     reconfig_cycles: 0, faults: FaultReport { dma_errors: 0, dma_timeouts: 0, device_faults: 0, \
     mem_spikes: 0, retries: 0, backoff_ns: 0, fallback_batches: 0, fallback_jobs: 0 } }";
 const PIN_EXPLODED: &str = "\
-    AccelStats { cycles: 69, dma_in_bytes: 135, dma_out_bytes: 336, dma_transfers: 12, \
+    AccelStats { cycles: 61, dma_in_bytes: 135, dma_out_bytes: 336, dma_transfers: 12, \
     device_mem_bytes: 1920, invocations: 2, backpressure_stalls: 0, total_flits: 99, \
-    module_ticks: 234, active_cycles: 405, input_starved_cycles: 288, backpressured_cycles: 0, \
+    module_ticks: 213, active_cycles: 305, input_starved_cycles: 268, backpressured_cycles: 0, \
     memory_wait_cycles: 342, spill_wait_cycles: 0, tier_pages_filled: 0, tier_pages_spilled: 0, \
     tier_prefetch_hits: 0, tier_pcie_bytes: 0, rows_scanned: 12, rows_emitted: 12, \
     reconfig_cycles: 0, faults: FaultReport { dma_errors: 0, dma_timeouts: 0, device_faults: 0, \

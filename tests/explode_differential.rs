@@ -8,11 +8,13 @@
 
 mod common;
 
-use common::{catalog_of, check, item, project, read_explode, read_spec, reads_table, ref_table};
-use common::{spine_keys, table_of, u32_table, Axes, Query, ReadSpec, ENGINES};
+use common::{arb_faults, bin, catalog_of, check, col, filter, grouped, item, join, pos_explode};
+use common::{project, read_explode, read_spec, reads_table, ref_table, scan, spine_keys};
+use common::{table_of, u32_table, Axes, Query, ReadSpec, CMP_OPS, ENGINES};
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
 use genesis::core::CoreError;
+use genesis::sql::ast::{BinOp, Expr, JoinKind};
 use genesis::sql::exec::{execute_plan, Env};
 use genesis::sql::{Catalog, LogicalPlan};
 use genesis::types::{Cigar, Column, Table};
@@ -66,6 +68,29 @@ fn selected_bases(qual: bool) -> LogicalPlan {
         items.push(item("QUAL"));
     }
     project(read_explode("READS", qual), items)
+}
+
+/// `explode` under a window on `POS` — `shape` 0–4 compares it with `lo`
+/// by `=`, `<`, `<=`, `>` or `>=`, and 5 is `POS >= lo AND POS < lo +
+/// span` — and, when drawn, a second Filter on the base, `SEQ op lit`
+/// (`op` a [`CMP_OPS`] index). The compiled road folds both into the
+/// explode's guard.
+fn guarded(
+    explode: LogicalPlan,
+    (shape, lo, span): (usize, u64, u64),
+    base: Option<(usize, u64)>,
+) -> LogicalPlan {
+    const WINDOWS: [BinOp; 5] = [BinOp::Eq, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+    let pos = |op, lit| bin(op, col("POS"), Expr::Number(lit));
+    let window = match WINDOWS.get(shape) {
+        Some(&op) => pos(op, lo),
+        None => bin(BinOp::And, pos(BinOp::Ge, lo), pos(BinOp::Lt, lo + span)),
+    };
+    let windowed = filter(explode, window);
+    match base {
+        Some((op, lit)) => filter(windowed, bin(CMP_OPS[op], col("SEQ"), Expr::Number(lit))),
+        None => windowed,
+    }
 }
 
 /// `script`'s `out` table compiled at `factor` equals the software
@@ -161,6 +186,58 @@ proptest! {
         let catalog = catalog_of(vec![("READS", reads)]);
         let axes = Axes::at(factor).served(2).engines(&ENGINES);
         check(&selected_bases(qual == 1), &catalog, &axes)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A window on `POS` and a base filter straight over either explode,
+    /// which the compiled road folds into the ReadToBases as its guard:
+    /// reads with clips, insertions, deletions and skips straddling the
+    /// bounds, or a chained reference, whose guarded stream feeds the
+    /// sink, a `GROUP BY POS` or (the reference, whose positions ascend)
+    /// either side of a join, at 1–16 replicas and 1–3 shards, pushdown
+    /// on and off, on both engines, half the time under seeded faults.
+    #[test]
+    fn guarded_explode_differential(
+        specs in proptest::collection::vec(read_spec(6, 4, 5), 0..10),
+        ref_rows in proptest::collection::vec((1usize..24, 0u32..4), 1..4),
+        keys in proptest::collection::vec(0usize..2, 40..41),
+        window in (0usize..6, 0u64..40, 1u64..12),
+        base in (0usize..8, 0u64..4),
+        explode in 0usize..2,
+        consumer in 0usize..4,
+        factor in 1usize..17,
+        shards in 1usize..4,
+        faults in (0usize..2, arb_faults()),
+    ) {
+        // A base filter three times in four.
+        let base = Some(base).filter(|b| b.0 < CMP_OPS.len());
+        let (plan, catalog) = if explode == 0 {
+            let reads = guarded(read_explode("READS", false), window, base);
+            let plan = if consumer % 2 == 0 { reads } else { grouped(reads, "POS", &[]) };
+            (plan, reads_catalog(&specs))
+        } else {
+            let refs = guarded(pos_explode("REF", "SEQ", col("POS")), window, base);
+            let plan = match consumer {
+                0 => refs,
+                1 => grouped(refs, "POS", &[]),
+                2 => join(JoinKind::Inner, refs, scan("L"), ("POS", "LK")),
+                _ => join(JoinKind::Inner, scan("L"), refs, ("LK", "POS")),
+            };
+            let keys = u32_table(vec![("LK", spine_keys(&keys))]);
+            (plan, catalog_of(vec![("REF", ref_table(1, &ref_rows)), ("L", keys)]))
+        };
+        let axes = Axes {
+            empty_group_refused: true,
+            ..Axes::at(factor)
+                .served(shards)
+                .pushdown(&[true, false])
+                .engines(&ENGINES)
+                .faults((faults.0 == 1).then_some(faults.1))
+        };
+        check(&plan, &catalog, &axes)?;
     }
 }
 
