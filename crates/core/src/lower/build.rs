@@ -218,17 +218,15 @@ fn build_node<'a>(
     match plan {
         LogicalPlan::Scan { .. } => build_scan(b, ctx),
         LogicalPlan::Filter { input, pred } => {
-            // A chain of Filters straight over an explode outside a loop
-            // body is the explode's guard: it builds no Filter module.
+            // A chain of Filters straight over an explode is the
+            // explode's guard: it builds no Filter module.
             let mut guard = vec![pred];
             let mut node = &**input;
             while let LogicalPlan::Filter { input, pred } = node {
                 guard.push(pred);
                 node = input;
             }
-            if !ctx.per_row
-                && matches!(node, LogicalPlan::PosExplode { .. } | LogicalPlan::ReadExplode { .. })
-            {
+            if matches!(node, LogicalPlan::PosExplode { .. } | LogicalPlan::ReadExplode { .. }) {
                 guard.reverse();
                 return build_explode(b, ctx, &guard);
             }
@@ -437,8 +435,8 @@ fn build_explode<'a>(
         }
     }
     // The rows are [REFPOS(, BASE(, QUAL))]. Outside a loop body the
-    // ReadToBases emits them plain, guarded; a loop body keeps its
-    // per-read items and selects them with a Zip.
+    // ReadToBases emits them plain; a loop body keeps its per-read items
+    // and selects them with a Zip.
     let width = 1 + data;
     let bases = b.queue(&ctx.lbl("explode.bases"));
     let mut s = Stream::fresh(bases, cols, Cow::Borrowed(&ps.unstreamed));
@@ -447,11 +445,13 @@ fn build_explode<'a>(
         preds.extend(lower_conjuncts(&mut s, pred)?);
     }
     if !guard.is_empty() {
-        ctx.note(format!("Filter -> ReadToBases guard ({})", predicates(preds.len())));
+        let n = preds.len();
+        let plural = if n == 1 { "" } else { "s" };
+        ctx.note(format!("Filter -> ReadToBases guard ({n} predicate{plural})"));
     }
     ctx.module(b, "explode.rtb", |l| {
-        let rtb = ReadToBases::new(l, inputs, bases);
-        Box::new(if per_row { rtb } else { rtb.with_rows(width).with_guard(preds) })
+        let rtb = ReadToBases::new(l, inputs, bases).with_guard(preds);
+        Box::new(if per_row { rtb } else { rtb.with_rows(width) })
     });
     if per_row {
         let items = vec![ZipInput::new(bases, (0..width).collect())];
@@ -549,7 +549,7 @@ fn build_scan<'a>(
     Ok(Stream::fresh(q, cols, Cow::Borrowed(&ps.unstreamed)))
 }
 
-/// Lowers a Filter to one `Filter` module evaluating all its conjuncts.
+/// Lowers a Filter to a chain of one `Filter` module per conjunct.
 fn build_filter<'a>(
     b: &mut PipelineBuilder<'_>,
     ctx: &mut BuildCtx<'_>,
@@ -557,14 +557,16 @@ fn build_filter<'a>(
     pred: &Expr,
 ) -> Result<Stream<'a>, CoreError> {
     let preds = lower_conjuncts(&mut s, pred)?;
-    ctx.note(format!("Filter -> 1x Filter ({})", predicates(preds.len())));
-    let input = s.q;
-    s.q = ctx.add(b, ("filter", "filter"), |l, out| Box::new(Filter::all(l, preds, input, out)));
+    ctx.note(format!("Filter -> {}x Filter", preds.len()));
+    for hw in preds {
+        let q = s.q;
+        s.q = ctx.add(b, ("filter", "filter"), |l, out| Box::new(Filter::new(l, hw, q, out)));
+    }
     Ok(s)
 }
 
-/// Lowers `pred`'s conjuncts against `s`'s columns to the predicates a
-/// `Filter` or an explode's guard evaluates, and narrows the columns the
+/// Lowers `pred`'s conjuncts against `s`'s columns to the predicates the
+/// `Filter`s or an explode's guard evaluate, and narrows the columns the
 /// survivors bound.
 fn lower_conjuncts(s: &mut Stream<'_>, pred: &Expr) -> Result<Vec<Predicate>, CoreError> {
     let mut parts = Vec::new();
@@ -577,11 +579,6 @@ fn lower_conjuncts(s: &mut Stream<'_>, pred: &Expr) -> Result<Vec<Predicate>, Co
         narrow_filtered_col(&mut s.cols, part);
     }
     Ok(preds)
-}
-
-/// `n predicate(s)`, for an explain line.
-fn predicates(n: usize) -> String {
-    format!("{n} predicate{}", if n == 1 { "" } else { "s" })
 }
 
 /// One expanded output item of a projection.

@@ -338,33 +338,6 @@ fn filter_above_projection_is_not_pushed() {
     assert_tables_match(&hw, &software(&plan, &catalog));
 }
 
-/// A residual conjunction is one Filter module evaluating both
-/// predicates in one hop, not a chain of one Filter per conjunct.
-#[test]
-fn residual_conjunction_is_one_filter_module() {
-    let catalog = catalog_with(vec![table_u32("T", &[("X", (0..40).collect())])]);
-    let projected = LogicalPlan::Project {
-        input: Box::new(scan("T")),
-        items: vec![SelectItem::Expr { expr: Expr::Col(ColRef::bare("X")), alias: None }],
-    };
-    let LogicalPlan::Filter { pred: lt, .. } = filter_lt(scan("T"), "X", 30) else { panic!() };
-    let gt = Expr::Bin {
-        op: BinOp::Gt,
-        lhs: Box::new(Expr::Col(ColRef::bare("X"))),
-        rhs: Box::new(Expr::Number(4)),
-    };
-    let pred = Expr::Bin { op: BinOp::And, lhs: Box::new(lt), rhs: Box::new(gt) };
-    let plan = LogicalPlan::Filter { input: Box::new(projected), pred };
-    let cfg = DeviceConfig::small();
-    let (low, sys) = analyze_on(&plan, &catalog, &cfg).unwrap();
-    assert!(low.summary.iter().any(|l| l == "Filter -> 1x Filter (2 predicates)"), "{:?}", low.summary);
-    let filters = sys.stall_report().modules.iter().filter(|m| m.label.contains("filter")).count();
-    assert_eq!(filters, 1);
-    let (hw, _) = low.prepare(&cfg, &catalog, None, Some(2)).and_then(PreparedJob::run).unwrap();
-    assert_eq!(hw.num_rows(), 25);
-    assert_tables_match(&hw, &software(&plan, &catalog));
-}
-
 #[test]
 fn shards_split_survivors_and_attribute_scanned_rows_exactly() {
     // A skewed predicate keeps only the tail 20 of 100 rows: shard

@@ -113,12 +113,12 @@ impl Predicate {
     }
 }
 
-/// Passes data flits satisfying every predicate of its conjunction, drops
-/// the rest; end-of-item delimiters always pass through.
+/// Passes data flits satisfying the predicate, drops the rest; end-of-item
+/// delimiters always pass through.
 #[derive(Debug)]
 pub struct Filter {
     label: String,
-    preds: Vec<Predicate>,
+    pred: Predicate,
     input: QueueId,
     out: QueueId,
     passed: u64,
@@ -127,20 +127,13 @@ pub struct Filter {
 }
 
 impl Filter {
-    /// Creates a one-predicate filter.
+    /// Creates a filter.
     #[must_use]
     pub fn new(label: &str, pred: Predicate, input: QueueId, out: QueueId) -> Filter {
-        Filter::all(label, vec![pred], input, out)
+        Filter { label: label.to_owned(), pred, input, out, passed: 0, dropped: 0, done: false }
     }
 
-    /// Creates a filter passing the flits that satisfy all of `preds`, in
-    /// one hop: one comparator per predicate, evaluated in the same cycle.
-    #[must_use]
-    pub fn all(label: &str, preds: Vec<Predicate>, input: QueueId, out: QueueId) -> Filter {
-        Filter { label: label.to_owned(), preds, input, out, passed: 0, dropped: 0, done: false }
-    }
-
-    /// Number of flits that satisfied the predicates.
+    /// Number of flits that satisfied the predicate.
     #[must_use]
     pub fn passed(&self) -> u64 {
         self.passed
@@ -162,10 +155,6 @@ impl Module for Filter {
         ModuleKind::Filter
     }
 
-    fn lanes(&self) -> u64 {
-        self.preds.len() as u64
-    }
-
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
         if self.done {
             return Tick::Done;
@@ -179,7 +168,7 @@ impl Module for Filter {
             return Tick::PARK;
         };
         let is_data = !head.is_end_item();
-        if is_data && !self.preds.iter().all(|p| p.eval(head)) {
+        if is_data && !self.pred.eval(head) {
             ctx.queues.get_mut(self.input).pop();
             self.dropped += 1;
             return Tick::Active;

@@ -4,6 +4,7 @@
 use super::{refused, Ctx, Module, ModuleKind, Tick, Watch};
 use crate::memory::{Line, MemorySystem, PortId, LINE_BYTES};
 use crate::queue::QueueId;
+use crate::resource::{module_cost, ResourceUsage};
 use crate::word::{Flit, MAX_FIELDS};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -398,8 +399,8 @@ impl Module for RowReader {
         ModuleKind::MemoryReader
     }
 
-    fn lanes(&self) -> u64 {
-        self.lanes.len() as u64
+    fn resources(&self) -> ResourceUsage {
+        module_cost(self.kind()).times(self.lanes.len() as u64)
     }
 
     /// Every lane, in column order, makes a [`MemReader`]'s memory moves;

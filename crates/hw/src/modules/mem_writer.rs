@@ -3,6 +3,7 @@
 use super::{Ctx, Module, ModuleKind, Tick};
 use crate::memory::{PortId, LINE_BYTES};
 use crate::queue::QueueId;
+use crate::resource::{module_cost, ResourceUsage};
 use crate::word::HwWord;
 use std::any::Any;
 
@@ -180,8 +181,8 @@ impl Module for MemWriter {
         ModuleKind::MemoryWriter
     }
 
-    fn lanes(&self) -> u64 {
-        self.lanes.len() as u64
+    fn resources(&self) -> ResourceUsage {
+        module_cost(self.kind()).times(self.lanes.len() as u64)
     }
 
     /// Each lane makes at most one write attempt (its pending line), and

@@ -7,6 +7,7 @@
 
 use crate::memory::MemorySystem;
 use crate::queue::{QueueId, QueuePool};
+use crate::resource::{module_cost, ResourceUsage};
 use crate::spm::SpmPool;
 use crate::word::Flit;
 use std::any::Any;
@@ -193,21 +194,13 @@ pub trait Module: fmt::Debug + Send {
     /// Kind tag for the resource model.
     fn kind(&self) -> ModuleKind;
 
-    /// Copies of its kind's hardware the module instantiates: a Memory
-    /// Reader or Writer has one per column it streams (each with its own
-    /// port, address generator and line buffer), a Filter one comparator
-    /// per predicate of its conjunction, every other module one. The
-    /// resource model charges [`ModuleKind`]'s cost this many times.
-    fn lanes(&self) -> u64 {
-        1
-    }
-
-    /// Predicates the module evaluates on its own output before it
-    /// pushes ([`read_to_bases::ReadToBases::with_guard`]). The resource
-    /// model charges each one Filter comparator, as it would the
-    /// `Filter` the guard replaces.
-    fn guard_predicates(&self) -> u64 {
-        0
+    /// The fabric the module occupies in the resource model: its
+    /// [`ModuleKind`]'s cost, once per copy of that hardware it
+    /// instantiates. A Memory Reader or Writer has one copy per column it
+    /// streams (each with its own port, address generator and line
+    /// buffer), every other module one.
+    fn resources(&self) -> ResourceUsage {
+        module_cost(self.kind())
     }
 
     /// Advances one clock cycle and reports whether the module is still

@@ -4,6 +4,7 @@
 use super::filter::Predicate;
 use super::{try_push, Ctx, Module, ModuleKind, Tick};
 use crate::queue::QueueId;
+use crate::resource::{module_cost, ResourceUsage};
 use crate::word::{Flit, HwWord};
 use std::any::Any;
 use genesis_types::{CigarElem, CigarOp};
@@ -128,7 +129,7 @@ impl ReadToBases {
     /// `guard` ([`Predicate::eval`], so a sentinel field compares as in a
     /// `Filter`); a base that fails one is consumed like a soft-clipped
     /// base, with no push. Delimiters are never guarded. The module then
-    /// is the explode and a `Filter` after it in one, in the same cycles
+    /// is the explode and the `Filter`s after it in one, in the same cycles
     /// as the explode alone.
     #[must_use]
     pub fn with_guard(mut self, guard: Vec<Predicate>) -> ReadToBases {
@@ -220,8 +221,10 @@ impl Module for ReadToBases {
         ModuleKind::ReadToBases
     }
 
-    fn guard_predicates(&self) -> u64 {
-        self.guard.len() as u64
+    /// Each guard predicate costs one `Filter` comparator, the Filter
+    /// the guard replaces.
+    fn resources(&self) -> ResourceUsage {
+        module_cost(self.kind()) + module_cost(ModuleKind::Filter).times(self.guard.len() as u64)
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {

@@ -9,7 +9,7 @@ use genesis_hw::memory::MemStats;
 use genesis_hw::modules::{Ctx, Module, ModuleKind, Tick, Watch};
 use genesis_hw::queue::QueueId;
 use genesis_hw::word::Flit;
-use genesis_hw::TierStats;
+use genesis_hw::{ResourceUsage, TierStats};
 use std::any::Any;
 use std::cell::Cell;
 
@@ -137,12 +137,8 @@ impl<M: Module + 'static> Module for Counted<M> {
         self.inner.kind()
     }
 
-    fn lanes(&self) -> u64 {
-        self.inner.lanes()
-    }
-
-    fn guard_predicates(&self) -> u64 {
-        self.inner.guard_predicates()
+    fn resources(&self) -> ResourceUsage {
+        self.inner.resources()
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {
@@ -301,12 +297,8 @@ impl<M: Module + 'static> Module for Contract<M> {
         self.inner.kind()
     }
 
-    fn lanes(&self) -> u64 {
-        self.inner.lanes()
-    }
-
-    fn guard_predicates(&self) -> u64 {
-        self.inner.guard_predicates()
+    fn resources(&self) -> ResourceUsage {
+        self.inner.resources()
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) -> Tick {

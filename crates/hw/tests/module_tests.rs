@@ -1491,7 +1491,7 @@ impl RtbCase {
     }
 
     /// Adds the case's sources, its ReadToBases (guarded, or unguarded
-    /// with a `Filter` over the guard after it) and its sink; returns the
+    /// with one `Filter` per guard predicate after it) and its sink; returns the
     /// ReadToBases and the sink.
     fn build(&self, sys: &mut System, fold: bool) -> (ModuleId, ModuleId) {
         let names = ["pos", "cigar", "seq", "qual"];
@@ -1525,8 +1525,16 @@ impl RtbCase {
         } else {
             sys.add_module(contract(Counted::new(rtb)))
         };
+        // Unfolded, the guard is a chain of one-predicate Filters.
         if out != bases {
-            sys.add_module(contract(Filter::all("flt", self.guard.clone(), bases, out)));
+            let (last, chain) = self.guard.split_last().expect("a guard to chain");
+            let mut q = bases;
+            for (i, &pred) in chain.iter().enumerate() {
+                let next = sys.add_queue_with_capacity(&format!("kept{i}"), self.cap);
+                sys.add_module(contract(Filter::new(&format!("flt{i}"), pred, q, next)));
+                q = next;
+            }
+            sys.add_module(contract(Filter::new("flt", *last, q, out)));
         }
         let sink = sys.add_module(Box::new(SlowSink::new("sink", out, self.periods[4])));
         (id, sink)
@@ -1610,7 +1618,7 @@ proptest! {
     /// 16 bits), with or without `SEQ` and `QUAL`, per row or per read,
     /// with or without a guard, behind upstream gaps and a slow sink,
     /// every tick checked against the module contract: the guarded
-    /// module emits what the unguarded one and a `Filter` after it emit,
+    /// module emits what the unguarded one and its `Filter`s emit,
     /// both engines agree on everything modeled, and with ready inputs
     /// and a ready sink it takes exactly one cycle a base.
     #[test]

@@ -62,6 +62,31 @@ fn every_pair_matches_the_sql_engine_and_its_snapshot() {
     );
 }
 
+/// A Filter straight over a loop body's explode is its guard, as outside
+/// a loop: Figure 4 with a window on each read's exploded positions
+/// builds no Filter module for it, and its tables equal the SQL engine's
+/// with some reads' matches cut by the window.
+#[test]
+fn loop_body_filter_over_its_explode_is_the_guard() {
+    let figure4 = std::fs::read_to_string(repo_file("scripts/figure4.sql")).unwrap();
+    let explode = "ReadExplode (SingleRead.POS, SingleRead.CIGAR, SingleRead.SEQ)\n  \
+                   FROM SingleRead\n";
+    let windowed = figure4.replace(
+        &format!("#AlignedRead AS\n  {explode}"),
+        &format!(
+            "#Exploded AS\n  {explode}  CREATE TABLE #AlignedRead AS\n  \
+             SELECT * FROM #Exploded WHERE #Exploded.POS < 3000\n"
+        ),
+    );
+    assert_ne!(windowed, figure4);
+    let out = run(&windowed, "tiny").unwrap();
+    assert!(out.contains("\nFilter -> ReadToBases guard (1 predicate)\n"), "{out}");
+    assert_eq!(out.lines().filter(|l| l.starts_with("Filter -> ")).count(), 1, "{out}");
+    let preview =
+        |out: &str| out.split("SQL engine").nth(1)?.split("modeled:").next().map(str::to_owned);
+    assert_ne!(preview(&out), preview(&run(&figure4, "tiny").unwrap()));
+}
+
 #[test]
 fn unknown_data_set_is_an_error() {
     let err = run("INSERT INTO O SELECT * FROM PAIRS", "tyni").unwrap_err();
