@@ -35,6 +35,16 @@ struct Job {
     lens: Vec<u32>,
 }
 
+impl Job {
+    /// The quality scores of `reads`, concatenated, with each read's length.
+    fn of(reads: &[ReadRecord]) -> Job {
+        Job {
+            qual: reads.iter().flat_map(|rd| rd.qual.iter().map(|q| q.value())).collect(),
+            lens: reads.iter().map(|rd| rd.len()).collect(),
+        }
+    }
+}
+
 struct Handles {
     out_addr: u64,
     n_reads: usize,
@@ -57,15 +67,23 @@ impl QualitySumAccel {
     /// (paper Table IV row "Mark Duplicates").
     #[must_use]
     pub fn resource_report(&self) -> genesis_hw::ResourceReport {
+        let job = Job { qual: vec![0; 4], lens: vec![4] };
         let mut sys = genesis_hw::System::with_memory(self.cfg.mem.clone());
         for group in 0..self.cfg.pipelines {
-            let mut b = PipelineBuilder::new(&mut sys, group as u32);
-            let q = b.upload_column("READS.QUAL", &[0u8; 4], 1, PipelineBuilder::rows_from_lens(&[4]));
-            let sums_q = b.queue("sums");
-            let _ = b.writer("sums.out", sums_q, 8, 64);
-            sys.add_module(Box::new(Reducer::new("sum", ReduceOp::Sum, 0, q, sums_q)));
+            let _ = Self::build(&mut sys, group as u32, &job);
         }
         sys.resource_report()
+    }
+
+    /// Builds the Figure 10 pipeline for one job.
+    fn build(sys: &mut genesis_hw::System, group: u32, job: &Job) -> Handles {
+        let mut b = PipelineBuilder::new(sys, group);
+        let rows = PipelineBuilder::rows_from_lens(&job.lens);
+        let q = b.upload_column("READS.QUAL", &job.qual, 1, rows);
+        let sums_q = b.queue("sums");
+        let (_, out_addr) = b.writer("sums.out", sums_q, 8, job.lens.len() * 8);
+        sys.add_module(Box::new(Reducer::new("sum", ReduceOp::Sum, 0, q, sums_q)));
+        Handles { out_addr, n_reads: job.lens.len() }
     }
 
     /// Renders the Figure 10 pipeline wiring (one instance) as Graphviz dot.
@@ -74,16 +92,8 @@ impl QualitySumAccel {
     ///
     /// Returns [`CoreError::Table`] on malformed reads.
     pub fn dot_graph(&self, reads: &[ReadRecord]) -> Result<String, CoreError> {
-        let slice = &reads[..reads.len().min(4)];
-        let qual: Vec<u8> =
-            slice.iter().flat_map(|rd| rd.qual.iter().map(|q| q.value())).collect();
-        let lens: Vec<u32> = slice.iter().map(|rd| rd.len()).collect();
         let mut sys = genesis_hw::System::with_memory(self.cfg.mem.clone());
-        let mut b = PipelineBuilder::new(&mut sys, 0);
-        let q = b.upload_column("READS.QUAL", &qual, 1, PipelineBuilder::rows_from_lens(&lens));
-        let sums_q = b.queue("sums");
-        let _ = b.writer("sums.out", sums_q, 8, lens.len().max(1) * 8);
-        sys.add_module(Box::new(Reducer::new("sum", ReduceOp::Sum, 0, q, sums_q)));
+        let _ = Self::build(&mut sys, 0, &Job::of(&reads[..reads.len().min(4)]));
         Ok(sys.to_dot("Mark Duplicates pipeline (Figure 10)"))
     }
 
@@ -94,19 +104,7 @@ impl QualitySumAccel {
     /// Returns [`CoreError::Sim`] on simulation failure.
     pub fn run(&self, reads: &[ReadRecord]) -> Result<QualitySumRun, CoreError> {
         let ranges = split_ranges(reads.len(), self.cfg.pipelines);
-        let jobs: Vec<Job> = ranges
-            .iter()
-            .map(|r| {
-                let slice = &reads[r.clone()];
-                Job {
-                    qual: slice
-                        .iter()
-                        .flat_map(|rd| rd.qual.iter().map(|q| q.value()))
-                        .collect(),
-                    lens: slice.iter().map(|rd| rd.len()).collect(),
-                }
-            })
-            .collect();
+        let jobs: Vec<Job> = ranges.iter().map(|r| Job::of(&reads[r.clone()])).collect();
         let mut dma_in = 0u64;
         let mut dma_out = 0u64;
         let mut transfers = 0u64;
@@ -119,20 +117,7 @@ impl QualitySumAccel {
             &self.cfg,
             0,
             &jobs,
-            |sys, group, job| {
-                let mut b = PipelineBuilder::new(sys, group);
-                let q = b.upload_column(
-                    "READS.QUAL",
-                    &job.qual,
-                    1,
-                    PipelineBuilder::rows_from_lens(&job.lens),
-                );
-                let sums_q = b.queue("sums");
-                let (_, out_addr) =
-                    b.writer("sums.out", sums_q, 8, job.lens.len() * 8);
-                sys.add_module(Box::new(Reducer::new("sum", ReduceOp::Sum, 0, q, sums_q)));
-                Ok(Handles { out_addr, n_reads: job.lens.len() })
-            },
+            |sys, group, job| Ok(Self::build(sys, group, job)),
             |sys, h, _| Ok(bytes_to_u64(&sys.host_read(h.out_addr, h.n_reads * 8))),
             // Software oracle for graceful degradation: the same per-read
             // quality sums computed directly from the job payload.

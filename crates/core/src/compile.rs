@@ -11,10 +11,13 @@
 //! any supported [`LogicalPlan`] tree node by node into a hardware module
 //! graph and chooses a pipeline replication factor from the cost model
 //! (paper Figure 8). The result is an open [`PipelinePlan`] handle that can
-//! be inspected (`explain`, `replication`) and executed against a
-//! [`Catalog`] on the simulated device: a plan that compiles is a plan
-//! that runs. The paper's own Figure 4 script ([`figure4_script`])
-//! compiles into its Figure 7 pipeline: the `FOR` loop becomes per-read
+//! be inspected and executed against a [`Catalog`] on the simulated
+//! device: a plan that compiles is a plan that runs. Its `explain` prints
+//! the node → module lines the lowering wrote as it built the pipeline,
+//! and its `replication` the cost model's choice. `EXEC <module>` calls
+//! expand through a [`ModuleRegistry`] of plan templates before lowering.
+//! The paper's own Figure 4 script ([`figure4_script`]) compiles into its
+//! Figure 7 pipeline: the `FOR` loop becomes per-read
 //! items through ReadToBases and a Reducer, and the `LIMIT` window a
 //! reference scratchpad read by range. Unsupported shapes return a
 //! structured [`CoreError::Unsupported`] naming the offending node rather
@@ -74,15 +77,14 @@ impl Compiler {
         Compiler::with_registry(cfg, ModuleRegistry::with_builtins())
     }
 
-    /// A compiler with an explicit module registry — the way user
-    /// [`crate::library::CustomModuleSpec`]s become planner-placeable.
+    /// A compiler with an explicit module registry — the way a user
+    /// template ([`ModuleRegistry::register`]) becomes `EXEC`-placeable.
     #[must_use]
     pub fn with_registry(cfg: DeviceConfig, registry: ModuleRegistry) -> Compiler {
         Compiler { cfg, registry }
     }
 
-    /// The module registry this compiler resolves `EXEC` calls and
-    /// operator→module mappings against.
+    /// The module registry this compiler resolves `EXEC` calls against.
     #[must_use]
     pub fn registry(&self) -> &ModuleRegistry {
         &self.registry
@@ -101,13 +103,7 @@ impl Compiler {
     pub fn compile(&self, plan: &LogicalPlan, catalog: &Catalog) -> Result<PipelinePlan, CoreError> {
         let lowered = analyze(plan, catalog, &self.cfg)?;
         let replication = choose_replication_for(&lowered.profile, &self.cfg);
-        Ok(PipelinePlan {
-            plan: plan.clone(),
-            lowered,
-            replication,
-            cfg: self.cfg.clone(),
-            registry: self.registry.clone(),
-        })
+        Ok(PipelinePlan { lowered, replication, cfg: self.cfg.clone() })
     }
 
     /// Parses a whole extended-SQL script against this compiler's
@@ -140,21 +136,13 @@ pub(crate) fn choose_replication_for(
 /// [`Compiler::compile`].
 #[derive(Debug, Clone)]
 pub struct PipelinePlan {
-    plan: LogicalPlan,
     /// Shared with every job bound from this plan.
     lowered: Arc<Lowering>,
     replication: ReplicationChoice,
     cfg: DeviceConfig,
-    registry: ModuleRegistry,
 }
 
 impl PipelinePlan {
-    /// The source logical plan.
-    #[must_use]
-    pub fn plan(&self) -> &LogicalPlan {
-        &self.plan
-    }
-
     /// The cost model's replication decision for this pipeline, over the
     /// catalog it compiled against.
     #[must_use]
@@ -174,11 +162,12 @@ impl PipelinePlan {
         self.lowered.output_columns()
     }
 
-    /// The node → hardware-module mapping plus the replication decision,
-    /// one line per operator (paper §III-D's "tree graph").
+    /// The node → hardware-module mapping the lowering built, one line
+    /// per node (paper §III-D's "tree graph"), a `-> host` line per
+    /// host-side `Sort`/`Limit`, then the replication decision.
     #[must_use]
     pub fn explain(&self) -> String {
-        let mut out = explain(&self.plan, &self.registry);
+        let mut out = String::new();
         for line in &self.lowered.summary {
             out.push_str(line);
             out.push('\n');
@@ -233,8 +222,8 @@ impl PipelinePlan {
 
 /// Parses a script and reduces it to the final `INSERT` plan with all
 /// views inlined. `EXEC <module> in = _ …` statements resolve against
-/// `registry`: a placeable module's plan template expands into a view
-/// named `<module>_OUT` (matching the software engine's convention), so
+/// `registry`: the module's plan template expands into a view named
+/// `<module>_OUT` (matching the software engine's convention), so
 /// downstream statements can scan the module's output like any table.
 /// An `INSERT` inside `FOR var IN t` becomes a [`LogicalPlan::ForEach`]
 /// over `t`, and `SET` variables substitute into `LIMIT` bounds; a value
@@ -244,7 +233,7 @@ impl PipelinePlan {
 /// # Errors
 ///
 /// Parse failures surface as [`CoreError::Unsupported`] on the `Script`
-/// node; unknown `EXEC` module names as a did-you-mean
+/// node; an `EXEC` of a name with no template as a did-you-mean
 /// [`CoreError::Plan`] from [`ModuleRegistry::resolve`].
 pub fn script_to_plan(src: &str, registry: &ModuleRegistry) -> Result<LogicalPlan, CoreError> {
     let stmts =
@@ -329,14 +318,8 @@ fn collect(
                 }
             }
             Statement::Exec { module, inputs } => {
-                let entry = registry.resolve(module)?;
-                // Placeable modules expand into the plan; software-only
-                // customs stay host-side (the §III-B engine runs them),
-                // so their output view simply does not exist here.
-                if let Some(template) = registry.template(&entry.name) {
-                    let plan = inline_views(&template(inputs)?, script);
-                    script.views.insert(format!("{}_OUT", entry.name), plan);
-                }
+                let plan = inline_views(&registry.resolve(module)?(inputs)?, script);
+                script.views.insert(format!("{module}_OUT"), plan);
             }
             Statement::Set { name, expr } => {
                 let value = substitute(expr, &script.vars);
@@ -362,38 +345,6 @@ fn inline_views(plan: &LogicalPlan, script: &ScriptState) -> LogicalPlan {
     }
 }
 
-/// Produces the node → hardware-module mapping for a plan, one line per
-/// operator — the "tree graph where each node … is mapped to a Genesis
-/// hardware module" (paper §III-D).
-#[must_use]
-pub fn explain(plan: &LogicalPlan, registry: &ModuleRegistry) -> String {
-    fn walk(p: &LogicalPlan, registry: &ModuleRegistry, depth: usize, out: &mut String) {
-        let indent = "  ".repeat(depth);
-        let module = registry
-            .module_for_operator(p)
-            .map_or_else(|| "-".to_owned(), |k| format!("{k:?}"));
-        let label = match p {
-            LogicalPlan::Scan { table, .. } => format!("Scan({table})"),
-            LogicalPlan::Project { .. } => "Project".to_owned(),
-            LogicalPlan::Filter { .. } => "Filter".to_owned(),
-            LogicalPlan::Join { kind, .. } => format!("Join({kind:?})"),
-            LogicalPlan::Aggregate { .. } => "Aggregate".to_owned(),
-            LogicalPlan::Sort { .. } => "Sort (host)".to_owned(),
-            LogicalPlan::Limit { .. } => "Limit".to_owned(),
-            LogicalPlan::PosExplode { .. } => "PosExplode".to_owned(),
-            LogicalPlan::ReadExplode { .. } => "ReadExplode".to_owned(),
-            LogicalPlan::ForEach { var, .. } => format!("ForEach({var})"),
-        };
-        out.push_str(&format!("{indent}{label:<24} -> {module}\n"));
-        for input in p.inputs() {
-            walk(input, registry, depth + 1, out);
-        }
-    }
-    let mut out = String::new();
-    walk(plan, registry, 0, &mut out);
-    out
-}
-
 /// The paper's Figure 4 script (`scripts/figure4.sql`) over `READS
 /// PARTITION (0)` and `REF PARTITION (0)`, adapted to this dialect: the
 /// reference table's position column is selected as `POS` via an alias,
@@ -409,7 +360,6 @@ pub fn figure4_script() -> &'static str {
 mod tests {
     use super::*;
     use crate::cost::choose_replication;
-    use crate::library::CustomModuleSpec;
     use genesis_sql::ast::{BinOp, ColRef, Expr};
     use genesis_types::{Column, DataType, Field, Schema, Value};
 
@@ -471,15 +421,25 @@ mod tests {
     }
 
     #[test]
-    fn explain_lists_modules_per_node() {
-        let stmts = parse_script("INSERT INTO O SELECT SUM(Q) FROM READS").unwrap();
-        let Statement::Insert { query, .. } = &stmts[0] else { panic!() };
-        let plan = lower_query(query);
-        let text = explain(&plan, &registry());
-        assert!(text.contains("Aggregate"));
-        assert!(text.contains("Reducer"));
-        assert!(text.contains("Scan(READS)"));
-        assert!(text.contains("MemoryReader"));
+    fn explain_prints_the_lowering_then_host_epilogues() {
+        let mut catalog = Catalog::new();
+        catalog.register(
+            "READS",
+            genesis_types::Table::from_columns(
+                Schema::new(vec![Field::new("Q", DataType::U8)]),
+                vec![Column::U8(vec![5, 3, 9, 1])],
+            )
+            .unwrap(),
+        );
+        let compiled = Compiler::new(DeviceConfig::small())
+            .compile_sql("INSERT INTO O SELECT Q FROM READS ORDER BY Q LIMIT 1, 2", &catalog)
+            .unwrap();
+        let text = compiled.explain();
+        let lines: Vec<&str> = text.lines().collect();
+        let [scan, .., sort, limit, replication] = lines[..] else { panic!("got:\n{text}") };
+        assert!(scan.starts_with("Scan(READS) -> "), "got: {scan}");
+        assert_eq!([sort, limit], ["Sort -> host", "Limit -> host"]);
+        assert_eq!(replication, compiled.replication().summary());
     }
 
     #[test]
@@ -496,36 +456,34 @@ mod tests {
 
     #[test]
     fn exec_unknown_module_is_a_did_you_mean_plan_error() {
-        let src = "EXEC ReadToBasses R = _\nINSERT INTO O SELECT COUNT(*) FROM R";
-        let err = script_to_plan(src, &registry()).unwrap_err();
-        let CoreError::Plan { node, reason } = err else { panic!("want Plan error") };
-        assert_eq!(node, "Exec");
-        assert!(reason.contains("ReadToBases"), "got: {reason}");
+        // A hardware block with no template (`Joiner`) is no more an
+        // `EXEC` module than a typo is.
+        for module in ["ReadToBasses", "Joiner"] {
+            let src = format!("EXEC {module} R = _\nINSERT INTO O SELECT COUNT(*) FROM R");
+            let err = script_to_plan(&src, &registry()).unwrap_err();
+            let CoreError::Plan { node, reason } = err else { panic!("want Plan error") };
+            assert_eq!(node, "Exec");
+            assert!(reason.contains(&format!("unknown module `{module}`")), "got: {reason}");
+            assert!(reason.contains("ReadToBases"), "got: {reason}");
+        }
     }
 
     #[test]
     fn custom_module_is_planner_placeable_from_sql() {
         let mut reg = ModuleRegistry::with_builtins();
-        reg.register_custom(
-            CustomModuleSpec::new("HighQual", "keeps rows with QUAL >= 10")
-                .schema(&["rows"], &["rows"])
-                .plan_template(|inputs| {
-                    let [table] = inputs else {
-                        return Err(CoreError::plan("Exec", "HighQual takes 1 input"));
-                    };
-                    Ok(LogicalPlan::Filter {
-                        input: Box::new(LogicalPlan::Scan {
-                            table: table.clone(),
-                            partition: None,
-                        }),
-                        pred: Expr::Bin {
-                            op: BinOp::Ge,
-                            lhs: Box::new(Expr::Col(ColRef::bare("QUAL"))),
-                            rhs: Box::new(Expr::Number(10)),
-                        },
-                    })
-                }),
-        );
+        reg.register("HighQual", |inputs| {
+            let [table] = inputs else {
+                return Err(CoreError::plan("Exec", "HighQual takes 1 input"));
+            };
+            Ok(LogicalPlan::Filter {
+                input: Box::new(LogicalPlan::Scan { table: table.clone(), partition: None }),
+                pred: Expr::Bin {
+                    op: BinOp::Ge,
+                    lhs: Box::new(Expr::Col(ColRef::bare("QUAL"))),
+                    rhs: Box::new(Expr::Number(10)),
+                },
+            })
+        });
         let mut catalog = Catalog::new();
         catalog.register(
             "READS",

@@ -3,8 +3,10 @@
 //! The Genesis framework itself (paper §III): everything that sits between
 //! the extended-SQL front end and the simulated FPGA fabric.
 //!
-//! * [`library`] — the hardware library catalog: which relational operator
-//!   maps to which hardware module (paper Figure 6 and §III-D).
+//! * [`library`] — the `EXEC` module registry: the name → plan-template
+//!   map an `EXEC <module>` call expands through (paper §III-F). Which
+//!   hardware modules a plan node maps to is the lowering's answer alone,
+//!   printed by [`PipelinePlan::explain`].
 //! * [`compile`] — the logical-plan → hardware-pipeline translator. The
 //!   paper performs this step manually and "envisions it to be automated";
 //!   this module implements the automated translation for the supported

@@ -602,8 +602,10 @@ fn walk_cigar(packed: &[u64], node: &str) -> Result<CigarWalk, CoreError> {
     let mut w =
         CigarWalk { out_rows: 0, ref_len: 0, seq_len: 0, has_ins: false, has_del: false };
     for &p in packed {
-        let elem = genesis_types::CigarElem::unpack(p as u16)
-            .map_err(|e| CoreError::unsupported(node, format!("bad CIGAR element: {e}")))?;
+        let p = u16::try_from(p).map_err(|_| {
+            CoreError::unsupported(node, format!("CIGAR element {p:#x} is wider than 16 bits"))
+        })?;
+        let elem = genesis_types::CigarElem::unpack(p);
         let n = elem.len as usize;
         match elem.op {
             CigarOp::Match | CigarOp::SeqMatch | CigarOp::SeqMismatch => {

@@ -203,7 +203,9 @@ pub(crate) struct Lowering {
     /// Port/fabric demand of one pipeline (input to the replication
     /// chooser).
     pub(crate) profile: PipelineProfile,
-    /// Human-readable node→module mapping lines.
+    /// Human-readable node→module mapping lines, one per node the build
+    /// lowered, then one `-> host` line per epilogue: the whole of what
+    /// [`crate::compile::PipelinePlan::explain`] says the plan builds.
     pub(crate) summary: Vec<String>,
 }
 
@@ -460,6 +462,14 @@ fn analyze_on(
         selectivity: selectivity(&prepared),
     };
     summary.extend(ctx.summary);
+    // The host replays the peeled epilogues on the merged output.
+    summary.extend(epilogues.iter().map(|e| {
+        let node = match e {
+            Epilogue::Sort { .. } => "Sort",
+            Epilogue::Limit { .. } => "Limit",
+        };
+        format!("{node} -> host")
+    }));
     let lowering = Arc::new(Lowering {
         core,
         epilogues,

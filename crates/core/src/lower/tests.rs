@@ -573,6 +573,25 @@ fn explode_rejects_rows_that_are_not_lists_of_numbers() {
         unsupported(&plan, &catalog_of("T", vec![("A", Column::U32(vec![4]))])),
         pair("PosExplode", "column A has type U32, not a per-row list")
     );
+    // A packed CIGAR element is 16 bits: a wider one is rejected, never
+    // read as the element its low 16 bits spell (`4M` here).
+    let plan = LogicalPlan::ReadExplode {
+        input: Box::new(scan("T")),
+        pos: Expr::Col(ColRef::bare("POS")),
+        cigar: ColRef::bare("CIGAR"),
+        seq: ColRef::bare("SEQ"),
+        qual: None,
+    };
+    let wide = Column::Cell(vec![Value::List(vec![Value::U64((1 << 20) | 4)])]);
+    let reads = vec![
+        ("POS", Column::U32(vec![7])),
+        ("CIGAR", wide),
+        ("SEQ", Column::ListU8(vec![vec![0, 1, 2, 3]])),
+    ];
+    assert_eq!(
+        unsupported(&plan, &catalog_of("T", reads)),
+        pair("ReadExplode", "CIGAR element 0x100004 is wider than 16 bits")
+    );
 }
 
 #[test]
@@ -701,7 +720,9 @@ fn explained_modules(line: &str, counts: &mut BTreeMap<String, usize>) {
 }
 
 /// The explain lines are the node → module map: for every script, with
-/// pushdown on and off, the modules they name are exactly the modules the
+/// pushdown on and off, a compiled plan's explain is the lowering's lines,
+/// one `-> host` line per host epilogue and the replication line, and the
+/// modules the lowering's lines name are exactly the modules the
 /// analysis build added, per kind and with multiplicity (a multi-column
 /// scan's `MemoryReader (2 columns)` is one module). And a column names a
 /// field: no build selects or reorders one row's fields with a one-input
@@ -713,6 +734,7 @@ fn explained_modules(line: &str, counts: &mut BTreeMap<String, usize>) {
 fn explain_lines_name_every_module_the_build_adds() {
     let catalog = scripts_catalog();
     let registry = crate::library::ModuleRegistry::with_builtins();
+    let mut epilogues = 0;
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts");
     let mut scripts: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
@@ -728,8 +750,21 @@ fn explain_lines_name_every_module_the_build_adds() {
             let cfg = DeviceConfig::default().with_pushdown(pushdown);
             let (low, sys) = analyze_on(&plan, &catalog, &cfg)
                 .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let compiled = crate::compile::Compiler::new(cfg).compile(&plan, &catalog).unwrap();
+            let explain = low.summary.join("\n");
+            let replication = compiled.replication().summary();
+            assert_eq!(compiled.explain(), format!("{explain}\n{replication}\n"));
+            epilogues += low.epilogues.len();
+            let (lowered, host) = low.summary.split_at(low.summary.len() - low.epilogues.len());
+            for (line, epilogue) in host.iter().zip(&low.epilogues) {
+                let node = match epilogue {
+                    Epilogue::Sort { .. } => "Sort",
+                    Epilogue::Limit { .. } => "Limit",
+                };
+                assert_eq!(*line, format!("{node} -> host"), "{}", path.display());
+            }
             let mut named = BTreeMap::new();
-            for line in low.summary.iter().filter(|l| !l.starts_with("Pushdown(")) {
+            for line in lowered.iter().filter(|l| !l.starts_with("Pushdown(")) {
                 explained_modules(line, &mut named);
             }
             // The graph's module nodes read `m<i> [label="<label>\n(<kind>)", …]`.
@@ -768,10 +803,10 @@ fn explain_lines_name_every_module_the_build_adds() {
                     path.display()
                 );
             }
-            let explain = low.summary.join("\n");
             assert_eq!(named, built, "{} (pushdown {pushdown}):\n{explain}", path.display());
         }
     }
+    assert!(epilogues > 0, "no script sorts or limits on the host");
 }
 
 /// Every module a replicated build adds carries its replica's prefix, as

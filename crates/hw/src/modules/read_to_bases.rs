@@ -15,7 +15,9 @@ use genesis_types::{CigarElem, CigarOp};
 pub struct ReadToBasesInputs {
     /// One flit per read: the leftmost aligned position.
     pub pos: QueueId,
-    /// Packed 16-bit CIGAR elements per read.
+    /// Packed 16-bit CIGAR elements per read. The module reads a CIGAR
+    /// flit's low 16 bits; the lowering rejects a wider element before it
+    /// streams.
     pub cigar: QueueId,
     /// Base codes per read (optional: without them the bases' positions
     /// stream alone, each base field `Empty`).
@@ -267,21 +269,16 @@ impl Module for ReadToBases {
                 let packed = head.field(0).val_or_zero() as u16;
                 ctx.queues.get_mut(cigar).pop();
                 busy |= CIGAR;
-                match CigarElem::unpack(packed) {
-                    Ok(e) if e.len > 0 && self.moves(e.op) => {
-                        self.elem = Some((e.op, e.len));
-                        (e.op, e.len)
+                let e = CigarElem::unpack(packed);
+                if e.len == 0 || !self.moves(e.op) {
+                    // A clip no stream reads, or an empty element.
+                    if e.op.consumes_read() {
+                        self.seq_idx += u64::from(e.len);
                     }
-                    Ok(e) => {
-                        // A clip no stream reads, or an empty element.
-                        if e.op.consumes_read() {
-                            self.seq_idx += u64::from(e.len);
-                        }
-                        return Tick::Active;
-                    }
-                    // Malformed element: skip it.
-                    Err(_) => return Tick::Active,
+                    return Tick::Active;
                 }
+                self.elem = Some((e.op, e.len));
+                (e.op, e.len)
             }
         };
         let reads = op.consumes_read();

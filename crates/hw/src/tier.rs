@@ -7,7 +7,7 @@
 //! between three tiers — resident SPM, device DRAM, and host DRAM behind a
 //! PCIe link model with its own latency, bandwidth, and inflight cap.
 //!
-//! The model is **timing-only**: [`crate::Spm`] always holds the full
+//! The model is **timing-only**: [`crate::spm::Spm`] always holds the full
 //! contents, so results are bit-identical with tiering on or off. What the
 //! tier layer adds is *when* an access may proceed. A module touching a
 //! non-resident page parks on a timed wake
@@ -20,7 +20,7 @@
 //! cycle, so every state transition here must be driven only by the
 //! *initiating* tick, never by re-ticks:
 //!
-//! - While any page a module needs is in flight, [`TierState::access`]
+//! - While any page a module needs is in flight, `TierState::access`
 //!   takes a pure pre-scan path that returns the pending ready time
 //!   without mutating anything.
 //! - Pages a waiting module needs are pinned (`pin_until`) for the whole

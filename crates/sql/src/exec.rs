@@ -347,7 +347,10 @@ fn read_explode(
             let p = packed
                 .as_u64()
                 .ok_or_else(|| SqlError::Eval("CIGAR element not numeric".into()))?;
-            let elem = CigarElem::unpack(p as u16).map_err(SqlError::Table)?;
+            let p = u16::try_from(p).map_err(|_| {
+                SqlError::Eval(format!("CIGAR element {p:#x} is wider than 16 bits"))
+            })?;
+            let elem = CigarElem::unpack(p);
             for _ in 0..elem.len {
                 match elem.op {
                     CigarOp::Match | CigarOp::SeqMatch | CigarOp::SeqMismatch => {
@@ -928,6 +931,22 @@ mod tests {
         assert_eq!(s.get(5, "QUAL").unwrap(), Value::Del);
         assert_eq!(s.get(0, "POS").unwrap(), Value::U64(104));
         assert_eq!(s.get(7, "POS").unwrap(), Value::U64(110));
+        // A packed element is 16 bits: a wider one is an error, never the
+        // element its low 16 bits spell (`4M` here).
+        let mut cat = catalog_with(
+            "R",
+            vec![
+                ("POS", Column::U32(vec![104])),
+                ("CIGAR", Column::Cell(vec![Value::List(vec![Value::U64((1 << 20) | 4)])])),
+                ("SEQ", Column::ListU8(vec![vec![0, 1, 2, 3]])),
+            ],
+        );
+        let err = Script::parse("CREATE TABLE S AS ReadExplode(R.POS, R.CIGAR, R.SEQ) FROM R")
+            .unwrap()
+            .run(&mut cat)
+            .unwrap_err();
+        let want = "evaluation error: CIGAR element 0x100004 is wider than 16 bits";
+        assert_eq!(err.to_string(), want);
     }
 
     #[test]

@@ -79,22 +79,6 @@ impl CigarOp {
             CigarOp::SeqMismatch => 7,
         }
     }
-
-    /// Inverse of [`CigarOp::code`]. Returns `None` for codes above 7.
-    #[must_use]
-    pub fn from_code(code: u8) -> Option<CigarOp> {
-        Some(match code {
-            0 => CigarOp::Match,
-            1 => CigarOp::Ins,
-            2 => CigarOp::Del,
-            3 => CigarOp::SoftClip,
-            4 => CigarOp::HardClip,
-            5 => CigarOp::RefSkip,
-            6 => CigarOp::SeqMatch,
-            7 => CigarOp::SeqMismatch,
-            _ => return None,
-        })
-    }
 }
 
 impl TryFrom<char> for CigarOp {
@@ -120,6 +104,18 @@ impl fmt::Display for CigarOp {
         write!(f, "{}", self.to_char())
     }
 }
+
+/// The operations by [`CigarOp::code`]: every 3-bit code is one.
+const CODE_OPS: [CigarOp; 8] = [
+    CigarOp::Match,
+    CigarOp::Ins,
+    CigarOp::Del,
+    CigarOp::SoftClip,
+    CigarOp::HardClip,
+    CigarOp::RefSkip,
+    CigarOp::SeqMatch,
+    CigarOp::SeqMismatch,
+];
 
 /// One `(run length, operation)` element of a CIGAR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -155,15 +151,11 @@ impl CigarElem {
         Ok((u16::from(self.op.code()) << 13) | self.len as u16)
     }
 
-    /// Unpacks a 16-bit element produced by [`CigarElem::pack`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TypeError::InvalidCigar`] for op codes outside the table.
-    pub fn unpack(packed: u16) -> Result<CigarElem, TypeError> {
-        let op = CigarOp::from_code((packed >> 13) as u8)
-            .ok_or_else(|| TypeError::InvalidCigar(format!("bad packed op in {packed:#06x}")))?;
-        Ok(CigarElem { len: u32::from(packed & 0x1fff), op })
+    /// Unpacks a 16-bit element produced by [`CigarElem::pack`]. Every
+    /// 16-bit value is one: its top 3 bits are always an op code.
+    #[must_use]
+    pub fn unpack(packed: u16) -> CigarElem {
+        CigarElem { len: u32::from(packed & 0x1fff), op: CODE_OPS[usize::from(packed >> 13)] }
     }
 }
 
@@ -281,9 +273,9 @@ impl Cigar {
     ///
     /// # Errors
     ///
-    /// Returns [`TypeError::InvalidCigar`] for malformed packed elements.
+    /// Returns [`TypeError::InvalidCigar`] for an element of run length 0.
     pub fn unpack(packed: &[u16]) -> Result<Cigar, TypeError> {
-        Cigar::new(packed.iter().map(|&p| CigarElem::unpack(p)).collect::<Result<_, _>>()?)
+        Cigar::new(packed.iter().map(|&p| CigarElem::unpack(p)).collect())
     }
 
     /// True when the CIGAR has no elements (an unmapped read).
