@@ -259,10 +259,10 @@ impl BqsrAccel {
             |sys, group, job| Ok(self.build(sys, group, job)),
             |sys, h, _| {
                 Ok(JobCounts {
-                    total1: bytes_to_u32(&sys.host_read(h.total1_addr, h.b1_bins * 4)),
-                    total2: bytes_to_u32(&sys.host_read(h.total2_addr, h.b2_bins * 4)),
-                    err1: bytes_to_u32(&sys.host_read(h.err1_addr, h.b1_bins * 4)),
-                    err2: bytes_to_u32(&sys.host_read(h.err2_addr, h.b2_bins * 4)),
+                    total1: bytes_to_u32(sys.host_read(h.total1_addr, h.b1_bins * 4)),
+                    total2: bytes_to_u32(sys.host_read(h.total2_addr, h.b2_bins * 4)),
+                    err1: bytes_to_u32(sys.host_read(h.err1_addr, h.b1_bins * 4)),
+                    err2: bytes_to_u32(sys.host_read(h.err2_addr, h.b2_bins * 4)),
                 })
             },
             // Software oracle for graceful degradation: GATK covariate

@@ -118,7 +118,7 @@ impl QualitySumAccel {
             0,
             &jobs,
             |sys, group, job| Ok(Self::build(sys, group, job)),
-            |sys, h, _| Ok(bytes_to_u64(&sys.host_read(h.out_addr, h.n_reads * 8))),
+            |sys, h, _| Ok(bytes_to_u64(sys.host_read(h.out_addr, h.n_reads * 8))),
             // Software oracle for graceful degradation: the same per-read
             // quality sums computed directly from the job payload.
             Some(|_, job: &Job| {

@@ -172,8 +172,8 @@ impl MetadataAccel {
             &jobs,
             |sys, group, job| Ok(Self::build(sys, group, job)),
             |sys, h, _| {
-                let nm = bytes_to_u32(&sys.host_read(h.nm_addr, h.n_reads * 4));
-                let uq = bytes_to_u32(&sys.host_read(h.uq_addr, h.n_reads * 4));
+                let nm = bytes_to_u32(sys.host_read(h.nm_addr, h.n_reads * 4));
+                let uq = bytes_to_u32(sys.host_read(h.uq_addr, h.n_reads * 4));
                 let writer = sys
                     .module_as::<MemWriter>(h.md_writer)
                     .expect("MD writer handle");

@@ -11,8 +11,13 @@ use genesis_hw::modules::spm_updater::{SpmUpdateMode, SpmUpdater};
 use genesis_hw::modules::Module;
 use genesis_hw::system::ModuleId;
 use genesis_hw::{QueueId, System};
-use std::fmt::Display;
+use std::fmt::{Display, Write as _};
 use std::sync::Arc;
+
+/// Bytes a label's buffer starts with: every label of the shipped scripts
+/// fits, so each is one allocation (a longer table or column name grows it
+/// once).
+const LABEL_CAPACITY: usize = 32;
 
 /// A builder scoped to one pipeline instance within a [`System`]: it
 /// assigns all memory ports of the pipeline to the same local-arbiter
@@ -36,24 +41,28 @@ impl<'s> PipelineBuilder<'s> {
         self.sys
     }
 
+    /// `name` namespaced: formatted once, into the string the queue or
+    /// module keeps.
     fn label(&self, name: impl Display) -> String {
-        format!("p{}.{name}", self.group)
+        let mut label = String::with_capacity(LABEL_CAPACITY);
+        let _ = write!(label, "p{}.{name}", self.group);
+        label
     }
 
     /// Adds a namespaced queue.
-    pub fn queue(&mut self, name: &str) -> QueueId {
+    pub fn queue(&mut self, name: impl Display) -> QueueId {
         let label = self.label(name);
-        self.sys.add_queue(&label)
+        self.sys.add_queue(label)
     }
 
     /// Adds the module `make(label)`, `label` being `name` namespaced.
     pub(crate) fn module(
         &mut self,
         name: impl Display,
-        make: impl FnOnce(&str) -> Box<dyn Module>,
+        make: impl FnOnce(String) -> Box<dyn Module>,
     ) -> ModuleId {
         let label = self.label(name);
-        self.sys.add_module(make(&label))
+        self.sys.add_module(make(label))
     }
 
     /// Uploads `vals` as a column of `elem_bytes`-wide little-endian
@@ -67,7 +76,7 @@ impl<'s> PipelineBuilder<'s> {
     /// Panics on an element width the Memory Reader does not support.
     pub fn upload_column<T: Copy + Into<u64>>(
         &mut self,
-        name: &str,
+        name: impl Display,
         vals: &[T],
         elem_bytes: usize,
         rows: RowSpec,
@@ -79,13 +88,13 @@ impl<'s> PipelineBuilder<'s> {
     /// each narrowing straight into device memory where the last ended.
     pub(crate) fn upload_parts<T: Copy + Into<u64>>(
         &mut self,
-        name: &str,
+        name: impl Display,
         parts: &[&[T]],
         elem_bytes: usize,
         rows: RowSpec,
     ) -> QueueId {
         let (base_addr, total_elems) = self.write_parts(parts, elem_bytes);
-        let out = self.queue(&format!("{name}.out"));
+        let out = self.queue(format_args!("{name}.out"));
         let port = self.sys.register_mem_port(self.group);
         let config = MemReaderConfig { base_addr, elem_bytes, total_elems, rows };
         self.module(name, |l| Box::new(MemReader::new(l, config, port, out)));
@@ -105,7 +114,7 @@ impl<'s> PipelineBuilder<'s> {
     /// [`MAX_FIELDS`]: genesis_hw::word::MAX_FIELDS
     pub(crate) fn upload_rows<T: Copy + Into<u64>>(
         &mut self,
-        name: &str,
+        name: impl Display,
         cols: &[(&[T], usize)],
     ) -> QueueId {
         let rows = cols.first().map_or(0, |&(vals, _)| vals.len());
@@ -116,7 +125,7 @@ impl<'s> PipelineBuilder<'s> {
             let port = self.sys.register_mem_port(self.group);
             lanes.push(ReaderColumn { base_addr, elem_bytes, port });
         }
-        let out = self.queue(&format!("{name}.out"));
+        let out = self.queue(format_args!("{name}.out"));
         self.module(name, |l| Box::new(RowReader::new(l, lanes, rows as u64, out)));
         out
     }
@@ -166,18 +175,18 @@ impl<'s> PipelineBuilder<'s> {
     /// that stream.
     pub(crate) fn ref_window<T: Copy + Into<u64>>(
         &mut self,
-        cols: &[(&str, &[T], usize, usize)],
+        cols: &[(impl Display, &[T], usize, usize)],
         start: QueueId,
         end: QueueId,
         base: u64,
     ) -> QueueId {
         let mut spms = Vec::with_capacity(cols.len());
         let mut gates = Vec::with_capacity(cols.len());
-        for &(label, vals, elem_bytes, bits) in cols {
+        for &(ref label, vals, elem_bytes, bits) in cols {
             let stream = self.upload_column(label, vals, elem_bytes, RowSpec::None);
             let len = vals.len().max(1);
-            let spm = self.sys.spms_mut().add_packed(&format!("{label}.spm"), len, bits);
-            let gate = self.queue(&format!("{label}.gate"));
+            let spm = self.sys.spms_mut().add_packed(format!("{label}.spm"), len, bits);
+            let gate = self.queue(format_args!("{label}.gate"));
             let mode = SpmUpdateMode::Sequential { base: 0 };
             self.module(format_args!("{label}.load"), |l| {
                 Box::new(SpmUpdater::new(l, spm, mode, 0, 0, stream).with_done_signal(gate))
@@ -197,7 +206,7 @@ impl<'s> PipelineBuilder<'s> {
     /// `input`; returns (writer module id, base address) for readback.
     pub fn writer(
         &mut self,
-        name: &str,
+        name: impl Display,
         input: QueueId,
         elem_bytes: usize,
         capacity_bytes: usize,
@@ -212,7 +221,7 @@ impl<'s> PipelineBuilder<'s> {
     /// module id and each column's base address, in `fields` order.
     pub(crate) fn row_writer(
         &mut self,
-        name: &str,
+        name: impl Display,
         input: QueueId,
         fields: &[usize],
         elem_bytes: usize,
@@ -234,7 +243,7 @@ impl<'s> PipelineBuilder<'s> {
     /// Convenience for per-read variable-length row specs.
     #[must_use]
     pub fn rows_from_lens(lens: &[u32]) -> RowSpec {
-        RowSpec::Lens(Arc::new(lens.to_vec()))
+        RowSpec::Lens(Arc::from(lens))
     }
 }
 
@@ -253,7 +262,7 @@ mod tests {
         let (writer, addr) = b.writer("out", rq, 8, 64);
         sys.add_module(Box::new(Reducer::new("sum", ReduceOp::Sum, 0, q, rq)));
         sys.run(100_000).unwrap();
-        let sums = crate::columns::bytes_to_u64(&sys.host_read(addr, 16));
+        let sums = crate::columns::bytes_to_u64(sys.host_read(addr, 16));
         assert_eq!(sums, vec![6, 15]);
         assert_eq!(sys.module_as::<MemWriter>(writer).unwrap().row_lens(), &[1, 1]);
     }

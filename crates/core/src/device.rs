@@ -328,7 +328,7 @@ pub(crate) fn run_batches<J, H, R>(
     slot: u64,
     jobs: &[J],
     build: impl Fn(&mut System, u32, &J) -> Result<H, CoreError> + Sync,
-    extract: impl Fn(&System, &H, &J) -> Result<R, CoreError> + Sync,
+    extract: impl Fn(&System, H, &J) -> Result<R, CoreError> + Sync,
 ) -> Result<(Vec<R>, AccelStats), CoreError>
 where
     J: Sync,
@@ -359,7 +359,7 @@ pub(crate) fn run_batches_with_oracle<J, H, R, O>(
     slot: u64,
     jobs: &[J],
     build: impl Fn(&mut System, u32, &J) -> Result<H, CoreError> + Sync,
-    extract: impl Fn(&System, &H, &J) -> Result<R, CoreError> + Sync,
+    extract: impl Fn(&System, H, &J) -> Result<R, CoreError> + Sync,
     oracle: Option<O>,
 ) -> Result<(Vec<R>, AccelStats), CoreError>
 where
@@ -397,8 +397,7 @@ where
             }
             sys.set_engine(cfg.engine);
             let run = sys.run(CYCLE_BUDGET)?;
-            let report = sys.stall_report();
-            let totals = report.totals();
+            let totals = sys.stall_totals();
             let tier = sys.tier_stats().unwrap_or_default();
             let stats = AccelStats {
                 cycles: run.cycles,
@@ -423,10 +422,11 @@ where
                 ..AccelStats::default()
             };
             let mut results = Vec::with_capacity(chunk.len());
-            for (handle, job) in handles.iter().zip(chunk) {
+            for (handle, job) in handles.into_iter().zip(chunk) {
                 results.push(extract(&sys, handle, job)?);
             }
-            let obs = sys.take_trace().map(|buf| (buf, report));
+            // Only a traced run keeps the per-module report (and its labels).
+            let obs = sys.take_trace().map(|buf| (buf, sys.stall_report()));
             Ok((results, stats, obs))
         };
         catch_unwind(AssertUnwindSafe(sim)).unwrap_or_else(|payload| {
@@ -709,15 +709,15 @@ mod tests {
             0,
             &jobs,
             |sys, i, &job| {
-                let q = sys.add_queue(&format!("q{i}"));
+                let q = sys.add_queue(format!("q{i}"));
                 sys.add_module(Box::new(StreamSource::from_items(
-                    &format!("src{i}"),
+                    format!("src{i}"),
                     q,
                     &[vec![job]],
                 )));
-                Ok(sys.add_module(Box::new(StreamSink::new(&format!("sink{i}"), q))))
+                Ok(sys.add_module(Box::new(StreamSink::new(format!("sink{i}"), q))))
             },
-            |sys, &h, &job| {
+            |sys, h, &job| {
                 let vals = sys.sink_values(h);
                 assert_eq!(vals.len(), 1);
                 Ok(vals[0].val_or_zero() + job)

@@ -29,6 +29,7 @@ use genesis_hw::QueueId;
 use genesis_sql::ast::{AggFn, ColRef, Expr, JoinKind, SelectItem};
 use genesis_sql::LogicalPlan;
 use std::borrow::Cow;
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -86,6 +87,9 @@ pub(super) struct BuildCtx<'a> {
     pub(super) reads: Vec<usize>,
     pub(super) writes: Vec<usize>,
     uniq: usize,
+    /// Whether this build formats its explain lines into `summary`: only
+    /// the analysis build explains the plan, so no replica pays for them.
+    explain: bool,
     pub(super) summary: Vec<String>,
     /// Largest dense GROUP BY key domain this device admits
     /// ([`MAX_GROUP_DOMAIN`], lifted to [`MAX_GROUP_DOMAIN_TIERED`] when
@@ -103,8 +107,9 @@ pub(super) struct BuildCtx<'a> {
     /// the stream-sink writer allocations; explodes raise it above the
     /// spine row count).
     rows_bound: usize,
-    /// Device memory the sink writers allocated (recorded by the analysis
-    /// build so a bind can reserve it up front).
+    /// Device memory the scalar aggregate's writers allocated (recorded by
+    /// the analysis build so a bind can reserve it up front; the other
+    /// sinks' shares are derived per replica or left to the store).
     pub(super) sink_bytes: usize,
     /// The pipeline runs a loop body ([`EachRow`]).
     ///
@@ -121,6 +126,7 @@ impl<'a> BuildCtx<'a> {
         cuts: &'a [Cut],
         group_domain_cap: u64,
         per_row: bool,
+        explain: bool,
     ) -> BuildCtx<'a> {
         let spine_range = cuts[0].rows.clone();
         let rows_bound = spine_range.len();
@@ -134,6 +140,7 @@ impl<'a> BuildCtx<'a> {
             reads: Vec::new(),
             writes: Vec::new(),
             uniq: 0,
+            explain,
             summary: Vec::new(),
             group_domain_cap,
             expansion: 1.0,
@@ -144,13 +151,23 @@ impl<'a> BuildCtx<'a> {
         }
     }
 
-    fn lbl(&mut self, name: &str) -> String {
+    /// The label `{name}.{n}`, unique within the pipeline.
+    fn lbl<'n>(&mut self, name: &'n str) -> Tag<'n> {
         self.uniq += 1;
-        format!("{name}.{}", self.uniq)
+        Tag { scope: None, name, n: self.uniq }
     }
 
-    fn note(&mut self, line: String) {
-        self.summary.push(line);
+    /// The label `{scope}.{name}.{n}` of a column `name` of table `scope`.
+    fn col_lbl<'n>(&mut self, scope: &'n str, name: &'n str) -> Tag<'n> {
+        self.uniq += 1;
+        Tag { scope: Some(scope), name, n: self.uniq }
+    }
+
+    /// Records the explain line `line()` when this build explains.
+    fn note(&mut self, line: impl FnOnce() -> String) {
+        if self.explain {
+            self.summary.push(line());
+        }
     }
 
     /// The next prepared leaf in build order, with its index.
@@ -165,10 +182,10 @@ impl<'a> BuildCtx<'a> {
         &mut self,
         b: &mut PipelineBuilder<'_>,
         name: &str,
-        make: impl FnOnce(&str) -> Box<dyn Module>,
+        make: impl FnOnce(String) -> Box<dyn Module>,
     ) {
-        self.uniq += 1;
-        b.module(format_args!("{name}.{}", self.uniq), make);
+        let label = self.lbl(name);
+        b.module(label, make);
     }
 
     /// Adds the module `make(label, out)` writing a fresh queue `out`, the
@@ -177,11 +194,30 @@ impl<'a> BuildCtx<'a> {
         &mut self,
         b: &mut PipelineBuilder<'_>,
         (queue, module): (&str, &str),
-        make: impl FnOnce(&str, QueueId) -> Box<dyn Module>,
+        make: impl FnOnce(String, QueueId) -> Box<dyn Module>,
     ) -> QueueId {
-        let out = b.queue(&self.lbl(queue));
+        let out = b.queue(self.lbl(queue));
         self.module(b, module, |l| make(l, out));
         out
+    }
+}
+
+/// A module, queue or scratchpad label within one pipeline: `{name}.{n}`,
+/// or `{scope}.{name}.{n}` for a table's column. Formatted once, by whoever
+/// keeps it.
+#[derive(Debug, Clone, Copy)]
+struct Tag<'n> {
+    scope: Option<&'n str>,
+    name: &'n str,
+    n: usize,
+}
+
+impl fmt::Display for Tag<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(scope) = self.scope {
+            write!(f, "{scope}.")?;
+        }
+        write!(f, "{}.{}", self.name, self.n)
     }
 }
 
@@ -326,16 +362,16 @@ fn upload_trimmed(
     let inner_cigar = &cigar.vals[inner_start..inner_start + inner_len];
     let first_pos = pos.vals[first].saturating_add((items.start - off[first]) as u64);
     let mut upload = |c: &PreparedCol, parts: &[&[u64]], spec: RowSpec| {
-        let label = ctx.lbl(&format!("{}.{}", ps.table, c.name));
+        let label = ctx.col_lbl(&ps.table, &c.name);
         ctx.reads.push(c.elem_bytes);
-        b.upload_parts(&label, parts, c.elem_bytes, spec)
+        b.upload_parts(label, parts, c.elem_bytes, spec)
     };
     let mut qs = vec![
         upload(pos, &[&[first_pos], &pos.vals[first + 1..rows.end]], RowSpec::Fixed(1)),
-        upload(cigar, &[&head, inner_cigar, &tail], RowSpec::Lens(Arc::new(cigar_lens))),
+        upload(cigar, &[&head, inner_cigar, &tail], RowSpec::Lens(Arc::from(cigar_lens))),
     ];
     for c in data {
-        let lens = RowSpec::Lens(Arc::new(rows.clone().map(kept).collect()));
+        let lens = RowSpec::Lens(rows.clone().map(kept).collect());
         qs.push(upload(c, &[&c.vals[items.clone()]], lens));
     }
     Ok(qs)
@@ -369,12 +405,12 @@ fn build_explode<'a>(
         qs = upload_trimmed(b, ctx, ps, &range, items)?;
     }
     for c in &ps.cols[qs.len()..] {
-        let label = ctx.lbl(&format!("{table}.{}", c.name));
+        let label = ctx.col_lbl(table, &c.name);
         let q = match &c.lens {
             // One delimiter per row keeps POS aligned with the per-read
             // runs of the list streams.
             None => b.upload_column(
-                &label,
+                label,
                 &c.vals[range.clone()],
                 c.elem_bytes,
                 RowSpec::Fixed(1),
@@ -386,7 +422,7 @@ fn build_explode<'a>(
                     lens[range.clone()].iter().map(|&l| l as usize).sum();
                 let rows = PipelineBuilder::rows_from_lens(&lens[range.clone()]);
                 b.upload_column(
-                    &label,
+                    label,
                     &c.vals[flat_start..flat_start + flat_len],
                     c.elem_bytes,
                     rows,
@@ -413,13 +449,15 @@ fn build_explode<'a>(
     ctx.expansion = ctx.expansion.max(out_rows as f64 / in_rows as f64);
     ctx.rows_bound = ctx.rows_bound.max(out_rows);
     let per_row = ctx.per_row;
-    ctx.note(format!(
-        "{}({table}) -> {}x MemoryReader + ReadToBases{} ({out_rows} rows from {})",
-        spec.node,
-        ps.cols.len(),
-        if per_row { " + Zip" } else { "" },
-        range.len(),
-    ));
+    ctx.note(|| {
+        format!(
+            "{}({table}) -> {}x MemoryReader + ReadToBases{} ({out_rows} rows from {})",
+            spec.node,
+            ps.cols.len(),
+            if per_row { " + Zip" } else { "" },
+            range.len(),
+        )
+    });
     let mut cols = spec.out_cols.clone();
     // Within one read the aligned positions strictly increase.
     cols[0].ascending |= ctx.per_row;
@@ -438,7 +476,7 @@ fn build_explode<'a>(
     // ReadToBases emits them plain; a loop body keeps its per-read items
     // and selects them with a Zip.
     let width = 1 + data;
-    let bases = b.queue(&ctx.lbl("explode.bases"));
+    let bases = b.queue(ctx.lbl("explode.bases"));
     let mut s = Stream::fresh(bases, cols, Cow::Borrowed(&ps.unstreamed));
     let mut preds = Vec::new();
     for pred in guard {
@@ -447,7 +485,7 @@ fn build_explode<'a>(
     if !guard.is_empty() {
         let n = preds.len();
         let plural = if n == 1 { "" } else { "s" };
-        ctx.note(format!("Filter -> ReadToBases guard ({n} predicate{plural})"));
+        ctx.note(|| format!("Filter -> ReadToBases guard ({n} predicate{plural})"));
     }
     ctx.module(b, "explode.rtb", |l| {
         let rtb = ReadToBases::new(l, inputs, bases).with_guard(preds);
@@ -475,16 +513,16 @@ fn build_window<'a>(
         return Err(CoreError::Host("reference window without its loop-row bounds".into()));
     };
     let values = &ps.cols[0];
-    let label = ctx.lbl(&format!("{}.{}", ps.table, values.name));
+    let label = ctx.col_lbl(&ps.table, &values.name);
     let width = values.elem_bytes;
     // The scratchpad holds the replica's reach, its offset moved to the
     // first position the reach holds.
     let reach = ctx.cuts[idx].items.clone().unwrap_or_else(|| ps.items_of(&(0..1)));
     let first = base.saturating_add(reach.start as u64);
     let loaded = &values.vals[reach];
-    let refs = b.ref_window(&[(&label, loaded, width, width * 8)], start, end, first);
+    let refs = b.ref_window(&[(label, loaded, width, width * 8)], start, end, first);
     ctx.reads.push(width);
-    ctx.note(format!("Limit({}) -> MemoryReader + SpmUpdater + SpmReader(range)", ps.table));
+    ctx.note(|| format!("Limit({}) -> MemoryReader + SpmUpdater + SpmReader(range)", ps.table));
     let last = base.saturating_add((values.vals.len() as u64).saturating_sub(1));
     let pos = ColInfo {
         ascending: true,
@@ -534,18 +572,21 @@ fn build_scan<'a>(
         });
     }
     let q = if let [(vals, elem_bytes)] = lanes[..] {
-        let label = ctx.lbl(&format!("{table}.{}", streamed[0].name));
-        b.upload_column(&label, vals, elem_bytes, RowSpec::None)
+        let label = ctx.col_lbl(table, &streamed[0].name);
+        b.upload_column(label, vals, elem_bytes, RowSpec::None)
     } else {
-        b.upload_rows(&ctx.lbl(&format!("{table}.rows")), &lanes)
+        b.upload_rows(ctx.col_lbl(table, "rows"), &lanes)
     };
-    let count = if ncols == 1 { "1x " } else { "" };
-    let columns = match ps.unstreamed.len() {
-        0 if ncols == 1 => String::new(),
-        0 => format!(" ({ncols} columns)"),
-        unstreamed => format!(" ({ncols} of {} columns)", ncols + unstreamed),
-    };
-    ctx.note(format!("Scan({table}) -> {count}MemoryReader{columns}"));
+    let unstreamed = ps.unstreamed.len();
+    ctx.note(|| {
+        let count = if ncols == 1 { "1x " } else { "" };
+        let columns = match unstreamed {
+            0 if ncols == 1 => String::new(),
+            0 => format!(" ({ncols} columns)"),
+            unstreamed => format!(" ({ncols} of {} columns)", ncols + unstreamed),
+        };
+        format!("Scan({table}) -> {count}MemoryReader{columns}")
+    });
     Ok(Stream::fresh(q, cols, Cow::Borrowed(&ps.unstreamed)))
 }
 
@@ -557,7 +598,8 @@ fn build_filter<'a>(
     pred: &Expr,
 ) -> Result<Stream<'a>, CoreError> {
     let preds = lower_conjuncts(&mut s, pred)?;
-    ctx.note(format!("Filter -> {}x Filter", preds.len()));
+    let n = preds.len();
+    ctx.note(|| format!("Filter -> {n}x Filter"));
     for hw in preds {
         let q = s.q;
         s.q = ctx.add(b, ("filter", "filter"), |l, out| Box::new(Filter::new(l, hw, q, out)));
@@ -666,7 +708,7 @@ fn build_project<'a>(
         .collect();
     if comps.is_empty() {
         // Column selection only: the columns name fields of the same flits.
-        ctx.note("Project -> rename".to_owned());
+        ctx.note(|| "Project -> rename".to_owned());
         let unstreamed = Cow::Borrowed(&[][..]);
         return Ok(Stream { q: s.q, cols: out_cols, width: s.width, unstreamed });
     }
@@ -694,7 +736,7 @@ fn build_project<'a>(
     let row_qs = if consumers == 1 {
         vec![s.q]
     } else {
-        let qs: Vec<QueueId> = (0..consumers).map(|_| b.queue(&ctx.lbl("proj.b"))).collect();
+        let qs: Vec<QueueId> = (0..consumers).map(|_| b.queue(ctx.lbl("proj.b"))).collect();
         ctx.module(b, "proj.fan", |l| Box::new(Fanout::new(l, s.q, qs.clone())));
         qs
     };
@@ -731,7 +773,7 @@ fn build_project<'a>(
             .add(b, ("proj.rows", "proj.zip"), |l, out| Box::new(Zip::new(l, zip_inputs, out)));
         (q, "1x Zip + ")
     };
-    ctx.note(format!("Project -> {}{zip}{alu_count}x ALU", fanout_note(consumers)));
+    ctx.note(|| format!("Project -> {}{zip}{alu_count}x ALU", fanout_note(consumers)));
     Ok(Stream { q, cols: out_cols, width, unstreamed: Cow::Borrowed(&[]) })
 }
 
@@ -821,8 +863,10 @@ fn build_join<'a>(
         let right = r.unstreamed.iter().map(|n| qualify(right_key.table.as_deref(), n));
         Cow::Owned(left.chain(right).collect())
     };
-    let zips = if zips > 0 { format!("{zips}x Zip + ") } else { String::new() };
-    ctx.note(format!("Join({kind:?}) -> {zips}Joiner"));
+    ctx.note(|| {
+        let zips = if zips > 0 { format!("{zips}x Zip + ") } else { String::new() };
+        format!("Join({kind:?}) -> {zips}Joiner")
+    });
     Ok(Stream { q: out, cols, width: wl + wr, unstreamed })
 }
 
@@ -951,7 +995,7 @@ fn build_scalar_agg(
     let branch_qs: Vec<QueueId> = if specs.len() == 1 {
         vec![s.q]
     } else {
-        let qs: Vec<QueueId> = (0..specs.len()).map(|_| b.queue(&ctx.lbl("agg.b"))).collect();
+        let qs: Vec<QueueId> = (0..specs.len()).map(|_| b.queue(ctx.lbl("agg.b"))).collect();
         ctx.module(b, "agg.fan", |l| Box::new(Fanout::new(l, s.q, qs.clone())));
         qs
     };
@@ -975,9 +1019,10 @@ fn build_scalar_agg(
         });
         // A Reducer emits once per item: per loop row in a loop body, else
         // once per whole input stream — not a sustained memory port, so
-        // that writer stays out of the cost profile.
+        // that writer stays out of the cost profile. A GROUP BY drain is
+        // not one either (`attach_writers`): only a stream is.
         let rows = if ctx.per_row { ctx.spine_range.len() } else { 1 };
-        let (writer, addr) = b.writer(&ctx.lbl("agg.out"), rq, 8, rows * 8);
+        let (writer, addr) = b.writer(ctx.lbl("agg.out"), rq, 8, rows * 8);
         ctx.sink_bytes += line_padded(rows * 8);
         if ctx.per_row {
             ctx.writes.push(8);
@@ -986,11 +1031,14 @@ fn build_scalar_agg(
         cols.push(ColInfo::new(&spec.name, Decode::U64));
     }
     let n = specs.len();
-    let filters = match specs.iter().filter(|spec| spec.filter.is_some()).count() {
-        0 => String::new(),
-        f => format!("{f}x Filter + "),
-    };
-    ctx.note(format!("Aggregate -> {}{filters}{n}x Reducer + {n}x MemoryWriter", fanout_note(n)));
+    let filtered = specs.iter().filter(|spec| spec.filter.is_some()).count();
+    ctx.note(|| {
+        let filters = match filtered {
+            0 => String::new(),
+            f => format!("{f}x Filter + "),
+        };
+        format!("Aggregate -> {}{filters}{n}x Reducer + {n}x MemoryWriter", fanout_note(n))
+    });
     let kind = if ctx.per_row {
         SinkKind::Stream
     } else {
@@ -1122,11 +1170,11 @@ fn build_grouped_agg(
     }
     // One RMW updater per histogram, each reading the key and its value
     // in place from the row.
-    let cnt_spm = b.system().spms_mut().add(&ctx.lbl("GRP_CNT"), domain, 8);
+    let cnt_spm = b.system().spms_mut().add(ctx.lbl("GRP_CNT").to_string(), domain, 8);
     let sum_spms: Vec<_> = (0..sum_fields.len())
         .map(|_| {
-            let label = ctx.lbl("GRP_SUM");
-            b.system().spms_mut().add(&label, domain, 8)
+            let label = ctx.lbl("GRP_SUM").to_string();
+            b.system().spms_mut().add(label, domain, 8)
         })
         .collect();
     // Each updater but the last forwards its input to the next, which
@@ -1170,17 +1218,22 @@ fn build_grouped_agg(
             ColInfo { ascending: key, ..ColInfo::new(&gi.name, decode) }
         })
         .collect();
-    ctx.note(format!(
-        "Aggregate(GROUP BY) -> {}x SpmUpdater + SpmReader + MemoryWriter",
-        1 + sum_fields.len(),
-    ));
+    let updaters = 1 + sum_fields.len();
+    ctx.note(|| {
+        format!("Aggregate(GROUP BY) -> {updaters}x SpmUpdater + SpmReader + MemoryWriter")
+    });
     let kind = SinkKind::Grouped(gitems.iter().map(|gi| gi.role).collect());
     Ok((Built { writers, cols }, kind))
 }
 
 /// Attaches one Memory Writer to the row stream, writing each of
-/// `fields` to its own output column, each a sustained 8-byte write port.
-/// Returns the writer and readback address of each column.
+/// `fields` to its own output column of `capacity_bytes`. Returns the
+/// writer and readback address of each column.
+///
+/// Whether those columns are sustained write ports of the cost profile
+/// is the caller's: a stream sink's writer takes a row a cycle at the
+/// stream's rate, and a GROUP BY drain's writes once per non-empty key
+/// after its stream has ended, as a Reducer's writes once per item.
 fn attach_writers(
     b: &mut PipelineBuilder<'_>,
     ctx: &mut BuildCtx<'_>,
@@ -1189,10 +1242,7 @@ fn attach_writers(
     capacity_bytes: usize,
     tag: &str,
 ) -> Vec<(ModuleId, u64)> {
-    let n_cols = fields.len();
-    ctx.sink_bytes += n_cols * line_padded(capacity_bytes);
-    ctx.writes.extend(std::iter::repeat_n(8, n_cols));
-    let (writer, addrs) = b.row_writer(&ctx.lbl(tag), rows_q, fields, 8, capacity_bytes);
+    let (writer, addrs) = b.row_writer(ctx.lbl(tag), rows_q, fields, 8, capacity_bytes);
     addrs.into_iter().map(|addr| (writer, addr)).collect()
 }
 
@@ -1211,7 +1261,10 @@ fn build_stream_sink(
     // writer allocation must cover the expanded bound.
     let bound = ctx.rows_bound.max(1) * 8;
     let fields: Vec<usize> = s.cols.iter().map(|c| c.field).collect();
+    // The one sustained write port: every output column at the stream's
+    // rate, 8 bytes a row.
+    ctx.writes.extend(std::iter::repeat_n(8, fields.len()));
     let writers = attach_writers(b, ctx, s.q, &fields, bound, "out");
-    ctx.note("Output -> MemoryWriter".to_owned());
+    ctx.note(|| "Output -> MemoryWriter".to_owned());
     Ok((Built { writers, cols: s.cols }, SinkKind::Stream))
 }

@@ -20,8 +20,6 @@ use genesis_hw::System;
 use genesis_sql::exec::{execute_plan, Env};
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::{Column, DataType, Field, Schema, Table, Value};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -256,6 +254,22 @@ impl PreparedScan {
         (row_count, elems)
     }
 
+    /// Device memory one replica's `cut` of this leaf takes: each streamed
+    /// column's elements of [`PreparedScan::reach_elems`] for that lone
+    /// cut, line-padded as the memory system allocates them.
+    fn cut_bytes(&self, cut: &Cut) -> usize {
+        let streamed = self.streamed();
+        let padded = |c: &PreparedCol, n: usize| line_padded(n * c.elem_bytes);
+        match (&cut.items, &self.explode) {
+            (None, _) => streamed.iter().map(|c| padded(c, c.elems(&cut.rows))).sum(),
+            (Some(items), None) => padded(&streamed[0], items.len()), // a window's values
+            (Some(items), Some(_)) => {
+                let counts = [cut.rows.len(), self.cols[1].elems(&cut.rows), items.len()];
+                streamed.iter().zip(counts).map(|(c, n)| padded(c, n)).sum()
+            }
+        }
+    }
+
     /// DMA-in bytes of [`PreparedScan::reach_elems`]' per-column `elems`.
     fn elem_bytes<'s>(&'s self, elems: &'s [usize]) -> impl Iterator<Item = usize> + 's {
         debug_assert_eq!(elems.len(), self.streamed().len(), "one count per streamed column");
@@ -362,7 +376,7 @@ impl PreparedJob {
                     sys.reserve_mem(reserve);
                 }
                 let per_row = self.lowering.each_row.is_some();
-                let mut ctx = BuildCtx::new(scans, job, group_domain_cap(cfg), per_row);
+                let mut ctx = BuildCtx::new(scans, job, group_domain_cap(cfg), per_row, false);
                 let mut b = PipelineBuilder::new(sys, group);
                 // Every replica's sink has the analysis' shape.
                 let built = build_core(&mut b, &mut ctx, core).map(|(built, _)| built);
@@ -435,13 +449,15 @@ impl PreparedJob {
         }
     }
 
-    /// Device memory one batch over the replicas' `jobs` allocates: every
-    /// replica's cut of every leaf — its slice of the spine, every other
-    /// leaf as far as a cut reaches — and the sinks' output regions.
-    /// Stream sinks are sized by the rows they can receive, so their share
-    /// is exact; aggregate sinks are sized by key domains only the build
-    /// derives, so theirs is the analysis-time measurement per replica — a
-    /// capacity hint either way, never an address.
+    /// Device memory one batch over the replicas' `jobs` allocates up
+    /// front: every replica's cut of every leaf — its slice of the spine,
+    /// every other leaf as far as a cut reaches — and the sinks whose
+    /// share is known before the build. A stream sink is sized by the rows
+    /// it can receive and a scalar one by its items, so theirs is exact.
+    /// A GROUP BY drain writes its replica's key window, which only the
+    /// build derives: the store grows for it instead of reserving the
+    /// whole key domain once per replica. A capacity hint either way,
+    /// never an address.
     fn device_bytes(&self, jobs: &[&[Cut]]) -> usize {
         let exploded = |p: &PreparedScan, cut: &Cut| {
             p.explode.as_ref().map_or(0, |_| cut.items.clone().unwrap_or_else(|| p.items_of(&cut.rows)).len())
@@ -451,8 +467,7 @@ impl PreparedJob {
                 let mut bytes = 0;
                 let mut rows_bound = job[0].rows.len();
                 for (p, cut) in self.prepared.iter().zip(*job) {
-                    let (_, elems) = p.reach_elems(std::iter::once(cut));
-                    bytes += p.elem_bytes(&elems).map(line_padded).sum::<usize>();
+                    bytes += p.cut_bytes(cut);
                     rows_bound = rows_bound.max(exploded(p, cut));
                 }
                 bytes
@@ -630,33 +645,47 @@ impl Lowering {
 /// Merges per-job grouped runs, each ascending by the unique key in
 /// column `key_pos`, into one ascending run: a key several runs hold
 /// appears once, its other columns summed (wrapping, as the scratchpads
-/// add).
-fn merge_runs(runs: &[Vec<Vec<u64>>], roles: &[GroupRole], key_pos: usize) -> Vec<Vec<u64>> {
+/// add). The runs merge in order, each with only the merged rows keyed at
+/// or past its first key: the replicas of consecutive spine slices hold
+/// mostly disjoint, ascending key windows, so a run mostly appends (runs
+/// that all span one domain cost a pass over the merged rows each).
+pub(super) fn merge_runs(
+    runs: &[Vec<Vec<u64>>],
+    roles: &[GroupRole],
+    key_pos: usize,
+) -> Vec<Vec<u64>> {
     let total = runs.iter().map(|job| job[key_pos].len()).sum();
     let mut acc: Vec<Vec<u64>> = (0..roles.len()).map(|_| Vec::with_capacity(total)).collect();
-    // The next row of each run, keyed by its key (ties broken by run).
-    let mut heads: BinaryHeap<Reverse<(u64, usize, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter_map(|(i, job)| job[key_pos].first().map(|&k| Reverse((k, i, 0))))
-        .collect();
-    while let Some(Reverse((key, i, r))) = heads.pop() {
-        let job = &runs[i];
-        debug_assert!(job[key_pos].get(r + 1).is_none_or(|&next| next > key), "run ascends");
-        if let Some(&next) = job[key_pos].get(r + 1) {
-            heads.push(Reverse((next, i, r + 1)));
+    let mut tail: Vec<Vec<u64>> = vec![Vec::new(); roles.len()];
+    for run in runs {
+        let keys = &run[key_pos];
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "run ascends");
+        let Some(&first) = keys.first() else { continue };
+        let at = acc[key_pos].partition_point(|&k| k < first);
+        if at == acc[key_pos].len() {
+            for (a, col) in acc.iter_mut().zip(run) {
+                a.extend_from_slice(col);
+            }
+            continue;
         }
-        if acc[key_pos].last() == Some(&key) {
-            for ((role, a), col) in roles.iter().zip(&mut acc).zip(job) {
-                if *role != GroupRole::Key {
-                    let last = a.last_mut().expect("the key's row");
-                    *last = last.wrapping_add(col[r]);
-                }
+        for (t, a) in tail.iter_mut().zip(&mut acc) {
+            t.clear();
+            t.extend_from_slice(&a[at..]);
+            a.truncate(at);
+        }
+        let (tk, (mut i, mut j)) = (&tail[key_pos], (0, 0));
+        while i < tk.len() || j < keys.len() {
+            let from_tail = j == keys.len() || (i < tk.len() && tk[i] <= keys[j]);
+            let from_run = i == tk.len() || (j < keys.len() && keys[j] <= tk[i]);
+            for ((role, a), (t, r)) in roles.iter().zip(&mut acc).zip(tail.iter().zip(run)) {
+                a.push(match (from_tail, from_run) {
+                    (true, true) if *role != GroupRole::Key => t[i].wrapping_add(r[j]),
+                    (true, _) => t[i],
+                    (false, _) => r[j],
+                });
             }
-        } else {
-            for (a, col) in acc.iter_mut().zip(job) {
-                a.push(col[r]);
-            }
+            i += usize::from(from_tail);
+            j += usize::from(from_run);
         }
     }
     acc
@@ -686,8 +715,8 @@ fn read_writer<T>(
     if n == 0 {
         return Ok(Vec::new());
     }
-    let bytes = sys.host_read(addr, n * 8);
-    Ok(bytes
+    Ok(sys
+        .host_read(addr, n * 8)
         .chunks_exact(8)
         .map(|c| f(u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes"))))
         .collect())
@@ -720,7 +749,7 @@ fn check_row_counts<T>(cols: &[Vec<T>], what: &str) -> Result<(), CoreError> {
 
 fn extract_job(
     sys: &System,
-    built: &Built,
+    built: Built,
     kind: &SinkKind,
 ) -> Result<(JobOut, Vec<ColInfo>), CoreError> {
     let out = if let SinkKind::Stream = kind {
@@ -743,5 +772,5 @@ fn extract_job(
         }
         JobOut::Raw(raw)
     };
-    Ok((out, built.cols.clone()))
+    Ok((out, built.cols))
 }

@@ -197,8 +197,8 @@ pub(crate) struct Lowering {
     reaches: Vec<Reach>,
     cols_names: Vec<String>,
     kind: SinkKind,
-    /// Device memory one pipeline's sink writers allocated in the
-    /// analysis build.
+    /// Device memory one pipeline's scalar aggregate writers allocated in
+    /// the analysis build (0 for any other sink).
     sink_bytes: usize,
     /// Port/fabric demand of one pipeline (input to the replication
     /// chooser).
@@ -241,16 +241,25 @@ fn find<'n>(
     names: impl Iterator<Item = &'n str> + Clone,
     col: &ColRef,
 ) -> Result<usize, Vec<usize>> {
-    let want = col.display_name();
-    if let Some(i) = names.clone().position(|n| n == want) {
+    // `n` is `{prefix}.{column}`: compared in place, with no name formatted.
+    let dotted = |n: &str, prefix: &str| {
+        n.strip_prefix(prefix)
+            .and_then(|rest| rest.strip_prefix('.'))
+            .is_some_and(|rest| rest == col.column)
+    };
+    let exact = |n: &str| match &col.table {
+        Some(t) => dotted(n, t),
+        None => n == col.column,
+    };
+    if let Some(i) = names.clone().position(exact) {
         return Ok(i);
     }
-    let suffix = format!(".{}", col.column);
-    let hits: Vec<usize> = names
-        .enumerate()
-        .filter(|(_, n)| *n == col.column || n.ends_with(&suffix))
-        .map(|(i, _)| i)
-        .collect();
+    let suffixed = |n: &str| {
+        let head = n.strip_suffix(col.column.as_str());
+        head.is_some_and(|head| head.is_empty() || head.ends_with('.'))
+    };
+    let hits: Vec<usize> =
+        names.enumerate().filter(|&(_, n)| suffixed(n)).map(|(i, _)| i).collect();
     match hits[..] {
         [i] => Ok(i),
         _ => Err(hits),
@@ -425,7 +434,7 @@ fn analyze_on(
     let mut sys = System::with_memory(cfg.mem.clone());
     let sub_bounds = SubBounds::default();
     let scans = (&prepared[..], &sub_bounds);
-    let mut ctx = BuildCtx::new(scans, &whole, group_domain_cap(cfg), each_row.is_some());
+    let mut ctx = BuildCtx::new(scans, &whole, group_domain_cap(cfg), each_row.is_some(), true);
     let mut b = PipelineBuilder::new(&mut sys, 0);
     let (built, kind) = build_core(&mut b, &mut ctx, &core)?;
     // A grouped aggregate's software row order is engine-defined (key

@@ -828,7 +828,7 @@ fn every_module_label_of_a_replicated_build_is_unique() {
         for group in 0..8 {
             let per_row = low.each_row.is_some();
             let scans = (&job.prepared[..], &job.sub_bounds);
-            let mut ctx = BuildCtx::new(scans, &whole, group_domain_cap(&cfg), per_row);
+            let mut ctx = BuildCtx::new(scans, &whole, group_domain_cap(&cfg), per_row, false);
             build_core(&mut PipelineBuilder::new(&mut sys, group), &mut ctx, &low.core).unwrap();
         }
         let report = sys.stall_report();
@@ -837,5 +837,83 @@ fn every_module_label_of_a_replicated_build_is_unique() {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), labels.len(), "{script}: {labels:?}");
+    }
+}
+
+/// A GROUP BY drain writes once per non-empty key after its stream has
+/// ended, as a Reducer writes once per item: no sustained write port of
+/// the cost profile. So the pileup and the histograms replicate to the
+/// policy cap, while a stream sink keeps its write ports and its factor.
+#[test]
+fn a_grouped_drain_is_no_sustained_write_port() {
+    // 8,000 pairs, as the genomics catalog holds: `selected.sql` keeps the
+    // tenth of them below 2,400.
+    let mut catalog = scripts_catalog();
+    let pos: Vec<u32> = (0..8_000).map(|i| 3 * i + 1).collect();
+    let mpos = pos.iter().map(|&p| p + 40 + p % 16).collect();
+    let pairs = table_of(vec![("POS", Column::U32(pos)), ("MPOS", Column::U32(mpos))]);
+    catalog.register("PAIRS", pairs);
+    let registry = crate::library::ModuleRegistry::with_builtins();
+    let compile = |script: &str| {
+        let path = format!("{}/../../scripts/{script}.sql", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(path).unwrap();
+        let plan = crate::compile::script_to_plan(&src, &registry).unwrap();
+        crate::compile::Compiler::new(DeviceConfig::default()).compile(&plan, &catalog).unwrap()
+    };
+    let drains = ["coverage", "mate_distance", "insert_size"];
+    let streams = [("pos_explode_join", 4, "MemoryChannels"), ("selected", 2, "Selectivity")];
+    for script in drains {
+        let plan = compile(script);
+        assert_eq!(plan.profile().write_port_bytes, Vec::<usize>::new(), "{script}");
+        let line = plan.replication().summary();
+        let capped = line.ends_with("limited by PolicyCap)");
+        assert!(line.starts_with("replication 16x ") && capped, "{script}: {line}");
+    }
+    for (script, factor, bound) in streams {
+        let plan = compile(script);
+        let columns = plan.output_columns().len();
+        assert_eq!(plan.profile().write_port_bytes, vec![8; columns], "{script}");
+        let line = plan.replication().summary();
+        let (head, tail) = (format!("replication {factor}x "), format!("limited by {bound})"));
+        assert!(line.starts_with(&head) && line.ends_with(&tail), "{script}: {line}");
+    }
+}
+
+/// The grouped merge equals a keyed sum over every run, whether the runs'
+/// key windows are disjoint, overlap at their edges (neighbouring spine
+/// slices) or all cover one domain, and whatever runs are empty.
+#[test]
+fn grouped_runs_merge_to_one_ascending_keyed_sum() {
+    let roles = [GroupRole::Count, GroupRole::Key, GroupRole::Sum];
+    let mut state = 7u64;
+    let mut next = |n: u64| {
+        state = state.wrapping_mul(6_364_136_223_846_793_005);
+        state = state.wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % n
+    };
+    for (windows, stride, span) in [(6, 50, 50), (6, 50, 60), (5, 0, 40), (9, 7, 3)] {
+        let mut runs = Vec::new();
+        let mut want: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        for w in 0..windows {
+            let mut run = vec![Vec::new(), Vec::new(), Vec::new()];
+            for key in w * stride..w * stride + span {
+                if next(3) == 0 {
+                    continue; // a key this replica never saw
+                }
+                let (count, sum) = (1 + next(4), next(u64::MAX));
+                run[0].push(count);
+                run[1].push(key);
+                run[2].push(sum);
+                let slot = want.entry(key).or_default();
+                *slot = (slot.0 + count, slot.1.wrapping_add(sum));
+            }
+            runs.push(run);
+        }
+        runs.insert(2, vec![Vec::new(); 3]);
+        let merged = super::job::merge_runs(&runs, &roles, 1);
+        let keys: Vec<u64> = want.keys().copied().collect();
+        assert_eq!(merged[1], keys, "{windows} windows of {span} every {stride}");
+        assert_eq!(merged[0], want.values().map(|v| v.0).collect::<Vec<_>>());
+        assert_eq!(merged[2], want.values().map(|v| v.1).collect::<Vec<_>>());
     }
 }

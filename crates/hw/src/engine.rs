@@ -70,6 +70,42 @@ fn watch_matches(watch: Watch, role: u8, qi: u32) -> bool {
     }
 }
 
+/// The modules that watch each of `queues` queues, in the layout of
+/// [`EngineCore`]'s `watchers` and `watch_at`: one entry per (queue,
+/// module) pair, modules ascending, its role bits the union of every role
+/// the module lists the queue in.
+fn watch_lists(
+    qs: &[QueueId],
+    q_at: &[(usize, usize, usize)],
+    queues: usize,
+) -> (Vec<(usize, u8)>, Vec<usize>) {
+    let mut pairs: Vec<(usize, usize, u8)> = Vec::with_capacity(qs.len());
+    for (i, &(start, split, end)) in q_at.iter().enumerate() {
+        for (k, q) in qs[start..end].iter().enumerate() {
+            let role = if start + k < split { ROLE_INPUT } else { ROLE_OUTPUT };
+            pairs.push((q.index(), i, role));
+        }
+    }
+    pairs.sort_unstable_by_key(|&(q, i, _)| (q, i));
+    let mut watchers: Vec<(usize, u8)> = Vec::with_capacity(pairs.len());
+    let mut watch_at = vec![0; queues + 1];
+    let mut last = None;
+    for (q, i, role) in pairs {
+        if last == Some((q, i)) {
+            watchers.last_mut().expect("the pair's entry").1 |= role;
+            continue;
+        }
+        last = Some((q, i));
+        watchers.push((i, role));
+        watch_at[q + 1] = watchers.len();
+    }
+    // Queues no module lists end where the queue before them does.
+    for q in 1..=queues {
+        watch_at[q] = watch_at[q].max(watch_at[q - 1]);
+    }
+    (watchers, watch_at)
+}
+
 /// Registers (or unregisters) the concrete queues a module's park
 /// watches, so `get_mut` records touches only for queues some parked
 /// module actually waits on.
@@ -130,10 +166,16 @@ pub(crate) struct EngineCore<'a> {
     pub(crate) ticks: u64,
     obs: RunObs,
     park_enabled: bool,
-    /// Queue index -> modules watching it, tagged with role bits.
-    watchers: Vec<Vec<(usize, u8)>>,
-    in_qs: Vec<Vec<QueueId>>,
-    out_qs: Vec<Vec<QueueId>>,
+    /// The modules watching each queue, ascending, tagged with role bits:
+    /// queue `q`'s are `watchers[watch_at[q]..watch_at[q + 1]]`.
+    watchers: Vec<(usize, u8)>,
+    watch_at: Vec<usize>,
+    /// Every module's input queues, then its output queues: module `i`'s
+    /// are `qs[q_at[i].0..q_at[i].1]` and `qs[q_at[i].1..q_at[i].2]`. One
+    /// list for the run, however many modules (the engine's set-up must
+    /// not cost an allocation per module).
+    qs: Vec<QueueId>,
+    q_at: Vec<(usize, usize, usize)>,
     done: Vec<bool>,
     done_count: usize,
     parked_watch: Vec<Watch>,
@@ -159,23 +201,16 @@ impl<'a> EngineCore<'a> {
         park_enabled: bool,
     ) -> EngineCore<'a> {
         let n = modules.len();
-        let mut watchers: Vec<Vec<(usize, u8)>> = vec![Vec::new(); queues.len()];
-        let mut in_qs: Vec<Vec<QueueId>> = Vec::with_capacity(n);
-        let mut out_qs: Vec<Vec<QueueId>> = Vec::with_capacity(n);
-        for (i, m) in modules.iter().enumerate() {
-            let ins = m.input_queues();
-            let outs = m.output_queues();
-            for (qs, role) in [(&ins, ROLE_INPUT), (&outs, ROLE_OUTPUT)] {
-                for q in qs {
-                    match watchers[q.index()].iter_mut().find(|(w, _)| *w == i) {
-                        Some(entry) => entry.1 |= role,
-                        None => watchers[q.index()].push((i, role)),
-                    }
-                }
-            }
-            in_qs.push(ins);
-            out_qs.push(outs);
+        let mut qs = Vec::with_capacity(4 * n);
+        let mut q_at = Vec::with_capacity(n);
+        for m in modules.iter() {
+            let start = qs.len();
+            m.input_queues(&mut qs);
+            let split = qs.len();
+            m.output_queues(&mut qs);
+            q_at.push((start, split, qs.len()));
         }
+        let (watchers, watch_at) = watch_lists(&qs, &q_at, queues.len());
         let done: Vec<bool> = modules.iter().map(|m| m.is_done()).collect();
         let done_count = done.iter().filter(|&&d| d).count();
         queues.set_touch_tracking(false);
@@ -192,8 +227,9 @@ impl<'a> EngineCore<'a> {
             obs: RunObs::new(n, cycle),
             park_enabled,
             watchers,
-            in_qs,
-            out_qs,
+            watch_at,
+            qs,
+            q_at,
             done,
             done_count,
             parked_watch: vec![Watch::Inputs; n],
@@ -267,18 +303,21 @@ impl<'a> EngineCore<'a> {
         }
     }
 
-    /// Wakes parked module `i` at the current cycle: drops its queue
-    /// watches, invalidates its timed-heap entries and closes the park
-    /// interval into its stall counters (and the trace). `slot_passed`
-    /// says the tick loop is already beyond slot `i` this cycle, so the
-    /// module next ticks in the following cycle.
+    /// Wakes parked module `i`: drops its queue watches, invalidates its
+    /// timed-heap entries and closes the park interval into its stall
+    /// counters (and the trace) where the module next ticks. That is the
+    /// current cycle, or the following one when `slot_passed` says the
+    /// tick loop is already beyond slot `i` this cycle: the cycle the
+    /// module then sits out did nothing, and files as the stall it is.
     fn unpark(&mut self, i: usize, slot_passed: bool) {
-        let now = self.cycle;
-        self.credit_full_stalls(i, now + u64::from(slot_passed));
+        let now = self.cycle + u64::from(slot_passed);
+        self.credit_full_stalls(i, now);
         self.obs.parked[i] = false;
         self.parked_count -= 1;
         self.gen[i] = self.gen[i].wrapping_add(1);
-        adjust_watches(self.queues, &self.in_qs[i], &self.out_qs[i], self.parked_watch[i], false);
+        let (start, split, end) = self.q_at[i];
+        let (ins, outs) = (&self.qs[start..split], &self.qs[split..end]);
+        adjust_watches(self.queues, ins, outs, self.parked_watch[i], false);
         let cycles = now - self.obs.park_at[i];
         let class = self.obs.park_class[i];
         self.stall[i].add(class, cycles);
@@ -463,8 +502,8 @@ impl<'a> EngineCore<'a> {
                     ts.buf.record_sample(qi, self.cycle, d);
                 }
             }
-            for k in 0..self.watchers[qi as usize].len() {
-                let (w, role) = self.watchers[qi as usize][k];
+            for k in self.watch_at[qi as usize]..self.watch_at[qi as usize + 1] {
+                let (w, role) = self.watchers[k];
                 if self.is_parked(w) && watch_matches(self.parked_watch[w], role, qi) {
                     self.unpark(w, w < cur);
                 }
@@ -481,13 +520,15 @@ impl<'a> EngineCore<'a> {
         self.parked_watch[i] = watch;
         self.parked_count += 1;
         self.obs.park_at[i] = self.cycle;
-        self.obs.park_class[i] = classify_stall(watch, &self.in_qs[i], &self.out_qs[i]);
+        let (start, split, end) = self.q_at[i];
+        let (ins, outs) = (&self.qs[start..split], &self.qs[split..end]);
+        self.obs.park_class[i] = classify_stall(watch, ins, outs);
         if let Some(ts) = &mut *self.trace {
             // The park tick itself was a no-op, so the active span ends
             // where the stall begins.
             ts.buf.record_span(i as u32, SpanKind::Active, self.obs.span_start[i], self.cycle);
         }
-        adjust_watches(self.queues, &self.in_qs[i], &self.out_qs[i], watch, true);
+        adjust_watches(self.queues, ins, outs, watch, true);
         if let Some(at) = wake_at {
             self.timed.push(Reverse((at, i, self.gen[i])));
         }

@@ -200,15 +200,15 @@ impl MemorySystem {
         self.data[start..start + bytes.len()].copy_from_slice(bytes);
     }
 
-    /// Host-side readback (models `genesis_flush`).
+    /// Host-side readback (models `genesis_flush`), borrowed.
     ///
     /// # Panics
     ///
     /// Panics when the range is unallocated.
     #[must_use]
-    pub fn host_read(&self, addr: u64, len: usize) -> Vec<u8> {
+    pub fn host_read(&self, addr: u64, len: usize) -> &[u8] {
         let start = addr as usize;
-        self.data[start..start + len].to_vec()
+        &self.data[start..start + len]
     }
 
     /// Registers a port belonging to local-arbiter group `group`
@@ -276,6 +276,11 @@ impl MemorySystem {
         self.issued_reads += 1;
         let ready = self.cycle + latency;
         let p = &mut self.ports[port.0 as usize];
+        if p.responses.capacity() == 0 {
+            // A reading port holds at most its in-flight limit: one
+            // allocation on its first read, none for a writer's port.
+            p.responses.reserve_exact(self.cfg.max_inflight_per_port);
+        }
         p.inflight += 1;
         p.responses.push_back((ready, line_addr));
         true

@@ -59,14 +59,14 @@ impl StreamAlu {
     /// Creates a stream ALU computing `op(field, rhs)` over `lhs`.
     #[must_use]
     pub fn new(
-        label: &str,
+        label: impl Into<String>,
         op: AluOp,
         lhs: QueueId,
         field: usize,
         rhs: AluRhs,
         out: QueueId,
     ) -> StreamAlu {
-        StreamAlu { label: label.to_owned(), op, lhs, field, rhs, out, done: false }
+        StreamAlu { label: label.into(), op, lhs, field, rhs, out, done: false }
     }
 
     fn apply(op: AluOp, a: HwWord, b: HwWord) -> HwWord {
@@ -142,11 +142,11 @@ impl Module for StreamAlu {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        vec![self.lhs]
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.lhs);
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }

@@ -57,14 +57,14 @@ impl BinIdGen {
     /// Creates the module.
     #[must_use]
     pub fn new(
-        label: &str,
+        label: impl Into<String>,
         cfg: BinIdGenConfig,
         input: QueueId,
         flags: QueueId,
         out: QueueId,
     ) -> BinIdGen {
         BinIdGen {
-            label: label.to_owned(),
+            label: label.into(),
             cfg,
             input,
             flags,
@@ -125,7 +125,9 @@ impl Module for BinIdGen {
                 self.done = true;
                 return Tick::Done;
             }
-            return Tick::PARK;
+            // A tick that took the read's flags did work: the park starts
+            // with the next one.
+            return if acquired_flags { Tick::Active } else { Tick::PARK };
         };
         if flit.is_end_item() {
             if !try_forward(ctx.queues, self.input, self.out) {
@@ -184,11 +186,11 @@ impl Module for BinIdGen {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        vec![self.input, self.flags]
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.extend([self.input, self.flags]);
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }

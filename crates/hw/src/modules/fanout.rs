@@ -26,9 +26,9 @@ impl Fanout {
     ///
     /// Panics when `outputs` is empty.
     #[must_use]
-    pub fn new(label: &str, input: QueueId, outputs: Vec<QueueId>) -> Fanout {
+    pub fn new(label: impl Into<String>, input: QueueId, outputs: Vec<QueueId>) -> Fanout {
         assert!(!outputs.is_empty(), "fanout needs at least one output");
-        Fanout { label: label.to_owned(), input, outputs, done: false }
+        Fanout { label: label.into(), input, outputs, done: false }
     }
 }
 
@@ -79,11 +79,11 @@ impl Module for Fanout {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        vec![self.input]
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.input);
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        self.outputs.clone()
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.extend_from_slice(&self.outputs);
     }
 }

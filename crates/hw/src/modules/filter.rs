@@ -129,8 +129,8 @@ pub struct Filter {
 impl Filter {
     /// Creates a filter.
     #[must_use]
-    pub fn new(label: &str, pred: Predicate, input: QueueId, out: QueueId) -> Filter {
-        Filter { label: label.to_owned(), pred, input, out, passed: 0, dropped: 0, done: false }
+    pub fn new(label: impl Into<String>, pred: Predicate, input: QueueId, out: QueueId) -> Filter {
+        Filter { label: label.into(), pred, input, out, passed: 0, dropped: 0, done: false }
     }
 
     /// Number of flits that satisfied the predicate.
@@ -190,11 +190,11 @@ impl Module for Filter {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        vec![self.input]
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.input);
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }

@@ -63,7 +63,7 @@ impl Joiner {
     /// padding unmatched outputs.
     #[must_use]
     pub fn new(
-        label: &str,
+        label: impl Into<String>,
         kind: JoinKind,
         left: QueueId,
         right: QueueId,
@@ -72,7 +72,7 @@ impl Joiner {
         right_data_fields: usize,
     ) -> Joiner {
         Joiner {
-            label: label.to_owned(),
+            label: label.into(),
             kind,
             left,
             right,
@@ -264,11 +264,11 @@ impl Module for Joiner {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        vec![self.left, self.right]
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.extend([self.left, self.right]);
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }

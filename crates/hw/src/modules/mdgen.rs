@@ -46,9 +46,9 @@ pub struct MdGen {
 impl MdGen {
     /// Creates the module.
     #[must_use]
-    pub fn new(label: &str, cfg: MdGenConfig, input: QueueId, out: QueueId) -> MdGen {
+    pub fn new(label: impl Into<String>, cfg: MdGenConfig, input: QueueId, out: QueueId) -> MdGen {
         MdGen {
-            label: label.to_owned(),
+            label: label.into(),
             cfg,
             input,
             out,
@@ -195,11 +195,11 @@ impl Module for MdGen {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        vec![self.input]
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.input);
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }

@@ -20,7 +20,7 @@ pub enum RowSpec {
     Fixed(u64),
     /// Explicit per-row element counts (variable-length rows such as
     /// `READS.SEQ`; the host knows the layout it configured).
-    Lens(Arc<Vec<u32>>),
+    Lens(Arc<[u32]>),
 }
 
 /// Memory Reader configuration.
@@ -62,6 +62,10 @@ pub struct MemReader {
 impl MemReader {
     /// Maximum buffered bytes before the reader stops polling responses.
     const BUF_LIMIT: usize = 4 * LINE_BYTES;
+    /// Lines the buffer can hold: a response is taken while fewer than
+    /// [`MemReader::BUF_LIMIT`] bytes wait, and the front line may be
+    /// partly consumed.
+    const BUF_LINES: usize = Self::BUF_LIMIT / LINE_BYTES + 1;
 
     /// Creates a reader.
     ///
@@ -70,7 +74,12 @@ impl MemReader {
     /// Panics on unaligned `base_addr`, unsupported `elem_bytes` or a
     /// `RowSpec::Fixed(0)`.
     #[must_use]
-    pub fn new(label: &str, cfg: MemReaderConfig, port: PortId, out: QueueId) -> MemReader {
+    pub fn new(
+        label: impl Into<String>,
+        cfg: MemReaderConfig,
+        port: PortId,
+        out: QueueId,
+    ) -> MemReader {
         assert_eq!(cfg.base_addr % LINE_BYTES as u64, 0, "base address must be line-aligned");
         assert!(matches!(cfg.elem_bytes, 1 | 2 | 4 | 8), "element width must be 1/2/4/8");
         assert!(!matches!(cfg.rows, RowSpec::Fixed(0)), "fixed row length must be positive");
@@ -82,13 +91,13 @@ impl MemReader {
             RowSpec::Lens(lens) => lens.first().copied().map_or(0, u64::from),
         };
         let mut reader = MemReader {
-            label: label.to_owned(),
+            label: label.into(),
             next_line: cfg.base_addr,
             end_addr,
             cfg,
             port,
             out,
-            buf: VecDeque::new(),
+            buf: VecDeque::with_capacity(Self::BUF_LINES),
             head_off: 0,
             emitted: 0,
             row_left,
@@ -251,12 +260,8 @@ impl Module for MemReader {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        Vec::new()
-    }
-
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }
 
@@ -289,7 +294,8 @@ impl Lane {
         assert!(matches!(col.elem_bytes, 1 | 2 | 4 | 8), "element width must be 1/2/4/8");
         let bytes = rows * col.elem_bytes as u64;
         let end_addr = col.base_addr + bytes.div_ceil(LINE_BYTES as u64) * LINE_BYTES as u64;
-        Lane { next_line: col.base_addr, end_addr, col, buf: VecDeque::new(), head_off: 0 }
+        let buf = VecDeque::with_capacity(MemReader::BUF_LINES);
+        Lane { next_line: col.base_addr, end_addr, col, buf, head_off: 0 }
     }
 
     /// Buffered, not-yet-emitted bytes.
@@ -361,14 +367,19 @@ impl RowReader {
     /// Panics on fewer than two or more than [`MAX_FIELDS`] columns, an
     /// unaligned base address or an unsupported element width.
     #[must_use]
-    pub fn new(label: &str, cols: Vec<ReaderColumn>, rows: u64, out: QueueId) -> RowReader {
+    pub fn new(
+        label: impl Into<String>,
+        cols: Vec<ReaderColumn>,
+        rows: u64,
+        out: QueueId,
+    ) -> RowReader {
         assert!(
             (2..=MAX_FIELDS).contains(&cols.len()),
             "a row reader streams 2..={MAX_FIELDS} columns, got {}",
             cols.len()
         );
         RowReader {
-            label: label.to_owned(),
+            label: label.into(),
             lanes: cols.into_iter().map(|c| Lane::new(c, rows)).collect(),
             out,
             rows,
@@ -453,11 +464,7 @@ impl Module for RowReader {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        Vec::new()
-    }
-
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }

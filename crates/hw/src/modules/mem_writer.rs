@@ -50,13 +50,19 @@ pub struct MemWriter {
 }
 
 /// One column of a writer: a line filling, to be written at `write_addr`,
-/// and one full (or final) line waiting for its write just below it.
+/// and one full (or final) line waiting for its write just below it. Both
+/// are fixed line buffers in the lane itself, as in hardware.
 #[derive(Debug)]
 struct Lane {
     col: WriterColumn,
-    line: Vec<u8>,
+    /// The line filling: its first `fill` bytes.
+    line: [u8; LINE_BYTES],
+    fill: usize,
     write_addr: u64,
-    pending: Vec<u8>,
+    /// The line waiting for its write: its first `pending` bytes (none
+    /// when 0).
+    held: [u8; LINE_BYTES],
+    pending: usize,
 }
 
 impl Lane {
@@ -64,57 +70,68 @@ impl Lane {
         let write_addr = col.cfg.base_addr;
         assert_eq!(write_addr % LINE_BYTES as u64, 0, "base address must be line-aligned");
         assert!(matches!(col.cfg.elem_bytes, 1 | 2 | 4 | 8), "element width must be 1/2/4/8");
-        Lane { col, line: Vec::with_capacity(LINE_BYTES), write_addr, pending: Vec::new() }
+        Lane { col, line: [0; LINE_BYTES], fill: 0, write_addr, held: [0; LINE_BYTES], pending: 0 }
     }
 
     /// One write attempt: the pending line's, or else a full line's — or,
     /// once `finishing`, the final partial one's. A refused line takes the
     /// pending slot; a ready line behind a pending line just written takes
-    /// the freed slot without a write of its own.
-    fn write_pending(&mut self, ctx: &mut Ctx<'_>, finishing: bool) {
-        if !self.pending.is_empty() {
-            let addr = self.write_addr - self.pending.len() as u64;
-            if ctx.mem.try_write(self.col.port, addr, &self.pending) {
-                self.pending.clear();
+    /// the freed slot without a write of its own. Returns whether it made
+    /// an attempt, which reaches memory even when refused (the refusal
+    /// counts an arbitration stall).
+    fn write_pending(&mut self, ctx: &mut Ctx<'_>, finishing: bool) -> bool {
+        if self.pending > 0 {
+            let addr = self.write_addr - self.pending as u64;
+            if ctx.mem.try_write(self.col.port, addr, &self.held[..self.pending]) {
+                self.pending = 0;
                 self.promote(finishing);
             }
+            true
         } else if self.ready(finishing) {
-            if ctx.mem.try_write(self.col.port, self.write_addr, &self.line) {
-                self.write_addr += self.line.len() as u64;
-                self.line.clear();
+            if ctx.mem.try_write(self.col.port, self.write_addr, &self.line[..self.fill]) {
+                self.write_addr += self.fill as u64;
+                self.fill = 0;
             } else {
                 self.promote(finishing);
             }
+            true
+        } else {
+            false
         }
     }
 
     /// A full line, or once `finishing` a partial one, is ready to write.
     fn ready(&self, finishing: bool) -> bool {
-        self.line.len() >= LINE_BYTES || (finishing && !self.line.is_empty())
+        self.fill >= LINE_BYTES || (finishing && self.fill > 0)
     }
 
     /// Moves a ready line into the free pending slot.
     fn promote(&mut self, finishing: bool) {
         if self.ready(finishing) {
-            std::mem::swap(&mut self.pending, &mut self.line);
-            self.write_addr += self.pending.len() as u64;
-            self.line.reserve(LINE_BYTES);
+            self.held = self.line;
+            self.pending = self.fill;
+            self.fill = 0;
+            self.write_addr += self.pending as u64;
         }
     }
-}
 
-/// Appends `w` to `line` as `elem_bytes` little-endian bytes. Sentinels
-/// use the all-ones pattern (`Ins`) and all-ones-minus-one (`Del`).
-#[inline]
-fn append(line: &mut Vec<u8>, w: HwWord, elem_bytes: usize) {
-    let mask = if elem_bytes == 8 { u64::MAX } else { (1u64 << (8 * elem_bytes)) - 1 };
-    let v = match w {
-        HwWord::Val(v) => v & mask,
-        HwWord::Ins => mask,
-        HwWord::Del => mask - 1,
-        HwWord::Empty => 0,
-    };
-    line.extend_from_slice(&v.to_le_bytes()[..elem_bytes]);
+    /// Appends `w` to the filling line as `elem_bytes` little-endian bytes.
+    /// Sentinels use the all-ones pattern (`Ins`) and all-ones-minus-one
+    /// (`Del`).
+    #[inline]
+    fn append(&mut self, w: HwWord) {
+        let elem_bytes = self.col.cfg.elem_bytes;
+        let mask = if elem_bytes == 8 { u64::MAX } else { (1u64 << (8 * elem_bytes)) - 1 };
+        let v = match w {
+            HwWord::Val(v) => v & mask,
+            HwWord::Ins => mask,
+            HwWord::Del => mask - 1,
+            HwWord::Empty => 0,
+        };
+        let slot = &mut self.line[self.fill..self.fill + elem_bytes];
+        slot.copy_from_slice(&v.to_le_bytes()[..elem_bytes]);
+        self.fill += elem_bytes;
+    }
 }
 
 impl MemWriter {
@@ -124,7 +141,12 @@ impl MemWriter {
     ///
     /// Panics on unaligned `base_addr` or unsupported `elem_bytes`.
     #[must_use]
-    pub fn new(label: &str, cfg: MemWriterConfig, port: PortId, input: QueueId) -> MemWriter {
+    pub fn new(
+        label: impl Into<String>,
+        cfg: MemWriterConfig,
+        port: PortId,
+        input: QueueId,
+    ) -> MemWriter {
         MemWriter::columns(label, vec![WriterColumn { field: 0, cfg, port }], input)
     }
 
@@ -138,10 +160,10 @@ impl MemWriter {
     /// Panics when `cols` is empty, or on an unaligned base address or
     /// unsupported element width.
     #[must_use]
-    pub fn columns(label: &str, cols: Vec<WriterColumn>, input: QueueId) -> MemWriter {
+    pub fn columns(label: impl Into<String>, cols: Vec<WriterColumn>, input: QueueId) -> MemWriter {
         assert!(!cols.is_empty(), "a writer needs at least one column");
         MemWriter {
-            label: label.to_owned(),
+            label: label.into(),
             input,
             lanes: cols.into_iter().map(Lane::new).collect(),
             elems_written: 0,
@@ -149,14 +171,6 @@ impl MemWriter {
             cur_row: 0,
             done: false,
         }
-    }
-
-    /// Writes flit field `i` instead of field 0 through the first lane
-    /// (e.g. the value field of a drained `[index, value]` stream).
-    #[must_use]
-    pub fn with_field(mut self, i: usize) -> MemWriter {
-        self.lanes[0].col.field = i;
-        self
     }
 
     /// Total elements written so far (per column).
@@ -195,10 +209,11 @@ impl Module for MemWriter {
         let finishing = ctx.queues.get(self.input).is_finished();
         let mut blocked = false;
         let mut pending = false;
+        let mut wrote = false;
         for lane in &mut *self.lanes {
-            lane.write_pending(ctx, finishing);
-            blocked |= lane.line.len() >= LINE_BYTES;
-            pending |= !lane.pending.is_empty() || (finishing && !lane.line.is_empty());
+            wrote |= lane.write_pending(ctx, finishing);
+            blocked |= lane.fill >= LINE_BYTES;
+            pending |= lane.pending > 0 || (finishing && lane.fill > 0);
         }
         if finishing {
             if pending {
@@ -213,15 +228,16 @@ impl Module for MemWriter {
         }
         let Some(flit) = ctx.queues.get_mut(self.input).pop() else {
             // Input empty and still open: a pending line retries next
-            // cycle; with none, every tick until a push is a no-op.
-            return if pending { Tick::Active } else { Tick::PARK };
+            // cycle; with none, every tick until a push is a no-op — from
+            // the next one on, when this one reached memory.
+            return if pending || wrote { Tick::Active } else { Tick::PARK };
         };
         if flit.is_end_item() {
             self.row_lens.push(self.cur_row);
             self.cur_row = 0;
         } else {
             for lane in &mut *self.lanes {
-                append(&mut lane.line, flit.field(lane.col.field), lane.col.cfg.elem_bytes);
+                lane.append(flit.field(lane.col.field));
             }
             self.elems_written += 1;
             self.cur_row += 1;
@@ -237,11 +253,7 @@ impl Module for MemWriter {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        vec![self.input]
-    }
-
-    fn output_queues(&self) -> Vec<QueueId> {
-        Vec::new()
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.input);
     }
 }

@@ -217,15 +217,12 @@ pub trait Module: fmt::Debug + Send {
     /// Downcasting support (used to read results out of sinks/writers).
     fn as_any(&self) -> &dyn Any;
 
-    /// Queues this module consumes (for pipeline visualization).
-    fn input_queues(&self) -> Vec<QueueId> {
-        Vec::new()
-    }
+    /// Appends the queues this module consumes to `out` (the engine's
+    /// wake lists, pipeline visualization).
+    fn input_queues(&self, _out: &mut Vec<QueueId>) {}
 
-    /// Queues this module produces into (for pipeline visualization).
-    fn output_queues(&self) -> Vec<QueueId> {
-        Vec::new()
-    }
+    /// Appends the queues this module produces into to `out`.
+    fn output_queues(&self, _out: &mut Vec<QueueId>) {}
 }
 
 /// Pushes `flit` to queue `q` if space permits; returns whether it was

@@ -93,10 +93,10 @@ enum State {
 impl ReadToBases {
     /// Creates the module.
     #[must_use]
-    pub fn new(label: &str, inputs: ReadToBasesInputs, out: QueueId) -> ReadToBases {
+    pub fn new(label: impl Into<String>, inputs: ReadToBasesInputs, out: QueueId) -> ReadToBases {
         let streams = |q: Option<QueueId>, bit: u8| if q.is_some() { bit } else { 0 };
         ReadToBases {
-            label: label.to_owned(),
+            label: label.into(),
             inputs,
             out,
             width: FIELDS,
@@ -347,14 +347,13 @@ impl Module for ReadToBases {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        let mut qs = vec![self.inputs.pos, self.inputs.cigar];
-        qs.extend(self.inputs.seq);
-        qs.extend(self.inputs.qual);
-        qs
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.extend([self.inputs.pos, self.inputs.cigar]);
+        out.extend(self.inputs.seq);
+        out.extend(self.inputs.qual);
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }

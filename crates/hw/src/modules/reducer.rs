@@ -43,9 +43,15 @@ pub struct Reducer {
 impl Reducer {
     /// Creates a reducer over `value_field`.
     #[must_use]
-    pub fn new(label: &str, op: ReduceOp, value_field: usize, input: QueueId, out: QueueId) -> Reducer {
+    pub fn new(
+        label: impl Into<String>,
+        op: ReduceOp,
+        value_field: usize,
+        input: QueueId,
+        out: QueueId,
+    ) -> Reducer {
         Reducer {
-            label: label.to_owned(),
+            label: label.into(),
             op,
             value_field,
             mask_field: None,
@@ -167,11 +173,11 @@ impl Module for Reducer {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        vec![self.input]
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.input);
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }

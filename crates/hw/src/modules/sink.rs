@@ -18,8 +18,8 @@ pub struct StreamSink {
 impl StreamSink {
     /// Creates a sink on `input`.
     #[must_use]
-    pub fn new(label: &str, input: QueueId) -> StreamSink {
-        StreamSink { label: label.to_owned(), input, collected: Vec::new(), done: false }
+    pub fn new(label: impl Into<String>, input: QueueId) -> StreamSink {
+        StreamSink { label: label.into(), input, collected: Vec::new(), done: false }
     }
 
     /// All collected flits, including end-of-item delimiters.
@@ -88,11 +88,7 @@ impl Module for StreamSink {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        vec![self.input]
-    }
-
-    fn output_queues(&self) -> Vec<QueueId> {
-        Vec::new()
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.input);
     }
 }

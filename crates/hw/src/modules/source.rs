@@ -19,14 +19,14 @@ pub struct StreamSource {
 impl StreamSource {
     /// Creates a source from explicit flits.
     #[must_use]
-    pub fn from_flits(label: &str, out: QueueId, flits: Vec<Flit>) -> StreamSource {
-        StreamSource { label: label.to_owned(), out, pending: flits.into(), done: false }
+    pub fn from_flits(label: impl Into<String>, out: QueueId, flits: Vec<Flit>) -> StreamSource {
+        StreamSource { label: label.into(), out, pending: flits.into(), done: false }
     }
 
     /// Creates a source from items of plain values: each item's values are
     /// emitted one per cycle followed by an end-of-item delimiter.
     #[must_use]
-    pub fn from_items(label: &str, out: QueueId, items: &[Vec<u64>]) -> StreamSource {
+    pub fn from_items(label: impl Into<String>, out: QueueId, items: &[Vec<u64>]) -> StreamSource {
         let mut flits = Vec::new();
         for item in items {
             for &v in item {
@@ -39,7 +39,11 @@ impl StreamSource {
 
     /// Creates a source of multi-field items.
     #[must_use]
-    pub fn from_field_items(label: &str, out: QueueId, items: &[Vec<Vec<HwWord>>]) -> StreamSource {
+    pub fn from_field_items(
+        label: impl Into<String>,
+        out: QueueId,
+        items: &[Vec<Vec<HwWord>>],
+    ) -> StreamSource {
         let mut flits = Vec::new();
         for item in items {
             for row in item {
@@ -87,11 +91,7 @@ impl Module for StreamSource {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        Vec::new()
-    }
-
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }

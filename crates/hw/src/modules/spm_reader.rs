@@ -8,14 +8,21 @@ use crate::word::Flit;
 use std::any::Any;
 
 /// Gates an SPM access on tiered-memory residency: parks on a timed
-/// [`Watch::Spill`] wake when the touched page is still spilling/filling.
-/// Free (a single branch) when tiering is disabled.
+/// [`Watch::Spill`] wake when the touched page is still spilling/filling,
+/// and returns [`Tick::Active`] from the miss tick that starts moving it.
+/// Free (a branch or two) when tiering is disabled.
 macro_rules! tier_gate {
-    ($ctx:expr, $spms:expr, $idx:expr, $write:expr) => {
+    ($ctx:expr, $spms:expr, $idx:expr, $write:expr) => {{
+        let ops = $ctx.spms.tier_ops();
         if let Some(at) = $ctx.spms.tier_wait($spms, $idx, $write, $ctx.cycle) {
+            // A miss that moved a page was this tick's work: the park
+            // starts with the next tick, which only waits for the page.
+            if $ctx.spms.tier_ops() != ops {
+                return Tick::Active;
+            }
             return Tick::Park { wake_at: Some(at), watch: Watch::Spill };
         }
-    };
+    }};
 }
 pub(crate) use tier_gate;
 
@@ -77,7 +84,7 @@ impl SpmReader {
     /// Panics when `spms` is empty.
     #[must_use]
     pub fn new(
-        label: &str,
+        label: impl Into<String>,
         spms: Vec<SpmId>,
         mode: SpmReadMode,
         addr_offset: u64,
@@ -85,7 +92,7 @@ impl SpmReader {
     ) -> SpmReader {
         assert!(!spms.is_empty(), "SPM reader needs at least one scratchpad");
         SpmReader {
-            label: label.to_owned(),
+            label: label.into(),
             spms,
             mode,
             addr_offset,
@@ -278,17 +285,16 @@ impl Module for SpmReader {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        let mut qs = self.gates.clone();
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.extend_from_slice(&self.gates);
         match self.mode {
-            SpmReadMode::Range { start, end } => qs.extend([start, end]),
-            SpmReadMode::Drain { trigger, .. } => qs.push(trigger),
+            SpmReadMode::Range { start, end } => out.extend([start, end]),
+            SpmReadMode::Drain { trigger, .. } => out.push(trigger),
         }
-        qs
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }
 
@@ -311,14 +317,14 @@ impl SpmAddrReader {
     /// Panics when `spms` is empty.
     #[must_use]
     pub fn new(
-        label: &str,
+        label: impl Into<String>,
         spms: Vec<SpmId>,
         addr_offset: u64,
         input: QueueId,
         out: QueueId,
     ) -> SpmAddrReader {
         assert!(!spms.is_empty(), "SPM reader needs at least one scratchpad");
-        SpmAddrReader { label: label.to_owned(), spms, addr_offset, input, out, done: false }
+        SpmAddrReader { label: label.into(), spms, addr_offset, input, out, done: false }
     }
 }
 
@@ -369,11 +375,11 @@ impl Module for SpmAddrReader {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        vec![self.input]
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.input);
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }

@@ -81,7 +81,7 @@ impl SpmUpdater {
     /// need them).
     #[must_use]
     pub fn new(
-        label: &str,
+        label: impl Into<String>,
         spm: SpmId,
         mode: SpmUpdateMode,
         addr_field: usize,
@@ -93,7 +93,7 @@ impl SpmUpdater {
             _ => 0,
         };
         SpmUpdater {
-            label: label.to_owned(),
+            label: label.into(),
             spm,
             mode,
             addr_field,
@@ -285,11 +285,11 @@ impl Module for SpmUpdater {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        vec![self.input]
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.input);
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        self.forward.into_iter().chain(self.done_signal).collect()
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.extend(self.forward.into_iter().chain(self.done_signal));
     }
 }

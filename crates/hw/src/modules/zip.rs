@@ -53,11 +53,11 @@ impl Zip {
     /// Panics when `inputs` is empty or the selected fields exceed
     /// [`MAX_FIELDS`].
     #[must_use]
-    pub fn new(label: &str, inputs: Vec<ZipInput>, out: QueueId) -> Zip {
+    pub fn new(label: impl Into<String>, inputs: Vec<ZipInput>, out: QueueId) -> Zip {
         assert!(!inputs.is_empty(), "zip needs at least one input");
         let width: usize = inputs.iter().map(|i| i.fields.len()).sum();
         assert!(width <= MAX_FIELDS, "zip output of {width} fields exceeds {MAX_FIELDS}");
-        Zip { label: label.to_owned(), inputs, out, done: false }
+        Zip { label: label.into(), inputs, out, done: false }
     }
 }
 
@@ -130,12 +130,12 @@ impl Module for Zip {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        self.inputs.iter().map(|i| i.queue).collect()
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.extend(self.inputs.iter().map(|i| i.queue));
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }
 
@@ -151,8 +151,8 @@ mod tests {
         let mut sys = System::new();
         let mut zin = Vec::new();
         for (i, (flits, fields)) in inputs.into_iter().enumerate() {
-            let q = sys.add_queue(&format!("in{i}"));
-            sys.add_module(Box::new(StreamSource::from_flits(&format!("src{i}"), q, flits)));
+            let q = sys.add_queue(format!("in{i}"));
+            sys.add_module(Box::new(StreamSource::from_flits(format!("src{i}"), q, flits)));
             zin.push(ZipInput::new(q, fields));
         }
         let out = sys.add_queue("out");

@@ -42,7 +42,7 @@ pub struct Queue {
 }
 
 impl Queue {
-    fn new(name: &str, capacity: usize) -> Queue {
+    fn new(name: String, capacity: usize) -> Queue {
         Queue {
             slots: vec![Flit::new(); capacity.next_power_of_two()].into_boxed_slice(),
             head: 0,
@@ -53,7 +53,7 @@ impl Queue {
             touched: false,
             pushed: 0,
             full_stalls: 0,
-            name: name.to_owned(),
+            name,
         }
     }
 
@@ -202,7 +202,7 @@ impl QueuePool {
     }
 
     /// Adds a queue with [`DEFAULT_CAPACITY`].
-    pub fn add(&mut self, name: &str) -> QueueId {
+    pub fn add(&mut self, name: impl Into<String>) -> QueueId {
         self.add_with_capacity(name, DEFAULT_CAPACITY)
     }
 
@@ -211,9 +211,9 @@ impl QueuePool {
     /// # Panics
     ///
     /// Panics when `capacity == 0`.
-    pub fn add_with_capacity(&mut self, name: &str, capacity: usize) -> QueueId {
+    pub fn add_with_capacity(&mut self, name: impl Into<String>, capacity: usize) -> QueueId {
         assert!(capacity > 0, "queue capacity must be positive");
-        self.queues.push(Queue::new(name, capacity));
+        self.queues.push(Queue::new(name.into(), capacity));
         QueueId(self.queues.len() as u32 - 1)
     }
 

@@ -131,7 +131,7 @@ impl SpmPool {
     /// # Panics
     ///
     /// Panics when `elem_bytes` is 0 or greater than 8.
-    pub fn add(&mut self, name: &str, len: usize, elem_bytes: usize) -> SpmId {
+    pub fn add(&mut self, name: impl Into<String>, len: usize, elem_bytes: usize) -> SpmId {
         assert!((1..=8).contains(&elem_bytes), "element width must be 1..=8 bytes");
         self.add_packed(name, len, elem_bytes * 8)
     }
@@ -142,10 +142,15 @@ impl SpmPool {
     /// # Panics
     ///
     /// Panics when `bits_per_elem` is 0 or greater than 64.
-    pub fn add_packed(&mut self, name: &str, len: usize, bits_per_elem: usize) -> SpmId {
+    pub fn add_packed(
+        &mut self,
+        name: impl Into<String>,
+        len: usize,
+        bits_per_elem: usize,
+    ) -> SpmId {
         assert!((1..=64).contains(&bits_per_elem), "element width must be 1..=64 bits");
         self.spms.push(Spm {
-            name: name.to_owned(),
+            name: name.into(),
             data: vec![0; len],
             bits_per_elem,
             reads: 0,

@@ -259,6 +259,17 @@ impl System {
         }
     }
 
+    /// The five stall buckets of [`System::stall_report`] summed over every
+    /// module ([`StallReport::totals`]), without copying a label.
+    #[must_use]
+    pub fn stall_totals(&self) -> StallCounters {
+        let mut t = StallCounters::default();
+        for &c in self.stall.iter().take(self.modules.len()) {
+            t.absorb(c);
+        }
+        t
+    }
+
     /// Selects the simulation engine for subsequent [`System::run`] calls.
     pub fn set_engine(&mut self, engine: EngineMode) {
         self.engine = engine;
@@ -271,17 +282,17 @@ impl System {
     }
 
     /// Adds a queue.
-    pub fn add_queue(&mut self, name: &str) -> QueueId {
+    pub fn add_queue(&mut self, name: impl Into<String>) -> QueueId {
         self.queues.add(name)
     }
 
     /// Adds a queue with explicit capacity.
-    pub fn add_queue_with_capacity(&mut self, name: &str, capacity: usize) -> QueueId {
+    pub fn add_queue_with_capacity(&mut self, name: impl Into<String>, capacity: usize) -> QueueId {
         self.queues.add_with_capacity(name, capacity)
     }
 
     /// Adds a scratchpad.
-    pub fn add_spm(&mut self, name: &str, len: usize, elem_bytes: usize) -> SpmId {
+    pub fn add_spm(&mut self, name: impl Into<String>, len: usize, elem_bytes: usize) -> SpmId {
         self.spms.add(name, len, elem_bytes)
     }
 
@@ -331,9 +342,10 @@ impl System {
         self.mem.host_write(addr, bytes);
     }
 
-    /// Host-side device-memory readback (`genesis_flush`).
+    /// Host-side device-memory readback (`genesis_flush`), borrowed: the
+    /// caller copies what it keeps.
     #[must_use]
-    pub fn host_read(&self, addr: u64, len: usize) -> Vec<u8> {
+    pub fn host_read(&self, addr: u64, len: usize) -> &[u8] {
         self.mem.host_read(addr, len)
     }
 
@@ -508,16 +520,20 @@ impl System {
         // queue name. The queue -> consumers index is built once up front
         // instead of rescanning every module per producer queue.
         let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); self.queues.len()];
+        let mut qs = Vec::new();
         for (ci, m) in self.modules.iter().enumerate() {
-            let mut qs = m.input_queues();
+            qs.clear();
+            m.input_queues(&mut qs);
             qs.sort_unstable_by_key(|q| q.index());
             qs.dedup();
-            for q in qs {
+            for q in &qs {
                 consumers[q.index()].push(ci);
             }
         }
         for (pi, producer) in self.modules.iter().enumerate() {
-            for q in producer.output_queues() {
+            qs.clear();
+            producer.output_queues(&mut qs);
+            for &q in &qs {
                 let name = self.queues.get(q).name();
                 for &ci in &consumers[q.index()] {
                     let _ = writeln!(out, "  m{pi} -> m{ci} [label=\"{name}\"];");
@@ -657,7 +673,7 @@ mod tests {
             } else {
                 sys.add_module(Box::new(rtb));
                 for (i, &p) in preds.iter().enumerate() {
-                    sys.add_module(Box::new(Filter::new(&format!("f{i}"), p, b, b)));
+                    sys.add_module(Box::new(Filter::new(format!("f{i}"), p, b, b)));
                 }
             }
             sys.resource_report().total

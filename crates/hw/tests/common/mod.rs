@@ -72,8 +72,8 @@ impl Module for SlowSink {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        vec![self.input]
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.input);
     }
 }
 
@@ -167,12 +167,12 @@ impl<M: Module + 'static> Module for Counted<M> {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        self.inner.input_queues()
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        self.inner.input_queues(out);
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        self.inner.output_queues()
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        self.inner.output_queues(out);
     }
 }
 
@@ -232,8 +232,8 @@ impl Module for SlowSource {
         self
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        vec![self.out]
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        out.push(self.out);
     }
 }
 
@@ -277,8 +277,9 @@ pub struct Contract<M> {
 
 /// `inner`, contract-checked and boxed for `System::add_module`.
 pub fn contract<M: Module>(inner: M) -> Box<Contract<M>> {
-    let mut queues = inner.input_queues();
-    queues.extend(inner.output_queues());
+    let mut queues = Vec::new();
+    inner.input_queues(&mut queues);
+    inner.output_queues(&mut queues);
     Box::new(Contract { inner, queues })
 }
 
@@ -343,11 +344,11 @@ impl<M: Module + 'static> Module for Contract<M> {
         self
     }
 
-    fn input_queues(&self) -> Vec<QueueId> {
-        self.inner.input_queues()
+    fn input_queues(&self, out: &mut Vec<QueueId>) {
+        self.inner.input_queues(out);
     }
 
-    fn output_queues(&self) -> Vec<QueueId> {
-        self.inner.output_queues()
+    fn output_queues(&self, out: &mut Vec<QueueId>) {
+        self.inner.output_queues(out);
     }
 }

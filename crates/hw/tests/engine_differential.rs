@@ -321,7 +321,7 @@ fn memory_pipeline_bit_identical() {
             )));
             out_base
         },
-        |sys, &out_base| sys.host_read(out_base, (ELEMS / ROW) as usize * 8),
+        |sys, &out_base| sys.host_read(out_base, (ELEMS / ROW) as usize * 8).to_vec(),
     );
 }
 
@@ -374,22 +374,22 @@ fn independent_chains_bit_identical() {
         |sys| {
             let mut sinks = Vec::new();
             for p in 0..6u64 {
-                let q_src = sys.add_queue_with_capacity(&format!("src{p}"), 2 + p as usize);
-                let q_out = sys.add_queue_with_capacity(&format!("out{p}"), 2);
+                let q_src = sys.add_queue_with_capacity(format!("src{p}"), 2 + p as usize);
+                let q_out = sys.add_queue_with_capacity(format!("out{p}"), 2);
                 let items: Vec<Vec<u64>> =
                     (0..40).map(|i| vec![(i * 7 + p) % 50, i + p]).collect();
                 sys.add_module(counted(StreamSource::from_items(
-                    &format!("s{p}"),
+                    format!("s{p}"),
                     q_src,
                     &items,
                 )));
                 sys.add_module(counted(Filter::new(
-                    &format!("f{p}"),
+                    format!("f{p}"),
                     Predicate::field_const(0, CmpOp::Gt, 10 + p),
                     q_src,
                     q_out,
                 )));
-                sinks.push(sys.add_module(counted(StreamSink::new(&format!("k{p}"), q_out))));
+                sinks.push(sys.add_module(counted(StreamSink::new(format!("k{p}"), q_out))));
             }
             sinks
         },
@@ -431,28 +431,28 @@ fn mixed_memory_and_stream_components_bit_identical() {
             )));
             let mut sinks = Vec::new();
             for p in 0..3u64 {
-                let q_s = sys.add_queue_with_capacity(&format!("sq{p}"), 3);
-                let q_r = sys.add_queue_with_capacity(&format!("rq{p}"), 3);
+                let q_s = sys.add_queue_with_capacity(format!("sq{p}"), 3);
+                let q_r = sys.add_queue_with_capacity(format!("rq{p}"), 3);
                 let items: Vec<Vec<u64>> = (0..25).map(|i| vec![i * 3 + p, i]).collect();
                 sys.add_module(counted(StreamSource::from_items(
-                    &format!("ss{p}"),
+                    format!("ss{p}"),
                     q_s,
                     &items,
                 )));
                 sys.add_module(counted(Reducer::new(
-                    &format!("sr{p}"),
+                    format!("sr{p}"),
                     ReduceOp::Sum,
                     0,
                     q_s,
                     q_r,
                 )));
-                sinks.push(sys.add_module(counted(StreamSink::new(&format!("sk{p}"), q_r))));
+                sinks.push(sys.add_module(counted(StreamSink::new(format!("sk{p}"), q_r))));
             }
             (out_base, sinks)
         },
         |sys, (out_base, sinks)| {
             (
-                sys.host_read(*out_base, ELEMS as usize * 8),
+                sys.host_read(*out_base, ELEMS as usize * 8).to_vec(),
                 sinks.iter().map(|&s| sink_flits(sys, s)).collect::<Vec<_>>(),
             )
         },
@@ -472,8 +472,8 @@ fn multi_component_deadlock_bit_identical() {
             sys.add_module(counted(StreamSource::from_items("src", q_done, &[vec![1, 2]])));
             sys.add_module(counted(StreamSink::new("sink", q_done)));
             for p in 0..2 {
-                let q = sys.add_queue(&format!("never{p}"));
-                sys.add_module(counted(StreamSink::new(&format!("stuck{p}"), q)));
+                let q = sys.add_queue(format!("never{p}"));
+                sys.add_module(counted(StreamSink::new(format!("stuck{p}"), q)));
             }
         },
         |_, ()| (),
@@ -926,7 +926,9 @@ fn multi_column_writer_bit_identical() {
             sys.add_module(counted(MemWriter::columns("wr", cols, q)));
             regions
         },
-        |sys, regions| regions.iter().map(|&at| sys.host_read(at, 1024)).collect::<Vec<_>>(),
+        |sys, regions| {
+            regions.iter().map(|&at| sys.host_read(at, 1024).to_vec()).collect::<Vec<_>>()
+        },
     );
 }
 
@@ -955,14 +957,14 @@ fn streamed_rows(
         let mut inputs = Vec::new();
         let mut first = None;
         for (i, c) in cols.into_iter().enumerate() {
-            let q = sys.add_queue_with_capacity(&format!("col{i}"), cap);
+            let q = sys.add_queue_with_capacity(format!("col{i}"), cap);
             let cfg = MemReaderConfig {
                 base_addr: c.base_addr,
                 elem_bytes: c.elem_bytes,
                 total_elems: rows,
                 rows: RowSpec::None,
             };
-            let rd = sys.add_module(counted(MemReader::new(&format!("rd{i}"), cfg, c.port, q)));
+            let rd = sys.add_module(counted(MemReader::new(format!("rd{i}"), cfg, c.port, q)));
             first.get_or_insert(rd);
             inputs.push(ZipInput::new(q, vec![0]));
         }

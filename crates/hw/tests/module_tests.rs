@@ -345,7 +345,7 @@ fn mem_reader_streams_column_with_rows() {
             base_addr: addr,
             elem_bytes: 1,
             total_elems: 100,
-            rows: RowSpec::Lens(Arc::new(vec![10, 0, 90])),
+            rows: RowSpec::Lens(Arc::from([10, 0, 90])),
         },
         port,
         o,
@@ -404,7 +404,7 @@ fn mem_reader_streams_a_million_leading_empty_rows() {
             base_addr: addr,
             elem_bytes: 1,
             total_elems: 1,
-            rows: RowSpec::Lens(Arc::new(lens)),
+            rows: RowSpec::Lens(Arc::from(lens)),
         },
         port,
         o,
@@ -463,12 +463,7 @@ fn column_writer(
         })
         .collect();
     let regions = cols.iter().map(|c| c.cfg.base_addr).collect();
-    let w = sys.add_module(Box::new(if cols.len() == 1 {
-        let c = cols[0].clone();
-        MemWriter::new("wr", c.cfg, c.port, q).with_field(c.field)
-    } else {
-        MemWriter::columns("wr", cols, q)
-    }));
+    let w = sys.add_module(Box::new(MemWriter::columns("wr", cols, q)));
     let stats = sys.run(100_000).unwrap();
     (stats, sys, w, regions)
 }
@@ -1497,7 +1492,8 @@ impl RtbCase {
         let names = ["pos", "cigar", "seq", "qual"];
         let streamed = [true, true, self.seq, self.qual];
         let mut qs = Vec::new();
-        for (((name, flits), period), on) in names.iter().zip(self.streams()).zip(self.periods).zip(streamed) {
+        let inputs = names.into_iter().zip(self.streams()).zip(self.periods).zip(streamed);
+        for (((name, flits), period), on) in inputs {
             let q = sys.add_queue_with_capacity(name, self.cap);
             if on {
                 sys.add_module(Box::new(SlowSource::new(name, q, flits, period)));
@@ -1530,8 +1526,8 @@ impl RtbCase {
             let (last, chain) = self.guard.split_last().expect("a guard to chain");
             let mut q = bases;
             for (i, &pred) in chain.iter().enumerate() {
-                let next = sys.add_queue_with_capacity(&format!("kept{i}"), self.cap);
-                sys.add_module(contract(Filter::new(&format!("flt{i}"), pred, q, next)));
+                let next = sys.add_queue_with_capacity(format!("kept{i}"), self.cap);
+                sys.add_module(contract(Filter::new(format!("flt{i}"), pred, q, next)));
                 q = next;
             }
             sys.add_module(contract(Filter::new("flt", *last, q, out)));
@@ -1632,4 +1628,73 @@ proptest! {
         let (_, ticks, ..) = run_case(&ready, true, EngineMode::Reference);
         prop_assert_eq!(ticks, ready.ready_cycles());
     }
+}
+
+/// No tick that did work parks: each of the modules below once parked in
+/// the tick that wrote a line, took a read's flags or started a page
+/// fill, so the fast engine filed that working cycle as a stall. Each
+/// runs behind a source with gaps (one flit every third cycle), every
+/// tick checked against the module contract.
+#[test]
+fn a_writer_that_wrote_a_line_does_not_park_in_that_tick() {
+    let mut sys = System::new();
+    let q = sys.add_queue("q");
+    let flits: Vec<Flit> = (0..40).map(|i| Flit::val(i * 3)).collect();
+    sys.add_module(Box::new(SlowSource::new("src", q, flits, 3)));
+    let base_addr = sys.alloc_mem(40 * 8);
+    let port = sys.register_mem_port(0);
+    let cfg = MemWriterConfig { base_addr, elem_bytes: 8 };
+    sys.add_module(contract(MemWriter::new("wr", cfg, port, q)));
+    sys.run(10_000).unwrap();
+    let written: Vec<u64> = sys
+        .host_read(base_addr, 40 * 8)
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    assert_eq!(written, (0..40).map(|i| i * 3).collect::<Vec<u64>>());
+}
+
+#[test]
+fn a_bin_id_gen_that_took_flags_does_not_park_in_that_tick() {
+    let mut sys = System::new();
+    let (i, fq, o) = (sys.add_queue("i"), sys.add_queue("flags"), sys.add_queue("o"));
+    let mut flits = Vec::new();
+    for read in 0..3u64 {
+        flits.push(Flit::data(&[v(100 + read), v(0), v(20), v(0)]));
+        flits.push(Flit::data(&[v(101 + read), v(1), v(25), v(1)]));
+        flits.push(Flit::end_item());
+    }
+    let flags = vec![Flit::val(0), Flit::end_item(), Flit::val(1), Flit::end_item(), Flit::val(0)];
+    let cfg = BinIdGenConfig::for_read_len(10);
+    sys.add_module(contract(BinIdGen::new("bin", cfg, i, fq, o)));
+    sys.add_module(Box::new(SlowSource::new("src", i, flits, 3)));
+    sys.add_module(Box::new(SlowSource::new("flags", fq, flags, 3)));
+    let sink = sys.add_module(Box::new(StreamSink::new("s", o)));
+    sys.run(10_000).unwrap();
+    let items = sys.module_as::<StreamSink>(sink).unwrap().items();
+    assert_eq!(items.len(), 3);
+    assert!(items.iter().all(|rows| rows.len() == 2), "{items:?}");
+}
+
+#[test]
+fn a_tiered_updater_that_started_a_fill_does_not_park_in_that_tick() {
+    let mut sys = System::new();
+    let spm = sys.add_spm("counts", 16, 8);
+    let i = sys.add_queue("i");
+    // Keys alternate between the scratchpad's two 64-byte pages, one of
+    // which is resident at a time: every other flit starts a fill.
+    let keys: Vec<u64> = (0..24).map(|k| if k % 2 == 0 { k % 8 } else { 8 + k % 8 }).collect();
+    let flits = keys.iter().map(|&k| Flit::data(&[v(k), v(1)])).collect();
+    sys.add_module(Box::new(SlowSource::new("src", i, flits, 3)));
+    let rmw = SpmUpdateMode::Rmw { op: RmwOp::Increment };
+    sys.add_module(contract(SpmUpdater::new("u", spm, rmw, 0, 1, i)));
+    sys.set_tiers(TierParams { page_bytes: 64, spm_bytes: 64, ..TierParams::default() })
+        .expect("unbounded host");
+    sys.run(100_000).unwrap();
+    let mut expected = [0u64; 16];
+    for &k in &keys {
+        expected[k as usize] += 1;
+    }
+    assert_eq!(sys.spms().get(spm).contents(), &expected[..]);
+    assert!(sys.spms().tier_stats().expect("tiered").pages_filled > 2);
 }
