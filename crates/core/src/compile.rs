@@ -157,8 +157,7 @@ impl PipelinePlan {
     }
 
     /// Output column names of the compiled pipeline.
-    #[must_use]
-    pub fn output_columns(&self) -> &[String] {
+    pub fn output_columns(&self) -> impl Iterator<Item = &str> {
         self.lowered.output_columns()
     }
 

@@ -569,7 +569,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Writes the merged per-batch Chrome trace and its sibling flame table
 /// when the device config names an export path. Batch `i` becomes process
-/// `i` in the trace; stall reports merge by module label.
+/// `i` in the trace; stall reports merge by module label. Each file is
+/// written whole ([`genesis_obs::write_whole`]): runs exporting to one
+/// path from several device threads leave the last run's file, never a
+/// mix of two.
 fn export_trace(
     cfg: &DeviceConfig,
     traces: &[(TraceBuffer, StallReport)],
@@ -588,7 +591,7 @@ fn export_trace(
         .map_err(|e| CoreError::Host(format!("trace export to {}: {e}", path.display())))?;
     let mut stalls_path = path.as_os_str().to_owned();
     stalls_path.push(".stalls.txt");
-    std::fs::write(&stalls_path, merged.flame_table(32))
+    genesis_obs::write_whole(stalls_path.as_ref(), merged.flame_table(32))
         .map_err(|e| CoreError::Host(format!("stall report export: {e}")))?;
     Ok(())
 }

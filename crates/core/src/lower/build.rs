@@ -6,7 +6,7 @@ use super::bounds::{
     comp_bounds, lower_predicate, narrow_filtered_col, operand, plan_comp, range_stats, CompPlan,
     CompRhs, SubBounds,
 };
-use super::job::{line_padded, Cut, Reach};
+use super::job::{Cut, Reach};
 use super::pushdown::conjuncts;
 use super::{
     cmp_of, qualify, resolve, ColInfo, Decode, GroupRole, ScalarKind, SinkKind, MAX_GROUP_DOMAIN,
@@ -107,10 +107,6 @@ pub(super) struct BuildCtx<'a> {
     /// the stream-sink writer allocations; explodes raise it above the
     /// spine row count).
     rows_bound: usize,
-    /// Device memory the scalar aggregate's writers allocated (recorded by
-    /// the analysis build so a bind can reserve it up front; the other
-    /// sinks' shares are derived per replica or left to the store).
-    pub(super) sink_bytes: usize,
     /// The pipeline runs a loop body ([`EachRow`]).
     ///
     /// [`EachRow`]: super::EachRow
@@ -145,7 +141,6 @@ impl<'a> BuildCtx<'a> {
             group_domain_cap,
             expansion: 1.0,
             rows_bound,
-            sink_bytes: 0,
             per_row,
             bounds: None,
         }
@@ -1023,7 +1018,6 @@ fn build_scalar_agg(
         // not one either (`attach_writers`): only a stream is.
         let rows = if ctx.per_row { ctx.spine_range.len() } else { 1 };
         let (writer, addr) = b.writer(ctx.lbl("agg.out"), rq, 8, rows * 8);
-        ctx.sink_bytes += line_padded(rows * 8);
         if ctx.per_row {
             ctx.writes.push(8);
         }

@@ -101,16 +101,6 @@ fn union(mut ranges: Vec<Range<usize>>) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Raw per-job output, merged on the host after simulation.
-#[derive(Debug)]
-enum JobOut {
-    /// Decoded output columns, one `Vec` per column.
-    Cols(Vec<Vec<Value>>),
-    /// Raw (undecoded) aggregate columns: at most one value each for a
-    /// scalar aggregate, rows ascending by key for a grouped one.
-    Raw(Vec<Vec<u64>>),
-}
-
 /// A lowering bound to a copy of its scans' data: everything needed to run the
 /// compiled pipeline with no reference back to the catalog. Unlike the
 /// catalog (whose custom modules are boxed closures), every field here is
@@ -135,7 +125,7 @@ pub(crate) struct RunTimes {
     /// Everything between build and extract: the simulation itself plus
     /// the system set-up and stall accounting around it.
     pub(crate) simulate: Duration,
-    /// Reading the sinks back and decoding them.
+    /// Reading the sinks back.
     pub(crate) extract: Duration,
 }
 
@@ -147,13 +137,14 @@ impl RunTimes {
     }
 }
 
-/// Raw output of one shard of a [`PreparedJob`]: the per-batch sink
-/// payloads (merged later, in shard order, by [`PreparedJob::gather`])
-/// plus the shard's accelerator stats. `Send`, so shards run on
-/// independent device-worker threads.
+/// Raw output of one shard of a [`PreparedJob`]: each replica's sink
+/// columns as the raw words its writers stored (merged and decoded later,
+/// in shard order, by [`PreparedJob::gather`]) plus the shard's
+/// accelerator stats. `Send`, so shards run on independent device-worker
+/// threads.
 #[derive(Debug)]
 pub(crate) struct ShardOut {
-    outs: Vec<(JobOut, Vec<ColInfo>)>,
+    outs: Vec<Vec<Vec<u64>>>,
     stats: AccelStats,
     times: RunTimes,
 }
@@ -174,7 +165,7 @@ impl ShardOut {
 
 /// Bytes [`genesis_hw::memory::MemorySystem::alloc`] takes for a region of
 /// `bytes` bytes (whole lines, never empty).
-pub(super) fn line_padded(bytes: usize) -> usize {
+fn line_padded(bytes: usize) -> usize {
     bytes.max(1).div_ceil(LINE_BYTES) * LINE_BYTES
 }
 
@@ -453,7 +444,8 @@ impl PreparedJob {
     /// front: every replica's cut of every leaf — its slice of the spine,
     /// every other leaf as far as a cut reaches — and the sinks whose
     /// share is known before the build. A stream sink is sized by the rows
-    /// it can receive and a scalar one by its items, so theirs is exact.
+    /// it can receive and a scalar one holds one word per item, so theirs
+    /// is exact.
     /// A GROUP BY drain writes its replica's key window, which only the
     /// build derives: the store grows for it instead of reserving the
     /// whole key domain once per replica. A capacity hint either way,
@@ -471,11 +463,10 @@ impl PreparedJob {
                     rows_bound = rows_bound.max(exploded(p, cut));
                 }
                 bytes
-                    + match self.lowering.kind {
-                        SinkKind::Stream => {
-                            self.lowering.cols_names.len() * line_padded(rows_bound * 8)
-                        }
-                        _ => self.lowering.sink_bytes,
+                    + match &self.lowering.kind {
+                        SinkKind::Stream => self.lowering.cols.len() * line_padded(rows_bound * 8),
+                        SinkKind::Scalar(kinds) => kinds.len() * line_padded(8),
+                        SinkKind::Grouped(_) => 0,
                     }
             })
             .sum()
@@ -495,8 +486,7 @@ impl PreparedJob {
             stats.absorb(part.stats);
             outs.extend(part.outs);
         }
-        let cols = rebuild_cols(&self.lowering.cols_names, &outs);
-        let merged = self.lowering.merge(outs, &cols)?;
+        let merged = self.lowering.merge(outs)?;
         stats.dma_out_bytes += merged.byte_size();
         let table = self.lowering.apply_epilogues(merged)?;
         Ok((table, stats))
@@ -513,18 +503,18 @@ impl PreparedJob {
 }
 
 impl Lowering {
-    /// Merges per-job outputs column-wise: every sink kind produces one
-    /// decoded `Vec<Value>` per output column, and the table is assembled
-    /// from those columns in one step.
-    fn merge(&self, outs: Vec<(JobOut, Vec<ColInfo>)>, cols: &[ColInfo]) -> Result<Table, CoreError> {
+    /// Merges the replicas' raw sink columns column-wise and decodes them
+    /// once, by the output schema the analysis derived: stream rows
+    /// concatenate, scalar partials combine, grouped runs merge by key.
+    fn merge(&self, outs: Vec<Vec<Vec<u64>>>) -> Result<Table, CoreError> {
+        let decode = |raw: Vec<u64>, col: &ColInfo| -> Vec<Value> {
+            raw.into_iter().map(|w| decode_value(w, col)).collect()
+        };
         let columns: Vec<Vec<Value>> = match &self.kind {
             SinkKind::Stream => {
-                let mut columns: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
-                for (out, _) in outs {
-                    let JobOut::Cols(job) = out else {
-                        return Err(CoreError::Host("stream sink produced non-rows".into()));
-                    };
-                    for (acc, col) in columns.iter_mut().zip(job) {
+                let mut raw: Vec<Vec<u64>> = vec![Vec::new(); self.cols.len()];
+                for job in outs {
+                    for (acc, col) in raw.iter_mut().zip(job) {
                         if acc.is_empty() {
                             *acc = col;
                         } else {
@@ -532,14 +522,11 @@ impl Lowering {
                         }
                     }
                 }
-                columns
+                raw.into_iter().zip(&self.cols).map(|(raw, col)| decode(raw, col)).collect()
             }
             SinkKind::Scalar(kinds) => {
                 let mut acc: Vec<(u64, Option<u64>)> = vec![(0, None); kinds.len()];
-                for (out, _) in outs {
-                    let JobOut::Raw(parts) = out else {
-                        return Err(CoreError::Host("scalar sink produced non-scalars".into()));
-                    };
+                for parts in outs {
                     for ((slot, &kind), col) in acc.iter_mut().zip(kinds).zip(parts) {
                         let val = col.first().copied();
                         match kind {
@@ -575,27 +562,10 @@ impl Lowering {
                     .iter()
                     .position(|r| *r == GroupRole::Key)
                     .ok_or_else(|| CoreError::Host("grouped sink without key column".into()))?;
-                let runs: Vec<Vec<Vec<u64>>> = outs
+                let mut columns: Vec<Vec<Value>> = merge_runs(&outs, roles, key_pos)
                     .into_iter()
-                    .map(|(out, _)| match out {
-                        JobOut::Raw(job) => Ok(job),
-                        JobOut::Cols(_) => {
-                            Err(CoreError::Host("grouped sink produced non-groups".into()))
-                        }
-                    })
-                    .collect::<Result<_, _>>()?;
-                let mut columns: Vec<Vec<Value>> = merge_runs(&runs, roles, key_pos)
-                    .into_iter()
-                    .zip(roles)
-                    .zip(cols)
-                    .map(|((a, role), col)| {
-                        a.into_iter()
-                            .map(|raw| match (role, col.decode) {
-                                (GroupRole::Key, Decode::Bool) => Value::Bool(raw != 0),
-                                _ => Value::U64(raw),
-                            })
-                            .collect()
-                    })
+                    .zip(&self.cols)
+                    .map(|(raw, col)| decode(raw, col))
                     .collect();
                 // The leading sort on the key (`analyze` requires one) is
                 // the merge's own order, or its reversal.
@@ -608,7 +578,7 @@ impl Lowering {
             }
         };
         let fields: Vec<Field> =
-            cols.iter().map(|c| Field::new(&c.name, DataType::Cell)).collect();
+            self.cols.iter().map(|c| Field::new(&c.name, DataType::Cell)).collect();
         Ok(Table::from_columns(
             Schema::new(fields),
             columns.into_iter().map(Column::Cell).collect(),
@@ -691,23 +661,9 @@ pub(super) fn merge_runs(
     acc
 }
 
-/// Column metadata for merging: taken from the first job's build (all jobs
-/// build identical structure), falling back to names only.
-fn rebuild_cols(names: &[String], outs: &[(JobOut, Vec<ColInfo>)]) -> Vec<ColInfo> {
-    outs.first().map_or_else(
-        || names.iter().map(|n| ColInfo::new(n, Decode::U64)).collect(),
-        |(_, cols)| cols.clone(),
-    )
-}
-
-/// Reads one writer's output column back from device memory, mapping each
-/// raw 8-byte element through `f` on the way out.
-fn read_writer<T>(
-    sys: &System,
-    id: ModuleId,
-    addr: u64,
-    f: impl Fn(u64) -> T,
-) -> Result<Vec<T>, CoreError> {
+/// Reads one writer's output column back from device memory as the raw
+/// 8-byte words it stored.
+fn read_writer(sys: &System, id: ModuleId, addr: u64) -> Result<Vec<u64>, CoreError> {
     let w = sys
         .module_as::<MemWriter>(id)
         .ok_or_else(|| CoreError::Host("sink writer disappeared".into()))?;
@@ -718,7 +674,7 @@ fn read_writer<T>(
     Ok(sys
         .host_read(addr, n * 8)
         .chunks_exact(8)
-        .map(|c| f(u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes"))))
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")))
         .collect())
 }
 
@@ -737,7 +693,7 @@ fn decode_value(raw: u64, col: &ColInfo) -> Value {
 }
 
 /// Fails unless every output column holds the same number of rows.
-fn check_row_counts<T>(cols: &[Vec<T>], what: &str) -> Result<(), CoreError> {
+fn check_row_counts(cols: &[Vec<u64>], what: &str) -> Result<(), CoreError> {
     let n = cols.first().map_or(0, Vec::len);
     if cols.iter().any(|c| c.len() != n) {
         return Err(CoreError::Verification(format!(
@@ -747,30 +703,18 @@ fn check_row_counts<T>(cols: &[Vec<T>], what: &str) -> Result<(), CoreError> {
     Ok(())
 }
 
-fn extract_job(
-    sys: &System,
-    built: Built,
-    kind: &SinkKind,
-) -> Result<(JobOut, Vec<ColInfo>), CoreError> {
-    let out = if let SinkKind::Stream = kind {
-        let cols: Vec<Vec<Value>> = built
-            .writers
-            .iter()
-            .zip(&built.cols)
-            .map(|(&(id, addr), col)| read_writer(sys, id, addr, |raw| decode_value(raw, col)))
-            .collect::<Result<_, _>>()?;
-        check_row_counts(&cols, "output")?;
-        JobOut::Cols(cols)
-    } else {
-        let raw: Vec<Vec<u64>> = built
-            .writers
-            .iter()
-            .map(|&(id, addr)| read_writer(sys, id, addr, |raw| raw))
-            .collect::<Result<_, _>>()?;
-        if let SinkKind::Grouped(_) = kind {
-            check_row_counts(&raw, "grouped")?;
-        }
-        JobOut::Raw(raw)
-    };
-    Ok((out, built.cols))
+/// Reads a replica's sink writers back raw, one column per writer; the
+/// gather decodes them ([`Lowering::merge`]).
+fn extract_job(sys: &System, built: Built, kind: &SinkKind) -> Result<Vec<Vec<u64>>, CoreError> {
+    let raw: Vec<Vec<u64>> = built
+        .writers
+        .iter()
+        .map(|&(id, addr)| read_writer(sys, id, addr))
+        .collect::<Result<_, _>>()?;
+    match kind {
+        SinkKind::Stream => check_row_counts(&raw, "output")?,
+        SinkKind::Grouped(_) => check_row_counts(&raw, "grouped")?,
+        SinkKind::Scalar(_) => {}
+    }
+    Ok(raw)
 }

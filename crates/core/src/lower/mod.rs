@@ -195,11 +195,10 @@ pub(crate) struct Lowering {
     projection: Projection,
     /// The joins whose right leaf each replica cuts to its reach.
     reaches: Vec<Reach>,
-    cols_names: Vec<String>,
+    /// The output schema the analysis build derived: every replica's sink
+    /// has it, and the gather decodes their raw words by it.
+    cols: Vec<ColInfo>,
     kind: SinkKind,
-    /// Device memory one pipeline's scalar aggregate writers allocated in
-    /// the analysis build (0 for any other sink).
-    sink_bytes: usize,
     /// Port/fabric demand of one pipeline (input to the replication
     /// chooser).
     pub(crate) profile: PipelineProfile,
@@ -486,9 +485,8 @@ fn analyze_on(
         pushed,
         projection,
         reaches: ctx.reaches,
-        cols_names: built.cols.iter().map(|c| c.name.clone()).collect(),
+        cols: built.cols,
         kind,
-        sink_bytes: ctx.sink_bytes,
         profile,
         summary,
     });
@@ -510,8 +508,8 @@ fn selectivity(prepared: &[PreparedScan]) -> f64 {
 
 impl Lowering {
     /// Output column names (the compiled pipeline's schema).
-    pub(crate) fn output_columns(&self) -> &[String] {
-        &self.cols_names
+    pub(crate) fn output_columns(&self) -> impl Iterator<Item = &str> {
+        self.cols.iter().map(|c| c.name.as_str())
     }
 
     /// Binds the lowering to `catalog`'s current data: copies every

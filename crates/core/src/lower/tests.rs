@@ -871,7 +871,7 @@ fn a_grouped_drain_is_no_sustained_write_port() {
     }
     for (script, factor, bound) in streams {
         let plan = compile(script);
-        let columns = plan.output_columns().len();
+        let columns = plan.output_columns().count();
         assert_eq!(plan.profile().write_port_bytes, vec![8; columns], "{script}");
         let line = plan.replication().summary();
         let (head, tail) = (format!("replication {factor}x "), format!("limited by {bound})"));

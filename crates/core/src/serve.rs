@@ -52,9 +52,9 @@
 //! Everything is observable: per-tenant latency histograms, queue-depth
 //! gauges, and cache counters land in the shared
 //! [`MetricsRegistry`] (`server.*` names in `metrics_snapshot()`), and
-//! when tracing is enabled the server writes its own Chrome trace
-//! (`<path>.server.json`) with one track per modeled device, each shard
-//! drawn at its modeled interval.
+//! when the pool's devices trace to `<path>` the server writes its own
+//! Chrome trace (`<path>.server.json`) with one track per modeled device,
+//! each shard drawn at its modeled interval.
 //!
 //! Every request also leaves a latency budget: the log₂ histograms
 //! `server.phase.{prepare,admit,queue_wait,run,gather}_ns` are the gaps
@@ -74,7 +74,6 @@ use crate::perf::AccelStats;
 use crate::sched::{DispatchRecord, FairQueue};
 use genesis_obs::chrome::ChromeTrace;
 use genesis_obs::metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
-use genesis_obs::trace::TraceConfig;
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::Table;
 use std::collections::hash_map::Entry;
@@ -124,10 +123,6 @@ pub struct ServerConfig {
     /// [`GenesisServer::resume`]. Determinism tests use this to submit a
     /// full tenant mix before any worker races for the queue.
     pub paused: bool,
-    /// Server-span tracing: when enabled with a path, the server writes a
-    /// Chrome trace to `<path>.server.json` on shutdown (the suffix keeps
-    /// it clear of the per-run engine trace at `<path>`).
-    pub trace: TraceConfig,
 }
 
 impl Default for ServerConfig {
@@ -140,7 +135,6 @@ impl Default for ServerConfig {
             max_pending: 256,
             default_shards: 1,
             paused: false,
-            trace: TraceConfig::off(),
         }
     }
 }
@@ -204,11 +198,7 @@ impl ServerConfig {
         let env = crate::env::GenesisEnv::load()?;
         let device = env.device_config();
         let n = env.devices.unwrap_or(1);
-        Ok(ServerConfig {
-            trace: device.trace.clone(),
-            default_shards: env.shards.unwrap_or(1).max(1),
-            ..ServerConfig::default().with_devices(n, device)
-        })
+        Ok(ServerConfig::default().with_devices(n, device).with_shards(env.shards.unwrap_or(1)))
     }
 }
 
@@ -1132,11 +1122,13 @@ impl GenesisServer {
     }
 
     /// Writes the server Chrome trace (`<path>.server.json`: one track per
-    /// modeled device, each shard at its modeled interval) and returns the
-    /// path. `None` when tracing is off or has no path.
-    /// Also called automatically on drop.
+    /// modeled device, each shard at its modeled interval, beside the
+    /// devices' own engine trace at `<path>`) and returns the path. `None`
+    /// when the devices' tracing ([`DeviceConfig::trace`]) is off or has
+    /// no path. Also called automatically on drop.
     pub fn export_trace(&self) -> Option<PathBuf> {
-        let base = self.cfg.trace.path.as_ref().filter(|_| self.cfg.trace.enabled)?;
+        let trace = &self.cfg.device.trace;
+        let base = trace.path.as_ref().filter(|_| trace.enabled)?;
         let mut path = base.clone().into_os_string();
         path.push(".server.json");
         let path = PathBuf::from(path);

@@ -112,13 +112,13 @@ impl ChromeTrace {
         out
     }
 
-    /// Writes the serialized trace to `path`.
+    /// Writes the serialized trace to `path`, whole ([`crate::write_whole`]).
     ///
     /// # Errors
     ///
     /// Propagates the underlying I/O error.
     pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+        crate::write_whole(path, self.to_json())
     }
 }
 
