@@ -101,30 +101,38 @@ impl<'s> PipelineBuilder<'s> {
         out
     }
 
-    /// Uploads each `(values, element bytes)` column, all of one length,
-    /// into its own region behind its own port, and attaches one Memory
-    /// Reader streaming their rows, column `i` in field `i`; returns the
-    /// reader's output queue.
+    /// Uploads `vals` into its own region of `elem_bytes`-wide elements
+    /// behind its own port: one lane of a [`PipelineBuilder::row_reader`],
+    /// whose lanes may each hold their values at another width.
     ///
     /// # Panics
     ///
-    /// Panics unless there are 2 to [`MAX_FIELDS`] columns of one length,
-    /// or on an element width the Memory Reader does not support.
+    /// Panics on an element width the Memory Reader does not support.
+    pub(crate) fn lane<T: Copy + Into<u64>>(
+        &mut self,
+        vals: &[T],
+        elem_bytes: usize,
+    ) -> ReaderColumn {
+        let (base_addr, _) = self.write_parts(&[vals], elem_bytes);
+        let port = self.sys.register_mem_port(self.group);
+        ReaderColumn { base_addr, elem_bytes, port }
+    }
+
+    /// Attaches one Memory Reader streaming `rows` rows of the uploaded
+    /// `lanes` ([`PipelineBuilder::lane`], each `rows` elements long),
+    /// lane `i` in field `i`; returns the reader's output queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there are 2 to [`MAX_FIELDS`] lanes.
     ///
     /// [`MAX_FIELDS`]: genesis_hw::word::MAX_FIELDS
-    pub(crate) fn upload_rows<T: Copy + Into<u64>>(
+    pub(crate) fn row_reader(
         &mut self,
         name: impl Display,
-        cols: &[(&[T], usize)],
+        lanes: Vec<ReaderColumn>,
+        rows: usize,
     ) -> QueueId {
-        let rows = cols.first().map_or(0, |&(vals, _)| vals.len());
-        let mut lanes = Vec::with_capacity(cols.len());
-        for &(vals, elem_bytes) in cols {
-            assert_eq!(vals.len(), rows, "the columns of one row reader have one length");
-            let (base_addr, _) = self.write_parts(&[vals], elem_bytes);
-            let port = self.sys.register_mem_port(self.group);
-            lanes.push(ReaderColumn { base_addr, elem_bytes, port });
-        }
         let out = self.queue(format_args!("{name}.out"));
         self.module(name, |l| Box::new(RowReader::new(l, lanes, rows as u64, out)));
         out

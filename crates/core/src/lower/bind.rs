@@ -1,32 +1,91 @@
 //! What a leaf binds of its table: the columns a plain scan streams
-//! (projection pushdown), every cell widened to the `u64` a flit field
-//! carries, an explode's list columns flattened with the CIGAR walk that
-//! sizes its output, and a reference window's values and bounds.
+//! (projection pushdown) and the rows its pushed conjuncts keep, copied
+//! once at the width the catalog holds them; an explode's list columns
+//! flattened with the CIGAR walk that sizes its output; and a reference
+//! window's values and bounds.
 
 use super::{
     find, for_each_ref, is_partition_key, may_resolve, unknown_column, ColInfo, Decode, EachRow,
     CHR_COL, LOOP_LEAVES, POS_COLS,
 };
-use super::pushdown::PushedFilter;
+use super::pushdown::{select, Literals, PushedFilter, Survivors};
 use crate::error::CoreError;
 use genesis_hw::word::MAX_FIELDS;
 use genesis_sql::ast::{BinOp, ColRef, Expr, SelectItem};
 use genesis_sql::{Catalog, LogicalPlan};
-use genesis_types::{Column, DataType, Field, Schema, Table, Value};
+use genesis_types::{Column, DataType, Table, Value};
 use std::borrow::Cow;
 use std::ops::Range;
 
-/// One scanned column, copied out of the catalog once — every cell
-/// widened to the `u64` a flit field carries — so the per-job build
-/// closures only capture `Sync` data (the [`Catalog`] holds non-`Sync`
-/// custom modules). Each replica's range narrows from here straight into
+/// A bound column's values at the width the catalog holds them: `Bool`
+/// as `u8`, a uniform `Cell` as `u64`. The device width is
+/// [`PreparedCol::elem_bytes`]; an upload narrows or widens to it.
+#[derive(Debug, Clone)]
+pub(super) enum Vals {
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+    U64(Vec<u64>),
+}
+
+/// `$body` with `$v` bound to the values of `$vals` (a `&Vals`) as a
+/// slice of their own width, each of which converts `Into<u64>`.
+macro_rules! by_width {
+    ($vals:expr, $v:ident => $body:expr) => {
+        match $vals {
+            $crate::lower::bind::Vals::U8($v) => $body,
+            $crate::lower::bind::Vals::U16($v) => $body,
+            $crate::lower::bind::Vals::U32($v) => $body,
+            $crate::lower::bind::Vals::U64($v) => $body,
+        }
+    };
+}
+pub(super) use by_width;
+
+macro_rules! vals_from {
+    ($($t:ty => $variant:ident),*) => {
+        $(impl From<Vec<$t>> for Vals {
+            fn from(v: Vec<$t>) -> Vals {
+                Vals::$variant(v)
+            }
+        })*
+    };
+}
+vals_from!(u8 => U8, u16 => U16, u32 => U32, u64 => U64);
+
+/// A value of any width [`by_width`] yields, as the `u64` it compares as.
+pub(super) fn as_u64<T: Into<u64>>(x: T) -> u64 {
+    x.into()
+}
+
+impl Vals {
+    pub(super) fn len(&self) -> usize {
+        by_width!(self, v => v.len())
+    }
+
+    /// The `i`-th value.
+    pub(super) fn get(&self, i: usize) -> u64 {
+        by_width!(self, v => as_u64(v[i]))
+    }
+
+    /// The largest value, `None` when there is none.
+    pub(super) fn max(&self) -> Option<u64> {
+        by_width!(self, v => v.iter().max().map(|&x| as_u64(x)))
+    }
+}
+
+/// One scanned column, copied out of the catalog once, at the width the
+/// catalog holds it: the job that holds it runs on a host worker thread
+/// after `submit` has returned, so it outlives the `&Catalog` borrow it
+/// was bound from. Each replica's range narrows from here straight into
 /// device memory ([`crate::builder::PipelineBuilder::upload_column`]).
 #[derive(Debug, Clone)]
 pub(super) struct PreparedCol {
     pub(super) name: String,
+    /// Bytes one element takes in device memory.
     pub(super) elem_bytes: usize,
     pub(super) decode: Decode,
-    pub(super) vals: Vec<u64>,
+    pub(super) vals: Vals,
     /// For flattened list columns (explode inputs): per scan-row run
     /// lengths into `vals`. `None` for one-value-per-row columns.
     pub(super) lens: Option<Vec<u32>>,
@@ -66,11 +125,11 @@ pub(super) struct PreparedScan {
     /// The streamed columns ([`PreparedScan::streamed`]), then
     /// `host_only` columns no Memory Reader reads.
     pub(super) cols: Vec<PreparedCol>,
-    /// Trailing `cols` bound for the host only: a pushed conjunct's
-    /// operands until [`apply_pushdown`] has selected the rows, and the
-    /// spine's partition key, which [`PreparedJob::shard_ranges`] cuts on.
+    /// Trailing `cols` bound for the host only: the spine's partition
+    /// key, which [`PreparedJob::shard_ranges`] cuts on. (A pushed
+    /// conjunct's other operands select the rows in the catalog and are
+    /// never copied.)
     ///
-    /// [`apply_pushdown`]: super::pushdown::apply_pushdown
     /// [`PreparedJob::shard_ranges`]: super::PreparedJob::shard_ranges
     pub(super) host_only: usize,
     /// The scanned table's columns no Memory Reader streams, because
@@ -86,9 +145,10 @@ pub(super) struct PreparedScan {
     /// (`== rows` when nothing was pushed); feeds the
     /// `scan.rows_scanned` counter and the cost model's selectivity.
     pub(super) rows_scanned: usize,
-    /// When pushdown dropped rows: each survivor's original row index,
-    /// ascending (`len == rows`). Used to attribute scanned rows to
-    /// shard ranges so scatter-gather stays balanced on survivors.
+    /// When pushdown dropped rows of the spine: each survivor's original
+    /// row index, ascending (`len == rows`). Used to attribute scanned
+    /// rows to shard ranges so scatter-gather stays balanced on
+    /// survivors; no other leaf is cut into shards, so none keeps one.
     pub(super) kept: Option<Vec<usize>>,
 }
 
@@ -96,18 +156,6 @@ impl PreparedScan {
     /// The columns the scan's Memory Readers stream.
     pub(super) fn streamed(&self) -> &[PreparedCol] {
         &self.cols[..self.cols.len() - self.host_only]
-    }
-
-    /// Drops the host-only operands of pushed conjuncts once they have
-    /// selected the rows; on the spine, the partition key stays.
-    pub(super) fn drop_operands(&mut self, spine: bool) {
-        let streamed = self.cols.len() - self.host_only;
-        let mut i = 0;
-        self.cols.retain(|c| {
-            i += 1;
-            i <= streamed || (spine && is_partition_key(&c.name))
-        });
-        self.host_only = self.cols.len() - streamed;
     }
 
     /// Original (pre-pushdown) rows attributed to the surviving-row range
@@ -128,7 +176,7 @@ const MATCH_RUN: u32 = (1 << 13) - 1;
 
 /// Appends the all-match CIGAR of an `n`-item row, one `M` run per
 /// [`MATCH_RUN`] items, to `out`; returns the number of elements.
-pub(super) fn match_cigar(n: u32, out: &mut Vec<u64>) -> Result<u32, CoreError> {
+pub(super) fn match_cigar(n: u32, out: &mut Vec<u16>) -> Result<u32, CoreError> {
     let mut left = n;
     let mut elems = 0u32;
     while left > 0 {
@@ -136,7 +184,7 @@ pub(super) fn match_cigar(n: u32, out: &mut Vec<u64>) -> Result<u32, CoreError> 
         let elem = genesis_types::CigarElem { op: genesis_types::CigarOp::Match, len: run };
         let packed =
             elem.pack().map_err(|e| CoreError::Host(format!("synthesized CIGAR: {e}")))?;
-        out.push(u64::from(packed));
+        out.push(packed);
         elems += 1;
         left -= run;
     }
@@ -160,9 +208,13 @@ fn stream_width(dtype: DataType) -> Option<usize> {
 enum Bind {
     /// A Memory Reader streams it.
     Stream,
-    /// Only the host reads it ([`PreparedScan::host_only`]).
-    Host,
-    /// Nothing reads it, so it is never widened.
+    /// The spine's partition key: copied for the host alone
+    /// ([`PreparedScan::host_only`]).
+    Key,
+    /// A pushed conjunct reads it where the catalog holds it; nothing
+    /// copies it.
+    Operand,
+    /// Nothing reads it.
     Skip,
 }
 
@@ -171,7 +223,7 @@ enum Bind {
 /// to ([`may_resolve`]), and a pruned explode only the data columns whose
 /// output names one could. Every reference therefore resolves to the same
 /// column, or is ambiguous between the same columns, as over the whole
-/// table; the rest are never widened.
+/// table; the rest are never copied.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Projection {
     /// Every column reference the core plan resolves against a stream.
@@ -243,8 +295,9 @@ impl Projection {
     /// when it streams them all. A column no reference reaches is
     /// skipped; if that leaves nothing to stream (`COUNT(*)` alone), the
     /// narrowest streamable column, the first on a tie, carries the rows.
-    /// Skipped columns that a conjunct pushed into this scan reads, and
-    /// the spine's partition key, are bound for the host.
+    /// Of the rest, the spine's partition key is bound for the host, and
+    /// the columns a conjunct pushed into this scan reads are read in
+    /// place.
     fn binds(&self, idx: usize, t: &Table, pushed: &[PushedFilter]) -> Option<Vec<Bind>> {
         if !self.pruned(idx) {
             return None;
@@ -275,8 +328,10 @@ impl Projection {
                 for_each_ref(e, &mut |c| operand |= may_resolve(&f.name, c));
             }
             let key = keyed && is_partition_key(&f.name) && stream_width(f.dtype).is_some();
-            if operand || key {
-                *bind = Bind::Host;
+            if key {
+                *bind = Bind::Key;
+            } else if operand {
+                *bind = Bind::Operand;
             }
         }
         Some(binds)
@@ -284,23 +339,27 @@ impl Projection {
 }
 
 /// Walks the core plan collecting every `Scan` leaf left-to-right and
-/// binding its columns ([`Projection::binds`]). Leaf order matches
-/// `build::build_node`'s traversal, so the first prepared scan is the
-/// replication spine.
+/// binding its columns ([`Projection::binds`]) and the rows its pushed
+/// conjuncts keep, their literals drawn from `literals`. Leaf order
+/// matches `build::build_node`'s traversal, so the first prepared scan is
+/// the replication spine.
 pub(super) fn prepare_scans(
     plan: &LogicalPlan,
     catalog: &Catalog,
     each_row: Option<&EachRow>,
-    projection: &Projection,
-    pushed: &[PushedFilter],
+    (projection, pushed): (&Projection, &[PushedFilter]),
+    literals: &mut Literals<'_>,
     out: &mut Vec<PreparedScan>,
 ) -> Result<(), CoreError> {
     match (plan, each_row) {
         (LogicalPlan::Scan { .. }, Some(_)) => Err(CoreError::unsupported("ForEach", LOOP_LEAVES)),
         (LogicalPlan::Scan { table, partition }, None) => {
             let t = lookup_table(table, partition.as_ref(), catalog)?;
-            let binds = projection.binds(out.len(), t, pushed);
-            out.push(prepare_table(table, t, binds.as_deref())?);
+            let idx = out.len();
+            let binds = projection.binds(idx, t, pushed);
+            let conjuncts = pushed.iter().find(|pf| pf.scan == idx).map(|pf| &pf.conjuncts[..]);
+            let spine = idx == 0;
+            out.push(prepare_table(table, t, binds.as_deref(), spine, conjuncts, literals)?);
             Ok(())
         }
         (
@@ -310,7 +369,7 @@ pub(super) fn prepare_scans(
             | LogicalPlan::Join { .. },
             _,
         ) => plan.inputs().try_for_each(|input| {
-            prepare_scans(input, catalog, each_row, projection, pushed, out)
+            prepare_scans(input, catalog, each_row, (projection, pushed), literals, out)
         }),
         (LogicalPlan::Limit { input, offset, count }, Some(each)) => {
             let window = prepare_window(input, offset, count, catalog, each, out)?;
@@ -375,53 +434,47 @@ pub(super) fn plan_node_name(plan: &LogicalPlan) -> &'static str {
     }
 }
 
-/// One typed pass over a fixed-width column: every cell widened to the
-/// `u64` a flit field carries.
-fn widen<T: Copy + Into<u64>>(cells: &[T]) -> Vec<u64> {
-    cells.iter().map(|&x| x.into()).collect()
+/// A fixed-width catalog column as a bind reads it: borrowed at the width
+/// the table holds it, except a uniform `Cell` column, whose validating
+/// pass yields its `u64`s.
+pub(super) enum Cells<'t> {
+    U8(&'t [u8]),
+    U16(&'t [u16]),
+    U32(&'t [u32]),
+    U64(Cow<'t, [u64]>),
+    Bool(&'t [bool]),
 }
 
-/// Widens the columns of `t` a plain scan binds (`binds`, or every
-/// column when `None`): the streamed ones in table order, then the
-/// host-only ones. The flit-width and type checks apply to what is bound.
-fn prepare_table(name: &str, t: &Table, binds: Option<&[Bind]>) -> Result<PreparedScan, CoreError> {
-    let node = format!("Scan({name})");
-    let bind = |ci: usize| binds.map_or(Bind::Stream, |b| b[ci]);
-    let width = t.schema().len();
-    let streamed = (0..width).filter(|&ci| bind(ci) == Bind::Stream).count();
-    if streamed > MAX_FIELDS {
-        return Err(CoreError::unsupported(
-            node,
-            format!("{streamed} columns exceed the {MAX_FIELDS}-field flit width"),
-        ));
-    }
-    let mut cols = Vec::with_capacity(streamed);
-    let mut host = Vec::new();
-    let mut unstreamed = Vec::with_capacity(width - streamed);
-    for (ci, f) in t.schema().fields().iter().enumerate() {
-        if bind(ci) != Bind::Stream {
-            unstreamed.push(f.name.clone());
-        }
-        let into = match bind(ci) {
-            Bind::Stream => &mut cols,
-            Bind::Host => &mut host,
-            Bind::Skip => continue,
-        };
-        let (elem_bytes, decode, vals) = match t.column_at(ci) {
-            Column::U8(v) => (1, Decode::U64, widen(v)),
-            Column::U16(v) => (2, Decode::U64, widen(v)),
-            Column::U32(v) => (4, Decode::U64, widen(v)),
-            Column::U64(v) => (8, Decode::U64, v.clone()),
-            Column::Bool(v) => (1, Decode::Bool, widen(v)),
-            Column::Cell(cells) => uniform_cells(cells).ok_or_else(|| {
-                CoreError::unsupported(
-                    node.clone(),
-                    format!(
-                        "dynamically-typed column {} holds non-uniform or non-numeric cells",
-                        f.name
-                    ),
-                )
-            })?,
+/// One column a plain scan binds, read where the catalog holds it.
+pub(super) struct TableCol<'t> {
+    pub(super) cells: Cells<'t>,
+    elem_bytes: usize,
+    decode: Decode,
+}
+
+impl<'t> TableCol<'t> {
+    /// Reads column `ci` of `t`; only fixed-width numeric and boolean
+    /// columns, and `Cell` columns uniformly holding either, bind.
+    fn of(t: &'t Table, ci: usize, node: &str) -> Result<TableCol<'t>, CoreError> {
+        let f = &t.schema().fields()[ci];
+        let (cells, elem_bytes, decode) = match t.column_at(ci) {
+            Column::U8(v) => (Cells::U8(v), 1, Decode::U64),
+            Column::U16(v) => (Cells::U16(v), 2, Decode::U64),
+            Column::U32(v) => (Cells::U32(v), 4, Decode::U64),
+            Column::U64(v) => (Cells::U64(Cow::Borrowed(v)), 8, Decode::U64),
+            Column::Bool(v) => (Cells::Bool(v), 1, Decode::Bool),
+            Column::Cell(cells) => {
+                let (elem_bytes, decode, vals) = uniform_cells(cells).ok_or_else(|| {
+                    CoreError::unsupported(
+                        node,
+                        format!(
+                            "dynamically-typed column {} holds non-uniform or non-numeric cells",
+                            f.name
+                        ),
+                    )
+                })?;
+                (Cells::U64(Cow::Owned(vals)), elem_bytes, decode)
+            }
             Column::Str(_) | Column::ListU8(_) | Column::ListU16(_) | Column::ListBool(_) => {
                 return Err(CoreError::unsupported(
                     node,
@@ -433,27 +486,104 @@ fn prepare_table(name: &str, t: &Table, binds: Option<&[Bind]>) -> Result<Prepar
                 ))
             }
         };
+        Ok(TableCol { cells, elem_bytes, decode })
+    }
+
+    /// Copies the rows `keep` selects (every row when `None`), at the
+    /// column's width, into a vector of exactly their count.
+    fn copy(self, keep: Option<&Survivors>) -> Vals {
+        fn rows<T: Copy, U>(v: &[T], keep: Option<&Survivors>, f: impl Fn(T) -> U) -> Vec<U> {
+            match keep {
+                Some(keep) => keep.gather(v, f),
+                None => v.iter().map(|&x| f(x)).collect(),
+            }
+        }
+        match self.cells {
+            Cells::U8(v) => Vals::U8(rows(v, keep, |x| x)),
+            Cells::U16(v) => Vals::U16(rows(v, keep, |x| x)),
+            Cells::U32(v) => Vals::U32(rows(v, keep, |x| x)),
+            Cells::U64(Cow::Owned(v)) if keep.is_none() => Vals::U64(v),
+            Cells::U64(v) => Vals::U64(rows(&v, keep, |x| x)),
+            Cells::Bool(v) => Vals::U8(rows(v, keep, u8::from)),
+        }
+    }
+}
+
+/// Binds the columns of `t` a plain scan binds (`binds`, or every column
+/// when `None`): first the rows the pushed `conjuncts` keep, compared
+/// where the catalog holds the columns, then one copy of those rows of
+/// the streamed columns in table order and, on the spine, of the
+/// partition key. The flit-width and type checks apply to what is bound.
+fn prepare_table(
+    name: &str,
+    t: &Table,
+    binds: Option<&[Bind]>,
+    spine: bool,
+    conjuncts: Option<&[Expr]>,
+    literals: &mut Literals<'_>,
+) -> Result<PreparedScan, CoreError> {
+    let node = format!("Scan({name})");
+    let bind = |ci: usize| binds.map_or(Bind::Stream, |b| b[ci]);
+    let fields = t.schema().fields();
+    let streamed = (0..fields.len())
+        .filter(|&ci| bind(ci) == Bind::Stream)
+        .count();
+    if streamed > MAX_FIELDS {
+        return Err(CoreError::unsupported(
+            node,
+            format!("{streamed} columns exceed the {MAX_FIELDS}-field flit width"),
+        ));
+    }
+    let mut bound = Vec::with_capacity(fields.len());
+    let mut unstreamed = Vec::with_capacity(fields.len() - streamed);
+    for (ci, f) in fields.iter().enumerate() {
+        if bind(ci) != Bind::Stream {
+            unstreamed.push(f.name.clone());
+        }
+        bound.push(match bind(ci) {
+            Bind::Skip => None,
+            _ => Some(TableCol::of(t, ci, &node)?),
+        });
+    }
+    let rows_scanned = t.num_rows();
+    let keep = match conjuncts {
+        Some(conjuncts) => select(t, &bound, conjuncts, literals)?,
+        None => None,
+    };
+    let mut cols = Vec::with_capacity(streamed);
+    let mut keys = Vec::new();
+    for (ci, (f, col)) in fields.iter().zip(bound).enumerate() {
+        let into = match bind(ci) {
+            Bind::Stream => &mut cols,
+            Bind::Key => &mut keys,
+            Bind::Operand | Bind::Skip => continue,
+        };
+        let Some(col) = col else { continue };
+        let (elem_bytes, decode) = (col.elem_bytes, col.decode);
+        let vals = col.copy(keep.as_ref());
         into.push(PreparedCol { name: f.name.clone(), elem_bytes, decode, vals, lens: None });
     }
-    let rows = t.num_rows();
-    let host_only = host.len();
-    cols.extend(host);
+    let host_only = keys.len();
+    cols.extend(keys);
     Ok(PreparedScan {
         table: name.to_owned(),
-        rows,
+        rows: keep.as_ref().map_or(rows_scanned, Survivors::count),
         cols,
         host_only,
         unstreamed,
         explode: None,
         window: None,
-        rows_scanned: rows,
-        kept: None,
+        rows_scanned,
+        kept: keep.filter(|_| spine).map(|keep| keep.indices()),
     })
 }
 
-/// Resolves a column reference against a table schema ([`find`]).
-fn schema_col(t: &Table, col: &ColRef, node: &str) -> Result<usize, CoreError> {
-    let names = t.schema().fields().iter().map(|f| f.name.as_str());
+/// Resolves a column reference against column `names` ([`find`]).
+fn schema_col<'n>(
+    names: impl Iterator<Item = &'n str> + Clone,
+    col: &ColRef,
+    node: &str,
+) -> Result<usize, CoreError> {
     find(names.clone(), col).map_err(|hits| match hits[..] {
         [] => unknown_column(col, names, node),
         _ => CoreError::plan(node, format!("ambiguous column {}", col.display_name())),
@@ -468,22 +598,26 @@ pub(super) fn list_len(items: usize, name: &str, r: usize, node: &str) -> Result
 }
 
 /// One typed pass over a list column: the per-row run lengths and, when
-/// `widen` holds, the items widened and concatenated.
-fn flatten_rows<T: Copy + Into<u64>>(
+/// `keep` holds, the items concatenated at their width (`item` maps a
+/// `bool` to its `u8`).
+fn flatten_rows<T: Copy, U>(
     rows: &[Vec<T>],
-    name: &str,
-    node: &str,
-    widen: bool,
-) -> Result<(Vec<u64>, Vec<u32>), CoreError> {
-    let mut vals = Vec::with_capacity(if widen { rows.iter().map(Vec::len).sum() } else { 0 });
+    (name, node): (&str, &str),
+    keep: bool,
+    item: impl Fn(T) -> U,
+) -> Result<(Vals, Vec<u32>), CoreError>
+where
+    Vals: From<Vec<U>>,
+{
+    let mut vals = Vec::with_capacity(if keep { rows.iter().map(Vec::len).sum() } else { 0 });
     let mut lens = Vec::with_capacity(rows.len());
     for (r, items) in rows.iter().enumerate() {
         lens.push(list_len(items.len(), name, r, node)?);
-        if widen {
-            vals.extend(items.iter().map(|&x| x.into()));
+        if keep {
+            vals.extend(items.iter().map(|&x| item(x)));
         }
     }
-    Ok((vals, lens))
+    Ok((Vals::from(vals), lens))
 }
 
 /// The dynamically-typed flavor of [`flatten_rows`]: every cell must be a
@@ -491,10 +625,9 @@ fn flatten_rows<T: Copy + Into<u64>>(
 /// the validation — a `Cell` column promises nothing about its contents).
 fn flatten_cells(
     cells: &[Value],
-    name: &str,
-    node: &str,
-    widen: bool,
-) -> Result<(Vec<u64>, Vec<u32>), CoreError> {
+    (name, node): (&str, &str),
+    keep: bool,
+) -> Result<(Vals, Vec<u32>), CoreError> {
     let mut vals = Vec::new();
     let mut lens = Vec::with_capacity(cells.len());
     for (r, v) in cells.iter().enumerate() {
@@ -512,47 +645,48 @@ fn flatten_cells(
                     format!("column {name} row {r} item {i} holds {item:?}, not a number"),
                 ));
             };
-            if widen {
+            if keep {
                 vals.push(x);
             }
         }
     }
-    Ok((vals, lens))
+    Ok((Vals::U64(vals), lens))
 }
 
-/// Flattens one list column of `t` into (values, per-row lengths),
-/// recording the hardware element width by list dtype. A column that will
-/// not stream (`widen` false) is checked as one that will, but keeps no
-/// values.
+/// Flattens column `ci` of `t`, a list column the leaf calls `name`, into
+/// (values at their width, per-row lengths), recording the hardware
+/// element width by list dtype. A column that will not stream (`keep`
+/// false) is checked as one that will, but keeps no values.
 fn flatten_list_col(
     t: &Table,
-    ci: usize,
+    (ci, name): (usize, &str),
     node: &str,
-    widen: bool,
+    keep: bool,
 ) -> Result<PreparedCol, CoreError> {
-    let f = &t.schema().fields()[ci];
+    let at = (name, node);
     let (elem_bytes, decode, (vals, lens)) = match t.column_at(ci) {
-        Column::ListU8(rows) => (1, Decode::U64, flatten_rows(rows, &f.name, node, widen)?),
-        Column::ListBool(rows) => (1, Decode::Bool, flatten_rows(rows, &f.name, node, widen)?),
-        Column::ListU16(rows) => (2, Decode::U64, flatten_rows(rows, &f.name, node, widen)?),
+        Column::ListU8(rows) => (1, Decode::U64, flatten_rows(rows, at, keep, |x| x)?),
+        Column::ListBool(rows) => (1, Decode::Bool, flatten_rows(rows, at, keep, u8::from)?),
+        Column::ListU16(rows) => (2, Decode::U64, flatten_rows(rows, at, keep, |x| x)?),
         // Dynamic cells holding numeric lists stream at full width.
-        Column::Cell(cells) => (8, Decode::U64, flatten_cells(cells, &f.name, node, widen)?),
-        _ => {
+        Column::Cell(cells) => (8, Decode::U64, flatten_cells(cells, at, keep)?),
+        other => {
             return Err(CoreError::unsupported(
                 node,
-                format!("column {} has type {:?}, not a per-row list", f.name, f.dtype),
+                format!("column {name} has type {:?}, not a per-row list", other.dtype()),
             ))
         }
     };
-    Ok(PreparedCol { name: f.name.clone(), elem_bytes, decode, vals, lens: Some(lens) })
+    Ok(PreparedCol { name: name.to_owned(), elem_bytes, decode, vals, lens: Some(lens) })
 }
 
 /// Per-row evaluation of an explode's position expression (the software
 /// engine evaluates it with a row context; the lowering admits the two
-/// row-independent-or-column shapes that stream through hardware).
-fn explode_pos_vals(t: &Table, pos: &Expr, node: &str) -> Result<Vec<u64>, CoreError> {
+/// row-independent-or-column shapes that stream through hardware), as
+/// the `u64`s the `ReadToBases` position arithmetic reads.
+fn explode_pos_vals(src: &Source<'_, '_>, pos: &Expr, node: &str) -> Result<Vec<u64>, CoreError> {
     match pos {
-        Expr::Number(n) => Ok(vec![*n; t.num_rows()]),
+        Expr::Number(n) => Ok(vec![*n; src.t.num_rows()]),
         Expr::Col(c) => {
             let not_numeric = |r: usize| {
                 CoreError::unsupported(
@@ -560,10 +694,13 @@ fn explode_pos_vals(t: &Table, pos: &Expr, node: &str) -> Result<Vec<u64>, CoreE
                     format!("position column {} row {r} is not numeric", c.column),
                 )
             };
-            match t.column_at(schema_col(t, c, node)?) {
-                Column::U8(v) => Ok(widen(v)),
-                Column::U16(v) => Ok(widen(v)),
-                Column::U32(v) => Ok(widen(v)),
+            fn numbers<T: Copy + Into<u64>>(v: &[T]) -> Vec<u64> {
+                v.iter().map(|&x| x.into()).collect()
+            }
+            match src.t.column_at(src.col(c, node)?.0) {
+                Column::U8(v) => Ok(numbers(v)),
+                Column::U16(v) => Ok(numbers(v)),
+                Column::U32(v) => Ok(numbers(v)),
                 Column::U64(v) => Ok(v.clone()),
                 Column::Cell(cells) => cells
                     .iter()
@@ -597,11 +734,12 @@ struct CigarWalk {
     has_del: bool,
 }
 
-fn walk_cigar(packed: &[u64], node: &str) -> Result<CigarWalk, CoreError> {
+fn walk_cigar<T: Copy + Into<u64>>(packed: &[T], node: &str) -> Result<CigarWalk, CoreError> {
     use genesis_types::CigarOp;
     let mut w =
         CigarWalk { out_rows: 0, ref_len: 0, seq_len: 0, has_ins: false, has_del: false };
     for &p in packed {
+        let p: u64 = p.into();
         let p = u16::try_from(p).map_err(|_| {
             CoreError::unsupported(node, format!("CIGAR element {p:#x} is wider than 16 bits"))
         })?;
@@ -630,13 +768,32 @@ fn walk_cigar(packed: &[u64], node: &str) -> Result<CigarWalk, CoreError> {
     Ok(w)
 }
 
+/// Walks each row's CIGAR of a flattened CIGAR column (elements `packed`
+/// at their width, `lens` per row) and hands `row` the row index and its
+/// walk, in row order.
+fn walk_rows<T: Copy + Into<u64>>(
+    packed: &[T],
+    lens: &[u32],
+    node: &str,
+    mut row: impl FnMut(usize, CigarWalk) -> Result<(), CoreError>,
+) -> Result<(), CoreError> {
+    let mut at = 0usize;
+    for (r, &len) in lens.iter().enumerate() {
+        let len = len as usize;
+        row(r, walk_cigar(&packed[at..at + len], node)?)?;
+        at += len;
+    }
+    Ok(())
+}
+
 /// Prepares an explode leaf: absorbs its input `Scan` into one
 /// [`PreparedScan`] whose columns are the `ReadToBases` input streams
 /// (POS, CIGAR, then the data columns it streams) with list columns
-/// flattened, and derives the output-stream metadata by walking every
-/// CIGAR. `PosExplode` synthesizes an all-match CIGAR (one `M` run per
-/// row, split at the 13-bit packed run-length limit), so both explodes
-/// share the same hardware block — exactly how the library maps them.
+/// flattened at their width, and derives the output-stream metadata by
+/// walking every CIGAR. `PosExplode` synthesizes an all-match CIGAR (one
+/// `M` run per row, split at the 13-bit packed run-length limit), so both
+/// explodes share the same hardware block — exactly how the library maps
+/// them.
 ///
 /// A data column streams when `streams` holds for its output name, under
 /// the prefix rule that keeps the `ReadToBases` field layout: `QUAL` when
@@ -662,30 +819,29 @@ fn prepare_explode(
         (_, Some(_)) => return Err(CoreError::unsupported("ForEach", LOOP_LEAVES)),
         (other, None) => other,
     };
-    let (table, t) = source_table(input, catalog, node)?;
-    let t = &*t;
+    let src = source_table(input, catalog, node)?;
+    let t = src.t;
     let rows = t.num_rows();
-    let pos_vals = explode_pos_vals(t, &pos_expr, node)?;
+    let pos_vals = explode_pos_vals(&src, &pos_expr, node)?;
     // The data columns in layout order, their output names, and how many
     // of them (a prefix) stream.
     let (cigar_col, mut data, mut names, streamed) = match plan {
         LogicalPlan::ReadExplode { cigar, seq, qual, .. } => {
-            let cigar = flatten_list_col(t, schema_col(t, cigar, node)?, node, true)?;
+            let cigar = flatten_list_col(t, src.col(cigar, node)?, node, true)?;
             let quals = qual.is_some() && streams("QUAL");
             let bases = quals || streams("SEQ");
-            let mut data = vec![flatten_list_col(t, schema_col(t, seq, node)?, node, bases)?];
+            let mut data = vec![flatten_list_col(t, src.col(seq, node)?, node, bases)?];
             let mut names = vec!["SEQ".to_owned()];
             if let Some(q) = qual {
-                data.push(flatten_list_col(t, schema_col(t, q, node)?, node, quals)?);
+                data.push(flatten_list_col(t, src.col(q, node)?, node, quals)?);
                 names.push("QUAL".to_owned());
             }
             (cigar, data, names, usize::from(bases) + usize::from(quals))
         }
         LogicalPlan::PosExplode { array, .. } => {
-            let ci = schema_col(t, array, node)?;
-            let name = t.schema().fields()[ci].name.clone();
-            let items = streams(&name);
-            let data = flatten_list_col(t, ci, node, items)?;
+            let (ci, name) = src.col(array, node)?;
+            let items = streams(name);
+            let data = flatten_list_col(t, (ci, name), node, items)?;
             // Synthesize one all-match run per row (split at the 13-bit
             // packed length limit) so ReadToBases emits (init+i, item).
             let mut vals = Vec::with_capacity(rows);
@@ -697,10 +853,10 @@ fn prepare_explode(
                 name: "__CIGAR".to_owned(),
                 elem_bytes: 2,
                 decode: Decode::U64,
-                vals,
+                vals: Vals::U16(vals),
                 lens: Some(lens),
             };
-            (cigar, vec![data], vec![name], usize::from(items))
+            (cigar, vec![data], vec![name.to_owned()], usize::from(items))
         }
         _ => unreachable!(),
     };
@@ -717,11 +873,7 @@ fn prepare_explode(
     let mut ascending = true;
     let mut prev_pos: Option<u64> = None;
     let mut trailing = false;
-    let mut coff = 0usize;
-    for r in 0..rows {
-        let clen = cigar_lens[r] as usize;
-        let w = walk_cigar(&cigar_col.vals[coff..coff + clen], node)?;
-        coff += clen;
+    let mut row = |r: usize, w: CigarWalk| {
         if w.seq_len > seq_lens[r] as usize {
             return Err(CoreError::unsupported(
                 node,
@@ -759,14 +911,16 @@ fn prepare_explode(
             }
             prev_pos = Some(end - 1);
         }
-    }
+        Ok(())
+    };
+    by_width!(&cigar_col.vals, v => walk_rows(v, cigar_lens, node, &mut row))?;
     data.truncate(streamed);
     if trailing && streamed > 0 {
         trim_to_cigars(&cigar_col, &mut data);
     }
     let data_col = |name: &str, c: &PreparedCol| ColInfo {
         nullable: has_del,
-        max_value: c.vals.iter().copied().max(),
+        max_value: c.vals.max(),
         ..ColInfo::new(name, c.decode)
     };
     let mut out_cols = vec![ColInfo {
@@ -781,14 +935,14 @@ fn prepare_explode(
             name: "POS".to_owned(),
             elem_bytes: 8,
             decode: Decode::U64,
-            vals: pos_vals,
+            vals: Vals::U64(pos_vals),
             lens: None,
         },
         cigar_col,
     ];
     cols.extend(data);
     Ok(PreparedScan {
-        table: table.to_owned(),
+        table: src.table.to_owned(),
         rows,
         cols,
         host_only: 0,
@@ -806,24 +960,26 @@ fn prepare_explode(
 /// the CIGAR's would hold it forever. Copies only the columns some row of
 /// which holds more.
 fn trim_to_cigars(cigar: &PreparedCol, data: &mut [PreparedCol]) {
-    let mut consumed = Vec::new();
-    let mut coff = 0usize;
-    for &clen in cigar.lens.as_deref().unwrap_or(&[]) {
-        let elems = &cigar.vals[coff..coff + clen as usize];
-        coff += clen as usize;
-        // The walk succeeded once already.
-        let w = walk_cigar(elems, "").map_or(0, |w| w.seq_len);
-        consumed.push(w as u32);
+    fn trim<T: Copy>(vals: &[T], lens: &[u32], consumed: &[u32]) -> Vec<T> {
+        let mut out = Vec::with_capacity(consumed.iter().map(|&n| n as usize).sum());
+        let mut at = 0usize;
+        for (&len, &keep) in lens.iter().zip(consumed) {
+            out.extend_from_slice(&vals[at..at + keep as usize]);
+            at += len as usize;
+        }
+        out
     }
+    let lens = cigar.lens.as_deref().unwrap_or(&[]);
+    let mut consumed = Vec::with_capacity(lens.len());
+    let walked = by_width!(&cigar.vals, v => walk_rows(v, lens, "", |_, w| {
+        consumed.push(w.seq_len as u32);
+        Ok(())
+    }));
+    // The walk succeeded once already.
+    debug_assert!(walked.is_ok(), "a CIGAR walk that passed fails");
     for c in data {
         let Some(lens) = c.lens.as_mut().filter(|lens| **lens != consumed) else { continue };
-        let mut vals = Vec::with_capacity(consumed.iter().map(|&n| n as usize).sum());
-        let mut at = 0usize;
-        for (len, &keep) in lens.iter().zip(&consumed) {
-            vals.extend_from_slice(&c.vals[at..at + keep as usize]);
-            at += *len as usize;
-        }
-        c.vals = vals;
+        c.vals = by_width!(&c.vals, v => Vals::from(trim(v, lens, &consumed)));
         lens.clone_from(&consumed);
     }
 }
@@ -868,16 +1024,17 @@ fn prepare_window(
     if !(of_row(p) && of_row(e) && p == p_again && **start == *init_pos) {
         return Err(shape());
     }
-    let (table, t) = source_table(reference, catalog, NODE)?;
-    if t.num_rows() != 1 {
+    let src = source_table(reference, catalog, NODE)?;
+    let rows = src.t.num_rows();
+    if rows != 1 {
         return Err(CoreError::unsupported(
             NODE,
-            format!("the window's reference table {table} holds {} rows, not one", t.num_rows()),
+            format!("the window's reference table {} holds {rows} rows, not one", src.table),
         ));
     }
-    let base = explode_pos_vals(&t, init_pos, NODE)?[0];
-    let values = flatten_list_col(&t, schema_col(&t, array, NODE)?, NODE, true)?;
-    let (_, loop_rows) = source_table(&each.rows, catalog, NODE)?;
+    let base = explode_pos_vals(&src, init_pos, NODE)?[0];
+    let values = flatten_list_col(src.t, src.col(array, NODE)?, NODE, true)?;
+    let loop_rows = source_table(&each.rows, catalog, NODE)?;
     let starts = explode_pos_vals(&loop_rows, p, NODE)?;
     let ends = explode_pos_vals(&loop_rows, e, NODE)?;
     let Some(spine) = out.first_mut().filter(|s| s.explode.is_some() && s.rows == starts.len())
@@ -893,12 +1050,12 @@ fn prepare_window(
         name: name.to_owned(),
         elem_bytes: 8,
         decode: Decode::U64,
-        vals,
+        vals: Vals::U64(vals),
         lens: None,
     };
     spine.cols.extend([bound(WINDOW_BOUNDS[0], lo), bound(WINDOW_BOUNDS[1], hi.collect())]);
     Ok(PreparedScan {
-        table: table.to_owned(),
+        table: src.table.to_owned(),
         rows: 1,
         cols: vec![values],
         host_only: 0,
@@ -910,13 +1067,42 @@ fn prepare_window(
     })
 }
 
-/// The table a leaf reads — a scan, or a projection that only selects (and
-/// renames) a scan's columns, materialized — with the scanned table's name.
+/// The table a leaf reads: a scan, or a projection that only selects (and
+/// renames) a scan's columns, its names resolved to the scanned table's
+/// columns — no column is copied.
+struct Source<'p, 'c> {
+    /// The scanned table's name.
+    table: &'p str,
+    t: &'c Table,
+    /// The projection's columns, each its name and the scanned column it
+    /// reads; `None` reads the scan's own.
+    cols: Option<Vec<(String, usize)>>,
+}
+
+impl Source<'_, '_> {
+    /// Resolves `col` against the leaf's column names ([`find`]): the
+    /// scanned column it reads and the name the leaf gives it.
+    fn col(&self, col: &ColRef, node: &str) -> Result<(usize, &str), CoreError> {
+        let fields = self.t.schema().fields();
+        match &self.cols {
+            None => {
+                let ci = schema_col(fields.iter().map(|f| f.name.as_str()), col, node)?;
+                Ok((ci, &fields[ci].name))
+            }
+            Some(cols) => {
+                let i = schema_col(cols.iter().map(|(name, _)| name.as_str()), col, node)?;
+                Ok((cols[i].1, &cols[i].0))
+            }
+        }
+    }
+}
+
+/// The [`Source`] of a leaf's input plan.
 fn source_table<'p, 'c>(
     plan: &'p LogicalPlan,
     catalog: &'c Catalog,
     node: &str,
-) -> Result<(&'p str, Cow<'c, Table>), CoreError> {
+) -> Result<Source<'p, 'c>, CoreError> {
     let derived = || {
         CoreError::unsupported(
             node,
@@ -929,17 +1115,17 @@ fn source_table<'p, 'c>(
     };
     let LogicalPlan::Scan { table, partition } = scan else { return Err(derived()) };
     let t = lookup_table(table, partition.as_ref(), catalog)?;
-    let Some(items) = items else { return Ok((table, Cow::Borrowed(t))) };
-    let mut fields = Vec::with_capacity(items.len());
+    let mut src = Source { table, t, cols: None };
+    let Some(items) = items else { return Ok(src) };
+    let names = t.schema().fields().iter().map(|f| f.name.as_str());
     let mut cols = Vec::with_capacity(items.len());
     for item in items {
         let SelectItem::Expr { expr: Expr::Col(c), alias } = item else { return Err(derived()) };
-        let i = schema_col(t, c, node)?;
-        let name = alias.clone().unwrap_or_else(|| c.display_name());
-        fields.push(Field::new(&name, t.schema().fields()[i].dtype));
-        cols.push(t.column_at(i).clone());
+        let ci = schema_col(names.clone(), c, node)?;
+        cols.push((alias.clone().unwrap_or_else(|| c.display_name()), ci));
     }
-    Ok((table, Cow::Owned(Table::from_columns(Schema::new(fields), cols)?)))
+    src.cols = Some(cols);
+    Ok(src)
 }
 
 /// Width, decode and values of a `Cell` column whose cells are uniformly

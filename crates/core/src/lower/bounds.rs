@@ -3,7 +3,7 @@
 //! read off scanned data. They size GROUP BY scratchpads, so they decide
 //! which predicates and ALU plans lower at all.
 
-use super::bind::PreparedScan;
+use super::bind::{by_width, PreparedScan};
 use super::{cmp_of, mirror, resolve, ColInfo, Decode};
 use crate::error::CoreError;
 use genesis_hw::modules::alu::AluOp;
@@ -11,9 +11,10 @@ use genesis_hw::modules::filter::{CmpOp, Predicate};
 use genesis_sql::ast::{BinOp, Expr};
 use std::sync::{Mutex, PoisonError};
 
-/// `(strictly ascending, min, max)` of a scanned range, in one pass
-/// (`min` is the trivial bound 0 and `max` is `None` for an empty range).
-pub(super) fn range_stats(vals: &[u64]) -> (bool, u64, Option<u64>) {
+/// `(strictly ascending, min, max)` of a scanned range at its width, in
+/// one pass (`min` is the trivial bound 0 and `max` is `None` for an
+/// empty range).
+pub(super) fn range_stats<T: Copy + Ord + Into<u64>>(vals: &[T]) -> (bool, u64, Option<u64>) {
     let Some((&first, rest)) = vals.split_first() else { return (true, 0, None) };
     let (mut ascending, mut prev, mut min, mut max) = (true, first, first, first);
     for &v in rest {
@@ -22,7 +23,7 @@ pub(super) fn range_stats(vals: &[u64]) -> (bool, u64, Option<u64>) {
         min = min.min(v);
         max = max.max(v);
     }
-    (ascending, min, Some(max))
+    (ascending, min.into(), Some(max.into()))
 }
 
 /// Narrows column metadata through a lowered conjunct. Both engines drop
@@ -337,15 +338,17 @@ impl SubBounds {
 /// prepared scan, degrading to "no bound" as soon as any row would
 /// underflow (the engine would wrap it past 2^63).
 fn same_scan_sub_bounds(scan: &PreparedScan, lc: usize, rc: usize) -> (u64, Option<u64>) {
-    let (lv, rv) = (&scan.cols[lc].vals, &scan.cols[rc].vals);
-    if lv.is_empty() {
-        return (0, Some(0));
+    fn bounds<L: Copy + Into<u64>, R: Copy + Into<u64>>(lv: &[L], rv: &[R]) -> Bounds {
+        if lv.is_empty() {
+            return (0, Some(0));
+        }
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
+        for (&a, &b) in lv.iter().zip(rv) {
+            let Some(d) = a.into().checked_sub(b.into()) else { return (0, None) };
+            lo = lo.min(d);
+            hi = hi.max(d);
+        }
+        (lo, Some(hi))
     }
-    let (mut lo, mut hi) = (u64::MAX, 0u64);
-    for (&a, &b) in lv.iter().zip(rv) {
-        let Some(d) = a.checked_sub(b) else { return (0, None) };
-        lo = lo.min(d);
-        hi = hi.max(d);
-    }
-    (lo, Some(hi))
+    by_width!(&scan.cols[lc].vals, lv => by_width!(&scan.cols[rc].vals, rv => bounds(lv, rv)))
 }

@@ -1,7 +1,7 @@
 //! Plan node → modules, plan edge → queue: the builder the analysis runs
 //! once on a scratch system and every replica runs again on its batch's.
 
-use super::bind::{match_cigar, plan_node_name, PreparedCol, PreparedScan};
+use super::bind::{as_u64, by_width, match_cigar, plan_node_name, PreparedScan, Vals};
 use super::bounds::{
     comp_bounds, lower_predicate, narrow_filtered_col, operand, plan_comp, range_stats, CompPlan,
     CompRhs, SubBounds,
@@ -339,6 +339,9 @@ fn upload_trimmed(
     let ([pos, cigar, data @ ..], Some(spec)) = (&ps.cols[..], &ps.explode) else {
         return Err(CoreError::Host("a trimmed explode is a PosExplode join leaf".into()));
     };
+    let (Vals::U64(positions), Vals::U16(packed)) = (&pos.vals, &cigar.vals) else {
+        return Err(CoreError::Host("a PosExplode binds u64 positions and a u16 CIGAR".into()));
+    };
     let off = &spec.out_offsets;
     let (first, last) = (rows.start, rows.end - 1);
     // Each row keeps at most its own items, whose count was a `u32`.
@@ -354,21 +357,30 @@ fn upload_trimmed(
     }
     let inner_start: usize = runs[..inner.start].iter().map(|&l| l as usize).sum();
     let inner_len: usize = runs[inner].iter().map(|&l| l as usize).sum();
-    let inner_cigar = &cigar.vals[inner_start..inner_start + inner_len];
-    let first_pos = pos.vals[first].saturating_add((items.start - off[first]) as u64);
-    let mut upload = |c: &PreparedCol, parts: &[&[u64]], spec: RowSpec| {
-        let label = ctx.col_lbl(&ps.table, &c.name);
-        ctx.reads.push(c.elem_bytes);
-        b.upload_parts(label, parts, c.elem_bytes, spec)
-    };
+    let inner_cigar = &packed[inner_start..inner_start + inner_len];
+    let first_pos = positions[first].saturating_add((items.start - off[first]) as u64);
+    let parts: [&[u64]; 2] = [&[first_pos], &positions[first + 1..rows.end]];
     let mut qs = vec![
-        upload(pos, &[&[first_pos], &pos.vals[first + 1..rows.end]], RowSpec::Fixed(1)),
-        upload(cigar, &[&head, inner_cigar, &tail], RowSpec::Lens(Arc::from(cigar_lens))),
+        b.upload_parts(
+            ctx.col_lbl(&ps.table, &pos.name),
+            &parts,
+            pos.elem_bytes,
+            RowSpec::Fixed(1),
+        ),
+        b.upload_parts(
+            ctx.col_lbl(&ps.table, &cigar.name),
+            &[&head, inner_cigar, &tail],
+            cigar.elem_bytes,
+            RowSpec::Lens(Arc::from(cigar_lens)),
+        ),
     ];
     for c in data {
+        let label = ctx.col_lbl(&ps.table, &c.name);
         let lens = RowSpec::Lens(rows.clone().map(kept).collect());
-        qs.push(upload(c, &[&c.vals[items.clone()]], lens));
+        let width = c.elem_bytes;
+        qs.push(by_width!(&c.vals, v => b.upload_column(label, &v[items.clone()], width, lens)));
     }
+    ctx.reads.extend(ps.cols.iter().map(|c| c.elem_bytes));
     Ok(qs)
 }
 
@@ -401,29 +413,20 @@ fn build_explode<'a>(
     }
     for c in &ps.cols[qs.len()..] {
         let label = ctx.col_lbl(table, &c.name);
-        let q = match &c.lens {
+        let (elems, rows) = match &c.lens {
             // One delimiter per row keeps POS aligned with the per-read
             // runs of the list streams.
-            None => b.upload_column(
-                label,
-                &c.vals[range.clone()],
-                c.elem_bytes,
-                RowSpec::Fixed(1),
-            ),
+            None => (range.clone(), RowSpec::Fixed(1)),
             Some(lens) => {
                 let flat_start: usize =
                     lens[..range.start].iter().map(|&l| l as usize).sum();
                 let flat_len: usize =
                     lens[range.clone()].iter().map(|&l| l as usize).sum();
                 let rows = PipelineBuilder::rows_from_lens(&lens[range.clone()]);
-                b.upload_column(
-                    label,
-                    &c.vals[flat_start..flat_start + flat_len],
-                    c.elem_bytes,
-                    rows,
-                )
+                (flat_start..flat_start + flat_len, rows)
             }
         };
+        let q = by_width!(&c.vals, v => b.upload_column(label, &v[elems], c.elem_bytes, rows));
         ctx.reads.push(c.elem_bytes);
         qs.push(q);
     }
@@ -461,8 +464,9 @@ fn build_explode<'a>(
     // last reference position. Any other leaf keeps its whole bounds, so
     // a cut never admits a plan the whole leaf refuses.
     if idx == 0 && cuts[idx].items.is_none() {
-        let starts = ps.cols[0].vals[range.clone()].iter().min();
-        if let (Some(&lo), Some(&hi)) = (starts, spec.last_pos[range].iter().max()) {
+        let starts =
+            by_width!(&ps.cols[0].vals, v => v[range.clone()].iter().min().map(|&s| as_u64(s)));
+        if let (Some(lo), Some(&hi)) = (starts, spec.last_pos[range].iter().max()) {
             cols[0].min_value = lo;
             cols[0].max_value = Some(hi);
         }
@@ -514,8 +518,9 @@ fn build_window<'a>(
     // first position the reach holds.
     let reach = ctx.cuts[idx].items.clone().unwrap_or_else(|| ps.items_of(&(0..1)));
     let first = base.saturating_add(reach.start as u64);
-    let loaded = &values.vals[reach];
-    let refs = b.ref_window(&[(label, loaded, width, width * 8)], start, end, first);
+    let refs = by_width!(&values.vals, v => {
+        b.ref_window(&[(label, &v[reach], width, width * 8)], start, end, first)
+    });
     ctx.reads.push(width);
     ctx.note(|| format!("Limit({}) -> MemoryReader + SpmUpdater + SpmReader(range)", ps.table));
     let last = base.saturating_add((values.vals.len() as u64).saturating_sub(1));
@@ -525,7 +530,7 @@ fn build_window<'a>(
         min_value: base,
         ..ColInfo::new("POS", Decode::U64)
     };
-    let top = values.vals.iter().copied().max();
+    let top = values.vals.max();
     let data = ColInfo { max_value: top, ..ColInfo::new(&values.name, values.decode) };
     Ok(Stream::fresh(refs, vec![pos, data], Cow::Borrowed(&[])))
 }
@@ -551,13 +556,11 @@ fn build_scan<'a>(
     let mut lanes = Vec::with_capacity(ncols);
     let mut cols = Vec::with_capacity(ncols);
     for (ci, c) in streamed.iter().enumerate() {
-        let vals = &c.vals[range.clone()];
-        lanes.push((vals, c.elem_bytes));
         ctx.reads.push(c.elem_bytes);
         // A leaf other than the spine is checked whole, however far a cut
         // reaches: a cut never admits a plan the whole leaf refuses.
-        let seen = if idx == 0 { vals } else { &c.vals[..] };
-        let (ascending, min_value, max_value) = range_stats(seen);
+        let seen = if idx == 0 { range.clone() } else { 0..c.vals.len() };
+        let (ascending, min_value, max_value) = by_width!(&c.vals, v => range_stats(&v[seen]));
         cols.push(ColInfo {
             ascending,
             max_value,
@@ -565,12 +568,16 @@ fn build_scan<'a>(
             origin: Some((idx, ci)),
             ..ColInfo::new(&c.name, c.decode)
         });
+        if ncols > 1 {
+            lanes.push(by_width!(&c.vals, v => b.lane(&v[range.clone()], c.elem_bytes)));
+        }
     }
-    let q = if let [(vals, elem_bytes)] = lanes[..] {
-        let label = ctx.col_lbl(table, &streamed[0].name);
-        b.upload_column(label, vals, elem_bytes, RowSpec::None)
+    let q = if let [c] = streamed {
+        let label = ctx.col_lbl(table, &c.name);
+        let (elems, width) = (range.clone(), c.elem_bytes);
+        by_width!(&c.vals, v => b.upload_column(label, &v[elems], width, RowSpec::None))
     } else {
-        b.upload_rows(ctx.col_lbl(table, "rows"), &lanes)
+        b.row_reader(ctx.col_lbl(table, "rows"), lanes, range.len())
     };
     let unstreamed = ps.unstreamed.len();
     ctx.note(|| {

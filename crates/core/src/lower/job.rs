@@ -2,7 +2,7 @@
 //! ([`Cut`], [`Reach`]), one shard's batches on the device, and
 //! gathering, merging and finishing the shards' outputs on the host.
 
-use super::bind::{PreparedCol, PreparedScan, WINDOW_BOUNDS};
+use super::bind::{as_u64, by_width, PreparedCol, PreparedScan, WINDOW_BOUNDS};
 use super::bounds::{range_stats, SubBounds};
 use super::build::{build_core, BuildCtx, Built};
 use super::{
@@ -102,9 +102,9 @@ fn union(mut ranges: Vec<Range<usize>>) -> Vec<Range<usize>> {
 }
 
 /// A lowering bound to a copy of its scans' data: everything needed to run the
-/// compiled pipeline with no reference back to the catalog. Unlike the
-/// catalog (whose custom modules are boxed closures), every field here is
-/// `Send`, so a `PreparedJob` can be handed to a host worker thread.
+/// compiled pipeline with no reference back to the catalog. The job runs on
+/// a host worker thread after `submit` has returned, so it outlives the
+/// `&Catalog` borrow it was bound from and owns what it reads.
 #[derive(Debug)]
 pub(crate) struct PreparedJob {
     /// Shared with the compiled plan it was bound from: binding a request
@@ -199,20 +199,22 @@ impl PreparedScan {
     /// cut, and the build refuses it as it refuses the whole leaf.
     fn reach(&self, key: usize, lo: u64, hi: u64) -> Cut {
         let Some(spec) = &self.explode else {
-            let keys = &self.cols[key].vals;
-            let start = keys.partition_point(|&k| k < lo);
-            return Cut::rows(start..keys.partition_point(|&k| k <= hi).max(start));
+            return by_width!(&self.cols[key].vals, keys => {
+                let start = keys.partition_point(|&k| as_u64(k) < lo);
+                Cut::rows(start..keys.partition_point(|&k| as_u64(k) <= hi).max(start))
+            });
         };
         let (pos, off) = (&self.cols[0].vals, &spec.out_offsets);
+        let pos = |r: usize| pos.get(r);
         let n = |r: usize| off[r + 1] - off[r];
-        let first = partition_point(self.rows, |r| pos[r].saturating_add(n(r) as u64) <= lo);
-        let end = partition_point(self.rows, |r| pos[r] <= hi).max(first);
+        let first = partition_point(self.rows, |r| pos(r).saturating_add(n(r) as u64) <= lo);
+        let end = partition_point(self.rows, |r| pos(r) <= hi).max(first);
         if first == end {
             return Cut::rows(first..end);
         }
         let last = end - 1;
-        let skip = lo.saturating_sub(pos[first]).min(n(first) as u64) as usize;
-        let keep = hi.saturating_sub(pos[last]).saturating_add(1).min(n(last) as u64) as usize;
+        let skip = lo.saturating_sub(pos(first)).min(n(first) as u64) as usize;
+        let keep = hi.saturating_sub(pos(last)).saturating_add(1).min(n(last) as u64) as usize;
         let start = off[first] + skip;
         let items = start..(off[last] + keep).max(start);
         let trimmed = items != self.items_of(&(first..end));
@@ -268,6 +270,36 @@ impl PreparedScan {
     }
 }
 
+/// Cuts the rows of a spine's partition key, `chr` and `pos` at their
+/// widths (at least one row), into at most `shards` ascending ranges,
+/// each but the last at least `len / shards` rows (rounded up) long and
+/// ending where the (chromosome, `psize`-window) key changes.
+fn key_cuts<C, P>(chr: &[C], pos: &[P], psize: u64, shards: usize) -> Vec<Range<usize>>
+where
+    C: Copy + PartialEq,
+    P: Copy + Into<u64>,
+{
+    let n = chr.len();
+    let key = |i: usize| (chr[i], pos[i].into() / psize);
+    // Candidate cut points: row indices where the partition key changes
+    // between consecutive rows.
+    let mut out = Vec::with_capacity(shards);
+    let target = n.div_ceil(shards);
+    let mut start = 0;
+    let mut prev = key(0);
+    for i in 1..n {
+        let k = key(i);
+        let boundary = k != prev;
+        prev = k;
+        if boundary && i - start >= target && out.len() + 1 < shards {
+            out.push(start..i);
+            start = i;
+        }
+    }
+    out.push(start..n);
+    out
+}
+
 impl PreparedJob {
     /// Rows of the spine scan (the table the pipeline streams over).
     pub(crate) fn spine_rows(&self) -> usize {
@@ -297,24 +329,7 @@ impl PreparedJob {
             return split_ranges(n, shards);
         }
         let psize = u64::from(self.cfg.psize.max(1));
-        let key = |i: usize| (chr.vals[i], pos.vals[i] / psize);
-        // Candidate cut points: row indices where the partition key
-        // changes between consecutive rows.
-        let mut out = Vec::with_capacity(shards);
-        let target = n.div_ceil(shards);
-        let mut start = 0;
-        let mut prev = key(0);
-        for i in 1..n {
-            let k = key(i);
-            let boundary = k != prev;
-            prev = k;
-            if boundary && i - start >= target && out.len() + 1 < shards {
-                out.push(start..i);
-                start = i;
-            }
-        }
-        out.push(start..n);
-        out
+        by_width!(&chr.vals, chr => by_width!(&pos.vals, pos => key_cuts(chr, pos, psize, shards)))
     }
 
     /// Runs one shard of the job on `cfg`: splits `range` of the spine
@@ -419,7 +434,7 @@ impl PreparedJob {
         out.push(Cut::rows(spine.clone()));
         out.extend(rest.iter().map(|p| Cut::rows(0..p.rows)));
         let cuts = &mut out[start..];
-        let stats = |col: &PreparedCol| range_stats(&col.vals[spine.clone()]);
+        let stats = |col: &PreparedCol| by_width!(&col.vals, v => range_stats(&v[spine.clone()]));
         for reach in &self.lowering.reaches {
             let (_, lo, hi) = stats(&first.cols[reach.spine]);
             let leaf = &self.prepared[reach.leaf];

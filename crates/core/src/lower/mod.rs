@@ -44,8 +44,8 @@ use genesis_sql::ast::{BinOp, ColRef, Expr};
 use genesis_sql::{Catalog, LogicalPlan};
 use job::{Cut, Reach};
 pub(crate) use job::{PreparedJob, RunTimes, ShardOut};
-use pushdown::{apply_pushdown, push_down, PushedFilter};
 pub(crate) use pushdown::shape;
+use pushdown::{push_down, Literals, PushedFilter};
 use std::sync::Arc;
 
 /// Largest dense GROUP BY key window (`max - floor + 1` keys) lowered to
@@ -412,8 +412,8 @@ fn analyze_on(
     // core reads, plus the pushed conjuncts' operands.
     let projection = Projection::of(&core);
     let mut prepared = Vec::new();
-    prepare_scans(&core, catalog, each_row.as_deref(), &projection, &pushed, &mut prepared)?;
-    apply_pushdown(&mut prepared, &pushed, None)?;
+    let (binding, mut literals) = ((&projection, &pushed[..]), Literals::new(None));
+    prepare_scans(&core, catalog, each_row.as_deref(), binding, &mut literals, &mut prepared)?;
     let mut summary: Vec<String> = pushed
         .iter()
         .map(|pf| {
@@ -512,11 +512,12 @@ impl Lowering {
         self.cols.iter().map(|c| c.name.as_str())
     }
 
-    /// Binds the lowering to `catalog`'s current data: copies every
-    /// column the scans bind so the returned job is `Send` and can run on
-    /// a host worker thread (the catalog itself holds non-`Send` custom
-    /// modules). `literals` are the values of the shape's pushed
-    /// parameters ([`shape`]; `None` binds the analyzed plan's own).
+    /// Binds the lowering to `catalog`'s current data: selects the rows
+    /// the pushed conjuncts keep and copies them of every column the scans
+    /// bind, because the returned job runs on a host worker thread after
+    /// `submit` has returned and so outlives the `&Catalog` borrow.
+    /// `literals` are the values of the shape's pushed parameters
+    /// ([`shape`]; `None` binds the analyzed plan's own).
     /// Without an explicit `factor`, replication is chosen here, from the
     /// profile at the bound selectivity: what a fresh compile over this
     /// data with these literals would choose.
@@ -529,10 +530,12 @@ impl Lowering {
     ) -> Result<PreparedJob, CoreError> {
         let mut prepared = Vec::new();
         let each_row = self.each_row.as_deref();
-        prepare_scans(&self.core, catalog, each_row, &self.projection, &self.pushed, &mut prepared)?;
-        // Re-apply the pushed conjuncts to the freshly bound data (the
-        // catalog's tables may have changed since analysis).
-        apply_pushdown(&mut prepared, &self.pushed, literals)?;
+        let binding = (&self.projection, &self.pushed[..]);
+        // The pushed conjuncts select from the catalog's current data (its
+        // tables may have changed since analysis).
+        let mut literals = Literals::new(literals);
+        prepare_scans(&self.core, catalog, each_row, binding, &mut literals, &mut prepared)?;
+        literals.finish()?;
         let factor = factor.unwrap_or_else(|| {
             let profile =
                 PipelineProfile { selectivity: selectivity(&prepared), ..self.profile.clone() };

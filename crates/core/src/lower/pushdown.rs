@@ -1,13 +1,13 @@
 //! Predicate pushdown: which conjuncts of a `Filter` a plain scan
-//! absorbs ([`splits`]), applying them to the bound rows, and the serving
-//! cache's shape key ([`shape`]), which masks exactly those conjuncts'
-//! literals because a bind re-applies them.
+//! absorbs ([`splits`]), the rows they keep of the catalog's columns
+//! ([`select`]), and the serving cache's shape key ([`shape`]), which
+//! masks exactly those conjuncts' literals because a bind re-applies them.
 
-use super::bind::{lookup_table, PreparedCol, PreparedScan};
+use super::bind::{as_u64, lookup_table, Cells, TableCol};
 use super::bounds::lower_predicate;
 use super::{ColInfo, Decode};
 use crate::error::CoreError;
-use genesis_hw::modules::filter::{Operand, Predicate};
+use genesis_hw::modules::filter::{CmpOp, Operand, Predicate};
 use genesis_sql::ast::{BinOp, Expr};
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::{Column, Field, Table, Value};
@@ -23,10 +23,9 @@ pub(super) fn conjuncts<'e>(pred: &'e Expr, out: &mut Vec<&'e Expr>) {
 }
 
 /// One scan's pushed-down filter: the conjuncts a `Filter` directly above
-/// that plain `Scan` leaf contributed, applied to the prepared rows when
-/// the lowering binds to catalog data (before any byte is written to
-/// the device), so Memory Readers and everything downstream see only
-/// surviving rows.
+/// that plain `Scan` leaf contributed, applied to the catalog's rows when
+/// the lowering binds to catalog data (before any row is copied), so
+/// Memory Readers and everything downstream see only surviving rows.
 #[derive(Debug, Clone)]
 pub(super) struct PushedFilter {
     /// Index into the prepared-scan list (leaf order).
@@ -34,18 +33,11 @@ pub(super) struct PushedFilter {
     pub(super) conjuncts: Vec<Expr>,
 }
 
-/// Column metadata of a bare prepared scan (what a `Filter` directly
-/// above the `Scan` leaf would see, each column in its own field), for
-/// resolving pushed conjuncts.
-fn scan_infos(scan: &PreparedScan) -> Vec<ColInfo> {
-    let info =
-        |(field, c): (usize, &PreparedCol)| ColInfo { field, ..ColInfo::new(&c.name, c.decode) };
-    scan.cols.iter().enumerate().map(info).collect()
-}
-
-/// [`scan_infos`] read off a table before anything is bound: the names,
-/// and the decoding each column would widen to (a `Cell` column's is
-/// its first cell's; binding checks the rest).
+/// Column metadata of a bare scan (what a `Filter` directly above the
+/// `Scan` leaf would see, each column in the field of its table index),
+/// read off the table before anything is bound: the names, and each
+/// column's decoding (a `Cell` column's is its first cell's; binding
+/// checks the rest).
 fn table_infos(t: &Table) -> Vec<ColInfo> {
     let fields = t.schema().fields();
     let decode = |ci: usize| match t.column_at(ci) {
@@ -88,7 +80,8 @@ impl<'p> Split<'p> {
 /// `Scan` leaf whose conjuncts split, in leaf order. A conjunct is pushed
 /// exactly when [`lower_predicate`] resolves it against the bare scan's
 /// columns ([`table_infos`]), i.e. when the hardware Filter it replaces
-/// would have been built. The traversal mirrors [`prepare_scans`]'
+/// would have been built; [`select`] resolves it the same way. The
+/// traversal mirrors [`prepare_scans`]'
 /// left-to-right leaf order — and since pushdown only removes Filter
 /// *nodes*, that leaf order is invariant under the rewrite, which is what
 /// lets a pushed conjunct name its scan by index in the rewritten core
@@ -191,99 +184,168 @@ fn shape_ignores_literals(core: &LogicalPlan) -> bool {
     }
 }
 
-/// Narrows the ascending row list `kept` to the rows `test` passes. The
-/// survivor count advances by the test's outcome instead of branching on
-/// it: a selective predicate over unordered data is the worst case for a
-/// branch predictor.
-fn retain_rows(kept: &mut Vec<usize>, test: impl Fn(usize) -> bool) {
-    let mut live = 0;
-    for i in 0..kept.len() {
-        let r = kept[i];
-        kept[live] = r;
-        live += usize::from(test(r));
+/// The values a bind gives its pushed conjuncts' literal operands, in
+/// bind order: a cached shape's parameters as the request sets them
+/// ([`shape`]), or, when there are none, each conjunct's own.
+pub(super) struct Literals<'l>(Option<std::slice::Iter<'l, u64>>);
+
+impl<'l> Literals<'l> {
+    pub(super) fn new(values: Option<&'l [u64]>) -> Literals<'l> {
+        Literals(values.map(<[u64]>::iter))
     }
-    kept.truncate(live);
+
+    /// The value of the next literal operand, whose own value is `own`.
+    fn next(&mut self, own: u64) -> Result<u64, CoreError> {
+        let Some(values) = &mut self.0 else { return Ok(own) };
+        let next = values.next().copied();
+        next.ok_or_else(|| CoreError::Host("fewer literals than pushed parameters".into()))
+    }
+
+    /// Fails unless the bind used every value.
+    pub(super) fn finish(mut self) -> Result<(), CoreError> {
+        if self.0.as_mut().is_some_and(|rest| rest.next().is_some()) {
+            return Err(CoreError::Host("more literals than pushed parameters".into()));
+        }
+        Ok(())
+    }
 }
 
-/// Applies the pushed conjuncts to their prepared scans: the row-selection
-/// step run whenever scan data is (re)bound from a catalog. The conjuncts
-/// resolve once, to the hardware [`Predicate`]s a lowered Filter would
-/// hold; base-table scans never carry `Ins`/`Del` markers, so each reduces
-/// to [`CmpOp::holds`] over plain `u64`s — the Filter module's own
-/// comparison — and narrows the survivor list in one pass over its operand
-/// columns ([`retain_rows`]); operands only the host read are then
-/// dropped ([`PreparedScan::drop_operands`]) and the rest compact in place.
-/// Surviving rows keep their relative order, so downstream modules see
-/// exactly the stream a lowered Filter would have produced. `literals`,
-/// when given, replace the conjuncts' literal operands in order: the
-/// request's values of a cached shape's parameters ([`shape`]).
-///
-/// [`CmpOp::holds`]: genesis_hw::modules::filter::CmpOp::holds
-pub(super) fn apply_pushdown(
-    prepared: &mut [PreparedScan],
-    pushed: &[PushedFilter],
-    literals: Option<&[u64]>,
-) -> Result<(), CoreError> {
-    let mut literals = literals.map(<[u64]>::iter);
-    for pf in pushed {
-        let scan = prepared
-            .get_mut(pf.scan)
-            .ok_or_else(|| CoreError::Host("pushed filter references a missing scan".into()))?;
-        let infos = scan_infos(scan);
-        let preds: Vec<Predicate> = pf
-            .conjuncts
-            .iter()
-            .map(|e| {
-                lower_predicate(&infos, &[], e).map_err(|_| {
-                    CoreError::Host("pushed conjunct no longer resolves against the scan".into())
-                })
+/// The rows of a scan its pushed conjuncts keep: one bit per scanned row,
+/// and how many are set.
+pub(super) struct Survivors {
+    mask: Vec<u64>,
+    count: usize,
+}
+
+impl Survivors {
+    pub(super) fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Calls `f` on each kept row, ascending.
+    fn for_each_row(&self, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.mask.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// The kept rows' indices, in a vector of exactly their count.
+    pub(super) fn indices(&self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.count);
+        self.for_each_row(|r| out.push(r));
+        out
+    }
+
+    /// `f` of the kept rows' values of `v`, in a vector of exactly their
+    /// count.
+    pub(super) fn gather<T: Copy, U>(&self, v: &[T], f: impl Fn(T) -> U) -> Vec<U> {
+        let mut out = Vec::with_capacity(self.count);
+        self.for_each_row(|r| out.push(f(v[r])));
+        out
+    }
+}
+
+/// `$body` with `$v` bound to the cells of `$cells` (a `&Cells`) as a
+/// slice of their own width, each of which converts `Into<u64>`.
+macro_rules! by_cells {
+    ($cells:expr, $v:ident => $body:expr) => {
+        match $cells {
+            Cells::U8($v) => $body,
+            Cells::U16($v) => $body,
+            Cells::U32($v) => $body,
+            Cells::U64(cow) => {
+                let $v: &[u64] = cow;
+                $body
+            }
+            Cells::Bool($v) => $body,
+        }
+    };
+}
+
+/// Clears each bit of `mask` whose row's `lhs` value fails `test` (given
+/// the value, widened, and the row). The bit takes the test's outcome
+/// instead of a branch on it: a selective predicate over unordered data
+/// is the worst case for a branch predictor.
+fn and_holds<T: Copy + Into<u64>>(mask: &mut [u64], lhs: &[T], test: impl Fn(u64, usize) -> bool) {
+    for (w, (bits, chunk)) in mask.iter_mut().zip(lhs.chunks(64)).enumerate() {
+        let mut pass = 0u64;
+        for (i, &x) in chunk.iter().enumerate() {
+            pass |= u64::from(test(x.into(), w * 64 + i)) << i;
+        }
+        *bits &= pass;
+    }
+}
+
+/// [`and_holds`] of `lhs op v` for a literal `v`, with `op` matched once:
+/// each arm's loop inlines its own comparison, which the compiler can
+/// then vectorise.
+fn and_holds_literal<T: Copy + Into<u64>>(mask: &mut [u64], lhs: &[T], op: CmpOp, v: u64) {
+    match op {
+        CmpOp::Eq => and_holds(mask, lhs, |x, _| CmpOp::Eq.holds(x, v)),
+        CmpOp::Ne => and_holds(mask, lhs, |x, _| CmpOp::Ne.holds(x, v)),
+        CmpOp::Lt => and_holds(mask, lhs, |x, _| CmpOp::Lt.holds(x, v)),
+        CmpOp::Le => and_holds(mask, lhs, |x, _| CmpOp::Le.holds(x, v)),
+        CmpOp::Gt => and_holds(mask, lhs, |x, _| CmpOp::Gt.holds(x, v)),
+        CmpOp::Ge => and_holds(mask, lhs, |x, _| CmpOp::Ge.holds(x, v)),
+        CmpOp::IsVal => and_holds(mask, lhs, |x, _| CmpOp::IsVal.holds(x, v)),
+    }
+}
+
+/// The rows of `t` the pushed `conjuncts` keep, `None` when they keep
+/// every row: the row-selection step run whenever a scan is (re)bound
+/// from a catalog, before any row is copied. The conjuncts resolve to the
+/// hardware [`Predicate`]s a lowered Filter would hold, over the table's
+/// columns ([`table_infos`]); base-table scans never carry `Ins`/`Del`
+/// markers, so each reduces to [`CmpOp::holds`] — the Filter module's own
+/// comparison — on its operands' cells as `bound` reads them, each
+/// element widened to `u64` (a literal is never narrowed), in one pass
+/// per conjunct. Surviving rows keep their relative order, so downstream
+/// modules see exactly the stream a lowered Filter would have produced.
+pub(super) fn select(
+    t: &Table,
+    bound: &[Option<TableCol<'_>>],
+    conjuncts: &[Expr],
+    literals: &mut Literals<'_>,
+) -> Result<Option<Survivors>, CoreError> {
+    let infos = table_infos(t);
+    let preds: Vec<Predicate> = conjuncts
+        .iter()
+        .map(|e| {
+            lower_predicate(&infos, &[], e).map_err(|_| {
+                CoreError::Host("pushed conjunct no longer resolves against the scan".into())
             })
-            .collect::<Result<_, _>>()?;
-        let n = scan.rows;
-        let mut kept: Vec<usize> = (0..n).collect();
-        for p in &preds {
-            // `lower_predicate` only ever puts a field on the left.
-            let Operand::Field(i) = p.lhs else {
-                return Err(CoreError::Host("pushed conjunct has no column operand".into()));
-            };
-            let lhs = &scan.cols[i].vals;
-            match p.rhs {
-                Operand::Const(v) => {
-                    let v = match literals.as_mut() {
-                        Some(values) => *values.next().ok_or_else(|| {
-                            CoreError::Host("fewer literals than pushed parameters".into())
-                        })?,
-                        None => v,
-                    };
-                    retain_rows(&mut kept, |r| p.op.holds(lhs[r], v));
-                }
-                Operand::Field(j) => {
-                    let rhs = &scan.cols[j].vals;
-                    retain_rows(&mut kept, |r| p.op.holds(lhs[r], rhs[r]));
-                }
+        })
+        .collect::<Result<_, _>>()?;
+    let cells = |field: usize| {
+        let col = bound.get(field).and_then(Option::as_ref);
+        col.map(|col| &col.cells).ok_or_else(|| {
+            CoreError::Host("pushed conjunct reads a column the scan does not bind".into())
+        })
+    };
+    let rows = t.num_rows();
+    let mut mask = vec![u64::MAX; rows.div_ceil(64)];
+    for p in &preds {
+        // `lower_predicate` only ever puts a field on the left.
+        let Operand::Field(i) = p.lhs else {
+            return Err(CoreError::Host("pushed conjunct has no column operand".into()));
+        };
+        let op = p.op;
+        match p.rhs {
+            Operand::Const(v) => {
+                let v = literals.next(v)?;
+                by_cells!(cells(i)?, l => and_holds_literal(&mut mask, l, op, v));
             }
+            Operand::Field(j) => by_cells!(cells(i)?, l => by_cells!(cells(j)?, r => {
+                and_holds(&mut mask, l, |x, row| op.holds(x, as_u64(r[row])));
+            })),
         }
-        scan.rows_scanned = n;
-        scan.drop_operands(pf.scan == 0);
-        if kept.len() == n {
-            continue; // nothing dropped; the scan streams unchanged
-        }
-        for col in &mut scan.cols {
-            debug_assert!(col.lens.is_none(), "pushdown over a flattened list column");
-            // `kept` ascends, so `kept[i] >= i`: no source is overwritten
-            // before it is read.
-            for (i, &r) in kept.iter().enumerate() {
-                col.vals[i] = col.vals[r];
-            }
-            col.vals.truncate(kept.len());
-        }
-        scan.rows = kept.len();
-        scan.kept = Some(kept);
     }
-    if literals.is_some_and(|mut rest| rest.next().is_some()) {
-        return Err(CoreError::Host("more literals than pushed parameters".into()));
-    }
-    Ok(())
+    let count = mask.iter().map(|w| w.count_ones() as usize).sum();
+    Ok((count < rows).then_some(Survivors { mask, count }))
 }
 
 /// The serving cache's key for `plan` against `catalog`

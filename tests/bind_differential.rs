@@ -15,12 +15,19 @@
 //! projection pushdown pruned. Two more fixed cases hold a table wider
 //! than a flit, with columns no Memory Reader can stream, and the spine's
 //! partition key cutting the shards when the scan does not stream it.
+//!
+//! Pushed conjuncts compare where the catalog holds the columns, each
+//! element widened to `u64`, before any row is copied. A second
+//! generator holds that selection to the SQL engine over one column of
+//! every width, with conjuncts on streamed and on host-only columns,
+//! column against column, and literals wider than their column, which
+//! drop every row or none (a fixed case pins both ends).
 
 mod common;
 
 use common::{
-    agg, aggregate, bin, catalog_of, check, col, filter, pos_explode, read_explode, scan, table_of,
-    u32_table, Axes, Road, CMP_OPS,
+    agg, aggregate, bin, catalog_of, check, col, filter, item, pos_explode, project, read_explode,
+    scan, table_of, u32_table, Axes, Road, CMP_OPS,
 };
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
@@ -241,6 +248,109 @@ proptest! {
         ]))]);
         let plan = read_explode("READS", with_qual == 1);
         differential(&plan, &catalog, &[true], reads.len(), (&[shards], REPLICATION[rep_i]))?;
+    }
+}
+
+/// Literals a selection conjunct draws from: each width's limits, the
+/// values just past them, and the two the wide-literal cases name.
+const SELECT_LITERALS: [u64; 11] =
+    [0, 1, 7, 255, 256, 300, 65_535, 65_536, 4_294_967_295, 4_294_967_296, u64::MAX];
+
+/// The selection table: `A: U8`, `B: U16`, `X: U32`, `W: U64`, `P` and
+/// `Q: Bool` and `C`, uniform numeric cells, from the seeds.
+fn select_table(seeds: &[u64]) -> genesis::types::Table {
+    let seeded = |kind: usize, salt: u32| {
+        let mixed: Vec<u64> = seeds.iter().map(|s| s.rotate_left(salt) ^ u64::from(salt)).collect();
+        seeded_column(kind, &mixed)
+    };
+    table_of(vec![
+        ("A", seeded(0, 0)),
+        ("B", seeded(1, 7)),
+        ("X", seeded(2, 13)),
+        ("W", seeded(3, 29)),
+        ("P", flag_column(false, seeds, 3)),
+        ("Q", flag_column(false, seeds, 11)),
+        ("C", seeded(4, 41)),
+    ])
+}
+
+/// One pushable conjunct over [`select_table`]: on a column the plan
+/// streams (`A`, `X`), on one only the selection reads (`B`, `W`, `C`,
+/// and the booleans), or column against column across widths.
+fn select_conjunct(shape: usize, op: usize, literal: usize) -> Expr {
+    let (cmp, lit) = (CMP_OPS[op % 6], Expr::Number(SELECT_LITERALS[literal % 11]));
+    match shape % 9 {
+        0 => bin(cmp, col("A"), lit),
+        1 => bin(cmp, col("X"), lit),
+        2 => bin(cmp, lit, col("B")),
+        3 => bin(cmp, col("W"), lit),
+        4 => bin(cmp, col("C"), lit),
+        5 => bin(cmp, col("A"), col("B")),
+        6 => bin(cmp, col("X"), col("C")),
+        7 => bin(cmp, col("W"), col("X")),
+        // Booleans compare for equality only.
+        _ => bin(CMP_OPS[op % 2], col("P"), col("Q")),
+    }
+}
+
+/// `SELECT A, X` (every other column read by the selection alone),
+/// `SELECT *` or `SELECT SUM(X)` over `T WHERE pred`.
+fn select_plan(kind: usize, pred: Option<Expr>) -> LogicalPlan {
+    let input = pred.map_or(scan("T"), |pred| filter(scan("T"), pred));
+    match kind % 3 {
+        0 => project(input, vec![item("A"), item("X")]),
+        1 => input,
+        _ => aggregate(input, vec![agg(AggFn::Sum, Some("X"))]),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Pushed conjuncts over every scan width select, before any copy,
+    /// exactly the rows the SQL engine keeps, pushdown on and off.
+    #[test]
+    fn served_select_differential(
+        seeds in proptest::collection::vec(0u64..u64::MAX, 0..40),
+        conjuncts in proptest::collection::vec((0usize..9, 0usize..6, 0usize..11), 0..4),
+        kind in 0usize..3,
+        shards in 1usize..4,
+        rep_i in 0usize..3,
+    ) {
+        let catalog = catalog_of(vec![("T", select_table(&seeds))]);
+        let pred = conjuncts
+            .iter()
+            .map(|&(shape, op, literal)| select_conjunct(shape, op, literal))
+            .reduce(|acc, e| bin(BinOp::And, acc, e));
+        let plan = select_plan(kind, pred);
+        let at = (&[shards][..], REPLICATION[rep_i]);
+        differential(&plan, &catalog, &[true, false], seeds.len(), at)?;
+    }
+}
+
+/// Literals wider than their column: `A < 300` on a `U8` and
+/// `X <= 4294967296` on a `U32` keep every row (the literal is never
+/// narrowed to the column's width, where it would read 44 and 0), and
+/// `A > 300` drops every one; each through a streamed and a host-only
+/// operand, at 1–3 shards.
+#[test]
+fn wide_literals_select_all_rows_or_none() {
+    let seeds: Vec<u64> = (0..48u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+    let catalog = catalog_of(vec![("T", select_table(&seeds))]);
+    let lit = |n: u64| Expr::Number(n);
+    let cases = [
+        (bin(BinOp::Lt, col("A"), lit(300)), seeds.len()),
+        (bin(BinOp::Le, col("X"), lit(4_294_967_296)), seeds.len()),
+        (bin(BinOp::Gt, col("A"), lit(300)), 0),
+    ];
+    for (pred, kept) in cases {
+        for kind in 0..3 {
+            let plan = select_plan(kind, Some(pred.clone()));
+            let runs = differential(&plan, &catalog, &[true], seeds.len(), (&[1, 2, 3], 3)).unwrap();
+            for (what, stats) in runs {
+                assert_eq!(stats.rows_emitted, kept as u64, "{what}: {pred:?} over plan {kind}");
+            }
+        }
     }
 }
 
