@@ -145,11 +145,11 @@ pub(super) struct PreparedScan {
     /// (`== rows` when nothing was pushed); feeds the
     /// `scan.rows_scanned` counter and the cost model's selectivity.
     pub(super) rows_scanned: usize,
-    /// When pushdown dropped rows of the spine: each survivor's original
-    /// row index, ascending (`len == rows`). Used to attribute scanned
-    /// rows to shard ranges so scatter-gather stays balanced on
-    /// survivors; no other leaf is cut into shards, so none keeps one.
-    pub(super) kept: Option<Vec<usize>>,
+    /// When pushdown dropped rows of the spine: the row mask `select`
+    /// built, one bit per scanned row. Used to attribute scanned rows to
+    /// shard ranges so scatter-gather stays balanced on survivors; no
+    /// other leaf is cut into shards, so none keeps one.
+    pub(super) kept: Option<Survivors>,
 }
 
 impl PreparedScan {
@@ -165,9 +165,9 @@ impl PreparedScan {
     /// ranges attributes exactly `rows_scanned` rows in total.
     pub(super) fn scanned_rows(&self, r: &Range<usize>) -> usize {
         let Some(kept) = &self.kept else { return r.len() };
-        let lo = if r.start == 0 { 0 } else { kept[r.start] };
-        let hi = if r.end == self.rows { self.rows_scanned } else { kept[r.end] };
-        hi - lo
+        let at = |i: usize| kept.scanned_row(i).unwrap_or(self.rows_scanned);
+        let lo = if r.start == 0 { 0 } else { at(r.start) };
+        at(r.end) - lo
     }
 }
 
@@ -574,7 +574,7 @@ fn prepare_table(
         explode: None,
         window: None,
         rows_scanned,
-        kept: keep.filter(|_| spine).map(|keep| keep.indices()),
+        kept: keep.filter(|_| spine),
     })
 }
 

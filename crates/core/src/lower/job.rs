@@ -502,7 +502,9 @@ impl PreparedJob {
             outs.extend(part.outs);
         }
         let merged = self.lowering.merge(outs)?;
-        stats.dma_out_bytes += merged.byte_size();
+        // The sink writers stored every output cell as one 8-byte word,
+        // whatever type the gather builds it at.
+        stats.dma_out_bytes += (merged.num_rows() * merged.num_columns() * 8) as u64;
         let table = self.lowering.apply_epilogues(merged)?;
         Ok((table, stats))
     }
@@ -518,14 +520,13 @@ impl PreparedJob {
 }
 
 impl Lowering {
-    /// Merges the replicas' raw sink columns column-wise and decodes them
-    /// once, by the output schema the analysis derived: stream rows
-    /// concatenate, scalar partials combine, grouped runs merge by key.
+    /// Merges the replicas' raw sink columns column-wise — stream rows
+    /// concatenate, scalar partials combine, grouped runs merge by key —
+    /// and builds each column once, at its output-schema type
+    /// ([`typed_column`]).
     fn merge(&self, outs: Vec<Vec<Vec<u64>>>) -> Result<Table, CoreError> {
-        let decode = |raw: Vec<u64>, col: &ColInfo| -> Vec<Value> {
-            raw.into_iter().map(|w| decode_value(w, col)).collect()
-        };
-        let columns: Vec<Vec<Value>> = match &self.kind {
+        let fields = self.schema.fields().iter().zip(&self.cols);
+        let columns: Vec<Column> = match &self.kind {
             SinkKind::Stream => {
                 let mut raw: Vec<Vec<u64>> = vec![Vec::new(); self.cols.len()];
                 for job in outs {
@@ -537,7 +538,10 @@ impl Lowering {
                         }
                     }
                 }
-                raw.into_iter().zip(&self.cols).map(|(raw, col)| decode(raw, col)).collect()
+                raw.into_iter()
+                    .zip(fields)
+                    .map(|(raw, (f, col))| typed_column(raw, f.dtype, col))
+                    .collect()
             }
             SinkKind::Scalar(kinds) => {
                 let mut acc: Vec<(u64, Option<u64>)> = vec![(0, None); kinds.len()];
@@ -562,13 +566,17 @@ impl Lowering {
                 kinds
                     .iter()
                     .zip(&acc)
-                    .map(|(kind, slot)| {
-                        vec![match kind {
-                            ScalarKind::Count | ScalarKind::Sum => Value::U64(slot.0),
-                            ScalarKind::Min | ScalarKind::Max => {
-                                slot.1.map_or(Value::Null, Value::U64)
-                            }
-                        }]
+                    .zip(fields)
+                    .map(|((kind, slot), (f, col))| {
+                        let word = match kind {
+                            ScalarKind::Count | ScalarKind::Sum => Some(slot.0),
+                            ScalarKind::Min | ScalarKind::Max => slot.1,
+                        };
+                        // MIN/MAX over no rows is NULL, which only a `Cell` holds.
+                        word.map_or_else(
+                            || Column::Cell(vec![Value::Null]),
+                            |w| typed_column(vec![w], f.dtype, col),
+                        )
                     })
                     .collect()
             }
@@ -577,27 +585,23 @@ impl Lowering {
                     .iter()
                     .position(|r| *r == GroupRole::Key)
                     .ok_or_else(|| CoreError::Host("grouped sink without key column".into()))?;
-                let mut columns: Vec<Vec<Value>> = merge_runs(&outs, roles, key_pos)
-                    .into_iter()
-                    .zip(&self.cols)
-                    .map(|(raw, col)| decode(raw, col))
-                    .collect();
+                let mut raw = merge_runs(&outs, roles, key_pos);
                 // The leading sort on the key (`analyze` requires one) is
                 // the merge's own order, or its reversal.
                 if let Some(Epilogue::Sort { keys }) = self.epilogues.first() {
                     if keys.first().is_some_and(|&(_, desc)| desc) {
-                        columns.iter_mut().for_each(|c| c.reverse());
+                        raw.iter_mut().for_each(|c| c.reverse());
                     }
                 }
-                columns
+                raw.into_iter()
+                    .zip(fields)
+                    .map(|(raw, (f, col))| typed_column(raw, f.dtype, col))
+                    .collect()
             }
         };
-        let fields: Vec<Field> =
-            self.cols.iter().map(|c| Field::new(&c.name, DataType::Cell)).collect();
-        Ok(Table::from_columns(
-            Schema::new(fields),
-            columns.into_iter().map(Column::Cell).collect(),
-        )?)
+        let fields = self.schema.fields().iter().zip(&columns);
+        let schema = Schema::new(fields.map(|(f, c)| Field::new(&f.name, c.dtype())).collect());
+        Ok(Table::from_columns(schema, columns)?)
     }
 
     fn apply_epilogues(&self, table: Table) -> Result<Table, CoreError> {
@@ -691,6 +695,31 @@ fn read_writer(sys: &System, id: ModuleId, addr: u64) -> Result<Vec<u64>, CoreEr
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")))
         .collect())
+}
+
+/// One output column from its merged raw words, at its output-schema
+/// type: a `U64` column is the words themselves, a narrower number or a
+/// `Bool` one copy, and only a `Cell` column (which may hold `Ins`/`Del`
+/// markers) a [`Value`] per word. A word too wide for its type (the
+/// catalog column has widened since the plan compiled) keeps the column
+/// at `U64` rather than lose bits.
+fn typed_column(words: Vec<u64>, dtype: DataType, col: &ColInfo) -> Column {
+    fn narrow<T: TryFrom<u64>>(words: Vec<u64>, typed: fn(Vec<T>) -> Column) -> Column {
+        match words.iter().map(|&w| T::try_from(w)).collect() {
+            Ok(narrow) => typed(narrow),
+            Err(_) => Column::U64(words),
+        }
+    }
+    match dtype {
+        DataType::U64 => Column::U64(words),
+        DataType::U32 => narrow(words, Column::U32),
+        DataType::U16 => narrow(words, Column::U16),
+        DataType::U8 => narrow(words, Column::U8),
+        DataType::Bool => Column::Bool(words.into_iter().map(|w| w != 0).collect()),
+        // `Cell`: no sink writes strings or lists, which the lowering
+        // streams no more than it reads them.
+        _ => Column::Cell(words.into_iter().map(|w| decode_value(w, col)).collect()),
+    }
 }
 
 fn decode_value(raw: u64, col: &ColInfo) -> Value {

@@ -42,6 +42,7 @@ use genesis_hw::resource::{pipeline_overhead, shell_overhead, ResourceUsage};
 use genesis_hw::System;
 use genesis_sql::ast::{BinOp, ColRef, Expr};
 use genesis_sql::{Catalog, LogicalPlan};
+use genesis_types::Schema;
 use job::{Cut, Reach};
 pub(crate) use job::{PreparedJob, RunTimes, ShardOut};
 pub(crate) use pushdown::shape;
@@ -195,8 +196,12 @@ pub(crate) struct Lowering {
     projection: Projection,
     /// The joins whose right leaf each replica cuts to its reach.
     reaches: Vec<Reach>,
-    /// The output schema the analysis build derived: every replica's sink
-    /// has it, and the gather decodes their raw words by it.
+    /// The plan's output schema ([`LogicalPlan::output_schema`]), the
+    /// SQL engine's: the gather builds each column from its raw words at
+    /// this type.
+    schema: Schema,
+    /// The sink columns the analysis build derived, every replica's: a
+    /// `Cell` column of [`Lowering::schema`] decodes its raw words by them.
     cols: Vec<ColInfo>,
     kind: SinkKind,
     /// Port/fabric demand of one pipeline (input to the replication
@@ -478,7 +483,12 @@ fn analyze_on(
         };
         format!("{node} -> host")
     }));
+    // The one typing both engines give the result (after the build, so
+    // that a plan the lowering rejects fails with the lowering's error).
+    let schema =
+        plan.output_schema(catalog).map_err(|e| CoreError::plan("Schema", e.to_string()))?;
     let lowering = Arc::new(Lowering {
+        schema,
         core,
         epilogues,
         each_row,
@@ -509,7 +519,7 @@ fn selectivity(prepared: &[PreparedScan]) -> f64 {
 impl Lowering {
     /// Output column names (the compiled pipeline's schema).
     pub(crate) fn output_columns(&self) -> impl Iterator<Item = &str> {
-        self.cols.iter().map(|c| c.name.as_str())
+        self.schema.fields().iter().map(|f| f.name.as_str())
     }
 
     /// Binds the lowering to `catalog`'s current data: selects the rows

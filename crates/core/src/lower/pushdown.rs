@@ -212,6 +212,7 @@ impl<'l> Literals<'l> {
 
 /// The rows of a scan its pushed conjuncts keep: one bit per scanned row,
 /// and how many are set.
+#[derive(Debug, Clone)]
 pub(super) struct Survivors {
     mask: Vec<u64>,
     count: usize,
@@ -233,11 +234,23 @@ impl Survivors {
         }
     }
 
-    /// The kept rows' indices, in a vector of exactly their count.
-    pub(super) fn indices(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.count);
-        self.for_each_row(|r| out.push(r));
-        out
+    /// The scanned row the `k`-th kept row (from 0) was, `None` past the
+    /// last: the mask's words counted until the one holding it, then a
+    /// select inside that word.
+    pub(super) fn scanned_row(&self, k: usize) -> Option<usize> {
+        let mut left = k;
+        for (w, &word) in self.mask.iter().enumerate() {
+            let ones = word.count_ones() as usize;
+            if left < ones {
+                let mut bits = word;
+                for _ in 0..left {
+                    bits &= bits - 1;
+                }
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            left -= ones;
+        }
+        None
     }
 
     /// `f` of the kept rows' values of `v`, in a vector of exactly their

@@ -57,6 +57,11 @@ impl Catalog {
         self.partitions.get(&(name.to_owned(), pid))
     }
 
+    /// Some partition of `name`: partitions of one table share a schema.
+    pub(crate) fn any_partition(&self, name: &str) -> Option<&Table> {
+        self.partitions.iter().find(|((n, _), _)| n == name).map(|(_, t)| t)
+    }
+
     /// Looks up a custom module.
     #[must_use]
     pub fn module(&self, name: &str) -> Option<&CustomModule> {

@@ -7,9 +7,13 @@ use crate::catalog::Catalog;
 use crate::error::SqlError;
 use crate::parser::parse_script;
 use crate::plan::{lower_query, LogicalPlan};
-use genesis_types::{CigarElem, CigarOp, DataType, Field, Schema, Table, Value};
+use crate::schema::{
+    aggregate_schema, filter_schema, join_schema, pos_explode_schema, project_schema,
+    read_explode_schema, Bound,
+};
+use genesis_types::{CigarElem, CigarOp, Schema, Table, Value};
 #[cfg(test)]
-use genesis_types::Column;
+use genesis_types::{Column, DataType, Field};
 use std::collections::HashMap;
 
 /// Execution environment: `@variables` and loop-row bindings.
@@ -22,7 +26,8 @@ pub struct Env {
 /// One bound row (the loop variable of `FOR row IN table`).
 #[derive(Debug, Clone)]
 pub struct RowBinding {
-    names: Vec<String>,
+    /// The looped table's schema.
+    schema: Schema,
     values: Vec<Value>,
 }
 
@@ -37,11 +42,16 @@ impl Env {
     pub fn var(&self, name: &str) -> Option<&Value> {
         self.vars.get(name)
     }
+
+    /// The row schema of the loop variable `name`, when one is bound.
+    fn row_schema(&self, name: &str) -> Option<&Schema> {
+        self.rows.get(name).map(|b| &b.schema)
+    }
 }
 
 /// Resolves a column reference against a schema whose field names may be
 /// bare (`POS`) or qualified (`#AlignedRead.POS`).
-fn resolve_col(schema: &Schema, col: &ColRef) -> Result<usize, SqlError> {
+pub(crate) fn resolve_col(schema: &Schema, col: &ColRef) -> Result<usize, SqlError> {
     let want = col.display_name();
     if let Some(i) = schema.index_of(&want) {
         return Ok(i);
@@ -81,14 +91,9 @@ fn eval_expr(expr: &Expr, ctx: Option<RowCtx<'_>>, env: &Env) -> Result<Value, S
             // Loop-row bindings take precedence for qualified references.
             if let Some(t) = &col.table {
                 if let Some(binding) = env.rows.get(t) {
-                    let i = binding
-                        .names
-                        .iter()
-                        .position(|n| n == &col.column)
-                        .ok_or_else(|| SqlError::Unknown {
-                            kind: "column",
-                            name: col.display_name(),
-                        })?;
+                    let i = binding.schema.index_of(&col.column).ok_or_else(|| {
+                        SqlError::Unknown { kind: "column", name: col.display_name() }
+                    })?;
                     return Ok(binding.values[i].clone());
                 }
             }
@@ -161,7 +166,9 @@ fn truthy(v: &Value) -> Option<bool> {
     }
 }
 
-/// Executes a logical plan against the catalog.
+/// Executes a logical plan against the catalog. Every node's table has
+/// the node's schema by the rules of [`LogicalPlan::output_schema`], so
+/// the result's is the plan's output schema.
 ///
 /// # Errors
 ///
@@ -172,14 +179,12 @@ pub fn execute_plan(
     catalog: &Catalog,
     env: &Env,
 ) -> Result<Table, SqlError> {
+    let bound: Bound<'_, '_> = &|name| env.row_schema(name);
     match plan {
         LogicalPlan::Scan { table, partition } => {
             // Loop-row bindings act as single-row tables.
             if let Some(binding) = env.rows.get(table) {
-                let schema = Schema::new(
-                    binding.names.iter().map(|n| Field::new(n, DataType::Cell)).collect(),
-                );
-                let mut t = Table::new(schema);
+                let mut t = Table::new(binding.schema.clone());
                 t.push_row(binding.values.clone())?;
                 return Ok(t);
             }
@@ -198,7 +203,7 @@ pub fn execute_plan(
         }
         LogicalPlan::Filter { input, pred } => {
             let t = execute_plan(input, catalog, env)?;
-            let mut out = Table::new(t.schema().clone());
+            let mut out = Table::new(filter_schema(t.schema(), pred, bound));
             for r in 0..t.num_rows() {
                 let row = t.row(r);
                 let keep = eval_expr(pred, Some(RowCtx { schema: t.schema(), row: &row }), env)?;
@@ -210,11 +215,11 @@ pub fn execute_plan(
         }
         LogicalPlan::Project { input, items } => {
             let t = execute_plan(input, catalog, env)?;
-            project(&t, items, env)
+            project(&t, items, env, bound)
         }
         LogicalPlan::Aggregate { input, items, group_by } => {
             let t = execute_plan(input, catalog, env)?;
-            aggregate(&t, items, group_by, env)
+            aggregate(&t, items, group_by, env, bound)
         }
         LogicalPlan::Sort { input, keys } => {
             let t = execute_plan(input, catalog, env)?;
@@ -264,12 +269,8 @@ pub fn execute_plan(
         }
         LogicalPlan::PosExplode { input, array, init_pos } => {
             let t = execute_plan(input, catalog, env)?;
-            let col = resolve_col(t.schema(), array)?;
+            let (col, schema) = pos_explode_schema(t.schema(), array)?;
             let name = &t.schema().fields()[col].name;
-            let schema = Schema::new(vec![
-                Field::new("POS", DataType::Cell),
-                Field::new(name, DataType::Cell),
-            ]);
             let mut out = Table::new(schema);
             for r in 0..t.num_rows() {
                 let row = t.row(r);
@@ -302,8 +303,8 @@ pub fn execute_plan(
 }
 
 /// `ReadExplode` software semantics (paper Figure 3). Output columns are
-/// `POS`, `SEQ` and (when a quality column is given) `QUAL`, all dynamic
-/// cells so the `Ins`/`Del` sentinels can be carried.
+/// `POS`, `SEQ` and (when a quality column is given) `QUAL`, all `Cell`
+/// so the `Ins`/`Del` sentinels can be carried.
 fn read_explode(
     t: &Table,
     pos: &Expr,
@@ -315,11 +316,7 @@ fn read_explode(
     let cigar_i = resolve_col(t.schema(), cigar)?;
     let seq_i = resolve_col(t.schema(), seq)?;
     let qual_i = qual.map(|q| resolve_col(t.schema(), q)).transpose()?;
-    let mut fields = vec![Field::new("POS", DataType::Cell), Field::new("SEQ", DataType::Cell)];
-    if qual_i.is_some() {
-        fields.push(Field::new("QUAL", DataType::Cell));
-    }
-    let mut out = Table::new(Schema::new(fields));
+    let mut out = Table::new(read_explode_schema(qual_i.is_some()));
     for r in 0..t.num_rows() {
         let row = t.row(r);
         let mut ref_pos = eval_expr(pos, Some(RowCtx { schema: t.schema(), row: &row }), env)?
@@ -395,24 +392,13 @@ fn read_explode(
     Ok(out)
 }
 
-fn project(t: &Table, items: &[SelectItem], env: &Env) -> Result<Table, SqlError> {
-    let mut fields = Vec::new();
-    for (i, item) in items.iter().enumerate() {
-        match item {
-            SelectItem::Star => fields.extend(t.schema().fields().iter().cloned()),
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| match expr {
-                    Expr::Col(c) => c.display_name(),
-                    _ => format!("EXPR{i}"),
-                });
-                fields.push(Field::new(&name, DataType::Cell));
-            }
-            SelectItem::Agg { .. } => {
-                return Err(SqlError::Eval("aggregate outside Aggregate node".into()))
-            }
-        }
-    }
-    let mut out = Table::new(Schema::new(fields));
+fn project(
+    t: &Table,
+    items: &[SelectItem],
+    env: &Env,
+    bound: Bound<'_, '_>,
+) -> Result<Table, SqlError> {
+    let mut out = Table::new(project_schema(t.schema(), items, bound)?);
     for r in 0..t.num_rows() {
         let row = t.row(r);
         let ctx = RowCtx { schema: t.schema(), row: &row };
@@ -429,20 +415,12 @@ fn project(t: &Table, items: &[SelectItem], env: &Env) -> Result<Table, SqlError
     Ok(out)
 }
 
-fn agg_name(func: AggFn) -> &'static str {
-    match func {
-        AggFn::Sum => "SUM",
-        AggFn::Count => "COUNT",
-        AggFn::Min => "MIN",
-        AggFn::Max => "MAX",
-    }
-}
-
 fn aggregate(
     t: &Table,
     items: &[SelectItem],
     group_by: &[ColRef],
     env: &Env,
+    bound: Bound<'_, '_>,
 ) -> Result<Table, SqlError> {
     let key_cols: Vec<usize> =
         group_by.iter().map(|c| resolve_col(t.schema(), c)).collect::<Result<_, _>>()?;
@@ -463,25 +441,7 @@ fn aggregate(
         groups.push((Vec::new(), Vec::new()));
     }
 
-    let mut fields = Vec::new();
-    for (i, item) in items.iter().enumerate() {
-        match item {
-            SelectItem::Agg { func, alias, .. } => {
-                let name = alias.clone().unwrap_or_else(|| agg_name(*func).to_owned());
-                fields.push(Field::new(&name, DataType::Cell));
-            }
-            SelectItem::Expr { expr: Expr::Col(c), alias } => {
-                let name = alias.clone().unwrap_or_else(|| c.display_name());
-                fields.push(Field::new(&name, DataType::Cell));
-            }
-            _ => {
-                return Err(SqlError::Eval(format!(
-                    "select item {i} must be an aggregate or a grouped column"
-                )))
-            }
-        }
-    }
-    let mut out = Table::new(Schema::new(fields));
+    let mut out = Table::new(aggregate_schema(t.schema(), items, group_by, bound)?);
     for (key, rows) in &groups {
         let mut out_row = Vec::new();
         for item in items {
@@ -561,24 +521,7 @@ fn join(
 ) -> Result<Table, SqlError> {
     let lk = resolve_col(lt.schema(), left_key)?;
     let rk = resolve_col(rt.schema(), right_key)?;
-    // Output schema: left fields qualified by the left key's table name
-    // when they would collide, then right fields likewise.
-    let lprefix = left_key.table.clone();
-    let rprefix = right_key.table.clone();
-    let mut fields = Vec::new();
-    let qualify = |prefix: &Option<String>, name: &str| -> String {
-        match prefix {
-            Some(p) if !name.contains('.') => format!("{p}.{name}"),
-            _ => name.to_owned(),
-        }
-    };
-    for f in lt.schema().fields() {
-        fields.push(Field::new(&qualify(&lprefix, &f.name), DataType::Cell));
-    }
-    for f in rt.schema().fields() {
-        fields.push(Field::new(&qualify(&rprefix, &f.name), DataType::Cell));
-    }
-    let mut out = Table::new(Schema::new(fields));
+    let mut out = Table::new(join_schema(lt.schema(), rt.schema(), kind, left_key, right_key));
 
     // Hash the right side.
     let mut right_index: HashMap<String, Vec<usize>> = HashMap::new();
@@ -700,12 +643,10 @@ fn run_statements(
                     .table(table)
                     .ok_or_else(|| SqlError::Unknown { kind: "table", name: table.clone() })?
                     .clone();
-                let names: Vec<String> =
-                    t.schema().fields().iter().map(|f| f.name.clone()).collect();
                 for r in 0..t.num_rows() {
                     env.rows.insert(
                         var.clone(),
-                        RowBinding { names: names.clone(), values: t.row(r) },
+                        RowBinding { schema: t.schema().clone(), values: t.row(r) },
                     );
                     run_statements(body, catalog, env)?;
                 }

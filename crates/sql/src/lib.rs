@@ -15,7 +15,8 @@
 //! * `PARTITION (expr)` table qualifiers selecting pre-partitioned windows.
 //!
 //! The pipeline is classic: [`token`] lexes, [`parser`] builds the
-//! [`ast`], [`plan`] lowers queries to logical operator trees, and
+//! [`ast`], [`plan`] lowers queries to logical operator trees,
+//! [`LogicalPlan::output_schema`] types their results, and
 //! [`exec`] evaluates plans over [`genesis_types::Table`]s — the software
 //! reference semantics against which every hardware pipeline is checked.
 //!
@@ -44,6 +45,7 @@ pub mod error;
 pub mod exec;
 pub mod parser;
 pub mod plan;
+mod schema;
 pub mod token;
 
 pub use catalog::Catalog;

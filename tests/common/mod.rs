@@ -23,7 +23,7 @@ use genesis::sql::ast::{AggFn, BinOp, ColRef, Expr, JoinKind, SelectItem};
 use genesis::sql::exec::{execute_plan, Env};
 use genesis::sql::{Catalog, LogicalPlan, Script};
 use genesis::types::{
-    Cigar, CigarOp, Column, DataType, Field, ReadRecord, ReferenceGenome, Schema, Table,
+    Cigar, CigarOp, Column, Field, ReadRecord, ReferenceGenome, Schema, Table,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -316,18 +316,17 @@ fn fail(what: &str, e: impl std::fmt::Display) -> TestCaseError {
     TestCaseError::fail(format!("{what}: {e}"))
 }
 
-/// Whether the compiled table `hw` is the SQL engine's `sw`: the same
-/// column names; each column's dtype the same, or `Cell` on the compiled
-/// side (the lowering does not type its outputs yet); then the same rows.
-/// The error names the first column or row that differs.
+/// Whether the compiled table `hw` is the SQL engine's `sw` under
+/// `Table`'s own `==`: the same column names, the same dtype for each
+/// column, then the same rows. The error names the first column or row
+/// that differs.
 pub fn same_table(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCaseError> {
     let (hf, sf) = (hw.schema().fields(), sw.schema().fields());
     let names = |f: &[Field]| f.iter().map(|f| f.name.clone()).collect::<Vec<_>>();
     if names(hf) != names(sf) {
         return Err(fail(what, format!("columns {:?} vs {:?}", names(hf), names(sf))));
     }
-    let typed = |(h, s): &(&Field, &Field)| h.dtype == s.dtype || h.dtype == DataType::Cell;
-    if let Some((h, s)) = hf.iter().zip(sf).find(|p| !typed(p)) {
+    if let Some((h, s)) = hf.iter().zip(sf).find(|(h, s)| h.dtype != s.dtype) {
         return Err(fail(what, format!("column {} is {:?} vs {:?}", h.name, h.dtype, s.dtype)));
     }
     for r in 0..hw.num_rows().min(sw.num_rows()) {
@@ -340,6 +339,9 @@ pub fn same_table(hw: &Table, sw: &Table, what: &str) -> Result<(), TestCaseErro
     }
     if hw.num_rows() != sw.num_rows() {
         return Err(fail(what, format!("{} rows vs {}", hw.num_rows(), sw.num_rows())));
+    }
+    if hw != sw {
+        return Err(fail(what, "the tables' columns differ"));
     }
     Ok(())
 }
@@ -455,8 +457,10 @@ fn run(
 
 /// Runs the SQL engine once, then the compiled road at every combination
 /// of `axes`, and fails unless each run returns the engine's table (or,
-/// where `axes` allows, ends in an accepted error). Returns each returned
-/// run's label and stats, engines outermost and roads innermost.
+/// where `axes` allows, ends in an accepted error), and unless the
+/// engine's schema is the plan's [`LogicalPlan::output_schema`]. Returns
+/// each returned run's label and stats, engines outermost and roads
+/// innermost.
 pub fn check<'a>(
     query: impl Into<Query<'a>>,
     catalog: &Catalog,
@@ -476,6 +480,11 @@ pub fn check<'a>(
             (plan.map_err(|e| fail("compile", e))?, sw.clone())
         }
     };
+    let schema = plan.output_schema(catalog).map_err(|e| fail("output schema", e))?;
+    if sw.schema() != &schema {
+        let text = format!("{:?} vs output_schema {:?}", sw.schema(), schema);
+        return Err(fail("software schema", text));
+    }
     let mut runs = Vec::new();
     for &engine in &axes.engines {
         for &pushdown in &axes.pushdown {

@@ -16,12 +16,18 @@
 //! stall report that copied every label, growing line and response
 //! buffers, a two-step read-back); it costs 56 now.
 //!
-//! The byte budget executes the three plan shapes of the `serve_hot`
-//! benchmark workload over its 8,192-row `U32` table. Bind widened every
-//! bound column to `u64` and listed every row before it selected any;
-//! the three executes took 624,418 bytes then. Selecting in place and
+//! The byte budgets execute the three plan shapes of the `serve_hot`
+//! benchmark workload over its 8,192-row `U32` table, and one round of
+//! the `serve_genomics` workload (three pileups and one mate-distance
+//! histogram) over the genomics catalog. Bind widened every bound column
+//! to `u64` and listed every row before it selected any; the three
+//! `serve_hot` executes took 624,418 bytes then. Selecting in place and
 //! copying the survivors of the streamed columns once, at their width,
-//! cut that to the budget below.
+//! cut that to 324,734 bytes, and answering a shard's scanned rows from
+//! the row mask instead of a list of survivors cut it to the budget
+//! below. The gather decoded every output word into a 32-byte `Value`;
+//! building each column at its output type from the words cut the
+//! genomics round from 2,947,756 bytes to its budget.
 
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
@@ -34,7 +40,10 @@ use std::cell::Cell;
 const PER_REPLICA_BUDGET: u64 = 60;
 
 /// Most bytes the three `serve_hot` executes may allocate together.
-const SERVE_HOT_BYTES: u64 = 324_734;
+const SERVE_HOT_BYTES: u64 = 263_302;
+
+/// Most bytes one `serve_genomics` round may allocate.
+const GENOMICS_ROUND_BYTES: u64 = 2_196_716;
 
 struct Counting;
 
@@ -159,5 +168,30 @@ fn serve_hot_executes_stay_within_their_byte_budget() {
         total <= SERVE_HOT_BYTES,
         "the three serve_hot executes allocate {total} bytes ({spent:?}), over the budget of \
          {SERVE_HOT_BYTES}"
+    );
+}
+
+#[test]
+fn a_serve_genomics_round_stays_within_its_byte_budget() {
+    let catalog = genesis_bench::scenarios::genomics_catalog();
+    let compiler = Compiler::new(DeviceConfig::default().with_host_threads(1));
+    let compile = |sql| compiler.compile_sql(sql, &catalog).expect("the script compiles");
+    let coverage = compile(include_str!("../scripts/coverage.sql"));
+    let mate_distance = compile(include_str!("../scripts/mate_distance.sql"));
+    let round = [&coverage, &coverage, &coverage, &mate_distance];
+    // The first round warms whatever is allocated once per process.
+    let warm: Vec<Table> =
+        round.iter().map(|plan| plan.execute(&catalog).expect("the script runs").0).collect();
+    let (_, before) = counts();
+    for (plan, warm) in round.iter().zip(&warm) {
+        let (table, _) = plan.execute(&catalog).expect("the script runs");
+        assert_eq!(&table, warm, "a rerun returns the same table");
+    }
+    let bytes = counts().1 - before;
+    println!("serve_genomics round bytes: {bytes}");
+    assert!(
+        bytes <= GENOMICS_ROUND_BYTES,
+        "one serve_genomics round allocates {bytes} bytes, over the budget of \
+         {GENOMICS_ROUND_BYTES}"
     );
 }
