@@ -178,9 +178,9 @@ impl PipelinePlan {
 
     /// Executes the compiled pipeline on the simulated device and returns
     /// the result table with accelerator statistics. The replication
-    /// factor is the cost model's choice at the selectivity `catalog`'s
-    /// data binds: [`PipelinePlan::replication`]'s on the compile-time
-    /// catalog, and what a fresh compile would choose on any other.
+    /// factor is the cost model's choice from the compile's profile (its
+    /// port demand, fabric and expansion) at the selectivity `catalog`'s
+    /// data binds: [`PipelinePlan::replication`]'s on the compile catalog.
     ///
     /// # Errors
     ///

@@ -5,13 +5,14 @@
 //! window's values and bounds.
 
 use super::{
-    find, for_each_ref, is_partition_key, may_resolve, unknown_column, ColInfo, Decode, EachRow,
-    CHR_COL, LOOP_LEAVES, POS_COLS,
+    for_each_ref, is_partition_key, unknown_column, Decode, EachRow, StreamCol, CHR_COL,
+    LOOP_LEAVES, POS_COLS,
 };
 use super::pushdown::{select, Literals, PushedFilter, Survivors};
 use crate::error::CoreError;
 use genesis_hw::word::MAX_FIELDS;
 use genesis_sql::ast::{BinOp, ColRef, Expr, SelectItem};
+use genesis_sql::exec::{find_col, item_name, may_resolve};
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::{Column, DataType, Table, Value};
 use std::borrow::Cow;
@@ -103,7 +104,7 @@ pub(super) struct ExplodeSpec {
     /// and bounds only shrink on a slice, ascending only holds). An
     /// uncut spine bounds its POS per slice instead, from its rows'
     /// starts and [`ExplodeSpec::last_pos`].
-    pub(super) out_cols: Vec<ColInfo>,
+    pub(super) out_cols: Vec<StreamCol>,
     /// Prefix sums of exploded output rows per scan row
     /// (`len == rows + 1`), so a spine slice's expansion is O(1).
     pub(super) out_offsets: Vec<usize>,
@@ -578,13 +579,13 @@ fn prepare_table(
     })
 }
 
-/// Resolves a column reference against column `names` ([`find`]).
+/// Resolves a column reference against column `names` ([`find_col`]).
 fn schema_col<'n>(
     names: impl Iterator<Item = &'n str> + Clone,
     col: &ColRef,
     node: &str,
 ) -> Result<usize, CoreError> {
-    find(names.clone(), col).map_err(|hits| match hits[..] {
+    find_col(names.clone(), col).map_err(|hits| match hits[..] {
         [] => unknown_column(col, names, node),
         _ => CoreError::plan(node, format!("ambiguous column {}", col.display_name())),
     })
@@ -918,16 +919,16 @@ fn prepare_explode(
     if trailing && streamed > 0 {
         trim_to_cigars(&cigar_col, &mut data);
     }
-    let data_col = |name: &str, c: &PreparedCol| ColInfo {
+    let data_col = |name: &str, c: &PreparedCol| StreamCol {
         nullable: has_del,
         max_value: c.vals.max(),
-        ..ColInfo::new(name, c.decode)
+        ..StreamCol::new(name, c.decode)
     };
-    let mut out_cols = vec![ColInfo {
+    let mut out_cols = vec![StreamCol {
         nullable: has_ins,
         ascending,
         max_value: Some(max_pos),
-        ..ColInfo::new("POS", Decode::U64)
+        ..StreamCol::new("POS", Decode::U64)
     }];
     out_cols.extend(data.iter().zip(&names).map(|(c, name)| data_col(name, c)));
     let mut cols = vec![
@@ -1080,7 +1081,7 @@ struct Source<'p, 'c> {
 }
 
 impl Source<'_, '_> {
-    /// Resolves `col` against the leaf's column names ([`find`]): the
+    /// Resolves `col` against the leaf's column names ([`find_col`]): the
     /// scanned column it reads and the name the leaf gives it.
     fn col(&self, col: &ColRef, node: &str) -> Result<(usize, &str), CoreError> {
         let fields = self.t.schema().fields();
@@ -1119,10 +1120,11 @@ fn source_table<'p, 'c>(
     let Some(items) = items else { return Ok(src) };
     let names = t.schema().fields().iter().map(|f| f.name.as_str());
     let mut cols = Vec::with_capacity(items.len());
-    for item in items {
-        let SelectItem::Expr { expr: Expr::Col(c), alias } = item else { return Err(derived()) };
+    for (i, item) in items.iter().enumerate() {
+        let SelectItem::Expr { expr, alias } = item else { return Err(derived()) };
+        let Expr::Col(c) = expr else { return Err(derived()) };
         let ci = schema_col(names.clone(), c, node)?;
-        cols.push((alias.clone().unwrap_or_else(|| c.display_name()), ci));
+        cols.push((item_name(alias.as_deref(), expr, i), ci));
     }
     src.cols = Some(cols);
     Ok(src)

@@ -4,11 +4,12 @@
 //! which predicates and ALU plans lower at all.
 
 use super::bind::{by_width, PreparedScan};
-use super::{cmp_of, mirror, resolve, ColInfo, Decode};
+use super::{cmp_of, resolve, Decode, StreamCol};
 use crate::error::CoreError;
 use genesis_hw::modules::alu::AluOp;
 use genesis_hw::modules::filter::{CmpOp, Predicate};
 use genesis_sql::ast::{BinOp, Expr};
+use genesis_sql::exec::literal_cmp;
 use std::sync::{Mutex, PoisonError};
 
 /// `(strictly ascending, min, max)` of a scanned range at its width, in
@@ -27,46 +28,35 @@ pub(super) fn range_stats<T: Copy + Ord + Into<u64>>(vals: &[T]) -> (bool, u64, 
 }
 
 /// Narrows column metadata through a lowered conjunct. Both engines drop
-/// `Ins`/`Del` sentinels on ordered and `Eq` comparisons (sentinels
-/// compare unequal-and-unordered to everything), so a column surviving
-/// such a comparison against a literal is no longer nullable — and
-/// upper-bounding comparisons tighten its `max_value`, which is what
-/// admits `GROUP BY POS` over an exploded stream behind `WHERE POS < n`.
-pub(super) fn narrow_filtered_col(cols: &mut [ColInfo], part: &Expr) {
-    let Expr::Bin { op, lhs, rhs } = part else { return };
-    let Some(cmp) = cmp_of(*op) else { return };
-    let (col, lit, cmp) = match (&**lhs, &**rhs) {
-        (Expr::Col(c), Expr::Number(n)) => (c, *n, cmp),
-        (Expr::Number(n), Expr::Col(c)) => (c, *n, mirror(cmp)),
-        _ => return,
-    };
+/// `Ins`/`Del` sentinels on ordered and `Eq` comparisons with a number
+/// literal ([`literal_cmp`], the rule the output schema types by), so a
+/// column surviving one is no longer nullable — and upper-bounding
+/// comparisons tighten its `max_value`, which is what admits
+/// `GROUP BY POS` over an exploded stream behind `WHERE POS < n`.
+pub(super) fn narrow_filtered_col(cols: &mut [StreamCol], part: &Expr) {
+    let Some((col, op, lit)) = literal_cmp(part) else { return };
     let Ok(i) = resolve(cols, &[], col, "Filter") else { return };
-    match cmp {
-        // IsVal passes exactly the non-marker values, so it narrows too.
-        CmpOp::Lt | CmpOp::Le | CmpOp::Eq | CmpOp::Gt | CmpOp::Ge | CmpOp::IsVal => {
-            cols[i].nullable = false;
-        }
-        CmpOp::Ne => return,
-    }
-    let bound = match cmp {
+    let c = &mut cols[i];
+    c.nullable = false;
+    let bound = match op {
         // `lit == 0` makes `x < 0` pass nothing, so the saturated claim
         // `max <= 0` is vacuously valid for the (empty) survivors.
-        CmpOp::Lt => Some(lit.saturating_sub(1)),
-        CmpOp::Le | CmpOp::Eq => Some(lit),
+        BinOp::Lt => Some(lit.saturating_sub(1)),
+        BinOp::Le | BinOp::Eq => Some(lit),
         _ => None,
     };
     if let Some(bd) = bound {
-        cols[i].max_value = Some(cols[i].max_value.map_or(bd, |m| m.min(bd)));
+        c.max_value = Some(c.max_value.map_or(bd, |m| m.min(bd)));
     }
-    let floor = match cmp {
+    let floor = match op {
         // Dually, `lit == u64::MAX` makes `x > MAX` pass nothing and the
         // saturated floor `MAX` is vacuously valid for the empty stream.
-        CmpOp::Gt => Some(lit.saturating_add(1)),
-        CmpOp::Ge | CmpOp::Eq => Some(lit),
+        BinOp::Gt => Some(lit.saturating_add(1)),
+        BinOp::Ge | BinOp::Eq => Some(lit),
         _ => None,
     };
     if let Some(fl) = floor {
-        cols[i].min_value = cols[i].min_value.max(fl);
+        c.min_value = c.min_value.max(fl);
     }
 }
 
@@ -75,7 +65,7 @@ pub(super) fn narrow_filtered_col(cols: &mut [ColInfo], part: &Expr) {
 /// treats `Bool` and numbers as *never equal*, and ordered comparisons on
 /// non-`U64` cells as false).
 pub(super) fn lower_predicate(
-    cols: &[ColInfo],
+    cols: &[StreamCol],
     unstreamed: &[String],
     e: &Expr,
 ) -> Result<Predicate, CoreError> {
@@ -92,15 +82,13 @@ pub(super) fn lower_predicate(
         ));
     };
     match (&**lhs, &**rhs) {
-        (Expr::Col(a), Expr::Number(n)) => {
+        (Expr::Col(a), Expr::Number(n)) | (Expr::Number(n), Expr::Col(a)) => {
             let i = resolve(cols, unstreamed, a, "Filter")?;
             require_u64(&cols[i], "Filter", "compared against a number")?;
+            // The comparison as it reads with the column on the left
+            // (`<>` reads alike from either side).
+            let cmp = literal_cmp(e).and_then(|(_, op, _)| cmp_of(op)).unwrap_or(cmp);
             Ok(Predicate::field_const(cols[i].field, cmp, *n))
-        }
-        (Expr::Number(n), Expr::Col(a)) => {
-            let i = resolve(cols, unstreamed, a, "Filter")?;
-            require_u64(&cols[i], "Filter", "compared against a number")?;
-            Ok(Predicate::field_const(cols[i].field, mirror(cmp), *n))
         }
         (Expr::Col(a), Expr::Col(bc)) => {
             let i = resolve(cols, unstreamed, a, "Filter")?;
@@ -120,7 +108,7 @@ pub(super) fn lower_predicate(
     }
 }
 
-fn require_u64(col: &ColInfo, node: &str, what: &str) -> Result<(), CoreError> {
+fn require_u64(col: &StreamCol, node: &str, what: &str) -> Result<(), CoreError> {
     if col.decode == Decode::U64 {
         Ok(())
     } else {
@@ -151,7 +139,7 @@ pub(super) enum CompRhs {
 }
 
 pub(super) fn operand(
-    cols: &[ColInfo],
+    cols: &[StreamCol],
     unstreamed: &[String],
     e: &Expr,
 ) -> Result<Option<CompOperand>, CoreError> {
@@ -249,7 +237,7 @@ pub(super) fn plan_comp(
 ///
 /// - `Add`: the operand maxima sum without overflow.
 /// - `Sub` over two columns of the *same* prepared scan: the rows stream
-///   aligned (see [`ColInfo::origin`]), so the exact per-row differences
+///   aligned (see [`StreamCol::origin`]), so the exact per-row differences
 ///   over the scanned data bound every subset of its rows — this admits
 ///   mate-distance histograms (`MPOS - POS` with per-row `MPOS >= POS`)
 ///   even when the columns' value *ranges* overlap.
@@ -259,7 +247,7 @@ pub(super) fn plan_comp(
 /// Anything else yields `(0, None)` — no derivable bound — and GROUP BY
 /// over the result is rejected instead of mis-sized.
 pub(super) fn comp_bounds(
-    cols: &[ColInfo],
+    cols: &[StreamCol],
     prepared: &[PreparedScan],
     sub_bounds: &SubBounds,
     plan: &CompPlan,

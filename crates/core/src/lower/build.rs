@@ -9,7 +9,7 @@ use super::bounds::{
 use super::job::{Cut, Reach};
 use super::pushdown::conjuncts;
 use super::{
-    cmp_of, qualify, resolve, ColInfo, Decode, GroupRole, ScalarKind, SinkKind, MAX_GROUP_DOMAIN,
+    cmp_of, resolve, Decode, GroupRole, SinkKind, StreamCol, MAX_GROUP_DOMAIN,
 };
 use crate::builder::PipelineBuilder;
 use crate::error::CoreError;
@@ -27,6 +27,7 @@ use genesis_hw::system::ModuleId;
 use genesis_hw::word::MAX_FIELDS;
 use genesis_hw::QueueId;
 use genesis_sql::ast::{AggFn, ColRef, Expr, JoinKind, SelectItem};
+use genesis_sql::exec::{item_name, qualify};
 use genesis_sql::LogicalPlan;
 use std::borrow::Cow;
 use std::fmt;
@@ -34,21 +35,52 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// The build result for one pipeline instance: the writer module and
-/// readback address of each output column, and the columns' metadata.
+/// readback address of each output column, and the columns' flags.
 #[derive(Debug)]
 pub(super) struct Built {
     pub(super) writers: Vec<(ModuleId, u64)>,
-    pub(super) cols: Vec<ColInfo>,
+    pub(super) flags: SinkFlags,
+}
+
+/// Which of a sink's columns the build that wrote them marked nullable
+/// (a LEFT JOIN's padding, an explode's `Ins`/`Del` markers) or `Bool`:
+/// bits `2i` and `2i + 1` for column `i`. A replica's flags travel with
+/// its raw words, so the gather decodes a `Cell` column by the data the
+/// replica ran on, never by the data the plan was compiled over.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct SinkFlags(u64);
+
+impl SinkFlags {
+    /// The flags of the sink columns `(nullable, decode)`: a stream or
+    /// grouped sink's, one flit wide (a scalar sink's numbers flag none).
+    fn of(cols: impl IntoIterator<Item = (bool, Decode)>) -> SinkFlags {
+        let bits = |(i, (nullable, decode)): (usize, (bool, Decode))| {
+            (u64::from(nullable) | u64::from(decode == Decode::Bool) << 1) << (2 * i)
+        };
+        SinkFlags(cols.into_iter().enumerate().map(bits).fold(0, |a, b| a | b))
+    }
+
+    /// What `self` or `other` flags.
+    pub(super) fn union(self, other: SinkFlags) -> SinkFlags {
+        SinkFlags(self.0 | other.0)
+    }
+
+    /// Whether column `i` may hold `Ins`/`Del` markers, and whether it
+    /// holds `Bool`s.
+    pub(super) fn col(self, i: usize) -> (bool, bool) {
+        let bits = u32::try_from(2 * i).ok().and_then(|at| self.0.checked_shr(at)).unwrap_or(0);
+        (bits & 1 == 1, bits & 2 == 2)
+    }
 }
 
 /// One in-flight relational stream: a queue of row flits plus per-column
 /// metadata. Each column names the flit field it reads
-/// ([`ColInfo::field`]), so renaming, repeating, reordering or dropping
+/// ([`StreamCol::field`]), so renaming, repeating, reordering or dropping
 /// columns builds no module.
 #[derive(Debug)]
 struct Stream<'a> {
     q: QueueId,
-    cols: Vec<ColInfo>,
+    cols: Vec<StreamCol>,
     /// Fields per flit of `q`, read by some column or not.
     width: usize,
     /// The scanned columns projection pushdown left out of the stream
@@ -60,7 +92,7 @@ struct Stream<'a> {
 
 impl<'a> Stream<'a> {
     /// A stream whose flits carry `cols` in order, one field each.
-    fn fresh(q: QueueId, mut cols: Vec<ColInfo>, unstreamed: Cow<'a, [String]>) -> Stream<'a> {
+    fn fresh(q: QueueId, mut cols: Vec<StreamCol>, unstreamed: Cow<'a, [String]>) -> Stream<'a> {
         for (field, c) in cols.iter_mut().enumerate() {
             c.field = field;
         }
@@ -294,7 +326,7 @@ fn build_node<'a>(
 /// leaf `leaf` on, is `Filter`s over a plain scan keyed on one of its own
 /// columns or over a `PosExplode` keyed on its positions, and whose left
 /// key streams unchanged from a spine column (its data bounds the cut; the
-/// propagated `ColInfo` bounds never do). Any other join is not cut.
+/// propagated `StreamCol` bounds never do). Any other join is not cut.
 fn note_reach(
     ctx: &mut BuildCtx<'_>,
     leaf: usize,
@@ -524,14 +556,14 @@ fn build_window<'a>(
     ctx.reads.push(width);
     ctx.note(|| format!("Limit({}) -> MemoryReader + SpmUpdater + SpmReader(range)", ps.table));
     let last = base.saturating_add((values.vals.len() as u64).saturating_sub(1));
-    let pos = ColInfo {
+    let pos = StreamCol {
         ascending: true,
         max_value: Some(last),
         min_value: base,
-        ..ColInfo::new("POS", Decode::U64)
+        ..StreamCol::new("POS", Decode::U64)
     };
     let top = values.vals.max();
-    let data = ColInfo { max_value: top, ..ColInfo::new(&values.name, values.decode) };
+    let data = StreamCol { max_value: top, ..StreamCol::new(&values.name, values.decode) };
     Ok(Stream::fresh(refs, vec![pos, data], Cow::Borrowed(&[])))
 }
 
@@ -561,12 +593,12 @@ fn build_scan<'a>(
         // reaches: a cut never admits a plan the whole leaf refuses.
         let seen = if idx == 0 { range.clone() } else { 0..c.vals.len() };
         let (ascending, min_value, max_value) = by_width!(&c.vals, v => range_stats(&v[seen]));
-        cols.push(ColInfo {
+        cols.push(StreamCol {
             ascending,
             max_value,
             min_value,
             origin: Some((idx, ci)),
-            ..ColInfo::new(&c.name, c.decode)
+            ..StreamCol::new(&c.name, c.decode)
         });
         if ncols > 1 {
             lanes.push(by_width!(&c.vals, v => b.lane(&v[range.clone()], c.elem_bytes)));
@@ -638,7 +670,7 @@ fn build_project<'a>(
     s: Stream<'_>,
     items: &[SelectItem],
 ) -> Result<Stream<'a>, CoreError> {
-    // Expand items following the software engine's naming rules.
+    // Expand items, named by the software engine's rule.
     let mut expanded: Vec<ProjItem> = Vec::new();
     for (i, item) in items.iter().enumerate() {
         match item {
@@ -650,7 +682,7 @@ fn build_project<'a>(
             SelectItem::Expr { expr, alias } => match expr {
                 Expr::Col(c) => {
                     let src = resolve(&s.cols, &s.unstreamed, c, "Project")?;
-                    let name = alias.clone().unwrap_or_else(|| c.display_name());
+                    let name = item_name(alias.as_deref(), expr, i);
                     expanded.push(ProjItem::Pass { src, name });
                 }
                 Expr::Bin { op, lhs, rhs } => {
@@ -664,7 +696,7 @@ fn build_project<'a>(
                         ));
                     };
                     let (plan, decode) = plan_comp(*op, &lo, &ro)?;
-                    let name = alias.clone().unwrap_or_else(|| format!("EXPR{i}"));
+                    let name = item_name(alias.as_deref(), expr, i);
                     expanded.push(ProjItem::Comp { plan, name, decode });
                 }
                 _ => {
@@ -690,17 +722,19 @@ fn build_project<'a>(
         ));
     }
     let (prepared, sub_bounds) = (ctx.prepared, ctx.sub_bounds);
-    let mut out_cols: Vec<ColInfo> = expanded
+    let mut out_cols = expanded
         .iter()
         .map(|item| match item {
-            ProjItem::Pass { src, name } => ColInfo { name: name.clone(), ..s.cols[*src].clone() },
+            ProjItem::Pass { src, name } => {
+                StreamCol { name: name.clone(), ..s.cols[*src].clone() }
+            }
             ProjItem::Comp { plan, name, decode } => {
                 let (min_value, max_value) =
                     comp_bounds(&s.cols, prepared, sub_bounds, plan, *decode);
-                ColInfo { max_value, min_value, ..ColInfo::new(name, *decode) }
+                StreamCol { max_value, min_value, ..StreamCol::new(name, *decode) }
             }
         })
-        .collect();
+        .collect::<Vec<_>>();
     let comps: Vec<&CompPlan> = expanded
         .iter()
         .filter_map(|it| match it {
@@ -847,10 +881,10 @@ fn build_join<'a>(
     let left_join = kind == JoinKind::Left;
     let mut cols = Vec::with_capacity(nl + nr);
     for c in &l.cols {
-        cols.push(ColInfo { name: qualify(left_key.table.as_deref(), &c.name), ..c.clone() });
+        cols.push(StreamCol { name: qualify(left_key.table.as_deref(), &c.name), ..c.clone() });
     }
     for c in &r.cols {
-        cols.push(ColInfo {
+        cols.push(StreamCol {
             name: qualify(right_key.table.as_deref(), &c.name),
             nullable: c.nullable || left_join,
             ascending: false,
@@ -899,15 +933,6 @@ fn slot(fields: &mut Vec<usize>, f: usize) -> usize {
     })
 }
 
-fn agg_display(func: AggFn) -> &'static str {
-    match func {
-        AggFn::Sum => "SUM",
-        AggFn::Count => "COUNT",
-        AggFn::Min => "MIN",
-        AggFn::Max => "MAX",
-    }
-}
-
 fn build_scalar_agg(
     b: &mut PipelineBuilder<'_>,
     ctx: &mut BuildCtx<'_>,
@@ -916,26 +941,24 @@ fn build_scalar_agg(
 ) -> Result<(Built, SinkKind), CoreError> {
     let s = build_node(b, ctx, input)?;
     struct Spec {
-        kind: ScalarKind,
+        kind: AggFn,
         field: usize,
         /// Rows the aggregate skips: marker rows for MIN/MAX, rows
         /// failing the comparison `SUM` counts.
         filter: Option<Predicate>,
-        name: String,
     }
     let mut specs = Vec::with_capacity(items.len());
     for item in items {
-        let SelectItem::Agg { func, arg, alias } = item else {
+        let SelectItem::Agg { func, arg, .. } = item else {
             return Err(CoreError::unsupported(
                 "Aggregate",
                 "non-aggregate select item without GROUP BY",
             ));
         };
-        let name = alias.clone().unwrap_or_else(|| agg_display(*func).to_owned());
         let spec = match (func, arg) {
             // COUNT(*) / SUM(*) both count rows (the engine sums 1 per row).
             (AggFn::Count | AggFn::Sum, None) => {
-                Spec { kind: ScalarKind::Count, field: 0, filter: None, name }
+                Spec { kind: AggFn::Count, field: 0, filter: None }
             }
             (AggFn::Min | AggFn::Max, None) => {
                 return Err(CoreError::unsupported(
@@ -947,11 +970,11 @@ fn build_scalar_agg(
                 let col = &s.cols[resolve(&s.cols, &s.unstreamed, c, "Aggregate")?];
                 let field = col.field;
                 match func {
-                    AggFn::Count => Spec { kind: ScalarKind::Count, field, filter: None, name },
+                    AggFn::Count => Spec { kind: AggFn::Count, field, filter: None },
                     AggFn::Sum => {
                         // U64 and Bool columns both sum (booleans as 0/1);
                         // the Reducer skips sentinel fields like the engine.
-                        Spec { kind: ScalarKind::Sum, field, filter: None, name }
+                        Spec { kind: AggFn::Sum, field, filter: None }
                     }
                     AggFn::Min | AggFn::Max => {
                         if ctx.per_row {
@@ -969,9 +992,8 @@ fn build_scalar_agg(
                                 ),
                             ));
                         }
-                        let kind = if *func == AggFn::Min { ScalarKind::Min } else { ScalarKind::Max };
                         let filter = col.nullable.then(|| Predicate::field_is_value(field));
-                        Spec { kind, field, filter, name }
+                        Spec { kind: *func, field, filter }
                     }
                 }
             }
@@ -979,7 +1001,7 @@ fn build_scalar_agg(
             // Filter (markers compare unequal in both engines) and a COUNT.
             (AggFn::Sum, Some(cmp @ Expr::Bin { op, .. })) if cmp_of(*op).is_some() => {
                 let filter = Some(lower_predicate(&s.cols, &s.unstreamed, cmp)?);
-                Spec { kind: ScalarKind::Count, field: 0, filter, name }
+                Spec { kind: AggFn::Count, field: 0, filter }
             }
             (_, Some(_)) => {
                 return Err(CoreError::unsupported(
@@ -1002,7 +1024,6 @@ fn build_scalar_agg(
         qs
     };
     let mut writers = Vec::with_capacity(specs.len());
-    let mut cols = Vec::with_capacity(specs.len());
     for (spec, &bq) in specs.iter().zip(&branch_qs) {
         let src = if let Some(pred) = spec.filter {
             let tags = ("agg.filter", "agg.filter");
@@ -1011,10 +1032,10 @@ fn build_scalar_agg(
             bq
         };
         let op = match spec.kind {
-            ScalarKind::Count => ReduceOp::Count,
-            ScalarKind::Sum => ReduceOp::Sum,
-            ScalarKind::Min => ReduceOp::Min,
-            ScalarKind::Max => ReduceOp::Max,
+            AggFn::Count => ReduceOp::Count,
+            AggFn::Sum => ReduceOp::Sum,
+            AggFn::Min => ReduceOp::Min,
+            AggFn::Max => ReduceOp::Max,
         };
         let rq = ctx.add(b, ("agg.red", "agg.red"), |l, out| {
             Box::new(Reducer::new(l, op, spec.field, src, out))
@@ -1029,7 +1050,6 @@ fn build_scalar_agg(
             ctx.writes.push(8);
         }
         writers.push((writer, addr));
-        cols.push(ColInfo::new(&spec.name, Decode::U64));
     }
     let n = specs.len();
     let filtered = specs.iter().filter(|spec| spec.filter.is_some()).count();
@@ -1045,7 +1065,7 @@ fn build_scalar_agg(
     } else {
         SinkKind::Scalar(specs.iter().map(|spec| spec.kind).collect())
     };
-    Ok((Built { writers, cols }, kind))
+    Ok((Built { writers, flags: SinkFlags::default() }, kind))
 }
 
 #[allow(clippy::too_many_lines)]
@@ -1108,31 +1128,28 @@ fn build_grouped_agg(
         role: GroupRole,
         /// Index into `sum_fields` for Sum items.
         sum_slot: usize,
-        name: String,
     }
     let mut gitems = Vec::new();
     for item in items {
         let gi = match item {
-            SelectItem::Expr { expr: Expr::Col(c), alias } => {
+            SelectItem::Expr { expr: Expr::Col(c), .. } => {
                 if !group_by.contains(c) {
                     return Err(CoreError::unsupported(
                         "Aggregate(GROUP BY)",
                         format!("column {} not in GROUP BY", c.display_name()),
                     ));
                 }
-                let name = alias.clone().unwrap_or_else(|| c.display_name());
-                GItem { role: GroupRole::Key, sum_slot: 0, name }
+                GItem { role: GroupRole::Key, sum_slot: 0 }
             }
-            SelectItem::Agg { func, arg, alias } => {
-                let name = alias.clone().unwrap_or_else(|| agg_display(*func).to_owned());
+            SelectItem::Agg { func, arg, .. } => {
                 match (func, arg) {
                     (AggFn::Count, _) | (AggFn::Sum, None) => {
-                        GItem { role: GroupRole::Count, sum_slot: 0, name }
+                        GItem { role: GroupRole::Count, sum_slot: 0 }
                     }
                     (AggFn::Sum, Some(Expr::Col(c))) => {
                         let i = resolve(&s.cols, &s.unstreamed, c, "Aggregate")?;
                         let sum_slot = slot(&mut sum_fields, s.cols[i].field);
-                        GItem { role: GroupRole::Sum, sum_slot, name }
+                        GItem { role: GroupRole::Sum, sum_slot }
                     }
                     (AggFn::Min | AggFn::Max, _) => {
                         return Err(CoreError::unsupported(
@@ -1211,20 +1228,16 @@ fn build_grouped_agg(
         })
         .collect();
     let writers = attach_writers(b, ctx, drain, &fields, domain * 8, "grp.out");
-    let cols: Vec<ColInfo> = gitems
-        .iter()
-        .map(|gi| {
-            let key = gi.role == GroupRole::Key;
-            let decode = if key { kcol.decode } else { Decode::U64 };
-            ColInfo { ascending: key, ..ColInfo::new(&gi.name, decode) }
-        })
-        .collect();
+    // A key column keeps the key's decoding (the key is not nullable);
+    // counts and sums are numbers.
+    let decode = |gi: &GItem| if gi.role == GroupRole::Key { kcol.decode } else { Decode::U64 };
+    let flags = SinkFlags::of(gitems.iter().map(|gi| (false, decode(gi))));
     let updaters = 1 + sum_fields.len();
     ctx.note(|| {
         format!("Aggregate(GROUP BY) -> {updaters}x SpmUpdater + SpmReader + MemoryWriter")
     });
     let kind = SinkKind::Grouped(gitems.iter().map(|gi| gi.role).collect());
-    Ok((Built { writers, cols }, kind))
+    Ok((Built { writers, flags }, kind))
 }
 
 /// Attaches one Memory Writer to the row stream, writing each of
@@ -1267,5 +1280,6 @@ fn build_stream_sink(
     ctx.writes.extend(std::iter::repeat_n(8, fields.len()));
     let writers = attach_writers(b, ctx, s.q, &fields, bound, "out");
     ctx.note(|| "Output -> MemoryWriter".to_owned());
-    Ok((Built { writers, cols: s.cols }, SinkKind::Stream))
+    let flags = SinkFlags::of(s.cols.iter().map(|c| (c.nullable, c.decode)));
+    Ok((Built { writers, flags }, SinkKind::Stream))
 }

@@ -4,10 +4,9 @@
 
 use super::bind::{as_u64, by_width, PreparedCol, PreparedScan, WINDOW_BOUNDS};
 use super::bounds::{range_stats, SubBounds};
-use super::build::{build_core, BuildCtx, Built};
+use super::build::{build_core, BuildCtx, Built, SinkFlags};
 use super::{
-    group_domain_cap, ColInfo, Decode, Epilogue, GroupRole, Lowering, ScalarKind, SinkKind,
-    CHR_COL, POS_COLS,
+    group_domain_cap, Epilogue, GroupRole, Lowering, SinkKind, CHR_COL, POS_COLS,
 };
 use crate::builder::PipelineBuilder;
 use crate::device::{run_batches, split_ranges, DeviceConfig};
@@ -17,22 +16,18 @@ use genesis_hw::memory::LINE_BYTES;
 use genesis_hw::modules::mem_writer::MemWriter;
 use genesis_hw::system::ModuleId;
 use genesis_hw::System;
-use genesis_sql::exec::{execute_plan, Env};
-use genesis_sql::{Catalog, LogicalPlan};
+use genesis_sql::ast::AggFn;
+use genesis_sql::exec::{limit_table, sort_table};
 use genesis_types::{Column, DataType, Field, Schema, Table, Value};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// 8-byte Memory Writer encoding of [`Value::Ins`] (all mask bits set).
 const MARKER_INS: u64 = u64::MAX;
 /// 8-byte Memory Writer encoding of [`Value::Del`] (mask minus one).
 const MARKER_DEL: u64 = u64::MAX - 1;
-
-/// Table name the merged hardware output is registered under when the
-/// host-side epilogue (`ORDER BY`/`LIMIT`) re-enters the software engine.
-const HW_OUT: &str = "__genesis_hw_out";
 
 /// What one replica streams of one prepared leaf ([`PreparedJob::cuts`]):
 /// a range of its rows and, for a cut `PosExplode` or reference window,
@@ -138,13 +133,14 @@ impl RunTimes {
 }
 
 /// Raw output of one shard of a [`PreparedJob`]: each replica's sink
-/// columns as the raw words its writers stored (merged and decoded later,
-/// in shard order, by [`PreparedJob::gather`]) plus the shard's
-/// accelerator stats. `Send`, so shards run on independent device-worker
-/// threads.
+/// columns as the raw words its writers stored and the union of the
+/// replicas' sink flags (merged and decoded later, in shard order, by
+/// [`PreparedJob::gather`]) plus the shard's accelerator stats. `Send`,
+/// so shards run on independent device-worker threads.
 #[derive(Debug)]
 pub(crate) struct ShardOut {
     outs: Vec<Vec<Vec<u64>>>,
+    flags: SinkFlags,
     stats: AccelStats,
     times: RunTimes,
 }
@@ -364,6 +360,7 @@ impl PreparedJob {
         let scans = (&self.prepared[..], &self.sub_bounds);
         let reserve = self.device_bytes(&jobs);
         let (build_ns, extract_ns) = (AtomicU64::new(0), AtomicU64::new(0));
+        let flags = Mutex::new(SinkFlags::default());
         let timed = |ns: &AtomicU64, start: Instant| {
             let spent = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             ns.fetch_add(spent, Ordering::Relaxed);
@@ -391,9 +388,13 @@ impl PreparedJob {
             },
             |sys, built, _| {
                 let start = Instant::now();
-                let out = extract_job(sys, built, &self.lowering.kind);
+                let (raw, replica) = extract_job(sys, built, &self.lowering.kind)?;
+                // One store per update: a poisoned lock still holds the
+                // union of the replicas read back before the panic.
+                let mut shard = flags.lock().unwrap_or_else(PoisonError::into_inner);
+                *shard = shard.union(replica);
                 timed(&extract_ns, start);
-                out
+                Ok(raw)
             },
         )?;
         let build = Duration::from_nanos(build_ns.into_inner());
@@ -419,7 +420,8 @@ impl PreparedJob {
             stats.rows_emitted += rows as u64;
         }
         stats.dma_transfers += outs.len() as u64 * 2;
-        Ok(ShardOut { outs, stats, times })
+        let flags = flags.into_inner().unwrap_or_else(PoisonError::into_inner);
+        Ok(ShardOut { outs, flags, stats, times })
     }
 
     /// What the replica over spine rows `spine` streams of each leaf,
@@ -459,8 +461,8 @@ impl PreparedJob {
     /// front: every replica's cut of every leaf — its slice of the spine,
     /// every other leaf as far as a cut reaches — and the sinks whose
     /// share is known before the build. A stream sink is sized by the rows
-    /// it can receive and a scalar one holds one word per item, so theirs
-    /// is exact.
+    /// it can receive, a column per output field, and a scalar one holds
+    /// one word per item, so theirs is exact.
     /// A GROUP BY drain writes its replica's key window, which only the
     /// build derives: the store grows for it instead of reserving the
     /// whole key domain once per replica. A capacity hint either way,
@@ -479,7 +481,9 @@ impl PreparedJob {
                 }
                 bytes
                     + match &self.lowering.kind {
-                        SinkKind::Stream => self.lowering.cols.len() * line_padded(rows_bound * 8),
+                        SinkKind::Stream => {
+                            self.lowering.schema.fields().len() * line_padded(rows_bound * 8)
+                        }
                         SinkKind::Scalar(kinds) => kinds.len() * line_padded(8),
                         SinkKind::Grouped(_) => 0,
                     }
@@ -489,7 +493,7 @@ impl PreparedJob {
 
     /// Gathers shard outputs (in shard-range order), merges them exactly
     /// as the unsharded run merges its per-batch outputs, sums the
-    /// stats, and replays host epilogues through the software engine.
+    /// stats, and runs the host epilogues.
     /// The merge is invariant under any partition of the spine into
     /// ascending contiguous ranges — stream sinks concatenate in order,
     /// scalar and grouped sinks combine associatively — so the gathered
@@ -497,11 +501,13 @@ impl PreparedJob {
     pub(crate) fn gather(&self, parts: Vec<ShardOut>) -> Result<(Table, AccelStats), CoreError> {
         let mut stats = AccelStats::default();
         let mut outs = Vec::new();
+        let mut flags = SinkFlags::default();
         for part in parts {
             stats.absorb(part.stats);
+            flags = flags.union(part.flags);
             outs.extend(part.outs);
         }
-        let merged = self.lowering.merge(outs)?;
+        let merged = self.lowering.merge(outs, flags)?;
         // The sink writers stored every output cell as one 8-byte word,
         // whatever type the gather builds it at.
         stats.dma_out_bytes += (merged.num_rows() * merged.num_columns() * 8) as u64;
@@ -511,7 +517,7 @@ impl PreparedJob {
 
     /// Runs the job unsharded: splits the spine scan across the
     /// replication factor, simulates the batches, merges per-job results
-    /// and replays host epilogues through the software engine.
+    /// and runs the host epilogues.
     pub(crate) fn run(self) -> Result<(Table, AccelStats), CoreError> {
         let whole = 0..self.spine_rows();
         let part = self.run_range(&self.cfg.clone(), whole, 0)?;
@@ -522,13 +528,14 @@ impl PreparedJob {
 impl Lowering {
     /// Merges the replicas' raw sink columns column-wise — stream rows
     /// concatenate, scalar partials combine, grouped runs merge by key —
-    /// and builds each column once, at its output-schema type
+    /// and builds each column once, at its output-schema type, a `Cell`
+    /// column decoded by the union of the replicas' `flags`
     /// ([`typed_column`]).
-    fn merge(&self, outs: Vec<Vec<Vec<u64>>>) -> Result<Table, CoreError> {
-        let fields = self.schema.fields().iter().zip(&self.cols);
+    fn merge(&self, outs: Vec<Vec<Vec<u64>>>, flags: SinkFlags) -> Result<Table, CoreError> {
+        let fields = self.schema.fields().iter().enumerate().map(|(i, f)| (f, flags.col(i)));
         let columns: Vec<Column> = match &self.kind {
             SinkKind::Stream => {
-                let mut raw: Vec<Vec<u64>> = vec![Vec::new(); self.cols.len()];
+                let mut raw: Vec<Vec<u64>> = vec![Vec::new(); self.schema.fields().len()];
                 for job in outs {
                     for (acc, col) in raw.iter_mut().zip(job) {
                         if acc.is_empty() {
@@ -544,41 +551,28 @@ impl Lowering {
                     .collect()
             }
             SinkKind::Scalar(kinds) => {
-                let mut acc: Vec<(u64, Option<u64>)> = vec![(0, None); kinds.len()];
+                // COUNT and SUM start at 0; MIN and MAX at no value.
+                let start = |k: &AggFn| matches!(k, AggFn::Count | AggFn::Sum).then_some(0);
+                let mut acc: Vec<Option<u64>> = kinds.iter().map(start).collect();
                 for parts in outs {
                     for ((slot, &kind), col) in acc.iter_mut().zip(kinds).zip(parts) {
-                        let val = col.first().copied();
-                        match kind {
-                            ScalarKind::Count | ScalarKind::Sum => {
-                                slot.0 += val.unwrap_or(0);
-                            }
-                            ScalarKind::Min | ScalarKind::Max => {
-                                let pick =
-                                    if kind == ScalarKind::Min { u64::min } else { u64::max };
-                                slot.1 = match (slot.1, val) {
-                                    (Some(a), Some(b)) => Some(pick(a, b)),
-                                    (a, b) => a.or(b),
-                                };
-                            }
-                        }
+                        let Some(&v) = col.first() else { continue };
+                        *slot = Some(match (kind, *slot) {
+                            (_, None) => v,
+                            (AggFn::Min, Some(a)) => a.min(v),
+                            (AggFn::Max, Some(a)) => a.max(v),
+                            (AggFn::Count | AggFn::Sum, Some(a)) => a + v,
+                        });
                     }
                 }
-                kinds
-                    .iter()
-                    .zip(&acc)
-                    .zip(fields)
-                    .map(|((kind, slot), (f, col))| {
-                        let word = match kind {
-                            ScalarKind::Count | ScalarKind::Sum => Some(slot.0),
-                            ScalarKind::Min | ScalarKind::Max => slot.1,
-                        };
-                        // MIN/MAX over no rows is NULL, which only a `Cell` holds.
-                        word.map_or_else(
-                            || Column::Cell(vec![Value::Null]),
-                            |w| typed_column(vec![w], f.dtype, col),
-                        )
-                    })
-                    .collect()
+                // MIN/MAX over no rows is NULL, which only a `Cell` holds.
+                let column = |(word, (f, col)): (Option<u64>, (&Field, _))| {
+                    word.map_or_else(
+                        || Column::Cell(vec![Value::Null]),
+                        |w| typed_column(vec![w], f.dtype, col),
+                    )
+                };
+                acc.into_iter().zip(fields).map(column).collect()
             }
             SinkKind::Grouped(roles) => {
                 let key_pos = roles
@@ -604,30 +598,19 @@ impl Lowering {
         Ok(Table::from_columns(schema, columns)?)
     }
 
-    fn apply_epilogues(&self, table: Table) -> Result<Table, CoreError> {
+    /// Runs the peeled `Sort`/`Limit` epilogues on the merged table, in
+    /// order, by the software engine's own functions.
+    fn apply_epilogues(&self, mut table: Table) -> Result<Table, CoreError> {
         // A grouped merge already stands in its leading sort's order.
         let skip = usize::from(matches!(self.kind, SinkKind::Grouped(_)));
-        let epilogues = self.epilogues.get(skip..).unwrap_or_default();
-        if epilogues.is_empty() {
-            return Ok(table);
+        for e in self.epilogues.get(skip..).unwrap_or_default() {
+            table = match e {
+                Epilogue::Sort { keys } => sort_table(&table, keys),
+                Epilogue::Limit { offset, count } => limit_table(&table, *offset, *count),
+            }
+            .map_err(|e| CoreError::Host(format!("host epilogue: {e}")))?;
         }
-        let mut catalog = Catalog::new();
-        catalog.register(HW_OUT, table);
-        let mut plan = LogicalPlan::Scan { table: HW_OUT.to_owned(), partition: None };
-        for e in epilogues {
-            plan = match e {
-                Epilogue::Sort { keys } => {
-                    LogicalPlan::Sort { input: Box::new(plan), keys: keys.clone() }
-                }
-                Epilogue::Limit { offset, count } => LogicalPlan::Limit {
-                    input: Box::new(plan),
-                    offset: offset.clone(),
-                    count: count.clone(),
-                },
-            };
-        }
-        execute_plan(&plan, &catalog, &Env::default())
-            .map_err(|e| CoreError::Host(format!("host epilogue: {e}")))
+        Ok(table)
     }
 }
 
@@ -699,11 +682,12 @@ fn read_writer(sys: &System, id: ModuleId, addr: u64) -> Result<Vec<u64>, CoreEr
 
 /// One output column from its merged raw words, at its output-schema
 /// type: a `U64` column is the words themselves, a narrower number or a
-/// `Bool` one copy, and only a `Cell` column (which may hold `Ins`/`Del`
-/// markers) a [`Value`] per word. A word too wide for its type (the
-/// catalog column has widened since the plan compiled) keeps the column
-/// at `U64` rather than lose bits.
-fn typed_column(words: Vec<u64>, dtype: DataType, col: &ColInfo) -> Column {
+/// `Bool` one copy, and only a `Cell` column a [`Value`] per word, by its
+/// sink flags `(nullable, boolean)`: a nullable column's marker words are
+/// `Ins`/`Del`, a boolean column's words `Bool`s. A word too wide for its
+/// type (the catalog column has widened since the plan compiled) keeps
+/// the column at `U64` rather than lose bits.
+fn typed_column(words: Vec<u64>, dtype: DataType, col: (bool, bool)) -> Column {
     fn narrow<T: TryFrom<u64>>(words: Vec<u64>, typed: fn(Vec<T>) -> Column) -> Column {
         match words.iter().map(|&w| T::try_from(w)).collect() {
             Ok(narrow) => typed(narrow),
@@ -722,17 +706,12 @@ fn typed_column(words: Vec<u64>, dtype: DataType, col: &ColInfo) -> Column {
     }
 }
 
-fn decode_value(raw: u64, col: &ColInfo) -> Value {
-    if col.nullable {
-        match raw {
-            MARKER_INS => return Value::Ins,
-            MARKER_DEL => return Value::Del,
-            _ => {}
-        }
-    }
-    match col.decode {
-        Decode::U64 => Value::U64(raw),
-        Decode::Bool => Value::Bool(raw != 0),
+fn decode_value(raw: u64, (nullable, boolean): (bool, bool)) -> Value {
+    match raw {
+        MARKER_INS if nullable => Value::Ins,
+        MARKER_DEL if nullable => Value::Del,
+        _ if boolean => Value::Bool(raw != 0),
+        _ => Value::U64(raw),
     }
 }
 
@@ -747,9 +726,14 @@ fn check_row_counts(cols: &[Vec<u64>], what: &str) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Reads a replica's sink writers back raw, one column per writer; the
-/// gather decodes them ([`Lowering::merge`]).
-fn extract_job(sys: &System, built: Built, kind: &SinkKind) -> Result<Vec<Vec<u64>>, CoreError> {
+/// Reads a replica's sink writers back raw, one column per writer, with
+/// the flags its build gave them; the gather decodes them
+/// ([`Lowering::merge`]).
+fn extract_job(
+    sys: &System,
+    built: Built,
+    kind: &SinkKind,
+) -> Result<(Vec<Vec<u64>>, SinkFlags), CoreError> {
     let raw: Vec<Vec<u64>> = built
         .writers
         .iter()
@@ -760,5 +744,5 @@ fn extract_job(sys: &System, built: Built, kind: &SinkKind) -> Result<Vec<Vec<u6
         SinkKind::Grouped(_) => check_row_counts(&raw, "grouped")?,
         SinkKind::Scalar(_) => {}
     }
-    Ok(raw)
+    Ok((raw, built.flags))
 }

@@ -40,7 +40,8 @@ use build::{build_core, BuildCtx};
 use genesis_hw::modules::filter::CmpOp;
 use genesis_hw::resource::{pipeline_overhead, shell_overhead, ResourceUsage};
 use genesis_hw::System;
-use genesis_sql::ast::{BinOp, ColRef, Expr};
+use genesis_sql::ast::{AggFn, BinOp, ColRef, Expr};
+use genesis_sql::exec::find_col;
 use genesis_sql::{Catalog, LogicalPlan};
 use genesis_types::Schema;
 use job::{Cut, Reach};
@@ -66,9 +67,7 @@ fn group_domain_cap(cfg: &DeviceConfig) -> u64 {
     if cfg.tiers.is_some() { MAX_GROUP_DOMAIN_TIERED } else { MAX_GROUP_DOMAIN }
 }
 
-/// How a raw 8-byte output element decodes back into a [`Value`].
-///
-/// [`Value`]: genesis_types::Value
+/// What a stream column's 8-byte words hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Decode {
     /// Plain unsigned integer.
@@ -79,8 +78,8 @@ enum Decode {
 
 /// Static knowledge about one column of an in-flight hardware stream.
 #[derive(Debug, Clone)]
-struct ColInfo {
-    /// Output schema name (follows the software engine's naming rules).
+struct StreamCol {
+    /// Its name, by the SQL engine's naming rules (`exec::item_name`).
     name: String,
     decode: Decode,
     /// May carry `Del` padding markers (introduced by LEFT JOIN).
@@ -114,10 +113,10 @@ struct ColInfo {
     field: usize,
 }
 
-impl ColInfo {
+impl StreamCol {
     /// A column about which nothing beyond its name and decoding is known.
-    fn new(name: &str, decode: Decode) -> ColInfo {
-        ColInfo {
+    fn new(name: &str, decode: Decode) -> StreamCol {
+        StreamCol {
             name: name.to_owned(),
             decode,
             nullable: false,
@@ -144,21 +143,12 @@ struct EachRow {
 const LOOP_LEAVES: &str =
     "a loop body reads its loop row through an explode and other tables through reference windows";
 
-/// Host-side epilogue steps replayed through the software engine on the
-/// merged hardware output (bit-identical by construction).
+/// Host-side `Sort`/`Limit` steps, run on the merged hardware output by
+/// the software engine's own functions ([`Lowering::apply_epilogues`]).
 #[derive(Debug, Clone)]
 enum Epilogue {
     Sort { keys: Vec<(ColRef, bool)> },
-    Limit { offset: Expr, count: Expr },
-}
-
-/// Scalar (ungrouped) aggregate flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScalarKind {
-    Count,
-    Sum,
-    Min,
-    Max,
+    Limit { offset: usize, count: usize },
 }
 
 /// Role of one output column of a grouped aggregate.
@@ -174,8 +164,10 @@ enum GroupRole {
 enum SinkKind {
     /// Row stream: per-job row blocks concatenate in job order.
     Stream,
-    /// One row of scalar aggregates: per-job partials combine.
-    Scalar(Vec<ScalarKind>),
+    /// One row of scalar aggregates, each the function its Reducer
+    /// computes (`COUNT` for `SUM(*)` and for a `SUM` of a comparison):
+    /// per-job partials combine.
+    Scalar(Vec<AggFn>),
     /// Grouped aggregates: per-job histograms merge by ascending key.
     Grouped(Vec<GroupRole>),
 }
@@ -198,11 +190,9 @@ pub(crate) struct Lowering {
     reaches: Vec<Reach>,
     /// The plan's output schema ([`LogicalPlan::output_schema`]), the
     /// SQL engine's: the gather builds each column from its raw words at
-    /// this type.
+    /// this type, a `Cell` column by the sink flags of the replicas that
+    /// wrote it.
     schema: Schema,
-    /// The sink columns the analysis build derived, every replica's: a
-    /// `Cell` column of [`Lowering::schema`] decodes its raw words by them.
-    cols: Vec<ColInfo>,
     kind: SinkKind,
     /// Port/fabric demand of one pipeline (input to the replication
     /// chooser).
@@ -213,22 +203,31 @@ pub(crate) struct Lowering {
     pub(crate) summary: Vec<String>,
 }
 
-/// Resolves a column reference against stream columns ([`find`]). An
-/// unknown column's did-you-mean draws on `cols` and on `unstreamed`, the
-/// scanned columns projection pushdown left out of the stream, so it
+/// Resolves a column reference against stream columns ([`find_col`]).
+/// An unknown column's did-you-mean draws on `cols` and on `unstreamed`,
+/// the scanned columns projection pushdown left out of the stream, so it
 /// suggests what the whole table would.
-fn resolve(
-    cols: &[ColInfo],
-    unstreamed: &[String],
+fn resolve<'n>(
+    cols: &'n [StreamCol],
+    unstreamed: &'n [String],
     col: &ColRef,
     node: &str,
 ) -> Result<usize, CoreError> {
-    let names = cols.iter().map(|c| c.name.as_str());
-    find(names.clone(), col).map_err(|hits| {
+    resolve_name(cols.iter().map(|c| c.name.as_str()), unstreamed, col, node)
+}
+
+/// [`resolve`] against column `names`.
+fn resolve_name<'n>(
+    names: impl Iterator<Item = &'n str> + Clone,
+    unstreamed: &'n [String],
+    col: &ColRef,
+    node: &str,
+) -> Result<usize, CoreError> {
+    find_col(names.clone(), col).map_err(|hits| {
         if hits.is_empty() {
             return unknown_column(col, names.chain(unstreamed.iter().map(String::as_str)), node);
         }
-        let hits: Vec<&str> = hits.iter().map(|&i| cols[i].name.as_str()).collect();
+        let hits: Vec<&str> = hits.iter().filter_map(|&i| names.clone().nth(i)).collect();
         let want = col.display_name();
         let reason = format!(
             "ambiguous column {want}: matches {} (qualify with a table prefix)",
@@ -236,38 +235,6 @@ fn resolve(
         );
         CoreError::plan(node, reason)
     })
-}
-
-/// The one of `names` that `col` names under the software engine's rules:
-/// an exact display-name match first, then a unique bare-name or
-/// `.suffix` match. `Err` holds every match when there is not exactly one.
-fn find<'n>(
-    names: impl Iterator<Item = &'n str> + Clone,
-    col: &ColRef,
-) -> Result<usize, Vec<usize>> {
-    // `n` is `{prefix}.{column}`: compared in place, with no name formatted.
-    let dotted = |n: &str, prefix: &str| {
-        n.strip_prefix(prefix)
-            .and_then(|rest| rest.strip_prefix('.'))
-            .is_some_and(|rest| rest == col.column)
-    };
-    let exact = |n: &str| match &col.table {
-        Some(t) => dotted(n, t),
-        None => n == col.column,
-    };
-    if let Some(i) = names.clone().position(exact) {
-        return Ok(i);
-    }
-    let suffixed = |n: &str| {
-        let head = n.strip_suffix(col.column.as_str());
-        head.is_some_and(|head| head.is_empty() || head.ends_with('.'))
-    };
-    let hits: Vec<usize> =
-        names.enumerate().filter(|&(_, n)| suffixed(n)).map(|(i, _)| i).collect();
-    match hits[..] {
-        [i] => Ok(i),
-        _ => Err(hits),
-    }
 }
 
 /// A user plan error (not a lowering gap): `col` names no column. Attach a
@@ -279,14 +246,6 @@ fn unknown_column<'n>(col: &ColRef, names: impl Iterator<Item = &'n str>, node: 
         reason.push_str(&format!(" (did you mean `{s}`?)"));
     }
     CoreError::plan(node, reason)
-}
-
-/// The software engine's join-output qualification rule.
-fn qualify(prefix: Option<&str>, name: &str) -> String {
-    match prefix {
-        Some(p) if !name.contains('.') => format!("{p}.{name}"),
-        _ => name.to_owned(),
-    }
 }
 
 fn cmp_of(op: BinOp) -> Option<CmpOp> {
@@ -301,17 +260,6 @@ fn cmp_of(op: BinOp) -> Option<CmpOp> {
     }
 }
 
-/// Mirror of a comparison for swapped operands (`n op x` → `x op' n`).
-fn mirror(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        other => other,
-    }
-}
-
 /// Calls `f` on every column reference in `e`.
 fn for_each_ref<'e>(e: &'e Expr, f: &mut impl FnMut(&'e ColRef)) {
     match e {
@@ -322,18 +270,6 @@ fn for_each_ref<'e>(e: &'e Expr, f: &mut impl FnMut(&'e ColRef)) {
         }
         Expr::Var(_) | Expr::Number(_) => {}
     }
-}
-
-/// Whether `r` could resolve, under [`resolve`]'s rules, to a stream
-/// column carrying the scanned column `name`: as `name` itself or, behind
-/// a join, as `prefix.name`. Exact display names, bare names and
-/// `.suffix` matches all reduce to one of the two names ending in the
-/// other at a `.` boundary.
-fn may_resolve(name: &str, r: &ColRef) -> bool {
-    let tail = |long: &str, short: &str| {
-        long.strip_suffix(short).is_some_and(|head| head.is_empty() || head.ends_with('.'))
-    };
-    tail(name, &r.column) || tail(&r.column, name)
 }
 
 /// The spine columns [`PreparedJob::shard_ranges`] cuts shards on: the
@@ -358,13 +294,15 @@ fn peel(plan: &LogicalPlan) -> Result<(&LogicalPlan, Vec<Epilogue>), CoreError> 
                 cur = input;
             }
             LogicalPlan::Limit { input, offset, count } => {
-                if !matches!(offset, Expr::Number(_)) || !matches!(count, Expr::Number(_)) {
+                let (&Expr::Number(offset), &Expr::Number(count)) = (offset, count) else {
                     return Err(CoreError::unsupported(
                         "Limit",
                         "offset and count must be integer literals",
                     ));
-                }
-                epis.push(Epilogue::Limit { offset: offset.clone(), count: count.clone() });
+                };
+                // The software engine's cast of its evaluated bounds.
+                let (offset, count) = (offset as usize, count as usize);
+                epis.push(Epilogue::Limit { offset, count });
                 cur = input;
             }
             _ => break,
@@ -440,7 +378,11 @@ fn analyze_on(
     let scans = (&prepared[..], &sub_bounds);
     let mut ctx = BuildCtx::new(scans, &whole, group_domain_cap(cfg), each_row.is_some(), true);
     let mut b = PipelineBuilder::new(&mut sys, 0);
-    let (built, kind) = build_core(&mut b, &mut ctx, &core)?;
+    let (_, kind) = build_core(&mut b, &mut ctx, &core)?;
+    // The one typing both engines give the result (after the build, so
+    // that a plan the lowering rejects fails with the lowering's error).
+    let schema =
+        plan.output_schema(catalog).map_err(|e| CoreError::plan("Schema", e.to_string()))?;
     // A grouped aggregate's software row order is engine-defined (key
     // first-appearance order) while the hardware drains keys in ascending
     // order; bit-identical results therefore require the query to pin the
@@ -448,7 +390,8 @@ fn analyze_on(
     if let SinkKind::Grouped(roles) = &kind {
         let ordered = match epilogues.first() {
             Some(Epilogue::Sort { keys }) if !keys.is_empty() => {
-                let i = resolve(&built.cols, &[], &keys[0].0, "Sort")?;
+                let names = schema.fields().iter().map(|f| f.name.as_str());
+                let i = resolve_name(names, &[], &keys[0].0, "Sort")?;
                 roles[i] == GroupRole::Key
             }
             _ => false,
@@ -483,10 +426,6 @@ fn analyze_on(
         };
         format!("{node} -> host")
     }));
-    // The one typing both engines give the result (after the build, so
-    // that a plan the lowering rejects fails with the lowering's error).
-    let schema =
-        plan.output_schema(catalog).map_err(|e| CoreError::plan("Schema", e.to_string()))?;
     let lowering = Arc::new(Lowering {
         schema,
         core,
@@ -495,7 +434,6 @@ fn analyze_on(
         pushed,
         projection,
         reaches: ctx.reaches,
-        cols: built.cols,
         kind,
         profile,
         summary,
@@ -528,9 +466,9 @@ impl Lowering {
     /// `submit` has returned and so outlives the `&Catalog` borrow.
     /// `literals` are the values of the shape's pushed parameters
     /// ([`shape`]; `None` binds the analyzed plan's own).
-    /// Without an explicit `factor`, replication is chosen here, from the
-    /// profile at the bound selectivity: what a fresh compile over this
-    /// data with these literals would choose.
+    /// Without an explicit `factor`, the cost model chooses replication
+    /// here from the analysis' profile (its port demand, fabric and
+    /// expansion) at the selectivity of the rows just bound.
     pub(crate) fn prepare(
         self: &Arc<Self>,
         cfg: &DeviceConfig,

@@ -5,7 +5,7 @@
 
 use super::bind::{as_u64, lookup_table, Cells, TableCol};
 use super::bounds::lower_predicate;
-use super::{ColInfo, Decode};
+use super::{StreamCol, Decode};
 use crate::error::CoreError;
 use genesis_hw::modules::filter::{CmpOp, Operand, Predicate};
 use genesis_sql::ast::{BinOp, Expr};
@@ -38,7 +38,7 @@ pub(super) struct PushedFilter {
 /// read off the table before anything is bound: the names, and each
 /// column's decoding (a `Cell` column's is its first cell's; binding
 /// checks the rest).
-fn table_infos(t: &Table) -> Vec<ColInfo> {
+fn table_infos(t: &Table) -> Vec<StreamCol> {
     let fields = t.schema().fields();
     let decode = |ci: usize| match t.column_at(ci) {
         Column::Bool(_) => Decode::Bool,
@@ -46,7 +46,7 @@ fn table_infos(t: &Table) -> Vec<ColInfo> {
         _ => Decode::U64,
     };
     let info =
-        |(field, f): (usize, &Field)| ColInfo { field, ..ColInfo::new(&f.name, decode(field)) };
+        |(field, f): (usize, &Field)| StreamCol { field, ..StreamCol::new(&f.name, decode(field)) };
     fields.iter().enumerate().map(info).collect()
 }
 

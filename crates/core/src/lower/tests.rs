@@ -621,17 +621,6 @@ fn over_long_list_is_rejected_by_row() {
 }
 
 #[test]
-fn may_resolve_follows_resolve_through_join_prefixes() {
-    let r = |t: Option<&str>, c: &str| ColRef { table: t.map(str::to_owned), column: c.into() };
-    assert!(may_resolve("POS", &r(None, "POS")));
-    assert!(may_resolve("POS", &r(Some("PAIRS"), "POS")));
-    assert!(may_resolve("PAIRS.POS", &r(None, "POS")));
-    assert!(may_resolve("POS", &r(None, "PAIRS.POS")));
-    assert!(!may_resolve("MPOS", &r(None, "POS")));
-    assert!(!may_resolve("POS", &r(Some("PAIRS"), "MPOS")));
-}
-
-#[test]
 fn count_star_streams_the_first_narrowest_column() {
     let catalog = catalog_of(
         "T",

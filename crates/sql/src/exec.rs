@@ -14,6 +14,7 @@ use crate::schema::{
 use genesis_types::{CigarElem, CigarOp, Schema, Table, Value};
 #[cfg(test)]
 use genesis_types::{Column, DataType, Field};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Execution environment: `@variables` and loop-row bindings.
@@ -49,28 +50,153 @@ impl Env {
     }
 }
 
-/// Resolves a column reference against a schema whose field names may be
-/// bare (`POS`) or qualified (`#AlignedRead.POS`).
-pub(crate) fn resolve_col(schema: &Schema, col: &ColRef) -> Result<usize, SqlError> {
-    let want = col.display_name();
-    if let Some(i) = schema.index_of(&want) {
+/// The one of `names` that `col` names, as both engines resolve a column:
+/// an exact display-name match (`T.C` or `C`) first, then a unique bare
+/// or `.suffix` match. `Err` holds every such match when there is not
+/// exactly one. It formats no name, and allocates only to fail.
+pub fn find_col<'n>(
+    names: impl Iterator<Item = &'n str> + Clone,
+    col: &ColRef,
+) -> Result<usize, Vec<usize>> {
+    // A qualified name is compared in place as `{table}.{column}`.
+    let exact = |n: &str| match &col.table {
+        Some(t) => n.strip_prefix(&**t).and_then(|r| r.strip_prefix('.')) == Some(&*col.column),
+        None => n == col.column,
+    };
+    if let Some(i) = names.clone().position(exact) {
         return Ok(i);
     }
-    // Qualified reference may match a bare field; bare reference may match
-    // a uniquely-qualified field.
-    let suffix = format!(".{}", col.column);
-    let matches: Vec<usize> = schema
-        .fields()
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.name == col.column || f.name.ends_with(&suffix))
-        .map(|(i, _)| i)
-        .collect();
-    match matches.as_slice() {
-        [i] => Ok(*i),
-        [] => Err(SqlError::Unknown { kind: "column", name: want }),
-        _ => Err(SqlError::Ambiguous { name: want }),
+    let hits = || names.clone().enumerate().filter(|&(_, n)| ends_at_dot(n, &col.column));
+    let mut found = hits();
+    match (found.next(), found.next()) {
+        (Some((i, _)), None) => Ok(i),
+        _ => Err(hits().map(|(i, _)| i).collect()),
     }
+}
+
+/// Whether `long` is `short` or ends in `.{short}`.
+fn ends_at_dot(long: &str, short: &str) -> bool {
+    long.strip_suffix(short).is_some_and(|head| head.is_empty() || head.ends_with('.'))
+}
+
+/// Whether `col` could find ([`find_col`]) a column carrying the field
+/// `name`, as `name` or, behind a join, `prefix.name`: one of the two
+/// names ends in the other at a `.` boundary.
+#[must_use]
+pub fn may_resolve(name: &str, col: &ColRef) -> bool {
+    ends_at_dot(name, &col.column) || ends_at_dot(&col.column, name)
+}
+
+/// Resolves a column reference against a schema whose field names may be
+/// bare (`POS`) or qualified (`#AlignedRead.POS`), by [`find_col`].
+pub(crate) fn resolve_col(schema: &Schema, col: &ColRef) -> Result<usize, SqlError> {
+    let names = schema.fields().iter().map(|f| f.name.as_str());
+    find_col(names, col).map_err(|hits| match hits[..] {
+        [] => SqlError::Unknown { kind: "column", name: col.display_name() },
+        _ => SqlError::Ambiguous { name: col.display_name() },
+    })
+}
+
+/// The name the select item `expr` at position `i` gives its column: its
+/// alias, else a column's display name, else `EXPR{i}`.
+#[must_use]
+pub fn item_name(alias: Option<&str>, expr: &Expr, i: usize) -> String {
+    match (alias, expr) {
+        (Some(alias), _) => alias.to_owned(),
+        (None, Expr::Col(c)) => c.display_name(),
+        (None, _) => format!("EXPR{i}"),
+    }
+}
+
+/// The name an aggregate select item gives its column: its alias, else
+/// the function's (`SUM`, `COUNT`, `MIN`, `MAX`).
+pub(crate) fn agg_name(alias: Option<&str>, func: AggFn) -> String {
+    let name = alias.unwrap_or(match func {
+        AggFn::Sum => "SUM",
+        AggFn::Count => "COUNT",
+        AggFn::Min => "MIN",
+        AggFn::Max => "MAX",
+    });
+    name.to_owned()
+}
+
+/// The name a join gives the column `name` of a side whose key is
+/// qualified by `prefix`: `prefix.name`, unless the key is bare or `name`
+/// is qualified already.
+#[must_use]
+pub fn qualify(prefix: Option<&str>, name: &str) -> String {
+    match prefix {
+        Some(p) if !name.contains('.') => format!("{p}.{name}"),
+        _ => name.to_owned(),
+    }
+}
+
+/// `pred` as a column compared with a number literal by `=`, `<`, `<=`,
+/// `>` or `>=`, on either side: the column, the comparison as it reads
+/// with the column on the left (`5 > X` is `X < 5`), and the literal. No
+/// `Ins`, `Del` or `NULL` satisfies such a comparison, so every row it
+/// keeps holds a number in the column.
+#[must_use]
+pub fn literal_cmp(pred: &Expr) -> Option<(&ColRef, BinOp, u64)> {
+    let Expr::Bin { op, lhs, rhs } = pred else { return None };
+    let mirrored = match op {
+        BinOp::Eq => BinOp::Eq,
+        BinOp::Lt => BinOp::Gt,
+        BinOp::Le => BinOp::Ge,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::Ge => BinOp::Le,
+        _ => return None,
+    };
+    match (&**lhs, &**rhs) {
+        (Expr::Col(c), Expr::Number(n)) => Some((c, *op, *n)),
+        (Expr::Number(n), Expr::Col(c)) => Some((c, mirrored, *n)),
+        _ => None,
+    }
+}
+
+/// `t`'s rows ordered by `keys`, each a column and whether it sorts
+/// descending: by the first key, a tie by the next, and rows tied on
+/// every key in their order in `t`.
+///
+/// # Errors
+///
+/// [`SqlError`] when a key names no column of `t`, or more than one.
+pub fn sort_table(t: &Table, keys: &[(ColRef, bool)]) -> Result<Table, SqlError> {
+    let key_cols: Vec<(usize, bool)> = keys
+        .iter()
+        .map(|(c, desc)| resolve_col(t.schema(), c).map(|i| (i, *desc)))
+        .collect::<Result<_, _>>()?;
+    let mut order: Vec<usize> = (0..t.num_rows()).collect();
+    order.sort_by(|&a, &b| {
+        key_cols.iter().fold(Ordering::Equal, |tied, &(col, desc)| {
+            tied.then_with(|| {
+                let (va, vb) = (t.column_at(col).get(a), t.column_at(col).get(b));
+                let cmp = va.partial_cmp(&vb).unwrap_or(Ordering::Equal);
+                if desc { cmp.reverse() } else { cmp }
+            })
+        })
+    });
+    rows_of(t, order)
+}
+
+/// The `count` rows of `t` from row `offset` on, fewer where `t` ends
+/// first.
+///
+/// # Errors
+///
+/// [`SqlError`] from the table layer.
+pub fn limit_table(t: &Table, offset: usize, count: usize) -> Result<Table, SqlError> {
+    let end = offset.saturating_add(count).min(t.num_rows());
+    rows_of(t, offset.min(t.num_rows())..end)
+}
+
+/// The rows `rows` of `t`, in that order.
+fn rows_of(t: &Table, rows: impl IntoIterator<Item = usize>) -> Result<Table, SqlError> {
+    let mut out = Table::new(t.schema().clone());
+    for r in rows {
+        out.push_row(t.row(r))?;
+    }
+    Ok(out)
 }
 
 /// A row context for scalar evaluation.
@@ -221,46 +347,14 @@ pub fn execute_plan(
             let t = execute_plan(input, catalog, env)?;
             aggregate(&t, items, group_by, env, bound)
         }
-        LogicalPlan::Sort { input, keys } => {
-            let t = execute_plan(input, catalog, env)?;
-            let key_cols: Vec<(usize, bool)> = keys
-                .iter()
-                .map(|(c, desc)| resolve_col(t.schema(), c).map(|i| (i, *desc)))
-                .collect::<Result<_, _>>()?;
-            let mut order: Vec<usize> = (0..t.num_rows()).collect();
-            order.sort_by(|&a, &b| {
-                for &(col, desc) in &key_cols {
-                    let (va, vb) = (t.column_at(col).get(a), t.column_at(col).get(b));
-                    let cmp = va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal);
-                    let cmp = if desc { cmp.reverse() } else { cmp };
-                    if cmp != std::cmp::Ordering::Equal {
-                        return cmp;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            let mut out = Table::new(t.schema().clone());
-            for r in order {
-                out.push_row(t.row(r))?;
-            }
-            Ok(out)
-        }
+        LogicalPlan::Sort { input, keys } => sort_table(&execute_plan(input, catalog, env)?, keys),
         LogicalPlan::Limit { input, offset, count } => {
             let t = execute_plan(input, catalog, env)?;
-            let off = eval_expr(offset, None, env)?
-                .as_u64()
-                .ok_or_else(|| SqlError::Eval("LIMIT offset not numeric".into()))?
-                as usize;
-            let cnt = eval_expr(count, None, env)?
-                .as_u64()
-                .ok_or_else(|| SqlError::Eval("LIMIT count not numeric".into()))?
-                as usize;
-            let mut out = Table::new(t.schema().clone());
-            let end = off.saturating_add(cnt).min(t.num_rows());
-            for r in off.min(t.num_rows())..end {
-                out.push_row(t.row(r))?;
-            }
-            Ok(out)
+            let bound = |e: &Expr, what: &str| match eval_expr(e, None, env)?.as_u64() {
+                Some(n) => Ok(n as usize),
+                None => Err(SqlError::Eval(format!("LIMIT {what} not numeric"))),
+            };
+            limit_table(&t, bound(offset, "offset")?, bound(count, "count")?)
         }
         LogicalPlan::Join { kind, left, right, left_key, right_key } => {
             let lt = execute_plan(left, catalog, env)?;
@@ -958,6 +1052,91 @@ mod tests {
             eval_binop(BinOp::Lt, &Value::Del, &Value::U64(9)).unwrap(),
             Value::Bool(false)
         );
+    }
+
+    #[test]
+    fn the_finder_resolves_a_reference_as_both_engines_do() {
+        let names = ["POS", "T.X", "U.X", "R.K"];
+        let find = |c: &ColRef| find_col(names.iter().copied(), c);
+        assert_eq!(find(&ColRef::qualified("T", "X")), Ok(1), "an exact qualified name");
+        assert_eq!(find(&ColRef::qualified("READS", "POS")), Ok(0), "qualified finds bare");
+        assert_eq!(find(&ColRef::bare("K")), Ok(3), "bare finds a unique qualified name");
+        assert_eq!(find(&ColRef::bare("X")), Err(vec![1, 2]), "ambiguous: every hit");
+        assert_eq!(find(&ColRef::bare("NOPE")), Err(vec![]), "unknown: no hit");
+        assert_eq!(find(&ColRef::bare("OS")), Err(vec![]), "a suffix starts after a dot");
+        // The engine maps the two failures to its own errors.
+        let schema = Schema::new(names.iter().map(|n| Field::new(n, DataType::U32)).collect());
+        let err = |c| resolve_col(&schema, &c).unwrap_err();
+        let unknown = SqlError::Unknown { kind: "column", name: "NOPE".into() };
+        assert_eq!(err(ColRef::bare("NOPE")).to_string(), unknown.to_string());
+        let ambiguous = SqlError::Ambiguous { name: "X".into() };
+        assert_eq!(err(ColRef::bare("X")).to_string(), ambiguous.to_string());
+    }
+
+    #[test]
+    fn may_resolve_follows_resolve_through_join_prefixes() {
+        let r = |t: Option<&str>, c: &str| ColRef { table: t.map(str::to_owned), column: c.into() };
+        assert!(may_resolve("POS", &r(None, "POS")));
+        assert!(may_resolve("POS", &r(Some("PAIRS"), "POS")));
+        assert!(may_resolve("PAIRS.POS", &r(None, "POS")));
+        assert!(may_resolve("POS", &r(None, "PAIRS.POS")));
+        assert!(!may_resolve("MPOS", &r(None, "POS")));
+        assert!(!may_resolve("POS", &r(Some("PAIRS"), "MPOS")));
+    }
+
+    #[test]
+    fn items_aggregates_and_join_sides_are_named_once() {
+        let x = Expr::Col(ColRef::qualified("T", "X"));
+        let one = Box::new(Expr::Number(1));
+        let plus = Expr::Bin { op: BinOp::Add, lhs: Box::new(x.clone()), rhs: one };
+        assert_eq!(item_name(Some("Y"), &plus, 2), "Y");
+        assert_eq!(item_name(None, &x, 2), "T.X");
+        assert_eq!(item_name(None, &plus, 2), "EXPR2");
+        let aggs = [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max];
+        for (func, name) in aggs.into_iter().zip(["COUNT", "SUM", "MIN", "MAX"]) {
+            assert_eq!(agg_name(None, func), name);
+            assert_eq!(agg_name(Some("N"), func), "N");
+        }
+        assert_eq!(qualify(Some("R"), "K"), "R.K");
+        assert_eq!(qualify(Some("R"), "T.K"), "T.K", "a dotted name keeps its prefix");
+        assert_eq!(qualify(None, "K"), "K");
+    }
+
+    #[test]
+    fn a_number_literal_comparison_is_recognized_on_either_side() {
+        let x = || Box::new(Expr::Col(ColRef::bare("X")));
+        let five = || Box::new(Expr::Number(5));
+        let bin = |op, lhs, rhs| Expr::Bin { op, lhs, rhs };
+        let of = |e: &Expr| literal_cmp(e).map(|(c, op, n)| (c.column.clone(), op, n));
+        let x_is = |op| Some(("X".to_owned(), op, 5));
+        assert_eq!(of(&bin(BinOp::Le, x(), five())), x_is(BinOp::Le));
+        assert_eq!(of(&bin(BinOp::Gt, five(), x())), x_is(BinOp::Lt), "`5 > X` is `X < 5`");
+        assert_eq!(of(&bin(BinOp::Ge, five(), x())), x_is(BinOp::Le));
+        assert_eq!(of(&bin(BinOp::Eq, five(), x())), x_is(BinOp::Eq));
+        assert_eq!(of(&bin(BinOp::Ne, x(), five())), None, "`<>` keeps markers");
+        let lt = Box::new(bin(BinOp::Lt, x(), five()));
+        assert_eq!(of(&bin(BinOp::Or, lt.clone(), lt)), None, "`OR` is no comparison");
+        let y = Box::new(Expr::Col(ColRef::bare("Y")));
+        assert_eq!(of(&bin(BinOp::Lt, x(), y)), None, "column against column");
+    }
+
+    #[test]
+    fn sort_and_limit_run_over_a_table() {
+        let fields = vec![Field::new("K", DataType::U32), Field::new("V", DataType::U32)];
+        let cols = vec![Column::U32(vec![2, 1, 2, 3]), Column::U32(vec![10, 20, 30, 40])];
+        let t = Table::from_columns(Schema::new(fields), cols).unwrap();
+        let values = |t: &Table, name| -> Vec<u64> {
+            (0..t.num_rows()).map(|r| t.get(r, name).unwrap().as_u64().unwrap()).collect()
+        };
+        let desc = sort_table(&t, &[(ColRef::bare("K"), true)]).unwrap();
+        assert_eq!(values(&desc, "K"), [3, 2, 2, 1]);
+        assert_eq!(values(&desc, "V"), [40, 10, 30, 20], "ties keep their input order");
+        assert_eq!(values(&limit_table(&desc, 1, 2).unwrap(), "V"), [10, 30]);
+        assert_eq!(values(&limit_table(&t, 3, 9).unwrap(), "V"), [40], "a count past the end");
+        let past = limit_table(&t, 9, 2).unwrap();
+        assert_eq!((past.num_rows(), past.schema()), (0, t.schema()), "an offset past the end");
+        let unknown = sort_table(&t, &[(ColRef::bare("NOPE"), false)]);
+        assert!(matches!(unknown, Err(SqlError::Unknown { kind: "column", .. })));
     }
 
     #[test]

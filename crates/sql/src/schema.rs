@@ -10,7 +10,7 @@
 use crate::ast::{AggFn, BinOp, ColRef, Expr, JoinKind, SelectItem};
 use crate::catalog::Catalog;
 use crate::error::SqlError;
-use crate::exec::resolve_col;
+use crate::exec::{agg_name, item_name, literal_cmp, qualify, resolve_col};
 use crate::plan::LogicalPlan;
 use genesis_types::{DataType, Field, Schema};
 
@@ -138,8 +138,7 @@ fn is_number(dtype: DataType) -> bool {
 
 /// A Filter's rows keep their input's schema, but a `Cell` column that a
 /// conjunct compares with a number literal by `=` or an ordered
-/// comparison holds only numbers after it: no `Ins`, `Del`, `NULL` or
-/// other value but a number satisfies such a comparison.
+/// comparison ([`literal_cmp`]) holds only numbers after it.
 pub(crate) fn filter_schema(input: &Schema, pred: &Expr, bound: Bound<'_, '_>) -> Schema {
     let mut fields = input.fields().to_vec();
     narrow(pred, input, bound, &mut fields);
@@ -147,28 +146,19 @@ pub(crate) fn filter_schema(input: &Schema, pred: &Expr, bound: Bound<'_, '_>) -
 }
 
 fn narrow(pred: &Expr, input: &Schema, bound: Bound<'_, '_>, fields: &mut [Field]) {
-    let Expr::Bin { op, lhs, rhs } = pred else { return };
-    match op {
-        BinOp::And => {
-            narrow(lhs, input, bound, fields);
-            narrow(rhs, input, bound, fields);
+    if let Expr::Bin { op: BinOp::And, lhs, rhs } = pred {
+        narrow(lhs, input, bound, fields);
+        narrow(rhs, input, bound, fields);
+        return;
+    }
+    let Some((c, _, _)) = literal_cmp(pred) else { return };
+    if c.table.as_deref().and_then(bound).is_some() {
+        return;
+    }
+    if let Ok(i) = resolve_col(input, c) {
+        if fields[i].dtype == DataType::Cell {
+            fields[i].dtype = DataType::U64;
         }
-        BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let ((Expr::Col(c), Expr::Number(_)) | (Expr::Number(_), Expr::Col(c))) =
-                (&**lhs, &**rhs)
-            else {
-                return;
-            };
-            if c.table.as_deref().and_then(bound).is_some() {
-                return;
-            }
-            if let Ok(i) = resolve_col(input, c) {
-                if fields[i].dtype == DataType::Cell {
-                    fields[i].dtype = DataType::U64;
-                }
-            }
-        }
-        _ => {}
     }
 }
 
@@ -184,10 +174,7 @@ pub(crate) fn project_schema(
         match item {
             SelectItem::Star => fields.extend(input.fields().iter().cloned()),
             SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| match expr {
-                    Expr::Col(c) => c.display_name(),
-                    _ => format!("EXPR{i}"),
-                });
+                let name = item_name(alias.as_deref(), expr, i);
                 fields.push(Field::new(&name, expr_type(expr, input, bound)));
             }
             SelectItem::Agg { .. } => {
@@ -196,16 +183,6 @@ pub(crate) fn project_schema(
         }
     }
     Ok(Schema::new(fields))
-}
-
-/// The display name of an unaliased aggregate.
-fn agg_name(func: AggFn) -> &'static str {
-    match func {
-        AggFn::Sum => "SUM",
-        AggFn::Count => "COUNT",
-        AggFn::Min => "MIN",
-        AggFn::Max => "MAX",
-    }
 }
 
 /// An aggregate's columns: `COUNT` and `SUM` are `U64`, and so is a
@@ -224,7 +201,7 @@ pub(crate) fn aggregate_schema(
     for (i, item) in items.iter().enumerate() {
         let field = match item {
             SelectItem::Agg { func, arg, alias } => {
-                let name = alias.clone().unwrap_or_else(|| agg_name(*func).to_owned());
+                let name = agg_name(alias.as_deref(), *func);
                 let arg = arg.as_ref().map_or(DataType::U64, |a| expr_type(a, input, bound));
                 let dtype = match func {
                     AggFn::Count | AggFn::Sum => DataType::U64,
@@ -235,8 +212,8 @@ pub(crate) fn aggregate_schema(
                 };
                 Field::new(&name, dtype)
             }
-            SelectItem::Expr { expr: Expr::Col(c), alias } => {
-                let name = alias.clone().unwrap_or_else(|| c.display_name());
+            SelectItem::Expr { expr: expr @ Expr::Col(c), alias } => {
+                let name = item_name(alias.as_deref(), expr, i);
                 let key = group_by.iter().position(|g| g == c);
                 Field::new(&name, key.map_or(DataType::Cell, |k| input.fields()[keys[k]].dtype))
             }
@@ -265,11 +242,8 @@ pub(crate) fn join_schema(
         s.fields()
             .iter()
             .map(|f| {
-                let name = match prefix {
-                    Some(p) if !f.name.contains('.') => format!("{p}.{}", f.name),
-                    _ => f.name.clone(),
-                };
-                Field { name, dtype: if padded { DataType::Cell } else { f.dtype } }
+                let dtype = if padded { DataType::Cell } else { f.dtype };
+                Field { name: qualify(prefix, &f.name), dtype }
             })
             .collect::<Vec<_>>()
     };

@@ -11,8 +11,9 @@
 //! factor that compile chose. Literals that can reach hardware stay part
 //! of the shape: a grouped shape, a residual Filter over an explode, an
 //! ALU immediate, a `LIMIT` count and a plan with pushdown off each get a
-//! key per literal. Replication is chosen when a plan binds, so a plan
-//! compiled over other data runs at the factor a fresh compile would pick.
+//! key per literal. Replication is chosen when a plan binds, from the
+//! compile's profile at the bound selectivity, and the result is typed by
+//! the data the plan runs on, never by the data it compiled over.
 
 mod common;
 
@@ -25,7 +26,7 @@ use genesis::core::serve::{fingerprint, GenesisServer, Request, ServerConfig};
 use genesis::sql::ast::{AggFn, BinOp, Expr, JoinKind, SelectItem};
 use genesis::sql::exec::{execute_plan, Env};
 use genesis::sql::{Catalog, LogicalPlan};
-use genesis::types::{Cigar, Column, Table};
+use genesis::types::{Cigar, Column, Table, Value};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -289,4 +290,49 @@ fn replication_is_chosen_from_the_bound_selectivity() {
     assert_eq!(srv.cache_stats().hits, 1);
     same_table(&table, &want_table, "a cache hit").unwrap();
     assert_eq!(stats, want, "a cache hit over changed data");
+}
+
+/// A plan types its result by the data it runs on, not the data it
+/// compiled over: a `ReadExplode` compiled over a `4M` read runs over a
+/// `2M1I2M` read, whose inserted base has the position `Ins`, and a scan
+/// compiled over a `Cell` column of numbers runs over one of booleans.
+/// Each equals the SQL engine's table run directly, precompiled, or from
+/// the server's cache.
+#[test]
+fn a_stale_plan_decodes_by_the_data_it_runs_on() {
+    let reads = |cigar: &str| {
+        let cigar: Cigar = cigar.parse().unwrap();
+        let reads = table_of(vec![
+            ("POS", Column::U32(vec![1])),
+            ("CIGAR", Column::ListU16(vec![cigar.pack().unwrap()])),
+            ("SEQ", Column::ListU8(vec![vec![0, 1, 2, 3, 0]])),
+        ]);
+        catalog_of(vec![("READS", reads)])
+    };
+    let cells = |cells: Vec<Value>| catalog_of(vec![("T", table_of(vec![("C", Column::Cell(cells))]))]);
+    let cases = [
+        ("an Ins position", read_explode("READS", false), reads("4M"), reads("2M1I2M")),
+        (
+            "Bool cells",
+            scan("T"),
+            cells(vec![Value::U64(0), Value::U64(1)]),
+            cells(vec![Value::Bool(false), Value::Bool(true)]),
+        ),
+    ];
+    for (what, plan, compiled_over, run_over) in cases {
+        let want = execute_plan(&plan, &run_over, &Env::default()).unwrap();
+        let stale = Compiler::new(DeviceConfig::small()).compile(&plan, &compiled_over).unwrap();
+        let (table, _) = stale.execute(&run_over).unwrap();
+        same_table(&table, &want, &format!("{what}: PipelinePlan::execute")).unwrap();
+
+        let srv = server(1, DeviceConfig::small());
+        let req = Request::precompiled("t", stale);
+        let (table, _) = srv.submit(req, &run_over).and_then(|t| t.wait()).unwrap();
+        same_table(&table, &want, &format!("{what}: Request::precompiled")).unwrap();
+
+        srv.submit(Request::new("t", plan.clone()), &compiled_over).unwrap().wait().unwrap();
+        let (table, _) = srv.submit(Request::new("t", plan), &run_over).unwrap().wait().unwrap();
+        assert_eq!(srv.cache_stats().hits, 1, "{what}: the second request hits the cache");
+        same_table(&table, &want, &format!("{what}: a cache hit")).unwrap();
+    }
 }
