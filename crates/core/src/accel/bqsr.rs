@@ -2,7 +2,7 @@
 //! Figure 12).
 
 use crate::accel::frontend::{build_frontend, make_partition_jobs, JobOptions, PartitionJob};
-use crate::device::run_batches_with_oracle;
+use crate::device::{run_batches_with_oracle, SystemPool};
 use crate::builder::PipelineBuilder;
 use crate::columns::bytes_to_u32;
 use crate::device::DeviceConfig;
@@ -254,6 +254,7 @@ impl BqsrAccel {
         let dma_in: u64 = jobs.iter().map(PartitionJob::dma_in_bytes).sum();
         let (outs, mut stats) = run_batches_with_oracle(
             &self.cfg,
+            &SystemPool::default(),
             0,
             &jobs,
             |sys, group, job| Ok(self.build(sys, group, job)),

@@ -2,7 +2,7 @@
 //! per-read sum-of-quality-scores computation; duplicate-set resolution
 //! stays on the host.
 
-use crate::device::{run_batches_with_oracle, split_ranges};
+use crate::device::{run_batches_with_oracle, split_ranges, SystemPool};
 use crate::builder::PipelineBuilder;
 use crate::columns::bytes_to_u64;
 use crate::device::DeviceConfig;
@@ -115,6 +115,7 @@ impl QualitySumAccel {
         }
         let (chunks, mut stats) = run_batches_with_oracle(
             &self.cfg,
+            &SystemPool::default(),
             0,
             &jobs,
             |sys, group, job| Ok(Self::build(sys, group, job)),

@@ -2,7 +2,7 @@
 //! NM, MD and UQ tags for every read in hardware.
 
 use crate::accel::frontend::{build_frontend, make_partition_jobs, JobOptions, PartitionJob};
-use crate::device::run_batches_with_oracle;
+use crate::device::{run_batches_with_oracle, SystemPool};
 use crate::builder::PipelineBuilder;
 use crate::columns::bytes_to_u32;
 use crate::device::DeviceConfig;
@@ -168,6 +168,7 @@ impl MetadataAccel {
         let dma_in: u64 = jobs.iter().map(PartitionJob::dma_in_bytes).sum();
         let (outs, mut stats) = run_batches_with_oracle(
             &self.cfg,
+            &SystemPool::default(),
             0,
             &jobs,
             |sys, group, job| Ok(Self::build(sys, group, job)),

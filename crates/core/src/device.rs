@@ -9,7 +9,7 @@ use genesis_obs::{ChromeTrace, StallReport, TraceBuffer, TraceConfig};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// The host↔FPGA DMA link model (paper §V-B: "the host communicates to and
@@ -307,8 +307,45 @@ pub(crate) fn host_cores() -> usize {
 /// deadlock detector fires first on wiring bugs.
 const CYCLE_BUDGET: u64 = 2_000_000_000;
 
+/// The [`System`]s a plan's batch runs hand back, for the next batch run
+/// to [`System::reset`] instead of building a new one: a run keeps the
+/// queue rings, device memory and engine tables it filled, and rebuilds
+/// its module graph. A System goes back only from an attempt that
+/// returned, so the pool never holds more than were in use at the same
+/// time, and a panicked attempt's System is dropped. A compiled plan's
+/// `Lowering` owns one for its life; a hand-wired accelerator passes a
+/// new one per call and so holds no System between calls.
+#[derive(Debug, Default)]
+pub(crate) struct SystemPool(Mutex<Vec<System>>);
+
+// A push or a pop leaves the list whole, so a poisoned lock's list is
+// used as it is.
+impl SystemPool {
+    /// A System on `mem`: a pooled one reset, or a new one.
+    fn take(&self, mem: MemoryConfig) -> System {
+        let pooled = self.0.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        match pooled {
+            Some(mut sys) => {
+                sys.reset(mem);
+                sys
+            }
+            None => System::with_memory(mem),
+        }
+    }
+
+    fn give(&self, sys: System) {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).push(sys);
+    }
+
+    /// Systems waiting in the pool.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+}
+
 /// Runs `jobs` across the device's replicated pipelines in batches (paper
-/// Figure 8): each batch instantiates one `System` with up to
+/// Figure 8): each batch takes one `System` from `pool` with up to
 /// `cfg.pipelines` pipeline instances sharing the memory system and
 /// arbiter tree, simulates it to completion, and extracts per-job results.
 ///
@@ -325,6 +362,7 @@ const CYCLE_BUDGET: u64 = 2_000_000_000;
 /// dispatch sequence number, every other caller 0.
 pub(crate) fn run_batches<J, H, R>(
     cfg: &DeviceConfig,
+    pool: &SystemPool,
     slot: u64,
     jobs: &[J],
     build: impl Fn(&mut System, u32, &J) -> Result<H, CoreError> + Sync,
@@ -336,7 +374,7 @@ where
 {
     // No software oracle: exhausted batches fail the run instead of
     // degrading.
-    run_batches_with_oracle(cfg, slot, jobs, build, extract, None::<NoOracle<J, R>>)
+    run_batches_with_oracle(cfg, pool, slot, jobs, build, extract, None::<NoOracle<J, R>>)
 }
 
 /// Placeholder oracle type for [`run_batches`] (always passed as `None`).
@@ -356,6 +394,7 @@ type NoOracle<J, R> = fn(usize, &J) -> Result<R, CoreError>;
 /// so a schedule replays identically regardless of host thread count.
 pub(crate) fn run_batches_with_oracle<J, H, R, O>(
     cfg: &DeviceConfig,
+    pool: &SystemPool,
     slot: u64,
     jobs: &[J],
     build: impl Fn(&mut System, u32, &J) -> Result<H, CoreError> + Sync,
@@ -378,16 +417,13 @@ where
     // here and surfaced as a (retryable) device fault instead of poisoning
     // host state.
     let run_chunk = |chunk_idx: usize, chunk: &[J], attempt: u32| -> Result<ChunkOut<R>, CoreError> {
-        let sim = || -> Result<ChunkOut<R>, CoreError> {
-            let mut mem = cfg.mem.clone();
-            plane.overlay_mem(&mut mem, die(chunk_idx), attempt);
-            let mut sys = System::with_memory(mem);
+        let simulate = |sys: &mut System| -> Result<ChunkOut<R>, CoreError> {
             if cfg.trace.enabled {
                 sys.set_trace(cfg.trace.clone());
             }
             let mut handles = Vec::with_capacity(chunk.len());
             for (i, job) in chunk.iter().enumerate() {
-                handles.push(build(&mut sys, i as u32, job)?);
+                handles.push(build(sys, i as u32, job)?);
             }
             // Tiering binds after the build so the page tables cover every
             // scratchpad the batch created; an over-capacity working set
@@ -423,11 +459,20 @@ where
             };
             let mut results = Vec::with_capacity(chunk.len());
             for (handle, job) in handles.into_iter().zip(chunk) {
-                results.push(extract(&sys, handle, job)?);
+                results.push(extract(sys, handle, job)?);
             }
             // Only a traced run keeps the per-module report (and its labels).
             let obs = sys.take_trace().map(|buf| (buf, sys.stall_report()));
             Ok((results, stats, obs))
+        };
+        let sim = || -> Result<ChunkOut<R>, CoreError> {
+            let mut mem = cfg.mem.clone();
+            plane.overlay_mem(&mut mem, die(chunk_idx), attempt);
+            let mut sys = pool.take(mem);
+            let out = simulate(&mut sys);
+            // Unreached when the attempt panicked: that System is dropped.
+            pool.give(sys);
+            out
         };
         catch_unwind(AssertUnwindSafe(sim)).unwrap_or_else(|payload| {
             Err(CoreError::Device(format!(
@@ -709,6 +754,7 @@ mod tests {
         let jobs: Vec<u64> = (0..4).collect();
         let (outs, stats) = run_batches(
             &cfg,
+            &SystemPool::default(),
             0,
             &jobs,
             |sys, i, &job| {
@@ -729,6 +775,52 @@ mod tests {
         .expect("single batch runs");
         assert_eq!(outs, vec![0, 2, 4, 6]);
         assert_eq!(stats.invocations, 1, "all jobs fit one batch");
+    }
+
+    /// One source → sink pipeline per job, whose sink holds the job; a
+    /// job of `u64::MAX` panics in its build.
+    fn echo(cfg: &DeviceConfig, pool: &SystemPool, jobs: &[u64]) -> Result<Vec<u64>, CoreError> {
+        use genesis_hw::modules::sink::StreamSink;
+        use genesis_hw::modules::source::StreamSource;
+        let build = |sys: &mut System, i: u32, &job: &u64| {
+            assert!(job != u64::MAX, "the build of job {job} panics");
+            let q = sys.add_queue(format!("q{i}"));
+            sys.add_module(Box::new(StreamSource::from_items(format!("src{i}"), q, &[vec![job]])));
+            Ok(sys.add_module(Box::new(StreamSink::new(format!("sink{i}"), q))))
+        };
+        let extract = |sys: &System, h, _: &u64| Ok(sys.sink_values(h)[0].val_or_zero());
+        run_batches(cfg, pool, 0, jobs, build, extract).map(|(outs, _)| outs)
+    }
+
+    /// A batch whose build panics fails the run and leaves its System
+    /// out of the pool; the next run makes a new one.
+    #[test]
+    fn a_panicked_batch_leaves_its_system_out_of_the_pool() {
+        let cfg = DeviceConfig { pipelines: 2, host_threads: 1, ..DeviceConfig::small() };
+        let pool = SystemPool::default();
+        assert_eq!(echo(&cfg, &pool, &[3, 4]).unwrap(), vec![3, 4]);
+        assert_eq!(pool.len(), 1, "the batch's System went back");
+        let err = echo(&cfg, &pool, &[5, u64::MAX]).unwrap_err();
+        assert!(err.to_string().contains("panicked"), "{err}");
+        assert_eq!(pool.len(), 0, "the panicked attempt's System is dropped");
+        assert_eq!(echo(&cfg, &pool, &[6, 7]).unwrap(), vec![6, 7]);
+        assert_eq!(pool.len(), 1);
+    }
+
+    /// Batches that run one after another share one System; batches on
+    /// several host threads leave at most one System per thread.
+    #[test]
+    fn the_pool_holds_no_more_systems_than_ran_at_once() {
+        let jobs: Vec<u64> = (0..6).collect();
+        for threads in [1, 2, 4] {
+            let cfg = DeviceConfig { pipelines: 1, host_threads: threads, ..DeviceConfig::small() };
+            let pool = SystemPool::default();
+            for _ in 0..3 {
+                assert_eq!(echo(&cfg, &pool, &jobs).unwrap(), jobs);
+                let at_once = effective_workers(threads, jobs.len());
+                assert!((1..=at_once).contains(&pool.len()), "{} at {threads} threads", pool.len());
+            }
+        }
     }
 
     #[test]

@@ -90,6 +90,10 @@ pub(super) struct PreparedCol {
     /// For flattened list columns (explode inputs): per scan-row run
     /// lengths into `vals`. `None` for one-value-per-row columns.
     pub(super) lens: Option<Vec<u32>>,
+    /// The catalog type of the column it copies (`None` for a column the
+    /// bind derives), which types the plan's output: a bind holds it to
+    /// the analysis' ([`super::Lowering::prepare`]).
+    pub(super) dtype: Option<DataType>,
 }
 
 /// How an explode leaf re-expands its absorbed scan at build time.
@@ -562,7 +566,8 @@ fn prepare_table(
         let Some(col) = col else { continue };
         let (elem_bytes, decode) = (col.elem_bytes, col.decode);
         let vals = col.copy(keep.as_ref());
-        into.push(PreparedCol { name: f.name.clone(), elem_bytes, decode, vals, lens: None });
+        let dtype = Some(f.dtype);
+        into.push(PreparedCol { name: f.name.clone(), elem_bytes, decode, vals, lens: None, dtype });
     }
     let host_only = keys.len();
     cols.extend(keys);
@@ -678,7 +683,8 @@ fn flatten_list_col(
             ))
         }
     };
-    Ok(PreparedCol { name: name.to_owned(), elem_bytes, decode, vals, lens: Some(lens) })
+    let dtype = Some(t.schema().fields()[ci].dtype);
+    Ok(PreparedCol { name: name.to_owned(), elem_bytes, decode, vals, lens: Some(lens), dtype })
 }
 
 /// Per-row evaluation of an explode's position expression (the software
@@ -856,6 +862,7 @@ fn prepare_explode(
                 decode: Decode::U64,
                 vals: Vals::U16(vals),
                 lens: Some(lens),
+                dtype: None,
             };
             (cigar, vec![data], vec![name.to_owned()], usize::from(items))
         }
@@ -938,6 +945,7 @@ fn prepare_explode(
             decode: Decode::U64,
             vals: Vals::U64(pos_vals),
             lens: None,
+            dtype: None,
         },
         cigar_col,
     ];
@@ -1053,6 +1061,7 @@ fn prepare_window(
         decode: Decode::U64,
         vals: Vals::U64(vals),
         lens: None,
+        dtype: None,
     };
     spine.cols.extend([bound(WINDOW_BOUNDS[0], lo), bound(WINDOW_BOUNDS[1], hi.collect())]);
     Ok(PreparedScan {

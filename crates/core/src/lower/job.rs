@@ -368,6 +368,7 @@ impl PreparedJob {
         let run_start = Instant::now();
         let (outs, mut stats) = run_batches(
             &run_cfg,
+            &self.lowering.pool,
             slot,
             &jobs,
             |sys, group, job| {

@@ -32,7 +32,7 @@ mod tests;
 
 use crate::builder::PipelineBuilder;
 use crate::cost::PipelineProfile;
-use crate::device::DeviceConfig;
+use crate::device::{DeviceConfig, SystemPool};
 use crate::error::CoreError;
 use bind::{prepare_scans, PreparedScan, Projection};
 use bounds::SubBounds;
@@ -43,7 +43,7 @@ use genesis_hw::System;
 use genesis_sql::ast::{AggFn, BinOp, ColRef, Expr};
 use genesis_sql::exec::find_col;
 use genesis_sql::{Catalog, LogicalPlan};
-use genesis_types::Schema;
+use genesis_types::{DataType, Schema};
 use job::{Cut, Reach};
 pub(crate) use job::{PreparedJob, RunTimes, ShardOut};
 pub(crate) use pushdown::shape;
@@ -173,8 +173,9 @@ enum SinkKind {
 }
 
 /// A fully analyzed general lowering: the validated core plan, its
-/// host-side epilogues, the output schema, and the cost-model profile.
-#[derive(Debug, Clone)]
+/// host-side epilogues, the output schema, the cost-model profile, and
+/// the Systems its runs reset.
+#[derive(Debug)]
 pub(crate) struct Lowering {
     core: LogicalPlan,
     epilogues: Vec<Epilogue>,
@@ -188,6 +189,10 @@ pub(crate) struct Lowering {
     projection: Projection,
     /// The joins whose right leaf each replica cuts to its reach.
     reaches: Vec<Reach>,
+    /// The catalog type of each column the analysis bound from the
+    /// catalog, by leaf and name: `schema` holds for a bind whose columns
+    /// have these types, and a bind refuses any other.
+    dtypes: Vec<(usize, String, DataType)>,
     /// The plan's output schema ([`LogicalPlan::output_schema`]), the
     /// SQL engine's: the gather builds each column from its raw words at
     /// this type, a `Cell` column by the sink flags of the replicas that
@@ -201,6 +206,9 @@ pub(crate) struct Lowering {
     /// lowered, then one `-> host` line per epilogue: the whole of what
     /// [`crate::compile::PipelinePlan::explain`] says the plan builds.
     pub(crate) summary: Vec<String>,
+    /// The Systems every job bound from this lowering runs its batches
+    /// on, freed with the plan.
+    pool: SystemPool,
 }
 
 /// Resolves a column reference against stream columns ([`find_col`]).
@@ -426,8 +434,14 @@ fn analyze_on(
         };
         format!("{node} -> host")
     }));
+    let dtypes = prepared
+        .iter()
+        .enumerate()
+        .flat_map(|(i, p)| p.cols.iter().filter_map(move |c| Some((i, c.name.clone(), c.dtype?))))
+        .collect();
     let lowering = Arc::new(Lowering {
         schema,
+        dtypes,
         core,
         epilogues,
         each_row,
@@ -437,6 +451,7 @@ fn analyze_on(
         kind,
         profile,
         summary,
+        pool: SystemPool::default(),
     });
     Ok((lowering, sys))
 }
@@ -484,6 +499,7 @@ impl Lowering {
         let mut literals = Literals::new(literals);
         prepare_scans(&self.core, catalog, each_row, binding, &mut literals, &mut prepared)?;
         literals.finish()?;
+        self.check_dtypes(&prepared)?;
         let factor = factor.unwrap_or_else(|| {
             let profile =
                 PipelineProfile { selectivity: selectivity(&prepared), ..self.profile.clone() };
@@ -496,5 +512,25 @@ impl Lowering {
             sub_bounds: SubBounds::default(),
             factor: factor.max(1),
         })
+    }
+
+    /// Refuses a bind that read a column at another type than the
+    /// analysis did: the output schema was typed by the analysis'.
+    fn check_dtypes(&self, prepared: &[PreparedScan]) -> Result<(), CoreError> {
+        for (i, leaf) in prepared.iter().enumerate() {
+            for col in &leaf.cols {
+                let Some(now) = col.dtype else { continue };
+                let was = self.dtypes.iter().find(|(l, name, _)| *l == i && *name == col.name);
+                if let Some(&(_, _, was)) = was.filter(|(_, _, was)| *was != now) {
+                    let reason = format!(
+                        "column {} is {now:?} where the plan was compiled over {was:?}; \
+                         compile the plan again",
+                        col.name
+                    );
+                    return Err(CoreError::plan(format!("Scan({})", leaf.table), reason));
+                }
+            }
+        }
+        Ok(())
     }
 }

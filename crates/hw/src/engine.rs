@@ -33,6 +33,7 @@ const ROLE_OUTPUT: u8 = 2;
 
 /// Per-run span/stall bookkeeping. Kept separate from the tick loop so
 /// every exit path (drain, deadlock, cycle limit) finalizes identically.
+#[derive(Debug, Default)]
 struct RunObs {
     /// Cycle at which this run started.
     base: u64,
@@ -49,16 +50,41 @@ struct RunObs {
 }
 
 impl RunObs {
-    fn new(n: usize, base: u64) -> RunObs {
-        RunObs {
-            base,
-            parked: vec![false; n],
-            park_at: vec![0; n],
-            park_class: vec![StallClass::InputStarved; n],
-            span_start: vec![base; n],
-            stalled: vec![0; n],
-        }
+    /// Refills the bookkeeping for a run of `n` modules from `base`.
+    fn start(&mut self, n: usize, base: u64) {
+        self.base = base;
+        refill(&mut self.parked, n, false);
+        refill(&mut self.park_at, n, 0);
+        refill(&mut self.park_class, n, StallClass::InputStarved);
+        refill(&mut self.span_start, n, base);
+        refill(&mut self.stalled, n, 0);
     }
+}
+
+/// `v` as `n` copies of `value`, in its own buffer.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.resize(n, value);
+}
+
+/// The engine's per-run tables, which a [`crate::System`] keeps between
+/// runs: each run refills every one of them ([`EngineCore::new`]) and
+/// hands them back ([`EngineCore::into_tables`]), so a run allocates
+/// none once the system has run a graph of its size.
+#[derive(Debug, Default)]
+pub(crate) struct EngineTables {
+    obs: RunObs,
+    watchers: Vec<(usize, u8)>,
+    watch_at: Vec<usize>,
+    /// [`watch_lists`]' scratch list of (queue, module, role) pairs.
+    pairs: Vec<(usize, usize, u8)>,
+    qs: Vec<QueueId>,
+    q_at: Vec<(usize, usize, usize)>,
+    done: Vec<bool>,
+    parked_watch: Vec<Watch>,
+    gen: Vec<u32>,
+    timed: BinaryHeap<Reverse<(u64, usize, u32)>>,
+    touched: Vec<u32>,
 }
 
 fn watch_matches(watch: Watch, role: u8, qi: u32) -> bool {
@@ -70,16 +96,20 @@ fn watch_matches(watch: Watch, role: u8, qi: u32) -> bool {
     }
 }
 
-/// The modules that watch each of `queues` queues, in the layout of
-/// [`EngineCore`]'s `watchers` and `watch_at`: one entry per (queue,
+/// The modules that watch each of `queues` queues, written to `watchers`
+/// and `watch_at` in [`EngineCore`]'s layout: one entry per (queue,
 /// module) pair, modules ascending, its role bits the union of every role
-/// the module lists the queue in.
+/// the module lists the queue in. `pairs` is scratch.
 fn watch_lists(
     qs: &[QueueId],
     q_at: &[(usize, usize, usize)],
     queues: usize,
-) -> (Vec<(usize, u8)>, Vec<usize>) {
-    let mut pairs: Vec<(usize, usize, u8)> = Vec::with_capacity(qs.len());
+    pairs: &mut Vec<(usize, usize, u8)>,
+    watchers: &mut Vec<(usize, u8)>,
+    watch_at: &mut Vec<usize>,
+) {
+    pairs.clear();
+    pairs.reserve(qs.len());
     for (i, &(start, split, end)) in q_at.iter().enumerate() {
         for (k, q) in qs[start..end].iter().enumerate() {
             let role = if start + k < split { ROLE_INPUT } else { ROLE_OUTPUT };
@@ -87,10 +117,11 @@ fn watch_lists(
         }
     }
     pairs.sort_unstable_by_key(|&(q, i, _)| (q, i));
-    let mut watchers: Vec<(usize, u8)> = Vec::with_capacity(pairs.len());
-    let mut watch_at = vec![0; queues + 1];
+    watchers.clear();
+    watchers.reserve(pairs.len());
+    refill(watch_at, queues + 1, 0);
     let mut last = None;
-    for (q, i, role) in pairs {
+    for &(q, i, role) in pairs.iter() {
         if last == Some((q, i)) {
             watchers.last_mut().expect("the pair's entry").1 |= role;
             continue;
@@ -103,7 +134,6 @@ fn watch_lists(
     for q in 1..=queues {
         watch_at[q] = watch_at[q].max(watch_at[q - 1]);
     }
-    (watchers, watch_at)
 }
 
 /// Registers (or unregisters) the concrete queues a module's park
@@ -186,6 +216,8 @@ pub(crate) struct EngineCore<'a> {
     touched: Vec<u32>,
     /// Local mirror of the pool's touch-tracking flag.
     tracking: bool,
+    /// [`watch_lists`]' scratch, kept for the next run.
+    pairs: Vec<(usize, usize, u8)>,
 }
 
 impl<'a> EngineCore<'a> {
@@ -199,10 +231,26 @@ impl<'a> EngineCore<'a> {
         trace: &'a mut Option<TraceState>,
         cycle: u64,
         park_enabled: bool,
+        tables: EngineTables,
     ) -> EngineCore<'a> {
+        let EngineTables {
+            mut obs,
+            mut watchers,
+            mut watch_at,
+            mut pairs,
+            mut qs,
+            mut q_at,
+            mut done,
+            mut parked_watch,
+            mut gen,
+            mut timed,
+            mut touched,
+        } = tables;
         let n = modules.len();
-        let mut qs = Vec::with_capacity(4 * n);
-        let mut q_at = Vec::with_capacity(n);
+        qs.clear();
+        qs.reserve(4 * n);
+        q_at.clear();
+        q_at.reserve(n);
         for m in modules.iter() {
             let start = qs.len();
             m.input_queues(&mut qs);
@@ -210,9 +258,15 @@ impl<'a> EngineCore<'a> {
             m.output_queues(&mut qs);
             q_at.push((start, split, qs.len()));
         }
-        let (watchers, watch_at) = watch_lists(&qs, &q_at, queues.len());
-        let done: Vec<bool> = modules.iter().map(|m| m.is_done()).collect();
+        watch_lists(&qs, &q_at, queues.len(), &mut pairs, &mut watchers, &mut watch_at);
+        done.clear();
+        done.extend(modules.iter().map(|m| m.is_done()));
         let done_count = done.iter().filter(|&&d| d).count();
+        obs.start(n, cycle);
+        refill(&mut parked_watch, n, Watch::Inputs);
+        refill(&mut gen, n, 0);
+        timed.clear();
+        touched.clear();
         queues.set_touch_tracking(false);
         queues.clear_watches();
         EngineCore {
@@ -224,7 +278,7 @@ impl<'a> EngineCore<'a> {
             trace,
             cycle,
             ticks: 0,
-            obs: RunObs::new(n, cycle),
+            obs,
             park_enabled,
             watchers,
             watch_at,
@@ -232,12 +286,30 @@ impl<'a> EngineCore<'a> {
             q_at,
             done,
             done_count,
-            parked_watch: vec![Watch::Inputs; n],
+            parked_watch,
             parked_count: 0,
-            gen: vec![0u32; n],
-            timed: BinaryHeap::new(),
-            touched: Vec::new(),
+            gen,
+            timed,
+            touched,
             tracking: false,
+            pairs,
+        }
+    }
+
+    /// Ends the run, handing its tables back for the next one.
+    pub(crate) fn into_tables(self) -> EngineTables {
+        EngineTables {
+            obs: self.obs,
+            watchers: self.watchers,
+            watch_at: self.watch_at,
+            pairs: self.pairs,
+            qs: self.qs,
+            q_at: self.q_at,
+            done: self.done,
+            parked_watch: self.parked_watch,
+            gen: self.gen,
+            timed: self.timed,
+            touched: self.touched,
         }
     }
 

@@ -147,6 +147,9 @@ pub struct MemorySystem {
     /// fault stream. Reads are accepted in the same order under both
     /// engines, so spike placement is engine-independent.
     issued_reads: u64,
+    /// Empty response buffers of a reset system's ports
+    /// ([`MemorySystem::recycle`]), the next port's last.
+    spare: Vec<VecDeque<(u64, u64)>>,
 }
 
 impl MemorySystem {
@@ -163,7 +166,26 @@ impl MemorySystem {
             group_used: Vec::new(),
             stats: MemStats::default(),
             issued_reads: 0,
+            spare: Vec::new(),
         }
+    }
+
+    /// Keeps `old`'s buffers for this fresh memory system: its backing
+    /// store's capacity (every [`MemorySystem::alloc`] zeroes what it
+    /// hands out), its ports' response buffers, emptied, in the order
+    /// `old` registered their ports, and its lists' capacity. Nothing
+    /// else of `old` survives.
+    pub(crate) fn recycle(&mut self, old: MemorySystem) {
+        debug_assert!(self.data.is_empty() && self.ports.is_empty(), "recycle into a fresh system");
+        let MemorySystem { mut data, mut ports, mut group_used, mut spare, .. } = old;
+        spare.extend(ports.drain(..).rev().map(|p| {
+            let mut r = p.responses;
+            r.clear();
+            r
+        }));
+        data.clear();
+        group_used.clear();
+        (self.data, self.ports, self.group_used, self.spare) = (data, ports, group_used, spare);
     }
 
     /// The active configuration.
@@ -217,7 +239,8 @@ impl MemorySystem {
         if group as usize >= self.group_used.len() {
             self.group_used.resize(group as usize + 1, 0);
         }
-        self.ports.push(Port { group, inflight: 0, responses: VecDeque::new() });
+        let responses = self.spare.pop().unwrap_or_default();
+        self.ports.push(Port { group, inflight: 0, responses });
         PortId(self.ports.len() as u32 - 1)
     }
 

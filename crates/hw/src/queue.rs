@@ -42,9 +42,13 @@ pub struct Queue {
 }
 
 impl Queue {
-    fn new(name: String, capacity: usize) -> Queue {
+    /// A queue on `slots`, a ring of `capacity.next_power_of_two()` slots
+    /// whose contents do not matter: a slot is read only after a push
+    /// wrote it.
+    fn new(name: String, capacity: usize, slots: Box<[Flit]>) -> Queue {
+        debug_assert_eq!(slots.len(), capacity.next_power_of_two());
         Queue {
-            slots: vec![Flit::new(); capacity.next_power_of_two()].into_boxed_slice(),
+            slots,
             head: 0,
             len: 0,
             capacity,
@@ -192,6 +196,9 @@ pub struct QueuePool {
     touched: Vec<u32>,
     /// Whether `get_mut` records touches at all.
     tracking: bool,
+    /// Rings of a reset system's queues ([`QueuePool::recycle`]), the
+    /// next queue's ring last.
+    spare: Vec<Box<[Flit]>>,
 }
 
 impl QueuePool {
@@ -213,8 +220,29 @@ impl QueuePool {
     /// Panics when `capacity == 0`.
     pub fn add_with_capacity(&mut self, name: impl Into<String>, capacity: usize) -> QueueId {
         assert!(capacity > 0, "queue capacity must be positive");
-        self.queues.push(Queue::new(name.into(), capacity));
+        let slots = capacity.next_power_of_two();
+        let ring = match self.spare.iter().rposition(|r| r.len() == slots) {
+            Some(i) => self.spare.swap_remove(i),
+            None => {
+                // A ring of another size makes way, so the spares never
+                // outnumber the queues one system had.
+                self.spare.pop();
+                vec![Flit::new(); slots].into_boxed_slice()
+            }
+        };
+        self.queues.push(Queue::new(name.into(), capacity, ring));
         QueueId(self.queues.len() as u32 - 1)
+    }
+
+    /// Keeps `old`'s buffers for the queues this empty pool adds next:
+    /// its rings, in the order `old` added their queues, and its lists'
+    /// capacity. Nothing else of `old` survives.
+    pub(crate) fn recycle(&mut self, old: QueuePool) {
+        debug_assert!(self.queues.is_empty(), "recycle into an empty pool");
+        let QueuePool { mut queues, mut touched, mut spare, .. } = old;
+        spare.extend(queues.drain(..).rev().map(|q| q.slots));
+        touched.clear();
+        (self.queues, self.touched, self.spare) = (queues, touched, spare);
     }
 
     /// Borrows a queue.

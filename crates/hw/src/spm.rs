@@ -116,6 +116,9 @@ pub struct SpmPool {
     /// Tiered-memory paging state; `None` (the default) means every
     /// scratchpad is fully resident and accesses are free.
     pub(crate) tiers: Option<Box<crate::tier::TierState>>,
+    /// Element vectors of a reset system's scratchpads
+    /// ([`SpmPool::recycle`]), the next scratchpad's last.
+    spare: Vec<Vec<u64>>,
 }
 
 impl SpmPool {
@@ -149,14 +152,39 @@ impl SpmPool {
         bits_per_elem: usize,
     ) -> SpmId {
         assert!((1..=64).contains(&bits_per_elem), "element width must be 1..=64 bits");
+        let data = match self.spare.iter().rposition(|v| v.capacity() >= len) {
+            Some(i) => {
+                let mut v = self.spare.swap_remove(i);
+                v.clear();
+                v.resize(len, 0);
+                v
+            }
+            None => {
+                // A vector too small makes way, so the spares never
+                // outnumber the scratchpads one system had.
+                self.spare.pop();
+                vec![0; len]
+            }
+        };
         self.spms.push(Spm {
             name: name.into(),
-            data: vec![0; len],
+            data,
             bits_per_elem,
             reads: 0,
             writes: 0,
         });
         SpmId(self.spms.len() as u32 - 1)
+    }
+
+    /// Keeps `old`'s element vectors, in the order `old` added their
+    /// scratchpads, and its list's capacity for the scratchpads this
+    /// empty pool adds next; each is zeroed when it is handed out.
+    /// Nothing else of `old` survives: its tiers are dropped.
+    pub(crate) fn recycle(&mut self, old: SpmPool) {
+        debug_assert!(self.spms.is_empty(), "recycle into an empty pool");
+        let SpmPool { mut spms, mut spare, .. } = old;
+        spare.extend(spms.drain(..).rev().map(|s| s.data));
+        (self.spms, self.spare) = (spms, spare);
     }
 
     /// Borrows a scratchpad.

@@ -1,6 +1,6 @@
 //! Pipeline wiring and the per-cycle simulation engine.
 
-use crate::engine::EngineCore;
+use crate::engine::{EngineCore, EngineTables};
 use crate::memory::{MemStats, MemoryConfig, MemorySystem, PortId};
 use crate::modules::{Module, ModuleKind};
 use crate::queue::{QueueId, QueuePool};
@@ -161,6 +161,8 @@ pub struct System {
     stall: Vec<StallCounters>,
     /// Opt-in span/counter tracing (None = disabled, the default).
     trace: Option<TraceState>,
+    /// The engine's per-run tables, refilled by every run.
+    tables: EngineTables,
 }
 
 /// Tracing state while enabled: the recording buffer plus the sampling
@@ -205,7 +207,28 @@ impl System {
             engine: EngineMode::default(),
             stall: Vec::new(),
             trace: None,
+            tables: EngineTables::default(),
         }
+    }
+
+    /// Makes this system what [`System::with_memory`]`(cfg)` makes, keeping
+    /// only the buffers a rebuild fills again: the queue rings, the
+    /// device-memory store, the memory ports' response buffers, the
+    /// scratchpads' element vectors, the stall counters, the engine's
+    /// per-run tables and the capacity of the module, queue, port and
+    /// scratchpad lists. A graph built after a reset gets the same
+    /// [`QueueId`]s, [`SpmId`]s, [`PortId`]s and device addresses as on a
+    /// new system, every buffer it is handed holds nothing of an earlier
+    /// run, and its run is the new system's run.
+    pub fn reset(&mut self, cfg: MemoryConfig) {
+        let old = std::mem::replace(self, System::with_memory(cfg));
+        let System { queues, spms, mem, mut modules, mut stall, tables, .. } = old;
+        self.queues.recycle(queues);
+        self.spms.recycle(spms);
+        self.mem.recycle(mem);
+        modules.clear();
+        stall.clear();
+        (self.modules, self.stall, self.tables) = (modules, stall, tables);
     }
 
     /// Enables (or disables, with a config whose `enabled` is false) span
@@ -421,11 +444,13 @@ impl System {
             &mut self.trace,
             self.cycle,
             self.engine == EngineMode::Fast,
+            std::mem::take(&mut self.tables),
         );
         let result = core.drive(max_cycles);
         core.finalize_obs();
         self.cycle = core.cycle;
         self.module_ticks += core.ticks;
+        self.tables = core.into_tables();
         match result {
             Ok(()) => Ok(self.stats()),
             // The engine constructs `Deadlock` with an empty report (stall
@@ -652,6 +677,119 @@ mod tests {
             + module_cost(ModuleKind::MemoryWriter).times(3);
         assert_eq!(with.luts - without.luts, lanes.luts);
         assert_eq!(with.registers - without.registers, lanes.registers);
+    }
+
+    /// Memory → scratchpad histogram → drain → sink, with a second stream
+    /// written back to device memory: `n` values through every pool a
+    /// reset keeps (rings of three sizes, a reading and a writing port,
+    /// the store, a scratchpad whose counts start from its contents).
+    /// Returns the sink and the written region.
+    fn probe(sys: &mut System, n: u64) -> (ModuleId, u64) {
+        use crate::modules::mem_reader::{MemReader, MemReaderConfig, RowSpec};
+        use crate::modules::mem_writer::{MemWriter, MemWriterConfig};
+        use crate::modules::spm_reader::{SpmReadMode, SpmReader};
+        use crate::modules::spm_updater::{RmwOp, SpmUpdateMode, SpmUpdater};
+        let keys = n as u32 / 2 + 1;
+        let vals: Vec<u8> = (0..n as u32).flat_map(|v| ((v * 7 + 3) % keys).to_le_bytes()).collect();
+        let input = sys.alloc_mem(vals.len());
+        sys.host_write(input, &vals);
+        let output = sys.alloc_mem(n as usize * 8);
+        let (rd, wr) = (sys.register_mem_port(0), sys.register_mem_port(1));
+        let q_in = sys.add_queue("in");
+        let q_trig = sys.add_queue_with_capacity("trig", 3);
+        let q_out = sys.add_queue_with_capacity("out", 5);
+        let q_back = sys.add_queue("back");
+        let spm = sys.add_spm("hist", n as usize, 4);
+        let cfg = MemReaderConfig { base_addr: input, elem_bytes: 4, total_elems: n, rows: RowSpec::None };
+        sys.add_module(Box::new(MemReader::new("rd", cfg, rd, q_in)));
+        let mode = SpmUpdateMode::Rmw { op: RmwOp::Increment };
+        sys.add_module(Box::new(SpmUpdater::new("upd", spm, mode, 0, 0, q_in).with_forward(q_trig)));
+        let drain = SpmReadMode::Drain { trigger: q_trig, len: n };
+        sys.add_module(Box::new(SpmReader::new("drain", vec![spm], drain, 0, q_out)));
+        let items: Vec<Vec<u64>> = (0..n).map(|i| vec![i * i]).collect();
+        sys.add_module(Box::new(StreamSource::from_items("src", q_back, &items)));
+        let wcfg = MemWriterConfig { base_addr: output, elem_bytes: 8 };
+        sys.add_module(Box::new(MemWriter::new("wr", wcfg, wr, q_back)));
+        (sys.add_module(Box::new(StreamSink::new("sink", q_out))), output)
+    }
+
+    /// Everything a run of [`probe`] shows the host.
+    type Seen = (SimStats, StallReport, Vec<crate::word::Flit>, ResourceReport, Vec<u8>, bool, bool);
+
+    fn probe_run(sys: &mut System, n: u64) -> Seen {
+        let (sink, output) = probe(sys, n);
+        let stats = sys.run(1_000_000).expect("the probe drains");
+        let written = sys.host_read(output, n as usize * 8).to_vec();
+        let (tiers, trace) = (sys.tier_stats().is_some(), sys.trace().is_some());
+        let flits = sys.module_as::<StreamSink>(sink).expect("a sink").flits().to_vec();
+        (stats, sys.stall_report(), flits, sys.resource_report(), written, tiers, trace)
+    }
+
+    /// A system reset after a run that deadlocked, hit the cycle limit,
+    /// paged its scratchpads or was traced runs the probe as a new system
+    /// does: the same stats, stall report, sink values, resource report
+    /// and memory, with no tiers and no trace.
+    #[test]
+    fn a_reset_system_runs_as_a_new_one() {
+        let cfg = MemoryConfig { latency_cycles: 7, ..MemoryConfig::default() };
+        let other = MemoryConfig { latency_cycles: 30, max_inflight_per_port: 2, ..cfg.clone() };
+        let fresh = probe_run(&mut System::with_memory(cfg.clone()), 48);
+        let counts = fresh.2.iter().filter(|f| !f.is_end_item()).map(|f| f.field(1).val_or_zero());
+        assert_eq!(counts.sum::<u64>(), 48, "every value counted once");
+        let tiers = crate::tier::TierParams {
+            page_bytes: 64,
+            spm_bytes: 64,
+            dram_bytes: 1 << 20,
+            host_bytes: 0,
+            pcie_lat_cycles: 10,
+            pcie_bytes_per_cycle: 8,
+            dram_lat_cycles: 4,
+            dram_bytes_per_cycle: 16,
+            max_inflight: 4,
+        };
+        type Dirty = fn(&mut System, &crate::tier::TierParams);
+        let dirty: [(&str, Dirty); 4] = [
+            ("deadlocked", |sys, _| {
+                probe(sys, 40);
+                let stuck = sys.add_queue("never closed");
+                sys.add_module(Box::new(StreamSink::new("stuck", stuck)));
+                let err = sys.run(u64::MAX >> 2).unwrap_err();
+                assert!(matches!(err, SimError::Deadlock { .. }));
+            }),
+            ("cycle limit", |sys, _| {
+                // Stopped with reads in flight and flits in the queues.
+                probe(sys, 400);
+                assert_eq!(sys.run(20).unwrap_err(), SimError::CycleLimit { limit: 20 });
+            }),
+            ("tiered", |sys, tiers| {
+                probe(sys, 64);
+                sys.set_tiers(*tiers).expect("an unbounded host admits it");
+                sys.run(1_000_000).expect("the tiered probe drains");
+                assert!(sys.tier_stats().is_some_and(|t| t.pages_filled > 0));
+            }),
+            ("traced", |sys, _| {
+                sys.set_trace(TraceConfig::on());
+                probe(sys, 30);
+                sys.run(1_000_000).expect("the traced probe drains");
+                assert!(sys.trace().is_some_and(|t| t.spans().next().is_some()));
+            }),
+        ];
+        for (what, dirty) in dirty {
+            for before in [&cfg, &other] {
+                let mut sys = System::with_memory(before.clone());
+                sys.set_engine(EngineMode::Reference);
+                dirty(&mut sys, &tiers);
+                sys.reset(cfg.clone());
+                assert_eq!(sys.engine(), EngineMode::Fast, "{what}: the engine is a new system's");
+                assert_eq!(sys.cycle(), 0, "{what}");
+                assert!(sys.queues().is_empty() && sys.spms().is_empty(), "{what}");
+                let seen = probe_run(&mut sys, 48);
+                assert_eq!(seen, fresh, "{what}, then reset from {before:?}");
+                // A second reset reuses what the probe itself left.
+                sys.reset(cfg.clone());
+                assert_eq!(probe_run(&mut sys, 48), fresh, "{what}, reset twice");
+            }
+        }
     }
 
     /// A guard predicate costs one Filter comparator: a ReadToBases

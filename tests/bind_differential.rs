@@ -101,9 +101,10 @@ fn conjunct(shape: usize, op: usize, literal: u64) -> Expr {
     }
 }
 
-/// The table served on `shards` shards at `replication` equals the
-/// software engine's, and the spine's `spine_rows` scanned rows tile
-/// across the shards.
+/// The table served on `shards` shards at `replication`, and executed
+/// again after a run over the reversed tables, equals the software
+/// engine's, and the spine's `spine_rows` scanned rows tile across the
+/// shards.
 fn differential(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -111,8 +112,10 @@ fn differential(
     spine_rows: usize,
     (shards, replication): (&[usize], usize),
 ) -> Result<Vec<(String, AccelStats)>, TestCaseError> {
-    let roads = shards.iter().map(|&s| Road::Served(s)).collect();
-    let runs = check(plan, catalog, &Axes { roads, ..Axes::at(replication).pushdown(pushdown) })?;
+    let mut roads: Vec<Road> = shards.iter().map(|&s| Road::Served(s)).collect();
+    roads.push(Road::Direct);
+    let axes = Axes { roads, ..Axes::at(replication).pushdown(pushdown).reused() };
+    let runs = check(plan, catalog, &axes)?;
     for (what, stats) in &runs {
         prop_assert!(
             stats.rows_scanned == spine_rows as u64,

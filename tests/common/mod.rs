@@ -384,6 +384,11 @@ pub struct Axes {
     /// Under faults a run may also end in [`is_fault_error`]'s errors;
     /// a run that returns must still return the SQL engine's table.
     pub faults: Option<FaultConfig>,
+    /// On the direct road, run the compiled plan over [`reversed`] tables
+    /// first, so the Systems its runs reset hold queues, scratchpads and
+    /// device memory left dirty at other sizes, and hold the run over the
+    /// case's own tables after it to the SQL engine's table.
+    pub reuse: bool,
     /// Accept the refusal of a GROUP BY whose key has no derivable bound
     /// when the SQL engine's table is empty: a scan that binds no row
     /// sizes no scratchpad (`serve_edges.rs` holds that refusal).
@@ -401,6 +406,7 @@ impl Axes {
             engines: vec![EngineMode::Fast],
             tiers: None,
             faults: None,
+            reuse: false,
             empty_group_refused: false,
         }
     }
@@ -426,6 +432,12 @@ impl Axes {
         self
     }
 
+    /// Reruns the direct road's plan after a run over other data.
+    pub fn reused(mut self) -> Axes {
+        self.reuse = true;
+        self
+    }
+
     /// Whether `e` ends a run this sweep accepts (see the fields).
     fn excuses(&self, e: &CoreError, sw: &Table) -> bool {
         let refused = matches!(e, CoreError::Unsupported { .. })
@@ -435,17 +447,32 @@ impl Axes {
     }
 }
 
-/// Runs `plan` on one road.
+/// `t` with its rows in reverse order.
+fn reversed(t: &Table) -> Table {
+    let mut out = Table::new(t.schema().clone());
+    for r in (0..t.num_rows()).rev() {
+        out.push_row(t.row(r)).unwrap();
+    }
+    out
+}
+
+/// Runs `plan` on one road; on the direct road, after a run over `dirty`
+/// when there is one, whatever that run returns.
 fn run(
     plan: &LogicalPlan,
     catalog: &Catalog,
+    dirty: Option<&Catalog>,
     cfg: &DeviceConfig,
     road: Road,
     factor: usize,
 ) -> Result<(Table, AccelStats), CoreError> {
     match road {
         Road::Direct => {
-            Compiler::new(cfg.clone()).compile(plan, catalog)?.execute_replicated(catalog, factor)
+            let compiled = Compiler::new(cfg.clone()).compile(plan, catalog)?;
+            if let Some(dirty) = dirty {
+                let _ = compiled.execute_replicated(dirty, factor);
+            }
+            compiled.execute_replicated(catalog, factor)
         }
         Road::Served(shards) => {
             let pool = ServerConfig::default().with_devices(1, cfg.clone()).with_shards(shards);
@@ -485,6 +512,13 @@ pub fn check<'a>(
         let text = format!("{:?} vs output_schema {:?}", sw.schema(), schema);
         return Err(fail("software schema", text));
     }
+    let dirty = axes.reuse.then(|| {
+        let mut dirty = catalog.clone_tables();
+        for name in catalog.table_names() {
+            dirty.register(name, reversed(catalog.table(name).unwrap()));
+        }
+        dirty
+    });
     let mut runs = Vec::new();
     for &engine in &axes.engines {
         for &pushdown in &axes.pushdown {
@@ -497,12 +531,13 @@ pub fn check<'a>(
             }
             for &road in &axes.roads {
                 let what = format!(
-                    "{engine:?}, pushdown {pushdown}, tiers {}, faults {:?}, {road:?} at {}x",
+                    "{engine:?}, pushdown {pushdown}, tiers {}, faults {:?}, reuse {}, {road:?} at {}x",
                     axes.tiers.is_some(),
                     axes.faults.as_ref().map(|f| f.seed),
+                    axes.reuse,
                     axes.factor
                 );
-                match run(&plan, catalog, &cfg, road, axes.factor) {
+                match run(&plan, catalog, dirty.as_ref(), &cfg, road, axes.factor) {
                     Ok((hw, stats)) => {
                         same_table(&hw, &sw, &what)?;
                         runs.push((what, stats));

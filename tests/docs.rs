@@ -7,6 +7,13 @@
 //! lines or comment markers counts as one. CHANGES.md is a log of what
 //! each change said at the time, so it is not held to the current
 //! sections.
+//!
+//! Every `crates/…` path the same files name exists, a `*` matching any
+//! run of characters within one path component and `{a,b}` either
+//! alternative. CHANGES.md is exempt as a log, the benchmark package
+//! `genesis_e2e/` as frozen with its benchmark and this file for its
+//! examples, and so is the verify skill's check that a deleted file stays
+//! deleted.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -157,6 +164,131 @@ fn every_design_citation_names_its_section_and_title() {
     assert!(found.len() >= 40, "only {} citations found: the scan reads too little", found.len());
     let n = broken.len();
     assert!(n == 0, "{n} citations name no title of their section:\n{}", broken.join("\n"));
+}
+
+/// Files whose `crates/…` paths are not checked (see the module header).
+const PATHS_EXEMPT: [&str; 3] = ["CHANGES.md", "genesis_e2e/", "tests/docs.rs"];
+
+/// A line that names a path because it must not exist.
+const ABSENT: &str = "test -e crates/core/src/lower.rs || echo gone";
+
+/// The `crates/…` paths named in `text`, each with its line number,
+/// trailing punctuation left off.
+fn crate_paths(text: &str) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        if line.contains(ABSENT) {
+            continue;
+        }
+        for (at, _) in line.match_indices("crates/") {
+            let preceded = line[..at].chars().next_back();
+            if preceded.is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '/' || c == '.') {
+                continue;
+            }
+            let path: String = line[at..]
+                .chars()
+                .take_while(|&c| c.is_ascii_alphanumeric() || "_./{},*-".contains(c))
+                .collect();
+            out.push((n + 1, path.trim_end_matches(['.', ',']).to_owned()));
+        }
+    }
+    out
+}
+
+/// `path` with its one `{a,b}` group expanded.
+fn alternatives(path: &str) -> Vec<String> {
+    match (path.find('{'), path.find('}')) {
+        (Some(open), Some(close)) if open < close => path[open + 1..close]
+            .split(',')
+            .map(|alt| format!("{}{alt}{}", &path[..open], &path[close + 1..]))
+            .collect(),
+        _ => vec![path.to_owned()],
+    }
+}
+
+/// Whether `name` matches `pattern`, whose `*`s match any run of
+/// characters.
+fn glob_matches(pattern: &str, name: &str) -> bool {
+    let mut parts = pattern.split('*');
+    let first = parts.next().unwrap_or("");
+    let Some(mut rest) = name.strip_prefix(first) else { return false };
+    let parts: Vec<&str> = parts.collect();
+    for (i, part) in parts.iter().enumerate() {
+        if i + 1 == parts.len() {
+            return rest.len() >= part.len() && rest.ends_with(part);
+        }
+        match rest.find(part) {
+            Some(at) => rest = &rest[at + part.len()..],
+            None => return false,
+        }
+    }
+    rest.is_empty()
+}
+
+/// Whether some file or directory under `root` matches `path`, component
+/// by component.
+fn exists(root: &Path, path: &str) -> bool {
+    let mut dirs = vec![root.to_path_buf()];
+    for component in path.split('/').filter(|c| !c.is_empty()) {
+        let mut next = Vec::new();
+        for dir in &dirs {
+            if !component.contains('*') {
+                next.push(dir.join(component));
+                continue;
+            }
+            let Ok(entries) = fs::read_dir(dir) else { continue };
+            for entry in entries.flatten() {
+                if glob_matches(component, &entry.file_name().to_string_lossy()) {
+                    next.push(entry.path());
+                }
+            }
+        }
+        dirs = next;
+    }
+    dirs.iter().any(|p| p.exists())
+}
+
+#[test]
+fn every_named_crate_path_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    sources(root, &mut files);
+    let (mut named, mut missing) = (0, Vec::new());
+    for path in &files {
+        let file = path.strip_prefix(root).unwrap().to_string_lossy().into_owned();
+        if PATHS_EXEMPT.iter().any(|e| file == *e || (e.ends_with('/') && file.starts_with(e))) {
+            continue;
+        }
+        let Ok(text) = fs::read_to_string(path) else { continue };
+        for (line, named_path) in crate_paths(&text) {
+            named += 1;
+            for alt in alternatives(&named_path) {
+                if !exists(root, &alt) {
+                    missing.push(format!("{file}:{line}: {alt}"));
+                }
+            }
+        }
+    }
+    assert!(named >= 40, "only {named} paths found: the scan reads too little");
+    let n = missing.len();
+    assert!(n == 0, "{n} named paths do not exist:\n{}", missing.join("\n"));
+}
+
+#[test]
+fn a_named_path_is_read_with_its_globs_and_alternatives() {
+    let text = "see `crates/hw/src/modules/{mem_writer,binidgen}.rs`, and crates/*/src.\n\
+                not xcrates/a, nor lib/crates/b; test -e crates/core/src/lower.rs || echo gone";
+    let paths: Vec<String> = crate_paths(text).into_iter().map(|(_, p)| p).collect();
+    assert_eq!(paths, ["crates/hw/src/modules/{mem_writer,binidgen}.rs", "crates/*/src"]);
+    assert_eq!(
+        alternatives(&paths[0]),
+        ["crates/hw/src/modules/mem_writer.rs", "crates/hw/src/modules/binidgen.rs"]
+    );
+    assert!(glob_matches("*.rs", "tier.rs") && glob_matches("a*b*c", "abbc"));
+    assert!(!glob_matches("*.rs", "tier.md") && !glob_matches("a*b", "ab c"));
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert!(exists(root, "crates/*/src") && exists(root, "crates/hw/src/modules/*.rs"));
+    assert!(!exists(root, "crates/core/src/lower.rs") && !exists(root, "crates/*/nothing"));
 }
 
 #[test]

@@ -93,15 +93,16 @@ fn guarded(
     }
 }
 
-/// `script`'s `out` table compiled at `factor` equals the software
-/// engine's on both engines.
+/// `script`'s `out` table compiled at `factor`, and executed again after a
+/// run over the reversed tables, equals the software engine's on both
+/// engines.
 fn differential(
     sql: &str,
     catalog: &Catalog,
     out: &str,
     factor: usize,
 ) -> Result<(), TestCaseError> {
-    let axes = Axes::at(factor).engines(&ENGINES);
+    let axes = Axes::at(factor).engines(&ENGINES).reused();
     check(Query::Script { sql, out }, catalog, &axes).map(drop)
 }
 
@@ -236,6 +237,7 @@ proptest! {
                 .pushdown(&[true, false])
                 .engines(&ENGINES)
                 .faults((faults.0 == 1).then_some(faults.1))
+                .reused()
         };
         check(&plan, &catalog, &axes)?;
     }

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{arb_faults, catalog_of, is_fault_error, seeded_faults, u32_table};
+use common::{arb_faults, catalog_of, check, is_fault_error, seeded_faults, u32_table, Axes, Query};
 use genesis::core::accel::bqsr::BqsrAccel;
 use genesis::core::accel::markdup::QualitySumAccel;
 use genesis::core::accel::metadata::MetadataAccel;
@@ -112,21 +112,28 @@ fn shard_dma_fault(faults: &FaultConfig, seq: u64, attempt: u32) -> bool {
     faults.dma_fault(seq << 32, attempt).is_some()
 }
 
-/// Serves `SELECT K, COUNT(*) FROM T GROUP BY K ORDER BY K` over 512 rows
-/// once, on a fresh two-device server split into `shards` shards; returns
-/// the result and the server's counters.
+/// A histogram of `T.K`, into `Hist`.
+const HIST_SQL: &str = "\
+    INSERT INTO Hist\n\
+    SELECT K, COUNT(*)\n\
+    FROM T\n\
+    GROUP BY K\n\
+    ORDER BY K";
+
+/// `T(K)`: 512 rows of 7 keys.
+fn hist_catalog() -> genesis::sql::Catalog {
+    let keys = (0..512u32).map(|i| i * i % 7).collect();
+    catalog_of(vec![("T", u32_table(vec![("K", keys)]))])
+}
+
+/// Serves [`HIST_SQL`] over [`hist_catalog`] once, on a fresh two-device
+/// server split into `shards` shards; returns the result and the server's
+/// counters.
 fn serve_hist(
     device: DeviceConfig,
     shards: usize,
 ) -> (Table, genesis::core::AccelStats, BTreeMap<String, u64>) {
-    const HIST_SQL: &str = "\
-        INSERT INTO Hist\n\
-        SELECT K, COUNT(*)\n\
-        FROM T\n\
-        GROUP BY K\n\
-        ORDER BY K";
-    let keys = (0..512u32).map(|i| i * i % 7).collect();
-    let catalog = catalog_of(vec![("T", u32_table(vec![("K", keys)]))]);
+    let catalog = hist_catalog();
     let server =
         GenesisServer::new(ServerConfig::default().with_devices(2, device).with_shards(shards));
     server.register_script("hist", HIST_SQL).unwrap();
@@ -205,9 +212,13 @@ proptest! {
 
     /// Any seeded schedule either converges to bit-identical output or
     /// returns a structured error — never a panic (and the cycle budget /
-    /// deadlock detector bound runtime, so never a hang).
+    /// deadlock detector bound runtime, so never a hang). The compiled
+    /// histogram runs again after a run over other data, on the Systems
+    /// that run's faulted attempts handed back.
     #[test]
     fn any_schedule_converges_or_errors(faults in arb_faults()) {
+        let axes = Axes::at(4).faults(Some(faults.clone())).reused();
+        check(Query::Script { sql: HIST_SQL, out: "Hist" }, &hist_catalog(), &axes)?;
         let dataset = Dataset::generate(&DatagenConfig::tiny());
         let gen_cfg = DatagenConfig::tiny();
         let clean_md = QualitySumAccel::new(DeviceConfig::small()).run(&dataset.reads).unwrap();

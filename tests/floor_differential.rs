@@ -58,8 +58,9 @@ fn reads_catalog(lo: u32, specs: &[ReadSpec], shuffle: u64) -> Catalog {
     catalog_of(vec![("READS", reads)])
 }
 
-/// The compiled plan at `factor` and served at `shards` (same factor),
-/// with tiers and pushdown as drawn, both equal the software engine.
+/// The compiled plan at `factor`, executed again after a run over the
+/// reversed tables, and served at `shards` (same factor), with tiers and
+/// pushdown as drawn, both equal the software engine.
 fn differential(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -70,7 +71,7 @@ fn differential(
     let axes = Axes {
         tiers: tiers.then(tiny_tiers),
         empty_group_refused: true,
-        ..Axes::at(factor).served(shards).pushdown(&[pushdown])
+        ..Axes::at(factor).served(shards).pushdown(&[pushdown]).reused()
     };
     check(plan, catalog, &axes).map(drop)
 }

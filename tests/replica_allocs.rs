@@ -14,7 +14,16 @@
 //! A replica cost 147 allocations here before the budget (labels formatted
 //! three times and copied twice, a fresh queue list per module per run, a
 //! stall report that copied every label, growing line and response
-//! buffers, a two-step read-back); it costs 56 now.
+//! buffers, a two-step read-back), 51 while every batch built a new
+//! `System`, and 42 now.
+//!
+//! What a run keeps: a compiled plan's batches run on `System`s its
+//! `Lowering` pools and resets, so a rerun reuses the queue rings, the
+//! device-memory store, the memory ports' response buffers, the
+//! scratchpads' vectors, the stall counters and the engine's per-run
+//! tables. What it still builds: the module graph (every module, its
+//! label and its own buffers), the queue and scratchpad names, the bind's
+//! copies of the scanned columns and the gather's result table.
 //!
 //! The byte budgets execute the three plan shapes of the `serve_hot`
 //! benchmark workload over its 8,192-row `U32` table, and one round of
@@ -24,10 +33,13 @@
 //! `serve_hot` executes took 624,418 bytes then. Selecting in place and
 //! copying the survivors of the streamed columns once, at their width,
 //! cut that to 324,734 bytes, and answering a shard's scanned rows from
-//! the row mask instead of a list of survivors cut it to the budget
-//! below. The gather decoded every output word into a 32-byte `Value`;
+//! the row mask instead of a list of survivors cut it to 263,302. The
+//! gather decoded every output word into a 32-byte `Value`;
 //! building each column at its output type from the words cut the
-//! genomics round from 2,947,756 bytes to its budget.
+//! genomics round from 2,947,756 bytes to 2,174,956. Resetting a pooled
+//! `System` instead of building one per batch cut the three `serve_hot`
+//! executes from 260,062 bytes and the genomics round from 2,174,956
+//! bytes to their budgets below.
 
 use genesis::core::compile::Compiler;
 use genesis::core::device::DeviceConfig;
@@ -37,13 +49,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Most heap allocations one added replica of compiled coverage may cost.
-const PER_REPLICA_BUDGET: u64 = 60;
+const PER_REPLICA_BUDGET: u64 = 42;
 
 /// Most bytes the three `serve_hot` executes may allocate together.
-const SERVE_HOT_BYTES: u64 = 263_302;
+const SERVE_HOT_BYTES: u64 = 118_130;
 
 /// Most bytes one `serve_genomics` round may allocate.
-const GENOMICS_ROUND_BYTES: u64 = 2_196_716;
+const GENOMICS_ROUND_BYTES: u64 = 872_692;
 
 struct Counting;
 

@@ -13,13 +13,15 @@
 //! ALU immediate, a `LIMIT` count and a plan with pushdown off each get a
 //! key per literal. Replication is chosen when a plan binds, from the
 //! compile's profile at the bound selectivity, and the result is typed by
-//! the data the plan runs on, never by the data it compiled over.
+//! the data the plan runs on, never by the data it compiled over; a bind
+//! that reads a column at another type than the compile did is refused.
 
 mod common;
 
 use common::{agg, aggregate, bin, catalog_of, col, filter, item, join, project, read_explode};
 use common::{same_table, scan, table_of, u32_table, CMP_OPS};
 use genesis::core::compile::Compiler;
+use genesis::core::CoreError;
 use genesis::core::device::DeviceConfig;
 use genesis::core::perf::AccelStats;
 use genesis::core::serve::{fingerprint, GenesisServer, Request, ServerConfig};
@@ -335,4 +337,38 @@ fn a_stale_plan_decodes_by_the_data_it_runs_on() {
         assert_eq!(srv.cache_stats().hits, 1, "{what}: the second request hits the cache");
         same_table(&table, &want, &format!("{what}: a cache hit")).unwrap();
     }
+}
+
+/// A plan types its output by the column types it was compiled over, so
+/// a bind that reads a column at another type is refused, naming the
+/// table and the column: `Scan(T)` compiled over `T.C U32` and run over
+/// `T.C Bool` would return the `U32`s `0, 1` where the SQL engine returns
+/// `Bool`s. The server's cache keys a plan by its tables' schemas, so a
+/// request over the changed table compiles afresh and returns the
+/// engine's table.
+#[test]
+fn a_bind_over_a_changed_column_type_is_refused() {
+    let t = |c: Column| catalog_of(vec![("T", table_of(vec![("C", c)]))]);
+    let (compiled_over, run_over) = (t(Column::U32(vec![0, 1])), t(Column::Bool(vec![false, true])));
+    let plan = scan("T");
+    let stale = Compiler::new(DeviceConfig::small()).compile(&plan, &compiled_over).unwrap();
+    let refused = |what: &str, e: CoreError| {
+        let text = e.to_string();
+        assert!(matches!(e, CoreError::Plan { .. }), "{what}: {text}");
+        assert!(text.contains("Scan(T)") && text.contains("column C is Bool"), "{what}: {text}");
+    };
+    refused("PipelinePlan::execute", stale.execute(&run_over).unwrap_err());
+    // The same plan still runs over the data it was compiled for.
+    let want = execute_plan(&plan, &compiled_over, &Env::default()).unwrap();
+    same_table(&stale.execute(&compiled_over).unwrap().0, &want, "the compiled types").unwrap();
+
+    let srv = server(1, DeviceConfig::small());
+    let req = Request::precompiled("t", stale);
+    refused("Request::precompiled", srv.submit(req, &run_over).and_then(|t| t.wait()).unwrap_err());
+
+    let want = execute_plan(&plan, &run_over, &Env::default()).unwrap();
+    srv.submit(Request::new("t", plan.clone()), &compiled_over).unwrap().wait().unwrap();
+    let (table, _) = srv.submit(Request::new("t", plan), &run_over).unwrap().wait().unwrap();
+    assert_eq!(srv.cache_stats().hits, 0, "the changed schema is another shape");
+    same_table(&table, &want, "a request over the changed table").unwrap();
 }
