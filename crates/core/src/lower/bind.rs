@@ -8,6 +8,7 @@ use super::{
     for_each_ref, is_partition_key, unknown_column, Decode, EachRow, StreamCol, CHR_COL,
     LOOP_LEAVES, POS_COLS,
 };
+use super::bounds::Bounds;
 use super::pushdown::{select, Literals, PushedFilter, Survivors};
 use crate::error::CoreError;
 use genesis_hw::word::MAX_FIELDS;
@@ -69,9 +70,8 @@ impl Vals {
         by_width!(self, v => as_u64(v[i]))
     }
 
-    /// The largest value, `None` when there is none.
-    pub(super) fn max(&self) -> Option<u64> {
-        by_width!(self, v => v.iter().max().map(|&x| as_u64(x)))
+    pub(super) fn bounds(&self) -> Bounds {
+        by_width!(self, v => Bounds::of(v.iter().map(|&x| as_u64(x))))
     }
 }
 
@@ -877,7 +877,6 @@ fn prepare_explode(
     out_offsets.push(0usize);
     let mut last_pos = Vec::with_capacity(rows);
     let (mut has_ins, mut has_del) = (false, false);
-    let mut max_pos = 0u64;
     let mut ascending = true;
     let mut prev_pos: Option<u64> = None;
     let mut trailing = false;
@@ -907,7 +906,6 @@ fn prepare_explode(
         let start = pos_vals[r];
         let end = start.saturating_add(w.ref_len);
         last_pos.push(end.saturating_sub(1).max(start));
-        max_pos = max_pos.max(last_pos[r]);
         // Positions within one read strictly increase; the stream is
         // ascending when reads chain without overlap (and no Ins marker
         // interrupts the POS column).
@@ -928,13 +926,13 @@ fn prepare_explode(
     }
     let data_col = |name: &str, c: &PreparedCol| StreamCol {
         nullable: has_del,
-        max_value: c.vals.max(),
+        bounds: c.vals.bounds().down_to_zero(),
         ..StreamCol::new(name, c.decode)
     };
     let mut out_cols = vec![StreamCol {
         nullable: has_ins,
         ascending,
-        max_value: Some(max_pos),
+        bounds: Bounds::of(last_pos.iter().copied()).down_to_zero(),
         ..StreamCol::new("POS", Decode::U64)
     }];
     out_cols.extend(data.iter().zip(&names).map(|(c, name)| data_col(name, c)));

@@ -1,7 +1,7 @@
-//! The value bounds a stream's columns carry: narrowed through filter
-//! conjuncts, derived for computed items only when no row can wrap, and
-//! read off scanned data. They size GROUP BY scratchpads, so they decide
-//! which predicates and ALU plans lower at all.
+//! The value bounds a stream's columns carry ([`Bounds`]): narrowed
+//! through filter conjuncts, derived for computed items only when no row
+//! can wrap, and read off scanned data. They size GROUP BY scratchpads,
+//! so they decide which predicates and ALU plans lower at all.
 
 use super::bind::{by_width, PreparedScan};
 use super::{cmp_of, resolve, Decode, StreamCol};
@@ -12,11 +12,76 @@ use genesis_sql::ast::{BinOp, Expr};
 use genesis_sql::exec::literal_cmp;
 use std::sync::{Mutex, PoisonError};
 
-/// `(strictly ascending, min, max)` of a scanned range at its width, in
-/// one pass (`min` is the trivial bound 0 and `max` is `None` for an
-/// empty range).
-pub(super) fn range_stats<T: Copy + Ord + Into<u64>>(vals: &[T]) -> (bool, u64, Option<u64>) {
-    let Some((&first, rest)) = vals.split_first() else { return (true, 0, None) };
+/// The values a column can hold: none (its stream carries no row), every
+/// value in `[lo, hi]`, or every value from `lo` up (no derivable top).
+/// The one carrier and combiner of value bounds in the lowering.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Bounds(Option<(u64, Option<u64>)>);
+
+impl Bounds {
+    pub(super) const EMPTY: Bounds = Bounds(None);
+    /// Nothing is known: any value.
+    pub(super) const ANY: Bounds = Bounds(Some((0, None)));
+
+    /// From `lo` up to `top`, if any; empty when `lo > top`.
+    fn new(lo: u64, top: Option<u64>) -> Bounds {
+        Bounds(Some((lo, top)).filter(|_| top.is_none_or(|hi| lo <= hi)))
+    }
+
+    pub(super) fn within(lo: u64, hi: u64) -> Bounds {
+        Bounds::new(lo, Some(hi))
+    }
+
+    pub(super) fn of(vals: impl Iterator<Item = u64>) -> Bounds {
+        let (lo, hi) = vals.fold((u64::MAX, 0), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        Bounds::within(lo, hi)
+    }
+
+    /// The values both admit.
+    fn meet(self, other: Bounds) -> Bounds {
+        let (Some((a, at)), Some((b, bt))) = (self.0, other.0) else { return Bounds::EMPTY };
+        Bounds::new(a.max(b), at.zip(bt).map(|(x, y)| x.min(y)).or(at).or(bt))
+    }
+
+    /// `[0, top]`: what a column bounded only from above holds.
+    pub(super) fn down_to_zero(self) -> Bounds {
+        Bounds(self.0.map(|(_, top)| (0, top)))
+    }
+
+    /// The least interval holding every value, `None` when none can occur.
+    pub(super) fn span(self) -> Option<(u64, u64)> {
+        self.0.map(|(lo, top)| (lo, top.unwrap_or(u64::MAX)))
+    }
+
+    /// The GROUP BY scratchpad window `[floor, max]` holding every key: one
+    /// key no update touches when none can occur, `None` with no top.
+    pub(super) fn key_window(self) -> Option<(u64, u64)> {
+        self.0.map_or(Some((0, 0)), |(lo, top)| top.map(|hi| (lo, hi)))
+    }
+
+    /// `l + r` as the engine's `wrapping_add`: a top only when no row can
+    /// overflow (the floors then sum too).
+    fn add(self, r: Bounds) -> Bounds {
+        let (Some((ll, lt)), Some((rl, rt))) = (self.0, r.0) else { return Bounds::EMPTY };
+        let top = lt.zip(rt).and_then(|(a, b)| a.checked_add(b));
+        top.map_or(Bounds::ANY, |hi| Bounds::within(ll + rl, hi))
+    }
+
+    /// `l - r` as the engine's `wrapping_sub`: bounded only when the least
+    /// minuend covers the largest subtrahend, so no row can underflow.
+    fn sub(self, r: Bounds) -> Bounds {
+        let (Some((ll, lt)), Some((rl, rt))) = (self.0, r.0) else { return Bounds::EMPTY };
+        match rt {
+            Some(rh) if ll >= rh => Bounds::new(ll - rh, lt.map(|t| t - rl)),
+            _ => Bounds::ANY,
+        }
+    }
+}
+
+/// `(strictly ascending, bounds)` of a scanned range at its width, in one
+/// pass.
+pub(super) fn range_stats<T: Copy + Ord + Into<u64>>(vals: &[T]) -> (bool, Bounds) {
+    let Some((&first, rest)) = vals.split_first() else { return (true, Bounds::EMPTY) };
     let (mut ascending, mut prev, mut min, mut max) = (true, first, first, first);
     for &v in rest {
         ascending &= prev < v;
@@ -24,40 +89,29 @@ pub(super) fn range_stats<T: Copy + Ord + Into<u64>>(vals: &[T]) -> (bool, u64, 
         min = min.min(v);
         max = max.max(v);
     }
-    (ascending, min.into(), Some(max.into()))
+    (ascending, Bounds::within(min.into(), max.into()))
 }
 
 /// Narrows column metadata through a lowered conjunct. Both engines drop
 /// `Ins`/`Del` sentinels on ordered and `Eq` comparisons with a number
 /// literal ([`literal_cmp`], the rule the output schema types by), so a
-/// column surviving one is no longer nullable — and upper-bounding
-/// comparisons tighten its `max_value`, which is what admits
-/// `GROUP BY POS` over an exploded stream behind `WHERE POS < n`.
+/// column surviving one is no longer nullable — and its bounds keep only
+/// the values the comparison passes, which is what admits `GROUP BY POS`
+/// over an exploded stream behind `WHERE POS < n`.
 pub(super) fn narrow_filtered_col(cols: &mut [StreamCol], part: &Expr) {
     let Some((col, op, lit)) = literal_cmp(part) else { return };
     let Ok(i) = resolve(cols, &[], col, "Filter") else { return };
     let c = &mut cols[i];
     c.nullable = false;
-    let bound = match op {
-        // `lit == 0` makes `x < 0` pass nothing, so the saturated claim
-        // `max <= 0` is vacuously valid for the (empty) survivors.
-        BinOp::Lt => Some(lit.saturating_sub(1)),
-        BinOp::Le | BinOp::Eq => Some(lit),
-        _ => None,
+    let kept = match op {
+        BinOp::Lt => lit.checked_sub(1).map_or(Bounds::EMPTY, |top| Bounds::within(0, top)),
+        BinOp::Le => Bounds::within(0, lit),
+        BinOp::Eq => Bounds::within(lit, lit),
+        BinOp::Gt => lit.checked_add(1).map_or(Bounds::EMPTY, |lo| Bounds::new(lo, None)),
+        BinOp::Ge => Bounds::new(lit, None),
+        _ => Bounds::ANY,
     };
-    if let Some(bd) = bound {
-        c.max_value = Some(c.max_value.map_or(bd, |m| m.min(bd)));
-    }
-    let floor = match op {
-        // Dually, `lit == u64::MAX` makes `x > MAX` pass nothing and the
-        // saturated floor `MAX` is vacuously valid for the empty stream.
-        BinOp::Gt => Some(lit.saturating_add(1)),
-        BinOp::Ge | BinOp::Eq => Some(lit),
-        _ => None,
-    };
-    if let Some(fl) = floor {
-        c.min_value = c.min_value.max(fl);
-    }
+    c.bounds = c.bounds.meet(kept);
 }
 
 /// Lowers one conjunct to a hardware [`Predicate`], rejecting shapes whose
@@ -227,83 +281,53 @@ pub(super) fn plan_comp(
     }
 }
 
-/// `(min, max)` bounds on a computed item's values, when derivable:
-/// comparisons yield 0/1, and `Add`/`Sub` bound their result only when
-/// *no row can wrap* — the engine computes with
-/// `wrapping_add`/`wrapping_sub` (`genesis-sql::exec`), so a saturated
-/// or minuend-only bound would declare a GROUP BY scratchpad domain the
-/// wrapped keys escape (a ~2^64 key aliased into a small histogram).
-/// Three wrap-freedom proofs are accepted, in order:
-///
-/// - `Add`: the operand maxima sum without overflow.
-/// - `Sub` over two columns of the *same* prepared scan: the rows stream
-///   aligned (see [`StreamCol::origin`]), so the exact per-row differences
-///   over the scanned data bound every subset of its rows — this admits
-///   mate-distance histograms (`MPOS - POS` with per-row `MPOS >= POS`)
-///   even when the columns' value *ranges* overlap.
-/// - `Sub` by range: the minuend's minimum covers the subtrahend's
-///   maximum, so no row can underflow.
-///
-/// Anything else yields `(0, None)` — no derivable bound — and GROUP BY
-/// over the result is rejected instead of mis-sized.
+/// Bounds on a computed item's values: a comparison is 0 or 1, and
+/// `Add`/`Sub` have a top only when *no row can wrap* — the engine
+/// computes with `wrapping_add`/`wrapping_sub` (`genesis-sql::exec`), so
+/// any other top would size a GROUP BY scratchpad the wrapped keys escape
+/// (a ~2^64 key aliased into a small histogram). `Sub` over two columns of
+/// the *same* prepared scan, whose rows stream aligned (see
+/// [`StreamCol::origin`]), also meets the exact per-row differences over
+/// the scanned data: this admits mate-distance histograms (`MPOS - POS`
+/// with per-row `MPOS >= POS`) even when the columns' value *ranges*
+/// overlap. GROUP BY over a result with no top is refused, not mis-sized.
 pub(super) fn comp_bounds(
     cols: &[StreamCol],
     prepared: &[PreparedScan],
     sub_bounds: &SubBounds,
     plan: &CompPlan,
     decode: Decode,
-) -> (u64, Option<u64>) {
-    const NO_BOUND: (u64, Option<u64>) = (0, None);
-    if decode == Decode::Bool {
-        return (0, Some(1));
-    }
+) -> Bounds {
     let l = &cols[plan.lhs_field];
-    let (rmin, rmax) = match &plan.rhs {
-        CompRhs::Lit(n) => (*n, Some(*n)),
-        CompRhs::Field(f) => (cols[*f].min_value, cols[*f].max_value),
+    let (r, r_origin) = match &plan.rhs {
+        CompRhs::Lit(n) => (Bounds::within(*n, *n), None),
+        CompRhs::Field(f) => (cols[*f].bounds, cols[*f].origin),
     };
+    if decode == Decode::Bool {
+        return Bounds(l.bounds.0.and(r.0).map(|_| (0, Some(1))));
+    }
     match plan.op {
-        AluOp::Add => match (l.max_value, rmax) {
-            (Some(a), Some(b)) => match a.checked_add(b) {
-                // min <= max on both sides, so the minima sum too.
-                Some(hi) => (l.min_value + rmin, Some(hi)),
-                None => NO_BOUND,
-            },
-            _ => NO_BOUND,
-        },
+        AluOp::Add => l.bounds.add(r),
         AluOp::Sub => {
-            if let CompRhs::Field(f) = &plan.rhs {
-                if let (Some((ls, lc)), Some((rs, rc))) = (l.origin, cols[*f].origin) {
-                    if ls == rs {
-                        return sub_bounds.get(prepared, (ls, lc, rc));
-                    }
-                }
-            }
-            match rmax {
-                // No row can underflow: the smallest minuend still
-                // covers the largest subtrahend.
-                Some(rm) if l.min_value >= rm => {
-                    (l.min_value - rm, l.max_value.map(|m| m - rmin))
-                }
-                _ => NO_BOUND,
-            }
+            let rows = match (l.origin, r_origin) {
+                (Some((s, lc)), Some((rs, rc))) if s == rs => sub_bounds.get(prepared, (s, lc, rc)),
+                _ => Bounds::ANY,
+            };
+            l.bounds.sub(r).meet(rows)
         }
-        _ => NO_BOUND,
+        _ => Bounds::ANY,
     }
 }
 
-/// The [`same_scan_sub_bounds`] of one bind, each walked once: every
-/// replica of a `PreparedJob` builds the same projections over the same
-/// prepared scans, so a `(scan, lhs, rhs)` column triple has one answer
-/// however many builds ask.
+/// The [`differences`] of one bind's same-scan columns, each walked
+/// once: every replica of a `PreparedJob` builds the same projections
+/// over the same prepared scans, so a `(scan, lhs, rhs)` column triple has
+/// one answer however many builds ask.
 #[derive(Debug, Default)]
 pub(super) struct SubBounds(Mutex<Vec<(SubKey, Bounds)>>);
 
 /// `(prepared-scan index, lhs column, rhs column)`.
 type SubKey = (usize, usize, usize);
-
-/// `(min, max)` of a column's values, `max` `None` when unbounded.
-type Bounds = (u64, Option<u64>);
 
 impl SubBounds {
     /// The bounds of `lhs - rhs` over columns `lhs` and `rhs` of
@@ -316,27 +340,18 @@ impl SubBounds {
             return bounds;
         }
         let (scan, lhs, rhs) = key;
-        let bounds = same_scan_sub_bounds(&prepared[scan], lhs, rhs);
+        let (lv, rv) = (&prepared[scan].cols[lhs].vals, &prepared[scan].cols[rhs].vals);
+        let bounds = by_width!(lv, lv => by_width!(rv, rv => differences(lv, rv)));
         memo.push((key, bounds));
         bounds
     }
 }
 
-/// Exact bounds of `lhs - rhs` over two row-aligned columns of one
-/// prepared scan, degrading to "no bound" as soon as any row would
-/// underflow (the engine would wrap it past 2^63).
-fn same_scan_sub_bounds(scan: &PreparedScan, lc: usize, rc: usize) -> (u64, Option<u64>) {
-    fn bounds<L: Copy + Into<u64>, R: Copy + Into<u64>>(lv: &[L], rv: &[R]) -> Bounds {
-        if lv.is_empty() {
-            return (0, Some(0));
-        }
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for (&a, &b) in lv.iter().zip(rv) {
-            let Some(d) = a.into().checked_sub(b.into()) else { return (0, None) };
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        (lo, Some(hi))
-    }
-    by_width!(&scan.cols[lc].vals, lv => by_width!(&scan.cols[rc].vals, rv => bounds(lv, rv)))
+/// The bounds of `l[i] - r[i]` over aligned rows, with no derivable top
+/// as soon as any row would underflow (the engine would wrap it past
+/// 2^63).
+pub(super) fn differences<L: Copy + Into<u64>, R: Copy + Into<u64>>(l: &[L], r: &[R]) -> Bounds {
+    let mut diffs = l.iter().zip(r).map(|(&a, &b)| a.into().checked_sub(b.into()));
+    let span = diffs.try_fold((u64::MAX, 0), |(lo, hi), d| d.map(|d| (lo.min(d), hi.max(d))));
+    span.map_or(Bounds::ANY, |(lo, hi)| Bounds::within(lo, hi))
 }

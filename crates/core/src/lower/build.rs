@@ -3,8 +3,8 @@
 
 use super::bind::{as_u64, by_width, match_cigar, plan_node_name, PreparedScan, Vals};
 use super::bounds::{
-    comp_bounds, lower_predicate, narrow_filtered_col, operand, plan_comp, range_stats, CompPlan,
-    CompRhs, SubBounds,
+    comp_bounds, lower_predicate, narrow_filtered_col, operand, plan_comp, range_stats, Bounds,
+    CompPlan, CompRhs, SubBounds,
 };
 use super::job::{Cut, Reach};
 use super::pushdown::conjuncts;
@@ -496,12 +496,10 @@ fn build_explode<'a>(
     // last reference position. Any other leaf keeps its whole bounds, so
     // a cut never admits a plan the whole leaf refuses.
     if idx == 0 && cuts[idx].items.is_none() {
-        let starts =
-            by_width!(&ps.cols[0].vals, v => v[range.clone()].iter().min().map(|&s| as_u64(s)));
-        if let (Some(lo), Some(&hi)) = (starts, spec.last_pos[range].iter().max()) {
-            cols[0].min_value = lo;
-            cols[0].max_value = Some(hi);
-        }
+        let lasts = spec.last_pos[range.clone()].iter().copied();
+        cols[0].bounds = by_width!(&ps.cols[0].vals, v => {
+            Bounds::of(v[range].iter().map(|&s| as_u64(s)).chain(lasts))
+        });
     }
     // The rows are [REFPOS(, BASE(, QUAL))]. Outside a loop body the
     // ReadToBases emits them plain; a loop body keeps its per-read items
@@ -555,15 +553,11 @@ fn build_window<'a>(
     });
     ctx.reads.push(width);
     ctx.note(|| format!("Limit({}) -> MemoryReader + SpmUpdater + SpmReader(range)", ps.table));
-    let last = base.saturating_add((values.vals.len() as u64).saturating_sub(1));
-    let pos = StreamCol {
-        ascending: true,
-        max_value: Some(last),
-        min_value: base,
-        ..StreamCol::new("POS", Decode::U64)
-    };
-    let top = values.vals.max();
-    let data = StreamCol { max_value: top, ..StreamCol::new(&values.name, values.decode) };
+    let last = (values.vals.len() as u64).checked_sub(1);
+    let pos = last.map_or(Bounds::EMPTY, |last| Bounds::within(base, base.saturating_add(last)));
+    let pos = StreamCol { ascending: true, bounds: pos, ..StreamCol::new("POS", Decode::U64) };
+    let bounds = values.vals.bounds().down_to_zero();
+    let data = StreamCol { bounds, ..StreamCol::new(&values.name, values.decode) };
     Ok(Stream::fresh(refs, vec![pos, data], Cow::Borrowed(&[])))
 }
 
@@ -592,11 +586,10 @@ fn build_scan<'a>(
         // A leaf other than the spine is checked whole, however far a cut
         // reaches: a cut never admits a plan the whole leaf refuses.
         let seen = if idx == 0 { range.clone() } else { 0..c.vals.len() };
-        let (ascending, min_value, max_value) = by_width!(&c.vals, v => range_stats(&v[seen]));
+        let (ascending, bounds) = by_width!(&c.vals, v => range_stats(&v[seen]));
         cols.push(StreamCol {
             ascending,
-            max_value,
-            min_value,
+            bounds,
             origin: Some((idx, ci)),
             ..StreamCol::new(&c.name, c.decode)
         });
@@ -729,9 +722,8 @@ fn build_project<'a>(
                 StreamCol { name: name.clone(), ..s.cols[*src].clone() }
             }
             ProjItem::Comp { plan, name, decode } => {
-                let (min_value, max_value) =
-                    comp_bounds(&s.cols, prepared, sub_bounds, plan, *decode);
-                StreamCol { max_value, min_value, ..StreamCol::new(name, *decode) }
+                let bounds = comp_bounds(&s.cols, prepared, sub_bounds, plan, *decode);
+                StreamCol { bounds, ..StreamCol::new(name, *decode) }
             }
         })
         .collect::<Vec<_>>();
@@ -1092,15 +1084,14 @@ fn build_grouped_agg(
             format!("nullable group key {} (padding markers form their own group)", kcol.name),
         ));
     }
-    let Some(max_key) = kcol.max_value.or(Some(0).filter(|_| kcol.decode == Decode::Bool)) else {
+    // The scratchpad holds the keys' window `[floor, max_key]`: the
+    // updaters subtract the floor and the drain adds it back.
+    let Some((floor, max_key)) = kcol.bounds.key_window() else {
         return Err(CoreError::unsupported(
             "Aggregate(GROUP BY)",
             format!("group key {} has no derivable domain bound", kcol.name),
         ))
     };
-    // The scratchpad holds the keys' window `[floor, max_key]`: the
-    // updaters subtract the floor and the drain adds it back.
-    let floor = if kcol.decode == Decode::Bool { 0 } else { kcol.min_value.min(max_key) };
     let width = max_key - floor;
     if width >= ctx.group_domain_cap {
         let cap = ctx.group_domain_cap;

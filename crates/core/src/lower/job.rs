@@ -437,17 +437,18 @@ impl PreparedJob {
         out.push(Cut::rows(spine.clone()));
         out.extend(rest.iter().map(|p| Cut::rows(0..p.rows)));
         let cuts = &mut out[start..];
-        let stats = |col: &PreparedCol| by_width!(&col.vals, v => range_stats(&v[spine.clone()]));
+        let bounds = |c: &PreparedCol| by_width!(&c.vals, v => range_stats(&v[spine.clone()])).1;
         for reach in &self.lowering.reaches {
-            let (_, lo, hi) = stats(&first.cols[reach.spine]);
             let leaf = &self.prepared[reach.leaf];
-            cuts[reach.leaf] = hi.map_or(Cut::rows(0..0), |hi| leaf.reach(reach.key, lo, hi));
+            let cut = |(lo, hi)| leaf.reach(reach.key, lo, hi);
+            cuts[reach.leaf] = bounds(&first.cols[reach.spine]).span().map_or(Cut::rows(0..0), cut);
         }
-        let bound = |name: &str| first.cols.iter().find(|c| c.name == name).map(stats);
+        let span = |name: &str| {
+            first.cols.iter().find(|c| c.name == name).and_then(|c| bounds(c).span())
+        };
         for (cut, p) in cuts.iter_mut().zip(&self.prepared).skip(1) {
             let Some(base) = p.window else { continue };
-            let (Some((_, lo, Some(_))), Some((_, _, Some(hi)))) =
-                (bound(WINDOW_BOUNDS[0]), bound(WINDOW_BOUNDS[1]))
+            let (Some((lo, _)), Some((_, hi))) = (span(WINDOW_BOUNDS[0]), span(WINDOW_BOUNDS[1]))
             else {
                 cut.items = Some(0..0);
                 continue;

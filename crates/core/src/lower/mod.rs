@@ -35,7 +35,7 @@ use crate::cost::PipelineProfile;
 use crate::device::{DeviceConfig, SystemPool};
 use crate::error::CoreError;
 use bind::{prepare_scans, PreparedScan, Projection};
-use bounds::SubBounds;
+use bounds::{Bounds, SubBounds};
 use build::{build_core, BuildCtx};
 use genesis_hw::modules::filter::CmpOp;
 use genesis_hw::resource::{pipeline_overhead, shell_overhead, ResourceUsage};
@@ -88,15 +88,9 @@ struct StreamCol {
     /// within each loop row when the stream carries one item per row
     /// (join-key precondition).
     ascending: bool,
-    /// Upper bound on the values, when derivable from the scanned data
-    /// (the top of the GROUP BY scratchpad's key window).
-    max_value: Option<u64>,
-    /// Lower bound on the values (`0` is the trivially valid unsigned
-    /// bound; the floor of the GROUP BY scratchpad's key window). Together
-    /// with `max_value` this proves computed keys cannot wrap: the
-    /// engine's `wrapping_add`/`wrapping_sub` only match a dense
-    /// scratchpad domain when no row under- or overflows.
-    min_value: u64,
+    /// The values it can hold: the GROUP BY scratchpad's key window, and
+    /// the proof that computed keys cannot wrap.
+    bounds: Bounds,
     /// Provenance of the values: `(prepared-scan index, column index)`
     /// when every value streamed unchanged from that scanned column.
     /// Filters, joins, and projections only pass row *subsets* through
@@ -121,8 +115,7 @@ impl StreamCol {
             decode,
             nullable: false,
             ascending: false,
-            max_value: None,
-            min_value: 0,
+            bounds: Bounds::ANY,
             origin: None,
             field: 0,
         }

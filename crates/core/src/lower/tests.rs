@@ -906,3 +906,206 @@ fn grouped_runs_merge_to_one_ascending_keyed_sum() {
         assert_eq!(merged[2], want.values().map(|v| v.1).collect::<Vec<_>>());
     }
 }
+
+/// [`Bounds`] against the SQL engine's own arithmetic, exhaustively over
+/// bounds whose endpoints sit at both ends of `u64`, where the engine's
+/// `wrapping_add`/`wrapping_sub` wrap.
+mod bounds {
+    use super::super::bounds::{comp_bounds, differences, narrow_filtered_col, plan_comp};
+    use super::super::bounds::{Bounds, CompOperand, SubBounds};
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `{0..=7} ∪ {u64::MAX - 7..=u64::MAX}`.
+    fn ends() -> Vec<u64> {
+        (0..=7).chain(u64::MAX - 7..=u64::MAX).collect()
+    }
+
+    fn x() -> Expr {
+        Expr::Col(ColRef::bare("X"))
+    }
+
+    fn cmp(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
+        Expr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
+    }
+
+    /// A `U64` column named `name` in field `field`, bounded by `bounds`.
+    fn column(name: &str, field: usize, bounds: Bounds) -> StreamCol {
+        StreamCol { field, bounds, ..StreamCol::new(name, Decode::U64) }
+    }
+
+    /// What [`narrow_filtered_col`] leaves of `bounds` on column `X`
+    /// under `pred`.
+    fn narrowed(bounds: Bounds, pred: &Expr) -> Bounds {
+        let mut cols = [column("X", 0, bounds)];
+        narrow_filtered_col(&mut cols, pred);
+        cols[0].bounds
+    }
+
+    /// Every bound over [`ends`]: empty, each `[lo, hi]` and each
+    /// at-least-`lo` (what `X >= lo` keeps of a column nothing bounds).
+    fn every_bound() -> Vec<Bounds> {
+        let ends = ends();
+        let mut out = vec![Bounds::EMPTY];
+        for (i, &lo) in ends.iter().enumerate() {
+            out.extend(ends[i..].iter().map(|&hi| Bounds::within(lo, hi)));
+            out.push(narrowed(Bounds::ANY, &cmp(BinOp::Ge, x(), Expr::Number(lo))));
+        }
+        out
+    }
+
+    fn holds(bounds: Bounds, v: u64) -> bool {
+        bounds.span().is_some_and(|(lo, hi)| (lo..=hi).contains(&v))
+    }
+
+    /// The indices of the [`ends`] `bounds` holds.
+    fn members(bounds: Bounds) -> Vec<usize> {
+        ends().iter().enumerate().filter(|&(_, &v)| holds(bounds, v)).map(|(i, _)| i).collect()
+    }
+
+    /// The engine's column `0` of `plan` over `table`, each value as the
+    /// word the hardware carries.
+    fn engine(plan: &LogicalPlan, table: (String, Table)) -> Vec<u64> {
+        let out = software(plan, &catalog_with(vec![table]));
+        let word = |v: &Value| match v {
+            Value::U64(n) => *n,
+            Value::Bool(b) => u64::from(*b),
+            other => panic!("{other:?}"),
+        };
+        (0..out.num_rows()).map(|r| word(&out.row(r)[0])).collect()
+    }
+
+    /// `SELECT lhs op rhs FROM T`.
+    fn computed(op: BinOp, lhs: Expr, rhs: Expr) -> LogicalPlan {
+        let expr = cmp(op, lhs, rhs);
+        LogicalPlan::Project {
+            input: Box::new(scan("T")),
+            items: vec![SelectItem::Expr { expr, alias: Some("V".into()) }],
+        }
+    }
+
+    const OPS: [BinOp; 8] =
+        [BinOp::Add, BinOp::Sub, BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+
+    /// For `+`, `-` and the six comparisons over two columns, every pair
+    /// of bounds holds every value the engine computes over two values
+    /// they hold, and is empty exactly when one of them is; so does a
+    /// column against each literal on either side, where the lowering
+    /// plans it.
+    #[test]
+    fn derived_bounds_hold_every_value_the_engine_computes() {
+        let ends = ends();
+        let n = ends.len();
+        let a: Vec<u64> = (0..n * n).map(|k| ends[k / n]).collect();
+        let b: Vec<u64> = (0..n * n).map(|k| ends[k % n]).collect();
+        let bounds: Vec<(Bounds, Vec<usize>)> =
+            every_bound().into_iter().map(|bd| (bd, members(bd))).collect();
+        let (prepared, memo) = (&[][..], &SubBounds::default());
+        for op in OPS {
+            let plan = computed(op, Expr::Col(ColRef::bare("A")), Expr::Col(ColRef::bare("B")));
+            let vals = engine(&plan, table_u64("T", &[("A", a.clone()), ("B", b.clone())]));
+            let (fields, decode) = plan_comp(op, &CompOperand::Field(0), &CompOperand::Field(1))
+                .unwrap_or_else(|e| panic!("{op:?}: {e}"));
+            for (l, li) in &bounds {
+                for (r, ri) in &bounds {
+                    let cols = [column("A", 0, *l), column("B", 1, *r)];
+                    let d = comp_bounds(&cols, prepared, memo, &fields, decode);
+                    let none = *l == Bounds::EMPTY || *r == Bounds::EMPTY;
+                    assert_eq!(d == Bounds::EMPTY, none, "{l:?} {op:?} {r:?} = {d:?}");
+                    for (i, j) in li.iter().flat_map(|&i| ri.iter().map(move |&j| (i, j))) {
+                        let v = vals[i * n + j];
+                        let (l, r) = (ends[i], ends[j]);
+                        assert!(holds(d, v), "{l} {op:?} {r} = {v} outside {d:?}");
+                    }
+                }
+            }
+            for (k, &lit) in ends.iter().enumerate() {
+                let sides = [
+                    (CompOperand::Field(0), CompOperand::Lit(lit), x(), Expr::Number(lit)),
+                    (CompOperand::Lit(lit), CompOperand::Field(0), Expr::Number(lit), x()),
+                ];
+                for (lo, ro, le, re) in sides {
+                    let Ok((fields, decode)) = plan_comp(op, &lo, &ro) else { continue };
+                    let table = table_u64("T", &[("X", ends.clone())]);
+                    let vals = engine(&computed(op, le, re), table);
+                    for (l, li) in &bounds {
+                        let d = comp_bounds(&[column("X", 0, *l)], prepared, memo, &fields, decode);
+                        for &i in li {
+                            let v = vals[i];
+                            let what = format!("{op:?} of {} and literal {k}", ends[i]);
+                            assert!(holds(d, v), "{what}: {v} outside {d:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Narrowing by `=`, `<`, `<=`, `>` and `>=`, the literal on either
+    /// side, keeps every value the engine's Filter keeps, and says empty
+    /// exactly when the Filter keeps none of the values the bound holds
+    /// (every literal and every bound's ends are [`ends`], so the least
+    /// and the largest value a narrowed bound keeps are too).
+    #[test]
+    fn narrowing_keeps_every_row_the_engine_keeps() {
+        let ends = ends();
+        let bounds = every_bound();
+        for op in [BinOp::Eq, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge] {
+            for &lit in &ends {
+                for pred in [cmp(op, x(), Expr::Number(lit)), cmp(op, Expr::Number(lit), x())] {
+                    let plan =
+                        LogicalPlan::Filter { input: Box::new(scan("T")), pred: pred.clone() };
+                    let kept = engine(&plan, table_u64("T", &[("X", ends.clone())]));
+                    for &bd in &bounds {
+                        let after = narrowed(bd, &pred);
+                        let mut held = kept.iter().copied().filter(|&v| holds(bd, v)).peekable();
+                        let none = held.peek().is_none();
+                        for v in held {
+                            assert!(holds(after, v), "{pred:?} keeps {v} of {bd:?}: {after:?}");
+                        }
+                        assert_eq!(after == Bounds::EMPTY, none, "{pred:?} of {bd:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The same-scan `lhs - rhs` walk over aligned columns holds every
+        /// row's wrapped difference, is exact when no row underflows and
+        /// has no top when one does.
+        #[test]
+        fn same_scan_differences_hold_every_row(
+            rows in proptest::collection::vec((0usize..2, 0u64..16, 0u64..16), 0..24),
+        ) {
+            let ends = ends();
+            // Half the rows at both ends of u64, half small.
+            let value = |wide: usize, i: u64| if wide == 1 { ends[i as usize] } else { i * 3 };
+            let lhs: Vec<u64> = rows.iter().map(|&(w, l, _)| value(w, l)).collect();
+            let rhs: Vec<u64> = rows.iter().map(|&(w, _, r)| value(w, r)).collect();
+            let d = differences(&lhs, &rhs);
+            let (a, b) = (Expr::Col(ColRef::bare("A")), Expr::Col(ColRef::bare("B")));
+            let plan = computed(BinOp::Sub, a, b);
+            let vals = engine(&plan, table_u64("T", &[("A", lhs.clone()), ("B", rhs.clone())]));
+            for &v in &vals {
+                prop_assert!(holds(d, v), "{} outside {:?}", v, d);
+            }
+            if lhs.iter().zip(&rhs).all(|(l, r)| l >= r) {
+                let exact = vals.iter().min().map(|&lo| (lo, *vals.iter().max().unwrap()));
+                prop_assert_eq!(d.span(), exact);
+            } else {
+                prop_assert_eq!(d.key_window(), None);
+            }
+        }
+    }
+}
+
+/// Every served request builds every replica, and every replica's build
+/// holds a `StreamCol` per column: one `Bounds` field takes no more room
+/// than the two it replaced.
+#[test]
+fn a_stream_column_takes_88_bytes_at_most() {
+    assert!(std::mem::size_of::<StreamCol>() <= 88, "{}", std::mem::size_of::<StreamCol>());
+}

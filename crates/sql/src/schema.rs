@@ -334,11 +334,17 @@ mod tests {
         found.unwrap_or_else(|| panic!("{src}: no column {name}")).1
     }
 
-    const BASES: &str = "(ReadExplode (READS.POS, READS.CIGAR, READS.SEQ) FROM READS)";
+    /// The explode `scripts/coverage.sql` reads, as a FROM item (the
+    /// query text has one copy, the script).
+    fn bases() -> String {
+        let script = include_str!("../../../scripts/coverage.sql");
+        let explode = script.lines().find(|l| l.starts_with("ReadExplode")).unwrap();
+        format!("({explode} FROM READS)")
+    }
 
     #[test]
     fn an_explode_position_is_a_cell() {
-        let src = format!("CREATE TABLE O AS SELECT * FROM {BASES}");
+        let src = format!("CREATE TABLE O AS SELECT * FROM {}", bases());
         assert_eq!(dtype(&src, "POS"), DataType::Cell);
     }
 
@@ -346,7 +352,7 @@ mod tests {
     fn an_ordered_or_equal_literal_comparison_makes_an_explode_position_a_number() {
         let cmps = ["POS < 9", "POS <= 9", "POS = 9", "POS > 9", "9 >= POS", "SEQ = 1 AND POS < 9"];
         for cmp in cmps {
-            let src = format!("CREATE TABLE O AS SELECT * FROM {BASES} WHERE {cmp}");
+            let src = format!("CREATE TABLE O AS SELECT * FROM {} WHERE {cmp}", bases());
             assert_eq!(dtype(&src, "POS"), DataType::U64, "{cmp}");
         }
     }
@@ -354,14 +360,14 @@ mod tests {
     #[test]
     fn an_unequal_comparison_leaves_an_explode_position_a_cell() {
         for cmp in ["POS <> 9", "POS < 9 OR SEQ = 1", "POS < POS"] {
-            let src = format!("CREATE TABLE O AS SELECT * FROM {BASES} WHERE {cmp}");
+            let src = format!("CREATE TABLE O AS SELECT * FROM {} WHERE {cmp}", bases());
             assert_eq!(dtype(&src, "POS"), DataType::Cell, "{cmp}");
         }
     }
 
     #[test]
     fn count_and_sum_are_numbers() {
-        let src = format!("CREATE TABLE O AS SELECT COUNT(*), SUM(POS) FROM {BASES}");
+        let src = format!("CREATE TABLE O AS SELECT COUNT(*), SUM(POS) FROM {}", bases());
         assert_eq!(types(&src), [("COUNT".into(), DataType::U64), ("SUM".into(), DataType::U64)]);
     }
 

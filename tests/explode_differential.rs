@@ -230,16 +230,32 @@ proptest! {
             let keys = u32_table(vec![("LK", spine_keys(&keys))]);
             (plan, catalog_of(vec![("REF", ref_table(1, &ref_rows)), ("L", keys)]))
         };
-        let axes = Axes {
-            empty_group_refused: true,
-            ..Axes::at(factor)
-                .served(shards)
-                .pushdown(&[true, false])
-                .engines(&ENGINES)
-                .faults((faults.0 == 1).then_some(faults.1))
-                .reused()
-        };
+        let axes = Axes::at(factor)
+            .served(shards)
+            .pushdown(&[true, false])
+            .engines(&ENGINES)
+            .faults((faults.0 == 1).then_some(faults.1))
+            .reused();
         check(&plan, &catalog, &axes)?;
+    }
+
+    /// A pileup of a region of `POS` no read reaches, below the first
+    /// read or past the last read's end, over zero reads or more: the
+    /// `GROUP BY POS` key window of every replica is empty.
+    #[test]
+    fn pileup_of_a_region_no_read_reaches(
+        specs in proptest::collection::vec(read_spec(6, 4, 5), 0..10),
+        past in 0usize..2,
+        from in 100u64..200,
+        span in 1u64..40,
+        factor in 1usize..17,
+        shards in 1usize..4,
+    ) {
+        // Reads start at 1 and end before 100.
+        let region = if past == 1 { (5, from, span) } else { (1, 1, 0) };
+        let plan = grouped(guarded(read_explode("READS", false), region, None), "POS", &[]);
+        let axes = Axes::at(factor).served(shards).pushdown(&[true, false]).engines(&ENGINES);
+        check(&plan, &reads_catalog(&specs), &axes.reused())?;
     }
 }
 

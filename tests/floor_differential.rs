@@ -9,8 +9,11 @@
 //! conjuncts, pushed into the scan or filtered in hardware, and (b) a
 //! `ReadExplode` pileup over position-sorted or shuffled reads whose
 //! CIGARs hold `S`, `I` and `D` runs, at 1–16 replicas, 1–3 served shards
-//! and tiers on or off. Fixed cases hold a far window that runs on chip
-//! only because its floor is subtracted, and the over-budget text.
+//! and tiers on or off, and (c) a `GROUP BY K` whose window conjuncts keep
+//! no row, pushed and not: its key window is empty, a one-key scratchpad
+//! no update touches. Fixed cases hold a zero-row table, a far window that
+//! runs on chip only because its floor is subtracted, and the over-budget
+//! text.
 
 mod common;
 
@@ -70,7 +73,6 @@ fn differential(
 ) -> Result<(), TestCaseError> {
     let axes = Axes {
         tiers: tiers.then(tiny_tiers),
-        empty_group_refused: true,
         ..Axes::at(factor).served(shards).pushdown(&[pushdown]).reused()
     };
     check(plan, catalog, &axes).map(drop)
@@ -125,6 +127,43 @@ proptest! {
             ab => ab,
         };
         differential(&pileup(a, b), &cat, (tiers == 1, true), factor, shards)?;
+    }
+
+    /// `GROUP BY K` over keys in `[lo, lo + w)` under `K >= a AND K < b`
+    /// that keep no row: `b <= a`, or `[a, b)` past every key.
+    #[test]
+    fn empty_window_matches_the_sql_engine(
+        lo in 0u64..1_000_000,
+        w in 1u64..300,
+        picks in proptest::collection::vec((0u64..1_000, 0u32..50), 1..60),
+        past in 0usize..2,
+        from in 0u64..300,
+        gap in 0u64..300,
+        factor in 1usize..17,
+        shards in 1usize..4,
+    ) {
+        let keys: Vec<u32> = picks.iter().map(|&(k, _)| (lo + k % w) as u32).collect();
+        let vals: Vec<u32> = picks.iter().map(|&(_, v)| v).collect();
+        let cat = catalog_of(vec![("T", u32_table(vec![("K", keys), ("V", vals)]))]);
+        let (a, b) = if past == 1 {
+            (lo + w + from, lo + w + from + gap + 1)
+        } else {
+            (lo + from + gap, lo + from)
+        };
+        let plan = grouped(window(scan("T"), "K", Some(a), Some(b)), "K", &["V"]);
+        let axes = Axes::at(factor).served(shards).pushdown(&[true, false]).reused();
+        check(&plan, &cat, &axes)?;
+    }
+}
+
+/// A zero-row table groups to the SQL engine's empty table, with and
+/// without window conjuncts, pushed and not.
+#[test]
+fn zero_row_table_groups_to_nothing() {
+    let cat = catalog_of(vec![("T", u32_table(vec![("K", vec![]), ("V", vec![])]))]);
+    for (a, b) in [(None, None), (Some(3), Some(9))] {
+        let plan = grouped(window(scan("T"), "K", a, b), "K", &["V"]);
+        check(&plan, &cat, &Axes::at(4).served(2).pushdown(&[true, false]).reused()).unwrap();
     }
 }
 

@@ -1,12 +1,12 @@
 //! Edges of the serving path (ROADMAP D-iv).
 //!
-//! Empty inputs: a zero-row table, a filter that drops every row, and a
-//! spine with fewer rows than shards — each through `GenesisServer` at 1
-//! and 2 shards. Every request must resolve exactly once, without a
-//! panic, to the table the software engine computes. The one shape that
-//! does not lower over an empty stream — a grouped aggregate, whose
-//! scratchpad domain comes from the scanned keys — must be refused at
-//! `submit` with a structured error, never queued.
+//! Empty inputs: a zero-row table, a filter that drops every row, a spine
+//! with fewer rows than shards and a cached plan bound to a table emptied
+//! since it was compiled — each through `GenesisServer` at 1 and 2
+//! shards. Every request, streamed rows, scalar aggregates and a grouped
+//! aggregate alike, must resolve exactly once, without a panic, to the
+//! table the software engine computes: a key with no value to hold sizes
+//! a one-key scratchpad no update touches, and its drain emits nothing.
 //!
 //! Lifecycle: a server dropped with jobs still queued, a zero deadline and
 //! a zero queue bound — no ordering of these may panic, hang or lose a
@@ -35,15 +35,16 @@ fn below(bound: u64) -> LogicalPlan {
     filter(scan("T"), bin(BinOp::Lt, col("X"), Expr::Number(bound)))
 }
 
-/// Streamed rows and scalar aggregates over `input`.
-fn stream_and_scalar(input: &LogicalPlan) -> Vec<LogicalPlan> {
-    vec![input.clone(), aggregate(input.clone(), scalar_aggs("X"))]
+/// Streamed rows, scalar aggregates and `COUNT(*)` grouped by `K` over
+/// `input`.
+fn every_sink(input: &LogicalPlan) -> Vec<LogicalPlan> {
+    let scalar = aggregate(input.clone(), scalar_aggs("X"));
+    vec![input.clone(), scalar, grouped(input.clone(), "K", &[])]
 }
 
-/// Submits every plan twice to a paused server, resumes, and checks
-/// every ticket against the software engine. `refused` must not pass
-/// `submit`.
-fn check(what: &str, cat: &Catalog, plans: &[LogicalPlan], refused: Option<&LogicalPlan>) {
+/// Submits every plan twice over each of `cats` in turn to a paused
+/// server, resumes, and checks every ticket against the software engine.
+fn check(what: &str, cats: &[&Catalog], plans: &[LogicalPlan]) {
     for shards in [1, 2] {
         let server = GenesisServer::new(
             ServerConfig::default()
@@ -51,20 +52,18 @@ fn check(what: &str, cat: &Catalog, plans: &[LogicalPlan], refused: Option<&Logi
                 .with_shards(shards)
                 .start_paused(),
         );
-        let tickets: Vec<_> = plans
-            .iter()
-            .flat_map(|p| [p, p])
-            .map(|p| (p, server.submit(Request::new("t", p.clone()), cat).unwrap()))
-            .collect();
-        if let Some(plan) = refused {
-            let err = server.submit(Request::new("t", plan.clone()), cat).unwrap_err();
-            let CoreError::Unsupported { node, reason } = err else { panic!("{what}: {err}") };
-            assert_eq!(node, "Aggregate(GROUP BY)");
-            assert_eq!(reason, "group key K has no derivable domain bound");
+        let mut tickets = Vec::new();
+        for cat in cats {
+            for plan in plans.iter().flat_map(|p| [p, p]) {
+                let ticket = server.submit(Request::new("t", plan.clone()), cat).unwrap();
+                tickets.push((plan, *cat, ticket));
+            }
         }
+        let cache = server.cache_stats();
+        assert_eq!(cache.misses as usize, plans.len(), "{what}: each plan compiles once");
         server.resume();
         let submitted = tickets.len() as u64;
-        for (plan, ticket) in tickets {
+        for (plan, cat, ticket) in tickets {
             let (hw, _) =
                 ticket.wait().unwrap_or_else(|e| panic!("{what}, {shards} shard(s): {e}"));
             let sw = execute_plan(plan, cat, &Env::default()).unwrap();
@@ -81,25 +80,25 @@ fn check(what: &str, cat: &Catalog, plans: &[LogicalPlan], refused: Option<&Logi
 
 #[test]
 fn zero_row_table() {
-    let input = below(10);
-    let refused = grouped(input.clone(), "K", &[]);
-    check("zero-row table", &catalog(vec![]), &stream_and_scalar(&input), Some(&refused));
+    check("zero-row table", &[&catalog(vec![])], &every_sink(&below(10)));
 }
 
 #[test]
 fn filter_that_drops_every_row() {
-    let input = below(0);
-    let cat = catalog((0..40).collect());
-    let refused = grouped(input.clone(), "K", &[]);
-    check("all rows dropped", &cat, &stream_and_scalar(&input), Some(&refused));
+    check("all rows dropped", &[&catalog((0..40).collect())], &every_sink(&below(0)));
 }
 
 #[test]
 fn spine_shorter_than_the_shard_count() {
-    let input = below(10);
-    let mut plans = stream_and_scalar(&input);
-    plans.push(grouped(input.clone(), "K", &[]));
-    check("one-row spine", &catalog(vec![7]), &plans, None);
+    check("one-row spine", &[&catalog(vec![7])], &every_sink(&below(10)));
+}
+
+/// Each plan compiles over forty rows and is then bound, from the cache,
+/// to the same table with no rows.
+#[test]
+fn a_cached_plan_bound_to_an_emptied_table() {
+    let plans = every_sink(&below(10));
+    check("emptied table", &[&catalog((0..40).collect()), &catalog(vec![])], &plans);
 }
 
 /// `SELECT COUNT(*) FROM T WHERE X < 10` over `0..40`.

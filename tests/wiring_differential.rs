@@ -79,8 +79,8 @@ fn differential(
     (factor, shards): (usize, usize),
     faults: Option<FaultConfig>,
 ) -> Result<(), TestCaseError> {
-    let axes = Axes { empty_group_refused: true, ..Axes::at(factor).served(shards) };
-    check(plan, catalog, &axes.pushdown(&[pushdown]).faults(faults)).map(drop)
+    let axes = Axes::at(factor).served(shards).pushdown(&[pushdown]).faults(faults);
+    check(plan, catalog, &axes).map(drop)
 }
 
 /// `SELECT` the key, `COUNT(*)` and a `SUM` of each of `sums` (aliased
@@ -567,8 +567,8 @@ proptest! {
             _ => project(scan("W"), vec![SelectItem::Star]),
         };
         let faults = (faults.0 == 1).then_some(faults.1);
-        let axes = Axes { empty_group_refused: true, ..Axes::at(factor).served(shards) };
-        let axes = axes.pushdown(&[pushdown == 1]).engines(&ENGINES).faults(faults);
+        let axes = Axes::at(factor).served(shards).pushdown(&[pushdown == 1]);
+        let axes = axes.engines(&ENGINES).faults(faults);
         check(&plan, &cat, &axes)?;
     }
 }

@@ -14,7 +14,9 @@
 # sides run the benchmark source of their own checkout, so a change that
 # edits genesis_e2e/ is not comparable and is refused.
 #
-# Verdict per (workload, metric):
+# Verdict per (workload, metric), the first that applies:
+#   same        every pair ties: a metric deterministic per seed that the
+#               change did not move, however widely the seeds spread it
 #   gain        the change wins >= 9/10 of the pairs (ties count for
 #               neither side) and the medians differ by more than the
 #               distance between the parent's quartiles
@@ -144,7 +146,8 @@ END {
             worse = (pmed - cmed) * sign
             clear = sign > 0 ? cmin > pmax : cmax < pmin
             verdict = "same"
-            if (wins * 10 >= (wins + losses + ties) * 9 && (cmed - pmed) * sign > pq3 - pq1) verdict = "gain"
+            if (ties == pairs) verdict = "same"
+            else if (wins * 10 >= (wins + losses + ties) * 9 && (cmed - pmed) * sign > pq3 - pq1) verdict = "gain"
             else if (base > 0 && worse > bound[m] * base) { verdict = "REGRESSION"; status = 1 }
             else if (base > 0 && pq3 - pq1 > bound[m] * base && !clear) verdict = "unresolved"
             printf "  %-22s %14.4f [%10.4f, %10.4f] %14.4f [%10.4f, %10.4f]  %2d/%d/%-2d %5.0f%%  %s\n", m, pmed, pq1, pq3, cmed, cq1, cq3, wins, ties, losses, bound[m] * 100, verdict
